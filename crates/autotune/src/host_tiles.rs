@@ -24,7 +24,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use blast_la::dense::naive;
-use blast_la::tile::{self, GemmWorkspace, Op, TileConfig, CANDIDATES};
+use blast_la::tile::{self, Op, TileConfig, CANDIDATES};
 
 use crate::tuner::Autotuner;
 
@@ -99,7 +99,6 @@ pub fn tune_host_tiles_uncached(
     // transposed), shared by the naive and tiled runs.
     let b: Vec<f64> = (0..n * k).map(|i| ((i * 53 + 7) % 97) as f64 * 1e-2 - 0.4).collect();
     let mut c = vec![0.0f64; m * n];
-    let mut ws = GemmWorkspace::new();
 
     let mut best = vec![f64::INFINITY; CANDIDATES.len()];
     let mut naive_best = f64::INFINITY;
@@ -107,7 +106,7 @@ pub fn tune_host_tiles_uncached(
         for (ci, cfg) in CANDIDATES.iter().enumerate() {
             let start = Instant::now();
             for _ in 0..reps {
-                run_candidate(*cfg, m, n, k, &a, &b, &mut c, &mut ws);
+                tile::gemm_tiled_direct(*cfg, m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c);
             }
             best[ci] = best[ci].min(start.elapsed().as_secs_f64());
         }
@@ -137,26 +136,6 @@ pub fn tune_host_tiles_uncached(
         naive_gflops,
         speedup: tiled_gflops / naive_gflops,
         candidate_times_s: best,
-    }
-}
-
-/// One timed candidate run, mirroring `tile::gemm`'s direct-vs-packed
-/// dispatch so the search measures the path production calls will take at
-/// this shape.
-fn run_candidate(
-    cfg: TileConfig,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    ws: &mut GemmWorkspace,
-) {
-    if tile::prefers_direct(m, n, k) {
-        tile::gemm_tiled_direct(cfg, m, n, k, 1.0, a, Op::N, b, Op::T, 0.0, c);
-    } else {
-        tile::gemm_tiled_packed(cfg, m, n, k, 1.0, a, Op::N, b, Op::T, 0.0, c, ws);
     }
 }
 

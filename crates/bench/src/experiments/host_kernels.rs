@@ -1,7 +1,6 @@
 //! host_kernels — *measured* single-thread wall-clock of the host GEMM
 //! micro-kernels on the paper's Table-3 corner-force shapes: the
-//! pre-tiling naive kernel vs the cache-blocked register-tiled core
-//! (direct path) vs the tiled core with panel packing.
+//! pre-tiling naive kernel vs the cache-blocked register-tiled core.
 //!
 //! Unlike the modeled figure/table experiments, every number here is real
 //! hardware time. Measurement is interleaved min-of-samples: each round
@@ -22,8 +21,7 @@ use blast_la::tile::{self, Op, CANDIDATES};
 use crate::table;
 
 /// The Table-3 corner-force `F_z` shapes `(m, n, k, label)`: Q1-Q4 in 3D
-/// plus the 2D Q4 shape (same constants as `blast-la`'s `tile_probe`
-/// example and the tiled-GEMM property tests).
+/// plus the 2D Q4 shape (same constants as the tiled-GEMM property tests).
 pub const SHAPES: [(usize, usize, usize, &str); 5] = [
     (24, 1, 8, "Q1 3D"),
     (50, 16, 36, "Q4 2D"),
@@ -47,20 +45,16 @@ pub struct ShapeResult {
     pub gated: bool,
     /// Naive kernel, GFLOP/s.
     pub naive_gflops: f64,
-    /// Best direct-path candidate, GFLOP/s.
+    /// Best tile candidate, GFLOP/s.
     pub tiled_gflops: f64,
     /// Candidate index behind `tiled_gflops`.
     pub tiled_index: usize,
-    /// Best packed-path candidate, GFLOP/s.
-    pub packed_gflops: f64,
-    /// Candidate index behind `packed_gflops`.
-    pub packed_index: usize,
 }
 
 impl ShapeResult {
-    /// Best tiled variant (direct or packed) over naive — the gate metric.
+    /// Best tiled candidate over naive — the gate metric.
     pub fn speedup(&self) -> f64 {
-        self.tiled_gflops.max(self.packed_gflops) / self.naive_gflops
+        self.tiled_gflops / self.naive_gflops
     }
 }
 
@@ -90,7 +84,7 @@ impl HostKernels {
             rows.push(format!(
                 "    {{\"label\": \"{}\", \"m\": {}, \"n\": {}, \"k\": {}, \"gated\": {}, \
                  \"naive_gflops\": {:.4}, \"tiled_gflops\": {:.4}, \"tiled_candidate\": {}, \
-                 \"packed_gflops\": {:.4}, \"packed_candidate\": {}, \"speedup\": {:.4}}}",
+                 \"speedup\": {:.4}}}",
                 s.label,
                 s.m,
                 s.n,
@@ -99,8 +93,6 @@ impl HostKernels {
                 s.naive_gflops,
                 s.tiled_gflops,
                 s.tiled_index,
-                s.packed_gflops,
-                s.packed_index,
                 s.speedup(),
             ));
         }
@@ -114,7 +106,7 @@ impl HostKernels {
     }
 }
 
-/// Deterministic operand fill (same generator as the `tile_probe` example).
+/// Deterministic operand fill.
 fn fill(buf: &mut [f64], seed: usize) {
     for (i, v) in buf.iter_mut().enumerate() {
         let s = i.wrapping_mul(2654435761).wrapping_add(seed) % 1000;
@@ -122,8 +114,8 @@ fn fill(buf: &mut [f64], seed: usize) {
     }
 }
 
-/// Measures one shape: all variants (naive + 12 direct + 12 packed)
-/// timed round-robin, `rounds` rounds, each sample sized to `sample_s`
+/// Measures one shape: all variants (naive + 12 tile candidates) timed
+/// round-robin, `rounds` rounds, each sample sized to `sample_s`
 /// seconds; every variant keeps its minimum.
 fn measure_shape(
     m: usize,
@@ -134,30 +126,26 @@ fn measure_shape(
     rounds: usize,
     sample_s: f64,
 ) -> ShapeResult {
-    let nvariants = 1 + 2 * CANDIDATES.len();
+    let nvariants = 1 + CANDIDATES.len();
     let mut a = vec![0.0; m * k];
     let mut b = vec![0.0; n * k]; // B^T operand of the NT product: n x k.
     let mut c = vec![0.0; m * n];
     fill(&mut a, 1);
     fill(&mut b, 2);
-    let mut ws = tile::GemmWorkspace::new();
 
     let mut run = |v: usize| {
         if v == 0 {
             naive::gemm_nt_raw(m, n, k, 1.0, &a, &b, 0.0, &mut c);
-        } else if v <= CANDIDATES.len() {
+        } else {
             let cfg = CANDIDATES[v - 1];
             tile::gemm_tiled_direct(cfg, m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c);
-        } else {
-            let cfg = CANDIDATES[v - 1 - CANDIDATES.len()];
-            tile::gemm_tiled_packed(cfg, m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c, &mut ws);
         }
     };
 
     // Calibrate each variant's inner repeat count to ~sample_s per sample.
     let mut inner = vec![1u32; nvariants];
     for (v, reps) in inner.iter_mut().enumerate() {
-        run(v); // warm caches (and grow the packing workspace) off the clock
+        run(v); // warm caches off the clock
         let t0 = Instant::now();
         run(v);
         let once = t0.elapsed().as_secs_f64().max(1e-9);
@@ -177,13 +165,9 @@ fn measure_shape(
 
     let flops = (2 * m * n * k) as f64;
     let gf = |t: f64| flops / t / 1e9;
-    let argmin = |times: &[f64]| {
-        times.iter().enumerate().min_by(|x, y| x.1.total_cmp(y.1)).map(|(i, _)| i).unwrap_or(0)
-    };
-    let direct = &best[1..=CANDIDATES.len()];
-    let packed = &best[CANDIDATES.len() + 1..];
-    let di = argmin(direct);
-    let pi = argmin(packed);
+    let tiled = &best[1..];
+    let ti =
+        tiled.iter().enumerate().min_by(|x, y| x.1.total_cmp(y.1)).map(|(i, _)| i).unwrap_or(0);
     ShapeResult {
         label,
         m,
@@ -191,10 +175,8 @@ fn measure_shape(
         k,
         gated,
         naive_gflops: gf(best[0]),
-        tiled_gflops: gf(direct[di]),
-        tiled_index: di,
-        packed_gflops: gf(packed[pi]),
-        packed_index: pi,
+        tiled_gflops: gf(tiled[ti]),
+        tiled_index: ti,
     }
 }
 
@@ -231,14 +213,13 @@ pub fn render(r: &HostKernels) -> String {
                 format!("{}x{}x{}", s.m, s.n, s.k),
                 table::f(s.naive_gflops),
                 format!("{} (cfg{})", table::f(s.tiled_gflops), s.tiled_index),
-                format!("{} (cfg{})", table::f(s.packed_gflops), s.packed_index),
                 format!("{:.2}x", s.speedup()),
             ]
         })
         .collect();
     let mut out = table::render(
         "host_kernels — measured single-thread GEMM GFLOP/s on Table-3 shapes (real wall-clock)",
-        &["shape", "m x n x k", "naive", "tiled direct", "tiled packed", "speedup"],
+        &["shape", "m x n x k", "naive", "tiled", "speedup"],
         &rows,
     );
     out.push_str(&format!(
@@ -263,8 +244,8 @@ mod tests {
         let r = measure_with_budget(true);
         assert_eq!(r.shapes.len(), SHAPES.len());
         for s in &r.shapes {
-            assert!(s.naive_gflops > 0.0 && s.tiled_gflops > 0.0 && s.packed_gflops > 0.0);
-            assert!(s.tiled_index < CANDIDATES.len() && s.packed_index < CANDIDATES.len());
+            assert!(s.naive_gflops > 0.0 && s.tiled_gflops > 0.0);
+            assert!(s.tiled_index < CANDIDATES.len());
         }
         assert_eq!(r.shapes.iter().filter(|s| s.gated).count(), 4);
         let json = r.to_json();
@@ -291,9 +272,8 @@ mod tests {
             let s = r.shapes.iter().find(|s| s.label == want).unwrap();
             assert!(
                 s.speedup() >= 2.0,
-                "{want}: tiled {:.2} / packed {:.2} vs naive {:.2} GFLOP/s = {:.2}x < 2x",
+                "{want}: tiled {:.2} vs naive {:.2} GFLOP/s = {:.2}x < 2x",
                 s.tiled_gflops,
-                s.packed_gflops,
                 s.naive_gflops,
                 s.speedup()
             );

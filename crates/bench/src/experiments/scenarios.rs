@@ -7,16 +7,34 @@
 
 use std::sync::Arc;
 
-use blast_core::{ExecMode, Executor, Hydro, HydroConfig, HydroState, Sedov, TriplePoint};
-use gpu_sim::{CpuSpec, GpuDevice, GpuSpec};
-use gpu_sim::DeviceCatalog;
+use blast_core::{
+    ExecMode, Executor, Hydro, HydroConfig, HydroState, Problem, Sedov, TriplePoint,
+};
+use gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice, GpuSpec};
+
+/// The one scenario constructor: `problem` on `zones` with `cfg`, executed
+/// in `mode` on the E5-2670 host of §4.2 plus (for GPU / hybrid modes) a
+/// fresh simulated device built from `spec`.
+fn build<const D: usize>(
+    problem: &dyn Problem<D>,
+    zones: [usize; D],
+    cfg: HydroConfig,
+    mode: ExecMode,
+    spec: GpuSpec,
+) -> (Hydro<D>, HydroState) {
+    let needs_gpu = matches!(mode, ExecMode::Gpu { .. } | ExecMode::Hybrid { .. });
+    let gpu = needs_gpu.then(|| Arc::new(GpuDevice::new(spec)));
+    let hydro = Hydro::<D>::builder(problem, zones)
+        .config(cfg)
+        .executor(Executor::new(mode, CpuSpec::e5_2670(), gpu))
+        .build()
+        .expect("scenario fits the device");
+    let state = hydro.initial_state();
+    (hydro, state)
+}
 
 /// 3D Sedov on the E5-2670 + K20 single node of §4.2.
-pub fn sedov3d(
-    order: usize,
-    zones_axis: usize,
-    mode: ExecMode,
-) -> (Hydro<3>, HydroState) {
+pub fn sedov3d(order: usize, zones_axis: usize, mode: ExecMode) -> (Hydro<3>, HydroState) {
     sedov3d_on(order, zones_axis, mode, DeviceCatalog::gpu("k20"))
 }
 
@@ -28,50 +46,18 @@ pub fn sedov3d_on(
     mode: ExecMode,
     spec: GpuSpec,
 ) -> (Hydro<3>, HydroState) {
-    let gpu = match mode {
-        ExecMode::Gpu { .. } | ExecMode::Hybrid { .. } => {
-            Some(Arc::new(GpuDevice::new(spec)))
-        }
-        _ => None,
-    };
-    let exec = Executor::new(mode, CpuSpec::e5_2670(), gpu);
-    let problem = Sedov::default();
     let cfg = HydroConfig { order, ..Default::default() };
-    let hydro = Hydro::<3>::builder(&problem, [zones_axis; 3])
-        .config(cfg)
-        .executor(exec)
-        .build()
-        .expect("scenario fits the device");
-    let state = hydro.initial_state();
-    (hydro, state)
+    build(&Sedov::default(), [zones_axis; 3], cfg, mode, spec)
 }
 
 /// 2D Sedov (for the quicker 2D studies).
 pub fn sedov2d(order: usize, zones_axis: usize, mode: ExecMode) -> (Hydro<2>, HydroState) {
-    let gpu = match mode {
-        ExecMode::Gpu { .. } | ExecMode::Hybrid { .. } => {
-            Some(Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20"))))
-        }
-        _ => None,
-    };
-    let exec = Executor::new(mode, CpuSpec::e5_2670(), gpu);
-    let problem = Sedov::default();
     let cfg = HydroConfig { order, ..Default::default() };
-    let hydro = Hydro::<2>::builder(&problem, [zones_axis; 2])
-        .config(cfg)
-        .executor(exec)
-        .build()
-        .expect("scenario fits the device");
-    let state = hydro.initial_state();
-    (hydro, state)
+    build(&Sedov::default(), [zones_axis; 2], cfg, mode, DeviceCatalog::gpu("k20"))
 }
 
 /// 2D triple point at a given order; `base_zones` scales the 7x3 domain.
-pub fn triple_point(
-    order: usize,
-    base_zones: usize,
-    mode: ExecMode,
-) -> (Hydro<2>, HydroState) {
+pub fn triple_point(order: usize, base_zones: usize, mode: ExecMode) -> (Hydro<2>, HydroState) {
     triple_point_with_cfl(order, base_zones, mode, HydroConfig::default().cfl)
 }
 
@@ -83,22 +69,9 @@ pub fn triple_point_with_cfl(
     mode: ExecMode,
     cfl: f64,
 ) -> (Hydro<2>, HydroState) {
-    let gpu = match mode {
-        ExecMode::Gpu { .. } | ExecMode::Hybrid { .. } => {
-            Some(Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20"))))
-        }
-        _ => None,
-    };
-    let exec = Executor::new(mode, CpuSpec::e5_2670(), gpu);
-    let problem = TriplePoint::default();
     let cfg = HydroConfig { order, cfl, ..Default::default() };
-    let hydro = Hydro::<2>::builder(&problem, [7 * base_zones, 3 * base_zones])
-        .config(cfg)
-        .executor(exec)
-        .build()
-        .expect("scenario fits the device");
-    let state = hydro.initial_state();
-    (hydro, state)
+    let zones = [7 * base_zones, 3 * base_zones];
+    build(&TriplePoint::default(), zones, cfg, mode, DeviceCatalog::gpu("k20"))
 }
 
 /// Steps a hydro `n` times at a CFL-limited dt; returns the simulated wall

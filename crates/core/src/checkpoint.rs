@@ -117,7 +117,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// One coordinated snapshot: the state plus everything `try_run_to` needs
+/// One coordinated snapshot: the state plus everything `Hydro::run` needs
 /// to continue exactly where the snapshot was taken.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
@@ -239,10 +239,10 @@ impl Checkpoint {
     }
 }
 
-/// When `try_run_to_checkpointed` writes a coordinated checkpoint.
+/// When `Hydro::run` writes a coordinated checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CheckpointPolicy {
-    /// No checkpointing (the plain `try_run_to` behavior).
+    /// No checkpointing.
     Never,
     /// Write after every `n` accepted steps.
     EverySteps(usize),

@@ -8,7 +8,7 @@
 //!   recovery semantics" in DESIGN.md).
 //! - **Numerical breakdowns** (`NonFinite`, `PcgBreakdown`, `MeshTangled`):
 //!   the step produced something unusable. These are *recoverable by
-//!   rollback* — `try_run_to` restores the checkpointed state and redoes
+//!   rollback* — `Hydro::try_advance` restores the pre-step state and redoes
 //!   the step with a halved dt.
 //! - Everything else is a bug and stays a panic (documented invariant
 //!   asserts on operand shapes).
@@ -54,6 +54,16 @@ pub enum HydroError {
         zone: usize,
         /// The offending determinant.
         detj: f64,
+    },
+    /// The builder was handed a configuration no solver can be built
+    /// from (order 0, a zero-zone axis, a non-finite or non-positive CFL
+    /// factor). Detected at the top of `HydroBuilder::build`, before any
+    /// work; not dt-related, so rollback cannot clear it.
+    InvalidConfig {
+        /// Which builder input is unusable.
+        what: &'static str,
+        /// Human-readable cause, with the offending value.
+        detail: String,
     },
     /// Writing or restoring a checkpoint failed (I/O or decode). Not
     /// dt-related, so rollback cannot clear it.
@@ -121,6 +131,9 @@ impl std::fmt::Display for HydroError {
                 f,
                 "mesh tangled: |J| = {detj} at point {point} (zone {zone}) — reduce the CFL"
             ),
+            HydroError::InvalidConfig { what, detail } => {
+                write!(f, "invalid solver configuration ({what}): {detail}")
+            }
             HydroError::Checkpoint { detail } => write!(f, "checkpoint failure: {detail}"),
             HydroError::CorruptionDetected { step, audit, measured, tolerance } => write!(
                 f,

@@ -1,0 +1,891 @@
+//! Time stepping: the RK2-average step, the adaptive run loop with
+//! rollback / CFL redos, checkpoint and restart, and the SDC audit glue.
+
+use blast_fem::geom::zone_jacobians;
+use blast_telemetry::{names, Track};
+use gpu_sim::{apply_flip, SdcSite, Traffic, FAULT_SEED_ENV};
+use powermon::CpuPowerState;
+
+use super::{
+    ensure_zeroed, AdvanceOutcome, Hydro, ResumeInfo, RunStats, StepOutcome, MAX_STEP_REDOS,
+};
+use crate::audit::{AuditConfig, StepAuditor};
+use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, LoadedCheckpoint};
+use crate::error::HydroError;
+use crate::exec::{integration_traffic, ExecMode, CG_CPU_EFF};
+use crate::state::HydroState;
+
+/// Declarative configuration for one [`Hydro::run`] call: the target
+/// time, a step budget, and (optionally) a checkpoint policy + store.
+///
+/// Built fluently:
+///
+/// ```ignore
+/// hydro.run(&mut state, RunConfig::to(0.1))?;
+/// hydro.run(&mut state, RunConfig::to(0.1).max_steps(50))?;
+/// hydro.run(&mut state, RunConfig::to(0.1).checkpointed(policy, &mut store))?;
+/// ```
+pub struct RunConfig<'a> {
+    /// Simulation time to run until.
+    pub t_final: f64,
+    /// Accepted-step budget (defaults to effectively unbounded).
+    pub max_steps: usize,
+    /// Checkpoint cadence; `None` falls back to the solver's builder-time
+    /// default policy ([`CheckpointPolicy::Never`] unless overridden).
+    pub policy: Option<CheckpointPolicy>,
+    /// Where checkpoint generations go (and where restart looks on entry).
+    /// `None` runs with a throwaway in-memory store.
+    pub store: Option<&'a mut CheckpointStore>,
+}
+
+impl<'a> RunConfig<'a> {
+    /// Runs until `t_final` with no step budget and no checkpointing.
+    pub fn to(t_final: f64) -> RunConfig<'static> {
+        RunConfig { t_final, max_steps: usize::MAX, policy: None, store: None }
+    }
+
+    /// Caps the number of accepted steps.
+    #[must_use]
+    pub fn max_steps(mut self, n: usize) -> Self {
+        self.max_steps = n;
+        self
+    }
+
+    /// Enables coordinated checkpoint/restart against `store` (restart
+    /// resumes from the newest valid generation ahead of the state).
+    #[must_use]
+    pub fn checkpointed(
+        self,
+        policy: CheckpointPolicy,
+        store: &'a mut CheckpointStore,
+    ) -> RunConfig<'a> {
+        RunConfig { policy: Some(policy), store: Some(store), ..self }
+    }
+}
+
+impl<const D: usize> Hydro<D> {
+    pub(super) fn build_auditor(&self, cfg: AuditConfig) -> StepAuditor<D> {
+        let mut aud = StepAuditor::new(cfg);
+        let n = self.kin.num_dofs();
+        let npts = self.rule.len();
+        let x0 = &self.initial.x;
+        // Legal coordinate box: the initial bounds, padded by the slack.
+        for d in 0..D {
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            for &v in &x0[d * n..(d + 1) * n] {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            let pad = cfg.range_slack * (hi - lo).max(f64::MIN_POSITIVE);
+            aud.lo[d] = lo - pad;
+            aud.hi[d] = hi + pad;
+        }
+        // `|J0|` reference for the strong-mass-conservation audit.
+        aud.det0.resize(self.shape.zones * npts, 0.0);
+        for z in 0..self.shape.zones {
+            zone_jacobians(&self.kin, &self.kin_table, x0, z, &mut aud.geom);
+            for k in 0..npts {
+                aud.det0[z * npts + k] = aud.geom[k].det;
+            }
+        }
+        aud.pairing = self.mirror_pairing();
+        // Estimated cost of one audit pass, billed per audit: Jacobians
+        // for every zone, one kinetic/internal energy evaluation, and
+        // the finite/range/symmetry scans.
+        let vlen = (D * n) as f64;
+        let elen = self.me.dim() as f64;
+        let jac = (self.shape.zones * npts * 2 * D * D * self.shape.nkin) as f64;
+        let (mass_flops, mass_words) = self.assembly.mass_apply_cost(&self.shape, n, D);
+        let energy = mass_flops + 2.0 * elen * self.shape.nthermo as f64;
+        let scans = 4.0 * (2.0 * vlen + elen);
+        aud.traffic = Traffic {
+            flops: jac + energy + scans,
+            dram_bytes: 8.0
+                * (mass_words
+                    + 3.0 * vlen
+                    + 2.0 * elen
+                    + (self.shape.zones * npts) as f64),
+            ..Traffic::default()
+        };
+        aud
+    }
+
+    /// Diagonal-mirror (`x ↔ y`) DOF pairing, when the mesh is bitwise
+    /// symmetric under the swap and the initial velocity respects it
+    /// (origin-anchored square problems like Sedov). `None` disables the
+    /// symmetry probe (e.g. the 7x3 triple-point domain, or Taylor-Green
+    /// whose velocity field is not mirror-symmetric).
+    fn mirror_pairing(&self) -> Option<Vec<usize>> {
+        if D != 2 {
+            return None;
+        }
+        let n = self.kin.num_dofs();
+        let x0 = &self.initial.x;
+        let mut map = std::collections::HashMap::with_capacity(n);
+        for i in 0..n {
+            map.insert((x0[i].to_bits(), x0[n + i].to_bits()), i);
+        }
+        let mut pairing = Vec::with_capacity(n);
+        for i in 0..n {
+            pairing.push(*map.get(&(x0[n + i].to_bits(), x0[i].to_bits()))?);
+        }
+        let v0 = &self.initial.v;
+        for (i, &p) in pairing.iter().enumerate() {
+            if v0[i].to_bits() != v0[n + p].to_bits() {
+                return None;
+            }
+        }
+        Some(pairing)
+    }
+
+    /// Total energy computed through the auditor's scratch (alloc-free
+    /// once the buffers reach their high-water size).
+    fn audited_energy(&self, state: &HydroState, aud: &mut StepAuditor<D>) -> f64 {
+        let n = self.kin.num_dofs();
+        ensure_zeroed(&mut aud.mv_v, n);
+        let mut kinetic = 0.0;
+        for c in 0..D {
+            let vc = &state.v[c * n..(c + 1) * n];
+            self.assembly.mass_apply(&self.shape, &self.zone_dofs, vc, &mut aud.mv_v);
+            kinetic += 0.5 * blast_la::dense::dot(vc, &aud.mv_v);
+        }
+        ensure_zeroed(&mut aud.me_e, self.me.dim());
+        self.me.apply(&state.e, &mut aud.me_e);
+        kinetic + aud.me_e.iter().sum::<f64>()
+    }
+
+    /// Runs every invariant check against a candidate state. Returns the
+    /// first violated audit as `(name, measured, tolerance)`, or `None`
+    /// when the state passes (which also advances the energy reference).
+    fn execute_audit(
+        &self,
+        state: &HydroState,
+        aud: &mut StepAuditor<D>,
+    ) -> Option<(&'static str, f64, f64)> {
+        let n = self.kin.num_dofs();
+        // NaN/Inf scans catch exponent flips and their cascades first.
+        for field in [&state.v, &state.e, &state.x] {
+            if let Some(&bad) = field.iter().find(|v| !v.is_finite()) {
+                return Some(("finite", bad, f64::MAX));
+            }
+        }
+        // Mesh coordinates escaping the padded initial box.
+        for d in 0..D {
+            let (lo, hi) = (aud.lo[d], aud.hi[d]);
+            for &xv in &state.x[d * n..(d + 1) * n] {
+                if xv < lo || xv > hi {
+                    return Some(("range", xv, if xv < lo { lo } else { hi }));
+                }
+            }
+        }
+        // Geometry / strong mass conservation: rho/rho0 = |J0|/|J| must
+        // stay positive and below the slacked strong-shock limit.
+        let npts = self.rule.len();
+        for z in 0..self.shape.zones {
+            zone_jacobians(&self.kin, &self.kin_table, &state.x, z, &mut aud.geom);
+            let g = self.consts.gamma[z];
+            let limit = aud.cfg.compression_slack * (g + 1.0) / (g - 1.0);
+            for k in 0..npts {
+                let det = aud.geom[k].det;
+                // NaN dets must trip too, not slip through the comparison.
+                if det <= 0.0 || det.is_nan() {
+                    return Some(("geometry", det, 0.0));
+                }
+                let compression = aud.det0[z * npts + k] / det;
+                if compression > limit {
+                    return Some(("geometry", compression, limit));
+                }
+            }
+        }
+        // Discrete energy identity vs the trusted reference.
+        let total = self.audited_energy(state, aud);
+        if let Some(e_ref) = aud.e_ref {
+            let drift = (total - e_ref).abs() / e_ref.abs().max(f64::MIN_POSITIVE);
+            let band = aud.energy_band();
+            if drift > band {
+                return Some(("energy", drift, band));
+            }
+        }
+        // Diagonal-mirror symmetry probe (v and x; flips in e are the
+        // energy audit's job). The pairing is an involution, so checking
+        // `f_x[i]` against `f_y[p[i]]` for every `i` covers both halves.
+        if let Some(p) = &aud.pairing {
+            for field in [&state.v, &state.x] {
+                let (fx, fy) = field.split_at(n);
+                let scale = field
+                    .iter()
+                    .fold(0.0f64, |m, &v| m.max(v.abs()))
+                    .max(f64::MIN_POSITIVE);
+                let mut worst = 0.0f64;
+                for i in 0..n {
+                    worst = worst.max((fx[i] - fy[p[i]]).abs());
+                }
+                let asym = worst / scale;
+                if asym > aud.cfg.symmetry_tol {
+                    return Some(("symmetry", asym, aud.cfg.symmetry_tol));
+                }
+            }
+        }
+        aud.note_pass(total);
+        None
+    }
+
+    /// Runs [`Self::execute_audit`] and bills it (the pass itself plus the
+    /// ABFT verification flops accumulated since the last audit). A failed
+    /// audit is reported and returned as the typed corruption error.
+    fn billed_audit(
+        &self,
+        state: &HydroState,
+        aud: &mut StepAuditor<D>,
+    ) -> Result<(), HydroError> {
+        let verdict = self.execute_audit(state, aud);
+        let mut traffic = aud.traffic;
+        traffic.flops += blast_la::abft::take_verify_flops() as f64;
+        self.exec.bill_audit(&traffic);
+        let Some((audit, measured, tolerance)) = verdict else {
+            return Ok(());
+        };
+        let err = HydroError::CorruptionDetected {
+            step: self.sdc_attempt.get(),
+            audit,
+            measured,
+            tolerance,
+        };
+        self.report_corruption(&err);
+        Err(err)
+    }
+
+    /// Prints the replayable corruption log line (seed, step, measured vs
+    /// tolerance) and records the detection in the ledger + trace.
+    fn report_corruption(&self, err: &HydroError) {
+        if let HydroError::CorruptionDetected { step, audit, measured, tolerance } = err {
+            let seed = self.sdc_plan.borrow().seed;
+            eprintln!(
+                "[sdc] {FAULT_SEED_ENV}={seed} step-attempt {step}: {audit} audit measured \
+                 {measured:.6e} against tolerance {tolerance:.6e} (rerun with \
+                 {FAULT_SEED_ENV}={seed} to replay)"
+            );
+            self.exec.note_corruption_detected();
+        }
+    }
+
+    /// Suggested CFL dt for a state (runs one force evaluation; this is
+    /// step 3 of the paper's algorithm, "compute initial time step").
+    ///
+    /// Panics on unrecoverable solver errors; see [`Self::try_suggest_dt`].
+    pub fn suggest_dt(&mut self, state: &HydroState) -> f64 {
+        self.try_suggest_dt(state).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible variant of [`Self::suggest_dt`].
+    pub fn try_suggest_dt(&mut self, state: &HydroState) -> Result<f64, HydroError> {
+        let ev = self.eval_force(&state.v, &state.e, &state.x)?;
+        Ok(self.cfl / ev.max_inv_dt.max(1e-300))
+    }
+
+    /// One RK2-average step (the energy-conserving scheme of the BLAST
+    /// reference implementation): each sub-step evaluates the force, then
+    /// updates the energy with the *midpoint* velocity and moves the mesh
+    /// with the same velocity.
+    ///
+    /// Panics on unrecoverable solver errors; see [`Self::try_step`].
+    pub fn step(&mut self, state: &mut HydroState, dt: f64) -> StepOutcome {
+        self.try_step(state, dt).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible variant of [`Self::step`]. On error, `state` is left
+    /// exactly as it was — all failures surface before the state vectors
+    /// are written — so the caller can roll back by simply retrying with a
+    /// smaller dt (which is what [`Self::run`] does).
+    ///
+    /// Every attempt is wrapped in a `step` telemetry span on the host
+    /// track, so the four phase spans it bills nest underneath it in the
+    /// exported trace. The span closes on both success and error paths.
+    pub fn try_step(&mut self, state: &mut HydroState, dt: f64) -> Result<StepOutcome, HydroError> {
+        let tel = self.exec.telemetry().clone();
+        tel.begin(Track::Host, names::phases::STEP, self.exec.host.now());
+        let res = self.try_step_inner(state, dt);
+        tel.end(Track::Host, self.exec.host.now());
+        // A GEMM-panel flip armed for this attempt either landed inside a
+        // verified GEMM (then `disarm` finds nothing) or never got the
+        // chance (ABFT off / attempt aborted first).
+        if self.sdc_gemm_armed.replace(false) && !blast_la::abft::disarm() {
+            self.exec.note_sdc_flips(1);
+        }
+        match res {
+            Err(e) => {
+                // A corrupted GEMM can cascade into NaN/Inf or a tangled
+                // mesh before the step's own checksum poll runs; the
+                // violation is the root cause, so surface it as detected
+                // corruption (the consumed flip makes the redo clean).
+                match blast_la::abft::take_violation() {
+                    Some(v) => Err(HydroError::CorruptionDetected {
+                        step: self.sdc_attempt.get(),
+                        audit: "abft",
+                        measured: v.measured,
+                        tolerance: v.tolerance,
+                    }),
+                    None => Err(e),
+                }
+            }
+            ok => ok,
+        }
+    }
+
+    fn try_step_inner(
+        &mut self,
+        state: &mut HydroState,
+        dt: f64,
+    ) -> Result<StepOutcome, HydroError> {
+        assert!(dt > 0.0, "dt must be positive");
+        if self.step_fault_budget.get() > 0 {
+            // Injected step fault: fires before any work, so the state is
+            // trivially untouched and the failure rolls back cleanly.
+            self.step_fault_budget.set(self.step_fault_budget.get() - 1);
+            return Err(HydroError::NonFinite { what: "injected step fault", index: 0 });
+        }
+        // This attempt's ordinal on the SDC plan's clock (redos included,
+        // so a consumed transient flip cannot re-fire on the redo).
+        let attempt = self.sdc_attempt.get() + 1;
+        self.sdc_attempt.set(attempt);
+        if let Some(f) = self.sdc_plan.borrow().take(SdcSite::GemmPanel, attempt) {
+            // Exponent-MSB flips in a GEMM panel overflow into Inf more
+            // often than they corrupt silently; cap the armed bit so the
+            // flip stays in the band the checksums must catch.
+            blast_la::abft::arm_flip(f.lane, f.bit.min(55));
+            self.sdc_gemm_armed.set(true);
+        }
+        let n = self.kin.num_dofs();
+        let vlen = D * n;
+        // Stage vectors come from the step scratch (handed back at the
+        // end, so steady-state steps allocate nothing; an error path drops
+        // them and the next step re-grows).
+        let (mut s0_v, mut s0_e, mut s0_x, mut v_half, mut e_half, mut x_half, mut v_avg) = {
+            let mut ws = self.scratch.borrow_mut();
+            (
+                std::mem::take(&mut ws.s0_v),
+                std::mem::take(&mut ws.s0_e),
+                std::mem::take(&mut ws.s0_x),
+                std::mem::take(&mut ws.v_half),
+                std::mem::take(&mut ws.e_half),
+                std::mem::take(&mut ws.x_half),
+                std::mem::take(&mut ws.v_avg),
+            )
+        };
+        s0_v.clone_from(&state.v);
+        s0_e.clone_from(&state.e);
+        s0_x.clone_from(&state.x);
+        let t0 = state.t;
+        let mut cg_total = 0;
+
+        // -- Stage 1: evaluate at S0, advance to the midpoint.
+        let ev1 = self.eval_force(&s0_v, &s0_e, &s0_x)?;
+        cg_total += ev1.cg_iterations;
+        v_half.clone_from(&s0_v);
+        blast_la::dense::axpy(0.5 * dt, &ev1.accel, &mut v_half);
+        let de1 = self.energy_rate(&ev1.fz, &v_half)?;
+        e_half.clone_from(&s0_e);
+        blast_la::dense::axpy(0.5 * dt, &de1, &mut e_half);
+        x_half.clone_from(&s0_x);
+        blast_la::dense::axpy(0.5 * dt, &v_half, &mut x_half);
+        {
+            // Stage 1's outputs are fully consumed: hand the buffers back
+            // to the pools so stage 2 reuses them.
+            let mut ws = self.scratch.borrow_mut();
+            ws.fz = ev1.fz;
+            ws.accel = ev1.accel;
+            ws.de = de1;
+        }
+
+        // -- Stage 2: evaluate at the midpoint, take the full step with the
+        // averaged velocity (v0 + v_new)/2 = v0 + dt/2 * accel2.
+        let mut ev2 = self.eval_force(&v_half, &e_half, &x_half)?;
+        cg_total += ev2.cg_iterations;
+        // SdcSite::DeviceBuffer: a strike on the device-resident
+        // acceleration buffer, before it propagates into v, e, and x.
+        if let Some(f) = self.sdc_plan.borrow().take(SdcSite::DeviceBuffer, attempt) {
+            if apply_flip(&mut ev2.accel, &f).is_some() {
+                self.exec.note_sdc_flips(1);
+            }
+        }
+        v_avg.clone_from(&s0_v);
+        blast_la::dense::axpy(0.5 * dt, &ev2.accel, &mut v_avg);
+        let mut de2 = self.energy_rate(&ev2.fz, &v_avg)?;
+        // SdcSite::TransferPayload: a strike on the energy-rate vector in
+        // flight back to the host.
+        if let Some(f) = self.sdc_plan.borrow().take(SdcSite::TransferPayload, attempt) {
+            if apply_flip(&mut de2, &f).is_some() {
+                self.exec.note_sdc_flips(1);
+            }
+        }
+
+        // ABFT checkpoint: all of the attempt's GEMMs have run, and the
+        // state vectors are still untouched — a checksum violation here
+        // means "roll back by simply retrying", exactly like the other
+        // pre-commit failures.
+        if let Some(v) = blast_la::abft::take_violation() {
+            return Err(HydroError::CorruptionDetected {
+                step: attempt,
+                audit: "abft",
+                measured: v.measured,
+                tolerance: v.tolerance,
+            });
+        }
+
+        state.v.copy_from_slice(&s0_v);
+        blast_la::dense::axpy(dt, &ev2.accel, &mut state.v);
+        state.e.copy_from_slice(&s0_e);
+        blast_la::dense::axpy(dt, &de2, &mut state.e);
+        state.x.copy_from_slice(&s0_x);
+        blast_la::dense::axpy(dt, &v_avg, &mut state.x);
+        state.t = t0 + dt;
+        // SdcSite::HostState: a strike on a committed state array after
+        // the step lands — the lane picks v, e, or x. Past every in-step
+        // guard by construction; only the auditor can catch it.
+        if let Some(f) = self.sdc_plan.borrow().take(SdcSite::HostState, attempt) {
+            let target: &mut [f64] = match f.lane % 3 {
+                0 => &mut state.v,
+                1 => &mut state.e,
+                _ => &mut state.x,
+            };
+            if apply_flip(target, &f).is_some() {
+                self.exec.note_sdc_flips(1);
+            }
+        }
+
+        // Host-side time integration cost ("the time integration ... is
+        // still done on CPU").
+        let threads = self.exec.cpu_threads();
+        let pstate = if matches!(self.exec.mode, ExecMode::Gpu { .. }) {
+            CpuPowerState::GpuOffload
+        } else {
+            CpuPowerState::Busy
+        };
+        let (_, t) = self.exec.host.run_phase(
+            names::phases::INTEGRATION,
+            &integration_traffic(2 * vlen + state.e.len()),
+            threads,
+            CG_CPU_EFF,
+            pstate,
+            || (),
+        );
+        if let Some(g) = &self.exec.gpu {
+            g.idle(t);
+        }
+
+        let dt_est = self.cfl / ev2.max_inv_dt.max(1e-300);
+        {
+            // Hand every stage buffer back to the scratch for the next step.
+            let mut ws = self.scratch.borrow_mut();
+            ws.fz = ev2.fz;
+            ws.accel = ev2.accel;
+            ws.de = de2;
+            ws.s0_v = s0_v;
+            ws.s0_e = s0_e;
+            ws.s0_x = s0_x;
+            ws.v_half = v_half;
+            ws.e_half = e_half;
+            ws.x_half = x_half;
+            ws.v_avg = v_avg;
+        }
+
+        Ok(StepOutcome { dt_used: dt, dt_est, cg_iterations: cg_total })
+    }
+
+    /// Runs the solver under a declarative [`RunConfig`] — the single run
+    /// entry point, with or without checkpointing.
+    ///
+    /// Stepping: adaptive dt (grow by 2% per accepted step, redo at 85%
+    /// of the estimate on a CFL overshoot discovered mid-step). A step
+    /// that fails recoverably (mesh inversion, PCG breakdown, NaN/Inf) is
+    /// rolled back and redone with dt halved, up to [`MAX_STEP_REDOS`]
+    /// consecutive times. Redone steps count into [`RunStats::retries`].
+    /// Persistent GPU faults never surface here — `eval_force` degrades
+    /// to the CPU path internally and continues.
+    ///
+    /// Checkpointing (when the config or the builder default enables it):
+    /// on entry, if the store holds a valid checkpoint *ahead* of
+    /// `state`, the run resumes from it (state, warm-start cache, dt, and
+    /// counters restored; the restore is billed to the power trace).
+    /// Corrupt or truncated generations are skipped via their CRC.
+    /// During the run the policy decides when to write a new generation;
+    /// each write is billed as a host DRAM phase with the device
+    /// quiescing at idle watts. The returned [`RunStats`] counts from the
+    /// beginning of the logical run, including steps replayed from the
+    /// checkpoint's counters.
+    ///
+    /// On return the executor's pool counters (`pool_calls`,
+    /// `pool_blocks`, `pool_steals`, `pool_threads`) are refreshed in the
+    /// telemetry sink.
+    pub fn run(
+        &mut self,
+        state: &mut HydroState,
+        cfg: RunConfig<'_>,
+    ) -> Result<RunStats, HydroError> {
+        let RunConfig { t_final, max_steps, policy, store } = cfg;
+        let policy = policy.unwrap_or(self.default_ckpt_policy);
+        let mut scratch_store;
+        let store = match store {
+            Some(s) => s,
+            None => {
+                scratch_store = CheckpointStore::in_memory();
+                &mut scratch_store
+            }
+        };
+        let mut steps = 0usize;
+        let mut retries = 0usize;
+        let mut dt = None;
+        if let Some(info) = self.try_resume(state, store) {
+            steps = info.steps as usize;
+            retries = info.retries as usize;
+            dt = Some(info.dt);
+        }
+        let mut dt = match dt {
+            Some(d) => d,
+            None => self.try_suggest_dt(state)?,
+        };
+        let mut steps_since_ckpt = 0usize;
+        let mut wall_at_ckpt = self.exec.host.now();
+        let mut corruption_restores = 0usize;
+        let res = loop {
+            if state.t >= t_final - 1e-14 || steps >= max_steps {
+                break Ok(RunStats { steps, retries, t: state.t, wall_s: self.exec.host.now() });
+            }
+            let adv = match self.try_advance(state, dt.min(t_final - state.t)) {
+                Ok(adv) => adv,
+                Err(e) => {
+                    if matches!(e, HydroError::CorruptionDetected { .. })
+                        && corruption_restores < MAX_STEP_REDOS
+                    {
+                        // Every in-place redo kept failing the audit: a
+                        // corrupted state was committed before the audit
+                        // cadence caught it, so the pre-step snapshot
+                        // replays the damage. Fall back to the newest
+                        // checkpoint (behind us, by construction) and
+                        // replay forward — consumed transient flips stay
+                        // consumed, so the replay is clean.
+                        if let Some(info) = self.rollback_to_latest(state, store) {
+                            corruption_restores += 1;
+                            steps = info.steps as usize;
+                            retries = info.retries as usize;
+                            dt = info.dt;
+                            steps_since_ckpt = 0;
+                            wall_at_ckpt = self.exec.host.now();
+                            continue;
+                        }
+                    }
+                    break Err(e);
+                }
+            };
+            retries += adv.redos;
+            steps += 1;
+            steps_since_ckpt += 1;
+            dt = adv.dt_next;
+            // With auditing on a cadence > 1, only audited-clean states
+            // are checkpoint-worthy: a corrupted state committed between
+            // audits must never become the generation rollback restores.
+            let trusted = self.audit.as_ref().is_none_or(|a| a.borrow().audited_clean());
+            if trusted && policy.due(steps_since_ckpt, self.exec.host.now() - wall_at_ckpt) {
+                if let Err(e) = self.write_checkpoint(state, dt, steps, retries, store) {
+                    break Err(e);
+                }
+                steps_since_ckpt = 0;
+                wall_at_ckpt = self.exec.host.now();
+            }
+        };
+        self.exec.record_pool_counters();
+        res
+    }
+
+    /// Takes exactly one *accepted* step at (at most) `dt`, absorbing
+    /// rollback and CFL redos internally — the building block shared by
+    /// [`Self::run`] and the distributed driver in `cluster-sim` (which
+    /// needs a dt-consensus round between accepted steps).
+    ///
+    /// Device faults that fire during a redo attempt are threaded into the
+    /// executor's resilience ledger (`redo_faults`). On error the state is
+    /// the last good (pre-step) state, never a mid-rollback intermediate.
+    pub fn try_advance(
+        &mut self,
+        state: &mut HydroState,
+        dt: f64,
+    ) -> Result<AdvanceOutcome, HydroError> {
+        // CFL redos shrink dt by >= 15% each time, so this bound exists
+        // only to guarantee termination (the legacy loop bounded them by
+        // the global retry budget).
+        const MAX_CFL_REDOS: usize = 64;
+        let mut dt = dt;
+        let mut redos = 0usize;
+        let mut rollback_redos = 0usize;
+        let mut cfl_redos = 0usize;
+        // The auditor's energy reference comes from a *trusted* state:
+        // initial conditions or a CRC-validated checkpoint restore — both
+        // of which land here as the pre-step state with no reference set.
+        if let Some(aud) = &self.audit {
+            if aud.borrow().needs_reference() {
+                let mut a = aud.borrow_mut();
+                let e_total = self.audited_energy(state, &mut a);
+                a.set_reference(e_total);
+                self.exec.bill_audit(&a.traffic);
+            }
+        }
+        loop {
+            // Snapshot the pre-step state into the scratch (reused every
+            // iteration, so accepted steps snapshot without allocating).
+            {
+                let mut ws = self.scratch.borrow_mut();
+                ws.saved_v.clone_from(&state.v);
+                ws.saved_e.clone_from(&state.e);
+                ws.saved_x.clone_from(&state.x);
+                ws.saved_accel.clone_from(&self.accel_prev.borrow());
+            }
+            let saved_t = state.t;
+            // On a redo attempt, watch the device fault counter across the
+            // step so faults injected *during the redo* are accounted.
+            let pre_injected = (redos > 0)
+                .then(|| self.exec.gpu.as_ref().map(|g| g.fault_stats().injected).unwrap_or(0));
+            let res = self.try_step(state, dt);
+            if let Some(before) = pre_injected {
+                let after =
+                    self.exec.gpu.as_ref().map(|g| g.fault_stats().injected).unwrap_or(0);
+                if after > before {
+                    self.exec.note_redo_faults(after - before);
+                }
+            }
+            let out = match res {
+                Ok(out) => out,
+                Err(err @ HydroError::CorruptionDetected { .. })
+                    if rollback_redos < MAX_STEP_REDOS =>
+                {
+                    // Corruption caught *before* the state commit (an ABFT
+                    // checksum): redo at the SAME dt — the transient flip
+                    // was consumed, so the redo is bit-identical to a
+                    // fault-free step. Halving dt would needlessly fork
+                    // the trajectory from the clean run.
+                    self.report_corruption(&err);
+                    self.restore_saved(state, saved_t);
+                    redos += 1;
+                    rollback_redos += 1;
+                    continue;
+                }
+                Err(e) if e.recoverable_by_rollback() && rollback_redos < MAX_STEP_REDOS => {
+                    // Roll back to the pre-step state, redo with half dt.
+                    self.restore_saved(state, saved_t);
+                    // With an audit pending (cadence > 1), a recoverable
+                    // blow-up may be committed corruption crashing the
+                    // *next* step rather than a numeric hiccup. Audit the
+                    // restored pre-step state before burning redos on a
+                    // poisoned snapshot: a failed audit converts to
+                    // `CorruptionDetected` so `run` can fall back to the
+                    // newest trusted checkpoint.
+                    if let Some(aud) = &self.audit {
+                        if !aud.borrow().audited_clean() {
+                            self.billed_audit(state, &mut aud.borrow_mut())?;
+                        }
+                    }
+                    dt *= 0.5;
+                    redos += 1;
+                    rollback_redos += 1;
+                    continue;
+                }
+                Err(e) => {
+                    if matches!(e, HydroError::CorruptionDetected { .. }) {
+                        self.report_corruption(&e);
+                    }
+                    return Err(e);
+                }
+            };
+            if out.dt_est < dt * 0.999 && cfl_redos < MAX_CFL_REDOS {
+                // Overshot the CFL bound: redo with a safer dt.
+                self.restore_saved(state, saved_t);
+                dt = 0.85 * out.dt_est;
+                redos += 1;
+                cfl_redos += 1;
+                continue;
+            }
+            // Audit the accepted candidate before committing to it (the
+            // SDC detector's cadence; a failed audit keeps the cadence
+            // armed so the redo is re-audited).
+            if let Some(aud) = &self.audit {
+                if aud.borrow_mut().due() {
+                    let verdict = self.billed_audit(state, &mut aud.borrow_mut());
+                    if let Err(err) = verdict {
+                        if rollback_redos < MAX_STEP_REDOS {
+                            // Same-dt redo from the pre-step snapshot. If
+                            // the snapshot itself is corrupted (cadence >
+                            // 1), the redo fails the audit again and the
+                            // budget drains — `run` then falls back to
+                            // the newest checkpoint.
+                            self.restore_saved(state, saved_t);
+                            redos += 1;
+                            rollback_redos += 1;
+                            continue;
+                        }
+                        return Err(err);
+                    }
+                }
+            }
+            let dt_next = out.dt_est.min(1.02 * dt);
+            let tel = self.exec.telemetry();
+            tel.counter_add(names::counters::STEPS, 1);
+            if redos > 0 {
+                tel.counter_add(names::counters::STEP_REDOS, redos as u64);
+            }
+            return Ok(AdvanceOutcome { outcome: out, redos, dt_next });
+        }
+    }
+
+    /// Copies the scratch's pre-step snapshot back into `state` (the
+    /// rollback half of [`Self::try_advance`]'s redo loop).
+    fn restore_saved(&self, state: &mut HydroState, saved_t: f64) {
+        let ws = self.scratch.borrow();
+        state.v.copy_from_slice(&ws.saved_v);
+        state.e.copy_from_slice(&ws.saved_e);
+        state.x.copy_from_slice(&ws.saved_x);
+        // The PCG warm start is part of the numerical trajectory:
+        // restoring it makes the redone step bit-identical to a
+        // fault-free first try (the SDC campaign's recovery criterion).
+        self.accel_prev.borrow_mut().copy_from_slice(&ws.saved_accel);
+        state.t = saved_t;
+    }
+
+    /// The resumption hook shared by [`Self::run`] and job-level drivers
+    /// (`blast-serve`): if `store` holds a valid checkpoint *ahead* of
+    /// `state`, restores it (state + PCG warm-start cache), bills the
+    /// restore to the power trace, and returns the counters/dt the caller
+    /// must continue from. Returns `None` when nothing in the store is
+    /// ahead of `state` — the caller then starts (or continues) from
+    /// `state` as-is with a freshly suggested dt.
+    ///
+    /// Corrupt or truncated generations are skipped via their CRC
+    /// ([`CheckpointStore::latest_valid`]); `skipped` reports how many.
+    pub fn try_resume(
+        &mut self,
+        state: &mut HydroState,
+        store: &CheckpointStore,
+    ) -> Option<ResumeInfo> {
+        let loaded = store.latest_valid()?;
+        if loaded.checkpoint.state.t <= state.t {
+            return None;
+        }
+        Some(self.restore_loaded(&loaded, state))
+    }
+
+    /// Unconditionally restores the newest valid checkpoint — unlike
+    /// [`Self::try_resume`] it restores even when the checkpoint is
+    /// *behind* `state`, which is exactly what audit-triggered rollback
+    /// needs when a corrupted state was committed (audit cadence > 1).
+    /// Returns `None` (state untouched, store intact) when the store
+    /// holds no valid generation.
+    pub fn rollback_to_latest(
+        &mut self,
+        state: &mut HydroState,
+        store: &CheckpointStore,
+    ) -> Option<ResumeInfo> {
+        Some(self.restore_loaded(&store.latest_valid()?, state))
+    }
+
+    /// Restores a decoded generation, bills the restore, and reports the
+    /// counters the caller continues from.
+    fn restore_loaded(&self, loaded: &LoadedCheckpoint, state: &mut HydroState) -> ResumeInfo {
+        self.restore_checkpoint(&loaded.checkpoint, state);
+        self.exec.bill_checkpoint_restore(loaded.bytes);
+        ResumeInfo {
+            dt: loaded.checkpoint.dt,
+            steps: loaded.checkpoint.steps,
+            retries: loaded.checkpoint.retries,
+            generation: loaded.generation,
+            skipped: loaded.skipped,
+        }
+    }
+
+    /// Snapshots the run into a [`Checkpoint`] (state + PCG warm-start
+    /// cache + adaptive dt + counters).
+    pub fn make_checkpoint(
+        &self,
+        state: &HydroState,
+        dt: f64,
+        steps: u64,
+        retries: u64,
+    ) -> Checkpoint {
+        Checkpoint {
+            state: state.clone(),
+            accel_prev: self.accel_prev.borrow().clone(),
+            dt,
+            steps,
+            retries,
+        }
+    }
+
+    /// Restores a checkpoint made by a solver of the same problem/shape:
+    /// rewrites `state` and the PCG warm-start cache. (Energy billing is
+    /// the caller's job via `Executor::bill_checkpoint_restore`.)
+    pub fn restore_checkpoint(&self, ck: &Checkpoint, state: &mut HydroState) {
+        assert_eq!(
+            ck.accel_prev.len(),
+            self.accel_prev.borrow().len(),
+            "checkpoint is from a different problem shape"
+        );
+        *state = ck.state.clone();
+        self.accel_prev.borrow_mut().copy_from_slice(&ck.accel_prev);
+        // The restored state's energy differs from the last audited
+        // point's; re-baseline from the (trusted) restored state.
+        if let Some(aud) = &self.audit {
+            aud.borrow_mut().reset_reference();
+        }
+    }
+
+    /// Serializes, stores, and bills one coordinated checkpoint.
+    pub fn write_checkpoint(
+        &self,
+        state: &HydroState,
+        dt: f64,
+        steps: usize,
+        retries: usize,
+        store: &mut CheckpointStore,
+    ) -> Result<usize, HydroError> {
+        let ck = self.make_checkpoint(state, dt, steps as u64, retries as u64);
+        let bytes = store
+            .write(&ck)
+            .map_err(|e| HydroError::Checkpoint { detail: e.to_string() })?;
+        self.exec.bill_checkpoint_write(bytes);
+        Ok(bytes)
+    }
+
+    /// Host-phase profile: `(name, total_seconds, calls)` aggregated over
+    /// the run — Table 1's corner-force / CG breakdown. Names are the
+    /// interned [`blast_telemetry::names::phases`] constants, so they can
+    /// be compared by value against telemetry span names without
+    /// allocating.
+    pub fn phase_profile(&self) -> Vec<(&'static str, f64, usize)> {
+        let mut agg: Vec<(&'static str, f64, usize)> = Vec::new();
+        for ev in self.exec.host.events() {
+            if let Some(slot) = agg.iter_mut().find(|(n, _, _)| *n == ev.name) {
+                slot.1 += ev.time_s;
+                slot.2 += 1;
+            } else {
+                agg.push((ev.name, ev.time_s, 1));
+            }
+        }
+        agg.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        agg
+    }
+
+    /// Simulated wall-clock so far (host timeline, includes GPU waits).
+    pub fn wall_time(&self) -> f64 {
+        self.exec.host.now()
+    }
+
+    /// Pre-grows the host telemetry buffers for `steps` upcoming
+    /// timesteps so recording them does not reallocate. A CPU step logs
+    /// seven phases (2x corner_force, 2x cg_solver, 2x energy_solve, one
+    /// integration) plus an `sdc_audit` phase when the auditor is on, and
+    /// one enclosing `step` span; the zero-allocation harness calls this
+    /// before its measurement window.
+    pub fn reserve_host_telemetry(&self, steps: usize) {
+        self.exec.host.reserve_telemetry(steps * 8);
+        // One STEP span plus up to eight phase/solver child spans per step.
+        self.exec.telemetry().reserve_spans(steps * 9);
+    }
+}

@@ -21,11 +21,6 @@
 //! | `ampere`      | Xeon Platinum 8380   | FP64-tensor-core Ampere  |
 //! | `cpu-e5-2670` | Xeon E5-2670         | —                        |
 //! | `xeon-phi`    | Xeon Phi 7120        | —                        |
-//!
-//! The old ad-hoc constructors (`GpuSpec::k20()`, `GpuSpec::k20m()`,
-//! `WorkerSpec::k20_node()`) are `#[deprecated]` wrappers that delegate
-//! here; delegation-parity tests pin them bitwise-identical to the
-//! catalog entries.
 
 use crate::cpu::CpuSpec;
 use crate::spec::GpuSpec;
@@ -190,8 +185,7 @@ impl DeviceCatalog {
     }
 
     /// GPU spec of a standard entry. Panics if the entry has no GPU (or
-    /// the id is unknown) — the drop-in replacement for the deprecated
-    /// `GpuSpec::k20()`-style constructors.
+    /// the id is unknown).
     pub fn gpu(id: &str) -> GpuSpec {
         Self::get(id).gpu.unwrap_or_else(|| panic!("device {id:?} has no GPU"))
     }
@@ -203,8 +197,7 @@ impl DeviceCatalog {
 }
 
 /// NVIDIA Tesla K20 (GK110, compute capability 3.5) — the paper's main
-/// single-node and power-study GPU. The datasheet values formerly lived
-/// in `GpuSpec::k20()`, now a deprecated wrapper around this entry.
+/// single-node and power-study GPU.
 fn k20_gpu() -> GpuSpec {
     GpuSpec {
         name: "Tesla K20",
@@ -295,15 +288,6 @@ fn ampere_gpu() -> GpuSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_gpu_constructors_delegate_bitwise() {
-        // The PR-5 pattern: the old constructors must return exactly the
-        // catalog entry, field for field.
-        assert_eq!(GpuSpec::k20(), DeviceCatalog::gpu("k20"));
-        assert_eq!(GpuSpec::k20m(), DeviceCatalog::gpu("k20m"));
-    }
 
     #[test]
     fn standard_catalog_shape() {

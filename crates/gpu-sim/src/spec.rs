@@ -7,9 +7,6 @@
 /// reproduce (idle 20 W, ~50 W floor with any kernel running, TDP 225 W for
 /// K20, DRAM-dominated dynamic power with an on-chip/DRAM per-byte cost
 /// ratio following Hong & Kim).
-///
-/// `PartialEq` is exact field-for-field equality — the delegation-parity
-/// tests pin the deprecated constructors bitwise to the catalog entries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
@@ -86,13 +83,6 @@ pub struct GpuSpec {
 }
 
 impl GpuSpec {
-    /// NVIDIA Tesla K20 — the paper's main single-node and power-study
-    /// GPU, now a catalog entry.
-    #[deprecated(since = "0.1.0", note = "use gpu_sim::DeviceCatalog::gpu(\"k20\")")]
-    pub fn k20() -> Self {
-        crate::catalog::DeviceCatalog::gpu("k20")
-    }
-
     /// NVIDIA Tesla C2050 (Fermi, compute capability 2.0) — the kernel-8
     /// comparison platform (Table 4) and the auto-balance testbed (Table 5).
     pub fn c2050() -> Self {
@@ -128,13 +118,6 @@ impl GpuSpec {
             occ_sat_compute: 0.55,
             occ_sat_memory: 0.35,
         }
-    }
-
-    /// NVIDIA Tesla K20m — ORNL Titan / SNL Shannon node GPU; identical to
-    /// K20 for our purposes except the passive-cooled TDP.
-    #[deprecated(since = "0.1.0", note = "use gpu_sim::DeviceCatalog::gpu(\"k20m\")")]
-    pub fn k20m() -> Self {
-        crate::catalog::DeviceCatalog::gpu("k20m")
     }
 
     /// NVIDIA Tesla K10 — strong single-precision part with weak DP; used

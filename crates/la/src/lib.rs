@@ -44,7 +44,7 @@ pub use pcg::{pcg_solve, pcg_solve_instrumented, pcg_solve_ws, pcg_solve_ws_refe
 pub use small::SmallMat;
 pub use stream::StreamVariant;
 pub use svd::{svd2, svd3, Svd};
-pub use tile::{GemmWorkspace, MicroTile, TileConfig};
+pub use tile::{MicroTile, TileConfig};
 
 /// Relative tolerance used by validation helpers throughout the workspace.
 pub const VALIDATE_TOL: f64 = 1e-12;

@@ -282,21 +282,13 @@ proptest! {
         }
 
         // One candidate per micro-tile family: the tiled result must be
-        // bitwise invariant across every blocking configuration, packed or
-        // direct (each element's accumulation chain is identical).
-        let mut ws = tile::GemmWorkspace::new();
+        // bitwise invariant across every blocking configuration (each
+        // element's accumulation chain is identical).
         let mut c_ref: Option<Vec<f64>> = None;
         for &ci in &[0usize, 5, 8, 11] {
             let cfg = tile::CANDIDATES[ci];
             let mut c_direct = data_c[..m * n].to_vec();
             tile::gemm_tiled_direct(cfg, m, n, k, alpha, a, Op::N, b, op_b, beta, &mut c_direct);
-            let mut c_packed = data_c[..m * n].to_vec();
-            tile::gemm_tiled_packed(
-                cfg, m, n, k, alpha, a, Op::N, b, op_b, beta, &mut c_packed, &mut ws,
-            );
-            for (d, p) in c_direct.iter().zip(&c_packed) {
-                prop_assert!(d.to_bits() == p.to_bits(), "packed diverged from direct");
-            }
             match &c_ref {
                 None => c_ref = Some(c_direct),
                 Some(r) => {
@@ -383,7 +375,6 @@ proptest! {
 fn tiled_gemm_matches_naive_on_table3_shapes() {
     let shapes =
         [(24usize, 1usize, 8usize), (50, 16, 36), (81, 8, 64), (192, 27, 125), (375, 64, 216)];
-    let mut ws = tile::GemmWorkspace::new();
     for &(m, n, k) in &shapes {
         let a: Vec<f64> =
             (0..m * k).map(|i| ((i * 2654435761 % 1000) as f64 - 500.0) * 1e-3).collect();
@@ -395,17 +386,43 @@ fn tiled_gemm_matches_naive_on_table3_shapes() {
         for &cfg in &tile::CANDIDATES {
             let mut c_direct = vec![0.0; m * n];
             tile::gemm_tiled_direct(cfg, m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c_direct);
-            let mut c_packed = vec![0.0; m * n];
-            tile::gemm_tiled_packed(
-                cfg, m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c_packed, &mut ws,
-            );
-            for ((d, p), nv) in c_direct.iter().zip(&c_packed).zip(&c_naive) {
-                assert_eq!(d.to_bits(), p.to_bits(), "packed vs direct at {m}x{n}x{k}");
+            for (d, nv) in c_direct.iter().zip(&c_naive) {
                 if tile::fma_active() {
                     assert!((d - nv).abs() <= tol, "{d} vs naive {nv} at {m}x{n}x{k}");
                 } else {
                     assert_eq!(d.to_bits(), nv.to_bits(), "{d} vs naive {nv} at {m}x{n}x{k}");
                 }
+            }
+        }
+    }
+}
+
+/// An `A` operand above the 2^18-element size at which `tile::gemm` once
+/// switched data paths (523 x 521, ragged against every register tile):
+/// the one remaining path must hold the same naive-reference contract
+/// there as on the small shapes, NN and NT.
+#[test]
+fn tiled_gemm_matches_naive_on_a_large_ragged_operand() {
+    let (m, n, k) = (523usize, 7usize, 521usize);
+    assert!(m * k > 1 << 18);
+    let a: Vec<f64> =
+        (0..m * k).map(|i| ((i * 2654435761 % 1000) as f64 - 500.0) * 1e-3).collect();
+    let b: Vec<f64> = (0..n * k).map(|i| ((i * 40503 % 1000) as f64 - 500.0) * 1e-3).collect();
+    let c0: Vec<f64> = (0..m * n).map(|i| ((i * 7919 % 1000) as f64 - 500.0) * 1e-3).collect();
+    let tol = 1e-12 * (k as f64 + 1.0);
+    for op_b in [Op::N, Op::T] {
+        let mut c_naive = c0.clone();
+        match op_b {
+            Op::N => naive::gemm_nn_raw(m, n, k, 0.75, &a, &b, -0.5, &mut c_naive),
+            Op::T => naive::gemm_nt_raw(m, n, k, 0.75, &a, &b, -0.5, &mut c_naive),
+        }
+        let mut c = c0.clone();
+        tile::gemm(m, n, k, 0.75, &a, Op::N, &b, op_b, -0.5, &mut c);
+        for (t, nv) in c.iter().zip(&c_naive) {
+            if tile::fma_active() {
+                assert!((t - nv).abs() <= tol, "{t} vs naive {nv} ({op_b:?})");
+            } else {
+                assert_eq!(t.to_bits(), nv.to_bits(), "{t} vs naive {nv} ({op_b:?})");
             }
         }
     }

@@ -133,15 +133,6 @@ impl WorkerSpec {
         Self::from_device(&DeviceCatalog::get("cpu-e5-2670"))
     }
 
-    /// A GPU worker (E5-2670 host + K20, the paper's node).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use WorkerSpec::from_device(&DeviceCatalog::get(\"k20\"))"
-    )]
-    pub fn k20_node() -> Self {
-        Self::from_device(&DeviceCatalog::get("k20"))
-    }
-
     /// Scripts this worker to die once its clock reaches `t`.
     #[must_use]
     pub fn dying_at(mut self, t: f64) -> Self {
@@ -928,20 +919,6 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The deprecated `k20_node()` preset must stay bitwise-identical to
-    /// the catalog entry it now delegates to.
-    #[test]
-    #[allow(deprecated)]
-    fn k20_node_delegates_to_the_catalog_entry() {
-        let old = WorkerSpec::k20_node();
-        let new = WorkerSpec::from_device(&DeviceCatalog::get("k20"));
-        assert_eq!(old.device_id, new.device_id);
-        assert_eq!(old.host, new.host);
-        assert_eq!(old.gpu, new.gpu);
-        assert!(old.gpu_fault_plan.is_none() && new.gpu_fault_plan.is_none());
-        assert!(old.die_at_s.is_none() && new.die_at_s.is_none());
-    }
 
     /// `cpu()` advertises the catalog's CPU-only entry.
     #[test]

@@ -154,7 +154,7 @@ fn disabled_fault_plan_changes_nothing() {
     assert_eq!(report.backoff_s, 0.0);
 }
 
-/// An over-aggressive CFL tangles the mesh mid-step; `try_run_to` rolls the
+/// An over-aggressive CFL tangles the mesh mid-step; `run` rolls the
 /// step back, halves dt, and still conserves energy to solver tolerance.
 #[test]
 fn rollback_on_mesh_tangle_conserves_energy() {
@@ -174,7 +174,7 @@ fn rollback_on_mesh_tangle_conserves_energy() {
 }
 
 /// A failing step leaves the caller's state untouched (the checkpoint
-/// contract `try_run_to` relies on).
+/// contract `try_advance` relies on).
 #[test]
 fn failed_step_leaves_state_unchanged() {
     let problem = Sedov::default();
