@@ -1,7 +1,9 @@
 //! Measures the host GEMM micro-kernels (naive vs tiled)
-//! on the Table-3 shapes, writes `BENCH_host_kernels.json`, and exits
-//! non-zero if the tiled core loses to naive on any order >= 2 shape —
-//! the CI bench-smoke gate.
+//! on the Table-3 shapes and the host bodies of kernels 3 and 4 against
+//! their reference loops, writes `BENCH_host_kernels.json`, and exits
+//! non-zero if the tiled core loses to naive on any shape of order 2 or
+//! higher, or kernels 3 and 4 together are below 2x their references on
+//! such a shape in 3D — the CI bench-smoke gate.
 //!
 //! `--smoke` (or `BLAST_BENCH_SMOKE=1`) shrinks the measurement budget
 //! for CI; the shape list and the gate stay complete.
@@ -24,18 +26,29 @@ fn main() -> ExitCode {
     println!("wrote {path}");
 
     let failures = r.gate_failures();
-    if failures.is_empty() {
+    for s in &failures {
+        eprintln!(
+            "GATE FAIL {}: tiled best {:.2} GFLOP/s < naive {:.2} GFLOP/s ({:.2}x)",
+            s.label,
+            s.tiled_gflops,
+            s.naive_gflops,
+            s.speedup()
+        );
+    }
+    let az_failures = r.az_gate_failures();
+    for a in &az_failures {
+        eprintln!(
+            "GATE FAIL az_kernels {}: {:.2}x of reference (k3 {:.2}x, k4 {:.2}x), need {:.1}x",
+            a.label,
+            a.speedup(),
+            a.k3_speedup(),
+            a.k4_speedup(),
+            host_kernels::AZ_GATE_SPEEDUP
+        );
+    }
+    if failures.is_empty() && az_failures.is_empty() {
         ExitCode::SUCCESS
     } else {
-        for s in failures {
-            eprintln!(
-                "GATE FAIL {}: tiled best {:.2} GFLOP/s < naive {:.2} GFLOP/s ({:.2}x)",
-                s.label,
-                s.tiled_gflops,
-                s.naive_gflops,
-                s.speedup()
-            );
-        }
         ExitCode::FAILURE
     }
 }

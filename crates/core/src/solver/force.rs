@@ -4,13 +4,10 @@
 
 use std::sync::Arc;
 
-use blast_kernels::base::{compute_az_pipeline_into, MonolithicCornerForce};
-use blast_kernels::k1::AdjugateDetKernel;
+use blast_kernels::base::{
+    compute_az_pipeline_into, launch_az_pipeline_into, MonolithicCornerForce,
+};
 use blast_kernels::k11::SpmvKernel;
-use blast_kernels::k2::StressKernel;
-use blast_kernels::k3::CoefGradKernel;
-use blast_kernels::k4::AzKernel;
-use blast_kernels::k56::BatchedDimGemm;
 use blast_kernels::k7::FzKernel;
 use blast_kernels::k8_10::{EnergyRhsKernel, MomentumRhsKernel};
 use blast_kernels::k9::GpuPcg;
@@ -18,7 +15,7 @@ use blast_kernels::sumfac::{
     AssemblyMode, SumfacEnergyKernel, SumfacFactors, SumfacForceKernel, SumfacMassKernel,
     SumfacMomentumKernel,
 };
-use blast_kernels::{GemmVariant, ProblemShape, Workspace};
+use blast_kernels::{GemmVariant, ProblemShape};
 use blast_la::{
     pcg_solve_instrumented, BatchedMats, CsrMatrix, LinearOperator, PcgResult,
 };
@@ -512,7 +509,10 @@ impl<const D: usize> Hydro<D> {
 
     /// GPU force evaluation: ship the state, run the assembly's kernel
     /// pipeline down to the momentum RHS, then solve on the device
-    /// (`gpu_pcg`) or ship `-F·1` back and solve on the host.
+    /// (`gpu_pcg`) or ship `-F·1` back and solve on the host. The working
+    /// set comes from the step scratch exactly as on the host, so a
+    /// steady-state device evaluation allocates nothing either (the
+    /// `base` ablation's monolithic launch still returns fresh buffers).
     fn force_on_device(
         &self,
         gpu: &GpuDevice,
@@ -524,198 +524,135 @@ impl<const D: usize> Hydro<D> {
     ) -> Result<ForceEval, HydroError> {
         let n = self.kin.num_dofs();
         let shape = self.shape;
-        let d = D;
-        let total = shape.total_points();
         let t0 = gpu.now();
 
         // Ship (v, e, x) to the device (§3.1.2).
         gpu.h2d((2 * D * n + self.thermo.num_dofs()) * 8)?;
 
-        let mut rhs = vec![0.0; D * n];
-        let (fz, inv_dt) = match &self.assembly {
-            Assembly::Stored { .. } => {
-                let (az, inv_dt, detj);
-                if base {
-                    let (pipe, _stats) = MonolithicCornerForce.run(
+        let (fz, rhs, max_inv_dt, on_device) = {
+            let mut ws = self.scratch.borrow_mut();
+            let ws = &mut *ws;
+            ensure_zeroed(&mut ws.rhs, D * n);
+            match &self.assembly {
+                Assembly::Stored { .. } => {
+                    if base {
+                        let (pipe, _stats) = MonolithicCornerForce.run(
+                            gpu,
+                            &shape,
+                            x,
+                            v,
+                            e,
+                            n,
+                            &self.zone_dofs,
+                            &self.kin_table.grads,
+                            &self.thermo_table.values,
+                            &self.rule.weights,
+                            &self.rho0detj0,
+                            &self.consts,
+                            self.use_viscosity,
+                        )?;
+                        ws.pipe.az = pipe.az;
+                        ws.pipe.inv_dt = pipe.inv_dt;
+                        ws.pipe.detj = pipe.detj;
+                    } else {
+                        // The optimized kernel pipeline (Table 2 / Fig. 6 right).
+                        launch_az_pipeline_into(
+                            gpu,
+                            &shape,
+                            x,
+                            v,
+                            e,
+                            n,
+                            &self.zone_dofs,
+                            &self.kin_table.grads,
+                            &self.thermo_table.values,
+                            &self.rule.weights,
+                            &self.rho0detj0,
+                            &self.consts,
+                            self.use_viscosity,
+                            &mut ws.pipe,
+                        )?;
+                    }
+                    self.check_mesh(&ws.pipe.detj)?;
+
+                    // Kernel 7: F_z, and kernel 8: the momentum RHS.
+                    let k7 = if base {
+                        FzKernel { variant: GemmVariant::V1, col_block: 0 }
+                    } else {
+                        FzKernel::tuned()
+                    };
+                    ws.fz.ensure(shape.nvdof(), shape.nthermo, shape.zones);
+                    k7.run(gpu, &shape, &ws.pipe.az, &self.thermo_table.values, &mut ws.fz)?;
+                    let k8 = MomentumRhsKernel;
+                    gpu.launch(
+                        MomentumRhsKernel::NAME,
+                        &k8.config(&shape),
+                        &k8.traffic(&shape),
+                        || {
+                            MomentumRhsKernel::compute_with(
+                                &shape,
+                                &ws.fz,
+                                &self.zone_dofs,
+                                n,
+                                &mut ws.rhs,
+                                &mut ws.mom_local,
+                            );
+                        },
+                    )?;
+                }
+                // One fused force launch + one momentum launch; the `base`
+                // (monolithic) ablation only exists for the stored pipeline.
+                Assembly::MatFree(mf) => {
+                    let total = shape.total_points();
+                    ws.fz.ensure(D, D, total);
+                    ensure_zeroed(&mut ws.pipe.detj, total);
+                    ensure_zeroed(&mut ws.pipe.inv_dt, total);
+                    SumfacForceKernel { use_viscosity: self.use_viscosity }.run(
                         gpu,
                         &shape,
+                        &mf.factors,
                         x,
                         v,
                         e,
                         n,
                         &self.zone_dofs,
-                        &self.kin_table.grads,
-                        &self.thermo_table.values,
                         &self.rule.weights,
                         &self.rho0detj0,
                         &self.consts,
-                        self.use_viscosity,
+                        &mut ws.fz,
+                        &mut ws.pipe.detj,
+                        &mut ws.pipe.inv_dt,
                     )?;
-                    az = pipe.az;
-                    inv_dt = pipe.inv_dt;
-                    detj = pipe.detj;
-                } else {
-                    // The optimized kernel pipeline (Table 2 / Fig. 6 right).
-                    let k3 = CoefGradKernel::tuned();
-                    let mut jac = BatchedMats::zeros(d, d, total);
-                    k3.run(gpu, &shape, x, n, &self.zone_dofs, &self.kin_table.grads, &mut jac)?;
-                    let mut gvref = BatchedMats::zeros(d, d, total);
-                    k3.run(gpu, &shape, v, n, &self.zone_dofs, &self.kin_table.grads, &mut gvref)?;
+                    self.check_mesh(&ws.pipe.detj)?;
 
-                    let k1 = AdjugateDetKernel { workspace: Workspace::Registers };
-                    let mut adj = BatchedMats::zeros(d, d, total);
-                    let mut det = vec![0.0; total];
-                    let mut hmin = vec![0.0; total];
-                    k1.run(gpu, &shape, &jac, &mut adj, &mut det, &mut hmin)?;
-
-                    let inv_det: Vec<f64> = det.iter().map(|&x| 1.0 / x).collect();
-                    let mut gradv = BatchedMats::zeros(d, d, total);
-                    BatchedDimGemm::nn_tuned().run(gpu, &gvref, &adj, Some(&inv_det), &mut gradv)?;
-
-                    let k2 = StressKernel {
-                        workspace: Workspace::Registers,
-                        use_viscosity: self.use_viscosity,
-                    };
-                    let mut sigma = BatchedMats::zeros(d, d, total);
-                    let mut idt = vec![0.0; total];
-                    k2.run(
-                        gpu,
-                        &shape,
-                        e,
-                        &self.thermo_table.values,
-                        &gradv,
-                        &jac,
-                        &det,
-                        &hmin,
-                        &self.rho0detj0,
-                        &self.consts,
-                        &mut sigma,
-                        &mut idt,
+                    let mom = SumfacMomentumKernel;
+                    gpu.launch(
+                        SumfacMomentumKernel::NAME,
+                        &mom.config(&shape),
+                        &mom.traffic(&shape, &mf.factors),
+                        || {
+                            mom.compute_with(
+                                &shape,
+                                &mf.factors,
+                                &ws.fz,
+                                &self.zone_dofs,
+                                n,
+                                &mut ws.rhs,
+                                &mut ws.mom_local,
+                            );
+                        },
                     )?;
-
-                    let mut s = BatchedMats::zeros(d, d, total);
-                    BatchedDimGemm::nt_tuned().run(gpu, &sigma, &adj, None, &mut s)?;
-
-                    let k4 = AzKernel::tuned();
-                    let mut az_b = BatchedMats::zeros(shape.nvdof(), shape.npts, shape.zones);
-                    k4.run(gpu, &shape, &s, &self.kin_table.grads, &self.rule.weights, &mut az_b)?;
-
-                    az = az_b;
-                    inv_dt = idt;
-                    detj = det;
                 }
-                self.check_mesh(&detj)?;
-
-                // Kernel 7: F_z, and kernel 8: the momentum RHS.
-                let k7 = if base {
-                    FzKernel { variant: GemmVariant::V1, col_block: 0 }
-                } else {
-                    FzKernel::tuned()
-                };
-                let mut fz = BatchedMats::zeros(shape.nvdof(), shape.nthermo, shape.zones);
-                k7.run(gpu, &shape, &az, &self.thermo_table.values, &mut fz)?;
-                MomentumRhsKernel.run(gpu, &shape, &fz, &self.zone_dofs, n, &mut rhs)?;
-                (fz, inv_dt)
             }
-            // One fused force launch + one momentum launch; the `base`
-            // (monolithic) ablation only exists for the stored pipeline.
-            Assembly::MatFree(mf) => {
-                let force = SumfacForceKernel { use_viscosity: self.use_viscosity };
-                let mut dsf = BatchedMats::zeros(D, D, total);
-                let mut detj = vec![0.0; total];
-                let mut inv_dt = vec![0.0; total];
-                force.run(
-                    gpu,
-                    &shape,
-                    &mf.factors,
-                    x,
-                    v,
-                    e,
-                    n,
-                    &self.zone_dofs,
-                    &self.rule.weights,
-                    &self.rho0detj0,
-                    &self.consts,
-                    &mut dsf,
-                    &mut detj,
-                    &mut inv_dt,
-                )?;
-                self.check_mesh(&detj)?;
-
-                let mom = SumfacMomentumKernel;
-                let mut mom_local = Vec::new();
-                gpu.launch(
-                    SumfacMomentumKernel::NAME,
-                    &mom.config(&shape),
-                    &mom.traffic(&shape, &mf.factors),
-                    || {
-                        mom.compute_with(
-                            &shape,
-                            &mf.factors,
-                            &dsf,
-                            &self.zone_dofs,
-                            n,
-                            &mut rhs,
-                            &mut mom_local,
-                        );
-                    },
-                )?;
-                (dsf, inv_dt)
-            }
-        };
-        self.project_constraints(&mut rhs);
-
-        // Kernel 9: solve on the device, warm-started from the previous
-        // acceleration.
-        let on_device = if gpu_pcg {
-            let fused = blast_la::stream::active_stream().fused;
-            let iter_traffic = self.assembly.cg_iteration_traffic(&shape, n, fused);
-            let mut accel = self.accel_prev.borrow().clone();
-            let mut iters = 0;
-            let mut ws = self.scratch.borrow_mut();
-            let ws = &mut *ws;
-            ensure_zeroed(&mut ws.mom_tmp, n);
-            ensure_zeroed(&mut ws.mom_xk, n);
-            for c in 0..D {
-                let rhs_c = &rhs[c * n..(c + 1) * n];
-                ws.mom_xk.copy_from_slice(&accel[c * n..(c + 1) * n]);
-                let res = match &self.assembly {
-                    Assembly::Stored { mv } => GpuPcg { opts: self.pcg_opts, fused }.solve(
-                        gpu,
-                        mv,
-                        &self.mv_precond,
-                        rhs_c,
-                        &self.constrained[c],
-                        &mut ws.mom_xk,
-                    )?,
-                    // The matrix-free PCG arithmetic runs host-side through
-                    // the same operator as the CPU solve (bit-identical
-                    // accelerations across legs — the degraded-redo
-                    // contract for free); the device timeline is billed
-                    // the per-iteration mass-apply sweeps a fused device
-                    // solver would execute.
-                    Assembly::MatFree(_) => {
-                        let res = self.pcg_component(c, rhs_c, ws);
-                        if res.converged {
-                            gpu.launch(
-                                SumfacMassKernel::NAME,
-                                &SumfacMassKernel.config(&shape),
-                                &iter_traffic.scale(res.iterations as f64),
-                                || (),
-                            )?;
-                        }
-                        res
-                    }
-                };
-                if !res.converged {
-                    return Err(breakdown(&res));
-                }
-                iters += res.iterations;
-                accel[c * n..(c + 1) * n].copy_from_slice(&ws.mom_xk);
-            }
-            Some((accel, iters))
-        } else {
-            None
+            let max_inv_dt = ws.pipe.inv_dt.iter().cloned().fold(0.0, f64::max);
+            // The force batch and RHS leave the scratch for the caller, as
+            // in `finish_host_force`.
+            let fz = std::mem::take(&mut ws.fz);
+            let mut rhs = std::mem::take(&mut ws.rhs);
+            self.project_constraints(&mut rhs);
+            let on_device =
+                if gpu_pcg { Some(self.solve_momentum_device(gpu, &rhs, ws)?) } else { None };
+            (fz, rhs, max_inv_dt, on_device)
         };
 
         // Ship dv/dt (device solve) or -F·1 (host solve) back. The
@@ -732,10 +669,69 @@ impl<const D: usize> Hydro<D> {
             Some(solved) => solved,
             None => self.solve_momentum_cpu(&rhs)?,
         };
+        self.scratch.borrow_mut().rhs = rhs;
 
         Self::check_finite("accel", &accel)?;
-        let max_inv_dt = inv_dt.iter().cloned().fold(0.0, f64::max);
         Ok(ForceEval { fz, accel, max_inv_dt, cg_iterations: iters })
+    }
+
+    /// Kernel 9: one constrained PCG per velocity component on the device,
+    /// warm-started from the previous acceleration. The solution leaves the
+    /// scratch's acceleration pool for the returned `ForceEval`.
+    fn solve_momentum_device(
+        &self,
+        gpu: &GpuDevice,
+        rhs: &[f64],
+        ws: &mut StepScratch,
+    ) -> Result<(Vec<f64>, usize), HydroError> {
+        let n = self.kin.num_dofs();
+        let shape = self.shape;
+        let fused = blast_la::stream::active_stream().fused;
+        let iter_traffic = self.assembly.cg_iteration_traffic(&shape, n, fused);
+        let mut accel = std::mem::take(&mut ws.accel);
+        accel.clone_from(&self.accel_prev.borrow());
+        let mut iters = 0;
+        ensure_zeroed(&mut ws.mom_tmp, n);
+        ensure_zeroed(&mut ws.mom_xk, n);
+        for c in 0..D {
+            let rhs_c = &rhs[c * n..(c + 1) * n];
+            ws.mom_xk.copy_from_slice(&accel[c * n..(c + 1) * n]);
+            let res = match &self.assembly {
+                Assembly::Stored { mv } => GpuPcg { opts: self.pcg_opts, fused }.solve_ws(
+                    gpu,
+                    mv,
+                    &self.mv_precond,
+                    rhs_c,
+                    &self.constrained[c],
+                    &mut ws.mom_xk,
+                    &mut ws.pcg,
+                )?,
+                // The matrix-free PCG arithmetic runs host-side through
+                // the same operator as the CPU solve (bit-identical
+                // accelerations across legs — the degraded-redo
+                // contract for free); the device timeline is billed
+                // the per-iteration mass-apply sweeps a fused device
+                // solver would execute.
+                Assembly::MatFree(_) => {
+                    let res = self.pcg_component(c, rhs_c, ws);
+                    if res.converged {
+                        gpu.launch(
+                            SumfacMassKernel::NAME,
+                            &SumfacMassKernel.config(&shape),
+                            &iter_traffic.scale(res.iterations as f64),
+                            || (),
+                        )?;
+                    }
+                    res
+                }
+            };
+            if !res.converged {
+                return Err(breakdown(&res));
+            }
+            iters += res.iterations;
+            accel[c * n..(c + 1) * n].copy_from_slice(&ws.mom_xk);
+        }
+        Ok((accel, iters))
     }
 
     /// Hybrid force evaluation (§3.3): the zone split costs the GPU and
@@ -822,17 +818,22 @@ impl<const D: usize> Hydro<D> {
     ) -> Result<Vec<f64>, HydroError> {
         let n = self.kin.num_dofs();
         let shape = &self.shape;
-        let mut rhs_e = vec![0.0; self.thermo.num_dofs()];
-        let mut de = vec![0.0; self.thermo.num_dofs()];
+        let nth = self.thermo.num_dofs();
+        let mut ws = self.scratch.borrow_mut();
+        let ws = &mut *ws;
+        ensure_zeroed(&mut ws.rhs_e, nth);
+        // As on the CPU, `de/dt` leaves the scratch pool for the caller.
+        let mut de = std::mem::take(&mut ws.de);
+        ensure_zeroed(&mut de, nth);
         let t0 = gpu.now();
         let (name, cfg) = match &self.assembly {
             Assembly::Stored { .. } => (EnergyRhsKernel::NAME, EnergyRhsKernel.config(shape)),
             Assembly::MatFree(_) => (SumfacEnergyKernel::NAME, SumfacEnergyKernel.config(shape)),
         };
         gpu.launch(name, &cfg, &self.assembly.energy_rhs_traffic(shape), || {
-            self.assembly.energy_rhs(shape, fz, v_avg, &self.zone_dofs, n, &mut rhs_e)
+            self.assembly.energy_rhs(shape, fz, v_avg, &self.zone_dofs, n, &mut ws.rhs_e)
         })?;
-        SpmvKernel.run(gpu, &self.me_inv_csr, &rhs_e, &mut de)?;
+        SpmvKernel.run(gpu, &self.me_inv_csr, &ws.rhs_e, &mut de)?;
         gpu.d2h(de.len() * 8)?;
         self.exec.host.idle(gpu.now() - t0);
         Self::check_finite("de/dt", &de)?;

@@ -413,6 +413,16 @@ impl GpuDevice {
         self.transfer(TransferDir::D2h, bytes)
     }
 
+    /// Pre-grows the event log and power trace so the next `ops` launches
+    /// and transfers do not reallocate — the device counterpart of
+    /// `CpuDevice::reserve_telemetry`, used by the zero-allocation harness
+    /// before its measurement window (the span ring is preallocated).
+    pub fn reserve_telemetry(&self, ops: usize) {
+        let mut st = self.state.lock();
+        st.events.reserve(ops);
+        st.trace.reserve(ops);
+    }
+
     /// Advances the simulated clock through an idle gap (host-side work).
     pub fn idle(&self, seconds: f64) {
         assert!(seconds >= 0.0);

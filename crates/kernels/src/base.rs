@@ -12,15 +12,27 @@
 //! `∇̂v̂`, `∇v`, `σ̂`, `S`) spills through local/global memory because the
 //! fused kernel's workspace exceeds the register file, and the single fat
 //! kernel runs at low occupancy.
+//!
+//! It also owns the `A_z` pipeline both execution sides share: the host
+//! composition [`compute_az_pipeline_into`] (kernels 3, 3, 1, 5, 2, 6, 4
+//! called back to back) and its device twin [`launch_az_pipeline_into`]
+//! (the same seven bodies, each inside its own billed launch), over one
+//! grow-only [`PipelineScratch`]. The scratch is shaped **without
+//! clearing** — every buffer in it is an output some kernel stores in
+//! full before anything reads it ([`PipelineScratch`] lists which) — and
+//! carries the point-major gradient table kernel 3 walks
+//! ([`crate::k3::PointMajorGrads`]), refilled from the FEM tables on every
+//! call: that is ~0.1 % of kernel 3's work and means the copy can never be
+//! stale.
 
 use blast_la::{BatchedMats, DMatrix};
 use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
 
 use crate::k1::AdjugateDetKernel;
 use crate::k2::{StressKernel, ZoneConstants};
-use crate::k3::CoefGradKernel;
+use crate::k3::{CoefGradKernel, PointMajorGrads};
 use crate::k4::AzKernel;
-use crate::k56::{BatchedDimGemm, Transpose};
+use crate::k56::BatchedDimGemm;
 use crate::shapes::ProblemShape;
 use crate::Workspace;
 
@@ -39,10 +51,20 @@ pub struct AzPipelineOut {
     pub detj: Vec<f64>,
 }
 
-/// Reusable intermediates for [`compute_az_pipeline_into`]. All buffers
-/// grow to the problem's high-water size on the first call and are then
-/// reused, so steady-state corner-force evaluations perform no heap
-/// allocation (asserted by `tests/zero_alloc_steady_state.rs`).
+/// Reusable intermediates and outputs of the `A_z` pipeline (host and
+/// device path alike). All buffers grow to the problem's high-water size on
+/// the first call and are then reused, so steady-state corner-force
+/// evaluations perform no heap allocation (asserted by
+/// `tests/zero_alloc_steady_state.rs`).
+///
+/// Nothing here is cleared between evaluations; each buffer is stored in
+/// full, unconditionally, by exactly one producer before its first reader:
+/// `jac` and `grad_v_ref` by kernel 3 (its tile transpose writes all `d²`
+/// entries of every point), `adj` / `detj` / `hmin` by kernel 1, `inv_det`
+/// by the reciprocal loop, `grad_v` by kernel 5 and `s` by kernel 6 (every
+/// `(row, col)` assigned), `sigma` / `inv_dt` by kernel 2 (one
+/// `write_col_slice` and one store per point), `az` by kernel 4 (every
+/// `(c, m)` of every column).
 #[derive(Clone, Debug, Default)]
 pub struct PipelineScratch {
     jac: BatchedMats,
@@ -53,6 +75,8 @@ pub struct PipelineScratch {
     s: BatchedMats,
     hmin: Vec<f64>,
     inv_det: Vec<f64>,
+    /// Point-major copy of the kinematic gradient tables (kernel 3).
+    grads_pm: PointMajorGrads,
     /// `A_z` batch (`nvdof x npts` per zone) — pipeline output.
     pub az: BatchedMats,
     /// Per-point `inv_dt` controls — pipeline output.
@@ -66,13 +90,35 @@ impl PipelineScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-/// Zero-fills `v` at length `n`, reusing its heap buffer when possible.
-fn ensure_vec(v: &mut Vec<f64>, n: usize) {
-    v.truncate(n);
-    v.iter_mut().for_each(|x| *x = 0.0);
-    v.resize(n, 0.0);
+    /// Shapes every buffer for `shape` (grow-only, contents unspecified)
+    /// and refills the point-major table from `kin_grads`.
+    fn prepare(&mut self, shape: &ProblemShape, kin_grads: &[DMatrix]) {
+        let d = shape.dim;
+        let total = shape.total_points();
+        for b in [
+            &mut self.jac,
+            &mut self.grad_v_ref,
+            &mut self.adj,
+            &mut self.grad_v,
+            &mut self.sigma,
+            &mut self.s,
+        ] {
+            b.reshape(d, d, total);
+        }
+        for v in [&mut self.hmin, &mut self.inv_det, &mut self.inv_dt, &mut self.detj] {
+            v.resize(total, 0.0);
+        }
+        self.az.reshape(shape.nvdof(), shape.npts, shape.zones);
+        self.grads_pm.refill(kin_grads);
+    }
+
+    /// `inv_det = 1 / detj`, the per-point scale of kernel 5.
+    fn invert_det(&mut self) {
+        for (inv, &dd) in self.inv_det.iter_mut().zip(&self.detj) {
+            *inv = 1.0 / dd;
+        }
+    }
 }
 
 /// Executes the full `A_z` math (the composition of kernels 3, 1, 5, 2, 6,
@@ -132,39 +178,21 @@ pub fn compute_az_pipeline_into(
     use_viscosity: bool,
     ws: &mut PipelineScratch,
 ) {
-    let d = shape.dim;
-    let total = shape.total_points();
+    ws.prepare(shape, kin_grads);
 
     // Kernel 3 math: J and ∇̂v̂ at all points.
-    ws.jac.ensure(d, d, total);
-    CoefGradKernel::compute(shape, x, num_h1_dofs, zone_dofs, kin_grads, &mut ws.jac);
-    ws.grad_v_ref.ensure(d, d, total);
-    CoefGradKernel::compute(shape, v, num_h1_dofs, zone_dofs, kin_grads, &mut ws.grad_v_ref);
+    CoefGradKernel::compute(shape, x, num_h1_dofs, zone_dofs, &ws.grads_pm, &mut ws.jac);
+    CoefGradKernel::compute(shape, v, num_h1_dofs, zone_dofs, &ws.grads_pm, &mut ws.grad_v_ref);
 
     // Kernel 1 math: adj(J), |J|, sigma_min(J).
-    ws.adj.ensure(d, d, total);
-    ensure_vec(&mut ws.detj, total);
-    ensure_vec(&mut ws.hmin, total);
     AdjugateDetKernel::compute(shape, &ws.jac, &mut ws.adj, &mut ws.detj, &mut ws.hmin);
 
     // Kernel 5 math: spatial gradient ∇v = ∇̂v̂ adj(J) / |J|.
-    ensure_vec(&mut ws.inv_det, total);
-    for (inv, &dd) in ws.inv_det.iter_mut().zip(&ws.detj) {
-        *inv = 1.0 / dd;
-    }
-    ws.grad_v.ensure(d, d, total);
-    BatchedDimGemm { transpose: Transpose::NN, mats_per_block: 32 }.compute(
-        &ws.grad_v_ref,
-        &ws.adj,
-        Some(&ws.inv_det),
-        &mut ws.grad_v,
-    );
+    ws.invert_det();
+    BatchedDimGemm::nn_tuned().compute(&ws.grad_v_ref, &ws.adj, Some(&ws.inv_det), &mut ws.grad_v);
 
     // Kernel 2 math: EOS + viscosity -> sigma, inv_dt.
-    let stress = StressKernel { workspace: Workspace::Registers, use_viscosity };
-    ws.sigma.ensure(d, d, total);
-    ensure_vec(&mut ws.inv_dt, total);
-    stress.compute(
+    StressKernel { workspace: Workspace::Registers, use_viscosity }.compute(
         shape,
         e,
         thermo_vals,
@@ -179,17 +207,79 @@ pub fn compute_az_pipeline_into(
     );
 
     // Kernel 6 math: S = sigma adj(J)^T (= sigma |J| J^{-T}).
-    ws.s.ensure(d, d, total);
-    BatchedDimGemm { transpose: Transpose::NT, mats_per_block: 32 }.compute(
-        &ws.sigma,
-        &ws.adj,
-        None,
-        &mut ws.s,
-    );
+    BatchedDimGemm::nt_tuned().compute(&ws.sigma, &ws.adj, None, &mut ws.s);
 
     // Kernel 4 math: A_z columns.
-    ws.az.ensure(shape.nvdof(), shape.npts, shape.zones);
     AzKernel::compute(shape, &ws.s, kin_grads, alpha, &mut ws.az);
+}
+
+/// The device twin of [`compute_az_pipeline_into`] — the optimized kernel
+/// pipeline of Table 2 / Fig. 6 (right): the same seven bodies in the same
+/// order over the same scratch, each inside its own launch with the
+/// kernel's tuned config and traffic, so the outputs (`ws.az`, `ws.inv_dt`,
+/// `ws.detj`) are bit-identical to the host composition and a device
+/// evaluation allocates nothing either. A failed launch returns early and
+/// leaves `ws` partly written; the next evaluation overwrites all of it.
+#[allow(clippy::too_many_arguments)]
+pub fn launch_az_pipeline_into(
+    dev: &GpuDevice,
+    shape: &ProblemShape,
+    x: &[f64],
+    v: &[f64],
+    e: &[f64],
+    num_h1_dofs: usize,
+    zone_dofs: &[usize],
+    kin_grads: &[DMatrix],
+    thermo_vals: &DMatrix,
+    alpha: &[f64],
+    rho0detj0: &[f64],
+    consts: &ZoneConstants,
+    use_viscosity: bool,
+    ws: &mut PipelineScratch,
+) -> Result<(), GpuError> {
+    ws.prepare(shape, kin_grads);
+
+    let k3 = CoefGradKernel::tuned();
+    k3.run(dev, shape, x, num_h1_dofs, zone_dofs, &ws.grads_pm, &mut ws.jac)?;
+    k3.run(dev, shape, v, num_h1_dofs, zone_dofs, &ws.grads_pm, &mut ws.grad_v_ref)?;
+
+    AdjugateDetKernel { workspace: Workspace::Registers }.run(
+        dev,
+        shape,
+        &ws.jac,
+        &mut ws.adj,
+        &mut ws.detj,
+        &mut ws.hmin,
+    )?;
+
+    ws.invert_det();
+    BatchedDimGemm::nn_tuned().run(
+        dev,
+        &ws.grad_v_ref,
+        &ws.adj,
+        Some(&ws.inv_det),
+        &mut ws.grad_v,
+    )?;
+
+    StressKernel { workspace: Workspace::Registers, use_viscosity }.run(
+        dev,
+        shape,
+        e,
+        thermo_vals,
+        &ws.grad_v,
+        &ws.jac,
+        &ws.detj,
+        &ws.hmin,
+        rho0detj0,
+        consts,
+        &mut ws.sigma,
+        &mut ws.inv_dt,
+    )?;
+
+    BatchedDimGemm::nt_tuned().run(dev, &ws.sigma, &ws.adj, None, &mut ws.s)?;
+
+    AzKernel::tuned().run(dev, shape, &ws.s, kin_grads, alpha, &mut ws.az)?;
+    Ok(())
 }
 
 impl MonolithicCornerForce {

@@ -13,13 +13,118 @@
 //! Table 3: num A = zones * points (the `S` matrices), num B = points (the
 //! gradient-table blocks), num C = zones * points (the `A_z` columns). The
 //! variant/tuning story mirrors kernel 3.
+//!
+//! # The host body
+//!
+//! As in kernel 3 the variants only change the *modeled* cost; the math
+//! runs on the host in [`AzKernel::compute`] on every stored force
+//! evaluation. Per point `k` and component `c` one `A_z` column segment is
+//! a `1 x d` by `d x nkin` product,
+//!
+//! ```text
+//! A_z[(c, :), k] = α_k (0.0 + S[c,0] Ĝ_0[:, k] + S[c,1] Ĝ_1[:, k] (+ S[c,2] Ĝ_2[:, k]))
+//! ```
+//!
+//! whose vector dimension is the basis index `m` — contiguous both in the
+//! FEM tables (`nkin x npts`, column-major) and in the `A_z` column, so no
+//! repacked table is needed here. The reduction runs over the `d` axes
+//! inside each lane, left to right from a `+0.0` start exactly as the
+//! scalar loop did (so `-0.0` products come out as they always have), each
+//! product rounded before its sum: no fused multiply-add is asked for,
+//! and the `#[target_feature]` clones enable `avx2` / `avx512f` only
+//! (see `crate::isa`), so every build of the body yields the same bits.
+//!
+//! [`reference`] keeps the previous per-entry loop as the oracle the
+//! property tests compare against; nothing dispatches to it.
 
 use blast_la::{BatchedMats, DMatrix};
 use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
 use rayon::prelude::*;
 
+use crate::isa::{isa_clones, Isa};
 use crate::shapes::ProblemShape;
 use crate::GemmVariant;
+
+/// One zone of kernel 4: the `nvdof x npts` column-major `az_z` from the
+/// zone's `npts` blocks of `S` (`D x D`, column-major) in `s_z`;
+/// `grads[g]` is the column-major `nkin x npts` table of axis `g`.
+#[inline(always)]
+fn zone_body<const D: usize>(
+    s_z: &[f64],
+    grads: &[&[f64]; D],
+    alpha: &[f64],
+    nkin: usize,
+    az_z: &mut [f64],
+) {
+    let cols = az_z.chunks_exact_mut(D * nkin);
+    for (k, ((col, sp), &ak)) in cols.zip(s_z.chunks_exact(D * D)).zip(alpha).enumerate() {
+        let gk: [&[f64]; D] = std::array::from_fn(|g| &grads[g][k * nkin..(k + 1) * nkin]);
+        // `m` outermost: one load of Ĝ_{m,k} feeds all `D` components.
+        for m in 0..nkin {
+            let gm: [f64; D] = std::array::from_fn(|g| gk[g][m]);
+            for c in 0..D {
+                let mut acc = 0.0;
+                for g in 0..D {
+                    acc += sp[c + g * D] * gm[g];
+                }
+                col[c * nkin + m] = ak * acc;
+            }
+        }
+    }
+}
+
+isa_clones! {
+    /// [`zone_body`] as compiled for `isa`.
+    fn zone = zone_body(
+        s_z: &[f64],
+        grads: &[&[f64]; D],
+        alpha: &[f64],
+        nkin: usize,
+        az_z: &mut [f64],
+    )
+}
+
+/// The per-entry loop [`AzKernel::compute`] replaced, kept as the bitwise
+/// oracle for the property tests (same arguments).
+pub fn reference(
+    shape: &ProblemShape,
+    s: &BatchedMats,
+    grads: &[DMatrix],
+    alpha: &[f64],
+    az: &mut BatchedMats,
+) {
+    let d = shape.dim;
+    let nkin = shape.nkin;
+    let npts = shape.npts;
+    assert_eq!(s.count(), shape.total_points());
+    assert_eq!(s.shape(), (d, d));
+    assert_eq!(grads.len(), d);
+    assert_eq!(alpha.len(), npts);
+    assert_eq!(az.count(), shape.zones);
+    assert_eq!(az.shape(), (shape.nvdof(), npts));
+
+    let nvdof = d * nkin;
+    for z in 0..shape.zones {
+        for k in 0..npts {
+            let sp = s.mat(z * npts + k);
+            let ak = alpha[k];
+            for m in 0..nkin {
+                // g_vec = Ĝ_{m,k}; y = S g_vec.
+                let mut y = [0.0f64; 3];
+                for c in 0..d {
+                    let mut acc = 0.0;
+                    for g in 0..d {
+                        acc += sp[c + g * d] * grads[g][(m, k)];
+                    }
+                    y[c] = acc;
+                }
+                for c in 0..d {
+                    az.mat_mut(z)[(c * nkin + m) + k * nvdof] = ak * y[c];
+                }
+            }
+        }
+    }
+}
 
 /// Kernel 4: `A_z` column assembly.
 #[derive(Clone, Copy, Debug)]
@@ -95,8 +200,21 @@ impl AzKernel {
     /// `s` holds `S_{z,k}` per point, `grads[g]` the `nkin x npts` gradient
     /// tables, `alpha` the quadrature weights. Output `az` is a batch of
     /// `nvdof x npts` matrices, one per zone, with component-major row
-    /// indexing `i = c * nkin + m`.
+    /// indexing `i = c * nkin + m`. Every entry of `az` is stored, whatever
+    /// it held before.
     pub fn compute(
+        shape: &ProblemShape,
+        s: &BatchedMats,
+        grads: &[DMatrix],
+        alpha: &[f64],
+        az: &mut BatchedMats,
+    ) {
+        Self::compute_at(Isa::detect(), shape, s, grads, alpha, az);
+    }
+
+    /// [`AzKernel::compute`] through the zone body compiled for `isa`.
+    fn compute_at(
+        isa: Isa,
         shape: &ProblemShape,
         s: &BatchedMats,
         grads: &[DMatrix],
@@ -109,30 +227,21 @@ impl AzKernel {
         assert_eq!(s.count(), shape.total_points());
         assert_eq!(s.shape(), (d, d));
         assert_eq!(grads.len(), d);
+        for g in grads {
+            assert_eq!(g.shape(), (nkin, npts));
+        }
         assert_eq!(alpha.len(), npts);
         assert_eq!(az.count(), shape.zones);
         assert_eq!(az.shape(), (shape.nvdof(), npts));
 
-        let stride = d * d;
+        let zone_stride = npts * d * d;
         az.par_mats_mut().for_each(|(z, az_z)| {
-            let nvdof = d * nkin;
-            for k in 0..npts {
-                let sp = &s.as_slice()[(z * npts + k) * stride..(z * npts + k + 1) * stride];
-                let ak = alpha[k];
-                for m in 0..nkin {
-                    // g_vec = Ĝ_{m,k}; y = S g_vec.
-                    let mut y = [0.0f64; 3];
-                    for c in 0..d {
-                        let mut acc = 0.0;
-                        for g in 0..d {
-                            acc += sp[c + g * d] * grads[g][(m, k)];
-                        }
-                        y[c] = acc;
-                    }
-                    for c in 0..d {
-                        az_z[(c * nkin + m) + k * nvdof] = ak * y[c];
-                    }
-                }
+            let s_z = &s.as_slice()[z * zone_stride..(z + 1) * zone_stride];
+            if d == 2 {
+                zone::<2>(isa, s_z, &[grads[0].as_slice(), grads[1].as_slice()], alpha, nkin, az_z);
+            } else {
+                let g = [grads[0].as_slice(), grads[1].as_slice(), grads[2].as_slice()];
+                zone::<3>(isa, s_z, &g, alpha, nkin, az_z);
             }
         });
     }
@@ -159,8 +268,8 @@ impl AzKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::signed_zero_mix as mix;
     use gpu_sim::DeviceCatalog;
-    
 
     fn setup(dim: usize) -> (ProblemShape, BatchedMats, Vec<DMatrix>, Vec<f64>) {
         let shape = ProblemShape::new(dim, 1, 3);
@@ -244,6 +353,36 @@ mod tests {
         assert_eq!(results[1], results[2]);
         assert!(times[1] < times[0], "v2 {} !< v1 {}", times[1], times[0]);
         assert!(times[2] <= times[1], "v3 {} !<= v2 {}", times[2], times[1]);
+    }
+
+    #[test]
+    fn every_isa_clone_matches_the_scalar_body_and_the_reference_bitwise() {
+        let levels = Isa::available();
+        if levels.len() < 3 {
+            eprintln!("note: host lacks avx2 and/or avx512f; comparing {levels:?} only");
+        }
+        // Exact +0.0 / -0.0 entries: `-0.0` products must still come out of
+        // the `+0.0`-started chain as before.
+        for (dim, order) in [(3, 3), (3, 4), (2, 2)] {
+            let shape = ProblemShape::new(dim, order, 3);
+            let (nkin, npts, total) = (shape.nkin, shape.npts, shape.total_points());
+            let s = BatchedMats::from_data(dim, dim, total, mix(dim * dim * total, 23));
+            let grads: Vec<DMatrix> = (0..dim)
+                .map(|g| DMatrix::from_col_major(nkin, npts, mix(nkin * npts, 31 + g as u64)))
+                .collect();
+            let alpha = mix(npts, 41);
+            let mut expect = BatchedMats::zeros(shape.nvdof(), npts, shape.zones);
+            reference(&shape, &s, &grads, &alpha, &mut expect);
+            for &isa in &levels {
+                // NaN-filled: the body must store every entry.
+                let nan = vec![f64::NAN; expect.as_slice().len()];
+                let mut got = BatchedMats::from_data(shape.nvdof(), npts, shape.zones, nan);
+                AzKernel::compute_at(isa, &shape, &s, &grads, &alpha, &mut got);
+                for (p, (a, b)) in got.as_slice().iter().zip(expect.as_slice()).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{isa:?} Q{order}-{dim}D entry {p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! the operator (`P A P` with `P` the constraint projector) so the system
 //! stays SPD.
 
-use blast_la::{stream, CsrMatrix, DiagPrecond, PcgOptions, PcgResult};
+use blast_la::{stream, CsrMatrix, DiagPrecond, PcgOptions, PcgResult, PcgWorkspace};
 use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
 
 use crate::k11::SpmvKernel;
@@ -157,14 +157,33 @@ impl GpuPcg {
         constrained: &[bool],
         x: &mut [f64],
     ) -> Result<PcgResult, GpuError> {
+        self.solve_ws(dev, a, precond, b, constrained, x, &mut PcgWorkspace::new())
+    }
+
+    /// [`GpuPcg::solve`] with the iteration vectors drawn from a reusable
+    /// workspace (the device counterpart of `blast_la::pcg_solve_ws`):
+    /// every vector is stored in full before its first read, so the
+    /// workspace's previous contents never matter.
+    #[allow(clippy::too_many_arguments)]
+    pub fn solve_ws(
+        &self,
+        dev: &GpuDevice,
+        a: &CsrMatrix,
+        precond: &DiagPrecond,
+        b: &[f64],
+        constrained: &[bool],
+        x: &mut [f64],
+        ws: &mut PcgWorkspace,
+    ) -> Result<PcgResult, GpuError> {
         if self.fused {
-            self.solve_fused(dev, a, precond, b, constrained, x)
+            self.solve_fused(dev, a, precond, b, constrained, x, ws)
         } else {
-            self.solve_unfused(dev, a, precond, b, constrained, x)
+            self.solve_unfused(dev, a, precond, b, constrained, x, ws)
         }
     }
 
     /// The fused path: 3 launches per iteration.
+    #[allow(clippy::too_many_arguments)]
     fn solve_fused(
         &self,
         dev: &GpuDevice,
@@ -173,6 +192,7 @@ impl GpuPcg {
         b: &[f64],
         constrained: &[bool],
         x: &mut [f64],
+        ws: &mut PcgWorkspace,
     ) -> Result<PcgResult, GpuError> {
         let n = a.rows();
         assert_eq!(b.len(), n);
@@ -190,40 +210,38 @@ impl GpuPcg {
         };
 
         let spmv = SpmvKernel;
-        let mut r = vec![0.0; n];
-        let mut p = vec![0.0; n];
-        let mut ap = vec![0.0; n];
+        let (r, _, p, ap) = ws.vectors(n);
 
         // r = P(b) - P A P x (plain SpMV: no dot wanted for the residual).
         // Launched over the streaming SpMV — not the scalar `spmv_into` —
         // so the residual bits match the CPU solver's `op.apply`.
         project(x);
         dev.launch(SpmvKernel::NAME, &spmv.config(n), &spmv.traffic(a), || {
-            stream::spmv(a, x, &mut r)
+            stream::spmv(a, x, r)
         })?;
-        project(&mut r);
+        project(r);
         for (ri, &bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
-        project(&mut r);
+        project(r);
 
         let (bnorm, _) = nrm2_launch(dev, b)?;
         let bnorm = bnorm.max(self.opts.abs_tol);
         let target = (self.opts.rel_tol * bnorm).max(self.opts.abs_tol);
 
-        let (mut rnorm, _) = nrm2_launch(dev, &r)?;
+        let (mut rnorm, _) = nrm2_launch(dev, r)?;
         if rnorm <= target {
             return Ok(PcgResult { converged: true, iterations: 0, residual: rnorm });
         }
 
         // Setup sweep: Jacobi apply + r·z + p = z in one launch.
-        let (mut rz, _) = fused_precond_launch(dev, minv, &r, None, &mut p, &project)?;
+        let (mut rz, _) = fused_precond_launch(dev, minv, r, None, p, &project)?;
 
         for iter in 1..=self.opts.max_iter {
             // SpMV producing p·Ap in the same sweep. The dot runs before
             // the Ap projection, which is exact: p is already projected,
             // so constrained entries contribute p_i * (Ap)_i = 0 either way.
-            let (pap, _) = fused_spmv_dot_launch(dev, a, &p, &mut ap, &project)?;
+            let (pap, _) = fused_spmv_dot_launch(dev, a, p, ap, &project)?;
             if pap <= 0.0 || !pap.is_finite() {
                 return Ok(PcgResult { converged: false, iterations: iter, residual: rnorm });
             }
@@ -232,18 +250,19 @@ impl GpuPcg {
             // needed: x, r, p and Ap are all already zero on constrained
             // entries, and the updates keep them there. The norm finishing
             // (rescale on overflow) is host-side scalar work.
-            let (sumsq, _) = fused_axpy2_launch(dev, alpha, &p, &ap, x, &mut r)?;
-            rnorm = stream::nrm2_from_sumsq(sumsq, &r);
+            let (sumsq, _) = fused_axpy2_launch(dev, alpha, p, ap, x, r)?;
+            rnorm = stream::nrm2_from_sumsq(sumsq, r);
             if rnorm <= target {
                 return Ok(PcgResult { converged: true, iterations: iter, residual: rnorm });
             }
-            let (rz_new, _) = fused_precond_launch(dev, minv, &r, Some(rz), &mut p, &project)?;
+            let (rz_new, _) = fused_precond_launch(dev, minv, r, Some(rz), p, &project)?;
             rz = rz_new;
         }
         Ok(PcgResult { converged: false, iterations: self.opts.max_iter, residual: rnorm })
     }
 
     /// The unfused baseline: one launch per BLAS-1 op (8 per iteration).
+    #[allow(clippy::too_many_arguments)]
     fn solve_unfused(
         &self,
         dev: &GpuDevice,
@@ -252,6 +271,7 @@ impl GpuPcg {
         b: &[f64],
         constrained: &[bool],
         x: &mut [f64],
+        ws: &mut PcgWorkspace,
     ) -> Result<PcgResult, GpuError> {
         let n = a.rows();
         assert_eq!(b.len(), n);
@@ -267,61 +287,58 @@ impl GpuPcg {
         };
 
         let spmv = SpmvKernel;
-        let mut r = vec![0.0; n];
-        let mut z = vec![0.0; n];
-        let mut p = vec![0.0; n];
-        let mut ap = vec![0.0; n];
+        let (r, z, p, ap) = ws.vectors(n);
 
         // r = P(b) - P A P x.
         project(x);
         dev.launch(SpmvKernel::NAME, &spmv.config(n), &spmv.traffic(a), || {
-            stream::spmv(a, x, &mut r)
+            stream::spmv(a, x, r)
         })?;
-        project(&mut r);
+        project(r);
         for (ri, &bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
-        project(&mut r);
+        project(r);
 
         let (bnorm, _) = nrm2_launch(dev, b)?;
         let bnorm = bnorm.max(self.opts.abs_tol);
         let target = (self.opts.rel_tol * bnorm).max(self.opts.abs_tol);
 
-        let (mut rnorm, _) = nrm2_launch(dev, &r)?;
+        let (mut rnorm, _) = nrm2_launch(dev, r)?;
         if rnorm <= target {
             return Ok(PcgResult { converged: true, iterations: 0, residual: rnorm });
         }
 
-        jacobi_launch(dev, precond, &r, &mut z)?;
-        project(&mut z);
-        p.copy_from_slice(&z);
-        let (mut rz, _) = dot_launch(dev, &r, &z)?;
+        jacobi_launch(dev, precond, r, z)?;
+        project(z);
+        p.copy_from_slice(z);
+        let (mut rz, _) = dot_launch(dev, r, z)?;
 
         for iter in 1..=self.opts.max_iter {
             // Same streaming SpMV kernel as the fused path (launched under
             // the CUSPARSE name) so the two paths stay bit-identical.
             dev.launch(SpmvKernel::NAME, &spmv.config(n), &spmv.traffic(a), || {
-                stream::spmv(a, &p, &mut ap)
+                stream::spmv(a, p, ap)
             })?;
-            project(&mut ap);
-            let (pap, _) = dot_launch(dev, &p, &ap)?;
+            project(ap);
+            let (pap, _) = dot_launch(dev, p, ap)?;
             if pap <= 0.0 || !pap.is_finite() {
                 return Ok(PcgResult { converged: false, iterations: iter, residual: rnorm });
             }
             let alpha = rz / pap;
-            axpy_launch(dev, alpha, &p, x)?;
-            axpy_launch(dev, -alpha, &ap, &mut r)?;
-            let (rnorm_new, _) = nrm2_launch(dev, &r)?;
+            axpy_launch(dev, alpha, p, x)?;
+            axpy_launch(dev, -alpha, ap, r)?;
+            let (rnorm_new, _) = nrm2_launch(dev, r)?;
             rnorm = rnorm_new;
             if rnorm <= target {
                 return Ok(PcgResult { converged: true, iterations: iter, residual: rnorm });
             }
-            jacobi_launch(dev, precond, &r, &mut z)?;
-            project(&mut z);
-            let (rz_new, _) = dot_launch(dev, &r, &z)?;
+            jacobi_launch(dev, precond, r, z)?;
+            project(z);
+            let (rz_new, _) = dot_launch(dev, r, z)?;
             let beta = rz_new / rz;
             rz = rz_new;
-            update_dir_launch(dev, beta, &z, &mut p)?;
+            update_dir_launch(dev, beta, z, p)?;
         }
         Ok(PcgResult { converged: false, iterations: self.opts.max_iter, residual: rnorm })
     }

@@ -32,6 +32,7 @@
 
 pub mod base;
 pub mod cublas_like;
+mod isa;
 pub mod k1;
 pub mod k11;
 pub mod k2;

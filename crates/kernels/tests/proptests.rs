@@ -1,12 +1,15 @@
 //! Property-based tests on the kernel suite's invariants.
 
 use blast_kernels::k1::AdjugateDetKernel;
+use blast_kernels::k3::{self, CoefGradKernel, PointMajorGrads};
+use blast_kernels::k4::{self, AzKernel};
 use blast_kernels::k56::{BatchedDimGemm, Transpose};
 use blast_kernels::k7::FzKernel;
 use blast_kernels::k8_10::{EnergyRhsKernel, MomentumRhsKernel};
 use blast_kernels::ProblemShape;
 use blast_la::{BatchedMats, DMatrix, SmallMat};
 use proptest::prelude::*;
+use proptest::TestRng;
 
 fn well_conditioned_jacobians(count: usize, seed: Vec<f64>) -> BatchedMats {
     BatchedMats::from_fn(3, 3, count, |z, i, j| {
@@ -17,6 +20,85 @@ fn well_conditioned_jacobians(count: usize, seed: Vec<f64>) -> BatchedMats {
             0.1 * s
         }
     })
+}
+
+/// `len` seeded values in [-1, 1) with exact `0.0` and `-0.0` entries
+/// mixed in — the inputs on which skipping a zero table entry, or starting
+/// an accumulator anywhere but `+0.0`, would show in the sign bit.
+fn signed_zero_mix(rng: &mut TestRng, len: usize) -> Vec<f64> {
+    (0..len)
+        .map(|_| match rng.next_u64() % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.next_f64() * 2.0 - 1.0,
+        })
+        .collect()
+}
+
+fn assert_same_bits(got: &BatchedMats, expect: &BatchedMats, what: &str) {
+    assert_eq!(got.as_slice().len(), expect.as_slice().len(), "{what}: length");
+    for (p, (a, b)) in got.as_slice().iter().zip(expect.as_slice()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: entry {p} is {a:e}, reference {b:e}");
+    }
+}
+
+/// The batched host bodies of kernels 3 and 4 against their point-by-point
+/// `reference` oracles, bit for bit, over every (dim, order, zones) the
+/// solver can present — including point counts above one accumulation tile
+/// with a ragged tail (Q3-3D = 216 = 3 x 64 + 24) and exact multiples of it
+/// (Q4-3D = 512) — at 1 and 8 pool threads. Outputs start NaN-filled: the
+/// pipeline no longer clears them, so `compute` must store every entry.
+#[test]
+fn k3_k4_compute_equals_reference_bitwise_over_the_shape_lattice() {
+    let mut rng = TestRng::from_seed(0x5eed_00a2);
+    for dim in [2usize, 3] {
+        for order in 1..=4 {
+            for zones in [1usize, 7, 64] {
+                let shape = ProblemShape::new(dim, order, zones);
+                let (nkin, npts, total) = (shape.nkin, shape.npts, shape.total_points());
+                // Shared dofs, as on a real mesh: fewer global than local.
+                let ndofs = (zones * nkin).div_ceil(2).max(nkin);
+                let zone_dofs: Vec<usize> =
+                    (0..zones * nkin).map(|_| (rng.next_u64() % ndofs as u64) as usize).collect();
+                let u = signed_zero_mix(&mut rng, dim * ndofs);
+                let grads: Vec<DMatrix> = (0..dim)
+                    .map(|_| {
+                        DMatrix::from_col_major(nkin, npts, signed_zero_mix(&mut rng, nkin * npts))
+                    })
+                    .collect();
+                let table = PointMajorGrads::from_tables(&grads);
+                let s = BatchedMats::from_data(
+                    dim,
+                    dim,
+                    total,
+                    signed_zero_mix(&mut rng, dim * dim * total),
+                );
+                let alpha = signed_zero_mix(&mut rng, npts);
+
+                let mut c_ref = BatchedMats::zeros(dim, dim, total);
+                k3::reference(&shape, &u, ndofs, &zone_dofs, &grads, &mut c_ref);
+                let mut az_ref = BatchedMats::zeros(shape.nvdof(), npts, zones);
+                k4::reference(&shape, &s, &grads, &alpha, &mut az_ref);
+
+                for threads in [1usize, 8] {
+                    let what = format!("Q{order}-{dim}D, {zones} zones, {threads} threads");
+                    rayon::set_active_threads(threads);
+                    let mut c = BatchedMats::from_data(dim, dim, total, vec![f64::NAN; dim * dim * total]);
+                    CoefGradKernel::compute(&shape, &u, ndofs, &zone_dofs, &table, &mut c);
+                    let mut az = BatchedMats::from_data(
+                        shape.nvdof(),
+                        npts,
+                        zones,
+                        vec![f64::NAN; shape.nvdof() * npts * zones],
+                    );
+                    AzKernel::compute(&shape, &s, &grads, &alpha, &mut az);
+                    rayon::set_active_threads(0);
+                    assert_same_bits(&c, &c_ref, &format!("kernel 3, {what}"));
+                    assert_same_bits(&az, &az_ref, &format!("kernel 4, {what}"));
+                }
+            }
+        }
+    }
 }
 
 proptest! {

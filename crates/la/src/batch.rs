@@ -48,6 +48,19 @@ impl BatchedMats {
         self.data.resize(len, 0.0);
     }
 
+    /// Reshapes `self` to `rows x cols x count` **without clearing it**:
+    /// entries keep whatever an earlier use left there (zeros only where
+    /// the buffer had to grow), so this is for outputs a kernel is about to
+    /// store in full — a zero-fill there is a second pass over memory that
+    /// nothing reads. Grow-only like [`BatchedMats::ensure`]; use `ensure`
+    /// when the next consumer reads or accumulates into the old contents.
+    pub fn reshape(&mut self, rows: usize, cols: usize, count: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.count = count;
+        self.data.resize(rows * cols * count, 0.0);
+    }
+
     /// Builds from packed data (`count * rows * cols` column-major values).
     pub fn from_data(rows: usize, cols: usize, count: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols * count, "batched data length mismatch");
@@ -271,6 +284,21 @@ mod tests {
         assert_eq!(b.stride(), 6);
         // Batch 1 starts at flat offset 6; (0,0) of batch 1 is data[6].
         assert_eq!(b.as_slice()[6], 100.0);
+    }
+
+    #[test]
+    fn reshape_keeps_the_buffer_and_its_contents() {
+        let mut b = BatchedMats::from_fn(2, 2, 3, |z, i, j| (z * 4 + i + 2 * j) as f64 + 1.0);
+        let ptr = b.as_slice().as_ptr();
+        b.reshape(3, 1, 2);
+        assert_eq!((b.shape(), b.count()), ((3, 1), 2));
+        assert_eq!(b.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "no fill on shrink");
+        b.reshape(2, 2, 3);
+        assert_eq!(b.as_slice().as_ptr(), ptr, "grow-only: regrowing within capacity reuses it");
+        assert_eq!(&b.as_slice()[6..], &[0.0; 6], "only the regrown tail is zeroed");
+        // `ensure` still clears everything.
+        b.ensure(2, 2, 3);
+        assert!(b.as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]

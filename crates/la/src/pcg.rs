@@ -143,8 +143,9 @@ impl PcgWorkspace {
         self.r.len()
     }
 
-    /// Grow-only slices for an `n`-dimensional solve.
-    fn vectors(&mut self, n: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
+    /// Grow-only `(r, z, p, ap)` slices for an `n`-dimensional solve;
+    /// contents are whatever the previous solve left.
+    pub fn vectors(&mut self, n: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
         if self.r.len() < n {
             self.r.resize(n, 0.0);
             self.z.resize(n, 0.0);

@@ -13,14 +13,21 @@
 //! (phase events, span ring, and the power trace) is pre-grown via
 //! `reserve_host_telemetry`; its amortized `Vec` pushes are the one
 //! deliberately-reserved piece.
+//!
+//! The same holds on the simulated GPU: a device force evaluation draws
+//! its whole working set (the `A_z` pipeline intermediates, `F_z`, the
+//! RHS, the PCG vectors, the energy-rate vectors) from the same step
+//! scratch, so steady-state `Gpu { gpu_pcg: true }` steps are heap-quiet
+//! too once the device's event log and power trace are reserved.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use blast_repro::blast_core::{AssemblyMode, AuditConfig, ExecMode, Executor, Hydro, Sedov};
 use blast_repro::blast_la::{abft, AbftMode};
 use blast_repro::blast_telemetry::{names, Track};
-use blast_repro::gpu_sim::CpuSpec;
+use blast_repro::gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice};
 
 /// System allocator wrapper that counts every allocation call.
 struct CountingAlloc;
@@ -132,4 +139,61 @@ fn steady_state_steps_do_not_touch_the_heap() {
 #[test]
 fn matrix_free_steady_state_steps_do_not_touch_the_heap() {
     steady_state_contract(AssemblyMode::MatrixFree);
+}
+
+/// The contract on the simulated GPU (stored assembly, optimized kernel
+/// pipeline, device PCG): every launch body works out of the step scratch,
+/// so the only heap users left are the device's event log and power trace
+/// — reserved here from the launch count the warm-up steps measured.
+#[test]
+fn gpu_steady_state_steps_do_not_touch_the_heap() {
+    const WARM_UP_STEPS: usize = 3;
+    const MEASURED_STEPS: usize = 5;
+    rayon::set_active_threads(1);
+    let gpu = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
+    let exec = Executor::new(
+        ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 },
+        CpuSpec::e5_2670(),
+        Some(gpu.clone()),
+    );
+    let problem = Sedov::default();
+    let mut hydro = Hydro::<2>::builder(&problem, [6, 6])
+        .executor(exec)
+        .assembly(AssemblyMode::Stored)
+        .build()
+        .expect("problem fits");
+    let mut state = hydro.initial_state();
+    let mut dt = hydro.suggest_dt(&state);
+    for _ in 0..WARM_UP_STEPS {
+        let adv = hydro.try_advance(&mut state, dt).expect("warm-up step");
+        dt = adv.dt_next;
+    }
+
+    // Launches and transfers per step so far (`suggest_dt` included), with
+    // 2x headroom for PCG iteration counts drifting as the blast develops.
+    let ops_per_step = gpu.events().len().div_ceil(WARM_UP_STEPS);
+    gpu.reserve_telemetry(2 * ops_per_step * MEASURED_STEPS);
+    hydro.reserve_host_telemetry(MEASURED_STEPS + 1);
+    let launches_before = gpu.events().len();
+
+    let before = heap_ops();
+    for _ in 0..MEASURED_STEPS {
+        let adv = hydro.try_advance(&mut state, dt).expect("steady-state step");
+        dt = adv.dt_next;
+    }
+    let delta = heap_ops() - before;
+    rayon::set_active_threads(0);
+    assert_eq!(
+        delta, 0,
+        "steady-state GPU timesteps performed {delta} heap allocation(s); a \
+         device force evaluation must draw its working set from the step scratch"
+    );
+    assert!(!hydro.executor().is_degraded(), "the window must have run on the device");
+    let launched = gpu.events().len() - launches_before;
+    assert!(
+        launched >= MEASURED_STEPS * 2 * 9 && launched <= 2 * ops_per_step * MEASURED_STEPS,
+        "{launched} device operations in the window (reserved for {})",
+        2 * ops_per_step * MEASURED_STEPS
+    );
+    assert_eq!(hydro.executor().telemetry().dropped_spans(), 0, "the span ring must not wrap");
 }
