@@ -10,20 +10,18 @@
 //!   Q4-Q3 ceiling at `16^3` zones on a 5 GB K20; matrix-free keeps only
 //!   `d x d` per-point data and sails past it).
 //! - **Soft (time)**: below the ceiling, the faster mode wins, measured
-//!   the way the other tuners here measure ([`crate::host_tiles`],
-//!   [`crate::pcg_stream`]): interleaved min-of-rounds over the
-//!   *differential* per-zone work. The per-point physics (EOS, geometry,
-//!   viscosity) is identical in both modes and is excluded; what's timed
-//!   is the stored path's dense `nvdof x npts x nthermo` contraction and
-//!   `A_z` batch fill against the matrix-free path's `~3d²` thin 1D
-//!   transform chains.
+//!   as interleaved min-of-rounds over the *differential* per-zone work.
+//!   The per-point physics (EOS, geometry, viscosity) is identical in
+//!   both modes and is excluded; what's timed is the stored path's dense
+//!   `nvdof x npts x nthermo` contraction and `A_z` batch fill against
+//!   the matrix-free path's `~3d²` thin 1D transform chains.
 //!
-//! Both modes are bitwise-deterministic internally, so — like the other
-//! searches — this is a performance/fit knob, safe to cache per
-//! `(dim, order)` for the process lifetime. Low orders tend to keep the
-//! stored path (small batches, L3-resident matrix streams); the measured
-//! crossover moves to matrix-free as `order` grows and the stored
-//! contraction outgrows every cache level.
+//! Both modes are bitwise-deterministic internally, so this is a
+//! performance/fit knob, safe to cache per `(dim, order)` for the
+//! process lifetime. Low orders tend to keep the stored path (small
+//! batches, L3-resident matrix streams); the measured crossover moves to
+//! matrix-free as `order` grows and the stored contraction outgrows every
+//! cache level.
 
 use std::sync::Mutex;
 use std::time::Instant;

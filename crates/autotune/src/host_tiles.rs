@@ -1,32 +1,26 @@
-//! Host tile-parameter autotuning — the paper's §3.2.1 search applied to
-//! the *CPU* micro-kernels.
+//! Host tiled-GEMM calibration: what the production hot path sustains on
+//! the corner-force shape.
 //!
-//! The GPU autotuner enumerates kernel launch configurations; its host
-//! counterpart here searches [`blast_la::tile::CANDIDATES`] — the register
-//! micro-tile (MR x NR) crossed with the `KC` cache block — on the
-//! corner-force `F_z` GEMM shape of a given `(dim, order)` pair. Every
-//! candidate produces bitwise-identical results (the tile module's
-//! determinism contract), so the search is purely a performance knob and
-//! can be run once per FE order and cached for the rest of the process.
-//!
-//! Timing uses interleaved min-of-samples: each round times every
-//! candidate (and the pre-tiling naive kernel) once, and each candidate
-//! keeps its best round. On a noisy shared box the minimum is the robust
-//! estimator — external steal time only ever *adds* to a sample.
-//!
-//! The winner is installed process-wide via
-//! [`blast_la::tile::set_active_tile_index`], and its measured GFLOP/s is
-//! reported so the cost model's `CpuSpec` can be calibrated against the
-//! throughput the tiled hot path actually sustains (see
-//! `CpuSpec::calibrate_host_gflops` in `gpu-sim`).
+//! `tile::gemm` runs `TileConfig::DEFAULT` and nothing is installed per
+//! process, so there is nothing to choose here — the candidate sweep over
+//! `tile::CANDIDATES` lives in `bench::host_kernels`. This module keeps the
+//! paper's Table-3 shape derivation and one measurement: the default
+//! tile's single-thread GFLOP/s on that shape, which calibrates the cost
+//! model's `CpuSpec` against the throughput the host actually delivers
+//! (see `CpuSpec::calibrate_host_gflops` in `gpu-sim`).
 
-use std::sync::Mutex;
 use std::time::Instant;
 
-use blast_la::dense::naive;
-use blast_la::tile::{self, Op, TileConfig, CANDIDATES};
+use blast_la::tile::{self, Op};
 
-use crate::tuner::Autotuner;
+/// Timing rounds; the best round is kept. On a noisy shared box the minimum
+/// is the robust estimator — external steal time only ever *adds* to a
+/// sample.
+const ROUNDS: usize = 7;
+
+/// Multiply-adds per timed sample: ~1 ms in release on the Table-3 shapes,
+/// so dispatch and timer overhead vanish.
+const TARGET_MULS: usize = 1 << 21;
 
 /// The corner-force `F_z` GEMM shape `(m, n, k)` for one `(dim, order)`
 /// pair: `m` velocity dofs per zone, `n` thermodynamic basis functions,
@@ -39,147 +33,29 @@ pub fn corner_force_shape(dim: usize, order: usize) -> (usize, usize, usize) {
     (dim * p(order + 1), p(order), p(2 * order))
 }
 
-/// Outcome of one host-tile search.
-#[derive(Clone, Debug)]
-pub struct HostTileChoice {
-    /// Catalog device id the search was validated for (see
-    /// [`crate::DEFAULT_DEVICE`]) — part of the cache key, so a fleet
-    /// re-tunes per device instead of reusing one node's winner.
-    pub device: String,
-    /// Spatial dimension the shape was derived from.
-    pub dim: usize,
-    /// FE order the shape was derived from.
-    pub order: usize,
-    /// GEMM shape that was tuned, `(m, n, k)`.
-    pub shape: (usize, usize, usize),
-    /// Winning index into [`CANDIDATES`].
-    pub index: usize,
-    /// The winning configuration, `CANDIDATES[index]`.
-    pub config: TileConfig,
-    /// Best measured throughput of the winner, GFLOP/s (single thread).
-    pub tiled_gflops: f64,
-    /// Best measured throughput of the pre-tiling naive kernel, GFLOP/s.
-    pub naive_gflops: f64,
-    /// `tiled_gflops / naive_gflops`.
-    pub speedup: f64,
-    /// Best time per candidate, seconds (one entry per [`CANDIDATES`]).
-    pub candidate_times_s: Vec<f64>,
-}
-
-/// Per-sample work target, in multiply-adds. Large enough that one sample
-/// is ~1 ms in release on the Table-3 shapes (dispatch and timer overhead
-/// vanish), small enough that a full 12-candidate search stays well under
-/// a second.
-const TARGET_MULS: usize = 1 << 21;
-
-/// Interleaved rounds per search; each candidate keeps its minimum.
-const ROUNDS: usize = 7;
-
-/// Searches [`CANDIDATES`] on the corner-force shape of `(dim, order)`
-/// with an explicit measurement budget. `rounds` is the number of
-/// interleaved timing rounds; `target_muls` sizes one sample (repetitions
-/// are chosen so every sample performs at least this many multiply-adds).
-///
-/// Does **not** touch the process-wide active tile or the cache — pure
-/// measurement. Use [`tune_host_tiles`] for the cached + installing form.
-pub fn tune_host_tiles_uncached(
-    dim: usize,
-    order: usize,
-    rounds: usize,
-    target_muls: usize,
-) -> HostTileChoice {
+/// Best-of-[`ROUNDS`] single-thread GFLOP/s of `tile::gemm` (the default
+/// tile) on the corner-force shape of `(dim, order)`.
+pub fn default_tile_gflops(dim: usize, order: usize) -> f64 {
     let (m, n, k) = corner_force_shape(dim, order);
-    let reps = (target_muls / (m * n * k).max(1)).max(1);
-    let flops_per_sample = (2 * m * n * k * reps) as f64;
+    let reps = (TARGET_MULS / (m * n * k)).max(1);
 
     // Deterministic operand fill; values are irrelevant to timing but a
     // non-trivial pattern keeps any data-dependent path honest.
     let a: Vec<f64> = (0..m * k).map(|i| ((i * 37 + 11) % 101) as f64 * 1e-2 - 0.5).collect();
     // B is the n x k thermodynamic basis table (kernel 7 consumes it
-    // transposed), shared by the naive and tiled runs.
+    // transposed).
     let b: Vec<f64> = (0..n * k).map(|i| ((i * 53 + 7) % 97) as f64 * 1e-2 - 0.4).collect();
     let mut c = vec![0.0f64; m * n];
 
-    let mut best = vec![f64::INFINITY; CANDIDATES.len()];
-    let mut naive_best = f64::INFINITY;
-    for _ in 0..rounds.max(1) {
-        for (ci, cfg) in CANDIDATES.iter().enumerate() {
-            let start = Instant::now();
-            for _ in 0..reps {
-                tile::gemm_tiled_direct(*cfg, m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c);
-            }
-            best[ci] = best[ci].min(start.elapsed().as_secs_f64());
-        }
+    let mut best = f64::INFINITY;
+    for _ in 0..ROUNDS {
         let start = Instant::now();
         for _ in 0..reps {
-            naive::gemm_nt_raw(m, n, k, 1.0, &a, &b, 0.0, &mut c);
+            tile::gemm(m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c);
         }
-        naive_best = naive_best.min(start.elapsed().as_secs_f64());
+        best = best.min(start.elapsed().as_secs_f64());
     }
-
-    let index = best
-        .iter()
-        .enumerate()
-        .min_by(|x, y| x.1.total_cmp(y.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    let tiled_gflops = flops_per_sample / best[index] / 1e9;
-    let naive_gflops = flops_per_sample / naive_best / 1e9;
-    HostTileChoice {
-        device: crate::DEFAULT_DEVICE.to_string(),
-        dim,
-        order,
-        shape: (m, n, k),
-        index,
-        config: CANDIDATES[index],
-        tiled_gflops,
-        naive_gflops,
-        speedup: tiled_gflops / naive_gflops,
-        candidate_times_s: best,
-    }
-}
-
-static CACHE: Mutex<Vec<HostTileChoice>> = Mutex::new(Vec::new());
-
-/// Searches the host tile parameters for `(dim, order)` on the default
-/// local-host device key. See [`tune_host_tiles_for`].
-pub fn tune_host_tiles(dim: usize, order: usize) -> HostTileChoice {
-    tune_host_tiles_for(crate::DEFAULT_DEVICE, dim, order)
-}
-
-/// Searches the host tile parameters for `(device, dim, order)`, installs
-/// the winner as the process-wide active tile configuration, and caches
-/// the result — repeat calls for the same triple return the cached choice
-/// without re-measuring (re-installing the winner each time, so the
-/// latest-tuned order wins when several are in play).
-///
-/// `device` is a catalog id (`DeviceCatalog` in `gpu-sim`): a fleet
-/// re-validates the search per device rather than assuming one node's
-/// winner transfers across generations.
-pub fn tune_host_tiles_for(device: &str, dim: usize, order: usize) -> HostTileChoice {
-    let mut cache = CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(hit) =
-        cache.iter().find(|c| c.device == device && c.dim == dim && c.order == order)
-    {
-        let hit = hit.clone();
-        tile::set_active_tile_index(hit.index);
-        return hit;
-    }
-    let choice = HostTileChoice {
-        device: device.to_string(),
-        ..tune_host_tiles_uncached(dim, order, ROUNDS, TARGET_MULS)
-    };
-    tile::set_active_tile_index(choice.index);
-    cache.push(choice.clone());
-    choice
-}
-
-/// Bridges the host-tile search into the in-loop sampling-period
-/// [`Autotuner`]: candidates are the same grid, timed by real solver
-/// steps instead of the offline micro-benchmark (`record` the step time
-/// each step, then `set_active_tile_index(best)` once `is_done`).
-pub fn host_tile_tuner(samples_per_period: usize) -> Autotuner<TileConfig> {
-    Autotuner::new(CANDIDATES.to_vec(), samples_per_period)
+    (2 * m * n * k * reps) as f64 / best / 1e9
 }
 
 #[cfg(test)]
@@ -202,59 +78,8 @@ mod tests {
     }
 
     #[test]
-    fn uncached_search_returns_a_valid_choice() {
-        // Tiny budget: correctness of the bookkeeping, not the timing.
-        let c = tune_host_tiles_uncached(2, 1, 2, 1 << 12);
-        assert!(c.index < CANDIDATES.len());
-        assert_eq!(c.config, CANDIDATES[c.index]);
-        assert_eq!(c.shape, (8, 1, 4));
-        assert!(c.tiled_gflops > 0.0 && c.naive_gflops > 0.0);
-        assert!(c.speedup > 0.0);
-        assert_eq!(c.candidate_times_s.len(), CANDIDATES.len());
-        assert!(c.candidate_times_s.iter().all(|&t| t.is_finite() && t > 0.0));
-        let min = c.candidate_times_s.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert_eq!(c.candidate_times_s[c.index], min);
-    }
-
-    #[test]
-    fn cached_search_installs_and_replays() {
-        let first = tune_host_tiles(2, 2);
-        assert_eq!(tile::active_tile(), CANDIDATES[first.index]);
-        let again = tune_host_tiles(2, 2);
-        assert_eq!(again.index, first.index);
-        assert_eq!(again.candidate_times_s, first.candidate_times_s);
-        assert_eq!(again.device, crate::DEFAULT_DEVICE);
-    }
-
-    #[test]
-    fn cache_is_keyed_by_device_id() {
-        let a = tune_host_tiles_for("k20", 2, 1);
-        // Same (dim, order), different device: a fresh search ran (the
-        // timings are measured independently, so bitwise-equal candidate
-        // vectors would be a one-in-never coincidence), and both entries
-        // replay from their own cache slot afterwards.
-        let b = tune_host_tiles_for("ampere", 2, 1);
-        assert_eq!(a.device, "k20");
-        assert_eq!(b.device, "ampere");
-        assert_ne!(a.candidate_times_s, b.candidate_times_s);
-        assert_eq!(tune_host_tiles_for("k20", 2, 1).candidate_times_s, a.candidate_times_s);
-        assert_eq!(
-            tune_host_tiles_for("ampere", 2, 1).candidate_times_s,
-            b.candidate_times_s
-        );
-    }
-
-    #[test]
-    fn tuner_bridge_walks_the_candidate_grid() {
-        let mut t = host_tile_tuner(1);
-        let mut seen = 0;
-        while !t.is_done() {
-            assert_eq!(*t.current(), CANDIDATES[t.current_index()]);
-            t.record(1.0 + seen as f64);
-            seen += 1;
-        }
-        assert_eq!(seen, CANDIDATES.len());
-        // First candidate got the fastest fake time.
-        assert_eq!(t.best(), Some(&CANDIDATES[0]));
+    fn default_tile_rate_is_positive_and_finite() {
+        let g = default_tile_gflops(2, 1);
+        assert!(g.is_finite() && g > 0.0, "{g}");
     }
 }

@@ -14,8 +14,7 @@ use std::process::ExitCode;
 use blast_bench::experiments::fleet_routing;
 
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("BLAST_BENCH_SMOKE").is_ok_and(|v| v != "0");
+    let smoke = blast_bench::smoke_requested();
     let (r, failures) = fleet_routing::report_with_status(smoke);
     print!("{}", r.render());
 

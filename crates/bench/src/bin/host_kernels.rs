@@ -13,8 +13,7 @@ use std::process::ExitCode;
 use blast_bench::experiments::host_kernels;
 
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("BLAST_BENCH_SMOKE").is_ok_and(|v| v != "0");
+    let smoke = blast_bench::smoke_requested();
     let r = host_kernels::measure_with_budget(smoke);
     print!("{}", host_kernels::render(&r));
 

@@ -12,8 +12,7 @@ use std::process::ExitCode;
 use blast_bench::experiments::pcg_streaming;
 
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("BLAST_BENCH_SMOKE").is_ok_and(|v| v != "0");
+    let smoke = blast_bench::smoke_requested();
     let r = pcg_streaming::measure_with_budget(smoke);
     print!("{}", pcg_streaming::render(&r));
 

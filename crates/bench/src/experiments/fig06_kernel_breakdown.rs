@@ -5,36 +5,37 @@
 //! with the SpMV at ~30%; after the redesign the same SpMV time becomes
 //! ~65% of the (much smaller) total while the replacement kernels take 25%.
 //!
-//! Both runs are pinned to the *unfused* streaming variant: the figure
+//! Both runs are built with `PcgOptions { fused: false, .. }`: the figure
 //! reproduces the paper's launch-per-op CUDA-PCG loop, and the fused
 //! kernels (which replace `csrMv_ci_kernel` with `fusedCsrMvDot_ci_kernel`
 //! in the ledger) have their own experiment, `pcg_streaming`.
 
-use blast_core::ExecMode;
-use blast_la::stream::{self, CANDIDATES};
+use blast_core::{ExecMode, Hydro, HydroConfig, HydroState, Sedov};
+use blast_la::PcgOptions;
 use blast_telemetry::{table, PhaseTotal, Track};
+use gpu_sim::DeviceCatalog;
 
-use crate::experiments::scenarios::{run_steps, sedov3d};
+use crate::experiments::scenarios::{build, run_steps};
 
-/// Runs `f` with the unfused streaming variant active (same `parallel`
-/// setting), restoring the tuner's choice afterwards.
-fn with_unfused_kernels<T>(f: impl FnOnce() -> T) -> T {
-    let before = stream::active_stream_index();
-    let parallel = stream::active_stream().parallel;
-    let idx = CANDIDATES.iter().position(|c| !c.fused && c.parallel == parallel).unwrap();
-    stream::set_active_stream_index(idx);
-    let out = f();
-    stream::set_active_stream_index(before);
-    out
+/// 3D Sedov Q2-Q1 on 12^3 zones with the launch-per-op PCG, two steps in.
+fn run_unfused(base: bool) -> Hydro<3> {
+    let cfg = HydroConfig {
+        order: 2,
+        pcg: PcgOptions { fused: false, ..Default::default() },
+        ..Default::default()
+    };
+    let mode = ExecMode::Gpu { base, gpu_pcg: true, mpi_queues: 1 };
+    let (mut h, mut s): (Hydro<3>, HydroState) =
+        build(&Sedov::default(), [12; 3], cfg, mode, DeviceCatalog::gpu("k20"));
+    run_steps(&mut h, &mut s, 2);
+    h
 }
 
 /// `(kernel, share)` lists for base and optimized runs plus the total GPU
 /// times.
 pub fn measure() -> (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>, f64, f64) {
     let shares = |base: bool| {
-        let (mut h, mut s) =
-            sedov3d(2, 12, ExecMode::Gpu { base, gpu_pcg: true, mpi_queues: 1 });
-        with_unfused_kernels(|| run_steps(&mut h, &mut s, 2));
+        let h = run_unfused(base);
         let dev = h.executor().gpu.as_ref().expect("gpu").clone();
         let summary = dev.kernel_summary();
         let total: f64 = summary.iter().map(|(_, t, _)| t).sum();
@@ -50,8 +51,7 @@ pub fn measure() -> (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>, f64, f6
 /// Per-kernel time table for one run flavor, straight from the device's
 /// launch ledger, rendered by the shared telemetry table exporter.
 fn kernel_table(title: &str, base: bool) -> String {
-    let (mut h, mut s) = sedov3d(2, 12, ExecMode::Gpu { base, gpu_pcg: true, mpi_queues: 1 });
-    with_unfused_kernels(|| run_steps(&mut h, &mut s, 2));
+    let h = run_unfused(base);
     let dev = h.executor().gpu.as_ref().expect("gpu").clone();
     let totals: Vec<PhaseTotal> = dev
         .kernel_summary()

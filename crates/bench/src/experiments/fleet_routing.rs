@@ -201,11 +201,8 @@ pub fn measure_with_budget(smoke: bool) -> FleetRouting {
 
     // Routed placement, twice, under different host-pool sizes: the
     // second run's digest must match the first bit for bit.
-    rayon::set_active_threads(1);
-    let (report1, decisions) = run_routed(&jobs);
-    rayon::set_active_threads(8);
-    let (report8, _) = run_routed(&jobs);
-    rayon::set_active_threads(0);
+    let (report1, decisions) = crate::with_pool_threads(1, || run_routed(&jobs));
+    let (report8, _) = crate::with_pool_threads(8, || run_routed(&jobs));
 
     let routed_jobs = jobs
         .iter()

@@ -379,12 +379,14 @@ pub fn measure_with_budget(smoke: bool) -> HostKernels {
         .collect();
     // The host bodies of kernels 3 and 4 fan out over the pool; one thread,
     // like the GEMM rows above.
-    rayon::set_active_threads(1);
-    let az_kernels = AZ_SHAPES
-        .iter()
-        .map(|&(dim, order, zones, label)| measure_az(dim, order, zones, label, rounds, sample_s))
-        .collect();
-    rayon::set_active_threads(0);
+    let az_kernels = crate::with_pool_threads(1, || {
+        AZ_SHAPES
+            .iter()
+            .map(|&(dim, order, zones, label)| {
+                measure_az(dim, order, zones, label, rounds, sample_s)
+            })
+            .collect()
+    });
     HostKernels { shapes, az_kernels, fma_active: tile::fma_active(), smoke }
 }
 

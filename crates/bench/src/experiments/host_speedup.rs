@@ -47,10 +47,8 @@ pub struct HostSpeedup {
     pub pe_before: f64,
     /// After calibration against the measured curve.
     pub pe_after: f64,
-    /// Winning host-tile candidate index installed before the sweep (the
-    /// sweep must time the *tuned* tiled path, not the default tile).
-    pub tile_index: usize,
-    /// Single-thread GFLOP/s of the tuned tiled kernel, as fed to
+    /// Single-thread GFLOP/s of `TileConfig::DEFAULT` (the tile
+    /// `tile::gemm` runs) on the 3D Q2 corner-force shape, as fed to
     /// `CpuSpec::calibrate_host_gflops`.
     pub tiled_gflops: f64,
     /// Corner-force flop efficiency implied by the measurement
@@ -92,22 +90,19 @@ fn workload(reps: usize) -> Vec<f64> {
 /// fallback on `telemetry` (see [`HostSpeedup::preset_kept`]).
 pub fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
     let reps = 40;
-    // The sweep must measure the production hot path: tune the host tile
-    // for the workload's 3D Q2-like shape first, so the batched kernels
-    // below run the autotuned tiled core rather than the default tile.
-    // (Before the tiled rewrite this calibration timed the naive kernels,
-    // which over-reported memory-bound flattening and under-reported
-    // `parallel_efficiency`.)
-    let choice = host_tiles::tune_host_tiles(3, 2);
+    // Both measurements are of the production hot path: the batched
+    // kernels below and the GFLOP/s calibration run the default tile.
+    let tiled_gflops = host_tiles::default_tile_gflops(3, 2);
     // Warm up allocator and instruction caches off the clock.
     let _ = workload(2);
     let mut reference: Option<Vec<f64>> = None;
     let mut samples = Vec::new();
     for &t in &THREAD_COUNTS {
-        rayon::set_active_threads(t);
-        let start = Instant::now();
-        let out = workload(reps);
-        let time_s = start.elapsed().as_secs_f64();
+        let (out, time_s) = crate::with_pool_threads(t, || {
+            let start = Instant::now();
+            let out = workload(reps);
+            (out, start.elapsed().as_secs_f64())
+        });
         let bitwise_equal = match &reference {
             None => {
                 reference = Some(out);
@@ -120,7 +115,6 @@ pub fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
         };
         samples.push(SpeedupSample { threads: t, time_s, speedup: 0.0, bitwise_equal });
     }
-    rayon::set_active_threads(0);
     let t1 = samples[0].time_s;
     for s in &mut samples {
         s.speedup = t1 / s.time_s;
@@ -147,16 +141,14 @@ pub fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
         );
     }
     let pe_after = spec.calibrate_parallel_efficiency(&usable);
-    let host_flop_efficiency =
-        spec.calibrate_host_gflops(choice.tiled_gflops).unwrap_or(0.0);
+    let host_flop_efficiency = spec.calibrate_host_gflops(tiled_gflops).unwrap_or(0.0);
 
     HostSpeedup {
         samples,
         cores_detected,
         pe_before,
         pe_after,
-        tile_index: choice.index,
-        tiled_gflops: choice.tiled_gflops,
+        tiled_gflops,
         host_flop_efficiency,
         preset_kept,
     }
@@ -190,13 +182,12 @@ pub fn report() -> String {
     out.push_str(&format!(
         "\nHost exposes {} core(s); speedup is bounded by that regardless of pool size.\n\
          parallel_efficiency: {:.3} preset -> {:.3} calibrated from the measured curve{}.\n\
-         tiled hot path: tile candidate #{} installed, {:.2} GFLOP/s single-thread\n\
+         tiled hot path: default tile, {:.2} GFLOP/s single-thread\n\
          -> corner-force flop efficiency {:.3} fed to the roofline.\n",
         r.cores_detected,
         r.pe_before,
         r.pe_after,
         if r.preset_kept { " (WARNING: no usable multi-core sample; preset kept)" } else { "" },
-        r.tile_index,
         r.tiled_gflops,
         r.host_flop_efficiency,
     ));
@@ -227,7 +218,6 @@ mod tests {
             assert!(s.time_s > 0.0);
         }
         assert!(r.pe_after > 0.0 && r.pe_after <= 1.0);
-        assert!(r.tile_index < blast_la::tile::CANDIDATES.len());
         assert!(r.tiled_gflops > 0.0);
         assert!(r.host_flop_efficiency > 0.0 && r.host_flop_efficiency <= 1.0);
         if r.cores_detected >= 8 {

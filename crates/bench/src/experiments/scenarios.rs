@@ -15,7 +15,7 @@ use gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice, GpuSpec};
 /// The one scenario constructor: `problem` on `zones` with `cfg`, executed
 /// in `mode` on the E5-2670 host of §4.2 plus (for GPU / hybrid modes) a
 /// fresh simulated device built from `spec`.
-fn build<const D: usize>(
+pub(crate) fn build<const D: usize>(
     problem: &dyn Problem<D>,
     zones: [usize; D],
     cfg: HydroConfig,

@@ -152,7 +152,9 @@ fn row(name: &str, r: &RunResult, baseline_digest: u64) -> ScenarioRow {
 /// healed bit-identically, the persistent flip must fail typed, and no
 /// scenario may ever complete silently wrong.
 pub fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
-    // GEMM-panel flips only land through the checksummed path.
+    // GEMM-panel flips only land through the checksummed path. The mode is
+    // process-wide, so hand back whatever the caller had on exit.
+    let mode_before = blast_la::abft::mode();
     blast_la::abft::set_mode(AbftMode::Verify);
 
     let audit1 = AuditConfig::default();
@@ -242,6 +244,7 @@ pub fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
             "audit overhead {worst:.2}% exceeds the {MAX_AUDIT_OVERHEAD_PCT}% ceiling"
         ));
     }
+    blast_la::abft::set_mode(mode_before);
     (rows, violations)
 }
 

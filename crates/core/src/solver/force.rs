@@ -484,9 +484,10 @@ impl<const D: usize> Hydro<D> {
         // Charge the CG phase on the host timeline: the scalar component
         // solves each stream the operator (warm-starting keeps the
         // iteration counts low).
-        let fused = blast_la::stream::active_stream().fused;
-        let traffic =
-            self.assembly.cg_iteration_traffic(&self.shape, n, fused).scale(total_iters as f64);
+        let traffic = self
+            .assembly
+            .cg_iteration_traffic(&self.shape, n, self.pcg_opts.fused)
+            .scale(total_iters as f64);
         let threads = self.exec.cpu_threads();
         let state = if matches!(self.exec.mode, ExecMode::Gpu { .. }) {
             CpuPowerState::GpuOffload
@@ -686,8 +687,7 @@ impl<const D: usize> Hydro<D> {
     ) -> Result<(Vec<f64>, usize), HydroError> {
         let n = self.kin.num_dofs();
         let shape = self.shape;
-        let fused = blast_la::stream::active_stream().fused;
-        let iter_traffic = self.assembly.cg_iteration_traffic(&shape, n, fused);
+        let iter_traffic = self.assembly.cg_iteration_traffic(&shape, n, self.pcg_opts.fused);
         let mut accel = std::mem::take(&mut ws.accel);
         accel.clone_from(&self.accel_prev.borrow());
         let mut iters = 0;
@@ -697,7 +697,7 @@ impl<const D: usize> Hydro<D> {
             let rhs_c = &rhs[c * n..(c + 1) * n];
             ws.mom_xk.copy_from_slice(&accel[c * n..(c + 1) * n]);
             let res = match &self.assembly {
-                Assembly::Stored { mv } => GpuPcg { opts: self.pcg_opts, fused }.solve_ws(
+                Assembly::Stored { mv } => GpuPcg { opts: self.pcg_opts }.solve_ws(
                     gpu,
                     mv,
                     &self.mv_precond,

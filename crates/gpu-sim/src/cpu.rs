@@ -30,7 +30,7 @@ pub struct CpuSpec {
     pub dram_bw_gbs: f64,
     /// Parallel efficiency at full thread count (memory contention, NUMA).
     pub parallel_efficiency: f64,
-    /// Single-thread GFLOP/s the autotuned host micro-kernels actually
+    /// Single-thread GFLOP/s the tiled host micro-kernels actually
     /// sustain on the corner-force GEMM shape (`None` until
     /// [`CpuSpec::calibrate_host_gflops`] has been fed a measurement,
     /// e.g. from `autotune::host_tiles`).
@@ -161,7 +161,7 @@ impl CpuSpec {
     }
 
     /// Records the single-thread GFLOP/s measured on the tiled host
-    /// micro-kernels (e.g. `autotune::host_tiles`' winner) and returns
+    /// micro-kernels (e.g. by `autotune::host_tiles`) and returns
     /// the implied corner-force flop efficiency. Non-finite or
     /// non-positive measurements are ignored.
     pub fn calibrate_host_gflops(&mut self, gflops: f64) -> Option<f64> {

@@ -40,19 +40,12 @@ pub const FUSED_AXPY2_NRM2: &str = "fusedAxpy2Nrm2_kernel";
 pub const FUSED_PRECOND_UPDATE: &str = "fusedPrecondUpdate_kernel";
 
 /// Kernel 9: CUDA-PCG over the simulated device.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct GpuPcg {
-    /// Stopping options (defaults match the CPU PCG).
+    /// Stopping options and loop variant (defaults match the CPU PCG):
+    /// `opts.fused` selects the fused streaming kernels (3
+    /// launches/iteration) or the launch-per-op baseline (8).
     pub opts: PcgOptions,
-    /// Fused streaming kernels (3 launches/iteration) vs the launch-per-op
-    /// baseline (8 launches/iteration). Defaults to fused.
-    pub fused: bool,
-}
-
-impl Default for GpuPcg {
-    fn default() -> Self {
-        Self { opts: PcgOptions::default(), fused: true }
-    }
 }
 
 /// One `cublasDdot`-style reduction launch.
@@ -175,7 +168,7 @@ impl GpuPcg {
         x: &mut [f64],
         ws: &mut PcgWorkspace,
     ) -> Result<PcgResult, GpuError> {
-        if self.fused {
+        if self.opts.fused {
             self.solve_fused(dev, a, precond, b, constrained, x, ws)
         } else {
             self.solve_unfused(dev, a, precond, b, constrained, x, ws)
@@ -452,29 +445,22 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| ((i + 1) as f64 * 0.17).sin()).collect();
         let pre = DiagPrecond::from_diagonal(&a.diagonal());
         let none = vec![false; n];
-        let before = stream::active_stream_index();
 
         for fused in [true, false] {
-            let idx = blast_la::stream::CANDIDATES
-                .iter()
-                .position(|c| c.fused == fused && !c.parallel)
-                .unwrap();
-            stream::set_active_stream_index(idx);
+            let opts = PcgOptions { fused, ..Default::default() };
             let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
             let mut x_gpu = vec![0.0; n];
-            let res = GpuPcg { opts: PcgOptions::default(), fused }
+            let res = GpuPcg { opts }
                 .solve(&dev, &a, &pre, &b, &none, &mut x_gpu)
                 .expect("no faults injected");
             assert!(res.converged, "residual {}", res.residual);
 
             let mut x_cpu = vec![0.0; n];
-            let res_cpu =
-                blast_la::pcg_solve(&mut (&a), &pre, &b, &mut x_cpu, &PcgOptions::default());
+            let res_cpu = blast_la::pcg_solve(&mut (&a), &pre, &b, &mut x_cpu, &opts);
             assert_eq!(res.iterations, res_cpu.iterations, "fused={fused}");
             assert_eq!(res.residual.to_bits(), res_cpu.residual.to_bits(), "fused={fused}");
             assert_eq!(x_gpu, x_cpu, "fused={fused}");
         }
-        stream::set_active_stream_index(before);
     }
 
     #[test]
@@ -489,13 +475,13 @@ mod tests {
 
         let dev_f = GpuDevice::new(DeviceCatalog::gpu("k20"));
         let mut x_f = vec![0.0; n];
-        let res_f = GpuPcg { fused: true, ..Default::default() }
+        let res_f = GpuPcg::default()
             .solve(&dev_f, &a, &pre, &b, &constrained, &mut x_f)
             .expect("no faults injected");
 
         let dev_u = GpuDevice::new(DeviceCatalog::gpu("k20"));
         let mut x_u = vec![0.0; n];
-        let res_u = GpuPcg { fused: false, ..Default::default() }
+        let res_u = GpuPcg { opts: PcgOptions { fused: false, ..Default::default() } }
             .solve(&dev_u, &a, &pre, &b, &constrained, &mut x_u)
             .expect("no faults injected");
 

@@ -42,7 +42,6 @@ pub use lu::LuFactors;
 pub use pcg::{pcg_solve, pcg_solve_instrumented, pcg_solve_ws, pcg_solve_ws_reference,
     DiagPrecond, LinearOperator, PcgOptions, PcgResult, PcgWorkspace};
 pub use small::SmallMat;
-pub use stream::StreamVariant;
 pub use svd::{svd2, svd3, Svd};
 pub use tile::{MicroTile, TileConfig};
 

@@ -87,7 +87,7 @@ impl DiagPrecond {
     }
 }
 
-/// PCG stopping options.
+/// PCG stopping options and loop variant.
 #[derive(Clone, Copy, Debug)]
 pub struct PcgOptions {
     /// Relative residual tolerance `|r| <= rel_tol * |b|`.
@@ -96,13 +96,18 @@ pub struct PcgOptions {
     pub abs_tol: f64,
     /// Iteration cap.
     pub max_iter: usize,
+    /// `true` (default): three fused single-pass kernels per iteration.
+    /// `false`: one streaming sweep per BLAS-1 op — the paper's
+    /// launch-per-op CUDA-PCG, kept for the Fig. 6 ledger and as the
+    /// fusion baseline. Bitwise-identical trajectories either way.
+    pub fused: bool,
 }
 
 impl Default for PcgOptions {
     fn default() -> Self {
         // BLAST's defaults: tight tolerance so that timestep-to-timestep
         // energy bookkeeping is not polluted by solver error.
-        Self { rel_tol: 1e-12, abs_tol: 1e-300, max_iter: 2000 }
+        Self { rel_tol: 1e-12, abs_tol: 1e-300, max_iter: 2000, fused: true }
     }
 }
 
@@ -175,12 +180,11 @@ pub fn pcg_solve<Op: LinearOperator>(
 /// [`pcg_solve`] with caller-provided iteration vectors (allocation-free
 /// once the workspace has warmed up).
 ///
-/// Dispatches on the active [`stream::StreamVariant`]: the fused path runs
-/// three single-pass kernels per iteration (`spmv_dot`, `axpy2_nrm2`,
+/// Dispatches on [`PcgOptions::fused`]: the fused path runs three
+/// single-pass kernels per iteration (`spmv_dot`, `axpy2_nrm2`,
 /// `precond_dot_update`); the unfused path runs one streaming sweep per
 /// BLAS-1 op. Both produce **bitwise-identical** trajectories (see the
-/// `stream` module docs), so the autotuner's choice is purely about memory
-/// transits.
+/// `stream` module docs), so the choice is purely about memory transits.
 pub fn pcg_solve_ws<Op: LinearOperator>(
     op: &mut Op,
     precond: &DiagPrecond,
@@ -189,7 +193,7 @@ pub fn pcg_solve_ws<Op: LinearOperator>(
     opts: &PcgOptions,
     ws: &mut PcgWorkspace,
 ) -> PcgResult {
-    if stream::active_stream().fused {
+    if opts.fused {
         pcg_solve_fused(op, precond, b, x, opts, ws)
     } else {
         pcg_solve_unfused(op, precond, b, x, opts, ws)
@@ -383,7 +387,7 @@ pub fn pcg_solve_instrumented<Op: LinearOperator>(
     let res = pcg_solve_ws(op, precond, b, x, opts, ws);
     tel.counter_add(counters::PCG_SOLVES, 1);
     tel.counter_add(counters::PCG_ITERATIONS, res.iterations as u64);
-    if stream::active_stream().fused {
+    if opts.fused {
         // 3 fused sweeps per iteration + the setup precond_dot_update.
         tel.counter_add(counters::PCG_FUSED_SWEEPS, 3 * res.iterations as u64 + 1);
     }

@@ -30,9 +30,9 @@
 //!
 //! * results are **bitwise identical at every `BLAST_THREADS`** (serial and
 //!   pool paths walk the same grid in the same order);
-//! * all four [`CANDIDATES`] variants (fused/unfused × serial/parallel)
-//!   produce **bitwise-identical** solver trajectories, so the autotuner
-//!   switches freely without breaking the determinism digests;
+//! * the fused and launch-per-op loops (`PcgOptions::fused`) produce
+//!   **bitwise-identical** solver trajectories, on the pool or serially,
+//!   so the choice never shows in the determinism digests;
 //! * against the scalar [`reference`] oracle there are two regimes, exactly
 //!   as in `tile.rs`: without FMA the dispatched kernels perform the
 //!   reference's two-rounding updates and match **bitwise**; with AVX2/
@@ -44,7 +44,7 @@
 //! serial and pool paths share one code path without locks), and the pool's
 //! serial `for_each` drive is allocation-free for unit results.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
 
@@ -59,53 +59,10 @@ pub const STREAM_BLOCKS: usize = 64;
 const LANES: usize = 8;
 
 /// Below this length the pool's scoped-thread spawn costs more than the
-/// sweep; parallel variants fall back to the (bitwise-identical) serial
-/// walk. A fixed constant, never thread-count-derived, so the block
-/// schedule stays deterministic.
+/// sweep, so it takes the (bitwise-identical) serial walk. A fixed
+/// constant, never thread-count-derived, so the block schedule stays
+/// deterministic.
 const PAR_MIN_N: usize = 4096;
-
-/// One streaming-kernel configuration the autotuner can install.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamVariant {
-    /// `true`: `pcg_solve_ws` runs the three fused kernels per iteration.
-    /// `false`: one streaming sweep per BLAS-1 op (the launch-per-op
-    /// baseline; bitwise-identical results, more memory transits).
-    pub fused: bool,
-    /// Whether sweeps over `n >= PAR_MIN_N` elements use the worker pool.
-    pub parallel: bool,
-}
-
-/// The candidate grid `autotune::pcg_stream` searches. Every candidate
-/// produces bitwise-identical solver trajectories (see the module docs), so
-/// the choice is purely a performance knob.
-pub const CANDIDATES: [StreamVariant; 4] = [
-    StreamVariant { fused: true, parallel: true },
-    StreamVariant { fused: true, parallel: false },
-    StreamVariant { fused: false, parallel: true },
-    StreamVariant { fused: false, parallel: false },
-];
-
-/// Index of the default variant (fused, pool-parallel) in [`CANDIDATES`].
-const DEFAULT_INDEX: usize = 0;
-
-static ACTIVE: AtomicUsize = AtomicUsize::new(DEFAULT_INDEX);
-
-/// Installs `CANDIDATES[index]` as the process-wide active streaming
-/// variant. Panics if the index is out of range.
-pub fn set_active_stream_index(index: usize) {
-    assert!(index < CANDIDATES.len(), "stream candidate index out of range");
-    ACTIVE.store(index, Ordering::Relaxed);
-}
-
-/// The currently active streaming variant.
-pub fn active_stream() -> StreamVariant {
-    CANDIDATES[ACTIVE.load(Ordering::Relaxed)]
-}
-
-/// Index of the currently active variant in [`CANDIDATES`].
-pub fn active_stream_index() -> usize {
-    ACTIVE.load(Ordering::Relaxed)
-}
 
 /// Widest SIMD level the host supports, detected once (mirrors
 /// `tile::simd_level`; `BLAST_STREAM_SIMD=0|1|2` caps it for diagnostics).
@@ -172,11 +129,10 @@ fn block_len(n: usize) -> usize {
     n.div_ceil(STREAM_BLOCKS).max(1)
 }
 
-/// Whether a sweep of `n` elements should use the worker pool under the
-/// active variant.
+/// Whether a sweep of `n` elements should use the worker pool.
 #[inline]
 fn use_parallel(n: usize) -> bool {
-    active_stream().parallel && n >= PAR_MIN_N
+    n >= PAR_MIN_N
 }
 
 /// Per-block partial store: one slot per grid block, written exactly once,
@@ -497,7 +453,7 @@ fn spmv_rows_dot(
 
 // ---------------------------------------------------------------------------
 // Public streaming ops. Each walks the fixed block grid, serially or on the
-// pool per the active variant — identical bits either way.
+// pool by length — identical bits either way.
 // ---------------------------------------------------------------------------
 
 /// Streaming dot product. Panics on length mismatch.
@@ -1039,22 +995,6 @@ mod tests {
             update_direction(rz2 / rz1, &z, &mut p3);
             assert_eq!(p2, p3, "n={n}");
         }
-    }
-
-    #[test]
-    fn all_variants_bitwise_identical() {
-        let n = 5000; // above PAR_MIN_N so parallel variants engage the pool
-        let (x, y) = vecs(n);
-        let before = active_stream_index();
-        let baseline = {
-            set_active_stream_index(0);
-            dot(&x, &y)
-        };
-        for idx in 1..CANDIDATES.len() {
-            set_active_stream_index(idx);
-            assert_eq!(dot(&x, &y).to_bits(), baseline.to_bits(), "variant {idx}");
-        }
-        set_active_stream_index(before);
     }
 
     #[test]

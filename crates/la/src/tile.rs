@@ -24,9 +24,9 @@
 //! update per `p` in ascending order, with C round-tripping through
 //! memory exactly (f64 store/load is lossless) between KC blocks. The
 //! results are therefore **bitwise independent of the tile
-//! configuration** (any `MR`, `NR`, `KC`), which lets the autotuner
-//! switch tiles freely without breaking the PR-3 thread-count
-//! determinism guarantee (`tests/host_determinism.rs`).
+//! configuration** (any `MR`, `NR`, `KC`): a tile sweep measures speed
+//! only, and the PR-3 thread-count determinism guarantee
+//! (`tests/host_determinism.rs`) does not depend on the choice.
 //!
 //! Relative to the naive reference ([`crate::dense::naive`]) there are
 //! two regimes, selected once per process by runtime CPU detection:
@@ -44,8 +44,6 @@
 //! The TN variant additionally trades the reference's dot-product
 //! accumulation for the same axpy order as NN/NT, so it is ULP-close to
 //! its naive counterpart in both regimes.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Operand orientation for [`gemm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,7 +90,7 @@ impl MicroTile {
 }
 
 /// Host tile parameters: the register tile plus the `KC` cache block.
-/// These are the knobs `autotune::host_tiles` searches per FE order.
+/// These are the knobs the `host_kernels` sweep times per FE order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileConfig {
     /// Register micro-tile shape.
@@ -102,13 +100,13 @@ pub struct TileConfig {
 }
 
 impl TileConfig {
-    /// Default configuration (used until the autotuner has run).
+    /// The configuration [`gemm`] runs.
     pub const DEFAULT: TileConfig = TileConfig { micro: MicroTile::Mr8Nr4, kc: 256 };
 }
 
-/// The candidate grid the host-tile autotuner searches. Every candidate
-/// produces bitwise-identical NN/NT results (see the module docs), so the
-/// choice is purely a performance knob.
+/// The candidate grid the host-tile sweeps time (each passed explicitly to
+/// [`gemm_tiled_direct`]). Every candidate produces bitwise-identical NN/NT
+/// results (see the module docs).
 pub const CANDIDATES: [TileConfig; 12] = [
     TileConfig { micro: MicroTile::Mr4Nr4, kc: 64 },
     TileConfig { micro: MicroTile::Mr4Nr4, kc: 128 },
@@ -124,25 +122,8 @@ pub const CANDIDATES: [TileConfig; 12] = [
     TileConfig { micro: MicroTile::Mr4Nr8, kc: 256 },
 ];
 
-/// Index of [`TileConfig::DEFAULT`] in [`CANDIDATES`].
-const DEFAULT_INDEX: usize = 5;
-
-static ACTIVE: AtomicUsize = AtomicUsize::new(DEFAULT_INDEX);
-
-/// Installs `CANDIDATES[index]` as the process-wide active tile
-/// configuration. Panics if the index is out of range.
-pub fn set_active_tile_index(index: usize) {
-    assert!(index < CANDIDATES.len(), "tile candidate index out of range");
-    ACTIVE.store(index, Ordering::Relaxed);
-}
-
-/// The currently active tile configuration.
-pub fn active_tile() -> TileConfig {
-    CANDIDATES[ACTIVE.load(Ordering::Relaxed)]
-}
-
 /// `C = alpha * op_a(A) * op_b(B) + beta * C` on column-major slices, via
-/// the active tile configuration. `(m, n, k)` are the shapes *after*
+/// [`TileConfig::DEFAULT`]. `(m, n, k)` are the shapes *after*
 /// applying the transpositions; `A^T B^T` is not supported (no caller
 /// needs it).
 pub fn gemm(
@@ -161,11 +142,11 @@ pub fn gemm(
     debug_assert!(a.len() >= m * k);
     debug_assert!(b.len() >= k * n);
     debug_assert!(c.len() >= m * n);
-    gemm_tiled_direct(active_tile(), m, n, k, alpha, a, op_a, b, op_b, beta, c);
+    gemm_tiled_direct(TileConfig::DEFAULT, m, n, k, alpha, a, op_a, b, op_b, beta, c);
 }
 
-/// [`gemm`] under an explicit tile configuration (the autotuner and the
-/// benches time candidates through this): register tiling + KC blocking,
+/// [`gemm`] under an explicit tile configuration (the tile sweeps time
+/// candidates through this): register tiling + KC blocking,
 /// operands read in place.
 pub fn gemm_tiled_direct(
     cfg: TileConfig,
@@ -731,14 +712,5 @@ mod tests {
             gemm(3, 4, 2, 0.0, &a, Op::N, &b, Op::N, beta, &mut c);
             assert_eq!(c, c_ref);
         }
-    }
-
-    #[test]
-    fn active_tile_roundtrip() {
-        assert_eq!(active_tile(), TileConfig::DEFAULT);
-        set_active_tile_index(0);
-        assert_eq!(active_tile(), CANDIDATES[0]);
-        set_active_tile_index(DEFAULT_INDEX);
-        assert_eq!(active_tile(), TileConfig::DEFAULT);
     }
 }

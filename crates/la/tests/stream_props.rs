@@ -10,13 +10,13 @@
 //! - fused vs the serial scalar `stream::reference` oracle is bitwise
 //!   identical on hosts without FMA dispatch, and ULP-bounded when the
 //!   dispatched path contracts multiply-adds;
-//! - results are invariant under the pool thread count and under all four
-//!   `StreamVariant` candidates.
+//! - results are invariant under the pool thread count and under
+//!   `PcgOptions::fused`.
 //!
 //! Exercised across proptest-random sizes, Table-3-like solver sizes, and
 //! ragged sizes straddling the lane width and the block grid.
 
-use blast_la::stream::{self, CANDIDATES};
+use blast_la::stream;
 use blast_la::{
     pcg_solve_ws, pcg_solve_ws_reference, CsrBuilder, CsrMatrix, DiagPrecond, PcgOptions,
     PcgWorkspace,
@@ -112,28 +112,28 @@ fn fused_results_are_variant_and_thread_invariant() {
     let n = 6000;
     let p = vecs(n, 10);
     let ap = vecs(n, 11);
-    let before = stream::active_stream_index();
-    let run = || {
+    let a = banded(n, 9);
+    let pre = DiagPrecond::from_diagonal(&a.diagonal());
+    let b = vecs(n, 14);
+    let run = |fused: bool| {
         let mut x = vecs(n, 12);
         let mut r = vecs(n, 13);
         let s = stream::axpy2_nrm2(0.61, &p, &ap, &mut x, &mut r);
         let d = stream::dot(&x, &r);
-        (s.to_bits(), d.to_bits(), x, r)
+        let opts = PcgOptions { rel_tol: 1e-10, fused, ..Default::default() };
+        let mut sol = vec![0.0; n];
+        let res = pcg_solve_ws(&mut (&a), &pre, &b, &mut sol, &opts, &mut PcgWorkspace::new());
+        (s.to_bits(), d.to_bits(), x, r, res.iterations, res.residual.to_bits(), sol)
     };
-    let baseline = run();
-    for idx in 0..CANDIDATES.len() {
-        stream::set_active_stream_index(idx);
+    let baseline = run(true);
+    assert!(baseline.4 > 1, "the solve must iterate for the comparison to mean anything");
+    for fused in [true, false] {
         for threads in [1usize, 2, 4, 8] {
             rayon::set_active_threads(threads);
-            let got = run();
-            assert_eq!(got.0, baseline.0, "sum variant {idx} threads {threads}");
-            assert_eq!(got.1, baseline.1, "dot variant {idx} threads {threads}");
-            assert_eq!(got.2, baseline.2, "x variant {idx} threads {threads}");
-            assert_eq!(got.3, baseline.3, "r variant {idx} threads {threads}");
+            assert_eq!(run(fused), baseline, "fused {fused} threads {threads}");
         }
     }
     rayon::set_active_threads(0);
-    stream::set_active_stream_index(before);
 }
 
 #[test]

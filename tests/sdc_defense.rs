@@ -5,72 +5,18 @@
 //! message — never a silently wrong answer. The detection/recovery work is
 //! billed into the `ResilienceReport`, and the serve layer's SDC chaos
 //! band upholds the same contract across a multi-tenant job mix.
+//!
+//! The ABFT leg (a GEMM-panel flip caught by the column checksums) lives in
+//! `tests/sdc_abft.rs`: ABFT mode and the one-shot armed flip are still
+//! process-wide, so that test needs a process of its own.
 
-use std::sync::Mutex;
+mod common;
 
-use blast_repro::blast_core::{
-    AuditConfig, CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro, HydroError,
-    HydroState, RunConfig, Sedov, ENERGY_RECONCILE_TOL, MAX_STEP_REDOS,
-};
-use blast_repro::blast_la::{abft, AbftMode};
+use blast_repro::blast_core::{AuditConfig, HydroError, ENERGY_RECONCILE_TOL};
 use blast_repro::blast_serve::{JobOutcome, JobSpec, Scenario, ServeConfig, Supervisor, WorkerSpec};
-use blast_repro::gpu_sim::{derive_fault, CpuSpec, SdcPlan, SdcSite};
-use blast_repro::powermon::ResilienceReport;
+use blast_repro::gpu_sim::{derive_fault, SdcPlan, SdcSite};
 
-/// Serializes tests that touch the process-global ABFT mode.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Same geometry and flip schedule as the `sdc_campaign` gate: [8,8]
-/// order-2 Sedov, 24 accepted steps, flips landing mid-run.
-const ZONES: [usize; 2] = [8, 8];
-const STEPS: usize = 24;
-const FLIP_AT: u64 = 10;
-const SEED: u64 = 42;
-
-/// FNV-1a over the bit patterns of the final state `(v, e, x, t)`.
-fn state_digest(s: &HydroState) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in s.v.iter().chain(&s.e).chain(&s.x).chain(std::iter::once(&s.t)) {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-struct RunResult {
-    state: HydroState,
-    result: Result<(), HydroError>,
-    report: ResilienceReport,
-    store: CheckpointStore,
-}
-
-/// One checkpointed, audited, step-bound Sedov run with the given plan.
-fn run_scenario(plan: SdcPlan, audit: AuditConfig) -> RunResult {
-    let host = CpuSpec::e5_2670();
-    let exec = Executor::new(ExecMode::cpu_parallel_measured(&host), host, None);
-    let mut hydro = Hydro::<2>::builder(&Sedov::default(), ZONES)
-        .order(2)
-        .executor(exec)
-        .sdc_plan(plan)
-        .audit(audit)
-        .build()
-        .expect("scenario must build");
-    hydro.reserve_host_telemetry(STEPS + 2 * MAX_STEP_REDOS);
-    let mut state = hydro.initial_state();
-    let mut store = CheckpointStore::in_memory();
-    let result = hydro
-        .run(
-            &mut state,
-            RunConfig::to(1.0)
-                .max_steps(STEPS)
-                .checkpointed(CheckpointPolicy::EverySteps(2), &mut store),
-        )
-        .map(|_| ());
-    let report = hydro.executor().resilience_report(0);
-    RunResult { state, result, report, store }
-}
+use common::{run_scenario, state_digest, FLIP_AT, SEED};
 
 /// A transient flip in a committed host state array is caught by the
 /// physics-invariant audit, healed to a final state **bit-identical** to
@@ -112,24 +58,6 @@ fn device_and_transfer_flips_are_healed_bit_identically() {
         assert_eq!(state_digest(&r.state), baseline_digest, "{site:?} digest diverged");
         assert!(r.report.corruptions_detected >= 1, "{site:?} flip escaped detection");
     }
-}
-
-/// A flip inside a GEMM panel is caught *pre-commit* by the ABFT column
-/// checksums (`AbftMode::Verify`) and healed bit-identically.
-#[test]
-fn abft_catches_gemm_panel_flip_end_to_end() {
-    let _guard = MODE_LOCK.lock().unwrap();
-    abft::set_mode(AbftMode::Verify);
-    let baseline = run_scenario(SdcPlan::seeded(SEED), AuditConfig::default());
-    let mut plan = SdcPlan::seeded(SEED);
-    plan.arm(derive_fault(SEED, SdcSite::GemmPanel, FLIP_AT, 0, false));
-    let r = run_scenario(plan, AuditConfig::default());
-    abft::set_mode(AbftMode::Off);
-
-    r.result.as_ref().expect("ABFT-caught flip must be healed");
-    assert_eq!(state_digest(&r.state), state_digest(&baseline.state));
-    assert!(r.report.sdc_flips_injected >= 1, "the armed panel flip must land");
-    assert!(r.report.corruptions_detected >= 1, "the checksums must catch it");
 }
 
 /// At audit cadence 4 a flip is *committed* before detection, so recovery

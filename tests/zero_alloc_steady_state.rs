@@ -2,7 +2,9 @@
 //! buffers have grown to the problem's high-water size, steady-state
 //! timesteps perform **zero heap allocations**. Asserted with a counting
 //! global allocator around a measurement window of CPU-serial Sedov steps
-//! after a warm-up phase.
+//! after a warm-up phase. The count is per thread, so the tests of this
+//! binary can run side by side: at pool size 1 the measuring thread runs
+//! the whole step, and a sibling test's setup never lands in its window.
 //!
 //! The contract covers the whole step: the corner-force `A_z` pipeline
 //! (kernels 1-6), `F_z`, the momentum RHS scatter, the constrained PCG
@@ -21,7 +23,7 @@
 //! too once the device's event log and power trace are reserved.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use blast_repro::blast_core::{AssemblyMode, AuditConfig, ExecMode, Executor, Hydro, Sedov};
@@ -29,22 +31,30 @@ use blast_repro::blast_la::{abft, AbftMode};
 use blast_repro::blast_telemetry::{names, Track};
 use blast_repro::gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice};
 
-/// System allocator wrapper that counts every allocation call.
+/// System allocator wrapper that counts the calling thread's allocation
+/// and reallocation calls.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading it from inside
+    // the allocator neither allocates nor touches torn-down TLS.
+    static HEAP_OPS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_heap_op() {
+    let _ = HEAP_OPS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_heap_op();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_heap_op();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -52,15 +62,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap operations performed so far by the calling thread.
 fn heap_ops() -> u64 {
-    ALLOCS.load(Ordering::Relaxed) + REALLOCS.load(Ordering::Relaxed)
+    HEAP_OPS.with(|c| c.get())
+}
+
+/// Serial execution for the whole binary: the parallel pool spawns scoped
+/// threads (stack + TLS allocations) per call, which is the multithreaded
+/// path's own cost model, not the solver hot path under test here. Never
+/// reset — a finishing test must not re-enable spawning inside a sibling's
+/// measured window.
+fn pin_serial_pool() {
+    rayon::set_active_threads(1);
 }
 
 fn steady_state_contract(mode: AssemblyMode) {
-    // Serial execution: the parallel pool spawns scoped threads (stack +
-    // TLS allocations) per call, which is the multithreaded path's own
-    // cost model, not the solver hot path under test here.
-    rayon::set_active_threads(1);
+    pin_serial_pool();
     // The contract must hold with the full SDC defense on: ABFT-checksummed
     // GEMMs and the per-step physics-invariant audit (its scratch grows
     // once at install/warm-up like every other pool).
@@ -98,7 +115,6 @@ fn steady_state_contract(mode: AssemblyMode) {
         dt = adv.dt_next;
     }
     let delta = heap_ops() - before;
-    rayon::set_active_threads(0);
     assert_eq!(
         delta, 0,
         "steady-state timesteps in {mode} mode performed {delta} heap \
@@ -149,7 +165,7 @@ fn matrix_free_steady_state_steps_do_not_touch_the_heap() {
 fn gpu_steady_state_steps_do_not_touch_the_heap() {
     const WARM_UP_STEPS: usize = 3;
     const MEASURED_STEPS: usize = 5;
-    rayon::set_active_threads(1);
+    pin_serial_pool();
     let gpu = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
     let exec = Executor::new(
         ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 },
@@ -182,7 +198,6 @@ fn gpu_steady_state_steps_do_not_touch_the_heap() {
         dt = adv.dt_next;
     }
     let delta = heap_ops() - before;
-    rayon::set_active_threads(0);
     assert_eq!(
         delta, 0,
         "steady-state GPU timesteps performed {delta} heap allocation(s); a \
