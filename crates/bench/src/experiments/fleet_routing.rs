@@ -437,12 +437,14 @@ mod tests {
     use super::*;
 
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
     fn smoke_workload_passes_every_gate() {
         let (r, fails) = report_with_status(true);
         assert!(fails.is_empty(), "gate failures: {fails:?}\n{}", r.render());
     }
 
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
     fn json_artifact_is_well_formed_enough() {
         let r = measure_with_budget(true);
         let j = r.to_json();

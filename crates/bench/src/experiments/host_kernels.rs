@@ -459,6 +459,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "wall-clock measurement; run with --release")]
     fn smoke_sweep_covers_all_shapes_and_emits_json() {
         let r = measure_with_budget(true);
         assert_eq!(r.shapes.len(), SHAPES.len());

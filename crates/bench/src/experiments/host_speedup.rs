@@ -10,7 +10,8 @@
 
 use std::time::Instant;
 
-use autotune::host_tiles;
+use blast_kernels::ProblemShape;
+use blast_la::tile::{self, Op};
 use blast_la::{batched_gemm_nn, batched_gemv_n, BatchedMats};
 use blast_telemetry::names::counters;
 use blast_telemetry::{Telemetry, TelemetrySink};
@@ -86,13 +87,45 @@ fn workload(reps: usize) -> Vec<f64> {
     out
 }
 
+/// Best-of-rounds single-thread GFLOP/s of `tile::gemm` (the default tile)
+/// on the 3D Q2 corner-force shape: kernel 7's per-zone `F_z = A_z * B^T`,
+/// 81 velocity dofs x 8 thermodynamic basis functions over 64 points
+/// (paper Table 3). On a noisy shared box the minimum is the robust
+/// estimator — external steal time only ever *adds* to a sample.
+fn default_tile_gflops() -> f64 {
+    const ROUNDS: usize = 7;
+    // ~1 ms per sample in release, so dispatch and timer overhead vanish.
+    const TARGET_MULS: usize = 1 << 21;
+    let shape = ProblemShape::new(3, 2, 1);
+    let (m, n, k) = (shape.nvdof(), shape.nthermo, shape.npts);
+    let reps = (TARGET_MULS / (m * n * k)).max(1);
+
+    // Deterministic operand fill; values are irrelevant to timing but a
+    // non-trivial pattern keeps any data-dependent path honest.
+    let a: Vec<f64> = (0..m * k).map(|i| ((i * 37 + 11) % 101) as f64 * 1e-2 - 0.5).collect();
+    // B is the n x k thermodynamic basis table (kernel 7 consumes it
+    // transposed).
+    let b: Vec<f64> = (0..n * k).map(|i| ((i * 53 + 7) % 97) as f64 * 1e-2 - 0.4).collect();
+    let mut c = vec![0.0f64; m * n];
+
+    let mut best = f64::INFINITY;
+    for _ in 0..ROUNDS {
+        let start = Instant::now();
+        for _ in 0..reps {
+            tile::gemm(m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c);
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    (2 * m * n * k * reps) as f64 / best / 1e9
+}
+
 /// Runs the sweep and the calibration, reporting the preset-kept
 /// fallback on `telemetry` (see [`HostSpeedup::preset_kept`]).
 pub fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
     let reps = 40;
     // Both measurements are of the production hot path: the batched
     // kernels below and the GFLOP/s calibration run the default tile.
-    let tiled_gflops = host_tiles::default_tile_gflops(3, 2);
+    let tiled_gflops = default_tile_gflops();
     // Warm up allocator and instruction caches off the clock.
     let _ = workload(2);
     let mut reference: Option<Vec<f64>> = None;

@@ -20,7 +20,6 @@ use blast_core::{
     AuditConfig, CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro, HydroError,
     HydroState, RunConfig, Sedov,
 };
-use blast_la::AbftMode;
 use gpu_sim::fault::fault_seed_from_env;
 use gpu_sim::{derive_fault, CpuSpec, SdcPlan, SdcSite, FAULT_SEED_ENV};
 use powermon::ResilienceReport;
@@ -94,11 +93,11 @@ struct RunResult {
     store: CheckpointStore,
 }
 
-/// Runs one campaign scenario: Sedov on the measured-thread-count
-/// parallel executor, checkpointed every 2 steps, audited, step-bound.
+/// Runs one campaign scenario: Sedov billed as the serial host (so the
+/// modeled energies do not depend on the ambient pool), checkpointed every
+/// 2 steps, audited, step-bound.
 fn run_scenario(plan: SdcPlan, audit: AuditConfig) -> RunResult {
-    let host = CpuSpec::e5_2670();
-    let exec = Executor::new(ExecMode::cpu_parallel_measured(&host), host.clone(), None);
+    let exec = Executor::new(ExecMode::CpuSerial, CpuSpec::e5_2670(), None);
     let problem = Sedov::default();
     let mut hydro = Hydro::<2>::builder(&problem, ZONES)
         .order(ORDER)
@@ -152,13 +151,9 @@ fn row(name: &str, r: &RunResult, baseline_digest: u64) -> ScenarioRow {
 /// healed bit-identically, the persistent flip must fail typed, and no
 /// scenario may ever complete silently wrong.
 pub fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
-    // GEMM-panel flips only land through the checksummed path. The mode is
-    // process-wide, so hand back whatever the caller had on exit.
-    let mode_before = blast_la::abft::mode();
-    blast_la::abft::set_mode(AbftMode::Verify);
-
-    let audit1 = AuditConfig::default();
-    let baseline = run_scenario(SdcPlan::seeded(seed), audit1);
+    // GEMM-panel flips only land through the checksummed path.
+    let audit = AuditConfig::default().abft(true);
+    let baseline = run_scenario(SdcPlan::seeded(seed), audit);
     let baseline_digest = state_digest(&baseline.state);
 
     let mut rows = vec![row("baseline", &baseline, baseline_digest)];
@@ -182,7 +177,7 @@ pub fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
     for (ordinal, (name, site)) in transient_sites.into_iter().enumerate() {
         let mut plan = SdcPlan::seeded(seed);
         plan.arm(derive_fault(seed, site, FLIP_AT, ordinal as u64, false));
-        let r = run_scenario(plan, AuditConfig::default());
+        let r = run_scenario(plan, audit);
         let line = row(name, &r, baseline_digest);
         if line.outcome != "Healed" {
             violations.push(format!("{name}: expected Healed, got {}", line.outcome));
@@ -200,7 +195,7 @@ pub fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
     // so recovery must roll back to the step-10 checkpoint and replay.
     let mut plan = SdcPlan::seeded(seed);
     plan.arm(derive_fault(seed, SdcSite::HostState, LATE_FLIP_AT, 7, false));
-    let late = run_scenario(plan, AuditConfig::default().every_steps(4));
+    let late = run_scenario(plan, audit.every_steps(4));
     let line = row("late-detect-cadence4", &late, baseline_digest);
     if line.outcome != "Healed" {
         violations.push(format!("late-detect: expected Healed, got {}", line.outcome));
@@ -214,7 +209,7 @@ pub fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
     // budgets drain and the run must fail *typed*, store intact.
     let mut plan = SdcPlan::seeded(seed);
     plan.arm(derive_fault(seed, SdcSite::DeviceBuffer, FLIP_AT, 11, true));
-    let persistent = run_scenario(plan, AuditConfig::default());
+    let persistent = run_scenario(plan, audit);
     let line = row("persistent-flip", &persistent, baseline_digest);
     match &persistent.result {
         Err(HydroError::CorruptionDetected { .. }) => {}
@@ -244,7 +239,6 @@ pub fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
             "audit overhead {worst:.2}% exceeds the {MAX_AUDIT_OVERHEAD_PCT}% ceiling"
         ));
     }
-    blast_la::abft::set_mode(mode_before);
     (rows, violations)
 }
 
@@ -304,11 +298,28 @@ pub fn report_with_status() -> (String, Vec<String>) {
 mod tests {
     use super::*;
 
-    /// The full acceptance gate at the default seed.
+    /// The full acceptance gate at the default seed, at two pool sizes:
+    /// every modeled joule (the baseline's run and audit energy, and the
+    /// GEMM-panel flip's, whose victim panel is named, not raced for) must
+    /// be the same bits whatever pool the process happens to have.
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
     fn campaign_has_zero_silent_wrong_runs() {
-        let (rows, violations) = run_campaign(42);
+        let (rows, violations) = crate::with_pool_threads(1, || run_campaign(42));
         assert!(violations.is_empty(), "gate violations: {violations:#?}");
         assert!(rows.len() >= 7, "campaign must cover every site: {}", rows.len());
+
+        let (rows8, violations8) = crate::with_pool_threads(8, || run_campaign(42));
+        assert!(violations8.is_empty(), "gate violations at 8 threads: {violations8:#?}");
+        for (a, b) in rows.iter().zip(&rows8) {
+            assert_eq!(
+                (a.digest, a.energy_j.to_bits(), a.audit_j.to_bits()),
+                (b.digest, b.energy_j.to_bits(), b.audit_j.to_bits()),
+                "{}: 1 vs 8 pool threads ({} J / {} J)",
+                a.name,
+                a.energy_j,
+                b.energy_j
+            );
+        }
     }
 }

@@ -55,6 +55,11 @@ pub struct AuditConfig {
     /// Fraction of the initial domain extent the mesh may legitimately
     /// expand beyond before the range audit trips.
     pub range_slack: f64,
+    /// Also verify kernel 7's per-zone GEMMs with Huang–Abraham column
+    /// checksums ([`blast_la::Abft`]) — what catches a `SdcSite::GemmPanel`
+    /// flip before the step commits. Off by default: checksums bill audit
+    /// energy that an un-opted-in run must not see.
+    pub abft: bool,
 }
 
 impl Default for AuditConfig {
@@ -65,6 +70,7 @@ impl Default for AuditConfig {
             symmetry_tol: 1e-7,
             compression_slack: 2.0,
             range_slack: 0.5,
+            abft: false,
         }
     }
 }
@@ -89,6 +95,13 @@ impl AuditConfig {
     #[must_use]
     pub fn symmetry_tol(mut self, tol: f64) -> Self {
         self.symmetry_tol = tol;
+        self
+    }
+
+    /// Switches the ABFT GEMM checksums on or off.
+    #[must_use]
+    pub fn abft(mut self, on: bool) -> Self {
+        self.abft = on;
         self
     }
 }

@@ -90,17 +90,6 @@ pub enum ExecMode {
     },
 }
 
-impl ExecMode {
-    /// The OpenMP-analog mode sized from the host pool's *measured*
-    /// thread count (`BLAST_THREADS` / runtime override / detected
-    /// parallelism) instead of a hard-coded 8 — so the roofline cost
-    /// model and the RAPL utilization interpolation see the thread
-    /// count the machine actually runs.
-    pub fn cpu_parallel_measured(host: &CpuSpec) -> Self {
-        ExecMode::CpuParallel { threads: host.measured_threads() }
-    }
-}
-
 /// Simulated seconds a recovery barrier quiesces both devices: in-flight
 /// work drains and survivors synchronize before restoring (billed at idle
 /// watts on host and device).
@@ -150,7 +139,6 @@ pub struct Executor {
     pool_baseline: Cell<rayon::PoolStats>,
     /// Catalog id of the device this executor models
     /// (`gpu_sim::DeviceCatalog`), when a fleet-aware caller pinned one.
-    /// Keys the per-device autotune caches — see [`Executor::device_key`].
     device_id: Option<String>,
 }
 
@@ -220,21 +208,6 @@ impl Executor {
         self.device_id.as_deref()
     }
 
-    /// The key this executor's autotune lookups are cached under: the
-    /// pinned catalog id when set, else the GPU model name, else the host
-    /// CPU model name — so two different devices never share a validated
-    /// tile / stream / assembly choice, while repeated runs on the same
-    /// device replay theirs.
-    pub fn device_key(&self) -> &str {
-        if let Some(id) = self.device_id.as_deref() {
-            return id;
-        }
-        match &self.gpu {
-            Some(g) => g.spec().name,
-            None => self.host.spec().name,
-        }
-    }
-
     /// The unified telemetry recorder this executor's devices emit into.
     pub fn telemetry(&self) -> &TelemetrySink {
         &self.telemetry
@@ -255,7 +228,7 @@ impl Executor {
 
     /// Corner-force flop efficiency fed to the roofline: the *measured*
     /// tiled micro-kernel throughput when the host spec was calibrated
-    /// (`CpuSpec::calibrate_host_gflops`, fed by `autotune::host_tiles`),
+    /// (`CpuSpec::calibrate_host_gflops`, fed by `bench::host_speedup`),
     /// else the modeled order-dependent default [`cf_cpu_eff`].
     pub fn cf_eff(&self, order: usize) -> f64 {
         self.host.spec().host_flop_efficiency().unwrap_or_else(|| cf_cpu_eff(order))

@@ -66,7 +66,7 @@ pub fn candidate_modes(dev: &DeviceSpec) -> Vec<ExecMode> {
 
 /// Builds an executor realizing `mode` on `dev`: the spec's host CPU, a
 /// fresh simulated GPU when the spec carries one, and the catalog id
-/// pinned so autotune caches key per device.
+/// pinned.
 pub fn executor_for(dev: &DeviceSpec, mode: ExecMode) -> Executor {
     let gpu = dev.gpu.as_ref().map(|g| Arc::new(GpuDevice::new(g.clone())));
     let mut exec = Executor::new(mode, dev.host.clone(), gpu);
@@ -276,11 +276,10 @@ mod tests {
     }
 
     #[test]
-    fn executor_pins_the_catalog_id_as_the_autotune_key() {
+    fn executor_pins_the_catalog_id() {
         let dev = DeviceCatalog::get("k20");
         let exec = executor_for(&dev, derive_mode(&dev));
         assert_eq!(exec.device_id(), Some("k20"));
-        assert_eq!(exec.device_key(), "k20");
         assert!(exec.gpu.is_some());
     }
 

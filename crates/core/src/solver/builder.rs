@@ -72,6 +72,18 @@ pub struct RequiredBytes {
     pub matrix_free: usize,
 }
 
+impl RequiredBytes {
+    /// The [`HydroBuilder::assembly_auto`] rule: stored, unless the stored
+    /// working set does not fit `budget` bytes and the matrix-free one does.
+    fn auto_mode(&self, budget: usize) -> AssemblyMode {
+        if self.stored > budget && self.matrix_free <= budget {
+            AssemblyMode::MatrixFree
+        } else {
+            AssemblyMode::Stored
+        }
+    }
+}
+
 impl<'p, const D: usize> HydroBuilder<'p, D> {
     /// Kinematic order `k` of the `Q_k`-`Q_{k-1}` method (default 2).
     #[must_use]
@@ -125,10 +137,9 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
 
     /// Targets one catalog device: sets the host CPU, a fresh simulated
     /// GPU when the spec carries one, the derived execution mode (the
-    /// mapping documented on [`ExecMode`]), and the catalog id that keys
-    /// the per-device autotune caches. A later [`Self::mode`] call still
-    /// overrides the derived mode; [`Self::executor`] overrides all of
-    /// it.
+    /// mapping documented on [`ExecMode`]), and the catalog id. A later
+    /// [`Self::mode`] call still overrides the derived mode;
+    /// [`Self::executor`] overrides all of it.
     #[must_use]
     pub fn device(mut self, dev: &gpu_sim::DeviceSpec) -> Self {
         self.host_spec = dev.host.clone();
@@ -225,11 +236,11 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
         self
     }
 
-    /// Picks the assembly mode automatically at build time: matrix-free
-    /// when the stored footprint cannot fit the device, otherwise
-    /// whichever mode the [`autotune::assembly`] proxy search measures
-    /// faster for this `(dimension, order)`. An explicit
-    /// [`Self::assembly`] call wins over this.
+    /// Picks the assembly mode from the device footprint at build time:
+    /// stored, unless the stored working set ([`Self::required_bytes`])
+    /// does not fit the device and the matrix-free one does. A pure
+    /// function of the spec — two builds agree by construction. An
+    /// explicit [`Self::assembly`] call wins over this.
     #[must_use]
     pub fn assembly_auto(mut self) -> Self {
         if self.assembly.is_none() {
@@ -405,24 +416,18 @@ impl<const D: usize> Hydro<D> {
         let zone_dofs: Vec<usize> =
             (0..nz).flat_map(|z| kin.zone_dofs(z).iter().copied()).collect();
 
-        // Resolve the assembly mode: explicit choice > autotuner > stored
-        // (the default preserves every stored-path trajectory bitwise).
-        let assembly = match assembly {
-            Some(mode) => mode,
-            None if assembly_auto => {
-                let budget = exec.gpu.as_ref().map(|g| g.spec().dram_capacity);
-                autotune::assembly::choose_assembly_mode_for(
-                    exec.device_key(),
-                    D,
-                    order,
-                    nz,
-                    n,
-                    thermo.num_dofs(),
-                    budget,
-                )
-                .mode
+        // Resolve the assembly mode: explicit choice > footprint rule >
+        // stored (the default preserves every stored-path trajectory
+        // bitwise). Host RAM is not modeled as a ceiling, so only a device
+        // budget can force matrix-free.
+        let assembly = match (assembly, &exec.gpu) {
+            (Some(mode), _) => mode,
+            (None, Some(gpu)) if assembly_auto => RequiredBytes {
+                stored: stored_resident_bytes(&shape, n, thermo.num_dofs()),
+                matrix_free: matfree_resident_bytes(&shape, n, thermo.num_dofs()),
             }
-            None => AssemblyMode::Stored,
+            .auto_mode(gpu.spec().dram_capacity),
+            (None, _) => AssemblyMode::Stored,
         };
 
         // Device footprint check happens *before* any allocation or
@@ -585,6 +590,26 @@ impl<const D: usize> Hydro<D> {
             sdc_attempt: std::cell::Cell::new(0),
             sdc_gemm_armed: std::cell::Cell::new(false),
             audit: None,
+            abft: None,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::problems::Sedov;
+
+    #[test]
+    fn memory_pressure_forces_matrix_free() {
+        // Q4-Q3 3D at 32^3 zones against the 5 GB K20 budget: stored
+        // cannot fit, so matrix-free is forced; one mesh refinement lower
+        // both fit and stored stays.
+        let budget = 5 << 30;
+        let req = |za| Hydro::<3>::builder(&Sedov::default(), [za; 3]).order(4).required_bytes();
+        let big = req(32);
+        assert!(big.stored > budget && big.matrix_free <= budget, "{big:?}");
+        assert_eq!(big.auto_mode(budget), AssemblyMode::MatrixFree);
+        assert_eq!(req(8).auto_mode(budget), AssemblyMode::Stored);
     }
 }

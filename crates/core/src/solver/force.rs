@@ -326,7 +326,13 @@ impl<const D: usize> Hydro<D> {
                     &mut ws.pipe,
                 );
                 ws.fz.ensure(shape.nvdof(), shape.nthermo, shape.zones);
-                FzKernel::compute(shape, &ws.pipe.az, &self.thermo_table.values, &mut ws.fz);
+                FzKernel::compute_with(
+                    shape,
+                    &ws.pipe.az,
+                    &self.thermo_table.values,
+                    &mut ws.fz,
+                    self.abft.as_ref(),
+                );
                 ensure_zeroed(&mut ws.rhs, D * n);
                 MomentumRhsKernel::compute_with(
                     shape,
@@ -583,7 +589,14 @@ impl<const D: usize> Hydro<D> {
                         FzKernel::tuned()
                     };
                     ws.fz.ensure(shape.nvdof(), shape.nthermo, shape.zones);
-                    k7.run(gpu, &shape, &ws.pipe.az, &self.thermo_table.values, &mut ws.fz)?;
+                    k7.run(
+                        gpu,
+                        &shape,
+                        &ws.pipe.az,
+                        &self.thermo_table.values,
+                        &mut ws.fz,
+                        self.abft.as_ref(),
+                    )?;
                     let k8 = MomentumRhsKernel;
                     gpu.launch(
                         MomentumRhsKernel::NAME,

@@ -14,7 +14,7 @@ use blast_kernels::base::PipelineScratch;
 use blast_kernels::k2::ZoneConstants;
 use blast_kernels::sumfac::AssemblyMode;
 use blast_kernels::ProblemShape;
-use blast_la::{BatchedMats, BlockDiag, CsrMatrix, DiagPrecond, PcgOptions, PcgWorkspace};
+use blast_la::{Abft, BatchedMats, BlockDiag, CsrMatrix, DiagPrecond, PcgOptions, PcgWorkspace};
 use gpu_sim::{SdcFault, SdcPlan};
 
 use crate::audit::{AuditConfig, StepAuditor};
@@ -242,6 +242,8 @@ pub struct Hydro<const D: usize> {
     sdc_gemm_armed: std::cell::Cell<bool>,
     /// The physics-invariant SDC auditor, when enabled.
     audit: Option<std::cell::RefCell<StepAuditor<D>>>,
+    /// Kernel 7's GEMM checksums, when [`AuditConfig::abft`] asked for them.
+    abft: Option<Abft>,
 }
 
 impl<const D: usize> Hydro<D> {
@@ -308,6 +310,7 @@ impl<const D: usize> Hydro<D> {
     pub fn set_audit(&mut self, cfg: AuditConfig) {
         let aud = self.build_auditor(cfg);
         self.audit = Some(std::cell::RefCell::new(aud));
+        self.abft = cfg.abft.then(Abft::default);
     }
 
     /// Whether the step auditor is installed.
@@ -829,7 +832,6 @@ mod tests {
         let hydro = Hydro::<2>::builder(&problem, [4, 4]).device(&dev).build().expect("setup");
         let exec = hydro.executor();
         assert_eq!(exec.device_id(), Some("k20"));
-        assert_eq!(exec.device_key(), "k20");
         assert_eq!(exec.host.spec().name, dev.host.name);
         assert!(matches!(
             exec.mode,

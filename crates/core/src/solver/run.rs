@@ -2,6 +2,7 @@
 //! rollback / CFL redos, checkpoint and restart, and the SDC audit glue.
 
 use blast_fem::geom::zone_jacobians;
+use blast_la::{Abft, AbftViolation};
 use blast_telemetry::{names, Track};
 use gpu_sim::{apply_flip, SdcSite, Traffic, FAULT_SEED_ENV};
 use powermon::CpuPowerState;
@@ -241,7 +242,9 @@ impl<const D: usize> Hydro<D> {
     ) -> Result<(), HydroError> {
         let verdict = self.execute_audit(state, aud);
         let mut traffic = aud.traffic;
-        traffic.flops += blast_la::abft::take_verify_flops() as f64;
+        if let Some(abft) = &self.abft {
+            traffic.flops += abft.take_verify_flops() as f64;
+        }
         self.exec.bill_audit(&traffic);
         let Some((audit, measured, tolerance)) = verdict else {
             return Ok(());
@@ -307,29 +310,29 @@ impl<const D: usize> Hydro<D> {
         tel.begin(Track::Host, names::phases::STEP, self.exec.host.now());
         let res = self.try_step_inner(state, dt);
         tel.end(Track::Host, self.exec.host.now());
-        // A GEMM-panel flip armed for this attempt either landed inside a
-        // verified GEMM (then `disarm` finds nothing) or never got the
-        // chance (ABFT off / attempt aborted first).
-        if self.sdc_gemm_armed.replace(false) && !blast_la::abft::disarm() {
+        let Some(abft) = &self.abft else { return res };
+        // A GEMM-panel flip armed for this attempt either landed inside
+        // its victim panel's verified GEMM (then `disarm` finds nothing)
+        // or never got the chance (attempt aborted first).
+        if self.sdc_gemm_armed.replace(false) && !abft.disarm() {
             self.exec.note_sdc_flips(1);
         }
-        match res {
-            Err(e) => {
-                // A corrupted GEMM can cascade into NaN/Inf or a tangled
-                // mesh before the step's own checksum poll runs; the
-                // violation is the root cause, so surface it as detected
-                // corruption (the consumed flip makes the redo clean).
-                match blast_la::abft::take_violation() {
-                    Some(v) => Err(HydroError::CorruptionDetected {
-                        step: self.sdc_attempt.get(),
-                        audit: "abft",
-                        measured: v.measured,
-                        tolerance: v.tolerance,
-                    }),
-                    None => Err(e),
-                }
-            }
-            ok => ok,
+        // A corrupted GEMM can cascade into NaN/Inf or a tangled mesh
+        // before the step's own checksum poll runs; the violation is the
+        // root cause, so surface it as detected corruption (the consumed
+        // flip makes the redo clean).
+        match (res, abft.take_violation()) {
+            (Err(_), Some(v)) => Err(self.abft_corruption(v)),
+            (res, _) => res,
+        }
+    }
+
+    fn abft_corruption(&self, v: AbftViolation) -> HydroError {
+        HydroError::CorruptionDetected {
+            step: self.sdc_attempt.get(),
+            audit: "abft",
+            measured: v.measured,
+            tolerance: v.tolerance,
         }
     }
 
@@ -349,11 +352,16 @@ impl<const D: usize> Hydro<D> {
         // so a consumed transient flip cannot re-fire on the redo).
         let attempt = self.sdc_attempt.get() + 1;
         self.sdc_attempt.set(attempt);
-        if let Some(f) = self.sdc_plan.borrow().take(SdcSite::GemmPanel, attempt) {
+        // Without ABFT there is no checked multiply for a GEMM-panel flip
+        // to land in; the plan still consumes it.
+        if let (Some(f), Some(abft)) =
+            (self.sdc_plan.borrow().take(SdcSite::GemmPanel, attempt), &self.abft)
+        {
             // Exponent-MSB flips in a GEMM panel overflow into Inf more
             // often than they corrupt silently; cap the armed bit so the
             // flip stays in the band the checksums must catch.
-            blast_la::abft::arm_flip(f.lane, f.bit.min(55));
+            let panel = (f.lane % self.shape.zones as u64) as usize;
+            abft.arm_flip(panel, f.lane, f.bit.min(55));
             self.sdc_gemm_armed.set(true);
         }
         let n = self.kin.num_dofs();
@@ -424,13 +432,8 @@ impl<const D: usize> Hydro<D> {
         // state vectors are still untouched — a checksum violation here
         // means "roll back by simply retrying", exactly like the other
         // pre-commit failures.
-        if let Some(v) = blast_la::abft::take_violation() {
-            return Err(HydroError::CorruptionDetected {
-                step: attempt,
-                audit: "abft",
-                measured: v.measured,
-                tolerance: v.tolerance,
-            });
+        if let Some(v) = self.abft.as_ref().and_then(Abft::take_violation) {
+            return Err(self.abft_corruption(v));
         }
 
         state.v.copy_from_slice(&s0_v);

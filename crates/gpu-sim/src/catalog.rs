@@ -26,12 +26,10 @@ use crate::cpu::CpuSpec;
 use crate::spec::GpuSpec;
 
 /// A named device configuration: the host package plus an optional
-/// attached GPU. This is the unit the router places jobs on and the unit
-/// autotune keys its caches by (`DeviceSpec::id`).
+/// attached GPU. This is the unit the router places jobs on.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DeviceSpec {
-    /// Catalog id — stable, lowercase, used as the autotune cache key
-    /// and the routing/billing label.
+    /// Catalog id — stable, lowercase, used as the routing/billing label.
     pub id: String,
     /// Host CPU package (always present: even GPU nodes integrate and
     /// orchestrate on the host).

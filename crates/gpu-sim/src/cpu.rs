@@ -33,7 +33,7 @@ pub struct CpuSpec {
     /// Single-thread GFLOP/s the tiled host micro-kernels actually
     /// sustain on the corner-force GEMM shape (`None` until
     /// [`CpuSpec::calibrate_host_gflops`] has been fed a measurement,
-    /// e.g. from `autotune::host_tiles`).
+    /// e.g. from the `host_speedup` experiment).
     pub measured_host_gflops: Option<f64>,
     /// RAPL-style power model.
     pub power: CpuPowerModel,
@@ -122,14 +122,6 @@ impl CpuSpec {
         ]
     }
 
-    /// Thread count the host pool will *actually* use (the measured
-    /// OpenMP analog: `BLAST_THREADS` / runtime override / detected
-    /// parallelism), clamped to this package's core count so the
-    /// roofline and RAPL utilization interpolation stay in range.
-    pub fn measured_threads(&self) -> u32 {
-        (rayon::current_num_threads() as u32).clamp(1, self.cores)
-    }
-
     /// Replaces `parallel_efficiency` with the value inverted from a
     /// measured speedup curve and returns it.
     ///
@@ -161,7 +153,7 @@ impl CpuSpec {
     }
 
     /// Records the single-thread GFLOP/s measured on the tiled host
-    /// micro-kernels (e.g. by `autotune::host_tiles`) and returns
+    /// micro-kernels (e.g. by the `host_speedup` experiment) and returns
     /// the implied corner-force flop efficiency. Non-finite or
     /// non-positive measurements are ignored.
     pub fn calibrate_host_gflops(&mut self, gflops: f64) -> Option<f64> {
@@ -439,15 +431,6 @@ mod tests {
         let before = s.parallel_efficiency;
         let after = s.calibrate_parallel_efficiency(&[(1, 1.0), (4, -2.0)]);
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn measured_threads_stays_in_core_range() {
-        let s = CpuSpec::e5_2670();
-        let t = s.measured_threads();
-        assert!(t >= 1 && t <= s.cores);
-        // Must be a valid phase_time argument whatever the host box has.
-        s.phase_time(&Traffic::compute(1.0), t, 0.5);
     }
 
     #[test]

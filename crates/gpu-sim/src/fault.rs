@@ -367,7 +367,8 @@ const SDC_STREAM: u64 = 0x5DC_B17F;
 /// device buffers (the freshly computed accelerations), D2H transfer
 /// payloads (the energy-rate vector shipped back to the host), the host
 /// state arrays `(v, e, x)` after the step commit, and the operand/result
-/// panels of the tiled GEMM hot path (armed through `blast_la::abft`).
+/// panels of the tiled GEMM hot path (armed on the solver's own
+/// `blast_la::Abft`, so it needs `AuditConfig::abft`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SdcSite {
     /// A device-resident buffer (the momentum solve's acceleration vector).

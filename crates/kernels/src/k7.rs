@@ -14,7 +14,8 @@
 //!   "blocking can deliver a second benefit [on GPU]: ... enhance the
 //!   parallelism." The block size is autotuned.
 
-use blast_la::{BatchedMats, DMatrix};
+use blast_la::tile::{self, Op};
+use blast_la::{Abft, BatchedMats, DMatrix};
 use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
 use rayon::prelude::*;
 
@@ -91,6 +92,18 @@ impl FzKernel {
     /// Pure computation: `fz[z] = az[z] * b^T` (batched; `b` is
     /// `nthermo x npts`, shared by all zones).
     pub fn compute(shape: &ProblemShape, az: &BatchedMats, b: &DMatrix, fz: &mut BatchedMats) {
+        Self::compute_with(shape, az, b, fz, None);
+    }
+
+    /// [`Self::compute`] with each zone's multiply checksum-verified by
+    /// `abft` when the solver owns one (zone `z` is ABFT panel `z`).
+    pub fn compute_with(
+        shape: &ProblemShape,
+        az: &BatchedMats,
+        b: &DMatrix,
+        fz: &mut BatchedMats,
+        abft: Option<&Abft>,
+    ) {
         let nvdof = shape.nvdof();
         let npts = shape.npts;
         let nth = shape.nthermo;
@@ -101,10 +114,14 @@ impl FzKernel {
         assert_eq!(fz.count(), shape.zones);
 
         let sa = az.stride();
+        let b = b.as_slice();
         fz.par_mats_mut().for_each(|(z, fz_z)| {
             let az_z = &az.as_slice()[z * sa..(z + 1) * sa];
             // F = A B^T: A (nvdof x npts) col-major, B (nth x npts).
-            blast_la::dense::gemm_nt_raw(nvdof, nth, npts, 1.0, az_z, b.as_slice(), 0.0, fz_z);
+            match abft {
+                Some(abft) => abft.gemm(z, nvdof, nth, npts, 1.0, az_z, Op::N, b, Op::T, 0.0, fz_z),
+                None => tile::gemm(nvdof, nth, npts, 1.0, az_z, Op::N, b, Op::T, 0.0, fz_z),
+            }
         });
     }
 
@@ -116,11 +133,12 @@ impl FzKernel {
         az: &BatchedMats,
         b: &DMatrix,
         fz: &mut BatchedMats,
+        abft: Option<&Abft>,
     ) -> Result<KernelStats, GpuError> {
         let cfg = self.config(shape);
         let traffic = self.traffic(shape);
         let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            Self::compute(shape, az, b, fz);
+            Self::compute_with(shape, az, b, fz, abft);
         })?;
         Ok(stats)
     }

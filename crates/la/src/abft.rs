@@ -18,12 +18,13 @@
 //! only needed to *localize and correct*, which this layer does not do —
 //! the solver rolls the step back instead.
 //!
-//! The verified path calls the identical [`crate::tile::gemm`], so when no
-//! fault fires it is bitwise-identical to the plain tiled path; checksum
+//! The verified multiply calls the identical [`crate::tile::gemm`], so when
+//! no fault fires it is bitwise-identical to the plain tiled path; checksum
 //! scratch lives in a thread-local high-water pool, preserving the
-//! zero-alloc steady-state contract. The mode switch is a single relaxed
-//! atomic load when [`AbftMode::Off`] (the default), so un-opted-in callers
-//! pay one branch.
+//! zero-alloc steady-state contract. Everything else — the one-shot armed
+//! flip, the pending violation, the counters — is an [`Abft`] value its
+//! solver owns, so two solvers in one process never see each other's flips
+//! or checksums, and a caller without one calls `tile::gemm` directly.
 //!
 //! Verification tolerance: the checksum identity holds exactly in real
 //! arithmetic; in floating point both sides accumulate `O((m + k) * eps)`
@@ -35,33 +36,8 @@
 
 use crate::tile::{self, Op};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// ABFT operating mode of the process-global GEMM wrappers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AbftMode {
-    /// No checksums: the wrappers forward straight to the tiled core.
-    Off,
-    /// Column checksums computed and verified around every wrapped GEMM.
-    Verify,
-}
-
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-global ABFT mode.
-pub fn set_mode(mode: AbftMode) {
-    MODE.store(matches!(mode, AbftMode::Verify) as u8, Ordering::Relaxed);
-}
-
-/// The current process-global ABFT mode.
-pub fn mode() -> AbftMode {
-    if MODE.load(Ordering::Relaxed) == 0 {
-        AbftMode::Off
-    } else {
-        AbftMode::Verify
-    }
-}
 
 /// Safety factor on the `(m + k) * eps` rounding band of the checksum
 /// identity. Generous against false positives; still ~7 orders of
@@ -86,76 +62,87 @@ pub struct AbftViolation {
     pub tolerance: f64,
 }
 
-// First violation since the last poll. A Mutex (not an atomic) because the
-// payload is a struct; contention is nil — violations are one-per-injected
-// -flip events.
-static VIOLATION: Mutex<Option<AbftViolation>> = Mutex::new(None);
-
-// One-shot armed flip (SdcSite::GemmPanel): bit+1 in ARMED_BIT (0 = none),
-// victim lane in ARMED_LANE. The first verified GEMM to swap the bit out
-// consumes the flip; under a parallel batch the victim panel is whichever
-// thread wins the swap, but detection -> rollback -> clean redo makes the
-// final state independent of the winner.
-static ARMED_BIT: AtomicU32 = AtomicU32::new(0);
-static ARMED_LANE: AtomicU64 = AtomicU64::new(0);
-
-static VERIFIES: AtomicU64 = AtomicU64::new(0);
-static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-static VERIFY_FLOPS: AtomicU64 = AtomicU64::new(0);
-
-/// Arms a one-shot bit flip against the next verified GEMM's result panel
-/// (the `SdcSite::GemmPanel` injection point). `bit` is the IEEE-754 bit
-/// to XOR; `lane` selects the victim among significant entries.
-pub fn arm_flip(lane: u64, bit: u32) {
-    ARMED_LANE.store(lane, Ordering::Relaxed);
-    ARMED_BIT.store(bit + 1, Ordering::Release);
+/// One solver's ABFT state: the armed SDC flip, the first unpolled
+/// violation and the verification counters. Shared by reference across the
+/// pool threads of one batched kernel, hence atomics.
+#[derive(Debug, Default)]
+pub struct Abft {
+    // One-shot armed flip (SdcSite::GemmPanel): victim panel + 1 (0 = none)
+    // in `armed_panel`, stored last with Release so the panel that matches
+    // it with Acquire sees its lane and bit.
+    armed_panel: AtomicU64,
+    armed_lane: AtomicU64,
+    armed_bit: AtomicU32,
+    // First violation since the last poll. A Mutex (not an atomic) because
+    // the payload is a struct; contention is nil — violations are
+    // one-per-injected-flip events.
+    violation: Mutex<Option<AbftViolation>>,
+    verifies: AtomicU64,
+    violations: AtomicU64,
+    verify_flops: AtomicU64,
 }
 
-/// Clears any still-armed flip, returning whether one was pending (i.e.
-/// [`arm_flip`] fired but no verified GEMM ran to consume it). The solver
-/// polls this after a step to learn whether an armed flip actually landed.
-pub fn disarm() -> bool {
-    ARMED_BIT.swap(0, Ordering::AcqRel) != 0
-}
-
-fn take_armed() -> Option<(u64, u32)> {
-    // Fast path: no flip armed (the common case on every GEMM).
-    if ARMED_BIT.load(Ordering::Relaxed) == 0 {
-        return None;
+impl Abft {
+    /// Arms a one-shot bit flip against the result of the next verified
+    /// multiply of panel `panel` (the `SdcSite::GemmPanel` injection
+    /// point). `bit` is the IEEE-754 bit to XOR; `lane` selects the victim
+    /// among the panel's significant entries.
+    pub fn arm_flip(&self, panel: usize, lane: u64, bit: u32) {
+        self.armed_lane.store(lane, Ordering::Relaxed);
+        self.armed_bit.store(bit, Ordering::Relaxed);
+        self.armed_panel.store(panel as u64 + 1, Ordering::Release);
     }
-    let bit = ARMED_BIT.swap(0, Ordering::Acquire);
-    if bit == 0 {
-        return None;
+
+    /// Clears any still-armed flip, returning whether one was pending (i.e.
+    /// [`Self::arm_flip`] fired but the victim panel never ran verified).
+    /// The solver polls this after a step to learn whether an armed flip
+    /// actually landed.
+    pub fn disarm(&self) -> bool {
+        self.armed_panel.swap(0, Ordering::AcqRel) != 0
     }
-    Some((ARMED_LANE.load(Ordering::Relaxed), bit - 1))
-}
 
-/// Takes the first checksum violation recorded since the last poll.
-pub fn take_violation() -> Option<AbftViolation> {
-    VIOLATION.lock().unwrap().take()
-}
+    // Only the victim panel matches, and one batch multiplies each panel
+    // once, so the flip has exactly one taker whatever the pool size.
+    fn take_armed(&self, panel: usize) -> Option<(u64, u32)> {
+        let tag = panel as u64 + 1;
+        // The plain load keeps every other panel off the shared line.
+        let mine = self.armed_panel.load(Ordering::Relaxed) == tag
+            && self
+                .armed_panel
+                .compare_exchange(tag, 0, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok();
+        mine.then(|| {
+            (self.armed_lane.load(Ordering::Relaxed), self.armed_bit.load(Ordering::Relaxed))
+        })
+    }
 
-/// Verifications performed since process start.
-pub fn verifies() -> u64 {
-    VERIFIES.load(Ordering::Relaxed)
-}
+    /// Takes the first checksum violation recorded since the last poll.
+    pub fn take_violation(&self) -> Option<AbftViolation> {
+        self.violation.lock().expect("no panic while the violation slot is held").take()
+    }
 
-/// Checksum violations recorded since process start.
-pub fn violations() -> u64 {
-    VIOLATIONS.load(Ordering::Relaxed)
-}
+    /// Verifications performed so far.
+    pub fn verifies(&self) -> u64 {
+        self.verifies.load(Ordering::Relaxed)
+    }
 
-/// Drains the accumulated checksum-arithmetic flop count (for energy
-/// billing of the audit overhead).
-pub fn take_verify_flops() -> u64 {
-    VERIFY_FLOPS.swap(0, Ordering::Relaxed)
-}
+    /// Checksum violations recorded so far.
+    pub fn violations(&self) -> u64 {
+        self.violations.load(Ordering::Relaxed)
+    }
 
-fn record_violation(v: AbftViolation) {
-    VIOLATIONS.fetch_add(1, Ordering::Relaxed);
-    let mut slot = VIOLATION.lock().unwrap();
-    if slot.is_none() {
-        *slot = Some(v);
+    /// Drains the accumulated checksum-arithmetic flop count (for energy
+    /// billing of the audit overhead).
+    pub fn take_verify_flops(&self) -> u64 {
+        self.verify_flops.swap(0, Ordering::Relaxed)
+    }
+
+    fn record_violation(&self, v: AbftViolation) {
+        self.violations.fetch_add(1, Ordering::Relaxed);
+        let mut slot = self.violation.lock().expect("no panic while the violation slot is held");
+        if slot.is_none() {
+            *slot = Some(v);
+        }
     }
 }
 
@@ -259,63 +246,65 @@ fn flip_panel(c: &mut [f64], lane: u64, bit: u32) -> bool {
     }
 }
 
-/// `C = alpha * op_a(A) * op_b(B) + beta * C` through the tiled core, with
-/// Huang–Abraham column checksums verified when [`AbftMode::Verify`] is
-/// active. The multiply itself is the identical [`tile::gemm`] call, so
-/// the no-fault result is bitwise-identical to the unchecked path.
-pub fn gemm_checked(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    op_a: Op,
-    b: &[f64],
-    op_b: Op,
-    beta: f64,
-    c: &mut [f64],
-) {
-    if mode() == AbftMode::Off || m == 0 || n == 0 {
-        tile::gemm(m, n, k, alpha, a, op_a, b, op_b, beta, c);
-        return;
-    }
-    SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        let need = 2 * n + 2 * k;
-        if s.len() < need {
-            s.resize(need, 0.0);
-        }
-        let (pre_all, w_all) = s.split_at_mut(2 * n);
-        let (pre, pre_abs) = pre_all.split_at_mut(n);
-        let (w, w_abs) = w_all.split_at_mut(k);
-        if beta != 0.0 {
-            for j in 0..n {
-                let col = &c[j * m..j * m + m];
-                pre[j] = col.iter().sum();
-                pre_abs[j] = col.iter().map(|x| x.abs()).sum();
+impl Abft {
+    /// `C = alpha * op_a(A) * op_b(B) + beta * C` through the tiled core,
+    /// with Huang–Abraham column checksums verified around it. `panel` is
+    /// the result's index in its batch — what [`Self::arm_flip`] names.
+    /// The multiply itself is the identical [`tile::gemm`] call, so the
+    /// no-fault result is bitwise-identical to the unchecked path.
+    pub fn gemm(
+        &self,
+        panel: usize,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: &[f64],
+        op_a: Op,
+        b: &[f64],
+        op_b: Op,
+        beta: f64,
+        c: &mut [f64],
+    ) {
+        SCRATCH.with(|s| {
+            let mut s = s.borrow_mut();
+            let need = 2 * n + 2 * k;
+            if s.len() < need {
+                s.resize(need, 0.0);
             }
-        } else {
-            pre[..n].fill(0.0);
-            pre_abs[..n].fill(0.0);
-        }
+            let (pre_all, w_all) = s.split_at_mut(2 * n);
+            let (pre, pre_abs) = pre_all.split_at_mut(n);
+            let (w, w_abs) = w_all.split_at_mut(k);
+            if beta != 0.0 {
+                for j in 0..n {
+                    let col = &c[j * m..j * m + m];
+                    pre[j] = col.iter().sum();
+                    pre_abs[j] = col.iter().map(|x| x.abs()).sum();
+                }
+            } else {
+                pre[..n].fill(0.0);
+                pre_abs[..n].fill(0.0);
+            }
 
-        tile::gemm(m, n, k, alpha, a, op_a, b, op_b, beta, c);
+            tile::gemm(m, n, k, alpha, a, op_a, b, op_b, beta, c);
 
-        // SdcSite::GemmPanel injection point: corrupt the freshly written
-        // result panel before verification, exactly where a device-memory
-        // strike during the epilogue would land.
-        if let Some((lane, bit)) = take_armed() {
-            flip_panel(&mut c[..m * n], lane, bit);
-        }
+            // SdcSite::GemmPanel injection point: corrupt the freshly
+            // written result panel before verification, exactly where a
+            // device-memory strike during the epilogue would land.
+            if let Some((lane, bit)) = self.take_armed(panel) {
+                flip_panel(&mut c[..m * n], lane, bit);
+            }
 
-        VERIFIES.fetch_add(1, Ordering::Relaxed);
-        VERIFY_FLOPS.fetch_add((4 * (m * n + m * k + k * n)) as u64, Ordering::Relaxed);
-        if let Some(v) =
-            check_columns(m, n, k, alpha, a, op_a, b, op_b, beta, pre, pre_abs, c, w, w_abs)
-        {
-            record_violation(v);
-        }
-    });
+            self.verifies.fetch_add(1, Ordering::Relaxed);
+            self.verify_flops
+                .fetch_add((4 * (m * n + m * k + k * n)) as u64, Ordering::Relaxed);
+            if let Some(v) =
+                check_columns(m, n, k, alpha, a, op_a, b, op_b, beta, pre, pre_abs, c, w, w_abs)
+            {
+                self.record_violation(v);
+            }
+        });
+    }
 }
 
 #[cfg(test)]
@@ -363,16 +352,16 @@ mod tests {
     }
 
     #[test]
-    fn checked_wrapper_is_bitwise_identical_when_clean() {
+    fn checked_multiply_is_bitwise_identical_when_clean() {
         let (m, n, k) = (9, 6, 4);
         let a = filled(m * k, |i| (i as f64).sqrt() - 2.0);
         let b = filled(n * k, |i| 1.0 / (1.0 + i as f64));
         let mut plain = filled(m * n, |i| i as f64 * 1e-3);
         let mut checked = plain.clone();
         tile::gemm(m, n, k, 2.0, &a, Op::N, &b, Op::T, 0.5, &mut plain);
-        set_mode(AbftMode::Verify);
-        gemm_checked(m, n, k, 2.0, &a, Op::N, &b, Op::T, 0.5, &mut checked);
-        set_mode(AbftMode::Off);
+        let abft = Abft::default();
+        abft.gemm(0, m, n, k, 2.0, &a, Op::N, &b, Op::T, 0.5, &mut checked);
         assert_eq!(plain, checked, "verification must not touch the result");
+        assert_eq!((abft.verifies(), abft.violations()), (1, 0));
     }
 }

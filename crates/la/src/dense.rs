@@ -368,7 +368,7 @@ pub fn gemm_nn_raw(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    crate::abft::gemm_checked(m, n, k, alpha, a, crate::tile::Op::N, b, crate::tile::Op::N, beta, c);
+    crate::tile::gemm(m, n, k, alpha, a, crate::tile::Op::N, b, crate::tile::Op::N, beta, c);
 }
 
 /// Raw-slice DGEMM NT on column-major data: `C = alpha A B^T + beta C`,
@@ -388,7 +388,7 @@ pub fn gemm_nt_raw(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    crate::abft::gemm_checked(m, n, k, alpha, a, crate::tile::Op::N, b, crate::tile::Op::T, beta, c);
+    crate::tile::gemm(m, n, k, alpha, a, crate::tile::Op::N, b, crate::tile::Op::T, beta, c);
 }
 
 /// Raw-slice DGEMM TN on column-major data: `C = alpha A^T B + beta C`,
@@ -409,7 +409,7 @@ pub fn gemm_tn_raw(
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    crate::abft::gemm_checked(m, n, k, alpha, a, crate::tile::Op::T, b, crate::tile::Op::N, beta, c);
+    crate::tile::gemm(m, n, k, alpha, a, crate::tile::Op::T, b, crate::tile::Op::N, beta, c);
 }
 
 /// `y = alpha * A * x + beta * y` (DGEMV, no transpose). `A (m x n)`.

@@ -32,7 +32,7 @@ pub mod stream;
 pub mod svd;
 pub mod tile;
 
-pub use abft::{AbftMode, AbftViolation};
+pub use abft::{Abft, AbftViolation};
 pub use batch::{batched_gemm_nn, batched_gemm_nt, batched_gemv_n, batched_gemv_t, BatchedMats};
 pub use blockdiag::BlockDiag;
 pub use csr::{CsrBuilder, CsrMatrix};

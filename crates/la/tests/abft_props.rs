@@ -3,16 +3,9 @@
 //! detected by the Huang–Abraham column identity, and the checksummed
 //! path is bitwise-identical to the plain tiled path when no fault lands.
 
-use std::sync::Mutex;
-
-use blast_la::abft::{self, check_columns, column_sums};
+use blast_la::abft::{self, check_columns, column_sums, Abft};
 use blast_la::tile::{self, Op};
-use blast_la::AbftMode;
 use proptest::prelude::*;
-
-/// Serializes the tests that touch the process-global ABFT mode / armed
-/// flip so parallel test threads cannot interleave them.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Column-major reference multiply `C = A (m x k) * B (k x n)`.
 fn naive_gemm(m: usize, n: usize, k: usize, a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -131,35 +124,31 @@ proptest! {
         let mut c_plain = vec![0.5; m * n];
         tile::gemm(m, n, k, 1.0, &a, Op::N, &b, Op::N, 0.5, &mut c_plain);
 
-        let _guard = MODE_LOCK.lock().unwrap();
-        abft::set_mode(AbftMode::Verify);
+        let abft = Abft::default();
         let mut c_checked = vec![0.5; m * n];
-        abft::gemm_checked(m, n, k, 1.0, &a, Op::N, &b, Op::N, 0.5, &mut c_checked);
-        abft::set_mode(AbftMode::Off);
-        prop_assert!(abft::take_violation().is_none(), "clean multiply flagged");
+        abft.gemm(0, m, n, k, 1.0, &a, Op::N, &b, Op::N, 0.5, &mut c_checked);
+        prop_assert!(abft.take_violation().is_none(), "clean multiply flagged");
 
         for (p, q) in c_plain.iter().zip(&c_checked) {
             prop_assert_eq!(p.to_bits(), q.to_bits());
         }
     }
 
-    /// End-to-end through `gemm_checked`: an armed single-bit flip lands
-    /// in the output panel and the post-multiply verification records the
-    /// violation for the solver to poll.
+    /// End-to-end through `Abft::gemm`: an armed single-bit flip lands in
+    /// its victim panel only, and the post-multiply verification records
+    /// the violation for the solver to poll.
     #[test]
-    fn armed_flip_through_gemm_checked(panel in panels(), bit in 44u32..=55, lane in 0u64..1_000_000) {
+    fn armed_flip_through_checked_gemm(panel in panels(), bit in 44u32..=55, lane in 0u64..1_000_000) {
         let ((m, n, k), a_full, b_full) = panel;
         let (a, b) = (a_full[..m * k].to_vec(), b_full[..k * n].to_vec());
-        let _guard = MODE_LOCK.lock().unwrap();
-        abft::set_mode(AbftMode::Verify);
-        abft::take_violation();
-        abft::arm_flip(lane, bit);
+        let abft = Abft::default();
+        abft.arm_flip(1, lane, bit);
         let mut c = vec![0.0; m * n];
-        abft::gemm_checked(m, n, k, 1.0, &a, Op::N, &b, Op::N, 0.0, &mut c);
-        let violation = abft::take_violation();
-        abft::disarm();
-        abft::set_mode(AbftMode::Off);
-        prop_assert!(violation.is_some(), "armed flip (bit {bit}) escaped the checksums");
+        abft.gemm(0, m, n, k, 1.0, &a, Op::N, &b, Op::N, 0.0, &mut c);
+        prop_assert!(abft.take_violation().is_none(), "panel 0 consumed panel 1's flip");
+        abft.gemm(1, m, n, k, 1.0, &a, Op::N, &b, Op::N, 0.0, &mut c);
+        prop_assert!(abft.take_violation().is_some(), "armed flip (bit {bit}) escaped the checksums");
+        prop_assert!(!abft.disarm(), "the victim panel consumes the flip");
     }
 }
 

@@ -635,8 +635,9 @@ impl Supervisor {
             } else if u < self.cfg.kill_rate + self.cfg.redo_rate + self.cfg.sdc_rate {
                 // Silent-corruption burst: a replayable bit flip lands in
                 // the attempt's next step (state array, transfer payload,
-                // or device buffer — GEMM-panel flips are exercised by the
-                // `sdc_campaign` experiment, where `AbftMode` is pinned).
+                // or device buffer — a GEMM-panel flip only lands in a
+                // solver built with `AuditConfig::abft`, which serve jobs are
+                // not; the `sdc_campaign` experiment exercises that site).
                 // A transient flip is caught by the auditor and healed by
                 // the same-dt redo inside the quantum; a persistent one
                 // exhausts the redo budget and surfaces a typed

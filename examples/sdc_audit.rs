@@ -27,8 +27,7 @@ const STEPS: usize = 24;
 const FLIP_AT: u64 = 10;
 
 fn run(plan: SdcPlan, audit: AuditConfig) -> (Result<(), HydroError>, HydroState, ResilienceReport) {
-    let host = CpuSpec::e5_2670();
-    let exec = Executor::new(ExecMode::cpu_parallel_measured(&host), host, None);
+    let exec = Executor::new(ExecMode::CpuSerial, CpuSpec::e5_2670(), None);
     let mut hydro = Hydro::<2>::builder(&Sedov::default(), [8, 8])
         .order(2)
         .executor(exec)

@@ -1,5 +1,5 @@
-//! The SDC scenario the `sdc_defense` and `sdc_abft` test binaries share,
-//! and the state digest every bitwise comparison in `tests/` can use.
+//! The SDC scenario of the `sdc_defense` tests, and the state digest every
+//! bitwise comparison in `tests/` can use.
 #![allow(dead_code)] // each test binary uses its own subset
 
 use blast_repro::blast_core::{
@@ -37,8 +37,7 @@ pub struct RunResult {
 
 /// One checkpointed, audited, step-bound Sedov run with the given plan.
 pub fn run_scenario(plan: SdcPlan, audit: AuditConfig) -> RunResult {
-    let host = CpuSpec::e5_2670();
-    let exec = Executor::new(ExecMode::cpu_parallel_measured(&host), host, None);
+    let exec = Executor::new(ExecMode::CpuSerial, CpuSpec::e5_2670(), None);
     let mut hydro = Hydro::<2>::builder(&Sedov::default(), ZONES)
         .order(2)
         .executor(exec)

@@ -5,10 +5,6 @@
 //! message — never a silently wrong answer. The detection/recovery work is
 //! billed into the `ResilienceReport`, and the serve layer's SDC chaos
 //! band upholds the same contract across a multi-tenant job mix.
-//!
-//! The ABFT leg (a GEMM-panel flip caught by the column checksums) lives in
-//! `tests/sdc_abft.rs`: ABFT mode and the one-shot armed flip are still
-//! process-wide, so that test needs a process of its own.
 
 mod common;
 
@@ -42,6 +38,22 @@ fn transient_host_flip_is_healed_bit_identically_and_billed() {
     assert!(flipped.report.corruptions_detected >= 1, "the flip must be detected");
     assert!(flipped.report.audit_s > 0.0, "audit time must be billed");
     assert!(flipped.report.audit_energy_j > 0.0, "audit energy must be billed");
+}
+
+/// A flip inside a GEMM panel is caught *pre-commit* by the ABFT column
+/// checksums (`AuditConfig::abft`) and healed bit-identically.
+#[test]
+fn abft_catches_gemm_panel_flip_end_to_end() {
+    let audit = AuditConfig::default().abft(true);
+    let baseline = run_scenario(SdcPlan::seeded(SEED), audit);
+    let mut plan = SdcPlan::seeded(SEED);
+    plan.arm(derive_fault(SEED, SdcSite::GemmPanel, FLIP_AT, 0, false));
+    let r = run_scenario(plan, audit);
+
+    r.result.as_ref().expect("ABFT-caught flip must be healed");
+    assert_eq!(state_digest(&r.state), state_digest(&baseline.state));
+    assert!(r.report.sdc_flips_injected >= 1, "the armed panel flip must land");
+    assert!(r.report.corruptions_detected >= 1, "the checksums must catch it");
 }
 
 /// Device-side sites (result buffer, device→host transfer) are covered by

@@ -1,23 +1,39 @@
-//! Kernel variants are values: two solvers in one process, one running the
-//! fused PCG kernels and one the launch-per-op loop, stepped in lock-step on
-//! two OS threads, each land on exactly the state, simulated clock and trace
-//! energy of their own solo run — and only the fused solver's device ledger
-//! ever sees a fused launch. With a process-wide installed variant (what
-//! `PcgOptions::fused` replaced) the second solver to start would have
-//! switched the first one's kernels mid-run.
+//! Solver configuration is a value: two solvers in one process, stepped in
+//! lock-step on two OS threads, each land on exactly the state, simulated
+//! clock and trace energy of their own solo run. Two pairs:
+//!
+//! - fused PCG kernels vs the launch-per-op loop: only the fused solver's
+//!   device ledger ever sees a fused launch. With a process-wide installed
+//!   variant (what `PcgOptions::fused` replaced) the second solver to start
+//!   would have switched the first one's kernels mid-run.
+//! - ABFT checksums on, with a GEMM-panel flip armed, vs off: the flip lands
+//!   in and is caught by the verifying solver; its neighbour neither
+//!   verifies a GEMM nor sees a flip. With a process-wide ABFT mode (what
+//!   `AuditConfig::abft` replaced) the plain solver's GEMMs verified too and
+//!   could consume the armed flip.
 
 mod common;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Barrier};
 
-use blast_repro::blast_core::{AssemblyMode, ExecMode, Executor, Hydro, Sedov};
+use blast_repro::blast_core::{AssemblyMode, AuditConfig, ExecMode, Executor, Hydro, Sedov};
 use blast_repro::blast_kernels::k9::FUSED_SPMV_DOT;
 use blast_repro::blast_la::PcgOptions;
-use blast_repro::gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice};
+use blast_repro::gpu_sim::{derive_fault, CpuSpec, DeviceCatalog, GpuDevice, SdcPlan, SdcSite};
 
 const STEPS: usize = 4;
 const CSR_SPMV: &str = "csrMv_ci_kernel";
+
+/// What one solver of a pair is configured with.
+#[derive(Clone, Copy)]
+enum Variant {
+    /// Simulated K20 with the device PCG, fused or launch-per-op.
+    Pcg { fused: bool },
+    /// Audited serial host; `abft` switches the GEMM checksums on and plans
+    /// a GEMM-panel flip for the second step attempt.
+    Audited { abft: bool },
+}
 
 #[derive(Debug, PartialEq)]
 struct Outcome {
@@ -25,34 +41,58 @@ struct Outcome {
     wall_bits: u64,
     energy_bits: u64,
     kernels: Vec<&'static str>,
+    flips: u64,
+    detected: u64,
 }
 
-/// Sedov 2D-Q2 on the simulated K20 with the device PCG; `before_step` runs
-/// ahead of every step.
-fn solve(fused: bool, mut before_step: impl FnMut()) -> Outcome {
-    let gpu = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
-    let mode = ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 };
-    let mut hydro = Hydro::<2>::builder(&Sedov::default(), [6, 6])
+/// Stored-assembly Sedov 2D-Q2; `before_step` runs ahead of every step.
+fn solve(variant: Variant, mut before_step: impl FnMut()) -> Outcome {
+    let (host, problem) = (CpuSpec::e5_2670(), Sedov::default());
+    let builder = Hydro::<2>::builder(&problem, [6, 6])
         .order(2)
-        .assembly(AssemblyMode::Stored)
-        .pcg(PcgOptions { fused, ..Default::default() })
-        .executor(Executor::new(mode, CpuSpec::e5_2670(), Some(gpu.clone())))
-        .build()
-        .expect("scenario must build");
+        .assembly(AssemblyMode::Stored);
+    let (builder, gpu) = match variant {
+        Variant::Pcg { fused } => {
+            let gpu = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
+            let mode = ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 };
+            let builder = builder
+                .pcg(PcgOptions { fused, ..Default::default() })
+                .executor(Executor::new(mode, host, Some(gpu.clone())));
+            (builder, Some(gpu))
+        }
+        Variant::Audited { abft } => {
+            let mut plan = SdcPlan::seeded(common::SEED);
+            if abft {
+                plan.arm(derive_fault(common::SEED, SdcSite::GemmPanel, 2, 0, false));
+            }
+            let builder = builder
+                .executor(Executor::new(ExecMode::CpuSerial, host, None))
+                .sdc_plan(plan)
+                .audit(AuditConfig::default().abft(abft));
+            (builder, None)
+        }
+    };
+    let mut hydro = builder.build().expect("scenario must build");
     let mut state = hydro.initial_state();
     let mut dt = hydro.suggest_dt(&state);
     for _ in 0..STEPS {
         before_step();
-        dt = hydro.try_advance(&mut state, dt).expect("fault-free step").dt_next;
+        dt = hydro.try_advance(&mut state, dt).expect("step heals or is fault-free").dt_next;
     }
     let end = hydro.wall_time();
-    let joules = hydro.executor().host.power_trace().energy(0.0, end)
-        + gpu.power_trace().energy(0.0, end);
+    let exec = hydro.executor();
+    let joules = exec.host.power_trace().energy(0.0, end)
+        + gpu.as_ref().map_or(0.0, |g| g.power_trace().energy(0.0, end));
+    let report = exec.resilience_report(0);
     Outcome {
         state_digest: common::state_digest(&state),
         wall_bits: end.to_bits(),
         energy_bits: joules.to_bits(),
-        kernels: gpu.kernel_summary().into_iter().map(|(name, _, _)| name).collect(),
+        kernels: gpu
+            .map(|g| g.kernel_summary().into_iter().map(|(name, _, _)| name).collect())
+            .unwrap_or_default(),
+        flips: report.sdc_flips_injected,
+        detected: report.corruptions_detected,
     }
 }
 
@@ -60,10 +100,10 @@ fn solve(fused: bool, mut before_step: impl FnMut()) -> Outcome {
 /// concurrent runs interleave step by step. A solver that panics still
 /// keeps its remaining appointments before re-raising: the partner then
 /// finishes and the test fails, instead of hanging in `Barrier::wait`.
-fn run(fused: bool, gate: &Barrier) -> Outcome {
+fn run(variant: Variant, gate: &Barrier) -> Outcome {
     let mut waits_left = STEPS;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        solve(fused, || {
+        solve(variant, || {
             gate.wait();
             waits_left -= 1;
         })
@@ -74,25 +114,38 @@ fn run(fused: bool, gate: &Barrier) -> Outcome {
     outcome.unwrap_or_else(|panic| resume_unwind(panic))
 }
 
-#[test]
-fn concurrent_solvers_with_different_pcg_variants_match_their_solo_runs() {
+/// Runs `a` and `b` solo, then in lock-step on two threads; returns the
+/// lock-step outcomes after checking each against its solo run.
+fn pair_matches_solo(a: Variant, b: Variant) -> (Outcome, Outcome) {
     let solo = Barrier::new(1);
-    let (solo_fused, solo_unfused) = (run(true, &solo), run(false, &solo));
+    let (solo_a, solo_b) = (run(a, &solo), run(b, &solo));
 
     let pair = Barrier::new(2);
-    let (fused, unfused) = std::thread::scope(|s| {
-        let a = s.spawn(|| run(true, &pair));
-        let b = s.spawn(|| run(false, &pair));
-        (a.join().expect("fused solver thread"), b.join().expect("unfused solver thread"))
+    let (out_a, out_b) = std::thread::scope(|s| {
+        let ta = s.spawn(|| run(a, &pair));
+        let tb = s.spawn(|| run(b, &pair));
+        (ta.join().expect("first solver thread"), tb.join().expect("second solver thread"))
     });
+    assert_eq!(out_a, solo_a, "first solver disturbed by its neighbour");
+    assert_eq!(out_b, solo_b, "second solver disturbed by its neighbour");
+    (out_a, out_b)
+}
 
-    assert_eq!(fused, solo_fused, "fused solver disturbed by its neighbour");
-    assert_eq!(unfused, solo_unfused, "launch-per-op solver disturbed by its neighbour");
+#[test]
+fn concurrent_solvers_with_different_pcg_variants_match_their_solo_runs() {
+    let (fused, unfused) =
+        pair_matches_solo(Variant::Pcg { fused: true }, Variant::Pcg { fused: false });
     assert_eq!(fused.state_digest, unfused.state_digest, "the variants are bitwise-equivalent");
     assert_ne!(fused.wall_bits, unfused.wall_bits, "the variants are billed differently");
-
     assert!(fused.kernels.contains(&FUSED_SPMV_DOT), "fused ledger: {:?}", fused.kernels);
     assert!(!unfused.kernels.contains(&FUSED_SPMV_DOT), "unfused ledger: {:?}", unfused.kernels);
     // The energy solve launches the plain SpMV in both.
     assert!(fused.kernels.contains(&CSR_SPMV) && unfused.kernels.contains(&CSR_SPMV));
+
+    let (verifying, plain) =
+        pair_matches_solo(Variant::Audited { abft: true }, Variant::Audited { abft: false });
+    assert_eq!(verifying.state_digest, plain.state_digest, "the caught flip heals bit-identically");
+    assert!(verifying.flips >= 1, "the armed panel flip must land in the verifying solver");
+    assert!(verifying.detected >= 1, "its checksums must catch it");
+    assert_eq!((plain.flips, plain.detected), (0, 0), "the plain solver saw its neighbour's flip");
 }

@@ -27,7 +27,6 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use blast_repro::blast_core::{AssemblyMode, AuditConfig, ExecMode, Executor, Hydro, Sedov};
-use blast_repro::blast_la::{abft, AbftMode};
 use blast_repro::blast_telemetry::{names, Track};
 use blast_repro::gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice};
 
@@ -81,12 +80,11 @@ fn steady_state_contract(mode: AssemblyMode) {
     // The contract must hold with the full SDC defense on: ABFT-checksummed
     // GEMMs and the per-step physics-invariant audit (its scratch grows
     // once at install/warm-up like every other pool).
-    abft::set_mode(AbftMode::Verify);
     let exec = Executor::new(ExecMode::CpuSerial, CpuSpec::e5_2670(), None);
     let problem = Sedov::default();
     let mut hydro = Hydro::<2>::builder(&problem, [6, 6])
         .executor(exec)
-        .audit(AuditConfig::default())
+        .audit(AuditConfig::default().abft(true))
         .assembly(mode)
         .build()
         .expect("problem fits");
