@@ -201,8 +201,8 @@ pub fn measure_with_budget(smoke: bool) -> FleetRouting {
 
     // Routed placement, twice, under different host-pool sizes: the
     // second run's digest must match the first bit for bit.
-    let (report1, decisions) = crate::with_pool_threads(1, || run_routed(&jobs));
-    let (report8, _) = crate::with_pool_threads(8, || run_routed(&jobs));
+    let (report1, decisions) = rayon::Pool::new(1).install(|| run_routed(&jobs));
+    let (report8, _) = rayon::Pool::new(8).install(|| run_routed(&jobs));
 
     let routed_jobs = jobs
         .iter()

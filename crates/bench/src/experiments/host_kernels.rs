@@ -379,7 +379,7 @@ pub fn measure_with_budget(smoke: bool) -> HostKernels {
         .collect();
     // The host bodies of kernels 3 and 4 fan out over the pool; one thread,
     // like the GEMM rows above.
-    let az_kernels = crate::with_pool_threads(1, || {
+    let az_kernels = rayon::Pool::new(1).install(|| {
         AZ_SHAPES
             .iter()
             .map(|&(dim, order, zones, label)| {

@@ -131,7 +131,7 @@ pub fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
     let mut reference: Option<Vec<f64>> = None;
     let mut samples = Vec::new();
     for &t in &THREAD_COUNTS {
-        let (out, time_s) = crate::with_pool_threads(t, || {
+        let (out, time_s) = rayon::Pool::new(t).install(|| {
             let start = Instant::now();
             let out = workload(reps);
             (out, start.elapsed().as_secs_f64())

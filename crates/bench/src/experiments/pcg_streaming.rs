@@ -292,7 +292,7 @@ fn measure_gpu(iters: usize) -> GpuLeg {
 pub fn measure_with_budget(smoke: bool) -> PcgStreaming {
     let iters = if smoke { SMOKE_ITERS } else { FULL_ITERS };
     // Serial drive only: fusion vs launch-per-op, no pool scheduling.
-    let shapes = crate::with_pool_threads(1, || {
+    let shapes = rayon::Pool::new(1).install(|| {
         SHAPES
             .iter()
             .map(|&(n, hb, label, gated)| measure_shape(n, hb, label, gated, iters))

@@ -305,11 +305,11 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
     fn campaign_has_zero_silent_wrong_runs() {
-        let (rows, violations) = crate::with_pool_threads(1, || run_campaign(42));
+        let (rows, violations) = rayon::Pool::new(1).install(|| run_campaign(42));
         assert!(violations.is_empty(), "gate violations: {violations:#?}");
         assert!(rows.len() >= 7, "campaign must cover every site: {}", rows.len());
 
-        let (rows8, violations8) = crate::with_pool_threads(8, || run_campaign(42));
+        let (rows8, violations8) = rayon::Pool::new(8).install(|| run_campaign(42));
         assert!(violations8.is_empty(), "gate violations at 8 threads: {violations8:#?}");
         for (a, b) in rows.iter().zip(&rows8) {
             assert_eq!(

@@ -30,19 +30,6 @@ pub fn smoke_requested() -> bool {
         || std::env::var("BLAST_BENCH_SMOKE").is_ok_and(|v| v != "0")
 }
 
-/// Runs `f` with the process-wide pool size pinned to `threads`, then clears
-/// the override. Pinned sections hold one lock, so two experiments in one
-/// process (the crate's unit tests run in parallel) cannot reset each
-/// other's pool size mid-measurement. Not reentrant.
-pub(crate) fn with_pool_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    static PINNED: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _pinned = PINNED.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    rayon::set_active_threads(threads);
-    let out = f();
-    rayon::set_active_threads(0);
-    out
-}
-
 /// Paper-vs-measured comparison row for EXPERIMENTS.md.
 #[derive(Clone, Debug)]
 pub struct Comparison {

@@ -133,10 +133,6 @@ pub struct Executor {
     /// The unified telemetry recorder both devices emit into (shared, so
     /// host phases and GPU launches land on one simulated-time axis).
     telemetry: TelemetrySink,
-    /// Pool counters at the last [`Executor::record_pool_counters`] sample
-    /// (the shim's statistics are process-cumulative; deltas attribute
-    /// them to this executor's run).
-    pool_baseline: Cell<rayon::PoolStats>,
     /// Catalog id of the device this executor models
     /// (`gpu_sim::DeviceCatalog`), when a fleet-aware caller pinned one.
     device_id: Option<String>,
@@ -192,7 +188,6 @@ impl Executor {
             degraded_reason: RefCell::new(None),
             ledger: ResilienceLedger::default(),
             telemetry,
-            pool_baseline: Cell::new(rayon::pool_stats()),
             device_id: None,
         }
     }
@@ -213,12 +208,13 @@ impl Executor {
         &self.telemetry
     }
 
-    /// Samples the work-stealing pool's process-wide counters and charges
-    /// the delta since the previous sample to this executor's telemetry
-    /// (steal/block/parallel-call counters plus the active-thread gauge).
-    pub fn record_pool_counters(&self) {
+    /// Charges what the calling thread's current pool (the installed one,
+    /// else the default) did since `prev` — a [`rayon::pool_stats`]
+    /// snapshot taken under the same pool — to this executor's telemetry:
+    /// steal/block/parallel-call counters plus the pool-width gauge. A
+    /// solver running on a pool of its own is charged its own calls only.
+    pub fn record_pool_counters(&self, prev: rayon::PoolStats) {
         let now = rayon::pool_stats();
-        let prev = self.pool_baseline.replace(now);
         let tel = &self.telemetry;
         tel.counter_add(names::counters::POOL_CALLS, now.parallel_calls - prev.parallel_calls);
         tel.counter_add(names::counters::POOL_BLOCKS, now.blocks_executed - prev.blocks_executed);

@@ -306,11 +306,8 @@ mod tests {
             pilot_best_mode(&Sedov::default(), [4, 4], &HydroConfig::default(), &dev, PILOT_STEPS)
                 .expect("cpu pilot")
         };
-        rayon::set_active_threads(1);
-        let a = run();
-        rayon::set_active_threads(8);
-        let b = run();
-        rayon::set_active_threads(0);
+        let a = rayon::Pool::new(1).install(run);
+        let b = rayon::Pool::new(8).install(run);
         assert_eq!(a.base_wall_s.to_bits(), b.base_wall_s.to_bits());
         assert_eq!(a.base_energy_j.to_bits(), b.base_energy_j.to_bits());
         assert_eq!(a.step_energy_j.to_bits(), b.step_energy_j.to_bits());

@@ -528,6 +528,7 @@ impl<const D: usize> Hydro<D> {
     ) -> Result<RunStats, HydroError> {
         let RunConfig { t_final, max_steps, policy, store } = cfg;
         let policy = policy.unwrap_or(self.default_ckpt_policy);
+        let pool_before = rayon::pool_stats();
         let mut scratch_store;
         let store = match store {
             Some(s) => s,
@@ -597,7 +598,7 @@ impl<const D: usize> Hydro<D> {
                 wall_at_ckpt = self.exec.host.now();
             }
         };
-        self.exec.record_pool_counters();
+        self.exec.record_pool_counters(pool_before);
         res
     }
 

@@ -82,17 +82,17 @@ fn k3_k4_compute_equals_reference_bitwise_over_the_shape_lattice() {
 
                 for threads in [1usize, 8] {
                     let what = format!("Q{order}-{dim}D, {zones} zones, {threads} threads");
-                    rayon::set_active_threads(threads);
                     let mut c = BatchedMats::from_data(dim, dim, total, vec![f64::NAN; dim * dim * total]);
-                    CoefGradKernel::compute(&shape, &u, ndofs, &zone_dofs, &table, &mut c);
                     let mut az = BatchedMats::from_data(
                         shape.nvdof(),
                         npts,
                         zones,
                         vec![f64::NAN; shape.nvdof() * npts * zones],
                     );
-                    AzKernel::compute(&shape, &s, &grads, &alpha, &mut az);
-                    rayon::set_active_threads(0);
+                    rayon::Pool::new(threads).install(|| {
+                        CoefGradKernel::compute(&shape, &u, ndofs, &zone_dofs, &table, &mut c);
+                        AzKernel::compute(&shape, &s, &grads, &alpha, &mut az);
+                    });
                     assert_same_bits(&c, &c_ref, &format!("kernel 3, {what}"));
                     assert_same_bits(&az, &az_ref, &format!("kernel 4, {what}"));
                 }

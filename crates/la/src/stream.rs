@@ -58,11 +58,19 @@ pub const STREAM_BLOCKS: usize = 64;
 /// Fixed accumulator lanes per block (element `j` → lane `j mod LANES`).
 const LANES: usize = 8;
 
-/// Below this length the pool's scoped-thread spawn costs more than the
-/// sweep, so it takes the (bitwise-identical) serial walk. A fixed
-/// constant, never thread-count-derived, so the block schedule stays
-/// deterministic.
-const PAR_MIN_N: usize = 4096;
+/// Smallest vector sweep worth a pool dispatch, in `f64` elements streamed
+/// (operand vectors x length); below it the sweep takes the
+/// (bitwise-identical) serial walk. A dispatch costs 3-8 us against
+/// ~0.1 ns per streamed element, and the measured pool-2 / serial crossover
+/// of `dot`, `axpy2_nrm2` and `precond_dot_update` lies between 100k and
+/// 200k elements (EXPERIMENTS.md, "stream grain"). A fixed constant, never
+/// thread-count-derived, so the block schedule stays deterministic.
+const PAR_MIN_SWEPT: usize = 1 << 17;
+
+/// Smallest CSR row sweep worth a pool dispatch, in stored non-zeros: a row
+/// sweep costs ~0.6 ns per non-zero, and the measured crossover lies
+/// between 18k and 25k non-zeros whatever the band width.
+const PAR_MIN_NNZ: usize = 1 << 15;
 
 /// Widest SIMD level the host supports, detected once (mirrors
 /// `tile::simd_level`; `BLAST_STREAM_SIMD=0|1|2` caps it for diagnostics).
@@ -129,10 +137,17 @@ fn block_len(n: usize) -> usize {
     n.div_ceil(STREAM_BLOCKS).max(1)
 }
 
-/// Whether a sweep of `n` elements should use the worker pool.
+/// Whether a sweep streaming `vectors` operands of `n` elements each
+/// should use the worker pool.
 #[inline]
-fn use_parallel(n: usize) -> bool {
-    n >= PAR_MIN_N
+fn sweep_on_pool(vectors: usize, n: usize) -> bool {
+    vectors * n >= PAR_MIN_SWEPT
+}
+
+/// Whether a row sweep over `a` should use the worker pool.
+#[inline]
+fn rows_on_pool(a: &CsrMatrix) -> bool {
+    a.nnz() >= PAR_MIN_NNZ
 }
 
 /// Per-block partial store: one slot per grid block, written exactly once,
@@ -453,7 +468,7 @@ fn spmv_rows_dot(
 
 // ---------------------------------------------------------------------------
 // Public streaming ops. Each walks the fixed block grid, serially or on the
-// pool by length — identical bits either way.
+// pool by the work in the sweep — identical bits either way.
 // ---------------------------------------------------------------------------
 
 /// Streaming dot product. Panics on length mismatch.
@@ -465,7 +480,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     }
     let bl = block_len(n);
     let partials = Partials::new();
-    if use_parallel(n) {
+    if sweep_on_pool(2, n) {
         x.par_chunks(bl).zip(y.par_chunks(bl)).enumerate().for_each(|(c, (xv, yv))| {
             partials.set(c, dot_block(xv, yv));
         });
@@ -485,7 +500,7 @@ pub fn nrm2_sq(x: &[f64]) -> f64 {
     }
     let bl = block_len(n);
     let partials = Partials::new();
-    if use_parallel(n) {
+    if sweep_on_pool(1, n) {
         x.par_chunks(bl).enumerate().for_each(|(c, xv)| {
             partials.set(c, dot_block(xv, xv));
         });
@@ -521,7 +536,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         return;
     }
     let bl = block_len(n);
-    if use_parallel(n) {
+    if sweep_on_pool(2, n) {
         y.par_chunks_mut(bl).zip(x.par_chunks(bl)).for_each(|(yv, xv)| {
             axpy_block(alpha, xv, yv);
         });
@@ -542,7 +557,7 @@ pub fn spmv(a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
     }
     let bl = block_len(n);
     let (rp, ci, vals) = (a.row_ptr(), a.col_idx(), a.values());
-    if use_parallel(n) {
+    if rows_on_pool(a) {
         y.par_chunks_mut(bl).enumerate().for_each(|(c, yv)| {
             spmv_rows(rp, ci, vals, c * bl, x, yv);
         });
@@ -567,7 +582,7 @@ pub fn spmv_dot(a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> f64 {
     let bl = block_len(n);
     let (rp, ci, vals) = (a.row_ptr(), a.col_idx(), a.values());
     let partials = Partials::new();
-    if use_parallel(n) {
+    if rows_on_pool(a) {
         y.par_chunks_mut(bl).enumerate().for_each(|(c, yv)| {
             partials.set(c, spmv_rows_dot(rp, ci, vals, c * bl, x, yv));
         });
@@ -584,7 +599,7 @@ pub fn spmv_dot(a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> f64 {
 fn mask_into(x: &[f64], mask: &[bool], tmp: &mut [f64]) {
     let n = x.len();
     let bl = block_len(n);
-    if use_parallel(n) {
+    if sweep_on_pool(3, n) {
         tmp.par_chunks_mut(bl).zip(x.par_chunks(bl)).zip(mask.par_chunks(bl)).for_each(
             |((tv, xv), mv)| {
                 for ((t, &xi), &c) in tv.iter_mut().zip(xv).zip(mv) {
@@ -633,7 +648,7 @@ pub fn spmv_constrained(a: &CsrMatrix, x: &[f64], mask: &[bool], tmp: &mut [f64]
     }
     mask_into(x, mask, tmp);
     let bl = block_len(n);
-    if use_parallel(n) {
+    if rows_on_pool(a) {
         y.par_chunks_mut(bl)
             .enumerate()
             .for_each(|(c, yv)| constrained_rows(a, c * bl, x, mask, tmp, yv));
@@ -666,7 +681,7 @@ pub fn spmv_constrained_dot(
     mask_into(x, mask, tmp);
     let bl = block_len(n);
     let partials = Partials::new();
-    if use_parallel(n) {
+    if rows_on_pool(a) {
         y.par_chunks_mut(bl).enumerate().for_each(|(c, yv)| {
             let lo = c * bl;
             constrained_rows(a, lo, x, mask, tmp, yv);
@@ -695,7 +710,7 @@ pub fn axpy2_nrm2(alpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f64
     let malpha = -alpha;
     let bl = block_len(n);
     let partials = Partials::new();
-    if use_parallel(n) {
+    if sweep_on_pool(4, n) {
         x.par_chunks_mut(bl)
             .zip(r.par_chunks_mut(bl))
             .zip(p.par_chunks(bl))
@@ -729,7 +744,7 @@ pub fn precond_dot_update(minv: &[f64], r: &[f64], rz_prev: Option<f64>, p: &mut
     let bl = block_len(n);
     // Phase A: the r·z reduction (needs every block before beta exists).
     let partials = Partials::new();
-    if use_parallel(n) {
+    if sweep_on_pool(2, n) {
         minv.par_chunks(bl).zip(r.par_chunks(bl)).enumerate().for_each(|(c, (mv, rv))| {
             partials.set(c, rz_block(mv, rv));
         });
@@ -745,7 +760,7 @@ pub fn precond_dot_update(minv: &[f64], r: &[f64], rz_prev: Option<f64>, p: &mut
     match rz_prev {
         None => {
             // Setup: p = z exactly (same bits as a Jacobi apply + copy).
-            if use_parallel(n) {
+            if sweep_on_pool(3, n) {
                 p.par_chunks_mut(bl).zip(minv.par_chunks(bl)).zip(r.par_chunks(bl)).for_each(
                     |((pv, mv), rv)| {
                         for ((pi, &mi), &ri) in pv.iter_mut().zip(mv).zip(rv) {
@@ -761,7 +776,7 @@ pub fn precond_dot_update(minv: &[f64], r: &[f64], rz_prev: Option<f64>, p: &mut
         }
         Some(prev) => {
             let beta = rz / prev;
-            if use_parallel(n) {
+            if sweep_on_pool(3, n) {
                 p.par_chunks_mut(bl).zip(minv.par_chunks(bl)).zip(r.par_chunks(bl)).for_each(
                     |((pv, mv), rv)| dir_update_block(mv, rv, beta, pv),
                 );
@@ -784,7 +799,7 @@ pub fn update_direction(beta: f64, z: &[f64], p: &mut [f64]) {
         return;
     }
     let bl = block_len(n);
-    if use_parallel(n) {
+    if sweep_on_pool(2, n) {
         p.par_chunks_mut(bl)
             .zip(z.par_chunks(bl))
             .for_each(|(pv, zv)| dir_update_z_block(zv, beta, pv));
@@ -999,14 +1014,13 @@ mod tests {
 
     #[test]
     fn thread_count_invariance() {
-        let n = 6000;
+        let n = 70_000; // 2n elements swept: above `PAR_MIN_SWEPT`
         let (x, y) = vecs(n);
         let base = dot(&x, &y);
         for threads in [1usize, 2, 4, 8] {
-            rayon::set_active_threads(threads);
-            assert_eq!(dot(&x, &y).to_bits(), base.to_bits(), "threads={threads}");
+            let got = rayon::Pool::new(threads).install(|| dot(&x, &y));
+            assert_eq!(got.to_bits(), base.to_bits(), "threads={threads}");
         }
-        rayon::set_active_threads(0);
     }
 
     #[test]

@@ -53,10 +53,6 @@ fn laplacian(n: usize) -> CsrMatrix {
 
 #[test]
 fn alternating_problem_sizes_do_not_thrash_the_workspace() {
-    // Serial drive: the pool's scoped-thread spawns have their own
-    // allocation cost model; the contract under test is the workspace's.
-    rayon::set_active_threads(1);
-
     let sizes = [120usize, 64];
     let systems: Vec<(CsrMatrix, DiagPrecond, Vec<f64>)> = sizes
         .iter()
@@ -96,5 +92,4 @@ fn alternating_problem_sizes_do_not_thrash_the_workspace() {
     assert_eq!(delta, 0, "alternating solves performed {delta} heap ops");
     assert_eq!(ws.capacity(), 120, "workspace must stay at the high-water mark");
 
-    rayon::set_active_threads(0);
 }

@@ -66,8 +66,13 @@ fn close_slice(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// Ragged sizes straddling the 8-lane width, the 64-block grid, and the
-/// parallel threshold — plus Table-3-like momentum-system sizes.
-const SIZES: &[usize] = &[0, 1, 7, 8, 9, 63, 64, 65, 511, 513, 4095, 4097, 6000];
+/// pool-dispatch thresholds (2^15 non-zeros at 7 per row; 2^17 streamed
+/// elements at 4, 3, 2 and 1 operand vectors) — plus Table-3-like
+/// momentum-system sizes.
+const SIZES: &[usize] = &[
+    0, 1, 7, 8, 9, 63, 64, 65, 511, 513, 4095, 4681, 4683, 6000, 32767, 32769, 43691, 65535,
+    65537, 131073,
+];
 
 #[test]
 fn fused_kernels_match_reference_across_fixed_sizes() {
@@ -109,7 +114,7 @@ fn fused_kernels_match_reference_across_fixed_sizes() {
 
 #[test]
 fn fused_results_are_variant_and_thread_invariant() {
-    let n = 6000;
+    let n = 66_000; // the row sweep and every multi-vector sweep go to the pool
     let p = vecs(n, 10);
     let ap = vecs(n, 11);
     let a = banded(n, 9);
@@ -129,11 +134,10 @@ fn fused_results_are_variant_and_thread_invariant() {
     assert!(baseline.4 > 1, "the solve must iterate for the comparison to mean anything");
     for fused in [true, false] {
         for threads in [1usize, 2, 4, 8] {
-            rayon::set_active_threads(threads);
-            assert_eq!(run(fused), baseline, "fused {fused} threads {threads}");
+            let got = rayon::Pool::new(threads).install(|| run(fused));
+            assert_eq!(got, baseline, "fused {fused} threads {threads}");
         }
     }
-    rayon::set_active_threads(0);
 }
 
 #[test]

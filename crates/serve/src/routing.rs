@@ -251,11 +251,8 @@ mod tests {
             let mut router = Router::new(fleet3());
             router.route(&spec).expect("routable")
         };
-        rayon::set_active_threads(1);
-        let a = route();
-        rayon::set_active_threads(8);
-        let b = route();
-        rayon::set_active_threads(0);
+        let a = rayon::Pool::new(1).install(route);
+        let b = rayon::Pool::new(8).install(route);
         assert_eq!(a.placement.device_id, b.placement.device_id);
         assert_eq!(a.placement.mode, b.placement.mode);
         assert_eq!(a.predicted.energy_j.to_bits(), b.predicted.energy_j.to_bits());

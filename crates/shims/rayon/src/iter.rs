@@ -113,7 +113,7 @@ pub trait ParallelIterator: Sized {
             }
         }
         let partials = self.drive_blocks(Reduce(&identity, &op));
-        partials.into_iter().reduce(|a, b| op(a, b)).unwrap_or_else(identity)
+        partials.into_iter().reduce(op).unwrap_or_else(identity)
     }
 }
 

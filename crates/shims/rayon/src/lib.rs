@@ -1,22 +1,24 @@
 //! In-tree multithreaded stand-in for `rayon`, used because the real
 //! crate cannot be fetched (offline build environments).
 //!
-//! Unlike the original serial shim, this crate executes `par_*` calls
-//! on a real work-stealing pool of scoped `std::thread` workers — the
-//! paper's 8-core OpenMP host leg, measured instead of simulated. The
-//! workspace relies on a small slice of rayon's API
-//! (`par_iter[_mut]`, `par_chunks[_exact][_mut]`, `zip`, `enumerate`,
-//! `map`, `for_each`, `count`, `sum`, `reduce`, `join`), and every
-//! entry point here is bitwise deterministic across thread counts:
+//! `par_*` calls execute on a deterministic work-stealing [`Pool`] of
+//! persistent workers — the paper's 8-core OpenMP host leg, measured
+//! instead of simulated. The workspace relies on a small slice of
+//! rayon's API (`par_iter[_mut]`, `par_chunks[_exact][_mut]`, `zip`,
+//! `enumerate`, `map`, `for_each`, `count`, `sum`, `reduce`), and every
+//! entry point here is bitwise deterministic across pool widths:
 //!
 //! * work is split over a fixed block grid that depends only on the
 //!   item count, never on the thread count;
 //! * reductions combine per-block partials in block-index order;
-//! * so `BLAST_THREADS=1` output equals an 8-thread run bit for bit.
+//! * so a width-1 run equals a width-8 run bit for bit.
 //!
-//! Thread count: [`set_active_threads`] override → `BLAST_THREADS`
-//! env var → `std::thread::available_parallelism()`. Nested parallel
-//! calls degrade to serial execution instead of spawning recursively.
+//! Which pool: the one [`Pool::install`]ed on the calling thread, else
+//! the process default, whose width is the [`set_active_threads`]
+//! override → `BLAST_THREADS` env var →
+//! `std::thread::available_parallelism()`. Nested parallel calls, and
+//! calls that find their pool busy with another thread's call, walk the
+//! same grid serially.
 
 mod iter;
 mod pool;
@@ -26,196 +28,13 @@ pub use iter::{
     ParChunksExactMut, ParChunksMut, ParIter, ParIterMut, ParRange, ParallelIterator,
     ParallelSlice, ParallelSliceMut, Producer, Zip,
 };
-pub use pool::{current_num_threads, pool_stats, set_active_threads, BlockConsumer, PoolStats};
+pub use pool::{
+    current_num_threads, pool_stats, set_active_threads, BlockConsumer, Pool, PoolStats,
+};
 
 pub mod prelude {
     pub use super::{
         IndexedParallelIterator, IntoParallelIterator, ParallelIterator, ParallelSlice,
         ParallelSliceMut,
     };
-}
-
-/// Runs both closures, potentially in parallel (`b` on a scoped helper
-/// thread), and returns both results. Falls back to sequential
-/// execution inside an already-parallel region or when one thread is
-/// configured; panics from either side resume on the caller.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if pool::in_pool() || current_num_threads() < 2 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        match hb.join() {
-            Ok(rb) => (ra, rb),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-
-    /// Runs `f` at an explicit thread count, restoring the default
-    /// after. Determinism makes the global override benign: results
-    /// are identical at every setting, so concurrent tests can only
-    /// perturb each other's timing, never their values.
-    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        super::set_active_threads(n);
-        let r = f();
-        super::set_active_threads(0);
-        r
-    }
-
-    #[test]
-    fn par_chunks_exact_mut_matches_serial() {
-        let mut v = vec![0.0f64; 8];
-        v.par_chunks_exact_mut(2).enumerate().for_each(|(i, c)| {
-            c[0] = i as f64;
-            c[1] = -(i as f64);
-        });
-        assert_eq!(v, vec![0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]);
-    }
-
-    #[test]
-    fn zip_and_marker_traits_compose() {
-        fn takes_indexed<I: super::IndexedParallelIterator>(it: I) -> usize {
-            it.count()
-        }
-        let mut a = vec![1, 2, 3, 4];
-        let mut b = vec![10, 20];
-        let n = takes_indexed(a.par_chunks_exact_mut(2).zip(b.par_iter_mut()));
-        assert_eq!(n, 2);
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (x, y) = super::join(|| 2 + 2, || "ok");
-        assert_eq!((x, y), (4, "ok"));
-    }
-
-    #[test]
-    fn for_each_covers_every_item_at_8_threads() {
-        let mut v = vec![0usize; 10_000];
-        with_threads(8, || {
-            v.par_iter_mut().enumerate().for_each(|(i, x)| *x = i * i);
-        });
-        for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, i * i);
-        }
-    }
-
-    #[test]
-    fn kernel_shaped_chain_matches_serial_reference() {
-        // Same chain shape as kernels::k1 — two zips plus enumerate.
-        let stride = 3;
-        let n = 1000;
-        let run = |threads: usize| {
-            let mut adj = vec![0.0f64; n * stride];
-            let mut det = vec![0.0f64; n];
-            let mut hmin = vec![0.0f64; n];
-            with_threads(threads, || {
-                adj.par_chunks_exact_mut(stride)
-                    .zip(det.par_iter_mut())
-                    .zip(hmin.par_iter_mut())
-                    .enumerate()
-                    .for_each(|(p, ((adj_p, det_p), hmin_p))| {
-                        for (k, a) in adj_p.iter_mut().enumerate() {
-                            *a = (p * stride + k) as f64 * 0.5;
-                        }
-                        *det_p = 1.0 / (p + 1) as f64;
-                        *hmin_p = (p as f64).sqrt();
-                    });
-            });
-            (adj, det, hmin)
-        };
-        let serial = run(1);
-        let parallel = run(8);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn sum_is_bitwise_identical_across_thread_counts() {
-        // Magnitudes spread over ~12 decades so any regrouping of the
-        // additions changes the rounding — the equality below holds
-        // only if the block grid is thread-count independent.
-        let v: Vec<f64> =
-            (0..4096).map(|i| (1.0 + i as f64).powi(3) * if i % 2 == 0 { 1e-6 } else { 1e6 }).collect();
-        let sums: Vec<u64> = [1usize, 2, 3, 8]
-            .iter()
-            .map(|&t| with_threads(t, || v.par_iter().map(|x| x * 1.000000119).sum::<f64>()))
-            .map(f64::to_bits)
-            .collect();
-        assert!(sums.windows(2).all(|w| w[0] == w[1]), "sums differ across thread counts: {sums:?}");
-    }
-
-    #[test]
-    fn reduce_is_bitwise_identical_across_thread_counts() {
-        let v: Vec<f64> = (0..999).map(|i| (i as f64).sin() * 10f64.powi((i % 9) as i32)).collect();
-        let r1 = with_threads(1, || v.par_iter().map(|x| *x).reduce(|| 0.0, |a, b| a + b));
-        let r8 = with_threads(8, || v.par_iter().map(|x| *x).reduce(|| 0.0, |a, b| a + b));
-        assert_eq!(r1.to_bits(), r8.to_bits());
-    }
-
-    #[test]
-    fn zip_truncates_to_shorter_side() {
-        let a = vec![1.0f64; 7];
-        let mut b = vec![0.0f64; 5];
-        b.par_iter_mut().zip(a.par_iter()).for_each(|(y, x)| *y = *x);
-        assert_eq!(b, vec![1.0; 5]);
-    }
-
-    #[test]
-    fn nested_parallelism_runs_serially_without_deadlock() {
-        let mut outer = vec![0usize; 64];
-        with_threads(4, || {
-            outer.par_iter_mut().enumerate().for_each(|(i, x)| {
-                let inner: usize = (0..100usize).into_par_iter().map(|j| i + j).sum();
-                *x = inner;
-            });
-        });
-        for (i, &x) in outer.iter().enumerate() {
-            assert_eq!(x, 100 * i + 4950);
-        }
-    }
-
-    #[test]
-    fn panics_propagate_to_the_caller() {
-        let got = std::panic::catch_unwind(|| {
-            let mut v = vec![0u8; 256];
-            with_threads(4, || {
-                v.par_iter_mut().enumerate().for_each(|(i, _)| {
-                    if i == 137 {
-                        panic!("boom at {i}");
-                    }
-                });
-            });
-        });
-        super::set_active_threads(0);
-        assert!(got.is_err(), "worker panic must resume on the caller");
-    }
-
-    #[test]
-    fn thread_count_reporting_honours_override() {
-        with_threads(5, || assert_eq!(super::current_num_threads(), 5));
-        assert!(super::current_num_threads() >= 1);
-    }
-
-    #[test]
-    fn ragged_and_empty_inputs() {
-        // chunks (non-exact) keeps the ragged tail; exact drops it.
-        let v = vec![1.0f64; 10];
-        assert_eq!(v.par_chunks(4).count(), 3);
-        assert_eq!(v.par_chunks_exact(4).count(), 2);
-        let empty: Vec<f64> = Vec::new();
-        assert_eq!(empty.par_iter().count(), 0);
-        assert_eq!(empty.par_iter().map(|x| *x).sum::<f64>(), 0.0);
-    }
 }

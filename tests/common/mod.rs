@@ -1,11 +1,13 @@
-//! The SDC scenario of the `sdc_defense` tests, and the state digest every
-//! bitwise comparison in `tests/` can use.
+//! The SDC scenario of the `sdc_defense` tests, the state digest every
+//! bitwise comparison in `tests/` can use, and the steady-state heap
+//! contract the two `zero_alloc_*` binaries assert at their pool widths.
 #![allow(dead_code)] // each test binary uses its own subset
 
 use blast_repro::blast_core::{
-    AuditConfig, CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro, HydroError,
-    HydroState, RunConfig, Sedov, MAX_STEP_REDOS,
+    AssemblyMode, AuditConfig, CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro,
+    HydroError, HydroState, RunConfig, Sedov, MAX_STEP_REDOS,
 };
+use blast_repro::blast_telemetry::{names, Track};
 use blast_repro::gpu_sim::{CpuSpec, SdcPlan};
 use blast_repro::powermon::ResilienceReport;
 
@@ -58,4 +60,77 @@ pub fn run_scenario(plan: SdcPlan, audit: AuditConfig) -> RunResult {
         .map(|_| ());
     let report = hydro.executor().resilience_report(0);
     RunResult { state, result, report, store }
+}
+
+/// A 6x6 Sedov solver on the host with the full SDC defense on
+/// (ABFT-checksummed GEMMs and the per-step physics-invariant audit, whose
+/// scratch grows once like every other pool), stepped until every scratch
+/// pool has reached its high-water size: pipeline intermediates, F_z /
+/// accel / de pools, PCG vectors, RK2 stage vectors, the rollback snapshot
+/// and the calling thread's kernel scratch. Three steps, because
+/// `suggest_dt`'s force evaluation leaves some pools unreturned and the
+/// first full step refills them. Returns the solver, its state and the
+/// next dt.
+pub fn warmed_up_solver(assembly: AssemblyMode, mode: ExecMode) -> (Hydro<2>, HydroState, f64) {
+    let exec = Executor::new(mode, CpuSpec::e5_2670(), None);
+    let mut hydro = Hydro::<2>::builder(&Sedov::default(), [6, 6])
+        .executor(exec)
+        .audit(AuditConfig::default().abft(true))
+        .assembly(assembly)
+        .build()
+        .expect("problem fits");
+    let mut state = hydro.initial_state();
+    let mut dt = hydro.suggest_dt(&state);
+    for _ in 0..3 {
+        dt = hydro.try_advance(&mut state, dt).expect("warm-up step").dt_next;
+    }
+    (hydro, state, dt)
+}
+
+/// Steps a warmed-up solver through a measured window in which `heap_ops`
+/// (the binary's allocation counter) must not move — with the telemetry
+/// layer recording into its reserved ring.
+pub fn assert_steady_state_is_heap_quiet(
+    hydro: &mut Hydro<2>,
+    state: &mut HydroState,
+    mut dt: f64,
+    heap_ops: fn() -> u64,
+) {
+    const MEASURED_STEPS: usize = 5;
+    hydro.reserve_host_telemetry(MEASURED_STEPS + 1);
+    let tel = hydro.executor().telemetry().clone();
+    let steps_before = tel.counter(names::counters::STEPS);
+    let spans_before = tel.spans().len();
+
+    let before = heap_ops();
+    for _ in 0..MEASURED_STEPS {
+        dt = hydro.try_advance(state, dt).expect("steady-state step").dt_next;
+    }
+    let delta = heap_ops() - before;
+    assert_eq!(
+        delta, 0,
+        "steady-state timesteps performed {delta} heap allocation(s); the \
+         corner-force hot path (with telemetry recording) must be allocation-free"
+    );
+
+    // The zero-alloc window was not silent: the telemetry sink recorded it.
+    let steps_after = tel.counter(names::counters::STEPS);
+    assert_eq!(
+        steps_after - steps_before,
+        MEASURED_STEPS as u64,
+        "the steps counter must advance inside the measured window"
+    );
+    let spans = tel.spans();
+    assert!(
+        spans.len() >= spans_before + MEASURED_STEPS,
+        "STEP spans must land in the preallocated ring: {} -> {}",
+        spans_before,
+        spans.len()
+    );
+    let step_spans = spans
+        .iter()
+        .filter(|s| s.track == Track::Host && s.name == names::phases::STEP)
+        .count();
+    assert!(step_spans >= MEASURED_STEPS, "expected >= {MEASURED_STEPS} STEP spans");
+    assert_eq!(tel.dropped_spans(), 0, "the reserved ring must not overflow");
 }

@@ -85,11 +85,8 @@ fn routed_run(seed: u64) -> (Vec<(String, String)>, u64) {
 /// (the seed feeds retry jitter, not the router).
 #[test]
 fn routing_is_deterministic_across_thread_counts_and_seeds() {
-    rayon::set_active_threads(1);
-    let (p1, d1) = routed_run(42);
-    rayon::set_active_threads(8);
-    let (p8, d8) = routed_run(42);
-    rayon::set_active_threads(0);
+    let (p1, d1) = rayon::Pool::new(1).install(|| routed_run(42));
+    let (p8, d8) = rayon::Pool::new(8).install(|| routed_run(42));
     assert_eq!(p1, p8, "placements drifted with the pool size");
     assert_eq!(d1, d8, "ledger digest drifted with the pool size");
 

@@ -94,32 +94,37 @@ fn run_cell<const D: usize>(
 ) -> Result<(u32, u64, u64), HydroError> {
     let needs_gpu = matches!(mode, ExecMode::Gpu { .. } | ExecMode::Hybrid { .. });
     let gpu = needs_gpu.then(|| Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20"))));
-    // The parallel cell pins a real 2-thread pool; every other cell runs on
+    let on_pool = matches!(mode, ExecMode::CpuParallel { .. });
+    let run = || {
+        let problem = Sedov::default();
+        let mut hydro = Hydro::<D>::builder(&problem, zones)
+            .order(2)
+            .assembly(assembly)
+            .executor(Executor::new(mode, CpuSpec::e5_2670(), gpu))
+            .build()?;
+        let mut state = hydro.initial_state();
+        let mut dt = hydro.try_suggest_dt(&state)?;
+        let mut redos = 0;
+        for _ in 0..STEPS {
+            let adv = hydro.try_advance(&mut state, dt)?;
+            dt = adv.dt_next;
+            redos += adv.redos;
+        }
+        let image = hydro.make_checkpoint(&state, dt, STEPS as u64, redos as u64).to_bytes();
+        let crc = u32::from_le_bytes(image[image.len() - 4..].try_into().expect("4-byte footer"));
+        let end = hydro.wall_time();
+        let exec = hydro.executor();
+        let joules = exec.host.power_trace().energy(0.0, end)
+            + exec.gpu.as_ref().map_or(0.0, |g| g.power_trace().energy(0.0, end));
+        Ok((crc, end.to_bits(), joules.to_bits()))
+    };
+    // The parallel cell runs on a real 2-thread pool; every other cell on
     // whatever `BLAST_THREADS` provides.
-    let pool = if matches!(mode, ExecMode::CpuParallel { .. }) { 2 } else { 0 };
-    rayon::set_active_threads(pool);
-    let problem = Sedov::default();
-    let mut hydro = Hydro::<D>::builder(&problem, zones)
-        .order(2)
-        .assembly(assembly)
-        .executor(Executor::new(mode, CpuSpec::e5_2670(), gpu))
-        .build()?;
-    let mut state = hydro.initial_state();
-    let mut dt = hydro.try_suggest_dt(&state)?;
-    let mut redos = 0;
-    for _ in 0..STEPS {
-        let adv = hydro.try_advance(&mut state, dt)?;
-        dt = adv.dt_next;
-        redos += adv.redos;
+    if on_pool {
+        rayon::Pool::new(2).install(run)
+    } else {
+        run()
     }
-    rayon::set_active_threads(0);
-    let image = hydro.make_checkpoint(&state, dt, STEPS as u64, redos as u64).to_bytes();
-    let crc = u32::from_le_bytes(image[image.len() - 4..].try_into().expect("4-byte footer"));
-    let end = hydro.wall_time();
-    let exec = hydro.executor();
-    let joules = exec.host.power_trace().energy(0.0, end)
-        + exec.gpu.as_ref().map_or(0.0, |g| g.power_trace().energy(0.0, end));
-    Ok((crc, end.to_bits(), joules.to_bits()))
 }
 
 #[test]

@@ -12,27 +12,27 @@ use blast_repro::gpu_sim::CpuSpec;
 /// Runs a short 2D Sedov on `threads` pool threads and returns the
 /// serialized checkpoint image of the final state.
 fn sedov_checkpoint_image(threads: usize) -> Vec<u8> {
-    rayon::set_active_threads(threads);
-    let exec = Executor::new(
-        ExecMode::CpuParallel { threads: threads as u32 },
-        CpuSpec::e5_2670(),
-        None,
-    );
-    let problem = Sedov::default();
-    let mut hydro = Hydro::<2>::builder(&problem, [8, 8]).executor(exec).build()
-        .expect("problem fits");
-    let mut state = hydro.initial_state();
-    let mut dt = hydro.suggest_dt(&state);
-    let steps = 5u64;
-    for _ in 0..steps {
-        let out = hydro.step(&mut state, dt);
-        dt = out.dt_est.min(1.02 * dt);
-    }
-    rayon::set_active_threads(0);
-    let ck = Checkpoint { state, accel_prev: Vec::new(), dt, steps, retries: 0 };
-    let mut store = CheckpointStore::in_memory();
-    store.write(&ck).expect("in-memory write cannot fail");
-    ck.to_bytes()
+    rayon::Pool::new(threads).install(|| {
+        let exec = Executor::new(
+            ExecMode::CpuParallel { threads: threads as u32 },
+            CpuSpec::e5_2670(),
+            None,
+        );
+        let problem = Sedov::default();
+        let mut hydro = Hydro::<2>::builder(&problem, [8, 8]).executor(exec).build()
+            .expect("problem fits");
+        let mut state = hydro.initial_state();
+        let mut dt = hydro.suggest_dt(&state);
+        let steps = 5u64;
+        for _ in 0..steps {
+            let out = hydro.step(&mut state, dt);
+            dt = out.dt_est.min(1.02 * dt);
+        }
+        let ck = Checkpoint { state, accel_prev: Vec::new(), dt, steps, retries: 0 };
+        let mut store = CheckpointStore::in_memory();
+        store.write(&ck).expect("in-memory write cannot fail");
+        ck.to_bytes()
+    })
 }
 
 #[test]

@@ -105,28 +105,28 @@ fn stored_and_matrix_free_agree_in_3d() {
 #[test]
 fn matrix_free_checkpoints_are_byte_identical_across_threads() {
     fn image(threads: usize) -> Vec<u8> {
-        rayon::set_active_threads(threads);
-        let exec = Executor::new(
-            ExecMode::CpuParallel { threads: threads as u32 },
-            CpuSpec::e5_2670(),
-            None,
-        );
-        let problem = Sedov::default();
-        let mut hydro = Hydro::<2>::builder(&problem, [6, 6])
-            .order(3)
-            .executor(exec)
-            .assembly(AssemblyMode::MatrixFree)
-            .build()
-            .expect("problem fits");
-        let mut state = hydro.initial_state();
-        let mut dt = hydro.suggest_dt(&state);
-        let steps = 4u64;
-        for _ in 0..steps {
-            let out = hydro.step(&mut state, dt);
-            dt = out.dt_est.min(1.02 * dt);
-        }
-        rayon::set_active_threads(0);
-        Checkpoint { state, accel_prev: Vec::new(), dt, steps, retries: 0 }.to_bytes()
+        rayon::Pool::new(threads).install(|| {
+            let exec = Executor::new(
+                ExecMode::CpuParallel { threads: threads as u32 },
+                CpuSpec::e5_2670(),
+                None,
+            );
+            let problem = Sedov::default();
+            let mut hydro = Hydro::<2>::builder(&problem, [6, 6])
+                .order(3)
+                .executor(exec)
+                .assembly(AssemblyMode::MatrixFree)
+                .build()
+                .expect("problem fits");
+            let mut state = hydro.initial_state();
+            let mut dt = hydro.suggest_dt(&state);
+            let steps = 4u64;
+            for _ in 0..steps {
+                let out = hydro.step(&mut state, dt);
+                dt = out.dt_est.min(1.02 * dt);
+            }
+            Checkpoint { state, accel_prev: Vec::new(), dt, steps, retries: 0 }.to_bytes()
+        })
     }
     let reference = image(1);
     assert!(!reference.is_empty());

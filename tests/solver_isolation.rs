@@ -1,6 +1,6 @@
 //! Solver configuration is a value: two solvers in one process, stepped in
 //! lock-step on two OS threads, each land on exactly the state, simulated
-//! clock and trace energy of their own solo run. Two pairs:
+//! clock and trace energy of their own solo run. Three pairs:
 //!
 //! - fused PCG kernels vs the launch-per-op loop: only the fused solver's
 //!   device ledger ever sees a fused launch. With a process-wide installed
@@ -11,6 +11,11 @@
 //!   verifies a GEMM nor sees a flip. With a process-wide ABFT mode (what
 //!   `AuditConfig::abft` replaced) the plain solver's GEMMs verified too and
 //!   could consume the armed flip.
+//! - host pools one and two threads wide, each installed on its solver's
+//!   thread: the narrow solver never dispatches a parallel call, the wide
+//!   one dispatches exactly as many as it does alone. With one process-wide
+//!   pool size (what `Pool::install` replaced in the tests) the second
+//!   solver to start would have resized the first one's pool mid-run.
 
 mod common;
 
@@ -33,6 +38,8 @@ enum Variant {
     /// Audited serial host; `abft` switches the GEMM checksums on and plans
     /// a GEMM-panel flip for the second step attempt.
     Audited { abft: bool },
+    /// Plain host solver on an installed pool of its own, `width` threads.
+    Pooled { width: usize },
 }
 
 #[derive(Debug, PartialEq)]
@@ -43,10 +50,24 @@ struct Outcome {
     kernels: Vec<&'static str>,
     flips: u64,
     detected: u64,
+    /// Parallel calls a `Pooled` solver's own pool dispatched (0 otherwise:
+    /// the other variants share the default pool with their neighbour).
+    pool_calls: u64,
 }
 
 /// Stored-assembly Sedov 2D-Q2; `before_step` runs ahead of every step.
-fn solve(variant: Variant, mut before_step: impl FnMut()) -> Outcome {
+fn solve(variant: Variant, before_step: impl FnMut()) -> Outcome {
+    match variant {
+        Variant::Pooled { width } => {
+            let pool = rayon::Pool::new(width);
+            let outcome = pool.install(|| solve_on_current_pool(variant, before_step));
+            Outcome { pool_calls: pool.stats().parallel_calls, ..outcome }
+        }
+        _ => solve_on_current_pool(variant, before_step),
+    }
+}
+
+fn solve_on_current_pool(variant: Variant, mut before_step: impl FnMut()) -> Outcome {
     let (host, problem) = (CpuSpec::e5_2670(), Sedov::default());
     let builder = Hydro::<2>::builder(&problem, [6, 6])
         .order(2)
@@ -71,6 +92,10 @@ fn solve(variant: Variant, mut before_step: impl FnMut()) -> Outcome {
                 .audit(AuditConfig::default().abft(abft));
             (builder, None)
         }
+        Variant::Pooled { width } => {
+            let mode = ExecMode::CpuParallel { threads: width as u32 };
+            (builder.executor(Executor::new(mode, host, None)), None)
+        }
     };
     let mut hydro = builder.build().expect("scenario must build");
     let mut state = hydro.initial_state();
@@ -93,6 +118,7 @@ fn solve(variant: Variant, mut before_step: impl FnMut()) -> Outcome {
             .unwrap_or_default(),
         flips: report.sdc_flips_injected,
         detected: report.corruptions_detected,
+        pool_calls: 0,
     }
 }
 
@@ -148,4 +174,10 @@ fn concurrent_solvers_with_different_pcg_variants_match_their_solo_runs() {
     assert!(verifying.flips >= 1, "the armed panel flip must land in the verifying solver");
     assert!(verifying.detected >= 1, "its checksums must catch it");
     assert_eq!((plain.flips, plain.detected), (0, 0), "the plain solver saw its neighbour's flip");
+
+    let (narrow, wide) =
+        pair_matches_solo(Variant::Pooled { width: 1 }, Variant::Pooled { width: 2 });
+    assert_eq!(narrow.state_digest, wide.state_digest, "results are bitwise width-invariant");
+    assert_eq!(narrow.pool_calls, 0, "a one-thread pool never dispatches");
+    assert!(wide.pool_calls > 0, "the two-thread solver must have run on its own pool");
 }

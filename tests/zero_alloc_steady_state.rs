@@ -22,12 +22,13 @@
 //! scratch, so steady-state `Gpu { gpu_pcg: true }` steps are heap-quiet
 //! too once the device's event log and power trace are reserved.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use blast_repro::blast_core::{AssemblyMode, AuditConfig, ExecMode, Executor, Hydro, Sedov};
-use blast_repro::blast_telemetry::{names, Track};
+use blast_repro::blast_core::{AssemblyMode, ExecMode, Executor, Hydro, Sedov};
 use blast_repro::gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice};
 
 /// System allocator wrapper that counts the calling thread's allocation
@@ -66,85 +67,17 @@ fn heap_ops() -> u64 {
     HEAP_OPS.with(|c| c.get())
 }
 
-/// Serial execution for the whole binary: the parallel pool spawns scoped
-/// threads (stack + TLS allocations) per call, which is the multithreaded
-/// path's own cost model, not the solver hot path under test here. Never
-/// reset — a finishing test must not re-enable spawning inside a sibling's
-/// measured window.
-fn pin_serial_pool() {
-    rayon::set_active_threads(1);
-}
-
-fn steady_state_contract(mode: AssemblyMode) {
-    pin_serial_pool();
-    // The contract must hold with the full SDC defense on: ABFT-checksummed
-    // GEMMs and the per-step physics-invariant audit (its scratch grows
-    // once at install/warm-up like every other pool).
-    let exec = Executor::new(ExecMode::CpuSerial, CpuSpec::e5_2670(), None);
-    let problem = Sedov::default();
-    let mut hydro = Hydro::<2>::builder(&problem, [6, 6])
-        .executor(exec)
-        .audit(AuditConfig::default().abft(true))
-        .assembly(mode)
-        .build()
-        .expect("problem fits");
-    let mut state = hydro.initial_state();
-    let mut dt = hydro.suggest_dt(&state);
-
-    // Warm-up: grows every scratch pool (pipeline intermediates, F_z /
-    // accel / de pools, PCG vectors, RK2 stage vectors, the rollback
-    // snapshot) to the high-water size. Two steps, because `suggest_dt`'s
-    // force evaluation leaves some pools unreturned and the first full
-    // step refills them.
-    for _ in 0..3 {
-        let adv = hydro.try_advance(&mut state, dt).expect("warm-up step");
-        dt = adv.dt_next;
-    }
-
-    const MEASURED_STEPS: usize = 5;
-    hydro.reserve_host_telemetry(MEASURED_STEPS + 1);
-    let tel = hydro.executor().telemetry().clone();
-    let steps_before = tel.counter(names::counters::STEPS);
-    let spans_before = tel.spans().len();
-
-    let before = heap_ops();
-    for _ in 0..MEASURED_STEPS {
-        let adv = hydro.try_advance(&mut state, dt).expect("steady-state step");
-        dt = adv.dt_next;
-    }
-    let delta = heap_ops() - before;
-    assert_eq!(
-        delta, 0,
-        "steady-state timesteps in {mode} mode performed {delta} heap \
-         allocation(s); the corner-force hot path (with telemetry \
-         recording) must be allocation-free"
-    );
-
-    // The zero-alloc window was not silent: the telemetry sink recorded it.
-    let steps_after = tel.counter(names::counters::STEPS);
-    assert_eq!(
-        steps_after - steps_before,
-        MEASURED_STEPS as u64,
-        "the steps counter must advance inside the measured window"
-    );
-    let spans = tel.spans();
-    assert!(
-        spans.len() >= spans_before + MEASURED_STEPS,
-        "STEP spans must land in the preallocated ring: {} -> {}",
-        spans_before,
-        spans.len()
-    );
-    let step_spans = spans
-        .iter()
-        .filter(|s| s.track == Track::Host && s.name == names::phases::STEP)
-        .count();
-    assert!(step_spans >= MEASURED_STEPS, "expected >= {MEASURED_STEPS} STEP spans");
-    assert_eq!(tel.dropped_spans(), 0, "the reserved ring must not overflow");
+/// One thread wide, so the calling thread's count is the whole step's.
+fn serial_contract(mode: AssemblyMode) {
+    rayon::Pool::new(1).install(|| {
+        let (mut hydro, mut state, dt) = common::warmed_up_solver(mode, ExecMode::CpuSerial);
+        common::assert_steady_state_is_heap_quiet(&mut hydro, &mut state, dt, heap_ops);
+    });
 }
 
 #[test]
 fn steady_state_steps_do_not_touch_the_heap() {
-    steady_state_contract(AssemblyMode::Stored);
+    serial_contract(AssemblyMode::Stored);
 }
 
 /// The same contract for the matrix-free path: sum-factorized force /
@@ -152,7 +85,7 @@ fn steady_state_steps_do_not_touch_the_heap() {
 /// audit mass applies all run out of grow-once pools.
 #[test]
 fn matrix_free_steady_state_steps_do_not_touch_the_heap() {
-    steady_state_contract(AssemblyMode::MatrixFree);
+    serial_contract(AssemblyMode::MatrixFree);
 }
 
 /// The contract on the simulated GPU (stored assembly, optimized kernel
@@ -163,50 +96,51 @@ fn matrix_free_steady_state_steps_do_not_touch_the_heap() {
 fn gpu_steady_state_steps_do_not_touch_the_heap() {
     const WARM_UP_STEPS: usize = 3;
     const MEASURED_STEPS: usize = 5;
-    pin_serial_pool();
-    let gpu = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
-    let exec = Executor::new(
-        ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 },
-        CpuSpec::e5_2670(),
-        Some(gpu.clone()),
-    );
-    let problem = Sedov::default();
-    let mut hydro = Hydro::<2>::builder(&problem, [6, 6])
-        .executor(exec)
-        .assembly(AssemblyMode::Stored)
-        .build()
-        .expect("problem fits");
-    let mut state = hydro.initial_state();
-    let mut dt = hydro.suggest_dt(&state);
-    for _ in 0..WARM_UP_STEPS {
-        let adv = hydro.try_advance(&mut state, dt).expect("warm-up step");
-        dt = adv.dt_next;
-    }
+    rayon::Pool::new(1).install(|| {
+        let gpu = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
+        let exec = Executor::new(
+            ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 },
+            CpuSpec::e5_2670(),
+            Some(gpu.clone()),
+        );
+        let problem = Sedov::default();
+        let mut hydro = Hydro::<2>::builder(&problem, [6, 6])
+            .executor(exec)
+            .assembly(AssemblyMode::Stored)
+            .build()
+            .expect("problem fits");
+        let mut state = hydro.initial_state();
+        let mut dt = hydro.suggest_dt(&state);
+        for _ in 0..WARM_UP_STEPS {
+            let adv = hydro.try_advance(&mut state, dt).expect("warm-up step");
+            dt = adv.dt_next;
+        }
 
-    // Launches and transfers per step so far (`suggest_dt` included), with
-    // 2x headroom for PCG iteration counts drifting as the blast develops.
-    let ops_per_step = gpu.events().len().div_ceil(WARM_UP_STEPS);
-    gpu.reserve_telemetry(2 * ops_per_step * MEASURED_STEPS);
-    hydro.reserve_host_telemetry(MEASURED_STEPS + 1);
-    let launches_before = gpu.events().len();
+        // Launches and transfers per step so far (`suggest_dt` included), with
+        // 2x headroom for PCG iteration counts drifting as the blast develops.
+        let ops_per_step = gpu.events().len().div_ceil(WARM_UP_STEPS);
+        gpu.reserve_telemetry(2 * ops_per_step * MEASURED_STEPS);
+        hydro.reserve_host_telemetry(MEASURED_STEPS + 1);
+        let launches_before = gpu.events().len();
 
-    let before = heap_ops();
-    for _ in 0..MEASURED_STEPS {
-        let adv = hydro.try_advance(&mut state, dt).expect("steady-state step");
-        dt = adv.dt_next;
-    }
-    let delta = heap_ops() - before;
-    assert_eq!(
-        delta, 0,
-        "steady-state GPU timesteps performed {delta} heap allocation(s); a \
-         device force evaluation must draw its working set from the step scratch"
-    );
-    assert!(!hydro.executor().is_degraded(), "the window must have run on the device");
-    let launched = gpu.events().len() - launches_before;
-    assert!(
-        launched >= MEASURED_STEPS * 2 * 9 && launched <= 2 * ops_per_step * MEASURED_STEPS,
-        "{launched} device operations in the window (reserved for {})",
-        2 * ops_per_step * MEASURED_STEPS
-    );
-    assert_eq!(hydro.executor().telemetry().dropped_spans(), 0, "the span ring must not wrap");
+        let before = heap_ops();
+        for _ in 0..MEASURED_STEPS {
+            let adv = hydro.try_advance(&mut state, dt).expect("steady-state step");
+            dt = adv.dt_next;
+        }
+        let delta = heap_ops() - before;
+        assert_eq!(
+            delta, 0,
+            "steady-state GPU timesteps performed {delta} heap allocation(s); a \
+             device force evaluation must draw its working set from the step scratch"
+        );
+        assert!(!hydro.executor().is_degraded(), "the window must have run on the device");
+        let launched = gpu.events().len() - launches_before;
+        assert!(
+            launched >= MEASURED_STEPS * 2 * 9 && launched <= 2 * ops_per_step * MEASURED_STEPS,
+            "{launched} device operations in the window (reserved for {})",
+            2 * ops_per_step * MEASURED_STEPS
+        );
+        assert_eq!(hydro.executor().telemetry().dropped_spans(), 0, "the span ring must not wrap");
+    });
 }
