@@ -68,7 +68,9 @@ pub fn scenario_power_on(
     }
 }
 
-/// PCG-only power: mean over the solver kernels. Uses the paper's 16^3
+/// PCG-only power: mean over kernel 9's launches, whichever variant the
+/// solver runs (kernel 11 shares the SpMV's name and rides along: two
+/// launches a step against hundreds). Uses the paper's 16^3
 /// domain — the kinematic system is then large enough that the SpMV fills
 /// the device (a small system underfills it and the power drops, which is
 /// itself the Fig. 15 saturation effect).
@@ -77,11 +79,10 @@ fn pcg_power() -> f64 {
         sedov3d_on(2, 16, ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 }, DeviceCatalog::gpu("k20"));
     run_steps(&mut h, &mut s, 2);
     let dev = h.executor().gpu.as_ref().expect("gpu").clone();
-    let solver = ["csrMv_ci_kernel", "cublasDdot", "cublasDaxpy"];
     let mut e = 0.0;
     let mut t = 0.0;
     for ev in dev.events() {
-        if solver.contains(&ev.name) {
+        if blast_kernels::k9::LAUNCH_NAMES.contains(&ev.name) {
             e += ev.stats.power_w * ev.stats.time_s;
             t += ev.stats.time_s;
         }

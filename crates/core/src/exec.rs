@@ -478,9 +478,11 @@ pub fn corner_force_traffic_matfree(shape: &ProblemShape, factors: &SumfacFactor
         .add(&SumfacEnergyKernel.traffic(shape, factors))
 }
 
-/// Per-iteration CG traffic on the host: one *blocked* SpMV over the
-/// kinematic mass matrix (all `D` velocity components advance together, so
-/// the matrix streams once per iteration) plus the vector operations.
+/// Per-iteration CG traffic of one scalar-component solve on the host:
+/// one SpMV over the kinematic mass matrix plus the vector operations. The
+/// `D` velocity components are solved one after another and the caller
+/// bills the sum of their iterations, so the matrix streams once per
+/// component iteration.
 ///
 /// When the matrix fits the package's L3 (20 MB on the E5-2670), repeated
 /// iterations serve most of the stream from cache — this is why the 2D CG

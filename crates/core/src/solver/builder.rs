@@ -501,7 +501,6 @@ impl<const D: usize> Hydro<D> {
         };
         let me = assemble_thermodynamic_mass(&thermo, &rule, &thermo_table, &rho0detj0);
         let me_inv = me.inverse();
-        let me_inv_csr = me_inv.to_csr();
 
         // Zone constants.
         let h = mesh.zone_size();
@@ -572,7 +571,6 @@ impl<const D: usize> Hydro<D> {
             mv_precond,
             me,
             me_inv,
-            me_inv_csr,
             rho0detj0,
             consts,
             constrained,
@@ -611,5 +609,17 @@ mod tests {
         assert!(big.stored > budget && big.matrix_free <= budget, "{big:?}");
         assert_eq!(big.auto_mode(budget), AssemblyMode::MatrixFree);
         assert_eq!(req(8).auto_mode(budget), AssemblyMode::Stored);
+    }
+
+    #[test]
+    fn thermodynamic_mass_inverse_blocks_are_dense() {
+        // Kernel 11 is billed `block_size²` stored non-zeros per zone; the
+        // CSR export it stands for drops exact zeros.
+        fn dense<const D: usize>(order: usize) -> bool {
+            let h = Hydro::<D>::builder(&Sedov::default(), [2; D]).order(order).build().unwrap();
+            let m = &h.me_inv;
+            m.to_csr().nnz() == m.block_size().pow(2) * m.num_blocks()
+        }
+        assert!((1..=4).all(dense::<2>) && (1..=3).all(dense::<3>));
     }
 }

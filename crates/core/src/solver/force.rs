@@ -2,8 +2,6 @@
 //! axis, one evaluation body per backend (host, device, hybrid), the
 //! momentum solve, and the energy rate.
 
-use std::sync::Arc;
-
 use blast_kernels::base::{
     compute_az_pipeline_into, launch_az_pipeline_into, MonolithicCornerForce,
 };
@@ -16,9 +14,7 @@ use blast_kernels::sumfac::{
     SumfacMomentumKernel,
 };
 use blast_kernels::{GemmVariant, ProblemShape};
-use blast_la::{
-    pcg_solve_instrumented, BatchedMats, CsrMatrix, LinearOperator, PcgResult,
-};
+use blast_la::{pcg_solve_ws, BatchedMats, ConstrainedOp, CsrMatrix, LinearOperator};
 use blast_telemetry::names;
 use gpu_sim::{GpuDevice, LaunchConfig, Traffic};
 use powermon::CpuPowerState;
@@ -151,41 +147,9 @@ impl Assembly {
     }
 }
 
-/// The stored constrained operator: identity on constrained DOFs keeps the
-/// projected operator SPD.
-struct ConstrainedOp<'a> {
-    a: &'a CsrMatrix,
-    mask: &'a [bool],
-    tmp: &'a mut [f64],
-}
-
-impl LinearOperator for ConstrainedOp<'_> {
-    fn dim(&self) -> usize {
-        self.a.rows()
-    }
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        blast_la::stream::spmv_constrained(self.a, x, self.mask, self.tmp, y);
-    }
-    // Fused SpMV + `x . A x` sweep (one pass over the matrix).
-    fn apply_dot(&mut self, x: &[f64], y: &mut [f64]) -> f64 {
-        blast_la::stream::spmv_constrained_dot(self.a, x, self.mask, self.tmp, y)
-    }
-    fn apply_reference(&mut self, x: &[f64], y: &mut [f64]) {
-        for ((t, &xi), &c) in self.tmp.iter_mut().zip(x).zip(self.mask) {
-            *t = if c { 0.0 } else { xi };
-        }
-        self.a.spmv_into(self.tmp, y);
-        for (yi, (&c, &xi)) in y.iter_mut().zip(self.mask.iter().zip(x)) {
-            if c {
-                *yi = xi;
-            }
-        }
-    }
-}
-
 /// The SpMV-free constrained operator: masked input, one sum-factorized
 /// mass apply, identity on constrained DOFs — the same projection
-/// semantics as the stored `ConstrainedOp` with no matrix anywhere. The
+/// semantics as the stored [`ConstrainedOp`] with no matrix anywhere. The
 /// apply is bitwise-deterministic at every thread count (zone staging +
 /// serial scatter), so the whole PCG is — which is why the CPU and GPU
 /// momentum solves share this one type.
@@ -224,11 +188,6 @@ impl LinearOperator for MatFreeConstrainedOp<'_> {
             }
         }
     }
-}
-
-/// A stalled PCG, as the typed rollback-recoverable error.
-fn breakdown(res: &PcgResult) -> HydroError {
-    HydroError::PcgBreakdown { residual: res.residual, iterations: res.iterations }
 }
 
 impl<const D: usize> Hydro<D> {
@@ -394,7 +353,7 @@ impl<const D: usize> Hydro<D> {
             (std::mem::take(&mut ws.fz), std::mem::take(&mut ws.rhs), max_inv_dt)
         };
         self.project_constraints(&mut rhs);
-        let (accel, iters) = self.solve_momentum_cpu(&rhs)?;
+        let (accel, iters) = self.solve_momentum(None, &rhs, &mut self.scratch.borrow_mut())?;
         self.scratch.borrow_mut().rhs = rhs;
         Self::check_finite("accel", &accel)?;
         Ok(ForceEval { fz, accel, max_inv_dt, cg_iterations: iters })
@@ -418,98 +377,122 @@ impl<const D: usize> Hydro<D> {
         self.finish_host_force()
     }
 
-    /// One component's constrained momentum PCG on the host, through
-    /// whichever operator realization is live. `ws.mom_xk` carries the
-    /// initial guess in and the solution out.
-    fn pcg_component(&self, c: usize, rhs_c: &[f64], ws: &mut StepScratch) -> PcgResult {
-        let mask = &self.constrained[c];
-        // The instrumented wrapper is bit-identical to `pcg_solve_ws`; it
-        // only adds solve/iteration counters.
-        match &self.assembly {
-            Assembly::Stored { mv } => pcg_solve_instrumented(
-                &mut ConstrainedOp { a: mv, mask, tmp: &mut ws.mom_tmp },
-                &self.mv_precond,
-                rhs_c,
-                &mut ws.mom_xk,
-                &self.pcg_opts,
-                &mut ws.pcg,
-                self.exec.telemetry(),
-            ),
-            Assembly::MatFree(mf) => pcg_solve_instrumented(
-                &mut MatFreeConstrainedOp {
-                    shape: &self.shape,
-                    factors: &mf.factors,
-                    svals: &mf.svals,
-                    zone_dofs: &self.zone_dofs,
-                    n: rhs_c.len(),
-                    mask,
-                    tmp: &mut ws.mom_tmp,
-                    local: &mut ws.mom_local,
-                },
-                &self.mv_precond,
-                rhs_c,
-                &mut ws.mom_xk,
-                &self.pcg_opts,
-                &mut ws.pcg,
-                self.exec.telemetry(),
-            ),
-        }
-    }
-
-    /// CPU momentum solve: one constrained PCG per velocity component,
-    /// charged to the host timeline with per-iteration operator traffic.
-    ///
-    /// A stalled PCG is reported as [`HydroError::PcgBreakdown`] (the
-    /// warm-start cache is only updated on full success, so a failed solve
-    /// leaves no partial state behind for the rollback path).
-    fn solve_momentum_cpu(&self, rhs: &[f64]) -> Result<(Vec<f64>, usize), HydroError> {
+    /// The momentum solve (step 6): one constrained PCG per velocity
+    /// component through the live assembly's operator, warm-started from
+    /// the previous acceleration. On `device` it is kernel 9: the stored
+    /// solve issues every sweep as a launch, the matrix-free solve runs on
+    /// the host and bills one launch per component (the mass-apply sweeps
+    /// a fused device solver would execute), and the caller commits the
+    /// warm-start cache once the solution has crossed back. Otherwise the
+    /// host timeline is charged and the cache committed here — on full
+    /// success only, so a stalled solve ([`HydroError::PcgBreakdown`]) or
+    /// a lost device leaves nothing behind for the rollback or the redo.
+    fn solve_momentum(
+        &self,
+        device: Option<&GpuDevice>,
+        rhs: &[f64],
+        ws: &mut StepScratch,
+    ) -> Result<(Vec<f64>, usize), HydroError> {
+        use names::counters;
         let n = self.kin.num_dofs();
-        let (accel, total_iters) = {
-            let mut ws = self.scratch.borrow_mut();
-            let ws = &mut *ws;
-            // The acceleration leaves the scratch pool for the returned
-            // ForceEval (handed back by `try_step` once consumed).
-            let mut accel = std::mem::take(&mut ws.accel);
-            accel.clone_from(&self.accel_prev.borrow());
-            ensure_zeroed(&mut ws.mom_tmp, n);
-            ensure_zeroed(&mut ws.mom_xk, n);
-            let mut total_iters = 0;
-            for c in 0..D {
-                ws.mom_xk.copy_from_slice(&accel[c * n..(c + 1) * n]);
-                let res = self.pcg_component(c, &rhs[c * n..(c + 1) * n], ws);
-                if !res.converged {
-                    ws.accel = accel; // hand the pool buffer back
-                    return Err(breakdown(&res));
-                }
-                total_iters += res.iterations;
-                accel[c * n..(c + 1) * n].copy_from_slice(&ws.mom_xk);
+        let shape = &self.shape;
+        let opts = &self.pcg_opts;
+        let tel = self.exec.telemetry();
+        let iter_traffic = self.assembly.cg_iteration_traffic(shape, n, opts.fused);
+        // The acceleration leaves the scratch pool for the returned
+        // ForceEval (handed back by `try_step` once consumed).
+        let mut accel = std::mem::take(&mut ws.accel);
+        accel.clone_from(&self.accel_prev.borrow());
+        ensure_zeroed(&mut ws.mom_xk, n);
+        let mut total_iters = 0;
+        for c in 0..D {
+            let (rhs_c, mask) = (&rhs[c * n..(c + 1) * n], &self.constrained[c][..]);
+            ws.mom_xk.copy_from_slice(&accel[c * n..(c + 1) * n]);
+            let res = match (&self.assembly, device) {
+                (Assembly::Stored { mv }, Some(gpu)) => GpuPcg { opts: *opts }.solve_ws(
+                    gpu,
+                    mv,
+                    &self.mv_precond,
+                    rhs_c,
+                    mask,
+                    &mut ws.mom_xk,
+                    &mut ws.pcg,
+                )?,
+                (Assembly::Stored { mv }, None) => ws.pcg.with_operator_scratch(n, |tmp, pcg| {
+                    pcg_solve_ws(
+                        &mut ConstrainedOp { a: mv, mask, tmp },
+                        &self.mv_precond,
+                        rhs_c,
+                        &mut ws.mom_xk,
+                        opts,
+                        pcg,
+                    )
+                }),
+                (Assembly::MatFree(mf), _) => ws.pcg.with_operator_scratch(n, |tmp, pcg| {
+                    pcg_solve_ws(
+                        &mut MatFreeConstrainedOp {
+                            shape,
+                            factors: &mf.factors,
+                            svals: &mf.svals,
+                            zone_dofs: &self.zone_dofs,
+                            n,
+                            mask,
+                            tmp,
+                            local: &mut ws.mom_local,
+                        },
+                        &self.mv_precond,
+                        rhs_c,
+                        &mut ws.mom_xk,
+                        opts,
+                        pcg,
+                    )
+                }),
+            };
+            tel.counter_add(counters::PCG_SOLVES, 1);
+            tel.counter_add(counters::PCG_ITERATIONS, res.iterations as u64);
+            if opts.fused {
+                // 3 fused sweeps per iteration + the setup precond_dot_update.
+                tel.counter_add(counters::PCG_FUSED_SWEEPS, 3 * res.iterations as u64 + 1);
             }
-            (accel, total_iters)
-        };
-        self.accel_prev.borrow_mut().copy_from_slice(&accel);
-        // Charge the CG phase on the host timeline: the scalar component
-        // solves each stream the operator (warm-starting keeps the
-        // iteration counts low).
-        let traffic = self
-            .assembly
-            .cg_iteration_traffic(&self.shape, n, self.pcg_opts.fused)
-            .scale(total_iters as f64);
-        let threads = self.exec.cpu_threads();
-        let state = if matches!(self.exec.mode, ExecMode::Gpu { .. }) {
-            CpuPowerState::GpuOffload
-        } else {
-            CpuPowerState::Busy
-        };
-        let (_, t) = self.exec.host.run_phase(
-            names::phases::CG_SOLVER,
-            &traffic,
-            threads,
-            CG_CPU_EFF,
-            state,
-            || (),
-        );
-        if let Some(g) = &self.exec.gpu {
-            g.idle(t);
+            if !res.converged {
+                tel.counter_add(counters::PCG_BREAKDOWNS, 1);
+                ws.accel = accel; // hand the pool buffer back
+                return Err(HydroError::PcgBreakdown {
+                    residual: res.residual,
+                    iterations: res.iterations,
+                });
+            }
+            if let (Assembly::MatFree(_), Some(gpu)) = (&self.assembly, device) {
+                gpu.launch(
+                    SumfacMassKernel::NAME,
+                    &SumfacMassKernel.config(shape),
+                    &iter_traffic.scale(res.iterations as f64),
+                    || (),
+                )?;
+            }
+            total_iters += res.iterations;
+            accel[c * n..(c + 1) * n].copy_from_slice(&ws.mom_xk);
+        }
+        if device.is_none() {
+            self.accel_prev.borrow_mut().copy_from_slice(&accel);
+            // The scalar component solves each stream the operator
+            // (warm-starting keeps the iteration counts low).
+            let state = if matches!(self.exec.mode, ExecMode::Gpu { .. }) {
+                CpuPowerState::GpuOffload
+            } else {
+                CpuPowerState::Busy
+            };
+            let (_, t) = self.exec.host.run_phase(
+                names::phases::CG_SOLVER,
+                &iter_traffic.scale(total_iters as f64),
+                self.exec.cpu_threads(),
+                CG_CPU_EFF,
+                state,
+                || (),
+            );
+            if let Some(g) = &self.exec.gpu {
+                g.idle(t);
+            }
         }
         Ok((accel, total_iters))
     }
@@ -665,7 +648,7 @@ impl<const D: usize> Hydro<D> {
             let mut rhs = std::mem::take(&mut ws.rhs);
             self.project_constraints(&mut rhs);
             let on_device =
-                if gpu_pcg { Some(self.solve_momentum_device(gpu, &rhs, ws)?) } else { None };
+                if gpu_pcg { Some(self.solve_momentum(Some(gpu), &rhs, ws)?) } else { None };
             (fz, rhs, max_inv_dt, on_device)
         };
 
@@ -681,70 +664,12 @@ impl<const D: usize> Hydro<D> {
         self.exec.host.idle(gpu.now() - t0);
         let (accel, iters) = match on_device {
             Some(solved) => solved,
-            None => self.solve_momentum_cpu(&rhs)?,
+            None => self.solve_momentum(None, &rhs, &mut self.scratch.borrow_mut())?,
         };
         self.scratch.borrow_mut().rhs = rhs;
 
         Self::check_finite("accel", &accel)?;
         Ok(ForceEval { fz, accel, max_inv_dt, cg_iterations: iters })
-    }
-
-    /// Kernel 9: one constrained PCG per velocity component on the device,
-    /// warm-started from the previous acceleration. The solution leaves the
-    /// scratch's acceleration pool for the returned `ForceEval`.
-    fn solve_momentum_device(
-        &self,
-        gpu: &GpuDevice,
-        rhs: &[f64],
-        ws: &mut StepScratch,
-    ) -> Result<(Vec<f64>, usize), HydroError> {
-        let n = self.kin.num_dofs();
-        let shape = self.shape;
-        let iter_traffic = self.assembly.cg_iteration_traffic(&shape, n, self.pcg_opts.fused);
-        let mut accel = std::mem::take(&mut ws.accel);
-        accel.clone_from(&self.accel_prev.borrow());
-        let mut iters = 0;
-        ensure_zeroed(&mut ws.mom_tmp, n);
-        ensure_zeroed(&mut ws.mom_xk, n);
-        for c in 0..D {
-            let rhs_c = &rhs[c * n..(c + 1) * n];
-            ws.mom_xk.copy_from_slice(&accel[c * n..(c + 1) * n]);
-            let res = match &self.assembly {
-                Assembly::Stored { mv } => GpuPcg { opts: self.pcg_opts }.solve_ws(
-                    gpu,
-                    mv,
-                    &self.mv_precond,
-                    rhs_c,
-                    &self.constrained[c],
-                    &mut ws.mom_xk,
-                    &mut ws.pcg,
-                )?,
-                // The matrix-free PCG arithmetic runs host-side through
-                // the same operator as the CPU solve (bit-identical
-                // accelerations across legs — the degraded-redo
-                // contract for free); the device timeline is billed
-                // the per-iteration mass-apply sweeps a fused device
-                // solver would execute.
-                Assembly::MatFree(_) => {
-                    let res = self.pcg_component(c, rhs_c, ws);
-                    if res.converged {
-                        gpu.launch(
-                            SumfacMassKernel::NAME,
-                            &SumfacMassKernel.config(&shape),
-                            &iter_traffic.scale(res.iterations as f64),
-                            || (),
-                        )?;
-                    }
-                    res
-                }
-            };
-            if !res.converged {
-                return Err(breakdown(&res));
-            }
-            iters += res.iterations;
-            accel[c * n..(c + 1) * n].copy_from_slice(&ws.mom_xk);
-        }
-        Ok((accel, iters))
     }
 
     /// Hybrid force evaluation (§3.3): the zone split costs the GPU and
@@ -814,76 +739,70 @@ impl<const D: usize> Hydro<D> {
     ) -> Result<Vec<f64>, HydroError> {
         if !self.exec.is_degraded() {
             if let (ExecMode::Gpu { .. }, Some(gpu)) = (&self.exec.mode, &self.exec.gpu) {
-                match self.energy_rate_gpu(gpu, fz, v_avg) {
+                match self.energy_rate_on(Some(gpu.as_ref()), fz, v_avg) {
                     Err(HydroError::Gpu(g)) => self.exec.degrade_to_cpu(g.to_string()),
                     other => return other,
                 }
             }
         }
-        self.energy_rate_cpu(fz, v_avg)
+        self.energy_rate_on(None, fz, v_avg)
     }
 
-    fn energy_rate_gpu(
+    /// Kernels 10 + 11 on one leg: the device is billed two launches and
+    /// the transfer back, the host one phase.
+    fn energy_rate_on(
         &self,
-        gpu: &Arc<GpuDevice>,
+        device: Option<&GpuDevice>,
         fz: &BatchedMats,
         v_avg: &[f64],
     ) -> Result<Vec<f64>, HydroError> {
         let n = self.kin.num_dofs();
         let shape = &self.shape;
         let nth = self.thermo.num_dofs();
+        let rhs_traffic = self.assembly.energy_rhs_traffic(shape);
         let mut ws = self.scratch.borrow_mut();
         let ws = &mut *ws;
         ensure_zeroed(&mut ws.rhs_e, nth);
-        // As on the CPU, `de/dt` leaves the scratch pool for the caller.
+        // The de/dt vector leaves the scratch pool for the caller
+        // (`try_step` hands it back once consumed).
         let mut de = std::mem::take(&mut ws.de);
         ensure_zeroed(&mut de, nth);
-        let t0 = gpu.now();
-        let (name, cfg) = match &self.assembly {
-            Assembly::Stored { .. } => (EnergyRhsKernel::NAME, EnergyRhsKernel.config(shape)),
-            Assembly::MatFree(_) => (SumfacEnergyKernel::NAME, SumfacEnergyKernel.config(shape)),
+        let energy_rhs = |rhs_e: &mut [f64]| {
+            self.assembly.energy_rhs(shape, fz, v_avg, &self.zone_dofs, n, rhs_e)
         };
-        gpu.launch(name, &cfg, &self.assembly.energy_rhs_traffic(shape), || {
-            self.assembly.energy_rhs(shape, fz, v_avg, &self.zone_dofs, n, &mut ws.rhs_e)
-        })?;
-        SpmvKernel.run(gpu, &self.me_inv_csr, &ws.rhs_e, &mut de)?;
-        gpu.d2h(de.len() * 8)?;
-        self.exec.host.idle(gpu.now() - t0);
-        Self::check_finite("de/dt", &de)?;
-        Ok(de)
-    }
-
-    fn energy_rate_cpu(&self, fz: &BatchedMats, v_avg: &[f64]) -> Result<Vec<f64>, HydroError> {
-        let n = self.kin.num_dofs();
-        let shape = &self.shape;
-        let nth = self.thermo.num_dofs();
-        let traffic =
-            self.assembly.energy_rhs_traffic(shape).add(&SpmvKernel.traffic(&self.me_inv_csr));
-        let threads = self.exec.cpu_threads();
-        let de = {
-            let mut ws = self.scratch.borrow_mut();
-            let ws = &mut *ws;
-            ensure_zeroed(&mut ws.rhs_e, nth);
-            // The de/dt vector leaves the scratch pool for the caller
-            // (`try_step` hands it back once consumed).
-            let mut de = std::mem::take(&mut ws.de);
-            ensure_zeroed(&mut de, nth);
-            let ((), t) = self.exec.host.run_phase(
-                names::phases::ENERGY_SOLVE,
-                &traffic,
-                threads,
-                CG_CPU_EFF,
-                CpuPowerState::Busy,
-                || {
-                    self.assembly.energy_rhs(shape, fz, v_avg, &self.zone_dofs, n, &mut ws.rhs_e);
-                    self.me_inv.apply(&ws.rhs_e, &mut de);
-                },
-            );
-            if let Some(g) = &self.exec.gpu {
-                g.idle(t);
+        match device {
+            Some(gpu) => {
+                let t0 = gpu.now();
+                let (name, cfg) = match &self.assembly {
+                    Assembly::Stored { .. } => {
+                        (EnergyRhsKernel::NAME, EnergyRhsKernel.config(shape))
+                    }
+                    Assembly::MatFree(_) => {
+                        (SumfacEnergyKernel::NAME, SumfacEnergyKernel.config(shape))
+                    }
+                };
+                gpu.launch(name, &cfg, &rhs_traffic, || energy_rhs(&mut ws.rhs_e))?;
+                SpmvKernel.run(gpu, &self.me_inv, &ws.rhs_e, &mut de)?;
+                gpu.d2h(de.len() * 8)?;
+                self.exec.host.idle(gpu.now() - t0);
             }
-            de
-        };
+            None => {
+                let ((), t) = self.exec.host.run_phase(
+                    names::phases::ENERGY_SOLVE,
+                    &rhs_traffic.add(&SpmvKernel.block_diag_traffic(&self.me_inv)),
+                    self.exec.cpu_threads(),
+                    CG_CPU_EFF,
+                    CpuPowerState::Busy,
+                    || {
+                        energy_rhs(&mut ws.rhs_e);
+                        self.me_inv.apply(&ws.rhs_e, &mut de);
+                    },
+                );
+                if let Some(g) = &self.exec.gpu {
+                    g.idle(t);
+                }
+            }
+        }
         Self::check_finite("de/dt", &de)?;
         Ok(de)
     }

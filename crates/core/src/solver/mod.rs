@@ -14,7 +14,7 @@ use blast_kernels::base::PipelineScratch;
 use blast_kernels::k2::ZoneConstants;
 use blast_kernels::sumfac::AssemblyMode;
 use blast_kernels::ProblemShape;
-use blast_la::{Abft, BatchedMats, BlockDiag, CsrMatrix, DiagPrecond, PcgOptions, PcgWorkspace};
+use blast_la::{Abft, BatchedMats, BlockDiag, DiagPrecond, PcgOptions, PcgWorkspace};
 use gpu_sim::{SdcFault, SdcPlan};
 
 use crate::audit::{AuditConfig, StepAuditor};
@@ -158,11 +158,9 @@ struct StepScratch {
     mom_local: Vec<f64>,
     /// Acceleration pool (PCG solution, component-major).
     accel: Vec<f64>,
-    /// Constrained-operator masked input.
-    mom_tmp: Vec<f64>,
     /// Per-component PCG solution vector.
     mom_xk: Vec<f64>,
-    /// PCG iteration vectors.
+    /// PCG iteration vectors and the constrained operator's masked input.
     pcg: PcgWorkspace,
     /// Energy RHS (`F^T v_avg`).
     rhs_e: Vec<f64>,
@@ -207,7 +205,6 @@ pub struct Hydro<const D: usize> {
     mv_precond: DiagPrecond,
     me: BlockDiag,
     me_inv: BlockDiag,
-    me_inv_csr: CsrMatrix,
     rho0detj0: Vec<f64>,
     consts: ZoneConstants,
     /// Constraint masks per velocity component (reflecting walls).
@@ -484,6 +481,31 @@ mod tests {
         assert!(dv < 1e-9, "v diff {dv}");
         assert!(de < 1e-9, "e diff {de}");
         assert!(dx < 1e-11, "x diff {dx}");
+    }
+
+    #[test]
+    fn instrumented_solve_counts_iterations() {
+        // Every leg of the momentum solve — host, host behind a device
+        // corner force, kernel 9 — records the same solves and iterations.
+        use names::counters::{PCG_BREAKDOWNS, PCG_FUSED_SWEEPS, PCG_ITERATIONS, PCG_SOLVES};
+        let counts = |exec: Executor| {
+            let (mut hydro, mut state) = small_sedov_2d(exec);
+            let mut iters = 0;
+            for _ in 0..3 {
+                iters += hydro.step(&mut state, 1e-4).cg_iterations as u64;
+            }
+            let tel = hydro.executor().telemetry();
+            assert_eq!(tel.counter(PCG_ITERATIONS), iters);
+            assert_eq!(tel.counter(PCG_BREAKDOWNS), 0);
+            [PCG_SOLVES, PCG_ITERATIONS, PCG_FUSED_SWEEPS].map(|c| tel.counter(c))
+        };
+        let cpu = counts(cpu_exec());
+        // Three steps, two force evaluations each, one solve per component.
+        assert_eq!(cpu[0], 3 * 2 * 2);
+        assert!(cpu[1] > 0);
+        assert_eq!(cpu[2], 3 * cpu[1] + cpu[0]);
+        assert_eq!(counts(gpu_exec(false, false)), cpu);
+        assert_eq!(counts(gpu_exec(false, true)), cpu);
     }
 
     #[test]

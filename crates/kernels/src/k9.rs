@@ -3,32 +3,32 @@
 //!
 //! "We implemented a custom CUDA-PCG solver from scratch. CUDA-PCG contains
 //! a SpMV and a dot product routine only, where we call CUSPARSE SpMV and
-//! cublasDdot." The *unfused* path models that baseline faithfully: per
-//! iteration one `csrMv_ci_kernel` launch plus seven BLAS-1-style launches
-//! (two `cublasDdot` reductions, a `cublasDnrm2`, two `cublasDaxpy`
-//! updates, the Jacobi apply and the direction update — each a kernel on a
-//! real GPU).
+//! cublasDdot." It is the same step-6 algorithm as the CPU solve run
+//! somewhere else, so this module holds no iteration: [`GpuPcg`] hands
+//! `blast_la::pcg_solve_on` the constrained operator the host leg uses and
+//! a launcher that bills each sweep as one device launch from the table
+//! below. The arithmetic is the host leg's, sweep for sweep — the mid-run
+//! degrade-to-CPU path (chaos campaign) depends on that.
 //!
-//! The *fused* path (default) applies the streaming-kernel treatment
-//! (Chalmers & Warburton, arXiv:2009.10917): **three launches per
-//! iteration** — `fusedCsrMvDot_ci_kernel` (SpMV producing `p·Ap` in the
-//! same sweep), `fusedAxpy2Nrm2_kernel` (both axpys + `‖r‖²`), and
-//! `fusedPrecondUpdate_kernel` (Jacobi apply + `r·z` + direction update,
-//! `z` never materialized). Per iteration that cuts the modeled vector DRAM
-//! traffic from ~18n words to ~12n and the launch count from 8 to 3, which
-//! flows straight into the §6 device time/energy model and the power
-//! traces. Both paths run the same `blast_la::stream` kernels host-side,
-//! **in the same order as the CPU solver's `pcg_solve_ws`**, so all three
-//! trajectories are bitwise identical — the mid-run degrade-to-CPU path
-//! (chaos campaign) depends on this op-for-op mirroring.
-//!
-//! Boundary conditions: reflecting walls constrain individual velocity
-//! components; the solve works in the constrained subspace by projecting
-//! the operator (`P A P` with `P` the constraint projector) so the system
-//! stays SPD.
+//! The *launch-per-op* variant (`PcgOptions { fused: false, .. }`) is the
+//! paper's baseline: per iteration one `csrMv_ci_kernel` launch plus seven
+//! BLAS-1-style launches (two `cublasDdot` reductions, a `cublasDnrm2`,
+//! two `cublasDaxpy` updates, the Jacobi apply and the direction update —
+//! each a kernel on a real GPU). The *fused* variant (default) applies the
+//! streaming-kernel treatment (Chalmers & Warburton, arXiv:2009.10917):
+//! **three launches per iteration** — `fusedCsrMvDot_ci_kernel` (SpMV
+//! producing `p·Ap` in the same sweep), `fusedAxpy2Nrm2_kernel` (both
+//! axpys + `‖r‖²`), and `fusedPrecondUpdate_kernel` (Jacobi apply + `r·z` +
+//! direction update, `z` never materialized). Per iteration that cuts the
+//! modeled vector DRAM traffic from ~18n words to ~12n and the launch count
+//! from 8 to 3, which flows straight into the §6 device time/energy model
+//! and the power traces.
 
-use blast_la::{stream, CsrMatrix, DiagPrecond, PcgOptions, PcgResult, PcgWorkspace};
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use blast_la::{
+    pcg_solve_on, ConstrainedOp, CsrMatrix, DiagPrecond, PcgOptions, PcgResult, PcgWorkspace,
+    Sweep, SweepLauncher,
+};
+use gpu_sim::{GpuDevice, GpuError, LaunchConfig, Traffic};
 
 use crate::k11::SpmvKernel;
 
@@ -39,6 +39,126 @@ pub const FUSED_AXPY2_NRM2: &str = "fusedAxpy2Nrm2_kernel";
 /// Fused precondition + dot + direction-update launch name.
 pub const FUSED_PRECOND_UPDATE: &str = "fusedPrecondUpdate_kernel";
 
+// The launch-per-op names: CUBLAS's, and the two custom BLAS-1 kernels.
+const NRM2: &str = "cublasDnrm2";
+const DOT: &str = "cublasDdot";
+const AXPY: &str = "cublasDaxpy";
+const JACOBI: &str = "jacobiApply_kernel";
+const UPDATE_DIR: &str = "updateDir_kernel";
+
+/// Every launch name kernel 9 can put in the device ledger, either variant
+/// (Fig. 15 averages the solver's power over exactly this set).
+pub const LAUNCH_NAMES: [&str; 9] = [
+    SpmvKernel::NAME,
+    NRM2,
+    DOT,
+    AXPY,
+    JACOBI,
+    UPDATE_DIR,
+    FUSED_SPMV_DOT,
+    FUSED_AXPY2_NRM2,
+    FUSED_PRECOND_UPDATE,
+];
+
+/// The launch table: what one sweep over an `a.rows()`-vector costs on the
+/// device — `(name, configuration, traffic)`.
+fn launch_of(which: Sweep, a: &CsrMatrix) -> (&'static str, LaunchConfig, Traffic) {
+    let rows = a.rows();
+    let n = rows as f64;
+    let spmv = SpmvKernel;
+    // Vector sweeps: one thread per entry, 256 per block; a reduction
+    // stages one `f64` per thread through shared memory.
+    let vector = |shared, regs| LaunchConfig::new((rows as u32).div_ceil(256).max(1), 256, shared, regs);
+    match which {
+        // The streaming SpMV under the CUSPARSE name.
+        Sweep::Apply => (SpmvKernel::NAME, spmv.config(rows), spmv.traffic(a)),
+        // The scaled overflow-safe norm.
+        Sweep::Nrm2 => (
+            NRM2,
+            vector(256 * 8, 16),
+            Traffic { flops: 2.0 * n, dram_bytes: n * 8.0, shared_bytes: n * 8.0, ..Default::default() },
+        ),
+        Sweep::Dot => (
+            DOT,
+            vector(256 * 8, 16),
+            Traffic {
+                flops: 2.0 * n,
+                dram_bytes: 2.0 * n * 8.0,
+                shared_bytes: n * 8.0,
+                ..Default::default()
+            },
+        ),
+        Sweep::Axpy => (
+            AXPY,
+            vector(0, 12),
+            Traffic { flops: 2.0 * n, dram_bytes: 3.0 * n * 8.0, ..Default::default() },
+        ),
+        Sweep::Precond => (
+            JACOBI,
+            vector(0, 10),
+            Traffic { flops: n, dram_bytes: 3.0 * n * 8.0, ..Default::default() },
+        ),
+        Sweep::UpdateDirection => (
+            UPDATE_DIR,
+            vector(0, 12),
+            Traffic { flops: 2.0 * n, dram_bytes: 3.0 * n * 8.0, ..Default::default() },
+        ),
+        // The SpMV's full traffic plus the reduction's flops; the dot
+        // re-reads `p` and the freshly written `Ap` rows from L2 (they are
+        // block-local and cache-hot), not DRAM.
+        Sweep::ApplyDot => {
+            let mut cfg = spmv.config(rows);
+            cfg.shared_bytes = 256 * 8;
+            let traffic = spmv.traffic(a).add(&Traffic {
+                flops: 2.0 * n,
+                l2_bytes: 2.0 * n * 8.0,
+                shared_bytes: n * 8.0,
+                ..Default::default()
+            });
+            (FUSED_SPMV_DOT, cfg, traffic)
+        }
+        // Reads p, Ap, x, r; writes x, r (6n words vs the baseline's 8n
+        // across three launches).
+        Sweep::Axpy2Nrm2 => (
+            FUSED_AXPY2_NRM2,
+            vector(256 * 8, 24),
+            Traffic {
+                flops: 6.0 * n,
+                dram_bytes: 6.0 * n * 8.0,
+                shared_bytes: n * 8.0,
+                ..Default::default()
+            },
+        ),
+        // Reads minv, r, p; writes p; `z` is recomputed in registers (5n
+        // words vs the baseline's 8n across three launches).
+        Sweep::PrecondDotUpdate => (
+            FUSED_PRECOND_UPDATE,
+            vector(256 * 8, 20),
+            Traffic {
+                flops: 5.0 * n,
+                dram_bytes: 5.0 * n * 8.0,
+                l2_bytes: 2.0 * n * 8.0,
+                shared_bytes: n * 8.0,
+                ..Default::default()
+            },
+        ),
+    }
+}
+
+/// The device backend of the PCG iteration: each sweep is one launch.
+struct DeviceSweeps<'a> {
+    dev: &'a GpuDevice,
+    a: &'a CsrMatrix,
+}
+
+impl SweepLauncher for DeviceSweeps<'_> {
+    type Error = GpuError;
+    fn sweep<R>(&mut self, which: Sweep, body: impl FnOnce() -> R) -> Result<R, GpuError> {
+        let (name, cfg, traffic) = launch_of(which, self.a);
+        self.dev.launch(name, &cfg, &traffic, body).map(|(out, _)| out)
+    }
+}
+
 /// Kernel 9: CUDA-PCG over the simulated device.
 #[derive(Clone, Debug, Default)]
 pub struct GpuPcg {
@@ -48,99 +168,12 @@ pub struct GpuPcg {
     pub opts: PcgOptions,
 }
 
-/// One `cublasDdot`-style reduction launch.
-fn dot_launch(dev: &GpuDevice, x: &[f64], y: &[f64]) -> Result<(f64, KernelStats), GpuError> {
-    let n = x.len();
-    let cfg = LaunchConfig::new((n as u32).div_ceil(256).max(1), 256, 256 * 8, 16);
-    let traffic = Traffic {
-        flops: 2.0 * n as f64,
-        dram_bytes: 2.0 * n as f64 * 8.0,
-        shared_bytes: n as f64 * 8.0,
-        ..Default::default()
-    };
-    dev.launch("cublasDdot", &cfg, &traffic, || stream::dot(x, y))
-}
-
-/// One `cublasDaxpy`-style update launch.
-fn axpy_launch(
-    dev: &GpuDevice,
-    alpha: f64,
-    x: &[f64],
-    y: &mut [f64],
-) -> Result<KernelStats, GpuError> {
-    let n = x.len();
-    let cfg = LaunchConfig::new((n as u32).div_ceil(256).max(1), 256, 0, 12);
-    let traffic = Traffic {
-        flops: 2.0 * n as f64,
-        dram_bytes: 3.0 * n as f64 * 8.0,
-        ..Default::default()
-    };
-    let (_, stats) = dev.launch("cublasDaxpy", &cfg, &traffic, || {
-        stream::axpy(alpha, x, y)
-    })?;
-    Ok(stats)
-}
-
-/// One `cublasDnrm2`-style reduction launch (the scaled overflow-safe
-/// norm — same arithmetic as the CPU solver's convergence check).
-fn nrm2_launch(dev: &GpuDevice, x: &[f64]) -> Result<(f64, KernelStats), GpuError> {
-    let n = x.len();
-    let cfg = LaunchConfig::new((n as u32).div_ceil(256).max(1), 256, 256 * 8, 16);
-    let traffic = Traffic {
-        flops: 2.0 * n as f64,
-        dram_bytes: n as f64 * 8.0,
-        shared_bytes: n as f64 * 8.0,
-        ..Default::default()
-    };
-    dev.launch("cublasDnrm2", &cfg, &traffic, || stream::nrm2(x))
-}
-
-/// Jacobi-apply launch `z = M^{-1} r` (a custom kernel on a real GPU; the
-/// unfused baseline previously ran this host-side for free, underbilling
-/// the solve).
-fn jacobi_launch(
-    dev: &GpuDevice,
-    precond: &DiagPrecond,
-    r: &[f64],
-    z: &mut [f64],
-) -> Result<KernelStats, GpuError> {
-    let n = r.len();
-    let cfg = LaunchConfig::new((n as u32).div_ceil(256).max(1), 256, 0, 10);
-    let traffic = Traffic {
-        flops: n as f64,
-        dram_bytes: 3.0 * n as f64 * 8.0,
-        ..Default::default()
-    };
-    let (_, stats) = dev.launch("jacobiApply_kernel", &cfg, &traffic, || {
-        precond.apply(r, z)
-    })?;
-    Ok(stats)
-}
-
-/// Direction-update launch `p = z + beta*p` (unfused baseline).
-fn update_dir_launch(
-    dev: &GpuDevice,
-    beta: f64,
-    z: &[f64],
-    p: &mut [f64],
-) -> Result<KernelStats, GpuError> {
-    let n = z.len();
-    let cfg = LaunchConfig::new((n as u32).div_ceil(256).max(1), 256, 0, 12);
-    let traffic = Traffic {
-        flops: 2.0 * n as f64,
-        dram_bytes: 3.0 * n as f64 * 8.0,
-        ..Default::default()
-    };
-    let (_, stats) = dev.launch("updateDir_kernel", &cfg, &traffic, || {
-        stream::update_direction(beta, z, p)
-    })?;
-    Ok(stats)
-}
-
 impl GpuPcg {
-    /// Solves `A x = b` with a diagonal preconditioner, applying the
-    /// component constraint mask `constrained` (entries with `true` are
-    /// held at zero — reflecting-wall DOFs). `x` carries the initial guess.
+    /// Solves the constrained system `(P A P + (I − P)) x = b` with a
+    /// diagonal preconditioner, `P` zeroing the entries `constrained`
+    /// marks `true` (reflecting-wall DOFs): with `b` and the initial guess
+    /// in `x` zero there, as the solver passes them, those entries are held
+    /// at zero.
     pub fn solve(
         &self,
         dev: &GpuDevice,
@@ -156,8 +189,8 @@ impl GpuPcg {
     /// [`GpuPcg::solve`] with the iteration vectors drawn from a reusable
     /// workspace (the device counterpart of `blast_la::pcg_solve_ws`):
     /// every vector is stored in full before its first read, so the
-    /// workspace's previous contents never matter.
-    #[allow(clippy::too_many_arguments)]
+    /// workspace's previous contents never matter. On an error `x` holds a
+    /// partial iterate.
     pub fn solve_ws(
         &self,
         dev: &GpuDevice,
@@ -168,250 +201,11 @@ impl GpuPcg {
         x: &mut [f64],
         ws: &mut PcgWorkspace,
     ) -> Result<PcgResult, GpuError> {
-        if self.opts.fused {
-            self.solve_fused(dev, a, precond, b, constrained, x, ws)
-        } else {
-            self.solve_unfused(dev, a, precond, b, constrained, x, ws)
-        }
+        ws.with_operator_scratch(a.rows(), |tmp, ws| {
+            let mut op = ConstrainedOp { a, mask: constrained, tmp };
+            pcg_solve_on(&mut DeviceSweeps { dev, a }, &mut op, precond, b, x, &self.opts, ws)
+        })
     }
-
-    /// The fused path: 3 launches per iteration.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_fused(
-        &self,
-        dev: &GpuDevice,
-        a: &CsrMatrix,
-        precond: &DiagPrecond,
-        b: &[f64],
-        constrained: &[bool],
-        x: &mut [f64],
-        ws: &mut PcgWorkspace,
-    ) -> Result<PcgResult, GpuError> {
-        let n = a.rows();
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
-        assert_eq!(constrained.len(), n);
-        let minv = precond.inv_diag();
-        assert_eq!(minv.len(), n);
-
-        let project = |v: &mut [f64]| {
-            for (vi, &c) in v.iter_mut().zip(constrained) {
-                if c {
-                    *vi = 0.0;
-                }
-            }
-        };
-
-        let spmv = SpmvKernel;
-        let (r, _, p, ap) = ws.vectors(n);
-
-        // r = P(b) - P A P x (plain SpMV: no dot wanted for the residual).
-        // Launched over the streaming SpMV — not the scalar `spmv_into` —
-        // so the residual bits match the CPU solver's `op.apply`.
-        project(x);
-        dev.launch(SpmvKernel::NAME, &spmv.config(n), &spmv.traffic(a), || {
-            stream::spmv(a, x, r)
-        })?;
-        project(r);
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        project(r);
-
-        let (bnorm, _) = nrm2_launch(dev, b)?;
-        let bnorm = bnorm.max(self.opts.abs_tol);
-        let target = (self.opts.rel_tol * bnorm).max(self.opts.abs_tol);
-
-        let (mut rnorm, _) = nrm2_launch(dev, r)?;
-        if rnorm <= target {
-            return Ok(PcgResult { converged: true, iterations: 0, residual: rnorm });
-        }
-
-        // Setup sweep: Jacobi apply + r·z + p = z in one launch.
-        let (mut rz, _) = fused_precond_launch(dev, minv, r, None, p, &project)?;
-
-        for iter in 1..=self.opts.max_iter {
-            // SpMV producing p·Ap in the same sweep. The dot runs before
-            // the Ap projection, which is exact: p is already projected,
-            // so constrained entries contribute p_i * (Ap)_i = 0 either way.
-            let (pap, _) = fused_spmv_dot_launch(dev, a, p, ap, &project)?;
-            if pap <= 0.0 || !pap.is_finite() {
-                return Ok(PcgResult { converged: false, iterations: iter, residual: rnorm });
-            }
-            let alpha = rz / pap;
-            // x += alpha p; r -= alpha Ap; ‖r‖² — one launch. No projection
-            // needed: x, r, p and Ap are all already zero on constrained
-            // entries, and the updates keep them there. The norm finishing
-            // (rescale on overflow) is host-side scalar work.
-            let (sumsq, _) = fused_axpy2_launch(dev, alpha, p, ap, x, r)?;
-            rnorm = stream::nrm2_from_sumsq(sumsq, r);
-            if rnorm <= target {
-                return Ok(PcgResult { converged: true, iterations: iter, residual: rnorm });
-            }
-            let (rz_new, _) = fused_precond_launch(dev, minv, r, Some(rz), p, &project)?;
-            rz = rz_new;
-        }
-        Ok(PcgResult { converged: false, iterations: self.opts.max_iter, residual: rnorm })
-    }
-
-    /// The unfused baseline: one launch per BLAS-1 op (8 per iteration).
-    #[allow(clippy::too_many_arguments)]
-    fn solve_unfused(
-        &self,
-        dev: &GpuDevice,
-        a: &CsrMatrix,
-        precond: &DiagPrecond,
-        b: &[f64],
-        constrained: &[bool],
-        x: &mut [f64],
-        ws: &mut PcgWorkspace,
-    ) -> Result<PcgResult, GpuError> {
-        let n = a.rows();
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
-        assert_eq!(constrained.len(), n);
-
-        let project = |v: &mut [f64]| {
-            for (vi, &c) in v.iter_mut().zip(constrained) {
-                if c {
-                    *vi = 0.0;
-                }
-            }
-        };
-
-        let spmv = SpmvKernel;
-        let (r, z, p, ap) = ws.vectors(n);
-
-        // r = P(b) - P A P x.
-        project(x);
-        dev.launch(SpmvKernel::NAME, &spmv.config(n), &spmv.traffic(a), || {
-            stream::spmv(a, x, r)
-        })?;
-        project(r);
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        project(r);
-
-        let (bnorm, _) = nrm2_launch(dev, b)?;
-        let bnorm = bnorm.max(self.opts.abs_tol);
-        let target = (self.opts.rel_tol * bnorm).max(self.opts.abs_tol);
-
-        let (mut rnorm, _) = nrm2_launch(dev, r)?;
-        if rnorm <= target {
-            return Ok(PcgResult { converged: true, iterations: 0, residual: rnorm });
-        }
-
-        jacobi_launch(dev, precond, r, z)?;
-        project(z);
-        p.copy_from_slice(z);
-        let (mut rz, _) = dot_launch(dev, r, z)?;
-
-        for iter in 1..=self.opts.max_iter {
-            // Same streaming SpMV kernel as the fused path (launched under
-            // the CUSPARSE name) so the two paths stay bit-identical.
-            dev.launch(SpmvKernel::NAME, &spmv.config(n), &spmv.traffic(a), || {
-                stream::spmv(a, p, ap)
-            })?;
-            project(ap);
-            let (pap, _) = dot_launch(dev, p, ap)?;
-            if pap <= 0.0 || !pap.is_finite() {
-                return Ok(PcgResult { converged: false, iterations: iter, residual: rnorm });
-            }
-            let alpha = rz / pap;
-            axpy_launch(dev, alpha, p, x)?;
-            axpy_launch(dev, -alpha, ap, r)?;
-            let (rnorm_new, _) = nrm2_launch(dev, r)?;
-            rnorm = rnorm_new;
-            if rnorm <= target {
-                return Ok(PcgResult { converged: true, iterations: iter, residual: rnorm });
-            }
-            jacobi_launch(dev, precond, r, z)?;
-            project(z);
-            let (rz_new, _) = dot_launch(dev, r, z)?;
-            let beta = rz_new / rz;
-            rz = rz_new;
-            update_dir_launch(dev, beta, z, p)?;
-        }
-        Ok(PcgResult { converged: false, iterations: self.opts.max_iter, residual: rnorm })
-    }
-}
-
-/// Fused SpMV + dot launch: the SpMV's full traffic plus the reduction's
-/// flops; the dot re-reads `p` and the freshly written `Ap` rows from L2
-/// (they are block-local and cache-hot), not DRAM.
-fn fused_spmv_dot_launch(
-    dev: &GpuDevice,
-    a: &CsrMatrix,
-    p: &[f64],
-    ap: &mut [f64],
-    project: &impl Fn(&mut [f64]),
-) -> Result<(f64, KernelStats), GpuError> {
-    let n = a.rows() as f64;
-    let spmv = SpmvKernel;
-    let mut cfg = spmv.config(a.rows());
-    cfg.shared_bytes = 256 * 8;
-    let traffic = spmv.traffic(a).add(&Traffic {
-        flops: 2.0 * n,
-        l2_bytes: 2.0 * n * 8.0,
-        shared_bytes: n * 8.0,
-        ..Default::default()
-    });
-    dev.launch(FUSED_SPMV_DOT, &cfg, &traffic, || {
-        let pap = stream::spmv_dot(a, p, ap);
-        project(ap);
-        pap
-    })
-}
-
-/// Fused pair-update + norm launch: reads p, Ap, x, r; writes x, r
-/// (6n words vs the baseline's 8n across three launches).
-fn fused_axpy2_launch(
-    dev: &GpuDevice,
-    alpha: f64,
-    p: &[f64],
-    ap: &[f64],
-    x: &mut [f64],
-    r: &mut [f64],
-) -> Result<(f64, KernelStats), GpuError> {
-    let n = p.len() as f64;
-    let cfg = LaunchConfig::new((p.len() as u32).div_ceil(256).max(1), 256, 256 * 8, 24);
-    let traffic = Traffic {
-        flops: 6.0 * n,
-        dram_bytes: 6.0 * n * 8.0,
-        shared_bytes: n * 8.0,
-        ..Default::default()
-    };
-    dev.launch(FUSED_AXPY2_NRM2, &cfg, &traffic, || {
-        stream::axpy2_nrm2(alpha, p, ap, x, r)
-    })
-}
-
-/// Fused precondition + dot + direction-update launch: reads minv, r, p;
-/// writes p; `z` is recomputed in registers (5n words vs the baseline's 8n
-/// across three launches).
-fn fused_precond_launch(
-    dev: &GpuDevice,
-    minv: &[f64],
-    r: &[f64],
-    rz_prev: Option<f64>,
-    p: &mut [f64],
-    project: &impl Fn(&mut [f64]),
-) -> Result<(f64, KernelStats), GpuError> {
-    let n = r.len() as f64;
-    let cfg = LaunchConfig::new((r.len() as u32).div_ceil(256).max(1), 256, 256 * 8, 20);
-    let traffic = Traffic {
-        flops: 5.0 * n,
-        dram_bytes: 5.0 * n * 8.0,
-        l2_bytes: 2.0 * n * 8.0,
-        shared_bytes: n * 8.0,
-        ..Default::default()
-    };
-    dev.launch(FUSED_PRECOND_UPDATE, &cfg, &traffic, || {
-        let rz = stream::precond_dot_update(minv, r, rz_prev, p);
-        project(p);
-        rz
-    })
 }
 
 #[cfg(test)]
@@ -419,7 +213,6 @@ mod tests {
     use super::*;
     use gpu_sim::DeviceCatalog;
     use blast_la::CsrBuilder;
-    
 
     fn laplacian(n: usize) -> CsrMatrix {
         let mut b = CsrBuilder::new(n, n);
@@ -438,29 +231,42 @@ mod tests {
     #[test]
     fn gpu_pcg_matches_cpu_pcg_bitwise() {
         // The degrade-to-CPU resilience path (chaos campaign) requires the
-        // device solve and `pcg_solve_ws` to produce the *same bits*: both
-        // paths, fused and unfused, mirror the CPU loop op-for-op.
+        // device solve and `pcg_solve_ws` to produce the *same bits*, for
+        // either variant — also where the mask bites and the warm start is
+        // not zero on the constrained entries.
         let n = 64;
         let a = laplacian(n);
         let b: Vec<f64> = (0..n).map(|i| ((i + 1) as f64 * 0.17).sin()).collect();
         let pre = DiagPrecond::from_diagonal(&a.diagonal());
-        let none = vec![false; n];
+        let mask: Vec<bool> = (0..n).map(|i| i % 5 == 0 || i == n - 1).collect();
+        let warm: Vec<f64> = (0..n).map(|i| 0.3 - (i as f64 * 0.4).cos()).collect();
 
         for fused in [true, false] {
             let opts = PcgOptions { fused, ..Default::default() };
             let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
-            let mut x_gpu = vec![0.0; n];
+            let mut x_gpu = warm.clone();
             let res = GpuPcg { opts }
-                .solve(&dev, &a, &pre, &b, &none, &mut x_gpu)
+                .solve(&dev, &a, &pre, &b, &mask, &mut x_gpu)
                 .expect("no faults injected");
             assert!(res.converged, "residual {}", res.residual);
 
-            let mut x_cpu = vec![0.0; n];
-            let res_cpu = blast_la::pcg_solve(&mut (&a), &pre, &b, &mut x_cpu, &opts);
+            let mut x_cpu = warm.clone();
+            let mut op = ConstrainedOp { a: &a, mask: &mask, tmp: &mut vec![0.0; n] };
+            let res_cpu = blast_la::pcg_solve(&mut op, &pre, &b, &mut x_cpu, &opts);
             assert_eq!(res.iterations, res_cpu.iterations, "fused={fused}");
             assert_eq!(res.residual.to_bits(), res_cpu.residual.to_bits(), "fused={fused}");
             assert_eq!(x_gpu, x_cpu, "fused={fused}");
         }
+    }
+
+    #[test]
+    fn launch_names_are_the_table() {
+        use Sweep::*;
+        let a = laplacian(8);
+        let sweeps = [
+            Apply, Nrm2, Dot, Axpy, Precond, UpdateDirection, ApplyDot, Axpy2Nrm2, PrecondDotUpdate,
+        ];
+        assert_eq!(sweeps.map(|s| launch_of(s, &a).0), LAUNCH_NAMES);
     }
 
     #[test]
@@ -518,11 +324,14 @@ mod tests {
     fn constrained_entries_stay_zero() {
         let n = 32;
         let a = laplacian(n);
-        let b = vec![1.0; n];
+        let mut b = vec![1.0; n];
         let pre = DiagPrecond::from_diagonal(&a.diagonal());
         let mut constrained = vec![false; n];
         constrained[0] = true;
         constrained[n - 1] = true;
+        // The caller projects the right-hand side, as the solver does.
+        b[0] = 0.0;
+        b[n - 1] = 0.0;
         let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
         let mut x = vec![0.0; n];
         let res = GpuPcg::default().solve(&dev, &a, &pre, &b, &constrained, &mut x).expect("no faults injected");

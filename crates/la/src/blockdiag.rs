@@ -156,6 +156,43 @@ mod tests {
         assert_eq!(csr.nnz(), 6);
     }
 
+    /// The solver applies `M_E^{-1}` through [`BlockDiag::apply`] on every
+    /// leg and bills the device for the CSR export's SpMV: the two must be
+    /// the same arithmetic, bit for bit, including where `apply` skips a
+    /// zero `x` entry and where the export drops a zero block entry.
+    #[test]
+    fn apply_is_bitwise_the_csr_export_spmv() {
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        for bs in [1, 3, 4, 8, 27] {
+            let blocks = (0..5)
+                .map(|_| {
+                    DMatrix::from_fn(bs, bs, |_, _| {
+                        let v = next();
+                        if v.abs() < 0.05 { 0.0 } else { v * 1e3 }
+                    })
+                })
+                .collect();
+            let a = BlockDiag::from_blocks(blocks);
+            let x: Vec<f64> = (0..a.dim())
+                .map(|i| match i % 7 {
+                    2 => 0.0,
+                    5 => -0.0,
+                    _ => next(),
+                })
+                .collect();
+            let mut y = vec![f64::NAN; a.dim()];
+            a.apply(&x, &mut y);
+            let y_csr = a.to_csr().spmv(&x);
+            for (i, (u, v)) in y.iter().zip(&y_csr).enumerate() {
+                assert_eq!(u.to_bits(), v.to_bits(), "bs={bs}, row {i}: {u} vs {v}");
+            }
+        }
+    }
+
     #[test]
     fn dims_and_access() {
         let a = two_blocks();

@@ -2,18 +2,25 @@
 //!
 //! The paper solves the momentum equation `M_V dv/dt = -F·1` with "a simple
 //! PCG solver" (step 6 of the algorithm) — diagonal preconditioner, one SpMV
-//! and two dot products per iteration. Kernel 9 is this same loop built from
-//! CUSPARSE SpMV + `cublasDdot`; our GPU path reuses this module with the
-//! operator supplied by the simulated-GPU SpMV so the iteration structure
-//! (and therefore the SpMV call count that dominates Fig. 6) is identical.
+//! and two dot products per iteration — and its kernel 9 is the same
+//! algorithm run on the device. Here the iteration is written once,
+//! [`pcg_solve_on`], over two axes: the [`LinearOperator`] it applies and
+//! the [`SweepLauncher`] every streaming sweep is issued through. The host
+//! launcher ([`HostSweeps`]) runs the sweep and nothing else; kernel 9's
+//! launcher (`blast_kernels::k9`) bills it as a device launch first. Both
+//! legs therefore execute the same arithmetic in the same order, which is
+//! what makes a degraded-to-CPU redo bit-identical to a pure-CPU run.
+
+use std::convert::Infallible;
 
 use crate::csr::CsrMatrix;
 use crate::stream;
 
 /// Abstract SPD operator `y = A x` for the CG loop.
 ///
-/// Implemented by [`CsrMatrix`] directly and by the simulated-GPU SpMV
-/// kernel, so one PCG drives both the CPU and GPU paths.
+/// Implemented by `&CsrMatrix`, by [`ConstrainedOp`] (the stored momentum
+/// operator of the host *and* device legs) and by the solver's
+/// sum-factorized operator.
 pub trait LinearOperator {
     /// Problem dimension.
     fn dim(&self) -> usize;
@@ -47,6 +54,32 @@ impl LinearOperator for &CsrMatrix {
     }
     fn apply_reference(&mut self, x: &[f64], y: &mut [f64]) {
         self.spmv_into(x, y);
+    }
+}
+
+/// The stored constrained operator `P A P + (I − P)`, `P` zeroing the
+/// masked (reflecting-wall) entries: identity on constrained DOFs keeps the
+/// projected operator SPD, and a solution whose right-hand side and initial
+/// guess are zero there (as the solver's are) stays exactly zero there.
+pub struct ConstrainedOp<'a> {
+    /// The unconstrained operator.
+    pub a: &'a CsrMatrix,
+    /// `true` marks a constrained entry.
+    pub mask: &'a [bool],
+    /// Masked-input staging, `a.rows()` long (fully overwritten per apply).
+    pub tmp: &'a mut [f64],
+}
+
+impl LinearOperator for ConstrainedOp<'_> {
+    fn dim(&self) -> usize {
+        self.a.rows()
+    }
+    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
+        stream::spmv_constrained(self.a, x, self.mask, self.tmp, y);
+    }
+    // Fused SpMV + `x . A x` sweep (one pass over the matrix).
+    fn apply_dot(&mut self, x: &[f64], y: &mut [f64]) -> f64 {
+        stream::spmv_constrained_dot(self.a, x, self.mask, self.tmp, y)
     }
 }
 
@@ -134,6 +167,8 @@ pub struct PcgWorkspace {
     z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
+    /// Operator staging, lent by [`Self::with_operator_scratch`].
+    op: Vec<f64>,
 }
 
 impl PcgWorkspace {
@@ -150,7 +185,7 @@ impl PcgWorkspace {
 
     /// Grow-only `(r, z, p, ap)` slices for an `n`-dimensional solve;
     /// contents are whatever the previous solve left.
-    pub fn vectors(&mut self, n: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
+    fn vectors(&mut self, n: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
         if self.r.len() < n {
             self.r.resize(n, 0.0);
             self.z.resize(n, 0.0);
@@ -158,6 +193,71 @@ impl PcgWorkspace {
             self.ap.resize(n, 0.0);
         }
         (&mut self.r[..n], &mut self.z[..n], &mut self.p[..n], &mut self.ap[..n])
+    }
+
+    /// Lends `f` a fifth grow-only `n`-vector next to the workspace itself:
+    /// the staging buffer an operator such as [`ConstrainedOp`] holds while
+    /// the solve it is passed to borrows the iteration vectors. Contents
+    /// are whatever the previous borrower left.
+    pub fn with_operator_scratch<R>(
+        &mut self,
+        n: usize,
+        f: impl FnOnce(&mut [f64], &mut Self) -> R,
+    ) -> R {
+        let mut op = std::mem::take(&mut self.op);
+        if op.len() < n {
+            op.resize(n, 0.0);
+        }
+        let out = f(&mut op[..n], self);
+        self.op = op;
+        out
+    }
+}
+
+/// One streaming sweep of the PCG iteration — the unit a [`SweepLauncher`]
+/// issues, and the unit kernel 9 bills as one device launch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sweep {
+    /// `y = A x` (the residual set-up; every iteration when launch-per-op).
+    Apply,
+    /// Overflow-safe Euclidean norm.
+    Nrm2,
+    /// Dot product.
+    Dot,
+    /// `y += αx`.
+    Axpy,
+    /// Jacobi apply `z = M⁻¹ r`.
+    Precond,
+    /// Direction update `p = z + βp`.
+    UpdateDirection,
+    /// Fused `y = A x` producing `x·y`.
+    ApplyDot,
+    /// Fused `x += αp; r -= αAp` producing `‖r‖²`.
+    Axpy2Nrm2,
+    /// Fused Jacobi apply + `r·z` + direction update.
+    PrecondDotUpdate,
+}
+
+/// Where the sweeps of [`pcg_solve_on`] run: `sweep` executes `body` — the
+/// sweep's arithmetic, identical on every backend — exactly once, or
+/// returns an error *without* running it (a failed device launch never
+/// executed, so the iterate is untouched).
+pub trait SweepLauncher {
+    /// Why a sweep could not be issued.
+    type Error;
+    /// Issues one sweep.
+    fn sweep<R>(&mut self, which: Sweep, body: impl FnOnce() -> R) -> Result<R, Self::Error>;
+}
+
+/// The host backend: a sweep is its body.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HostSweeps;
+
+impl SweepLauncher for HostSweeps {
+    type Error = Infallible;
+    #[inline(always)]
+    fn sweep<R>(&mut self, _: Sweep, body: impl FnOnce() -> R) -> Result<R, Infallible> {
+        Ok(body())
     }
 }
 
@@ -178,13 +278,7 @@ pub fn pcg_solve<Op: LinearOperator>(
 }
 
 /// [`pcg_solve`] with caller-provided iteration vectors (allocation-free
-/// once the workspace has warmed up).
-///
-/// Dispatches on [`PcgOptions::fused`]: the fused path runs three
-/// single-pass kernels per iteration (`spmv_dot`, `axpy2_nrm2`,
-/// `precond_dot_update`); the unfused path runs one streaming sweep per
-/// BLAS-1 op. Both produce **bitwise-identical** trajectories (see the
-/// `stream` module docs), so the choice is purely about memory transits.
+/// once the workspace has warmed up): [`pcg_solve_on`] the host.
 pub fn pcg_solve_ws<Op: LinearOperator>(
     op: &mut Op,
     precond: &DiagPrecond,
@@ -193,121 +287,106 @@ pub fn pcg_solve_ws<Op: LinearOperator>(
     opts: &PcgOptions,
     ws: &mut PcgWorkspace,
 ) -> PcgResult {
-    if opts.fused {
-        pcg_solve_fused(op, precond, b, x, opts, ws)
-    } else {
-        pcg_solve_unfused(op, precond, b, x, opts, ws)
+    match pcg_solve_on(&mut HostSweeps, op, precond, b, x, opts, ws) {
+        Ok(res) => res,
+        Err(never) => match never {},
     }
 }
 
-/// The fused loop: 3 kernel sweeps per iteration instead of ~8.
-fn pcg_solve_fused<Op: LinearOperator>(
+/// The PCG iteration, every sweep issued through `launcher`.
+///
+/// [`PcgOptions::fused`] decides how each of the three per-iteration steps
+/// is issued: as one fused single-pass kernel (`spmv_dot`, `axpy2_nrm2`,
+/// `precond_dot_update`), or as its two or three constituent BLAS-1
+/// sweeps. Both produce **bitwise-identical** trajectories (see the
+/// `stream` module docs), so the choice is purely about memory transits
+/// and launch counts: `4 + 3·iters` sweeps against `5 + 8·iters`.
+///
+/// A launcher error ends the solve at once; `x` then holds a partial
+/// iterate the caller must discard.
+pub fn pcg_solve_on<L: SweepLauncher, Op: LinearOperator>(
+    launcher: &mut L,
     op: &mut Op,
     precond: &DiagPrecond,
     b: &[f64],
     x: &mut [f64],
     opts: &PcgOptions,
     ws: &mut PcgWorkspace,
-) -> PcgResult {
+) -> Result<PcgResult, L::Error> {
     let n = op.dim();
     assert_eq!(b.len(), n, "pcg rhs length mismatch");
     assert_eq!(x.len(), n, "pcg solution length mismatch");
     let minv = precond.inv_diag();
     assert_eq!(minv.len(), n, "pcg preconditioner dimension mismatch");
+    let fused = opts.fused;
 
-    let (r, _z, p, ap) = ws.vectors(n);
-
-    // r = b - A x
-    op.apply(x, r);
-    for (ri, &bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-
-    let bnorm = stream::nrm2(b).max(opts.abs_tol);
-    let target = (opts.rel_tol * bnorm).max(opts.abs_tol);
-
-    let mut rnorm = stream::nrm2(r);
-    if rnorm <= target {
-        return PcgResult { converged: true, iterations: 0, residual: rnorm };
-    }
-
-    // Jacobi apply + r·z + p = z, one sweep, z never materialized.
-    let mut rz = stream::precond_dot_update(minv, r, None, p);
-
-    for iter in 1..=opts.max_iter {
-        // SpMV producing p·Ap in the same sweep.
-        let pap = op.apply_dot(p, ap);
-        if pap <= 0.0 || !pap.is_finite() {
-            // Operator not SPD (or breakdown): report non-convergence.
-            return PcgResult { converged: false, iterations: iter, residual: rnorm };
-        }
-        let alpha = rz / pap;
-        // x += alpha p; r -= alpha Ap; |r|^2 — one sweep.
-        let sumsq = stream::axpy2_nrm2(alpha, p, ap, x, r);
-        rnorm = stream::nrm2_from_sumsq(sumsq, r);
-        if rnorm <= target {
-            return PcgResult { converged: true, iterations: iter, residual: rnorm };
-        }
-        // Jacobi apply + r·z + direction update — one sweep.
-        rz = stream::precond_dot_update(minv, r, Some(rz), p);
-    }
-    PcgResult { converged: false, iterations: opts.max_iter, residual: rnorm }
-}
-
-/// The unfused loop: one streaming sweep per op (the launch-per-op
-/// baseline the bench gate compares against).
-fn pcg_solve_unfused<Op: LinearOperator>(
-    op: &mut Op,
-    precond: &DiagPrecond,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &PcgOptions,
-    ws: &mut PcgWorkspace,
-) -> PcgResult {
-    let n = op.dim();
-    assert_eq!(b.len(), n, "pcg rhs length mismatch");
-    assert_eq!(x.len(), n, "pcg solution length mismatch");
-
+    // (`z` is written by the launch-per-op sweeps only.)
     let (r, z, p, ap) = ws.vectors(n);
 
     // r = b - A x
-    op.apply(x, r);
+    launcher.sweep(Sweep::Apply, || op.apply(x, r))?;
     for (ri, &bi) in r.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
 
-    let bnorm = stream::nrm2(b).max(opts.abs_tol);
+    let bnorm = launcher.sweep(Sweep::Nrm2, || stream::nrm2(b))?.max(opts.abs_tol);
     let target = (opts.rel_tol * bnorm).max(opts.abs_tol);
 
-    let mut rnorm = stream::nrm2(r);
+    let mut rnorm = launcher.sweep(Sweep::Nrm2, || stream::nrm2(r))?;
     if rnorm <= target {
-        return PcgResult { converged: true, iterations: 0, residual: rnorm };
+        return Ok(PcgResult { converged: true, iterations: 0, residual: rnorm });
     }
 
-    precond.apply(r, z);
-    p.copy_from_slice(z);
-    let mut rz = stream::dot(r, z);
+    // z = M⁻¹ r; p = z; rz = r·z.
+    let mut rz = if fused {
+        launcher.sweep(Sweep::PrecondDotUpdate, || stream::precond_dot_update(minv, r, None, p))?
+    } else {
+        launcher.sweep(Sweep::Precond, || precond.apply(r, z))?;
+        p.copy_from_slice(z);
+        launcher.sweep(Sweep::Dot, || stream::dot(r, z))?
+    };
 
     for iter in 1..=opts.max_iter {
-        op.apply(p, ap);
-        let pap = stream::dot(p, ap);
+        // Ap and p·Ap.
+        let pap = if fused {
+            launcher.sweep(Sweep::ApplyDot, || op.apply_dot(p, ap))?
+        } else {
+            launcher.sweep(Sweep::Apply, || op.apply(p, ap))?;
+            launcher.sweep(Sweep::Dot, || stream::dot(p, ap))?
+        };
         if pap <= 0.0 || !pap.is_finite() {
-            return PcgResult { converged: false, iterations: iter, residual: rnorm };
+            // Operator not SPD (or breakdown): report non-convergence.
+            return Ok(PcgResult { converged: false, iterations: iter, residual: rnorm });
         }
         let alpha = rz / pap;
-        stream::axpy(alpha, p, x);
-        stream::axpy(-alpha, ap, r);
-        rnorm = stream::nrm2(r);
+        // x += alpha p; r -= alpha Ap; |r|. Finishing the norm from the
+        // fused sweep's sum of squares is scalar work, not a sweep.
+        rnorm = if fused {
+            let sumsq =
+                launcher.sweep(Sweep::Axpy2Nrm2, || stream::axpy2_nrm2(alpha, p, ap, x, r))?;
+            stream::nrm2_from_sumsq(sumsq, r)
+        } else {
+            launcher.sweep(Sweep::Axpy, || stream::axpy(alpha, p, x))?;
+            launcher.sweep(Sweep::Axpy, || stream::axpy(-alpha, ap, r))?;
+            launcher.sweep(Sweep::Nrm2, || stream::nrm2(r))?
+        };
         if rnorm <= target {
-            return PcgResult { converged: true, iterations: iter, residual: rnorm };
+            return Ok(PcgResult { converged: true, iterations: iter, residual: rnorm });
         }
-        precond.apply(r, z);
-        let rz_new = stream::dot(r, z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        stream::update_direction(beta, z, p);
+        // z = M⁻¹ r; beta = r·z / rz; p = z + beta p.
+        rz = if fused {
+            launcher.sweep(Sweep::PrecondDotUpdate, || {
+                stream::precond_dot_update(minv, r, Some(rz), p)
+            })?
+        } else {
+            launcher.sweep(Sweep::Precond, || precond.apply(r, z))?;
+            let rz_new = launcher.sweep(Sweep::Dot, || stream::dot(r, z))?;
+            let beta = rz_new / rz;
+            launcher.sweep(Sweep::UpdateDirection, || stream::update_direction(beta, z, p))?;
+            rz_new
+        };
     }
-    PcgResult { converged: false, iterations: opts.max_iter, residual: rnorm }
+    Ok(PcgResult { converged: false, iterations: opts.max_iter, residual: rnorm })
 }
 
 /// Scalar serial oracle solver: the original pre-fusion loop built from
@@ -367,34 +446,6 @@ pub fn pcg_solve_ws_reference<Op: LinearOperator>(
         sref::update_direction(beta, z, p);
     }
     PcgResult { converged: false, iterations: opts.max_iter, residual: rnorm }
-}
-
-/// [`pcg_solve_ws`] with iteration telemetry: the solve's iteration count
-/// (= SpMV count, the Fig. 6 `csrMv_ci_kernel` driver), solve count, and
-/// any SPD breakdown are accumulated into `tel`'s monotonic counters (see
-/// `blast_telemetry::names::counters::PCG_*`). Recording is allocation-free
-/// so the solver's steady-state contract is preserved.
-pub fn pcg_solve_instrumented<Op: LinearOperator>(
-    op: &mut Op,
-    precond: &DiagPrecond,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &PcgOptions,
-    ws: &mut PcgWorkspace,
-    tel: &blast_telemetry::Telemetry,
-) -> PcgResult {
-    use blast_telemetry::names::counters;
-    let res = pcg_solve_ws(op, precond, b, x, opts, ws);
-    tel.counter_add(counters::PCG_SOLVES, 1);
-    tel.counter_add(counters::PCG_ITERATIONS, res.iterations as u64);
-    if opts.fused {
-        // 3 fused sweeps per iteration + the setup precond_dot_update.
-        tel.counter_add(counters::PCG_FUSED_SWEEPS, 3 * res.iterations as u64 + 1);
-    }
-    if !res.converged {
-        tel.counter_add(counters::PCG_BREAKDOWNS, 1);
-    }
-    res
 }
 
 #[cfg(test)]
@@ -548,30 +599,95 @@ mod tests {
         );
     }
 
-    #[test]
-    fn instrumented_solve_counts_iterations() {
-        use blast_telemetry::names::counters;
-        let a = laplacian(30);
-        let b: Vec<f64> = (0..30).map(|i| (i as f64).sin()).collect();
+    /// Test backend: logs every sweep it issues and refuses the one with
+    /// ordinal `fail_at` without running it.
+    #[derive(Default)]
+    struct Recording {
+        log: Vec<Sweep>,
+        fail_at: Option<usize>,
+    }
+
+    impl SweepLauncher for Recording {
+        type Error = usize;
+        fn sweep<R>(&mut self, which: Sweep, body: impl FnOnce() -> R) -> Result<R, usize> {
+            if self.fail_at == Some(self.log.len()) {
+                return Err(self.log.len());
+            }
+            self.log.push(which);
+            Ok(body())
+        }
+    }
+
+    fn system(n: usize) -> (CsrMatrix, DiagPrecond, Vec<f64>) {
+        let a = laplacian(n);
         let pre = DiagPrecond::from_diagonal(&a.diagonal());
-        let tel = blast_telemetry::Telemetry::new();
-        let mut ws = PcgWorkspace::new();
-        let mut x = vec![0.0; 30];
-        let r1 = pcg_solve_instrumented(
-            &mut (&a), &pre, &b, &mut x, &PcgOptions::default(), &mut ws, &tel,
-        );
-        let mut x2 = vec![0.0; 30];
-        let r2 = pcg_solve_instrumented(
-            &mut (&a), &pre, &b, &mut x2, &PcgOptions::default(), &mut ws, &tel,
-        );
-        assert_eq!(tel.counter(counters::PCG_SOLVES), 2);
-        assert_eq!(
-            tel.counter(counters::PCG_ITERATIONS),
-            (r1.iterations + r2.iterations) as u64
-        );
-        assert_eq!(tel.counter(counters::PCG_BREAKDOWNS), 0);
-        // And the instrumented path returns bit-identical results.
-        assert_eq!(x, x2);
+        (a, pre, (0..n).map(|i| ((i + 1) as f64 * 0.37).sin()).collect())
+    }
+
+    #[test]
+    fn sweep_sequence_is_exact_and_bits_match_the_host_solve() {
+        use Sweep::*;
+        let n = 200;
+        let (a, pre, b) = system(n);
+        for fused in [true, false] {
+            // Set-up, one iteration, and how much of the last iteration a
+            // converging solve issues (it ends at its norm).
+            let (setup, iteration, to_norm): (&[Sweep], &[Sweep], usize) = if fused {
+                (&[Apply, Nrm2, Nrm2, PrecondDotUpdate], &[ApplyDot, Axpy2Nrm2, PrecondDotUpdate], 2)
+            } else {
+                (
+                    &[Apply, Nrm2, Nrm2, Precond, Dot],
+                    &[Apply, Dot, Axpy, Axpy, Nrm2, Precond, Dot, UpdateDirection],
+                    5,
+                )
+            };
+            // Pinned at 12 iterations, the shape of BENCH_pcg_streaming.json's
+            // gpu block: 40 launches fused, 101 launch-per-op.
+            let pinned = PcgOptions { rel_tol: 0.0, abs_tol: 1e-300, max_iter: 12, fused };
+            let converging = PcgOptions { fused, ..Default::default() };
+            for opts in [pinned, converging] {
+                let mut rec = Recording::default();
+                let mut x = vec![0.0; n];
+                let ws = &mut PcgWorkspace::new();
+                let res = pcg_solve_on(&mut rec, &mut (&a), &pre, &b, &mut x, &opts, ws).unwrap();
+
+                let mut x_host = vec![0.0; n];
+                let res_host = pcg_solve_ws(&mut (&a), &pre, &b, &mut x_host, &opts, ws);
+                assert_eq!(x, x_host, "fused={fused}");
+                assert_eq!(res.iterations, res_host.iterations);
+                assert_eq!(res.residual.to_bits(), res_host.residual.to_bits());
+
+                let whole = if res.converged { res.iterations - 1 } else { res.iterations };
+                let mut expected = setup.to_vec();
+                expected.extend(iteration.iter().cycle().take(iteration.len() * whole));
+                if res.converged {
+                    expected.extend(&iteration[..to_norm]);
+                } else {
+                    assert_eq!(expected.len(), if fused { 1 + 2 + 1 + 3 * 12 } else { 5 + 8 * 12 });
+                }
+                assert_eq!(rec.log, expected, "fused={fused}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_sweep_ends_the_solve_with_its_error() {
+        let (a, pre, b) = system(24);
+        for fused in [true, false] {
+            let opts = PcgOptions { fused, ..Default::default() };
+            let solve = |rec: &mut Recording| {
+                let ws = &mut PcgWorkspace::new();
+                pcg_solve_on(rec, &mut (&a), &pre, &b, &mut [0.0; 24], &opts, ws)
+            };
+            let mut clean = Recording::default();
+            solve(&mut clean).unwrap();
+            for k in 0..clean.log.len() {
+                let mut rec = Recording { fail_at: Some(k), ..Default::default() };
+                assert_eq!(solve(&mut rec).unwrap_err(), k, "fused={fused}");
+                // Nothing is issued past the refusal.
+                assert_eq!(rec.log, clean.log[..k], "fused={fused}, k={k}");
+            }
+        }
     }
 
     #[test]

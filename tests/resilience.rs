@@ -82,6 +82,63 @@ fn any_persistent_fault_kind_falls_back_bit_identically() {
     }
 }
 
+/// Kernel 9 is the host PCG issued sweep by sweep through a launcher, so a
+/// launch can fail between any two sweeps of it. Whichever sweep of a
+/// momentum solve the device is lost on — set-up, mid-iteration, first or
+/// second velocity component — the error surfaces instead of a solution
+/// and the warm-start cache stays uncommitted: the host redo spends the
+/// iterations a pure-CPU run spends (a component committed early would
+/// converge at once) and ends on the same bits.
+#[test]
+fn device_lost_on_any_pcg_sweep_falls_back_bit_identically() {
+    use blast_repro::blast_kernels::k9::LAUNCH_NAMES;
+    let two_steps = |exec: Executor| {
+        let mut hydro =
+            Hydro::<2>::builder(&Sedov::default(), [4, 4]).executor(exec).build().unwrap();
+        let mut state = hydro.initial_state();
+        let mut cg_iterations = 0;
+        for _ in 0..2 {
+            cg_iterations += hydro.try_step(&mut state, 1e-4).unwrap().cg_iterations;
+        }
+        (hydro, state, cg_iterations)
+    };
+    let (h_clean, _, _) = two_steps(gpu_exec_with(FaultPlan::none()));
+    // The kernel launches in order (a fault plan counts them, not the
+    // transfers the ledger also holds).
+    let launches: Vec<&str> = h_clean
+        .executor()
+        .gpu
+        .as_ref()
+        .unwrap()
+        .events()
+        .iter()
+        .map(|ev| ev.name)
+        .filter(|name| !name.starts_with("memcpy"))
+        .collect();
+    // Launch ordinals of a solve that starts warm and still has to
+    // iterate: the second unbroken run of kernel-9 names (both components
+    // back to back) longer than two solves' set-up sweeps — the first is
+    // the cold solve, and kernel 11 shares the SpMV's name.
+    let is_pcg = |i: usize| LAUNCH_NAMES.contains(&launches[i]);
+    let (first, sweeps) = (1..launches.len())
+        .filter(|&i| is_pcg(i) && !is_pcg(i - 1))
+        .map(|i| (i, (i..launches.len()).take_while(|&j| is_pcg(j)).count()))
+        .filter(|&(_, len)| len > 2 * 6)
+        .nth(1)
+        .expect("a warm solve that iterates");
+
+    let (_, s_cpu, iters_cpu) = two_steps(cpu_exec());
+    for k in first..first + sweeps {
+        let plan = FaultPlan::seeded(5).with_persistent(FaultKind::LaunchFail, k as u64);
+        let (h_gpu, s_gpu, iters_gpu) = two_steps(gpu_exec_with(plan));
+        assert!(h_gpu.executor().is_degraded(), "launch {k} did not degrade");
+        assert_eq!(iters_gpu, iters_cpu, "launch {k}: the redo did not start from the cache");
+        assert_eq!(s_gpu.v, s_cpu.v, "launch {k}: velocity differs");
+        assert_eq!(s_gpu.e, s_cpu.e, "launch {k}: energy differs");
+        assert_eq!(s_gpu.x, s_cpu.x, "launch {k}: mesh differs");
+    }
+}
+
 /// A fault that only strikes later in the run still degrades cleanly; the
 /// already-computed GPU physics stays (it agrees with the CPU to solver
 /// tolerance), and the run completes.
