@@ -12,6 +12,17 @@
 //! in `host_kernels`, the gated speedup is the median of the per-round
 //! ratios (see [`ShapeResult::speedup`]).
 //!
+//! **Lock-step block (measured wall-clock):** the momentum solve's `d`
+//! velocity components share one matrix, and the stored host leg advances
+//! them in lock step over one `d`-wide CSR row sweep
+//! (`pcg_solve_lockstep_ws` / `stream::spmv_constrained_dot_wide`). On the
+//! three stored `BENCHMARK.json` matrices — built through
+//! `assemble_kinematic_mass`, reflecting walls masked per component —
+//! `d` scalar `pcg_solve_ws` solves are timed against one lock-step solve
+//! of the same systems, both pinned to the same iteration count, same
+//! serial drive, interleaved rounds and median-of-ratios statistic as
+//! above; the row sweep alone is timed at `d` = 1, 2 and 3.
+//!
 //! **GPU-sim leg (modeled, deterministic):** `GpuPcg` fused (3 launches
 //! per iteration) vs unfused (8 per iteration) on a Q2-3D-like system —
 //! launch counts, modeled device time, and modeled energy from the §6
@@ -19,14 +30,20 @@
 //!
 //! The binary (`cargo run -p blast-bench --release --bin pcg_streaming`)
 //! writes `BENCH_pcg_streaming.json` and exits non-zero if fusion loses on
-//! any order >= 2 host shape or fails to cut the modeled launch count /
-//! device time / energy — the CI pcg-stream-smoke gate.
+//! any order >= 2 host shape, if the lock-step solve loses to the scalar
+//! solves on a `d` = 3 matrix, or if fusion fails to cut the modeled
+//! launch count / device time / energy — the CI pcg-stream-smoke gate.
 
 use std::time::Instant;
 
+use blast_fem::mass::assemble_kinematic_mass;
+use blast_fem::{quad_points_1d, CartMesh, H1Space, TensorRule};
 use blast_kernels::k9::GpuPcg;
 use blast_la::stream;
-use blast_la::{pcg_solve_ws, CsrBuilder, CsrMatrix, DiagPrecond, PcgOptions, PcgWorkspace};
+use blast_la::{
+    pcg_solve_lockstep_ws, pcg_solve_ws, ConstrainedOp, CsrBuilder, CsrMatrix, DiagPrecond,
+    PcgOptions, PcgWorkspace,
+};
 use gpu_sim::GpuDevice;
 
 use crate::table;
@@ -73,6 +90,35 @@ pub struct ShapeResult {
     pub speedup: f64,
 }
 
+/// Measured lock-step result on one stored workload matrix.
+#[derive(Clone, Debug)]
+pub struct LockstepResult {
+    /// Mesh and order of the `BENCHMARK.json` workload the matrix is from.
+    pub label: &'static str,
+    /// Velocity components (systems per momentum solve).
+    pub d: usize,
+    /// Scalar DOFs per component.
+    pub n: usize,
+    /// Stored non-zeros of the kinematic mass matrix.
+    pub nnz: usize,
+    /// Participates in the CI gate (`d` = 3)?
+    pub gated: bool,
+    /// Iterations every solve is pinned to.
+    pub iterations: usize,
+    /// Best time of the `d` scalar solves together, seconds.
+    pub scalar_s: f64,
+    /// Best time of the one lock-step solve, seconds.
+    pub lockstep_s: f64,
+    /// Lock-step over scalar — the gate metric; < 1 means one sweep for
+    /// all components pays off. Median over rounds of that round's
+    /// `lockstep / scalar` (the pairing argument of
+    /// [`ShapeResult::speedup`]).
+    pub ratio: f64,
+    /// Best time of one constrained row sweep + dots feeding 1, 2 and 3
+    /// components, microseconds.
+    pub sweep_us: [f64; 3],
+}
+
 /// Modeled GPU-sim comparison.
 #[derive(Clone, Debug)]
 pub struct GpuLeg {
@@ -108,6 +154,8 @@ impl GpuLeg {
 pub struct PcgStreaming {
     /// One entry per [`SHAPES`] row.
     pub shapes: Vec<ShapeResult>,
+    /// The three stored workload matrices, scalar vs lock-step.
+    pub lockstep: Vec<LockstepResult>,
     /// The modeled GPU-sim leg.
     pub gpu: GpuLeg,
     /// Whether FMA streaming clones were active.
@@ -117,10 +165,22 @@ pub struct PcgStreaming {
 }
 
 impl PcgStreaming {
-    /// Gate: fused must beat unfused on every order >= 2 host shape, and
-    /// the modeled GPU leg must cut launches, device time, and energy.
+    /// Gate: fused must beat unfused on every order >= 2 host shape, the
+    /// lock-step solve must beat the scalar solves on both `d` = 3
+    /// matrices, and the modeled GPU leg must cut launches, device time,
+    /// and energy.
     pub fn gate_failures(&self) -> Vec<String> {
         let mut fails = Vec::new();
+        for l in self.lockstep.iter().filter(|l| l.gated && l.ratio >= 1.0) {
+            fails.push(format!(
+                "lockstep {}: lock-step {:.3} ms vs {} scalar solves {:.3} ms (ratio {:.2} >= 1)",
+                l.label,
+                l.lockstep_s * 1e3,
+                l.d,
+                l.scalar_s * 1e3,
+                l.ratio
+            ));
+        }
         for s in self.shapes.iter().filter(|s| s.gated && s.speedup < 1.0) {
             fails.push(format!(
                 "host {}: fused {:.3} ms vs unfused {:.3} ms ({:.2}x < 1x)",
@@ -168,10 +228,34 @@ impl PcgStreaming {
                 s.speedup,
             ));
         }
+        let lockstep: Vec<String> = self
+            .lockstep
+            .iter()
+            .map(|l| {
+                format!(
+                    "    {{\"label\": \"{}\", \"d\": {}, \"n\": {}, \"nnz\": {}, \"gated\": {}, \
+                     \"iterations\": {}, \"scalar_ms\": {:.4}, \"lockstep_ms\": {:.4}, \
+                     \"ratio\": {:.4}, \"sweep_us\": [{:.1}, {:.1}, {:.1}]}}",
+                    l.label,
+                    l.d,
+                    l.n,
+                    l.nnz,
+                    l.gated,
+                    l.iterations,
+                    l.scalar_s * 1e3,
+                    l.lockstep_s * 1e3,
+                    l.ratio,
+                    l.sweep_us[0],
+                    l.sweep_us[1],
+                    l.sweep_us[2],
+                )
+            })
+            .collect();
         let g = &self.gpu;
         format!(
             "{{\n  \"experiment\": \"pcg_streaming\",\n  \"fma_active\": {},\n  \
-             \"smoke\": {},\n  \"shapes\": [\n{}\n  ],\n  \"gpu\": {{\n    \
+             \"smoke\": {},\n  \"shapes\": [\n{}\n  ],\n  \"lockstep\": [\n{}\n  ],\n  \
+             \"gpu\": {{\n    \
              \"n\": {}, \"half_band\": {}, \"iterations\": {},\n    \
              \"fused_launches\": {}, \"unfused_launches\": {},\n    \
              \"fused_time_s\": {:.6}, \"unfused_time_s\": {:.6},\n    \
@@ -180,6 +264,7 @@ impl PcgStreaming {
             self.fma_active,
             self.smoke,
             rows.join(",\n"),
+            lockstep.join(",\n"),
             g.n,
             g.half_band,
             g.iterations,
@@ -252,6 +337,124 @@ fn measure_shape(
     ShapeResult { label, n, half_band, gated, fused_s, unfused_s, speedup: ratios[ROUNDS / 2] }
 }
 
+/// Timed row sweeps per sample of [`LockstepResult::sweep_us`].
+const SWEEP_CALLS: usize = 20;
+
+/// Measures one workload matrix: `D` scalar solves vs one lock-step solve
+/// pinned to `iters` iterations, and the row sweep at 1, 2 and 3
+/// components, over [`ROUNDS`] interleaved rounds.
+fn measure_lockstep<const D: usize>(
+    label: &'static str,
+    zones: usize,
+    order: usize,
+    iters: usize,
+) -> LockstepResult {
+    // The solver's kinematic mass matrix on the unit box (rho0 = 1).
+    let mesh = CartMesh::<D>::unit(zones);
+    let space = H1Space::new(mesh.clone(), order);
+    let rule = TensorRule::<D>::gauss(quad_points_1d(order));
+    let table = space.basis().tabulate(&rule.points);
+    let detj: f64 = mesh.zone_size().iter().product();
+    let a = assemble_kinematic_mass(&space, &rule, &table, &vec![detj; mesh.num_zones() * rule.len()]);
+    let n = a.rows();
+    let pre = DiagPrecond::from_diagonal(&a.diagonal());
+    // Reflecting walls: component `c` is held on the faces normal to axis
+    // `c`; a third mask lets the 2D matrix time the 3-wide sweep too.
+    let masks: Vec<Vec<bool>> = (0..3)
+        .map(|c| {
+            let mut mask = vec![false; n];
+            space.boundary_dofs(c % D).into_iter().for_each(|i| mask[i] = true);
+            mask
+        })
+        .collect();
+    let masks: Vec<&[bool]> = masks.iter().map(|m| &m[..]).collect();
+    let mut b: Vec<f64> = (0..3 * n).map(|i| (i as f64 * 0.013).sin()).collect();
+    for (c, mask) in masks.iter().enumerate() {
+        mask.iter().enumerate().filter(|(_, &m)| m).for_each(|(i, _)| b[c * n + i] = 0.0);
+    }
+    let opts = PcgOptions { rel_tol: 0.0, abs_tol: 1e-300, max_iter: iters, fused: true };
+    let mut ws = PcgWorkspace::new();
+    let mut x = vec![0.0; D * n];
+
+    let scalar = |ws: &mut PcgWorkspace, x: &mut [f64]| {
+        x.fill(0.0);
+        let t0 = Instant::now();
+        for c in 0..D {
+            let at = c * n..(c + 1) * n;
+            ws.with_operator_scratch(n, |tmp, ws| {
+                let mut op = ConstrainedOp { a: &a, masks: &masks[c..c + 1], tmp };
+                pcg_solve_ws(&mut op, &pre, &b[at.clone()], &mut x[at], &opts, ws)
+            });
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let lockstep = |ws: &mut PcgWorkspace, x: &mut [f64]| {
+        x.fill(0.0);
+        let t0 = Instant::now();
+        ws.with_operator_scratch(stream::wide_lanes(D) * n, |tmp, ws| {
+            let mut op = ConstrainedOp { a: &a, masks: &masks[..D], tmp };
+            pcg_solve_lockstep_ws::<D, _>(&mut op, &pre, &b[..D * n], x, &opts, ws)
+        });
+        t0.elapsed().as_secs_f64()
+    };
+    let mut y = vec![0.0; 3 * n];
+    let mut tmp = vec![0.0; 4 * n];
+    let mut sweep = |d: usize| {
+        let tmp = &mut tmp[..stream::wide_lanes(d) * n];
+        let t0 = Instant::now();
+        for _ in 0..SWEEP_CALLS {
+            let mut dots = [0.0; 3];
+            stream::spmv_constrained_dot_wide(
+                &a,
+                &b[..d * n],
+                &masks[..d],
+                tmp,
+                &mut y[..d * n],
+                &mut dots[..d],
+            );
+            std::hint::black_box(dots);
+        }
+        t0.elapsed().as_secs_f64() * 1e6 / SWEEP_CALLS as f64
+    };
+
+    // Warm-up off the clock, and the equivalence the timing rests on.
+    scalar(&mut ws, &mut x);
+    let x_scalar = x.clone();
+    lockstep(&mut ws, &mut x);
+    assert_eq!(x, x_scalar, "{label}: lock-step and scalar solves must agree bit for bit");
+    for d in 1..=3 {
+        sweep(d);
+    }
+
+    let (mut scalar_s, mut lockstep_s) = (f64::INFINITY, f64::INFINITY);
+    let mut sweep_us = [f64::INFINITY; 3];
+    let mut ratios = [0.0; ROUNDS];
+    for ratio in &mut ratios {
+        let s = scalar(&mut ws, &mut x);
+        let l = lockstep(&mut ws, &mut x);
+        scalar_s = scalar_s.min(s);
+        lockstep_s = lockstep_s.min(l);
+        *ratio = l / s;
+        for (d, us) in sweep_us.iter_mut().enumerate() {
+            *us = us.min(sweep(d + 1));
+        }
+    }
+    ratios.sort_by(f64::total_cmp);
+
+    LockstepResult {
+        label,
+        d: D,
+        n,
+        nnz: a.nnz(),
+        gated: D == 3,
+        iterations: iters,
+        scalar_s,
+        lockstep_s,
+        ratio: ratios[ROUNDS / 2],
+        sweep_us,
+    }
+}
+
 /// Runs the modeled GPU-sim comparison (deterministic — safe to gate).
 fn measure_gpu(iters: usize) -> GpuLeg {
     let (n, half_band) = (20_000, 40); // Q2-3D-like FEM row density
@@ -292,14 +495,22 @@ fn measure_gpu(iters: usize) -> GpuLeg {
 pub fn measure_with_budget(smoke: bool) -> PcgStreaming {
     let iters = if smoke { SMOKE_ITERS } else { FULL_ITERS };
     // Serial drive only: fusion vs launch-per-op, no pool scheduling.
-    let shapes = rayon::Pool::new(1).install(|| {
-        SHAPES
+    let (shapes, lockstep) = rayon::Pool::new(1).install(|| {
+        let shapes = SHAPES
             .iter()
             .map(|&(n, hb, label, gated)| measure_shape(n, hb, label, gated, iters))
-            .collect()
+            .collect();
+        // The stored `BENCHMARK.json` workloads' matrices: `sedov2d_q2_*`,
+        // `sedov3d_q2_gpu`, `sedov3d_q3_stored`.
+        let lockstep = vec![
+            measure_lockstep::<2>("32^2 Q2", 32, 2, iters),
+            measure_lockstep::<3>("8^3 Q2", 8, 2, iters),
+            measure_lockstep::<3>("5^3 Q3", 5, 3, iters),
+        ];
+        (shapes, lockstep)
     });
     let gpu = measure_gpu(if smoke { SMOKE_ITERS } else { 25 });
-    PcgStreaming { shapes, gpu, fma_active: stream::fma_active(), smoke }
+    PcgStreaming { shapes, lockstep, gpu, fma_active: stream::fma_active(), smoke }
 }
 
 /// Full-budget sweep (the experiment registry entry point).
@@ -328,6 +539,28 @@ pub fn render(r: &PcgStreaming) -> String {
         &["order", "n", "band", "fused", "unfused", "speedup"],
         &rows,
     );
+    let rows: Vec<Vec<String>> = r
+        .lockstep
+        .iter()
+        .map(|l| {
+            vec![
+                l.label.to_string(),
+                format!("{}", l.d),
+                format!("{}", l.n),
+                format!("{:.1}", l.nnz as f64 / l.n as f64),
+                format!("{:.3}", l.scalar_s * 1e3),
+                format!("{:.3}", l.lockstep_s * 1e3),
+                format!("{:.2}", l.ratio),
+                format!("{:.0} / {:.0} / {:.0}", l.sweep_us[0], l.sweep_us[1], l.sweep_us[2]),
+            ]
+        })
+        .collect();
+    out.push('\n');
+    out.push_str(&table::render(
+        "lock-step momentum solve — d scalar solves vs one lock-step solve on the stored workload matrices (ms, serial)",
+        &["matrix", "d", "n", "nnz/row", "d scalar", "lock-step", "ratio", "sweep us d=1/2/3"],
+        &rows,
+    ));
     let g = &r.gpu;
     out.push_str(&format!(
         "\nGPU-sim leg (n={}, band={}, {} iterations): {} launches vs {} \
@@ -372,10 +605,13 @@ mod tests {
             assert!(s.fused_s > 0.0 && s.unfused_s > 0.0);
         }
         assert_eq!(r.shapes.iter().filter(|s| s.gated).count(), 3);
+        assert_eq!(r.lockstep.iter().map(|l| l.d).collect::<Vec<_>>(), [2, 3, 3]);
+        assert!(r.lockstep.iter().all(|l| l.sweep_us.iter().all(|&us| us > 0.0)));
         assert!(r.gpu.iterations > 0);
         let json = r.to_json();
         assert!(json.contains("\"experiment\": \"pcg_streaming\""));
         assert!(json.contains("\"Q3\""));
+        assert!(json.contains("\"lockstep\"") && json.contains("\"5^3 Q3\""));
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(
                 json.matches(open).count(),

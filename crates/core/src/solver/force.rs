@@ -14,7 +14,10 @@ use blast_kernels::sumfac::{
     SumfacMomentumKernel,
 };
 use blast_kernels::{GemmVariant, ProblemShape};
-use blast_la::{pcg_solve_ws, BatchedMats, ConstrainedOp, CsrMatrix, LinearOperator};
+use blast_la::{
+    pcg_solve_lockstep_ws, pcg_solve_ws, BatchedMats, ConstrainedOp, CsrMatrix, LinearOperator,
+    PcgResult,
+};
 use blast_telemetry::names;
 use gpu_sim::{GpuDevice, LaunchConfig, Traffic};
 use powermon::CpuPowerState;
@@ -341,22 +344,32 @@ impl<const D: usize> Hydro<D> {
     }
 
     /// Shared tail of the host and hybrid evaluations, after
-    /// [`Self::corner_force_into`] ran: mesh guard, then the force batch
-    /// and RHS leave the scratch for the caller (`try_step` hands the pool
-    /// buffers back once consumed) and the momentum system is solved on
-    /// the host.
+    /// [`Self::corner_force_into`] ran: mesh guard, then the momentum
+    /// system is solved on the host and the force batch leaves the scratch
+    /// with the solution (`try_step` hands both pool buffers back once
+    /// consumed). The batch is taken last, so a failed guard or solve
+    /// leaves every pool where the redo will look for it.
     fn finish_host_force(&self) -> Result<ForceEval, HydroError> {
-        let (fz, mut rhs, max_inv_dt) = {
-            let mut ws = self.scratch.borrow_mut();
-            self.check_mesh(&ws.pipe.detj)?;
-            let max_inv_dt = ws.pipe.inv_dt.iter().cloned().fold(0.0, f64::max);
-            (std::mem::take(&mut ws.fz), std::mem::take(&mut ws.rhs), max_inv_dt)
-        };
-        self.project_constraints(&mut rhs);
-        let (accel, iters) = self.solve_momentum(None, &rhs, &mut self.scratch.borrow_mut())?;
-        self.scratch.borrow_mut().rhs = rhs;
-        Self::check_finite("accel", &accel)?;
-        Ok(ForceEval { fz, accel, max_inv_dt, cg_iterations: iters })
+        let mut ws = self.scratch.borrow_mut();
+        let ws = &mut *ws;
+        self.check_mesh(&ws.pipe.detj)?;
+        let max_inv_dt = ws.pipe.inv_dt.iter().cloned().fold(0.0, f64::max);
+        self.project_constraints(&mut ws.rhs);
+        let (accel, cg_iterations) = self.solve_momentum(None, ws)?;
+        let accel = Self::finite_accel(accel, ws)?;
+        Ok(ForceEval { fz: std::mem::take(&mut ws.fz), accel, max_inv_dt, cg_iterations })
+    }
+
+    /// NaN/Inf guard over a solved acceleration; a rejected one goes back
+    /// to its pool.
+    fn finite_accel(accel: Vec<f64>, ws: &mut StepScratch) -> Result<Vec<f64>, HydroError> {
+        match Self::check_finite("accel", &accel) {
+            Ok(()) => Ok(accel),
+            Err(e) => {
+                ws.accel = accel;
+                Err(e)
+            }
+        }
     }
 
     /// CPU force evaluation: one billed host phase around the functional
@@ -377,77 +390,44 @@ impl<const D: usize> Hydro<D> {
         self.finish_host_force()
     }
 
-    /// The momentum solve (step 6): one constrained PCG per velocity
-    /// component through the live assembly's operator, warm-started from
-    /// the previous acceleration. On `device` it is kernel 9: the stored
-    /// solve issues every sweep as a launch, the matrix-free solve runs on
-    /// the host and bills one launch per component (the mass-apply sweeps
-    /// a fused device solver would execute), and the caller commits the
-    /// warm-start cache once the solution has crossed back. Otherwise the
-    /// host timeline is charged and the cache committed here — on full
-    /// success only, so a stalled solve ([`HydroError::PcgBreakdown`]) or
-    /// a lost device leaves nothing behind for the rollback or the redo.
+    /// The momentum solve (step 6): the `D` constrained component systems
+    /// `M_V a_c = rhs_c` through the live assembly's operator, warm-started
+    /// from the previous acceleration. The stored host leg advances all
+    /// `D` in lock step — one CSR row sweep per iteration feeds every
+    /// component — and each component's bits are those of its scalar
+    /// solve, which is what the other two legs still run, one component at
+    /// a time: on `device` kernel 9 issues every sweep of a stored solve
+    /// as a launch, and the matrix-free solve runs on the host (billed on
+    /// a device as one launch per component, the mass-apply sweeps a fused
+    /// device solver would execute). A stalled component is reported as
+    /// the sequential loop reports it: the lowest one, nothing counted
+    /// after it.
+    ///
+    /// After a device solve the caller commits the warm-start cache once
+    /// the solution has crossed back. Otherwise the host timeline is
+    /// charged and the cache committed here — on full success only, so a
+    /// stalled solve ([`HydroError::PcgBreakdown`]) or a lost device leaves
+    /// nothing behind for the rollback or the redo.
     fn solve_momentum(
         &self,
         device: Option<&GpuDevice>,
-        rhs: &[f64],
         ws: &mut StepScratch,
     ) -> Result<(Vec<f64>, usize), HydroError> {
         use names::counters;
+        // The projected right-hand side stays in the scratch; the
+        // acceleration leaves its pool for the returned ForceEval (handed
+        // back by `try_step` once consumed, or below on failure).
+        let StepScratch { rhs, accel: accel_pool, pcg, mom_local, .. } = ws;
+        let mut accel = std::mem::take(accel_pool);
         let n = self.kin.num_dofs();
         let shape = &self.shape;
         let opts = &self.pcg_opts;
         let tel = self.exec.telemetry();
         let iter_traffic = self.assembly.cg_iteration_traffic(shape, n, opts.fused);
-        // The acceleration leaves the scratch pool for the returned
-        // ForceEval (handed back by `try_step` once consumed).
-        let mut accel = std::mem::take(&mut ws.accel);
         accel.clone_from(&self.accel_prev.borrow());
-        ensure_zeroed(&mut ws.mom_xk, n);
         let mut total_iters = 0;
-        for c in 0..D {
-            let (rhs_c, mask) = (&rhs[c * n..(c + 1) * n], &self.constrained[c][..]);
-            ws.mom_xk.copy_from_slice(&accel[c * n..(c + 1) * n]);
-            let res = match (&self.assembly, device) {
-                (Assembly::Stored { mv }, Some(gpu)) => GpuPcg { opts: *opts }.solve_ws(
-                    gpu,
-                    mv,
-                    &self.mv_precond,
-                    rhs_c,
-                    mask,
-                    &mut ws.mom_xk,
-                    &mut ws.pcg,
-                )?,
-                (Assembly::Stored { mv }, None) => ws.pcg.with_operator_scratch(n, |tmp, pcg| {
-                    pcg_solve_ws(
-                        &mut ConstrainedOp { a: mv, mask, tmp },
-                        &self.mv_precond,
-                        rhs_c,
-                        &mut ws.mom_xk,
-                        opts,
-                        pcg,
-                    )
-                }),
-                (Assembly::MatFree(mf), _) => ws.pcg.with_operator_scratch(n, |tmp, pcg| {
-                    pcg_solve_ws(
-                        &mut MatFreeConstrainedOp {
-                            shape,
-                            factors: &mf.factors,
-                            svals: &mf.svals,
-                            zone_dofs: &self.zone_dofs,
-                            n,
-                            mask,
-                            tmp,
-                            local: &mut ws.mom_local,
-                        },
-                        &self.mv_precond,
-                        rhs_c,
-                        &mut ws.mom_xk,
-                        opts,
-                        pcg,
-                    )
-                }),
-            };
+        // One component's outcome, in component order.
+        let mut record = |res: &PcgResult| {
             tel.counter_add(counters::PCG_SOLVES, 1);
             tel.counter_add(counters::PCG_ITERATIONS, res.iterations as u64);
             if opts.fused {
@@ -456,27 +436,84 @@ impl<const D: usize> Hydro<D> {
             }
             if !res.converged {
                 tel.counter_add(counters::PCG_BREAKDOWNS, 1);
-                ws.accel = accel; // hand the pool buffer back
                 return Err(HydroError::PcgBreakdown {
                     residual: res.residual,
                     iterations: res.iterations,
                 });
             }
-            if let (Assembly::MatFree(_), Some(gpu)) = (&self.assembly, device) {
-                gpu.launch(
-                    SumfacMassKernel::NAME,
-                    &SumfacMassKernel.config(shape),
-                    &iter_traffic.scale(res.iterations as f64),
-                    || (),
-                )?;
-            }
             total_iters += res.iterations;
-            accel[c * n..(c + 1) * n].copy_from_slice(&ws.mom_xk);
+            Ok(())
+        };
+        let at = |c: usize| c * n..(c + 1) * n;
+        let solved = match (&self.assembly, device) {
+            (Assembly::Stored { mv }, None) => {
+                let masks: [&[bool]; D] = std::array::from_fn(|c| &self.constrained[c][..]);
+                let staging = blast_la::stream::wide_lanes(D) * n;
+                let results: [PcgResult; D] =
+                    pcg.with_operator_scratch(staging, |tmp, pcg| {
+                        pcg_solve_lockstep_ws(
+                            &mut ConstrainedOp { a: mv, masks: &masks, tmp },
+                            &self.mv_precond,
+                            rhs,
+                            &mut accel,
+                            opts,
+                            pcg,
+                        )
+                    });
+                results.iter().try_for_each(&mut record)
+            }
+            (Assembly::Stored { mv }, Some(gpu)) => (0..D).try_for_each(|c| {
+                let res = GpuPcg { opts: *opts }.solve_ws(
+                    gpu,
+                    mv,
+                    &self.mv_precond,
+                    &rhs[at(c)],
+                    &self.constrained[c],
+                    &mut accel[at(c)],
+                    pcg,
+                )?;
+                record(&res)
+            }),
+            (Assembly::MatFree(mf), _) => (0..D).try_for_each(|c| {
+                let res = pcg.with_operator_scratch(n, |tmp, pcg| {
+                    pcg_solve_ws(
+                        &mut MatFreeConstrainedOp {
+                            shape,
+                            factors: &mf.factors,
+                            svals: &mf.svals,
+                            zone_dofs: &self.zone_dofs,
+                            n,
+                            mask: &self.constrained[c],
+                            tmp,
+                            local: &mut *mom_local,
+                        },
+                        &self.mv_precond,
+                        &rhs[at(c)],
+                        &mut accel[at(c)],
+                        opts,
+                        pcg,
+                    )
+                });
+                record(&res)?;
+                if let Some(gpu) = device {
+                    gpu.launch(
+                        SumfacMassKernel::NAME,
+                        &SumfacMassKernel.config(shape),
+                        &iter_traffic.scale(res.iterations as f64),
+                        || (),
+                    )?;
+                }
+                Ok(())
+            }),
+        };
+        if let Err(e) = solved {
+            *accel_pool = accel;
+            return Err(e);
         }
         if device.is_none() {
             self.accel_prev.borrow_mut().copy_from_slice(&accel);
-            // The scalar component solves each stream the operator
-            // (warm-starting keeps the iteration counts low).
+            // The model bills every component its own stream over the
+            // operator (warm-starting keeps the iteration counts low).
             let state = if matches!(self.exec.mode, ExecMode::Gpu { .. }) {
                 CpuPowerState::GpuOffload
             } else {
@@ -519,157 +556,153 @@ impl<const D: usize> Hydro<D> {
         // Ship (v, e, x) to the device (§3.1.2).
         gpu.h2d((2 * D * n + self.thermo.num_dofs()) * 8)?;
 
-        let (fz, rhs, max_inv_dt, on_device) = {
-            let mut ws = self.scratch.borrow_mut();
-            let ws = &mut *ws;
-            ensure_zeroed(&mut ws.rhs, D * n);
-            match &self.assembly {
-                Assembly::Stored { .. } => {
-                    if base {
-                        let (pipe, _stats) = MonolithicCornerForce.run(
-                            gpu,
-                            &shape,
-                            x,
-                            v,
-                            e,
-                            n,
-                            &self.zone_dofs,
-                            &self.kin_table.grads,
-                            &self.thermo_table.values,
-                            &self.rule.weights,
-                            &self.rho0detj0,
-                            &self.consts,
-                            self.use_viscosity,
-                        )?;
-                        ws.pipe.az = pipe.az;
-                        ws.pipe.inv_dt = pipe.inv_dt;
-                        ws.pipe.detj = pipe.detj;
-                    } else {
-                        // The optimized kernel pipeline (Table 2 / Fig. 6 right).
-                        launch_az_pipeline_into(
-                            gpu,
-                            &shape,
-                            x,
-                            v,
-                            e,
-                            n,
-                            &self.zone_dofs,
-                            &self.kin_table.grads,
-                            &self.thermo_table.values,
-                            &self.rule.weights,
-                            &self.rho0detj0,
-                            &self.consts,
-                            self.use_viscosity,
-                            &mut ws.pipe,
-                        )?;
-                    }
-                    self.check_mesh(&ws.pipe.detj)?;
-
-                    // Kernel 7: F_z, and kernel 8: the momentum RHS.
-                    let k7 = if base {
-                        FzKernel { variant: GemmVariant::V1, col_block: 0 }
-                    } else {
-                        FzKernel::tuned()
-                    };
-                    ws.fz.ensure(shape.nvdof(), shape.nthermo, shape.zones);
-                    k7.run(
+        let mut ws = self.scratch.borrow_mut();
+        let ws = &mut *ws;
+        ensure_zeroed(&mut ws.rhs, D * n);
+        match &self.assembly {
+            Assembly::Stored { .. } => {
+                if base {
+                    let (pipe, _stats) = MonolithicCornerForce.run(
                         gpu,
                         &shape,
-                        &ws.pipe.az,
-                        &self.thermo_table.values,
-                        &mut ws.fz,
-                        self.abft.as_ref(),
-                    )?;
-                    let k8 = MomentumRhsKernel;
-                    gpu.launch(
-                        MomentumRhsKernel::NAME,
-                        &k8.config(&shape),
-                        &k8.traffic(&shape),
-                        || {
-                            MomentumRhsKernel::compute_with(
-                                &shape,
-                                &ws.fz,
-                                &self.zone_dofs,
-                                n,
-                                &mut ws.rhs,
-                                &mut ws.mom_local,
-                            );
-                        },
-                    )?;
-                }
-                // One fused force launch + one momentum launch; the `base`
-                // (monolithic) ablation only exists for the stored pipeline.
-                Assembly::MatFree(mf) => {
-                    let total = shape.total_points();
-                    ws.fz.ensure(D, D, total);
-                    ensure_zeroed(&mut ws.pipe.detj, total);
-                    ensure_zeroed(&mut ws.pipe.inv_dt, total);
-                    SumfacForceKernel { use_viscosity: self.use_viscosity }.run(
-                        gpu,
-                        &shape,
-                        &mf.factors,
                         x,
                         v,
                         e,
                         n,
                         &self.zone_dofs,
+                        &self.kin_table.grads,
+                        &self.thermo_table.values,
                         &self.rule.weights,
                         &self.rho0detj0,
                         &self.consts,
-                        &mut ws.fz,
-                        &mut ws.pipe.detj,
-                        &mut ws.pipe.inv_dt,
+                        self.use_viscosity,
                     )?;
-                    self.check_mesh(&ws.pipe.detj)?;
-
-                    let mom = SumfacMomentumKernel;
-                    gpu.launch(
-                        SumfacMomentumKernel::NAME,
-                        &mom.config(&shape),
-                        &mom.traffic(&shape, &mf.factors),
-                        || {
-                            mom.compute_with(
-                                &shape,
-                                &mf.factors,
-                                &ws.fz,
-                                &self.zone_dofs,
-                                n,
-                                &mut ws.rhs,
-                                &mut ws.mom_local,
-                            );
-                        },
+                    ws.pipe.az = pipe.az;
+                    ws.pipe.inv_dt = pipe.inv_dt;
+                    ws.pipe.detj = pipe.detj;
+                } else {
+                    // The optimized kernel pipeline (Table 2 / Fig. 6 right).
+                    launch_az_pipeline_into(
+                        gpu,
+                        &shape,
+                        x,
+                        v,
+                        e,
+                        n,
+                        &self.zone_dofs,
+                        &self.kin_table.grads,
+                        &self.thermo_table.values,
+                        &self.rule.weights,
+                        &self.rho0detj0,
+                        &self.consts,
+                        self.use_viscosity,
+                        &mut ws.pipe,
                     )?;
                 }
+                self.check_mesh(&ws.pipe.detj)?;
+
+                // Kernel 7: F_z, and kernel 8: the momentum RHS.
+                let k7 = if base {
+                    FzKernel { variant: GemmVariant::V1, col_block: 0 }
+                } else {
+                    FzKernel::tuned()
+                };
+                ws.fz.ensure(shape.nvdof(), shape.nthermo, shape.zones);
+                k7.run(
+                    gpu,
+                    &shape,
+                    &ws.pipe.az,
+                    &self.thermo_table.values,
+                    &mut ws.fz,
+                    self.abft.as_ref(),
+                )?;
+                let k8 = MomentumRhsKernel;
+                gpu.launch(
+                    MomentumRhsKernel::NAME,
+                    &k8.config(&shape),
+                    &k8.traffic(&shape),
+                    || {
+                        MomentumRhsKernel::compute_with(
+                            &shape,
+                            &ws.fz,
+                            &self.zone_dofs,
+                            n,
+                            &mut ws.rhs,
+                            &mut ws.mom_local,
+                        );
+                    },
+                )?;
             }
-            let max_inv_dt = ws.pipe.inv_dt.iter().cloned().fold(0.0, f64::max);
-            // The force batch and RHS leave the scratch for the caller, as
-            // in `finish_host_force`.
-            let fz = std::mem::take(&mut ws.fz);
-            let mut rhs = std::mem::take(&mut ws.rhs);
-            self.project_constraints(&mut rhs);
-            let on_device =
-                if gpu_pcg { Some(self.solve_momentum(Some(gpu), &rhs, ws)?) } else { None };
-            (fz, rhs, max_inv_dt, on_device)
-        };
+            // One fused force launch + one momentum launch; the `base`
+            // (monolithic) ablation only exists for the stored pipeline.
+            Assembly::MatFree(mf) => {
+                let total = shape.total_points();
+                ws.fz.ensure(D, D, total);
+                ensure_zeroed(&mut ws.pipe.detj, total);
+                ensure_zeroed(&mut ws.pipe.inv_dt, total);
+                SumfacForceKernel { use_viscosity: self.use_viscosity }.run(
+                    gpu,
+                    &shape,
+                    &mf.factors,
+                    x,
+                    v,
+                    e,
+                    n,
+                    &self.zone_dofs,
+                    &self.rule.weights,
+                    &self.rho0detj0,
+                    &self.consts,
+                    &mut ws.fz,
+                    &mut ws.pipe.detj,
+                    &mut ws.pipe.inv_dt,
+                )?;
+                self.check_mesh(&ws.pipe.detj)?;
+
+                let mom = SumfacMomentumKernel;
+                gpu.launch(
+                    SumfacMomentumKernel::NAME,
+                    &mom.config(&shape),
+                    &mom.traffic(&shape, &mf.factors),
+                    || {
+                        mom.compute_with(
+                            &shape,
+                            &mf.factors,
+                            &ws.fz,
+                            &self.zone_dofs,
+                            n,
+                            &mut ws.rhs,
+                            &mut ws.mom_local,
+                        );
+                    },
+                )?;
+            }
+        }
+        let max_inv_dt = ws.pipe.inv_dt.iter().cloned().fold(0.0, f64::max);
+        self.project_constraints(&mut ws.rhs);
+        let on_device = if gpu_pcg { Some(self.solve_momentum(Some(gpu), ws)?) } else { None };
 
         // Ship dv/dt (device solve) or -F·1 (host solve) back. The
         // warm-start cache is committed only *after* the transfer: if it
         // fails, the host never saw the solution and the CPU redo must
         // start from the previous step's cache.
-        gpu.d2h(D * n * 8)?;
+        if let Err(e) = gpu.d2h(D * n * 8) {
+            if let Some((accel, _)) = on_device {
+                ws.accel = accel;
+            }
+            return Err(e.into());
+        }
         if let Some((accel, _)) = &on_device {
             self.accel_prev.borrow_mut().copy_from_slice(accel);
         }
         // Host waited on the device for the whole evaluation.
         self.exec.host.idle(gpu.now() - t0);
-        let (accel, iters) = match on_device {
+        let (accel, cg_iterations) = match on_device {
             Some(solved) => solved,
-            None => self.solve_momentum(None, &rhs, &mut self.scratch.borrow_mut())?,
+            None => self.solve_momentum(None, ws)?,
         };
-        self.scratch.borrow_mut().rhs = rhs;
-
-        Self::check_finite("accel", &accel)?;
-        Ok(ForceEval { fz, accel, max_inv_dt, cg_iterations: iters })
+        let accel = Self::finite_accel(accel, ws)?;
+        // Taken last, as in `finish_host_force`: no exit above holds a pool.
+        Ok(ForceEval { fz: std::mem::take(&mut ws.fz), accel, max_inv_dt, cg_iterations })
     }
 
     /// Hybrid force evaluation (§3.3): the zone split costs the GPU and
@@ -770,8 +803,8 @@ impl<const D: usize> Hydro<D> {
         let energy_rhs = |rhs_e: &mut [f64]| {
             self.assembly.energy_rhs(shape, fz, v_avg, &self.zone_dofs, n, rhs_e)
         };
-        match device {
-            Some(gpu) => {
+        let computed = match device {
+            Some(gpu) => (|| {
                 let t0 = gpu.now();
                 let (name, cfg) = match &self.assembly {
                     Assembly::Stored { .. } => {
@@ -785,7 +818,8 @@ impl<const D: usize> Hydro<D> {
                 SpmvKernel.run(gpu, &self.me_inv, &ws.rhs_e, &mut de)?;
                 gpu.d2h(de.len() * 8)?;
                 self.exec.host.idle(gpu.now() - t0);
-            }
+                Ok(())
+            })(),
             None => {
                 let ((), t) = self.exec.host.run_phase(
                     names::phases::ENERGY_SOLVE,
@@ -801,9 +835,15 @@ impl<const D: usize> Hydro<D> {
                 if let Some(g) = &self.exec.gpu {
                     g.idle(t);
                 }
+                Ok(())
+            }
+        };
+        match computed.and_then(|()| Self::check_finite("de/dt", &de)) {
+            Ok(()) => Ok(de),
+            Err(e) => {
+                ws.de = de; // hand the pool buffer back
+                Err(e)
             }
         }
-        Self::check_finite("de/dt", &de)?;
-        Ok(de)
     }
 }

@@ -144,8 +144,9 @@ struct ForceEval {
 /// consumed), the momentum-solve iteration vectors, and the RK2 stage
 /// vectors. Buffers grow to the problem's high-water size on the first
 /// step and are then reused, so steady-state timesteps perform zero heap
-/// allocations (asserted by `tests/zero_alloc_steady_state.rs`). Error
-/// paths may drop a taken buffer — the next step simply re-grows it.
+/// allocations (asserted by `tests/zero_alloc_steady_state.rs`). A failed
+/// attempt hands back what it took on its way out, so the rolled-back
+/// redo runs out of the same pools.
 #[derive(Debug, Default)]
 struct StepScratch {
     /// Corner-force `A_z` pipeline intermediates and outputs.
@@ -158,22 +159,14 @@ struct StepScratch {
     mom_local: Vec<f64>,
     /// Acceleration pool (PCG solution, component-major).
     accel: Vec<f64>,
-    /// Per-component PCG solution vector.
-    mom_xk: Vec<f64>,
     /// PCG iteration vectors and the constrained operator's masked input.
     pcg: PcgWorkspace,
     /// Energy RHS (`F^T v_avg`).
     rhs_e: Vec<f64>,
     /// `de/dt` pool.
     de: Vec<f64>,
-    // RK2 stage vectors (S0 snapshot, midpoint state, averaged velocity).
-    s0_v: Vec<f64>,
-    s0_e: Vec<f64>,
-    s0_x: Vec<f64>,
-    v_half: Vec<f64>,
-    e_half: Vec<f64>,
-    x_half: Vec<f64>,
-    v_avg: Vec<f64>,
+    /// RK2 stage vectors.
+    stage: StageVectors,
     // Pre-step snapshot for `try_advance`'s rollback / CFL redo. The PCG
     // warm-start cache is part of it: restoring `accel_prev` with the
     // state makes a redone step bit-identical to a fault-free first try.
@@ -181,6 +174,20 @@ struct StepScratch {
     saved_e: Vec<f64>,
     saved_x: Vec<f64>,
     saved_accel: Vec<f64>,
+}
+
+/// The RK2 stage vectors of one step attempt (S0 snapshot, midpoint state,
+/// averaged velocity): lent to the attempt as a whole and handed back on
+/// every exit.
+#[derive(Debug, Default)]
+struct StageVectors {
+    s0_v: Vec<f64>,
+    s0_e: Vec<f64>,
+    s0_x: Vec<f64>,
+    v_half: Vec<f64>,
+    e_half: Vec<f64>,
+    x_half: Vec<f64>,
+    v_avg: Vec<f64>,
 }
 
 /// Zero-fills `v` at length `n`, reusing its heap buffer when possible.

@@ -8,7 +8,8 @@ use gpu_sim::{apply_flip, SdcSite, Traffic, FAULT_SEED_ENV};
 use powermon::CpuPowerState;
 
 use super::{
-    ensure_zeroed, AdvanceOutcome, Hydro, ResumeInfo, RunStats, StepOutcome, MAX_STEP_REDOS,
+    ensure_zeroed, AdvanceOutcome, ForceEval, Hydro, ResumeInfo, RunStats, StageVectors,
+    StepOutcome, MAX_STEP_REDOS,
 };
 use crate::audit::{AuditConfig, StepAuditor};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, LoadedCheckpoint};
@@ -284,7 +285,20 @@ impl<const D: usize> Hydro<D> {
     /// Fallible variant of [`Self::suggest_dt`].
     pub fn try_suggest_dt(&mut self, state: &HydroState) -> Result<f64, HydroError> {
         let ev = self.eval_force(&state.v, &state.e, &state.x)?;
-        Ok(self.cfl / ev.max_inv_dt.max(1e-300))
+        let dt = self.cfl / ev.max_inv_dt.max(1e-300);
+        self.recycle(ev, None);
+        Ok(dt)
+    }
+
+    /// Hands a force evaluation's pool buffers (and the energy rate computed
+    /// from it, if any) back to the step scratch.
+    fn recycle(&self, ev: ForceEval, de: Option<Vec<f64>>) {
+        let mut ws = self.scratch.borrow_mut();
+        ws.fz = ev.fz;
+        ws.accel = ev.accel;
+        if let Some(de) = de {
+            ws.de = de;
+        }
     }
 
     /// One RK2-average step (the energy-conserving scheme of the BLAST
@@ -364,23 +378,27 @@ impl<const D: usize> Hydro<D> {
             abft.arm_flip(panel, f.lane, f.bit.min(55));
             self.sdc_gemm_armed.set(true);
         }
-        let n = self.kin.num_dofs();
-        let vlen = D * n;
-        // Stage vectors come from the step scratch (handed back at the
-        // end, so steady-state steps allocate nothing; an error path drops
-        // them and the next step re-grows).
-        let (mut s0_v, mut s0_e, mut s0_x, mut v_half, mut e_half, mut x_half, mut v_avg) = {
-            let mut ws = self.scratch.borrow_mut();
-            (
-                std::mem::take(&mut ws.s0_v),
-                std::mem::take(&mut ws.s0_e),
-                std::mem::take(&mut ws.s0_x),
-                std::mem::take(&mut ws.v_half),
-                std::mem::take(&mut ws.e_half),
-                std::mem::take(&mut ws.x_half),
-                std::mem::take(&mut ws.v_avg),
-            )
-        };
+        // Stage vectors come from the step scratch and go back on every
+        // exit, so neither steady-state steps nor the redo of a failed
+        // attempt allocate.
+        let mut stage = std::mem::take(&mut self.scratch.borrow_mut().stage);
+        let res = self.rk2_average(state, dt, attempt, &mut stage);
+        self.scratch.borrow_mut().stage = stage;
+        res
+    }
+
+    /// The two RK2-average stages of [`Self::try_step`] on lent stage
+    /// vectors. A stage that fails hands the pool buffers of the force
+    /// evaluation it was consuming back before it returns.
+    fn rk2_average(
+        &mut self,
+        state: &mut HydroState,
+        dt: f64,
+        attempt: u64,
+        stage: &mut StageVectors,
+    ) -> Result<StepOutcome, HydroError> {
+        let StageVectors { s0_v, s0_e, s0_x, v_half, e_half, x_half, v_avg } = stage;
+        let vlen = D * self.kin.num_dofs();
         s0_v.clone_from(&state.v);
         s0_e.clone_from(&state.e);
         s0_x.clone_from(&state.x);
@@ -388,27 +406,28 @@ impl<const D: usize> Hydro<D> {
         let mut cg_total = 0;
 
         // -- Stage 1: evaluate at S0, advance to the midpoint.
-        let ev1 = self.eval_force(&s0_v, &s0_e, &s0_x)?;
+        let ev1 = self.eval_force(s0_v, s0_e, s0_x)?;
         cg_total += ev1.cg_iterations;
-        v_half.clone_from(&s0_v);
-        blast_la::dense::axpy(0.5 * dt, &ev1.accel, &mut v_half);
-        let de1 = self.energy_rate(&ev1.fz, &v_half)?;
-        e_half.clone_from(&s0_e);
-        blast_la::dense::axpy(0.5 * dt, &de1, &mut e_half);
-        x_half.clone_from(&s0_x);
-        blast_la::dense::axpy(0.5 * dt, &v_half, &mut x_half);
-        {
-            // Stage 1's outputs are fully consumed: hand the buffers back
-            // to the pools so stage 2 reuses them.
-            let mut ws = self.scratch.borrow_mut();
-            ws.fz = ev1.fz;
-            ws.accel = ev1.accel;
-            ws.de = de1;
-        }
+        v_half.clone_from(s0_v);
+        blast_la::dense::axpy(0.5 * dt, &ev1.accel, v_half);
+        let de1 = match self.energy_rate(&ev1.fz, v_half) {
+            Ok(de) => de,
+            Err(e) => {
+                self.recycle(ev1, None);
+                return Err(e);
+            }
+        };
+        e_half.clone_from(s0_e);
+        blast_la::dense::axpy(0.5 * dt, &de1, e_half);
+        x_half.clone_from(s0_x);
+        blast_la::dense::axpy(0.5 * dt, v_half, x_half);
+        // Stage 1's outputs are fully consumed: hand the buffers back to
+        // the pools so stage 2 reuses them.
+        self.recycle(ev1, Some(de1));
 
         // -- Stage 2: evaluate at the midpoint, take the full step with the
         // averaged velocity (v0 + v_new)/2 = v0 + dt/2 * accel2.
-        let mut ev2 = self.eval_force(&v_half, &e_half, &x_half)?;
+        let mut ev2 = self.eval_force(v_half, e_half, x_half)?;
         cg_total += ev2.cg_iterations;
         // SdcSite::DeviceBuffer: a strike on the device-resident
         // acceleration buffer, before it propagates into v, e, and x.
@@ -417,9 +436,15 @@ impl<const D: usize> Hydro<D> {
                 self.exec.note_sdc_flips(1);
             }
         }
-        v_avg.clone_from(&s0_v);
-        blast_la::dense::axpy(0.5 * dt, &ev2.accel, &mut v_avg);
-        let mut de2 = self.energy_rate(&ev2.fz, &v_avg)?;
+        v_avg.clone_from(s0_v);
+        blast_la::dense::axpy(0.5 * dt, &ev2.accel, v_avg);
+        let mut de2 = match self.energy_rate(&ev2.fz, v_avg) {
+            Ok(de) => de,
+            Err(e) => {
+                self.recycle(ev2, None);
+                return Err(e);
+            }
+        };
         // SdcSite::TransferPayload: a strike on the energy-rate vector in
         // flight back to the host.
         if let Some(f) = self.sdc_plan.borrow().take(SdcSite::TransferPayload, attempt) {
@@ -433,15 +458,16 @@ impl<const D: usize> Hydro<D> {
         // means "roll back by simply retrying", exactly like the other
         // pre-commit failures.
         if let Some(v) = self.abft.as_ref().and_then(Abft::take_violation) {
+            self.recycle(ev2, Some(de2));
             return Err(self.abft_corruption(v));
         }
 
-        state.v.copy_from_slice(&s0_v);
+        state.v.copy_from_slice(s0_v);
         blast_la::dense::axpy(dt, &ev2.accel, &mut state.v);
-        state.e.copy_from_slice(&s0_e);
+        state.e.copy_from_slice(s0_e);
         blast_la::dense::axpy(dt, &de2, &mut state.e);
-        state.x.copy_from_slice(&s0_x);
-        blast_la::dense::axpy(dt, &v_avg, &mut state.x);
+        state.x.copy_from_slice(s0_x);
+        blast_la::dense::axpy(dt, v_avg, &mut state.x);
         state.t = t0 + dt;
         // SdcSite::HostState: a strike on a committed state array after
         // the step lands — the lane picks v, e, or x. Past every in-step
@@ -478,21 +504,7 @@ impl<const D: usize> Hydro<D> {
         }
 
         let dt_est = self.cfl / ev2.max_inv_dt.max(1e-300);
-        {
-            // Hand every stage buffer back to the scratch for the next step.
-            let mut ws = self.scratch.borrow_mut();
-            ws.fz = ev2.fz;
-            ws.accel = ev2.accel;
-            ws.de = de2;
-            ws.s0_v = s0_v;
-            ws.s0_e = s0_e;
-            ws.s0_x = s0_x;
-            ws.v_half = v_half;
-            ws.e_half = e_half;
-            ws.x_half = x_half;
-            ws.v_avg = v_avg;
-        }
-
+        self.recycle(ev2, Some(de2));
         Ok(StepOutcome { dt_used: dt, dt_est, cg_iterations: cg_total })
     }
 

@@ -202,8 +202,9 @@ impl GpuPcg {
         ws: &mut PcgWorkspace,
     ) -> Result<PcgResult, GpuError> {
         ws.with_operator_scratch(a.rows(), |tmp, ws| {
-            let mut op = ConstrainedOp { a, mask: constrained, tmp };
+            let mut op = ConstrainedOp { a, masks: &[constrained], tmp };
             pcg_solve_on(&mut DeviceSweeps { dev, a }, &mut op, precond, b, x, &self.opts, ws)
+                .map(|[res]| res)
         })
     }
 }
@@ -251,7 +252,7 @@ mod tests {
             assert!(res.converged, "residual {}", res.residual);
 
             let mut x_cpu = warm.clone();
-            let mut op = ConstrainedOp { a: &a, mask: &mask, tmp: &mut vec![0.0; n] };
+            let mut op = ConstrainedOp { a: &a, masks: &[&mask], tmp: &mut vec![0.0; n] };
             let res_cpu = blast_la::pcg_solve(&mut op, &pre, &b, &mut x_cpu, &opts);
             assert_eq!(res.iterations, res_cpu.iterations, "fused={fused}");
             assert_eq!(res.residual.to_bits(), res_cpu.residual.to_bits(), "fused={fused}");

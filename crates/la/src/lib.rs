@@ -39,9 +39,9 @@ pub use csr::{CsrBuilder, CsrMatrix};
 pub use dense::DMatrix;
 pub use eig::{sym_eig2, sym_eig3, SymEig};
 pub use lu::LuFactors;
-pub use pcg::{pcg_solve, pcg_solve_on, pcg_solve_ws, pcg_solve_ws_reference, ConstrainedOp,
-    DiagPrecond, HostSweeps, LinearOperator, PcgOptions, PcgResult, PcgWorkspace, Sweep,
-    SweepLauncher};
+pub use pcg::{pcg_solve, pcg_solve_lockstep_ws, pcg_solve_on, pcg_solve_ws,
+    pcg_solve_ws_reference, ConstrainedOp, DiagPrecond, HostSweeps, LinearOperator, PcgOptions,
+    PcgResult, PcgWorkspace, Sweep, SweepLauncher};
 pub use small::SmallMat;
 pub use svd::{svd2, svd3, Svd};
 pub use tile::{MicroTile, TileConfig};

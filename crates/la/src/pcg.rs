@@ -10,6 +10,14 @@
 //! launcher (`blast_kernels::k9`) bills it as a device launch first. Both
 //! legs therefore execute the same arithmetic in the same order, which is
 //! what makes a degraded-to-CPU redo bit-identical to a pure-CPU run.
+//!
+//! The same loop advances `D ≥ 1` systems that share the operator in
+//! **lock step** — the momentum solve's `d` velocity components: vectors
+//! are component-blocked, every system keeps its own scalars, and only the
+//! operator sweep is shared ([`LinearOperator::apply_dot_wide`]; for the
+//! stored [`ConstrainedOp`] one CSR row sweep feeds all `d`). No value
+//! crosses between systems, so each walks, bit for bit, the trajectory of
+//! its scalar solve; [`pcg_solve_ws`] is the loop at `D = 1`.
 
 use std::convert::Infallible;
 
@@ -20,7 +28,10 @@ use crate::stream;
 ///
 /// Implemented by `&CsrMatrix`, by [`ConstrainedOp`] (the stored momentum
 /// operator of the host *and* device legs) and by the solver's
-/// sum-factorized operator.
+/// sum-factorized operator. An implementation supplies the scalar apply;
+/// the `d`-wide pair a lock-step solve calls defaults to looping it, so
+/// only an operator with something to share across components
+/// ([`ConstrainedOp`]) overrides it.
 pub trait LinearOperator {
     /// Problem dimension.
     fn dim(&self) -> usize;
@@ -40,6 +51,25 @@ pub trait LinearOperator {
     fn apply_reference(&mut self, x: &[f64], y: &mut [f64]) {
         self.apply(x, y);
     }
+    /// `d`-wide apply for a lock-step solve: `x` and `y` hold `d`
+    /// component blocks `[c·n..(c+1)·n]`, `n = dim()`, and `y_c = A x_c`.
+    /// The default applies the operator `d` times; an operator that can
+    /// feed all `d` inputs from one pass over its data overrides it
+    /// ([`ConstrainedOp`]) — without changing any component's bits.
+    fn apply_wide(&mut self, x: &[f64], y: &mut [f64]) {
+        let n = self.dim().max(1);
+        for (xc, yc) in x.chunks_exact(n).zip(y.chunks_exact_mut(n)) {
+            self.apply(xc, yc);
+        }
+    }
+    /// Fused [`apply_wide`](Self::apply_wide) with `dots[c] = x_c·y_c`
+    /// (`dots.len()` is `d`). The default is `d` [`apply_dot`](Self::apply_dot)s.
+    fn apply_dot_wide(&mut self, x: &[f64], y: &mut [f64], dots: &mut [f64]) {
+        let n = self.dim();
+        for (c, dot) in dots.iter_mut().enumerate() {
+            *dot = self.apply_dot(&x[c * n..(c + 1) * n], &mut y[c * n..(c + 1) * n]);
+        }
+    }
 }
 
 impl LinearOperator for &CsrMatrix {
@@ -57,16 +87,21 @@ impl LinearOperator for &CsrMatrix {
     }
 }
 
-/// The stored constrained operator `P A P + (I − P)`, `P` zeroing the
-/// masked (reflecting-wall) entries: identity on constrained DOFs keeps the
-/// projected operator SPD, and a solution whose right-hand side and initial
-/// guess are zero there (as the solver's are) stays exactly zero there.
+/// The stored constrained operator `P_c A P_c + (I − P_c)` of `d ≥ 1`
+/// systems that share the matrix `A`, `P_c` zeroing the entries component
+/// `c`'s mask marks (reflecting-wall DOFs): identity on constrained DOFs
+/// keeps the projected operator SPD, and a solution whose right-hand side
+/// and initial guess are zero there (as the solver's are) stays exactly
+/// zero there. With one mask it is a scalar operator; with `d` it applies
+/// to `d` component-blocked vectors from one sweep over `A`
+/// (`stream::spmv_constrained_dot_wide`).
 pub struct ConstrainedOp<'a> {
     /// The unconstrained operator.
     pub a: &'a CsrMatrix,
-    /// `true` marks a constrained entry.
-    pub mask: &'a [bool],
-    /// Masked-input staging, `a.rows()` long (fully overwritten per apply).
+    /// One mask per component; `true` marks a constrained entry.
+    pub masks: &'a [&'a [bool]],
+    /// Masked-input staging, `stream::wide_lanes(d) · a.rows()` long
+    /// (fully overwritten per apply).
     pub tmp: &'a mut [f64],
 }
 
@@ -75,11 +110,19 @@ impl LinearOperator for ConstrainedOp<'_> {
         self.a.rows()
     }
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        stream::spmv_constrained(self.a, x, self.mask, self.tmp, y);
+        self.apply_wide(x, y);
     }
-    // Fused SpMV + `x . A x` sweep (one pass over the matrix).
     fn apply_dot(&mut self, x: &[f64], y: &mut [f64]) -> f64 {
-        stream::spmv_constrained_dot(self.a, x, self.mask, self.tmp, y)
+        let mut dot = [0.0];
+        self.apply_dot_wide(x, y, &mut dot);
+        dot[0]
+    }
+    fn apply_wide(&mut self, x: &[f64], y: &mut [f64]) {
+        stream::spmv_constrained_wide(self.a, x, self.masks, self.tmp, y);
+    }
+    // Fused SpMV + `x_c . A x_c` sweep (one pass over the matrix).
+    fn apply_dot_wide(&mut self, x: &[f64], y: &mut [f64], dots: &mut [f64]) {
+        stream::spmv_constrained_dot_wide(self.a, x, self.masks, self.tmp, y, dots);
     }
 }
 
@@ -278,7 +321,8 @@ pub fn pcg_solve<Op: LinearOperator>(
 }
 
 /// [`pcg_solve`] with caller-provided iteration vectors (allocation-free
-/// once the workspace has warmed up): [`pcg_solve_on`] the host.
+/// once the workspace has warmed up): [`pcg_solve_on`] the host, one
+/// system.
 pub fn pcg_solve_ws<Op: LinearOperator>(
     op: &mut Op,
     precond: &DiagPrecond,
@@ -287,24 +331,52 @@ pub fn pcg_solve_ws<Op: LinearOperator>(
     opts: &PcgOptions,
     ws: &mut PcgWorkspace,
 ) -> PcgResult {
+    let [res] = pcg_solve_lockstep_ws(op, precond, b, x, opts, ws);
+    res
+}
+
+/// [`pcg_solve_on`] the host: the `D` component blocks of `b` and `x`
+/// solved in lock step, one [`PcgResult`] per system.
+pub fn pcg_solve_lockstep_ws<const D: usize, Op: LinearOperator>(
+    op: &mut Op,
+    precond: &DiagPrecond,
+    b: &[f64],
+    x: &mut [f64],
+    opts: &PcgOptions,
+    ws: &mut PcgWorkspace,
+) -> [PcgResult; D] {
     match pcg_solve_on(&mut HostSweeps, op, precond, b, x, opts, ws) {
-        Ok(res) => res,
+        Ok(results) => results,
         Err(never) => match never {},
     }
 }
 
-/// The PCG iteration, every sweep issued through `launcher`.
+/// The PCG iteration, every sweep issued through `launcher`, advancing
+/// `D ≥ 1` systems that share the operator and the preconditioner in
+/// **lock step**: `b` and `x` hold `D` component blocks `[c·n..(c+1)·n]`
+/// and every system owns its scalars (`r·z`, `α`, target, outcome). A
+/// vector sweep runs today's scalar kernel on each live component's block;
+/// the operator sweep is one [`LinearOperator::apply_dot_wide`] for all
+/// `D`. Systems never exchange a value, so each one's trajectory — every
+/// iterate, its residual, its iteration count — is **bitwise** that of the
+/// `D = 1` solve of its block alone.
+///
+/// A system that converges, breaks down (`p·Ap ≤ 0`) or is still
+/// iterating at `max_iter` freezes with its state and drops out of the
+/// vector sweeps, while the operator sweep keeps its lane (masking, not
+/// early exit); the solve ends when the last one has frozen.
 ///
 /// [`PcgOptions::fused`] decides how each of the three per-iteration steps
 /// is issued: as one fused single-pass kernel (`spmv_dot`, `axpy2_nrm2`,
 /// `precond_dot_update`), or as its two or three constituent BLAS-1
 /// sweeps. Both produce **bitwise-identical** trajectories (see the
 /// `stream` module docs), so the choice is purely about memory transits
-/// and launch counts: `4 + 3·iters` sweeps against `5 + 8·iters`.
+/// and launch counts: `4 + 3·iters` sweeps against `5 + 8·iters`, each
+/// sweep covering every live system.
 ///
 /// A launcher error ends the solve at once; `x` then holds a partial
 /// iterate the caller must discard.
-pub fn pcg_solve_on<L: SweepLauncher, Op: LinearOperator>(
+pub fn pcg_solve_on<const D: usize, L: SweepLauncher, Op: LinearOperator>(
     launcher: &mut L,
     op: &mut Op,
     precond: &DiagPrecond,
@@ -312,81 +384,173 @@ pub fn pcg_solve_on<L: SweepLauncher, Op: LinearOperator>(
     x: &mut [f64],
     opts: &PcgOptions,
     ws: &mut PcgWorkspace,
-) -> Result<PcgResult, L::Error> {
+) -> Result<[PcgResult; D], L::Error> {
     let n = op.dim();
-    assert_eq!(b.len(), n, "pcg rhs length mismatch");
-    assert_eq!(x.len(), n, "pcg solution length mismatch");
+    assert_eq!(b.len(), D * n, "pcg rhs length mismatch");
+    assert_eq!(x.len(), D * n, "pcg solution length mismatch");
     let minv = precond.inv_diag();
     assert_eq!(minv.len(), n, "pcg preconditioner dimension mismatch");
     let fused = opts.fused;
+    // Block `c` of a component-blocked vector.
+    let at = |c: usize| c * n..(c + 1) * n;
 
     // (`z` is written by the launch-per-op sweeps only.)
-    let (r, z, p, ap) = ws.vectors(n);
+    let (r, z, p, ap) = ws.vectors(D * n);
 
     // r = b - A x
-    launcher.sweep(Sweep::Apply, || op.apply(x, r))?;
+    launcher.sweep(Sweep::Apply, || op.apply_wide(x, r))?;
     for (ri, &bi) in r.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
 
-    let bnorm = launcher.sweep(Sweep::Nrm2, || stream::nrm2(b))?.max(opts.abs_tol);
-    let target = (opts.rel_tol * bnorm).max(opts.abs_tol);
+    let bnorm: [f64; D] =
+        launcher.sweep(Sweep::Nrm2, || std::array::from_fn(|c| stream::nrm2(&b[at(c)])))?;
+    let target = bnorm.map(|bn| (opts.rel_tol * bn.max(opts.abs_tol)).max(opts.abs_tol));
 
-    let mut rnorm = launcher.sweep(Sweep::Nrm2, || stream::nrm2(r))?;
-    if rnorm <= target {
-        return Ok(PcgResult { converged: true, iterations: 0, residual: rnorm });
+    let mut rnorm: [f64; D] =
+        launcher.sweep(Sweep::Nrm2, || std::array::from_fn(|c| stream::nrm2(&r[at(c)])))?;
+    // Which systems are still iterating, and the outcome of the others (a
+    // system that never freezes ran out of iterations).
+    let mut live = [true; D];
+    let mut out: [PcgResult; D] = std::array::from_fn(|_| PcgResult {
+        converged: false,
+        iterations: opts.max_iter,
+        residual: f64::NAN,
+    });
+    for c in 0..D {
+        if rnorm[c] <= target[c] {
+            live[c] = false;
+            out[c] = PcgResult { converged: true, iterations: 0, residual: rnorm[c] };
+        }
+    }
+    if !live.contains(&true) {
+        return Ok(out);
     }
 
     // z = M⁻¹ r; p = z; rz = r·z.
-    let mut rz = if fused {
-        launcher.sweep(Sweep::PrecondDotUpdate, || stream::precond_dot_update(minv, r, None, p))?
+    let mut rz = [0.0; D];
+    if fused {
+        launcher.sweep(Sweep::PrecondDotUpdate, || {
+            for c in each(live) {
+                rz[c] = stream::precond_dot_update(minv, &r[at(c)], None, &mut p[at(c)]);
+            }
+        })?;
     } else {
-        launcher.sweep(Sweep::Precond, || precond.apply(r, z))?;
-        p.copy_from_slice(z);
-        launcher.sweep(Sweep::Dot, || stream::dot(r, z))?
-    };
+        launcher.sweep(Sweep::Precond, || {
+            for c in each(live) {
+                precond.apply(&r[at(c)], &mut z[at(c)]);
+            }
+        })?;
+        for c in each(live) {
+            p[at(c)].copy_from_slice(&z[at(c)]);
+        }
+        launcher.sweep(Sweep::Dot, || {
+            for c in each(live) {
+                rz[c] = stream::dot(&r[at(c)], &z[at(c)]);
+            }
+        })?;
+    }
 
     for iter in 1..=opts.max_iter {
-        // Ap and p·Ap.
-        let pap = if fused {
-            launcher.sweep(Sweep::ApplyDot, || op.apply_dot(p, ap))?
+        // Ap and p·Ap: the one sweep that serves every system at once (a
+        // frozen system's lane is computed and ignored).
+        let mut pap = [0.0; D];
+        if fused {
+            launcher.sweep(Sweep::ApplyDot, || op.apply_dot_wide(p, ap, &mut pap))?;
         } else {
-            launcher.sweep(Sweep::Apply, || op.apply(p, ap))?;
-            launcher.sweep(Sweep::Dot, || stream::dot(p, ap))?
-        };
-        if pap <= 0.0 || !pap.is_finite() {
-            // Operator not SPD (or breakdown): report non-convergence.
-            return Ok(PcgResult { converged: false, iterations: iter, residual: rnorm });
+            launcher.sweep(Sweep::Apply, || op.apply_wide(p, ap))?;
+            launcher.sweep(Sweep::Dot, || {
+                for c in each(live) {
+                    pap[c] = stream::dot(&p[at(c)], &ap[at(c)]);
+                }
+            })?;
         }
-        let alpha = rz / pap;
+        for c in each(live) {
+            if pap[c] <= 0.0 || !pap[c].is_finite() {
+                // Operator not SPD (or breakdown): report non-convergence.
+                live[c] = false;
+                out[c] = PcgResult { converged: false, iterations: iter, residual: rnorm[c] };
+            }
+        }
+        if !live.contains(&true) {
+            break;
+        }
+        let alpha: [f64; D] = std::array::from_fn(|c| rz[c] / pap[c]);
         // x += alpha p; r -= alpha Ap; |r|. Finishing the norm from the
         // fused sweep's sum of squares is scalar work, not a sweep.
-        rnorm = if fused {
-            let sumsq =
-                launcher.sweep(Sweep::Axpy2Nrm2, || stream::axpy2_nrm2(alpha, p, ap, x, r))?;
-            stream::nrm2_from_sumsq(sumsq, r)
+        if fused {
+            launcher.sweep(Sweep::Axpy2Nrm2, || {
+                for c in each(live) {
+                    let (xc, rc) = (&mut x[at(c)], &mut r[at(c)]);
+                    let sumsq = stream::axpy2_nrm2(alpha[c], &p[at(c)], &ap[at(c)], xc, rc);
+                    rnorm[c] = stream::nrm2_from_sumsq(sumsq, rc);
+                }
+            })?;
         } else {
-            launcher.sweep(Sweep::Axpy, || stream::axpy(alpha, p, x))?;
-            launcher.sweep(Sweep::Axpy, || stream::axpy(-alpha, ap, r))?;
-            launcher.sweep(Sweep::Nrm2, || stream::nrm2(r))?
-        };
-        if rnorm <= target {
-            return Ok(PcgResult { converged: true, iterations: iter, residual: rnorm });
+            launcher.sweep(Sweep::Axpy, || {
+                for c in each(live) {
+                    stream::axpy(alpha[c], &p[at(c)], &mut x[at(c)]);
+                }
+            })?;
+            launcher.sweep(Sweep::Axpy, || {
+                for c in each(live) {
+                    stream::axpy(-alpha[c], &ap[at(c)], &mut r[at(c)]);
+                }
+            })?;
+            launcher.sweep(Sweep::Nrm2, || {
+                for c in each(live) {
+                    rnorm[c] = stream::nrm2(&r[at(c)]);
+                }
+            })?;
+        }
+        for c in each(live) {
+            if rnorm[c] <= target[c] {
+                live[c] = false;
+                out[c] = PcgResult { converged: true, iterations: iter, residual: rnorm[c] };
+            }
+        }
+        if !live.contains(&true) {
+            break;
         }
         // z = M⁻¹ r; beta = r·z / rz; p = z + beta p.
-        rz = if fused {
+        if fused {
             launcher.sweep(Sweep::PrecondDotUpdate, || {
-                stream::precond_dot_update(minv, r, Some(rz), p)
-            })?
+                for c in each(live) {
+                    rz[c] =
+                        stream::precond_dot_update(minv, &r[at(c)], Some(rz[c]), &mut p[at(c)]);
+                }
+            })?;
         } else {
-            launcher.sweep(Sweep::Precond, || precond.apply(r, z))?;
-            let rz_new = launcher.sweep(Sweep::Dot, || stream::dot(r, z))?;
-            let beta = rz_new / rz;
-            launcher.sweep(Sweep::UpdateDirection, || stream::update_direction(beta, z, p))?;
-            rz_new
-        };
+            launcher.sweep(Sweep::Precond, || {
+                for c in each(live) {
+                    precond.apply(&r[at(c)], &mut z[at(c)]);
+                }
+            })?;
+            let mut beta = [0.0; D];
+            launcher.sweep(Sweep::Dot, || {
+                for c in each(live) {
+                    let rz_new = stream::dot(&r[at(c)], &z[at(c)]);
+                    beta[c] = rz_new / rz[c];
+                    rz[c] = rz_new;
+                }
+            })?;
+            launcher.sweep(Sweep::UpdateDirection, || {
+                for c in each(live) {
+                    stream::update_direction(beta[c], &z[at(c)], &mut p[at(c)]);
+                }
+            })?;
+        }
     }
-    Ok(PcgResult { converged: false, iterations: opts.max_iter, residual: rnorm })
+    for c in each(live) {
+        out[c].residual = rnorm[c];
+    }
+    Ok(out)
+}
+
+/// The systems of a lock-step solve that are still iterating, in component
+/// order.
+fn each<const D: usize>(live: [bool; D]) -> impl Iterator<Item = usize> {
+    (0..D).filter(move |&c| live[c])
 }
 
 /// Scalar serial oracle solver: the original pre-fusion loop built from
@@ -649,7 +813,8 @@ mod tests {
                 let mut rec = Recording::default();
                 let mut x = vec![0.0; n];
                 let ws = &mut PcgWorkspace::new();
-                let res = pcg_solve_on(&mut rec, &mut (&a), &pre, &b, &mut x, &opts, ws).unwrap();
+                let [res] =
+                    pcg_solve_on(&mut rec, &mut (&a), &pre, &b, &mut x, &opts, ws).unwrap();
 
                 let mut x_host = vec![0.0; n];
                 let res_host = pcg_solve_ws(&mut (&a), &pre, &b, &mut x_host, &opts, ws);
@@ -671,13 +836,52 @@ mod tests {
     }
 
     #[test]
+    fn lockstep_issues_each_sweep_once_for_all_systems() {
+        // Three systems over `&CsrMatrix` (the default `d`-wide apply: the
+        // scalar one per block): the sweep log is that of the slowest
+        // system alone, and every block ends as its own scalar solve does.
+        let n = 120;
+        let (a, pre, b0) = system(n);
+        let mut b = b0.clone();
+        // An eigenvector of the Laplacian: converges in one iteration.
+        b.extend((1..=n).map(|i| (std::f64::consts::PI * i as f64 / (n + 1) as f64).sin()));
+        b.extend(std::iter::repeat_n(0.0, n)); // done before the first iteration
+        for fused in [true, false] {
+            let opts = PcgOptions { fused, ..Default::default() };
+            let ws = &mut PcgWorkspace::new();
+            let mut rec = Recording::default();
+            let mut x = vec![0.0; 3 * n];
+            let res: [PcgResult; 3] =
+                pcg_solve_on(&mut rec, &mut (&a), &pre, &b, &mut x, &opts, ws).unwrap();
+
+            let mut longest = Recording::default();
+            for c in 0..3 {
+                let mut alone = Recording::default();
+                let mut x_c = vec![0.0; n];
+                let b_c = &b[c * n..(c + 1) * n];
+                let [res_c] =
+                    pcg_solve_on(&mut alone, &mut (&a), &pre, b_c, &mut x_c, &opts, ws).unwrap();
+                assert_eq!(x[c * n..(c + 1) * n], x_c, "fused={fused} c={c}");
+                assert_eq!(res[c].iterations, res_c.iterations, "fused={fused} c={c}");
+                assert_eq!(res[c].residual.to_bits(), res_c.residual.to_bits());
+                if alone.log.len() > longest.log.len() {
+                    longest = alone;
+                }
+            }
+            assert_eq!(res[2].iterations, 0);
+            assert_ne!(res[0].iterations, res[1].iterations, "the sample must desynchronise");
+            assert_eq!(rec.log, longest.log, "fused={fused}");
+        }
+    }
+
+    #[test]
     fn a_refused_sweep_ends_the_solve_with_its_error() {
         let (a, pre, b) = system(24);
         for fused in [true, false] {
             let opts = PcgOptions { fused, ..Default::default() };
             let solve = |rec: &mut Recording| {
                 let ws = &mut PcgWorkspace::new();
-                pcg_solve_on(rec, &mut (&a), &pre, &b, &mut [0.0; 24], &opts, ws)
+                pcg_solve_on::<1, _, _>(rec, &mut (&a), &pre, &b, &mut [0.0; 24], &opts, ws)
             };
             let mut clean = Recording::default();
             solve(&mut clean).unwrap();

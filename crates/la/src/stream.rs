@@ -17,6 +17,31 @@
 //!   call, never materializing `z` (`z_i = m_i r_i` costs one multiply to
 //!   recompute, cheaper than a round-trip through DRAM).
 //!
+//! # The `d`-wide row sweep
+//!
+//! A CSR row is one dependent multiply-add chain (the contract below fixes
+//! its order: ascending `k`), so a scalar row sweep runs at FMA latency,
+//! not at memory bandwidth. The `d` velocity components of a momentum
+//! solve are `d` independent chains over the *same* values and column
+//! indices, and [`spmv_constrained_dot_wide`] runs them side by side: the
+//! `d` masked inputs are staged interleaved, `tmp[W·i + c]` = component
+//! `c` of entry `i`, padded to `W` = [`wide_lanes`]`(d)` lanes (2 for
+//! `d` = 2, 4 for `d` = 3), so a non-zero costs one load of its value, one
+//! of its column index, and one `W`-wide multiply-add against
+//! `tmp[W·col..]`. Outputs come back de-interleaved per 64-row sub-block
+//! into the component-blocked `y_c`, where the constrained-row fix-up and
+//! the per-component dot lanes see them exactly as the scalar sweep
+//! leaves them.
+//!
+//! The widening is bitwise-invisible because SIMD lanes never mix: lane
+//! `c` of the vector multiply-add *is* the scalar multiply-add of component
+//! `c` (same operands, same rounding, same order), the padding lanes
+//! multiply staged zeros and are dropped, and each component keeps its own
+//! 8 dot lanes and its own 64 block partials. So per component the sweep
+//! equals [`spmv_constrained_dot`] bit for bit, at every thread count and
+//! in both regimes below — which is what lets the lock-step PCG
+//! (`pcg::pcg_solve_on`) replace `d` scalar solves without moving a digest.
+//!
 //! # Determinism contract
 //!
 //! Every reduction runs over a **fixed block grid** that depends only on the
@@ -304,6 +329,24 @@ fn spmv_rows_body<const FMA: bool>(
     }
 }
 
+/// Folds a finished row group into dot lanes carried across the groups of
+/// one block. Groups are multiples of [`LANES`] long except the block's
+/// last, so element `j` of the block lands in lane `j % 8` and the block's
+/// last `len % 8` in `tail` — [`dot_block_body`]'s grouping.
+#[inline(always)]
+fn fold_group<const FMA: bool>(x: &[f64], y: &[f64], lanes: &mut [f64; LANES], tail: &mut f64) {
+    let mut xc = x.chunks_exact(LANES);
+    let mut yc = y.chunks_exact(LANES);
+    for (xg, yg) in (&mut xc).zip(&mut yc) {
+        for ((l, &a), &b) in lanes.iter_mut().zip(xg).zip(yg) {
+            *l = fmadd::<FMA>(*l, a, b);
+        }
+    }
+    for (&a, &b) in xc.remainder().iter().zip(yc.remainder()) {
+        *tail = fmadd::<FMA>(*tail, a, b);
+    }
+}
+
 /// Block CSR row sweep with the dot fused into row production: `y[lo..] =
 /// A[lo.., :] x` and `x[lo..]·y[lo..]` in one pass, accumulating each
 /// row's contribution while it is still in a register — `y` is written
@@ -335,20 +378,64 @@ fn spmv_rows_dot_body<const FMA: bool>(
     while s < len {
         let e = (s + SUB).min(len);
         spmv_rows_body::<FMA>(row_ptr, col_idx, values, lo + s, x, &mut y[s..e]);
-        let mut xc = x[lo + s..lo + e].chunks_exact(LANES);
-        let mut yc = y[s..e].chunks_exact(LANES);
-        for (xg, yg) in (&mut xc).zip(&mut yc) {
-            for ((l, &a), &b) in lanes.iter_mut().zip(xg).zip(yg) {
-                *l = fmadd::<FMA>(*l, a, b);
-            }
-        }
-        // Non-empty only in the final subblock: the block-level dot tail.
-        for (&a, &b) in xc.remainder().iter().zip(yc.remainder()) {
-            tail = fmadd::<FMA>(tail, a, b);
-        }
+        fold_group::<FMA>(&x[lo + s..lo + e], &y[s..e], &mut lanes, &mut tail);
         s = e;
     }
     fold_lanes(lanes, tail)
+}
+
+/// Block `d`-wide CSR row sweep with the dot fused in: rows `lo..lo + len`
+/// of `A` applied to `D` masked inputs at once. `xw[i]` holds the `D`
+/// components of staged entry `i` side by side (padded to `W` lanes), so a
+/// non-zero costs one load of its value and column index and one `W`-wide
+/// multiply-add; lane `c` performs exactly [`spmv_rows_body`]'s
+/// ascending-`k` chain on component `c`, and lanes never mix. Each 64-row
+/// sub-block lands in a stack stage and is then de-interleaved into the
+/// component outputs `ys[c]` — constrained rows overwritten with `xs[c]`,
+/// the identity block of `P A P + (I − P)` — and folded into component
+/// `c`'s dot lanes with [`spmv_rows_dot_body`]'s grouping (row `j` of the
+/// block → lane `j mod 8`, tail first). Returns the `D` block partials.
+#[inline(always)]
+fn wide_rows_dot_body<const FMA: bool, const D: usize, const W: usize>(
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    values: &[f64],
+    lo: usize,
+    xw: &[[f64; W]],
+    xs: &[&[f64]; D],
+    masks: &[&[bool]; D],
+    ys: [&mut [f64]; D],
+) -> [f64; D] {
+    const SUB: usize = 64;
+    let mut stage = [[0.0f64; W]; SUB];
+    let mut lanes = [[0.0f64; LANES]; D];
+    let mut tail = [0.0f64; D];
+    let len = ys[0].len();
+    let mut s = 0;
+    while s < len {
+        let e = (s + SUB).min(len);
+        for (i, out) in stage[..e - s].iter_mut().enumerate() {
+            let (start, end) = (row_ptr[lo + s + i], row_ptr[lo + s + i + 1]);
+            let mut acc = [0.0f64; W];
+            for (&v, &col) in values[start..end].iter().zip(&col_idx[start..end]) {
+                for (a, &xl) in acc.iter_mut().zip(&xw[col]) {
+                    *a = fmadd::<FMA>(*a, v, xl);
+                }
+            }
+            *out = acc;
+        }
+        for c in 0..D {
+            let yv = &mut ys[c][s..e];
+            let xv = &xs[c][lo + s..lo + e];
+            let mv = &masks[c][lo + s..lo + e];
+            for (((yi, row), &xi), &fixed) in yv.iter_mut().zip(&stage).zip(xv).zip(mv) {
+                *yi = if fixed { xi } else { row[c] };
+            }
+            fold_group::<FMA>(xv, yv, &mut lanes[c], &mut tail[c]);
+        }
+        s = e;
+    }
+    std::array::from_fn(|c| fold_lanes(lanes[c], tail[c]))
 }
 
 // ---------------------------------------------------------------------------
@@ -357,19 +444,19 @@ fn spmv_rows_dot_body<const FMA: bool>(
 // ---------------------------------------------------------------------------
 
 macro_rules! clones {
-    ($body:ident => $avx2:ident, $avx512:ident;
+    ($body:ident $(<$($g:ident),+>)? => $avx2:ident, $avx512:ident;
      fn($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2,fma")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
-            $body::<true>($($arg),*)
+        unsafe fn $avx2 $(<$(const $g: usize),+>)? ($($arg: $ty),*) $(-> $ret)? {
+            $body::<true $($(, $g)+)?>($($arg),*)
         }
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f,avx512vl,fma")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx512($($arg: $ty),*) $(-> $ret)? {
-            $body::<true>($($arg),*)
+        unsafe fn $avx512 $(<$(const $g: usize),+>)? ($($arg: $ty),*) $(-> $ret)? {
+            $body::<true $($(, $g)+)?>($($arg),*)
         }
     };
 }
@@ -390,22 +477,25 @@ clones!(spmv_rows_body => spmv_rows_avx2, spmv_rows_avx512;
     fn(row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, x: &[f64], y: &mut [f64]));
 clones!(spmv_rows_dot_body => spmv_rows_dot_avx2, spmv_rows_dot_avx512;
     fn(row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, x: &[f64], y: &mut [f64]) -> f64);
+clones!(wide_rows_dot_body<D, W> => wide_rows_dot_avx2, wide_rows_dot_avx512;
+    fn(row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, xw: &[[f64; W]],
+       xs: &[&[f64]; D], masks: &[&[bool]; D], ys: [&mut [f64]; D]) -> [f64; D]);
 
 macro_rules! dispatch {
-    ($body:ident / $avx2:ident / $avx512:ident ($($arg:expr),*)) => {{
+    ($body:ident / $avx2:ident / $avx512:ident $(<$($g:ident),+>)? ($($arg:expr),*)) => {{
         #[cfg(target_arch = "x86_64")]
         {
             let level = simd_level();
             if level >= 2 {
                 // SAFETY: avx512f+avx512vl+fma verified by simd_level().
-                return unsafe { $avx512($($arg),*) };
+                return unsafe { $avx512 $(::<$($g),+>)? ($($arg),*) };
             }
             if level >= 1 {
                 // SAFETY: avx2+fma verified by simd_level().
-                return unsafe { $avx2($($arg),*) };
+                return unsafe { $avx2 $(::<$($g),+>)? ($($arg),*) };
             }
         }
-        $body::<false>($($arg),*)
+        $body::<false $($(, $g)+)?>($($arg),*)
     }};
 }
 
@@ -463,6 +553,23 @@ fn spmv_rows_dot(
 ) -> f64 {
     dispatch!(spmv_rows_dot_body / spmv_rows_dot_avx2 / spmv_rows_dot_avx512(
         row_ptr, col_idx, values, lo, x, y
+    ))
+}
+
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn wide_rows_dot<const D: usize, const W: usize>(
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    values: &[f64],
+    lo: usize,
+    xw: &[[f64; W]],
+    xs: &[&[f64]; D],
+    masks: &[&[bool]; D],
+    ys: [&mut [f64]; D],
+) -> [f64; D] {
+    dispatch!(wide_rows_dot_body / wide_rows_dot_avx2 / wide_rows_dot_avx512<D, W>(
+        row_ptr, col_idx, values, lo, xw, xs, masks, ys
     ))
 }
 
@@ -695,6 +802,194 @@ pub fn spmv_constrained_dot(
         }
     }
     partials.fold(n.div_ceil(bl))
+}
+
+/// Staging `n`-vectors the `d`-wide constrained sweep needs: the `d`
+/// masked inputs interleaved and padded to a power of two, so one non-zero
+/// is one 128-bit (`d` = 2) or 256-bit (`d` = 3) multiply-add. Every other
+/// `d` walks the components one scalar sweep at a time over a single
+/// `n`-vector.
+pub const fn wide_lanes(d: usize) -> usize {
+    match d {
+        2 => 2,
+        3 => 4,
+        _ => 1,
+    }
+}
+
+/// The fixed row-block grid over `D` component-blocked output vectors:
+/// item `b` is `[y_0[b·bl..], …, y_{D−1}[b·bl..]]`, the rows of block `b`
+/// in every component — what one block of the `d`-wide sweep writes.
+struct WideBlocks<'a, const D: usize> {
+    comps: [&'a mut [f64]; D],
+    bl: usize,
+}
+
+impl<'a, const D: usize> WideBlocks<'a, D> {
+    /// `y` holds the `D` components back to back, `n > 0` rows each.
+    fn new(y: &'a mut [f64], n: usize, bl: usize) -> Self {
+        let mut comps = y.chunks_exact_mut(n);
+        Self { comps: std::array::from_fn(|_| comps.next().expect("y holds D components")), bl }
+    }
+
+    /// Splits the first `rows` rows (or what is left) off every component.
+    fn take_rows(&mut self, rows: usize) -> [&'a mut [f64]; D] {
+        std::array::from_fn(|c| {
+            let v = std::mem::take(&mut self.comps[c]);
+            let (head, tail) = v.split_at_mut(rows.min(v.len()));
+            self.comps[c] = tail;
+            head
+        })
+    }
+}
+
+impl<'a, const D: usize> Iterator for WideBlocks<'a, D> {
+    type Item = [&'a mut [f64]; D];
+    fn next(&mut self) -> Option<Self::Item> {
+        (!self.comps[0].is_empty()).then(|| self.take_rows(self.bl))
+    }
+}
+
+impl<'a, const D: usize> rayon::Producer for WideBlocks<'a, D> {
+    type Item = [&'a mut [f64]; D];
+    type IntoIter = Self;
+    fn len(&self) -> usize {
+        self.comps[0].len().div_ceil(self.bl)
+    }
+    fn split_at(mut self, index: usize) -> (Self, Self) {
+        let left = self.take_rows(index * self.bl);
+        (Self { comps: left, bl: self.bl }, self)
+    }
+    fn into_iter(self) -> Self {
+        self
+    }
+}
+
+/// Phase 1 of the `d`-wide projected operator: the `D` masked inputs
+/// interleaved into `tmp[i] = [x_0[i], …, x_{D−1}[i], 0…]`, constrained
+/// entries zeroed — per lane the values [`mask_into`] stages. Every lane
+/// of every row is written, the padding with zeros.
+fn mask_wide_into<const D: usize, const W: usize>(
+    xs: &[&[f64]; D],
+    masks: &[&[bool]; D],
+    tmp: &mut [[f64; W]],
+) {
+    let n = tmp.len();
+    let bl = block_len(n);
+    let stage = |lo: usize, rows: &mut [[f64; W]]| {
+        for (i, row) in rows.iter_mut().enumerate() {
+            *row = std::array::from_fn(|c| {
+                if c < D && !masks[c][lo + i] {
+                    xs[c][lo + i]
+                } else {
+                    0.0
+                }
+            });
+        }
+    };
+    if sweep_on_pool(2 * D + W, n) {
+        tmp.par_chunks_mut(bl).enumerate().for_each(|(b, rows)| stage(b * bl, rows));
+    } else {
+        stage(0, tmp);
+    }
+}
+
+/// The `D`-wide constrained apply + dot over the fixed row-block grid (see
+/// [`spmv_constrained_dot_wide`]).
+fn constrained_wide<const D: usize, const W: usize>(
+    a: &CsrMatrix,
+    x: &[f64],
+    masks: &[&[bool]],
+    tmp: &mut [f64],
+    y: &mut [f64],
+) -> [f64; D] {
+    const { assert!(W == wide_lanes(D), "the staging width is a function of `D`") };
+    let n = a.rows();
+    assert_eq!(a.cols(), n, "stream::spmv_constrained_wide needs a square operator");
+    assert_eq!(x.len(), D * n, "stream::spmv_constrained_wide x length mismatch");
+    assert_eq!(y.len(), D * n, "stream::spmv_constrained_wide y length mismatch");
+    assert_eq!(tmp.len(), W * n, "stream::spmv_constrained_wide tmp length mismatch");
+    assert_eq!(masks.len(), D, "stream::spmv_constrained_wide needs one mask per component");
+    for mask in masks {
+        assert_eq!(mask.len(), n, "stream::spmv_constrained_wide mask length mismatch");
+    }
+    if n == 0 {
+        return [0.0; D];
+    }
+    let xs: [&[f64]; D] = std::array::from_fn(|c| &x[c * n..(c + 1) * n]);
+    let masks: [&[bool]; D] = std::array::from_fn(|c| masks[c]);
+    let (xw, _) = tmp.as_chunks_mut::<W>();
+    mask_wide_into(&xs, &masks, xw);
+    let xw = &*xw;
+
+    let bl = block_len(n);
+    let (rp, ci, vals) = (a.row_ptr(), a.col_idx(), a.values());
+    let partials: [Partials; D] = std::array::from_fn(|_| Partials::new());
+    let block = |(b, ys): (usize, [&mut [f64]; D])| {
+        let dots = wide_rows_dot(rp, ci, vals, b * bl, xw, &xs, &masks, ys);
+        for (p, &dot) in partials.iter().zip(&dots) {
+            p.set(b, dot);
+        }
+    };
+    let blocks = WideBlocks::<D>::new(y, n, bl);
+    if rows_on_pool(a) {
+        IndexedParallelIterator::enumerate(blocks).for_each(block);
+    } else {
+        Iterator::enumerate(blocks).for_each(block);
+    }
+    partials.map(|p| p.fold(n.div_ceil(bl)))
+}
+
+/// `d`-wide constrained apply: `y_c = (P_c A P_c + (I − P_c)) x_c` for the
+/// `d = masks.len()` component blocks `[c·n..(c+1)·n]` of `x` and `y`, the
+/// matrix streamed once for all of them (`d` = 2, 3; any other `d` is `d`
+/// scalar [`spmv_constrained`] sweeps). `tmp` is the masked-input staging,
+/// [`wide_lanes`]`(d)·n` long and fully overwritten. Per component
+/// bitwise-equal to [`spmv_constrained`].
+pub fn spmv_constrained_wide(
+    a: &CsrMatrix,
+    x: &[f64],
+    masks: &[&[bool]],
+    tmp: &mut [f64],
+    y: &mut [f64],
+) {
+    let n = a.rows();
+    match masks.len() {
+        // The shared sweep produces the dots anyway; they are dropped.
+        d @ (2 | 3) => spmv_constrained_dot_wide(a, x, masks, tmp, y, &mut [0.0; 3][..d]),
+        _ => {
+            for (c, mask) in masks.iter().enumerate() {
+                let at = c * n..(c + 1) * n;
+                spmv_constrained(a, &x[at.clone()], mask, tmp, &mut y[at]);
+            }
+        }
+    }
+}
+
+/// Fused [`spmv_constrained_wide`] + the `d` dots `dots[c] = x_c·y_c` from
+/// the same row sweep: per component bitwise-equal to
+/// [`spmv_constrained_dot`] (the wide sweep keeps each component's
+/// ascending-`k` row chain, its 8 dot lanes and its 64 block partials).
+pub fn spmv_constrained_dot_wide(
+    a: &CsrMatrix,
+    x: &[f64],
+    masks: &[&[bool]],
+    tmp: &mut [f64],
+    y: &mut [f64],
+    dots: &mut [f64],
+) {
+    let n = a.rows();
+    assert_eq!(dots.len(), masks.len(), "stream::spmv_constrained_dot_wide dots length mismatch");
+    match masks.len() {
+        2 => dots.copy_from_slice(&constrained_wide::<2, 2>(a, x, masks, tmp, y)),
+        3 => dots.copy_from_slice(&constrained_wide::<3, 4>(a, x, masks, tmp, y)),
+        _ => {
+            for ((c, mask), dot) in masks.iter().enumerate().zip(dots) {
+                let at = c * n..(c + 1) * n;
+                *dot = spmv_constrained_dot(a, &x[at.clone()], mask, tmp, &mut y[at]);
+            }
+        }
+    }
 }
 
 /// Fused pair update: `x += alpha*p; r -= alpha*ap`, returning the new
@@ -1020,6 +1315,97 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let got = rayon::Pool::new(threads).install(|| dot(&x, &y));
             assert_eq!(got.to_bits(), base.to_bits(), "threads={threads}");
+        }
+    }
+
+    /// `d` component vectors back to back, and a distinct mask per component.
+    fn wide_inputs(n: usize, d: usize) -> (Vec<f64>, Vec<Vec<bool>>) {
+        let x = (0..d * n).map(|i| ((i * 29 + 5) % 97) as f64 * 0.021 - 0.9).collect();
+        let masks = (0..d).map(|c| (0..n).map(|i| (i + 3 * c) % (5 + 2 * c) == 0).collect()).collect();
+        (x, masks)
+    }
+
+    fn wide_sweep(a: &CsrMatrix, x: &[f64], masks: &[Vec<bool>]) -> (Vec<f64>, Vec<f64>) {
+        let (n, d) = (a.rows(), masks.len());
+        let masks: Vec<&[bool]> = masks.iter().map(|m| &m[..]).collect();
+        // Stale staging must not matter: every lane is rewritten per call.
+        let mut tmp = vec![f64::NAN; wide_lanes(d) * n];
+        let mut y = vec![f64::NAN; d * n];
+        let mut dots = vec![f64::NAN; d];
+        spmv_constrained_dot_wide(a, x, &masks, &mut tmp, &mut y, &mut dots);
+        let mut y_apply = vec![f64::NAN; d * n];
+        spmv_constrained_wide(a, x, &masks, &mut tmp, &mut y_apply);
+        assert_eq!(y, y_apply, "n={n} d={d}: apply and apply+dot must write the same rows");
+        (y, dots)
+    }
+
+    #[test]
+    fn constrained_wide_equals_scalar_constrained_dot_bitwise() {
+        // One row sweep for `d` components vs `d` scalar sweeps, both
+        // dispatched: every component shares every rounding, in both regimes.
+        for d in 1..=4usize {
+            for &n in &[1usize, 7, 63, 64, 65, 500, 4097] {
+                let a = banded(n, 5.min(n - 1));
+                let (x, masks) = wide_inputs(n, d);
+                let (y, dots) = wide_sweep(&a, &x, &masks);
+                for c in 0..d {
+                    let at = c * n..(c + 1) * n;
+                    let mut tmp = vec![0.0; n];
+                    let mut y_c = vec![0.0; n];
+                    let dot = spmv_constrained_dot(&a, &x[at.clone()], &masks[c], &mut tmp, &mut y_c);
+                    assert_eq!(y[at], y_c, "n={n} d={d} c={c}");
+                    assert_eq!(dots[c].to_bits(), dot.to_bits(), "n={n} d={d} c={c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn constrained_wide_matches_reference_regimes() {
+        for d in 2..=3usize {
+            for &n in &[1usize, 65, 500, 4097] {
+                let a = banded(n, 4.min(n - 1));
+                let (x, masks) = wide_inputs(n, d);
+                let (y, dots) = wide_sweep(&a, &x, &masks);
+                for c in 0..d {
+                    let x_c = &x[c * n..(c + 1) * n];
+                    let staged: Vec<f64> =
+                        x_c.iter().zip(&masks[c]).map(|(&v, &m)| if m { 0.0 } else { v }).collect();
+                    let mut oracle = vec![0.0; n];
+                    reference::spmv(&a, &staged, &mut oracle);
+                    for i in (0..n).filter(|&i| masks[c][i]) {
+                        oracle[i] = x_c[i];
+                    }
+                    let dot = reference::dot(x_c, &oracle);
+                    let y_c = &y[c * n..(c + 1) * n];
+                    if fma_active() {
+                        let tol = |v: f64| 1e-13 * v.abs().max(1.0);
+                        assert!((dots[c] - dot).abs() <= tol(dot), "n={n} d={d} c={c}");
+                        assert!(y_c.iter().zip(&oracle).all(|(u, v)| (u - v).abs() <= tol(*v)));
+                    } else {
+                        assert_eq!(dots[c].to_bits(), dot.to_bits(), "n={n} d={d} c={c}");
+                        assert_eq!(y_c, oracle, "n={n} d={d} c={c}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn constrained_wide_thread_count_invariance() {
+        // Above both pool thresholds: 2^15 non-zeros for the row sweep,
+        // 2^17 streamed elements for the interleaving mask pass.
+        let n = 22_000;
+        let a = banded(n, 3);
+        for d in 2..=3usize {
+            let (x, masks) = wide_inputs(n, d);
+            let base = wide_sweep(&a, &x, &masks);
+            for threads in [1usize, 2, 4, 8] {
+                let got = rayon::Pool::new(threads).install(|| wide_sweep(&a, &x, &masks));
+                assert_eq!(got.0, base.0, "d={d} threads={threads}");
+                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.1), bits(&base.1), "d={d} threads={threads}");
+            }
         }
     }
 

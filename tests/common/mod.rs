@@ -7,6 +7,7 @@ use blast_repro::blast_core::{
     AssemblyMode, AuditConfig, CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro,
     HydroError, HydroState, RunConfig, Sedov, MAX_STEP_REDOS,
 };
+use blast_repro::blast_la::PcgOptions;
 use blast_repro::blast_telemetry::{names, Track};
 use blast_repro::gpu_sim::{CpuSpec, SdcPlan};
 use blast_repro::powermon::ResilienceReport;
@@ -67,16 +68,24 @@ pub fn run_scenario(plan: SdcPlan, audit: AuditConfig) -> RunResult {
 /// scratch grows once like every other pool), stepped until every scratch
 /// pool has reached its high-water size: pipeline intermediates, F_z /
 /// accel / de pools, PCG vectors, RK2 stage vectors, the rollback snapshot
-/// and the calling thread's kernel scratch. Three steps, because
-/// `suggest_dt`'s force evaluation leaves some pools unreturned and the
-/// first full step refills them. Returns the solver, its state and the
-/// next dt.
+/// and the calling thread's kernel scratch. Returns the solver, its state
+/// and the next dt.
 pub fn warmed_up_solver(assembly: AssemblyMode, mode: ExecMode) -> (Hydro<2>, HydroState, f64) {
+    warmed_up_solver_with(assembly, mode, PcgOptions::default())
+}
+
+/// [`warmed_up_solver`] with the momentum solve's options chosen.
+pub fn warmed_up_solver_with(
+    assembly: AssemblyMode,
+    mode: ExecMode,
+    pcg: PcgOptions,
+) -> (Hydro<2>, HydroState, f64) {
     let exec = Executor::new(mode, CpuSpec::e5_2670(), None);
     let mut hydro = Hydro::<2>::builder(&Sedov::default(), [6, 6])
         .executor(exec)
         .audit(AuditConfig::default().abft(true))
         .assembly(assembly)
+        .pcg(pcg)
         .build()
         .expect("problem fits");
     let mut state = hydro.initial_state();

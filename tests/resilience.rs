@@ -140,8 +140,10 @@ fn device_lost_on_any_pcg_sweep_falls_back_bit_identically() {
 }
 
 /// A fault that only strikes later in the run still degrades cleanly; the
-/// already-computed GPU physics stays (it agrees with the CPU to solver
-/// tolerance), and the run completes.
+/// already-computed GPU physics stays, and the run completes — in the
+/// bits of the pure-CPU run: the device solves one component at a time,
+/// the host redo all `d` in lock step, and both walk the same per-component
+/// trajectory (every mode of an assembly shares one `golden_lattice` CRC).
 #[test]
 fn late_persistent_fault_degrades_mid_run_and_completes() {
     let plan = FaultPlan::seeded(3).with_persistent(FaultKind::EccError, 40);
@@ -151,11 +153,10 @@ fn late_persistent_fault_degrades_mid_run_and_completes() {
     assert!(h_gpu.executor().is_degraded());
     assert!(s_gpu.t >= 0.05 - 1e-12, "run must complete after degradation");
     assert!(stats.steps > 0);
-    // GPU-PCG steps before the fault agree with CPU to solver tolerance.
-    let dv = blast_repro::blast_la::max_rel_diff(&s_gpu.v, &s_cpu.v);
-    let de = blast_repro::blast_la::max_rel_diff(&s_gpu.e, &s_cpu.e);
-    assert!(dv < 1e-7, "v diff {dv}");
-    assert!(de < 1e-7, "e diff {de}");
+    assert_eq!(s_gpu.v, s_cpu.v);
+    assert_eq!(s_gpu.e, s_cpu.e);
+    assert_eq!(s_gpu.x, s_cpu.x);
+    assert_eq!(s_gpu.t.to_bits(), s_cpu.t.to_bits());
 }
 
 /// Transient faults are absorbed by the retry policy: the run neither
@@ -228,6 +229,50 @@ fn rollback_on_mesh_tangle_conserves_energy() {
     let e1 = hydro.energies(&state);
     let drift = e1.relative_change(&e0).abs();
     assert!(drift < 1e-10, "energy drift {drift} after {} redos", stats.retries);
+}
+
+/// A momentum solve that cannot meet its iteration cap fails typed, and
+/// what the error carries is what the sequential component loop always
+/// reported — the lowest component that failed — although the stored host
+/// leg now advances every component in lock step: its error equals,
+/// bit for bit, the one kernel 9 raises solving the same systems one after
+/// the other. Nothing of the failed solve is committed.
+#[test]
+fn pcg_breakdown_reports_the_lowest_failed_component_and_commits_nothing() {
+    use blast_repro::blast_core::HydroError;
+    use blast_repro::blast_la::PcgOptions;
+    use blast_repro::blast_telemetry::names::counters::{PCG_BREAKDOWNS, PCG_SOLVES};
+
+    let capped_step = |exec: Executor, zones: [usize; 2]| {
+        let three = PcgOptions { max_iter: 3, ..Default::default() };
+        let mut hydro = Hydro::<2>::builder(&Sedov::default(), zones)
+            .pcg(three)
+            .executor(exec)
+            .build()
+            .unwrap();
+        let mut state = hydro.initial_state();
+        let before = state.clone();
+        let err = hydro.try_step(&mut state, 1e-4).expect_err("three iterations cannot reach 1e-12");
+        assert!(err.recoverable_by_rollback(), "got: {err:?}");
+        assert_eq!(state, before);
+        let cache = hydro.make_checkpoint(&state, 1e-4, 0, 0).accel_prev;
+        assert!(cache.iter().all(|&a| a == 0.0), "a failed solve must not commit its warm start");
+        // The sequential loop stops at the component that fails: one solve
+        // counted, one breakdown.
+        let tel = hydro.executor().telemetry();
+        assert_eq!((tel.counter(PCG_SOLVES), tel.counter(PCG_BREAKDOWNS)), (1, 1));
+        match err {
+            HydroError::PcgBreakdown { residual, iterations } => (residual.to_bits(), iterations),
+            other => panic!("expected PcgBreakdown, got {other:?}"),
+        }
+    };
+    let host = capped_step(cpu_exec(), [5, 3]);
+    assert_eq!(host.1, 3, "stalled at the cap");
+    assert_eq!(host, capped_step(gpu_exec_with(FaultPlan::none()), [5, 3]));
+    // Both components stall, at different residuals, or the comparison
+    // above could not tell them apart: on the mirrored mesh component 0
+    // solves what component 1 solves here.
+    assert_ne!(host.0, capped_step(cpu_exec(), [3, 5]).0);
 }
 
 /// A failing step leaves the caller's state untouched (the checkpoint

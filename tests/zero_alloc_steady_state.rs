@@ -28,7 +28,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use blast_repro::blast_core::{AssemblyMode, ExecMode, Executor, Hydro, Sedov};
+use blast_repro::blast_core::{
+    AssemblyMode, ExecMode, Executor, Hydro, HydroError, Sedov, MAX_STEP_REDOS,
+};
+use blast_repro::blast_la::PcgOptions;
 use blast_repro::gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice};
 
 /// System allocator wrapper that counts the calling thread's allocation
@@ -86,6 +89,38 @@ fn steady_state_steps_do_not_touch_the_heap() {
 #[test]
 fn matrix_free_steady_state_steps_do_not_touch_the_heap() {
     serial_contract(AssemblyMode::MatrixFree);
+}
+
+/// A failed attempt hands back every pool buffer it was lent — the RK2
+/// stage vectors, the `F_z` batch, the right-hand side, the acceleration —
+/// so the rolled-back redo, and every step after it, runs out of the same
+/// pools. The failure is a momentum solve that cannot meet its iteration
+/// cap: in a state at rest the right-hand side is zero, and the previous
+/// acceleration it is warm-started from would have to shrink to the
+/// absolute floor, 300 decades down.
+#[test]
+fn the_step_after_a_failed_solve_does_not_touch_the_heap() {
+    rayon::Pool::new(1).install(|| {
+        let capped = PcgOptions { max_iter: 60, ..Default::default() };
+        let (mut hydro, mut state, dt) =
+            common::warmed_up_solver_with(AssemblyMode::Stored, ExecMode::CpuSerial, capped);
+        hydro.reserve_host_telemetry(MAX_STEP_REDOS + 3);
+
+        let mut at_rest = state.clone();
+        at_rest.v.fill(0.0);
+        at_rest.e.fill(0.0);
+        let err = hydro.try_advance(&mut at_rest, dt).expect_err("the cap cannot be met");
+        assert!(matches!(err, HydroError::PcgBreakdown { iterations: 60, .. }), "got: {err:?}");
+
+        let before = heap_ops();
+        hydro.try_advance(&mut state, dt).expect("a good step after the failed one");
+        let delta = heap_ops() - before;
+        assert_eq!(
+            delta, 0,
+            "the step after a rolled-back solve performed {delta} heap allocation(s); a \
+             failed attempt must hand its pool buffers back"
+        );
+    });
 }
 
 /// The contract on the simulated GPU (stored assembly, optimized kernel
