@@ -2,8 +2,10 @@
 //! on the Table-3 shapes and the host bodies of kernels 3 and 4 against
 //! their reference loops, writes `BENCH_host_kernels.json`, and exits
 //! non-zero if the tiled core loses to naive on any shape of order 2 or
-//! higher, or kernels 3 and 4 together are below 2x their references on
-//! such a shape in 3D — the CI bench-smoke gate.
+//! higher, kernels 3 and 4 together are below 2x their references on
+//! such a shape in 3D, or a lock-step per-point body (kernels 1, 2, the
+//! matrix-free force) does not beat its scalar reference on a mid-run
+//! Sedov state — the CI bench-smoke gate.
 //!
 //! `--smoke` (or `BLAST_BENCH_SMOKE=1`) shrinks the measurement budget
 //! for CI; the shape list and the gate stay complete.
@@ -45,7 +47,11 @@ fn main() -> ExitCode {
             host_kernels::AZ_GATE_SPEEDUP
         );
     }
-    if failures.is_empty() && az_failures.is_empty() {
+    let point_failures = r.point_gate_failures();
+    for f in &point_failures {
+        eprintln!("GATE FAIL point_physics {f}: lock-step body lost to its scalar reference");
+    }
+    if failures.is_empty() && az_failures.is_empty() && point_failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

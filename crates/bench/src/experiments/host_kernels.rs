@@ -8,7 +8,9 @@
 //! kernels' own `traffic()` and each rate also given as a fraction of the
 //! best tiled-GEMM rate of the same run (the ceiling next door; it uses
 //! FMA where the host has it, which kernels 3 and 4 forgo to stay
-//! bit-identical across ISA levels).
+//! bit-identical across ISA levels). The `point_physics` section is
+//! [`super::point_physics`]: the per-point bodies of kernels 1 and 2 and of
+//! the matrix-free force against their point-at-a-time references.
 //!
 //! Unlike the modeled figure/table experiments, every number here is real
 //! hardware time. Measurement is interleaved min-of-samples: each round
@@ -20,7 +22,8 @@
 //! writes the machine-readable artifact `BENCH_host_kernels.json` and
 //! exits non-zero if the tiled core loses to naive on any shape of order 2
 //! or higher, or if kernels 3 and 4 together are less than 2x their
-//! references on such a shape in 3D — the CI bench-smoke gate.
+//! references on such a shape in 3D, or if a lock-step per-point body loses
+//! to its scalar reference on a mid-run state — the CI bench-smoke gate.
 
 use std::time::Instant;
 
@@ -31,6 +34,7 @@ use blast_la::dense::naive;
 use blast_la::tile::{self, Op, CANDIDATES};
 use blast_la::{BatchedMats, DMatrix};
 
+use super::point_physics::{self, PointPhysicsResult, KERNELS};
 use crate::table;
 
 /// The Table-3 corner-force `F_z` shapes `(m, n, k, label)`: Q1-Q4 in 3D
@@ -140,6 +144,8 @@ pub struct HostKernels {
     pub shapes: Vec<ShapeResult>,
     /// One entry per [`AZ_SHAPES`] row.
     pub az_kernels: Vec<AzKernelResult>,
+    /// Two entries (initial, mid-run) per [`point_physics::POINT_SHAPES`] row.
+    pub point_physics: Vec<PointPhysicsResult>,
     /// Whether the FMA micro-kernel clones were active (the ULP-bounded
     /// determinism regime; see `blast_la::tile`).
     pub fma_active: bool,
@@ -158,6 +164,17 @@ impl HostKernels {
     /// [`AZ_GATE_SPEEDUP`] x their references (empty means the gate passes).
     pub fn az_gate_failures(&self) -> Vec<&AzKernelResult> {
         self.az_kernels.iter().filter(|a| a.gated && a.speedup() < AZ_GATE_SPEEDUP).collect()
+    }
+
+    /// `"label state: kernel"` of every gated per-point body that did not
+    /// beat its scalar reference (empty means the gate passes).
+    pub fn point_gate_failures(&self) -> Vec<String> {
+        self.point_physics
+            .iter()
+            .flat_map(|r| {
+                r.gate_failures().into_iter().map(move |k| format!("{} {}: {k}", r.label, r.state))
+            })
+            .collect()
     }
 
     /// Best tiled-GEMM rate of this run — the ceiling the `A_z` kernel
@@ -218,13 +235,14 @@ impl HostKernels {
             "{{\n  \"experiment\": \"host_kernels\",\n  \"threads\": 1,\n  \
              \"fma_active\": {},\n  \"smoke\": {},\n  \"shapes\": [\n{}\n  ],\n  \
              \"best_tiled_gflops\": {:.4},\n  \"az_gate_speedup\": {:.1},\n  \
-             \"az_kernels\": [\n{}\n  ]\n}}\n",
+             \"az_kernels\": [\n{}\n  ],\n  \"point_physics\": [\n{}\n  ]\n}}\n",
             self.fma_active,
             self.smoke,
             rows.join(",\n"),
             peak,
             AZ_GATE_SPEEDUP,
-            az_rows.join(",\n")
+            az_rows.join(",\n"),
+            self.point_physics.iter().map(|r| r.to_json()).collect::<Vec<_>>().join(",\n")
         )
     }
 }
@@ -387,7 +405,8 @@ pub fn measure_with_budget(smoke: bool) -> HostKernels {
             })
             .collect()
     });
-    HostKernels { shapes, az_kernels, fma_active: tile::fma_active(), smoke }
+    let point_physics = point_physics::measure(smoke);
+    HostKernels { shapes, az_kernels, point_physics, fma_active: tile::fma_active(), smoke }
 }
 
 /// Full-budget sweep (the experiment registry entry point).
@@ -441,6 +460,24 @@ pub fn render(r: &HostKernels) -> String {
         &["shape", "zones", "k3", "k3 ref", "speedup", "k4", "k4 ref", "speedup", "both"],
         &az_rows,
     ));
+    let point_rows: Vec<Vec<String>> = r
+        .point_physics
+        .iter()
+        .map(|p| {
+            let mut row = vec![p.label.to_string(), p.state.to_string(), p.points.to_string()];
+            for k in 0..KERNELS.len() {
+                row.push(format!("{:.0} / {:.0}", p.lanes_ns[k], p.scalar_ns[k]));
+                row.push(format!("{:.2}", p.ratio[k]));
+            }
+            row
+        })
+        .collect();
+    out.push('\n');
+    out.push_str(&table::render(
+        "point_physics — lock-step vs scalar per-point bodies, ns per point (ratio: median round)",
+        &["shape", "state", "points", "k1", "ratio", "k2", "ratio", "matfree force", "ratio"],
+        &point_rows,
+    ));
     out.push_str(&format!(
         "\nFMA micro-kernels {}; best-of-{} interleaved samples per variant.\n",
         if r.fma_active { "active (ULP-bounded vs naive)" } else { "inactive (bitwise vs naive)" },
@@ -473,7 +510,13 @@ mod tests {
             assert!(a.gflops().iter().all(|&gf| gf > 0.0 && gf.is_finite()));
         }
         assert_eq!(r.az_kernels.iter().filter(|a| a.gated).count(), 3);
+        assert_eq!(r.point_physics.len(), 2 * point_physics::POINT_SHAPES.len());
+        for p in &r.point_physics {
+            assert_eq!(p.gated, p.state == "mid-run");
+            assert!(p.lanes_ns.iter().chain(&p.scalar_ns).all(|&ns| ns > 0.0 && ns.is_finite()));
+        }
         let json = r.to_json();
+        assert!(json.contains("\"point_physics\": ["));
         assert!(json.contains("\"az_kernels\": ["));
         assert!(json.contains("\"experiment\": \"host_kernels\""));
         assert!(json.contains("\"Q3 3D\""));

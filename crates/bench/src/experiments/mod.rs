@@ -17,6 +17,7 @@ pub mod host_kernels;
 pub mod host_speedup;
 pub mod matfree_ceiling;
 pub mod pcg_streaming;
+pub mod point_physics;
 pub mod fig12_weak_scaling;
 pub mod fleet_routing;
 pub mod fig13_strong_scaling;

@@ -1,5 +1,5 @@
-//! Instruction-set levels the host bodies of kernels 3 and 4 are cloned
-//! for.
+//! Instruction-set levels the host bodies of kernels 1 to 4 and of the
+//! matrix-free force are cloned for.
 //!
 //! Each zone body is one `#[inline(always)]` function; [`isa_clones!`]
 //! re-compiles exactly that body under `#[target_feature]` with wider
@@ -86,10 +86,34 @@ pub(crate) fn signed_zero_mix(len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// The bit patterns of `v`, for whole-buffer bitwise comparisons (`-0.0`
+/// and NaN payloads included) in the clone-vs-reference tests.
+#[cfg(test)]
+pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Defines `fn $name<const D: usize>(isa: Isa, args..)`, which runs the
 /// `#[inline(always)]` body `$body::<D>` as compiled for `isa`.
+///
+/// With `lanes` before the body's name the body is `$body::<D, W>` and
+/// works on groups of `W` quadrature points, one SIMD lane each
+/// (`crate::point`): `W` = 4 / 8 / 16 at baseline / `avx2` / `avx512f`,
+/// two vectors of the level's width. Per-point results do not depend on
+/// `W`, so the width is not a parameter of anything either.
 macro_rules! isa_clones {
+    ($(#[$doc:meta])* fn $name:ident = lanes $body:ident($($arg:ident : $ty:ty),* $(,)?)) => {
+        $crate::isa::isa_clones! {
+            @emit $(#[$doc])* fn $name = $body [D, 4] [D, 8] [D, 16] ($($arg: $ty),*)
+        }
+    };
     ($(#[$doc:meta])* fn $name:ident = $body:ident($($arg:ident : $ty:ty),* $(,)?)) => {
+        $crate::isa::isa_clones! {
+            @emit $(#[$doc])* fn $name = $body [D] [D] [D] ($($arg: $ty),*)
+        }
+    };
+    (@emit $(#[$doc:meta])* fn $name:ident = $body:ident
+        [$($base:tt)*] [$($avx2:tt)*] [$($avx512:tt)*] ($($arg:ident : $ty:ty),*)) => {
         $(#[$doc])*
         #[allow(clippy::too_many_arguments)]
         fn $name<const D: usize>(isa: $crate::isa::Isa, $($arg: $ty),*) {
@@ -98,12 +122,12 @@ macro_rules! isa_clones {
                 #[target_feature(enable = "avx2")]
                 #[allow(clippy::too_many_arguments)]
                 unsafe fn avx2<const D: usize>($($arg: $ty),*) {
-                    $body::<D>($($arg),*)
+                    $body::<$($avx2)*>($($arg),*)
                 }
                 #[target_feature(enable = "avx512f")]
                 #[allow(clippy::too_many_arguments)]
                 unsafe fn avx512<const D: usize>($($arg: $ty),*) {
-                    $body::<D>($($arg),*)
+                    $body::<$($avx512)*>($($arg),*)
                 }
                 if isa.is_avx512() {
                     // SAFETY: an `Isa` at this level only exists after
@@ -115,7 +139,7 @@ macro_rules! isa_clones {
                     return unsafe { avx2::<D>($($arg),*) };
                 }
             }
-            $body::<D>($($arg),*)
+            $body::<$($base)*>($($arg),*)
         }
     };
 }

@@ -6,11 +6,16 @@
 //! DIM x DIM matrices." The per-thread `DIM x DIM` workspaces are the
 //! subject of the Fig. 4 ablation: kept in register arrays they are free;
 //! spilled to local memory every access pays DRAM bandwidth and energy.
+//!
+//! The host body keeps the thread-per-point mapping with SIMD lanes for
+//! threads: [`crate::point::geometry`] on groups of `W` points.
 
-use blast_la::{svd2, svd3, BatchedMats, SmallMat};
+use blast_la::BatchedMats;
 use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
 use rayon::prelude::*;
 
+use crate::isa::{isa_clones, Isa};
+use crate::point;
 use crate::shapes::ProblemShape;
 use crate::Workspace;
 
@@ -23,6 +28,25 @@ pub struct AdjugateDetKernel {
 
 /// Threads per block used by the per-point kernels.
 pub const POINT_KERNEL_BLOCK: u32 = 128;
+
+/// One zone of kernel 1, `W` points at a time.
+#[inline(always)]
+fn zone_body<const D: usize, const W: usize>(
+    jac: &[f64],
+    adj: &mut [f64],
+    det: &mut [f64],
+    hmin: &mut [f64],
+) {
+    let groups = jac.chunks(W * D * D).zip(adj.chunks_mut(W * D * D));
+    for ((j, a), (d, h)) in groups.zip(det.chunks_mut(W).zip(hmin.chunks_mut(W))) {
+        point::geometry::<D, W>(j, a, d, h);
+    }
+}
+
+isa_clones! {
+    /// [`zone_body`] as compiled for `isa`.
+    fn zone = lanes zone_body(jac: &[f64], adj: &mut [f64], det: &mut [f64], hmin: &mut [f64])
+}
 
 impl AdjugateDetKernel {
     /// Kernel name as it appears in the paper's Table 2.
@@ -76,32 +100,41 @@ impl AdjugateDetKernel {
         det: &mut [f64],
         hmin: &mut [f64],
     ) {
+        Self::compute_at(Isa::detect(), shape, jac, adj, det, hmin);
+    }
+
+    /// [`AdjugateDetKernel::compute`] through the zone body compiled for
+    /// `isa`.
+    fn compute_at(
+        isa: Isa,
+        shape: &ProblemShape,
+        jac: &BatchedMats,
+        adj: &mut BatchedMats,
+        det: &mut [f64],
+        hmin: &mut [f64],
+    ) {
         let d = shape.dim;
+        let npts = shape.npts;
         assert_eq!(jac.shape(), (d, d));
         assert_eq!(jac.count(), shape.total_points());
         assert_eq!(adj.shape(), (d, d));
+        assert_eq!(adj.count(), shape.total_points());
         assert_eq!(det.len(), shape.total_points());
         assert_eq!(hmin.len(), shape.total_points());
 
         let jac_data = jac.as_slice();
-        let stride = d * d;
+        let stride = npts * d * d;
         adj.as_mut_slice()
             .par_chunks_exact_mut(stride)
-            .zip(det.par_iter_mut())
-            .zip(hmin.par_iter_mut())
+            .zip(det.par_chunks_exact_mut(npts))
+            .zip(hmin.par_chunks_exact_mut(npts))
             .enumerate()
-            .for_each(|(p, ((adj_p, det_p), hmin_p))| {
-                let jp = &jac_data[p * stride..(p + 1) * stride];
+            .for_each(|(z, ((adj_z, det_z), hmin_z))| {
+                let jac_z = &jac_data[z * stride..(z + 1) * stride];
                 if d == 2 {
-                    let j = SmallMat::<2>::from_col_slice(jp);
-                    j.adjugate().write_col_slice(adj_p);
-                    *det_p = j.det();
-                    *hmin_p = svd2(&j).min_singular();
+                    zone::<2>(isa, jac_z, adj_z, det_z, hmin_z);
                 } else {
-                    let j = SmallMat::<3>::from_col_slice(jp);
-                    j.adjugate().write_col_slice(adj_p);
-                    *det_p = j.det();
-                    *hmin_p = svd3(&j).min_singular();
+                    zone::<3>(isa, jac_z, adj_z, det_z, hmin_z);
                 }
             });
     }
@@ -128,6 +161,7 @@ impl AdjugateDetKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blast_la::SmallMat;
     use gpu_sim::DeviceCatalog;
     use gpu_sim::GpuSpec;
 
@@ -252,5 +286,38 @@ mod tests {
         // On K20 it runs fine.
         let occ_k20 = gpu_sim::occupancy(&DeviceCatalog::gpu("k20"), &cfg);
         assert!(occ_k20.fraction > 0.0);
+    }
+
+    #[test]
+    fn every_isa_clone_matches_the_scalar_reference_bitwise() {
+        use crate::isa::bits;
+        // Q2 (64 points a zone: full groups at every width) and Q3 (216:
+        // a ragged last group at W = 16), at one, two and eight threads.
+        for (order, zones) in [(2, 7), (3, 4)] {
+            let shape = ProblemShape::new(3, order, zones);
+            let n = shape.total_points();
+            let jac = crate::point::shocked::state(&shape, 11 + order as u64).jac;
+            let mut want_adj = BatchedMats::zeros(3, 3, n);
+            let (mut want_det, mut want_hmin) = (vec![0.0; n], vec![0.0; n]);
+            for p in 0..n {
+                (want_det[p], want_hmin[p]) =
+                    crate::point::reference::geometry::<3>(jac.mat(p), want_adj.mat_mut(p));
+            }
+            for isa in Isa::available() {
+                for threads in [1, 2, 8] {
+                    let mut adj = BatchedMats::from_fn(3, 3, n, |_, _, _| f64::NAN);
+                    let (mut det, mut hmin) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+                    rayon::Pool::new(threads).install(|| {
+                        AdjugateDetKernel::compute_at(
+                            isa, &shape, &jac, &mut adj, &mut det, &mut hmin,
+                        )
+                    });
+                    let what = format!("{isa:?} Q{order} {threads} threads");
+                    assert_eq!(bits(adj.as_slice()), bits(want_adj.as_slice()), "adj, {what}");
+                    assert_eq!(bits(&det), bits(&want_det), "det, {what}");
+                    assert_eq!(bits(&hmin), bits(&want_hmin), "hmin, {what}");
+                }
+            }
+        }
     }
 }

@@ -19,12 +19,18 @@
 //! σ      = -p I + q ε
 //! inv_dt = c_s / h_min + 2.5 q / (ρ h_min^2),  h_min = σ_min(J)/k
 //! ```
+//!
+//! The arithmetic is [`crate::point::stress`], on groups of `W` points with
+//! the 3D eigen-solves in lock step — the body the matrix-free force
+//! ([`crate::sumfac`]) runs as well.
 
-use blast_la::{sym_eig2, sym_eig3, BatchedMats, DMatrix, SmallMat};
+use blast_la::{BatchedMats, DMatrix};
 use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
 use rayon::prelude::*;
 
+use crate::isa::{isa_clones, Isa};
 use crate::k1::POINT_KERNEL_BLOCK;
+use crate::point::{self, ZonePhysics};
 use crate::shapes::ProblemShape;
 use crate::Workspace;
 
@@ -52,18 +58,54 @@ pub struct StressKernel {
     pub use_viscosity: bool,
 }
 
-/// Smooth step that is 0 below 0 and 1 above `eps` (C1 transition) — the
-/// reference implementation's differentiable "if compressing" switch.
-#[inline]
-fn smooth_step_01(x: f64, eps: f64) -> f64 {
-    if x <= 0.0 {
-        0.0
-    } else if x >= eps {
-        1.0
-    } else {
-        let y = x / eps;
-        y * y * (3.0 - 2.0 * y)
+/// One zone of kernel 2, `W` points at a time: the energy interpolation
+/// `e(q̂_k) = Σ_l e_z[l] B[l, k]`, then [`point::stress`]. `point_data` is
+/// the zone's `[rho0detj0, det, hmin, grad_v, jac]`.
+#[inline(always)]
+fn zone_body<const D: usize, const W: usize>(
+    zone: &ZonePhysics<'_>,
+    e_z: &[f64],
+    thermo_vals: &DMatrix,
+    point_data: [&[f64]; 5],
+    sigma: &mut [f64],
+    inv_dt: &mut [f64],
+) {
+    let [rho0detj0, det, hmin, grad_v, jac] = point_data;
+    let d2 = D * D;
+    let npts = inv_dt.len();
+    for k0 in (0..npts).step_by(W) {
+        let n = W.min(npts - k0);
+        let (pts, mats) = (k0..k0 + n, k0 * d2..(k0 + n) * d2);
+        let mut e_pt = [0.0; W];
+        for (e, k) in e_pt.iter_mut().zip(pts.clone()) {
+            for (l, &coef) in e_z.iter().enumerate() {
+                *e += coef * thermo_vals[(l, k)];
+            }
+        }
+        point::stress::<D, W>(
+            zone,
+            &e_pt[..n],
+            &rho0detj0[pts.clone()],
+            &det[pts.clone()],
+            &hmin[pts.clone()],
+            &grad_v[mats.clone()],
+            &jac[mats.clone()],
+            &mut sigma[mats],
+            &mut inv_dt[pts],
+        );
     }
+}
+
+isa_clones! {
+    /// [`zone_body`] as compiled for `isa`.
+    fn zone = lanes zone_body(
+        zone: &ZonePhysics<'_>,
+        e_z: &[f64],
+        thermo_vals: &DMatrix,
+        point_data: [&[f64]; 5],
+        sigma: &mut [f64],
+        inv_dt: &mut [f64],
+    )
 }
 
 impl StressKernel {
@@ -129,6 +171,39 @@ impl StressKernel {
         sigma: &mut BatchedMats,
         inv_dt: &mut [f64],
     ) {
+        self.compute_at(
+            Isa::detect(),
+            shape,
+            e_coeffs,
+            thermo_vals,
+            grad_v,
+            jac,
+            det,
+            hmin,
+            rho0detj0,
+            consts,
+            sigma,
+            inv_dt,
+        );
+    }
+
+    /// [`StressKernel::compute`] through the zone body compiled for `isa`.
+    #[allow(clippy::too_many_arguments)]
+    fn compute_at(
+        &self,
+        isa: Isa,
+        shape: &ProblemShape,
+        e_coeffs: &[f64],
+        thermo_vals: &DMatrix,
+        grad_v: &BatchedMats,
+        jac: &BatchedMats,
+        det: &[f64],
+        hmin: &[f64],
+        rho0detj0: &[f64],
+        consts: &ZoneConstants,
+        sigma: &mut BatchedMats,
+        inv_dt: &mut [f64],
+    ) {
         let d = shape.dim;
         let npts = shape.npts;
         let nthermo = shape.nthermo;
@@ -146,41 +221,28 @@ impl StressKernel {
         assert_eq!(sigma.count(), total);
         assert_eq!(inv_dt.len(), total);
 
-        let stride = d * d;
-        let use_visc = self.use_viscosity;
-        let order = shape.order as f64;
+        let stride = npts * d * d;
+        let (grad_v, jac) = (grad_v.as_slice(), jac.as_slice());
         sigma
             .as_mut_slice()
             .par_chunks_exact_mut(stride)
-            .zip(inv_dt.par_iter_mut())
+            .zip(inv_dt.par_chunks_exact_mut(npts))
             .enumerate()
-            .for_each(|(p, (sig_p, invdt_p))| {
-                let z = p / npts;
-                let k = p % npts;
-                let gamma = consts.gamma[z];
-                let h0 = consts.h0[z];
-                let j0inv = &consts.j0inv_diag[z * d..(z + 1) * d];
-
-                // Thermodynamic state.
-                let mut e_pt = 0.0;
-                for l in 0..nthermo {
-                    e_pt += e_coeffs[z * nthermo + l] * thermo_vals[(l, k)];
-                }
-                let e_pt = e_pt.max(0.0);
-                let rho = rho0detj0[p] / det[p];
-                let p_eos = (gamma - 1.0) * rho * e_pt;
-                let cs = (gamma * (gamma - 1.0) * e_pt).sqrt();
-
+            .for_each(|(z, (sig_z, invdt_z))| {
+                let zone_physics = ZonePhysics::new(consts, z, shape, self.use_viscosity);
+                let e_z = &e_coeffs[z * nthermo..(z + 1) * nthermo];
+                let (pts, mats) = (z * npts..(z + 1) * npts, z * stride..(z + 1) * stride);
+                let point_data = [
+                    &rho0detj0[pts.clone()],
+                    &det[pts.clone()],
+                    &hmin[pts],
+                    &grad_v[mats.clone()],
+                    &jac[mats],
+                ];
                 if d == 2 {
-                    stress_at_point::<2>(
-                        use_visc, gamma, h0, j0inv, rho, p_eos, cs, grad_v.mat(p), jac.mat(p),
-                        hmin[p], order, sig_p, invdt_p,
-                    );
+                    zone::<2>(isa, &zone_physics, e_z, thermo_vals, point_data, sig_z, invdt_z);
                 } else {
-                    stress_at_point::<3>(
-                        use_visc, gamma, h0, j0inv, rho, p_eos, cs, grad_v.mat(p), jac.mat(p),
-                        hmin[p], order, sig_p, invdt_p,
-                    );
+                    zone::<3>(isa, &zone_physics, e_z, thermo_vals, point_data, sig_z, invdt_z);
                 }
             });
     }
@@ -214,79 +276,10 @@ impl StressKernel {
     }
 }
 
-/// The per-point stress/viscosity computation, monomorphic in `D`.
-///
-/// Public so the matrix-free pipeline ([`crate::sumfac`]) applies the
-/// identical EOS/viscosity arithmetic — the two assembly modes must agree
-/// point-for-point on the stress before their contractions diverge.
-#[allow(clippy::too_many_arguments)]
-pub fn stress_at_point<const D: usize>(
-    use_visc: bool,
-    _gamma: f64,
-    h0: f64,
-    j0inv: &[f64],
-    rho: f64,
-    p_eos: f64,
-    cs: f64,
-    grad_v_slice: &[f64],
-    jac_slice: &[f64],
-    hmin_jac: f64,
-    order: f64,
-    sig_out: &mut [f64],
-    invdt_out: &mut f64,
-) {
-    let l = SmallMat::<D>::from_col_slice(grad_v_slice);
-    let mut sigma = SmallMat::<D>::zeros();
-    for i in 0..D {
-        sigma[(i, i)] = -p_eos;
-    }
-
-    let mut visc_coeff = 0.0;
-    if use_visc {
-        let eps_t = l.sym();
-        // Smallest eigenpair = maximal compression.
-        let (mu, dir) = if D == 2 {
-            let m = SmallMat::<2>::from_fn(|i, j| eps_t[(i, j)]);
-            let e = sym_eig2(&m);
-            let mut v = [0.0; D];
-            for i in 0..D {
-                v[i] = e.vectors[(i, 1)];
-            }
-            (e.values[1], v)
-        } else {
-            let m = SmallMat::<3>::from_fn(|i, j| eps_t[(i, j)]);
-            let e = sym_eig3(&m);
-            let mut v = [0.0; D];
-            for i in 0..D {
-                v[i] = e.vectors[(i, 2)];
-            }
-            (e.values[2], v)
-        };
-        // Directional length scale h = h0 |J J0^{-1} dir|.
-        let jac = SmallMat::<D>::from_col_slice(jac_slice);
-        let jpi = SmallMat::<D>::from_fn(|i, c| jac[(i, c)] * j0inv[c]);
-        let ph = jpi.mul_vec(&dir);
-        let h = h0 * ph.iter().map(|x| x * x).sum::<f64>().sqrt();
-        visc_coeff = 2.0 * rho * h * h * mu.abs();
-        // Linear term only under compression (smooth switch).
-        let eps_sw = 1e-12;
-        visc_coeff += 0.5 * rho * h * cs * (1.0 - smooth_step_01(mu - 2.0 * eps_sw, eps_sw));
-        for j in 0..D {
-            for i in 0..D {
-                sigma[(i, j)] += visc_coeff * eps_t[(i, j)];
-            }
-        }
-    }
-    sigma.write_col_slice(sig_out);
-
-    // Per-point timestep control.
-    let h_min = (hmin_jac / order).max(1e-300);
-    *invdt_out = cs / h_min + 2.5 * visc_coeff / (rho * h_min * h_min);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::smooth_step_01;
 
     fn uniform_setup(dim: usize, zones: usize) -> (ProblemShape, ZoneConstants) {
         let shape = ProblemShape::new(dim, 2, zones);
@@ -463,5 +456,64 @@ mod tests {
         let mid = smooth_step_01(0.5, eps);
         assert!(mid > 0.0 && mid < 1.0);
         assert!((smooth_step_01(0.5, eps) - 0.5).abs() < 1e-12); // odd symmetry at midpoint
+    }
+
+    #[test]
+    fn every_isa_clone_matches_the_scalar_reference_bitwise() {
+        use crate::point::{reference, shocked};
+        use crate::isa::bits;
+        for (order, zones) in [(2, 7), (3, 4)] {
+            let shape = ProblemShape::new(3, order, zones);
+            let (n, npts, nthermo) = (shape.total_points(), shape.npts, shape.nthermo);
+            let st = shocked::state(&shape, 23 + order as u64);
+            let mix = crate::isa::signed_zero_mix(zones * nthermo + nthermo * npts, 5);
+            // Energies that cross zero, so the clamp is on both sides.
+            let e_coeffs: Vec<f64> = mix[..zones * nthermo].iter().map(|m| 2.0 * m + 1.5).collect();
+            let thermo_vals =
+                DMatrix::from_fn(nthermo, npts, |l, k| mix[zones * nthermo + l * npts + k]);
+            let mut adj = [0.0; 9];
+            let (det, hmin): (Vec<f64>, Vec<f64>) =
+                (0..n).map(|p| reference::geometry::<3>(st.jac.mat(p), &mut adj)).unzip();
+            for use_viscosity in [true, false] {
+                let kernel = StressKernel { workspace: Workspace::Registers, use_viscosity };
+                let mut want_sigma = BatchedMats::zeros(3, 3, n);
+                let mut want_inv_dt = vec![0.0; n];
+                for p in 0..n {
+                    let (z, k) = (p / npts, p % npts);
+                    let zone = ZonePhysics::new(&st.consts, z, &shape, use_viscosity);
+                    let mut e_pt = 0.0;
+                    for l in 0..nthermo {
+                        e_pt += e_coeffs[z * nthermo + l] * thermo_vals[(l, k)];
+                    }
+                    want_inv_dt[p] = reference::stress::<3>(
+                        &zone,
+                        e_pt,
+                        st.rho0detj0[p],
+                        det[p],
+                        hmin[p],
+                        st.grad_v.mat(p),
+                        st.jac.mat(p),
+                        want_sigma.mat_mut(p),
+                    );
+                }
+                for isa in Isa::available() {
+                    for threads in [1, 2, 8] {
+                        let mut sigma = BatchedMats::from_fn(3, 3, n, |_, _, _| f64::NAN);
+                        let mut inv_dt = vec![f64::NAN; n];
+                        rayon::Pool::new(threads).install(|| {
+                            kernel.compute_at(
+                                isa, &shape, &e_coeffs, &thermo_vals, &st.grad_v, &st.jac, &det,
+                                &hmin, &st.rho0detj0, &st.consts, &mut sigma, &mut inv_dt,
+                            )
+                        });
+                        let what =
+                            format!("{isa:?} Q{order} visc {use_viscosity} {threads} threads");
+                        let want = bits(want_sigma.as_slice());
+                        assert_eq!(bits(sigma.as_slice()), want, "sigma, {what}");
+                        assert_eq!(bits(&inv_dt), bits(&want_inv_dt), "inv_dt, {what}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -42,6 +42,7 @@ pub mod k56;
 pub mod k7;
 pub mod k8_10;
 pub mod k9;
+mod point;
 pub mod shapes;
 pub mod sumfac;
 

@@ -25,10 +25,10 @@
 //!   (the PCG `apply` of the SpMV-free solve).
 //!
 //! Per-point physics (EOS, viscosity, `adj(J)`, `det(J)`, SVD length
-//! scale, timestep control) is byte-for-byte the stored pipeline's:
-//! [`crate::k2::stress_at_point`] and the `blast_la` small-matrix ops that
-//! kernel 1 uses. The two modes agree on the stress at every quadrature
-//! point; they differ only in how the contractions around it associate.
+//! scale, timestep control) is the stored pipeline's own code — the
+//! `crate::point` bodies kernels 1 and 2 run. The two modes agree on the
+//! stress at every quadrature point; they differ only in how the
+//! contractions around it associate.
 //!
 //! Determinism: zones are data-parallel with zone-private scratch and a
 //! serial zone-order scatter (the k8/k10 pattern), and the inner
@@ -41,11 +41,13 @@ use std::fmt;
 
 use blast_fem::sumfac::{backward, forward, Factors1d, SumfacScratch};
 use blast_fem::{gauss_legendre, quad_points_1d, Basis1d};
-use blast_la::{svd2, svd3, BatchedMats, SmallMat};
+use blast_la::BatchedMats;
 use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
 use rayon::prelude::*;
 
-use crate::k2::{stress_at_point, ZoneConstants};
+use crate::isa::{isa_clones, Isa};
+use crate::k2::ZoneConstants;
+use crate::point::{self, ZonePhysics};
 use crate::shapes::ProblemShape;
 
 /// How the corner-force and mass operators are realized.
@@ -192,10 +194,103 @@ fn forward_gradients(
     }
 }
 
+/// The per-point sweep of one zone of the matrix-free force, `W` points at
+/// a time: kernel-1 geometry, the kernel-5 product `∇v = ∇̂v̂ adj(J) / |J|`,
+/// kernel-2 EOS + viscosity, and the kernel-6 product `S = σ̂ adj(J)^T`
+/// fused with the kernel-4 quadrature weight into `D = α_k S`. The group's
+/// `adj` / `∇v` / `σ̂` blocks live on the stack.
+#[inline(always)]
+fn zone_points_body<const D: usize, const W: usize>(
+    zone: &ZonePhysics<'_>,
+    jac: &[f64],
+    gvref: &[f64],
+    e_pt: &[f64],
+    alpha: &[f64],
+    rho0detj0: &[f64],
+    dsf: &mut [f64],
+    detj: &mut [f64],
+    inv_dt: &mut [f64],
+) {
+    let d2 = D * D;
+    let npts = detj.len();
+    let mut adj = [[0.0; 9]; W];
+    let mut gv = [[0.0; 9]; W];
+    let mut sig = [[0.0; 9]; W];
+    let mut hmin = [0.0; W];
+    for k0 in (0..npts).step_by(W) {
+        let n = W.min(npts - k0);
+        let (pts, mats) = (k0..k0 + n, k0 * d2..(k0 + n) * d2);
+        let adj = &mut adj.as_flattened_mut()[..n * d2];
+        let gv = &mut gv.as_flattened_mut()[..n * d2];
+        let sig = &mut sig.as_flattened_mut()[..n * d2];
+        point::geometry::<D, W>(&jac[mats.clone()], adj, &mut detj[pts.clone()], &mut hmin[..n]);
+        // Kernel-5 equivalent: ∇v = ∇̂v̂ · adj(J) / det(J).
+        for ((gv_k, adj_k), (gvref_k, &det)) in gv
+            .chunks_exact_mut(d2)
+            .zip(adj.chunks_exact(d2))
+            .zip(gvref[mats.clone()].chunks_exact(d2).zip(&detj[pts.clone()]))
+        {
+            let inv_det = 1.0 / det;
+            for g in 0..D {
+                for c in 0..D {
+                    let mut acc = 0.0;
+                    for t in 0..D {
+                        acc += gvref_k[c + t * D] * adj_k[t + g * D];
+                    }
+                    gv_k[c + g * D] = acc * inv_det;
+                }
+            }
+        }
+        point::stress::<D, W>(
+            zone,
+            &e_pt[pts.clone()],
+            &rho0detj0[pts.clone()],
+            &detj[pts.clone()],
+            &hmin[..n],
+            gv,
+            &jac[mats.clone()],
+            sig,
+            &mut inv_dt[pts.clone()],
+        );
+        // Kernel-6 equivalent (S = σ̂ adj^T) fused with the kernel-4
+        // quadrature weight: D = α_k S.
+        for ((dsf_k, &ak), (sig_k, adj_k)) in dsf[mats]
+            .chunks_exact_mut(d2)
+            .zip(&alpha[pts])
+            .zip(sig.chunks_exact(d2).zip(adj.chunks_exact(d2)))
+        {
+            for g in 0..D {
+                for c in 0..D {
+                    let mut acc = 0.0;
+                    for t in 0..D {
+                        acc += sig_k[c + t * D] * adj_k[g + t * D];
+                    }
+                    dsf_k[c + g * D] = ak * acc;
+                }
+            }
+        }
+    }
+}
+
+isa_clones! {
+    /// [`zone_points_body`] as compiled for `isa`.
+    fn zone_points = lanes zone_points_body(
+        zone: &ZonePhysics<'_>,
+        jac: &[f64],
+        gvref: &[f64],
+        e_pt: &[f64],
+        alpha: &[f64],
+        rho0detj0: &[f64],
+        dsf: &mut [f64],
+        detj: &mut [f64],
+        inv_dt: &mut [f64],
+    )
+}
+
 /// Matrix-free corner-force kernel: one fused sweep replacing kernels
 /// 1/2/3/5/6 *and* the `A_z` assembly of kernel 4. Per zone it gathers
 /// `(x, v, e)`, sum-factorizes `J(q̂_k)` and `∇̂v̂(q̂_k)`, runs the
-/// byte-identical per-point geometry/EOS/viscosity math of kernels 1–2,
+/// per-point geometry/EOS/viscosity bodies of kernels 1–2 (`crate::point`),
 /// and persists only `D_z(k) = α_k σ̂(k) adj(J)^T` (`d x d` per point) plus
 /// `det J` and the per-point timestep control.
 #[derive(Clone, Copy, Debug)]
@@ -278,6 +373,44 @@ impl SumfacForceKernel {
         detj: &mut [f64],
         inv_dt: &mut [f64],
     ) {
+        self.compute_at(
+            Isa::detect(),
+            shape,
+            factors,
+            x,
+            v,
+            e,
+            num_h1_dofs,
+            zone_dofs,
+            alpha,
+            rho0detj0,
+            consts,
+            dsf,
+            detj,
+            inv_dt,
+        );
+    }
+
+    /// [`SumfacForceKernel::compute`] with the per-point sweep compiled for
+    /// `isa`.
+    #[allow(clippy::too_many_arguments)]
+    fn compute_at(
+        &self,
+        isa: Isa,
+        shape: &ProblemShape,
+        factors: &SumfacFactors,
+        x: &[f64],
+        v: &[f64],
+        e: &[f64],
+        num_h1_dofs: usize,
+        zone_dofs: &[usize],
+        alpha: &[f64],
+        rho0detj0: &[f64],
+        consts: &ZoneConstants,
+        dsf: &mut BatchedMats,
+        detj: &mut [f64],
+        inv_dt: &mut [f64],
+    ) {
         let d = shape.dim;
         let d2 = d * d;
         let npts = shape.npts;
@@ -295,8 +428,6 @@ impl SumfacForceKernel {
         assert_eq!(detj.len(), total);
         assert_eq!(inv_dt.len(), total);
 
-        let use_visc = self.use_viscosity;
-        let order = shape.order as f64;
         dsf.as_mut_slice()
             .par_chunks_exact_mut(npts * d2)
             .zip(detj.par_chunks_exact_mut(npts))
@@ -328,71 +459,18 @@ impl SumfacForceKernel {
                     let ez = &e[z * nthermo..(z + 1) * nthermo];
                     forward(&factors.thermo, d, ez, None, &mut zs.e_pt[..npts], &mut zs.sf);
 
-                    let gamma = consts.gamma[z];
-                    let h0 = consts.h0[z];
-                    let j0inv = &consts.j0inv_diag[z * d..(z + 1) * d];
-                    let mut adj = [0.0; 9];
-                    let mut gv = [0.0; 9];
-                    let mut sig = [0.0; 9];
-                    let mut s = [0.0; 9];
-                    for k in 0..npts {
-                        let p = z * npts + k;
-                        let jac_k = &zs.jac[k * d2..(k + 1) * d2];
-                        // Kernel-1 math, verbatim: adjugate, det, SVD
-                        // length scale.
-                        let (det, hmin) = if d == 2 {
-                            let j = SmallMat::<2>::from_col_slice(jac_k);
-                            j.adjugate().write_col_slice(&mut adj[..d2]);
-                            (j.det(), svd2(&j).min_singular())
-                        } else {
-                            let j = SmallMat::<3>::from_col_slice(jac_k);
-                            j.adjugate().write_col_slice(&mut adj[..d2]);
-                            (j.det(), svd3(&j).min_singular())
-                        };
-                        detj_z[k] = det;
-                        let inv_det = 1.0 / det;
-                        // Kernel-5 equivalent: spatial velocity gradient
-                        // ∇v = ∇̂v̂ · adj(J) / det(J).
-                        for g in 0..d {
-                            for c in 0..d {
-                                let mut acc = 0.0;
-                                for t in 0..d {
-                                    acc += zs.gvref[k * d2 + c + t * d] * adj[t + g * d];
-                                }
-                                gv[c + g * d] = acc * inv_det;
-                            }
-                        }
-                        // Kernel-2 EOS, verbatim.
-                        let e_val = zs.e_pt[k].max(0.0);
-                        let rho = rho0detj0[p] / det;
-                        let p_eos = (gamma - 1.0) * rho * e_val;
-                        let cs = (gamma * (gamma - 1.0) * e_val).sqrt();
-                        if d == 2 {
-                            stress_at_point::<2>(
-                                use_visc, gamma, h0, j0inv, rho, p_eos, cs, &gv[..d2], jac_k,
-                                hmin, order, &mut sig[..d2], &mut invdt_z[k],
-                            );
-                        } else {
-                            stress_at_point::<3>(
-                                use_visc, gamma, h0, j0inv, rho, p_eos, cs, &gv[..d2], jac_k,
-                                hmin, order, &mut sig[..d2], &mut invdt_z[k],
-                            );
-                        }
-                        // Kernel-6 equivalent (S = σ̂ adj^T) fused with the
-                        // kernel-4 quadrature weight: D = α_k S.
-                        let ak = alpha[k];
-                        for g in 0..d {
-                            for c in 0..d {
-                                let mut acc = 0.0;
-                                for t in 0..d {
-                                    acc += sig[c + t * d] * adj[g + t * d];
-                                }
-                                s[c + g * d] = acc;
-                            }
-                        }
-                        for i in 0..d2 {
-                            dsf_z[k * d2 + i] = ak * s[i];
-                        }
+                    let zone = ZonePhysics::new(consts, z, shape, self.use_viscosity);
+                    let (jac, gvref, e_pt) =
+                        (&zs.jac[..npts * d2], &zs.gvref[..npts * d2], &zs.e_pt[..npts]);
+                    let rho_z = &rho0detj0[z * npts..(z + 1) * npts];
+                    if d == 2 {
+                        zone_points::<2>(
+                            isa, &zone, jac, gvref, e_pt, alpha, rho_z, dsf_z, detj_z, invdt_z,
+                        );
+                    } else {
+                        zone_points::<3>(
+                            isa, &zone, jac, gvref, e_pt, alpha, rho_z, dsf_z, detj_z, invdt_z,
+                        );
                     }
                 });
             });
@@ -949,6 +1027,109 @@ mod tests {
             let mut y = vec![0.0; num_h1_dofs];
             kern.compute_with(&shape, &f, &svals, &zone_dofs, num_h1_dofs, &e, &mut y, &mut local);
             assert!((diag[i] - y[i]).abs() <= 1e-13 * diag[i].abs().max(1.0));
+        }
+    }
+
+    #[test]
+    fn force_matches_the_scalar_point_reference_at_every_isa_level() {
+        use crate::point::reference;
+        use crate::isa::bits;
+        for (order, zones) in [(2, 7), (3, 4)] {
+            let shape = ProblemShape::new(3, order, zones);
+            let f = SumfacFactors::for_shape(&shape);
+            let (d, d2, npts, nkin, nthermo) = (3, 9, shape.npts, shape.nkin, shape.nthermo);
+            let total = shape.total_points();
+            // Zone-private DOFs; positions are the reference nodes scaled to
+            // h = 0.2 and jittered, velocities a strong compression in two
+            // zones out of three and exactly zero in the third.
+            let num_h1_dofs = zones * nkin;
+            let zone_dofs: Vec<usize> = (0..num_h1_dofs).collect();
+            let nodes = Basis1d::h1(order).nodes().to_vec();
+            let n1 = nodes.len();
+            let nmix = 2 * d * num_h1_dofs + zones * nthermo + total;
+            let mix = crate::isa::signed_zero_mix(nmix, 31);
+            let (mut x, mut v) = (vec![0.0; d * num_h1_dofs], vec![0.0; d * num_h1_dofs]);
+            for c in 0..d {
+                for dof in 0..num_h1_dofs {
+                    let node = nodes[(dof % nkin) / n1.pow(c as u32) % n1];
+                    let i = c * num_h1_dofs + dof;
+                    x[i] = 0.2 * node + 0.004 * mix[i];
+                    let shocked = (dof / nkin) % 3 != 2;
+                    v[i] = if shocked { -3.0 * node + 0.8 * mix[d * num_h1_dofs + i] } else { 0.0 };
+                }
+            }
+            let e: Vec<f64> =
+                mix[2 * d * num_h1_dofs..][..zones * nthermo].iter().map(|m| m + 0.9).collect();
+            let alpha: Vec<f64> = (0..npts).map(|k| 0.01 + 1e-4 * k as f64).collect();
+            let rho0detj0: Vec<f64> =
+                mix[nmix - total..].iter().map(|m| 0.008 + 0.002 * m).collect();
+            let consts = crate::point::shocked::state(&shape, 1).consts;
+            let kernel = SumfacForceKernel { use_viscosity: true };
+
+            // The reference: the same transforms, then the point-at-a-time
+            // kernel-1 / 5 / 2 / 6 chain through the scalar eigen-solves.
+            let mut want_dsf = BatchedMats::zeros(d, d, total);
+            let (mut want_detj, mut want_inv_dt) = (vec![0.0; total], vec![0.0; total]);
+            let mut sf = SumfacScratch::default();
+            let (mut uz, mut tmp) = (vec![0.0; d * nkin], vec![0.0; npts]);
+            let (mut jac, mut gvref) = (vec![0.0; npts * d2], vec![0.0; npts * d2]);
+            let mut e_pt = vec![0.0; npts];
+            for z in 0..zones {
+                let dofs = &zone_dofs[z * nkin..(z + 1) * nkin];
+                gather_kin(&x, num_h1_dofs, dofs, d, nkin, &mut uz);
+                forward_gradients(&f.kin, d, &uz, nkin, npts, &mut tmp, &mut sf, &mut jac);
+                gather_kin(&v, num_h1_dofs, dofs, d, nkin, &mut uz);
+                forward_gradients(&f.kin, d, &uz, nkin, npts, &mut tmp, &mut sf, &mut gvref);
+                forward(&f.thermo, d, &e[z * nthermo..(z + 1) * nthermo], None, &mut e_pt, &mut sf);
+                let zone = ZonePhysics::new(&consts, z, &shape, true);
+                for k in 0..npts {
+                    let p = z * npts + k;
+                    let jac_k = &jac[k * d2..(k + 1) * d2];
+                    let (mut adj, mut gv, mut sig) = ([0.0; 9], [0.0; 9], [0.0; 9]);
+                    let (det, hmin) = reference::geometry::<3>(jac_k, &mut adj);
+                    want_detj[p] = det;
+                    let inv_det = 1.0 / det;
+                    for g in 0..d {
+                        for c in 0..d {
+                            let mut acc = 0.0;
+                            for t in 0..d {
+                                acc += gvref[k * d2 + c + t * d] * adj[t + g * d];
+                            }
+                            gv[c + g * d] = acc * inv_det;
+                        }
+                    }
+                    want_inv_dt[p] = reference::stress::<3>(
+                        &zone, e_pt[k], rho0detj0[p], det, hmin, &gv, jac_k, &mut sig,
+                    );
+                    for g in 0..d {
+                        for c in 0..d {
+                            let mut acc = 0.0;
+                            for t in 0..d {
+                                acc += sig[c + t * d] * adj[g + t * d];
+                            }
+                            want_dsf.mat_mut(p)[c + g * d] = alpha[k] * acc;
+                        }
+                    }
+                }
+            }
+            assert!(want_detj.iter().all(|&dj| dj > 0.0), "the test mesh must be valid");
+
+            for isa in Isa::available() {
+                for threads in [1, 2, 8] {
+                    let mut dsf = BatchedMats::from_fn(d, d, total, |_, _, _| f64::NAN);
+                    let (mut detj, mut inv_dt) = (vec![f64::NAN; total], vec![f64::NAN; total]);
+                    rayon::Pool::new(threads).install(|| {
+                        kernel.compute_at(
+                            isa, &shape, &f, &x, &v, &e, num_h1_dofs, &zone_dofs, &alpha,
+                            &rho0detj0, &consts, &mut dsf, &mut detj, &mut inv_dt,
+                        )
+                    });
+                    let what = format!("{isa:?} Q{order} {threads} threads");
+                    assert_eq!(bits(dsf.as_slice()), bits(want_dsf.as_slice()), "dsf, {what}");
+                    assert_eq!(bits(&detj), bits(&want_detj), "detj, {what}");
+                    assert_eq!(bits(&inv_dt), bits(&want_inv_dt), "inv_dt, {what}");
+                }
+            }
         }
     }
 }

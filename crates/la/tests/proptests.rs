@@ -1,6 +1,7 @@
 //! Property-based tests for the linear-algebra kernels.
 
 use blast_la::dense::{gemm_nn, gemm_nt, gemv_n, gemv_t, naive, DMatrix};
+use blast_la::eig::{identity3_lanes, sym_eig3_lanes, sym_eigvals3_lanes};
 use blast_la::tile::{self, Op};
 use blast_la::{
     approx_eq, batched_gemm_nn, pcg_solve, sym_eig2, sym_eig3, svd2, svd3, BatchedMats,
@@ -93,6 +94,51 @@ proptest! {
         // Trace invariant.
         let sum: f64 = e.values.iter().sum();
         prop_assert!((sum - a.trace()).abs() <= 1e-10 * scale);
+    }
+
+    /// Every lane of the lock-step solve is `sym_eig3` on that lane's
+    /// matrix, bit for bit, whatever sits in the other lanes — here a
+    /// ragged group of random matrices, some with exact-zero off-diagonals,
+    /// padded with identity lanes.
+    #[test]
+    fn sym_eig3_lanes_match_scalar_bitwise(
+        mats in proptest::collection::vec(proptest::array::uniform6(finite_small()), 1..=8),
+        zeroed in 0usize..64,
+    ) {
+        let group: Vec<SmallMat<3>> = mats
+            .iter()
+            .enumerate()
+            .map(|(l, v)| {
+                // Bits of `zeroed + l` pick which off-diagonals are exact zeros.
+                let off = |k: usize, x: f64| if (zeroed + l) >> k & 1 == 1 { 0.0 } else { x };
+                let rows = [
+                    [v[0], off(0, v[1]), off(1, v[2])],
+                    [off(0, v[1]), v[3], off(2, v[4])],
+                    [off(1, v[2]), off(2, v[4]), v[5]],
+                ];
+                SmallMat::from_fn(|i, j| rows[i][j])
+            })
+            .collect();
+        let mut a = identity3_lanes::<8>();
+        for (l, m) in group.iter().enumerate() {
+            for i in 0..3 {
+                for j in 0..=i {
+                    a[i][j][l] = m[(i, j)];
+                }
+            }
+        }
+        let (values, vectors) = sym_eig3_lanes(&a);
+        let values_only = sym_eigvals3_lanes(&a);
+        for (l, m) in group.iter().enumerate() {
+            let want = sym_eig3(m);
+            for k in 0..3 {
+                prop_assert_eq!(values[k][l].to_bits(), want.values[k].to_bits());
+                prop_assert_eq!(values_only[k][l].to_bits(), want.values[k].to_bits());
+                for i in 0..3 {
+                    prop_assert_eq!(vectors[i][k][l].to_bits(), want.vectors[(i, k)].to_bits());
+                }
+            }
+        }
     }
 
     #[test]
