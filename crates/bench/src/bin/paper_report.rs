@@ -6,10 +6,7 @@
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let names = if args.is_empty() {
-        blast_bench::experiments::all_experiment_names()
-            .into_iter()
-            .map(String::from)
-            .collect()
+        blast_bench::experiments::EXPERIMENTS.iter().map(|(name, _)| name.to_string()).collect()
     } else {
         args
     };

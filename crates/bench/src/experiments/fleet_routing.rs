@@ -18,16 +18,21 @@
 //! decisions and billing are bit-deterministic by construction, and this
 //! gate keeps them that way.
 
-use std::fmt::Write as _;
-
 use blast_core::fleet;
 use blast_serve::{
-    JobOutcome, JobSpec, Placement, Router, RoutingDecision, Scenario, ServeConfig,
-    ServeReport, Supervisor, WorkerSpec,
+    JobOutcome, JobSpec, Placement, Router, RoutingDecision, Scenario, ServeConfig, ServeReport,
+    Supervisor, WorkerSpec,
 };
 use gpu_sim::DeviceCatalog;
 
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
+
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "fleet_routing",
+    artifact: "BENCH_fleet.json",
+    run: |smoke| measure(smoke).report(),
+};
 
 /// Energy-reconciliation tolerance, same as the serve-storm gate.
 const RECONCILE_TOL: f64 = 1e-9;
@@ -132,8 +137,6 @@ pub struct FleetRouting {
     pub digest_threads8: u64,
     /// Every static single-device placement of the same workload.
     pub statics: Vec<StaticRun>,
-    /// Whether the reduced smoke workload was used.
-    pub smoke: bool,
 }
 
 fn tenant_energy(report: &ServeReport) -> f64 {
@@ -141,8 +144,7 @@ fn tenant_energy(report: &ServeReport) -> f64 {
 }
 
 fn supervisor_for_fleet() -> Supervisor {
-    let workers =
-        FLEET.iter().map(|id| WorkerSpec::from_device(&DeviceCatalog::get(id))).collect();
+    let workers = FLEET.iter().map(|id| WorkerSpec::from_device(&DeviceCatalog::get(id))).collect();
     Supervisor::new(ServeConfig::default(), workers)
 }
 
@@ -162,11 +164,7 @@ fn run_routed(jobs: &[JobSpec]) -> (ServeReport, Vec<RoutingDecision>) {
 /// Runs the whole workload pinned to one device, deadlines disabled,
 /// each job under the cheapest mode the router's pilots found for that
 /// device (`decisions` aligns with `jobs`).
-fn run_static(
-    device_id: &str,
-    jobs: &[JobSpec],
-    decisions: &[RoutingDecision],
-) -> StaticRun {
+fn run_static(device_id: &str, jobs: &[JobSpec], decisions: &[RoutingDecision]) -> StaticRun {
     let dev = DeviceCatalog::get(device_id);
     let workers = (0..FLEET.len()).map(|_| WorkerSpec::from_device(&dev)).collect();
     let mut sup = Supervisor::new(ServeConfig::default(), workers);
@@ -196,7 +194,7 @@ fn run_static(
 
 /// Runs the full experiment. `smoke` trims the per-tenant job counts;
 /// the fleet, the job classes, and every gate stay identical.
-pub fn measure_with_budget(smoke: bool) -> FleetRouting {
+pub fn measure(smoke: bool) -> FleetRouting {
     let jobs = workload(smoke);
 
     // Routed placement, twice, under different host-pool sizes: the
@@ -229,227 +227,172 @@ pub fn measure_with_budget(smoke: bool) -> FleetRouting {
         routed_deadline_misses: report1.count(|o| {
             matches!(
                 o,
-                JobOutcome::Cancelled {
-                    reason: blast_serve::CancelReason::DeadlineExceeded
-                }
+                JobOutcome::Cancelled { reason: blast_serve::CancelReason::DeadlineExceeded }
             )
         }),
         routed_reconcile_err: report1.reconciliation_error(),
         digest_threads1: report1.ledger_digest(),
         digest_threads8: report8.ledger_digest(),
         statics,
-        smoke,
     }
 }
 
 impl FleetRouting {
-    /// The gate: routed placement strictly cheaper than every static,
-    /// every SLO met, every ledger closed, digests thread-invariant.
-    pub fn gate_failures(&self) -> Vec<String> {
-        let mut fails = Vec::new();
-        if self.routed_completed != self.total_jobs {
-            fails.push(format!(
-                "routed run completed {}/{} jobs",
-                self.routed_completed, self.total_jobs
+    /// The rows and gates of this result. Gated: routed placement strictly
+    /// cheaper than every static, every SLO met, every ledger closed,
+    /// digests thread-invariant.
+    pub fn report(&self) -> Report {
+        let total = self.total_jobs;
+        // The two gates every placement's ledger carries, routed or static.
+        let ledger = |who: &str, completed: usize, err: f64| {
+            let closed = format!("off by {err:.3e}, tolerance {RECONCILE_TOL:e}");
+            [
+                Gate::new(
+                    format!("{who} completes every job"),
+                    completed == total,
+                    format!("{completed}/{total} completed"),
+                ),
+                Gate::new(format!("{who} energy reconciles"), err <= RECONCILE_TOL, closed),
+            ]
+        };
+        let (misses, d1, d8) =
+            (self.routed_deadline_misses, self.digest_threads1, self.digest_threads8);
+        let mut gates =
+            Vec::from(ledger("routed", self.routed_completed, self.routed_reconcile_err));
+        gates.push(Gate::new(
+            "routed meets every SLO",
+            misses == 0,
+            format!("{misses} deadline miss(es)"),
+        ));
+        gates.push(Gate::new(
+            "routed ledger digest is pool-size invariant",
+            d1 == d8,
+            format!("{d1:016x} (1 thread) vs {d8:016x} (8)"),
+        ));
+        let statics = self.statics.iter().map(|s| {
+            let (id, routed_j, static_j) = (&s.device_id, self.routed_energy_j, s.tenant_energy_j);
+            gates.extend(ledger(&format!("static {id}"), s.completed, s.reconcile_err));
+            gates.push(Gate::new(
+                format!("routed is strictly cheaper than static {id}"),
+                routed_j < static_j,
+                format!("routed {routed_j:.6e} J vs static {static_j:.6e} J"),
             ));
-        }
-        if self.routed_deadline_misses != 0 {
-            fails.push(format!(
-                "routed run missed {} SLO deadline(s)",
-                self.routed_deadline_misses
-            ));
-        }
-        for s in &self.statics {
-            if s.completed != self.total_jobs {
-                fails.push(format!(
-                    "static {} completed {}/{} jobs",
-                    s.device_id, s.completed, self.total_jobs
-                ));
-            }
-            if self.routed_energy_j >= s.tenant_energy_j {
-                fails.push(format!(
-                    "routed energy {:.6e} J is not strictly below static {} ({:.6e} J)",
-                    self.routed_energy_j, s.device_id, s.tenant_energy_j
-                ));
-            }
-            if s.reconcile_err > RECONCILE_TOL {
-                fails.push(format!(
-                    "static {} energy reconciliation off by {:.3e}",
-                    s.device_id, s.reconcile_err
-                ));
-            }
-        }
-        if self.routed_reconcile_err > RECONCILE_TOL {
-            fails.push(format!(
-                "routed energy reconciliation off by {:.3e}",
-                self.routed_reconcile_err
-            ));
-        }
-        if self.digest_threads1 != self.digest_threads8 {
-            fails.push(format!(
-                "routed ledger digest differs across pool sizes: {:016x} vs {:016x}",
-                self.digest_threads1, self.digest_threads8
-            ));
-        }
+            vec![
+                Cell::new("device", &**id),
+                Cell::new("tenant_energy_j", s.tenant_energy_j),
+                Cell::times("vs_routed", s.tenant_energy_j / self.routed_energy_j),
+                Cell::new("completed", s.completed),
+                Cell::new("reconcile_err", s.reconcile_err).hidden(),
+            ]
+        });
+        let statics = statics.collect();
         // Heterogeneity sanity: a routed win over every static requires
         // at least two distinct devices to have been picked.
-        let mut picked: Vec<&str> =
-            self.routed_jobs.iter().map(|r| r.device_id.as_str()).collect();
+        let mut picked: Vec<&str> = self.routed_jobs.iter().map(|r| r.device_id.as_str()).collect();
         picked.sort_unstable();
         picked.dedup();
-        if picked.len() < 2 {
-            fails.push(format!("router used only {picked:?} — workload exercises no heterogeneity"));
-        }
-        fails
-    }
-
-    /// Hand-rolled JSON artifact (`BENCH_fleet.json`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"experiment\": \"fleet_routing\",");
-        let _ = writeln!(s, "  \"smoke\": {},", self.smoke);
-        let _ = writeln!(s, "  \"fleet\": [\"cpu-e5-2670\", \"k20\", \"ampere\"],");
-        let _ = writeln!(s, "  \"routed_energy_j\": {:.6e},", self.routed_energy_j);
-        let _ = writeln!(s, "  \"routed_completed\": {},", self.routed_completed);
-        let _ = writeln!(s, "  \"total_jobs\": {},", self.total_jobs);
-        let _ = writeln!(s, "  \"deadline_misses\": {},", self.routed_deadline_misses);
-        let _ = writeln!(s, "  \"digest_threads1\": \"{:016x}\",", self.digest_threads1);
-        let _ = writeln!(s, "  \"digest_threads8\": \"{:016x}\",", self.digest_threads8);
-        let _ = writeln!(s, "  \"jobs\": [");
-        for (i, r) in self.routed_jobs.iter().enumerate() {
-            let comma = if i + 1 < self.routed_jobs.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"tenant\": \"{}\", \"scenario\": \"{}\", \"zones\": [{}, {}], \
-                 \"device\": \"{}\", \"predicted_j\": {:.6e}, \"slo_forced\": {}, \
-                 \"greenup\": {:.6}}}{comma}",
-                r.tenant,
-                r.scenario,
-                r.zones[0],
-                r.zones[1],
-                r.device_id,
-                r.predicted_j,
-                r.slo_forced,
-                r.greenup
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"statics\": [");
-        for (i, st) in self.statics.iter().enumerate() {
-            let comma = if i + 1 < self.statics.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"device\": \"{}\", \"tenant_energy_j\": {:.6e}, \
-                 \"completed\": {}}}{comma}",
-                st.device_id, st.tenant_energy_j, st.completed
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let fails = self.gate_failures();
-        let _ = writeln!(s, "  \"gates_passed\": {}", fails.is_empty());
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Human-readable report.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "# fleet_routing — greenup-driven placement vs static fleets");
-        let _ = writeln!(s);
-        let rows: Vec<Vec<String>> = self
-            .routed_jobs
-            .iter()
-            .map(|r| {
-                vec![
-                    r.tenant.clone(),
-                    r.scenario.to_string(),
-                    format!("{}x{}", r.zones[0], r.zones[1]),
-                    r.device_id.clone(),
-                    format!("{:.4e}", r.predicted_j),
-                    format!("{:.3}", r.greenup),
-                    if r.slo_forced { "yes" } else { "no" }.to_string(),
-                ]
-            })
-            .collect();
-        s.push_str(&table::render(
-            "routed placement",
-            &["tenant", "scenario", "zones", "device", "predicted [J]", "greenup", "slo-forced"],
-            &rows,
+        gates.push(Gate::new(
+            "router exercises heterogeneity",
+            picked.len() >= 2,
+            format!("picked {picked:?}, need two distinct devices"),
         ));
-        let _ = writeln!(s);
-        let mut rows: Vec<Vec<String>> = vec![vec![
-            "(routed)".to_string(),
-            format!("{:.6e}", self.routed_energy_j),
-            "1.000".to_string(),
-        ]];
-        for st in &self.statics {
-            rows.push(vec![
-                st.device_id.clone(),
-                format!("{:.6e}", st.tenant_energy_j),
-                format!("{:.3}", st.tenant_energy_j / self.routed_energy_j),
-            ]);
+        let jobs = self.routed_jobs.iter().map(|r| {
+            vec![
+                Cell::new("tenant", &*r.tenant),
+                Cell::new("scenario", r.scenario),
+                Cell::new("zones", format!("{}x{}", r.zones[0], r.zones[1])),
+                Cell::new("device", &*r.device_id),
+                Cell::new("mode", &*r.mode).hidden(),
+                Cell::new("predicted_j", r.predicted_j),
+                Cell::new("slo_forced", r.slo_forced),
+                Cell::new("greenup", r.greenup),
+            ]
+        });
+        let routed = vec![
+            Cell::new("fleet", FLEET.join(", ")),
+            Cell::new("routed_energy_j", self.routed_energy_j),
+            Cell::new("routed_completed", self.routed_completed),
+            Cell::new("total_jobs", total),
+            Cell::new("deadline_misses", self.routed_deadline_misses),
+            Cell::new("reconcile_err", self.routed_reconcile_err),
+            Cell::new("digest_threads1", format!("{:016x}", self.digest_threads1)),
+            Cell::new("digest_threads8", format!("{:016x}", self.digest_threads8)),
+        ];
+        Report {
+            blocks: vec![
+                Block::table("jobs", "greenup-driven placement, job by job", jobs.collect()),
+                Block::table("statics", "billed tenant energy, idle excluded", statics),
+                Block::record("routed", "routed placement", routed),
+            ],
+            gates,
         }
-        s.push_str(&table::render(
-            "billed tenant energy (idle excluded)",
-            &["placement", "energy [J]", "vs routed"],
-            &rows,
-        ));
-        let _ = writeln!(s);
-        let _ = writeln!(
-            s,
-            "routed: {}/{} completed, {} deadline misses | digest {:016x} (threads=1) \
-             vs {:016x} (threads=8)",
-            self.routed_completed,
-            self.total_jobs,
-            self.routed_deadline_misses,
-            self.digest_threads1,
-            self.digest_threads8
-        );
-        let fails = self.gate_failures();
-        if fails.is_empty() {
-            let _ = writeln!(s, "fleet routing gates: PASS");
-        } else {
-            let _ = writeln!(s, "fleet routing gates: FAIL");
-            for f in &fails {
-                let _ = writeln!(s, "  gate violation: {f}");
-            }
-        }
-        s
     }
-}
-
-/// Regenerates the artifact (smoke budget — the full workload belongs to
-/// the dedicated `fleet_routing` gating binary).
-pub fn report() -> String {
-    measure_with_budget(true).render()
-}
-
-/// [`report`] plus the gate violations, for the gating binary.
-pub fn report_with_status(smoke: bool) -> (FleetRouting, Vec<String>) {
-    let r = measure_with_budget(smoke);
-    let fails = r.gate_failures();
-    (r, fails)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness;
+    use blast_telemetry::chrome::Json;
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn smoke_workload_passes_every_gate() {
-        let (r, fails) = report_with_status(true);
-        assert!(fails.is_empty(), "gate failures: {fails:?}\n{}", r.render());
+    fn artifact_of_a_hand_made_result_parses_and_gates() {
+        let job = |tenant: &str, device: &str| RoutedJob {
+            tenant: tenant.into(),
+            scenario: "sedov",
+            zones: [4, 4],
+            device_id: device.into(),
+            mode: "CpuSerial".into(),
+            predicted_j: 6e-3,
+            slo_forced: false,
+            greenup: f64::NAN,
+        };
+        let mut r = FleetRouting {
+            routed_jobs: vec![job("acme", "cpu-e5-2670"), job("initech", "k20")],
+            routed_energy_j: 1.4,
+            routed_completed: 2,
+            total_jobs: 2,
+            routed_deadline_misses: 0,
+            routed_reconcile_err: 0.0,
+            digest_threads1: 0xabc,
+            digest_threads8: 0xabc,
+            statics: vec![StaticRun {
+                device_id: "k20".into(),
+                tenant_energy_j: 1.5,
+                completed: 2,
+                reconcile_err: 1e-12,
+            }],
+        };
+        assert!(r.report().failures().is_empty(), "{:?}", r.report().failures());
+        let json = harness::render_json(EXPERIMENT.name, true, &r.report());
+        let doc = harness::parse_artifact(&json).unwrap();
+        let jobs = doc.get("jobs").and_then(Json::as_arr).unwrap();
+        assert_eq!(jobs[1].get("device").and_then(Json::as_str), Some("k20"));
+        // No CPU-only candidate to compare against: `null`, not `NaN`.
+        assert_eq!(jobs[0].get("greenup"), Some(&Json::Null));
+        let st = &doc.get("statics").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(st.get("tenant_energy_j").and_then(Json::as_f64), Some(1.5));
+        let routed = doc.get("routed").unwrap();
+        assert_eq!(routed.get("digest_threads8").and_then(Json::as_str), Some("0000000000000abc"));
+
+        // A static that is cheaper, a digest that moves with the pool size.
+        r.statics[0].tenant_energy_j = 1.4;
+        r.digest_threads8 = 0xabd;
+        let report = r.report();
+        let failed: Vec<&str> = report.failures().iter().map(|g| &*g.name).collect();
+        assert_eq!(
+            failed,
+            [
+                "routed ledger digest is pool-size invariant",
+                "routed is strictly cheaper than static k20"
+            ]
+        );
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn json_artifact_is_well_formed_enough() {
-        let r = measure_with_budget(true);
-        let j = r.to_json();
-        assert!(j.contains("\"experiment\": \"fleet_routing\""));
-        assert!(j.contains("\"gates_passed\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+    fn smoke_workload_passes_every_gate() {
+        let report = (EXPERIMENT.run)(true);
+        assert!(report.failures().is_empty(), "{:?}", report.failures());
     }
 }

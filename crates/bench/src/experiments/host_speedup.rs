@@ -8,8 +8,6 @@
 //! `CpuSpec::parallel_efficiency`, closing the loop between the
 //! simulated roofline and the one piece of hardware we actually have.
 
-use std::time::Instant;
-
 use blast_kernels::ProblemShape;
 use blast_la::tile::{self, Op};
 use blast_la::{batched_gemm_nn, batched_gemv_n, BatchedMats};
@@ -17,7 +15,7 @@ use blast_telemetry::names::counters;
 use blast_telemetry::{Telemetry, TelemetrySink};
 use gpu_sim::CpuSpec;
 
-use crate::table;
+use crate::harness::{self, Block, Budget, Cell, Report};
 
 /// Thread counts the sweep visits (the paper's Table 1 axis).
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -27,9 +25,9 @@ pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 pub struct SpeedupSample {
     /// Pool threads configured for the run.
     pub threads: usize,
-    /// Measured wall-clock, seconds.
+    /// Measured wall-clock of the best round, seconds.
     pub time_s: f64,
-    /// Speedup vs. the 1-thread run.
+    /// Speedup vs. the 1-thread run (median per-round ratio).
     pub speedup: f64,
     /// Whether the run's output is bitwise identical to 1 thread's.
     pub bitwise_equal: bool,
@@ -90,16 +88,10 @@ fn workload(reps: usize) -> Vec<f64> {
 /// Best-of-rounds single-thread GFLOP/s of `tile::gemm` (the default tile)
 /// on the 3D Q2 corner-force shape: kernel 7's per-zone `F_z = A_z * B^T`,
 /// 81 velocity dofs x 8 thermodynamic basis functions over 64 points
-/// (paper Table 3). On a noisy shared box the minimum is the robust
-/// estimator — external steal time only ever *adds* to a sample.
+/// (paper Table 3), ~1 ms per sample so dispatch and timer overhead vanish.
 fn default_tile_gflops() -> f64 {
-    const ROUNDS: usize = 7;
-    // ~1 ms per sample in release, so dispatch and timer overhead vanish.
-    const TARGET_MULS: usize = 1 << 21;
     let shape = ProblemShape::new(3, 2, 1);
     let (m, n, k) = (shape.nvdof(), shape.nthermo, shape.npts);
-    let reps = (TARGET_MULS / (m * n * k)).max(1);
-
     // Deterministic operand fill; values are irrelevant to timing but a
     // non-trivial pattern keeps any data-dependent path honest.
     let a: Vec<f64> = (0..m * k).map(|i| ((i * 37 + 11) % 101) as f64 * 1e-2 - 0.5).collect();
@@ -107,51 +99,33 @@ fn default_tile_gflops() -> f64 {
     // transposed).
     let b: Vec<f64> = (0..n * k).map(|i| ((i * 53 + 7) % 97) as f64 * 1e-2 - 0.4).collect();
     let mut c = vec![0.0f64; m * n];
-
-    let mut best = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let start = Instant::now();
-        for _ in 0..reps {
-            tile::gemm(m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c);
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (2 * m * n * k * reps) as f64 / best / 1e9
+    let t = harness::time_interleaved(1, Budget { rounds: 7, sample_s: 1e-3 }, &mut |_| {
+        tile::gemm(m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c);
+    });
+    (2 * m * n * k) as f64 / t.min(0) / 1e9
 }
 
 /// Runs the sweep and the calibration, reporting the preset-kept
 /// fallback on `telemetry` (see [`HostSpeedup::preset_kept`]).
 pub fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
-    let reps = 40;
     // Both measurements are of the production hot path: the batched
     // kernels below and the GFLOP/s calibration run the default tile.
     let tiled_gflops = default_tile_gflops();
-    // Warm up allocator and instruction caches off the clock.
-    let _ = workload(2);
-    let mut reference: Option<Vec<f64>> = None;
-    let mut samples = Vec::new();
-    for &t in &THREAD_COUNTS {
-        let (out, time_s) = rayon::Pool::new(t).install(|| {
-            let start = Instant::now();
-            let out = workload(reps);
-            (out, start.elapsed().as_secs_f64())
-        });
-        let bitwise_equal = match &reference {
-            None => {
-                reference = Some(out);
-                true
-            }
-            Some(r) => {
-                r.len() == out.len()
-                    && r.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits())
-            }
-        };
-        samples.push(SpeedupSample { threads: t, time_s, speedup: 0.0, bitwise_equal });
-    }
-    let t1 = samples[0].time_s;
-    for s in &mut samples {
-        s.speedup = t1 / s.time_s;
-    }
+    // One sample is one `workload(10)`; the thread counts interleave.
+    let pools = THREAD_COUNTS.map(rayon::Pool::new);
+    let mut outputs = vec![Vec::new(); THREAD_COUNTS.len()];
+    let t = harness::time_interleaved(pools.len(), Budget { rounds: 3, sample_s: 0.0 }, &mut |v| {
+        outputs[v] = pools[v].install(|| workload(10));
+    });
+    let bits = |v: usize| outputs[v].iter().map(|x| x.to_bits());
+    let samples: Vec<SpeedupSample> = (0..pools.len())
+        .map(|v| SpeedupSample {
+            threads: THREAD_COUNTS[v],
+            time_s: t.min(v),
+            speedup: t.median_ratio(&[0], &[v]),
+            bitwise_equal: bits(v).eq(bits(0)),
+        })
+        .collect();
 
     let mut spec = CpuSpec::e5_2670();
     let pe_before = spec.parallel_efficiency;
@@ -187,44 +161,33 @@ pub fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
     }
 }
 
-/// Runs the sweep and the calibration on a throwaway telemetry sink.
-pub fn measure() -> HostSpeedup {
-    measure_with_telemetry(&Telemetry::sink())
-}
-
 /// Regenerates the artifact.
 pub fn report() -> String {
-    let r = measure();
-    let rows: Vec<Vec<String>> = r
-        .samples
-        .iter()
-        .map(|s| {
-            vec![
-                s.threads.to_string(),
-                format!("{:.1}", s.time_s * 1e3),
-                format!("{:.2}x", s.speedup),
-                if s.bitwise_equal { "yes".into() } else { "NO".into() },
-            ]
-        })
-        .collect();
-    let mut out = table::render(
-        "host_speedup — measured pool scaling on batched DGEMM+DGEMV (real wall-clock)",
-        &["threads", "time (ms)", "speedup", "bitwise == 1-thread"],
-        &rows,
-    );
-    out.push_str(&format!(
-        "\nHost exposes {} core(s); speedup is bounded by that regardless of pool size.\n\
+    let r = measure_with_telemetry(&Telemetry::sink());
+    let rows = r.samples.iter().map(|s| {
+        vec![
+            Cell::new("threads", s.threads),
+            Cell::new("time_ms", s.time_s * 1e3),
+            Cell::times("speedup", s.speedup),
+            Cell::new("bitwise_equal_1_thread", s.bitwise_equal),
+        ]
+    });
+    let title = "host_speedup — measured pool scaling on batched DGEMM+DGEMV (real wall-clock)";
+    let note = format!(
+        "Host exposes {} core(s); speedup is bounded by that regardless of pool size.\n\
          parallel_efficiency: {:.3} preset -> {:.3} calibrated from the measured curve{}.\n\
          tiled hot path: default tile, {:.2} GFLOP/s single-thread\n\
-         -> corner-force flop efficiency {:.3} fed to the roofline.\n",
+         -> corner-force flop efficiency {:.3} fed to the roofline.",
         r.cores_detected,
         r.pe_before,
         r.pe_after,
         if r.preset_kept { " (WARNING: no usable multi-core sample; preset kept)" } else { "" },
         r.tiled_gflops,
         r.host_flop_efficiency,
-    ));
-    out
+    );
+    let report =
+        Report { blocks: vec![Block::table("samples", title, rows.collect())], gates: Vec::new() };
+    harness::render_text("host_speedup", false, &report) + &note + "\n"
 }
 
 #[cfg(test)]

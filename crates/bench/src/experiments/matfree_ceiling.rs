@@ -4,7 +4,7 @@
 //! **Host leg (measured wall-clock):** the *differential* per-zone work
 //! of the two assemblies — the stored path's `A_z` materialization +
 //! `F_z` GEMM against the sum-factorized evaluation chains — per
-//! `(dimension, order)`, interleaved min-of-rounds. The per-point physics
+//! `(dimension, order)`, timed by [`crate::harness`]. The per-point physics
 //! (EOS, geometry, viscosity) is identical in both modes and is excluded.
 //! The gate requires matrix-free to win on every gated shape (see
 //! [`SHAPES`]): past the memory ceiling matrix-free is the only mode that
@@ -18,12 +18,9 @@
 //! capturing the flop/byte shift (force traffic collapse, SpMV-free mass
 //! applies at higher arithmetic intensity, resident-bytes collapse).
 //!
-//! The binary (`cargo run -p blast-bench --release --bin matfree_ceiling`)
-//! writes `BENCH_matfree.json` and exits non-zero on any gate failure —
-//! the CI matfree-smoke gate.
+//! The gates are in `BENCH_matfree.json` (the CI matfree-smoke lane).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use blast_core::exec::{
     cg_iteration_traffic, cg_iteration_traffic_matfree, corner_force_traffic,
@@ -35,10 +32,16 @@ use blast_kernels::sumfac::{SumfacFactors, SumfacMassKernel};
 use blast_kernels::ProblemShape;
 use blast_la::tile::{self, Op};
 use blast_la::PcgOptions;
-use gpu_sim::{CpuSpec, GpuDevice};
+use gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice};
 
-use crate::table;
-use gpu_sim::DeviceCatalog;
+use crate::harness::{self, Block, Budget, Cell, Experiment, Gate, Report, Timing};
+
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "matfree_ceiling",
+    artifact: "BENCH_matfree.json",
+    run: |smoke| measure(smoke).report(),
+};
 
 /// Host proxy shapes `(dim, order, gated)`. Gated: every 3D order >= 3
 /// shape plus 2D Q4 — the shapes where the per-zone batch is large enough
@@ -47,14 +50,8 @@ use gpu_sim::DeviceCatalog;
 /// are small (cache-resident `A_z`, tiny GEMMs), the stored path
 /// legitimately wins, and no 2D low-order problem is anywhere near the
 /// memory ceiling.
-pub const SHAPES: [(usize, usize, bool); 6] = [
-    (2, 2, false),
-    (2, 3, false),
-    (2, 4, true),
-    (3, 2, false),
-    (3, 3, true),
-    (3, 4, true),
-];
+pub const SHAPES: [(usize, usize, bool); 6] =
+    [(2, 2, false), (2, 3, false), (2, 4, true), (3, 2, false), (3, 3, true), (3, 4, true)];
 
 /// Measured host proxy result on one `(dim, order)` shape.
 #[derive(Clone, Debug)]
@@ -65,17 +62,15 @@ pub struct HostShape {
     pub order: usize,
     /// Participates in the CI gate (3D order >= 3, 2D Q4)?
     pub gated: bool,
-    /// Best stored-path per-zone proxy time, seconds.
-    pub stored_s: f64,
-    /// Best matrix-free per-zone proxy time, seconds.
-    pub matfree_s: f64,
+    /// Seconds per zone: variant 0 the stored proxy, 1 the matrix-free one.
+    pub t: Timing,
 }
 
 impl HostShape {
     /// Stored over matrix-free — the gate metric; > 1 means the
     /// sum-factorized path pays off.
     pub fn speedup(&self) -> f64 {
-        self.stored_s / self.matfree_s
+        self.t.median_ratio(&[0], &[1])
     }
 }
 
@@ -134,120 +129,77 @@ pub struct MatfreeCeiling {
     pub shapes: Vec<HostShape>,
     /// The gpu-sim ceiling leg.
     pub ceiling: CeilingLeg,
-    /// Whether the reduced smoke budget (24³ ceiling) was used.
-    pub smoke: bool,
 }
 
 impl MatfreeCeiling {
-    /// Gate: matrix-free must win every gated host proxy, the stored
-    /// Q4 ceiling build must fail with the typed OOM, the matrix-free
-    /// build must run, and the modeled shift must hold (>= 10x force
-    /// flop *and* DRAM collapse, > 4x mass-apply intensity, resident
+    /// The rows and gates of this result. Gated: matrix-free wins every
+    /// gated host proxy, the stored Q4 ceiling build fails with the typed
+    /// OOM, the matrix-free build runs, and the modeled shift holds (>= 10x
+    /// force flop *and* DRAM collapse, > 4x mass-apply intensity, resident
     /// bytes straddling the device capacity). Corner-force arithmetic
     /// *intensity* is deliberately not gated — the stored `k7` GEMM is
     /// already high-AI, the win is doing 10x less of everything.
-    pub fn gate_failures(&self) -> Vec<String> {
-        let mut fails = Vec::new();
-        for s in self.shapes.iter().filter(|s| s.gated && s.speedup() < 1.0) {
-            fails.push(format!(
-                "host {}D Q{}: matrix-free {:.3} us/zone vs stored {:.3} us/zone ({:.2}x < 1x)",
-                s.dim,
-                s.order,
-                s.matfree_s * 1e6,
-                s.stored_s * 1e6,
-                s.speedup()
-            ));
+    pub fn report(&self) -> Report {
+        let mut gates = Vec::new();
+        let shapes = self.shapes.iter().map(|s| {
+            if s.gated {
+                let detail = format!("stored / matrix-free = {:.2}x, need >= 1x", s.speedup());
+                let name = format!("host {}D Q{}", s.dim, s.order);
+                gates.push(Gate::new(name, s.speedup() >= 1.0, detail));
+            }
+            vec![
+                Cell::new("dim", s.dim),
+                Cell::new("order", s.order),
+                Cell::new("gated", s.gated),
+                Cell::new("stored_us", s.t.min(0) * 1e6),
+                Cell::new("matfree_us", s.t.min(1) * 1e6),
+                Cell::times("speedup", s.speedup()),
+            ]
+        });
+        let shapes = shapes.collect();
+        let (c, m) = (&self.ceiling, &self.ceiling.modeled);
+        let oom = c.stored_oom && c.oom_message.contains("out of device memory");
+        gates.push(Gate::new("ceiling: stored build returns OutOfMemory", oom, &*c.oom_message));
+        let ran = c.matfree_steps > 0 && c.final_t.is_finite() && c.final_t > 0.0;
+        let steps = format!("{} step(s) to t = {:.3e}", c.matfree_steps, c.final_t);
+        gates.push(Gate::new("ceiling: matrix-free build completes steps", ran, steps));
+        let (ff, fd, cap) = (m.force_flops_ratio, m.force_dram_ratio, c.capacity);
+        let (mass, spmv) = (m.mass_ai_matfree, m.mass_ai_stored);
+        let (stored, matfree) = (m.stored_resident, m.matfree_resident);
+        for (name, ok, detail) in [
+            ("force flop collapse", ff >= 10.0, format!("{ff:.1}x, need >= 10x")),
+            ("force DRAM collapse", fd >= 10.0, format!("{fd:.1}x, need >= 10x")),
+            ("mass-apply intensity", mass >= 4.0 * spmv, format!("{mass:.2} vs {spmv:.2} flop/B")),
+            ("stored bytes exceed the device", stored > cap, format!("{stored} B vs {cap} B")),
+            ("matrix-free bytes fit the device", matfree <= cap, format!("{matfree} B vs {cap} B")),
+        ] {
+            gates.push(Gate::new(name, ok, detail));
         }
-        let c = &self.ceiling;
-        if !c.stored_oom {
-            fails.push(format!(
-                "ceiling {za}^3: stored build did not return the typed OutOfMemory",
-                za = c.zones_axis
-            ));
-        } else if !c.oom_message.contains("out of device memory") {
-            fails.push(format!("ceiling: OOM message not actionable: {}", c.oom_message));
+        let ceiling = vec![
+            Cell::new("zones_axis", c.zones_axis),
+            Cell::new("capacity_bytes", c.capacity),
+            Cell::new("stored_oom", c.stored_oom),
+            Cell::new("oom_required_bytes", c.oom_required),
+            Cell::new("matfree_steps", c.matfree_steps),
+            Cell::new("final_t", c.final_t),
+            Cell::new("device_time_s", c.device_time_s),
+            Cell::new("device_energy_j", c.device_energy_j),
+            Cell::new("stored_resident_bytes", m.stored_resident),
+            Cell::new("matfree_resident_bytes", m.matfree_resident),
+            Cell::times("force_flops_ratio", m.force_flops_ratio),
+            Cell::times("force_dram_ratio", m.force_dram_ratio),
+            Cell::new("force_ai_stored", m.force_ai_stored),
+            Cell::new("force_ai_matfree", m.force_ai_matfree),
+            Cell::new("mass_ai_stored", m.mass_ai_stored),
+            Cell::new("mass_ai_matfree", m.mass_ai_matfree),
+        ];
+        Report {
+            blocks: vec![
+                Block::table("shapes", "stored vs matrix-free force proxy, us per zone", shapes),
+                Block::record("ceiling", "Q4-Q3 3D ceiling on the K20 model", ceiling),
+            ],
+            gates,
         }
-        if c.matfree_steps == 0 || !(c.final_t.is_finite() && c.final_t > 0.0) {
-            fails.push(format!(
-                "ceiling {za}^3: matrix-free run completed no steps",
-                za = c.zones_axis
-            ));
-        }
-        let m = &c.modeled;
-        if m.force_flops_ratio < 10.0 {
-            fails.push(format!("force flop collapse {:.1}x < 10x", m.force_flops_ratio));
-        }
-        if m.force_dram_ratio < 10.0 {
-            fails.push(format!("force DRAM collapse {:.1}x < 10x", m.force_dram_ratio));
-        }
-        if m.mass_ai_matfree < 4.0 * m.mass_ai_stored {
-            fails.push(format!(
-                "mass-apply AI {:.2} < 4x SpMV AI {:.2}",
-                m.mass_ai_matfree, m.mass_ai_stored
-            ));
-        }
-        if m.stored_resident <= c.capacity {
-            fails.push(format!(
-                "stored resident {} B fits the {} B device — not a ceiling shape",
-                m.stored_resident, c.capacity
-            ));
-        }
-        if m.matfree_resident > c.capacity {
-            fails.push(format!(
-                "matrix-free resident {} B exceeds the {} B device",
-                m.matfree_resident, c.capacity
-            ));
-        }
-        fails
-    }
-
-    /// Machine-readable artifact (`BENCH_matfree.json`).
-    pub fn to_json(&self) -> String {
-        let mut rows = Vec::new();
-        for s in &self.shapes {
-            rows.push(format!(
-                "    {{\"dim\": {}, \"order\": {}, \"gated\": {}, \
-                 \"stored_us\": {:.4}, \"matfree_us\": {:.4}, \"speedup\": {:.4}}}",
-                s.dim,
-                s.order,
-                s.gated,
-                s.stored_s * 1e6,
-                s.matfree_s * 1e6,
-                s.speedup(),
-            ));
-        }
-        let c = &self.ceiling;
-        let m = &c.modeled;
-        format!(
-            "{{\n  \"experiment\": \"matfree_ceiling\",\n  \"smoke\": {},\n  \
-             \"shapes\": [\n{}\n  ],\n  \"ceiling\": {{\n    \
-             \"zones_axis\": {}, \"capacity_bytes\": {},\n    \
-             \"stored_oom\": {}, \"oom_required_bytes\": {},\n    \
-             \"matfree_steps\": {}, \"final_t\": {:.6e},\n    \
-             \"device_time_s\": {:.6}, \"device_energy_j\": {:.4},\n    \
-             \"stored_resident_bytes\": {}, \"matfree_resident_bytes\": {},\n    \
-             \"force_flops_ratio\": {:.3}, \"force_dram_ratio\": {:.3},\n    \
-             \"force_ai_stored\": {:.4}, \"force_ai_matfree\": {:.4},\n    \
-             \"mass_ai_stored\": {:.4}, \"mass_ai_matfree\": {:.4}\n  }}\n}}\n",
-            self.smoke,
-            rows.join(",\n"),
-            c.zones_axis,
-            c.capacity,
-            c.stored_oom,
-            c.oom_required,
-            c.matfree_steps,
-            c.final_t,
-            c.device_time_s,
-            c.device_energy_j,
-            m.stored_resident,
-            m.matfree_resident,
-            m.force_flops_ratio,
-            m.force_dram_ratio,
-            m.force_ai_stored,
-            m.force_ai_matfree,
-            m.mass_ai_stored,
-            m.mass_ai_matfree,
-        )
     }
 }
 
@@ -268,7 +220,8 @@ pub fn modeled_shift(zones_axis: usize) -> ModeledShift {
     // as the footprint model: `(2k+1)^3` stencil entries per row.
     let nnz_est = n * (2 * 4 + 1usize).pow(3);
     let spmv = cg_iteration_traffic(nnz_est, n);
-    let sumfac = cg_iteration_traffic_matfree(&SumfacMassKernel.traffic(&shape, &factors, n), n, false);
+    let sumfac =
+        cg_iteration_traffic_matfree(&SumfacMassKernel.traffic(&shape, &factors, n), n, false);
 
     let req = Hydro::<3>::builder(&Sedov::default(), [zones_axis; 3]).order(4).required_bytes();
 
@@ -298,16 +251,17 @@ fn measure_ceiling(zones_axis: usize, steps: usize) -> CeilingLeg {
 
     // Stored: must fail with the typed OOM before any assembly work.
     let dev = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
-    let (stored_oom, oom_message, oom_required) = match Hydro::<3>::builder(&problem, [zones_axis; 3])
-        .order(4)
-        .executor(gpu_exec(&dev))
-        .assembly(AssemblyMode::Stored)
-        .build()
-    {
-        Err(e @ HydroError::OutOfMemory { required, .. }) => (true, e.to_string(), required),
-        Err(e) => (false, e.to_string(), 0),
-        Ok(_) => (false, String::from("build unexpectedly succeeded"), 0),
-    };
+    let (stored_oom, oom_message, oom_required) =
+        match Hydro::<3>::builder(&problem, [zones_axis; 3])
+            .order(4)
+            .executor(gpu_exec(&dev))
+            .assembly(AssemblyMode::Stored)
+            .build()
+        {
+            Err(e @ HydroError::OutOfMemory { required, .. }) => (true, e.to_string(), required),
+            Err(e) => (false, e.to_string(), 0),
+            Ok(_) => (false, String::from("build unexpectedly succeeded"), 0),
+        };
 
     // Matrix-free: build on a fresh device and run real steps. Loose PCG
     // keeps the (single-core) run short; the physics is still the real
@@ -343,11 +297,6 @@ fn measure_ceiling(zones_axis: usize, steps: usize) -> CeilingLeg {
         modeled: modeled_shift(zones_axis),
     }
 }
-
-/// Timed repetitions per round (per candidate).
-const REPS: usize = 8;
-/// Interleaved rounds; the per-candidate minimum is kept.
-const ROUNDS: usize = 5;
 
 /// The *stored-mode differential* work for one zone: the `F_z`
 /// contraction (`nvdof x nthermo` from `nvdof x npts`, kernel 7) plus the
@@ -390,16 +339,15 @@ fn matfree_proxy(
     backward(&f.thermo, d, q, None, 0.0, out_thermo, ws);
 }
 
-/// Times both proxies for `(dim, order)`. Returns `(stored_s, matfree_s)`
-/// per-zone times.
-fn measure_assembly_proxies(dim: usize, order: usize) -> (f64, f64) {
+/// Times both proxies for `(dim, order)`: variant 0 stored, 1 matrix-free,
+/// seconds per zone. The same budget with and without `--smoke`.
+fn measure_assembly_proxies(dim: usize, order: usize) -> Timing {
     let shape = ProblemShape::new(dim, order, 1);
     let f = SumfacFactors::new(dim, order);
     let nvdof = shape.nvdof();
     // B^T operand of kernel 7 (npts x nthermo column-major values).
-    let bt: Vec<f64> = (0..shape.npts * shape.nthermo)
-        .map(|i| ((i % 13) as f64 - 6.0) * 1.0e-2)
-        .collect();
+    let bt: Vec<f64> =
+        (0..shape.npts * shape.nthermo).map(|i| ((i % 13) as f64 - 6.0) * 1.0e-2).collect();
     let mut az = vec![0.0; nvdof * shape.npts];
     let mut fz = vec![0.0; nvdof * shape.nthermo];
     let u: Vec<f64> = (0..dim * shape.nkin).map(|i| ((i % 11) as f64 - 5.0) * 0.1).collect();
@@ -409,107 +357,33 @@ fn measure_assembly_proxies(dim: usize, order: usize) -> (f64, f64) {
     let mut out_thermo = vec![0.0; shape.nthermo];
     let mut ws = SumfacScratch::default();
 
-    // Warm-up (buffers, TLS tile workspaces, instruction caches).
-    stored_proxy(&shape, &bt, &mut az, &mut fz);
-    matfree_proxy(&shape, &f, &u, &et, &mut q, &mut out_kin, &mut out_thermo, &mut ws);
-
-    let mut best_stored = f64::INFINITY;
-    let mut best_matfree = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let t0 = Instant::now();
-        for _ in 0..REPS {
-            stored_proxy(&shape, &bt, &mut az, &mut fz);
-        }
-        best_stored = best_stored.min(t0.elapsed().as_secs_f64() / REPS as f64);
-        let t0 = Instant::now();
-        for _ in 0..REPS {
-            matfree_proxy(&shape, &f, &u, &et, &mut q, &mut out_kin, &mut out_thermo, &mut ws);
-        }
-        best_matfree = best_matfree.min(t0.elapsed().as_secs_f64() / REPS as f64);
-    }
-    (best_stored, best_matfree)
+    harness::time_interleaved(2, Budget { rounds: 9, sample_s: 2e-4 }, &mut |v| match v {
+        0 => stored_proxy(&shape, &bt, &mut az, &mut fz),
+        _ => matfree_proxy(&shape, &f, &u, &et, &mut q, &mut out_kin, &mut out_thermo, &mut ws),
+    })
 }
 
 /// Runs the full sweep. `smoke` drops the ceiling mesh from 32³ to 24³
 /// (both well above the paper's 16³ stored-path limit); the host shape
 /// list and every gate stay complete.
-pub fn measure_with_budget(smoke: bool) -> MatfreeCeiling {
+pub fn measure(smoke: bool) -> MatfreeCeiling {
     let shapes = SHAPES
         .iter()
-        .map(|&(dim, order, gated)| {
-            let (stored_s, matfree_s) = measure_assembly_proxies(dim, order);
-            HostShape { dim, order, gated, stored_s, matfree_s }
+        .map(|&(dim, order, gated)| HostShape {
+            dim,
+            order,
+            gated,
+            t: measure_assembly_proxies(dim, order),
         })
         .collect();
     let (axis, steps) = if smoke { (24, 1) } else { (32, 2) };
-    MatfreeCeiling { shapes, ceiling: measure_ceiling(axis, steps), smoke }
-}
-
-/// Full-budget sweep (the experiment registry entry point).
-pub fn measure() -> MatfreeCeiling {
-    measure_with_budget(false)
-}
-
-/// Renders the human-readable tables.
-pub fn render(r: &MatfreeCeiling) -> String {
-    let rows: Vec<Vec<String>> = r
-        .shapes
-        .iter()
-        .map(|s| {
-            vec![
-                format!("{}D", s.dim),
-                format!("Q{}", s.order),
-                format!("{:.3}", s.stored_s * 1e6),
-                format!("{:.3}", s.matfree_s * 1e6),
-                format!("{:.2}x", s.speedup()),
-                if s.gated { "yes" } else { "no" }.to_string(),
-            ]
-        })
-        .collect();
-    let mut out = table::render(
-        "matfree_ceiling — measured stored vs matrix-free corner-force proxy (us/zone, serial)",
-        &["dim", "order", "stored", "matfree", "speedup", "gated"],
-        &rows,
-    );
-    let c = &r.ceiling;
-    let m = &c.modeled;
-    out.push_str(&format!(
-        "\nCeiling leg (Q4-Q3 3D {za}^3 on K20, {cap:.2} GiB): stored build -> {oom}; \
-         matrix-free ran {steps} step(s) to t={t:.3e} ({dt:.3}s, {de:.1}J modeled device).\n",
-        za = c.zones_axis,
-        cap = c.capacity as f64 / (1u64 << 30) as f64,
-        oom = if c.stored_oom { "typed OutOfMemory" } else { "NO OOM (gate fails)" },
-        steps = c.matfree_steps,
-        t = c.final_t,
-        dt = c.device_time_s,
-        de = c.device_energy_j,
-    ));
-    out.push_str(&format!(
-        "Modeled shift at {za}^3: force {ff:.1}x fewer flops / {fd:.1}x fewer DRAM bytes \
-         (AI {fas:.2} -> {fam:.2}); mass apply AI {mas:.2} -> {mam:.2} flop/B; \
-         resident {sr:.2} GiB -> {mr:.2} GiB.\n",
-        za = c.zones_axis,
-        ff = m.force_flops_ratio,
-        fd = m.force_dram_ratio,
-        fas = m.force_ai_stored,
-        fam = m.force_ai_matfree,
-        mas = m.mass_ai_stored,
-        mam = m.mass_ai_matfree,
-        sr = m.stored_resident as f64 / (1u64 << 30) as f64,
-        mr = m.matfree_resident as f64 / (1u64 << 30) as f64,
-    ));
-    out
-}
-
-/// Regenerates the artifact (smoke budget: the full 32³ ceiling run is a
-/// standalone-binary affair, not a `paper_report` side effect).
-pub fn report() -> String {
-    render(&measure_with_budget(true))
+    MatfreeCeiling { shapes, ceiling: measure_ceiling(axis, steps) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blast_telemetry::chrome::Json;
 
     /// The modeled shift is pure arithmetic — gate it in every profile.
     /// These are the numbers that make the tentpole: at the smoke ceiling
@@ -522,7 +396,11 @@ mod tests {
         for za in [24usize, 32] {
             let m = modeled_shift(za);
             assert!(m.stored_resident > cap, "{za}^3 stored {} fits {cap}", m.stored_resident);
-            assert!(m.matfree_resident <= cap, "{za}^3 matfree {} exceeds {cap}", m.matfree_resident);
+            assert!(
+                m.matfree_resident <= cap,
+                "{za}^3 matfree {} exceeds {cap}",
+                m.matfree_resident
+            );
             assert!(m.force_flops_ratio >= 10.0, "{za}^3 flop ratio {}", m.force_flops_ratio);
             assert!(m.force_dram_ratio >= 10.0, "{za}^3 DRAM ratio {}", m.force_dram_ratio);
             assert!(
@@ -540,22 +418,21 @@ mod tests {
         // At Q4 in 3D the stored contraction is 375 x 512 x 64 per zone
         // (~24.6 MFLOP) vs ~0.4 MFLOP of thin transforms; the measured
         // proxy should agree with the asymptotics by a wide margin.
-        let (stored, matfree) = measure_assembly_proxies(3, 4);
-        assert!(
-            matfree < stored,
-            "matfree proxy {matfree:.2e}s should beat stored {stored:.2e}s at Q4-3D"
-        );
+        let t = measure_assembly_proxies(3, 4);
+        assert!(t.median_ratio(&[0], &[1]) > 1.0, "matfree proxy should beat stored at Q4-3D");
     }
 
-    /// Gate logic on synthetic results: a losing gated shape and a missing
-    /// OOM must both fail; the reference configuration passes.
-    #[test]
-    fn gate_failures_catch_regressions() {
-        let good = MatfreeCeiling {
-            shapes: vec![
-                HostShape { dim: 2, order: 2, gated: false, stored_s: 1.0, matfree_s: 2.0 },
-                HostShape { dim: 3, order: 4, gated: true, stored_s: 2.0, matfree_s: 1.0 },
-            ],
+    /// A result with `(stored, matfree)` seconds per host shape that passes
+    /// every gate.
+    fn good() -> MatfreeCeiling {
+        let shape = |dim, order, gated, stored: f64, matfree: f64| HostShape {
+            dim,
+            order,
+            gated,
+            t: Timing::from_samples(vec![vec![stored; 3], vec![matfree; 3]]),
+        };
+        MatfreeCeiling {
+            shapes: vec![shape(2, 2, false, 1.0, 2.0), shape(3, 4, true, 2.0, 1.0)],
             ceiling: CeilingLeg {
                 zones_axis: 24,
                 capacity: DeviceCatalog::gpu("k20").dram_capacity,
@@ -563,56 +440,48 @@ mod tests {
                 oom_message: "out of device memory: ...".into(),
                 oom_required: 8 << 30,
                 matfree_steps: 1,
-                final_t: 1e-4,
-                device_time_s: 1.0,
-                device_energy_j: 100.0,
-                modeled: modeled_shift(24),
-            },
-            smoke: true,
-        };
-        assert!(good.gate_failures().is_empty(), "{:?}", good.gate_failures());
-
-        let mut lost_host = good.clone();
-        lost_host.shapes[1].matfree_s = 3.0;
-        assert!(lost_host.gate_failures().iter().any(|f| f.contains("3D Q4")));
-
-        let mut no_oom = good.clone();
-        no_oom.ceiling.stored_oom = false;
-        assert!(no_oom.gate_failures().iter().any(|f| f.contains("OutOfMemory")));
-
-        let mut no_run = good;
-        no_run.ceiling.matfree_steps = 0;
-        assert!(no_run.gate_failures().iter().any(|f| f.contains("no steps")));
-    }
-
-    #[test]
-    fn json_is_balanced_and_labeled() {
-        let r = MatfreeCeiling {
-            shapes: vec![HostShape { dim: 3, order: 4, gated: true, stored_s: 2.0, matfree_s: 1.0 }],
-            ceiling: CeilingLeg {
-                zones_axis: 24,
-                capacity: 5 << 30,
-                stored_oom: true,
-                oom_message: "out of device memory".into(),
-                oom_required: 8 << 30,
-                matfree_steps: 1,
                 final_t: 2.5e-4,
                 device_time_s: 0.5,
                 device_energy_j: 42.0,
                 modeled: modeled_shift(24),
             },
-            smoke: true,
-        };
-        let json = r.to_json();
-        assert!(json.contains("\"experiment\": \"matfree_ceiling\""));
-        assert!(json.contains("\"stored_oom\": true"));
-        assert!(json.contains("\"matfree_resident_bytes\""));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
         }
+    }
+
+    /// Gate logic on synthetic results: a losing gated shape and a missing
+    /// OOM must both fail; the reference configuration passes.
+    #[test]
+    fn gate_failures_catch_regressions() {
+        let failed = |r: &MatfreeCeiling| -> Vec<String> {
+            r.report().failures().iter().map(|g| format!("{}: {}", g.name, g.detail)).collect()
+        };
+        assert!(failed(&good()).is_empty(), "{:?}", failed(&good()));
+
+        let mut lost_host = good();
+        lost_host.shapes[1].t = Timing::from_samples(vec![vec![2.0; 3], vec![3.0; 3]]);
+        assert!(failed(&lost_host).iter().any(|f| f.contains("3D Q4")));
+
+        let mut no_oom = good();
+        no_oom.ceiling.stored_oom = false;
+        assert!(failed(&no_oom).iter().any(|f| f.contains("OutOfMemory")));
+
+        let mut no_run = good();
+        no_run.ceiling.matfree_steps = 0;
+        assert!(failed(&no_run).iter().any(|f| f.contains("completes steps")));
+    }
+
+    #[test]
+    fn artifact_of_a_hand_made_result_parses() {
+        let json = harness::render_json(EXPERIMENT.name, true, &good().report());
+        let doc = harness::parse_artifact(&json).unwrap();
+        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("matfree_ceiling"));
+        let shape = &doc.get("shapes").and_then(Json::as_arr).unwrap()[1];
+        assert_eq!(shape.get("order").and_then(Json::as_f64), Some(4.0));
+        assert_eq!(shape.get("speedup").and_then(Json::as_f64), Some(2.0));
+        let ceiling = doc.get("ceiling").unwrap();
+        assert_eq!(ceiling.get("stored_oom"), Some(&Json::Bool(true)));
+        assert!(ceiling.get("matfree_resident_bytes").and_then(Json::as_f64).unwrap() > 0.0);
+        let gates = doc.get("gates").and_then(Json::as_arr).unwrap();
+        assert!(gates.len() == 8 && gates.iter().all(|g| g.get("ok") == Some(&Json::Bool(true))));
     }
 }

@@ -1,5 +1,6 @@
 //! One module per paper artifact. Every module exposes
-//! `pub fn report() -> String` that regenerates the artifact's rows/series.
+//! `pub fn report() -> String` that regenerates the artifact's rows/series,
+//! or, for a gate experiment, a `harness::Experiment`.
 
 pub mod ablations;
 pub mod scenarios;
@@ -35,74 +36,44 @@ pub mod serve_storm;
 pub mod tab7_greenup;
 pub mod telemetry_profile;
 
-/// Names of all registered experiments (for the `paper_report` binary and
-/// registry tests).
-pub fn all_experiment_names() -> Vec<&'static str> {
-    vec![
-        "fig01_perf_per_watt",
-        "fig02_triple_point_orders",
-        "fig03_zone_dofs",
-        "tab1_cpu_profile",
-        "fig04_register_vs_local",
-        "fig05_tune_k3",
-        "fig06_kernel_breakdown",
-        "fig07_kernel_variants",
-        "fig08_bandwidth",
-        "tab3_matrix_shapes",
-        "tab4_batched_dgemv",
-        "tab5_autobalance",
-        "tab6_validation",
-        "fig11_speedup",
-        "fig12_weak_scaling",
-        "fig13_strong_scaling",
-        "fig14_cpu_power",
-        "fig15_gpu_power",
-        "fig16_cpu_power_offload",
-        "tab7_greenup",
-        "resilience_overhead",
-        "host_speedup",
-        "host_kernels",
-        "pcg_streaming",
-        "matfree_ceiling",
-        "telemetry_profile",
-        "serve_storm",
-        "sdc_campaign",
-        "fleet_routing",
-    ]
-}
+/// Every registered experiment, in `paper_report` order: its name and the
+/// function that regenerates its text. A `src/bin/<name>.rs` that drives an
+/// experiment module must be listed here (checked by the registry test).
+/// The two hydro-scale gate experiments (`matfree_ceiling`, `fleet_routing`)
+/// run their smoke budget here; the full one belongs to their gate bins.
+pub const EXPERIMENTS: &[(&str, fn() -> String)] = &[
+    ("fig01_perf_per_watt", fig01_perf_per_watt::report),
+    ("fig02_triple_point_orders", fig02_triple_point_orders::report),
+    ("fig03_zone_dofs", fig03_zone_dofs::report),
+    ("tab1_cpu_profile", tab1_cpu_profile::report),
+    ("fig04_register_vs_local", fig04_register_vs_local::report),
+    ("fig05_tune_k3", fig05_tune_k3::report),
+    ("fig06_kernel_breakdown", fig06_kernel_breakdown::report),
+    ("fig07_kernel_variants", fig07_kernel_variants::report),
+    ("fig08_bandwidth", fig08_bandwidth::report),
+    ("tab3_matrix_shapes", tab3_matrix_shapes::report),
+    ("tab4_batched_dgemv", tab4_batched_dgemv::report),
+    ("tab5_autobalance", tab5_autobalance::report),
+    ("tab6_validation", tab6_validation::report),
+    ("fig11_speedup", fig11_speedup::report),
+    ("fig12_weak_scaling", fig12_weak_scaling::report),
+    ("fig13_strong_scaling", fig13_strong_scaling::report),
+    ("fig14_cpu_power", fig14_cpu_power::report),
+    ("fig15_gpu_power", fig15_gpu_power::report),
+    ("fig16_cpu_power_offload", fig16_cpu_power_offload::report),
+    ("tab7_greenup", tab7_greenup::report),
+    ("resilience_overhead", resilience_overhead::report),
+    ("host_speedup", host_speedup::report),
+    ("host_kernels", || host_kernels::EXPERIMENT.text(false)),
+    ("pcg_streaming", || pcg_streaming::EXPERIMENT.text(false)),
+    ("matfree_ceiling", || matfree_ceiling::EXPERIMENT.text(true)),
+    ("telemetry_profile", telemetry_profile::report),
+    ("serve_storm", serve_storm::report),
+    ("sdc_campaign", sdc_campaign::report),
+    ("fleet_routing", || fleet_routing::EXPERIMENT.text(true)),
+];
 
 /// Runs an experiment by name.
 pub fn run_by_name(name: &str) -> Option<String> {
-    Some(match name {
-        "fig01_perf_per_watt" => fig01_perf_per_watt::report(),
-        "fig02_triple_point_orders" => fig02_triple_point_orders::report(),
-        "fig03_zone_dofs" => fig03_zone_dofs::report(),
-        "tab1_cpu_profile" => tab1_cpu_profile::report(),
-        "fig04_register_vs_local" => fig04_register_vs_local::report(),
-        "fig05_tune_k3" => fig05_tune_k3::report(),
-        "fig06_kernel_breakdown" => fig06_kernel_breakdown::report(),
-        "fig07_kernel_variants" => fig07_kernel_variants::report(),
-        "fig08_bandwidth" => fig08_bandwidth::report(),
-        "tab3_matrix_shapes" => tab3_matrix_shapes::report(),
-        "tab4_batched_dgemv" => tab4_batched_dgemv::report(),
-        "tab5_autobalance" => tab5_autobalance::report(),
-        "tab6_validation" => tab6_validation::report(),
-        "fig11_speedup" => fig11_speedup::report(),
-        "fig12_weak_scaling" => fig12_weak_scaling::report(),
-        "fig13_strong_scaling" => fig13_strong_scaling::report(),
-        "fig14_cpu_power" => fig14_cpu_power::report(),
-        "fig15_gpu_power" => fig15_gpu_power::report(),
-        "fig16_cpu_power_offload" => fig16_cpu_power_offload::report(),
-        "tab7_greenup" => tab7_greenup::report(),
-        "resilience_overhead" => resilience_overhead::report(),
-        "host_speedup" => host_speedup::report(),
-        "host_kernels" => host_kernels::report(),
-        "pcg_streaming" => pcg_streaming::report(),
-        "matfree_ceiling" => matfree_ceiling::report(),
-        "telemetry_profile" => telemetry_profile::report(),
-        "serve_storm" => serve_storm::report(),
-        "sdc_campaign" => sdc_campaign::report(),
-        "fleet_routing" => fleet_routing::report(),
-        _ => return None,
-    })
+    EXPERIMENTS.iter().find(|(n, _)| *n == name).map(|(_, report)| report())
 }

@@ -8,9 +8,6 @@
 //! grows with order). Both paths are pinned to the same iteration count
 //! (tolerances set unreachably tight) and to the *serial* drive (pool
 //! size 1) so the ratio isolates kernel fusion from pool scheduling.
-//! Rounds interleave the two paths; the reported times are min-of-rounds as
-//! in `host_kernels`, the gated speedup is the median of the per-round
-//! ratios (see [`ShapeResult::speedup`]).
 //!
 //! **Lock-step block (measured wall-clock):** the momentum solve's `d`
 //! velocity components share one matrix, and the stored host leg advances
@@ -19,22 +16,16 @@
 //! three stored `BENCHMARK.json` matrices — built through
 //! `assemble_kinematic_mass`, reflecting walls masked per component —
 //! `d` scalar `pcg_solve_ws` solves are timed against one lock-step solve
-//! of the same systems, both pinned to the same iteration count, same
-//! serial drive, interleaved rounds and median-of-ratios statistic as
-//! above; the row sweep alone is timed at `d` = 1, 2 and 3.
+//! of the same systems, both pinned to the same iteration count and the
+//! serial drive; the row sweep alone is timed at `d` = 1, 2 and 3.
 //!
 //! **GPU-sim leg (modeled, deterministic):** `GpuPcg` fused (3 launches
 //! per iteration) vs unfused (8 per iteration) on a Q2-3D-like system —
 //! launch counts, modeled device time, and modeled energy from the §6
 //! cost model.
 //!
-//! The binary (`cargo run -p blast-bench --release --bin pcg_streaming`)
-//! writes `BENCH_pcg_streaming.json` and exits non-zero if fusion loses on
-//! any order >= 2 host shape, if the lock-step solve loses to the scalar
-//! solves on a `d` = 3 matrix, or if fusion fails to cut the modeled
-//! launch count / device time / energy — the CI pcg-stream-smoke gate.
-
-use std::time::Instant;
+//! Rows and gates: [`PcgStreaming::report`] (`BENCH_pcg_streaming.json`, the
+//! CI pcg-stream-smoke lane).
 
 use blast_fem::mass::assemble_kinematic_mass;
 use blast_fem::{quad_points_1d, CartMesh, H1Space, TensorRule};
@@ -44,10 +35,16 @@ use blast_la::{
     pcg_solve_lockstep_ws, pcg_solve_ws, ConstrainedOp, CsrBuilder, CsrMatrix, DiagPrecond,
     PcgOptions, PcgWorkspace,
 };
-use gpu_sim::GpuDevice;
+use gpu_sim::{DeviceCatalog, GpuDevice};
 
-use crate::table;
-use gpu_sim::DeviceCatalog;
+use crate::harness::{self, Block, Budget, Cell, Experiment, Gate, Report, Timing};
+
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "pcg_streaming",
+    artifact: "BENCH_pcg_streaming.json",
+    run: |smoke| measure(smoke).report(),
+};
 
 /// Host shapes `(n, half_band, label, gated)`: DOF count and semi-bandwidth
 /// of the banded SPD stand-in for the kinematic mass matrix per FE order.
@@ -63,8 +60,9 @@ pub const SHAPES: [(usize, usize, &str, bool); 4] = [
 const FULL_ITERS: usize = 30;
 const SMOKE_ITERS: usize = 12;
 
-/// Interleaved fused/unfused rounds per shape, in either budget.
-const ROUNDS: usize = 15;
+/// 15 interleaved rounds in either budget (the smoke budget pins fewer
+/// iterations); a solve is one call per sample, a row sweep is repeated.
+const BUDGET: Budget = Budget { rounds: 15, sample_s: 2e-3 };
 
 /// Measured host result on one shape.
 #[derive(Clone, Debug)]
@@ -77,17 +75,15 @@ pub struct ShapeResult {
     pub half_band: usize,
     /// Participates in the CI gate (order >= 2)?
     pub gated: bool,
-    /// Best fused solve time, seconds.
-    pub fused_s: f64,
-    /// Best unfused solve time, seconds.
-    pub unfused_s: f64,
+    /// Seconds per solve: variant 0 fused, 1 unfused.
+    pub t: Timing,
+}
+
+impl ShapeResult {
     /// Unfused over fused — the gate metric; > 1 means fusion pays off.
-    /// Median over rounds of that round's `unfused / fused`. The two solves
-    /// of a round run back to back, so a slow spell on a shared host, which
-    /// outlasts a round, slows both and cancels; the ratio of the two
-    /// independent minima has no such pairing (0.98-1.18x measured for a
-    /// true 1.08x).
-    pub speedup: f64,
+    pub fn speedup(&self) -> f64 {
+        self.t.median_ratio(&[1], &[0])
+    }
 }
 
 /// Measured lock-step result on one stored workload matrix.
@@ -105,18 +101,18 @@ pub struct LockstepResult {
     pub gated: bool,
     /// Iterations every solve is pinned to.
     pub iterations: usize,
-    /// Best time of the `d` scalar solves together, seconds.
-    pub scalar_s: f64,
-    /// Best time of the one lock-step solve, seconds.
-    pub lockstep_s: f64,
+    /// Seconds per call: variant 0 the `d` scalar solves together, 1 the
+    /// one lock-step solve, 2-4 one constrained row sweep + dots feeding
+    /// 1, 2 and 3 components.
+    pub t: Timing,
+}
+
+impl LockstepResult {
     /// Lock-step over scalar — the gate metric; < 1 means one sweep for
-    /// all components pays off. Median over rounds of that round's
-    /// `lockstep / scalar` (the pairing argument of
-    /// [`ShapeResult::speedup`]).
-    pub ratio: f64,
-    /// Best time of one constrained row sweep + dots feeding 1, 2 and 3
-    /// components, microseconds.
-    pub sweep_us: [f64; 3],
+    /// all components pays off.
+    pub fn ratio(&self) -> f64 {
+        self.t.median_ratio(&[1], &[0])
+    }
 }
 
 /// Modeled GPU-sim comparison.
@@ -128,24 +124,18 @@ pub struct GpuLeg {
     pub half_band: usize,
     /// Iterations both solves ran.
     pub iterations: usize,
-    /// Total kernel launches, fused path.
-    pub fused_launches: usize,
-    /// Total kernel launches, unfused path.
-    pub unfused_launches: usize,
-    /// Modeled device time, fused path, seconds.
-    pub fused_time_s: f64,
-    /// Modeled device time, unfused path, seconds.
-    pub unfused_time_s: f64,
-    /// Modeled device energy, fused path, joules.
-    pub fused_energy_j: f64,
-    /// Modeled device energy, unfused path, joules.
-    pub unfused_energy_j: f64,
+    /// Total kernel launches, `[fused, unfused]`.
+    pub launches: [usize; 2],
+    /// Modeled device time, seconds, `[fused, unfused]`.
+    pub time_s: [f64; 2],
+    /// Modeled device energy, joules, `[fused, unfused]`.
+    pub energy_j: [f64; 2],
 }
 
 impl GpuLeg {
     /// Modeled energy greenup (unfused / fused).
     pub fn greenup(&self) -> f64 {
-        self.unfused_energy_j / self.fused_energy_j
+        self.energy_j[1] / self.energy_j[0]
     }
 }
 
@@ -158,124 +148,81 @@ pub struct PcgStreaming {
     pub lockstep: Vec<LockstepResult>,
     /// The modeled GPU-sim leg.
     pub gpu: GpuLeg,
-    /// Whether FMA streaming clones were active.
-    pub fma_active: bool,
-    /// Whether the reduced smoke budget was used.
-    pub smoke: bool,
 }
 
 impl PcgStreaming {
-    /// Gate: fused must beat unfused on every order >= 2 host shape, the
-    /// lock-step solve must beat the scalar solves on both `d` = 3
-    /// matrices, and the modeled GPU leg must cut launches, device time,
-    /// and energy.
-    pub fn gate_failures(&self) -> Vec<String> {
-        let mut fails = Vec::new();
-        for l in self.lockstep.iter().filter(|l| l.gated && l.ratio >= 1.0) {
-            fails.push(format!(
-                "lockstep {}: lock-step {:.3} ms vs {} scalar solves {:.3} ms (ratio {:.2} >= 1)",
-                l.label,
-                l.lockstep_s * 1e3,
-                l.d,
-                l.scalar_s * 1e3,
-                l.ratio
-            ));
-        }
-        for s in self.shapes.iter().filter(|s| s.gated && s.speedup < 1.0) {
-            fails.push(format!(
-                "host {}: fused {:.3} ms vs unfused {:.3} ms ({:.2}x < 1x)",
-                s.label,
-                s.fused_s * 1e3,
-                s.unfused_s * 1e3,
-                s.speedup
-            ));
-        }
+    /// The rows and gates of this result. Gated: fusion does not lose on an
+    /// order >= 2 host shape, the lock-step solve beats the scalar solves on
+    /// both `d` = 3 matrices, and fusion cuts the modeled launch count,
+    /// device time and energy.
+    pub fn report(&self) -> Report {
+        let mut gates = Vec::new();
+        let shapes = self.shapes.iter().map(|s| {
+            if s.gated {
+                let detail = format!("unfused / fused = {:.2}x, need >= 1x", s.speedup());
+                gates.push(Gate::new(format!("host {}", s.label), s.speedup() >= 1.0, detail));
+            }
+            vec![
+                Cell::new("label", s.label),
+                Cell::new("n", s.n),
+                Cell::new("half_band", s.half_band),
+                Cell::new("gated", s.gated),
+                Cell::new("fused_ms", s.t.min(0) * 1e3),
+                Cell::new("unfused_ms", s.t.min(1) * 1e3),
+                Cell::times("speedup", s.speedup()),
+            ]
+        });
+        let shapes = shapes.collect();
+        let lockstep = self.lockstep.iter().map(|l| {
+            if l.gated {
+                let detail =
+                    format!("lock-step / {} scalar solves = {:.2}, need < 1", l.d, l.ratio());
+                gates.push(Gate::new(format!("lockstep {}", l.label), l.ratio() < 1.0, detail));
+            }
+            let mut row = vec![
+                Cell::new("label", l.label),
+                Cell::new("d", l.d),
+                Cell::new("n", l.n),
+                Cell::new("nnz", l.nnz),
+                Cell::new("gated", l.gated),
+                Cell::new("iterations", l.iterations),
+                Cell::new("scalar_ms", l.t.min(0) * 1e3),
+                Cell::new("lockstep_ms", l.t.min(1) * 1e3),
+                Cell::times("ratio", l.ratio()),
+            ];
+            row.extend((1..=3).map(|d| Cell::new(format!("sweep_d{d}_us"), l.t.min(1 + d) * 1e6)));
+            row
+        });
+        let lockstep = lockstep.collect();
         let g = &self.gpu;
-        if g.fused_launches >= g.unfused_launches {
-            fails.push(format!(
-                "gpu: fused launches {} >= unfused {}",
-                g.fused_launches, g.unfused_launches
-            ));
+        for (what, [fused, unfused]) in [
+            ("launches", g.launches.map(|l| l as f64)),
+            ("modeled time", g.time_s),
+            ("modeled energy", g.energy_j),
+        ] {
+            let detail = format!("fused {fused:.4} vs unfused {unfused:.4}, need fused < unfused");
+            gates.push(Gate::new(format!("gpu {what}"), fused < unfused, detail));
         }
-        if g.fused_time_s >= g.unfused_time_s {
-            fails.push(format!(
-                "gpu: fused modeled time {:.4}s >= unfused {:.4}s",
-                g.fused_time_s, g.unfused_time_s
-            ));
+        let gpu = vec![
+            Cell::new("n", g.n),
+            Cell::new("half_band", g.half_band),
+            Cell::new("iterations", g.iterations),
+            Cell::new("fused_launches", g.launches[0]),
+            Cell::new("unfused_launches", g.launches[1]),
+            Cell::new("fused_time_s", g.time_s[0]),
+            Cell::new("unfused_time_s", g.time_s[1]),
+            Cell::new("fused_energy_j", g.energy_j[0]),
+            Cell::new("unfused_energy_j", g.energy_j[1]),
+            Cell::times("greenup", g.greenup()),
+        ];
+        Report {
+            blocks: vec![
+                Block::table("shapes", "fused vs unfused PCG solve, ms, serial", shapes),
+                Block::table("lockstep", "d scalar vs one lock-step solve, ms, serial", lockstep),
+                Block::record("gpu", "modeled fused vs launch-per-op GpuPcg", gpu),
+            ],
+            gates,
         }
-        if g.fused_energy_j >= g.unfused_energy_j {
-            fails.push(format!(
-                "gpu: fused modeled energy {:.3}J >= unfused {:.3}J",
-                g.fused_energy_j, g.unfused_energy_j
-            ));
-        }
-        fails
-    }
-
-    /// Machine-readable artifact (`BENCH_pcg_streaming.json`).
-    pub fn to_json(&self) -> String {
-        let mut rows = Vec::new();
-        for s in &self.shapes {
-            rows.push(format!(
-                "    {{\"label\": \"{}\", \"n\": {}, \"half_band\": {}, \"gated\": {}, \
-                 \"fused_ms\": {:.4}, \"unfused_ms\": {:.4}, \"speedup\": {:.4}}}",
-                s.label,
-                s.n,
-                s.half_band,
-                s.gated,
-                s.fused_s * 1e3,
-                s.unfused_s * 1e3,
-                s.speedup,
-            ));
-        }
-        let lockstep: Vec<String> = self
-            .lockstep
-            .iter()
-            .map(|l| {
-                format!(
-                    "    {{\"label\": \"{}\", \"d\": {}, \"n\": {}, \"nnz\": {}, \"gated\": {}, \
-                     \"iterations\": {}, \"scalar_ms\": {:.4}, \"lockstep_ms\": {:.4}, \
-                     \"ratio\": {:.4}, \"sweep_us\": [{:.1}, {:.1}, {:.1}]}}",
-                    l.label,
-                    l.d,
-                    l.n,
-                    l.nnz,
-                    l.gated,
-                    l.iterations,
-                    l.scalar_s * 1e3,
-                    l.lockstep_s * 1e3,
-                    l.ratio,
-                    l.sweep_us[0],
-                    l.sweep_us[1],
-                    l.sweep_us[2],
-                )
-            })
-            .collect();
-        let g = &self.gpu;
-        format!(
-            "{{\n  \"experiment\": \"pcg_streaming\",\n  \"fma_active\": {},\n  \
-             \"smoke\": {},\n  \"shapes\": [\n{}\n  ],\n  \"lockstep\": [\n{}\n  ],\n  \
-             \"gpu\": {{\n    \
-             \"n\": {}, \"half_band\": {}, \"iterations\": {},\n    \
-             \"fused_launches\": {}, \"unfused_launches\": {},\n    \
-             \"fused_time_s\": {:.6}, \"unfused_time_s\": {:.6},\n    \
-             \"fused_energy_j\": {:.4}, \"unfused_energy_j\": {:.4}, \
-             \"greenup\": {:.4}\n  }}\n}}\n",
-            self.fma_active,
-            self.smoke,
-            rows.join(",\n"),
-            lockstep.join(",\n"),
-            g.n,
-            g.half_band,
-            g.iterations,
-            g.fused_launches,
-            g.unfused_launches,
-            g.fused_time_s,
-            g.unfused_time_s,
-            g.fused_energy_j,
-            g.unfused_energy_j,
-            g.greenup(),
-        )
     }
 }
 
@@ -296,7 +243,7 @@ fn banded_spd(n: usize, half_band: usize) -> CsrMatrix {
 }
 
 /// Measures one host shape: fused vs unfused, pinned to `iters`
-/// iterations, over [`ROUNDS`] interleaved rounds.
+/// iterations.
 fn measure_shape(
     n: usize,
     half_band: usize,
@@ -308,41 +255,20 @@ fn measure_shape(
     let pre = DiagPrecond::from_diagonal(&a.diagonal());
     let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin()).collect();
     let fused = PcgOptions { rel_tol: 0.0, abs_tol: 1e-300, max_iter: iters, fused: true };
-    let unfused = PcgOptions { fused: false, ..fused };
+    let opts = [fused, PcgOptions { fused: false, ..fused }];
     let mut ws = PcgWorkspace::new();
     let mut x = vec![0.0; n];
-
-    let time_variant = |opts: &PcgOptions, ws: &mut PcgWorkspace, x: &mut Vec<f64>| {
-        x.iter_mut().for_each(|v| *v = 0.0);
-        let t0 = Instant::now();
-        pcg_solve_ws(&mut (&a), &pre, &b, x, opts, ws);
-        t0.elapsed().as_secs_f64()
-    };
-
-    // Warm-up both paths off the clock (grows the workspace, faults pages).
-    time_variant(&fused, &mut ws, &mut x);
-    time_variant(&unfused, &mut ws, &mut x);
-
-    let (mut fused_s, mut unfused_s) = (f64::INFINITY, f64::INFINITY);
-    let mut ratios = [0.0; ROUNDS];
-    for ratio in &mut ratios {
-        let f = time_variant(&fused, &mut ws, &mut x);
-        let u = time_variant(&unfused, &mut ws, &mut x);
-        fused_s = fused_s.min(f);
-        unfused_s = unfused_s.min(u);
-        *ratio = u / f;
-    }
-    ratios.sort_by(f64::total_cmp);
-
-    ShapeResult { label, n, half_band, gated, fused_s, unfused_s, speedup: ratios[ROUNDS / 2] }
+    // The warm-up call grows the workspace and faults the pages in.
+    let t = harness::time_interleaved(2, BUDGET, &mut |v| {
+        x.fill(0.0);
+        pcg_solve_ws(&mut (&a), &pre, &b, &mut x, &opts[v], &mut ws);
+    });
+    ShapeResult { label, n, half_band, gated, t }
 }
-
-/// Timed row sweeps per sample of [`LockstepResult::sweep_us`].
-const SWEEP_CALLS: usize = 20;
 
 /// Measures one workload matrix: `D` scalar solves vs one lock-step solve
 /// pinned to `iters` iterations, and the row sweep at 1, 2 and 3
-/// components, over [`ROUNDS`] interleaved rounds.
+/// components.
 fn measure_lockstep<const D: usize>(
     label: &'static str,
     zones: usize,
@@ -355,7 +281,8 @@ fn measure_lockstep<const D: usize>(
     let rule = TensorRule::<D>::gauss(quad_points_1d(order));
     let table = space.basis().tabulate(&rule.points);
     let detj: f64 = mesh.zone_size().iter().product();
-    let a = assemble_kinematic_mass(&space, &rule, &table, &vec![detj; mesh.num_zones() * rule.len()]);
+    let a =
+        assemble_kinematic_mass(&space, &rule, &table, &vec![detj; mesh.num_zones() * rule.len()]);
     let n = a.rows();
     let pre = DiagPrecond::from_diagonal(&a.diagonal());
     // Reflecting walls: component `c` is held on the faces normal to axis
@@ -378,7 +305,6 @@ fn measure_lockstep<const D: usize>(
 
     let scalar = |ws: &mut PcgWorkspace, x: &mut [f64]| {
         x.fill(0.0);
-        let t0 = Instant::now();
         for c in 0..D {
             let at = c * n..(c + 1) * n;
             ws.with_operator_scratch(n, |tmp, ws| {
@@ -386,73 +312,41 @@ fn measure_lockstep<const D: usize>(
                 pcg_solve_ws(&mut op, &pre, &b[at.clone()], &mut x[at], &opts, ws)
             });
         }
-        t0.elapsed().as_secs_f64()
     };
     let lockstep = |ws: &mut PcgWorkspace, x: &mut [f64]| {
         x.fill(0.0);
-        let t0 = Instant::now();
         ws.with_operator_scratch(stream::wide_lanes(D) * n, |tmp, ws| {
             let mut op = ConstrainedOp { a: &a, masks: &masks[..D], tmp };
             pcg_solve_lockstep_ws::<D, _>(&mut op, &pre, &b[..D * n], x, &opts, ws)
         });
-        t0.elapsed().as_secs_f64()
     };
     let mut y = vec![0.0; 3 * n];
     let mut tmp = vec![0.0; 4 * n];
     let mut sweep = |d: usize| {
-        let tmp = &mut tmp[..stream::wide_lanes(d) * n];
-        let t0 = Instant::now();
-        for _ in 0..SWEEP_CALLS {
-            let mut dots = [0.0; 3];
-            stream::spmv_constrained_dot_wide(
-                &a,
-                &b[..d * n],
-                &masks[..d],
-                tmp,
-                &mut y[..d * n],
-                &mut dots[..d],
-            );
-            std::hint::black_box(dots);
-        }
-        t0.elapsed().as_secs_f64() * 1e6 / SWEEP_CALLS as f64
+        let mut dots = [0.0; 3];
+        stream::spmv_constrained_dot_wide(
+            &a,
+            &b[..d * n],
+            &masks[..d],
+            &mut tmp[..stream::wide_lanes(d) * n],
+            &mut y[..d * n],
+            &mut dots[..d],
+        );
+        std::hint::black_box(dots);
     };
 
-    // Warm-up off the clock, and the equivalence the timing rests on.
+    // The equivalence the timing rests on.
     scalar(&mut ws, &mut x);
     let x_scalar = x.clone();
     lockstep(&mut ws, &mut x);
     assert_eq!(x, x_scalar, "{label}: lock-step and scalar solves must agree bit for bit");
-    for d in 1..=3 {
-        sweep(d);
-    }
 
-    let (mut scalar_s, mut lockstep_s) = (f64::INFINITY, f64::INFINITY);
-    let mut sweep_us = [f64::INFINITY; 3];
-    let mut ratios = [0.0; ROUNDS];
-    for ratio in &mut ratios {
-        let s = scalar(&mut ws, &mut x);
-        let l = lockstep(&mut ws, &mut x);
-        scalar_s = scalar_s.min(s);
-        lockstep_s = lockstep_s.min(l);
-        *ratio = l / s;
-        for (d, us) in sweep_us.iter_mut().enumerate() {
-            *us = us.min(sweep(d + 1));
-        }
-    }
-    ratios.sort_by(f64::total_cmp);
-
-    LockstepResult {
-        label,
-        d: D,
-        n,
-        nnz: a.nnz(),
-        gated: D == 3,
-        iterations: iters,
-        scalar_s,
-        lockstep_s,
-        ratio: ratios[ROUNDS / 2],
-        sweep_us,
-    }
+    let t = harness::time_interleaved(5, BUDGET, &mut |v| match v {
+        0 => scalar(&mut ws, &mut x),
+        1 => lockstep(&mut ws, &mut x),
+        _ => sweep(v - 1),
+    });
+    LockstepResult { label, d: D, n, nnz: a.nnz(), gated: D == 3, iterations: iters, t }
 }
 
 /// Runs the modeled GPU-sim comparison (deterministic — safe to gate).
@@ -467,32 +361,20 @@ fn measure_gpu(iters: usize) -> GpuLeg {
         let opts = PcgOptions { rel_tol: 0.0, abs_tol: 1e-300, max_iter: iters, fused };
         let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
         let mut x = vec![0.0; n];
-        let res = GpuPcg { opts }
-            .solve(&dev, &a, &pre, &b, &none, &mut x)
-            .expect("no faults injected");
+        let res =
+            GpuPcg { opts }.solve(&dev, &a, &pre, &b, &none, &mut x).expect("no faults injected");
         let launches: usize = dev.kernel_summary().iter().map(|&(_, _, c)| c).sum();
         (res.iterations, launches, dev.now(), dev.energy_joules())
     };
-    let (it_f, l_f, t_f, e_f) = leg(true);
-    let (it_u, l_u, t_u, e_u) = leg(false);
-    assert_eq!(it_f, it_u, "pinned iteration counts must agree");
-
-    GpuLeg {
-        n,
-        half_band,
-        iterations: it_f,
-        fused_launches: l_f,
-        unfused_launches: l_u,
-        fused_time_s: t_f,
-        unfused_time_s: t_u,
-        fused_energy_j: e_f,
-        unfused_energy_j: e_u,
-    }
+    let (f, u) = (leg(true), leg(false));
+    assert_eq!(f.0, u.0, "pinned iteration counts must agree");
+    let (launches, time_s, energy_j) = ([f.1, u.1], [f.2, u.2], [f.3, u.3]);
+    GpuLeg { n, half_band, iterations: f.0, launches, time_s, energy_j }
 }
 
 /// Runs the full sweep. `smoke` shrinks the budget for the CI lane; the
 /// shape list and every gate stay complete.
-pub fn measure_with_budget(smoke: bool) -> PcgStreaming {
+pub fn measure(smoke: bool) -> PcgStreaming {
     let iters = if smoke { SMOKE_ITERS } else { FULL_ITERS };
     // Serial drive only: fusion vs launch-per-op, no pool scheduling.
     let (shapes, lockstep) = rayon::Pool::new(1).install(|| {
@@ -509,116 +391,72 @@ pub fn measure_with_budget(smoke: bool) -> PcgStreaming {
         ];
         (shapes, lockstep)
     });
-    let gpu = measure_gpu(if smoke { SMOKE_ITERS } else { 25 });
-    PcgStreaming { shapes, lockstep, gpu, fma_active: stream::fma_active(), smoke }
-}
-
-/// Full-budget sweep (the experiment registry entry point).
-pub fn measure() -> PcgStreaming {
-    measure_with_budget(false)
-}
-
-/// Renders the human-readable tables.
-pub fn render(r: &PcgStreaming) -> String {
-    let rows: Vec<Vec<String>> = r
-        .shapes
-        .iter()
-        .map(|s| {
-            vec![
-                s.label.to_string(),
-                format!("{}", s.n),
-                format!("{}", s.half_band),
-                format!("{:.3}", s.fused_s * 1e3),
-                format!("{:.3}", s.unfused_s * 1e3),
-                format!("{:.2}x", s.speedup),
-            ]
-        })
-        .collect();
-    let mut out = table::render(
-        "pcg_streaming — measured fused vs unfused PCG solve time on mass-matrix-like systems (ms, serial)",
-        &["order", "n", "band", "fused", "unfused", "speedup"],
-        &rows,
-    );
-    let rows: Vec<Vec<String>> = r
-        .lockstep
-        .iter()
-        .map(|l| {
-            vec![
-                l.label.to_string(),
-                format!("{}", l.d),
-                format!("{}", l.n),
-                format!("{:.1}", l.nnz as f64 / l.n as f64),
-                format!("{:.3}", l.scalar_s * 1e3),
-                format!("{:.3}", l.lockstep_s * 1e3),
-                format!("{:.2}", l.ratio),
-                format!("{:.0} / {:.0} / {:.0}", l.sweep_us[0], l.sweep_us[1], l.sweep_us[2]),
-            ]
-        })
-        .collect();
-    out.push('\n');
-    out.push_str(&table::render(
-        "lock-step momentum solve — d scalar solves vs one lock-step solve on the stored workload matrices (ms, serial)",
-        &["matrix", "d", "n", "nnz/row", "d scalar", "lock-step", "ratio", "sweep us d=1/2/3"],
-        &rows,
-    ));
-    let g = &r.gpu;
-    out.push_str(&format!(
-        "\nGPU-sim leg (n={}, band={}, {} iterations): {} launches vs {} \
-         ({:.1} vs {:.1} per iteration), modeled time {:.4}s vs {:.4}s, \
-         modeled energy {:.2}J vs {:.2}J (greenup {:.2}x).\n",
-        g.n,
-        g.half_band,
-        g.iterations,
-        g.fused_launches,
-        g.unfused_launches,
-        g.fused_launches as f64 / g.iterations as f64,
-        g.unfused_launches as f64 / g.iterations as f64,
-        g.fused_time_s,
-        g.unfused_time_s,
-        g.fused_energy_j,
-        g.unfused_energy_j,
-        g.greenup(),
-    ));
-    out.push_str(&format!(
-        "FMA streaming clones {}; {ROUNDS} interleaved rounds per shape: times are the \
-         best round, speedup the median round's unfused/fused.\n",
-        if r.fma_active { "active" } else { "inactive" },
-    ));
-    out
-}
-
-/// Regenerates the artifact.
-pub fn report() -> String {
-    render(&measure())
+    PcgStreaming { shapes, lockstep, gpu: measure_gpu(if smoke { SMOKE_ITERS } else { 25 }) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blast_telemetry::chrome::Json;
+
+    #[test]
+    fn artifact_of_a_hand_made_result_parses_and_gates() {
+        let pair = |a: f64, b: f64| vec![vec![a; 3], vec![b; 3]];
+        let mut r = PcgStreaming {
+            shapes: vec![ShapeResult {
+                label: "Q3",
+                n: 200_000,
+                half_band: 3,
+                gated: true,
+                t: Timing::from_samples(pair(0.02, 0.022)),
+            }],
+            lockstep: vec![LockstepResult {
+                label: "5^3 Q3",
+                d: 3,
+                n: 4096,
+                nnz: 438_976,
+                gated: true,
+                iterations: 12,
+                t: Timing::from_samples([pair(0.016, 0.006), vec![vec![4e-4; 3]; 3]].concat()),
+            }],
+            gpu: measure_gpu(SMOKE_ITERS),
+        };
+        assert!(r.report().failures().is_empty());
+        let json = harness::render_json(EXPERIMENT.name, true, &r.report());
+        let doc = harness::parse_artifact(&json).unwrap();
+        let shape = &doc.get("shapes").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(shape.get("label").and_then(Json::as_str), Some("Q3"));
+        assert_eq!(shape.get("speedup").and_then(Json::as_f64), Some(1.1));
+        let lock = &doc.get("lockstep").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(lock.get("label").and_then(Json::as_str), Some("5^3 Q3"));
+        assert_eq!(lock.get("ratio").and_then(Json::as_f64), Some(0.375));
+        assert_eq!(lock.get("sweep_d3_us").and_then(Json::as_f64), Some(400.0));
+        let gpu = doc.get("gpu").unwrap();
+        assert_eq!(gpu.get("fused_launches").and_then(Json::as_f64), Some(40.0));
+        assert_eq!(doc.get("gates").and_then(Json::as_arr).unwrap().len(), 5);
+
+        // Fusion losing on a gated shape, and lock-step losing on d = 3.
+        r.shapes[0].t = Timing::from_samples(pair(0.022, 0.02));
+        r.lockstep[0].t =
+            Timing::from_samples([pair(0.006, 0.016), vec![vec![4e-4; 3]; 3]].concat());
+        let report = r.report();
+        let failed: Vec<&str> = report.failures().iter().map(|g| &*g.name).collect();
+        assert_eq!(failed, ["host Q3", "lockstep 5^3 Q3"]);
+    }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "wall-clock measurement; run with --release")]
-    fn smoke_sweep_covers_all_shapes_and_emits_json() {
-        let r = measure_with_budget(true);
+    fn smoke_sweep_covers_all_shapes() {
+        let r = measure(true);
         assert_eq!(r.shapes.len(), SHAPES.len());
-        for s in &r.shapes {
-            assert!(s.fused_s > 0.0 && s.unfused_s > 0.0);
-        }
         assert_eq!(r.shapes.iter().filter(|s| s.gated).count(), 3);
         assert_eq!(r.lockstep.iter().map(|l| l.d).collect::<Vec<_>>(), [2, 3, 3]);
-        assert!(r.lockstep.iter().all(|l| l.sweep_us.iter().all(|&us| us > 0.0)));
+        assert!(r.lockstep.iter().all(|l| (0..5).all(|v| l.t.min(v) > 0.0)));
         assert!(r.gpu.iterations > 0);
-        let json = r.to_json();
-        assert!(json.contains("\"experiment\": \"pcg_streaming\""));
-        assert!(json.contains("\"Q3\""));
-        assert!(json.contains("\"lockstep\"") && json.contains("\"5^3 Q3\""));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
+        // The ISSUE acceptance gate: fused beats unfused on every order
+        // >= 2 shape, lock-step beats scalar on both d = 3 matrices.
+        let report = r.report();
+        assert!(report.failures().is_empty(), "{:?}", report.failures());
     }
 
     /// The modeled GPU leg is deterministic: fusion must always cut
@@ -626,19 +464,9 @@ mod tests {
     #[test]
     fn gpu_leg_greenup_is_deterministic() {
         let g = measure_gpu(SMOKE_ITERS);
-        assert!(g.fused_launches < g.unfused_launches);
-        assert!(g.fused_time_s < g.unfused_time_s);
-        assert!(g.fused_energy_j < g.unfused_energy_j);
+        assert!(g.launches[0] < g.launches[1]);
+        assert!(g.time_s[0] < g.time_s[1]);
+        assert!(g.energy_j[0] < g.energy_j[1]);
         assert!(g.greenup() > 1.0);
-    }
-
-    /// The ISSUE acceptance gate: fused beats unfused on every order >= 2
-    /// shape. Wall-clock — debug builds skip it.
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "wall-clock measurement; run with --release")]
-    fn fused_beats_unfused_on_gated_shapes() {
-        let r = measure_with_budget(true);
-        let fails = r.gate_failures();
-        assert!(fails.is_empty(), "{fails:?}");
     }
 }

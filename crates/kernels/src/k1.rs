@@ -299,10 +299,7 @@ mod tests {
             let jac = crate::point::shocked::state(&shape, 11 + order as u64).jac;
             let mut want_adj = BatchedMats::zeros(3, 3, n);
             let (mut want_det, mut want_hmin) = (vec![0.0; n], vec![0.0; n]);
-            for p in 0..n {
-                (want_det[p], want_hmin[p]) =
-                    crate::point::reference::geometry::<3>(jac.mat(p), want_adj.mat_mut(p));
-            }
+            crate::point::reference::k1(&jac, &mut want_adj, &mut want_det, &mut want_hmin);
             for isa in Isa::available() {
                 for threads in [1, 2, 8] {
                     let mut adj = BatchedMats::from_fn(3, 3, n, |_, _, _| f64::NAN);

@@ -471,31 +471,17 @@ mod tests {
             let e_coeffs: Vec<f64> = mix[..zones * nthermo].iter().map(|m| 2.0 * m + 1.5).collect();
             let thermo_vals =
                 DMatrix::from_fn(nthermo, npts, |l, k| mix[zones * nthermo + l * npts + k]);
-            let mut adj = [0.0; 9];
-            let (det, hmin): (Vec<f64>, Vec<f64>) =
-                (0..n).map(|p| reference::geometry::<3>(st.jac.mat(p), &mut adj)).unzip();
+            let mut adj = BatchedMats::zeros(3, 3, n);
+            let (mut det, mut hmin) = (vec![0.0; n], vec![0.0; n]);
+            reference::k1(&st.jac, &mut adj, &mut det, &mut hmin);
             for use_viscosity in [true, false] {
                 let kernel = StressKernel { workspace: Workspace::Registers, use_viscosity };
                 let mut want_sigma = BatchedMats::zeros(3, 3, n);
                 let mut want_inv_dt = vec![0.0; n];
-                for p in 0..n {
-                    let (z, k) = (p / npts, p % npts);
-                    let zone = ZonePhysics::new(&st.consts, z, &shape, use_viscosity);
-                    let mut e_pt = 0.0;
-                    for l in 0..nthermo {
-                        e_pt += e_coeffs[z * nthermo + l] * thermo_vals[(l, k)];
-                    }
-                    want_inv_dt[p] = reference::stress::<3>(
-                        &zone,
-                        e_pt,
-                        st.rho0detj0[p],
-                        det[p],
-                        hmin[p],
-                        st.grad_v.mat(p),
-                        st.jac.mat(p),
-                        want_sigma.mat_mut(p),
-                    );
-                }
+                reference::k2(
+                    &shape, use_viscosity, &e_coeffs, &thermo_vals, &st.grad_v, &st.jac, &det,
+                    &hmin, &st.rho0detj0, &st.consts, &mut want_sigma, &mut want_inv_dt,
+                );
                 for isa in Isa::available() {
                     for threads in [1, 2, 8] {
                         let mut sigma = BatchedMats::from_fn(3, 3, n, |_, _, _| f64::NAN);

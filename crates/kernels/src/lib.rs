@@ -42,12 +42,25 @@ pub mod k56;
 pub mod k7;
 pub mod k8_10;
 pub mod k9;
-mod point;
+#[doc(hidden)]
+pub mod point;
 pub mod shapes;
 pub mod sumfac;
 
 pub use shapes::ProblemShape;
 pub use sumfac::AssemblyMode;
+
+/// The instruction-set level the host bodies of kernels 1 to 4 and of the
+/// matrix-free force dispatch to on this machine (`"scalar"`, `"avx2"` or
+/// `"avx512"`).
+pub fn host_isa() -> &'static str {
+    let isa = isa::Isa::detect();
+    match (isa.is_avx512(), isa.is_avx2()) {
+        (true, _) => "avx512",
+        (_, true) => "avx2",
+        _ => "scalar",
+    }
+}
 
 /// Workspace placement for the per-thread scratch matrices of kernels 1-2
 /// (the Fig. 4 ablation).

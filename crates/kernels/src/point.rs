@@ -201,75 +201,8 @@ pub(crate) fn stress<const D: usize, const W: usize>(
     }
 }
 
-/// The point-at-a-time bodies [`geometry`] and [`stress`] replaced, through
-/// the scalar `svd3` / `sym_eig3`: the bitwise oracle of the kernel tests.
-#[cfg(test)]
-pub(crate) mod reference {
-    use blast_la::{svd2, svd3, sym_eig2, sym_eig3, SmallMat};
-
-    use super::{smooth_step_01, ZonePhysics};
-
-    /// Kernel 1 at one point: writes `adj`, returns `(det, hmin)`.
-    pub(crate) fn geometry<const D: usize>(jac: &[f64], adj: &mut [f64]) -> (f64, f64) {
-        if D == 2 {
-            let j = SmallMat::<2>::from_col_slice(jac);
-            j.adjugate().write_col_slice(adj);
-            (j.det(), svd2(&j).min_singular())
-        } else {
-            let j = SmallMat::<3>::from_col_slice(jac);
-            j.adjugate().write_col_slice(adj);
-            (j.det(), svd3(&j).min_singular())
-        }
-    }
-
-    /// Kernel 2 at one point: writes `sigma`, returns `inv_dt`.
-    pub(crate) fn stress<const D: usize>(
-        zone: &ZonePhysics<'_>,
-        e_pt: f64,
-        rho0detj0: f64,
-        det: f64,
-        hmin: f64,
-        grad_v: &[f64],
-        jac: &[f64],
-        sigma: &mut [f64],
-    ) -> f64 {
-        let e_val = e_pt.max(0.0);
-        let rho = rho0detj0 / det;
-        let p_eos = (zone.gamma - 1.0) * rho * e_val;
-        let cs = (zone.gamma * (zone.gamma - 1.0) * e_val).sqrt();
-
-        let mut sig = SmallMat::<D>::zeros();
-        for i in 0..D {
-            sig[(i, i)] = -p_eos;
-        }
-        let mut visc_coeff = 0.0;
-        if zone.use_visc {
-            let eps_t = SmallMat::<D>::from_col_slice(grad_v).sym();
-            let (mu, dir): (f64, [f64; D]) = if D == 2 {
-                let e = sym_eig2(&SmallMat::<2>::from_fn(|i, j| eps_t[(i, j)]));
-                (e.values[1], std::array::from_fn(|i| e.vectors[(i, 1)]))
-            } else {
-                let e = sym_eig3(&SmallMat::<3>::from_fn(|i, j| eps_t[(i, j)]));
-                (e.values[2], std::array::from_fn(|i| e.vectors[(i, 2)]))
-            };
-            let j = SmallMat::<D>::from_col_slice(jac);
-            let jpi = SmallMat::<D>::from_fn(|i, c| j[(i, c)] * zone.j0inv[c]);
-            let ph = jpi.mul_vec(&dir);
-            let h = zone.h0 * ph.iter().map(|x| x * x).sum::<f64>().sqrt();
-            visc_coeff = 2.0 * rho * h * h * mu.abs();
-            let eps_sw = 1e-12;
-            visc_coeff += 0.5 * rho * h * cs * (1.0 - smooth_step_01(mu - 2.0 * eps_sw, eps_sw));
-            for c in 0..D {
-                for r in 0..D {
-                    sig[(r, c)] += visc_coeff * eps_t[(r, c)];
-                }
-            }
-        }
-        sig.write_col_slice(sigma);
-        let h_min = (hmin / zone.order).max(1e-300);
-        cs / h_min + 2.5 * visc_coeff / (rho * h_min * h_min)
-    }
-}
+#[doc(hidden)]
+pub mod reference;
 
 /// A shocked 3D state at the quadrature points, for the kernel tests:
 /// distorted Jacobians (every fourth one exactly Cartesian), a velocity

@@ -153,7 +153,7 @@ fn grow(buf: &mut Vec<f64>, len: usize) {
 /// Gathers the `d * nkin` zone-local kinematic vector coefficients of zone
 /// `z` from the global component-major vector `u`.
 #[inline]
-fn gather_kin(
+pub(crate) fn gather_kin(
     u: &[f64],
     num_h1_dofs: usize,
     dofs: &[usize],
@@ -172,7 +172,7 @@ fn gather_kin(
 
 /// Runs the `d²` forward gradient transforms of the gathered vector field
 /// `uz`, scattering into the point-major `[k*d² + c + g*d]` batch `out`.
-fn forward_gradients(
+pub(crate) fn forward_gradients(
     f: &Factors1d,
     dim: usize,
     uz: &[f64],
@@ -1032,12 +1032,11 @@ mod tests {
 
     #[test]
     fn force_matches_the_scalar_point_reference_at_every_isa_level() {
-        use crate::point::reference;
         use crate::isa::bits;
         for (order, zones) in [(2, 7), (3, 4)] {
             let shape = ProblemShape::new(3, order, zones);
             let f = SumfacFactors::for_shape(&shape);
-            let (d, d2, npts, nkin, nthermo) = (3, 9, shape.npts, shape.nkin, shape.nthermo);
+            let (d, npts, nkin, nthermo) = (3, shape.npts, shape.nkin, shape.nthermo);
             let total = shape.total_points();
             // Zone-private DOFs; positions are the reference nodes scaled to
             // h = 0.2 and jittered, velocities a strong compression in two
@@ -1070,48 +1069,10 @@ mod tests {
             // kernel-1 / 5 / 2 / 6 chain through the scalar eigen-solves.
             let mut want_dsf = BatchedMats::zeros(d, d, total);
             let (mut want_detj, mut want_inv_dt) = (vec![0.0; total], vec![0.0; total]);
-            let mut sf = SumfacScratch::default();
-            let (mut uz, mut tmp) = (vec![0.0; d * nkin], vec![0.0; npts]);
-            let (mut jac, mut gvref) = (vec![0.0; npts * d2], vec![0.0; npts * d2]);
-            let mut e_pt = vec![0.0; npts];
-            for z in 0..zones {
-                let dofs = &zone_dofs[z * nkin..(z + 1) * nkin];
-                gather_kin(&x, num_h1_dofs, dofs, d, nkin, &mut uz);
-                forward_gradients(&f.kin, d, &uz, nkin, npts, &mut tmp, &mut sf, &mut jac);
-                gather_kin(&v, num_h1_dofs, dofs, d, nkin, &mut uz);
-                forward_gradients(&f.kin, d, &uz, nkin, npts, &mut tmp, &mut sf, &mut gvref);
-                forward(&f.thermo, d, &e[z * nthermo..(z + 1) * nthermo], None, &mut e_pt, &mut sf);
-                let zone = ZonePhysics::new(&consts, z, &shape, true);
-                for k in 0..npts {
-                    let p = z * npts + k;
-                    let jac_k = &jac[k * d2..(k + 1) * d2];
-                    let (mut adj, mut gv, mut sig) = ([0.0; 9], [0.0; 9], [0.0; 9]);
-                    let (det, hmin) = reference::geometry::<3>(jac_k, &mut adj);
-                    want_detj[p] = det;
-                    let inv_det = 1.0 / det;
-                    for g in 0..d {
-                        for c in 0..d {
-                            let mut acc = 0.0;
-                            for t in 0..d {
-                                acc += gvref[k * d2 + c + t * d] * adj[t + g * d];
-                            }
-                            gv[c + g * d] = acc * inv_det;
-                        }
-                    }
-                    want_inv_dt[p] = reference::stress::<3>(
-                        &zone, e_pt[k], rho0detj0[p], det, hmin, &gv, jac_k, &mut sig,
-                    );
-                    for g in 0..d {
-                        for c in 0..d {
-                            let mut acc = 0.0;
-                            for t in 0..d {
-                                acc += sig[c + t * d] * adj[g + t * d];
-                            }
-                            want_dsf.mat_mut(p)[c + g * d] = alpha[k] * acc;
-                        }
-                    }
-                }
-            }
+            crate::point::reference::matfree_force(
+                &shape, &f, &x, &v, &e, num_h1_dofs, &zone_dofs, &alpha, &rho0detj0, &consts,
+                &mut want_dsf, &mut want_detj, &mut want_inv_dt,
+            );
             assert!(want_detj.iter().all(|&dj| dj > 0.0), "the test mesh must be valid");
 
             for isa in Isa::available() {

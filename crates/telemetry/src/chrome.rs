@@ -19,7 +19,8 @@ use std::fmt::Write as _;
 
 const US_PER_S: f64 = 1e6;
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` with JSON string escaping (no surrounding quotes).
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

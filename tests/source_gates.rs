@@ -1,0 +1,195 @@
+//! Contracts on the source tree itself: what a PR deleted on purpose stays
+//! deleted, and what exists once stays single. Each test reads the checked-in
+//! files; its doc comment is the reason the contract exists.
+
+use std::path::Path;
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn read(rel: &str) -> String {
+    std::fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
+/// Every readable file under the repository-relative directories `dirs`, as
+/// `(relative path, text)`, in path order; build output and this file are
+/// skipped.
+fn files_under(dirs: &[&str]) -> Vec<(String, String)> {
+    fn walk(rel: &str, out: &mut Vec<(String, String)>) {
+        let entries = std::fs::read_dir(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        let mut names: Vec<String> =
+            entries.map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
+        names.sort();
+        for name in names {
+            let child = format!("{rel}/{name}");
+            if root().join(&child).is_dir() {
+                if name != "target" {
+                    walk(&child, out);
+                }
+            } else if let Ok(text) = std::fs::read_to_string(root().join(&child)) {
+                out.push((child, text));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    dirs.iter().for_each(|dir| walk(dir, &mut out));
+    out.retain(|(path, _)| path != "tests/source_gates.rs");
+    out
+}
+
+/// The whole tree a PR may touch outside `benchmark/`.
+const TREE: [&str; 4] = ["crates", "src", "tests", "examples"];
+
+/// `path:line: text` of every line of `files` that `hit` accepts.
+fn lines_where(files: &[(String, String)], hit: impl Fn(&str) -> bool) -> Vec<String> {
+    files
+        .iter()
+        .flat_map(|(path, text)| {
+            text.lines()
+                .enumerate()
+                .filter(|(_, l)| hit(l))
+                .map(move |(i, l)| format!("{path}:{}: {l}", i + 1))
+        })
+        .collect()
+}
+
+/// `text` up to its unit-test module.
+fn non_test(text: &str) -> &str {
+    text.find("#[cfg(test)]").map_or(text, |at| &text[..at])
+}
+
+/// `text` without the top-level item that starts at the line beginning with
+/// `start` and ends at the next line beginning with `}`.
+fn without_item(text: &str, start: &str) -> String {
+    let mut inside = false;
+    let mut found = false;
+    let kept: Vec<&str> = text
+        .lines()
+        .filter(|l| {
+            inside |= l.starts_with(start);
+            found |= inside;
+            let keep = !inside;
+            inside &= !l.starts_with('}');
+            keep
+        })
+        .collect();
+    assert!(found, "no item starts with '{start}'");
+    kept.join("\n")
+}
+
+/// Superseded entry points are deleted in the PR that supersedes them, not
+/// parked behind `#[deprecated]` with a parity test.
+#[test]
+fn no_deprecated_api_kept_alive() {
+    let hits = lines_where(&files_under(&TREE), |l| {
+        l.contains("#[deprecated") || l.contains("allow(deprecated)")
+    });
+    assert!(hits.is_empty(), "{hits:#?}");
+}
+
+/// Kernel configuration and fault-tolerance state travel as values the
+/// solver owns (`TileConfig`, `PcgOptions`, `Abft`): two solvers in one
+/// process must not see each other's settings, so the numeric crates hold
+/// no lockable or atomic `static`, and the installers PR 15 deleted stay gone.
+#[test]
+fn no_process_global_kernel_state() {
+    let numeric = files_under(&[
+        "crates/la/src",
+        "crates/kernels/src",
+        "crates/autotune/src",
+        "crates/core/src",
+    ]);
+    let statics = lines_where(&numeric, |l| {
+        l.find("static ")
+            .is_some_and(|at| ["Atomic", "Mutex", "RwLock"].iter().any(|t| l[at..].contains(t)))
+    });
+    assert!(statics.is_empty(), "{statics:#?}");
+    let installers = lines_where(&files_under(&TREE), |l| {
+        l.contains("set_active_tile_index") || l.contains("set_active_stream_index")
+    });
+    assert!(installers.is_empty(), "{installers:#?}");
+}
+
+/// The PCG iteration lives in `blast_la::pcg`, once (plus the scalar oracle
+/// the tests compare against), at any number of lock-step systems; kernel 9
+/// bills its sweeps and computes none; `la` records no telemetry (the solver
+/// counts its solves); and the solver reaches the solve entry points from
+/// one function only.
+#[test]
+fn one_pcg_loop() {
+    let k9 = read("crates/kernels/src/k9.rs");
+    assert!(!non_test(&k9).contains("stream::"), "kernel 9 runs a streaming sweep of its own");
+    assert!(!read("crates/la/Cargo.toml").contains("blast-telemetry"), "la depends on telemetry");
+    let pcg = read("crates/la/src/pcg.rs");
+    let loops = without_item(non_test(&pcg), "pub fn pcg_solve_ws_reference")
+        .matches("for iter in 1..=")
+        .count();
+    assert_eq!(loops, 1, "the PCG iteration must exist once beside its oracle");
+
+    // Functions of the force module that call a solve entry point:
+    // `pcg_solve_*(`, turbofish allowed, or `.solve_ws(`.
+    let calls_a_solve = |line: &str| {
+        line.contains(".solve_ws(")
+            || line.match_indices("pcg_solve_").any(|(at, _)| {
+                let rest =
+                    line[at..].trim_start_matches(|c: char| c.is_ascii_lowercase() || c == '_');
+                let rest = rest
+                    .strip_prefix("::<")
+                    .and_then(|r| r.split_once('>'))
+                    .map_or(rest, |(_, r)| r);
+                rest.starts_with('(')
+            })
+    };
+    let force = read("crates/core/src/solver/force.rs");
+    let mut current = "";
+    let mut callers = Vec::new();
+    for line in non_test(&force).lines() {
+        let decl = line.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+        if let Some(name) = decl.strip_prefix("fn ") {
+            current =
+                name.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).next().unwrap();
+        }
+        if calls_a_solve(line) && !callers.contains(&current) {
+            callers.push(current);
+        }
+    }
+    assert_eq!(callers, ["solve_momentum"], "the solve entry points have one caller");
+}
+
+/// Kernels 1 and 2 and the matrix-free force share `kernels::point`, whose
+/// 3D eigen-solves run in lanes: no kernel calls the scalar `sym_eig3` /
+/// `svd3` — they belong to the one point-at-a-time oracle,
+/// `point/reference.rs`, which tests and `point_physics` compare against —
+/// and `blast_la::eig` holds the Jacobi iteration once beside its own
+/// scalar oracle: one lane body for values and for eigenpairs.
+#[test]
+fn one_per_point_body() {
+    let kernels: Vec<(String, String)> = files_under(&["crates/kernels/src"])
+        .into_iter()
+        .filter(|(path, _)| path != "crates/kernels/src/point/reference.rs")
+        .map(|(path, text)| (path, non_test(&text).to_string()))
+        .collect();
+    let scalar_solves = lines_where(&kernels, |l| l.contains("sym_eig3(") || l.contains("svd3("));
+    assert!(scalar_solves.is_empty(), "scalar 3x3 eigen-solve in a kernel: {scalar_solves:#?}");
+    let eig = read("crates/la/src/eig.rs");
+    let loops = without_item(non_test(&eig), "pub fn sym_eig3(").matches("for _sweep in").count();
+    assert_eq!(loops, 1, "the lane Jacobi iteration must exist once beside `sym_eig3`");
+}
+
+/// `rayon::Pool::new(width).install(..)` scopes a width to a thread; the
+/// process-wide `set_active_threads` stays only as the default-pool shim
+/// `benchmark/` calls, and the pool's workers are persistent, not scoped
+/// threads spawned per call.
+#[test]
+fn pool_width_travels_on_a_handle() {
+    let outside_the_shim: Vec<(String, String)> = files_under(&TREE)
+        .into_iter()
+        .filter(|(path, _)| !path.starts_with("crates/shims/rayon/"))
+        .collect();
+    let setters = lines_where(&outside_the_shim, |l| l.contains("set_active_threads"));
+    assert!(setters.is_empty(), "{setters:#?}");
+    let scoped =
+        lines_where(&files_under(&["crates/shims/rayon/src"]), |l| l.contains("thread::scope"));
+    assert!(scoped.is_empty(), "{scoped:#?}");
+}
