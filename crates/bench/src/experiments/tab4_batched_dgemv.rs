@@ -17,7 +17,10 @@ pub fn measure() -> (f64, f64, f64) {
     let flops = 2.0 * shape.nvdof() as f64 * shape.nthermo as f64 * shape.zones as f64;
 
     let streamed = StreamedDgemv;
-    let t_lib = streamed.modeled_time(&dev, &shape);
+    // One library call per zone, modeled without executing.
+    let per_call =
+        dev.model_kernel(&streamed.config_single(&shape), &streamed.traffic_single(&shape));
+    let t_lib = per_call.time_s * shape.zones as f64;
     let gflops_lib = flops / t_lib / 1e9;
 
     let k8 = MomentumRhsKernel;

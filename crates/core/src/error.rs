@@ -111,6 +111,13 @@ impl From<GpuError> for HydroError {
     }
 }
 
+/// The inline kernel launcher cannot refuse a kernel.
+impl From<std::convert::Infallible> for HydroError {
+    fn from(never: std::convert::Infallible) -> Self {
+        match never {}
+    }
+}
+
 impl std::fmt::Display for HydroError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

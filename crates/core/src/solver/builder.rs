@@ -16,7 +16,7 @@ use blast_telemetry::TelemetrySink;
 use gpu_sim::{CpuSpec, FaultPlan, GpuDevice, SdcPlan};
 
 use super::force::{Assembly, MatFreeOps};
-use super::{device_footprint, Hydro, HydroConfig, StepScratch};
+use super::{Hydro, HydroConfig, StepScratch};
 use crate::audit::AuditConfig;
 use crate::checkpoint::CheckpointPolicy;
 use crate::error::HydroError;
@@ -285,7 +285,8 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
     }
 
     /// Builds the solver. Fails with [`HydroError::InvalidConfig`] on an
-    /// unusable order, mesh or CFL factor, and when the simulated GPU
+    /// unusable order, mesh or CFL factor or the `base` GPU ablation over a
+    /// matrix-free assembly, and when the simulated GPU
     /// cannot hold the working set (the paper's Q4-Q3 memory limit at
     /// `16^3` on K20).
     pub fn build(mut self) -> Result<Hydro<D>, HydroError> {
@@ -420,15 +421,23 @@ impl<const D: usize> Hydro<D> {
         // stored (the default preserves every stored-path trajectory
         // bitwise). Host RAM is not modeled as a ceiling, so only a device
         // budget can force matrix-free.
+        let required = RequiredBytes {
+            stored: stored_resident_bytes(&shape, n, thermo.num_dofs()),
+            matrix_free: matfree_resident_bytes(&shape, n, thermo.num_dofs()),
+        };
         let assembly = match (assembly, &exec.gpu) {
             (Some(mode), _) => mode,
-            (None, Some(gpu)) if assembly_auto => RequiredBytes {
-                stored: stored_resident_bytes(&shape, n, thermo.num_dofs()),
-                matrix_free: matfree_resident_bytes(&shape, n, thermo.num_dofs()),
-            }
-            .auto_mode(gpu.spec().dram_capacity),
+            (None, Some(gpu)) if assembly_auto => required.auto_mode(gpu.spec().dram_capacity),
             (None, _) => AssemblyMode::Stored,
         };
+        if assembly.is_matrix_free() && matches!(exec.mode, ExecMode::Gpu { base: true, .. }) {
+            return Err(HydroError::InvalidConfig {
+                what: "mode",
+                detail: "the `base` ablation is the monolithic kernel of the stored pipeline; \
+                         the assembly resolved to matrix-free, which has no such kernel"
+                    .to_string(),
+            });
+        }
 
         // Device footprint check happens *before* any allocation or
         // expensive assembly so an over-sized problem fails fast with the
@@ -437,10 +446,8 @@ impl<const D: usize> Hydro<D> {
         let mut device_bytes = 0usize;
         if matches!(exec.mode, ExecMode::Gpu { .. } | ExecMode::Hybrid { .. }) {
             device_bytes = match assembly {
-                AssemblyMode::Stored => device_footprint::<D>(&shape, n, thermo.num_dofs()),
-                AssemblyMode::MatrixFree => {
-                    matfree_resident_bytes(&shape, n, thermo.num_dofs())
-                }
+                AssemblyMode::Stored => required.stored,
+                AssemblyMode::MatrixFree => required.matrix_free,
             };
             let gpu = exec.gpu.as_ref().expect("GPU mode has a device");
             let capacity = gpu.spec().dram_capacity;

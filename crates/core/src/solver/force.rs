@@ -1,14 +1,14 @@
 //! Force evaluation (the corner-force hot spot): the [`Assembly`] operator
-//! axis, one evaluation body per backend (host, device, hybrid), the
-//! momentum solve, and the energy rate.
+//! axis, the kernel sequence of one evaluation written once over a
+//! `KernelLauncher`, the billing envelope each backend (host, device,
+//! hybrid) puts around it, the momentum solve, and the energy rate.
 
-use blast_kernels::base::{
-    compute_az_pipeline_into, launch_az_pipeline_into, MonolithicCornerForce,
-};
+use blast_kernels::base::{az_pipeline_on, AzInputs, MonolithicCornerForce};
 use blast_kernels::k11::SpmvKernel;
 use blast_kernels::k7::FzKernel;
 use blast_kernels::k8_10::{EnergyRhsKernel, MomentumRhsKernel};
 use blast_kernels::k9::GpuPcg;
+use blast_kernels::launch::{Inline, KernelLauncher, Launch};
 use blast_kernels::sumfac::{
     AssemblyMode, SumfacEnergyKernel, SumfacFactors, SumfacForceKernel, SumfacMassKernel,
     SumfacMomentumKernel,
@@ -119,32 +119,16 @@ impl Assembly {
         }
     }
 
-    /// Traffic of the energy right-hand side `F^T v` (kernel 10 or its
+    /// What the energy right-hand side `F^T v` bills (kernel 10 or its
     /// sum-factorized replacement).
-    fn energy_rhs_traffic(&self, shape: &ProblemShape) -> Traffic {
-        match self {
-            Assembly::Stored { .. } => EnergyRhsKernel.traffic(shape),
-            Assembly::MatFree(mf) => SumfacEnergyKernel.traffic(shape, &mf.factors),
-        }
-    }
-
-    /// `rhs_e = F^T v_avg` from whatever the force evaluation persisted
-    /// (`F_z` stored, `D_z` matrix-free).
-    fn energy_rhs(
-        &self,
-        shape: &ProblemShape,
-        fz: &BatchedMats,
-        v_avg: &[f64],
-        zone_dofs: &[usize],
-        n: usize,
-        rhs_e: &mut [f64],
-    ) {
+    fn energy_rhs_launch(&self, shape: &ProblemShape) -> Launch {
+        let (k10, sf) = (EnergyRhsKernel, SumfacEnergyKernel);
         match self {
             Assembly::Stored { .. } => {
-                EnergyRhsKernel::compute(shape, fz, v_avg, zone_dofs, n, rhs_e)
+                Launch::new(EnergyRhsKernel::NAME, k10.config(shape), k10.traffic(shape))
             }
-            Assembly::MatFree(mf) => {
-                SumfacEnergyKernel.compute(shape, &mf.factors, fz, v_avg, zone_dofs, n, rhs_e)
+            Assembly::MatFree(MatFreeOps { factors: f, .. }) => {
+                Launch::new(SumfacEnergyKernel::NAME, sf.config(shape), sf.traffic(shape, f))
             }
         }
     }
@@ -193,6 +177,17 @@ impl LinearOperator for MatFreeConstrainedOp<'_> {
     }
 }
 
+/// The state `(v, e, x)` a force evaluation reads.
+type Fields<'a> = (&'a [f64], &'a [f64], &'a [f64]);
+
+/// The tail's device leg: since when the host waits on `gpu`, and whether it solves too.
+#[derive(Clone, Copy)]
+struct DeviceLeg<'a> {
+    gpu: &'a GpuDevice,
+    since: f64,
+    gpu_pcg: bool,
+}
+
 impl<const D: usize> Hydro<D> {
     fn project_constraints(&self, rhs: &mut [f64]) {
         let n = self.kin.num_dofs();
@@ -217,15 +212,15 @@ impl<const D: usize> Hydro<D> {
         x: &[f64],
     ) -> Result<ForceEval, HydroError> {
         if self.exec.is_degraded() {
-            return self.force_on_host(v, e, x);
+            return self.force_on_host((v, e, x));
         }
         // `Executor::new` rejects GPU / hybrid modes without a device.
         let attempt = match (self.exec.mode.clone(), self.exec.gpu.clone()) {
             (ExecMode::Gpu { base, gpu_pcg, .. }, Some(gpu)) => {
-                self.force_on_device(&gpu, v, e, x, base, gpu_pcg)
+                self.force_on_device(&gpu, (v, e, x), base, gpu_pcg)
             }
-            (ExecMode::Hybrid { .. }, Some(gpu)) => self.force_hybrid(&gpu, v, e, x),
-            _ => return self.force_on_host(v, e, x),
+            (ExecMode::Hybrid { .. }, Some(gpu)) => self.force_hybrid(&gpu, (v, e, x)),
+            _ => return self.force_on_host((v, e, x)),
         };
         match attempt {
             Err(HydroError::Gpu(g)) => {
@@ -233,7 +228,7 @@ impl<const D: usize> Hydro<D> {
                 if let Some(b) = &mut self.exec.balancer {
                     b.force_ratio(0.0);
                 }
-                self.force_on_host(v, e, x)
+                self.force_on_host((v, e, x))
             }
             other => other,
         }
@@ -261,133 +256,152 @@ impl<const D: usize> Hydro<D> {
         }
     }
 
-    /// The host functional body of one corner-force evaluation: fills the
-    /// scratch's `fz` pool (the `F_z` batch, or the `d x d` per-point `D_z`
-    /// batch matrix-free), `pipe.detj` / `pipe.inv_dt`, and the unprojected
-    /// momentum RHS. Stored: the `A_z` pipeline + kernels 7 and 8;
-    /// matrix-free: one fused sum-factorized sweep + `d²` backward
-    /// transforms.
-    fn corner_force_into(&self, v: &[f64], e: &[f64], x: &[f64], ws: &mut StepScratch) {
-        let n = self.kin.num_dofs();
-        let shape = &self.shape;
-        match &self.assembly {
-            Assembly::Stored { .. } => {
-                compute_az_pipeline_into(
-                    shape,
-                    x,
-                    v,
-                    e,
-                    n,
-                    &self.zone_dofs,
-                    &self.kin_table.grads,
-                    &self.thermo_table.values,
-                    &self.rule.weights,
-                    &self.rho0detj0,
-                    &self.consts,
-                    self.use_viscosity,
-                    &mut ws.pipe,
-                );
-                ws.fz.ensure(shape.nvdof(), shape.nthermo, shape.zones);
-                FzKernel::compute_with(
-                    shape,
-                    &ws.pipe.az,
-                    &self.thermo_table.values,
-                    &mut ws.fz,
-                    self.abft.as_ref(),
-                );
-                ensure_zeroed(&mut ws.rhs, D * n);
-                MomentumRhsKernel::compute_with(
-                    shape,
-                    &ws.fz,
-                    &self.zone_dofs,
-                    n,
-                    &mut ws.rhs,
-                    &mut ws.mom_local,
-                );
-            }
-            Assembly::MatFree(mf) => {
-                let total = shape.total_points();
-                ws.fz.ensure(D, D, total);
-                if ws.pipe.detj.len() != total {
-                    ws.pipe.detj.resize(total, 0.0);
-                }
-                if ws.pipe.inv_dt.len() != total {
-                    ws.pipe.inv_dt.resize(total, 0.0);
-                }
-                SumfacForceKernel { use_viscosity: self.use_viscosity }.compute(
-                    shape,
-                    &mf.factors,
-                    x,
-                    v,
-                    e,
-                    n,
-                    &self.zone_dofs,
-                    &self.rule.weights,
-                    &self.rho0detj0,
-                    &self.consts,
-                    &mut ws.fz,
-                    &mut ws.pipe.detj,
-                    &mut ws.pipe.inv_dt,
-                );
-                ensure_zeroed(&mut ws.rhs, D * n);
-                SumfacMomentumKernel.compute_with(
-                    shape,
-                    &mf.factors,
-                    &ws.fz,
-                    &self.zone_dofs,
-                    n,
-                    &mut ws.rhs,
-                    &mut ws.mom_local,
-                );
-            }
-        }
-    }
-
-    /// Shared tail of the host and hybrid evaluations, after
-    /// [`Self::corner_force_into`] ran: mesh guard, then the momentum
-    /// system is solved on the host and the force batch leaves the scratch
-    /// with the solution (`try_step` hands both pool buffers back once
-    /// consumed). The batch is taken last, so a failed guard or solve
-    /// leaves every pool where the redo will look for it.
-    fn finish_host_force(&self) -> Result<ForceEval, HydroError> {
-        let mut ws = self.scratch.borrow_mut();
-        let ws = &mut *ws;
-        self.check_mesh(&ws.pipe.detj)?;
-        let max_inv_dt = ws.pipe.inv_dt.iter().cloned().fold(0.0, f64::max);
-        self.project_constraints(&mut ws.rhs);
-        let (accel, cg_iterations) = self.solve_momentum(None, ws)?;
-        let accel = Self::finite_accel(accel, ws)?;
-        Ok(ForceEval { fz: std::mem::take(&mut ws.fz), accel, max_inv_dt, cg_iterations })
-    }
-
-    /// NaN/Inf guard over a solved acceleration; a rejected one goes back
-    /// to its pool.
-    fn finite_accel(accel: Vec<f64>, ws: &mut StepScratch) -> Result<Vec<f64>, HydroError> {
-        match Self::check_finite("accel", &accel) {
-            Ok(()) => Ok(accel),
-            Err(e) => {
-                ws.accel = accel;
-                Err(e)
-            }
-        }
-    }
-
-    /// CPU force evaluation: one billed host phase around the functional
-    /// body, then the host momentum solve.
-    fn force_on_host(&self, v: &[f64], e: &[f64], x: &[f64]) -> Result<ForceEval, HydroError> {
-        let traffic = self.assembly.corner_force_traffic(&self.shape);
-        let ((), t) = self.exec.host.run_phase(
-            names::phases::CORNER_FORCE,
-            &traffic,
-            self.exec.cpu_threads(),
-            self.exec.cf_eff(self.shape.order),
-            CpuPowerState::Busy,
-            || self.corner_force_into(v, e, x, &mut self.scratch.borrow_mut()),
-        );
+    /// One billed host phase around `body`; an attached device idles through it.
+    fn host_phase<R>(
+        &self,
+        name: &'static str,
+        traffic: &Traffic,
+        eff: f64,
+        state: CpuPowerState,
+        body: impl FnOnce() -> R,
+    ) -> R {
+        let threads = self.exec.cpu_threads();
+        let (out, t) = self.exec.host.run_phase(name, traffic, threads, eff, state, body);
         if let Some(g) = &self.exec.gpu {
             g.idle(t);
         }
-        self.finish_host_force()
+        out
+    }
+
+    /// The kernel sequence of one corner-force evaluation, written once:
+    /// the host phase and the hybrid launch run it [`Inline`], the device
+    /// path as billed launches, to the same bits. Stored: the `A_z`
+    /// pipeline, the mesh guard, kernels 7 and 8; matrix-free: one fused
+    /// sum-factorized sweep, the guard, `d²` backward transforms. It fills
+    /// the scratch's `fz` pool (`F_z`, or the per-point `D_z`), `pipe.detj` /
+    /// `pipe.inv_dt` and the unprojected momentum RHS. `base_regs`: the
+    /// `base` ablation (stored only) as the device's register limit — one
+    /// monolithic `A_z` launch and kernel 7 at its v1 cost.
+    pub(super) fn corner_force_on<L: KernelLauncher>(
+        &self,
+        on: &mut L,
+        base_regs: Option<u32>,
+        (v, e, x): Fields,
+        ws: &mut StepScratch,
+    ) -> Result<(), HydroError>
+    where
+        HydroError: From<L::Error>,
+    {
+        let (shape, n, zone_dofs) = (&self.shape, self.kin.num_dofs(), &self.zone_dofs[..]);
+        let (alpha, rho0detj0) = (&self.rule.weights[..], &self.rho0detj0[..]);
+        let StepScratch { pipe, fz, rhs, mom_local, .. } = ws;
+        ensure_zeroed(rhs, D * n);
+        match &self.assembly {
+            Assembly::Stored { .. } => {
+                let inp = AzInputs {
+                    shape, x, v, e, num_h1_dofs: n, zone_dofs, kin_grads: &self.kin_table.grads,
+                    thermo_vals: &self.thermo_table.values, alpha, rho0detj0,
+                    consts: &self.consts, use_viscosity: self.use_viscosity,
+                };
+                let k7 = if let Some(regs) = base_regs {
+                    MonolithicCornerForce.launch_on(on, regs, &inp, pipe)?;
+                    FzKernel { variant: GemmVariant::V1, col_block: 0 }
+                } else {
+                    az_pipeline_on(on, &inp, pipe)?;
+                    FzKernel::tuned()
+                };
+                self.check_mesh(&pipe.detj)?;
+                fz.ensure(shape.nvdof(), shape.nthermo, shape.zones);
+                let (k8, abft) = (MomentumRhsKernel, self.abft.as_ref());
+                on.launch(
+                    || Launch::new(FzKernel::NAME, k7.config(shape), k7.traffic(shape)),
+                    || FzKernel::compute_with(shape, &pipe.az, inp.thermo_vals, fz, abft),
+                )?;
+                on.launch(
+                    || Launch::new(MomentumRhsKernel::NAME, k8.config(shape), k8.traffic(shape)),
+                    || MomentumRhsKernel::compute_with(shape, fz, zone_dofs, n, rhs, mom_local),
+                )?;
+            }
+            Assembly::MatFree(MatFreeOps { factors: f, .. }) => {
+                // Shaped, not cleared: the force kernel stores every entry.
+                let total = shape.total_points();
+                fz.ensure(D, D, total);
+                pipe.detj.resize(total, 0.0);
+                pipe.inv_dt.resize(total, 0.0);
+                let (k, mom) =
+                    (SumfacForceKernel { use_viscosity: self.use_viscosity }, SumfacMomentumKernel);
+                on.launch(
+                    || Launch::new(SumfacForceKernel::NAME, k.config(shape), k.traffic(shape, f)),
+                    || {
+                        k.compute(
+                            shape, f, x, v, e, n, zone_dofs, alpha, rho0detj0, &self.consts, fz,
+                            &mut pipe.detj, &mut pipe.inv_dt,
+                        )
+                    },
+                )?;
+                self.check_mesh(&pipe.detj)?;
+                let name = SumfacMomentumKernel::NAME;
+                on.launch(
+                    || Launch::new(name, mom.config(shape), mom.traffic(shape, f)),
+                    || mom.compute_with(shape, f, fz, zone_dofs, n, rhs, mom_local),
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The one tail of a force evaluation, after [`Self::corner_force_on`]:
+    /// CFL control, constraint projection, the momentum solve, and the
+    /// force batch leaving the scratch with the solution (`try_step` hands
+    /// both back). With a device leg the right-hand side is solved there
+    /// (`gpu_pcg`) or shipped back as `-F·1` and solved on the host, idle
+    /// meanwhile. The batch is taken last: a failed exit holds no pool.
+    fn finish_force(
+        &self,
+        device: Option<DeviceLeg>,
+        ws: &mut StepScratch,
+    ) -> Result<ForceEval, HydroError> {
+        let max_inv_dt = ws.pipe.inv_dt.iter().cloned().fold(0.0, f64::max);
+        self.project_constraints(&mut ws.rhs);
+        let on_device = match device {
+            Some(DeviceLeg { gpu, gpu_pcg: true, .. }) => Some(self.solve_momentum(Some(gpu), ws)?),
+            _ => None,
+        };
+        if let Some(DeviceLeg { gpu, since, .. }) = device {
+            // The warm-start cache is committed only *after* the transfer:
+            // if it fails, the host never saw the solution and the CPU redo
+            // must start from the previous step's cache.
+            if let Err(e) = gpu.d2h(D * self.kin.num_dofs() * 8) {
+                if let Some((accel, _)) = on_device {
+                    ws.accel = accel;
+                }
+                return Err(e.into());
+            }
+            if let Some((accel, _)) = &on_device {
+                self.accel_prev.borrow_mut().copy_from_slice(accel);
+            }
+            self.exec.host.idle(gpu.now() - since);
+        }
+        let (accel, cg_iterations) = match on_device {
+            Some(solved) => solved,
+            None => self.solve_momentum(None, ws)?,
+        };
+        if let Err(e) = Self::check_finite("accel", &accel) {
+            ws.accel = accel; // a rejected solution goes back to its pool
+            return Err(e);
+        }
+        Ok(ForceEval { fz: std::mem::take(&mut ws.fz), accel, max_inv_dt, cg_iterations })
+    }
+
+    /// CPU force evaluation: one billed host phase around the inline sequence.
+    fn force_on_host(&self, state: Fields) -> Result<ForceEval, HydroError> {
+        let traffic = self.assembly.corner_force_traffic(&self.shape);
+        let eff = self.exec.cf_eff(self.shape.order);
+        let ws = &mut *self.scratch.borrow_mut();
+        self.host_phase(names::phases::CORNER_FORCE, &traffic, eff, CpuPowerState::Busy, || {
+            self.corner_force_on(&mut Inline, None, state, ws)
+        })?;
+        self.finish_force(None, ws)
     }
 
     /// The momentum solve (step 6): the `D` constrained component systems
@@ -519,213 +533,44 @@ impl<const D: usize> Hydro<D> {
             } else {
                 CpuPowerState::Busy
             };
-            let (_, t) = self.exec.host.run_phase(
-                names::phases::CG_SOLVER,
-                &iter_traffic.scale(total_iters as f64),
-                self.exec.cpu_threads(),
-                CG_CPU_EFF,
-                state,
-                || (),
-            );
-            if let Some(g) = &self.exec.gpu {
-                g.idle(t);
-            }
+            let traffic = iter_traffic.scale(total_iters as f64);
+            self.host_phase(names::phases::CG_SOLVER, &traffic, CG_CPU_EFF, state, || ());
         }
         Ok((accel, total_iters))
     }
 
-    /// GPU force evaluation: ship the state, run the assembly's kernel
-    /// pipeline down to the momentum RHS, then solve on the device
-    /// (`gpu_pcg`) or ship `-F·1` back and solve on the host. The working
-    /// set comes from the step scratch exactly as on the host, so a
-    /// steady-state device evaluation allocates nothing either (the
-    /// `base` ablation's monolithic launch still returns fresh buffers).
+    /// GPU force evaluation: ship the state (§3.1.2), issue the sequence as
+    /// launches out of the same step scratch, then the tail's device leg.
     fn force_on_device(
         &self,
         gpu: &GpuDevice,
-        v: &[f64],
-        e: &[f64],
-        x: &[f64],
+        state: Fields,
         base: bool,
         gpu_pcg: bool,
     ) -> Result<ForceEval, HydroError> {
-        let n = self.kin.num_dofs();
-        let shape = self.shape;
-        let t0 = gpu.now();
-
-        // Ship (v, e, x) to the device (§3.1.2).
-        gpu.h2d((2 * D * n + self.thermo.num_dofs()) * 8)?;
-
-        let mut ws = self.scratch.borrow_mut();
-        let ws = &mut *ws;
-        ensure_zeroed(&mut ws.rhs, D * n);
-        match &self.assembly {
-            Assembly::Stored { .. } => {
-                if base {
-                    let (pipe, _stats) = MonolithicCornerForce.run(
-                        gpu,
-                        &shape,
-                        x,
-                        v,
-                        e,
-                        n,
-                        &self.zone_dofs,
-                        &self.kin_table.grads,
-                        &self.thermo_table.values,
-                        &self.rule.weights,
-                        &self.rho0detj0,
-                        &self.consts,
-                        self.use_viscosity,
-                    )?;
-                    ws.pipe.az = pipe.az;
-                    ws.pipe.inv_dt = pipe.inv_dt;
-                    ws.pipe.detj = pipe.detj;
-                } else {
-                    // The optimized kernel pipeline (Table 2 / Fig. 6 right).
-                    launch_az_pipeline_into(
-                        gpu,
-                        &shape,
-                        x,
-                        v,
-                        e,
-                        n,
-                        &self.zone_dofs,
-                        &self.kin_table.grads,
-                        &self.thermo_table.values,
-                        &self.rule.weights,
-                        &self.rho0detj0,
-                        &self.consts,
-                        self.use_viscosity,
-                        &mut ws.pipe,
-                    )?;
-                }
-                self.check_mesh(&ws.pipe.detj)?;
-
-                // Kernel 7: F_z, and kernel 8: the momentum RHS.
-                let k7 = if base {
-                    FzKernel { variant: GemmVariant::V1, col_block: 0 }
-                } else {
-                    FzKernel::tuned()
-                };
-                ws.fz.ensure(shape.nvdof(), shape.nthermo, shape.zones);
-                k7.run(
-                    gpu,
-                    &shape,
-                    &ws.pipe.az,
-                    &self.thermo_table.values,
-                    &mut ws.fz,
-                    self.abft.as_ref(),
-                )?;
-                let k8 = MomentumRhsKernel;
-                gpu.launch(
-                    MomentumRhsKernel::NAME,
-                    &k8.config(&shape),
-                    &k8.traffic(&shape),
-                    || {
-                        MomentumRhsKernel::compute_with(
-                            &shape,
-                            &ws.fz,
-                            &self.zone_dofs,
-                            n,
-                            &mut ws.rhs,
-                            &mut ws.mom_local,
-                        );
-                    },
-                )?;
-            }
-            // One fused force launch + one momentum launch; the `base`
-            // (monolithic) ablation only exists for the stored pipeline.
-            Assembly::MatFree(mf) => {
-                let total = shape.total_points();
-                ws.fz.ensure(D, D, total);
-                ensure_zeroed(&mut ws.pipe.detj, total);
-                ensure_zeroed(&mut ws.pipe.inv_dt, total);
-                SumfacForceKernel { use_viscosity: self.use_viscosity }.run(
-                    gpu,
-                    &shape,
-                    &mf.factors,
-                    x,
-                    v,
-                    e,
-                    n,
-                    &self.zone_dofs,
-                    &self.rule.weights,
-                    &self.rho0detj0,
-                    &self.consts,
-                    &mut ws.fz,
-                    &mut ws.pipe.detj,
-                    &mut ws.pipe.inv_dt,
-                )?;
-                self.check_mesh(&ws.pipe.detj)?;
-
-                let mom = SumfacMomentumKernel;
-                gpu.launch(
-                    SumfacMomentumKernel::NAME,
-                    &mom.config(&shape),
-                    &mom.traffic(&shape, &mf.factors),
-                    || {
-                        mom.compute_with(
-                            &shape,
-                            &mf.factors,
-                            &ws.fz,
-                            &self.zone_dofs,
-                            n,
-                            &mut ws.rhs,
-                            &mut ws.mom_local,
-                        );
-                    },
-                )?;
-            }
-        }
-        let max_inv_dt = ws.pipe.inv_dt.iter().cloned().fold(0.0, f64::max);
-        self.project_constraints(&mut ws.rhs);
-        let on_device = if gpu_pcg { Some(self.solve_momentum(Some(gpu), ws)?) } else { None };
-
-        // Ship dv/dt (device solve) or -F·1 (host solve) back. The
-        // warm-start cache is committed only *after* the transfer: if it
-        // fails, the host never saw the solution and the CPU redo must
-        // start from the previous step's cache.
-        if let Err(e) = gpu.d2h(D * n * 8) {
-            if let Some((accel, _)) = on_device {
-                ws.accel = accel;
-            }
-            return Err(e.into());
-        }
-        if let Some((accel, _)) = &on_device {
-            self.accel_prev.borrow_mut().copy_from_slice(accel);
-        }
-        // Host waited on the device for the whole evaluation.
-        self.exec.host.idle(gpu.now() - t0);
-        let (accel, cg_iterations) = match on_device {
-            Some(solved) => solved,
-            None => self.solve_momentum(None, ws)?,
-        };
-        let accel = Self::finite_accel(accel, ws)?;
-        // Taken last, as in `finish_host_force`: no exit above holds a pool.
-        Ok(ForceEval { fz: std::mem::take(&mut ws.fz), accel, max_inv_dt, cg_iterations })
+        let since = gpu.now();
+        gpu.h2d((2 * D * self.kin.num_dofs() + self.thermo.num_dofs()) * 8)?;
+        let ws = &mut *self.scratch.borrow_mut();
+        let base_regs = base.then(|| gpu.spec().max_regs_per_thread);
+        self.corner_force_on(&mut &*gpu, base_regs, state, ws)?;
+        self.finish_force(Some(DeviceLeg { gpu, since, gpu_pcg }), ws)
     }
 
     /// Hybrid force evaluation (§3.3): the zone split costs the GPU and
     /// CPU shares separately at the current ratio — with the live
     /// assembly's traffic, so the balancer's converged ratio differs
     /// between stored and matrix-free — and the two overlap in wall-clock.
-    fn force_hybrid(
-        &mut self,
-        gpu: &GpuDevice,
-        v: &[f64],
-        e: &[f64],
-        x: &[f64],
-    ) -> Result<ForceEval, HydroError> {
+    fn force_hybrid(&mut self, gpu: &GpuDevice, state: Fields) -> Result<ForceEval, HydroError> {
         let n = self.kin.num_dofs();
         let shape = self.shape;
         // Invariant: `Executor::new` always pairs Hybrid with a balancer.
         let ratio = self.exec.balancer.as_ref().expect("hybrid has balancer").ratio();
 
-        // Functional execution happens once, inside the GPU-share launch;
-        // the two shares are *costed* separately at the current zone split
-        // and overlap in wall-clock (§3.3: "after the launch of CUDA
-        // kernels, control can return to a host thread ... each [OpenMP]
-        // thread allocates private working space and executes").
+        // Functional execution happens once, inline inside the GPU-share
+        // launch; the two shares are *costed* separately at the current
+        // zone split and overlap in wall-clock (§3.3: "after the launch of
+        // CUDA kernels, control can return to a host thread ... each
+        // [OpenMP] thread allocates private working space and executes").
         let total_traffic = self.assembly.corner_force_traffic(&shape);
         let gpu_traffic = total_traffic.scale(ratio);
         let cpu_traffic = total_traffic.scale(1.0 - ratio);
@@ -733,9 +578,10 @@ impl<const D: usize> Hydro<D> {
         let cfg = LaunchConfig::new(gpu_zones, 256, 8 * 1024, 48);
 
         gpu.h2d(((2 * D * n + self.thermo.num_dofs()) as f64 * 8.0 * ratio) as usize)?;
+        let ws = &mut *self.scratch.borrow_mut();
         let t0g = gpu.now();
-        gpu.launch(names::phases::CORNER_FORCE_HYBRID, &cfg, &gpu_traffic, || {
-            self.corner_force_into(v, e, x, &mut self.scratch.borrow_mut())
+        let (ran, _) = gpu.launch(names::phases::CORNER_FORCE_HYBRID, &cfg, &gpu_traffic, || {
+            self.corner_force_on(&mut Inline, None, state, ws)
         })?;
         let t_gpu = gpu.now() - t0g;
 
@@ -758,7 +604,8 @@ impl<const D: usize> Hydro<D> {
         if let Some(b) = &mut self.exec.balancer {
             b.record_period(t_gpu, t_cpu);
         }
-        self.finish_host_force()
+        ran?;
+        self.finish_force(None, ws)
     }
 
     /// Energy rate `de/dt = M_E^{-1} F^T v_avg` (kernels 10 + 11). A
@@ -781,69 +628,73 @@ impl<const D: usize> Hydro<D> {
         self.energy_rate_on(None, fz, v_avg)
     }
 
-    /// Kernels 10 + 11 on one leg: the device is billed two launches and
-    /// the transfer back, the host one phase.
+    /// Kernels 10 + 11, written once: `rhs_e = F^T v_avg` from what the
+    /// force evaluation persisted (`F_z` or `D_z`), then `de = M_E^{-1} rhs_e`.
+    fn energy_kernels_on<L: KernelLauncher>(
+        &self,
+        on: &mut L,
+        fz: &BatchedMats,
+        v_avg: &[f64],
+        rhs_e: &mut [f64],
+        de: &mut [f64],
+    ) -> Result<(), L::Error> {
+        let (shape, n, dofs) = (&self.shape, self.kin.num_dofs(), &self.zone_dofs[..]);
+        on.launch(
+            || self.assembly.energy_rhs_launch(shape),
+            || match &self.assembly {
+                Assembly::Stored { .. } => {
+                    EnergyRhsKernel::compute(shape, fz, v_avg, dofs, n, rhs_e)
+                }
+                Assembly::MatFree(mf) => {
+                    SumfacEnergyKernel.compute(shape, &mf.factors, fz, v_avg, dofs, n, rhs_e)
+                }
+            },
+        )?;
+        on.launch(|| self.inv_mass_launch(), || self.me_inv.apply(rhs_e, de))
+    }
+
+    /// What kernel 11 bills for `M_E^{-1}`.
+    fn inv_mass_launch(&self) -> Launch {
+        let (k11, m) = (SpmvKernel, &self.me_inv);
+        Launch::new(SpmvKernel::NAME, k11.config(m.dim()), k11.block_diag_traffic(m))
+    }
+
+    /// One leg: two device launches and the transfer back, or one host phase.
     fn energy_rate_on(
         &self,
         device: Option<&GpuDevice>,
         fz: &BatchedMats,
         v_avg: &[f64],
     ) -> Result<Vec<f64>, HydroError> {
-        let n = self.kin.num_dofs();
-        let shape = &self.shape;
         let nth = self.thermo.num_dofs();
-        let rhs_traffic = self.assembly.energy_rhs_traffic(shape);
-        let mut ws = self.scratch.borrow_mut();
-        let ws = &mut *ws;
+        let ws = &mut *self.scratch.borrow_mut();
         ensure_zeroed(&mut ws.rhs_e, nth);
         // The de/dt vector leaves the scratch pool for the caller
         // (`try_step` hands it back once consumed).
         let mut de = std::mem::take(&mut ws.de);
         ensure_zeroed(&mut de, nth);
-        let energy_rhs = |rhs_e: &mut [f64]| {
-            self.assembly.energy_rhs(shape, fz, v_avg, &self.zone_dofs, n, rhs_e)
-        };
         let computed = match device {
-            Some(gpu) => (|| {
+            Some(mut gpu) => (|| {
                 let t0 = gpu.now();
-                let (name, cfg) = match &self.assembly {
-                    Assembly::Stored { .. } => {
-                        (EnergyRhsKernel::NAME, EnergyRhsKernel.config(shape))
-                    }
-                    Assembly::MatFree(_) => {
-                        (SumfacEnergyKernel::NAME, SumfacEnergyKernel.config(shape))
-                    }
-                };
-                gpu.launch(name, &cfg, &rhs_traffic, || energy_rhs(&mut ws.rhs_e))?;
-                SpmvKernel.run(gpu, &self.me_inv, &ws.rhs_e, &mut de)?;
+                self.energy_kernels_on(&mut gpu, fz, v_avg, &mut ws.rhs_e, &mut de)?;
                 gpu.d2h(de.len() * 8)?;
                 self.exec.host.idle(gpu.now() - t0);
                 Ok(())
             })(),
             None => {
-                let ((), t) = self.exec.host.run_phase(
-                    names::phases::ENERGY_SOLVE,
-                    &rhs_traffic.add(&SpmvKernel.block_diag_traffic(&self.me_inv)),
-                    self.exec.cpu_threads(),
-                    CG_CPU_EFF,
-                    CpuPowerState::Busy,
-                    || {
-                        energy_rhs(&mut ws.rhs_e);
-                        self.me_inv.apply(&ws.rhs_e, &mut de);
-                    },
-                );
-                if let Some(g) = &self.exec.gpu {
-                    g.idle(t);
-                }
+                let rhs = self.assembly.energy_rhs_launch(&self.shape).traffic;
+                let traffic = rhs.add(&self.inv_mass_launch().traffic);
+                let (name, busy) = (names::phases::ENERGY_SOLVE, CpuPowerState::Busy);
+                let Ok(()) = self.host_phase(name, &traffic, CG_CPU_EFF, busy, || {
+                    self.energy_kernels_on(&mut Inline, fz, v_avg, &mut ws.rhs_e, &mut de)
+                });
                 Ok(())
             }
         };
-        match computed.and_then(|()| Self::check_finite("de/dt", &de)) {
-            Ok(()) => Ok(de),
-            Err(e) => {
-                ws.de = de; // hand the pool buffer back
-                Err(e)
-            }
+        if let Err(e) = computed.and_then(|()| Self::check_finite("de/dt", &de)) {
+            ws.de = de; // hand the pool buffer back
+            return Err(e);
         }
+        Ok(de)
     }
 }

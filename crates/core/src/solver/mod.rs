@@ -106,27 +106,6 @@ pub struct RunStats {
     pub wall_s: f64,
 }
 
-/// Modeled device-resident working set of a GPU corner-force evaluation:
-/// per-point small matrices, a *chunked* `A_z` buffer (the `F_z` kernel
-/// consumes `A_z` zone-block by zone-block, so at most 512 zones of it are
-/// resident at once), `F_z`, double-buffered state vectors, and the
-/// kinematic mass matrix (estimated FEM sparsity `(2k+1)^D` per row).
-pub fn device_footprint<const D: usize>(
-    shape: &ProblemShape,
-    num_h1_dofs: usize,
-    num_l2_dofs: usize,
-) -> usize {
-    let total = shape.total_points();
-    let d2 = D * D;
-    let per_point = 6 * d2 * 8 + 4 * 8;
-    let az_chunk = shape.zones.min(512) * shape.nvdof() * shape.npts * 8;
-    let fz = shape.zones * shape.nvdof() * shape.nthermo * 8;
-    let state = (2 * D * num_h1_dofs + num_l2_dofs) * 8 * 2;
-    let nnz_est = num_h1_dofs * (2 * shape.order + 1).pow(D as u32);
-    let mv_bytes = nnz_est * 12 + (num_h1_dofs + 1) * 8;
-    total * per_point + az_chunk + fz + state + mv_bytes
-}
-
 struct ForceEval {
     /// Stored mode: the per-zone `F_z` batch (`nvdof x nthermo`).
     /// Matrix-free mode: the per-point `D_z = α_k σ̂ adj(J)^T` batch
@@ -801,7 +780,7 @@ mod tests {
             let shape = ProblemShape::new(3, 4, zones_axis.pow(3));
             let n_h1 = (4 * zones_axis + 1).pow(3);
             let n_l2 = shape.zones * shape.nthermo;
-            device_footprint::<3>(&shape, n_h1, n_l2)
+            blast_kernels::sumfac::stored_resident_bytes(&shape, n_h1, n_l2)
         };
         assert!(fit(16) <= cap, "16^3 Q4-Q3 needs {} B of {} B", fit(16), cap);
         assert!(fit(32) > cap, "32^3 Q4-Q3 should exceed K20 memory");
@@ -836,6 +815,11 @@ mod tests {
     fn unusable_builder_inputs_are_typed_errors_not_panics() {
         let problem = Sedov::default();
         let base = || Hydro::<2>::builder(&problem, [4, 4]);
+        let on_k20 = |base_kernel: bool| {
+            base()
+                .mode(ExecMode::Gpu { base: base_kernel, gpu_pcg: false, mpi_queues: 1 })
+                .gpu(Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20"))))
+        };
         let cases = [
             ("order", base().order(0).build()),
             ("zones_per_axis", Hydro::<2>::builder(&problem, [4, 0]).build()),
@@ -843,7 +827,11 @@ mod tests {
             ("cfl", base().cfl(f64::INFINITY).build()),
             ("cfl", base().cfl(0.0).build()),
             ("cfl", base().cfl(-0.3).build()),
+            // The monolithic `base` kernel exists for the stored pipeline only.
+            ("mode", on_k20(true).assembly(AssemblyMode::MatrixFree).build()),
         ];
+        on_k20(true).build().expect("the stored default takes the base ablation");
+        on_k20(false).assembly(AssemblyMode::MatrixFree).build().expect("matrix-free, optimized");
         for (expected, res) in cases {
             let err = res.err().unwrap_or_else(|| panic!("{expected}: build must fail"));
             assert!(
@@ -889,5 +877,58 @@ mod tests {
         let mut state = hydro.initial_state();
         let stats = hydro.run(&mut state, RunConfig::to(1e-3).max_steps(3)).expect("run");
         assert!(stats.steps >= 1);
+    }
+
+    /// The kernel names one device force evaluation leaves on the timeline
+    /// (host momentum solve, so only the sequence launches) equal the names
+    /// a recording launcher sees: a reordered, dropped or doubled kernel is
+    /// a name diff here before it is a CRC mismatch in `golden_lattice`.
+    #[test]
+    fn a_device_evaluation_launches_the_sequence_the_recorder_sees() {
+        use blast_kernels::launch::{KernelLauncher, Launch};
+        struct Recording(Vec<&'static str>);
+        impl KernelLauncher for Recording {
+            type Error = std::convert::Infallible;
+            fn launch<R>(
+                &mut self,
+                what: impl FnOnce() -> Launch,
+                body: impl FnOnce() -> R,
+            ) -> Result<R, Self::Error> {
+                self.0.push(what().name);
+                Ok(body())
+            }
+        }
+        fn check<const D: usize>(zones: [usize; D], mode: AssemblyMode, base: bool, want: &[&str]) {
+            let mut hydro = Hydro::<D>::builder(&Sedov::default(), zones)
+                .executor(gpu_exec(base, false))
+                .assembly(mode)
+                .build()
+                .unwrap();
+            let s = hydro.initial_state();
+            hydro.eval_force(&s.v, &s.e, &s.x).expect("no faults injected");
+            let transfers = [names::phases::MEMCPY_H2D, names::phases::MEMCPY_D2H];
+            let gpu = hydro.exec.gpu.as_ref().unwrap();
+            let on_device: Vec<_> =
+                gpu.events().iter().map(|ev| ev.name).filter(|n| !transfers.contains(n)).collect();
+            let mut rec = Recording(Vec::new());
+            let ws = &mut *hydro.scratch.borrow_mut();
+            hydro
+                .corner_force_on(&mut rec, base.then_some(255), (&s.v, &s.e, &s.x), ws)
+                .expect("the initial mesh is sound");
+            assert_eq!(rec.0, want, "{D}D {mode} base={base}: recorder");
+            assert_eq!(on_device, rec.0, "{D}D {mode} base={base}: device");
+        }
+        let (k3, k7, k8) = ("kernel_PzVz_Phi_F", "kernel_loop_zones", "kernel_loop_zones_dv_dt");
+        let (k1, k2, k4) = ("kernel_CalcAjugate_det", "kernel_loop_grad_v", "kernel_Phi_sigma_hat_z");
+        let stored = [k3, k3, k1, "kernel_NN_dgemmBatched", k2, "kernel_NT_dgemmBatched", k4, k7, k8];
+        let cases = [
+            (AssemblyMode::Stored, false, &stored[..]),
+            (AssemblyMode::Stored, true, &["kernel_loop_quadrature_point", k7, k8][..]),
+            (AssemblyMode::MatrixFree, false, &["kernel_sumfac_force", "kernel_sumfac_momentum"]),
+        ];
+        for (assembly, base, want) in cases {
+            check::<2>([3, 3], assembly, base, want);
+            check::<3>([2, 2, 2], assembly, base, want);
+        }
     }
 }

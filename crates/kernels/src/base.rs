@@ -13,43 +13,34 @@
 //! fused kernel's workspace exceeds the register file, and the single fat
 //! kernel runs at low occupancy.
 //!
-//! It also owns the `A_z` pipeline both execution sides share: the host
-//! composition [`compute_az_pipeline_into`] (kernels 3, 3, 1, 5, 2, 6, 4
-//! called back to back) and its device twin [`launch_az_pipeline_into`]
-//! (the same seven bodies, each inside its own billed launch), over one
-//! grow-only [`PipelineScratch`]. The scratch is shaped **without
-//! clearing** — every buffer in it is an output some kernel stores in
-//! full before anything reads it ([`PipelineScratch`] lists which) — and
-//! carries the point-major gradient table kernel 3 walks
+//! It also owns the `A_z` pipeline — kernels 3, 3, 1, 5, 2, 6, 4 — written
+//! once, [`az_pipeline_on`], over a [`KernelLauncher`] and one grow-only
+//! [`PipelineScratch`]: on [`Inline`] it is the host composition
+//! ([`compute_az_pipeline_into`]), on `&GpuDevice` the optimized pipeline of
+//! Table 2 / Fig. 6 (right), each kernel its own billed launch, and the
+//! monolithic kernel is one launch around the inline pipeline. The scratch
+//! is shaped **without clearing** — every buffer in it is an output some
+//! kernel stores in full before anything reads it ([`PipelineScratch`] lists
+//! which) — and carries the point-major gradient table kernel 3 walks
 //! ([`crate::k3::PointMajorGrads`]), refilled from the FEM tables on every
 //! call: that is ~0.1 % of kernel 3's work and means the copy can never be
 //! stale.
 
 use blast_la::{BatchedMats, DMatrix};
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use gpu_sim::{LaunchConfig, Traffic};
 
 use crate::k1::AdjugateDetKernel;
 use crate::k2::{StressKernel, ZoneConstants};
 use crate::k3::{CoefGradKernel, PointMajorGrads};
 use crate::k4::AzKernel;
 use crate::k56::BatchedDimGemm;
+use crate::launch::{Inline, KernelLauncher, Launch};
 use crate::shapes::ProblemShape;
 use crate::Workspace;
 
 /// The monolithic base corner-force kernel.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MonolithicCornerForce;
-
-/// Outputs of the `A_z` pipeline (shared by base and optimized paths).
-#[derive(Clone, Debug)]
-pub struct AzPipelineOut {
-    /// `A_z` batch (`nvdof x npts` per zone).
-    pub az: BatchedMats,
-    /// Per-point `inv_dt` controls (max over points bounds the CFL step).
-    pub inv_dt: Vec<f64>,
-    /// Per-point `|J|` (needed by strong mass conservation checks).
-    pub detj: Vec<f64>,
-}
 
 /// Reusable intermediates and outputs of the `A_z` pipeline (host and
 /// device path alike). All buffers grow to the problem's high-water size on
@@ -121,47 +112,87 @@ impl PipelineScratch {
     }
 }
 
-/// Executes the full `A_z` math (the composition of kernels 3, 1, 5, 2, 6,
-/// 4) on the host buffers. Both the base kernel and the CPU reference call
-/// this; the optimized GPU path launches the individual kernels instead,
-/// producing bit-identical results.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_az_pipeline(
-    shape: &ProblemShape,
-    x: &[f64],
-    v: &[f64],
-    e: &[f64],
-    num_h1_dofs: usize,
-    zone_dofs: &[usize],
-    kin_grads: &[DMatrix],
-    thermo_vals: &DMatrix,
-    alpha: &[f64],
-    rho0detj0: &[f64],
-    consts: &ZoneConstants,
-    use_viscosity: bool,
-) -> AzPipelineOut {
-    let mut ws = PipelineScratch::new();
-    compute_az_pipeline_into(
-        shape,
-        x,
-        v,
-        e,
-        num_h1_dofs,
-        zone_dofs,
-        kin_grads,
-        thermo_vals,
-        alpha,
-        rho0detj0,
-        consts,
-        use_viscosity,
-        &mut ws,
-    );
-    AzPipelineOut { az: ws.az, inv_dt: ws.inv_dt, detj: ws.detj }
+/// The inputs of the `A_z` pipeline, named once: the state `(x, v, e)`,
+/// the kinematic DOF map, the FEM tables, the quadrature weights `alpha`,
+/// the frozen `ρ0|J0|` and the zone constants.
+#[derive(Clone, Copy, Debug)]
+pub struct AzInputs<'a> {
+    pub shape: &'a ProblemShape,
+    pub x: &'a [f64],
+    pub v: &'a [f64],
+    pub e: &'a [f64],
+    pub num_h1_dofs: usize,
+    pub zone_dofs: &'a [usize],
+    pub kin_grads: &'a [DMatrix],
+    pub thermo_vals: &'a DMatrix,
+    pub alpha: &'a [f64],
+    pub rho0detj0: &'a [f64],
+    pub consts: &'a ZoneConstants,
+    pub use_viscosity: bool,
 }
 
-/// Allocation-free variant of [`compute_az_pipeline`]: all intermediates
-/// and outputs live in `ws` and are reused across timesteps. Outputs are
-/// `ws.az`, `ws.inv_dt`, and `ws.detj`.
+/// The `A_z` pipeline: kernels 3 (`J`), 3 (`∇̂v̂`), 1, 5, 2, 6, 4 issued in
+/// that order through `on` with their tuned configs, all intermediates and
+/// outputs (`ws.az`, `ws.inv_dt`, `ws.detj`) in `ws`, so no backend
+/// allocates at steady state and every backend produces the same bits. A
+/// refused launch returns early and leaves `ws` partly written; the next
+/// evaluation overwrites all of it.
+pub fn az_pipeline_on<L: KernelLauncher>(
+    on: &mut L,
+    inp: &AzInputs,
+    ws: &mut PipelineScratch,
+) -> Result<(), L::Error> {
+    let &AzInputs { shape, num_h1_dofs: n, zone_dofs, kin_grads, .. } = inp;
+    ws.prepare(shape, kin_grads);
+    let (dim, points) = (shape.dim, shape.total_points());
+    let dim_gemm =
+        |k: BatchedDimGemm| Launch::new(k.name(), k.config(dim, points), k.traffic(dim, points));
+
+    // Kernel 3: J and ∇̂v̂ at all points.
+    let k3 = CoefGradKernel::tuned();
+    for (u, out) in [(inp.x, &mut ws.jac), (inp.v, &mut ws.grad_v_ref)] {
+        on.launch(
+            || Launch::new(CoefGradKernel::NAME, k3.config(shape), k3.traffic(shape)),
+            || CoefGradKernel::compute(shape, u, n, zone_dofs, &ws.grads_pm, out),
+        )?;
+    }
+    // Kernel 1: adj(J), |J|, sigma_min(J).
+    let k1 = AdjugateDetKernel { workspace: Workspace::Registers };
+    on.launch(
+        || Launch::new(AdjugateDetKernel::NAME, k1.config(shape), k1.traffic(shape)),
+        || AdjugateDetKernel::compute(shape, &ws.jac, &mut ws.adj, &mut ws.detj, &mut ws.hmin),
+    )?;
+    // Kernel 5: spatial gradient ∇v = ∇̂v̂ adj(J) / |J|.
+    ws.invert_det();
+    let k5 = BatchedDimGemm::nn_tuned();
+    on.launch(
+        || dim_gemm(k5),
+        || k5.compute(&ws.grad_v_ref, &ws.adj, Some(&ws.inv_det), &mut ws.grad_v),
+    )?;
+    // Kernel 2: EOS + viscosity -> sigma, inv_dt.
+    let k2 = StressKernel { workspace: Workspace::Registers, use_viscosity: inp.use_viscosity };
+    on.launch(
+        || Launch::new(StressKernel::NAME, k2.config(shape), k2.traffic(shape)),
+        || {
+            k2.compute(
+                shape, inp.e, inp.thermo_vals, &ws.grad_v, &ws.jac, &ws.detj, &ws.hmin,
+                inp.rho0detj0, inp.consts, &mut ws.sigma, &mut ws.inv_dt,
+            )
+        },
+    )?;
+    // Kernel 6: S = sigma adj(J)^T (= sigma |J| J^{-T}).
+    let k6 = BatchedDimGemm::nt_tuned();
+    on.launch(|| dim_gemm(k6), || k6.compute(&ws.sigma, &ws.adj, None, &mut ws.s))?;
+    // Kernel 4: A_z columns.
+    let k4 = AzKernel::tuned();
+    on.launch(
+        || Launch::new(AzKernel::NAME, k4.config(shape), k4.traffic(shape)),
+        || AzKernel::compute(shape, &ws.s, kin_grads, inp.alpha, &mut ws.az),
+    )
+}
+
+/// [`az_pipeline_on`] on the host: the seven bodies called back to back.
+/// Outputs are `ws.az`, `ws.inv_dt`, and `ws.detj`.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_az_pipeline_into(
     shape: &ProblemShape,
@@ -178,108 +209,11 @@ pub fn compute_az_pipeline_into(
     use_viscosity: bool,
     ws: &mut PipelineScratch,
 ) {
-    ws.prepare(shape, kin_grads);
-
-    // Kernel 3 math: J and ∇̂v̂ at all points.
-    CoefGradKernel::compute(shape, x, num_h1_dofs, zone_dofs, &ws.grads_pm, &mut ws.jac);
-    CoefGradKernel::compute(shape, v, num_h1_dofs, zone_dofs, &ws.grads_pm, &mut ws.grad_v_ref);
-
-    // Kernel 1 math: adj(J), |J|, sigma_min(J).
-    AdjugateDetKernel::compute(shape, &ws.jac, &mut ws.adj, &mut ws.detj, &mut ws.hmin);
-
-    // Kernel 5 math: spatial gradient ∇v = ∇̂v̂ adj(J) / |J|.
-    ws.invert_det();
-    BatchedDimGemm::nn_tuned().compute(&ws.grad_v_ref, &ws.adj, Some(&ws.inv_det), &mut ws.grad_v);
-
-    // Kernel 2 math: EOS + viscosity -> sigma, inv_dt.
-    StressKernel { workspace: Workspace::Registers, use_viscosity }.compute(
-        shape,
-        e,
-        thermo_vals,
-        &ws.grad_v,
-        &ws.jac,
-        &ws.detj,
-        &ws.hmin,
-        rho0detj0,
-        consts,
-        &mut ws.sigma,
-        &mut ws.inv_dt,
-    );
-
-    // Kernel 6 math: S = sigma adj(J)^T (= sigma |J| J^{-T}).
-    BatchedDimGemm::nt_tuned().compute(&ws.sigma, &ws.adj, None, &mut ws.s);
-
-    // Kernel 4 math: A_z columns.
-    AzKernel::compute(shape, &ws.s, kin_grads, alpha, &mut ws.az);
-}
-
-/// The device twin of [`compute_az_pipeline_into`] — the optimized kernel
-/// pipeline of Table 2 / Fig. 6 (right): the same seven bodies in the same
-/// order over the same scratch, each inside its own launch with the
-/// kernel's tuned config and traffic, so the outputs (`ws.az`, `ws.inv_dt`,
-/// `ws.detj`) are bit-identical to the host composition and a device
-/// evaluation allocates nothing either. A failed launch returns early and
-/// leaves `ws` partly written; the next evaluation overwrites all of it.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_az_pipeline_into(
-    dev: &GpuDevice,
-    shape: &ProblemShape,
-    x: &[f64],
-    v: &[f64],
-    e: &[f64],
-    num_h1_dofs: usize,
-    zone_dofs: &[usize],
-    kin_grads: &[DMatrix],
-    thermo_vals: &DMatrix,
-    alpha: &[f64],
-    rho0detj0: &[f64],
-    consts: &ZoneConstants,
-    use_viscosity: bool,
-    ws: &mut PipelineScratch,
-) -> Result<(), GpuError> {
-    ws.prepare(shape, kin_grads);
-
-    let k3 = CoefGradKernel::tuned();
-    k3.run(dev, shape, x, num_h1_dofs, zone_dofs, &ws.grads_pm, &mut ws.jac)?;
-    k3.run(dev, shape, v, num_h1_dofs, zone_dofs, &ws.grads_pm, &mut ws.grad_v_ref)?;
-
-    AdjugateDetKernel { workspace: Workspace::Registers }.run(
-        dev,
-        shape,
-        &ws.jac,
-        &mut ws.adj,
-        &mut ws.detj,
-        &mut ws.hmin,
-    )?;
-
-    ws.invert_det();
-    BatchedDimGemm::nn_tuned().run(
-        dev,
-        &ws.grad_v_ref,
-        &ws.adj,
-        Some(&ws.inv_det),
-        &mut ws.grad_v,
-    )?;
-
-    StressKernel { workspace: Workspace::Registers, use_viscosity }.run(
-        dev,
-        shape,
-        e,
-        thermo_vals,
-        &ws.grad_v,
-        &ws.jac,
-        &ws.detj,
-        &ws.hmin,
-        rho0detj0,
-        consts,
-        &mut ws.sigma,
-        &mut ws.inv_dt,
-    )?;
-
-    BatchedDimGemm::nt_tuned().run(dev, &ws.sigma, &ws.adj, None, &mut ws.s)?;
-
-    AzKernel::tuned().run(dev, shape, &ws.s, kin_grads, alpha, &mut ws.az)?;
-    Ok(())
+    let inp = AzInputs {
+        shape, x, v, e, num_h1_dofs, zone_dofs, kin_grads, thermo_vals, alpha, rho0detj0, consts,
+        use_viscosity,
+    };
+    let Ok(()) = az_pipeline_on(&mut Inline, &inp, ws);
 }
 
 impl MonolithicCornerForce {
@@ -328,31 +262,20 @@ impl MonolithicCornerForce {
         k1.add(&k2).add(&k3).add(&k4).add(&k5).add(&k6)
     }
 
-    /// Launches the fused kernel: same outputs as the optimized pipeline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run(
+    /// Issues the fused kernel: one launch around the inline pipeline, so
+    /// the outputs land in `ws` like the optimized pipeline's — same bits,
+    /// no allocation. `max_regs` is the device's per-thread register limit.
+    pub fn launch_on<L: KernelLauncher>(
         &self,
-        dev: &GpuDevice,
-        shape: &ProblemShape,
-        x: &[f64],
-        v: &[f64],
-        e: &[f64],
-        num_h1_dofs: usize,
-        zone_dofs: &[usize],
-        kin_grads: &[DMatrix],
-        thermo_vals: &DMatrix,
-        alpha: &[f64],
-        rho0detj0: &[f64],
-        consts: &ZoneConstants,
-        use_viscosity: bool,
-    ) -> Result<(AzPipelineOut, KernelStats), GpuError> {
-        let cfg = self.config(shape, dev.spec().max_regs_per_thread);
-        let traffic = self.traffic(shape);
-        dev.launch(Self::NAME, &cfg, &traffic, || {
-            compute_az_pipeline(
-                shape, x, v, e, num_h1_dofs, zone_dofs, kin_grads, thermo_vals, alpha,
-                rho0detj0, consts, use_viscosity,
-            )
+        on: &mut L,
+        max_regs: u32,
+        inp: &AzInputs,
+        ws: &mut PipelineScratch,
+    ) -> Result<(), L::Error> {
+        let shape = inp.shape;
+        let bill = || Launch::new(Self::NAME, self.config(shape, max_regs), self.traffic(shape));
+        on.launch(bill, || {
+            let Ok(()) = az_pipeline_on(&mut Inline, inp, ws);
         })
     }
 }
@@ -360,8 +283,112 @@ impl MonolithicCornerForce {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::DeviceCatalog;
-    
+    use crate::isa::{bits, signed_zero_mix as mix};
+    use crate::launch::testing::Recording;
+    use gpu_sim::{DeviceCatalog, GpuDevice};
+
+    /// Owned pipeline inputs on ±0.0-seeded data (the k3 / k4 lattice
+    /// tests' generator), Q2: the fields `[x, v, e]`, the DOF map, the tables.
+    struct Fixture {
+        shape: ProblemShape,
+        fields: [Vec<f64>; 3],
+        ndofs: usize,
+        zone_dofs: Vec<usize>,
+        kin_grads: Vec<DMatrix>,
+        thermo_vals: DMatrix,
+        point_data: [Vec<f64>; 2],
+        consts: ZoneConstants,
+    }
+
+    fn fixture(dim: usize, zones: usize) -> Fixture {
+        let shape = ProblemShape::new(dim, 2, zones);
+        let (nkin, npts, nth) = (shape.nkin, shape.npts, shape.nthermo);
+        let ndofs = zones * nkin - 5;
+        let table = |rows, seed| DMatrix::from_col_major(rows, npts, mix(rows * npts, seed));
+        Fixture {
+            shape,
+            fields: [mix(dim * ndofs, 1), mix(dim * ndofs, 2), mix(zones * nth, 3)],
+            ndofs,
+            zone_dofs: (0..zones * nkin).map(|j| (j * 7) % ndofs).collect(),
+            kin_grads: (0..dim).map(|g| table(nkin, 4 + g as u64)).collect(),
+            thermo_vals: table(nth, 8),
+            point_data: [mix(npts, 9), mix(zones * npts, 10).iter().map(|r| 1.5 + r).collect()],
+            consts: ZoneConstants {
+                gamma: vec![1.4; zones],
+                h0: vec![0.3; zones],
+                j0inv_diag: vec![1.0; zones * dim],
+            },
+        }
+    }
+
+    impl Fixture {
+        fn inputs(&self) -> AzInputs<'_> {
+            let ([x, v, e], [alpha, rho0detj0]) = (&self.fields, &self.point_data);
+            AzInputs {
+                shape: &self.shape, x, v, e, num_h1_dofs: self.ndofs, zone_dofs: &self.zone_dofs,
+                kin_grads: &self.kin_grads, thermo_vals: &self.thermo_vals, alpha, rho0detj0,
+                consts: &self.consts, use_viscosity: true,
+            }
+        }
+    }
+
+    fn outputs(ws: &PipelineScratch) -> [Vec<u64>; 3] {
+        [bits(ws.az.as_slice()), bits(&ws.detj), bits(&ws.inv_dt)]
+    }
+
+    #[rustfmt::skip]
+    const SEQUENCE: [&str; 7] = [
+        "kernel_PzVz_Phi_F", "kernel_PzVz_Phi_F", "kernel_CalcAjugate_det",
+        "kernel_NN_dgemmBatched", "kernel_loop_grad_v", "kernel_NT_dgemmBatched",
+        "kernel_Phi_sigma_hat_z",
+    ];
+
+    #[test]
+    fn every_launcher_issues_the_same_seven_kernels_and_bits() {
+        for (dim, zones) in [(2, 5), (3, 3)] {
+            let fx = fixture(dim, zones);
+            let mut inline = PipelineScratch::new();
+            let Ok(()) = az_pipeline_on(&mut Inline, &fx.inputs(), &mut inline);
+            let az = inline.az.as_slice();
+            let live = az.iter().filter(|a| a.is_finite() && **a != 0.0).count();
+            assert!(2 * live > az.len(), "{dim}D: a_z is mostly zero or NaN");
+
+            let (mut rec, mut ws) = (Recording::default(), PipelineScratch::new());
+            az_pipeline_on(&mut rec, &fx.inputs(), &mut ws).expect("nothing refused");
+            assert_eq!(rec.log, SEQUENCE, "{dim}D");
+            assert_eq!(outputs(&ws), outputs(&inline), "{dim}D recorder");
+
+            let (dev, mut ws) = (GpuDevice::new(DeviceCatalog::gpu("k20")), PipelineScratch::new());
+            az_pipeline_on(&mut &dev, &fx.inputs(), &mut ws).expect("no faults injected");
+            let names: Vec<_> = dev.events().iter().map(|ev| ev.name).collect();
+            assert_eq!(names, SEQUENCE, "{dim}D device");
+            assert_eq!(outputs(&ws), outputs(&inline), "{dim}D device");
+
+            // The monolith: one launch, the same bits, into the scratch.
+            let (mut rec, mut ws) = (Recording::default(), PipelineScratch::new());
+            let fused = MonolithicCornerForce.launch_on(&mut rec, 255, &fx.inputs(), &mut ws);
+            assert_eq!((fused, &rec.log[..]), (Ok(()), &[MonolithicCornerForce::NAME][..]));
+            assert_eq!(outputs(&ws), outputs(&inline), "{dim}D monolith");
+        }
+    }
+
+    #[test]
+    fn a_refused_launch_ends_the_pipeline_before_any_later_body() {
+        let fx = fixture(2, 5);
+        for n in 0..7 {
+            let mut rec = Recording { fail_at: Some(n), ..Default::default() };
+            let mut ws = PipelineScratch::new();
+            // Poison two outputs: a body that ran would overwrite its own.
+            ws.prepare(&fx.shape, &fx.kin_grads);
+            ws.az.as_mut_slice().fill(f64::NAN);
+            ws.inv_dt.fill(f64::NAN);
+            assert_eq!(az_pipeline_on(&mut rec, &fx.inputs(), &mut ws), Err(n));
+            assert_eq!(rec.log, SEQUENCE[..n], "refused at {n}");
+            // Kernel 4 is last and kernel 2 fifth: neither ran unless issued.
+            assert!(ws.az.as_slice().iter().all(|a| a.is_nan()), "refused at {n}: k4 ran");
+            assert_eq!(ws.inv_dt.iter().all(|a| a.is_nan()), n <= 4, "refused at {n}: k2");
+        }
+    }
 
     #[test]
     fn base_traffic_strictly_dominates_optimized() {
@@ -371,6 +398,24 @@ mod tests {
         let opt = m.optimized_equivalent_traffic(&shape);
         assert_eq!(base.flops, opt.flops, "same math, same flops");
         assert!(base.total_dram_bytes() > 2.0 * opt.total_dram_bytes());
+    }
+
+    /// Modeled `(seconds, joules)` of the optimized pipeline's seven launches.
+    fn optimized_phase(dev: &GpuDevice, shape: &ProblemShape) -> (f64, f64) {
+        let (k1, k2) = (
+            AdjugateDetKernel { workspace: Workspace::Registers },
+            StressKernel { workspace: Workspace::Registers, use_viscosity: true },
+        );
+        let (k3, k4, points) = (CoefGradKernel::tuned(), AzKernel::tuned(), shape.total_points());
+        let mut bills = vec![(k3.config(shape), k3.traffic(shape)); 2];
+        bills.push((k1.config(shape), k1.traffic(shape)));
+        bills.push((k2.config(shape), k2.traffic(shape)));
+        bills.push((k4.config(shape), k4.traffic(shape)));
+        for k in [BatchedDimGemm::nn_tuned(), BatchedDimGemm::nt_tuned()] {
+            bills.push((k.config(shape.dim, points), k.traffic(shape.dim, points)));
+        }
+        let stats = bills.iter().map(|(cfg, traffic)| dev.model_kernel(cfg, traffic));
+        stats.fold((0.0, 0.0), |(t, e), s| (t + s.time_s, e + s.time_s * s.power_w))
     }
 
     #[test]
@@ -384,25 +429,7 @@ mod tests {
         let t_base = dev
             .model_kernel(&m.config(&shape, dev.spec().max_regs_per_thread), &m.traffic(&shape))
             .time_s;
-
-        // Sum of the optimized kernels' modeled times.
-        let mut t_opt = 0.0;
-        let k1 = AdjugateDetKernel { workspace: Workspace::Registers };
-        t_opt += dev.model_kernel(&k1.config(&shape), &k1.traffic(&shape)).time_s;
-        let k2 = StressKernel { workspace: Workspace::Registers, use_viscosity: true };
-        t_opt += dev.model_kernel(&k2.config(&shape), &k2.traffic(&shape)).time_s;
-        let k3 = CoefGradKernel::tuned();
-        t_opt += 2.0 * dev.model_kernel(&k3.config(&shape), &k3.traffic(&shape)).time_s;
-        let k4 = AzKernel::tuned();
-        t_opt += dev.model_kernel(&k4.config(&shape), &k4.traffic(&shape)).time_s;
-        for k in [BatchedDimGemm::nn_tuned(), BatchedDimGemm::nt_tuned()] {
-            t_opt += dev
-                .model_kernel(
-                    &k.config(shape.dim, shape.total_points()),
-                    &k.traffic(shape.dim, shape.total_points()),
-                )
-                .time_s;
-        }
+        let (t_opt, _) = optimized_phase(&dev, &shape);
         assert!(t_base > 2.5 * t_opt, "base {t_base} vs optimized sum {t_opt}");
     }
 
@@ -419,32 +446,7 @@ mod tests {
         let m = MonolithicCornerForce;
         let base = dev.model_kernel(&m.config(&shape, 255), &m.traffic(&shape));
         let (e_base, t_base) = (base.power_w * base.time_s, base.time_s);
-
-        let mut e_opt = 0.0;
-        let mut t_opt = 0.0;
-        let mut add = |time_s: f64, power_w: f64| {
-            e_opt += time_s * power_w;
-            t_opt += time_s;
-        };
-        let k1 = AdjugateDetKernel { workspace: Workspace::Registers };
-        let s = dev.model_kernel(&k1.config(&shape), &k1.traffic(&shape));
-        add(s.time_s, s.power_w);
-        let k2 = StressKernel { workspace: Workspace::Registers, use_viscosity: true };
-        let s = dev.model_kernel(&k2.config(&shape), &k2.traffic(&shape));
-        add(s.time_s, s.power_w);
-        let k3 = CoefGradKernel::tuned();
-        let s = dev.model_kernel(&k3.config(&shape), &k3.traffic(&shape));
-        add(2.0 * s.time_s, s.power_w);
-        let k4 = AzKernel::tuned();
-        let s = dev.model_kernel(&k4.config(&shape), &k4.traffic(&shape));
-        add(s.time_s, s.power_w);
-        for k in [BatchedDimGemm::nn_tuned(), BatchedDimGemm::nt_tuned()] {
-            let s = dev.model_kernel(
-                &k.config(shape.dim, shape.total_points()),
-                &k.traffic(shape.dim, shape.total_points()),
-            );
-            add(s.time_s, s.power_w);
-        }
+        let (t_opt, e_opt) = optimized_phase(&dev, &shape);
 
         let p_base = e_base / t_base;
         let p_opt = e_opt / t_opt;
@@ -492,9 +494,10 @@ mod tests {
             h0: vec![1.0; 2],
             j0inv_diag: vec![1.0; 4],
         };
-        let out = compute_az_pipeline(
+        let mut out = PipelineScratch::new();
+        compute_az_pipeline_into(
             &shape, &x, &v, &e, ndofs, &zone_dofs, &[gx, gy], &thermo_vals, &alpha,
-            &rho0detj0, &consts, true,
+            &rho0detj0, &consts, true, &mut out,
         );
         // Static gas on a unit mesh: |J| = 1 everywhere; Az finite, nonzero.
         assert!(out.detj.iter().all(|&d| (d - 1.0).abs() < 1e-12));

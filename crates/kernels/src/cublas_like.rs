@@ -11,10 +11,11 @@
 //!   latency per 81x8 matrix and lands at 0.2 GFLOP/s against the custom
 //!   kernel 8's 18 GFLOP/s (Table 4).
 
-use blast_la::{BatchedMats, DMatrix};
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use blast_la::BatchedMats;
+use gpu_sim::{LaunchConfig, Traffic};
 
-use crate::k56::Transpose;
+use crate::k56::{BatchedDimGemm, Transpose};
+use crate::launch::{KernelLauncher, Launch};
 use crate::shapes::ProblemShape;
 
 /// Effective DRAM replay factor of the library's pointer-chased,
@@ -49,23 +50,10 @@ impl CublasDgemmBatched {
         }
     }
 
-    /// Runs the batched product (same math as kernels 5/6).
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        transpose: Transpose,
-        a: &BatchedMats,
-        b: &BatchedMats,
-        c: &mut BatchedMats,
-    ) -> Result<KernelStats, GpuError> {
-        let (d, _) = a.shape();
-        let cfg = self.config(d, a.count());
-        let traffic = self.traffic(d, a.count());
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            let k = crate::k56::BatchedDimGemm { transpose, mats_per_block: 1 };
-            k.compute(a, b, None, c);
-        })?;
-        Ok(stats)
+    /// Pure computation: the batched product, one matrix per block (same
+    /// math as kernels 5/6).
+    pub fn compute(transpose: Transpose, a: &BatchedMats, b: &BatchedMats, c: &mut BatchedMats) {
+        BatchedDimGemm { transpose, mats_per_block: 1 }.compute(a, b, None, c);
     }
 }
 
@@ -94,43 +82,31 @@ impl StreamedDgemv {
     }
 
     /// Computes the whole batched row-sum (`y_z = F_z · 1`) through
-    /// zone-by-zone library calls; returns the total device time.
-    pub fn run_rowsums(
+    /// zone-by-zone library calls, each its own launch on `on`.
+    pub fn rowsums_on<L: KernelLauncher>(
         &self,
-        dev: &GpuDevice,
+        on: &mut L,
         shape: &ProblemShape,
         fz: &BatchedMats,
         y: &mut [f64],
-    ) -> Result<f64, GpuError> {
+    ) -> Result<(), L::Error> {
         let nvdof = shape.nvdof();
-        let nth = shape.nthermo;
+        assert_eq!(fz.shape(), (nvdof, shape.nthermo));
         assert_eq!(fz.count(), shape.zones);
         assert_eq!(y.len(), shape.zones * nvdof);
-        let cfg = self.config_single(shape);
-        let traffic = self.traffic_single(shape);
-        let t0 = dev.now();
-        for z in 0..shape.zones {
-            let yz_range = z * nvdof..(z + 1) * nvdof;
-            dev.launch(Self::NAME, &cfg, &traffic, || {
-                let m = fz.mat(z);
-                let yz = &mut y[yz_range.clone()];
-                yz.iter_mut().for_each(|v| *v = 0.0);
-                for j in 0..nth {
-                    let col = &m[j * nvdof..(j + 1) * nvdof];
-                    for (o, &v) in yz.iter_mut().zip(col) {
-                        *o += v;
+        let call = Launch::new(Self::NAME, self.config_single(shape), self.traffic_single(shape));
+        for (z, yz) in y.chunks_exact_mut(nvdof).enumerate() {
+            on.launch(
+                || call,
+                || {
+                    yz.fill(0.0);
+                    for col in fz.mat(z).chunks_exact(nvdof) {
+                        yz.iter_mut().zip(col).for_each(|(o, &v)| *o += v);
                     }
-                }
-            })?;
+                },
+            )?;
         }
-        Ok(dev.now() - t0)
-    }
-
-    /// Modeled total time without executing (for the Table 4 harness at
-    /// full batch counts).
-    pub fn modeled_time(&self, dev: &GpuDevice, shape: &ProblemShape) -> f64 {
-        let stats = dev.model_kernel(&self.config_single(shape), &self.traffic_single(shape));
-        stats.time_s * shape.zones as f64
+        Ok(())
     }
 }
 
@@ -168,32 +144,14 @@ impl CublasDgemmBatchedLarge {
             ..Default::default()
         }
     }
-
-    /// Runs the product (same math as kernel 7).
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        shape: &ProblemShape,
-        az: &BatchedMats,
-        b: &DMatrix,
-        fz: &mut BatchedMats,
-    ) -> Result<KernelStats, GpuError> {
-        let cfg = self.config(shape);
-        let traffic = self.traffic(shape);
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            crate::k7::FzKernel::compute(shape, az, b, fz);
-        })?;
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::DeviceCatalog;
-    use crate::k56::BatchedDimGemm;
     use crate::k8_10::MomentumRhsKernel;
-    use gpu_sim::GpuSpec;
+    use crate::launch::testing::on_device;
+    use gpu_sim::{DeviceCatalog, GpuDevice, GpuSpec};
 
     #[test]
     fn batched_dgemm_lands_near_paper_1_3_gflops() {
@@ -230,7 +188,9 @@ mod tests {
         let b = BatchedMats::from_fn(3, 3, 16, |z, i, j| ((z * 2 + i + j) as f64 * 0.7).cos());
         let mut c_lib = BatchedMats::zeros(3, 3, 16);
         let mut c_custom = BatchedMats::zeros(3, 3, 16);
-        CublasDgemmBatched.run(&dev, Transpose::NN, &a, &b, &mut c_lib).expect("no faults injected");
+        let lib = CublasDgemmBatched;
+        let what = Launch::new(CublasDgemmBatched::NAME, lib.config(3, 16), lib.traffic(3, 16));
+        on_device(&dev, what, || CublasDgemmBatched::compute(Transpose::NN, &a, &b, &mut c_lib));
         BatchedDimGemm::nn_tuned().compute(&a, &b, None, &mut c_custom);
         assert_eq!(c_lib, c_custom);
     }
@@ -243,7 +203,9 @@ mod tests {
         let dev = GpuDevice::new(GpuSpec::c2050());
 
         let streamed = StreamedDgemv;
-        let t_lib = streamed.modeled_time(&dev, &shape);
+        let per_call =
+            dev.model_kernel(&streamed.config_single(&shape), &streamed.traffic_single(&shape));
+        let t_lib = per_call.time_s * shape.zones as f64;
         let flops = 2.0 * 81.0 * 8.0 * 4096.0;
         let gflops_lib = flops / t_lib / 1e9;
         assert!(gflops_lib > 0.05 && gflops_lib < 0.6, "streamed at {gflops_lib} GFLOP/s");
@@ -264,8 +226,8 @@ mod tests {
             (z + i + j) as f64
         });
         let mut y = vec![0.0; 5 * shape.nvdof()];
-        let t = StreamedDgemv.run_rowsums(&dev, &shape, &fz, &mut y).expect("no faults injected");
-        assert!(t > 0.0);
+        StreamedDgemv.rowsums_on(&mut &dev, &shape, &fz, &mut y).expect("no faults injected");
+        assert!(dev.now() > 0.0);
         assert_eq!(dev.events().len(), 5);
         // Row sums correct.
         for z in 0..5 {

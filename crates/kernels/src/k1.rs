@@ -11,7 +11,7 @@
 //! threads: [`crate::point::geometry`] on groups of `W` points.
 
 use blast_la::BatchedMats;
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use gpu_sim::{LaunchConfig, Traffic};
 use rayon::prelude::*;
 
 use crate::isa::{isa_clones, Isa};
@@ -138,32 +138,14 @@ impl AdjugateDetKernel {
                 }
             });
     }
-
-    /// Launches the kernel on the simulated device.
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        shape: &ProblemShape,
-        jac: &BatchedMats,
-        adj: &mut BatchedMats,
-        det: &mut [f64],
-        hmin: &mut [f64],
-    ) -> Result<KernelStats, GpuError> {
-        let cfg = self.config(shape);
-        let traffic = self.traffic(shape);
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            Self::compute(shape, jac, adj, det, hmin);
-        })?;
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use blast_la::SmallMat;
-    use gpu_sim::DeviceCatalog;
-    use gpu_sim::GpuSpec;
+    use crate::launch::{testing::on_device, Launch};
+    use gpu_sim::{DeviceCatalog, GpuDevice, GpuSpec};
 
     fn shape2d() -> ProblemShape {
         ProblemShape::new(2, 2, 5)
@@ -238,19 +220,12 @@ mod tests {
         // The Fig. 4 mechanism on the simulated K20.
         let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
         let shape = ProblemShape::new(3, 2, 512);
-        let jac = sample_jacobians(&shape);
-        let n = shape.total_points();
-
-        let run = |ws: Workspace| {
-            let k = AdjugateDetKernel { workspace: ws };
-            let mut adj = BatchedMats::zeros(3, 3, n);
-            let mut det = vec![0.0; n];
-            let mut hmin = vec![0.0; n];
-            k.run(&dev, &shape, &jac, &mut adj, &mut det, &mut hmin).expect("no faults injected")
+        let time = |workspace: Workspace| {
+            let k = AdjugateDetKernel { workspace };
+            dev.model_kernel(&k.config(&shape), &k.traffic(&shape)).time_s
         };
-        let reg = run(Workspace::Registers);
-        let loc = run(Workspace::LocalMemory);
-        assert!(loc.time_s > 1.5 * reg.time_s, "{} vs {}", loc.time_s, reg.time_s);
+        let (reg, loc) = (time(Workspace::Registers), time(Workspace::LocalMemory));
+        assert!(loc > 1.5 * reg, "{loc} vs {reg}");
     }
 
     #[test]
@@ -265,7 +240,10 @@ mod tests {
             let mut adj = BatchedMats::zeros(2, 2, n);
             let mut det = vec![0.0; n];
             let mut hmin = vec![0.0; n];
-            k.run(&dev, &shape, &jac, &mut adj, &mut det, &mut hmin).expect("no faults injected");
+            let what = Launch::new(AdjugateDetKernel::NAME, k.config(&shape), k.traffic(&shape));
+            on_device(&dev, what, || {
+                AdjugateDetKernel::compute(&shape, &jac, &mut adj, &mut det, &mut hmin)
+            });
             outs.push((adj, det, hmin));
         }
         assert_eq!(outs[0].0, outs[1].0);

@@ -7,7 +7,7 @@
 //! (Fig. 6).
 
 use blast_la::{BlockDiag, CsrMatrix};
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use gpu_sim::{LaunchConfig, Traffic};
 
 /// Kernel 11 / the SpMV inside kernel 9.
 #[derive(Clone, Copy, Debug, Default)]
@@ -44,21 +44,13 @@ impl SpmvKernel {
             ..Default::default()
         }
     }
-
-    /// Kernel 11 proper: launches `y = M x` for the block-diagonal
-    /// `M_E^{-1}` on the simulated device.
-    pub fn run(&self, dev: &GpuDevice, m: &BlockDiag, x: &[f64], y: &mut [f64]) -> Result<KernelStats, GpuError> {
-        let cfg = self.config(m.dim());
-        let traffic = self.block_diag_traffic(m);
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || m.apply(x, y))?;
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::DeviceCatalog;
+    use crate::launch::{testing::on_device, Launch};
+    use gpu_sim::{DeviceCatalog, GpuDevice};
     use blast_la::{CsrBuilder, DMatrix};
 
 
@@ -85,7 +77,9 @@ mod tests {
         let x: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut y = vec![0.0; 50];
         let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
-        SpmvKernel.run(&dev, &m, &x, &mut y).expect("no faults injected");
+        let (cfg, traffic) = (SpmvKernel.config(m.dim()), SpmvKernel.block_diag_traffic(&m));
+        let what = Launch::new(SpmvKernel::NAME, cfg, traffic);
+        on_device(&dev, what, || m.apply(&x, &mut y));
         // The launch bills the CSR export and computes what it would.
         let a = m.to_csr();
         assert_eq!(y, a.spmv(&x));

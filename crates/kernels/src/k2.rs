@@ -25,7 +25,7 @@
 //! ([`crate::sumfac`]) runs as well.
 
 use blast_la::{BatchedMats, DMatrix};
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use gpu_sim::{LaunchConfig, Traffic};
 use rayon::prelude::*;
 
 use crate::isa::{isa_clones, Isa};
@@ -245,34 +245,6 @@ impl StressKernel {
                     zone::<3>(isa, &zone_physics, e_z, thermo_vals, point_data, sig_z, invdt_z);
                 }
             });
-    }
-
-    /// Launches the kernel on the simulated device.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        shape: &ProblemShape,
-        e_coeffs: &[f64],
-        thermo_vals: &DMatrix,
-        grad_v: &BatchedMats,
-        jac: &BatchedMats,
-        det: &[f64],
-        hmin: &[f64],
-        rho0detj0: &[f64],
-        consts: &ZoneConstants,
-        sigma: &mut BatchedMats,
-        inv_dt: &mut [f64],
-    ) -> Result<KernelStats, GpuError> {
-        let cfg = self.config(shape);
-        let traffic = self.traffic(shape);
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            self.compute(
-                shape, e_coeffs, thermo_vals, grad_v, jac, det, hmin, rho0detj0, consts, sigma,
-                inv_dt,
-            );
-        })?;
-        Ok(stats)
     }
 }
 

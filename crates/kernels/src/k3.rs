@@ -49,7 +49,7 @@
 //! `dense::naive` play in `blast-la`); nothing dispatches to it.
 
 use blast_la::{BatchedMats, DMatrix};
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use gpu_sim::{LaunchConfig, Traffic};
 use rayon::prelude::*;
 
 use crate::isa::{isa_clones, Isa};
@@ -361,33 +361,14 @@ impl CoefGradKernel {
                 }
             });
     }
-
-    /// Launches the kernel on the simulated device.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        shape: &ProblemShape,
-        u: &[f64],
-        num_h1_dofs: usize,
-        zone_dofs: &[usize],
-        grads: &PointMajorGrads,
-        c: &mut BatchedMats,
-    ) -> Result<KernelStats, GpuError> {
-        let cfg = self.config(shape);
-        let traffic = self.traffic(shape);
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            Self::compute(shape, u, num_h1_dofs, zone_dofs, grads, c);
-        })?;
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::isa::signed_zero_mix;
-    use gpu_sim::DeviceCatalog;
+    use crate::launch::{testing::on_device, Launch};
+    use gpu_sim::{DeviceCatalog, GpuDevice};
 
     /// A tiny synthetic "space": 2 zones in 1 row, Q1, with a shared face.
     fn synthetic_2d() -> (ProblemShape, Vec<usize>, Vec<DMatrix>, usize) {
@@ -473,7 +454,10 @@ mod tests {
             CoefGradKernel { variant: GemmVariant::V3, zones_per_block: 4 },
         ] {
             let mut c = BatchedMats::zeros(2, 2, shape.total_points());
-            k.run(&dev, &shape, &u, ndofs, &zone_dofs, &grads, &mut c).expect("no faults injected");
+            let what = Launch::new(CoefGradKernel::NAME, k.config(&shape), k.traffic(&shape));
+            on_device(&dev, what, || {
+                CoefGradKernel::compute(&shape, &u, ndofs, &zone_dofs, &grads, &mut c)
+            });
             results.push(c);
         }
         assert_eq!(results[0], results[1]);

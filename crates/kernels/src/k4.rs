@@ -38,7 +38,7 @@
 //! property tests compare against; nothing dispatches to it.
 
 use blast_la::{BatchedMats, DMatrix};
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use gpu_sim::{LaunchConfig, Traffic};
 use rayon::prelude::*;
 
 use crate::isa::{isa_clones, Isa};
@@ -245,31 +245,14 @@ impl AzKernel {
             }
         });
     }
-
-    /// Launches on the simulated device.
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        shape: &ProblemShape,
-        s: &BatchedMats,
-        grads: &[DMatrix],
-        alpha: &[f64],
-        az: &mut BatchedMats,
-    ) -> Result<KernelStats, GpuError> {
-        let cfg = self.config(shape);
-        let traffic = self.traffic(shape);
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            Self::compute(shape, s, grads, alpha, az);
-        })?;
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::isa::signed_zero_mix as mix;
-    use gpu_sim::DeviceCatalog;
+    use crate::launch::{testing::on_device, Launch};
+    use gpu_sim::{DeviceCatalog, GpuDevice};
 
     fn setup(dim: usize) -> (ProblemShape, BatchedMats, Vec<DMatrix>, Vec<f64>) {
         let shape = ProblemShape::new(dim, 1, 3);
@@ -343,7 +326,8 @@ mod tests {
             AzKernel::tuned(),
         ] {
             let mut az = BatchedMats::zeros(shape.nvdof(), shape.npts, shape.zones);
-            k.run(&dev, &shape, &s, &grads, &alpha, &mut az).expect("no faults injected");
+            let what = Launch::new(AzKernel::NAME, k.config(&shape), k.traffic(&shape));
+            on_device(&dev, what, || AzKernel::compute(&shape, &s, &grads, &alpha, &mut az));
             results.push(az);
             // Model at realistic scale for the ordering check.
             let big = ProblemShape::new(3, 2, 4096);

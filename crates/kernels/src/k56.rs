@@ -14,7 +14,7 @@
 //! N pays an uncoalesced-access replay on its DRAM traffic.
 
 use blast_la::BatchedMats;
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use gpu_sim::{LaunchConfig, Traffic};
 use rayon::prelude::*;
 
 use crate::shapes::ProblemShape;
@@ -133,24 +133,6 @@ impl BatchedDimGemm {
         });
     }
 
-    /// Launches on the simulated device.
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        a: &BatchedMats,
-        b: &BatchedMats,
-        scale: Option<&[f64]>,
-        c: &mut BatchedMats,
-    ) -> Result<KernelStats, GpuError> {
-        let (d, _) = a.shape();
-        let cfg = self.config(d, a.count());
-        let traffic = self.traffic(d, a.count());
-        let (_, stats) = dev.launch(self.name(), &cfg, &traffic, || {
-            self.compute(a, b, scale, c);
-        })?;
-        Ok(stats)
-    }
-
     /// Convenience: shape-level traffic for the corner-force pipeline
     /// (one product per quadrature point).
     pub fn traffic_for(&self, shape: &ProblemShape) -> Traffic {
@@ -161,7 +143,7 @@ impl BatchedDimGemm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::DeviceCatalog;
+    use gpu_sim::{DeviceCatalog, GpuDevice};
     use blast_la::batched_gemm_nn;
     
 

@@ -16,7 +16,7 @@
 
 use blast_la::tile::{self, Op};
 use blast_la::{Abft, BatchedMats, DMatrix};
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use gpu_sim::{LaunchConfig, Traffic};
 use rayon::prelude::*;
 
 use crate::shapes::ProblemShape;
@@ -124,30 +124,12 @@ impl FzKernel {
             }
         });
     }
-
-    /// Launches on the simulated device.
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        shape: &ProblemShape,
-        az: &BatchedMats,
-        b: &DMatrix,
-        fz: &mut BatchedMats,
-        abft: Option<&Abft>,
-    ) -> Result<KernelStats, GpuError> {
-        let cfg = self.config(shape);
-        let traffic = self.traffic(shape);
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            Self::compute_with(shape, az, b, fz, abft);
-        })?;
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::DeviceCatalog;
+    use gpu_sim::{DeviceCatalog, GpuDevice};
     use blast_la::dense::gemm_nt;
     
 

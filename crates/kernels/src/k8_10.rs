@@ -19,7 +19,7 @@
 //! trivially.
 
 use blast_la::BatchedMats;
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use gpu_sim::{LaunchConfig, Traffic};
 use rayon::prelude::*;
 
 use crate::shapes::ProblemShape;
@@ -113,24 +113,6 @@ impl MomentumRhsKernel {
             }
         }
     }
-
-    /// Launches on the simulated device.
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        shape: &ProblemShape,
-        fz: &BatchedMats,
-        zone_dofs: &[usize],
-        num_h1_dofs: usize,
-        rhs: &mut [f64],
-    ) -> Result<KernelStats, GpuError> {
-        let cfg = self.config(shape);
-        let traffic = self.traffic(shape);
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            Self::compute(shape, fz, zone_dofs, num_h1_dofs, rhs);
-        })?;
-        Ok(stats)
-    }
 }
 
 /// Kernel 10: `rhs_e = F^T · v` (energy RHS; zone-local L2 output).
@@ -198,32 +180,12 @@ impl EnergyRhsKernel {
                 }
             });
     }
-
-    /// Launches on the simulated device.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        shape: &ProblemShape,
-        fz: &BatchedMats,
-        v: &[f64],
-        zone_dofs: &[usize],
-        num_h1_dofs: usize,
-        rhs_e: &mut [f64],
-    ) -> Result<KernelStats, GpuError> {
-        let cfg = self.config(shape);
-        let traffic = self.traffic(shape);
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            Self::compute(shape, fz, v, zone_dofs, num_h1_dofs, rhs_e);
-        })?;
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::GpuSpec;
+    use gpu_sim::{GpuDevice, GpuSpec};
 
     /// Two Q1 zones sharing a face (same synthetic layout as k3 tests).
     fn setup() -> (ProblemShape, Vec<usize>, usize) {

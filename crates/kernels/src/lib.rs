@@ -23,12 +23,15 @@
 //! with the documented pathologies (`cublasDgemmBatched` at ~1.3 GFLOP/s on
 //! `DIM x DIM` batches; streamed `cublasDgemv` at ~0.2 GFLOP/s).
 //!
-//! Every kernel follows the same contract: the *math really executes* (in
-//! parallel over thread blocks via rayon) and is bit-identical across
-//! optimization variants; the variants differ in their declared
-//! [`gpu_sim::Traffic`] and [`gpu_sim::LaunchConfig`], which is what the
-//! device timing/power model consumes. Each kernel's unit tests validate
-//! the math against `blast-la` and the performance ordering of its variants.
+//! Every kernel follows the same contract: a `NAME`, a `config` and a
+//! `traffic` — what a launch bills, which is where optimization variants
+//! differ and what the device timing/power model consumes — beside a
+//! `compute*` body whose *math really executes* (in parallel over thread
+//! blocks via rayon) and is bit-identical across variants. No kernel knows
+//! a device: a sequence of kernels is written once over a
+//! [`launch::KernelLauncher`], which decides whether each body is a billed
+//! device launch or a plain call. Each kernel's unit tests validate the
+//! math against `blast-la` and the performance ordering of its variants.
 
 pub mod base;
 pub mod cublas_like;
@@ -42,6 +45,7 @@ pub mod k56;
 pub mod k7;
 pub mod k8_10;
 pub mod k9;
+pub mod launch;
 #[doc(hidden)]
 pub mod point;
 pub mod shapes;

@@ -42,7 +42,7 @@ use std::fmt;
 use blast_fem::sumfac::{backward, forward, Factors1d, SumfacScratch};
 use blast_fem::{gauss_legendre, quad_points_1d, Basis1d};
 use blast_la::BatchedMats;
-use gpu_sim::{GpuDevice, GpuError, KernelStats, LaunchConfig, Traffic};
+use gpu_sim::{LaunchConfig, Traffic};
 use rayon::prelude::*;
 
 use crate::isa::{isa_clones, Isa};
@@ -474,36 +474,6 @@ impl SumfacForceKernel {
                     }
                 });
             });
-    }
-
-    /// Launches the kernel on the simulated device.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run(
-        &self,
-        dev: &GpuDevice,
-        shape: &ProblemShape,
-        factors: &SumfacFactors,
-        x: &[f64],
-        v: &[f64],
-        e: &[f64],
-        num_h1_dofs: usize,
-        zone_dofs: &[usize],
-        alpha: &[f64],
-        rho0detj0: &[f64],
-        consts: &ZoneConstants,
-        dsf: &mut BatchedMats,
-        detj: &mut [f64],
-        inv_dt: &mut [f64],
-    ) -> Result<KernelStats, GpuError> {
-        let cfg = self.config(shape);
-        let traffic = self.traffic(shape, factors);
-        let (_, stats) = dev.launch(Self::NAME, &cfg, &traffic, || {
-            self.compute(
-                shape, factors, x, v, e, num_h1_dofs, zone_dofs, alpha, rho0detj0, consts, dsf,
-                detj, inv_dt,
-            );
-        })?;
-        Ok(stats)
     }
 }
 

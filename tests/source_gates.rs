@@ -193,3 +193,50 @@ fn pool_width_travels_on_a_handle() {
         lines_where(&files_under(&["crates/shims/rayon/src"]), |l| l.contains("thread::scope"));
     assert!(scoped.is_empty(), "{scoped:#?}");
 }
+
+/// The kernel sequence of a force evaluation is written once over a
+/// `KernelLauncher`, and the launcher alone decides whether a kernel is a
+/// billed device launch or a plain call. So no kernel knows a device (only
+/// the launcher module and kernel 9's sweep launcher name `GpuDevice`), each
+/// kernel body the `A_z` pipeline and the per-assembly sequence own has one
+/// call site, the evaluation has one tail, and the only raw device launches
+/// left are the launcher's, kernel 9's, the hybrid envelope and the
+/// matrix-free solve's after-the-fact bill. (`exec.rs` names kernels to cost
+/// a phase, never to run one, so the force-kernel count reads `solver/`.)
+#[test]
+fn one_corner_force_pipeline() {
+    // Non-test, non-comment lines of `dirs` that `hit` accepts.
+    let sites = |dirs: &[&str], hit: &dyn Fn(&str) -> bool| {
+        let code: Vec<(String, String)> = files_under(dirs)
+            .into_iter()
+            .map(|(path, text)| (path, non_test(&text).to_string()))
+            .collect();
+        lines_where(&code, |l| !l.trim_start().starts_with("//") && hit(l))
+    };
+    let file_of = |site: &String| site.split(':').next().unwrap().to_string();
+    let (kernels, core) = ("crates/kernels/src", "crates/core/src");
+
+    let allowed = ["crates/kernels/src/k9.rs", "crates/kernels/src/launch.rs"];
+    let mut device_aware = sites(&[kernels], &|l| l.contains("GpuDevice"));
+    device_aware.retain(|site| !allowed.contains(&file_of(site).as_str()));
+    assert!(device_aware.is_empty(), "a kernel takes a device: {device_aware:#?}");
+
+    let once: [(&[&str], &str); 5] = [
+        (&[kernels, core], "CoefGradKernel::compute("),
+        (&[kernels, core], "AzKernel::compute("),
+        (&[kernels, core], "FzKernel::compute_with("),
+        (&[kernels, "crates/core/src/solver"], "SumfacForceKernel {"),
+        (&[core], "ForceEval {"),
+    ];
+    for (dirs, body) in once {
+        let declares = |l: &str| l.contains("struct ") || l.starts_with("impl ");
+        let found = sites(dirs, &|l| l.contains(body) && !declares(l));
+        assert_eq!(found.len(), 1, "`{body}` must appear once: {found:#?}");
+    }
+    let raw = sites(&[kernels, core], &|l| {
+        ["dev.launch(", "gpu.launch(", "GpuDevice::launch("].iter().any(|c| l.contains(c))
+    });
+    let force = "crates/core/src/solver/force.rs";
+    let files: Vec<String> = raw.iter().map(file_of).collect();
+    assert_eq!(files, [allowed[0], allowed[1], force, force], "{raw:#?}");
+}

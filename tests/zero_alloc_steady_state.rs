@@ -123,18 +123,19 @@ fn the_step_after_a_failed_solve_does_not_touch_the_heap() {
     });
 }
 
-/// The contract on the simulated GPU (stored assembly, optimized kernel
-/// pipeline, device PCG): every launch body works out of the step scratch,
-/// so the only heap users left are the device's event log and power trace
-/// — reserved here from the launch count the warm-up steps measured.
+/// The contract on the simulated GPU (stored assembly, device PCG; the
+/// optimized kernel pipeline and the `base` ablation's monolithic launch):
+/// every launch body works out of the step scratch, so the only heap users
+/// left are the device's event log and power trace — reserved here from
+/// the launch count the warm-up steps measured.
 #[test]
 fn gpu_steady_state_steps_do_not_touch_the_heap() {
     const WARM_UP_STEPS: usize = 3;
     const MEASURED_STEPS: usize = 5;
-    rayon::Pool::new(1).install(|| {
+    let contract = |base: bool| {
         let gpu = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
         let exec = Executor::new(
-            ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 },
+            ExecMode::Gpu { base, gpu_pcg: true, mpi_queues: 1 },
             CpuSpec::e5_2670(),
             Some(gpu.clone()),
         );
@@ -166,16 +167,20 @@ fn gpu_steady_state_steps_do_not_touch_the_heap() {
         let delta = heap_ops() - before;
         assert_eq!(
             delta, 0,
-            "steady-state GPU timesteps performed {delta} heap allocation(s); a \
-             device force evaluation must draw its working set from the step scratch"
+            "steady-state GPU timesteps (base: {base}) performed {delta} heap allocation(s); \
+             a device force evaluation must draw its working set from the step scratch"
         );
         assert!(!hydro.executor().is_degraded(), "the window must have run on the device");
         let launched = gpu.events().len() - launches_before;
+        // The monolith replaces the seven `A_z` launches of an evaluation.
+        let per_eval = if base { 3 } else { 9 };
         assert!(
-            launched >= MEASURED_STEPS * 2 * 9 && launched <= 2 * ops_per_step * MEASURED_STEPS,
+            launched >= MEASURED_STEPS * 2 * per_eval
+                && launched <= 2 * ops_per_step * MEASURED_STEPS,
             "{launched} device operations in the window (reserved for {})",
             2 * ops_per_step * MEASURED_STEPS
         );
         assert_eq!(hydro.executor().telemetry().dropped_spans(), 0, "the span ring must not wrap");
-    });
+    };
+    rayon::Pool::new(1).install(|| [false, true].map(contract));
 }
