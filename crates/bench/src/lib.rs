@@ -4,15 +4,10 @@
 //! paper's evaluation, each regenerating the corresponding rows/series from
 //! the reproduction (workload generation, parameter sweeps, baselines).
 //!
-//! Run a single artifact:
+//! Run a single artifact, or everything at once:
 //!
 //! ```text
-//! cargo run -p blast-bench --release --bin fig11_speedup
-//! ```
-//!
-//! or everything at once:
-//!
-//! ```text
+//! cargo run -p blast-bench --release --bin paper_report fig11_speedup
 //! cargo run -p blast-bench --release --bin paper_report
 //! ```
 //!

@@ -261,7 +261,7 @@ impl Executor {
     /// rollback counter (`RunStats::retries`).
     pub fn resilience_report(&self, steps_redone: usize) -> ResilienceReport {
         let stats = self.gpu.as_ref().map(|g| g.fault_stats()).unwrap_or_default();
-        let idle_w = self.gpu.as_ref().map(|g| g.spec().idle_w).unwrap_or(0.0);
+        let idle_w = self.gpu_idle_w();
         ResilienceReport {
             faults_injected: stats.injected,
             retries: stats.retries,
@@ -299,22 +299,56 @@ impl Executor {
         }
     }
 
-    /// Runs a resilience phase on the host timeline (the device quiesces —
-    /// idles — for its duration) and charges its energy to the ledger.
-    fn bill_phase(&self, name: &'static str, bytes: usize) -> f64 {
-        let traffic = Self::checkpoint_traffic(bytes);
-        let (_, t) = self.host.run_phase(name, &traffic, 1, CG_CPU_EFF, CpuPowerState::Busy, || ());
+    /// One billed host phase around `body`; an attached device idles through
+    /// it. Returns `body`'s result and the modeled seconds.
+    pub(crate) fn host_phase<R>(
+        &self,
+        name: &'static str,
+        traffic: &Traffic,
+        threads: u32,
+        eff: f64,
+        state: CpuPowerState,
+        body: impl FnOnce() -> R,
+    ) -> (R, f64) {
+        let (out, t) = self.host.run_phase(name, traffic, threads, eff, state, body);
         if let Some(g) = &self.gpu {
             g.idle(t);
         }
+        (out, t)
+    }
+
+    /// Watts an attached device draws through a host phase (0 without one).
+    fn gpu_idle_w(&self) -> f64 {
+        self.gpu.as_ref().map_or(0.0, |g| g.spec().idle_w)
+    }
+
+    /// A single-thread busy host phase (checkpoint traffic, an audit) while
+    /// the device quiesces; returns its modeled seconds and joules.
+    fn serial_phase(&self, name: &'static str, traffic: &Traffic) -> (f64, f64) {
+        let ((), t) = self.host_phase(name, traffic, 1, CG_CPU_EFF, CpuPowerState::Busy, || ());
         let util = 1.0 / self.host.spec().cores as f64;
         let reading = self.host.spec().power.read(CpuPowerState::Busy, util);
-        let host_w = reading.pkg_watts + reading.dram_watts;
-        let gpu_idle_w = self.gpu.as_ref().map(|g| g.spec().idle_w).unwrap_or(0.0);
+        (t, t * (reading.pkg_watts + reading.dram_watts + self.gpu_idle_w()))
+    }
+
+    /// Both devices sit idle for `seconds`; returns the joules,
+    /// `seconds x (host idle + device idle watts)`.
+    fn idle_both(&self, seconds: f64) -> f64 {
+        assert!(seconds >= 0.0);
+        self.host.idle(seconds);
+        if let Some(g) = &self.gpu {
+            g.idle(seconds);
+        }
+        let power = &self.host.spec().power;
+        seconds * (power.idle_pkg_w + power.idle_dram_w + self.gpu_idle_w())
+    }
+
+    /// Runs a resilience phase on the host timeline (the device quiesces —
+    /// idles — for its duration) and charges its energy to the ledger.
+    fn bill_phase(&self, name: &'static str, bytes: usize) -> f64 {
+        let (t, joules) = self.serial_phase(name, &Self::checkpoint_traffic(bytes));
         self.ledger.resilience_s.set(self.ledger.resilience_s.get() + t);
-        self.ledger
-            .resilience_energy_j
-            .set(self.ledger.resilience_energy_j.get() + t * (host_w + gpu_idle_w));
+        self.ledger.resilience_energy_j.set(self.ledger.resilience_energy_j.get() + joules);
         t
     }
 
@@ -340,24 +374,15 @@ impl Executor {
     /// default): both devices sit idle while survivors drain in-flight work
     /// and agree on the dead set.
     pub fn bill_recovery_quiesce(&self, seconds: f64) {
-        assert!(seconds >= 0.0);
         self.telemetry.span(
             Track::Cluster,
             names::phases::RECOVERY_QUIESCE,
             self.host.now(),
             seconds,
         );
-        self.host.idle(seconds);
-        if let Some(g) = &self.gpu {
-            g.idle(seconds);
-        }
-        let host_idle_w =
-            self.host.spec().power.idle_pkg_w + self.host.spec().power.idle_dram_w;
-        let gpu_idle_w = self.gpu.as_ref().map(|g| g.spec().idle_w).unwrap_or(0.0);
+        let joules = self.idle_both(seconds);
         self.ledger.resilience_s.set(self.ledger.resilience_s.get() + seconds);
-        self.ledger
-            .resilience_energy_j
-            .set(self.ledger.resilience_energy_j.get() + seconds * (host_idle_w + gpu_idle_w));
+        self.ledger.resilience_energy_j.set(self.ledger.resilience_energy_j.get() + joules);
     }
 
     /// Bills one retry-backoff wait: both devices sit through the gap at
@@ -366,21 +391,13 @@ impl Executor {
     /// charged, `seconds x (host idle + device idle watts)` — the number a
     /// job-level retry ladder attributes to the retrying tenant.
     pub fn bill_backoff_wait(&self, seconds: f64) -> f64 {
-        assert!(seconds >= 0.0);
         self.telemetry.span(
             Track::Host,
             names::phases::RETRY_BACKOFF,
             self.host.now(),
             seconds,
         );
-        self.host.idle(seconds);
-        if let Some(g) = &self.gpu {
-            g.idle(seconds);
-        }
-        let host_idle_w =
-            self.host.spec().power.idle_pkg_w + self.host.spec().power.idle_dram_w;
-        let gpu_idle_w = self.gpu.as_ref().map(|g| g.spec().idle_w).unwrap_or(0.0);
-        seconds * (host_idle_w + gpu_idle_w)
+        self.idle_both(seconds)
     }
 
     /// Records peer ranks declared permanently dead.
@@ -407,23 +424,9 @@ impl Executor {
     pub fn bill_audit(&self, traffic: &Traffic) -> f64 {
         self.ledger.audits_run.set(self.ledger.audits_run.get() + 1);
         self.telemetry.counter_add(names::counters::SDC_AUDITS, 1);
-        let (_, t) = self.host.run_phase(
-            names::phases::SDC_AUDIT,
-            traffic,
-            1,
-            CG_CPU_EFF,
-            CpuPowerState::Busy,
-            || (),
-        );
-        if let Some(g) = &self.gpu {
-            g.idle(t);
-        }
-        let util = 1.0 / self.host.spec().cores as f64;
-        let reading = self.host.spec().power.read(CpuPowerState::Busy, util);
-        let host_w = reading.pkg_watts + reading.dram_watts;
-        let gpu_idle_w = self.gpu.as_ref().map(|g| g.spec().idle_w).unwrap_or(0.0);
+        let (t, joules) = self.serial_phase(names::phases::SDC_AUDIT, traffic);
         self.ledger.audit_s.set(self.ledger.audit_s.get() + t);
-        self.ledger.audit_energy_j.set(self.ledger.audit_energy_j.get() + t * (host_w + gpu_idle_w));
+        self.ledger.audit_energy_j.set(self.ledger.audit_energy_j.get() + joules);
         t
     }
 

@@ -256,8 +256,8 @@ impl<const D: usize> Hydro<D> {
         }
     }
 
-    /// One billed host phase around `body`; an attached device idles through it.
-    fn host_phase<R>(
+    /// [`Executor::host_phase`] at the executor's thread count.
+    pub(super) fn host_phase<R>(
         &self,
         name: &'static str,
         traffic: &Traffic,
@@ -265,12 +265,7 @@ impl<const D: usize> Hydro<D> {
         state: CpuPowerState,
         body: impl FnOnce() -> R,
     ) -> R {
-        let threads = self.exec.cpu_threads();
-        let (out, t) = self.exec.host.run_phase(name, traffic, threads, eff, state, body);
-        if let Some(g) = &self.exec.gpu {
-            g.idle(t);
-        }
-        out
+        self.exec.host_phase(name, traffic, self.exec.cpu_threads(), eff, state, body).0
     }
 
     /// The kernel sequence of one corner-force evaluation, written once:
@@ -444,10 +439,6 @@ impl<const D: usize> Hydro<D> {
         let mut record = |res: &PcgResult| {
             tel.counter_add(counters::PCG_SOLVES, 1);
             tel.counter_add(counters::PCG_ITERATIONS, res.iterations as u64);
-            if opts.fused {
-                // 3 fused sweeps per iteration + the setup precond_dot_update.
-                tel.counter_add(counters::PCG_FUSED_SWEEPS, 3 * res.iterations as u64 + 1);
-            }
             if !res.converged {
                 tel.counter_add(counters::PCG_BREAKDOWNS, 1);
                 return Err(HydroError::PcgBreakdown {

@@ -485,23 +485,13 @@ impl<const D: usize> Hydro<D> {
 
         // Host-side time integration cost ("the time integration ... is
         // still done on CPU").
-        let threads = self.exec.cpu_threads();
         let pstate = if matches!(self.exec.mode, ExecMode::Gpu { .. }) {
             CpuPowerState::GpuOffload
         } else {
             CpuPowerState::Busy
         };
-        let (_, t) = self.exec.host.run_phase(
-            names::phases::INTEGRATION,
-            &integration_traffic(2 * vlen + state.e.len()),
-            threads,
-            CG_CPU_EFF,
-            pstate,
-            || (),
-        );
-        if let Some(g) = &self.exec.gpu {
-            g.idle(t);
-        }
+        let traffic = integration_traffic(2 * vlen + state.e.len());
+        self.host_phase(names::phases::INTEGRATION, &traffic, CG_CPU_EFF, pstate, || ());
 
         let dt_est = self.cfl / ev2.max_inv_dt.max(1e-300);
         self.recycle(ev2, Some(de2));

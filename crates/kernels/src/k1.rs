@@ -229,26 +229,16 @@ mod tests {
     }
 
     #[test]
-    fn variants_produce_identical_results() {
+    fn every_workspace_variant_launches_on_the_k20_model() {
+        // A variant is a config and a traffic figure around the one static
+        // `compute`: what can differ is whether the device accepts it.
         let shape = shape2d();
-        let jac = sample_jacobians(&shape);
-        let n = shape.total_points();
         let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
-        let mut outs = Vec::new();
         for ws in [Workspace::Registers, Workspace::LocalMemory] {
             let k = AdjugateDetKernel { workspace: ws };
-            let mut adj = BatchedMats::zeros(2, 2, n);
-            let mut det = vec![0.0; n];
-            let mut hmin = vec![0.0; n];
             let what = Launch::new(AdjugateDetKernel::NAME, k.config(&shape), k.traffic(&shape));
-            on_device(&dev, what, || {
-                AdjugateDetKernel::compute(&shape, &jac, &mut adj, &mut det, &mut hmin)
-            });
-            outs.push((adj, det, hmin));
+            on_device(&dev, what, || ());
         }
-        assert_eq!(outs[0].0, outs[1].0);
-        assert_eq!(outs[0].1, outs[1].1);
-        assert_eq!(outs[0].2, outs[1].2);
     }
 
     #[test]

@@ -442,26 +442,19 @@ mod tests {
     }
 
     #[test]
-    fn variants_bitwise_identical() {
-        let (shape, zone_dofs, grads, ndofs) = synthetic_2d();
-        let u: Vec<f64> = (0..2 * ndofs).map(|i| (i as f64 * 0.7).sin()).collect();
+    fn every_gemm_variant_launches_on_the_k20_model() {
+        // A variant is a config and a traffic figure around the one static
+        // `compute`: what can differ is whether the device accepts it.
+        let (shape, ..) = synthetic_2d();
         let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
-        let grads = PointMajorGrads::from_tables(&grads);
-        let mut results = Vec::new();
         for k in [
             CoefGradKernel { variant: GemmVariant::V1, zones_per_block: 1 },
             CoefGradKernel { variant: GemmVariant::V2, zones_per_block: 1 },
             CoefGradKernel { variant: GemmVariant::V3, zones_per_block: 4 },
         ] {
-            let mut c = BatchedMats::zeros(2, 2, shape.total_points());
             let what = Launch::new(CoefGradKernel::NAME, k.config(&shape), k.traffic(&shape));
-            on_device(&dev, what, || {
-                CoefGradKernel::compute(&shape, &u, ndofs, &zone_dofs, &grads, &mut c)
-            });
-            results.push(c);
+            on_device(&dev, what, || ());
         }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
     }
 
     #[test]

@@ -315,26 +315,23 @@ mod tests {
     }
 
     #[test]
-    fn variants_identical_and_ordered() {
-        let (shape, s, grads, alpha) = setup(2);
+    fn gemm_variants_launch_on_the_k20_model_and_are_ordered() {
+        let (shape, ..) = setup(2);
         let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
-        let mut results = Vec::new();
         let mut times = Vec::new();
         for k in [
             AzKernel { variant: GemmVariant::V1, pts_per_block: 1 },
             AzKernel { variant: GemmVariant::V2, pts_per_block: 1 },
             AzKernel::tuned(),
         ] {
-            let mut az = BatchedMats::zeros(shape.nvdof(), shape.npts, shape.zones);
+            // A variant is a config and a traffic figure around the one
+            // static `compute`: the device must accept it.
             let what = Launch::new(AzKernel::NAME, k.config(&shape), k.traffic(&shape));
-            on_device(&dev, what, || AzKernel::compute(&shape, &s, &grads, &alpha, &mut az));
-            results.push(az);
+            on_device(&dev, what, || ());
             // Model at realistic scale for the ordering check.
             let big = ProblemShape::new(3, 2, 4096);
             times.push(dev.model_kernel(&k.config(&big), &k.traffic(&big)).time_s);
         }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
         assert!(times[1] < times[0], "v2 {} !< v1 {}", times[1], times[0]);
         assert!(times[2] <= times[1], "v3 {} !<= v2 {}", times[2], times[1]);
     }

@@ -53,28 +53,31 @@
 //! optimization detail, which is what makes the fused kernels bitwise-equal
 //! to their unfused counterparts. Consequences:
 //!
-//! * results are **bitwise identical at every `BLAST_THREADS`** (serial and
-//!   pool paths walk the same grid in the same order);
+//! * results are **bitwise identical at every `BLAST_THREADS`**: each op
+//!   names its grid once, as a block producer, and the one `walk` hands the
+//!   same blocks in the same order to the pool or to the caller;
 //! * the fused and launch-per-op loops (`PcgOptions::fused`) produce
 //!   **bitwise-identical** solver trajectories, on the pool or serially,
 //!   so the choice never shows in the determinism digests;
-//! * against the scalar [`reference`] oracle there are two regimes, exactly
-//!   as in `tile.rs`: without FMA the dispatched kernels perform the
-//!   reference's two-rounding updates and match **bitwise**; with AVX2/
-//!   AVX-512 FMA clones active ([`fma_active`]) each update is one fused
-//!   rounding and results are ULP-bounded-close instead.
+//! * against the scalar [`reference`] oracle there are two regimes, the
+//!   ones `tile.rs` has, chosen by the level both modules share
+//!   (`crate::simd`): at level 0 the kernels perform the reference's
+//!   two-rounding updates and match **bitwise**; with the AVX2 / AVX-512
+//!   FMA clones active ([`fma_active`]) each update is one fused rounding
+//!   and results are ULP-bounded-close instead.
 //!
 //! Steady state performs **zero heap allocations**: per-block partials live
-//! in a stack `[AtomicU64; 64]` (f64 bits through relaxed stores, so the
-//! serial and pool paths share one code path without locks), and the pool's
-//! serial `for_each` drive is allocation-free for unit results.
+//! in a stack `[AtomicU64; 64]`, and the pool's `for_each` drive is
+//! allocation-free for unit results.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rayon::prelude::*;
+use rayon::{prelude::*, Producer};
 
 use crate::csr::CsrMatrix;
 use crate::dense::nrm2_scaled;
+pub use crate::simd::fma_active;
+use crate::simd::{fma_clones, fmadd};
 
 /// Reduction block grid: same cap as the pool's `MAX_BLOCKS`, so each chunk
 /// maps to exactly one pool block and the grid depends only on `n`.
@@ -85,7 +88,7 @@ const LANES: usize = 8;
 
 /// Smallest vector sweep worth a pool dispatch, in `f64` elements streamed
 /// (operand vectors x length); below it the sweep takes the
-/// (bitwise-identical) serial walk. A dispatch costs 3-8 us against
+/// (bitwise-identical) caller-side walk. A dispatch costs 3-8 us against
 /// ~0.1 ns per streamed element, and the measured pool-2 / serial crossover
 /// of `dot`, `axpy2_nrm2` and `precond_dot_update` lies between 100k and
 /// 200k elements (EXPERIMENTS.md, "stream grain"). A fixed constant, never
@@ -96,57 +99,6 @@ const PAR_MIN_SWEPT: usize = 1 << 17;
 /// sweep costs ~0.6 ns per non-zero, and the measured crossover lies
 /// between 18k and 25k non-zeros whatever the band width.
 const PAR_MIN_NNZ: usize = 1 << 15;
-
-/// Widest SIMD level the host supports, detected once (mirrors
-/// `tile::simd_level`; `BLAST_STREAM_SIMD=0|1|2` caps it for diagnostics).
-#[cfg(target_arch = "x86_64")]
-fn simd_level() -> u8 {
-    use std::sync::OnceLock;
-    static LEVEL: OnceLock<u8> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        let fma = std::arch::is_x86_feature_detected!("fma");
-        let detected = if fma
-            && std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-        {
-            2
-        } else if fma && std::arch::is_x86_feature_detected!("avx2") {
-            1
-        } else {
-            0
-        };
-        match std::env::var("BLAST_STREAM_SIMD") {
-            Ok(v) => v.trim().parse::<u8>().map_or(detected, |cap| cap.min(detected)),
-            Err(_) => detected,
-        }
-    })
-}
-
-/// Whether the fused-multiply-add clones are in use on this host — i.e.
-/// whether dispatched results are ULP-close to the scalar [`reference`]
-/// instead of bitwise identical (the `tile::fma_active` regime split).
-pub fn fma_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        simd_level() >= 1
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// The one scalar update both regimes are built from: `acc + a*b` with two
-/// roundings (the reference semantics), or a single fused rounding in the
-/// `FMA = true` clones.
-#[inline(always)]
-fn fmadd<const FMA: bool>(acc: f64, a: f64, b: f64) -> f64 {
-    if FMA {
-        a.mul_add(b, acc)
-    } else {
-        acc + a * b
-    }
-}
 
 /// Folds the fixed lane accumulators in lane order, tail first. Part of the
 /// defined reduction semantics — every reduction in this module (fused or
@@ -175,10 +127,33 @@ fn rows_on_pool(a: &CsrMatrix) -> bool {
     a.nnz() >= PAR_MIN_NNZ
 }
 
+/// The one walk of a block grid: `f` on every block of `blocks`, handed to
+/// the pool or run on the caller — the same blocks in the same order, the
+/// pool's grid being the producer's own split points. Every op below names
+/// its grid once, as `blocks`, and says nothing else about where it runs.
+#[inline(always)]
+fn walk<P: Producer>(on_pool: bool, blocks: P, f: impl Fn(P::Item) + Sync) {
+    if on_pool {
+        blocks.for_each(f)
+    } else {
+        Producer::into_iter(blocks).for_each(f)
+    }
+}
+
+/// [`walk`] for a reduction: block `b`'s partial goes to slot `b` of a
+/// stack array (f64 bits through relaxed atomic stores, so pool workers
+/// and the caller share it without locks or heap allocation), and the
+/// slots are summed in block-index order.
+#[inline(always)]
+fn walk_sum<P: Producer>(on_pool: bool, blocks: P, f: impl Fn(P::Item) -> f64 + Sync) -> f64 {
+    let nblocks = blocks.len();
+    let partials = Partials::new();
+    walk(on_pool, blocks.enumerate(), |(b, block)| partials.set(b, f(block)));
+    partials.fold(nblocks)
+}
+
 /// Per-block partial store: one slot per grid block, written exactly once,
-/// folded in block-index order. Lives on the caller's stack — f64 bits
-/// through relaxed atomic stores let the pool workers and the serial path
-/// share it without locks or heap allocation.
+/// folded in block-index order.
 struct Partials([AtomicU64; STREAM_BLOCKS]);
 
 impl Partials {
@@ -201,10 +176,8 @@ impl Partials {
 }
 
 // ---------------------------------------------------------------------------
-// Block bodies: one const-generic scalar body per kernel, recompiled as
-// AVX2+FMA / AVX-512+FMA clones below (the `tile.rs` idiom). The `FMA`
-// parameter is the only semantic difference between clones; vector width is
-// just throughput.
+// Block bodies: one const-generic scalar body per kernel; `fma_clones!`
+// below turns `x_body` into the `x` that runs it at the level.
 // ---------------------------------------------------------------------------
 
 /// Block dot product with the fixed lane structure.
@@ -438,185 +411,44 @@ fn wide_rows_dot_body<const FMA: bool, const D: usize, const W: usize>(
     std::array::from_fn(|c| fold_lanes(lanes[c], tail[c]))
 }
 
-// ---------------------------------------------------------------------------
-// #[target_feature] clones. SAFETY for all: callers check `simd_level()`
-// before dispatching, which verified the feature bits at runtime.
-// ---------------------------------------------------------------------------
-
-macro_rules! clones {
-    ($body:ident $(<$($g:ident),+>)? => $avx2:ident, $avx512:ident;
-     fn($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2,fma")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx2 $(<$(const $g: usize),+>)? ($($arg: $ty),*) $(-> $ret)? {
-            $body::<true $($(, $g)+)?>($($arg),*)
-        }
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f,avx512vl,fma")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx512 $(<$(const $g: usize),+>)? ($($arg: $ty),*) $(-> $ret)? {
-            $body::<true $($(, $g)+)?>($($arg),*)
-        }
-    };
-}
-
-clones!(dot_block_body => dot_block_avx2, dot_block_avx512;
-    fn(x: &[f64], y: &[f64]) -> f64);
-clones!(axpy_block_body => axpy_block_avx2, axpy_block_avx512;
-    fn(alpha: f64, x: &[f64], y: &mut [f64]));
-clones!(axpy2_nrm2_block_body => axpy2_nrm2_block_avx2, axpy2_nrm2_block_avx512;
-    fn(alpha: f64, malpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f64]) -> f64);
-clones!(rz_block_body => rz_block_avx2, rz_block_avx512;
-    fn(minv: &[f64], r: &[f64]) -> f64);
-clones!(dir_update_block_body => dir_update_block_avx2, dir_update_block_avx512;
-    fn(minv: &[f64], r: &[f64], beta: f64, p: &mut [f64]));
-clones!(dir_update_z_block_body => dir_update_z_block_avx2, dir_update_z_block_avx512;
-    fn(z: &[f64], beta: f64, p: &mut [f64]));
-clones!(spmv_rows_body => spmv_rows_avx2, spmv_rows_avx512;
-    fn(row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, x: &[f64], y: &mut [f64]));
-clones!(spmv_rows_dot_body => spmv_rows_dot_avx2, spmv_rows_dot_avx512;
-    fn(row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, x: &[f64], y: &mut [f64]) -> f64);
-clones!(wide_rows_dot_body<D, W> => wide_rows_dot_avx2, wide_rows_dot_avx512;
-    fn(row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, xw: &[[f64; W]],
-       xs: &[&[f64]; D], masks: &[&[bool]; D], ys: [&mut [f64]; D]) -> [f64; D]);
-
-macro_rules! dispatch {
-    ($body:ident / $avx2:ident / $avx512:ident $(<$($g:ident),+>)? ($($arg:expr),*)) => {{
-        #[cfg(target_arch = "x86_64")]
-        {
-            let level = simd_level();
-            if level >= 2 {
-                // SAFETY: avx512f+avx512vl+fma verified by simd_level().
-                return unsafe { $avx512 $(::<$($g),+>)? ($($arg),*) };
-            }
-            if level >= 1 {
-                // SAFETY: avx2+fma verified by simd_level().
-                return unsafe { $avx2 $(::<$($g),+>)? ($($arg),*) };
-            }
-        }
-        $body::<false $($(, $g)+)?>($($arg),*)
-    }};
-}
-
-#[inline]
-fn dot_block(x: &[f64], y: &[f64]) -> f64 {
-    dispatch!(dot_block_body / dot_block_avx2 / dot_block_avx512(x, y))
-}
-
-#[inline]
-fn axpy_block(alpha: f64, x: &[f64], y: &mut [f64]) {
-    dispatch!(axpy_block_body / axpy_block_avx2 / axpy_block_avx512(alpha, x, y))
-}
-
-#[inline]
-fn axpy2_nrm2_block(alpha: f64, malpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f64]) -> f64 {
-    dispatch!(axpy2_nrm2_block_body / axpy2_nrm2_block_avx2 / axpy2_nrm2_block_avx512(
-        alpha, malpha, p, ap, x, r
-    ))
-}
-
-#[inline]
-fn rz_block(minv: &[f64], r: &[f64]) -> f64 {
-    dispatch!(rz_block_body / rz_block_avx2 / rz_block_avx512(minv, r))
-}
-
-#[inline]
-fn dir_update_block(minv: &[f64], r: &[f64], beta: f64, p: &mut [f64]) {
-    dispatch!(dir_update_block_body / dir_update_block_avx2 / dir_update_block_avx512(
-        minv, r, beta, p
-    ))
-}
-
-#[inline]
-fn dir_update_z_block(z: &[f64], beta: f64, p: &mut [f64]) {
-    dispatch!(dir_update_z_block_body / dir_update_z_block_avx2 / dir_update_z_block_avx512(
-        z, beta, p
-    ))
-}
-
-#[inline]
-fn spmv_rows(row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, x: &[f64], y: &mut [f64]) {
-    dispatch!(spmv_rows_body / spmv_rows_avx2 / spmv_rows_avx512(
-        row_ptr, col_idx, values, lo, x, y
-    ))
-}
-
-#[inline]
-fn spmv_rows_dot(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[f64],
-    lo: usize,
-    x: &[f64],
-    y: &mut [f64],
-) -> f64 {
-    dispatch!(spmv_rows_dot_body / spmv_rows_dot_avx2 / spmv_rows_dot_avx512(
-        row_ptr, col_idx, values, lo, x, y
-    ))
-}
-
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn wide_rows_dot<const D: usize, const W: usize>(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[f64],
-    lo: usize,
-    xw: &[[f64; W]],
-    xs: &[&[f64]; D],
-    masks: &[&[bool]; D],
-    ys: [&mut [f64]; D],
-) -> [f64; D] {
-    dispatch!(wide_rows_dot_body / wide_rows_dot_avx2 / wide_rows_dot_avx512<D, W>(
-        row_ptr, col_idx, values, lo, xw, xs, masks, ys
-    ))
-}
+fma_clones!(fn dot_block = dot_block_body(x: &[f64], y: &[f64]) -> f64);
+fma_clones!(fn axpy_block = axpy_block_body(alpha: f64, x: &[f64], y: &mut [f64]));
+fma_clones!(fn axpy2_nrm2_block = axpy2_nrm2_block_body(
+    alpha: f64, malpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f64],
+) -> f64);
+fma_clones!(fn rz_block = rz_block_body(minv: &[f64], r: &[f64]) -> f64);
+fma_clones!(fn dir_update_block = dir_update_block_body(
+    minv: &[f64], r: &[f64], beta: f64, p: &mut [f64],
+));
+fma_clones!(fn dir_update_z_block = dir_update_z_block_body(z: &[f64], beta: f64, p: &mut [f64]));
+fma_clones!(fn spmv_rows = spmv_rows_body(
+    row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, x: &[f64], y: &mut [f64],
+));
+fma_clones!(fn spmv_rows_dot = spmv_rows_dot_body(
+    row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, x: &[f64], y: &mut [f64],
+) -> f64);
+fma_clones!(fn wide_rows_dot<D: usize, W: usize> = wide_rows_dot_body(
+    row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, xw: &[[f64; W]],
+    xs: &[&[f64]; D], masks: &[&[bool]; D], ys: [&mut [f64]; D],
+) -> [f64; D]);
 
 // ---------------------------------------------------------------------------
-// Public streaming ops. Each walks the fixed block grid, serially or on the
-// pool by the work in the sweep — identical bits either way.
+// Public streaming ops. Each names its block grid once and hands it to `walk`
+// / `walk_sum`. An empty operand is an empty grid: no update, a +0.0 sum.
 // ---------------------------------------------------------------------------
 
 /// Streaming dot product. Panics on length mismatch.
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "stream::dot length mismatch");
-    let n = x.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let bl = block_len(n);
-    let partials = Partials::new();
-    if sweep_on_pool(2, n) {
-        x.par_chunks(bl).zip(y.par_chunks(bl)).enumerate().for_each(|(c, (xv, yv))| {
-            partials.set(c, dot_block(xv, yv));
-        });
-    } else {
-        for (c, (xv, yv)) in x.chunks(bl).zip(y.chunks(bl)).enumerate() {
-            partials.set(c, dot_block(xv, yv));
-        }
-    }
-    partials.fold(n.div_ceil(bl))
+    let bl = block_len(x.len());
+    let blocks = x.par_chunks(bl).zip(y.par_chunks(bl));
+    walk_sum(sweep_on_pool(2, x.len()), blocks, |(xv, yv)| dot_block(xv, yv))
 }
 
 /// Streaming squared Euclidean norm (`dot(x, x)` with the same grid).
 pub fn nrm2_sq(x: &[f64]) -> f64 {
-    let n = x.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let bl = block_len(n);
-    let partials = Partials::new();
-    if sweep_on_pool(1, n) {
-        x.par_chunks(bl).enumerate().for_each(|(c, xv)| {
-            partials.set(c, dot_block(xv, xv));
-        });
-    } else {
-        for (c, xv) in x.chunks(bl).enumerate() {
-            partials.set(c, dot_block(xv, xv));
-        }
-    }
-    partials.fold(n.div_ceil(bl))
+    let blocks = x.par_chunks(block_len(x.len()));
+    walk_sum(sweep_on_pool(1, x.len()), blocks, |xv| dot_block(xv, xv))
 }
 
 /// Finalizes a Euclidean norm from a precomputed squared sum: `sqrt` on the
@@ -638,41 +470,19 @@ pub fn nrm2(x: &[f64]) -> f64 {
 /// Streaming `y += alpha * x`. Panics on length mismatch.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "stream::axpy length mismatch");
-    let n = x.len();
-    if n == 0 {
-        return;
-    }
-    let bl = block_len(n);
-    if sweep_on_pool(2, n) {
-        y.par_chunks_mut(bl).zip(x.par_chunks(bl)).for_each(|(yv, xv)| {
-            axpy_block(alpha, xv, yv);
-        });
-    } else {
-        for (yv, xv) in y.chunks_mut(bl).zip(x.chunks(bl)) {
-            axpy_block(alpha, xv, yv);
-        }
-    }
+    let bl = block_len(x.len());
+    let blocks = y.par_chunks_mut(bl).zip(x.par_chunks(bl));
+    walk(sweep_on_pool(2, x.len()), blocks, |(yv, xv)| axpy_block(alpha, xv, yv));
 }
 
 /// Streaming CSR SpMV `y = A x` over the row block grid.
 pub fn spmv(a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.cols(), "stream::spmv x length mismatch");
     assert_eq!(y.len(), a.rows(), "stream::spmv y length mismatch");
-    let n = a.rows();
-    if n == 0 {
-        return;
-    }
-    let bl = block_len(n);
+    let bl = block_len(a.rows());
     let (rp, ci, vals) = (a.row_ptr(), a.col_idx(), a.values());
-    if rows_on_pool(a) {
-        y.par_chunks_mut(bl).enumerate().for_each(|(c, yv)| {
-            spmv_rows(rp, ci, vals, c * bl, x, yv);
-        });
-    } else {
-        for (c, yv) in y.chunks_mut(bl).enumerate() {
-            spmv_rows(rp, ci, vals, c * bl, x, yv);
-        }
-    }
+    let blocks = y.par_chunks_mut(bl).enumerate();
+    walk(rows_on_pool(a), blocks, |(b, yv)| spmv_rows(rp, ci, vals, b * bl, x, yv));
 }
 
 /// Fused SpMV + dot: `y = A x` and `x·y` in one sweep. Requires a square
@@ -682,43 +492,22 @@ pub fn spmv_dot(a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> f64 {
     assert_eq!(a.rows(), a.cols(), "stream::spmv_dot needs a square operator");
     assert_eq!(x.len(), a.cols(), "stream::spmv_dot x length mismatch");
     assert_eq!(y.len(), a.rows(), "stream::spmv_dot y length mismatch");
-    let n = a.rows();
-    if n == 0 {
-        return 0.0;
-    }
-    let bl = block_len(n);
+    let bl = block_len(a.rows());
     let (rp, ci, vals) = (a.row_ptr(), a.col_idx(), a.values());
-    let partials = Partials::new();
-    if rows_on_pool(a) {
-        y.par_chunks_mut(bl).enumerate().for_each(|(c, yv)| {
-            partials.set(c, spmv_rows_dot(rp, ci, vals, c * bl, x, yv));
-        });
-    } else {
-        for (c, yv) in y.chunks_mut(bl).enumerate() {
-            partials.set(c, spmv_rows_dot(rp, ci, vals, c * bl, x, yv));
-        }
-    }
-    partials.fold(n.div_ceil(bl))
+    let blocks = y.par_chunks_mut(bl).enumerate();
+    walk_sum(rows_on_pool(a), blocks, |(b, yv)| spmv_rows_dot(rp, ci, vals, b * bl, x, yv))
 }
 
 /// Masks `x` into `tmp` (constrained entries zeroed) — phase 1 of the
 /// projected operator `P A P + (I - P)`.
 fn mask_into(x: &[f64], mask: &[bool], tmp: &mut [f64]) {
-    let n = x.len();
-    let bl = block_len(n);
-    if sweep_on_pool(3, n) {
-        tmp.par_chunks_mut(bl).zip(x.par_chunks(bl)).zip(mask.par_chunks(bl)).for_each(
-            |((tv, xv), mv)| {
-                for ((t, &xi), &c) in tv.iter_mut().zip(xv).zip(mv) {
-                    *t = if c { 0.0 } else { xi };
-                }
-            },
-        );
-    } else {
-        for ((t, &xi), &c) in tmp.iter_mut().zip(x).zip(mask) {
+    let bl = block_len(x.len());
+    let blocks = tmp.par_chunks_mut(bl).zip(x.par_chunks(bl)).zip(mask.par_chunks(bl));
+    walk(sweep_on_pool(3, x.len()), blocks, |((tv, xv), mv)| {
+        for ((t, &xi), &c) in tv.iter_mut().zip(xv).zip(mv) {
             *t = if c { 0.0 } else { xi };
         }
-    }
+    });
 }
 
 /// One row-block of the constrained operator: `y = A tmp`, then constrained
@@ -741,29 +530,24 @@ fn constrained_rows(
     }
 }
 
-/// Constrained operator apply `y = (P A P + (I - P)) x` using `tmp` as the
-/// masked-input scratch (the unfused leg of [`spmv_constrained_dot`]).
-pub fn spmv_constrained(a: &CsrMatrix, x: &[f64], mask: &[bool], tmp: &mut [f64], y: &mut [f64]) {
+/// The operand shapes of the two scalar constrained sweeps; returns `n`.
+fn constrained_shapes(a: &CsrMatrix, x: &[f64], mask: &[bool], tmp: &[f64], y: &[f64]) -> usize {
     let n = a.rows();
     assert_eq!(a.cols(), n, "stream::spmv_constrained needs a square operator");
     assert_eq!(x.len(), n, "stream::spmv_constrained x length mismatch");
     assert_eq!(mask.len(), n, "stream::spmv_constrained mask length mismatch");
     assert_eq!(tmp.len(), n, "stream::spmv_constrained tmp length mismatch");
     assert_eq!(y.len(), n, "stream::spmv_constrained y length mismatch");
-    if n == 0 {
-        return;
-    }
+    n
+}
+
+/// Constrained operator apply `y = (P A P + (I - P)) x` using `tmp` as the
+/// masked-input scratch (the unfused leg of [`spmv_constrained_dot`]).
+pub fn spmv_constrained(a: &CsrMatrix, x: &[f64], mask: &[bool], tmp: &mut [f64], y: &mut [f64]) {
+    let bl = block_len(constrained_shapes(a, x, mask, tmp, y));
     mask_into(x, mask, tmp);
-    let bl = block_len(n);
-    if rows_on_pool(a) {
-        y.par_chunks_mut(bl)
-            .enumerate()
-            .for_each(|(c, yv)| constrained_rows(a, c * bl, x, mask, tmp, yv));
-    } else {
-        for (c, yv) in y.chunks_mut(bl).enumerate() {
-            constrained_rows(a, c * bl, x, mask, tmp, yv);
-        }
-    }
+    let blocks = y.par_chunks_mut(bl).enumerate();
+    walk(rows_on_pool(a), blocks, |(b, yv)| constrained_rows(a, b * bl, x, mask, tmp, yv));
 }
 
 /// Fused constrained apply + dot: [`spmv_constrained`] producing `x·y` in
@@ -776,32 +560,14 @@ pub fn spmv_constrained_dot(
     tmp: &mut [f64],
     y: &mut [f64],
 ) -> f64 {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "stream::spmv_constrained_dot needs a square operator");
-    assert_eq!(x.len(), n, "stream::spmv_constrained_dot x length mismatch");
-    assert_eq!(mask.len(), n, "stream::spmv_constrained_dot mask length mismatch");
-    assert_eq!(tmp.len(), n, "stream::spmv_constrained_dot tmp length mismatch");
-    assert_eq!(y.len(), n, "stream::spmv_constrained_dot y length mismatch");
-    if n == 0 {
-        return 0.0;
-    }
+    let bl = block_len(constrained_shapes(a, x, mask, tmp, y));
     mask_into(x, mask, tmp);
-    let bl = block_len(n);
-    let partials = Partials::new();
-    if rows_on_pool(a) {
-        y.par_chunks_mut(bl).enumerate().for_each(|(c, yv)| {
-            let lo = c * bl;
-            constrained_rows(a, lo, x, mask, tmp, yv);
-            partials.set(c, dot_block(&x[lo..lo + yv.len()], yv));
-        });
-    } else {
-        for (c, yv) in y.chunks_mut(bl).enumerate() {
-            let lo = c * bl;
-            constrained_rows(a, lo, x, mask, tmp, yv);
-            partials.set(c, dot_block(&x[lo..lo + yv.len()], yv));
-        }
-    }
-    partials.fold(n.div_ceil(bl))
+    let blocks = y.par_chunks_mut(bl).enumerate();
+    walk_sum(rows_on_pool(a), blocks, |(b, yv)| {
+        let lo = b * bl;
+        constrained_rows(a, lo, x, mask, tmp, yv);
+        dot_block(&x[lo..lo + yv.len()], yv)
+    })
 }
 
 /// Staging `n`-vectors the `d`-wide constrained sweep needs: the `d`
@@ -826,12 +592,6 @@ struct WideBlocks<'a, const D: usize> {
 }
 
 impl<'a, const D: usize> WideBlocks<'a, D> {
-    /// `y` holds the `D` components back to back, `n > 0` rows each.
-    fn new(y: &'a mut [f64], n: usize, bl: usize) -> Self {
-        let mut comps = y.chunks_exact_mut(n);
-        Self { comps: std::array::from_fn(|_| comps.next().expect("y holds D components")), bl }
-    }
-
     /// Splits the first `rows` rows (or what is left) off every component.
     fn take_rows(&mut self, rows: usize) -> [&'a mut [f64]; D] {
         std::array::from_fn(|c| {
@@ -850,7 +610,7 @@ impl<'a, const D: usize> Iterator for WideBlocks<'a, D> {
     }
 }
 
-impl<'a, const D: usize> rayon::Producer for WideBlocks<'a, D> {
+impl<'a, const D: usize> Producer for WideBlocks<'a, D> {
     type Item = [&'a mut [f64]; D];
     type IntoIter = Self;
     fn len(&self) -> usize {
@@ -876,22 +636,18 @@ fn mask_wide_into<const D: usize, const W: usize>(
 ) {
     let n = tmp.len();
     let bl = block_len(n);
-    let stage = |lo: usize, rows: &mut [[f64; W]]| {
-        for (i, row) in rows.iter_mut().enumerate() {
+    let blocks = tmp.par_chunks_mut(bl).enumerate();
+    walk(sweep_on_pool(2 * D + W, n), blocks, |(b, rows)| {
+        for (i, row) in (b * bl..).zip(rows) {
             *row = std::array::from_fn(|c| {
-                if c < D && !masks[c][lo + i] {
-                    xs[c][lo + i]
+                if c < D && !masks[c][i] {
+                    xs[c][i]
                 } else {
                     0.0
                 }
             });
         }
-    };
-    if sweep_on_pool(2 * D + W, n) {
-        tmp.par_chunks_mut(bl).enumerate().for_each(|(b, rows)| stage(b * bl, rows));
-    } else {
-        stage(0, tmp);
-    }
+    });
 }
 
 /// The `D`-wide constrained apply + dot over the fixed row-block grid (see
@@ -913,9 +669,6 @@ fn constrained_wide<const D: usize, const W: usize>(
     for mask in masks {
         assert_eq!(mask.len(), n, "stream::spmv_constrained_wide mask length mismatch");
     }
-    if n == 0 {
-        return [0.0; D];
-    }
     let xs: [&[f64]; D] = std::array::from_fn(|c| &x[c * n..(c + 1) * n]);
     let masks: [&[bool]; D] = std::array::from_fn(|c| masks[c]);
     let (xw, _) = tmp.as_chunks_mut::<W>();
@@ -924,20 +677,19 @@ fn constrained_wide<const D: usize, const W: usize>(
 
     let bl = block_len(n);
     let (rp, ci, vals) = (a.row_ptr(), a.col_idx(), a.values());
+    // `y` holds the `D` components back to back, `n` rows each.
+    let mut rest = y;
+    let comps = std::array::from_fn(|_| rest.split_off_mut(..n).expect("`y` holds `D` components"));
+    let blocks = WideBlocks::<D> { comps, bl };
+    let nblocks = blocks.len();
     let partials: [Partials; D] = std::array::from_fn(|_| Partials::new());
-    let block = |(b, ys): (usize, [&mut [f64]; D])| {
+    walk(rows_on_pool(a), IndexedParallelIterator::enumerate(blocks), |(b, ys)| {
         let dots = wide_rows_dot(rp, ci, vals, b * bl, xw, &xs, &masks, ys);
         for (p, &dot) in partials.iter().zip(&dots) {
             p.set(b, dot);
         }
-    };
-    let blocks = WideBlocks::<D>::new(y, n, bl);
-    if rows_on_pool(a) {
-        IndexedParallelIterator::enumerate(blocks).for_each(block);
-    } else {
-        Iterator::enumerate(blocks).for_each(block);
-    }
-    partials.map(|p| p.fold(n.div_ceil(bl)))
+    });
+    partials.map(|p| p.fold(nblocks))
 }
 
 /// `d`-wide constrained apply: `y_c = (P_c A P_c + (I − P_c)) x_c` for the
@@ -999,28 +751,12 @@ pub fn axpy2_nrm2(alpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f64
     assert_eq!(ap.len(), n, "stream::axpy2_nrm2 ap length mismatch");
     assert_eq!(x.len(), n, "stream::axpy2_nrm2 x length mismatch");
     assert_eq!(r.len(), n, "stream::axpy2_nrm2 r length mismatch");
-    if n == 0 {
-        return 0.0;
-    }
-    let malpha = -alpha;
     let bl = block_len(n);
-    let partials = Partials::new();
-    if sweep_on_pool(4, n) {
-        x.par_chunks_mut(bl)
-            .zip(r.par_chunks_mut(bl))
-            .zip(p.par_chunks(bl))
-            .zip(ap.par_chunks(bl))
-            .enumerate()
-            .for_each(|(c, (((xv, rv), pv), apv))| {
-                partials.set(c, axpy2_nrm2_block(alpha, malpha, pv, apv, xv, rv));
-            });
-    } else {
-        let it = x.chunks_mut(bl).zip(r.chunks_mut(bl)).zip(p.chunks(bl)).zip(ap.chunks(bl));
-        for (c, (((xv, rv), pv), apv)) in it.enumerate() {
-            partials.set(c, axpy2_nrm2_block(alpha, malpha, pv, apv, xv, rv));
-        }
-    }
-    partials.fold(n.div_ceil(bl))
+    let blocks =
+        x.par_chunks_mut(bl).zip(r.par_chunks_mut(bl)).zip(p.par_chunks(bl)).zip(ap.par_chunks(bl));
+    walk_sum(sweep_on_pool(4, n), blocks, |(((xv, rv), pv), apv)| {
+        axpy2_nrm2_block(alpha, -alpha, pv, apv, xv, rv)
+    })
 }
 
 /// Fused Jacobi apply + `r·z` + direction update, never materializing `z`:
@@ -1033,53 +769,24 @@ pub fn precond_dot_update(minv: &[f64], r: &[f64], rz_prev: Option<f64>, p: &mut
     let n = r.len();
     assert_eq!(minv.len(), n, "stream::precond_dot_update minv length mismatch");
     assert_eq!(p.len(), n, "stream::precond_dot_update p length mismatch");
-    if n == 0 {
-        return 0.0;
-    }
     let bl = block_len(n);
     // Phase A: the r·z reduction (needs every block before beta exists).
-    let partials = Partials::new();
-    if sweep_on_pool(2, n) {
-        minv.par_chunks(bl).zip(r.par_chunks(bl)).enumerate().for_each(|(c, (mv, rv))| {
-            partials.set(c, rz_block(mv, rv));
-        });
-    } else {
-        for (c, (mv, rv)) in minv.chunks(bl).zip(r.chunks(bl)).enumerate() {
-            partials.set(c, rz_block(mv, rv));
-        }
-    }
-    let rz = partials.fold(n.div_ceil(bl));
+    let blocks = minv.par_chunks(bl).zip(r.par_chunks(bl));
+    let rz = walk_sum(sweep_on_pool(2, n), blocks, |(mv, rv)| rz_block(mv, rv));
 
     // Phase B: direction update with z recomputed (one multiply per entry,
     // cheaper than a DRAM round-trip for a stored z).
+    let blocks = p.par_chunks_mut(bl).zip(minv.par_chunks(bl)).zip(r.par_chunks(bl));
     match rz_prev {
-        None => {
-            // Setup: p = z exactly (same bits as a Jacobi apply + copy).
-            if sweep_on_pool(3, n) {
-                p.par_chunks_mut(bl).zip(minv.par_chunks(bl)).zip(r.par_chunks(bl)).for_each(
-                    |((pv, mv), rv)| {
-                        for ((pi, &mi), &ri) in pv.iter_mut().zip(mv).zip(rv) {
-                            *pi = mi * ri;
-                        }
-                    },
-                );
-            } else {
-                for ((pi, &mi), &ri) in p.iter_mut().zip(minv).zip(r) {
-                    *pi = mi * ri;
-                }
+        // Setup: p = z exactly (same bits as a Jacobi apply + copy).
+        None => walk(sweep_on_pool(3, n), blocks, |((pv, mv), rv)| {
+            for ((pi, &mi), &ri) in pv.iter_mut().zip(mv).zip(rv) {
+                *pi = mi * ri;
             }
-        }
+        }),
         Some(prev) => {
             let beta = rz / prev;
-            if sweep_on_pool(3, n) {
-                p.par_chunks_mut(bl).zip(minv.par_chunks(bl)).zip(r.par_chunks(bl)).for_each(
-                    |((pv, mv), rv)| dir_update_block(mv, rv, beta, pv),
-                );
-            } else {
-                for ((pv, mv), rv) in p.chunks_mut(bl).zip(minv.chunks(bl)).zip(r.chunks(bl)) {
-                    dir_update_block(mv, rv, beta, pv);
-                }
-            }
+            walk(sweep_on_pool(3, n), blocks, |((pv, mv), rv)| dir_update_block(mv, rv, beta, pv));
         }
     }
     rz
@@ -1089,20 +796,9 @@ pub fn precond_dot_update(minv: &[f64], r: &[f64], rz_prev: Option<f64>, p: &mut
 /// same FMA regime as the fused [`precond_dot_update`] phase B).
 pub fn update_direction(beta: f64, z: &[f64], p: &mut [f64]) {
     assert_eq!(z.len(), p.len(), "stream::update_direction length mismatch");
-    let n = z.len();
-    if n == 0 {
-        return;
-    }
-    let bl = block_len(n);
-    if sweep_on_pool(2, n) {
-        p.par_chunks_mut(bl)
-            .zip(z.par_chunks(bl))
-            .for_each(|(pv, zv)| dir_update_z_block(zv, beta, pv));
-    } else {
-        for (pv, zv) in p.chunks_mut(bl).zip(z.chunks(bl)) {
-            dir_update_z_block(zv, beta, pv);
-        }
-    }
+    let bl = block_len(z.len());
+    let blocks = p.par_chunks_mut(bl).zip(z.par_chunks(bl));
+    walk(sweep_on_pool(2, z.len()), blocks, |(pv, zv)| dir_update_z_block(zv, beta, pv));
 }
 
 /// Scalar serial oracle: the same block grid and lane structure as the
@@ -1315,6 +1011,48 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let got = rayon::Pool::new(threads).install(|| dot(&x, &y));
             assert_eq!(got.to_bits(), base.to_bits(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn empty_and_single_element_operands() {
+        // Every public op on an empty grid (`n = 0`: sums are `+0.0`, updates touch
+        // nothing) and on one block of one element (the single product, exact).
+        for n in [0usize, 1] {
+            let (k, bits) = (n as f64, |v: f64| v.to_bits());
+            let mut diag = CsrBuilder::new(n, n);
+            (0..n).for_each(|i| diag.add(i, i, 3.0));
+            let a = diag.build();
+            let (x, free, fixed) = (vec![2.0; n], vec![false; n], vec![true; n]);
+            assert_eq!(bits(dot(&x, &x)), bits(4.0 * k));
+            assert_eq!(bits(nrm2_sq(&x)), bits(4.0 * k));
+            assert_eq!(bits(nrm2(&x)), bits(2.0 * k));
+            let (mut y, mut tmp) = (vec![1.0; n], vec![f64::NAN; n]);
+            axpy(3.0, &x, &mut y);
+            assert_eq!(y, vec![7.0; n]);
+            spmv(&a, &x, &mut y);
+            assert_eq!(y, vec![6.0; n]);
+            assert_eq!(bits(spmv_dot(&a, &x, &mut y)), bits(12.0 * k));
+            spmv_constrained(&a, &x, &fixed, &mut tmp, &mut y);
+            assert_eq!(y, x, "a constrained row is the identity");
+            assert_eq!(bits(spmv_constrained_dot(&a, &x, &free, &mut tmp, &mut y)), bits(12.0 * k));
+            for d in 1..=3 {
+                let (xs, masks) = (vec![2.0; d * n], vec![&free[..]; d]);
+                let (mut ys, mut dots) = (vec![0.0; d * n], vec![f64::NAN; d]);
+                let mut tmp = vec![f64::NAN; wide_lanes(d) * n];
+                spmv_constrained_wide(&a, &xs, &masks, &mut tmp, &mut ys);
+                assert_eq!(ys, vec![6.0; d * n], "d={d}");
+                spmv_constrained_dot_wide(&a, &xs, &masks, &mut tmp, &mut ys, &mut dots);
+                assert!(dots.iter().all(|&dot| bits(dot) == bits(12.0 * k)), "d={d}: {dots:?}");
+            }
+            // y = 6 + 0.5·2, r = 5 − 0.5·2; z = 2·4, r·z = 32; β = 2, p = 8 + 2·8; p = 2 + 24/2.
+            let (mut r, mut p) = (vec![5.0; n], vec![f64::NAN; n]);
+            assert_eq!(bits(axpy2_nrm2(0.5, &x, &x, &mut y, &mut r)), bits(16.0 * k));
+            assert_eq!((y, &r), (vec![7.0; n], &vec![4.0; n]));
+            assert_eq!(bits(precond_dot_update(&x, &r, None, &mut p)), bits(32.0 * k));
+            assert_eq!(bits(precond_dot_update(&x, &r, Some(16.0), &mut p)), bits(32.0 * k));
+            update_direction(0.5, &x, &mut p);
+            assert_eq!(p, vec![14.0; n]);
         }
     }
 

@@ -29,9 +29,10 @@
 //! (`tests/host_determinism.rs`) does not depend on the choice.
 //!
 //! Relative to the naive reference ([`crate::dense::naive`]) there are
-//! two regimes, selected once per process by runtime CPU detection:
+//! two regimes, selected once per process by the level (`crate::simd`,
+//! shared with [`crate::stream`]; [`fma_active`] reads it):
 //!
-//! * **Scalar baseline** (no AVX2+FMA): the update is the reference's
+//! * **Scalar baseline** (level 0): the update is the reference's
 //!   exact two-rounding `c += (alpha*b[p,j]) * a[i,p]`, including its
 //!   skip of terms whose folded B entry is exactly `0.0` — NN/NT results
 //!   are *bitwise identical* to the reference.
@@ -44,6 +45,9 @@
 //! The TN variant additionally trades the reference's dot-product
 //! accumulation for the same axpy order as NN/NT, so it is ULP-close to
 //! its naive counterpart in both regimes.
+
+pub use crate::simd::fma_active;
+use crate::simd::{fma_clones, fmadd};
 
 /// Operand orientation for [`gemm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,16 +270,6 @@ fn store_acc<const MR: usize, const NR: usize>(
     }
 }
 
-/// One accumulator update. With `FMA` the multiply-add fuses into a single
-/// hardware instruction (single rounding) — used only inside the ISA clones
-/// whose `target_feature` includes `fma`, so it never lowers to a libm
-/// call. The non-`FMA` form is the naive reference's exact two-rounding
-/// sequence.
-#[inline(always)]
-fn fmadd<const FMA: bool>(cv: &mut f64, a: f64, b: f64) {
-    *cv = if FMA { a.mul_add(b, *cv) } else { *cv + a * b };
-}
-
 /// Full `MR x NR` register tile, compile-time loop bounds throughout: the
 /// accumulator stays in vector registers for the whole KC block, so C is
 /// loaded and stored once per block instead of once per rank-1 update.
@@ -334,14 +328,14 @@ fn tile_full<const MR: usize, const NR: usize, const AT: bool, const BT: bool, c
         if FMA || bv.iter().all(|&x| x != 0.0) {
             for (accj, &bpj) in acc.iter_mut().zip(&bv) {
                 for (cv, &avv) in accj.iter_mut().zip(&av) {
-                    fmadd::<FMA>(cv, avv, bpj);
+                    *cv = fmadd::<FMA>(*cv, avv, bpj);
                 }
             }
         } else {
             for (accj, &bpj) in acc.iter_mut().zip(&bv) {
                 if bpj != 0.0 {
                     for (cv, &avv) in accj.iter_mut().zip(&av) {
-                        fmadd::<FMA>(cv, avv, bpj);
+                        *cv = fmadd::<FMA>(*cv, avv, bpj);
                     }
                 }
             }
@@ -391,7 +385,7 @@ fn tile_edge<const MR: usize, const NR: usize, const AT: bool, const BT: bool, c
             let bpj = alpha * if BT { b[(j0 + jr) + p * n] } else { b[p + (j0 + jr) * k] };
             if FMA || bpj != 0.0 {
                 for (cv, &avv) in accj.iter_mut().zip(&av) {
-                    fmadd::<FMA>(cv, avv, bpj);
+                    *cv = fmadd::<FMA>(*cv, avv, bpj);
                 }
             }
         }
@@ -399,115 +393,13 @@ fn tile_edge<const MR: usize, const NR: usize, const AT: bool, const BT: bool, c
     store_acc(m, i0, j0, mr_eff, nr_eff, c, &acc);
 }
 
-/// Widest SIMD level the host supports, detected once. The kernels are
-/// plain safe Rust either way — the level only changes which autovectorized
-/// clone of the (bitwise-identical) loop nest runs.
-#[cfg(target_arch = "x86_64")]
-fn simd_level() -> u8 {
-    use std::sync::OnceLock;
-    static LEVEL: OnceLock<u8> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        let fma = std::arch::is_x86_feature_detected!("fma");
-        let detected = if fma
-            && std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-        {
-            2
-        } else if fma && std::arch::is_x86_feature_detected!("avx2") {
-            1
-        } else {
-            0
-        };
-        // `BLAST_TILE_SIMD=0|1|2` caps the level (diagnostics / perf
-        // comparisons); the hardware-detected level is always the ceiling.
-        match std::env::var("BLAST_TILE_SIMD") {
-            Ok(v) => v.trim().parse::<u8>().map_or(detected, |cap| cap.min(detected)),
-            Err(_) => detected,
-        }
-    })
-}
-
-/// Whether the wide (fused multiply-add) clones are in use on this host —
-/// i.e. whether tiled NN/NT results are ULP-close to the naive reference
-/// instead of bitwise identical (see the module docs).
-pub fn fma_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        simd_level() >= 1
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Dispatches `direct_body` to the widest ISA clone the host supports.
-///
-/// Rust never contracts `a * b + c` into a fused multiply-add, and
-/// vectorization is element-wise, so every clone performs the identical
-/// IEEE operation sequence — the bitwise determinism contract holds on
-/// every machine; only throughput differs.
-#[allow(clippy::too_many_arguments)]
-fn direct<const MR: usize, const NR: usize, const AT: bool, const BT: bool>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-    kc_blk: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let level = simd_level();
-        if level >= 2 {
-            // SAFETY: avx512f+avx512vl presence checked at runtime above.
-            return unsafe { direct_avx512::<MR, NR, AT, BT>(m, n, k, alpha, a, b, beta, c, kc_blk) };
-        }
-        if level >= 1 {
-            // SAFETY: avx2 presence checked at runtime above.
-            return unsafe { direct_avx2::<MR, NR, AT, BT>(m, n, k, alpha, a, b, beta, c, kc_blk) };
-        }
-    }
-    direct_body::<MR, NR, AT, BT, false>(m, n, k, alpha, a, b, beta, c, kc_blk);
-}
-
-/// `direct_body` recompiled with 256-bit vectors and fused multiply-adds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn direct_avx2<const MR: usize, const NR: usize, const AT: bool, const BT: bool>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-    kc_blk: usize,
-) {
-    direct_body::<MR, NR, AT, BT, true>(m, n, k, alpha, a, b, beta, c, kc_blk);
-}
-
-/// `direct_body` recompiled with 512-bit vectors and fused multiply-adds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn direct_avx512<const MR: usize, const NR: usize, const AT: bool, const BT: bool>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-    kc_blk: usize,
-) {
-    direct_body::<MR, NR, AT, BT, true>(m, n, k, alpha, a, b, beta, c, kc_blk);
+fma_clones! {
+    /// [`direct_body`] at the level: every clone runs the same loop nest in the
+    /// same order, so results depend on the regime (`FMA`), never on the width.
+    fn direct<MR: usize, NR: usize, AT: bool, BT: bool> = direct_body(
+        m: usize, n: usize, k: usize, alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64],
+        kc_blk: usize,
+    )
 }
 
 /// Direct-path driver: `KC` blocking over `k` (ascending, so the
@@ -515,7 +407,7 @@ unsafe fn direct_avx512<const MR: usize, const NR: usize, const AT: bool, const 
 /// over `(m, n)`, operands read in place through the transpose flags.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn direct_body<const MR: usize, const NR: usize, const AT: bool, const BT: bool, const FMA: bool>(
+fn direct_body<const FMA: bool, const MR: usize, const NR: usize, const AT: bool, const BT: bool>(
     m: usize,
     n: usize,
     k: usize,

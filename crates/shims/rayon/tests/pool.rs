@@ -249,6 +249,43 @@ fn two_threads_share_one_pool() {
 }
 
 #[test]
+fn producer_into_iter_yields_what_for_each_sees() {
+    // What `blast_la::stream::walk` rests on: walking a producer on the
+    // caller (`Producer::into_iter`) hands out the items the pool's
+    // `for_each` does, in index order — for the zip of a mutable and a
+    // shared chunking and for an `enumerate` over it. Each item stamps its
+    // `y` chunk with what it was handed: index, `x` chunk, chunk length.
+    use rayon::Producer;
+    let x: Vec<f64> = (0..1000u32).map(f64::from).collect();
+    let stamp = |b: usize, yv: &mut [f64], xv: &[f64]| {
+        let tag = 1e4 * b as f64 + 1e6 * xv.len() as f64;
+        yv.iter_mut().zip(xv).for_each(|(y, &xi)| *y = xi + tag);
+    };
+    let mut ys = [(); 4].map(|()| vec![0.0f64; 1000]);
+    let [zip_pool, zip_walk, enum_pool, enum_walk] = &mut ys;
+    let pool = Pool::new(2);
+    pool.install(|| {
+        let zip = zip_pool.par_chunks_mut(16).zip(x.par_chunks(16));
+        zip.for_each(|(yv, xv)| stamp(0, yv, xv));
+        let enumerated = enum_pool.par_chunks_mut(16).zip(x.par_chunks(16)).enumerate();
+        enumerated.for_each(|(b, (yv, xv))| stamp(b, yv, xv));
+    });
+    assert_eq!(pool.stats().parallel_calls, 2, "both sweeps ran on the pool");
+    let zip = zip_walk.par_chunks_mut(16).zip(x.par_chunks(16));
+    Producer::into_iter(zip).for_each(|(yv, xv)| stamp(0, yv, xv));
+    let enumerated = enum_walk.par_chunks_mut(16).zip(x.par_chunks(16)).enumerate();
+    let mut order = Vec::new();
+    Producer::into_iter(enumerated).for_each(|(b, (yv, xv))| {
+        order.push((b, xv[0]));
+        stamp(b, yv, xv);
+    });
+    assert_eq!(order, (0..63).map(|b| (b, 16.0 * b as f64)).collect::<Vec<_>>());
+    assert_eq!(zip_pool, zip_walk);
+    assert_eq!(enum_pool, enum_walk);
+    assert_eq!(enum_walk[999], 999.0 + 1e4 * 62.0 + 1e6 * 8.0, "the ragged last block");
+}
+
+#[test]
 fn ragged_and_empty_inputs() {
     // chunks (non-exact) keeps the ragged tail; exact drops it.
     let v = [1.0f64; 10];

@@ -75,9 +75,6 @@ pub mod counters {
     pub const PCG_SOLVES: &str = "pcg_solves";
     /// PCG preconditioner breakdowns (restarts with identity).
     pub const PCG_BREAKDOWNS: &str = "pcg_breakdowns";
-    /// Fused streaming-kernel sweeps executed by PCG (3 per iteration + 1
-    /// setup when the fused variant is active; 0 on the unfused path).
-    pub const PCG_FUSED_SWEEPS: &str = "pcg_fused_sweeps";
     /// Kernel launches on the simulated GPU.
     pub const GPU_LAUNCHES: &str = "gpu_launches";
     /// Modeled DRAM traffic moved by GPU kernels, bytes.

@@ -9,7 +9,7 @@
 //! The rows depend on whether the fused-multiply-add clones of the tiled
 //! GEMM and the streaming kernels are live, so there is one table for the
 //! FMA regime (any AVX2+FMA or AVX-512 host) and one for the scalar regime
-//! (`BLAST_TILE_SIMD=0 BLAST_STREAM_SIMD=0`); a mixed setting is skipped.
+//! (`BLAST_SIMD=0`); the two share one level, so there is no third case.
 //! Within a regime the rows are invariant under `BLAST_THREADS`.
 //!
 //! To re-record after an *intended* trajectory change, copy the table the
@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use blast_repro::blast_core::{AssemblyMode, ExecMode, Executor, Hydro, HydroError, Sedov};
-use blast_repro::blast_la::{stream, tile};
+use blast_repro::blast_la::tile;
 use blast_repro::gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice};
 
 const STEPS: usize = 3;
@@ -129,14 +129,7 @@ fn run_cell<const D: usize>(
 
 #[test]
 fn every_assembly_mode_cell_matches_the_committed_table() {
-    let golden = match (tile::fma_active(), stream::fma_active()) {
-        (true, true) => GOLDEN_FMA,
-        (false, false) => GOLDEN_SCALAR,
-        mixed => {
-            eprintln!("golden_lattice: skipped, no table for (tile fma, stream fma) = {mixed:?}");
-            return;
-        }
-    };
+    let golden = if tile::fma_active() { GOLDEN_FMA } else { GOLDEN_SCALAR };
     let mut actual: Vec<(String, u32, u64, u64)> = Vec::new();
     for dim in [2usize, 3] {
         for (aname, assembly) in

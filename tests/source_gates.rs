@@ -92,6 +92,10 @@ fn no_deprecated_api_kept_alive() {
 /// solver owns (`TileConfig`, `PcgOptions`, `Abft`): two solvers in one
 /// process must not see each other's settings, so the numeric crates hold
 /// no lockable or atomic `static`, and the installers PR 15 deleted stay gone.
+/// The one write-once `static` is the SIMD level of `blast-la`, a fact about
+/// the host that no solver sets. (The `thread_local!` `RefCell` scratches of
+/// `la/src/abft.rs` and `kernels/src/sumfac.rs` are per-thread buffers, not
+/// configuration, and match neither pattern.)
 #[test]
 fn no_process_global_kernel_state() {
     let numeric = files_under(&[
@@ -100,11 +104,18 @@ fn no_process_global_kernel_state() {
         "crates/autotune/src",
         "crates/core/src",
     ]);
-    let statics = lines_where(&numeric, |l| {
-        l.find("static ")
-            .is_some_and(|at| ["Atomic", "Mutex", "RwLock"].iter().any(|t| l[at..].contains(t)))
-    });
+    let statics_of = |types: &[&str]| {
+        lines_where(&numeric, |l| {
+            l.find("static ").is_some_and(|at| types.iter().any(|t| l[at..].contains(t)))
+        })
+    };
+    let statics = statics_of(&["Atomic", "Mutex", "RwLock"]);
     assert!(statics.is_empty(), "{statics:#?}");
+    let once = statics_of(&["OnceLock", "LazyLock"]);
+    assert!(
+        once.len() == 1 && once[0].starts_with("crates/la/src/simd.rs:"),
+        "the level in la/src/simd.rs is the only write-once static: {once:#?}"
+    );
     let installers = lines_where(&files_under(&TREE), |l| {
         l.contains("set_active_tile_index") || l.contains("set_active_stream_index")
     });
@@ -239,4 +250,47 @@ fn one_corner_force_pipeline() {
     let force = "crates/core/src/solver/force.rs";
     let files: Vec<String> = raw.iter().map(file_of).collect();
     assert_eq!(files, [allowed[0], allowed[1], force, force], "{raw:#?}");
+}
+
+/// `blast-la` detects one SIMD level, caps it with one variable and clones a
+/// kernel body for it one way (`la/src/simd.rs`): `tile` and `stream` cannot
+/// run in different regimes, so there is one golden table per regime and no
+/// mixed case to skip. And a streaming op names its block grid once: the pool
+/// and the caller walk the same producer through `walk`, which is the
+/// thread-count invariance written as code instead of as twin loops that
+/// have to be kept equal by hand.
+#[test]
+fn one_simd_level_one_grid_walk() {
+    let la: Vec<(String, String)> = files_under(&["crates/la/src"])
+        .into_iter()
+        .filter(|(path, _)| path != "crates/la/src/simd.rs")
+        .collect();
+    let cloned_elsewhere = lines_where(&la, |l| {
+        l.contains("target_feature") || l.contains("is_x86_feature_detected")
+    });
+    assert!(cloned_elsewhere.is_empty(), "{cloned_elsewhere:#?}");
+
+    let stream = read("crates/la/src/stream.rs");
+    let ops = non_test(&stream);
+    let decisions: Vec<&str> =
+        ops.lines().filter(|l| l.contains("_on_pool(") && !l.contains("fn ")).collect();
+    assert_eq!(decisions.len(), 15, "{decisions:#?}");
+    for line in decisions {
+        let before = &line[..line.find("_on_pool(").unwrap()];
+        assert!(
+            (before.contains("walk(") || before.contains("walk_sum(")) && !before.contains("if "),
+            "a pool decision outside `walk`: {line}"
+        );
+    }
+    let outside_the_oracle = without_item(ops, "pub mod reference");
+    for serial in [".chunks(", ".chunks_mut("] {
+        assert!(!outside_the_oracle.contains(serial), "`{serial}` beside `walk`");
+    }
+
+    let mut everywhere = files_under(&["crates", "src", "tests", "examples", ".github", ".claude"]);
+    everywhere.extend(["README.md", "DESIGN.md"].map(|f| (f.to_string(), read(f))));
+    let old_caps = lines_where(&everywhere, |l| {
+        l.contains("BLAST_TILE_SIMD") || l.contains("BLAST_STREAM_SIMD")
+    });
+    assert!(old_caps.is_empty(), "{old_caps:#?}");
 }
