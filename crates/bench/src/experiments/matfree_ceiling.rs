@@ -280,7 +280,7 @@ fn measure_ceiling(zones_axis: usize, steps: usize) -> CeilingLeg {
     let mut done = 0;
     for _ in 0..steps {
         let out = hydro.step(&mut state, dt);
-        dt = out.dt_est.min(1.02 * dt);
+        dt = out.dt_next();
         done += 1;
     }
 

@@ -81,7 +81,7 @@ pub fn run_steps<const D: usize>(hydro: &mut Hydro<D>, state: &mut HydroState, n
     let mut dt = hydro.suggest_dt(state);
     for _ in 0..n {
         let out = hydro.step(state, dt);
-        dt = out.dt_est.min(1.02 * dt);
+        dt = out.dt_next();
     }
     hydro.wall_time() - t0
 }

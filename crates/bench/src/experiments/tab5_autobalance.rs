@@ -29,7 +29,7 @@ pub fn measure() -> Vec<(String, f64, usize)> {
     let mut dt = h.suggest_dt(&s);
     for _ in 0..40 {
         let o = h.step(&mut s, dt);
-        dt = o.dt_est.min(1.02 * dt);
+        dt = o.dt_next();
         if h.executor().balancer.as_ref().expect("hybrid").is_converged() {
             break;
         }
@@ -50,7 +50,7 @@ pub fn measure() -> Vec<(String, f64, usize)> {
     let mut dt = h.suggest_dt(&s);
     for _ in 0..40 {
         let o = h.step(&mut s, dt);
-        dt = o.dt_est.min(1.02 * dt);
+        dt = o.dt_next();
         if h.executor().balancer.as_ref().expect("hybrid").is_converged() {
             break;
         }

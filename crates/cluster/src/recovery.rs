@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use autotune::AutoBalancer;
-use blast_core::checkpoint::CheckpointStore;
+use blast_core::checkpoint::{CheckpointPolicy, CheckpointStore};
 use blast_core::exec::RECOVERY_QUIESCE_S;
 use blast_core::{ExecMode, Executor, Hydro, HydroState, Sedov};
 use blast_fem::CartMesh;
@@ -258,207 +258,101 @@ fn campaign_rank(
     let mut partition = Partition::balanced(&mesh, cfg.ranks);
     let zones_before = partition.zones_of_rank(rank).len();
     let mut my_slot = rank;
-    let mut store = CheckpointStore::in_memory();
-    let mut alive: Vec<usize> = (0..cfg.ranks).collect();
     let mut dead_seen: Vec<usize> = Vec::new();
-    let mut epoch: u32 = 0;
-    let mut steps = 0usize;
-    let mut retries = 0usize;
-    let mut steps_since = 0usize;
+    // The loop's cursor, once there is one: a rank whose first force
+    // evaluation fails ends with zero steps.
+    let mut begun = None;
 
-    let finish = |outcome: RankOutcome,
-                  hydro: &Hydro<2>,
-                  state: HydroState,
-                  steps: usize,
-                  retries: usize,
-                  comm: &Communicator,
-                  dead_seen: Vec<usize>,
-                  zones_after: usize| {
-        let exec = hydro.executor();
-        let host_trace = exec.host.power_trace();
-        let mut energy = host_trace.energy(0.0, host_trace.end_time());
-        if let Some(g) = &exec.gpu {
-            let t = g.power_trace();
-            energy += t.energy(0.0, t.end_time());
-        }
-        RankResult {
-            rank,
-            outcome,
-            state,
-            steps,
-            retries,
-            report: exec.resilience_report(retries),
-            energy_j: energy,
-            comm_stats: comm.fault_stats(),
-            dead_seen,
-            zones_before,
-            zones_after,
-            seed,
-        }
-    };
+    // The rank's whole life; `Err` is how it ended short of `t_final`.
+    let ended = (|| -> Result<(), RankOutcome> {
+        let policy = CheckpointPolicy::EverySteps(cfg.checkpoint_every);
+        let mut store = CheckpointStore::in_memory();
+        let mut alive: Vec<usize> = (0..cfg.ranks).collect();
+        let mut epoch: u32 = 0;
+        let cursor = begun.insert(hydro.begin(&mut state, &store).map_err(failed)?);
+        // Generation 0: checkpoint the initial state so recovery always has
+        // a restore target, even before the first cadence point.
+        hydro.checkpoint_now(&state, cursor, &mut store).map_err(failed)?;
 
-    // Generation 0: checkpoint the initial state so recovery always has a
-    // restore target, even before the first cadence point.
-    let mut dt = match hydro.try_suggest_dt(&state) {
-        Ok(d) => d,
-        Err(e) => {
-            let zones = partition.zones_of_rank(my_slot).len();
-            return finish(
-                RankOutcome::Failed { detail: e.to_string() },
-                &hydro,
-                state,
-                0,
-                0,
-                &comm,
-                dead_seen,
-                zones,
-            );
-        }
-    };
-    if let Err(e) = hydro.write_checkpoint(&state, dt, 0, 0, &mut store) {
-        let zones = partition.zones_of_rank(my_slot).len();
-        return finish(
-            RankOutcome::Failed { detail: e.to_string() },
-            &hydro,
-            state,
-            0,
-            0,
-            &comm,
-            dead_seen,
-            zones,
-        );
-    }
-
-    while state.t < cfg.t_final - 1e-14 && steps < cfg.max_steps {
-        // ---- dt-consensus round (also the failure-detection heartbeat) --
-        let (dt_min, newly_dead) = if rank == 0 {
-            let mut dt_min = dt;
-            let mut newly_dead: Vec<usize> = Vec::new();
-            let peers: Vec<usize> = alive.iter().copied().filter(|&p| p != 0).collect();
-            for &peer in &peers {
-                match recv_robust(
-                    &mut comm,
-                    peer,
-                    round_tag(epoch, steps, P_GATHER),
-                    cfg.link_timeout,
-                    cfg.link_attempts,
-                    cfg.redundancy as u32,
-                ) {
-                    Ok(v) => dt_min = dt_min.min(v[0]),
-                    Err(CommError::PeerDead { .. }) | Err(CommError::Timeout { .. }) => {
-                        newly_dead.push(peer);
-                    }
-                    Err(e) => {
-                        let zones = partition.zones_of_rank(my_slot).len();
-                        return finish(
-                            RankOutcome::Failed { detail: e.to_string() },
-                            &hydro,
-                            state,
-                            steps,
-                            retries,
-                            &comm,
-                            dead_seen,
-                            zones,
-                        );
+        while !cursor.done(&state, cfg.t_final, cfg.max_steps) {
+            // ---- dt-consensus round (also the failure-detection heartbeat)
+            let (dt_min, newly_dead) = if rank == 0 {
+                let mut dt_min = cursor.dt;
+                let mut newly_dead: Vec<usize> = Vec::new();
+                let peers: Vec<usize> = alive.iter().copied().filter(|&p| p != 0).collect();
+                for &peer in &peers {
+                    match recv_robust(
+                        &mut comm,
+                        peer,
+                        round_tag(epoch, cursor.steps, P_GATHER),
+                        cfg.link_timeout,
+                        cfg.link_attempts,
+                        cfg.redundancy as u32,
+                    ) {
+                        Ok(v) => dt_min = dt_min.min(v[0]),
+                        Err(CommError::PeerDead { .. }) | Err(CommError::Timeout { .. }) => {
+                            newly_dead.push(peer);
+                        }
+                        Err(e) => return Err(failed(e)),
                     }
                 }
-            }
-            let mut payload = vec![dt_min, newly_dead.len() as f64];
-            payload.extend(newly_dead.iter().map(|&d| d as f64));
-            // Broadcast to everyone still believed alive at round start:
-            // truly dead ranks never read it, falsely-accused ones take it
-            // as their eviction notice.
-            for &peer in &peers {
-                send_redundant(
-                    &comm,
-                    peer,
-                    round_tag(epoch, steps, P_BCAST),
-                    &payload,
-                    cfg.redundancy,
-                );
-            }
-            (dt_min, newly_dead)
-        } else {
-            send_redundant(
-                &comm,
-                0,
-                round_tag(epoch, steps, P_GATHER),
-                &[dt],
-                cfg.redundancy,
-            );
-            if comm.is_dead() {
-                let zones = partition.zones_of_rank(my_slot).len();
-                return finish(
-                    RankOutcome::Died { at_step: steps },
-                    &hydro,
-                    state,
-                    steps,
-                    retries,
-                    &comm,
-                    dead_seen,
-                    zones,
-                );
-            }
-            let v = match recv_robust(
-                &mut comm,
-                0,
-                round_tag(epoch, steps, P_BCAST),
-                cfg.link_timeout,
-                cfg.link_attempts * 4,
-                cfg.redundancy as u32,
-            ) {
-                Ok(v) => v,
-                Err(e) => {
-                    let zones = partition.zones_of_rank(my_slot).len();
-                    return finish(
-                        RankOutcome::Failed { detail: format!("lost the coordinator: {e}") },
-                        &hydro,
-                        state,
-                        steps,
-                        retries,
+                let mut payload = vec![dt_min, newly_dead.len() as f64];
+                payload.extend(newly_dead.iter().map(|&d| d as f64));
+                // Broadcast to everyone still believed alive at round start:
+                // truly dead ranks never read it, falsely-accused ones take
+                // it as their eviction notice.
+                for &peer in &peers {
+                    send_redundant(
                         &comm,
-                        dead_seen,
-                        zones,
+                        peer,
+                        round_tag(epoch, cursor.steps, P_BCAST),
+                        &payload,
+                        cfg.redundancy,
                     );
                 }
-            };
-            let n_dead = v[1] as usize;
-            let newly_dead: Vec<usize> = v[2..2 + n_dead].iter().map(|&x| x as usize).collect();
-            if newly_dead.contains(&rank) {
-                // The coordinator gave up on us; exit to keep agreement.
-                let zones = partition.zones_of_rank(my_slot).len();
-                return finish(
-                    RankOutcome::Died { at_step: steps },
-                    &hydro,
-                    state,
-                    steps,
-                    retries,
+                (dt_min, newly_dead)
+            } else {
+                send_redundant(
                     &comm,
-                    dead_seen,
-                    zones,
+                    0,
+                    round_tag(epoch, cursor.steps, P_GATHER),
+                    &[cursor.dt],
+                    cfg.redundancy,
                 );
-            }
-            (v[0], newly_dead)
-        };
+                if comm.is_dead() {
+                    return Err(RankOutcome::Died { at_step: cursor.steps });
+                }
+                let v = recv_robust(
+                    &mut comm,
+                    0,
+                    round_tag(epoch, cursor.steps, P_BCAST),
+                    cfg.link_timeout,
+                    cfg.link_attempts * 4,
+                    cfg.redundancy as u32,
+                )
+                .map_err(|e| failed(format!("lost the coordinator: {e}")))?;
+                let n_dead = v[1] as usize;
+                let newly_dead: Vec<usize> =
+                    v[2..2 + n_dead].iter().map(|&x| x as usize).collect();
+                if newly_dead.contains(&rank) {
+                    // The coordinator gave up on us; exit to keep agreement.
+                    return Err(RankOutcome::Died { at_step: cursor.steps });
+                }
+                (v[0], newly_dead)
+            };
 
-        // ---- rank-death recovery -------------------------------------
-        if !newly_dead.is_empty() {
-            dead_seen.extend_from_slice(&newly_dead);
-            alive.retain(|r| !newly_dead.contains(r));
-            let exec = hydro.executor();
-            exec.note_rank_deaths(newly_dead.len() as u64);
-            exec.bill_recovery_quiesce(RECOVERY_QUIESCE_S);
-            let (shrunk, slots) = partition.shrink_to_fit(&mesh, &alive);
-            partition = shrunk;
-            my_slot = slots[rank].expect("survivors keep a slot");
-            reset_balancer(hydro.executor_mut());
-            let loaded = store.latest_valid().expect("generation 0 always exists");
-            hydro.restore_checkpoint(&loaded.checkpoint, &mut state);
-            steps = loaded.checkpoint.steps as usize;
-            retries = loaded.checkpoint.retries as usize;
-            dt = loaded.checkpoint.dt;
-            hydro.executor().bill_checkpoint_restore(loaded.bytes);
-            {
+            // ---- rank-death recovery -----------------------------------
+            if !newly_dead.is_empty() {
+                dead_seen.extend_from_slice(&newly_dead);
+                alive.retain(|r| !newly_dead.contains(r));
+                let exec = hydro.executor();
+                exec.note_rank_deaths(newly_dead.len() as u64);
+                exec.bill_recovery_quiesce(RECOVERY_QUIESCE_S);
+                let (shrunk, slots) = partition.shrink_to_fit(&mesh, &alive);
+                partition = shrunk;
+                my_slot = slots[rank].expect("survivors keep a slot");
+                reset_balancer(hydro.executor_mut());
+                assert!(hydro.rollback(&mut state, cursor, &store), "generation 0 always exists");
                 // Mark the end of the recovery window on the cluster lane.
                 let exec = hydro.executor();
                 exec.telemetry().instant(
@@ -466,55 +360,44 @@ fn campaign_rank(
                     blast_telemetry::names::phases::RECOVERY_COMPLETE,
                     exec.host.now(),
                 );
+                epoch += 1;
+                continue;
             }
-            steps_since = 0;
-            epoch += 1;
-            continue;
-        }
 
-        // ---- one accepted step at the consensus dt -------------------
-        dt = dt_min;
-        let dt_step = dt.min(cfg.t_final - state.t);
-        let adv = match hydro.try_advance(&mut state, dt_step) {
-            Ok(a) => a,
-            Err(e) => {
-                let zones = partition.zones_of_rank(my_slot).len();
-                return finish(
-                    RankOutcome::Failed { detail: e.to_string() },
-                    &hydro,
-                    state,
-                    steps,
-                    retries,
-                    &comm,
-                    dead_seen,
-                    zones,
-                );
-            }
-        };
-        retries += adv.redos;
-        steps += 1;
-        steps_since += 1;
-        dt = adv.dt_next;
-        if steps_since >= cfg.checkpoint_every {
-            if let Err(e) = hydro.write_checkpoint(&state, dt, steps, retries, &mut store) {
-                let zones = partition.zones_of_rank(my_slot).len();
-                return finish(
-                    RankOutcome::Failed { detail: e.to_string() },
-                    &hydro,
-                    state,
-                    steps,
-                    retries,
-                    &comm,
-                    dead_seen,
-                    zones,
-                );
-            }
-            steps_since = 0;
+            // ---- one accepted step at the consensus dt -----------------
+            cursor.dt = dt_min;
+            hydro.advance(&mut state, cursor, cfg.t_final, policy, &mut store).map_err(failed)?;
         }
+        Ok(())
+    })();
+
+    let exec = hydro.executor();
+    let host_trace = exec.host.power_trace();
+    let mut energy_j = host_trace.energy(0.0, host_trace.end_time());
+    if let Some(g) = &exec.gpu {
+        let t = g.power_trace();
+        energy_j += t.energy(0.0, t.end_time());
     }
+    let (steps, retries) = begun.map_or((0, 0), |c| (c.steps, c.retries));
+    RankResult {
+        rank,
+        outcome: ended.err().unwrap_or(RankOutcome::Completed),
+        state,
+        steps,
+        retries,
+        report: exec.resilience_report(retries),
+        energy_j,
+        comm_stats: comm.fault_stats(),
+        dead_seen,
+        zones_before,
+        zones_after: partition.zones_of_rank(my_slot).len(),
+        seed,
+    }
+}
 
-    let zones = partition.zones_of_rank(my_slot).len();
-    finish(RankOutcome::Completed, &hydro, state, steps, retries, &comm, dead_seen, zones)
+/// An unrecoverable solver or protocol error, carried for diagnosis.
+fn failed(e: impl std::fmt::Display) -> RankOutcome {
+    RankOutcome::Failed { detail: e.to_string() }
 }
 
 #[cfg(test)]

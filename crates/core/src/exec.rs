@@ -95,25 +95,6 @@ pub enum ExecMode {
 /// watts on host and device).
 pub const RECOVERY_QUIESCE_S: f64 = 5e-3;
 
-/// Running totals of what the resilience machinery cost — filled in by the
-/// checkpoint/restore/recovery billing calls and merged into the
-/// [`ResilienceReport`].
-#[derive(Debug, Default)]
-struct ResilienceLedger {
-    checkpoints_written: Cell<u64>,
-    checkpoint_bytes: Cell<u64>,
-    restores: Cell<u64>,
-    rank_deaths: Cell<u64>,
-    redo_faults: Cell<u64>,
-    resilience_s: Cell<f64>,
-    resilience_energy_j: Cell<f64>,
-    audits_run: Cell<u64>,
-    corruptions_detected: Cell<u64>,
-    sdc_flips_injected: Cell<u64>,
-    audit_s: Cell<f64>,
-    audit_energy_j: Cell<f64>,
-}
-
 /// Executor state: devices and (for hybrid) the balancer.
 pub struct Executor {
     /// The execution mode.
@@ -128,8 +109,11 @@ pub struct Executor {
     degraded: Cell<bool>,
     /// Human-readable cause of the degradation, when it happened.
     degraded_reason: RefCell<Option<String>>,
-    /// Checkpoint/restore/rank-death cost accounting.
-    ledger: ResilienceLedger,
+    /// Running totals of what the resilience machinery cost, bumped by the
+    /// `bill_*` / `note_*` calls: the fields of the report this executor
+    /// owns (the device's fault stats and the degraded flag join them in
+    /// [`Self::resilience_report`]).
+    ledger: RefCell<ResilienceReport>,
     /// The unified telemetry recorder both devices emit into (shared, so
     /// host phases and GPU launches land on one simulated-time axis).
     telemetry: TelemetrySink,
@@ -186,7 +170,7 @@ impl Executor {
             balancer,
             degraded: Cell::new(false),
             degraded_reason: RefCell::new(None),
-            ledger: ResilienceLedger::default(),
+            ledger: RefCell::default(),
             telemetry,
             device_id: None,
         }
@@ -261,7 +245,6 @@ impl Executor {
     /// rollback counter (`RunStats::retries`).
     pub fn resilience_report(&self, steps_redone: usize) -> ResilienceReport {
         let stats = self.gpu.as_ref().map(|g| g.fault_stats()).unwrap_or_default();
-        let idle_w = self.gpu_idle_w();
         ResilienceReport {
             faults_injected: stats.injected,
             retries: stats.retries,
@@ -269,29 +252,22 @@ impl Executor {
             exhausted: stats.failed,
             steps_redone,
             backoff_s: stats.backoff_s,
-            backoff_energy_j: stats.backoff_s * idle_w,
-            checkpoints_written: self.ledger.checkpoints_written.get(),
-            checkpoint_bytes: self.ledger.checkpoint_bytes.get(),
-            restores: self.ledger.restores.get(),
-            rank_deaths: self.ledger.rank_deaths.get(),
-            redo_faults: self.ledger.redo_faults.get(),
-            resilience_s: self.ledger.resilience_s.get(),
-            resilience_energy_j: self.ledger.resilience_energy_j.get(),
-            audits_run: self.ledger.audits_run.get(),
-            corruptions_detected: self.ledger.corruptions_detected.get(),
-            sdc_flips_injected: self.ledger.sdc_flips_injected.get(),
-            audit_s: self.ledger.audit_s.get(),
-            audit_energy_j: self.ledger.audit_energy_j.get(),
+            backoff_energy_j: stats.backoff_s * self.gpu_idle_w(),
             degraded_to_cpu: self.is_degraded(),
             degraded_reason: self.degraded_reason(),
-            tenant_energy_j: Vec::new(),
+            ..self.ledger.borrow().clone()
         }
+    }
+
+    /// The executor's clock: the later of the host's and the device's.
+    pub fn now(&self) -> f64 {
+        self.host.now().max(self.gpu.as_ref().map_or(0.0, |g| g.now()))
     }
 
     /// Traffic of serializing/deserializing one checkpoint image on the
     /// host: the state streams out of DRAM and the image streams back in
     /// (or vice versa on restore), plus the cheap CRC pass.
-    pub fn checkpoint_traffic(bytes: usize) -> Traffic {
+    fn checkpoint_traffic(bytes: usize) -> Traffic {
         Traffic {
             flops: bytes as f64, // ~1 table lookup + xor/shift per byte
             dram_bytes: 2.0 * bytes as f64,
@@ -347,25 +323,29 @@ impl Executor {
     /// idles — for its duration) and charges its energy to the ledger.
     fn bill_phase(&self, name: &'static str, bytes: usize) -> f64 {
         let (t, joules) = self.serial_phase(name, &Self::checkpoint_traffic(bytes));
-        self.ledger.resilience_s.set(self.ledger.resilience_s.get() + t);
-        self.ledger.resilience_energy_j.set(self.ledger.resilience_energy_j.get() + joules);
+        let mut ledger = self.ledger.borrow_mut();
+        ledger.resilience_s += t;
+        ledger.resilience_energy_j += joules;
         t
     }
 
     /// Bills one coordinated checkpoint write of `bytes` serialized bytes:
     /// a DRAM-write phase on the host while the device quiesces at idle
     /// watts. Returns the modeled seconds.
-    pub fn bill_checkpoint_write(&self, bytes: usize) -> f64 {
-        self.ledger.checkpoints_written.set(self.ledger.checkpoints_written.get() + 1);
-        self.ledger.checkpoint_bytes.set(self.ledger.checkpoint_bytes.get() + bytes as u64);
+    pub(crate) fn bill_checkpoint_write(&self, bytes: usize) -> f64 {
+        {
+            let mut ledger = self.ledger.borrow_mut();
+            ledger.checkpoints_written += 1;
+            ledger.checkpoint_bytes += bytes as u64;
+        }
         self.telemetry.counter_add(names::counters::CHECKPOINTS_WRITTEN, 1);
         self.bill_phase(names::phases::CHECKPOINT_WRITE, bytes)
     }
 
     /// Bills one checkpoint restore of `bytes` (validation + decode + state
     /// rewrite). Returns the modeled seconds.
-    pub fn bill_checkpoint_restore(&self, bytes: usize) -> f64 {
-        self.ledger.restores.set(self.ledger.restores.get() + 1);
+    pub(crate) fn bill_checkpoint_restore(&self, bytes: usize) -> f64 {
+        self.ledger.borrow_mut().restores += 1;
         self.telemetry.counter_add(names::counters::CHECKPOINT_RESTORES, 1);
         self.bill_phase(names::phases::CHECKPOINT_RESTORE, bytes)
     }
@@ -381,8 +361,9 @@ impl Executor {
             seconds,
         );
         let joules = self.idle_both(seconds);
-        self.ledger.resilience_s.set(self.ledger.resilience_s.get() + seconds);
-        self.ledger.resilience_energy_j.set(self.ledger.resilience_energy_j.get() + joules);
+        let mut ledger = self.ledger.borrow_mut();
+        ledger.resilience_s += seconds;
+        ledger.resilience_energy_j += joules;
     }
 
     /// Bills one retry-backoff wait: both devices sit through the gap at
@@ -402,7 +383,7 @@ impl Executor {
 
     /// Records peer ranks declared permanently dead.
     pub fn note_rank_deaths(&self, n: u64) {
-        self.ledger.rank_deaths.set(self.ledger.rank_deaths.get() + n);
+        self.ledger.borrow_mut().rank_deaths += n;
         for _ in 0..n {
             self.telemetry.instant(Track::Cluster, names::phases::RANK_DEATH, self.host.now());
         }
@@ -411,8 +392,8 @@ impl Executor {
     /// Records device faults that fired during a rollback redo attempt
     /// (threaded from the solver's redo path so the report's retry totals
     /// include them).
-    pub fn note_redo_faults(&self, n: u64) {
-        self.ledger.redo_faults.set(self.ledger.redo_faults.get() + n);
+    pub(crate) fn note_redo_faults(&self, n: u64) {
+        self.ledger.borrow_mut().redo_faults += n;
     }
 
     /// Bills one physics-invariant audit of a completed step: a host phase
@@ -421,26 +402,27 @@ impl Executor {
     /// flops drained since the last audit; `dram_bytes` the state and
     /// matrix traffic it streamed). The device idles for the duration —
     /// auditing is host work. Returns the modeled seconds.
-    pub fn bill_audit(&self, traffic: &Traffic) -> f64 {
-        self.ledger.audits_run.set(self.ledger.audits_run.get() + 1);
+    pub(crate) fn bill_audit(&self, traffic: &Traffic) -> f64 {
         self.telemetry.counter_add(names::counters::SDC_AUDITS, 1);
         let (t, joules) = self.serial_phase(names::phases::SDC_AUDIT, traffic);
-        self.ledger.audit_s.set(self.ledger.audit_s.get() + t);
-        self.ledger.audit_energy_j.set(self.ledger.audit_energy_j.get() + joules);
+        let mut ledger = self.ledger.borrow_mut();
+        ledger.audits_run += 1;
+        ledger.audit_s += t;
+        ledger.audit_energy_j += joules;
         t
     }
 
     /// Records one detected silent-corruption event (audit trip or ABFT
     /// checksum violation) in the ledger, counters, and the trace.
-    pub fn note_corruption_detected(&self) {
-        self.ledger.corruptions_detected.set(self.ledger.corruptions_detected.get() + 1);
+    pub(crate) fn note_corruption_detected(&self) {
+        self.ledger.borrow_mut().corruptions_detected += 1;
         self.telemetry.counter_add(names::counters::SDC_DETECTED, 1);
         self.telemetry.instant(Track::Host, names::phases::SDC_DETECTED, self.host.now());
     }
 
     /// Records silent bit flips the active `SdcPlan` actually landed.
-    pub fn note_sdc_flips(&self, n: u64) {
-        self.ledger.sdc_flips_injected.set(self.ledger.sdc_flips_injected.get() + n);
+    pub(crate) fn note_sdc_flips(&self, n: u64) {
+        self.ledger.borrow_mut().sdc_flips_injected += n;
         self.telemetry.counter_add(names::counters::SDC_FLIPS_INJECTED, n);
     }
 

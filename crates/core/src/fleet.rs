@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use gpu_sim::{DeviceCatalog, DeviceSpec, GpuDevice};
 
+use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
 use crate::exec::{ExecMode, Executor};
 use crate::problems::Problem;
 use crate::solver::{Hydro, HydroConfig};
@@ -134,10 +135,8 @@ impl DevicePilot {
 
 fn meters<const D: usize>(hydro: &Hydro<D>) -> (f64, f64) {
     let exec = hydro.executor();
-    let host_now = exec.host.now();
-    let (gpu_now, gpu_j) =
-        exec.gpu.as_ref().map_or((0.0, 0.0), |g| (g.now(), g.energy_joules()));
-    (host_now.max(gpu_now), exec.host.energy_joules() + gpu_j)
+    let gpu_j = exec.gpu.as_ref().map_or(0.0, |g| g.energy_joules());
+    (exec.now(), exec.host.energy_joules() + gpu_j)
 }
 
 /// Pilots `(dev, mode)` on the given problem: builds a throwaway solver,
@@ -157,18 +156,24 @@ pub fn pilot_device<const D: usize>(
         .executor(executor_for(dev, mode.clone()))
         .build()?;
     let mut state = hydro.initial_state();
-    let mut dt = hydro.try_suggest_dt(&state)?;
-
-    let adv = hydro.try_advance(&mut state, dt)?;
-    dt = adv.dt_next;
-    let (w1, e1) = meters(&hydro);
-
+    let mut store = CheckpointStore::in_memory();
+    let mut cursor = hydro.begin(&mut state, &store)?;
+    // A pilot has no end time to clamp onto and keeps no generation.
+    let mut window = |n: usize| -> Result<(f64, f64), HydroError> {
+        for _ in 0..n {
+            hydro.advance(
+                &mut state,
+                &mut cursor,
+                f64::INFINITY,
+                CheckpointPolicy::Never,
+                &mut store,
+            )?;
+        }
+        Ok(meters(&hydro))
+    };
     let steps = pilot_steps.max(1);
-    for _ in 0..steps {
-        let adv = hydro.try_advance(&mut state, dt)?;
-        dt = adv.dt_next;
-    }
-    let (w2, e2) = meters(&hydro);
+    let (w1, e1) = window(1)?;
+    let (w2, e2) = window(steps)?;
 
     Ok(DevicePilot {
         device_id: dev.id.clone(),
@@ -177,7 +182,7 @@ pub fn pilot_device<const D: usize>(
         base_energy_j: e1,
         step_wall_s: (w2 - w1) / steps as f64,
         step_energy_j: (e2 - e1) / steps as f64,
-        dt,
+        dt: cursor.dt,
         pilot_steps: steps,
     })
 }

@@ -48,7 +48,7 @@ pub use problems::{Problem, Sedov, TaylorGreen, TriplePoint};
 pub use retry::RetryPolicy;
 pub use blast_kernels::sumfac::AssemblyMode;
 pub use solver::{
-    AdvanceOutcome, Hydro, HydroBuilder, HydroConfig, RequiredBytes, ResumeInfo, RunConfig,
+    AdvanceOutcome, Hydro, HydroBuilder, HydroConfig, RequiredBytes, RunConfig, RunCursor,
     RunStats, StepOutcome, ENERGY_RECONCILE_TOL, MAX_STEP_REDOS,
 };
 pub use state::{EnergyBreakdown, HydroState};

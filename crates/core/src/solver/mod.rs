@@ -7,7 +7,7 @@ mod force;
 mod run;
 
 pub use builder::{HydroBuilder, RequiredBytes};
-pub use run::RunConfig;
+pub use run::{RunConfig, RunCursor};
 
 use blast_fem::{BasisTable, H1Space, L2Space, TensorRule};
 use blast_kernels::base::PipelineScratch;
@@ -64,6 +64,14 @@ pub struct StepOutcome {
     pub cg_iterations: usize,
 }
 
+impl StepOutcome {
+    /// The adaptive dt for the step after this one: the new CFL estimate,
+    /// growing by at most 2 % over the dt just applied.
+    pub fn dt_next(&self) -> f64 {
+        self.dt_est.min(1.02 * self.dt_used)
+    }
+}
+
 /// Outcome of one *accepted* step from [`Hydro::try_advance`], after any
 /// rollback / CFL redos it absorbed internally.
 #[derive(Clone, Copy, Debug)]
@@ -74,23 +82,6 @@ pub struct AdvanceOutcome {
     pub redos: usize,
     /// Adaptive dt to use for the next step.
     pub dt_next: f64,
-}
-
-/// What [`Hydro::try_resume`] restored from a checkpoint store — the
-/// counters and adaptive dt a resumed driver loop must continue from to
-/// stay bit-identical with the uninterrupted run.
-#[derive(Clone, Copy, Debug)]
-pub struct ResumeInfo {
-    /// Adaptive dt in effect for the next step.
-    pub dt: f64,
-    /// Accepted steps already taken by the checkpointed run.
-    pub steps: u64,
-    /// Redo count already accumulated.
-    pub retries: u64,
-    /// Generation id of the image that decoded cleanly.
-    pub generation: u64,
-    /// Newer generations skipped because they failed validation.
-    pub skipped: usize,
 }
 
 /// Summary of a full run.
@@ -630,6 +621,9 @@ mod tests {
         let stats_ref =
             h_ref.run(&mut s_ref, RunConfig::to(0.06).max_steps(60).checkpointed(policy, &mut store_ref)).unwrap();
         assert!(stats_ref.steps >= 4, "need several steps: {}", stats_ref.steps);
+        // The run ends by time, not by budget, and the clamp of its last dt
+        // lands it on `t_final` to the bit.
+        assert_eq!((s_ref.t, stats_ref.steps < 60), (0.06, true));
 
         // Interrupted: stop midway by step budget, drop the solver and
         // state ("process death"), resume in a fresh solver from the store.

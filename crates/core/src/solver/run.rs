@@ -8,8 +8,8 @@ use gpu_sim::{apply_flip, SdcSite, Traffic, FAULT_SEED_ENV};
 use powermon::CpuPowerState;
 
 use super::{
-    ensure_zeroed, AdvanceOutcome, ForceEval, Hydro, ResumeInfo, RunStats, StageVectors,
-    StepOutcome, MAX_STEP_REDOS,
+    ensure_zeroed, AdvanceOutcome, ForceEval, Hydro, RunStats, StageVectors, StepOutcome,
+    MAX_STEP_REDOS,
 };
 use crate::audit::{AuditConfig, StepAuditor};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, LoadedCheckpoint};
@@ -62,6 +62,34 @@ impl<'a> RunConfig<'a> {
         store: &'a mut CheckpointStore,
     ) -> RunConfig<'a> {
         RunConfig { policy: Some(policy), store: Some(store), ..self }
+    }
+}
+
+/// Where an accepted-step loop stands — the dt and counters a
+/// [`Checkpoint`] stores beside the state, plus the distance to the last
+/// generation.
+/// Made by [`Hydro::begin`], moved by [`Hydro::advance`]; lives on the
+/// driver's stack, so the loop can be left and re-entered at any step.
+#[derive(Clone, Copy, Debug)]
+pub struct RunCursor {
+    /// Adaptive dt for the next step (a driver that agrees on a dt with
+    /// its peers overwrites it before [`Hydro::advance`]).
+    pub dt: f64,
+    /// Accepted steps from the beginning of the logical run.
+    pub steps: usize,
+    /// Redone steps (rollback + CFL), likewise.
+    pub retries: usize,
+    /// Accepted steps since the last generation was written or restored.
+    steps_since_ckpt: usize,
+    /// Host clock when that happened.
+    wall_at_ckpt: f64,
+}
+
+impl RunCursor {
+    /// Whether the run is over: `state` reached `t_final` or the cursor
+    /// spent its step budget.
+    pub fn done(&self, state: &HydroState, t_final: f64, max_steps: usize) -> bool {
+        state.t >= t_final - 1e-14 || self.steps >= max_steps
     }
 }
 
@@ -539,75 +567,127 @@ impl<const D: usize> Hydro<D> {
                 &mut scratch_store
             }
         };
-        let mut steps = 0usize;
-        let mut retries = 0usize;
-        let mut dt = None;
-        if let Some(info) = self.try_resume(state, store) {
-            steps = info.steps as usize;
-            retries = info.retries as usize;
-            dt = Some(info.dt);
-        }
-        let mut dt = match dt {
-            Some(d) => d,
-            None => self.try_suggest_dt(state)?,
-        };
-        let mut steps_since_ckpt = 0usize;
-        let mut wall_at_ckpt = self.exec.host.now();
+        let mut cursor = self.begin(state, store)?;
         let mut corruption_restores = 0usize;
         let res = loop {
-            if state.t >= t_final - 1e-14 || steps >= max_steps {
-                break Ok(RunStats { steps, retries, t: state.t, wall_s: self.exec.host.now() });
+            if cursor.done(state, t_final, max_steps) {
+                break Ok(RunStats {
+                    steps: cursor.steps,
+                    retries: cursor.retries,
+                    t: state.t,
+                    wall_s: self.exec.host.now(),
+                });
             }
-            let adv = match self.try_advance(state, dt.min(t_final - state.t)) {
-                Ok(adv) => adv,
-                Err(e) => {
-                    if matches!(e, HydroError::CorruptionDetected { .. })
-                        && corruption_restores < MAX_STEP_REDOS
-                    {
-                        // Every in-place redo kept failing the audit: a
-                        // corrupted state was committed before the audit
-                        // cadence caught it, so the pre-step snapshot
-                        // replays the damage. Fall back to the newest
-                        // checkpoint (behind us, by construction) and
-                        // replay forward — consumed transient flips stay
-                        // consumed, so the replay is clean.
-                        if let Some(info) = self.rollback_to_latest(state, store) {
-                            corruption_restores += 1;
-                            steps = info.steps as usize;
-                            retries = info.retries as usize;
-                            dt = info.dt;
-                            steps_since_ckpt = 0;
-                            wall_at_ckpt = self.exec.host.now();
-                            continue;
-                        }
-                    }
+            if let Err(e) = self.advance(state, &mut cursor, t_final, policy, store) {
+                // Every in-place redo kept failing the audit: a corrupted
+                // state was committed before the audit cadence caught it,
+                // so the pre-step snapshot replays the damage. Fall back
+                // to the newest checkpoint (behind us, by construction)
+                // and replay forward — consumed transient flips stay
+                // consumed, so the replay is clean.
+                let rolled_back = matches!(e, HydroError::CorruptionDetected { .. })
+                    && corruption_restores < MAX_STEP_REDOS
+                    && self.rollback(state, &mut cursor, store);
+                if !rolled_back {
                     break Err(e);
                 }
-            };
-            retries += adv.redos;
-            steps += 1;
-            steps_since_ckpt += 1;
-            dt = adv.dt_next;
-            // With auditing on a cadence > 1, only audited-clean states
-            // are checkpoint-worthy: a corrupted state committed between
-            // audits must never become the generation rollback restores.
-            let trusted = self.audit.as_ref().is_none_or(|a| a.borrow().audited_clean());
-            if trusted && policy.due(steps_since_ckpt, self.exec.host.now() - wall_at_ckpt) {
-                if let Err(e) = self.write_checkpoint(state, dt, steps, retries, store) {
-                    break Err(e);
-                }
-                steps_since_ckpt = 0;
-                wall_at_ckpt = self.exec.host.now();
+                corruption_restores += 1;
             }
         };
         self.exec.record_pool_counters(pool_before);
         res
     }
 
+    /// Opens an accepted-step loop on `state`: when `store` holds a valid
+    /// generation *ahead* of `state`, restores it (state, PCG warm-start
+    /// cache, dt and counters; the restore is billed) and continues from
+    /// there; otherwise starts at step 0 with a freshly suggested dt.
+    /// Corrupt or truncated generations are skipped via their CRC
+    /// ([`CheckpointStore::latest_valid`]).
+    pub fn begin(
+        &mut self,
+        state: &mut HydroState,
+        store: &CheckpointStore,
+    ) -> Result<RunCursor, HydroError> {
+        match store.latest_valid().filter(|l| l.checkpoint.state.t > state.t) {
+            Some(loaded) => Ok(self.restore_loaded(loaded, state)),
+            None => {
+                let dt = self.try_suggest_dt(state)?;
+                Ok(self.cursor_at(dt, 0, 0))
+            }
+        }
+    }
+
+    /// One accepted step of the loop [`Self::begin`] opened: clamps the
+    /// cursor's dt onto `t_final`, steps through [`Self::try_advance`],
+    /// counts the step and its redos, and writes a generation when
+    /// `policy` says one is due ([`Self::checkpoint_now`]). Allocates
+    /// nothing when the policy writes nothing.
+    pub fn advance(
+        &mut self,
+        state: &mut HydroState,
+        cursor: &mut RunCursor,
+        t_final: f64,
+        policy: CheckpointPolicy,
+        store: &mut CheckpointStore,
+    ) -> Result<(), HydroError> {
+        let adv = self.try_advance(state, cursor.dt.min(t_final - state.t))?;
+        cursor.retries += adv.redos;
+        cursor.steps += 1;
+        cursor.steps_since_ckpt += 1;
+        cursor.dt = adv.dt_next;
+        if policy.due(cursor.steps_since_ckpt, self.exec.host.now() - cursor.wall_at_ckpt) {
+            self.checkpoint_now(state, cursor, store)?;
+        }
+        Ok(())
+    }
+
+    /// Writes (and bills) a generation at the cursor, off the policy's
+    /// cadence — unless the state has steps on it that no audit has seen:
+    /// with auditing on a cadence > 1, a corrupted state committed between
+    /// audits must never become the generation a rollback restores.
+    pub fn checkpoint_now(
+        &self,
+        state: &HydroState,
+        cursor: &mut RunCursor,
+        store: &mut CheckpointStore,
+    ) -> Result<(), HydroError> {
+        if self.audit.as_ref().is_some_and(|a| !a.borrow().audited_clean()) {
+            return Ok(());
+        }
+        let ck = self.make_checkpoint(state, cursor.dt, cursor.steps as u64, cursor.retries as u64);
+        let bytes = store
+            .write(&ck)
+            .map_err(|e| HydroError::Checkpoint { detail: e.to_string() })?;
+        self.exec.bill_checkpoint_write(bytes);
+        cursor.steps_since_ckpt = 0;
+        cursor.wall_at_ckpt = self.exec.host.now();
+        Ok(())
+    }
+
+    /// Puts `state` and `cursor` back on the newest valid generation even
+    /// when it is *behind* `state` — the recovery for a corrupted state
+    /// committed between audits, and for a peer's death. `false` (nothing
+    /// touched) when the store holds no valid generation.
+    pub fn rollback(
+        &self,
+        state: &mut HydroState,
+        cursor: &mut RunCursor,
+        store: &CheckpointStore,
+    ) -> bool {
+        let Some(loaded) = store.latest_valid() else { return false };
+        *cursor = self.restore_loaded(loaded, state);
+        true
+    }
+
+    /// A cursor that has just written or restored a generation.
+    fn cursor_at(&self, dt: f64, steps: usize, retries: usize) -> RunCursor {
+        RunCursor { dt, steps, retries, steps_since_ckpt: 0, wall_at_ckpt: self.exec.host.now() }
+    }
+
     /// Takes exactly one *accepted* step at (at most) `dt`, absorbing
-    /// rollback and CFL redos internally — the building block shared by
-    /// [`Self::run`] and the distributed driver in `cluster-sim` (which
-    /// needs a dt-consensus round between accepted steps).
+    /// rollback and CFL redos internally — the step under
+    /// [`Self::advance`], which owns the bookkeeping around it.
     ///
     /// Device faults that fire during a redo attempt are threaded into the
     /// executor's resilience ledger (`redo_faults`). On error the state is
@@ -732,7 +812,7 @@ impl<const D: usize> Hydro<D> {
                     }
                 }
             }
-            let dt_next = out.dt_est.min(1.02 * dt);
+            let dt_next = out.dt_next();
             let tel = self.exec.telemetry();
             tel.counter_add(names::counters::STEPS, 1);
             if redos > 0 {
@@ -756,54 +836,24 @@ impl<const D: usize> Hydro<D> {
         state.t = saved_t;
     }
 
-    /// The resumption hook shared by [`Self::run`] and job-level drivers
-    /// (`blast-serve`): if `store` holds a valid checkpoint *ahead* of
-    /// `state`, restores it (state + PCG warm-start cache), bills the
-    /// restore to the power trace, and returns the counters/dt the caller
-    /// must continue from. Returns `None` when nothing in the store is
-    /// ahead of `state` — the caller then starts (or continues) from
-    /// `state` as-is with a freshly suggested dt.
-    ///
-    /// Corrupt or truncated generations are skipped via their CRC
-    /// ([`CheckpointStore::latest_valid`]); `skipped` reports how many.
-    pub fn try_resume(
-        &mut self,
-        state: &mut HydroState,
-        store: &CheckpointStore,
-    ) -> Option<ResumeInfo> {
-        let loaded = store.latest_valid()?;
-        if loaded.checkpoint.state.t <= state.t {
-            return None;
+    /// Restores a decoded generation (state, PCG warm-start cache, audit
+    /// baseline), bills the restore, and returns the cursor it holds.
+    fn restore_loaded(&self, loaded: LoadedCheckpoint, state: &mut HydroState) -> RunCursor {
+        let ck = loaded.checkpoint;
+        assert_eq!(
+            ck.accel_prev.len(),
+            self.accel_prev.borrow().len(),
+            "checkpoint is from a different problem shape"
+        );
+        *state = ck.state;
+        self.accel_prev.borrow_mut().copy_from_slice(&ck.accel_prev);
+        // The restored state's energy differs from the last audited
+        // point's; re-baseline from the (trusted) restored state.
+        if let Some(aud) = &self.audit {
+            aud.borrow_mut().reset_reference();
         }
-        Some(self.restore_loaded(&loaded, state))
-    }
-
-    /// Unconditionally restores the newest valid checkpoint — unlike
-    /// [`Self::try_resume`] it restores even when the checkpoint is
-    /// *behind* `state`, which is exactly what audit-triggered rollback
-    /// needs when a corrupted state was committed (audit cadence > 1).
-    /// Returns `None` (state untouched, store intact) when the store
-    /// holds no valid generation.
-    pub fn rollback_to_latest(
-        &mut self,
-        state: &mut HydroState,
-        store: &CheckpointStore,
-    ) -> Option<ResumeInfo> {
-        Some(self.restore_loaded(&store.latest_valid()?, state))
-    }
-
-    /// Restores a decoded generation, bills the restore, and reports the
-    /// counters the caller continues from.
-    fn restore_loaded(&self, loaded: &LoadedCheckpoint, state: &mut HydroState) -> ResumeInfo {
-        self.restore_checkpoint(&loaded.checkpoint, state);
         self.exec.bill_checkpoint_restore(loaded.bytes);
-        ResumeInfo {
-            dt: loaded.checkpoint.dt,
-            steps: loaded.checkpoint.steps,
-            retries: loaded.checkpoint.retries,
-            generation: loaded.generation,
-            skipped: loaded.skipped,
-        }
+        self.cursor_at(ck.dt, ck.steps as usize, ck.retries as usize)
     }
 
     /// Snapshots the run into a [`Checkpoint`] (state + PCG warm-start
@@ -822,41 +872,6 @@ impl<const D: usize> Hydro<D> {
             steps,
             retries,
         }
-    }
-
-    /// Restores a checkpoint made by a solver of the same problem/shape:
-    /// rewrites `state` and the PCG warm-start cache. (Energy billing is
-    /// the caller's job via `Executor::bill_checkpoint_restore`.)
-    pub fn restore_checkpoint(&self, ck: &Checkpoint, state: &mut HydroState) {
-        assert_eq!(
-            ck.accel_prev.len(),
-            self.accel_prev.borrow().len(),
-            "checkpoint is from a different problem shape"
-        );
-        *state = ck.state.clone();
-        self.accel_prev.borrow_mut().copy_from_slice(&ck.accel_prev);
-        // The restored state's energy differs from the last audited
-        // point's; re-baseline from the (trusted) restored state.
-        if let Some(aud) = &self.audit {
-            aud.borrow_mut().reset_reference();
-        }
-    }
-
-    /// Serializes, stores, and bills one coordinated checkpoint.
-    pub fn write_checkpoint(
-        &self,
-        state: &HydroState,
-        dt: f64,
-        steps: usize,
-        retries: usize,
-        store: &mut CheckpointStore,
-    ) -> Result<usize, HydroError> {
-        let ck = self.make_checkpoint(state, dt, steps as u64, retries as u64);
-        let bytes = store
-            .write(&ck)
-            .map_err(|e| HydroError::Checkpoint { detail: e.to_string() })?;
-        self.exec.bill_checkpoint_write(bytes);
-        Ok(bytes)
     }
 
     /// Host-phase profile: `(name, total_seconds, calls)` aggregated over

@@ -27,10 +27,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use blast_core::checkpoint::CheckpointStore;
+use blast_core::checkpoint::{CheckpointPolicy, CheckpointStore};
 use blast_core::solver::MAX_STEP_REDOS;
 use blast_core::state::HydroState;
-use blast_core::{AuditConfig, ExecMode, Executor, Hydro, HydroError, RetryPolicy};
+use blast_core::{AuditConfig, ExecMode, Executor, Hydro, HydroError, RetryPolicy, RunCursor};
 use blast_telemetry::names::{counters, gauges, phases};
 use blast_telemetry::{Telemetry, TelemetrySink, Track};
 use cluster_sim::FailureDetector;
@@ -158,15 +158,13 @@ impl WorkerSpec {
 struct Attempt {
     hydro: Hydro<2>,
     state: HydroState,
-    dt: f64,
-    steps: usize,
-    redos: usize,
+    /// Where the job's accepted-step loop stands (dt, steps, redos).
+    cursor: RunCursor,
     /// Redo count inherited from the checkpoint (excluded from this
     /// attempt's resilience delta).
     redos0: usize,
     /// Worker clock at attempt start.
     offset: f64,
-    steps_since_ckpt: usize,
 }
 
 struct Running {
@@ -586,8 +584,7 @@ impl Supervisor {
             let mut attempt = running.attempt;
             if let Some(a) = attempt.as_mut() {
                 if let Err(e) =
-                    a.hydro
-                        .write_checkpoint(&a.state, a.dt, a.steps, a.redos, &mut self.jobs[job_idx].store)
+                    a.hydro.checkpoint_now(&a.state, &mut a.cursor, &mut self.jobs[job_idx].store)
                 {
                     // An unwritable checkpoint is an attempt fault.
                     self.harvest(wid, job_idx, attempt);
@@ -658,13 +655,14 @@ impl Supervisor {
             }
         }
 
-        let (t_final, max_steps, arrival, deadline, ckpt_every) = {
+        let (t_final, max_steps, arrival, deadline, policy) = {
             let s = &self.jobs[job_idx].spec;
-            (s.t_final, s.max_steps, s.arrival_s, s.deadline_s, s.checkpoint_every)
+            let policy = CheckpointPolicy::EverySteps(s.checkpoint_every);
+            (s.t_final, s.max_steps, s.arrival_s, s.deadline_s, policy)
         };
         for _ in 0..self.cfg.quantum_steps {
-            if attempt.state.t >= t_final - 1e-14 || attempt.steps >= max_steps {
-                let steps = attempt.steps;
+            if attempt.cursor.done(&attempt.state, t_final, max_steps) {
+                let steps = attempt.cursor.steps;
                 let t = attempt.state.t;
                 let final_state = attempt.state.clone();
                 self.harvest(wid, job_idx, Some(attempt));
@@ -673,58 +671,39 @@ impl Supervisor {
                 self.finish(job_idx, JobOutcome::Completed { steps, t }, now);
                 return;
             }
-            let dt = attempt.dt.min(t_final - attempt.state.t);
-            match attempt.hydro.try_advance(&mut attempt.state, dt) {
-                Ok(adv) => {
-                    attempt.redos += adv.redos;
-                    attempt.steps += 1;
-                    attempt.steps_since_ckpt += 1;
-                    attempt.dt = adv.dt_next;
-                    if ckpt_every > 0 && attempt.steps_since_ckpt >= ckpt_every {
-                        if let Err(e) = attempt.hydro.write_checkpoint(
-                            &attempt.state,
-                            attempt.dt,
-                            attempt.steps,
-                            attempt.redos,
-                            &mut self.jobs[job_idx].store,
-                        ) {
-                            self.harvest(wid, job_idx, Some(attempt));
-                            self.fault_attempt(wid, job_idx, e);
-                            self.requeue_if_waiting(wid);
-                            return;
-                        }
-                        attempt.steps_since_ckpt = 0;
-                    }
-                    // Deadline enforcement at step granularity: the
-                    // consumed energy stays billed.
-                    let gpu_now =
-                        attempt.hydro.executor().gpu.as_ref().map_or(0.0, |g| g.now());
-                    let service = attempt.offset + attempt.hydro.wall_time().max(gpu_now);
-                    if deadline.is_some_and(|d| service - arrival > d) {
-                        self.harvest(wid, job_idx, Some(attempt));
-                        self.telemetry.counter_add(counters::DEADLINE_MISSES, 1);
-                        let now = self.workers[wid].clock;
-                        self.finish(
-                            job_idx,
-                            JobOutcome::Cancelled { reason: CancelReason::DeadlineExceeded },
-                            now,
-                        );
-                        return;
-                    }
-                }
-                Err(e) => {
-                    self.harvest(wid, job_idx, Some(attempt));
-                    self.fault_attempt(wid, job_idx, e);
-                    self.requeue_if_waiting(wid);
-                    return;
-                }
+            // A failed step and an unwritable checkpoint are both attempt
+            // faults.
+            if let Err(e) = attempt.hydro.advance(
+                &mut attempt.state,
+                &mut attempt.cursor,
+                t_final,
+                policy,
+                &mut self.jobs[job_idx].store,
+            ) {
+                self.harvest(wid, job_idx, Some(attempt));
+                self.fault_attempt(wid, job_idx, e);
+                self.requeue_if_waiting(wid);
+                return;
+            }
+            // Deadline enforcement at step granularity: the consumed
+            // energy stays billed.
+            let service = attempt.offset + attempt.hydro.executor().now();
+            if deadline.is_some_and(|d| service - arrival > d) {
+                self.harvest(wid, job_idx, Some(attempt));
+                self.telemetry.counter_add(counters::DEADLINE_MISSES, 1);
+                let now = self.workers[wid].clock;
+                self.finish(
+                    job_idx,
+                    JobOutcome::Cancelled { reason: CancelReason::DeadlineExceeded },
+                    now,
+                );
+                return;
             }
         }
 
         // Quantum exhausted with the attempt alive: update the worker
         // clock, report a live heartbeat, and park the attempt.
-        let gpu_now = attempt.hydro.executor().gpu.as_ref().map_or(0.0, |g| g.now());
-        self.workers[wid].clock = attempt.offset + attempt.hydro.wall_time().max(gpu_now);
+        self.workers[wid].clock = attempt.offset + attempt.hydro.executor().now();
         self.detector.record_evidence(wid);
         self.workers[wid].current = Some(Running { job: job_idx, attempt: Some(attempt) });
     }
@@ -766,24 +745,14 @@ impl Supervisor {
         }
         let mut state = hydro.initial_state();
         job.record.attempts += 1;
-        let (dt, steps, redos) = match hydro.try_resume(&mut state, &job.store) {
-            Some(info) => {
-                job.record.restores += 1;
-                self.telemetry.instant(Track::Serve, phases::JOB_RESUMED, offset);
-                (info.dt, info.steps as usize, info.retries as usize)
-            }
-            None => (hydro.try_suggest_dt(&state)?, 0, 0),
-        };
-        Ok(Attempt {
-            hydro,
-            state,
-            dt,
-            steps,
-            redos,
-            redos0: redos,
-            offset,
-            steps_since_ckpt: 0,
-        })
+        let cursor = hydro.begin(&mut state, &job.store)?;
+        // A fresh initial state sits at step 0; only a restored generation
+        // starts further on.
+        if cursor.steps > 0 {
+            job.record.restores += 1;
+            self.telemetry.instant(Track::Serve, phases::JOB_RESUMED, offset);
+        }
+        Ok(Attempt { hydro, state, cursor, redos0: cursor.retries, offset })
     }
 
     /// Bills a finished attempt: tenant energy from the attempt's own
@@ -795,8 +764,7 @@ impl Supervisor {
         let w = &mut self.workers[wid];
         let exec = attempt.hydro.executor();
         let host_now = exec.host.now();
-        let gpu_now = exec.gpu.as_ref().map_or(0.0, |g| g.now());
-        let wall = host_now.max(gpu_now);
+        let wall = exec.now();
         let host_idle = w.host_trace.idle_watts();
         let mut energy = exec.host.energy_joules() + (wall - host_now) * host_idle;
         let host_trace = exec.host.power_trace();
@@ -804,7 +772,7 @@ impl Supervisor {
             w.host_trace.push(seg.start + attempt.offset, seg.duration, seg.watts);
         }
         if let Some(gpu) = exec.gpu.as_ref() {
-            energy += gpu.energy_joules() + (wall - gpu_now) * gpu.spec().idle_w;
+            energy += gpu.energy_joules() + (wall - gpu.now()) * gpu.spec().idle_w;
             let trace = gpu.power_trace();
             let wt = w.gpu_trace.as_mut().expect("gpu worker has a gpu trace");
             for seg in trace.segments() {
@@ -815,10 +783,10 @@ impl Supervisor {
         let record = &mut self.jobs[job_idx].record;
         record.energy_j += energy;
         record.wall_s += wall;
-        record.steps = attempt.steps;
-        record.redos = attempt.redos;
+        record.steps = attempt.cursor.steps;
+        record.redos = attempt.cursor.retries;
         record.degraded |= exec.is_degraded();
-        let rep = exec.resilience_report(attempt.redos - attempt.redos0);
+        let rep = exec.resilience_report(attempt.cursor.retries - attempt.redos0);
         self.resilience.merge(&rep);
     }
 

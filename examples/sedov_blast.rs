@@ -30,7 +30,7 @@ fn run(order: usize, zones: usize, mode: ExecMode, label: &str) -> (f64, f64) {
     let mut dt = hydro.suggest_dt(&state);
     for _ in 0..3 {
         let out = hydro.step(&mut state, dt);
-        dt = out.dt_est.min(1.02 * dt);
+        dt = out.dt_next();
     }
     let wall = hydro.wall_time();
 

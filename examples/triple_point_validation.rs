@@ -28,7 +28,7 @@ fn run(mode: ExecMode, label: &str) -> (f64, f64, f64, f64) {
     let mut dt = hydro.suggest_dt(&state);
     for _ in 0..30 {
         let out = hydro.step(&mut state, dt);
-        dt = out.dt_est.min(1.02 * dt);
+        dt = out.dt_next();
     }
     let e1 = hydro.energies(&state);
     println!(

@@ -5,7 +5,7 @@
 
 use blast_repro::blast_core::{
     AssemblyMode, AuditConfig, CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro,
-    HydroError, HydroState, RunConfig, Sedov, MAX_STEP_REDOS,
+    HydroError, HydroState, RunConfig, RunCursor, Sedov, MAX_STEP_REDOS,
 };
 use blast_repro::blast_la::PcgOptions;
 use blast_repro::blast_telemetry::{names, Track};
@@ -69,8 +69,11 @@ pub fn run_scenario(plan: SdcPlan, audit: AuditConfig) -> RunResult {
 /// pool has reached its high-water size: pipeline intermediates, F_z /
 /// accel / de pools, PCG vectors, RK2 stage vectors, the rollback snapshot
 /// and the calling thread's kernel scratch. Returns the solver, its state
-/// and the next dt.
-pub fn warmed_up_solver(assembly: AssemblyMode, mode: ExecMode) -> (Hydro<2>, HydroState, f64) {
+/// and the cursor of the loop so far.
+pub fn warmed_up_solver(
+    assembly: AssemblyMode,
+    mode: ExecMode,
+) -> (Hydro<2>, HydroState, RunCursor) {
     warmed_up_solver_with(assembly, mode, PcgOptions::default())
 }
 
@@ -79,7 +82,7 @@ pub fn warmed_up_solver_with(
     assembly: AssemblyMode,
     mode: ExecMode,
     pcg: PcgOptions,
-) -> (Hydro<2>, HydroState, f64) {
+) -> (Hydro<2>, HydroState, RunCursor) {
     let exec = Executor::new(mode, CpuSpec::e5_2670(), None);
     let mut hydro = Hydro::<2>::builder(&Sedov::default(), [6, 6])
         .executor(exec)
@@ -89,20 +92,23 @@ pub fn warmed_up_solver_with(
         .build()
         .expect("problem fits");
     let mut state = hydro.initial_state();
-    let mut dt = hydro.suggest_dt(&state);
+    let mut store = CheckpointStore::in_memory();
+    let mut cursor = hydro.begin(&mut state, &store).expect("initial dt");
     for _ in 0..3 {
-        dt = hydro.try_advance(&mut state, dt).expect("warm-up step").dt_next;
+        hydro
+            .advance(&mut state, &mut cursor, f64::INFINITY, CheckpointPolicy::Never, &mut store)
+            .expect("warm-up step");
     }
-    (hydro, state, dt)
+    (hydro, state, cursor)
 }
 
-/// Steps a warmed-up solver through a measured window in which `heap_ops`
-/// (the binary's allocation counter) must not move — with the telemetry
-/// layer recording into its reserved ring.
+/// Steps a warmed-up solver through a measured window of `Hydro::advance`
+/// in which `heap_ops` (the binary's allocation counter) must not move —
+/// with the telemetry layer recording into its reserved ring.
 pub fn assert_steady_state_is_heap_quiet(
     hydro: &mut Hydro<2>,
     state: &mut HydroState,
-    mut dt: f64,
+    mut cursor: RunCursor,
     heap_ops: fn() -> u64,
 ) {
     const MEASURED_STEPS: usize = 5;
@@ -111,9 +117,12 @@ pub fn assert_steady_state_is_heap_quiet(
     let steps_before = tel.counter(names::counters::STEPS);
     let spans_before = tel.spans().len();
 
+    let mut store = CheckpointStore::in_memory();
     let before = heap_ops();
     for _ in 0..MEASURED_STEPS {
-        dt = hydro.try_advance(state, dt).expect("steady-state step").dt_next;
+        hydro
+            .advance(state, &mut cursor, f64::INFINITY, CheckpointPolicy::Never, &mut store)
+            .expect("steady-state step");
     }
     let delta = heap_ops() - before;
     assert_eq!(

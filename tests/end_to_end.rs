@@ -96,7 +96,7 @@ fn greenup_pipeline_end_to_end() {
     let mut dt = hc.suggest_dt(&sc);
     for _ in 0..steps {
         let o = hc.step(&mut sc, dt);
-        dt = o.dt_est.min(1.02 * dt);
+        dt = o.dt_next();
     }
     let t_cpu = hc.wall_time();
     let e_cpu = 2.0 * hc.executor().host.energy_joules();
@@ -106,7 +106,7 @@ fn greenup_pipeline_end_to_end() {
     let mut dt = hg.suggest_dt(&sg);
     for _ in 0..steps {
         let o = hg.step(&mut sg, dt);
-        dt = o.dt_est.min(1.02 * dt);
+        dt = o.dt_next();
     }
     let t_gpu = hg.wall_time();
     let e_gpu =

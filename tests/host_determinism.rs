@@ -26,7 +26,7 @@ fn sedov_checkpoint_image(threads: usize) -> Vec<u8> {
         let steps = 5u64;
         for _ in 0..steps {
             let out = hydro.step(&mut state, dt);
-            dt = out.dt_est.min(1.02 * dt);
+            dt = out.dt_next();
         }
         let ck = Checkpoint { state, accel_prev: Vec::new(), dt, steps, retries: 0 };
         let mut store = CheckpointStore::in_memory();

@@ -41,7 +41,7 @@ fn run_2d(order: usize, zones: [usize; 2], mode: AssemblyMode, steps: usize) -> 
     let mut dt = hydro.suggest_dt(&state);
     for _ in 0..steps {
         let out = hydro.step(&mut state, dt);
-        dt = out.dt_est.min(1.02 * dt);
+        dt = out.dt_next();
     }
     (state, dt)
 }
@@ -58,7 +58,7 @@ fn run_3d(order: usize, zones: [usize; 3], mode: AssemblyMode, steps: usize) -> 
     let mut dt = hydro.suggest_dt(&state);
     for _ in 0..steps {
         let out = hydro.step(&mut state, dt);
-        dt = out.dt_est.min(1.02 * dt);
+        dt = out.dt_next();
     }
     (state, dt)
 }
@@ -123,7 +123,7 @@ fn matrix_free_checkpoints_are_byte_identical_across_threads() {
             let steps = 4u64;
             for _ in 0..steps {
                 let out = hydro.step(&mut state, dt);
-                dt = out.dt_est.min(1.02 * dt);
+                dt = out.dt_next();
             }
             Checkpoint { state, accel_prev: Vec::new(), dt, steps, retries: 0 }.to_bytes()
         })
@@ -193,7 +193,7 @@ fn matrix_free_gpu_matches_cpu() {
     let mut dt = hydro.suggest_dt(&state);
     for _ in 0..3 {
         let out = hydro.step(&mut state, dt);
-        dt = out.dt_est.min(1.02 * dt);
+        dt = out.dt_next();
     }
 
     let (s_cpu, _) = run_2d(3, [4, 4], AssemblyMode::MatrixFree, 3);

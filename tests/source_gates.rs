@@ -294,3 +294,53 @@ fn one_simd_level_one_grid_walk() {
     });
     assert!(old_caps.is_empty(), "{old_caps:#?}");
 }
+
+/// The accepted-step protocol — resume or suggest, clamp onto `t_final`,
+/// advance, count, write a generation on the policy's cadence from an
+/// audited-clean state only, roll back — is `Hydro::{begin, advance,
+/// checkpoint_now, rollback}` over a `RunCursor` in `core/src/solver/run.rs`,
+/// and every driver (`Hydro::run`, the serve quantum, the cluster rank loop,
+/// the fleet pilot) steps through it: no driver outside the solver reaches
+/// under the cursor or keeps a cadence of its own, and the 2 % dt growth rule
+/// is `StepOutcome::dt_next`, once.
+#[test]
+fn one_run_driver() {
+    let code_under = |dirs: &[&str]| -> Vec<(String, String)> {
+        files_under(dirs)
+            .into_iter()
+            .filter(|(path, _)| !path.contains("/tests/"))
+            .map(|(path, text)| (path, non_test(&text).to_string()))
+            .collect()
+    };
+    let core = "crates/core/src";
+    let owners = ["crates/core/src/solver/run.rs", "crates/core/src/checkpoint.rs"];
+    let under_the_cursor = [
+        ".try_resume(",
+        ".rollback_to_latest(",
+        ".write_checkpoint(",
+        ".restore_checkpoint(",
+        ".due(",
+        "steps_since",
+    ];
+    let drivers: Vec<(String, String)> = code_under(&["crates", "src", "examples"])
+        .into_iter()
+        .filter(|(path, _)| !path.starts_with("crates/core/src/"))
+        .collect();
+    let reached = lines_where(&drivers, |l| under_the_cursor.iter().any(|p| l.contains(p)));
+    assert!(reached.is_empty(), "a driver with a run loop of its own: {reached:#?}");
+
+    let beside_the_owners: Vec<(String, String)> = code_under(&[core])
+        .into_iter()
+        .filter(|(path, _)| !owners.contains(&path.as_str()))
+        .collect();
+    let second_cadence = lines_where(&beside_the_owners, |l| {
+        l.contains(".write_checkpoint(") || l.contains("steps_since")
+    });
+    assert!(second_cadence.is_empty(), "{second_cadence:#?}");
+
+    let growth = lines_where(&files_under(&TREE), |l| l.contains("dt_est.min(1.02"));
+    assert!(
+        growth.len() == 1 && growth[0].starts_with("crates/core/src/solver/mod.rs:"),
+        "the dt growth rule lives in `StepOutcome::dt_next` only: {growth:#?}"
+    );
+}

@@ -73,8 +73,8 @@ fn heap_ops() -> u64 {
 /// One thread wide, so the calling thread's count is the whole step's.
 fn serial_contract(mode: AssemblyMode) {
     rayon::Pool::new(1).install(|| {
-        let (mut hydro, mut state, dt) = common::warmed_up_solver(mode, ExecMode::CpuSerial);
-        common::assert_steady_state_is_heap_quiet(&mut hydro, &mut state, dt, heap_ops);
+        let (mut hydro, mut state, cursor) = common::warmed_up_solver(mode, ExecMode::CpuSerial);
+        common::assert_steady_state_is_heap_quiet(&mut hydro, &mut state, cursor, heap_ops);
     });
 }
 
@@ -102,8 +102,9 @@ fn matrix_free_steady_state_steps_do_not_touch_the_heap() {
 fn the_step_after_a_failed_solve_does_not_touch_the_heap() {
     rayon::Pool::new(1).install(|| {
         let capped = PcgOptions { max_iter: 60, ..Default::default() };
-        let (mut hydro, mut state, dt) =
+        let (mut hydro, mut state, cursor) =
             common::warmed_up_solver_with(AssemblyMode::Stored, ExecMode::CpuSerial, capped);
+        let dt = cursor.dt;
         hydro.reserve_host_telemetry(MAX_STEP_REDOS + 3);
 
         let mut at_rest = state.clone();

@@ -63,9 +63,9 @@ fn steady_state_steps_do_not_touch_the_heap_on_two_threads() {
                 every_thread.wait();
                 common::warmed_up_solver(assembly, mode());
             });
-            let (mut hydro, mut state, dt) = common::warmed_up_solver(assembly, mode());
+            let (mut hydro, mut state, cursor) = common::warmed_up_solver(assembly, mode());
             let calls_before = pool.stats().parallel_calls;
-            common::assert_steady_state_is_heap_quiet(&mut hydro, &mut state, dt, heap_ops);
+            common::assert_steady_state_is_heap_quiet(&mut hydro, &mut state, cursor, heap_ops);
             assert!(
                 pool.stats().parallel_calls > calls_before,
                 "the measured window must have dispatched to the pool"
