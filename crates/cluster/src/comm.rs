@@ -28,6 +28,7 @@
 
 use crate::detector::FailureDetector;
 use blast_telemetry::{names, TelemetrySink};
+use gpu_sim::fault_draw;
 use std::cell::{Cell, RefCell};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -127,17 +128,6 @@ fn payload_checksum(data: &[f64]) -> u64 {
         }
     }
     h
-}
-
-/// Counter-based deterministic draw in `[0, 1)`: the same
-/// `(seed, rank, counter)` triple always yields the same value, independent
-/// of scheduling.
-fn fault_draw(seed: u64, rank: usize, counter: u64) -> f64 {
-    let mut z = seed ^ (rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ counter.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// A scheduled stall of one rank: before its `before_send`-th send, the
@@ -347,7 +337,7 @@ impl Communicator {
             }
             // Counter-based draws: stream 0 decides drops, stream 1 decides
             // corruption, so the two rates are independent.
-            if fault_draw(self.faults.seed, self.rank, idx * 2) < self.faults.drop_rate {
+            if fault_draw(self.faults.seed, self.rank as u64, idx * 2) < self.faults.drop_rate {
                 stats.dropped += 1;
                 self.stats.set(stats);
                 if let Some(sink) = &self.sink {
@@ -355,7 +345,9 @@ impl Communicator {
                 }
                 return; // charged but never delivered
             }
-            if fault_draw(self.faults.seed, self.rank, idx * 2 + 1) < self.faults.corrupt_rate {
+            if fault_draw(self.faults.seed, self.rank as u64, idx * 2 + 1)
+                < self.faults.corrupt_rate
+            {
                 stats.corrupted += 1;
                 self.stats.set(stats);
                 let checksum = payload_checksum(&data);

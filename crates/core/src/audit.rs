@@ -107,7 +107,7 @@ impl AuditConfig {
 }
 
 /// Auditor state + owned scratch; owned by `Hydro` behind a `RefCell`,
-/// installed via `Hydro::set_audit` / `HydroBuilder::audit`.
+/// installed by `HydroBuilder::audit`.
 pub(crate) struct StepAuditor<const D: usize> {
     pub(crate) cfg: AuditConfig,
     /// Accepted step candidates since the last *passing* audit. Reset

@@ -11,14 +11,12 @@ use blast_kernels::sumfac::{
     matfree_resident_bytes, stored_resident_bytes, AssemblyMode, SumfacFactors, SumfacMassKernel,
 };
 use blast_kernels::ProblemShape;
-use blast_la::{DiagPrecond, PcgOptions};
-use blast_telemetry::TelemetrySink;
-use gpu_sim::{CpuSpec, FaultPlan, GpuDevice, SdcPlan};
+use blast_la::{Abft, DiagPrecond, PcgOptions};
+use gpu_sim::{CpuSpec, GpuDevice, SdcPlan};
 
 use super::force::{Assembly, MatFreeOps};
 use super::{Hydro, HydroConfig, StepScratch};
 use crate::audit::AuditConfig;
-use crate::checkpoint::CheckpointPolicy;
 use crate::error::HydroError;
 use crate::exec::{ExecMode, Executor};
 use crate::problems::Problem;
@@ -34,7 +32,6 @@ use crate::state::HydroState;
 ///     .order(3)
 ///     .mode(ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 })
 ///     .gpu(device)
-///     .telemetry(sink)
 ///     .build()?;
 /// ```
 pub struct HydroBuilder<'p, const D: usize> {
@@ -47,10 +44,6 @@ pub struct HydroBuilder<'p, const D: usize> {
     device_id: Option<String>,
     fleet: Option<gpu_sim::DeviceCatalog>,
     executor: Option<Executor>,
-    telemetry: Option<TelemetrySink>,
-    gpu_fault_plan: Option<FaultPlan>,
-    step_faults: usize,
-    checkpoint_policy: CheckpointPolicy,
     sdc_plan: Option<SdcPlan>,
     audit: Option<AuditConfig>,
     assembly: Option<AssemblyMode>,
@@ -121,13 +114,6 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
         self
     }
 
-    /// Host CPU model (default `CpuSpec::e5_2670()`).
-    #[must_use]
-    pub fn host_spec(mut self, spec: CpuSpec) -> Self {
-        self.host_spec = spec;
-        self
-    }
-
     /// Simulated GPU for device / hybrid modes.
     #[must_use]
     pub fn gpu(mut self, gpu: Arc<GpuDevice>) -> Self {
@@ -164,45 +150,13 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
         self
     }
 
-    /// Uses a pre-built executor verbatim, overriding
-    /// [`Self::mode`] / [`Self::host_spec`] / [`Self::gpu`] /
-    /// [`Self::telemetry`] (the executor already carries all four).
+    /// Uses a pre-built executor verbatim, overriding [`Self::mode`],
+    /// [`Self::gpu`] and [`Self::device`] (the executor carries its host,
+    /// device, mode and telemetry sink — [`Executor::with_telemetry`] for a
+    /// sink of the caller's).
     #[must_use]
     pub fn executor(mut self, exec: Executor) -> Self {
         self.executor = Some(exec);
-        self
-    }
-
-    /// Telemetry sink every span / counter of this solver lands in
-    /// (default: a fresh sink, retrievable via
-    /// `hydro.executor().telemetry()`).
-    #[must_use]
-    pub fn telemetry(mut self, sink: TelemetrySink) -> Self {
-        self.telemetry = Some(sink);
-        self
-    }
-
-    /// Installs a deterministic device fault plan on the GPU at build
-    /// time (applies to [`Self::gpu`] or the executor's device).
-    #[must_use]
-    pub fn gpu_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.gpu_fault_plan = Some(plan);
-        self
-    }
-
-    /// Schedules `n` injected recoverable step faults (the chaos hook,
-    /// same as [`Hydro::inject_step_faults`]).
-    #[must_use]
-    pub fn step_faults(mut self, n: usize) -> Self {
-        self.step_faults = n;
-        self
-    }
-
-    /// Default checkpoint policy for [`Hydro::run`] calls whose
-    /// [`RunConfig`] does not name one (default [`CheckpointPolicy::Never`]).
-    #[must_use]
-    pub fn checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint_policy = policy;
         self
     }
 
@@ -318,23 +272,13 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
         let exec = match self.executor {
             Some(exec) => exec,
             None => {
-                let mut exec = match self.telemetry {
-                    Some(sink) => {
-                        Executor::with_telemetry(self.mode, self.host_spec, self.gpu, sink)
-                    }
-                    None => Executor::new(self.mode, self.host_spec, self.gpu),
-                };
+                let mut exec = Executor::new(self.mode, self.host_spec, self.gpu);
                 if let Some(id) = self.device_id {
                     exec.set_device_id(id);
                 }
                 exec
             }
         };
-        if let Some(plan) = self.gpu_fault_plan {
-            if let Some(gpu) = &exec.gpu {
-                gpu.set_fault_plan(plan);
-            }
-        }
         let mut hydro = Hydro::build_impl(
             self.problem,
             self.zones_per_axis,
@@ -343,15 +287,12 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
             self.assembly,
             self.assembly_auto,
         )?;
-        hydro.default_ckpt_policy = self.checkpoint_policy;
-        if self.step_faults > 0 {
-            hydro.inject_step_faults(self.step_faults);
-        }
         if let Some(plan) = self.sdc_plan {
             hydro.sdc_plan = std::cell::RefCell::new(plan);
         }
         if let Some(cfg) = self.audit {
-            hydro.set_audit(cfg);
+            hydro.audit = Some(std::cell::RefCell::new(hydro.build_auditor(cfg)));
+            hydro.abft = cfg.abft.then(Abft::default);
         }
         Ok(hydro)
     }
@@ -374,10 +315,6 @@ impl<const D: usize> Hydro<D> {
             device_id: None,
             fleet: None,
             executor: None,
-            telemetry: None,
-            gpu_fault_plan: None,
-            step_faults: 0,
-            checkpoint_policy: CheckpointPolicy::Never,
             sdc_plan: None,
             audit: None,
             assembly: None,
@@ -590,7 +527,6 @@ impl<const D: usize> Hydro<D> {
             device_bytes,
             step_fault_budget: std::cell::Cell::new(0),
             scratch: std::cell::RefCell::new(StepScratch::default()),
-            default_ckpt_policy: CheckpointPolicy::Never,
             sdc_plan: std::cell::RefCell::new(SdcPlan::none()),
             sdc_attempt: std::cell::Cell::new(0),
             sdc_gemm_armed: std::cell::Cell::new(false),

@@ -17,8 +17,7 @@ use blast_kernels::ProblemShape;
 use blast_la::{Abft, BatchedMats, BlockDiag, DiagPrecond, PcgOptions, PcgWorkspace};
 use gpu_sim::{SdcFault, SdcPlan};
 
-use crate::audit::{AuditConfig, StepAuditor};
-use crate::checkpoint::CheckpointPolicy;
+use crate::audit::StepAuditor;
 use crate::exec::Executor;
 use crate::state::{EnergyBreakdown, HydroState};
 use force::Assembly;
@@ -202,9 +201,6 @@ pub struct Hydro<const D: usize> {
     /// Reusable hot-path buffers (see [`StepScratch`]). A `RefCell`
     /// because force/energy evaluations borrow it from `&self` helpers.
     scratch: std::cell::RefCell<StepScratch>,
-    /// Checkpoint policy [`Self::run`] falls back to when the
-    /// [`RunConfig`] names none (builder default: `Never`).
-    default_ckpt_policy: CheckpointPolicy,
     /// Planned silent bit flips (inactive by default); flips are keyed to
     /// [`Self::sdc_attempt`] ordinals so a rolled-back redo of the same
     /// step re-executes clean once a transient flip is consumed.
@@ -216,7 +212,8 @@ pub struct Hydro<const D: usize> {
     sdc_gemm_armed: std::cell::Cell<bool>,
     /// The physics-invariant SDC auditor, when enabled.
     audit: Option<std::cell::RefCell<StepAuditor<D>>>,
-    /// Kernel 7's GEMM checksums, when [`AuditConfig::abft`] asked for them.
+    /// Kernel 7's GEMM checksums, when [`crate::audit::AuditConfig::abft`]
+    /// asked for them.
     abft: Option<Abft>,
 }
 
@@ -271,27 +268,6 @@ impl<const D: usize> Hydro<D> {
         self.device_bytes
     }
 
-    /// Installs (or replaces) the physics-invariant SDC auditor.
-    ///
-    /// Detection is wired into recovery: a failing audit rolls the step
-    /// back in [`Self::try_advance`] and redoes it at the *same* dt (a
-    /// consumed transient flip makes the redo bit-identical to a
-    /// fault-free step); when the in-place snapshot itself is corrupted
-    /// (audit cadence > 1 let a bad state commit), [`Self::run`] falls
-    /// back to the newest checkpoint. Both paths count against
-    /// [`MAX_STEP_REDOS`]; exhausted budgets surface
-    /// [`HydroError::CorruptionDetected`] with the store intact.
-    pub fn set_audit(&mut self, cfg: AuditConfig) {
-        let aud = self.build_auditor(cfg);
-        self.audit = Some(std::cell::RefCell::new(aud));
-        self.abft = cfg.abft.then(Abft::default);
-    }
-
-    /// Whether the step auditor is installed.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit.is_some()
-    }
-
     /// Arms one more planned flip against the installed SDC plan (the
     /// serve chaos stream injects mid-run this way).
     pub fn arm_sdc_fault(&self, fault: SdcFault) {
@@ -302,11 +278,6 @@ impl<const D: usize> Hydro<D> {
     /// far, redos included).
     pub fn sdc_attempts(&self) -> u64 {
         self.sdc_attempt.get()
-    }
-
-    /// Seed of the installed SDC plan (printed in corruption log lines).
-    pub fn sdc_seed(&self) -> u64 {
-        self.sdc_plan.borrow().seed
     }
 
     /// Density diagnostics at the quadrature points of a state:
@@ -339,18 +310,29 @@ impl<const D: usize> Hydro<D> {
 
     /// Kinetic + internal energy of a state (Table 6's diagnostics).
     pub fn energies(&self, state: &HydroState) -> EnergyBreakdown {
+        self.energies_into(state, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// [`Self::energies`] through caller-owned scratch for `M_V v` and
+    /// `M_E e` — the auditor's, so an audit allocates nothing once the
+    /// buffers reach their high-water size.
+    fn energies_into(
+        &self,
+        state: &HydroState,
+        mv_v: &mut Vec<f64>,
+        me_e: &mut Vec<f64>,
+    ) -> EnergyBreakdown {
         let n = self.kin.num_dofs();
+        ensure_zeroed(mv_v, n);
         let mut kinetic = 0.0;
-        let mut mv_v = vec![0.0; n];
         for c in 0..D {
             let vc = &state.v[c * n..(c + 1) * n];
-            self.assembly.mass_apply(&self.shape, &self.zone_dofs, vc, &mut mv_v);
-            kinetic += 0.5 * blast_la::dense::dot(vc, &mv_v);
+            self.assembly.mass_apply(&self.shape, &self.zone_dofs, vc, mv_v);
+            kinetic += 0.5 * blast_la::dense::dot(vc, mv_v);
         }
-        let mut me_e = vec![0.0; self.me.dim()];
-        self.me.apply(&state.e, &mut me_e);
-        let internal: f64 = me_e.iter().sum();
-        EnergyBreakdown { kinetic, internal }
+        ensure_zeroed(me_e, self.me.dim());
+        self.me.apply(&state.e, me_e);
+        EnergyBreakdown { kinetic, internal: me_e.iter().sum() }
     }
 
     /// Total mass `1^T M_E 1`-style check: the Lagrangian frame conserves
@@ -364,13 +346,12 @@ impl<const D: usize> Hydro<D> {
             .map(|(&w, &r)| w * r)
             .sum()
     }
-
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointStore;
+    use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
     use crate::error::HydroError;
     use crate::exec::ExecMode;
     use crate::problems::{Sedov, TaylorGreen, TriplePoint};
@@ -680,10 +661,9 @@ mod tests {
     fn builder_wires_telemetry_and_counts_steps() {
         let problem = Sedov::default();
         let sink = blast_telemetry::Telemetry::sink();
-        let mut hydro = Hydro::<2>::builder(&problem, [4, 4])
-            .telemetry(sink.clone())
-            .build()
-            .unwrap();
+        let exec =
+            Executor::with_telemetry(ExecMode::CpuSerial, CpuSpec::e5_2670(), None, sink.clone());
+        let mut hydro = Hydro::<2>::builder(&problem, [4, 4]).executor(exec).build().unwrap();
         let mut state = hydro.initial_state();
         let stats = hydro.run(&mut state, RunConfig::to(0.05).max_steps(10)).unwrap();
         assert!(stats.steps > 0);
@@ -721,29 +701,6 @@ mod tests {
             assert!((tot.seconds - secs).abs() < 1e-9, "{name}: {} vs {secs}", tot.seconds);
             assert_eq!(tot.calls, calls as u64);
         }
-    }
-
-    #[test]
-    fn builder_step_faults_and_default_checkpoint_policy_apply() {
-        let problem = Sedov::default();
-        let mut hydro = Hydro::<2>::builder(&problem, [4, 4])
-            .step_faults(1)
-            .checkpoint_policy(CheckpointPolicy::EverySteps(2))
-            .build()
-            .unwrap();
-        let mut state = hydro.initial_state();
-        let mut store = CheckpointStore::in_memory();
-        let stats = hydro
-            .run(
-                &mut state,
-                RunConfig { t_final: 0.05, max_steps: 8, policy: None, store: Some(&mut store) },
-            )
-            .unwrap();
-        assert!(stats.retries >= 1, "the injected step fault forces a redo");
-        assert!(store.latest_valid().is_some(), "builder default policy checkpointed");
-        let tel = hydro.executor().telemetry();
-        assert!(tel.counter(names::counters::CHECKPOINTS_WRITTEN) > 0);
-        assert!(tel.counter(names::counters::STEP_REDOS) >= 1);
     }
 
     #[test]

@@ -8,8 +8,7 @@ use gpu_sim::{apply_flip, SdcSite, Traffic, FAULT_SEED_ENV};
 use powermon::CpuPowerState;
 
 use super::{
-    ensure_zeroed, AdvanceOutcome, ForceEval, Hydro, RunStats, StageVectors, StepOutcome,
-    MAX_STEP_REDOS,
+    AdvanceOutcome, ForceEval, Hydro, RunStats, StageVectors, StepOutcome, MAX_STEP_REDOS,
 };
 use crate::audit::{AuditConfig, StepAuditor};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, LoadedCheckpoint};
@@ -32,9 +31,9 @@ pub struct RunConfig<'a> {
     pub t_final: f64,
     /// Accepted-step budget (defaults to effectively unbounded).
     pub max_steps: usize,
-    /// Checkpoint cadence; `None` falls back to the solver's builder-time
-    /// default policy ([`CheckpointPolicy::Never`] unless overridden).
-    pub policy: Option<CheckpointPolicy>,
+    /// Checkpoint cadence ([`CheckpointPolicy::Never`] unless
+    /// [`Self::checkpointed`] sets one).
+    pub policy: CheckpointPolicy,
     /// Where checkpoint generations go (and where restart looks on entry).
     /// `None` runs with a throwaway in-memory store.
     pub store: Option<&'a mut CheckpointStore>,
@@ -43,7 +42,7 @@ pub struct RunConfig<'a> {
 impl<'a> RunConfig<'a> {
     /// Runs until `t_final` with no step budget and no checkpointing.
     pub fn to(t_final: f64) -> RunConfig<'static> {
-        RunConfig { t_final, max_steps: usize::MAX, policy: None, store: None }
+        RunConfig { t_final, max_steps: usize::MAX, policy: CheckpointPolicy::Never, store: None }
     }
 
     /// Caps the number of accepted steps.
@@ -61,7 +60,7 @@ impl<'a> RunConfig<'a> {
         policy: CheckpointPolicy,
         store: &'a mut CheckpointStore,
     ) -> RunConfig<'a> {
-        RunConfig { policy: Some(policy), store: Some(store), ..self }
+        RunConfig { policy, store: Some(store), ..self }
     }
 }
 
@@ -91,6 +90,21 @@ impl RunCursor {
     pub fn done(&self, state: &HydroState, t_final: f64, max_steps: usize) -> bool {
         state.t >= t_final - 1e-14 || self.steps >= max_steps
     }
+}
+
+/// What the state in hand owes the auditor at a point of
+/// [`Hydro::try_advance`].
+#[derive(Clone, Copy, PartialEq)]
+enum Audit {
+    /// Entering the step: the energy reference, when none is set, from the
+    /// trusted pre-step state (initial conditions or a CRC-validated
+    /// restore).
+    Reference,
+    /// The restored pre-step state after a recoverable failure, when it
+    /// carries steps no audit has passed.
+    Pending,
+    /// An accepted candidate, when the cadence says so.
+    Due,
 }
 
 impl<const D: usize> Hydro<D> {
@@ -169,22 +183,6 @@ impl<const D: usize> Hydro<D> {
         Some(pairing)
     }
 
-    /// Total energy computed through the auditor's scratch (alloc-free
-    /// once the buffers reach their high-water size).
-    fn audited_energy(&self, state: &HydroState, aud: &mut StepAuditor<D>) -> f64 {
-        let n = self.kin.num_dofs();
-        ensure_zeroed(&mut aud.mv_v, n);
-        let mut kinetic = 0.0;
-        for c in 0..D {
-            let vc = &state.v[c * n..(c + 1) * n];
-            self.assembly.mass_apply(&self.shape, &self.zone_dofs, vc, &mut aud.mv_v);
-            kinetic += 0.5 * blast_la::dense::dot(vc, &aud.mv_v);
-        }
-        ensure_zeroed(&mut aud.me_e, self.me.dim());
-        self.me.apply(&state.e, &mut aud.me_e);
-        kinetic + aud.me_e.iter().sum::<f64>()
-    }
-
     /// Runs every invariant check against a candidate state. Returns the
     /// first violated audit as `(name, measured, tolerance)`, or `None`
     /// when the state passes (which also advances the energy reference).
@@ -229,7 +227,7 @@ impl<const D: usize> Hydro<D> {
             }
         }
         // Discrete energy identity vs the trusted reference.
-        let total = self.audited_energy(state, aud);
+        let total = self.energies_into(state, &mut aud.mv_v, &mut aud.me_e).total();
         if let Some(e_ref) = aud.e_ref {
             let drift = (total - e_ref).abs() / e_ref.abs().max(f64::MIN_POSITIVE);
             let band = aud.energy_band();
@@ -261,35 +259,49 @@ impl<const D: usize> Hydro<D> {
         None
     }
 
-    /// Runs [`Self::execute_audit`] and bills it (the pass itself plus the
-    /// ABFT verification flops accumulated since the last audit). A failed
-    /// audit is reported and returned as the typed corruption error.
-    fn billed_audit(
-        &self,
-        state: &HydroState,
-        aud: &mut StepAuditor<D>,
-    ) -> Result<(), HydroError> {
-        let verdict = self.execute_audit(state, aud);
+    /// The one billed audit of a step: runs what `point` owes the state in
+    /// hand — nothing without an auditor or when nothing is owed — and
+    /// bills it. A reference pass bills the energy evaluation alone; every
+    /// other pass also drains the ABFT verify flops accumulated since the
+    /// last one. A failed audit comes back as the typed corruption error,
+    /// unreported: [`Self::try_advance`] reports every corruption it sees.
+    fn billed_audit(&self, state: &HydroState, point: Audit) -> Result<(), HydroError> {
+        let Some(aud) = &self.audit else { return Ok(()) };
+        let aud = &mut *aud.borrow_mut();
+        let verdict = match point {
+            Audit::Reference if aud.needs_reference() => {
+                let total = self.energies_into(state, &mut aud.mv_v, &mut aud.me_e).total();
+                aud.set_reference(total);
+                None
+            }
+            Audit::Pending if !aud.audited_clean() => self.execute_audit(state, aud),
+            // `due` ticks the cadence: only an accepted candidate asks.
+            Audit::Due if aud.due() => self.execute_audit(state, aud),
+            _ => return Ok(()),
+        };
         let mut traffic = aud.traffic;
-        if let Some(abft) = &self.abft {
-            traffic.flops += abft.take_verify_flops() as f64;
+        // A reference pass checks nothing, so the verify flops wait for the
+        // next audit that does.
+        if point != Audit::Reference {
+            if let Some(abft) = &self.abft {
+                traffic.flops += abft.take_verify_flops() as f64;
+            }
         }
         self.exec.bill_audit(&traffic);
-        let Some((audit, measured, tolerance)) = verdict else {
-            return Ok(());
-        };
-        let err = HydroError::CorruptionDetected {
-            step: self.sdc_attempt.get(),
-            audit,
-            measured,
-            tolerance,
-        };
-        self.report_corruption(&err);
-        Err(err)
+        match verdict {
+            None => Ok(()),
+            Some((audit, measured, tolerance)) => Err(HydroError::CorruptionDetected {
+                step: self.sdc_attempt.get(),
+                audit,
+                measured,
+                tolerance,
+            }),
+        }
     }
 
     /// Prints the replayable corruption log line (seed, step, measured vs
-    /// tolerance) and records the detection in the ledger + trace.
+    /// tolerance) and records the detection in the ledger + trace; any
+    /// other error is not a detection and passes unreported.
     fn report_corruption(&self, err: &HydroError) {
         if let HydroError::CorruptionDetected { step, audit, measured, tolerance } = err {
             let seed = self.sdc_plan.borrow().seed;
@@ -459,11 +471,7 @@ impl<const D: usize> Hydro<D> {
         cg_total += ev2.cg_iterations;
         // SdcSite::DeviceBuffer: a strike on the device-resident
         // acceleration buffer, before it propagates into v, e, and x.
-        if let Some(f) = self.sdc_plan.borrow().take(SdcSite::DeviceBuffer, attempt) {
-            if apply_flip(&mut ev2.accel, &f).is_some() {
-                self.exec.note_sdc_flips(1);
-            }
-        }
+        self.strike(SdcSite::DeviceBuffer, attempt, [&mut ev2.accel]);
         v_avg.clone_from(s0_v);
         blast_la::dense::axpy(0.5 * dt, &ev2.accel, v_avg);
         let mut de2 = match self.energy_rate(&ev2.fz, v_avg) {
@@ -475,11 +483,7 @@ impl<const D: usize> Hydro<D> {
         };
         // SdcSite::TransferPayload: a strike on the energy-rate vector in
         // flight back to the host.
-        if let Some(f) = self.sdc_plan.borrow().take(SdcSite::TransferPayload, attempt) {
-            if apply_flip(&mut de2, &f).is_some() {
-                self.exec.note_sdc_flips(1);
-            }
-        }
+        self.strike(SdcSite::TransferPayload, attempt, [&mut de2]);
 
         // ABFT checkpoint: all of the attempt's GEMMs have run, and the
         // state vectors are still untouched — a checksum violation here
@@ -498,18 +502,9 @@ impl<const D: usize> Hydro<D> {
         blast_la::dense::axpy(dt, v_avg, &mut state.x);
         state.t = t0 + dt;
         // SdcSite::HostState: a strike on a committed state array after
-        // the step lands — the lane picks v, e, or x. Past every in-step
-        // guard by construction; only the auditor can catch it.
-        if let Some(f) = self.sdc_plan.borrow().take(SdcSite::HostState, attempt) {
-            let target: &mut [f64] = match f.lane % 3 {
-                0 => &mut state.v,
-                1 => &mut state.e,
-                _ => &mut state.x,
-            };
-            if apply_flip(target, &f).is_some() {
-                self.exec.note_sdc_flips(1);
-            }
-        }
+        // the step lands. Past every in-step guard by construction; only
+        // the auditor can catch it.
+        self.strike(SdcSite::HostState, attempt, [&mut state.v, &mut state.e, &mut state.x]);
 
         // Host-side time integration cost ("the time integration ... is
         // still done on CPU").
@@ -526,6 +521,16 @@ impl<const D: usize> Hydro<D> {
         Ok(StepOutcome { dt_used: dt, dt_est, cg_iterations: cg_total })
     }
 
+    /// Lands the flip the SDC plan holds for `site` on this attempt, if
+    /// any, in one of `targets` — the fault's lane picks which (v, e or x
+    /// for a host-state strike) — and counts it when it hit data.
+    fn strike<const N: usize>(&self, site: SdcSite, attempt: u64, targets: [&mut [f64]; N]) {
+        let Some(f) = self.sdc_plan.borrow().take(site, attempt) else { return };
+        if apply_flip(targets[(f.lane % N as u64) as usize], &f).is_some() {
+            self.exec.note_sdc_flips(1);
+        }
+    }
+
     /// Runs the solver under a declarative [`RunConfig`] — the single run
     /// entry point, with or without checkpointing.
     ///
@@ -537,7 +542,7 @@ impl<const D: usize> Hydro<D> {
     /// Persistent GPU faults never surface here — `eval_force` degrades
     /// to the CPU path internally and continues.
     ///
-    /// Checkpointing (when the config or the builder default enables it):
+    /// Checkpointing (when [`RunConfig::checkpointed`] enables it):
     /// on entry, if the store holds a valid checkpoint *ahead* of
     /// `state`, the run resumes from it (state, warm-start cache, dt, and
     /// counters restored; the restore is billed to the power trace).
@@ -557,7 +562,6 @@ impl<const D: usize> Hydro<D> {
         cfg: RunConfig<'_>,
     ) -> Result<RunStats, HydroError> {
         let RunConfig { t_final, max_steps, policy, store } = cfg;
-        let policy = policy.unwrap_or(self.default_ckpt_policy);
         let pool_before = rayon::pool_stats();
         let mut scratch_store;
         let store = match store {
@@ -689,136 +693,106 @@ impl<const D: usize> Hydro<D> {
     /// rollback and CFL redos internally — the step under
     /// [`Self::advance`], which owns the bookkeeping around it.
     ///
+    /// Each outcome of an attempt is one arm naming the dt of its redo and
+    /// the budget the redo draws on (the ladder of DESIGN §8): ABFT
+    /// corruption caught before the commit and a failed due audit redo at
+    /// the same dt, a recoverable failure at half dt (after auditing the
+    /// restored state when an audit is pending), each on the
+    /// [`MAX_STEP_REDOS`] budget; a CFL overshoot redoes at 85 % of the
+    /// estimate on a budget of its own. Every corruption seen is reported.
     /// Device faults that fire during a redo attempt are threaded into the
     /// executor's resilience ledger (`redo_faults`). On error the state is
-    /// the last good (pre-step) state, never a mid-rollback intermediate.
+    /// never a mid-rollback intermediate: it is the pre-step state, or the
+    /// candidate whose audit failed once the budget was spent.
     pub fn try_advance(
         &mut self,
         state: &mut HydroState,
         dt: f64,
     ) -> Result<AdvanceOutcome, HydroError> {
         // CFL redos shrink dt by >= 15% each time, so this bound exists
-        // only to guarantee termination (the legacy loop bounded them by
-        // the global retry budget).
+        // only to guarantee termination; spent, the overshooting step stands.
         const MAX_CFL_REDOS: usize = 64;
         let mut dt = dt;
-        let mut redos = 0usize;
-        let mut rollback_redos = 0usize;
-        let mut cfl_redos = 0usize;
-        // The auditor's energy reference comes from a *trusted* state:
-        // initial conditions or a CRC-validated checkpoint restore — both
-        // of which land here as the pre-step state with no reference set.
-        if let Some(aud) = &self.audit {
-            if aud.borrow().needs_reference() {
-                let mut a = aud.borrow_mut();
-                let e_total = self.audited_energy(state, &mut a);
-                a.set_reference(e_total);
-                self.exec.bill_audit(&a.traffic);
-            }
+        let (mut rollback_redos, mut cfl_redos) = (0usize, 0usize);
+        self.billed_audit(state, Audit::Reference)?;
+        // Snapshot the pre-step state into the scratch (reused every step,
+        // so accepted steps snapshot without allocating).
+        {
+            let mut ws = self.scratch.borrow_mut();
+            ws.saved_v.clone_from(&state.v);
+            ws.saved_e.clone_from(&state.e);
+            ws.saved_x.clone_from(&state.x);
+            ws.saved_accel.clone_from(&self.accel_prev.borrow());
         }
+        let saved_t = state.t;
         loop {
-            // Snapshot the pre-step state into the scratch (reused every
-            // iteration, so accepted steps snapshot without allocating).
-            {
-                let mut ws = self.scratch.borrow_mut();
-                ws.saved_v.clone_from(&state.v);
-                ws.saved_e.clone_from(&state.e);
-                ws.saved_x.clone_from(&state.x);
-                ws.saved_accel.clone_from(&self.accel_prev.borrow());
-            }
-            let saved_t = state.t;
+            let redos = rollback_redos + cfl_redos;
             // On a redo attempt, watch the device fault counter across the
             // step so faults injected *during the redo* are accounted.
             let pre_injected = (redos > 0)
                 .then(|| self.exec.gpu.as_ref().map(|g| g.fault_stats().injected).unwrap_or(0));
             let res = self.try_step(state, dt);
             if let Some(before) = pre_injected {
-                let after =
-                    self.exec.gpu.as_ref().map(|g| g.fault_stats().injected).unwrap_or(0);
+                let after = self.exec.gpu.as_ref().map(|g| g.fault_stats().injected).unwrap_or(0);
                 if after > before {
                     self.exec.note_redo_faults(after - before);
                 }
             }
-            let out = match res {
-                Ok(out) => out,
+            // `Ok((dt, budget, corruption seen, halved))` redoes, `Err` fails.
+            let rung = match res {
+                Ok(out) if out.dt_est < dt * 0.999 && cfl_redos < MAX_CFL_REDOS => {
+                    Ok((0.85 * out.dt_est, &mut cfl_redos, None, false))
+                }
+                // A failed audit keeps the cadence armed, so the same-dt
+                // redo is audited again; if the snapshot itself is corrupted
+                // (cadence > 1) the budget drains and `run` falls back to the
+                // newest checkpoint.
+                Ok(out) => match self.billed_audit(state, Audit::Due) {
+                    Ok(()) => {
+                        let tel = self.exec.telemetry();
+                        tel.counter_add(names::counters::STEPS, 1);
+                        if redos > 0 {
+                            tel.counter_add(names::counters::STEP_REDOS, redos as u64);
+                        }
+                        return Ok(AdvanceOutcome { outcome: out, redos, dt_next: out.dt_next() });
+                    }
+                    Err(err) if rollback_redos < MAX_STEP_REDOS => {
+                        Ok((dt, &mut rollback_redos, Some(err), false))
+                    }
+                    Err(err) => Err(err),
+                },
+                // The consumed transient flip makes the same-dt redo
+                // bit-identical to a fault-free step; halving dt would fork
+                // the trajectory from the clean run.
                 Err(err @ HydroError::CorruptionDetected { .. })
                     if rollback_redos < MAX_STEP_REDOS =>
                 {
-                    // Corruption caught *before* the state commit (an ABFT
-                    // checksum): redo at the SAME dt — the transient flip
-                    // was consumed, so the redo is bit-identical to a
-                    // fault-free step. Halving dt would needlessly fork
-                    // the trajectory from the clean run.
-                    self.report_corruption(&err);
-                    self.restore_saved(state, saved_t);
-                    redos += 1;
-                    rollback_redos += 1;
-                    continue;
+                    Ok((dt, &mut rollback_redos, Some(err), false))
                 }
-                Err(e) if e.recoverable_by_rollback() && rollback_redos < MAX_STEP_REDOS => {
-                    // Roll back to the pre-step state, redo with half dt.
-                    self.restore_saved(state, saved_t);
-                    // With an audit pending (cadence > 1), a recoverable
-                    // blow-up may be committed corruption crashing the
-                    // *next* step rather than a numeric hiccup. Audit the
-                    // restored pre-step state before burning redos on a
-                    // poisoned snapshot: a failed audit converts to
-                    // `CorruptionDetected` so `run` can fall back to the
-                    // newest trusted checkpoint.
-                    if let Some(aud) = &self.audit {
-                        if !aud.borrow().audited_clean() {
-                            self.billed_audit(state, &mut aud.borrow_mut())?;
-                        }
-                    }
-                    dt *= 0.5;
-                    redos += 1;
-                    rollback_redos += 1;
-                    continue;
+                Err(err) if err.recoverable_by_rollback() && rollback_redos < MAX_STEP_REDOS => {
+                    Ok((0.5 * dt, &mut rollback_redos, None, true))
                 }
-                Err(e) => {
-                    if matches!(e, HydroError::CorruptionDetected { .. }) {
-                        self.report_corruption(&e);
-                    }
-                    return Err(e);
-                }
+                Err(err) => Err(err),
             };
-            if out.dt_est < dt * 0.999 && cfl_redos < MAX_CFL_REDOS {
-                // Overshot the CFL bound: redo with a safer dt.
+            // Every redo starts from the snapshot. With an audit pending, a
+            // recoverable blow-up may be committed corruption crashing the
+            // next step rather than a numeric hiccup: a failed audit of the
+            // restored state fails the step as `CorruptionDetected`, so
+            // `run` can fall back to the newest trusted checkpoint instead
+            // of halving on a poisoned snapshot.
+            let rung = rung.and_then(|(next_dt, budget, seen, halved)| {
                 self.restore_saved(state, saved_t);
-                dt = 0.85 * out.dt_est;
-                redos += 1;
-                cfl_redos += 1;
-                continue;
-            }
-            // Audit the accepted candidate before committing to it (the
-            // SDC detector's cadence; a failed audit keeps the cadence
-            // armed so the redo is re-audited).
-            if let Some(aud) = &self.audit {
-                if aud.borrow_mut().due() {
-                    let verdict = self.billed_audit(state, &mut aud.borrow_mut());
-                    if let Err(err) = verdict {
-                        if rollback_redos < MAX_STEP_REDOS {
-                            // Same-dt redo from the pre-step snapshot. If
-                            // the snapshot itself is corrupted (cadence >
-                            // 1), the redo fails the audit again and the
-                            // budget drains — `run` then falls back to
-                            // the newest checkpoint.
-                            self.restore_saved(state, saved_t);
-                            redos += 1;
-                            rollback_redos += 1;
-                            continue;
-                        }
-                        return Err(err);
-                    }
+                if halved {
+                    self.billed_audit(state, Audit::Pending)?;
                 }
+                Ok((next_dt, budget, seen))
+            });
+            if let Ok((_, _, Some(err))) | Err(err) = &rung {
+                self.report_corruption(err);
             }
-            let dt_next = out.dt_next();
-            let tel = self.exec.telemetry();
-            tel.counter_add(names::counters::STEPS, 1);
-            if redos > 0 {
-                tel.counter_add(names::counters::STEP_REDOS, redos as u64);
-            }
-            return Ok(AdvanceOutcome { outcome: out, redos, dt_next });
+            let (next_dt, budget, _) = rung?;
+            dt = next_dt;
+            *budget += 1;
         }
     }
 

@@ -3,7 +3,9 @@
 //! maintains ([`JobRecord`]).
 
 use blast_core::state::HydroState;
-use blast_core::{ExecMode, Executor, Hydro, HydroError, Sedov, TaylorGreen, TriplePoint};
+use blast_core::{
+    AuditConfig, ExecMode, Executor, Hydro, HydroError, Problem, Sedov, TaylorGreen, TriplePoint,
+};
 
 /// Opaque handle of an admitted job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,26 +38,26 @@ impl Scenario {
         }
     }
 
-    /// Builds a solver for this scenario on the given executor.
+    /// Builds a solver for this scenario on the given executor, with the
+    /// step auditor when `audit` names one.
     pub fn build(
         self,
         zones: [usize; 2],
         order: usize,
         exec: Executor,
+        audit: Option<AuditConfig>,
     ) -> Result<Hydro<2>, HydroError> {
-        match self {
-            Scenario::Sedov => {
-                Hydro::<2>::builder(&Sedov::default(), zones).order(order).executor(exec).build()
-            }
-            Scenario::TriplePoint => Hydro::<2>::builder(&TriplePoint::default(), zones)
-                .order(order)
-                .executor(exec)
-                .build(),
-            Scenario::TaylorGreen => Hydro::<2>::builder(&TaylorGreen::default(), zones)
-                .order(order)
-                .executor(exec)
-                .build(),
+        let problem: &dyn Problem<2> = match self {
+            Scenario::Sedov => &Sedov::default(),
+            Scenario::TriplePoint => &TriplePoint::default(),
+            Scenario::TaylorGreen => &TaylorGreen::default(),
+        };
+        let builder = Hydro::<2>::builder(problem, zones).order(order).executor(exec);
+        match audit {
+            Some(cfg) => builder.audit(cfg),
+            None => builder,
         }
+        .build()
     }
 }
 

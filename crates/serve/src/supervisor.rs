@@ -737,12 +737,10 @@ impl Supervisor {
         exec.set_device_id(w.spec.device_id.clone());
         let job = &mut self.jobs[job_idx];
         let spec = &job.spec;
-        let mut hydro = spec.scenario.build(spec.zones, spec.order, exec)?;
-        if self.cfg.sdc_rate > 0.0 {
-            // SDC chaos without an auditor would be silent wrong answers
-            // by construction; install the detector on every attempt.
-            hydro.set_audit(AuditConfig::default());
-        }
+        // SDC chaos without an auditor would be silent wrong answers by
+        // construction; install the detector on every attempt.
+        let audit = (self.cfg.sdc_rate > 0.0).then(AuditConfig::default);
+        let mut hydro = spec.scenario.build(spec.zones, spec.order, exec, audit)?;
         let mut state = hydro.initial_state();
         job.record.attempts += 1;
         let cursor = hydro.begin(&mut state, &job.store)?;

@@ -487,3 +487,69 @@ proptest! {
         prop_assert!(adv.unwrap().redos >= k);
     }
 }
+
+// ---------------------------------------------------------------------------
+// PR 25: the two budgets of `try_advance`'s redo ladder stay apart.
+// ---------------------------------------------------------------------------
+
+use blast_repro::blast_core::AuditConfig;
+use blast_repro::gpu_sim::{SdcFault, SdcPlan, SdcSite};
+
+/// A CFL redo draws on its own budget, never on `MAX_STEP_REDOS`: a step
+/// asked for at ~300x the suggested dt spends the whole rollback budget on
+/// injected faults (eight halvings), still overshoots the CFL bound at
+/// dt/256, and is redone at 85 % of the estimate and accepted anyway.
+#[test]
+fn cfl_redos_never_draw_on_the_rollback_budget() {
+    let mut hydro =
+        Hydro::<2>::builder(&Sedov::default(), [4, 4]).executor(cpu_exec()).build().unwrap();
+    let mut state = hydro.initial_state();
+    let asked = 300.0 * hydro.suggest_dt(&state);
+    hydro.inject_step_faults(MAX_STEP_REDOS);
+    let adv = hydro.try_advance(&mut state, asked).expect("the CFL redo has a budget of its own");
+    let halved = asked / (1 << MAX_STEP_REDOS) as f64;
+    assert!(adv.redos > MAX_STEP_REDOS, "redos {}", adv.redos);
+    assert!(adv.outcome.dt_used < halved, "{} not below dt/256 = {halved}", adv.outcome.dt_used);
+    assert_eq!(state.t, adv.outcome.dt_used, "the step was accepted");
+}
+
+/// A recoverable failure with an audit pending (cadence 3, one unaudited
+/// step committed) audits the restored pre-step state before the halving
+/// redo: a clean state passes and the redo runs at dt/2; a state carrying
+/// a committed flip fails the step as `CorruptionDetected`, so `run` can
+/// roll back to a checkpoint instead of halving on a poisoned snapshot.
+#[test]
+fn a_recoverable_failure_audits_the_restored_state_before_halving() {
+    let flip =
+        SdcFault { site: SdcSite::HostState, at_step: 1, bit: 62, lane: 1, persistent: false };
+    for corrupted in [false, true] {
+        let plan = if corrupted { SdcPlan::none().with_flip_at(flip) } else { SdcPlan::none() };
+        let mut hydro = Hydro::<2>::builder(&Sedov::default(), [4, 4])
+            .executor(cpu_exec())
+            .sdc_plan(plan)
+            .audit(AuditConfig::default().every_steps(3))
+            .build()
+            .unwrap();
+        let mut state = hydro.initial_state();
+        // Half the suggested dt: no CFL redo replays the flipped attempt.
+        let dt = 0.5 * hydro.suggest_dt(&state);
+        let first = hydro.try_advance(&mut state, dt).expect("no audit due at step 1");
+        assert_eq!(first.redos, 0);
+        let (dt, committed) = (first.dt_next, state.clone());
+        let before = hydro.executor().resilience_report(0);
+        assert_eq!(before.sdc_flips_injected, corrupted as u64);
+        hydro.inject_step_faults(1);
+        let res = hydro.try_advance(&mut state, dt);
+        let after = hydro.executor().resilience_report(0);
+        assert_eq!(after.audits_run, before.audits_run + 1, "{corrupted}: one pending audit");
+        if corrupted {
+            let err = res.expect_err("the restored state carries the flip");
+            assert!(matches!(err, HydroError::CorruptionDetected { .. }), "{err:?}");
+            assert_eq!(after.corruptions_detected, 1);
+            assert_eq!(state, committed, "the restored state is the one audited");
+        } else {
+            let adv = res.expect("a clean restored state passes");
+            assert_eq!((adv.redos, adv.outcome.dt_used), (1, 0.5 * dt));
+        }
+    }
+}

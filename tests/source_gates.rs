@@ -344,3 +344,24 @@ fn one_run_driver() {
         "the dt growth rule lives in `StepOutcome::dt_next` only: {growth:#?}"
     );
 }
+
+/// A step attempt's guard is written once in `core/src`: `Hydro::try_advance`
+/// names each outcome's redo dt and budget in one arm and restores the
+/// pre-step snapshot, counts the redo and loops in one place; one helper
+/// lands a planned SDC flip on any of its sites; one audit entry runs and
+/// bills the energy reference, the pending audit and the due audit; and the
+/// ladder reports every corruption it sees from one line. A new outcome is a
+/// new arm, not another hand-copied restore / bill / report block.
+#[test]
+fn one_step_guard() {
+    let core: Vec<(String, String)> = files_under(&["crates/core/src"])
+        .into_iter()
+        .map(|(path, text)| (path, non_test(&text).to_string()))
+        .collect();
+    for call in ["restore_saved(", "apply_flip(", ".bill_audit(", "report_corruption("] {
+        let sites = lines_where(&core, |l| {
+            l.contains(call) && !l.contains("fn ") && !l.trim_start().starts_with("//")
+        });
+        assert_eq!(sites.len(), 1, "`{call}` must have one call site: {sites:#?}");
+    }
+}
