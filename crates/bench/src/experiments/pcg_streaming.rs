@@ -19,6 +19,11 @@
 //! of the same systems, both pinned to the same iteration count and the
 //! serial drive; the row sweep alone is timed at `d` = 1, 2 and 3.
 //!
+//! **Matrix-free lock-step block (measured wall-clock):** the same
+//! comparison through the solver's sum-factorized operator
+//! (`MatFreeConstrainedOp`, one zone pass feeding every component) on the
+//! `sedov3d_q3_matfree` system (5³ Q3, `d` = 3) and a 32² Q2 one (`d` = 2).
+//!
 //! **GPU-sim leg (modeled, deterministic):** `GpuPcg` fused (3 launches
 //! per iteration) vs unfused (8 per iteration) on a Q2-3D-like system —
 //! launch counts, modeled device time, and modeled energy from the §6
@@ -27,9 +32,12 @@
 //! Rows and gates: [`PcgStreaming::report`] (`BENCH_pcg_streaming.json`, the
 //! CI pcg-stream-smoke lane).
 
+use blast_core::MatFreeConstrainedOp;
 use blast_fem::mass::assemble_kinematic_mass;
 use blast_fem::{quad_points_1d, CartMesh, H1Space, TensorRule};
 use blast_kernels::k9::GpuPcg;
+use blast_kernels::sumfac::{SumfacFactors, SumfacMassKernel};
+use blast_kernels::ProblemShape;
 use blast_la::stream;
 use blast_la::{
     pcg_solve_lockstep_ws, pcg_solve_ws, ConstrainedOp, CsrBuilder, CsrMatrix, DiagPrecond,
@@ -115,6 +123,30 @@ impl LockstepResult {
     }
 }
 
+/// Measured lock-step result on one matrix-free momentum system.
+#[derive(Clone, Debug)]
+pub struct MatfreeLockstepResult {
+    /// Mesh and order of the system.
+    pub label: &'static str,
+    /// Velocity components (systems per momentum solve).
+    pub d: usize,
+    /// Scalar DOFs per component.
+    pub n: usize,
+    /// Iterations every solve is pinned to.
+    pub iterations: usize,
+    /// Seconds per call: variant 0 the `d` scalar solves together, 1 the
+    /// one lock-step solve.
+    pub t: Timing,
+}
+
+impl MatfreeLockstepResult {
+    /// Lock-step over scalar — the gate metric; < 1 means one zone pass for
+    /// all components pays off.
+    pub fn ratio(&self) -> f64 {
+        self.t.median_ratio(&[1], &[0])
+    }
+}
+
 /// Modeled GPU-sim comparison.
 #[derive(Clone, Debug)]
 pub struct GpuLeg {
@@ -146,6 +178,8 @@ pub struct PcgStreaming {
     pub shapes: Vec<ShapeResult>,
     /// The three stored workload matrices, scalar vs lock-step.
     pub lockstep: Vec<LockstepResult>,
+    /// The two matrix-free systems, scalar vs lock-step.
+    pub matfree_lockstep: Vec<MatfreeLockstepResult>,
     /// The modeled GPU-sim leg.
     pub gpu: GpuLeg,
 }
@@ -153,8 +187,8 @@ pub struct PcgStreaming {
 impl PcgStreaming {
     /// The rows and gates of this result. Gated: fusion does not lose on an
     /// order >= 2 host shape, the lock-step solve beats the scalar solves on
-    /// both `d` = 3 matrices, and fusion cuts the modeled launch count,
-    /// device time and energy.
+    /// both `d` = 3 matrices and on both matrix-free systems, and fusion
+    /// cuts the modeled launch count, device time and energy.
     pub fn report(&self) -> Report {
         let mut gates = Vec::new();
         let shapes = self.shapes.iter().map(|s| {
@@ -194,6 +228,20 @@ impl PcgStreaming {
             row
         });
         let lockstep = lockstep.collect();
+        let matfree = self.matfree_lockstep.iter().map(|l| {
+            let detail = format!("lock-step / {} scalar solves = {:.2}, need < 1", l.d, l.ratio());
+            gates.push(Gate::new(format!("matfree lockstep {}", l.label), l.ratio() < 1.0, detail));
+            vec![
+                Cell::new("label", l.label),
+                Cell::new("d", l.d),
+                Cell::new("n", l.n),
+                Cell::new("iterations", l.iterations),
+                Cell::new("scalar_ms", l.t.min(0) * 1e3),
+                Cell::new("lockstep_ms", l.t.min(1) * 1e3),
+                Cell::times("ratio", l.ratio()),
+            ]
+        });
+        let matfree = matfree.collect();
         let g = &self.gpu;
         for (what, [fused, unfused]) in [
             ("launches", g.launches.map(|l| l as f64)),
@@ -219,6 +267,11 @@ impl PcgStreaming {
             blocks: vec![
                 Block::table("shapes", "fused vs unfused PCG solve, ms, serial", shapes),
                 Block::table("lockstep", "d scalar vs one lock-step solve, ms, serial", lockstep),
+                Block::table(
+                    "matfree_lockstep",
+                    "matrix-free: d scalar vs one lock-step solve, ms, serial",
+                    matfree,
+                ),
                 Block::record("gpu", "modeled fused vs launch-per-op GpuPcg", gpu),
             ],
             gates,
@@ -349,6 +402,76 @@ fn measure_lockstep<const D: usize>(
     LockstepResult { label, d: D, n, nnz: a.nnz(), gated: D == 3, iterations: iters, t }
 }
 
+/// Measures one matrix-free momentum system (unit `zones^D` mesh, `rho0 =
+/// 1`, reflecting walls masked per component): `D` scalar solves vs one
+/// lock-step solve, pinned to `iters` iterations.
+fn measure_matfree_lockstep<const D: usize>(
+    label: &'static str,
+    zones: usize,
+    order: usize,
+    iters: usize,
+) -> MatfreeLockstepResult {
+    let mesh = CartMesh::<D>::unit(zones);
+    let space = H1Space::new(mesh.clone(), order);
+    let rule = TensorRule::<D>::gauss(quad_points_1d(order));
+    let nz = mesh.num_zones();
+    let shape = ProblemShape::new(D, order, nz);
+    let factors = SumfacFactors::for_shape(&shape);
+    let detj: f64 = mesh.zone_size().iter().product();
+    let svals: Vec<f64> =
+        (0..nz * rule.len()).map(|p| rule.weights[p % rule.len()] * detj).collect();
+    let zone_dofs: Vec<usize> = (0..nz).flat_map(|z| space.zone_dofs(z).to_vec()).collect();
+    let n = space.num_dofs();
+    let pre = DiagPrecond::from_diagonal(
+        &SumfacMassKernel.diagonal(&shape, &factors, &svals, &zone_dofs, n),
+    );
+    let masks: Vec<Vec<bool>> = (0..D)
+        .map(|c| {
+            let mut mask = vec![false; n];
+            space.boundary_dofs(c).into_iter().for_each(|i| mask[i] = true);
+            mask
+        })
+        .collect();
+    let masks: Vec<&[bool]> = masks.iter().map(|m| &m[..]).collect();
+    let mut b: Vec<f64> = (0..D * n).map(|i| (i as f64 * 0.013).sin()).collect();
+    for (bc, mask) in b.chunks_exact_mut(n).zip(&masks) {
+        bc.iter_mut().zip(*mask).filter(|(_, &m)| m).for_each(|(x, _)| *x = 0.0);
+    }
+    let opts = PcgOptions { rel_tol: 0.0, abs_tol: 1e-300, max_iter: iters, fused: true };
+    let mut ws = PcgWorkspace::new();
+    let mut local = Vec::new();
+    let mut x = vec![0.0; D * n];
+    // Variant 0: the `D` scalar solves, one mask each; 1: one lock-step solve.
+    let mut solve = |v: usize, x: &mut [f64], ws: &mut PcgWorkspace| {
+        x.fill(0.0);
+        let mut op = MatFreeConstrainedOp {
+            shape: &shape,
+            factors: &factors,
+            svals: &svals,
+            zone_dofs: &zone_dofs,
+            n,
+            masks: &masks,
+            local: &mut local,
+        };
+        if v == 1 {
+            pcg_solve_lockstep_ws::<D, _>(&mut op, &pre, &b, x, &opts, ws);
+        } else {
+            for (c, (bc, xc)) in b.chunks_exact(n).zip(x.chunks_exact_mut(n)).enumerate() {
+                op.masks = &masks[c..c + 1];
+                pcg_solve_ws(&mut op, &pre, bc, xc, &opts, ws);
+            }
+        }
+    };
+    // The equivalence the timing rests on.
+    solve(0, &mut x, &mut ws);
+    let x_scalar = x.clone();
+    solve(1, &mut x, &mut ws);
+    assert_eq!(x, x_scalar, "{label}: lock-step and scalar solves must agree bit for bit");
+
+    let t = harness::time_interleaved(2, BUDGET, &mut |v| solve(v, &mut x, &mut ws));
+    MatfreeLockstepResult { label, d: D, n, iterations: iters, t }
+}
+
 /// Runs the modeled GPU-sim comparison (deterministic — safe to gate).
 fn measure_gpu(iters: usize) -> GpuLeg {
     let (n, half_band) = (20_000, 40); // Q2-3D-like FEM row density
@@ -377,7 +500,7 @@ fn measure_gpu(iters: usize) -> GpuLeg {
 pub fn measure(smoke: bool) -> PcgStreaming {
     let iters = if smoke { SMOKE_ITERS } else { FULL_ITERS };
     // Serial drive only: fusion vs launch-per-op, no pool scheduling.
-    let (shapes, lockstep) = rayon::Pool::new(1).install(|| {
+    let (shapes, lockstep, matfree_lockstep) = rayon::Pool::new(1).install(|| {
         let shapes = SHAPES
             .iter()
             .map(|&(n, hb, label, gated)| measure_shape(n, hb, label, gated, iters))
@@ -389,9 +512,15 @@ pub fn measure(smoke: bool) -> PcgStreaming {
             measure_lockstep::<3>("8^3 Q2", 8, 2, iters),
             measure_lockstep::<3>("5^3 Q3", 5, 3, iters),
         ];
-        (shapes, lockstep)
+        // `sedov3d_q3_matfree`'s system and a 2D one.
+        let matfree = vec![
+            measure_matfree_lockstep::<2>("32^2 Q2", 32, 2, iters),
+            measure_matfree_lockstep::<3>("5^3 Q3", 5, 3, iters),
+        ];
+        (shapes, lockstep, matfree)
     });
-    PcgStreaming { shapes, lockstep, gpu: measure_gpu(if smoke { SMOKE_ITERS } else { 25 }) }
+    let gpu = measure_gpu(if smoke { SMOKE_ITERS } else { 25 });
+    PcgStreaming { shapes, lockstep, matfree_lockstep, gpu }
 }
 
 #[cfg(test)]
@@ -419,6 +548,13 @@ mod tests {
                 iterations: 12,
                 t: Timing::from_samples([pair(0.016, 0.006), vec![vec![4e-4; 3]; 3]].concat()),
             }],
+            matfree_lockstep: vec![MatfreeLockstepResult {
+                label: "5^3 Q3",
+                d: 3,
+                n: 4096,
+                iterations: 12,
+                t: Timing::from_samples(pair(0.004, 0.003)),
+            }],
             gpu: measure_gpu(SMOKE_ITERS),
         };
         assert!(r.report().failures().is_empty());
@@ -431,17 +567,21 @@ mod tests {
         assert_eq!(lock.get("label").and_then(Json::as_str), Some("5^3 Q3"));
         assert_eq!(lock.get("ratio").and_then(Json::as_f64), Some(0.375));
         assert_eq!(lock.get("sweep_d3_us").and_then(Json::as_f64), Some(400.0));
+        let matfree = &doc.get("matfree_lockstep").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(matfree.get("ratio").and_then(Json::as_f64), Some(0.75));
         let gpu = doc.get("gpu").unwrap();
         assert_eq!(gpu.get("fused_launches").and_then(Json::as_f64), Some(40.0));
-        assert_eq!(doc.get("gates").and_then(Json::as_arr).unwrap().len(), 5);
+        assert_eq!(doc.get("gates").and_then(Json::as_arr).unwrap().len(), 6);
 
-        // Fusion losing on a gated shape, and lock-step losing on d = 3.
+        // Fusion losing on a gated shape, and lock-step losing on d = 3,
+        // stored and matrix-free.
         r.shapes[0].t = Timing::from_samples(pair(0.022, 0.02));
         r.lockstep[0].t =
             Timing::from_samples([pair(0.006, 0.016), vec![vec![4e-4; 3]; 3]].concat());
+        r.matfree_lockstep[0].t = Timing::from_samples(pair(0.003, 0.004));
         let report = r.report();
         let failed: Vec<&str> = report.failures().iter().map(|g| &*g.name).collect();
-        assert_eq!(failed, ["host Q3", "lockstep 5^3 Q3"]);
+        assert_eq!(failed, ["host Q3", "lockstep 5^3 Q3", "matfree lockstep 5^3 Q3"]);
     }
 
     #[test]
@@ -452,9 +592,11 @@ mod tests {
         assert_eq!(r.shapes.iter().filter(|s| s.gated).count(), 3);
         assert_eq!(r.lockstep.iter().map(|l| l.d).collect::<Vec<_>>(), [2, 3, 3]);
         assert!(r.lockstep.iter().all(|l| (0..5).all(|v| l.t.min(v) > 0.0)));
+        assert_eq!(r.matfree_lockstep.iter().map(|l| l.d).collect::<Vec<_>>(), [2, 3]);
         assert!(r.gpu.iterations > 0);
-        // The ISSUE acceptance gate: fused beats unfused on every order
-        // >= 2 shape, lock-step beats scalar on both d = 3 matrices.
+        // The acceptance gate: fused beats unfused on every order >= 2
+        // shape, lock-step beats scalar on both d = 3 matrices and on both
+        // matrix-free systems.
         let report = r.report();
         assert!(report.failures().is_empty(), "{:?}", report.failures());
     }

@@ -15,8 +15,7 @@ use blast_kernels::sumfac::{
 };
 use blast_kernels::{GemmVariant, ProblemShape};
 use blast_la::{
-    pcg_solve_lockstep_ws, pcg_solve_ws, BatchedMats, ConstrainedOp, CsrMatrix, LinearOperator,
-    PcgResult,
+    pcg_solve_lockstep_ws, BatchedMats, ConstrainedOp, CsrMatrix, LinearOperator, PcgResult,
 };
 use blast_telemetry::names;
 use gpu_sim::{GpuDevice, LaunchConfig, Traffic};
@@ -134,21 +133,32 @@ impl Assembly {
     }
 }
 
-/// The SpMV-free constrained operator: masked input, one sum-factorized
-/// mass apply, identity on constrained DOFs — the same projection
-/// semantics as the stored [`ConstrainedOp`] with no matrix anywhere. The
-/// apply is bitwise-deterministic at every thread count (zone staging +
-/// serial scatter), so the whole PCG is — which is why the CPU and GPU
-/// momentum solves share this one type.
-struct MatFreeConstrainedOp<'a> {
-    shape: &'a ProblemShape,
-    factors: &'a SumfacFactors,
-    svals: &'a [f64],
-    zone_dofs: &'a [usize],
-    n: usize,
-    mask: &'a [bool],
-    tmp: &'a mut [f64],
-    local: &'a mut Vec<f64>,
+/// The SpMV-free constrained operator `P_c M_V P_c + (I − P_c)` of `d ≥ 1`
+/// velocity components, `P_c` zeroing the DOFs component `c`'s mask marks —
+/// the projection semantics of the stored [`ConstrainedOp`] with no matrix
+/// anywhere. With one mask it is a scalar operator; with `d` its `d`-wide
+/// apply feeds every component from one zone pass
+/// ([`SumfacMassKernel::compute_wide`]: the mask applied during the gather,
+/// the zone's `svals` read once, one serial zone-order scatter), then
+/// restores the identity rows and takes one `stream::dot` per component, so
+/// each component's bits are those of its own scalar apply. The apply is
+/// bitwise-deterministic at every thread count, so the whole PCG is — which
+/// is why the CPU and GPU momentum solves share this one type.
+pub struct MatFreeConstrainedOp<'a> {
+    /// Problem shape (zones, per-zone DOFs and points).
+    pub shape: &'a ProblemShape,
+    /// The 1D factor tables.
+    pub factors: &'a SumfacFactors,
+    /// Per-point mass scale factors `α_k ρ0|J0|` (`zones · npts`).
+    pub svals: &'a [f64],
+    /// Zone-to-global kinematic DOF map (`zones · nkin`).
+    pub zone_dofs: &'a [usize],
+    /// Scalar DOFs per component.
+    pub n: usize,
+    /// One mask per component; `true` marks a constrained entry.
+    pub masks: &'a [&'a [bool]],
+    /// Zone staging, `zones · d · nkin` (grow-only).
+    pub local: &'a mut Vec<f64>,
 }
 
 impl LinearOperator for MatFreeConstrainedOp<'_> {
@@ -156,23 +166,24 @@ impl LinearOperator for MatFreeConstrainedOp<'_> {
         self.n
     }
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        for ((t, &xi), &c) in self.tmp.iter_mut().zip(x).zip(self.mask) {
-            *t = if c { 0.0 } else { xi };
-        }
-        SumfacMassKernel.compute_with(
-            self.shape,
-            self.factors,
-            self.svals,
-            self.zone_dofs,
-            self.n,
-            self.tmp,
-            y,
-            self.local,
-        );
-        for (yi, (&c, &xi)) in y.iter_mut().zip(self.mask.iter().zip(x)) {
-            if c {
-                *yi = xi;
+        self.apply_wide(x, y);
+    }
+    fn apply_wide(&mut self, x: &[f64], y: &mut [f64]) {
+        let Self { shape, factors, svals, zone_dofs, n, masks, .. } = *self;
+        SumfacMassKernel.compute_wide(shape, factors, svals, zone_dofs, n, masks, x, y, self.local);
+        for ((yc, xc), mask) in y.chunks_exact_mut(n).zip(x.chunks_exact(n)).zip(masks) {
+            for ((yi, &xi), &c) in yc.iter_mut().zip(xc).zip(*mask) {
+                if c {
+                    *yi = xi;
+                }
             }
+        }
+    }
+    fn apply_dot_wide(&mut self, x: &[f64], y: &mut [f64], dots: &mut [f64]) {
+        self.apply_wide(x, y);
+        let n = self.n;
+        for ((dot, xc), yc) in dots.iter_mut().zip(x.chunks_exact(n)).zip(y.chunks_exact(n)) {
+            *dot = blast_la::stream::dot(xc, yc);
         }
     }
 }
@@ -401,16 +412,17 @@ impl<const D: usize> Hydro<D> {
 
     /// The momentum solve (step 6): the `D` constrained component systems
     /// `M_V a_c = rhs_c` through the live assembly's operator, warm-started
-    /// from the previous acceleration. The stored host leg advances all
-    /// `D` in lock step — one CSR row sweep per iteration feeds every
-    /// component — and each component's bits are those of its scalar
-    /// solve, which is what the other two legs still run, one component at
-    /// a time: on `device` kernel 9 issues every sweep of a stored solve
-    /// as a launch, and the matrix-free solve runs on the host (billed on
-    /// a device as one launch per component, the mass-apply sweeps a fused
-    /// device solver would execute). A stalled component is reported as
-    /// the sequential loop reports it: the lowest one, nothing counted
-    /// after it.
+    /// from the previous acceleration. The stored host leg and the
+    /// matrix-free leg advance all `D` in lock step — one CSR row sweep, or
+    /// one sum-factorized zone pass, per iteration feeds every component —
+    /// and each component's bits are those of its scalar solve. Only the
+    /// stored solve on `device` still runs one component at a time: kernel
+    /// 9 issues every sweep as a launch. The matrix-free solve runs on the
+    /// host, and on a device bills one launch per component after the
+    /// solve, in component order (the mass-apply sweeps a fused device
+    /// solver would execute). A stalled component is reported as a
+    /// sequential loop reports it: the lowest one, nothing counted or
+    /// billed after it.
     ///
     /// After a device solve the caller commits the warm-start cache once
     /// the solution has crossed back. Otherwise the host timeline is
@@ -451,22 +463,6 @@ impl<const D: usize> Hydro<D> {
         };
         let at = |c: usize| c * n..(c + 1) * n;
         let solved = match (&self.assembly, device) {
-            (Assembly::Stored { mv }, None) => {
-                let masks: [&[bool]; D] = std::array::from_fn(|c| &self.constrained[c][..]);
-                let staging = blast_la::stream::wide_lanes(D) * n;
-                let results: [PcgResult; D] =
-                    pcg.with_operator_scratch(staging, |tmp, pcg| {
-                        pcg_solve_lockstep_ws(
-                            &mut ConstrainedOp { a: mv, masks: &masks, tmp },
-                            &self.mv_precond,
-                            rhs,
-                            &mut accel,
-                            opts,
-                            pcg,
-                        )
-                    });
-                results.iter().try_for_each(&mut record)
-            }
             (Assembly::Stored { mv }, Some(gpu)) => (0..D).try_for_each(|c| {
                 let res = GpuPcg { opts: *opts }.solve_ws(
                     gpu,
@@ -479,37 +475,51 @@ impl<const D: usize> Hydro<D> {
                 )?;
                 record(&res)
             }),
-            (Assembly::MatFree(mf), _) => (0..D).try_for_each(|c| {
-                let res = pcg.with_operator_scratch(n, |tmp, pcg| {
-                    pcg_solve_ws(
+            (assembly, _) => {
+                let masks: [&[bool]; D] = std::array::from_fn(|c| &self.constrained[c][..]);
+                let precond = &self.mv_precond;
+                let results: [PcgResult; D] = match assembly {
+                    Assembly::Stored { mv } => {
+                        let staging = blast_la::stream::wide_lanes(D) * n;
+                        pcg.with_operator_scratch(staging, |tmp, pcg| {
+                            let op = &mut ConstrainedOp { a: mv, masks: &masks, tmp };
+                            pcg_solve_lockstep_ws(op, precond, rhs, &mut accel, opts, pcg)
+                        })
+                    }
+                    Assembly::MatFree(mf) => pcg_solve_lockstep_ws(
                         &mut MatFreeConstrainedOp {
                             shape,
                             factors: &mf.factors,
                             svals: &mf.svals,
                             zone_dofs: &self.zone_dofs,
                             n,
-                            mask: &self.constrained[c],
-                            tmp,
-                            local: &mut *mom_local,
+                            masks: &masks,
+                            local: mom_local,
                         },
-                        &self.mv_precond,
-                        &rhs[at(c)],
-                        &mut accel[at(c)],
+                        precond,
+                        rhs,
+                        &mut accel,
                         opts,
                         pcg,
-                    )
-                });
-                record(&res)?;
-                if let Some(gpu) = device {
-                    gpu.launch(
-                        SumfacMassKernel::NAME,
-                        &SumfacMassKernel.config(shape),
-                        &iter_traffic.scale(res.iterations as f64),
-                        || (),
-                    )?;
-                }
-                Ok(())
-            }),
+                    ),
+                };
+                // Only a matrix-free solve reaches here with a device: each
+                // component's mass-apply sweeps are billed as one launch
+                // right after its record, so a stalled or refused component
+                // ends the bill where a component-at-a-time loop would.
+                results.iter().try_for_each(|res| {
+                    record(res)?;
+                    if let Some(gpu) = device {
+                        gpu.launch(
+                            SumfacMassKernel::NAME,
+                            &SumfacMassKernel.config(shape),
+                            &iter_traffic.scale(res.iterations as f64),
+                            || (),
+                        )?;
+                    }
+                    Ok(())
+                })
+            }
         };
         if let Err(e) = solved {
             *accel_pool = accel;

@@ -7,6 +7,7 @@ mod force;
 mod run;
 
 pub use builder::{HydroBuilder, RequiredBytes};
+pub use force::MatFreeConstrainedOp;
 pub use run::{RunConfig, RunCursor};
 
 use blast_fem::{BasisTable, H1Space, L2Space, TensorRule};

@@ -22,20 +22,21 @@
 //!   with `beta` accumulation for summing gradient components.
 //!
 //! Each `dim`-dimensional transform is staged as `dim` small column-major
-//! GEMMs through the tiled core ([`blast_la::tile::gemm`]), so the inner
-//! loops inherit the runtime scalar/AVX2/AVX-512 dispatch and the bitwise
-//! determinism guarantees of PR 4 (the contraction dimensions here are far
-//! below one cache block, so every tile candidate reduces in the same
-//! order).
+//! contractions by the fixed-shape kernel [`blast_la::tensor`]: loop bounds
+//! are compile-time constants at every `Q1`–`Q4` factor shape (a
+//! runtime-size instance of the same body covers the rest), and the clone
+//! runs at `blast-la`'s one SIMD level. Every element's accumulation chain
+//! is the tiled core's, so the results are bitwise those of the
+//! [`blast_la::tile::gemm`] chain kept in [`reference`].
 
-use blast_la::tile::{self, Op};
+use blast_la::tensor;
 
 use crate::basis1d::Basis1d;
 
 /// 1D basis factor tables at a fixed 1D point set (the per-axis Gauss
 /// nodes): values and derivatives of every 1D basis function at every
-/// point, column-major `m1 x n1` (point index fastest — the same layout
-/// `tile::gemm` consumes directly).
+/// point, column-major `m1 x n1` (point index fastest — the layout the
+/// transforms consume directly).
 #[derive(Clone, Debug)]
 pub struct Factors1d {
     /// Basis functions per axis.
@@ -126,13 +127,12 @@ impl Factors1d {
     }
 }
 
-/// Grow-only staging buffers for the intermediate contraction stages. One
-/// per worker thread (or per zone-scratch) — the buffers track the
-/// high-water transform size, so steady-state transforms allocate nothing.
+/// Grow-only staging for the intermediate contraction stages. One per
+/// worker thread (or per zone-scratch) — the buffer tracks the high-water
+/// transform size, so steady-state transforms allocate nothing.
 #[derive(Clone, Debug, Default)]
 pub struct SumfacScratch {
-    t1: Vec<f64>,
-    t2: Vec<f64>,
+    buf: Vec<f64>,
 }
 
 impl SumfacScratch {
@@ -141,19 +141,35 @@ impl SumfacScratch {
         Self::default()
     }
 
-    fn stage(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
-        if buf.len() < len {
-            buf.resize(len, 0.0);
+    fn stage(&mut self, len: usize) -> &mut [f64] {
+        if self.buf.len() < len {
+            self.buf.resize(len, 0.0);
         }
-        &mut buf[..len]
+        &mut self.buf[..len]
     }
+}
+
+/// The per-axis factor tables of a `dim`-dimensional transform: the
+/// derivative table on `deriv_axis`, the value table elsewhere.
+fn axes(f: &Factors1d, dim: usize, deriv_axis: Option<usize>) -> [&[f64]; 3] {
+    assert!(dim == 2 || dim == 3, "sumfac transforms support dim 2 and 3 only");
+    std::array::from_fn(|axis| f.factor(axis, deriv_axis))
+}
+
+/// How many whole blocks of `block` values `len` holds (at least one).
+fn blocks(len: usize, block: usize, what: &str) -> usize {
+    assert!(len >= block && len.is_multiple_of(block), "sumfac {what} length");
+    len / block
 }
 
 /// Forward transform: DOF coefficients `u` (`n1^dim`, lexicographic with
 /// axis 0 fastest) → values at the tensor points (`m1^dim`, same ordering)
 /// into `out`. With `deriv_axis = Some(a)` the axis-`a` factor uses the
 /// derivative table, producing the reference-gradient component
-/// `∂u/∂x̂_a(q̂_k)`.
+/// `∂u/∂x̂_a(q̂_k)`. `u` may hold several consecutive coefficient blocks
+/// (one per vector component), `out` then the matching point blocks: one
+/// call transforms them all, each block's bits those of its own call. Runs
+/// the fixed-shape kernel [`blast_la::tensor`].
 pub fn forward(
     f: &Factors1d,
     dim: usize,
@@ -162,43 +178,11 @@ pub fn forward(
     out: &mut [f64],
     ws: &mut SumfacScratch,
 ) {
+    let batch = blocks(u.len(), f.ndof(dim), "forward: coefficient");
+    assert_eq!(out.len(), batch * f.npts(dim), "sumfac forward: output length");
     let (n1, m1) = (f.n1, f.m1);
-    assert_eq!(u.len(), f.ndof(dim), "sumfac forward: coefficient length");
-    assert_eq!(out.len(), f.npts(dim), "sumfac forward: output length");
-    match dim {
-        2 => {
-            // (q0, j1) = F0 · U, with U viewed as n1 x n1.
-            let t1 = SumfacScratch::stage(&mut ws.t1, m1 * n1);
-            tile::gemm(m1, n1, n1, 1.0, f.factor(0, deriv_axis), Op::N, u, Op::N, 0.0, t1);
-            // (q0, q1) = T1 · F1^T.
-            tile::gemm(m1, m1, n1, 1.0, t1, Op::N, f.factor(1, deriv_axis), Op::T, 0.0, out);
-        }
-        3 => {
-            // (q0, j1, j2) = F0 · U, with U viewed as n1 x n1^2.
-            let t1 = SumfacScratch::stage(&mut ws.t1, m1 * n1 * n1);
-            tile::gemm(m1, n1 * n1, n1, 1.0, f.factor(0, deriv_axis), Op::N, u, Op::N, 0.0, t1);
-            // (q0, q1, j2): one m1 x n1 slab per j2, times F1^T.
-            let t2 = SumfacScratch::stage(&mut ws.t2, m1 * m1 * n1);
-            let f1 = f.factor(1, deriv_axis);
-            for j2 in 0..n1 {
-                tile::gemm(
-                    m1,
-                    m1,
-                    n1,
-                    1.0,
-                    &t1[j2 * m1 * n1..(j2 + 1) * m1 * n1],
-                    Op::N,
-                    f1,
-                    Op::T,
-                    0.0,
-                    &mut t2[j2 * m1 * m1..(j2 + 1) * m1 * m1],
-                );
-            }
-            // (q0 q1, q2) = T2 · F2^T, with T2 viewed as m1^2 x n1.
-            tile::gemm(m1 * m1, m1, n1, 1.0, t2, Op::N, f.factor(2, deriv_axis), Op::T, 0.0, out);
-        }
-        _ => panic!("sumfac transforms support dim 2 and 3 only"),
-    }
+    let stage = ws.stage(tensor::stage_len(dim, n1, m1, batch));
+    tensor::forward(n1, m1, &axes(f, dim, deriv_axis)[..dim], u, out, stage);
 }
 
 /// Backward (transpose) transform: point data `q` (`m1^dim`) → DOF-space
@@ -206,7 +190,8 @@ pub fn forward(
 /// exactly the transpose of [`forward`] with the same `deriv_axis`, so
 /// `⟨forward(u), q⟩ = ⟨u, backward(q)⟩`. Pass `beta = 1.0` to sum gradient
 /// components across repeated calls (the `Σ_g` of the corner-force
-/// contraction).
+/// contraction). Several consecutive blocks transform in one call, as in
+/// [`forward`].
 pub fn backward(
     f: &Factors1d,
     dim: usize,
@@ -216,42 +201,96 @@ pub fn backward(
     out: &mut [f64],
     ws: &mut SumfacScratch,
 ) {
+    let batch = blocks(q.len(), f.npts(dim), "backward: point-data");
+    assert_eq!(out.len(), batch * f.ndof(dim), "sumfac backward: output length");
     let (n1, m1) = (f.n1, f.m1);
-    assert_eq!(q.len(), f.npts(dim), "sumfac backward: point-data length");
-    assert_eq!(out.len(), f.ndof(dim), "sumfac backward: output length");
-    match dim {
-        2 => {
-            // (j0, q1) = F0^T · Q, with Q viewed as m1 x m1.
-            let t1 = SumfacScratch::stage(&mut ws.t1, n1 * m1);
-            tile::gemm(n1, m1, m1, 1.0, f.factor(0, deriv_axis), Op::T, q, Op::N, 0.0, t1);
-            // (j0, j1) = T1 · F1 (+ beta * out).
-            tile::gemm(n1, n1, m1, 1.0, t1, Op::N, f.factor(1, deriv_axis), Op::N, beta, out);
-        }
-        3 => {
-            // (j0, q1, q2) = F0^T · Q, with Q viewed as m1 x m1^2.
-            let t1 = SumfacScratch::stage(&mut ws.t1, n1 * m1 * m1);
-            tile::gemm(n1, m1 * m1, m1, 1.0, f.factor(0, deriv_axis), Op::T, q, Op::N, 0.0, t1);
-            // (j0, j1, q2): one n1 x m1 slab per q2, times F1.
-            let t2 = SumfacScratch::stage(&mut ws.t2, n1 * n1 * m1);
-            let f1 = f.factor(1, deriv_axis);
-            for q2 in 0..m1 {
-                tile::gemm(
-                    n1,
-                    n1,
-                    m1,
-                    1.0,
-                    &t1[q2 * n1 * m1..(q2 + 1) * n1 * m1],
-                    Op::N,
-                    f1,
-                    Op::N,
-                    0.0,
-                    &mut t2[q2 * n1 * n1..(q2 + 1) * n1 * n1],
-                );
+    let stage = ws.stage(tensor::stage_len(dim, n1, m1, batch));
+    tensor::backward(n1, m1, &axes(f, dim, deriv_axis)[..dim], q, beta, out, stage);
+}
+
+/// The transforms as `dim` column-major GEMMs through the general tiled core
+/// ([`blast_la::tile::gemm`]) — the chain [`forward`] and [`backward`]
+/// replaced, kept as their bitwise oracle in either regime.
+pub mod reference {
+    use blast_la::tile::{self, Op};
+
+    use super::{Factors1d, SumfacScratch};
+
+    /// [`super::forward`], stage by stage through `tile::gemm`.
+    pub fn forward(
+        f: &Factors1d,
+        dim: usize,
+        u: &[f64],
+        deriv_axis: Option<usize>,
+        out: &mut [f64],
+        ws: &mut SumfacScratch,
+    ) {
+        let (n1, m1) = (f.n1, f.m1);
+        assert_eq!(u.len(), f.ndof(dim), "sumfac forward: coefficient length");
+        assert_eq!(out.len(), f.npts(dim), "sumfac forward: output length");
+        match dim {
+            2 => {
+                // (q0, j1) = F0 · U, with U viewed as n1 x n1.
+                let t1 = ws.stage(m1 * n1);
+                tile::gemm(m1, n1, n1, 1.0, f.factor(0, deriv_axis), Op::N, u, Op::N, 0.0, t1);
+                // (q0, q1) = T1 · F1^T.
+                tile::gemm(m1, m1, n1, 1.0, t1, Op::N, f.factor(1, deriv_axis), Op::T, 0.0, out);
             }
-            // (j0 j1, j2) = T2 · F2 (+ beta * out), T2 viewed as n1^2 x m1.
-            tile::gemm(n1 * n1, n1, m1, 1.0, t2, Op::N, f.factor(2, deriv_axis), Op::N, beta, out);
+            3 => {
+                let (t1, t2) = ws.stage(m1 * n1 * (n1 + m1)).split_at_mut(m1 * n1 * n1);
+                // (q0, j1, j2) = F0 · U, with U viewed as n1 x n1^2.
+                let f0 = f.factor(0, deriv_axis);
+                tile::gemm(m1, n1 * n1, n1, 1.0, f0, Op::N, u, Op::N, 0.0, t1);
+                // (q0, q1, j2): one m1 x n1 slab per j2, times F1^T.
+                let f1 = f.factor(1, deriv_axis);
+                for (s1, s2) in t1.chunks_exact(m1 * n1).zip(t2.chunks_exact_mut(m1 * m1)) {
+                    tile::gemm(m1, m1, n1, 1.0, s1, Op::N, f1, Op::T, 0.0, s2);
+                }
+                // (q0 q1, q2) = T2 · F2^T, with T2 viewed as m1^2 x n1.
+                let f2 = f.factor(2, deriv_axis);
+                tile::gemm(m1 * m1, m1, n1, 1.0, t2, Op::N, f2, Op::T, 0.0, out);
+            }
+            _ => panic!("sumfac transforms support dim 2 and 3 only"),
         }
-        _ => panic!("sumfac transforms support dim 2 and 3 only"),
+    }
+
+    /// [`super::backward`], stage by stage through `tile::gemm`.
+    pub fn backward(
+        f: &Factors1d,
+        dim: usize,
+        q: &[f64],
+        deriv_axis: Option<usize>,
+        beta: f64,
+        out: &mut [f64],
+        ws: &mut SumfacScratch,
+    ) {
+        let (n1, m1) = (f.n1, f.m1);
+        assert_eq!(q.len(), f.npts(dim), "sumfac backward: point-data length");
+        assert_eq!(out.len(), f.ndof(dim), "sumfac backward: output length");
+        match dim {
+            2 => {
+                // (j0, q1) = F0^T · Q, with Q viewed as m1 x m1.
+                let t1 = ws.stage(n1 * m1);
+                tile::gemm(n1, m1, m1, 1.0, f.factor(0, deriv_axis), Op::T, q, Op::N, 0.0, t1);
+                // (j0, j1) = T1 · F1 (+ beta * out).
+                tile::gemm(n1, n1, m1, 1.0, t1, Op::N, f.factor(1, deriv_axis), Op::N, beta, out);
+            }
+            3 => {
+                let (t1, t2) = ws.stage(n1 * m1 * (m1 + n1)).split_at_mut(n1 * m1 * m1);
+                // (j0, q1, q2) = F0^T · Q, with Q viewed as m1 x m1^2.
+                let f0 = f.factor(0, deriv_axis);
+                tile::gemm(n1, m1 * m1, m1, 1.0, f0, Op::T, q, Op::N, 0.0, t1);
+                // (j0, j1, q2): one n1 x m1 slab per q2, times F1.
+                let f1 = f.factor(1, deriv_axis);
+                for (s1, s2) in t1.chunks_exact(n1 * m1).zip(t2.chunks_exact_mut(n1 * n1)) {
+                    tile::gemm(n1, n1, m1, 1.0, s1, Op::N, f1, Op::N, 0.0, s2);
+                }
+                // (j0 j1, j2) = T2 · F2 (+ beta * out), T2 viewed as n1^2 x m1.
+                let f2 = f.factor(2, deriv_axis);
+                tile::gemm(n1 * n1, n1, m1, 1.0, t2, Op::N, f2, Op::N, beta, out);
+            }
+            _ => panic!("sumfac transforms support dim 2 and 3 only"),
+        }
     }
 }
 
@@ -398,6 +437,125 @@ mod tests {
         let mut b = vec![0.0; f.npts(3)];
         forward(&f, 3, &u, Some(1), &mut b, &mut ws);
         assert_eq!(a, b);
+    }
+
+    /// `n` values over several magnitudes, about one in five an exact `0.0`
+    /// or `-0.0`, so the scalar regime's zero-skip fires on either sign.
+    fn signed_zero_mix(n: usize, seed: u64) -> Vec<f64> {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                match s % 10 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    r => ((s >> 8) % 2001) as f64 / 1000.0 - 1.0 + 1e-3 * r as f64,
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The factor tables a transform sweep runs against at `order`: the
+    /// kinematic and thermodynamic tables, and each again with exact zeros
+    /// of both signs written into the value and derivative tables (the B
+    /// operand of every stage after the first) — the first basis function's
+    /// column entirely, so a backward `beta` stage leaves a `-0.0` output
+    /// where every term is skipped and turns it to `+0.0` where one is not.
+    fn sweep_factors(order: usize) -> Vec<(String, Factors1d)> {
+        let pts = gauss_legendre(quad_points_1d(order)).0;
+        let mut out = Vec::new();
+        for (what, basis) in [("kin", Basis1d::h1(order)), ("thermo", Basis1d::l2(order - 1))] {
+            let f = Factors1d::tabulate(&basis, &pts);
+            let mut zeroed = f.clone();
+            for (i, (b, g)) in zeroed.b.iter_mut().zip(&mut zeroed.g).enumerate() {
+                match i % 5 {
+                    _ if i < f.m1 => (*b, *g) = (0.0, -0.0),
+                    1 => *b = 0.0,
+                    3 => *g = -0.0,
+                    4 => (*b, *g) = (-0.0, 0.0),
+                    _ => {}
+                }
+            }
+            out.push((format!("Q{order} {what}"), f));
+            out.push((format!("Q{order} {what}, zeroed tables"), zeroed));
+        }
+        out
+    }
+
+    /// The fixed-shape forward transform is the `tile::gemm` chain bit for
+    /// bit, in the process's regime: dim 2 and 3, orders 1–5 (order 5 runs
+    /// the runtime-size instance), kinematic and thermodynamic factors,
+    /// every derivative axis, inputs seeded with exact zeros — one block
+    /// per call, and two blocks in one call.
+    #[test]
+    fn fixed_shape_forward_matches_the_gemm_reference_bitwise() {
+        let (mut ws, mut ws_ref) = (SumfacScratch::new(), SumfacScratch::new());
+        for order in 1..=5 {
+            for (what, f) in sweep_factors(order) {
+                for dim in [2, 3] {
+                    for (seed, axis) in [None, Some(0), Some(1), Some(2)].into_iter().enumerate() {
+                        if axis.is_some_and(|a| a >= dim) {
+                            continue;
+                        }
+                        let (ndof, npts) = (f.ndof(dim), f.npts(dim));
+                        let u = signed_zero_mix(2 * ndof, (order * 10 + dim + seed) as u64);
+                        let mut want = vec![f64::NAN; 2 * npts];
+                        for (ub, wb) in u.chunks_exact(ndof).zip(want.chunks_exact_mut(npts)) {
+                            reference::forward(&f, dim, ub, axis, wb, &mut ws_ref);
+                        }
+                        let case = format!("{what} dim {dim} axis {axis:?}");
+                        let mut got = vec![f64::NAN; npts];
+                        forward(&f, dim, &u[..ndof], axis, &mut got, &mut ws);
+                        assert_eq!(bits(&got), bits(&want[..npts]), "{case}");
+                        let mut got = vec![f64::NAN; 2 * npts];
+                        forward(&f, dim, &u, axis, &mut got, &mut ws);
+                        assert_eq!(bits(&got), bits(&want), "{case}, two blocks");
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`backward`] against its reference, over the same sweep and `beta`
+    /// 0, 1 and 2.5 onto an output that already holds signed zeros.
+    #[test]
+    fn fixed_shape_backward_matches_the_gemm_reference_bitwise() {
+        let (mut ws, mut ws_ref) = (SumfacScratch::new(), SumfacScratch::new());
+        for order in 1..=5 {
+            for (what, f) in sweep_factors(order) {
+                for dim in [2, 3] {
+                    for (seed, axis) in [None, Some(0), Some(1), Some(2)].into_iter().enumerate() {
+                        if axis.is_some_and(|a| a >= dim) {
+                            continue;
+                        }
+                        let (ndof, npts) = (f.ndof(dim), f.npts(dim));
+                        let q = signed_zero_mix(2 * npts, (order * 10 + dim + seed) as u64);
+                        for beta in [0.0, 1.0, 2.5] {
+                            // Every third output starts at -0.0.
+                            let mut out0 = signed_zero_mix(2 * ndof, 7 + seed as u64);
+                            out0.iter_mut().step_by(3).for_each(|o| *o = -0.0);
+                            let mut want = out0.clone();
+                            for (qb, wb) in q.chunks_exact(npts).zip(want.chunks_exact_mut(ndof)) {
+                                reference::backward(&f, dim, qb, axis, beta, wb, &mut ws_ref);
+                            }
+                            let case = format!("{what} dim {dim} axis {axis:?} beta {beta}");
+                            let mut got = out0[..ndof].to_vec();
+                            backward(&f, dim, &q[..npts], axis, beta, &mut got, &mut ws);
+                            assert_eq!(bits(&got), bits(&want[..ndof]), "{case}");
+                            let mut got = out0;
+                            backward(&f, dim, &q, axis, beta, &mut got, &mut ws);
+                            assert_eq!(bits(&got), bits(&want), "{case}, two blocks");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -137,14 +137,14 @@ pub fn matfree_force(
 ) {
     let (d, d2, npts, nkin, nthermo) = (3, 9, shape.npts, shape.nkin, shape.nthermo);
     let mut sf = SumfacScratch::default();
-    let (mut uz, mut tmp, mut e_pt) = (vec![0.0; d * nkin], vec![0.0; npts], vec![0.0; npts]);
+    let (mut uz, mut tmp, mut e_pt) = (vec![0.0; d * nkin], vec![0.0; d * npts], vec![0.0; npts]);
     let (mut jac, mut gvref) = (vec![0.0; npts * d2], vec![0.0; npts * d2]);
     for z in 0..shape.zones {
         let dofs = &zone_dofs[z * nkin..(z + 1) * nkin];
         gather_kin(x, num_h1_dofs, dofs, d, nkin, &mut uz);
-        forward_gradients(&f.kin, d, &uz, nkin, npts, &mut tmp, &mut sf, &mut jac);
+        forward_gradients(&f.kin, d, &uz, npts, &mut tmp, &mut sf, &mut jac);
         gather_kin(v, num_h1_dofs, dofs, d, nkin, &mut uz);
-        forward_gradients(&f.kin, d, &uz, nkin, npts, &mut tmp, &mut sf, &mut gvref);
+        forward_gradients(&f.kin, d, &uz, npts, &mut tmp, &mut sf, &mut gvref);
         forward(&f.thermo, d, &e[z * nthermo..(z + 1) * nthermo], None, &mut e_pt, &mut sf);
         let zone = ZonePhysics::new(consts, z, shape, true);
         for k in 0..npts {

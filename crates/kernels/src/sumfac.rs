@@ -32,9 +32,9 @@
 //!
 //! Determinism: zones are data-parallel with zone-private scratch and a
 //! serial zone-order scatter (the k8/k10 pattern), and the inner
-//! contractions run through [`blast_la::tile::gemm`] at shapes far below
-//! one cache block — bitwise-identical results at every thread count and
-//! tile variant, in both native and degraded-to-CPU execution.
+//! contractions are the fixed-shape kernels of [`blast_la::tensor`] —
+//! bitwise-identical results at every thread count, in both native and
+//! degraded-to-CPU execution.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -126,9 +126,10 @@ impl SumfacFactors {
 struct ZoneScratch {
     /// Gathered kinematic vector coefficients (`d * nkin`).
     uz: Vec<f64>,
-    /// One forward-transform output (`npts`).
+    /// Forward-transform outputs, one block per component (`d * npts`).
     tmp: Vec<f64>,
-    /// Per-point gather / pointwise-product buffer (`npts`).
+    /// Per-point pointwise-product buffer, one block per component
+    /// (`d * npts`).
     q: Vec<f64>,
     /// Reference Jacobian batch, point-major `[k*d² + c + g*d]` (`npts*d²`).
     jac: Vec<f64>,
@@ -171,23 +172,24 @@ pub(crate) fn gather_kin(
 }
 
 /// Runs the `d²` forward gradient transforms of the gathered vector field
-/// `uz`, scattering into the point-major `[k*d² + c + g*d]` batch `out`.
+/// `uz` (`d · nkin`; one call per axis transforms all `d` components into
+/// `tmp`, `d · npts`), scattering into the point-major `[k*d² + c + g*d]`
+/// batch `out`.
 pub(crate) fn forward_gradients(
     f: &Factors1d,
     dim: usize,
     uz: &[f64],
-    nkin: usize,
     npts: usize,
     tmp: &mut [f64],
     sf: &mut SumfacScratch,
     out: &mut [f64],
 ) {
     let d2 = dim * dim;
-    for c in 0..dim {
-        let comp = &uz[c * nkin..(c + 1) * nkin];
-        for g in 0..dim {
-            forward(f, dim, comp, Some(g), &mut tmp[..npts], sf);
-            for (k, &t) in tmp[..npts].iter().enumerate() {
+    let tmp = &mut tmp[..dim * npts];
+    for g in 0..dim {
+        forward(f, dim, uz, Some(g), tmp, sf);
+        for (c, tc) in tmp.chunks_exact(npts).enumerate() {
+            for (k, &t) in tc.iter().enumerate() {
                 out[k * d2 + c + g * dim] = t;
             }
         }
@@ -437,24 +439,19 @@ impl SumfacForceKernel {
                 TLS_ZS.with(|zs| {
                     let zs = &mut *zs.borrow_mut();
                     grow(&mut zs.uz, d * nkin);
-                    grow(&mut zs.tmp, npts);
+                    grow(&mut zs.tmp, d * npts);
                     grow(&mut zs.jac, npts * d2);
                     grow(&mut zs.gvref, npts * d2);
                     grow(&mut zs.e_pt, npts);
                     let dofs = &zone_dofs[z * nkin..(z + 1) * nkin];
 
                     // Sum-factorized reference Jacobian J[c,g] = ∂x_c/∂x̂_g.
-                    gather_kin(x, num_h1_dofs, dofs, d, nkin, &mut zs.uz);
-                    forward_gradients(
-                        &factors.kin, d, &zs.uz, nkin, npts, &mut zs.tmp, &mut zs.sf,
-                        &mut zs.jac,
-                    );
+                    let (uz, tmp, sf) = (&mut zs.uz[..d * nkin], &mut zs.tmp, &mut zs.sf);
+                    gather_kin(x, num_h1_dofs, dofs, d, nkin, uz);
+                    forward_gradients(&factors.kin, d, uz, npts, tmp, sf, &mut zs.jac);
                     // Sum-factorized reference velocity gradient.
-                    gather_kin(v, num_h1_dofs, dofs, d, nkin, &mut zs.uz);
-                    forward_gradients(
-                        &factors.kin, d, &zs.uz, nkin, npts, &mut zs.tmp, &mut zs.sf,
-                        &mut zs.gvref,
-                    );
+                    gather_kin(v, num_h1_dofs, dofs, d, nkin, uz);
+                    forward_gradients(&factors.kin, d, uz, npts, tmp, sf, &mut zs.gvref);
                     // Sum-factorized energy interpolation.
                     let ez = &e[z * nthermo..(z + 1) * nthermo];
                     forward(&factors.thermo, d, ez, None, &mut zs.e_pt[..npts], &mut zs.sf);
@@ -545,18 +542,19 @@ impl SumfacMomentumKernel {
         local.par_chunks_exact_mut(nvdof).enumerate().for_each(|(z, loc)| {
             TLS_ZS.with(|zs| {
                 let zs = &mut *zs.borrow_mut();
-                grow(&mut zs.q, npts);
+                grow(&mut zs.q, d * npts);
                 let dsf_z = &dsf_all[z * npts * d2..(z + 1) * npts * d2];
-                for c in 0..d {
-                    let out = &mut loc[c * nkin..(c + 1) * nkin];
-                    for g in 0..d {
-                        // w(k) = D[c,g](k) t(k); Σ_g accumulates via beta.
-                        for (k, q) in zs.q[..npts].iter_mut().enumerate() {
-                            *q = dsf_z[k * d2 + c + g * d] * tvals[k];
+                let q = &mut zs.q[..d * npts];
+                for g in 0..d {
+                    // w_c(k) = D[c,g](k) t(k), every c in one backward
+                    // call; Σ_g accumulates via beta.
+                    for (c, qc) in q.chunks_exact_mut(npts).enumerate() {
+                        for (k, w) in qc.iter_mut().enumerate() {
+                            *w = dsf_z[k * d2 + c + g * d] * tvals[k];
                         }
-                        let beta = if g == 0 { 0.0 } else { 1.0 };
-                        backward(&factors.kin, d, &zs.q[..npts], Some(g), beta, out, &mut zs.sf);
                     }
+                    let beta = if g == 0 { 0.0 } else { 1.0 };
+                    backward(&factors.kin, d, q, Some(g), beta, loc, &mut zs.sf);
                 }
             });
         });
@@ -696,8 +694,7 @@ impl SumfacMassKernel {
 
     /// Pure computation for one scalar component: `y = M_V x` with
     /// `svals[p] = α_{p mod npts} w(p)` the precomputed per-point mass
-    /// factor. `y` is fully overwritten; gather/scatter mirror the
-    /// momentum kernel (zone staging in `local`, serial scatter).
+    /// factor — [`Self::compute_wide`] at one component and no mask.
     #[allow(clippy::too_many_arguments)]
     pub fn compute_with(
         &self,
@@ -710,42 +707,73 @@ impl SumfacMassKernel {
         y: &mut [f64],
         local: &mut Vec<f64>,
     ) {
-        let d = shape.dim;
-        let npts = shape.npts;
-        let nkin = shape.nkin;
+        self.compute_wide(shape, factors, svals, zone_dofs, num_h1_dofs, &[], x, y, local);
+    }
+
+    /// `y_c = M_V x̃_c` for every component block `c` of `x` (blocks
+    /// `[c·n..(c+1)·n]`, `n = num_h1_dofs`) in one zone pass: per zone the
+    /// components are gathered, with `x̃_c` reading zero wherever `masks[c]`
+    /// marks a DOF (no masks: `x̃_c = x_c`), one forward call, one scale by
+    /// the zone's `svals` and one backward call serve all `d`, and the staged rows
+    /// (`local`, `zones · d · nkin`, grow-only) are scattered serially in
+    /// zone order. `y` is fully overwritten; each block's bits are those of
+    /// its own one-component apply.
+    #[allow(clippy::too_many_arguments)]
+    pub fn compute_wide(
+        &self,
+        shape: &ProblemShape,
+        factors: &SumfacFactors,
+        svals: &[f64],
+        zone_dofs: &[usize],
+        num_h1_dofs: usize,
+        masks: &[&[bool]],
+        x: &[f64],
+        y: &mut [f64],
+        local: &mut Vec<f64>,
+    ) {
+        let (dim, npts, nkin, n) = (shape.dim, shape.npts, shape.nkin, num_h1_dofs);
+        let d = x.len() / n.max(1);
         assert_eq!(svals.len(), shape.total_points());
-        assert_eq!(x.len(), num_h1_dofs);
-        assert_eq!(y.len(), num_h1_dofs);
+        assert_eq!(x.len(), d * n);
+        assert_eq!(y.len(), d * n);
+        assert!(masks.is_empty() || masks.len() == d, "one mask per component, or none");
         assert_eq!(zone_dofs.len(), shape.zones * nkin);
 
-        let staged = shape.zones * nkin;
+        let staged = shape.zones * d * nkin;
         if local.len() < staged {
             local.resize(staged, 0.0);
         }
         let local = &mut local[..staged];
-        local.par_chunks_exact_mut(nkin).enumerate().for_each(|(z, loc)| {
+        local.par_chunks_exact_mut(d * nkin).enumerate().for_each(|(z, loc)| {
             TLS_ZS.with(|zs| {
                 let zs = &mut *zs.borrow_mut();
-                grow(&mut zs.uz, nkin.max(d * nkin));
-                grow(&mut zs.q, npts);
+                grow(&mut zs.uz, d * nkin);
+                grow(&mut zs.q, d * npts);
                 let dofs = &zone_dofs[z * nkin..(z + 1) * nkin];
-                for (m, u) in zs.uz[..nkin].iter_mut().enumerate() {
-                    *u = x[dofs[m]];
+                let (uz, q) = (&mut zs.uz[..d * nkin], &mut zs.q[..d * npts]);
+                for (c, uc) in uz.chunks_exact_mut(nkin).enumerate() {
+                    let xc = &x[c * n..(c + 1) * n];
+                    match masks.get(c) {
+                        Some(mask) => uc.iter_mut().zip(dofs).for_each(|(u, &dof)| {
+                            *u = if mask[dof] { 0.0 } else { xc[dof] };
+                        }),
+                        None => uc.iter_mut().zip(dofs).for_each(|(u, &dof)| *u = xc[dof]),
+                    }
                 }
-                forward(&factors.kin, d, &zs.uz[..nkin], None, &mut zs.q[..npts], &mut zs.sf);
+                forward(&factors.kin, dim, uz, None, q, &mut zs.sf);
                 let sz = &svals[z * npts..(z + 1) * npts];
-                for (q, &s) in zs.q[..npts].iter_mut().zip(sz) {
-                    *q *= s;
+                for qc in q.chunks_exact_mut(npts) {
+                    qc.iter_mut().zip(sz).for_each(|(x, &s)| *x *= s);
                 }
-                backward(&factors.kin, d, &zs.q[..npts], None, 0.0, loc, &mut zs.sf);
+                backward(&factors.kin, dim, q, None, 0.0, loc, &mut zs.sf);
             });
         });
         y.fill(0.0);
-        for z in 0..shape.zones {
-            let loc = &local[z * nkin..(z + 1) * nkin];
-            let dofs = &zone_dofs[z * nkin..(z + 1) * nkin];
-            for (m, &dof) in dofs.iter().enumerate() {
-                y[dof] += loc[m];
+        for (dofs, loc) in zone_dofs.chunks_exact(nkin).zip(local.chunks_exact(d * nkin)) {
+            for (yc, lc) in y.chunks_exact_mut(n).zip(loc.chunks_exact(nkin)) {
+                for (&dof, &l) in dofs.iter().zip(lc) {
+                    yc[dof] += l;
+                }
             }
         }
     }

@@ -31,6 +31,7 @@ mod simd;
 pub mod small;
 pub mod stream;
 pub mod svd;
+pub mod tensor;
 pub mod tile;
 
 pub use abft::{Abft, AbftViolation};

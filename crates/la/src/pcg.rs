@@ -15,7 +15,8 @@
 //! **lock step** — the momentum solve's `d` velocity components: vectors
 //! are component-blocked, every system keeps its own scalars, and only the
 //! operator sweep is shared ([`LinearOperator::apply_dot_wide`]; for the
-//! stored [`ConstrainedOp`] one CSR row sweep feeds all `d`). No value
+//! stored [`ConstrainedOp`] one CSR row sweep feeds all `d`, for the
+//! solver's sum-factorized operator one zone pass). No value
 //! crosses between systems, so each walks, bit for bit, the trajectory of
 //! its scalar solve; [`pcg_solve_ws`] is the loop at `D = 1`.
 
@@ -30,8 +31,9 @@ use crate::stream;
 /// operator of the host *and* device legs) and by the solver's
 /// sum-factorized operator. An implementation supplies the scalar apply;
 /// the `d`-wide pair a lock-step solve calls defaults to looping it, so
-/// only an operator with something to share across components
-/// ([`ConstrainedOp`]) overrides it.
+/// only an operator with something to share across components overrides
+/// it: [`ConstrainedOp`] (one CSR row sweep) and the solver's
+/// `MatFreeConstrainedOp` (one zone pass over the basis tables and `svals`).
 pub trait LinearOperator {
     /// Problem dimension.
     fn dim(&self) -> usize;
@@ -55,7 +57,8 @@ pub trait LinearOperator {
     /// component blocks `[c·n..(c+1)·n]`, `n = dim()`, and `y_c = A x_c`.
     /// The default applies the operator `d` times; an operator that can
     /// feed all `d` inputs from one pass over its data overrides it
-    /// ([`ConstrainedOp`]) — without changing any component's bits.
+    /// ([`ConstrainedOp`], `MatFreeConstrainedOp`) — without changing any
+    /// component's bits.
     fn apply_wide(&mut self, x: &[f64], y: &mut [f64]) {
         let n = self.dim().max(1);
         for (xc, yc) in x.chunks_exact(n).zip(y.chunks_exact_mut(n)) {

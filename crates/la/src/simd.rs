@@ -1,5 +1,6 @@
 //! The one SIMD level of `blast-la`, and the one way a kernel body is cloned
-//! for it. [`crate::tile`] and [`crate::stream`] are the only clients.
+//! for it. [`crate::tile`], [`crate::tensor`] and [`crate::stream`] are the
+//! only clients.
 //!
 //! A kernel is a plain safe `#[inline(always)]` body whose first const
 //! parameter is `FMA`; [`fma_clones!`] re-compiles it under

@@ -59,23 +59,27 @@ fn non_test(text: &str) -> &str {
     text.find("#[cfg(test)]").map_or(text, |at| &text[..at])
 }
 
+/// `text` split into the top-level item that starts at the line beginning
+/// with `start` and ends at the next line beginning with `}`, and the rest.
+fn split_item(text: &str, start: &str) -> (String, String) {
+    let (mut inside, mut item, mut rest) = (false, Vec::new(), Vec::new());
+    for l in text.lines() {
+        inside |= l.starts_with(start);
+        if inside {
+            item.push(l);
+        } else {
+            rest.push(l);
+        }
+        inside &= !l.starts_with('}');
+    }
+    assert!(!item.is_empty(), "no item starts with '{start}'");
+    (item.join("\n"), rest.join("\n"))
+}
+
 /// `text` without the top-level item that starts at the line beginning with
 /// `start` and ends at the next line beginning with `}`.
 fn without_item(text: &str, start: &str) -> String {
-    let mut inside = false;
-    let mut found = false;
-    let kept: Vec<&str> = text
-        .lines()
-        .filter(|l| {
-            inside |= l.starts_with(start);
-            found |= inside;
-            let keep = !inside;
-            inside &= !l.starts_with('}');
-            keep
-        })
-        .collect();
-    assert!(found, "no item starts with '{start}'");
-    kept.join("\n")
+    split_item(text, start).1
 }
 
 /// Superseded entry points are deleted in the PR that supersedes them, not
@@ -363,5 +367,34 @@ fn one_step_guard() {
             l.contains(call) && !l.contains("fn ") && !l.trim_start().starts_with("//")
         });
         assert_eq!(sites.len(), 1, "`{call}` must have one call site: {sites:#?}");
+    }
+}
+
+/// The sum-factorized transforms run at compile-time shapes in one kernel
+/// (`blast_la::tensor`, cloned at the one SIMD level), so the general
+/// `tile::gemm` chain they replaced survives once, as their bitwise oracle
+/// in `fem::sumfac::reference`, not as a second path a caller can reach. The
+/// matrix-free momentum solve advances its `d` components in one lock-step
+/// solve like the stored host leg, so `core` makes no scalar `pcg_solve_ws`
+/// call; and `SumfacMassKernel` has one zone body (gather, transforms,
+/// scatter), of which the scalar apply is the one-component case.
+#[test]
+fn one_sumfac_transform() {
+    let sumfac = read("crates/fem/src/sumfac.rs");
+    let outside_the_oracle = without_item(non_test(&sumfac), "pub mod reference");
+    let beside = outside_the_oracle.contains("tile::gemm(");
+    assert!(!beside, "a `tile::gemm` transform beside the oracle");
+
+    let core: Vec<(String, String)> = files_under(&["crates/core/src"])
+        .into_iter()
+        .map(|(path, text)| (path, non_test(&text).to_string()))
+        .collect();
+    let scalar_solves = lines_where(&core, |l| l.contains("pcg_solve_ws("));
+    assert!(scalar_solves.is_empty(), "a per-component solve in core: {scalar_solves:#?}");
+
+    let kernels = read("crates/kernels/src/sumfac.rs");
+    let (mass, _) = split_item(non_test(&kernels), "impl SumfacMassKernel");
+    for step in ["par_chunks_exact_mut(", "forward(", "backward("] {
+        assert_eq!(mass.matches(step).count(), 1, "`{step}` in the mass kernel's zone body only");
     }
 }
