@@ -56,18 +56,13 @@ impl<C> Autotuner<C> {
         Self { candidates, samples_per_period, totals: vec![(0.0, 0); n], phase }
     }
 
-    /// Creates a tuner with the paper's forty-step sampling period.
-    pub fn with_default_period(candidates: Vec<C>) -> Self {
-        Self::new(candidates, DEFAULT_SAMPLES_PER_PERIOD)
-    }
-
     /// The candidate the caller should use for the *next* time step.
     pub fn current(&self) -> &C {
         &self.candidates[self.current_index()]
     }
 
     /// Index of the candidate in use.
-    pub fn current_index(&self) -> usize {
+    fn current_index(&self) -> usize {
         match self.phase {
             TunerPhase::Sampling { index } => index,
             TunerPhase::Done { best } => best,
@@ -140,11 +135,6 @@ impl<C> Autotuner<C> {
     pub fn candidates(&self) -> &[C] {
         &self.candidates
     }
-
-    /// Total steps consumed by tuning so far.
-    pub fn steps_sampled(&self) -> usize {
-        self.totals.iter().map(|&(_, n)| n).sum()
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +167,6 @@ mod tests {
             steps += 1;
         }
         assert_eq!(steps, 3 * 4);
-        assert_eq!(tuner.steps_sampled(), 12);
     }
 
     #[test]

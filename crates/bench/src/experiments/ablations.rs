@@ -25,7 +25,7 @@ use gpu_sim::DeviceCatalog;
 /// the "fixed" column uses the constant that is optimal at Q2 (what a
 /// developer would hard-code without the §3.2.1 autotuner). Returns
 /// `(order, kernel, t_fixed, t_tuned, best_param)`.
-pub fn tuned_vs_default() -> Vec<(usize, &'static str, f64, f64, u32)> {
+fn tuned_vs_default() -> Vec<(usize, &'static str, f64, f64, u32)> {
     let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
     let sweep = |times: Vec<(u32, f64)>| -> (u32, f64) {
         times
@@ -92,7 +92,7 @@ pub fn tuned_vs_default() -> Vec<(usize, &'static str, f64, f64, u32)> {
 }
 
 /// Ablation 2: CPU vs GPU vs hybrid wall time on the same problem.
-pub fn execution_modes() -> Vec<(&'static str, f64)> {
+fn execution_modes() -> Vec<(&'static str, f64)> {
     let problem = Sedov::default();
     let run = |mode: ExecMode| -> f64 {
         let gpu = matches!(mode, ExecMode::Gpu { .. } | ExecMode::Hybrid { .. })
@@ -113,7 +113,7 @@ pub fn execution_modes() -> Vec<(&'static str, f64)> {
 }
 
 /// Ablation 3: Hyper-Q queue count effect: `(queues, wall_s, gpu_power_w)`.
-pub fn hyperq_sweep() -> Vec<(u32, f64, f64)> {
+fn hyperq_sweep() -> Vec<(u32, f64, f64)> {
     let problem = Sedov::default();
     [1u32, 2, 4, 8]
         .into_iter()
@@ -138,7 +138,7 @@ pub fn hyperq_sweep() -> Vec<(u32, f64, f64)> {
 /// corner-force scenarios that diverge from the paper. Returns
 /// `(label, q2_8mpi_w, q4_8mpi_w, gap_w)` for the term off (0 W) and on
 /// (the K20 preset).
-pub fn sm_util_ablation() -> Vec<(&'static str, f64, f64, f64)> {
+fn sm_util_ablation() -> Vec<(&'static str, f64, f64, f64)> {
     let cf = || ExecMode::Gpu { base: false, gpu_pcg: false, mpi_queues: 8 };
     let power = |spec: GpuSpec| {
         let q2 =

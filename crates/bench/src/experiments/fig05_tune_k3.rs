@@ -1,7 +1,7 @@
 //! Fig. 5 — tuning kernel 3's zones-per-block pack count on K20 (3D
 //! Q2-Q1). The paper reaches 60% of the theoretical batched-DGEMM peak.
 
-use autotune::Autotuner;
+use autotune::tuner::{Autotuner, DEFAULT_SAMPLES_PER_PERIOD};
 use blast_kernels::k3::CoefGradKernel;
 use blast_kernels::{GemmVariant, ProblemShape};
 use gpu_sim::GpuDevice;
@@ -23,7 +23,7 @@ pub fn measure() -> (Vec<u32>, Vec<f64>, u32, f64, f64) {
             gpu_sim::occupancy(dev.spec(), &k.config(&shape)).fraction > 0.0
         })
         .collect();
-    let mut tuner = Autotuner::new(candidates.clone(), 40);
+    let mut tuner = Autotuner::new(candidates.clone(), DEFAULT_SAMPLES_PER_PERIOD);
     while !tuner.is_done() {
         let na = *tuner.current();
         let k = CoefGradKernel { variant: GemmVariant::V3, zones_per_block: na };

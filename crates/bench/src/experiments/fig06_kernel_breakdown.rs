@@ -17,8 +17,9 @@ use gpu_sim::DeviceCatalog;
 
 use crate::experiments::scenarios::{build, run_steps};
 
-/// 3D Sedov Q2-Q1 on 12^3 zones with the launch-per-op PCG, two steps in.
-fn run_unfused(base: bool) -> Hydro<3> {
+/// The device launch ledger `(kernel, seconds, calls)` of 3D Sedov Q2-Q1 on
+/// 12^3 zones with the launch-per-op PCG, two steps in.
+fn ledger(base: bool) -> Vec<(&'static str, f64, usize)> {
     let cfg = HydroConfig {
         order: 2,
         pcg: PcgOptions { fused: false, ..Default::default() },
@@ -28,35 +29,20 @@ fn run_unfused(base: bool) -> Hydro<3> {
     let (mut h, mut s): (Hydro<3>, HydroState) =
         build(&Sedov::default(), [12; 3], cfg, mode, DeviceCatalog::gpu("k20"));
     run_steps(&mut h, &mut s, 2);
-    h
+    h.executor().gpu.as_ref().expect("gpu").kernel_summary()
 }
 
-/// `(kernel, share)` lists for base and optimized runs plus the total GPU
-/// times.
-pub fn measure() -> (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>, f64, f64) {
-    let shares = |base: bool| {
-        let h = run_unfused(base);
-        let dev = h.executor().gpu.as_ref().expect("gpu").clone();
-        let summary = dev.kernel_summary();
-        let total: f64 = summary.iter().map(|(_, t, _)| t).sum();
-        let shares: Vec<(&'static str, f64)> =
-            summary.into_iter().map(|(name, t, _)| (name, t / total)).collect();
-        (shares, total)
-    };
-    let (base_shares, base_total) = shares(true);
-    let (opt_shares, opt_total) = shares(false);
-    (base_shares, opt_shares, base_total, opt_total)
+/// Total GPU seconds of a ledger.
+fn total(ledger: &[(&'static str, f64, usize)]) -> f64 {
+    ledger.iter().map(|(_, t, _)| t).sum()
 }
 
-/// Per-kernel time table for one run flavor, straight from the device's
-/// launch ledger, rendered by the shared telemetry table exporter.
-fn kernel_table(title: &str, base: bool) -> String {
-    let h = run_unfused(base);
-    let dev = h.executor().gpu.as_ref().expect("gpu").clone();
-    let totals: Vec<PhaseTotal> = dev
-        .kernel_summary()
-        .into_iter()
-        .map(|(name, seconds, calls)| PhaseTotal {
+/// Per-kernel time table of one ledger, rendered by the shared telemetry
+/// table exporter.
+fn kernel_table(title: &str, ledger: &[(&'static str, f64, usize)]) -> String {
+    let totals: Vec<PhaseTotal> = ledger
+        .iter()
+        .map(|&(name, seconds, calls)| PhaseTotal {
             track: Track::Gpu,
             name,
             seconds,
@@ -66,12 +52,13 @@ fn kernel_table(title: &str, base: bool) -> String {
     table::render_totals(title, &totals)
 }
 
-/// Regenerates Fig. 6.
+/// Regenerates Fig. 6, simulating each flavor once.
 pub fn report() -> String {
-    let (_, _, t_base, t_opt) = measure();
-    let mut out = kernel_table("Fig. 6 (left) — base implementation kernel times", true);
+    let (base, opt) = (ledger(true), ledger(false));
+    let (t_base, t_opt) = (total(&base), total(&opt));
+    let mut out = kernel_table("Fig. 6 (left) — base implementation kernel times", &base);
     out.push('\n');
-    out.push_str(&kernel_table("Fig. 6 (right) — redesigned/optimized kernel times", false));
+    out.push_str(&kernel_table("Fig. 6 (right) — redesigned/optimized kernel times", &opt));
     out.push_str(&format!(
         "\nTotal GPU time: base {:.3} ms -> optimized {:.3} ms ({:.0}% less; paper: ~60% less \
          time to solution). The SpMV's absolute time is unchanged; its share grows because \
@@ -88,7 +75,13 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
     fn breakdown_shifts_from_monolith_to_spmv() {
-        let (base, opt, t_base, t_opt) = super::measure();
+        // `(kernel, share)` list and total GPU time of one flavor.
+        let shares = |base: bool| {
+            let ledger = super::ledger(base);
+            let total = super::total(&ledger);
+            (ledger.iter().map(|&(name, t, _)| (name, t / total)).collect::<Vec<_>>(), total)
+        };
+        let ((base, t_base), (opt, t_opt)) = (shares(true), shares(false));
         let share = |list: &[(&'static str, f64)], name: &str| {
             list.iter().find(|(n, _)| *n == name).map(|(_, s)| *s).unwrap_or(0.0)
         };

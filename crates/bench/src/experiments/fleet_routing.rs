@@ -83,7 +83,7 @@ fn workload(smoke: bool) -> Vec<JobSpec> {
 
 /// One routed job's row in the report.
 #[derive(Clone, Debug)]
-pub struct RoutedJob {
+struct RoutedJob {
     /// Billing tenant.
     pub tenant: String,
     /// Scenario name.
@@ -104,7 +104,7 @@ pub struct RoutedJob {
 
 /// One static placement's outcome.
 #[derive(Clone, Debug)]
-pub struct StaticRun {
+struct StaticRun {
     /// The device every job was pinned to.
     pub device_id: String,
     /// Billed tenant energy (idle bucket excluded), joules.
@@ -118,7 +118,7 @@ pub struct StaticRun {
 
 /// Everything the fleet-routing driver measured.
 #[derive(Clone, Debug)]
-pub struct FleetRouting {
+struct FleetRouting {
     /// Per-job routing decisions, submission order.
     pub routed_jobs: Vec<RoutedJob>,
     /// Billed tenant energy of the routed placement (idle excluded).
@@ -194,7 +194,7 @@ fn run_static(device_id: &str, jobs: &[JobSpec], decisions: &[RoutingDecision]) 
 
 /// Runs the full experiment. `smoke` trims the per-tenant job counts;
 /// the fleet, the job classes, and every gate stay identical.
-pub fn measure(smoke: bool) -> FleetRouting {
+fn measure(smoke: bool) -> FleetRouting {
     let jobs = workload(smoke);
 
     // Routed placement, twice, under different host-pool sizes: the

@@ -47,7 +47,7 @@ pub const SHAPES: [(usize, usize, usize, &str); 5] = [
 /// of the end-to-end benchmark's workloads (32², 8³, 5³) plus Q4 on 3³, so
 /// the `A_z` batch has its real size (41.5 MB at Q3-3D) and not a
 /// cache-resident one.
-pub const AZ_SHAPES: [(usize, usize, usize, &str); 4] =
+const AZ_SHAPES: [(usize, usize, usize, &str); 4] =
     [(2, 2, 1024, "Q2 2D"), (3, 2, 512, "Q2 3D"), (3, 3, 125, "Q3 3D"), (3, 4, 27, "Q4 3D")];
 
 /// Kernels 3 and 4 together must beat their references together by this
@@ -58,11 +58,11 @@ pub const AZ_SHAPES: [(usize, usize, usize, &str); 4] =
 /// batch, which its reference pays too (1.6-2.8x there, against 4.2-6.7x
 /// for kernel 3) — while the pair still fails the gate if either kernel
 /// falls back to reference speed.
-pub const AZ_GATE_SPEEDUP: f64 = 2.0;
+const AZ_GATE_SPEEDUP: f64 = 2.0;
 
 /// Measured time of kernels 3 and 4 on one shape.
 #[derive(Clone, Debug)]
-pub struct AzKernelResult {
+struct AzKernelResult {
     /// Shape label, e.g. `"Q3 3D"`.
     pub label: &'static str,
     /// Spatial dimension.
@@ -97,7 +97,7 @@ impl AzKernelResult {
 
 /// Measured throughput on one shape.
 #[derive(Clone, Debug)]
-pub struct ShapeResult {
+struct ShapeResult {
     /// Table-3 label, e.g. `"Q3 3D"`.
     pub label: &'static str,
     /// GEMM rows (velocity dofs per zone).
@@ -119,7 +119,7 @@ impl ShapeResult {
     }
 
     /// Index of the fastest tile candidate.
-    pub fn tiled_index(&self) -> usize {
+    fn tiled_index(&self) -> usize {
         let best =
             (0..CANDIDATES.len()).min_by(|&x, &y| self.t.min(1 + x).total_cmp(&self.t.min(1 + y)));
         best.unwrap_or(0)
@@ -133,7 +133,7 @@ impl ShapeResult {
 
 /// Full experiment result.
 #[derive(Clone, Debug)]
-pub struct HostKernels {
+struct HostKernels {
     /// One entry per [`SHAPES`] row.
     pub shapes: Vec<ShapeResult>,
     /// One entry per [`AZ_SHAPES`] row.
@@ -145,7 +145,7 @@ pub struct HostKernels {
 impl HostKernels {
     /// Best tiled-GEMM rate of this run — the ceiling the `A_z` kernel
     /// rates are reported against.
-    pub fn best_tiled_gflops(&self) -> f64 {
+    fn best_tiled_gflops(&self) -> f64 {
         self.shapes.iter().map(|s| s.gflops(1 + s.tiled_index())).fold(0.0, f64::max)
     }
 
@@ -300,7 +300,7 @@ fn measure_shape(m: usize, n: usize, k: usize, label: &'static str, budget: Budg
 /// Runs the full sweep. `smoke` shrinks the budget (fewer rounds, shorter
 /// samples) for the CI bench-smoke lane; the shape list stays complete so
 /// the gate still covers every Q2+ shape.
-pub fn measure(smoke: bool) -> HostKernels {
+fn measure(smoke: bool) -> HostKernels {
     let budget = if smoke {
         Budget { rounds: 5, sample_s: 2e-4 }
     } else {

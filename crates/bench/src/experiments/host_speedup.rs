@@ -18,11 +18,11 @@ use gpu_sim::CpuSpec;
 use crate::harness::{self, Block, Budget, Cell, Report};
 
 /// Thread counts the sweep visits (the paper's Table 1 axis).
-pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// One row of the sweep.
 #[derive(Clone, Debug)]
-pub struct SpeedupSample {
+struct SpeedupSample {
     /// Pool threads configured for the run.
     pub threads: usize,
     /// Measured wall-clock of the best round, seconds.
@@ -35,7 +35,7 @@ pub struct SpeedupSample {
 
 /// Full sweep result.
 #[derive(Clone, Debug)]
-pub struct HostSpeedup {
+struct HostSpeedup {
     /// One sample per entry of [`THREAD_COUNTS`].
     pub samples: Vec<SpeedupSample>,
     /// Cores the host actually exposes (`available_parallelism`) — on a
@@ -107,7 +107,7 @@ fn default_tile_gflops() -> f64 {
 
 /// Runs the sweep and the calibration, reporting the preset-kept
 /// fallback on `telemetry` (see [`HostSpeedup::preset_kept`]).
-pub fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
+fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
     // Both measurements are of the production hot path: the batched
     // kernels below and the GFLOP/s calibration run the default tile.
     let tiled_gflops = default_tile_gflops();

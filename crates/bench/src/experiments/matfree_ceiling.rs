@@ -55,7 +55,7 @@ pub const SHAPES: [(usize, usize, bool); 6] =
 
 /// Measured host proxy result on one `(dim, order)` shape.
 #[derive(Clone, Debug)]
-pub struct HostShape {
+struct HostShape {
     /// Mesh dimension.
     pub dim: usize,
     /// FE order `k`.
@@ -76,7 +76,7 @@ impl HostShape {
 
 /// Deterministic cost-model facts at the ceiling shape (no measurement).
 #[derive(Clone, Debug)]
-pub struct ModeledShift {
+struct ModeledShift {
     /// Corner-force flops, stored over matrix-free (the `A_z`/`F_z` GEMM
     /// collapse).
     pub force_flops_ratio: f64,
@@ -98,7 +98,7 @@ pub struct ModeledShift {
 
 /// The gpu-sim ceiling run.
 #[derive(Clone, Debug)]
-pub struct CeilingLeg {
+struct CeilingLeg {
     /// Zones per axis of the Q4-Q3 3D mesh.
     pub zones_axis: usize,
     /// Device DRAM capacity (K20: 5 GiB).
@@ -124,7 +124,7 @@ pub struct CeilingLeg {
 
 /// Full experiment result.
 #[derive(Clone, Debug)]
-pub struct MatfreeCeiling {
+struct MatfreeCeiling {
     /// One entry per [`SHAPES`] row.
     pub shapes: Vec<HostShape>,
     /// The gpu-sim ceiling leg.
@@ -206,7 +206,7 @@ impl MatfreeCeiling {
 /// The deterministic cost-model shift at a Q4-Q3 3D `za³` mesh: traffic
 /// ratios from the kernel models, resident bytes from the builder's
 /// estimators. Pure arithmetic — identical in every build profile.
-pub fn modeled_shift(zones_axis: usize) -> ModeledShift {
+fn modeled_shift(zones_axis: usize) -> ModeledShift {
     let nz = zones_axis.pow(3);
     let shape = ProblemShape::new(3, 4, nz);
     let n = (4 * zones_axis + 1).pow(3);
@@ -366,7 +366,7 @@ fn measure_assembly_proxies(dim: usize, order: usize) -> Timing {
 /// Runs the full sweep. `smoke` drops the ceiling mesh from 32³ to 24³
 /// (both well above the paper's 16³ stored-path limit); the host shape
 /// list and every gate stay complete.
-pub fn measure(smoke: bool) -> MatfreeCeiling {
+fn measure(smoke: bool) -> MatfreeCeiling {
     let shapes = SHAPES
         .iter()
         .map(|&(dim, order, gated)| HostShape {

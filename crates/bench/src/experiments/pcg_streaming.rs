@@ -74,7 +74,7 @@ const BUDGET: Budget = Budget { rounds: 15, sample_s: 2e-3 };
 
 /// Measured host result on one shape.
 #[derive(Clone, Debug)]
-pub struct ShapeResult {
+struct ShapeResult {
     /// FE-order label.
     pub label: &'static str,
     /// System size (DOFs).
@@ -96,7 +96,7 @@ impl ShapeResult {
 
 /// Measured lock-step result on one stored workload matrix.
 #[derive(Clone, Debug)]
-pub struct LockstepResult {
+struct LockstepResult {
     /// Mesh and order of the `BENCHMARK.json` workload the matrix is from.
     pub label: &'static str,
     /// Velocity components (systems per momentum solve).
@@ -125,7 +125,7 @@ impl LockstepResult {
 
 /// Measured lock-step result on one matrix-free momentum system.
 #[derive(Clone, Debug)]
-pub struct MatfreeLockstepResult {
+struct MatfreeLockstepResult {
     /// Mesh and order of the system.
     pub label: &'static str,
     /// Velocity components (systems per momentum solve).
@@ -149,7 +149,7 @@ impl MatfreeLockstepResult {
 
 /// Modeled GPU-sim comparison.
 #[derive(Clone, Debug)]
-pub struct GpuLeg {
+struct GpuLeg {
     /// System size (DOFs).
     pub n: usize,
     /// Semi-bandwidth.
@@ -173,7 +173,7 @@ impl GpuLeg {
 
 /// Full experiment result.
 #[derive(Clone, Debug)]
-pub struct PcgStreaming {
+struct PcgStreaming {
     /// One entry per [`SHAPES`] row.
     pub shapes: Vec<ShapeResult>,
     /// The three stored workload matrices, scalar vs lock-step.
@@ -497,7 +497,7 @@ fn measure_gpu(iters: usize) -> GpuLeg {
 
 /// Runs the full sweep. `smoke` shrinks the budget for the CI lane; the
 /// shape list and every gate stay complete.
-pub fn measure(smoke: bool) -> PcgStreaming {
+fn measure(smoke: bool) -> PcgStreaming {
     let iters = if smoke { SMOKE_ITERS } else { FULL_ITERS };
     // Serial drive only: fusion vs launch-per-op, no pool scheduling.
     let (shapes, lockstep, matfree_lockstep) = rayon::Pool::new(1).install(|| {

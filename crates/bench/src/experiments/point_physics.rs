@@ -43,7 +43,7 @@ const MID_RUN_STEPS: usize = 4;
 
 /// The three timed bodies; variant `2k` of a [`Timing`] is the lock-step
 /// body of `KERNELS[k]`, `2k + 1` its scalar reference.
-pub const KERNELS: [&str; 3] = ["k1", "k2", "matfree_force"];
+const KERNELS: [&str; 3] = ["k1", "k2", "matfree_force"];
 
 /// One shape in one state.
 #[derive(Clone, Debug)]

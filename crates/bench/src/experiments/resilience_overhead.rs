@@ -22,7 +22,7 @@ use gpu_sim::DeviceCatalog;
 
 /// One resilience scenario's energy ledger.
 #[derive(Clone, Debug)]
-pub struct OverheadRow {
+struct OverheadRow {
     /// What ran.
     pub scenario: String,
     /// Whole-run energy (host + device traces), J.
@@ -116,7 +116,7 @@ fn campaign_row() -> OverheadRow {
 }
 
 /// Measures both scenarios.
-pub fn measure() -> Vec<OverheadRow> {
+fn measure() -> Vec<OverheadRow> {
     vec![single_node_row(), campaign_row()]
 }
 

@@ -27,7 +27,7 @@ use powermon::ResilienceReport;
 use crate::table;
 
 /// Audit + ABFT overhead ceiling, % of run energy at the default cadence.
-pub const MAX_AUDIT_OVERHEAD_PCT: f64 = 10.0;
+const MAX_AUDIT_OVERHEAD_PCT: f64 = 10.0;
 
 /// Campaign geometry: small enough for CI, large enough that every
 /// injection site has significant data to corrupt.
@@ -44,13 +44,13 @@ const FLIP_AT: u64 = 10;
 const LATE_FLIP_AT: u64 = 11;
 
 /// The campaign's seed: `BLAST_FAULT_SEED` override, else 42.
-pub fn campaign_seed() -> u64 {
+fn campaign_seed() -> u64 {
     fault_seed_from_env().unwrap_or(42)
 }
 
 /// One scenario's ledger line.
 #[derive(Clone, Debug)]
-pub struct ScenarioRow {
+struct ScenarioRow {
     /// Scenario label.
     pub name: String,
     /// `Healed` (recovered bit-identically), `Typed` (typed error), or
@@ -68,8 +68,13 @@ pub struct ScenarioRow {
     pub energy_j: f64,
     /// Audit + ABFT energy billed into the resilience report, J.
     pub audit_j: f64,
+}
+
+impl ScenarioRow {
     /// `audit_j` as a percentage of `energy_j`.
-    pub overhead_pct: f64,
+    fn overhead_pct(&self) -> f64 {
+        100.0 * self.audit_j / self.energy_j.max(f64::MIN_POSITIVE)
+    }
 }
 
 /// FNV-1a over the bit patterns of the full final state `(v, e, x, t)` —
@@ -132,7 +137,6 @@ fn row(name: &str, r: &RunResult, baseline_digest: u64) -> ScenarioRow {
         Err(HydroError::CorruptionDetected { .. }) => "Typed",
         Err(_) => "Typed",
     };
-    let overhead_pct = 100.0 * r.report.audit_energy_j / r.energy_j.max(f64::MIN_POSITIVE);
     ScenarioRow {
         name: name.to_string(),
         outcome,
@@ -142,7 +146,6 @@ fn row(name: &str, r: &RunResult, baseline_digest: u64) -> ScenarioRow {
         digest,
         energy_j: r.energy_j,
         audit_j: r.report.audit_energy_j,
-        overhead_pct,
     }
 }
 
@@ -150,7 +153,7 @@ fn row(name: &str, r: &RunResult, baseline_digest: u64) -> ScenarioRow {
 /// pass). Scenario expectations are strict: a transient flip must be
 /// healed bit-identically, the persistent flip must fail typed, and no
 /// scenario may ever complete silently wrong.
-pub fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
+fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
     // GEMM-panel flips only land through the checksummed path.
     let audit = AuditConfig::default().abft(true);
     let baseline = run_scenario(SdcPlan::seeded(seed), audit);
@@ -232,7 +235,7 @@ pub fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
     let worst = rows
         .iter()
         .filter(|r| r.name != "persistent-flip")
-        .map(|r| r.overhead_pct)
+        .map(ScenarioRow::overhead_pct)
         .fold(0.0f64, f64::max);
     if worst > MAX_AUDIT_OVERHEAD_PCT {
         violations.push(format!(
@@ -268,7 +271,7 @@ pub fn report_with_status() -> (String, Vec<String>) {
                 r.detected.to_string(),
                 r.restores.to_string(),
                 format!("{:.3e}", r.energy_j),
-                format!("{:.2}%", r.overhead_pct),
+                format!("{:.2}%", r.overhead_pct()),
             ]
         })
         .collect();

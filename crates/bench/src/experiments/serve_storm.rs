@@ -24,7 +24,7 @@ use crate::table;
 pub const RECONCILE_TOL: f64 = blast_core::ENERGY_RECONCILE_TOL;
 
 /// The storm's seed: `BLAST_FAULT_SEED` override, else 42.
-pub fn storm_seed() -> u64 {
+fn storm_seed() -> u64 {
     fault_seed_from_env().unwrap_or(42)
 }
 
@@ -94,7 +94,7 @@ fn submit_storm(sup: &mut Supervisor) -> (u64, u64) {
 }
 
 /// Runs the storm once and collects gate violations (empty = pass).
-pub fn run_storm(seed: u64) -> (ServeReport, Vec<String>) {
+fn run_storm(seed: u64) -> (ServeReport, Vec<String>) {
     let mut sup = Supervisor::new(storm_config(seed), storm_workers(seed));
     let (admitted, rejected) = submit_storm(&mut sup);
     let report = sup.run_to_completion();

@@ -32,7 +32,7 @@ use blast_telemetry::chrome::{escape_into, parse_json, Json};
 use crate::table;
 
 /// Version of the artifact layout written by [`render_json`].
-pub const SCHEMA: u32 = 1;
+const SCHEMA: u32 = 1;
 
 /// Keys [`render_json`] stamps before the blocks.
 const HEADER_KEYS: [&str; 7] =

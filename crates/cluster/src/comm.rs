@@ -17,8 +17,6 @@
 //! - **corrupted messages** — payload bits are flipped in flight; every
 //!   message carries an FNV checksum and the receiver reports
 //!   [`CommError::Corrupted`],
-//! - **rank stalls** — a rank sleeps before a scheduled send, modeling OS
-//!   jitter / a dying node; peers see a timeout naming the stalled rank,
 //! - **rank deaths** — from a scheduled send index onward the rank stops
 //!   transmitting *permanently*. Peers cannot distinguish a dead rank from
 //!   an unlucky run of drops by one timeout alone, so the communicator
@@ -38,7 +36,7 @@ use std::time::{Duration, Instant};
 /// stalled. Generous for healthy in-process ranks (microseconds of real
 /// latency), small enough that a genuinely lost message fails a test run
 /// rather than deadlocking it.
-pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
+const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A communication failure, attributed to the peer rank that caused it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,18 +128,6 @@ fn payload_checksum(data: &[f64]) -> u64 {
     h
 }
 
-/// A scheduled stall of one rank: before its `before_send`-th send, the
-/// rank sleeps for `delay` (real time — keep it short in tests).
-#[derive(Clone, Copy, Debug)]
-pub struct RankStall {
-    /// The stalled rank.
-    pub rank: usize,
-    /// The 0-based send index before which the stall happens.
-    pub before_send: u64,
-    /// The stall duration.
-    pub delay: Duration,
-}
-
 /// A scheduled permanent rank death: from the rank's `after_sends`-th send
 /// onward, nothing it transmits reaches the wire. The thread keeps running
 /// (the harness body checks [`Communicator::is_dead`] and exits), but to
@@ -163,8 +149,6 @@ pub struct ClusterFaultPlan {
     pub drop_rate: f64,
     /// Probability each delivered message has payload bits flipped.
     pub corrupt_rate: f64,
-    /// Scheduled per-rank stalls.
-    pub stalls: Vec<RankStall>,
     /// Scheduled permanent rank deaths.
     pub deaths: Vec<RankDeath>,
 }
@@ -201,12 +185,6 @@ impl ClusterFaultPlan {
         self
     }
 
-    /// Adds a scheduled rank stall.
-    pub fn with_stall(mut self, rank: usize, before_send: u64, delay: Duration) -> Self {
-        self.stalls.push(RankStall { rank, before_send, delay });
-        self
-    }
-
     /// Adds a scheduled permanent rank death.
     pub fn with_rank_death(mut self, rank: usize, after_sends: u64) -> Self {
         self.deaths.push(RankDeath { rank, after_sends });
@@ -214,10 +192,7 @@ impl ClusterFaultPlan {
     }
 
     fn is_active(&self) -> bool {
-        self.drop_rate > 0.0
-            || self.corrupt_rate > 0.0
-            || !self.stalls.is_empty()
-            || !self.deaths.is_empty()
+        self.drop_rate > 0.0 || self.corrupt_rate > 0.0 || !self.deaths.is_empty()
     }
 }
 
@@ -228,8 +203,6 @@ pub struct CommFaultStats {
     pub dropped: usize,
     /// Messages corrupted on this rank's sends.
     pub corrupted: usize,
-    /// Stalls this rank served.
-    pub stalls: usize,
     /// Sends suppressed because this rank was scheduled dead.
     pub suppressed: usize,
 }
@@ -308,8 +281,7 @@ impl Communicator {
     /// Sends `data` to rank `to` under `tag` (non-blocking, buffered).
     ///
     /// Under an active fault plan the message may be dropped or corrupted
-    /// in flight, and scheduled stalls are served here (the send side is
-    /// where a dying rank stops making progress).
+    /// in flight, and a rank scheduled dead sends nothing.
     pub fn send(&self, to: usize, tag: u64, data: Vec<f64>) {
         assert!(to < self.size, "send to out-of-range rank {to}");
         let idx = self.sends.get();
@@ -329,12 +301,6 @@ impl Communicator {
         }
 
         if self.faults.is_active() {
-            for stall in &self.faults.stalls {
-                if stall.rank == self.rank && stall.before_send == idx {
-                    stats.stalls += 1;
-                    std::thread::sleep(stall.delay);
-                }
-            }
             // Counter-based draws: stream 0 decides drops, stream 1 decides
             // corruption, so the two rates are independent.
             if fault_draw(self.faults.seed, self.rank as u64, idx * 2) < self.faults.drop_rate {
@@ -455,7 +421,7 @@ impl Communicator {
     }
 
     /// Global sum (dot products of the distributed PCG).
-    pub fn allreduce_sum(&mut self, value: f64) -> Result<f64, CommError> {
+    fn allreduce_sum(&mut self, value: f64) -> Result<f64, CommError> {
         self.allreduce(value, |a, b| a + b)
     }
 
@@ -737,23 +703,6 @@ mod tests {
         assert_eq!(results[0], Err(CommError::Timeout { from: 1, tag: u64::MAX - 1 }));
         // Non-root ranks time out on the broadcast that never comes.
         assert_eq!(results[1], Err(CommError::Timeout { from: 0, tag: u64::MAX - 2 }));
-    }
-
-    #[test]
-    fn stalled_rank_delays_but_completes() {
-        let plan =
-            ClusterFaultPlan::seeded(1).with_stall(1, 0, Duration::from_millis(30));
-        let t0 = Instant::now();
-        let results = run_ranks_with_faults(2, plan, |mut c| {
-            if c.rank() == 1 {
-                c.send(0, 2, vec![7.0]);
-                1.0
-            } else {
-                c.recv(1, 2).unwrap()[0]
-            }
-        });
-        assert_eq!(results[0], 7.0);
-        assert!(t0.elapsed() >= Duration::from_millis(25), "stall not served");
     }
 
     #[test]

@@ -24,17 +24,17 @@ impl NetworkModel {
     /// torus), calibrated against Fig. 12's base point; it implies a full
     /// 64k-rank allreduce of ~2.3 ms, consistent with measured Titan
     /// MPI_Allreduce latencies at that scale.
-    pub fn titan_gemini() -> Self {
+    fn titan_gemini() -> Self {
         Self { latency_s: 1.5e-6, bandwidth_gbs: 6.0, collective_overhead_s: 7.0e-5 }
     }
 
     /// SNL Shannon: QDR InfiniBand.
-    pub fn shannon_ib() -> Self {
+    fn shannon_ib() -> Self {
         Self { latency_s: 1.3e-6, bandwidth_gbs: 4.0, collective_overhead_s: 4.0e-6 }
     }
 
     /// Point-to-point time for `bytes`.
-    pub fn p2p_time(&self, bytes: usize) -> f64 {
+    fn p2p_time(&self, bytes: usize) -> f64 {
         self.latency_s + bytes as f64 / (self.bandwidth_gbs * 1e9)
     }
 

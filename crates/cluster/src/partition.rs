@@ -81,11 +81,6 @@ impl<const D: usize> Partition<D> {
         self.ranks_per_axis
     }
 
-    /// Owning rank of a zone.
-    pub fn rank_of_zone(&self, z: usize) -> usize {
-        self.rank_of_zone[z]
-    }
-
     /// Zones of a rank.
     pub fn zones_of_rank(&self, r: usize) -> &[usize] {
         &self.zones_of_rank[r]
@@ -180,7 +175,7 @@ mod tests {
         assert_eq!(part.num_ranks(), 6);
         let mut counts = vec![0usize; 6];
         for z in 0..mesh.num_zones() {
-            counts[part.rank_of_zone(z)] += 1;
+            counts[part.rank_of_zone[z]] += 1;
         }
         assert!(counts.iter().all(|&c| c == 6), "{counts:?}");
         let total: usize = (0..6).map(|r| part.zones_of_rank(r).len()).sum();
@@ -195,8 +190,8 @@ mod tests {
         let z00 = mesh.zone_index([0, 0]);
         let z11 = mesh.zone_index([1, 1]);
         let z20 = mesh.zone_index([2, 0]);
-        assert_eq!(part.rank_of_zone(z00), part.rank_of_zone(z11));
-        assert_ne!(part.rank_of_zone(z00), part.rank_of_zone(z20));
+        assert_eq!(part.rank_of_zone[z00], part.rank_of_zone[z11]);
+        assert_ne!(part.rank_of_zone[z00], part.rank_of_zone[z20]);
     }
 
     #[test]

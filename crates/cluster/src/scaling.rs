@@ -32,7 +32,7 @@ pub struct ScalingPoint {
 
 /// Modeled device time of one optimized corner-force evaluation over
 /// `shape` (two kernel-3 calls, kernels 1/5/2/6/4/7/8/10).
-pub fn corner_force_gpu_time(dev: &GpuDevice, shape: &ProblemShape) -> f64 {
+fn corner_force_gpu_time(dev: &GpuDevice, shape: &ProblemShape) -> f64 {
     let mut t = 0.0;
     let k3 = CoefGradKernel::tuned();
     t += 2.0 * dev.model_kernel(&k3.config(shape), &k3.traffic(shape)).time_s;
@@ -63,12 +63,12 @@ pub fn corner_force_gpu_time(dev: &GpuDevice, shape: &ProblemShape) -> f64 {
 /// minimum-dt reduction plus the distributed PCG's dot products and the
 /// MFEM local-to-global translations (step 5 of §2). Calibrated against
 /// the Fig. 12 base point.
-pub const COLLECTIVES_PER_STEP: usize = 150;
+const COLLECTIVES_PER_STEP: usize = 150;
 
 /// Per-node, per-step host-side cost that does not shrink with scale
 /// (MFEM form translations, integration, launch orchestration), seconds.
 /// Calibrated against the Fig. 12 base point (8 nodes, 0.85 s / 5 cycles).
-pub const NODE_STEP_OVERHEAD_S: f64 = 0.012;
+const NODE_STEP_OVERHEAD_S: f64 = 0.012;
 
 /// Weak scaling on Titan (Fig. 12): 512 zones per node in 3D `Q2`-`Q1`
 /// (the paper: "we fixed a domain size of 512 for each computing node, and

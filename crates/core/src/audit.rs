@@ -36,25 +36,28 @@ use gpu_sim::Traffic;
 
 use crate::solver::ENERGY_RECONCILE_TOL;
 
-/// Tuning knobs of the physics-invariant step auditor.
+/// Relative asymmetry band of the diagonal-mirror probe (vs roundoff at
+/// ~1e-12 and injected flips at >= ~4e-4).
+pub(crate) const SYMMETRY_TOL: f64 = 1e-7;
+
+/// Slack factor on the ideal-gas strong-shock compression limit
+/// `(γ+1)/(γ-1)` before the geometry audit trips.
+pub(crate) const COMPRESSION_SLACK: f64 = 2.0;
+
+/// Fraction of the initial domain extent the mesh may legitimately expand
+/// beyond before the range audit trips.
+pub(crate) const RANGE_SLACK: f64 = 0.5;
+
+/// The settable values of the physics-invariant step auditor. Its bands
+/// are the constants above and [`ENERGY_RECONCILE_TOL`], the per-step
+/// relative drift band of the discrete energy identity (scaled by the
+/// number of steps since the last audited reference).
 #[derive(Clone, Copy, Debug)]
 pub struct AuditConfig {
     /// Audit every this-many accepted steps (1 = every step). A failed
     /// audit keeps the cadence armed, so the redo of a corrupted step is
     /// re-audited regardless of cadence.
     pub every_steps: u64,
-    /// Per-step relative drift band of the discrete energy identity
-    /// (scaled by the number of steps since the last audited reference).
-    pub energy_tol: f64,
-    /// Relative asymmetry band of the diagonal-mirror probe (vs roundoff
-    /// at ~1e-12 and injected flips at >= ~4e-4).
-    pub symmetry_tol: f64,
-    /// Slack factor on the ideal-gas strong-shock compression limit
-    /// `(γ+1)/(γ-1)` before the geometry audit trips.
-    pub compression_slack: f64,
-    /// Fraction of the initial domain extent the mesh may legitimately
-    /// expand beyond before the range audit trips.
-    pub range_slack: f64,
     /// Also verify kernel 7's per-zone GEMMs with Huang–Abraham column
     /// checksums ([`blast_la::Abft`]) — what catches a `SdcSite::GemmPanel`
     /// flip before the step commits. Off by default: checksums bill audit
@@ -64,14 +67,7 @@ pub struct AuditConfig {
 
 impl Default for AuditConfig {
     fn default() -> Self {
-        Self {
-            every_steps: 1,
-            energy_tol: ENERGY_RECONCILE_TOL,
-            symmetry_tol: 1e-7,
-            compression_slack: 2.0,
-            range_slack: 0.5,
-            abft: false,
-        }
+        Self { every_steps: 1, abft: false }
     }
 }
 
@@ -81,20 +77,6 @@ impl AuditConfig {
     pub fn every_steps(mut self, n: u64) -> Self {
         assert!(n >= 1, "audit cadence must be at least 1");
         self.every_steps = n;
-        self
-    }
-
-    /// Sets the per-step energy drift band.
-    #[must_use]
-    pub fn energy_tol(mut self, tol: f64) -> Self {
-        self.energy_tol = tol;
-        self
-    }
-
-    /// Sets the symmetry-probe band.
-    #[must_use]
-    pub fn symmetry_tol(mut self, tol: f64) -> Self {
-        self.symmetry_tol = tol;
         self
     }
 
@@ -185,7 +167,7 @@ impl<const D: usize> StepAuditor<D> {
     /// The energy drift band for the current audit: per-step tolerance
     /// scaled by the steps accumulated since the last audited reference.
     pub(crate) fn energy_band(&self) -> f64 {
-        self.cfg.energy_tol * self.since_pass.max(1) as f64
+        ENERGY_RECONCILE_TOL * self.since_pass.max(1) as f64
     }
 
     /// Whether the current state just passed an audit. Checkpoints are

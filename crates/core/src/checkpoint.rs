@@ -27,10 +27,10 @@ use std::path::PathBuf;
 use crate::state::HydroState;
 
 /// Checkpoint format magic bytes.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BLASTCKP";
+const CHECKPOINT_MAGIC: [u8; 8] = *b"BLASTCKP";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+const CHECKPOINT_VERSION: u32 = 1;
 
 const HEADER_LEN: usize = 24;
 const FOOTER_LEN: usize = 4;
@@ -109,7 +109,7 @@ const fn crc32_table() -> [u32; 256] {
 const CRC32_TABLE: [u32; 256] = crc32_table();
 
 /// CRC-32 (IEEE) of a byte slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);

@@ -18,13 +18,13 @@ use blast_kernels::ProblemShape;
 
 /// Fraction of CPU peak the corner-force inner loops sustain at low order
 /// (irregular, hard-to-vectorize per-quadrature-point code).
-pub const CF_CPU_EFF: f64 = 0.15;
+const CF_CPU_EFF: f64 = 0.15;
 
 /// Order-dependent CPU corner-force efficiency: the higher-order corner
 /// force spends most of its time in larger dense batched products
 /// (e.g. 375x512 `A_z` tiles at Q4), which vectorize far better than the
 /// scalar-heavy SVD/eigenvalue work that dominates at Q2.
-pub fn cf_cpu_eff(order: usize) -> f64 {
+fn cf_cpu_eff(order: usize) -> f64 {
     match order {
         0..=2 => CF_CPU_EFF,
         3 => 0.22,

@@ -16,7 +16,8 @@
 //! assembly, H2D staging, and first-step warm-up) and across
 //! [`PILOT_STEPS`] further steps (the marginal per-step cost). Whole-run
 //! predictions extrapolate `base + (steps - 1) x marginal` with the step
-//! count estimated from the pilot's adaptive `dt`.
+//! count estimated from the pilot's adaptive `dt`. The survey over a whole
+//! catalog is `blast_serve::Router`'s, the one caller that places jobs.
 //!
 //! Everything here is deterministic across thread counts: modes derive
 //! thread counts from the device *spec* (never the ambient pool), and the
@@ -24,7 +25,7 @@
 
 use std::sync::Arc;
 
-use gpu_sim::{DeviceCatalog, DeviceSpec, GpuDevice};
+use gpu_sim::{DeviceSpec, GpuDevice};
 
 use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
 use crate::exec::{ExecMode, Executor};
@@ -68,7 +69,7 @@ pub fn candidate_modes(dev: &DeviceSpec) -> Vec<ExecMode> {
 /// Builds an executor realizing `mode` on `dev`: the spec's host CPU, a
 /// fresh simulated GPU when the spec carries one, and the catalog id
 /// pinned.
-pub fn executor_for(dev: &DeviceSpec, mode: ExecMode) -> Executor {
+fn executor_for(dev: &DeviceSpec, mode: ExecMode) -> Executor {
     let gpu = dev.gpu.as_ref().map(|g| Arc::new(GpuDevice::new(g.clone())));
     let mut exec = Executor::new(mode, dev.host.clone(), gpu);
     exec.set_device_id(dev.id.clone());
@@ -187,66 +188,11 @@ pub fn pilot_device<const D: usize>(
     })
 }
 
-/// Pilots every candidate mode on `dev` and keeps the one with the
-/// cheapest marginal step energy.
-pub fn pilot_best_mode<const D: usize>(
-    problem: &dyn Problem<D>,
-    zones: [usize; D],
-    config: &HydroConfig,
-    dev: &DeviceSpec,
-    pilot_steps: usize,
-) -> Result<DevicePilot, HydroError> {
-    let mut best: Option<DevicePilot> = None;
-    let mut last_err = None;
-    for mode in candidate_modes(dev) {
-        match pilot_device(problem, zones, config, dev, mode, pilot_steps) {
-            Ok(p) => {
-                let better =
-                    best.as_ref().is_none_or(|b| p.step_energy_j < b.step_energy_j);
-                if better {
-                    best = Some(p);
-                }
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    best.ok_or_else(|| last_err.expect("candidate_modes is never empty"))
-}
-
-/// Pilots every device of `catalog` (best candidate mode each) and
-/// returns the survivors in catalog order. Devices that cannot run the
-/// problem (device-memory ceiling) are skipped; the error surfaces only
-/// when *no* device survives.
-pub fn survey_fleet<const D: usize>(
-    problem: &dyn Problem<D>,
-    zones: [usize; D],
-    config: &HydroConfig,
-    catalog: &DeviceCatalog,
-    pilot_steps: usize,
-) -> Result<Vec<DevicePilot>, HydroError> {
-    let mut pilots = Vec::new();
-    let mut last_err = None;
-    for dev in catalog.devices() {
-        match pilot_best_mode(problem, zones, config, dev, pilot_steps) {
-            Ok(p) => pilots.push(p),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    if pilots.is_empty() {
-        return Err(last_err.unwrap_or(HydroError::OutOfMemory { required: 0, available: 0 }));
-    }
-    Ok(pilots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problems::Sedov;
-    use gpu_sim::CpuSpec;
-
-    fn catalog3() -> DeviceCatalog {
-        DeviceCatalog::standard_subset(&["cpu-e5-2670", "k20", "ampere"])
-    }
+    use gpu_sim::{CpuSpec, DeviceCatalog};
 
     #[test]
     fn derived_modes_follow_the_documented_mapping() {
@@ -308,7 +254,8 @@ mod tests {
     fn pilots_are_deterministic_across_thread_counts() {
         let dev = DeviceCatalog::get("cpu-e5-2670");
         let run = || {
-            pilot_best_mode(&Sedov::default(), [4, 4], &HydroConfig::default(), &dev, PILOT_STEPS)
+            let (config, mode) = (HydroConfig::default(), derive_mode(&dev));
+            pilot_device(&Sedov::default(), [4, 4], &config, &dev, mode, PILOT_STEPS)
                 .expect("cpu pilot")
         };
         let a = rayon::Pool::new(1).install(run);
@@ -317,22 +264,5 @@ mod tests {
         assert_eq!(a.base_energy_j.to_bits(), b.base_energy_j.to_bits());
         assert_eq!(a.step_energy_j.to_bits(), b.step_energy_j.to_bits());
         assert_eq!(a.dt.to_bits(), b.dt.to_bits());
-    }
-
-    #[test]
-    fn survey_skips_devices_the_problem_cannot_fit() {
-        // A 1-byte-DRAM GPU can never hold the working set; the survey
-        // must skip it and still return the devices that fit.
-        let tiny = DeviceSpec::builder("tiny-vram")
-            .host(CpuSpec::e5_2670())
-            .gpu(gpu_sim::GpuSpec { dram_capacity: 1, ..DeviceCatalog::gpu("k20") })
-            .build();
-        let mut cat = catalog3();
-        cat.insert(tiny);
-        let pilots =
-            survey_fleet(&Sedov::default(), [4, 4], &HydroConfig::default(), &cat, 1)
-                .expect("three devices fit");
-        let ids: Vec<&str> = pilots.iter().map(|p| p.device_id.as_str()).collect();
-        assert_eq!(ids, ["cpu-e5-2670", "k20", "ampere"]);
     }
 }

@@ -24,13 +24,6 @@
 
 pub use gpu_sim::fault::{fault_draw, RetryPolicy};
 
-/// Total backoff a policy would charge across `retries` consecutive
-/// failures (the worst-case wait before the ladder gives up) — used by
-/// admission control to bound a job's retry exposure.
-pub fn worst_case_backoff_s(policy: &RetryPolicy, retries: u32) -> f64 {
-    (0..retries).map(|a| policy.backoff_s(a)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,9 +47,8 @@ mod tests {
         assert_eq!(p.backoff_s(0), 1e-3, "pre-cap waits are untouched");
         assert_eq!(p.backoff_s(1), 2e-3);
         assert_eq!(p.backoff_s(5), 4e-3, "32e-3 clamps");
-        let worst = worst_case_backoff_s(&p, 10);
+        let worst: f64 = (0..10).map(|a| p.backoff_s(a)).sum();
         assert!(worst <= 10.0 * 4e-3 + 1e-15);
-        assert_eq!(worst, (0..10).map(|a| p.backoff_s(a)).sum::<f64>());
     }
 
     #[test]

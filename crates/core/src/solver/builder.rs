@@ -42,7 +42,6 @@ pub struct HydroBuilder<'p, const D: usize> {
     host_spec: CpuSpec,
     gpu: Option<Arc<GpuDevice>>,
     device_id: Option<String>,
-    fleet: Option<gpu_sim::DeviceCatalog>,
     executor: Option<Executor>,
     sdc_plan: Option<SdcPlan>,
     audit: Option<AuditConfig>,
@@ -132,21 +131,6 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
         self.gpu = dev.gpu.as_ref().map(|g| Arc::new(GpuDevice::new(g.clone())));
         self.mode = crate::fleet::derive_mode(dev);
         self.device_id = Some(dev.id.clone());
-        self.fleet = None;
-        self
-    }
-
-    /// Picks the device at build time from a whole catalog: every entry
-    /// is *piloted* (a throwaway solver advances a few real steps on it —
-    /// see [`crate::fleet`]) and the one with the cheapest marginal
-    /// modeled joules per step wins, then configures the build exactly
-    /// like [`Self::device`]. Devices that cannot hold the working set
-    /// are skipped; the build fails only when no entry fits. A later
-    /// [`Self::device`] call (or an explicit [`Self::executor`]) wins
-    /// over the survey.
-    #[must_use]
-    pub fn fleet(mut self, catalog: &gpu_sim::DeviceCatalog) -> Self {
-        self.fleet = Some(catalog.clone());
         self
     }
 
@@ -221,8 +205,8 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
         }
     }
 
-    /// Rejects inputs no solver can be built from, before any mesh,
-    /// pilot or assembly work touches them.
+    /// Rejects inputs no solver can be built from, before any mesh or
+    /// assembly work touches them.
     fn validate(&self) -> Result<(), HydroError> {
         let invalid = |what, detail| Err(HydroError::InvalidConfig { what, detail });
         if self.config.order == 0 {
@@ -243,32 +227,8 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
     /// matrix-free assembly, and when the simulated GPU
     /// cannot hold the working set (the paper's Q4-Q3 memory limit at
     /// `16^3` on K20).
-    pub fn build(mut self) -> Result<Hydro<D>, HydroError> {
+    pub fn build(self) -> Result<Hydro<D>, HydroError> {
         self.validate()?;
-        // Fleet selection: pilot every catalog entry and keep the one
-        // with the cheapest marginal step energy (an explicit executor
-        // or a later `.device()` call disables the survey).
-        if self.executor.is_none() {
-            if let Some(catalog) = self.fleet.take() {
-                let pilots = crate::fleet::survey_fleet(
-                    self.problem,
-                    self.zones_per_axis,
-                    &self.config,
-                    &catalog,
-                    crate::fleet::PILOT_STEPS,
-                )?;
-                let best = pilots
-                    .iter()
-                    .min_by(|a, b| a.step_energy_j.total_cmp(&b.step_energy_j))
-                    .expect("survey_fleet never returns an empty Ok");
-                let dev =
-                    catalog.lookup(&best.device_id).expect("pilot ids come from the catalog");
-                self.host_spec = dev.host.clone();
-                self.gpu = dev.gpu.as_ref().map(|g| Arc::new(GpuDevice::new(g.clone())));
-                self.mode = best.mode.clone();
-                self.device_id = Some(dev.id.clone());
-            }
-        }
         let exec = match self.executor {
             Some(exec) => exec,
             None => {
@@ -313,7 +273,6 @@ impl<const D: usize> Hydro<D> {
             host_spec: CpuSpec::e5_2670(),
             gpu: None,
             device_id: None,
-            fleet: None,
             executor: None,
             sdc_plan: None,
             audit: None,

@@ -816,20 +816,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn builder_fleet_picks_a_catalog_device_and_runs() {
-        let problem = Sedov::default();
-        let cat = DeviceCatalog::standard_subset(&["cpu-e5-2670", "k20"]);
-        let mut hydro =
-            Hydro::<2>::builder(&problem, [4, 4]).fleet(&cat).build().expect("some entry fits");
-        let picked = hydro.executor().device_id().expect("fleet pins an id").to_string();
-        assert!(cat.lookup(&picked).is_some(), "picked {picked:?} is not in the fleet");
-        // The selected configuration actually steps.
-        let mut state = hydro.initial_state();
-        let stats = hydro.run(&mut state, RunConfig::to(1e-3).max_steps(3)).expect("run");
-        assert!(stats.steps >= 1);
-    }
-
     /// The kernel names one device force evaluation leaves on the timeline
     /// (host momentum solve, so only the sequence launches) equal the names
     /// a recording launcher sees: a reordered, dropped or doubled kernel is

@@ -10,7 +10,7 @@ use powermon::CpuPowerState;
 use super::{
     AdvanceOutcome, ForceEval, Hydro, RunStats, StageVectors, StepOutcome, MAX_STEP_REDOS,
 };
-use crate::audit::{AuditConfig, StepAuditor};
+use crate::audit::{AuditConfig, StepAuditor, COMPRESSION_SLACK, RANGE_SLACK, SYMMETRY_TOL};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, LoadedCheckpoint};
 use crate::error::HydroError;
 use crate::exec::{integration_traffic, ExecMode, CG_CPU_EFF};
@@ -121,7 +121,7 @@ impl<const D: usize> Hydro<D> {
                 lo = lo.min(v);
                 hi = hi.max(v);
             }
-            let pad = cfg.range_slack * (hi - lo).max(f64::MIN_POSITIVE);
+            let pad = RANGE_SLACK * (hi - lo).max(f64::MIN_POSITIVE);
             aud.lo[d] = lo - pad;
             aud.hi[d] = hi + pad;
         }
@@ -213,7 +213,7 @@ impl<const D: usize> Hydro<D> {
         for z in 0..self.shape.zones {
             zone_jacobians(&self.kin, &self.kin_table, &state.x, z, &mut aud.geom);
             let g = self.consts.gamma[z];
-            let limit = aud.cfg.compression_slack * (g + 1.0) / (g - 1.0);
+            let limit = COMPRESSION_SLACK * (g + 1.0) / (g - 1.0);
             for k in 0..npts {
                 let det = aud.geom[k].det;
                 // NaN dets must trip too, not slip through the comparison.
@@ -250,8 +250,8 @@ impl<const D: usize> Hydro<D> {
                     worst = worst.max((fx[i] - fy[p[i]]).abs());
                 }
                 let asym = worst / scale;
-                if asym > aud.cfg.symmetry_tol {
-                    return Some(("symmetry", asym, aud.cfg.symmetry_tol));
+                if asym > SYMMETRY_TOL {
+                    return Some(("symmetry", asym, SYMMETRY_TOL));
                 }
             }
         }

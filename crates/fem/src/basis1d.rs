@@ -139,6 +139,7 @@ impl Basis1d {
     }
 
     /// Single basis function derivative (convenience for tests).
+    #[cfg(test)]
     pub fn eval_deriv(&self, j: usize, x: f64) -> f64 {
         let mut buf = vec![0.0; self.len()];
         self.eval_deriv_all(x, &mut buf);

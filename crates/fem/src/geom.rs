@@ -10,7 +10,7 @@
 
 use blast_la::SmallMat;
 
-use crate::space::{H1Space, L2Space};
+use crate::space::H1Space;
 use crate::tensor_basis::BasisTable;
 
 /// Jacobian data of one zone at one quadrature point.
@@ -59,7 +59,7 @@ pub fn zone_jacobians<const D: usize>(
 /// Determinant of a `D x D` matrix for `D` in {2, 3} (generic dispatch so
 /// callers stay generic over the spatial dimension).
 #[inline]
-pub fn jac_det<const D: usize>(j: &SmallMat<D>) -> f64 {
+fn jac_det<const D: usize>(j: &SmallMat<D>) -> f64 {
     match D {
         2 => j[(0, 0)] * j[(1, 1)] - j[(0, 1)] * j[(1, 0)],
         3 => {
@@ -72,7 +72,7 @@ pub fn jac_det<const D: usize>(j: &SmallMat<D>) -> f64 {
 }
 
 /// Adjugate of a `D x D` matrix for `D` in {2, 3}: `J adj(J) = det(J) I`.
-#[inline]
+#[cfg(test)]
 pub fn jac_adjugate<const D: usize>(j: &SmallMat<D>) -> SmallMat<D> {
     match D {
         2 => SmallMat::from_fn(|i, k| match (i, k) {
@@ -126,6 +126,7 @@ pub fn eval_h1_vector<const D: usize>(
 /// the adjugate/determinant from [`zone_jacobians`] — this split mirrors the
 /// paper's kernel 3 (`∇̂v̂(q̂_k)`, batched) followed by the small-matrix
 /// multiplies of kernels 5/6.
+#[cfg(test)]
 pub fn eval_h1_vector_ref_grad<const D: usize>(
     space: &H1Space<D>,
     table: &BasisTable<D>,
@@ -154,8 +155,9 @@ pub fn eval_h1_vector_ref_grad<const D: usize>(
 }
 
 /// Evaluates an L2 scalar field at the tabulated points of zone `z`.
+#[cfg(test)]
 pub fn eval_l2_scalar<const D: usize>(
-    space: &L2Space<D>,
+    space: &crate::space::L2Space<D>,
     table: &BasisTable<D>,
     e: &[f64],
     z: usize,
@@ -180,6 +182,7 @@ mod tests {
     use super::*;
     use crate::mesh::CartMesh;
     use crate::quadrature::TensorRule;
+    use crate::space::L2Space;
 
     #[test]
     fn affine_mesh_jacobian_is_diagonal_zone_size() {

@@ -22,7 +22,7 @@ use crate::tensor_basis::BasisTable;
 /// — so repeated assemblies (rebuilds, benches, property sweeps) stay off
 /// the allocator after the first.
 #[derive(Debug, Default)]
-pub struct MassScratch {
+struct MassScratch {
     locals: Vec<f64>,
 }
 
@@ -33,8 +33,8 @@ pub struct MassScratch {
 /// `rule.len()`. The result acts on one velocity component; the full vector
 /// mass matrix is block diagonal over components with this block repeated.
 ///
-/// One-shot convenience over [`assemble_kinematic_mass_with`] (a fresh
-/// scratch per call).
+/// One-shot form of `assemble_kinematic_mass_with` (a fresh scratch per
+/// call).
 pub fn assemble_kinematic_mass<const D: usize>(
     space: &H1Space<D>,
     rule: &TensorRule<D>,
@@ -49,7 +49,7 @@ pub fn assemble_kinematic_mass<const D: usize>(
 /// repeated assemblies perform no heap allocation beyond the returned CSR
 /// itself. The result is bitwise identical to the one-shot form at any
 /// thread count.
-pub fn assemble_kinematic_mass_with<const D: usize>(
+fn assemble_kinematic_mass_with<const D: usize>(
     space: &H1Space<D>,
     rule: &TensorRule<D>,
     table: &BasisTable<D>,

@@ -41,11 +41,6 @@ impl<const D: usize> CartMesh<D> {
         self.domain_min
     }
 
-    /// Upper domain corner.
-    pub fn domain_max(&self) -> [f64; D] {
-        self.domain_max
-    }
-
     /// Total zone count.
     pub fn num_zones(&self) -> usize {
         self.zones_per_axis.iter().product()

@@ -64,19 +64,6 @@ impl DeviceSpec {
             .as_ref()
             .map_or(self.host.peak_gflops_dp, |g| g.peak_gflops_dp.max(self.host.peak_gflops_dp))
     }
-
-    /// The Fig. 1 metric: peak DP GFLOP/s per TDP watt of the silicon
-    /// that delivers the peak. A routing *prior*, not a decision — the
-    /// router ranks devices by modeled job energy, which also prices
-    /// transfers, launch overheads, and idle floors this ratio ignores.
-    pub fn peak_gflops_per_watt(&self) -> f64 {
-        match &self.gpu {
-            Some(g) if g.peak_gflops_dp >= self.host.peak_gflops_dp => {
-                g.peak_gflops_dp / g.tdp_w
-            }
-            _ => self.host.peak_gflops_dp / self.host.power.tdp_w,
-        }
-    }
 }
 
 /// Builder for custom [`DeviceSpec`] entries.
@@ -302,7 +289,6 @@ mod tests {
         for dev in DeviceCatalog::standard().devices() {
             assert!(dev.idle_watts() > 0.0, "{}", dev.id);
             assert!(dev.peak_gflops_dp() > 0.0, "{}", dev.id);
-            assert!(dev.peak_gflops_per_watt() > 0.0, "{}", dev.id);
             if let Some(g) = &dev.gpu {
                 // Hong & Kim DRAM-vs-shared per-byte cost band, catalog-wide.
                 let ratio = g.e_dram_pj / g.e_shared_pj;

@@ -177,7 +177,7 @@ impl CpuSpec {
     /// fraction of peak well below 1 even when compute-bound; BLAST's corner
     /// force sustains ~15% of peak on Xeon (unvectorized irregular inner
     /// loops), which `flop_efficiency` captures.
-    pub fn phase_time(&self, traffic: &Traffic, threads: u32, flop_efficiency: f64) -> f64 {
+    fn phase_time(&self, traffic: &Traffic, threads: u32, flop_efficiency: f64) -> f64 {
         assert!(threads >= 1 && threads <= self.cores, "thread count out of range");
         let frac = threads as f64 / self.cores as f64;
         let par_eff = if threads == 1 {

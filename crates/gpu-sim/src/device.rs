@@ -229,6 +229,7 @@ impl GpuDevice {
     }
 
     /// Currently allocated device memory, bytes.
+    #[cfg(test)]
     pub fn allocated_bytes(&self) -> usize {
         self.state.lock().allocated
     }

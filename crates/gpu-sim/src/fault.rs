@@ -159,13 +159,13 @@ impl FaultKind {
 /// of that operation and every later one — the device is gone for good,
 /// which is what drives the solver's CPU fallback.
 #[derive(Clone, Copy, Debug)]
-pub struct ScheduledFault {
+struct ScheduledFault {
     /// Which site fails.
-    pub kind: FaultKind,
+    kind: FaultKind,
     /// 0-based operation index at the site where the fault first fires.
-    pub at_op: u64,
+    at_op: u64,
     /// Whether the fault persists for all subsequent attempts and ops.
-    pub persistent: bool,
+    persistent: bool,
 }
 
 /// Seeded fault-injection plan: per-site random rates plus scheduled
@@ -381,9 +381,6 @@ pub enum SdcSite {
     GemmPanel,
 }
 
-/// Number of [`SdcSite`] variants.
-pub const NUM_SDC_SITES: usize = 4;
-
 impl SdcSite {
     /// Dense index for per-site derivation streams.
     pub fn index(self) -> usize {
@@ -394,10 +391,6 @@ impl SdcSite {
             SdcSite::GemmPanel => 3,
         }
     }
-
-    /// All sites, in index order (campaign sweeps iterate this).
-    pub const ALL: [SdcSite; NUM_SDC_SITES] =
-        [SdcSite::DeviceBuffer, SdcSite::TransferPayload, SdcSite::HostState, SdcSite::GemmPanel];
 }
 
 impl std::fmt::Display for SdcSite {
@@ -413,8 +406,8 @@ impl std::fmt::Display for SdcSite {
 
 /// One planned silent bit flip.
 ///
-/// `bit` is the IEEE-754 bit to XOR (high mantissa / exponent range — see
-/// [`SdcPlan::flip_bit_range`]); `lane` deterministically selects the
+/// `bit` is the IEEE-754 bit to XOR (high mantissa / exponent range, bits
+/// 44..=62 when derived from a seed); `lane` deterministically selects the
 /// victim element among the significant entries of the target buffer.
 /// A transient flip fires exactly once, at step-attempt ordinal `at_step`;
 /// a persistent flip re-fires on every attempt from `at_step` onward (a
@@ -466,9 +459,9 @@ impl SdcPlan {
     /// range perturb the value by less than ~4e-3 relative and model the
     /// benign strikes the auditor is *allowed* to miss; the campaign gate
     /// is about the detectable ones.
-    pub const FLIP_BIT_LO: u32 = 44;
+    const FLIP_BIT_LO: u32 = 44;
     /// Upper end (inclusive) of the injected flip bit range.
-    pub const FLIP_BIT_HI: u32 = 62;
+    const FLIP_BIT_HI: u32 = 62;
 
     /// A plan injecting nothing (the default).
     pub fn none() -> Self {
@@ -486,20 +479,6 @@ impl SdcPlan {
         Self::seeded(fault_seed_from_env().unwrap_or(default_seed))
     }
 
-    /// Schedules one transient flip at `site` on step-attempt `at_step`,
-    /// with bit and lane derived from the plan seed.
-    #[must_use]
-    pub fn with_flip(self, site: SdcSite, at_step: u64) -> Self {
-        self.push_derived(site, at_step, false)
-    }
-
-    /// Schedules a persistent (stuck-bit) flip: it re-fires on every
-    /// attempt from `at_step` onward, so no in-place redo can clear it.
-    #[must_use]
-    pub fn with_persistent_flip(self, site: SdcSite, at_step: u64) -> Self {
-        self.push_derived(site, at_step, true)
-    }
-
     /// Schedules a fully explicit flip (tests pin exact bits).
     #[must_use]
     pub fn with_flip_at(mut self, fault: SdcFault) -> Self {
@@ -513,12 +492,6 @@ impl SdcPlan {
         assert!(fault.bit <= 62, "bit 63 (the sign of a sum) is not a silent flip model");
         self.faults.push(fault);
         self.fired.borrow_mut().push(false);
-    }
-
-    fn push_derived(self, site: SdcSite, at_step: u64, persistent: bool) -> Self {
-        let ordinal = self.faults.len() as u64;
-        let fault = derive_fault(self.seed, site, at_step, ordinal, persistent);
-        self.with_flip_at(fault)
     }
 
     /// Whether the plan can inject anything at all.
@@ -554,9 +527,9 @@ impl SdcPlan {
     }
 }
 
-/// Derives a concrete [`SdcFault`] from `(seed, site, ordinal)` — the pure
-/// function behind [`SdcPlan::with_flip`], exposed so `blast-core` can arm
-/// chaos-stream flips with the same replayable derivation.
+/// Derives a concrete [`SdcFault`] from `(seed, site, ordinal)` — the one
+/// replayable derivation of a flip's bit and lane, which the SDC campaign
+/// and the serve chaos stream arm.
 pub fn derive_fault(
     seed: u64,
     site: SdcSite,
@@ -618,6 +591,25 @@ pub struct FaultStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SdcPlan {
+        /// Schedules one transient flip at `site` on step-attempt
+        /// `at_step`, with bit and lane derived from the plan seed.
+        fn with_flip(self, site: SdcSite, at_step: u64) -> Self {
+            self.push_derived(site, at_step, false)
+        }
+
+        /// Schedules a persistent (stuck-bit) flip.
+        fn with_persistent_flip(self, site: SdcSite, at_step: u64) -> Self {
+            self.push_derived(site, at_step, true)
+        }
+
+        fn push_derived(self, site: SdcSite, at_step: u64, persistent: bool) -> Self {
+            let fault =
+                derive_fault(self.seed, site, at_step, self.faults.len() as u64, persistent);
+            self.with_flip_at(fault)
+        }
+    }
 
     #[test]
     fn env_seed_overrides_the_default() {

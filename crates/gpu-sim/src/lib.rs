@@ -44,7 +44,6 @@ pub use device::{GpuDevice, KernelEvent, KernelStats};
 pub use fault::{
     apply_flip, derive_fault, fault_draw, fault_seed_from_env, FaultKind, FaultPlan, FaultStats,
     GpuError, RetryPolicy, SdcFault, SdcHit, SdcPlan, SdcSite, TransferDir, FAULT_SEED_ENV,
-    NUM_SDC_SITES,
 };
 pub use occupancy::{occupancy, LaunchConfig, Occupancy};
 pub use spec::GpuSpec;

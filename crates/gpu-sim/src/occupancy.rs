@@ -28,11 +28,6 @@ impl LaunchConfig {
     pub fn new(grid_blocks: u32, block_threads: u32, shared_bytes: u32, regs_per_thread: u32) -> Self {
         Self { grid_blocks, block_threads, shared_bytes, regs_per_thread }
     }
-
-    /// Total threads across the grid.
-    pub fn total_threads(&self) -> u64 {
-        self.grid_blocks as u64 * self.block_threads as u64
-    }
 }
 
 /// Occupancy analysis result.

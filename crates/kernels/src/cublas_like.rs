@@ -10,61 +10,20 @@
 //!   `cublasDgemv` per zone in its own stream — pays a full kernel-launch
 //!   latency per 81x8 matrix and lands at 0.2 GFLOP/s against the custom
 //!   kernel 8's 18 GFLOP/s (Table 4).
+//!
+//! Table 4 and Fig. 7 price [`StreamedDgemv`] and
+//! [`CublasDgemmBatchedLarge`]; the small-matrix batched baseline and the
+//! streamed row-sum that really runs are the tests' fixtures.
 
-use blast_la::BatchedMats;
 use gpu_sim::{LaunchConfig, Traffic};
 
-use crate::k56::{BatchedDimGemm, Transpose};
-use crate::launch::{KernelLauncher, Launch};
 use crate::shapes::ProblemShape;
-
-/// Effective DRAM replay factor of the library's pointer-chased,
-/// one-matrix-per-block access pattern on `DIM x DIM` operands: scattered
-/// 8-byte loads each occupy a 128-byte transaction, doubled by the
-/// pointer-array indirection.
-pub const CUBLAS_BATCHED_REPLAY: f64 = 32.0;
-
-/// `cublasDgemmBatched`-style baseline for `DIM x DIM` batches.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CublasDgemmBatched;
-
-impl CublasDgemmBatched {
-    /// Event name on the device timeline.
-    pub const NAME: &'static str = "cublasDgemmBatched";
-
-    /// Library launch shape: one block per matrix, `DIM^2` working threads
-    /// padded to a warp.
-    pub fn config(&self, dim: usize, count: usize) -> LaunchConfig {
-        LaunchConfig::new(count as u32, (dim * dim).max(32) as u32, 0, 40)
-    }
-
-    /// Declared traffic with the replay pathology.
-    pub fn traffic(&self, dim: usize, count: usize) -> Traffic {
-        let d = dim as f64;
-        let n = count as f64;
-        Traffic {
-            flops: n * 2.0 * d * d * d,
-            dram_bytes: n * 3.0 * d * d * 8.0 * CUBLAS_BATCHED_REPLAY
-                + n * 3.0 * 8.0, // the pointer array itself
-            ..Default::default()
-        }
-    }
-
-    /// Pure computation: the batched product, one matrix per block (same
-    /// math as kernels 5/6).
-    pub fn compute(transpose: Transpose, a: &BatchedMats, b: &BatchedMats, c: &mut BatchedMats) {
-        BatchedDimGemm { transpose, mats_per_block: 1 }.compute(a, b, None, c);
-    }
-}
 
 /// Streamed-`cublasDgemv` baseline: one library call per zone.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StreamedDgemv;
 
 impl StreamedDgemv {
-    /// Event name on the device timeline.
-    pub const NAME: &'static str = "cublasDgemv(streamed)";
-
     /// Per-call launch configuration (the library picks a generic shape).
     pub fn config_single(&self, shape: &ProblemShape) -> LaunchConfig {
         LaunchConfig::new(1, (shape.nvdof() as u32).clamp(64, 256), 0, 20)
@@ -79,34 +38,6 @@ impl StreamedDgemv {
             dram_bytes: (m * n + m + n) * 8.0,
             ..Default::default()
         }
-    }
-
-    /// Computes the whole batched row-sum (`y_z = F_z · 1`) through
-    /// zone-by-zone library calls, each its own launch on `on`.
-    pub fn rowsums_on<L: KernelLauncher>(
-        &self,
-        on: &mut L,
-        shape: &ProblemShape,
-        fz: &BatchedMats,
-        y: &mut [f64],
-    ) -> Result<(), L::Error> {
-        let nvdof = shape.nvdof();
-        assert_eq!(fz.shape(), (nvdof, shape.nthermo));
-        assert_eq!(fz.count(), shape.zones);
-        assert_eq!(y.len(), shape.zones * nvdof);
-        let call = Launch::new(Self::NAME, self.config_single(shape), self.traffic_single(shape));
-        for (z, yz) in y.chunks_exact_mut(nvdof).enumerate() {
-            on.launch(
-                || call,
-                || {
-                    yz.fill(0.0);
-                    for col in fz.mat(z).chunks_exact(nvdof) {
-                        yz.iter_mut().zip(col).for_each(|(o, &v)| *o += v);
-                    }
-                },
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -149,9 +80,84 @@ impl CublasDgemmBatchedLarge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::k56::{BatchedDimGemm, Transpose};
     use crate::k8_10::MomentumRhsKernel;
     use crate::launch::testing::on_device;
+    use crate::launch::{KernelLauncher, Launch};
+    use blast_la::BatchedMats;
     use gpu_sim::{DeviceCatalog, GpuDevice, GpuSpec};
+
+    /// Effective DRAM replay factor of the library's pointer-chased,
+    /// one-matrix-per-block access pattern on `DIM x DIM` operands: scattered
+    /// 8-byte loads each occupy a 128-byte transaction, doubled by the
+    /// pointer-array indirection.
+    const CUBLAS_BATCHED_REPLAY: f64 = 32.0;
+
+    /// `cublasDgemmBatched`-style baseline for `DIM x DIM` batches.
+    struct CublasDgemmBatched;
+
+    impl CublasDgemmBatched {
+        /// Event name on the device timeline.
+        const NAME: &'static str = "cublasDgemmBatched";
+
+        /// Library launch shape: one block per matrix, `DIM^2` working
+        /// threads padded to a warp.
+        fn config(&self, dim: usize, count: usize) -> LaunchConfig {
+            LaunchConfig::new(count as u32, (dim * dim).max(32) as u32, 0, 40)
+        }
+
+        /// Declared traffic with the replay pathology.
+        fn traffic(&self, dim: usize, count: usize) -> Traffic {
+            let d = dim as f64;
+            let n = count as f64;
+            Traffic {
+                flops: n * 2.0 * d * d * d,
+                dram_bytes: n * 3.0 * d * d * 8.0 * CUBLAS_BATCHED_REPLAY
+                    + n * 3.0 * 8.0, // the pointer array itself
+                ..Default::default()
+            }
+        }
+
+        /// The batched product, one matrix per block (same math as kernels
+        /// 5/6).
+        fn compute(transpose: Transpose, a: &BatchedMats, b: &BatchedMats, c: &mut BatchedMats) {
+            BatchedDimGemm { transpose, mats_per_block: 1 }.compute(a, b, None, c);
+        }
+    }
+
+    impl StreamedDgemv {
+        /// Event name on the device timeline.
+        const NAME: &'static str = "cublasDgemv(streamed)";
+
+        /// The whole batched row-sum (`y_z = F_z · 1`) through zone-by-zone
+        /// library calls, each its own launch on `on`.
+        fn rowsums_on<L: KernelLauncher>(
+            &self,
+            on: &mut L,
+            shape: &ProblemShape,
+            fz: &BatchedMats,
+            y: &mut [f64],
+        ) -> Result<(), L::Error> {
+            let nvdof = shape.nvdof();
+            assert_eq!(fz.shape(), (nvdof, shape.nthermo));
+            assert_eq!(fz.count(), shape.zones);
+            assert_eq!(y.len(), shape.zones * nvdof);
+            let call =
+                Launch::new(Self::NAME, self.config_single(shape), self.traffic_single(shape));
+            for (z, yz) in y.chunks_exact_mut(nvdof).enumerate() {
+                on.launch(
+                    || call,
+                    || {
+                        yz.fill(0.0);
+                        for col in fz.mat(z).chunks_exact(nvdof) {
+                            yz.iter_mut().zip(col).for_each(|(o, &v)| *o += v);
+                        }
+                    },
+                )?;
+            }
+            Ok(())
+        }
+    }
 
     #[test]
     fn batched_dgemm_lands_near_paper_1_3_gflops() {

@@ -35,9 +35,9 @@ use crate::k11::SpmvKernel;
 /// Fused SpMV + dot launch name (Fig. 6 breakdown label).
 pub const FUSED_SPMV_DOT: &str = "fusedCsrMvDot_ci_kernel";
 /// Fused pair-update + norm launch name.
-pub const FUSED_AXPY2_NRM2: &str = "fusedAxpy2Nrm2_kernel";
+const FUSED_AXPY2_NRM2: &str = "fusedAxpy2Nrm2_kernel";
 /// Fused precondition + dot + direction-update launch name.
-pub const FUSED_PRECOND_UPDATE: &str = "fusedPrecondUpdate_kernel";
+const FUSED_PRECOND_UPDATE: &str = "fusedPrecondUpdate_kernel";
 
 // The launch-per-op names: CUBLAS's, and the two custom BLAS-1 kernels.
 const NRM2: &str = "cublasDnrm2";

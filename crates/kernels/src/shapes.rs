@@ -58,6 +58,7 @@ impl ProblemShape {
     /// Bytes of the `(v, e, x)` state shipped host-to-device per evaluation
     /// (§3.1.2) for this subdomain, assuming non-shared DOF counting
     /// (upper bound: `zones * per-zone DOFs`).
+    #[cfg(test)]
     pub fn state_bytes_upper(&self) -> usize {
         let vdofs = self.zones * self.nvdof();
         let edofs = self.zones * self.nthermo;

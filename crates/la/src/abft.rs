@@ -42,7 +42,7 @@ use std::sync::Mutex;
 /// Safety factor on the `(m + k) * eps` rounding band of the checksum
 /// identity. Generous against false positives; still ~7 orders of
 /// magnitude below the smallest injected flip on Table-3 shapes.
-pub const ABFT_GUARD: f64 = 8.0;
+const ABFT_GUARD: f64 = 8.0;
 
 /// A detected checksum violation — everything needed for a replayable
 /// "measured vs tolerance" log line.

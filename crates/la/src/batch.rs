@@ -103,7 +103,7 @@ impl BatchedMats {
 
     /// Flat index of entry `(i, j)` of batch member `z`.
     #[inline]
-    pub fn index_of(&self, z: usize, i: usize, j: usize) -> usize {
+    fn index_of(&self, z: usize, i: usize, j: usize) -> usize {
         z * self.stride() + i + j * self.rows
     }
 

@@ -52,12 +52,6 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// Mutable value array (structure is fixed; values may be updated, e.g.
-    /// when the mass matrix is re-assembled with the same sparsity).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// `y = A x` (allocating).
     pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.rows];
@@ -80,6 +74,7 @@ impl CsrMatrix {
     }
 
     /// `y = A^T x` (needed by symmetric checks; `M_V` itself is symmetric).
+    #[cfg(test)]
     pub fn spmv_transpose_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.rows, "spmv_t x length mismatch");
         assert_eq!(y.len(), self.cols, "spmv_t y length mismatch");
@@ -169,11 +164,6 @@ impl CsrBuilder {
         }
     }
 
-    /// Number of raw (pre-merge) triplets.
-    pub fn triplet_count(&self) -> usize {
-        self.triplets.len()
-    }
-
     /// Assembles into CSR, merging duplicates and sorting columns per row.
     pub fn build(mut self) -> CsrMatrix {
         self.triplets.sort_unstable_by_key(|t| (t.0, t.1));
@@ -243,7 +233,6 @@ mod tests {
         let mut b = CsrBuilder::new(2, 2);
         b.add(0, 0, 0.0);
         b.add(1, 0, 1.0);
-        assert_eq!(b.triplet_count(), 1);
         let a = b.build();
         assert_eq!(a.nnz(), 1);
     }

@@ -144,7 +144,7 @@ pub fn sym_eig3(a: &SmallMat<3>) -> SymEig<3> {
 
 /// `W` symmetric 3x3 matrices side by side (struct of arrays): entry
 /// `(i, j)` of matrix `l` is `a[i][j][l]`.
-pub type Sym3Lanes<const W: usize> = [[[f64; W]; 3]; 3];
+type Sym3Lanes<const W: usize> = [[[f64; W]; 3]; 3];
 
 /// `W` copies of the identity — the padding of a ragged group: an identity
 /// lane passes the convergence test before the first sweep and never keeps

@@ -48,9 +48,6 @@ pub use small::SmallMat;
 pub use svd::{svd2, svd3, Svd};
 pub use tile::{MicroTile, TileConfig};
 
-/// Relative tolerance used by validation helpers throughout the workspace.
-pub const VALIDATE_TOL: f64 = 1e-12;
-
 /// Returns `true` when `a` and `b` agree to relative tolerance `tol`
 /// (absolute near zero).
 #[inline]

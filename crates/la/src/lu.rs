@@ -78,7 +78,7 @@ impl LuFactors {
     /// Solves `A x = b` in place (`b` becomes `x`).
     ///
     /// Panics if the factorization was singular.
-    pub fn solve_in_place(&self, b: &mut [f64]) {
+    fn solve_in_place(&self, b: &mut [f64]) {
         assert!(!self.singular, "solve with singular LU factors");
         let n = self.dim();
         assert_eq!(b.len(), n, "rhs length mismatch");

@@ -161,7 +161,7 @@ impl DiagPrecond {
 
     /// The stored inverse diagonal (the fused `precond_dot_update` kernel
     /// recomputes `z = M^{-1} r` from it on the fly instead of storing `z`).
-    pub fn inv_diag(&self) -> &[f64] {
+    fn inv_diag(&self) -> &[f64] {
         &self.inv_diag
     }
 }

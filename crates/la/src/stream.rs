@@ -81,7 +81,7 @@ use crate::simd::{fma_clones, fmadd};
 
 /// Reduction block grid: same cap as the pool's `MAX_BLOCKS`, so each chunk
 /// maps to exactly one pool block and the grid depends only on `n`.
-pub const STREAM_BLOCKS: usize = 64;
+const STREAM_BLOCKS: usize = 64;
 
 /// Fixed accumulator lanes per block (element `j` → lane `j mod LANES`).
 const LANES: usize = 8;
@@ -446,7 +446,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Streaming squared Euclidean norm (`dot(x, x)` with the same grid).
-pub fn nrm2_sq(x: &[f64]) -> f64 {
+fn nrm2_sq(x: &[f64]) -> f64 {
     let blocks = x.par_chunks(block_len(x.len()));
     walk_sum(sweep_on_pool(1, x.len()), blocks, |xv| dot_block(xv, xv))
 }
@@ -543,7 +543,7 @@ fn constrained_shapes(a: &CsrMatrix, x: &[f64], mask: &[bool], tmp: &[f64], y: &
 
 /// Constrained operator apply `y = (P A P + (I - P)) x` using `tmp` as the
 /// masked-input scratch (the unfused leg of [`spmv_constrained_dot`]).
-pub fn spmv_constrained(a: &CsrMatrix, x: &[f64], mask: &[bool], tmp: &mut [f64], y: &mut [f64]) {
+fn spmv_constrained(a: &CsrMatrix, x: &[f64], mask: &[bool], tmp: &mut [f64], y: &mut [f64]) {
     let bl = block_len(constrained_shapes(a, x, mask, tmp, y));
     mask_into(x, mask, tmp);
     let blocks = y.par_chunks_mut(bl).enumerate();
@@ -553,7 +553,7 @@ pub fn spmv_constrained(a: &CsrMatrix, x: &[f64], mask: &[bool], tmp: &mut [f64]
 /// Fused constrained apply + dot: [`spmv_constrained`] producing `x·y` in
 /// the same row sweep (the fixup runs before the block dot, exactly as the
 /// unfused apply-then-dot sequence sees it).
-pub fn spmv_constrained_dot(
+fn spmv_constrained_dot(
     a: &CsrMatrix,
     x: &[f64],
     mask: &[bool],
@@ -823,7 +823,7 @@ pub mod reference {
     }
 
     /// Reference squared norm.
-    pub fn nrm2_sq(x: &[f64]) -> f64 {
+    fn nrm2_sq(x: &[f64]) -> f64 {
         let n = x.len();
         if n == 0 {
             return 0.0;

@@ -46,12 +46,6 @@ impl<const D: usize> Svd<D> {
         a
     }
 
-    /// Largest singular value (spectral norm).
-    #[inline]
-    pub fn norm2(&self) -> f64 {
-        self.values[0]
-    }
-
     /// Smallest singular value — BLAST's minimum directional length scale.
     #[inline]
     pub fn min_singular(&self) -> f64 {
@@ -269,6 +263,6 @@ mod tests {
         let a = m2([[1.0, 0.0], [0.0, 0.01]]);
         let s = svd2(&a);
         assert!(approx_eq(s.min_singular(), 0.01, 1e-12));
-        assert!(approx_eq(s.norm2(), 1.0, 1e-12));
+        assert!(approx_eq(s.values[0], 1.0, 1e-12));
     }
 }

@@ -74,25 +74,6 @@ pub enum MicroTile {
     Mr4Nr8,
 }
 
-impl MicroTile {
-    /// Rows of the register tile.
-    pub fn mr(&self) -> usize {
-        match self {
-            MicroTile::Mr4Nr4 | MicroTile::Mr4Nr8 => 4,
-            MicroTile::Mr8Nr4 => 8,
-            MicroTile::Mr12Nr4 => 12,
-        }
-    }
-
-    /// Columns of the register tile.
-    pub fn nr(&self) -> usize {
-        match self {
-            MicroTile::Mr4Nr4 | MicroTile::Mr8Nr4 | MicroTile::Mr12Nr4 => 4,
-            MicroTile::Mr4Nr8 => 8,
-        }
-    }
-}
-
 /// Host tile parameters: the register tile plus the `KC` cache block.
 /// These are the knobs the `host_kernels` sweep times per FE order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -95,6 +95,7 @@ impl PowerTrace {
     }
 
     /// Mean power over `[t0, t1]` in watts.
+    #[cfg(test)]
     pub fn mean_power(&self, t0: f64, t1: f64) -> f64 {
         if t1 <= t0 {
             return self.idle_watts;

@@ -38,6 +38,17 @@ impl Scenario {
         }
     }
 
+    /// The problem behind this scenario: the one place a scenario becomes a
+    /// concrete problem, for attempts ([`Self::build`]) and router pilots
+    /// alike.
+    pub(crate) fn problem(self) -> Box<dyn Problem<2>> {
+        match self {
+            Scenario::Sedov => Box::new(Sedov::default()),
+            Scenario::TriplePoint => Box::new(TriplePoint::default()),
+            Scenario::TaylorGreen => Box::new(TaylorGreen::default()),
+        }
+    }
+
     /// Builds a solver for this scenario on the given executor, with the
     /// step auditor when `audit` names one.
     pub fn build(
@@ -47,12 +58,8 @@ impl Scenario {
         exec: Executor,
         audit: Option<AuditConfig>,
     ) -> Result<Hydro<2>, HydroError> {
-        let problem: &dyn Problem<2> = match self {
-            Scenario::Sedov => &Sedov::default(),
-            Scenario::TriplePoint => &TriplePoint::default(),
-            Scenario::TaylorGreen => &TaylorGreen::default(),
-        };
-        let builder = Hydro::<2>::builder(problem, zones).order(order).executor(exec);
+        let problem = self.problem();
+        let builder = Hydro::<2>::builder(&*problem, zones).order(order).executor(exec);
         match audit {
             Some(cfg) => builder.audit(cfg),
             None => builder,
@@ -131,13 +138,6 @@ impl Default for JobSpec {
             fault_immune: false,
             placement: None,
         }
-    }
-}
-
-impl JobSpec {
-    /// A spec for `tenant` with all other fields at their defaults.
-    pub fn for_tenant(tenant: impl Into<String>) -> Self {
-        Self { tenant: tenant.into(), ..Self::default() }
     }
 }
 

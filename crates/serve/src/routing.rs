@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 
 use blast_core::fleet::{self, DevicePilot, Prediction, PILOT_STEPS};
-use blast_core::{HydroConfig, HydroError, Sedov, TaylorGreen, TriplePoint};
+use blast_core::{HydroConfig, HydroError};
 use gpu_sim::{DeviceCatalog, DeviceSpec};
 use powermon::{EnergyReport, Greenup};
 
@@ -42,7 +42,6 @@ type SurveyKey = (&'static str, [usize; 2], usize);
 #[derive(Clone, Debug)]
 pub struct Router {
     catalog: DeviceCatalog,
-    pilot_steps: usize,
     cache: BTreeMap<SurveyKey, Vec<DevicePilot>>,
 }
 
@@ -79,7 +78,7 @@ impl Router {
     /// A router over `catalog`, piloting [`PILOT_STEPS`] marginal steps
     /// per candidate.
     pub fn new(catalog: DeviceCatalog) -> Self {
-        Self { catalog, pilot_steps: PILOT_STEPS, cache: BTreeMap::new() }
+        Self { catalog, cache: BTreeMap::new() }
     }
 
     /// The catalog this router places onto.
@@ -175,11 +174,12 @@ impl Router {
         let key: SurveyKey = (scenario.name(), zones, order);
         if !self.cache.contains_key(&key) {
             let config = HydroConfig { order, ..HydroConfig::default() };
+            let problem = scenario.problem();
             let mut pilots = Vec::new();
             let mut last_err = None;
             for dev in self.catalog.devices() {
                 for mode in fleet::candidate_modes(dev) {
-                    match pilot_scenario(scenario, zones, &config, dev, mode, self.pilot_steps) {
+                    match fleet::pilot_device(&*problem, zones, &config, dev, mode, PILOT_STEPS) {
                         Ok(p) => pilots.push(p),
                         Err(e) => last_err = Some(e),
                     }
@@ -193,28 +193,6 @@ impl Router {
             self.cache.insert(key, pilots);
         }
         Ok(&self.cache[&key])
-    }
-}
-
-/// Dispatches a pilot to the concrete problem type behind a [`Scenario`].
-fn pilot_scenario(
-    scenario: Scenario,
-    zones: [usize; 2],
-    config: &HydroConfig,
-    dev: &DeviceSpec,
-    mode: blast_core::ExecMode,
-    pilot_steps: usize,
-) -> Result<DevicePilot, HydroError> {
-    match scenario {
-        Scenario::Sedov => {
-            fleet::pilot_device(&Sedov::default(), zones, config, dev, mode, pilot_steps)
-        }
-        Scenario::TriplePoint => {
-            fleet::pilot_device(&TriplePoint::default(), zones, config, dev, mode, pilot_steps)
-        }
-        Scenario::TaylorGreen => {
-            fleet::pilot_device(&TaylorGreen::default(), zones, config, dev, mode, pilot_steps)
-        }
     }
 }
 
@@ -296,6 +274,31 @@ mod tests {
         // Same pilots, different extrapolation horizons.
         assert!(db.candidates.iter().all(|c| c.steps <= 9));
         assert_eq!(da.candidates.len(), db.candidates.len());
+    }
+
+    #[test]
+    fn survey_skips_devices_the_problem_cannot_fit() {
+        // A 1-byte-DRAM GPU can never hold the working set: the survey
+        // skips it and routes on the devices that fit, and a catalog of
+        // such devices alone is the typed out-of-memory error.
+        let tiny = |id: &str| {
+            DeviceSpec::builder(id)
+                .host(gpu_sim::CpuSpec::e5_2670())
+                .gpu(gpu_sim::GpuSpec { dram_capacity: 1, ..DeviceCatalog::gpu("k20") })
+                .build()
+        };
+        let spec = JobSpec { zones: [4, 4], t_final: 0.02, ..JobSpec::default() };
+        let mut cat = fleet3();
+        cat.insert(tiny("tiny-vram"));
+        let d = Router::new(cat).route(&spec).expect("three devices fit");
+        let ids: Vec<&str> = d.candidates.iter().map(|c| c.device_id.as_str()).collect();
+        assert_eq!(ids, ["cpu-e5-2670", "k20", "k20", "ampere", "ampere"]);
+
+        let mut all_tiny = DeviceCatalog::new();
+        all_tiny.insert(tiny("tiny-a"));
+        all_tiny.insert(tiny("tiny-b"));
+        let err = Router::new(all_tiny).route(&spec).expect_err("nothing fits");
+        assert!(matches!(err, HydroError::OutOfMemory { available: 1, .. }), "{err:?}");
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl Default for Telemetry {
 /// Default ring capacity: enough for the raw spans of a mid-size
 /// instrumented run (~16k spans × 72 B ≈ 1.2 MB); aggregates are exact
 /// regardless.
-pub const DEFAULT_SPAN_CAPACITY: usize = 16 * 1024;
+const DEFAULT_SPAN_CAPACITY: usize = 16 * 1024;
 
 /// Reserved slots for distinct phase names / counters / gauges. The
 /// workspace uses ~30 distinct names; recording an already-seen name never
@@ -357,17 +357,6 @@ impl Telemetry {
             .collect();
         out.sort_by(|a, b| b.seconds.partial_cmp(&a.seconds).expect("finite phase totals"));
         out
-    }
-
-    /// Latest span end time on `track` (0 when the track is empty). Uses
-    /// the ring, so it reflects the retained window.
-    pub fn last_end_s(&self, track: Track) -> f64 {
-        let st = self.lock();
-        st.ring
-            .iter()
-            .filter(|s| s.track == track)
-            .map(|s| s.end_s())
-            .fold(0.0, f64::max)
     }
 }
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example autotune_demo
 //! ```
 
-use blast_repro::autotune::Autotuner;
+use blast_repro::autotune::tuner::{Autotuner, DEFAULT_SAMPLES_PER_PERIOD};
 use blast_repro::blast_kernels::k3::CoefGradKernel;
 use blast_repro::blast_kernels::k7::FzKernel;
 use blast_repro::blast_kernels::{GemmVariant, ProblemShape};
@@ -22,7 +22,7 @@ fn tune_k3(dev: &GpuDevice, shape: &ProblemShape) -> (u32, Vec<(u32, f64)>) {
             occupancy(dev.spec(), &k.config(shape)).fraction > 0.0
         })
         .collect();
-    let mut tuner = Autotuner::new(candidates.clone(), 40);
+    let mut tuner = Autotuner::new(candidates.clone(), DEFAULT_SAMPLES_PER_PERIOD);
     while !tuner.is_done() {
         let k = CoefGradKernel { variant: GemmVariant::V3, zones_per_block: *tuner.current() };
         tuner.record(dev.model_kernel(&k.config(shape), &k.traffic(shape)).time_s);
@@ -43,7 +43,7 @@ fn tune_k7(dev: &GpuDevice, shape: &ProblemShape) -> (u32, Vec<(u32, f64)>) {
             occupancy(dev.spec(), &k.config(shape)).fraction > 0.0
         })
         .collect();
-    let mut tuner = Autotuner::new(candidates.clone(), 40);
+    let mut tuner = Autotuner::new(candidates.clone(), DEFAULT_SAMPLES_PER_PERIOD);
     while !tuner.is_done() {
         let k = FzKernel { variant: GemmVariant::V3, col_block: *tuner.current() };
         tuner.record(dev.model_kernel(&k.config(shape), &k.traffic(shape)).time_s);

@@ -398,3 +398,94 @@ fn one_sumfac_transform() {
         assert_eq!(mass.matches(step).count(), 1, "`{step}` in the mass kernel's zone body only");
     }
 }
+
+/// Every `pub fn` / `struct` / `enum` / `const` / `type` in the non-test
+/// source of the non-shim crates is named, as a whole word, in some other
+/// `.rs` file of the repository (`benchmark/src` counts), or is on the
+/// allow-list below (at most 10 entries, each with its reason, and each
+/// still needed). Public surface that nothing else names is where dead
+/// knobs and test-only helpers hide: an item ships with its caller, stays
+/// private, or lives behind `#[cfg(test)]`.
+#[test]
+fn every_pub_item_has_a_caller() {
+    // `(file, item)`: public for a reader the word search cannot see.
+    const ALLOWED: [(&str, &str); 3] = [
+        // Kept for the planned convergence-order study, which refines meshes.
+        ("crates/fem/src/mesh.rs", "refine"),
+        // Element type of `PowerTrace::segments`, read field by field.
+        ("crates/powermon/src/trace.rs", "Segment"),
+        // Return type of `validate_chrome_trace`, read field by field.
+        ("crates/telemetry/src/chrome.rs", "TraceSummary"),
+    ];
+    let mut dirs: Vec<&str> = TREE.to_vec();
+    dirs.push("benchmark");
+    let sources: Vec<(String, String)> =
+        files_under(&dirs).into_iter().filter(|(path, _)| path.ends_with(".rs")).collect();
+    let words: Vec<std::collections::HashSet<&str>> = sources
+        .iter()
+        .map(|(_, text)| text.split(|c: char| !is_ident(c)).filter(|w| !w.is_empty()).collect())
+        .collect();
+
+    let (mut unnamed, mut allowed_hits) = (Vec::new(), Vec::new());
+    for (i, (path, text)) in sources.iter().enumerate() {
+        let parts: Vec<&str> = path.split('/').collect();
+        if parts.len() < 4 || parts[0] != "crates" || parts[1] == "shims" || parts[2] != "src" {
+            continue;
+        }
+        for (line, name) in public_items(text) {
+            if words.iter().enumerate().any(|(j, w)| j != i && w.contains(name)) {
+                continue;
+            }
+            match ALLOWED.iter().position(|&entry| entry == (path.as_str(), name)) {
+                Some(at) => allowed_hits.push(at),
+                None => unnamed.push(format!("{path}:{line}: {name}")),
+            }
+        }
+    }
+    assert!(unnamed.is_empty(), "{} pub items no other file names: {unnamed:#?}", unnamed.len());
+    let stale: Vec<_> =
+        ALLOWED.iter().enumerate().filter(|(at, _)| !allowed_hits.contains(at)).collect();
+    assert!(stale.is_empty(), "allow-list entries no longer needed: {stale:?}");
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// `(line, name)` of each `pub fn` / `struct` / `enum` / `const` / `type`
+/// declared in `text` outside `#[cfg(test)]` items.
+fn public_items(text: &str) -> Vec<(usize, &str)> {
+    // `const fn` before `const`, so a function is not read as a constant.
+    const KINDS: [&str; 8] =
+        ["const fn ", "unsafe fn ", "async fn ", "fn ", "struct ", "enum ", "const ", "type "];
+    let (mut out, mut test_item, mut skip_to) = (Vec::new(), false, None::<String>);
+    for (i, line) in text.lines().enumerate() {
+        let code = line.trim_start();
+        if let Some(end) = &skip_to {
+            if line == end {
+                skip_to = None;
+            }
+            continue;
+        }
+        if code == "#[cfg(test)]" {
+            test_item = true;
+            continue;
+        }
+        if code.starts_with("#[") || code.starts_with("//") {
+            continue;
+        }
+        if std::mem::take(&mut test_item) {
+            if code.ends_with('{') {
+                skip_to = Some(format!("{}}}", &line[..line.len() - code.len()]));
+            }
+            continue;
+        }
+        let Some(decl) = code.strip_prefix("pub ") else { continue };
+        let Some(rest) = KINDS.iter().find_map(|k| decl.strip_prefix(k)) else { continue };
+        let name = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+        if !name.is_empty() {
+            out.push((i + 1, name));
+        }
+    }
+    out
+}
