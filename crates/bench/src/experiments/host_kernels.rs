@@ -1,6 +1,7 @@
 //! host_kernels — *measured* single-thread wall-clock of the host GEMM
-//! micro-kernels on the paper's Table-3 corner-force shapes: the
-//! pre-tiling naive kernel vs the cache-blocked register-tiled core.
+//! micro-kernels on the paper's Table-3 corner-force shapes (kernel 7's
+//! `(nvdof, nthermo, npts)` per zone): the pre-tiling naive kernel vs the
+//! cache-blocked register-tiled core.
 //!
 //! The `az_kernels` block measures the other two batched small GEMMs of
 //! the stored force evaluation — the host bodies of kernels 3 and 4 —
@@ -8,7 +9,11 @@
 //! kernels' own `traffic()` and each rate also given as a fraction of the
 //! best tiled-GEMM rate of the same run (the ceiling next door; it uses
 //! FMA where the host has it, which kernels 3 and 4 forgo to stay
-//! bit-identical across ISA levels). The `point_physics` block is
+//! bit-identical across ISA levels). The `az_fz` block times kernels 4 and
+//! 7 as the solver runs them — one zone loop, each `A_z` multiplied while
+//! it is in cache (`FzKernel::compute_fused`) — against the two batch
+//! passes that store the whole `A_z` batch and read it back, in ns per
+//! zone, outputs asserted bit-equal first. The `point_physics` block is
 //! [`super::point_physics`]: the per-point bodies of kernels 1 and 2 and of
 //! the matrix-free force against their point-at-a-time references.
 //!
@@ -18,6 +23,7 @@
 
 use blast_kernels::k3::{self, CoefGradKernel, PointMajorGrads};
 use blast_kernels::k4::{self, AzKernel};
+use blast_kernels::k7::FzKernel;
 use blast_kernels::ProblemShape;
 use blast_la::dense::naive;
 use blast_la::tile::{self, Op, CANDIDATES};
@@ -33,15 +39,17 @@ pub const EXPERIMENT: Experiment = Experiment {
     run: |smoke| measure(smoke).report(),
 };
 
-/// The Table-3 corner-force `F_z` shapes `(m, n, k, label)`: Q1-Q4 in 3D
-/// plus the 2D Q4 shape (same constants as the tiled-GEMM property tests).
-pub const SHAPES: [(usize, usize, usize, &str); 5] = [
-    (24, 1, 8, "Q1 3D"),
-    (50, 16, 36, "Q4 2D"),
-    (81, 8, 64, "Q2 3D"),
-    (192, 27, 125, "Q3 3D"),
-    (375, 64, 216, "Q4 3D"),
-];
+/// The Table-3 corner-force `F_z` shapes `(dim, order, label)`: Q1-Q4 in
+/// 3D plus the 2D Q4 shape. Each row's GEMM is [`gemm_shape`].
+pub const SHAPES: [(usize, usize, &str); 5] =
+    [(3, 1, "Q1 3D"), (2, 4, "Q4 2D"), (3, 2, "Q2 3D"), (3, 3, "Q3 3D"), (3, 4, "Q4 3D")];
+
+/// Kernel 7's per-zone GEMM `(m, n, k)` = `(nvdof, nthermo, npts)` of a
+/// Q`order`-`dim`D problem: `F_z (m x n) = A_z (m x k) B^T`.
+fn gemm_shape(dim: usize, order: usize) -> (usize, usize, usize) {
+    let shape = ProblemShape::new(dim, order, 1);
+    (shape.nvdof(), shape.nthermo, shape.npts)
+}
 
 /// The `A_z` kernel shapes `(dim, order, zones, label)`, at the zone counts
 /// of the end-to-end benchmark's workloads (32², 8³, 5³) plus Q4 on 3³, so
@@ -53,11 +61,13 @@ const AZ_SHAPES: [(usize, usize, usize, &str); 4] =
 /// Kernels 3 and 4 together must beat their references together by this
 /// factor on the gated `A_z` shapes (measured 2.4-5.1x at Q4-3D, 3.9-7.3x
 /// at Q3-3D, 4.1-8.6x at Q2-3D over sixty smoke runs). The gate is on the
-/// pair because that is what a force evaluation pays, and because kernel 4 alone has little room: at
-/// Q3/Q4-3D its time is the single-core store stream of the 41.5 MB `A_z`
-/// batch, which its reference pays too (1.6-2.8x there, against 4.2-6.7x
-/// for kernel 3) — while the pair still fails the gate if either kernel
-/// falls back to reference speed.
+/// pair because that is what a force evaluation pays, and because kernel 4
+/// alone has little room here: timed as a batch, at Q3/Q4-3D its time is
+/// the single-core store stream of the 41.5 MB `A_z` batch, which its
+/// reference pays too (1.6-2.8x there, against 4.2-6.7x for kernel 3) —
+/// while the pair still fails the gate if either kernel falls back to
+/// reference speed. The solver pays no such stream: it runs kernel 4 inside
+/// kernel 7's zone loop, which the `az_fz` block times.
 const AZ_GATE_SPEEDUP: f64 = 2.0;
 
 /// Measured time of kernels 3 and 4 on one shape.
@@ -92,6 +102,32 @@ impl AzKernelResult {
     /// Both kernels over both references — the gate metric.
     pub fn speedup(&self) -> f64 {
         self.t.median_ratio(&[1, 3], &[0, 2])
+    }
+}
+
+/// Measured time of kernels 4 + 7 on one `A_z` shape, two ways.
+#[derive(Clone, Debug)]
+struct AzFzResult {
+    /// Shape label, e.g. `"Q3 3D"`.
+    pub label: &'static str,
+    /// Zones in the batch.
+    pub zones: usize,
+    /// 3D of order >= 3 (participates in the CI gate)?
+    pub gated: bool,
+    /// Variants: two-pass (`AzKernel::compute` into the batch, then
+    /// `FzKernel::compute` over it), fused (`FzKernel::compute_fused`).
+    pub t: Timing,
+}
+
+impl AzFzResult {
+    /// Nanoseconds per zone of variant `v`, best round.
+    fn ns_per_zone(&self, v: usize) -> f64 {
+        self.t.min(v) / self.zones as f64 * 1e9
+    }
+
+    /// Fused over two-pass — the gate metric.
+    fn ratio(&self) -> f64 {
+        self.t.median_ratio(&[1], &[0])
     }
 }
 
@@ -138,6 +174,8 @@ struct HostKernels {
     pub shapes: Vec<ShapeResult>,
     /// One entry per [`AZ_SHAPES`] row.
     pub az_kernels: Vec<AzKernelResult>,
+    /// One entry per [`AZ_SHAPES`] row.
+    pub az_fz: Vec<AzFzResult>,
     /// Two entries (initial, mid-run) per [`point_physics::POINT_SHAPES`] row.
     pub point_physics: Vec<PointPhysicsResult>,
 }
@@ -152,8 +190,9 @@ impl HostKernels {
     /// The rows and gates of this result. Gated: the best tile candidate
     /// does not lose to naive on a shape of order >= 2; kernels 3 and 4
     /// together reach [`AZ_GATE_SPEEDUP`] x their references on such a shape
-    /// in 3D; every lock-step per-point body beats its scalar reference on a
-    /// mid-run state.
+    /// in 3D; fused kernels 4 + 7 beat the two batch passes on a 3D shape
+    /// of order 3 or more; every lock-step per-point body beats its scalar
+    /// reference on a mid-run state.
     pub fn report(&self) -> Report {
         let peak = self.best_tiled_gflops();
         let mut gates = Vec::new();
@@ -205,6 +244,22 @@ impl HostKernels {
             ]
         });
         let az_kernels = az_kernels.collect();
+        let az_fz = self.az_fz.iter().map(|a| {
+            let ratio = a.ratio();
+            if a.gated {
+                let detail = format!("fused / two-pass = {ratio:.2}, need < 1");
+                gates.push(Gate::new(format!("az_fz {}", a.label), ratio < 1.0, detail));
+            }
+            vec![
+                Cell::new("label", a.label),
+                Cell::new("zones", a.zones),
+                Cell::new("gated", a.gated),
+                Cell::new("two_pass_ns_per_zone", a.ns_per_zone(0)),
+                Cell::new("fused_ns_per_zone", a.ns_per_zone(1)),
+                Cell::times("ratio", ratio),
+            ]
+        });
+        let az_fz = az_fz.collect();
         let point_physics = self.point_physics.iter().map(|p| p.row(&mut gates)).collect();
         let summary = vec![
             Cell::new("threads", 1usize),
@@ -215,6 +270,7 @@ impl HostKernels {
             blocks: vec![
                 Block::table("shapes", "Table-3 GEMM shapes, GFLOP/s, one thread", shapes),
                 Block::table("az_kernels", "kernels 3 and 4 vs references, GFLOP/s", az_kernels),
+                Block::table("az_fz", "kernels 4 + 7, two-pass vs fused, ns per zone", az_fz),
                 Block::table("point_physics", "lock-step vs scalar, ns per point", point_physics),
                 Block::record("summary", "summary", summary),
             ],
@@ -231,6 +287,23 @@ fn fill(buf: &mut [f64], seed: usize) {
     }
 }
 
+/// `len` values of [`fill`] with `seed`.
+fn filled(len: usize, seed: usize) -> Vec<f64> {
+    let mut v = vec![0.0; len];
+    fill(&mut v, seed);
+    v
+}
+
+/// Kernel 4's inputs on `shape`: the gradient tables, the per-point `S`
+/// and the quadrature weights.
+fn k4_inputs(shape: &ProblemShape) -> (Vec<DMatrix>, BatchedMats, Vec<f64>) {
+    let (dim, nkin, npts, total) = (shape.dim, shape.nkin, shape.npts, shape.total_points());
+    let grads =
+        (0..dim).map(|g| DMatrix::from_col_major(nkin, npts, filled(nkin * npts, 4 + g))).collect();
+    let s = BatchedMats::from_data(dim, dim, total, filled(dim * dim * total, 7));
+    (grads, s, filled(npts, 8))
+}
+
 /// Measures kernels 3 and 4 and their references on one `A_z` shape.
 fn measure_az(
     dim: usize,
@@ -241,19 +314,11 @@ fn measure_az(
 ) -> AzKernelResult {
     let shape = ProblemShape::new(dim, order, zones);
     let (nkin, npts, total) = (shape.nkin, shape.npts, shape.total_points());
-    let filled = |len: usize, seed: usize| {
-        let mut v = vec![0.0; len];
-        fill(&mut v, seed);
-        v
-    };
     let ndofs = zones * nkin;
     let zone_dofs: Vec<usize> = (0..ndofs).map(|j| j.wrapping_mul(2654435761) % ndofs).collect();
     let u = filled(dim * ndofs, 3);
-    let grads: Vec<DMatrix> =
-        (0..dim).map(|g| DMatrix::from_col_major(nkin, npts, filled(nkin * npts, 4 + g))).collect();
+    let (grads, s, alpha) = k4_inputs(&shape);
     let table = PointMajorGrads::from_tables(&grads);
-    let s = BatchedMats::from_data(dim, dim, total, filled(dim * dim * total, 7));
-    let alpha = filled(npts, 8);
     let mut c = BatchedMats::zeros(dim, dim, total);
     let mut az = BatchedMats::zeros(shape.nvdof(), npts, zones);
 
@@ -274,6 +339,39 @@ fn measure_az(
         k4_flops: AzKernel::tuned().traffic(&shape).flops,
         t,
     }
+}
+
+/// Measures kernels 4 + 7 on one `A_z` shape: the two batch passes
+/// against the fused zone loop, after checking they agree to the bit.
+fn measure_az_fz(
+    dim: usize,
+    order: usize,
+    zones: usize,
+    label: &'static str,
+    budget: Budget,
+) -> AzFzResult {
+    let shape = ProblemShape::new(dim, order, zones);
+    let (grads, s, alpha) = k4_inputs(&shape);
+    let (nth, npts) = (shape.nthermo, shape.npts);
+    let b = DMatrix::from_col_major(nth, npts, filled(nth * npts, 9));
+    let mut az = BatchedMats::zeros(shape.nvdof(), npts, zones);
+    let two_pass = |az: &mut BatchedMats, fz: &mut BatchedMats| {
+        AzKernel::compute(&shape, &s, &grads, &alpha, az);
+        FzKernel::compute(&shape, az, &b, fz);
+    };
+    let fused = |fz: &mut BatchedMats| {
+        FzKernel::compute_fused(&shape, &s, &grads, &alpha, &b, fz, None);
+    };
+    let [mut fz0, mut fz1] = [0, 1].map(|_| BatchedMats::zeros(shape.nvdof(), nth, zones));
+    two_pass(&mut az, &mut fz0);
+    fused(&mut fz1);
+    let bits = |f: &BatchedMats| f.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&fz0), bits(&fz1), "{label}: fused and two-pass F_z differ");
+    let t = harness::time_interleaved(2, budget, &mut |v| match v {
+        0 => two_pass(&mut az, &mut fz0),
+        _ => fused(&mut fz1),
+    });
+    AzFzResult { label, zones, gated: dim == 3 && order >= 3, t }
 }
 
 /// Measures one shape: naive and the 12 tile candidates.
@@ -306,18 +404,25 @@ fn measure(smoke: bool) -> HostKernels {
     } else {
         Budget { rounds: 25, sample_s: 1e-3 }
     };
-    let shapes =
-        SHAPES.iter().map(|&(m, n, k, label)| measure_shape(m, n, k, label, budget)).collect();
-    // The host bodies of kernels 1 to 4 fan out over the pool; one thread,
-    // like the GEMM rows above.
-    let (az_kernels, point_physics) = rayon::Pool::new(1).install(|| {
-        let az = AZ_SHAPES
+    let shapes = SHAPES.iter().map(|&(dim, order, label)| {
+        let (m, n, k) = gemm_shape(dim, order);
+        measure_shape(m, n, k, label, budget)
+    });
+    let shapes = shapes.collect();
+    // The host bodies of kernels 1 to 4 and 7 fan out over the pool; one
+    // thread, like the GEMM rows above.
+    rayon::Pool::new(1).install(|| {
+        let az_kernels = AZ_SHAPES
             .iter()
             .map(|&(dim, order, zones, label)| measure_az(dim, order, zones, label, budget))
             .collect();
-        (az, point_physics::measure(budget))
-    });
-    HostKernels { shapes, az_kernels, point_physics }
+        let az_fz = AZ_SHAPES
+            .iter()
+            .map(|&(dim, order, zones, label)| measure_az_fz(dim, order, zones, label, budget))
+            .collect();
+        let point_physics = point_physics::measure(budget);
+        HostKernels { shapes, az_kernels, az_fz, point_physics }
+    })
 }
 
 #[cfg(test)]
@@ -339,7 +444,7 @@ mod tests {
                 label: "Q3 3D",
                 m: 192,
                 n: 27,
-                k: 125,
+                k: 216,
                 gated: true,
                 t: gemm(4.0),
             }],
@@ -353,6 +458,13 @@ mod tests {
                 k4_flops: 2e9,
                 t: az,
             }],
+            // Two rounds of 25 zones: two-pass 5 s, fused 4 s.
+            az_fz: vec![AzFzResult {
+                label: "Q3 3D",
+                zones: 25,
+                gated: true,
+                t: Timing::from_samples(vec![vec![5.0; 2], vec![4.0; 2]]),
+            }],
             point_physics: Vec::new(),
         };
         assert!(r.report().failures().is_empty());
@@ -365,12 +477,18 @@ mod tests {
         let az = &doc.get("az_kernels").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(az.get("speedup").and_then(Json::as_f64), Some(3.0));
         assert_eq!(az.get("k4_gflops").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(doc.get("gates").and_then(Json::as_arr).unwrap().len(), 2);
+        let az_fz = &doc.get("az_fz").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(az_fz.get("fused_ns_per_zone").and_then(Json::as_f64), Some(0.16e9));
+        assert_eq!(az_fz.get("ratio").and_then(Json::as_f64), Some(0.8));
+        assert_eq!(doc.get("gates").and_then(Json::as_arr).unwrap().len(), 3);
 
-        // The tiled core losing to naive fails its gate by name.
+        // The tiled core losing to naive, and the fused loop losing to the
+        // two passes, each fail their gate by name.
         r.shapes[0].t = gemm(0.5);
+        r.az_fz[0].t = Timing::from_samples(vec![vec![4.0; 2], vec![4.0; 2]]);
         let report = r.report();
-        assert_eq!(report.failures().iter().map(|g| &*g.name).collect::<Vec<_>>(), ["gemm Q3 3D"]);
+        let failed: Vec<_> = report.failures().iter().map(|g| g.name.clone()).collect();
+        assert_eq!(failed, ["gemm Q3 3D", "az_fz Q3 3D"]);
     }
 
     #[test]
@@ -384,12 +502,14 @@ mod tests {
             assert!(a.gflops().iter().all(|&gf| gf > 0.0 && gf.is_finite()));
         }
         assert_eq!(r.az_kernels.iter().filter(|a| a.gated).count(), 3);
+        assert_eq!(r.az_fz.len(), AZ_SHAPES.len());
+        assert_eq!(r.az_fz.iter().filter(|a| a.gated).count(), 2);
         assert_eq!(r.point_physics.len(), 2 * point_physics::POINT_SHAPES.len());
         for p in &r.point_physics {
             assert_eq!(p.gated, p.state == "mid-run");
         }
-        // 4 GEMM + 3 A_z + 2 mid-run states x 3 per-point bodies.
-        assert_eq!(r.report().gates.len(), 13);
+        // 4 GEMM + 3 A_z + 2 A_z F_z + 2 mid-run states x 3 per-point bodies.
+        assert_eq!(r.report().gates.len(), 15);
     }
 
     /// The ISSUE acceptance gate: >= 2x over naive on the Q3/Q4 Table-3

@@ -3,8 +3,9 @@
 //! `KernelLauncher`, the billing envelope each backend (host, device,
 //! hybrid) puts around it, the momentum solve, and the energy rate.
 
-use blast_kernels::base::{az_pipeline_on, AzInputs, MonolithicCornerForce};
+use blast_kernels::base::{stress_pipeline_on, AzInputs, MonolithicCornerForce};
 use blast_kernels::k11::SpmvKernel;
+use blast_kernels::k4::AzKernel;
 use blast_kernels::k7::FzKernel;
 use blast_kernels::k8_10::{EnergyRhsKernel, MomentumRhsKernel};
 use blast_kernels::k9::GpuPcg;
@@ -281,13 +282,16 @@ impl<const D: usize> Hydro<D> {
 
     /// The kernel sequence of one corner-force evaluation, written once:
     /// the host phase and the hybrid launch run it [`Inline`], the device
-    /// path as billed launches, to the same bits. Stored: the `A_z`
-    /// pipeline, the mesh guard, kernels 7 and 8; matrix-free: one fused
-    /// sum-factorized sweep, the guard, `d²` backward transforms. It fills
-    /// the scratch's `fz` pool (`F_z`, or the per-point `D_z`), `pipe.detj` /
-    /// `pipe.inv_dt` and the unprojected momentum RHS. `base_regs`: the
-    /// `base` ablation (stored only) as the device's register limit — one
-    /// monolithic `A_z` launch and kernel 7 at its v1 cost.
+    /// path as billed launches, to the same bits. Stored: the stress half
+    /// (kernels 3, 3, 1, 5, 2, 6), kernel 4's bill, the mesh guard, kernel
+    /// 7 — whose zone loop runs kernel 4's body, so no `A_z` batch is ever
+    /// stored — and kernel 8; matrix-free: one fused sum-factorized sweep,
+    /// the guard, `d²` backward transforms. It fills the scratch's `fz` pool
+    /// (`F_z`, or the per-point `D_z`), `pipe.detj` / `pipe.inv_dt` and the
+    /// unprojected momentum RHS. A refused launch leaves `fz` as it was.
+    /// `base_regs`: the `base` ablation (stored only) as the device's
+    /// register limit — one monolithic launch in place of kernels 1 to 6
+    /// and 4, and kernel 7 at its v1 cost.
     pub(super) fn corner_force_on<L: KernelLauncher>(
         &self,
         on: &mut L,
@@ -313,15 +317,27 @@ impl<const D: usize> Hydro<D> {
                     MonolithicCornerForce.launch_on(on, regs, &inp, pipe)?;
                     FzKernel { variant: GemmVariant::V1, col_block: 0 }
                 } else {
-                    az_pipeline_on(on, &inp, pipe)?;
+                    stress_pipeline_on(on, &inp, pipe)?;
+                    // Kernel 4 keeps its launch and bill; its body runs in
+                    // kernel 7's zone loop below.
+                    let k4 = AzKernel::tuned();
+                    on.launch(
+                        || Launch::new(AzKernel::NAME, k4.config(shape), k4.traffic(shape)),
+                        || (),
+                    )?;
                     FzKernel::tuned()
                 };
                 self.check_mesh(&pipe.detj)?;
-                fz.ensure(shape.nvdof(), shape.nthermo, shape.zones);
                 let (k8, abft) = (MomentumRhsKernel, self.abft.as_ref());
                 on.launch(
                     || Launch::new(FzKernel::NAME, k7.config(shape), k7.traffic(shape)),
-                    || FzKernel::compute_with(shape, &pipe.az, inp.thermo_vals, fz, abft),
+                    || {
+                        // Shaped, not cleared: `beta = 0` stores every entry.
+                        fz.reshape(shape.nvdof(), shape.nthermo, shape.zones);
+                        FzKernel::compute_fused(
+                            shape, &pipe.s, inp.kin_grads, alpha, inp.thermo_vals, fz, abft,
+                        )
+                    },
                 )?;
                 on.launch(
                     || Launch::new(MomentumRhsKernel::NAME, k8.config(shape), k8.traffic(shape)),

@@ -820,21 +820,48 @@ mod tests {
     /// (host momentum solve, so only the sequence launches) equal the names
     /// a recording launcher sees: a reordered, dropped or doubled kernel is
     /// a name diff here before it is a CRC mismatch in `golden_lattice`.
+    /// Logs the name of every kernel it issues and refuses the one with
+    /// ordinal `fail_at` without running it.
+    #[derive(Default)]
+    struct Recording {
+        log: Vec<&'static str>,
+        fail_at: Option<usize>,
+    }
+
+    impl blast_kernels::launch::KernelLauncher for Recording {
+        type Error = HydroError;
+        fn launch<R>(
+            &mut self,
+            what: impl FnOnce() -> blast_kernels::launch::Launch,
+            body: impl FnOnce() -> R,
+        ) -> Result<R, HydroError> {
+            if self.fail_at == Some(self.log.len()) {
+                return Err(HydroError::NonFinite { what: "refused", index: self.log.len() });
+            }
+            self.log.push(what().name);
+            Ok(body())
+        }
+    }
+
+    const K4: &str = "kernel_Phi_sigma_hat_z";
+    const K7: &str = "kernel_loop_zones";
+    const K8: &str = "kernel_loop_zones_dv_dt";
+    const MONOLITH: &str = "kernel_loop_quadrature_point";
+    /// Kernels 3, 3, 1, 5, 2, 6, 4, 7, 8: the stored sequence, `base` off.
+    const STORED: [&str; 9] = [
+        "kernel_PzVz_Phi_F",
+        "kernel_PzVz_Phi_F",
+        "kernel_CalcAjugate_det",
+        "kernel_NN_dgemmBatched",
+        "kernel_loop_grad_v",
+        "kernel_NT_dgemmBatched",
+        K4,
+        K7,
+        K8,
+    ];
+
     #[test]
     fn a_device_evaluation_launches_the_sequence_the_recorder_sees() {
-        use blast_kernels::launch::{KernelLauncher, Launch};
-        struct Recording(Vec<&'static str>);
-        impl KernelLauncher for Recording {
-            type Error = std::convert::Infallible;
-            fn launch<R>(
-                &mut self,
-                what: impl FnOnce() -> Launch,
-                body: impl FnOnce() -> R,
-            ) -> Result<R, Self::Error> {
-                self.0.push(what().name);
-                Ok(body())
-            }
-        }
         fn check<const D: usize>(zones: [usize; D], mode: AssemblyMode, base: bool, want: &[&str]) {
             let mut hydro = Hydro::<D>::builder(&Sedov::default(), zones)
                 .executor(gpu_exec(base, false))
@@ -847,25 +874,64 @@ mod tests {
             let gpu = hydro.exec.gpu.as_ref().unwrap();
             let on_device: Vec<_> =
                 gpu.events().iter().map(|ev| ev.name).filter(|n| !transfers.contains(n)).collect();
-            let mut rec = Recording(Vec::new());
+            let mut rec = Recording::default();
             let ws = &mut *hydro.scratch.borrow_mut();
             hydro
                 .corner_force_on(&mut rec, base.then_some(255), (&s.v, &s.e, &s.x), ws)
                 .expect("the initial mesh is sound");
-            assert_eq!(rec.0, want, "{D}D {mode} base={base}: recorder");
-            assert_eq!(on_device, rec.0, "{D}D {mode} base={base}: device");
+            assert_eq!(rec.log, want, "{D}D {mode} base={base}: recorder");
+            assert_eq!(on_device, rec.log, "{D}D {mode} base={base}: device");
         }
-        let (k3, k7, k8) = ("kernel_PzVz_Phi_F", "kernel_loop_zones", "kernel_loop_zones_dv_dt");
-        let (k1, k2, k4) = ("kernel_CalcAjugate_det", "kernel_loop_grad_v", "kernel_Phi_sigma_hat_z");
-        let stored = [k3, k3, k1, "kernel_NN_dgemmBatched", k2, "kernel_NT_dgemmBatched", k4, k7, k8];
         let cases = [
-            (AssemblyMode::Stored, false, &stored[..]),
-            (AssemblyMode::Stored, true, &["kernel_loop_quadrature_point", k7, k8][..]),
+            (AssemblyMode::Stored, false, &STORED[..]),
+            (AssemblyMode::Stored, true, &[MONOLITH, K7, K8][..]),
             (AssemblyMode::MatrixFree, false, &["kernel_sumfac_force", "kernel_sumfac_momentum"]),
         ];
         for (assembly, base, want) in cases {
             check::<2>([3, 3], assembly, base, want);
             check::<3>([2, 2, 2], assembly, base, want);
+        }
+    }
+
+    /// Kernel 4's body runs inside kernel 7's launch, so refusing either
+    /// launch (the `base` monolith stands in for kernel 4) leaves the `F_z`
+    /// pool as it was: no partial product, not even a cleared one.
+    #[test]
+    fn a_refused_kernel_4_or_7_leaves_the_force_pool_untouched() {
+        for (base, refused) in [(false, K4), (false, K7), (true, MONOLITH), (true, K7)] {
+            let hydro = Hydro::<2>::builder(&Sedov::default(), [3, 3]).build().unwrap();
+            let s = hydro.initial_state();
+            let want =if base { &[MONOLITH, K7, K8][..] } else { &STORED[..] };
+            let at = want.iter().position(|&k| k == refused).unwrap();
+            let mut rec = Recording { fail_at: Some(at), ..Default::default() };
+            let ws = &mut *hydro.scratch.borrow_mut();
+            let shape = hydro.shape;
+            ws.fz = BatchedMats::from_fn(shape.nvdof(), shape.nthermo, shape.zones, |_, _, _| {
+                f64::NAN
+            });
+            let res = hydro.corner_force_on(&mut rec, base.then_some(255), (&s.v, &s.e, &s.x), ws);
+            assert!(matches!(res, Err(HydroError::NonFinite { what: "refused", .. })), "{res:?}");
+            assert_eq!(rec.log, want[..at], "base={base}: refused {refused}");
+            assert!(ws.fz.as_slice().iter().all(|f| f.is_nan()), "base={base}: {refused} wrote F_z");
+        }
+    }
+
+    /// The stored solver never shapes the `A_z` batch: a warmed-up run's
+    /// pipeline scratch still has none, on the host and on a device.
+    #[test]
+    fn a_warmed_stored_solver_never_shapes_the_a_z_batch() {
+        for exec in [cpu_exec(), gpu_exec(false, false), gpu_exec(true, true)] {
+            let mut hydro = Hydro::<2>::builder(&Sedov::default(), [4, 4])
+                .executor(exec)
+                .build()
+                .unwrap();
+            let mut state = hydro.initial_state();
+            for _ in 0..3 {
+                hydro.try_step(&mut state, 1e-4).expect("a small Sedov step");
+            }
+            let ws = hydro.scratch.borrow();
+            assert!(ws.pipe.s.count() > 0, "the stress half ran");
+            assert_eq!((ws.pipe.az.count(), ws.pipe.az.as_slice().len()), (0, 0));
         }
     }
 }

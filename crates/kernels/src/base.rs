@@ -13,18 +13,23 @@
 //! fused kernel's workspace exceeds the register file, and the single fat
 //! kernel runs at low occupancy.
 //!
-//! It also owns the `A_z` pipeline — kernels 3, 3, 1, 5, 2, 6, 4 — written
-//! once, [`az_pipeline_on`], over a [`KernelLauncher`] and one grow-only
-//! [`PipelineScratch`]: on [`Inline`] it is the host composition
-//! ([`compute_az_pipeline_into`]), on `&GpuDevice` the optimized pipeline of
-//! Table 2 / Fig. 6 (right), each kernel its own billed launch, and the
-//! monolithic kernel is one launch around the inline pipeline. The scratch
-//! is shaped **without clearing** — every buffer in it is an output some
-//! kernel stores in full before anything reads it ([`PipelineScratch`] lists
-//! which) — and carries the point-major gradient table kernel 3 walks
-//! ([`crate::k3::PointMajorGrads`]), refilled from the FEM tables on every
-//! call: that is ~0.1 % of kernel 3's work and means the copy can never be
-//! stale.
+//! It also owns the pipeline in front of kernel 7, written once over a
+//! [`KernelLauncher`] and one grow-only [`PipelineScratch`]. The **stress
+//! half**, [`stress_pipeline_on`], is kernels 3, 3, 1, 5, 2, 6; its outputs
+//! are `S`, `|J|` and `inv_dt`. On [`Inline`] it is the host composition, on
+//! `&GpuDevice` the optimized pipeline of Table 2 / Fig. 6 (right), each
+//! kernel its own billed launch, and the monolithic kernel is one launch
+//! around the inline stress half. The solver stops there: kernel 4 runs
+//! inside kernel 7's zone loop (`k7::FzKernel::compute_fused`), so it
+//! never stores an `A_z` batch. `az_pipeline_on` (public as its host form
+//! [`compute_az_pipeline_into`]) is the stress half plus kernel 4 into
+//! `ws.az`, the whole batch, for callers that time or inspect it. The
+//! scratch is shaped **without clearing** — every buffer in it is an
+//! output some kernel stores in full before anything reads it
+//! ([`PipelineScratch`] lists which) — and carries the point-major gradient
+//! table kernel 3 walks ([`crate::k3::PointMajorGrads`]), refilled from the
+//! FEM tables on every call: that is ~0.1 % of kernel 3's work and means
+//! the copy can never be stale.
 
 use blast_la::{BatchedMats, DMatrix};
 use gpu_sim::{LaunchConfig, Traffic};
@@ -42,9 +47,9 @@ use crate::Workspace;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MonolithicCornerForce;
 
-/// Reusable intermediates and outputs of the `A_z` pipeline (host and
-/// device path alike). All buffers grow to the problem's high-water size on
-/// the first call and are then reused, so steady-state corner-force
+/// Reusable intermediates and outputs of the pipeline (host and device
+/// path alike). All buffers grow to the problem's high-water size on the
+/// first call and are then reused, so steady-state corner-force
 /// evaluations perform no heap allocation (asserted by
 /// `tests/zero_alloc_steady_state.rs`).
 ///
@@ -55,7 +60,8 @@ pub struct MonolithicCornerForce;
 /// by the reciprocal loop, `grad_v` by kernel 5 and `s` by kernel 6 (every
 /// `(row, col)` assigned), `sigma` / `inv_dt` by kernel 2 (one
 /// `write_col_slice` and one store per point), `az` by kernel 4 (every
-/// `(c, m)` of every column).
+/// `(c, m)` of every column). `az` is shaped by `az_pipeline_on` only:
+/// the stress half never touches it.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineScratch {
     jac: BatchedMats,
@@ -63,12 +69,14 @@ pub struct PipelineScratch {
     adj: BatchedMats,
     grad_v: BatchedMats,
     sigma: BatchedMats,
-    s: BatchedMats,
+    /// Per-point `S = σ̂ adj(J)^T` (`d x d`) — stress-half output, kernel
+    /// 4's input.
+    pub s: BatchedMats,
     hmin: Vec<f64>,
     inv_det: Vec<f64>,
     /// Point-major copy of the kinematic gradient tables (kernel 3).
     grads_pm: PointMajorGrads,
-    /// `A_z` batch (`nvdof x npts` per zone) — pipeline output.
+    /// `A_z` batch (`nvdof x npts` per zone) — `az_pipeline_on`'s output.
     pub az: BatchedMats,
     /// Per-point `inv_dt` controls — pipeline output.
     pub inv_dt: Vec<f64>,
@@ -82,8 +90,8 @@ impl PipelineScratch {
         Self::default()
     }
 
-    /// Shapes every buffer for `shape` (grow-only, contents unspecified)
-    /// and refills the point-major table from `kin_grads`.
+    /// Shapes every stress-half buffer for `shape` (grow-only, contents
+    /// unspecified) and refills the point-major table from `kin_grads`.
     fn prepare(&mut self, shape: &ProblemShape, kin_grads: &[DMatrix]) {
         let d = shape.dim;
         let total = shape.total_points();
@@ -100,7 +108,6 @@ impl PipelineScratch {
         for v in [&mut self.hmin, &mut self.inv_det, &mut self.inv_dt, &mut self.detj] {
             v.resize(total, 0.0);
         }
-        self.az.reshape(shape.nvdof(), shape.npts, shape.zones);
         self.grads_pm.refill(kin_grads);
     }
 
@@ -131,13 +138,13 @@ pub struct AzInputs<'a> {
     pub use_viscosity: bool,
 }
 
-/// The `A_z` pipeline: kernels 3 (`J`), 3 (`∇̂v̂`), 1, 5, 2, 6, 4 issued in
-/// that order through `on` with their tuned configs, all intermediates and
-/// outputs (`ws.az`, `ws.inv_dt`, `ws.detj`) in `ws`, so no backend
+/// The stress half: kernels 3 (`J`), 3 (`∇̂v̂`), 1, 5, 2, 6 issued in that
+/// order through `on` with their tuned configs, all intermediates and
+/// outputs (`ws.s`, `ws.inv_dt`, `ws.detj`) in `ws`, so no backend
 /// allocates at steady state and every backend produces the same bits. A
 /// refused launch returns early and leaves `ws` partly written; the next
 /// evaluation overwrites all of it.
-pub fn az_pipeline_on<L: KernelLauncher>(
+pub fn stress_pipeline_on<L: KernelLauncher>(
     on: &mut L,
     inp: &AzInputs,
     ws: &mut PipelineScratch,
@@ -182,16 +189,27 @@ pub fn az_pipeline_on<L: KernelLauncher>(
     )?;
     // Kernel 6: S = sigma adj(J)^T (= sigma |J| J^{-T}).
     let k6 = BatchedDimGemm::nt_tuned();
-    on.launch(|| dim_gemm(k6), || k6.compute(&ws.sigma, &ws.adj, None, &mut ws.s))?;
-    // Kernel 4: A_z columns.
-    let k4 = AzKernel::tuned();
+    on.launch(|| dim_gemm(k6), || k6.compute(&ws.sigma, &ws.adj, None, &mut ws.s))
+}
+
+/// The whole `A_z` pipeline: [`stress_pipeline_on`], then kernel 4 into
+/// `ws.az` (shaped here), so the outputs are `ws.az`, `ws.inv_dt` and
+/// `ws.detj`. A refused launch returns early, as in the stress half.
+fn az_pipeline_on<L: KernelLauncher>(
+    on: &mut L,
+    inp: &AzInputs,
+    ws: &mut PipelineScratch,
+) -> Result<(), L::Error> {
+    stress_pipeline_on(on, inp, ws)?;
+    let (shape, k4) = (inp.shape, AzKernel::tuned());
+    ws.az.reshape(shape.nvdof(), shape.npts, shape.zones);
     on.launch(
         || Launch::new(AzKernel::NAME, k4.config(shape), k4.traffic(shape)),
-        || AzKernel::compute(shape, &ws.s, kin_grads, inp.alpha, &mut ws.az),
+        || AzKernel::compute(shape, &ws.s, inp.kin_grads, inp.alpha, &mut ws.az),
     )
 }
 
-/// [`az_pipeline_on`] on the host: the seven bodies called back to back.
+/// `az_pipeline_on` on the host: the seven bodies called back to back.
 /// Outputs are `ws.az`, `ws.inv_dt`, and `ws.detj`.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_az_pipeline_into(
@@ -262,9 +280,11 @@ impl MonolithicCornerForce {
         k1.add(&k2).add(&k3).add(&k4).add(&k5).add(&k6)
     }
 
-    /// Issues the fused kernel: one launch around the inline pipeline, so
-    /// the outputs land in `ws` like the optimized pipeline's — same bits,
-    /// no allocation. `max_regs` is the device's per-thread register limit.
+    /// Issues the fused kernel: one launch around the inline stress half,
+    /// so `S`, `|J|` and `inv_dt` land in `ws` like the optimized
+    /// pipeline's — same bits, no allocation. Its bill covers kernel 4 too,
+    /// whose body then runs in kernel 7's zone loop. `max_regs` is the
+    /// device's per-thread register limit.
     pub fn launch_on<L: KernelLauncher>(
         &self,
         on: &mut L,
@@ -275,7 +295,7 @@ impl MonolithicCornerForce {
         let shape = inp.shape;
         let bill = || Launch::new(Self::NAME, self.config(shape, max_regs), self.traffic(shape));
         on.launch(bill, || {
-            let Ok(()) = az_pipeline_on(&mut Inline, inp, ws);
+            let Ok(()) = stress_pipeline_on(&mut Inline, inp, ws);
         })
     }
 }
@@ -332,8 +352,14 @@ mod tests {
         }
     }
 
-    fn outputs(ws: &PipelineScratch) -> [Vec<u64>; 3] {
-        [bits(ws.az.as_slice()), bits(&ws.detj), bits(&ws.inv_dt)]
+    fn outputs(ws: &PipelineScratch) -> [Vec<u64>; 4] {
+        [bits(ws.az.as_slice()), bits(ws.s.as_slice()), bits(&ws.detj), bits(&ws.inv_dt)]
+    }
+
+    /// The stress half's outputs only.
+    fn stress_outputs(ws: &PipelineScratch) -> [Vec<u64>; 3] {
+        let [_, s, detj, inv_dt] = outputs(ws);
+        [s, detj, inv_dt]
     }
 
     #[rustfmt::skip]
@@ -364,11 +390,20 @@ mod tests {
             assert_eq!(names, SEQUENCE, "{dim}D device");
             assert_eq!(outputs(&ws), outputs(&inline), "{dim}D device");
 
-            // The monolith: one launch, the same bits, into the scratch.
+            // The stress half: the first six launches, the same bits, and
+            // no `A_z` batch.
+            let (mut rec, mut ws) = (Recording::default(), PipelineScratch::new());
+            stress_pipeline_on(&mut rec, &fx.inputs(), &mut ws).expect("nothing refused");
+            assert_eq!(rec.log, SEQUENCE[..6], "{dim}D stress half");
+            assert_eq!(stress_outputs(&ws), stress_outputs(&inline), "{dim}D stress half");
+            assert_eq!(ws.az.count(), 0, "{dim}D: the stress half shaped `az`");
+
+            // The monolith: one launch around the stress half, into the scratch.
             let (mut rec, mut ws) = (Recording::default(), PipelineScratch::new());
             let fused = MonolithicCornerForce.launch_on(&mut rec, 255, &fx.inputs(), &mut ws);
             assert_eq!((fused, &rec.log[..]), (Ok(()), &[MonolithicCornerForce::NAME][..]));
-            assert_eq!(outputs(&ws), outputs(&inline), "{dim}D monolith");
+            assert_eq!(stress_outputs(&ws), stress_outputs(&inline), "{dim}D monolith");
+            assert_eq!(ws.az.count(), 0, "{dim}D: the monolith shaped `az`");
         }
     }
 
@@ -380,6 +415,7 @@ mod tests {
             let mut ws = PipelineScratch::new();
             // Poison two outputs: a body that ran would overwrite its own.
             ws.prepare(&fx.shape, &fx.kin_grads);
+            ws.az.reshape(fx.shape.nvdof(), fx.shape.npts, fx.shape.zones);
             ws.az.as_mut_slice().fill(f64::NAN);
             ws.inv_dt.fill(f64::NAN);
             assert_eq!(az_pipeline_on(&mut rec, &fx.inputs(), &mut ws), Err(n));

@@ -16,10 +16,12 @@
 //!
 //! # The host body
 //!
-//! As in kernel 3 the variants only change the *modeled* cost; the math
-//! runs on the host in [`AzKernel::compute`] on every stored force
-//! evaluation. Per point `k` and component `c` one `A_z` column segment is
-//! a `1 x d` by `d x nkin` product,
+//! As in kernel 3 the variants only change the *modeled* cost. The math is
+//! one zone body: [`AzKernel::compute`] runs it over the whole batch, and a
+//! stored force evaluation runs it inside kernel 7's zone loop
+//! (`FzKernel::compute_fused`), so the solver never stores the batch. Per
+//! point `k` and component `c` one `A_z` column segment is a `1 x d` by
+//! `d x nkin` product,
 //!
 //! ```text
 //! A_z[(c, :), k] = α_k (0.0 + S[c,0] Ĝ_0[:, k] + S[c,1] Ĝ_1[:, k] (+ S[c,2] Ĝ_2[:, k]))
@@ -82,6 +84,42 @@ isa_clones! {
         nkin: usize,
         az_z: &mut [f64],
     )
+}
+
+/// One zone of kernel 4 as compiled for `isa`: every entry of the
+/// `nvdof x npts` column-major `az_z` from the zone's `S` blocks `s_z`. The
+/// batch kernel and kernel 7's fused zone loop both call it.
+pub(crate) fn zone_into(
+    isa: Isa,
+    s_z: &[f64],
+    grads: &[DMatrix],
+    alpha: &[f64],
+    nkin: usize,
+    az_z: &mut [f64],
+) {
+    if grads.len() == 2 {
+        zone::<2>(isa, s_z, &[grads[0].as_slice(), grads[1].as_slice()], alpha, nkin, az_z);
+    } else {
+        let g = [grads[0].as_slice(), grads[1].as_slice(), grads[2].as_slice()];
+        zone::<3>(isa, s_z, &g, alpha, nkin, az_z);
+    }
+}
+
+/// The argument checks of kernel 4 (shared with kernel 7's fused loop).
+pub(crate) fn check_inputs(
+    shape: &ProblemShape,
+    s: &BatchedMats,
+    grads: &[DMatrix],
+    alpha: &[f64],
+) {
+    let d = shape.dim;
+    assert_eq!(s.count(), shape.total_points());
+    assert_eq!(s.shape(), (d, d));
+    assert_eq!(grads.len(), d);
+    for g in grads {
+        assert_eq!(g.shape(), (shape.nkin, shape.npts));
+    }
+    assert_eq!(alpha.len(), shape.npts);
 }
 
 /// The per-entry loop [`AzKernel::compute`] replaced, kept as the bitwise
@@ -221,28 +259,14 @@ impl AzKernel {
         alpha: &[f64],
         az: &mut BatchedMats,
     ) {
-        let d = shape.dim;
-        let nkin = shape.nkin;
-        let npts = shape.npts;
-        assert_eq!(s.count(), shape.total_points());
-        assert_eq!(s.shape(), (d, d));
-        assert_eq!(grads.len(), d);
-        for g in grads {
-            assert_eq!(g.shape(), (nkin, npts));
-        }
-        assert_eq!(alpha.len(), npts);
+        check_inputs(shape, s, grads, alpha);
         assert_eq!(az.count(), shape.zones);
-        assert_eq!(az.shape(), (shape.nvdof(), npts));
+        assert_eq!(az.shape(), (shape.nvdof(), shape.npts));
 
-        let zone_stride = npts * d * d;
+        let zone_stride = shape.npts * shape.dim * shape.dim;
         az.par_mats_mut().for_each(|(z, az_z)| {
             let s_z = &s.as_slice()[z * zone_stride..(z + 1) * zone_stride];
-            if d == 2 {
-                zone::<2>(isa, s_z, &[grads[0].as_slice(), grads[1].as_slice()], alpha, nkin, az_z);
-            } else {
-                let g = [grads[0].as_slice(), grads[1].as_slice(), grads[2].as_slice()];
-                zone::<3>(isa, s_z, &g, alpha, nkin, az_z);
-            }
+            zone_into(isa, s_z, grads, alpha, shape.nkin, az_z);
         });
     }
 }

@@ -13,14 +13,37 @@
 //!   cuts the shared memory per block, letting more blocks reside per SM —
 //!   "blocking can deliver a second benefit [on GPU]: ... enhance the
 //!   parallelism." The block size is autotuned.
+//!
+//! # The host body
+//!
+//! On the host, v2's staging is a cache instead of shared memory: a stored
+//! force evaluation runs kernel 4's zone body inside this kernel's zone loop
+//! ([`FzKernel::compute_fused`]). Each zone's `A_z` (330 KB at Q3-3D) is
+//! assembled into a grow-only per-thread buffer and multiplied while it is
+//! still in L2, so the whole batch (41.5 MB at 5³ Q3-3D) is never stored
+//! and read back. [`FzKernel::compute_with`] multiplies a stored batch
+//! through the same zone loop; the two agree to the bit, because every
+//! `A_z` entry comes from the same body and `tile::gemm` does not depend on
+//! where its operands live. A device still bills kernels 4 and 7 as two
+//! launches: the fusion is a host schedule, not a change to the model.
+
+use std::cell::RefCell;
 
 use blast_la::tile::{self, Op};
 use blast_la::{Abft, BatchedMats, DMatrix};
 use gpu_sim::{LaunchConfig, Traffic};
 use rayon::prelude::*;
 
+use crate::isa::Isa;
+use crate::k4;
 use crate::shapes::ProblemShape;
 use crate::GemmVariant;
+
+thread_local! {
+    /// One zone's `A_z` for the fused loop, one high-water buffer per
+    /// thread (the idiom of `kernels::sumfac`'s zone scratch).
+    static TLS_AZ: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Kernel 7: batched `F_z = A_z B^T` over zones.
 #[derive(Clone, Copy, Debug)]
@@ -104,24 +127,77 @@ impl FzKernel {
         fz: &mut BatchedMats,
         abft: Option<&Abft>,
     ) {
-        let nvdof = shape.nvdof();
-        let npts = shape.npts;
-        let nth = shape.nthermo;
-        assert_eq!(az.shape(), (nvdof, npts));
+        assert_eq!(az.shape(), (shape.nvdof(), shape.npts));
         assert_eq!(az.count(), shape.zones);
+        let sa = az.stride();
+        Self::zone_loop(shape, b, fz, abft, |z, gemm| gemm(&az.as_slice()[z * sa..(z + 1) * sa]));
+    }
+
+    /// Kernels 4 and 7 in one zone loop: `fz[z] = A_z b^T` with each `A_z`
+    /// assembled by kernel 4's zone body (from `s`, `grads`, `alpha`, the
+    /// arguments of `AzKernel::compute`) into this thread's zone buffer and
+    /// multiplied there, so no `A_z` batch exists. Bitwise
+    /// `AzKernel::compute` followed by [`Self::compute_with`], ABFT panels
+    /// included.
+    pub fn compute_fused(
+        shape: &ProblemShape,
+        s: &BatchedMats,
+        grads: &[DMatrix],
+        alpha: &[f64],
+        b: &DMatrix,
+        fz: &mut BatchedMats,
+        abft: Option<&Abft>,
+    ) {
+        Self::fused_at(Isa::detect(), shape, s, grads, alpha, b, fz, abft);
+    }
+
+    /// [`Self::compute_fused`] through kernel 4's zone body compiled for `isa`.
+    fn fused_at(
+        isa: Isa,
+        shape: &ProblemShape,
+        s: &BatchedMats,
+        grads: &[DMatrix],
+        alpha: &[f64],
+        b: &DMatrix,
+        fz: &mut BatchedMats,
+        abft: Option<&Abft>,
+    ) {
+        k4::check_inputs(shape, s, grads, alpha);
+        let (len, ss) = (shape.nvdof() * shape.npts, shape.npts * shape.dim * shape.dim);
+        Self::zone_loop(shape, b, fz, abft, |z, gemm| {
+            TLS_AZ.with(|buf| {
+                let buf = &mut *buf.borrow_mut();
+                if buf.len() < len {
+                    buf.resize(len, 0.0);
+                }
+                let (s_z, az_z) = (&s.as_slice()[z * ss..(z + 1) * ss], &mut buf[..len]);
+                k4::zone_into(isa, s_z, grads, alpha, shape.nkin, az_z);
+                gemm(az_z);
+            })
+        });
+    }
+
+    /// The zone loop of both bodies: `with_az(z, gemm)` hands zone `z`'s
+    /// `A_z` to `gemm`, which stores `F_z = A_z b^T` (ABFT panel `z`).
+    fn zone_loop(
+        shape: &ProblemShape,
+        b: &DMatrix,
+        fz: &mut BatchedMats,
+        abft: Option<&Abft>,
+        with_az: impl Fn(usize, &mut dyn FnMut(&[f64])) + Sync + Send,
+    ) {
+        let (nvdof, npts, nth) = (shape.nvdof(), shape.npts, shape.nthermo);
         assert_eq!(b.shape(), (nth, npts));
         assert_eq!(fz.shape(), (nvdof, nth));
         assert_eq!(fz.count(), shape.zones);
 
-        let sa = az.stride();
         let b = b.as_slice();
         fz.par_mats_mut().for_each(|(z, fz_z)| {
-            let az_z = &az.as_slice()[z * sa..(z + 1) * sa];
             // F = A B^T: A (nvdof x npts) col-major, B (nth x npts).
-            match abft {
+            with_az(z, &mut |az_z| match abft {
                 Some(abft) => abft.gemm(z, nvdof, nth, npts, 1.0, az_z, Op::N, b, Op::T, 0.0, fz_z),
                 None => tile::gemm(nvdof, nth, npts, 1.0, az_z, Op::N, b, Op::T, 0.0, fz_z),
-            }
+            });
         });
     }
 }
@@ -129,9 +205,10 @@ impl FzKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{DeviceCatalog, GpuDevice};
+    use crate::isa::{bits, signed_zero_mix as mix};
+    use crate::k4::AzKernel;
     use blast_la::dense::gemm_nt;
-    
+    use gpu_sim::{DeviceCatalog, GpuDevice};
 
     fn setup(zones: usize) -> (ProblemShape, BatchedMats, DMatrix) {
         let shape = ProblemShape::new(2, 2, zones);
@@ -210,6 +287,103 @@ mod tests {
             times.push(dev.model_kernel(&cfg, &k.traffic(&shape)).time_s);
         }
         assert!(times.len() >= 3, "most configs must be feasible");
+    }
+
+    /// Seeded kernel-4 inputs `(s, grads, alpha)` and kernel 7's `b` of a
+    /// Q`order`-`dim`D problem on `zones` zones, exact `±0.0` mixed in.
+    fn stress_inputs(
+        dim: usize,
+        order: usize,
+        zones: usize,
+    ) -> (ProblemShape, BatchedMats, Vec<DMatrix>, Vec<f64>, DMatrix) {
+        let shape = ProblemShape::new(dim, order, zones);
+        let (nkin, npts, total) = (shape.nkin, shape.npts, shape.total_points());
+        let s = BatchedMats::from_data(dim, dim, total, mix(dim * dim * total, 3));
+        let grads = (0..dim)
+            .map(|g| DMatrix::from_col_major(nkin, npts, mix(nkin * npts, 5 + g as u64)))
+            .collect();
+        let b = DMatrix::from_col_major(shape.nthermo, npts, mix(shape.nthermo * npts, 9));
+        (shape, s, grads, mix(npts, 11), b)
+    }
+
+    /// Kernel 4 into a stored batch, then kernel 7 over it.
+    fn two_pass(
+        (shape, s, grads, alpha, b): &(ProblemShape, BatchedMats, Vec<DMatrix>, Vec<f64>, DMatrix),
+        abft: Option<&Abft>,
+    ) -> BatchedMats {
+        let mut az = BatchedMats::zeros(shape.nvdof(), shape.npts, shape.zones);
+        AzKernel::compute(shape, s, grads, alpha, &mut az);
+        let mut fz = BatchedMats::zeros(shape.nvdof(), shape.nthermo, shape.zones);
+        FzKernel::compute_with(shape, &az, b, &mut fz, abft);
+        fz
+    }
+
+    /// NaN in the first `len` entries of this thread's zone buffer.
+    fn poison_zone_buffer(len: usize) {
+        TLS_AZ.with(|buf| {
+            let buf = &mut *buf.borrow_mut();
+            buf.clear();
+            buf.resize(len, f64::NAN);
+        });
+    }
+
+    #[test]
+    fn fused_is_kernel_4_then_kernel_7_bitwise() {
+        let pools = [1, 2, 8].map(|width| (width, rayon::Pool::new(width)));
+        for (dim, order, zones) in [(2, 2, 3), (3, 2, 3), (3, 3, 3), (3, 4, 2)] {
+            let inputs = stress_inputs(dim, order, zones);
+            let (shape, s, grads, alpha, b) = &inputs;
+            let fz_len = shape.nvdof() * shape.nthermo * zones;
+            for abft in [None, Some(Abft::default())] {
+                let expect = bits(two_pass(&inputs, abft.as_ref()).as_slice());
+                // Every ISA level on one thread, the detected one on the
+                // wider pools; `fz` and the caller's zone buffer NaN-filled,
+                // so an entry either kernel skipped would show.
+                let levels = Isa::available();
+                let runs = levels.iter().map(|&isa| (isa, &pools[0]));
+                let runs = runs.chain(pools[1..].iter().map(|p| (Isa::detect(), p)));
+                for (isa, (width, pool)) in runs {
+                    let mut fz = BatchedMats::from_data(
+                        shape.nvdof(),
+                        shape.nthermo,
+                        zones,
+                        vec![f64::NAN; fz_len],
+                    );
+                    pool.install(|| {
+                        poison_zone_buffer(shape.nvdof() * shape.npts);
+                        FzKernel::fused_at(isa, shape, s, grads, alpha, b, &mut fz, abft.as_ref());
+                    });
+                    let what = format!("Q{order}-{dim}D {isa:?} abft={}", abft.is_some());
+                    assert_eq!(bits(fz.as_slice()), expect, "{what} pool {width}");
+                }
+                if let Some(abft) = &abft {
+                    assert_eq!(abft.violations(), 0, "Q{order}-{dim}D: a clean panel failed");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_armed_panel_flip_is_caught_as_in_the_two_pass_path() {
+        let inputs = stress_inputs(3, 2, 4);
+        let clean = two_pass(&inputs, None);
+        let run = |fused: bool| {
+            let abft = Abft::default();
+            abft.arm_flip(2, 5, 55);
+            let fz = if fused {
+                let (shape, s, grads, alpha, b) = &inputs;
+                let mut fz = BatchedMats::zeros(shape.nvdof(), shape.nthermo, shape.zones);
+                FzKernel::compute_fused(shape, s, grads, alpha, b, &mut fz, Some(&abft));
+                fz
+            } else {
+                two_pass(&inputs, Some(&abft))
+            };
+            (bits(fz.as_slice()), abft.take_violation(), abft.disarm(), abft.violations())
+        };
+        let (two, fused) = (run(false), run(true));
+        assert!(two.1.is_some() && !two.2, "the two-pass flip landed and was caught: {two:?}");
+        assert_ne!(two.0, bits(clean.as_slice()), "the flip changed F_z");
+        assert_eq!(fused, two, "the fused loop lands and catches the same flip");
     }
 
     #[test]

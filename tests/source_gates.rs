@@ -98,8 +98,8 @@ fn no_deprecated_api_kept_alive() {
 /// no lockable or atomic `static`, and the installers PR 15 deleted stay gone.
 /// The one write-once `static` is the SIMD level of `blast-la`, a fact about
 /// the host that no solver sets. (The `thread_local!` `RefCell` scratches of
-/// `la/src/abft.rs` and `kernels/src/sumfac.rs` are per-thread buffers, not
-/// configuration, and match neither pattern.)
+/// `la/src/abft.rs`, `kernels/src/sumfac.rs` and `kernels/src/k7.rs` are
+/// per-thread buffers, not configuration, and match neither pattern.)
 #[test]
 fn no_process_global_kernel_state() {
     let numeric = files_under(&[
@@ -239,7 +239,7 @@ fn one_corner_force_pipeline() {
     let once: [(&[&str], &str); 5] = [
         (&[kernels, core], "CoefGradKernel::compute("),
         (&[kernels, core], "AzKernel::compute("),
-        (&[kernels, core], "FzKernel::compute_with("),
+        (&[kernels, core], "FzKernel::compute_fused("),
         (&[kernels, "crates/core/src/solver"], "SumfacForceKernel {"),
         (&[core], "ForceEval {"),
     ];
@@ -397,6 +397,27 @@ fn one_sumfac_transform() {
     for step in ["par_chunks_exact_mut(", "forward(", "backward("] {
         assert_eq!(mass.matches(step).count(), 1, "`{step}` in the mass kernel's zone body only");
     }
+}
+
+/// A stored force evaluation runs kernel 4's zone body inside kernel 7's
+/// zone loop (`FzKernel::compute_fused`), so one zone's `A_z` stays in cache
+/// and the batch (41.5 MB at 5³ Q3-3D) is never written out and read back.
+/// The solver therefore names neither pipeline that stores the batch, nor
+/// the scratch field it lands in: `az_pipeline_on` and
+/// `compute_az_pipeline_into` serve the probes and tests that inspect it.
+#[test]
+fn the_solver_never_materializes_a_z() {
+    let core: Vec<(String, String)> = files_under(&["crates/core/src"])
+        .into_iter()
+        .map(|(path, text)| (path, non_test(&text).to_string()))
+        .collect();
+    let names_the_batch = |l: &str| {
+        l.contains("az_pipeline_on")
+            || l.contains("compute_az_pipeline_into")
+            || l.match_indices(".az").any(|(at, _)| !l[at + 3..].starts_with(is_ident))
+    };
+    let hits = lines_where(&core, names_the_batch);
+    assert!(hits.is_empty(), "the solver names the `A_z` batch: {hits:#?}");
 }
 
 /// Every `pub fn` / `struct` / `enum` / `const` / `type` in the non-test

@@ -3,9 +3,10 @@
 //!
 //! A parallel call dispatches from the caller's stack frame (blocks,
 //! partials, panic slot) to workers that were created with the pool, and
-//! the kernels' per-thread scratch (`kernels::sumfac`, `la::abft`) lives
-//! as long as those workers do — so once every pool thread has grown its
-//! scratch, steady-state steps are heap-quiet on all of them.
+//! the kernels' per-thread scratch (`kernels::sumfac`, `kernels::k7`,
+//! `la::abft`) lives as long as those workers do — so once every pool
+//! thread has grown its scratch, steady-state steps are heap-quiet on all
+//! of them.
 //!
 //! The counter is process-wide, so this binary holds this one test: a
 //! sibling's set-up would land in the measured window.
