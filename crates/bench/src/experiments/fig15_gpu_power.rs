@@ -23,7 +23,7 @@ fn scenario_power(order: usize, zones_axis: usize, mode: ExecMode, only_cf: bool
     scenario_power_on(order, zones_axis, mode, only_cf, DeviceCatalog::gpu("k20"))
 }
 
-/// [`scenario_power`] on an explicit spec — exported so the ablation suite
+/// `scenario_power` on an explicit spec — exported so the ablation suite
 /// can re-run the corner-force scenarios with energy-model terms zeroed.
 pub fn scenario_power_on(
     order: usize,

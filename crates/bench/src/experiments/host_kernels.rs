@@ -18,7 +18,7 @@
 //! the matrix-free force against their point-at-a-time references.
 //!
 //! Every number is real hardware time, taken by [`crate::harness`]. Rows
-//! and gates: [`HostKernels::report`] (`BENCH_host_kernels.json`, the CI
+//! and gates: `HostKernels::report` (`BENCH_host_kernels.json`, the CI
 //! bench-smoke lane).
 
 use blast_kernels::k3::{self, CoefGradKernel, PointMajorGrads};
@@ -40,7 +40,7 @@ pub const EXPERIMENT: Experiment = Experiment {
 };
 
 /// The Table-3 corner-force `F_z` shapes `(dim, order, label)`: Q1-Q4 in
-/// 3D plus the 2D Q4 shape. Each row's GEMM is [`gemm_shape`].
+/// 3D plus the 2D Q4 shape. Each row's GEMM is `gemm_shape`.
 pub const SHAPES: [(usize, usize, &str); 5] =
     [(3, 1, "Q1 3D"), (2, 4, "Q4 2D"), (3, 2, "Q2 3D"), (3, 3, "Q3 3D"), (3, 4, "Q4 3D")];
 

@@ -29,7 +29,7 @@
 //! launch counts, modeled device time, and modeled energy from the §6
 //! cost model.
 //!
-//! Rows and gates: [`PcgStreaming::report`] (`BENCH_pcg_streaming.json`, the
+//! Rows and gates: `PcgStreaming::report` (`BENCH_pcg_streaming.json`, the
 //! CI pcg-stream-smoke lane).
 
 use blast_core::MatFreeConstrainedOp;

@@ -56,7 +56,7 @@ pub struct PointPhysicsResult {
     pub points: usize,
     /// Mid-run rows carry the gate.
     pub gated: bool,
-    /// Seconds per mesh sweep, variants as in [`KERNELS`].
+    /// Seconds per mesh sweep, variants as in `KERNELS`.
     pub t: Timing,
 }
 

@@ -245,7 +245,7 @@ impl Communicator {
         self.size
     }
 
-    /// Sets the receive timeout (default [`DEFAULT_RECV_TIMEOUT`]).
+    /// Sets the receive timeout (default `DEFAULT_RECV_TIMEOUT`).
     pub fn set_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
     }

@@ -88,8 +88,8 @@ impl AuditConfig {
     }
 }
 
-/// Auditor state + owned scratch; owned by `Hydro` behind a `RefCell`,
-/// installed by `HydroBuilder::audit`.
+/// Auditor state + owned scratch; owned by `Hydro`, installed by
+/// `HydroBuilder::audit`.
 pub(crate) struct StepAuditor<const D: usize> {
     pub(crate) cfg: AuditConfig,
     /// Accepted step candidates since the last *passing* audit. Reset
@@ -108,9 +108,9 @@ pub(crate) struct StepAuditor<const D: usize> {
     pub(crate) det0: Vec<f64>,
     /// Estimated cost of one audit pass (billed via `Executor::bill_audit`).
     pub(crate) traffic: Traffic,
-    // Scratch (grown once, then reused).
-    pub(crate) mv_v: Vec<f64>,
-    pub(crate) me_e: Vec<f64>,
+    // Scratch (grown once, then reused): `M_V v`, `M_E e` and the mass
+    // apply's zone staging of the energy evaluation, then the Jacobians.
+    pub(crate) energy: [Vec<f64>; 3],
     pub(crate) geom: Vec<GeomAtPoint<D>>,
 }
 
@@ -125,8 +125,7 @@ impl<const D: usize> StepAuditor<D> {
             hi: [f64::INFINITY; D],
             det0: Vec::new(),
             traffic: Traffic::default(),
-            mv_v: Vec::new(),
-            me_e: Vec::new(),
+            energy: Default::default(),
             geom: Vec::new(),
         }
     }

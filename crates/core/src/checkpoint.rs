@@ -43,7 +43,7 @@ pub enum CheckpointError {
         /// Bytes present.
         len: usize,
     },
-    /// Magic bytes do not match [`CHECKPOINT_MAGIC`].
+    /// Magic bytes do not match `CHECKPOINT_MAGIC`.
     BadMagic,
     /// Format version newer than this reader understands.
     UnsupportedVersion {

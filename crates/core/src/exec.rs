@@ -40,8 +40,8 @@ pub const CG_CPU_EFF: f64 = 0.30;
 ///
 /// # Derivation from a device inventory
 ///
-/// Fleet-aware entry points ([`HydroBuilder::device`], [`HydroBuilder::fleet`],
-/// and the [`crate::fleet`] predictor) do not take a mode — they derive one
+/// Fleet-aware entry points ([`HydroBuilder::device`] and the
+/// [`crate::fleet`] predictor) do not take a mode — they derive one
 /// from the `gpu_sim::DeviceSpec` they are handed:
 ///
 /// | device inventory                | derived mode                                      |
@@ -61,7 +61,6 @@ pub const CG_CPU_EFF: f64 = 0.30;
 /// `BLAST_THREADS` settings.
 ///
 /// [`HydroBuilder::device`]: crate::HydroBuilder::device
-/// [`HydroBuilder::fleet`]: crate::HydroBuilder::fleet
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Single-threaded CPU reference.
@@ -209,7 +208,7 @@ impl Executor {
     /// Corner-force flop efficiency fed to the roofline: the *measured*
     /// tiled micro-kernel throughput when the host spec was calibrated
     /// (`CpuSpec::calibrate_host_gflops`, fed by `bench::host_speedup`),
-    /// else the modeled order-dependent default [`cf_cpu_eff`].
+    /// else the modeled order-dependent default `cf_cpu_eff`.
     pub fn cf_eff(&self, order: usize) -> f64 {
         self.host.spec().host_flop_efficiency().unwrap_or_else(|| cf_cpu_eff(order))
     }

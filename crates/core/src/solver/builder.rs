@@ -248,10 +248,10 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
             self.assembly_auto,
         )?;
         if let Some(plan) = self.sdc_plan {
-            hydro.sdc_plan = std::cell::RefCell::new(plan);
+            hydro.sdc_plan = plan;
         }
         if let Some(cfg) = self.audit {
-            hydro.audit = Some(std::cell::RefCell::new(hydro.build_auditor(cfg)));
+            hydro.audit = Some(hydro.build_auditor(cfg));
             hydro.abft = cfg.abft.then(Abft::default);
         }
         Ok(hydro)
@@ -394,12 +394,7 @@ impl<const D: usize> Hydro<D> {
                 let diag =
                     SumfacMassKernel.diagonal(&shape, &factors, &svals, &zone_dofs, n);
                 let precond = DiagPrecond::from_diagonal(&diag);
-                let ops = MatFreeOps {
-                    factors,
-                    svals,
-                    mass_local: std::cell::RefCell::new(Vec::new()),
-                };
-                (Assembly::MatFree(ops), precond)
+                (Assembly::MatFree(MatFreeOps { factors, svals }), precond)
             }
         };
         let me = assemble_thermodynamic_mass(&thermo, &rule, &thermo_table, &rho0detj0);
@@ -461,7 +456,6 @@ impl<const D: usize> Hydro<D> {
         }
 
         let initial = HydroState { v: v0, e: e0, x: x0, t: 0.0 };
-        let accel_prev = std::cell::RefCell::new(vec![0.0; D * n]);
         Ok(Self {
             kin,
             thermo,
@@ -477,18 +471,18 @@ impl<const D: usize> Hydro<D> {
             rho0detj0,
             consts,
             constrained,
-            accel_prev,
+            accel_prev: vec![0.0; D * n],
             use_viscosity: problem.use_viscosity(),
             cfl: config.cfl,
             pcg_opts: config.pcg,
             exec,
             initial,
             device_bytes,
-            step_fault_budget: std::cell::Cell::new(0),
-            scratch: std::cell::RefCell::new(StepScratch::default()),
-            sdc_plan: std::cell::RefCell::new(SdcPlan::none()),
-            sdc_attempt: std::cell::Cell::new(0),
-            sdc_gemm_armed: std::cell::Cell::new(false),
+            step_fault_budget: 0,
+            scratch: StepScratch::default(),
+            sdc_plan: SdcPlan::none(),
+            sdc_attempt: 0,
+            sdc_gemm_armed: false,
             audit: None,
             abft: None,
         })

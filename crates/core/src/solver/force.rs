@@ -15,14 +15,12 @@ use blast_kernels::sumfac::{
     SumfacMomentumKernel,
 };
 use blast_kernels::{GemmVariant, ProblemShape};
-use blast_la::{
-    pcg_solve_lockstep_ws, BatchedMats, ConstrainedOp, CsrMatrix, LinearOperator, PcgResult,
-};
+use blast_la::{pcg_solve_lockstep_ws, ConstrainedOp, CsrMatrix, LinearOperator, PcgResult};
 use blast_telemetry::names;
 use gpu_sim::{GpuDevice, LaunchConfig, Traffic};
 use powermon::CpuPowerState;
 
-use super::{ensure_zeroed, ForceEval, Hydro, StepScratch};
+use super::{ensure_zeroed, EvalScratch, ForceEval, Hydro};
 use crate::error::HydroError;
 use crate::exec::{
     cg_iteration_traffic, cg_iteration_traffic_fused, cg_iteration_traffic_matfree,
@@ -44,15 +42,12 @@ pub(super) enum Assembly {
 }
 
 /// Matrix-free operator data ([`AssemblyMode::MatrixFree`]): the 1D
-/// factor tables, the per-point kinematic mass scale factors
+/// factor tables and the per-point kinematic mass scale factors
 /// `svals[p] = α_{p mod npts} ρ0|J0|(p)` (frozen in the Lagrangian
-/// frame, like the stored matrix they replace), and a grow-only staging
-/// pool for the mass applies that run outside the step scratch (audits
-/// and energy reporting stay alloc-free at steady state).
+/// frame, like the stored matrix they replace).
 pub(super) struct MatFreeOps {
     pub(super) factors: SumfacFactors,
     pub(super) svals: Vec<f64>,
-    pub(super) mass_local: std::cell::RefCell<Vec<f64>>,
 }
 
 impl Assembly {
@@ -84,13 +79,15 @@ impl Assembly {
         }
     }
 
-    /// `y = M_V x` for one scalar component (`y` is fully overwritten).
+    /// `y = M_V x` for one scalar component (`y` is fully overwritten);
+    /// `local` is the matrix-free apply's grow-only zone staging.
     pub(super) fn mass_apply(
         &self,
         shape: &ProblemShape,
         zone_dofs: &[usize],
         x: &[f64],
         y: &mut [f64],
+        local: &mut Vec<f64>,
     ) {
         match self {
             Assembly::Stored { mv } => mv.spmv_into(x, y),
@@ -102,7 +99,7 @@ impl Assembly {
                 x.len(),
                 x,
                 y,
-                &mut mf.mass_local.borrow_mut(),
+                local,
             ),
         }
     }
@@ -219,20 +216,19 @@ impl<const D: usize> Hydro<D> {
     /// partial physics and the CPU redo is bit-identical to a pure-CPU run.
     pub(super) fn eval_force(
         &mut self,
-        v: &[f64],
-        e: &[f64],
-        x: &[f64],
+        state: Fields,
+        ws: &mut EvalScratch,
     ) -> Result<ForceEval, HydroError> {
         if self.exec.is_degraded() {
-            return self.force_on_host((v, e, x));
+            return self.force_on_host(state, ws);
         }
         // `Executor::new` rejects GPU / hybrid modes without a device.
         let attempt = match (self.exec.mode.clone(), self.exec.gpu.clone()) {
             (ExecMode::Gpu { base, gpu_pcg, .. }, Some(gpu)) => {
-                self.force_on_device(&gpu, (v, e, x), base, gpu_pcg)
+                self.force_on_device(&gpu, state, base, gpu_pcg, ws)
             }
-            (ExecMode::Hybrid { .. }, Some(gpu)) => self.force_hybrid(&gpu, (v, e, x)),
-            _ => return self.force_on_host((v, e, x)),
+            (ExecMode::Hybrid { .. }, Some(gpu)) => self.force_hybrid(&gpu, state, ws),
+            _ => return self.force_on_host(state, ws),
         };
         match attempt {
             Err(HydroError::Gpu(g)) => {
@@ -240,7 +236,7 @@ impl<const D: usize> Hydro<D> {
                 if let Some(b) = &mut self.exec.balancer {
                     b.force_ratio(0.0);
                 }
-                self.force_on_host((v, e, x))
+                self.force_on_host(state, ws)
             }
             other => other,
         }
@@ -286,7 +282,7 @@ impl<const D: usize> Hydro<D> {
     /// (kernels 3, 3, 1, 5, 2, 6), kernel 4's bill, the mesh guard, kernel
     /// 7 — whose zone loop runs kernel 4's body, so no `A_z` batch is ever
     /// stored — and kernel 8; matrix-free: one fused sum-factorized sweep,
-    /// the guard, `d²` backward transforms. It fills the scratch's `fz` pool
+    /// the guard, `d²` backward transforms. It fills the scratch's `fz`
     /// (`F_z`, or the per-point `D_z`), `pipe.detj` / `pipe.inv_dt` and the
     /// unprojected momentum RHS. A refused launch leaves `fz` as it was.
     /// `base_regs`: the `base` ablation (stored only) as the device's
@@ -297,14 +293,14 @@ impl<const D: usize> Hydro<D> {
         on: &mut L,
         base_regs: Option<u32>,
         (v, e, x): Fields,
-        ws: &mut StepScratch,
+        ws: &mut EvalScratch,
     ) -> Result<(), HydroError>
     where
         HydroError: From<L::Error>,
     {
         let (shape, n, zone_dofs) = (&self.shape, self.kin.num_dofs(), &self.zone_dofs[..]);
         let (alpha, rho0detj0) = (&self.rule.weights[..], &self.rho0detj0[..]);
-        let StepScratch { pipe, fz, rhs, mom_local, .. } = ws;
+        let EvalScratch { pipe, fz, rhs, mom_local, .. } = ws;
         ensure_zeroed(rhs, D * n);
         match &self.assembly {
             Assembly::Stored { .. } => {
@@ -373,53 +369,47 @@ impl<const D: usize> Hydro<D> {
     }
 
     /// The one tail of a force evaluation, after [`Self::corner_force_on`]:
-    /// CFL control, constraint projection, the momentum solve, and the
-    /// force batch leaving the scratch with the solution (`try_step` hands
-    /// both back). With a device leg the right-hand side is solved there
-    /// (`gpu_pcg`) or shipped back as `-F·1` and solved on the host, idle
-    /// meanwhile. The batch is taken last: a failed exit holds no pool.
+    /// CFL control, constraint projection and the momentum solve into the
+    /// scratch's `accel`. With a device leg the right-hand side is solved
+    /// there (`gpu_pcg`) or shipped back as `-F·1` and solved on the host,
+    /// idle meanwhile.
     fn finish_force(
-        &self,
+        &mut self,
         device: Option<DeviceLeg>,
-        ws: &mut StepScratch,
+        ws: &mut EvalScratch,
     ) -> Result<ForceEval, HydroError> {
         let max_inv_dt = ws.pipe.inv_dt.iter().cloned().fold(0.0, f64::max);
         self.project_constraints(&mut ws.rhs);
-        let on_device = match device {
-            Some(DeviceLeg { gpu, gpu_pcg: true, .. }) => Some(self.solve_momentum(Some(gpu), ws)?),
-            _ => None,
-        };
-        if let Some(DeviceLeg { gpu, since, .. }) = device {
+        let mut on_device = None;
+        if let Some(DeviceLeg { gpu, since, gpu_pcg }) = device {
+            if gpu_pcg {
+                on_device = Some(self.solve_momentum(Some(gpu), ws)?);
+            }
             // The warm-start cache is committed only *after* the transfer:
             // if it fails, the host never saw the solution and the CPU redo
             // must start from the previous step's cache.
-            if let Err(e) = gpu.d2h(D * self.kin.num_dofs() * 8) {
-                if let Some((accel, _)) = on_device {
-                    ws.accel = accel;
-                }
-                return Err(e.into());
-            }
-            if let Some((accel, _)) = &on_device {
-                self.accel_prev.borrow_mut().copy_from_slice(accel);
+            gpu.d2h(D * self.kin.num_dofs() * 8)?;
+            if gpu_pcg {
+                self.accel_prev.copy_from_slice(&ws.accel);
             }
             self.exec.host.idle(gpu.now() - since);
         }
-        let (accel, cg_iterations) = match on_device {
-            Some(solved) => solved,
+        let cg_iterations = match on_device {
+            Some(iterations) => iterations,
             None => self.solve_momentum(None, ws)?,
         };
-        if let Err(e) = Self::check_finite("accel", &accel) {
-            ws.accel = accel; // a rejected solution goes back to its pool
-            return Err(e);
-        }
-        Ok(ForceEval { fz: std::mem::take(&mut ws.fz), accel, max_inv_dt, cg_iterations })
+        Self::check_finite("accel", &ws.accel)?;
+        Ok(ForceEval { max_inv_dt, cg_iterations })
     }
 
     /// CPU force evaluation: one billed host phase around the inline sequence.
-    fn force_on_host(&self, state: Fields) -> Result<ForceEval, HydroError> {
+    fn force_on_host(
+        &mut self,
+        state: Fields,
+        ws: &mut EvalScratch,
+    ) -> Result<ForceEval, HydroError> {
         let traffic = self.assembly.corner_force_traffic(&self.shape);
         let eff = self.exec.cf_eff(self.shape.order);
-        let ws = &mut *self.scratch.borrow_mut();
         self.host_phase(names::phases::CORNER_FORCE, &traffic, eff, CpuPowerState::Busy, || {
             self.corner_force_on(&mut Inline, None, state, ws)
         })?;
@@ -428,7 +418,8 @@ impl<const D: usize> Hydro<D> {
 
     /// The momentum solve (step 6): the `D` constrained component systems
     /// `M_V a_c = rhs_c` through the live assembly's operator, warm-started
-    /// from the previous acceleration. The stored host leg and the
+    /// from the previous acceleration, into the scratch's `accel`; returns
+    /// the iterations taken. The stored host leg and the
     /// matrix-free leg advance all `D` in lock step — one CSR row sweep, or
     /// one sum-factorized zone pass, per iteration feeds every component —
     /// and each component's bits are those of its scalar solve. Only the
@@ -446,22 +437,18 @@ impl<const D: usize> Hydro<D> {
     /// stalled solve ([`HydroError::PcgBreakdown`]) or a lost device leaves
     /// nothing behind for the rollback or the redo.
     fn solve_momentum(
-        &self,
+        &mut self,
         device: Option<&GpuDevice>,
-        ws: &mut StepScratch,
-    ) -> Result<(Vec<f64>, usize), HydroError> {
+        ws: &mut EvalScratch,
+    ) -> Result<usize, HydroError> {
         use names::counters;
-        // The projected right-hand side stays in the scratch; the
-        // acceleration leaves its pool for the returned ForceEval (handed
-        // back by `try_step` once consumed, or below on failure).
-        let StepScratch { rhs, accel: accel_pool, pcg, mom_local, .. } = ws;
-        let mut accel = std::mem::take(accel_pool);
+        let EvalScratch { rhs, accel, pcg, mom_local, .. } = ws;
         let n = self.kin.num_dofs();
         let shape = &self.shape;
         let opts = &self.pcg_opts;
         let tel = self.exec.telemetry();
         let iter_traffic = self.assembly.cg_iteration_traffic(shape, n, opts.fused);
-        accel.clone_from(&self.accel_prev.borrow());
+        accel.clone_from(&self.accel_prev);
         let mut total_iters = 0;
         // One component's outcome, in component order.
         let mut record = |res: &PcgResult| {
@@ -499,7 +486,7 @@ impl<const D: usize> Hydro<D> {
                         let staging = blast_la::stream::wide_lanes(D) * n;
                         pcg.with_operator_scratch(staging, |tmp, pcg| {
                             let op = &mut ConstrainedOp { a: mv, masks: &masks, tmp };
-                            pcg_solve_lockstep_ws(op, precond, rhs, &mut accel, opts, pcg)
+                            pcg_solve_lockstep_ws(op, precond, rhs, accel, opts, pcg)
                         })
                     }
                     Assembly::MatFree(mf) => pcg_solve_lockstep_ws(
@@ -514,7 +501,7 @@ impl<const D: usize> Hydro<D> {
                         },
                         precond,
                         rhs,
-                        &mut accel,
+                        accel,
                         opts,
                         pcg,
                     ),
@@ -537,12 +524,9 @@ impl<const D: usize> Hydro<D> {
                 })
             }
         };
-        if let Err(e) = solved {
-            *accel_pool = accel;
-            return Err(e);
-        }
+        solved?;
         if device.is_none() {
-            self.accel_prev.borrow_mut().copy_from_slice(&accel);
+            self.accel_prev.copy_from_slice(accel);
             // The model bills every component its own stream over the
             // operator (warm-starting keeps the iteration counts low).
             let state = if matches!(self.exec.mode, ExecMode::Gpu { .. }) {
@@ -553,21 +537,21 @@ impl<const D: usize> Hydro<D> {
             let traffic = iter_traffic.scale(total_iters as f64);
             self.host_phase(names::phases::CG_SOLVER, &traffic, CG_CPU_EFF, state, || ());
         }
-        Ok((accel, total_iters))
+        Ok(total_iters)
     }
 
     /// GPU force evaluation: ship the state (§3.1.2), issue the sequence as
     /// launches out of the same step scratch, then the tail's device leg.
     fn force_on_device(
-        &self,
+        &mut self,
         gpu: &GpuDevice,
         state: Fields,
         base: bool,
         gpu_pcg: bool,
+        ws: &mut EvalScratch,
     ) -> Result<ForceEval, HydroError> {
         let since = gpu.now();
         gpu.h2d((2 * D * self.kin.num_dofs() + self.thermo.num_dofs()) * 8)?;
-        let ws = &mut *self.scratch.borrow_mut();
         let base_regs = base.then(|| gpu.spec().max_regs_per_thread);
         self.corner_force_on(&mut &*gpu, base_regs, state, ws)?;
         self.finish_force(Some(DeviceLeg { gpu, since, gpu_pcg }), ws)
@@ -577,7 +561,12 @@ impl<const D: usize> Hydro<D> {
     /// CPU shares separately at the current ratio — with the live
     /// assembly's traffic, so the balancer's converged ratio differs
     /// between stored and matrix-free — and the two overlap in wall-clock.
-    fn force_hybrid(&mut self, gpu: &GpuDevice, state: Fields) -> Result<ForceEval, HydroError> {
+    fn force_hybrid(
+        &mut self,
+        gpu: &GpuDevice,
+        state: Fields,
+        ws: &mut EvalScratch,
+    ) -> Result<ForceEval, HydroError> {
         let n = self.kin.num_dofs();
         let shape = self.shape;
         // Invariant: `Executor::new` always pairs Hybrid with a balancer.
@@ -595,7 +584,6 @@ impl<const D: usize> Hydro<D> {
         let cfg = LaunchConfig::new(gpu_zones, 256, 8 * 1024, 48);
 
         gpu.h2d(((2 * D * n + self.thermo.num_dofs()) as f64 * 8.0 * ratio) as usize)?;
-        let ws = &mut *self.scratch.borrow_mut();
         let t0g = gpu.now();
         let (ran, _) = gpu.launch(names::phases::CORNER_FORCE_HYBRID, &cfg, &gpu_traffic, || {
             self.corner_force_on(&mut Inline, None, state, ws)
@@ -625,24 +613,25 @@ impl<const D: usize> Hydro<D> {
         self.finish_force(None, ws)
     }
 
-    /// Energy rate `de/dt = M_E^{-1} F^T v_avg` (kernels 10 + 11). A
-    /// persistent device fault here degrades the executor and recomputes on
-    /// the CPU into fresh buffers (the faulted attempt's partial output is
-    /// discarded), so the result is bit-identical to a pure-CPU evaluation.
+    /// Energy rate `de/dt = M_E^{-1} F^T v_avg` (kernels 10 + 11) from the
+    /// scratch's force batch into its `de`. A persistent device fault here
+    /// degrades the executor and recomputes on the CPU (the faulted
+    /// attempt's partial output is overwritten), so the result is
+    /// bit-identical to a pure-CPU evaluation.
     pub(super) fn energy_rate(
         &self,
-        fz: &BatchedMats,
         v_avg: &[f64],
-    ) -> Result<Vec<f64>, HydroError> {
+        ws: &mut EvalScratch,
+    ) -> Result<(), HydroError> {
         if !self.exec.is_degraded() {
             if let (ExecMode::Gpu { .. }, Some(gpu)) = (&self.exec.mode, &self.exec.gpu) {
-                match self.energy_rate_on(Some(gpu.as_ref()), fz, v_avg) {
+                match self.energy_rate_on(Some(gpu.as_ref()), v_avg, ws) {
                     Err(HydroError::Gpu(g)) => self.exec.degrade_to_cpu(g.to_string()),
                     other => return other,
                 }
             }
         }
-        self.energy_rate_on(None, fz, v_avg)
+        self.energy_rate_on(None, v_avg, ws)
     }
 
     /// Kernels 10 + 11, written once: `rhs_e = F^T v_avg` from what the
@@ -650,12 +639,11 @@ impl<const D: usize> Hydro<D> {
     fn energy_kernels_on<L: KernelLauncher>(
         &self,
         on: &mut L,
-        fz: &BatchedMats,
         v_avg: &[f64],
-        rhs_e: &mut [f64],
-        de: &mut [f64],
+        ws: &mut EvalScratch,
     ) -> Result<(), L::Error> {
         let (shape, n, dofs) = (&self.shape, self.kin.num_dofs(), &self.zone_dofs[..]);
+        let EvalScratch { fz, rhs_e, de, .. } = ws;
         on.launch(
             || self.assembly.energy_rhs_launch(shape),
             || match &self.assembly {
@@ -680,38 +668,28 @@ impl<const D: usize> Hydro<D> {
     fn energy_rate_on(
         &self,
         device: Option<&GpuDevice>,
-        fz: &BatchedMats,
         v_avg: &[f64],
-    ) -> Result<Vec<f64>, HydroError> {
+        ws: &mut EvalScratch,
+    ) -> Result<(), HydroError> {
         let nth = self.thermo.num_dofs();
-        let ws = &mut *self.scratch.borrow_mut();
         ensure_zeroed(&mut ws.rhs_e, nth);
-        // The de/dt vector leaves the scratch pool for the caller
-        // (`try_step` hands it back once consumed).
-        let mut de = std::mem::take(&mut ws.de);
-        ensure_zeroed(&mut de, nth);
-        let computed = match device {
-            Some(mut gpu) => (|| {
+        ensure_zeroed(&mut ws.de, nth);
+        match device {
+            Some(mut gpu) => {
                 let t0 = gpu.now();
-                self.energy_kernels_on(&mut gpu, fz, v_avg, &mut ws.rhs_e, &mut de)?;
-                gpu.d2h(de.len() * 8)?;
+                self.energy_kernels_on(&mut gpu, v_avg, ws)?;
+                gpu.d2h(nth * 8)?;
                 self.exec.host.idle(gpu.now() - t0);
-                Ok(())
-            })(),
+            }
             None => {
                 let rhs = self.assembly.energy_rhs_launch(&self.shape).traffic;
                 let traffic = rhs.add(&self.inv_mass_launch().traffic);
                 let (name, busy) = (names::phases::ENERGY_SOLVE, CpuPowerState::Busy);
                 let Ok(()) = self.host_phase(name, &traffic, CG_CPU_EFF, busy, || {
-                    self.energy_kernels_on(&mut Inline, fz, v_avg, &mut ws.rhs_e, &mut de)
+                    self.energy_kernels_on(&mut Inline, v_avg, ws)
                 });
-                Ok(())
             }
-        };
-        if let Err(e) = computed.and_then(|()| Self::check_finite("de/dt", &de)) {
-            ws.de = de; // hand the pool buffer back
-            return Err(e);
         }
-        Ok(de)
+        Self::check_finite("de/dt", &ws.de)
     }
 }

@@ -1,6 +1,6 @@
-//! The Lagrangian hydro operator: setup ([`builder`]), force evaluation on
-//! CPU / GPU / hybrid ([`force`]), and the energy-conserving RK2-average
-//! time integrator with timestep control, recovery and auditing ([`run`]).
+//! The Lagrangian hydro operator: setup (`builder`), force evaluation on
+//! CPU / GPU / hybrid (`force`), and the energy-conserving RK2-average
+//! time integrator with timestep control, recovery and auditing (`run`).
 
 mod builder;
 mod force;
@@ -97,45 +97,25 @@ pub struct RunStats {
     pub wall_s: f64,
 }
 
+/// What a force evaluation returns beside the buffers it wrote in the
+/// [`EvalScratch`]: the CFL control and the solve's iteration count.
 struct ForceEval {
-    /// Stored mode: the per-zone `F_z` batch (`nvdof x nthermo`).
-    /// Matrix-free mode: the per-point `D_z = α_k σ̂ adj(J)^T` batch
-    /// (`d x d`) — either way, exactly what the energy rate needs next.
-    fz: BatchedMats,
-    accel: Vec<f64>,
     max_inv_dt: f64,
     cg_iterations: usize,
 }
 
 /// Reusable buffers for the step hot path. Everything a timestep touches
-/// on the heap lives here: the corner-force pipeline intermediates, the
-/// `F_z` / acceleration / `de/dt` pools that [`ForceEval`] borrows from
-/// (taken at the start of an evaluation, handed back by `try_step` once
-/// consumed), the momentum-solve iteration vectors, and the RK2 stage
-/// vectors. Buffers grow to the problem's high-water size on the first
-/// step and are then reused, so steady-state timesteps perform zero heap
-/// allocations (asserted by `tests/zero_alloc_steady_state.rs`). A failed
-/// attempt hands back what it took on its way out, so the rolled-back
-/// redo runs out of the same pools.
+/// on the heap lives here, and stays here: [`Hydro::try_step`] and
+/// [`Hydro::try_suggest_dt`] lend the whole scratch once, each phase reads
+/// and writes it in place, and it goes back on the one exit. Buffers grow
+/// to the problem's high-water size on the first step and are then reused,
+/// so steady-state timesteps — and the redo of a failed attempt — perform
+/// zero heap allocations (asserted by `tests/zero_alloc_steady_state.rs`).
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// Corner-force `A_z` pipeline intermediates and outputs.
-    pipe: PipelineScratch,
-    /// `F_z` pool (per-zone corner-force matrices).
-    fz: BatchedMats,
-    /// Momentum RHS (`-F·1`, component-major).
-    rhs: Vec<f64>,
-    /// Per-zone staging rows for the momentum RHS scatter.
-    mom_local: Vec<f64>,
-    /// Acceleration pool (PCG solution, component-major).
-    accel: Vec<f64>,
-    /// PCG iteration vectors and the constrained operator's masked input.
-    pcg: PcgWorkspace,
-    /// Energy RHS (`F^T v_avg`).
-    rhs_e: Vec<f64>,
-    /// `de/dt` pool.
-    de: Vec<f64>,
-    /// RK2 stage vectors.
+    /// What the force evaluation and the energy rate write.
+    eval: EvalScratch,
+    /// What they read: the RK2 stage vectors.
     stage: StageVectors,
     // Pre-step snapshot for `try_advance`'s rollback / CFL redo. The PCG
     // warm-start cache is part of it: restoring `accel_prev` with the
@@ -146,9 +126,32 @@ struct StepScratch {
     saved_accel: Vec<f64>,
 }
 
+/// The outputs of a force evaluation and of an energy rate, disjoint from
+/// the [`StageVectors`] they are computed from.
+#[derive(Debug, Default)]
+struct EvalScratch {
+    /// Corner-force pipeline intermediates and outputs.
+    pipe: PipelineScratch,
+    /// Stored mode: the per-zone `F_z` batch (`nvdof x nthermo`).
+    /// Matrix-free mode: the per-point `D_z = α_k σ̂ adj(J)^T` batch
+    /// (`d x d`) — either way, exactly what the energy rate needs next.
+    fz: BatchedMats,
+    /// Momentum RHS (`-F·1`, component-major).
+    rhs: Vec<f64>,
+    /// Per-zone staging rows for the momentum RHS scatter.
+    mom_local: Vec<f64>,
+    /// Acceleration (PCG solution, component-major).
+    accel: Vec<f64>,
+    /// PCG iteration vectors and the constrained operator's masked input.
+    pcg: PcgWorkspace,
+    /// Energy RHS (`F^T v_avg`).
+    rhs_e: Vec<f64>,
+    /// `de/dt`.
+    de: Vec<f64>,
+}
+
 /// The RK2 stage vectors of one step attempt (S0 snapshot, midpoint state,
-/// averaged velocity): lent to the attempt as a whole and handed back on
-/// every exit.
+/// averaged velocity).
 #[derive(Debug, Default)]
 struct StageVectors {
     s0_v: Vec<f64>,
@@ -188,7 +191,7 @@ pub struct Hydro<const D: usize> {
     constrained: Vec<Vec<bool>>,
     /// Previous acceleration, used to warm-start the momentum PCG (the
     /// solution changes slowly between evaluations, cutting iterations).
-    accel_prev: std::cell::RefCell<Vec<f64>>,
+    accel_prev: Vec<f64>,
     use_viscosity: bool,
     cfl: f64,
     pcg_opts: PcgOptions,
@@ -198,21 +201,20 @@ pub struct Hydro<const D: usize> {
     device_bytes: usize,
     /// Pending injected step faults (test/chaos hook): the next this-many
     /// `try_step` calls fail recoverably before touching any device.
-    step_fault_budget: std::cell::Cell<usize>,
-    /// Reusable hot-path buffers (see [`StepScratch`]). A `RefCell`
-    /// because force/energy evaluations borrow it from `&self` helpers.
-    scratch: std::cell::RefCell<StepScratch>,
+    step_fault_budget: usize,
+    /// Reusable hot-path buffers (see [`StepScratch`]).
+    scratch: StepScratch,
     /// Planned silent bit flips (inactive by default); flips are keyed to
     /// [`Self::sdc_attempt`] ordinals so a rolled-back redo of the same
     /// step re-executes clean once a transient flip is consumed.
-    sdc_plan: std::cell::RefCell<SdcPlan>,
+    sdc_plan: SdcPlan,
     /// Monotonic step-*attempt* ordinal (redos count), the SDC plan's clock.
-    sdc_attempt: std::cell::Cell<u64>,
+    sdc_attempt: u64,
     /// Whether the current attempt armed a GEMM-panel flip (consumed-flip
     /// accounting happens in `try_step` after the attempt finishes).
-    sdc_gemm_armed: std::cell::Cell<bool>,
+    sdc_gemm_armed: bool,
     /// The physics-invariant SDC auditor, when enabled.
-    audit: Option<std::cell::RefCell<StepAuditor<D>>>,
+    audit: Option<StepAuditor<D>>,
     /// Kernel 7's GEMM checksums, when [`crate::audit::AuditConfig::abft`]
     /// asked for them.
     abft: Option<Abft>,
@@ -260,8 +262,8 @@ impl<const D: usize> Hydro<D> {
     /// before any physics or device work happens. This drives the
     /// `MAX_STEP_REDOS` boundary tests and chaos campaigns
     /// deterministically.
-    pub fn inject_step_faults(&self, n: usize) {
-        self.step_fault_budget.set(self.step_fault_budget.get() + n);
+    pub fn inject_step_faults(&mut self, n: usize) {
+        self.step_fault_budget += n;
     }
 
     /// Bytes charged on the simulated device at setup.
@@ -271,14 +273,14 @@ impl<const D: usize> Hydro<D> {
 
     /// Arms one more planned flip against the installed SDC plan (the
     /// serve chaos stream injects mid-run this way).
-    pub fn arm_sdc_fault(&self, fault: SdcFault) {
-        self.sdc_plan.borrow_mut().arm(fault);
+    pub fn arm_sdc_fault(&mut self, fault: SdcFault) {
+        self.sdc_plan.arm(fault);
     }
 
     /// Step-attempt ordinal clock the SDC plan is keyed to (attempts so
     /// far, redos included).
     pub fn sdc_attempts(&self) -> u64 {
-        self.sdc_attempt.get()
+        self.sdc_attempt
     }
 
     /// Density diagnostics at the quadrature points of a state:
@@ -311,24 +313,23 @@ impl<const D: usize> Hydro<D> {
 
     /// Kinetic + internal energy of a state (Table 6's diagnostics).
     pub fn energies(&self, state: &HydroState) -> EnergyBreakdown {
-        self.energies_into(state, &mut Vec::new(), &mut Vec::new())
+        self.energies_into(state, [&mut Vec::new(), &mut Vec::new(), &mut Vec::new()])
     }
 
-    /// [`Self::energies`] through caller-owned scratch for `M_V v` and
-    /// `M_E e` — the auditor's, so an audit allocates nothing once the
-    /// buffers reach their high-water size.
+    /// [`Self::energies`] through caller-owned scratch for `M_V v`, `M_E e`
+    /// and the mass apply's zone staging — the auditor's, so an audit
+    /// allocates nothing once the buffers reach their high-water size.
     fn energies_into(
         &self,
         state: &HydroState,
-        mv_v: &mut Vec<f64>,
-        me_e: &mut Vec<f64>,
+        [mv_v, me_e, local]: [&mut Vec<f64>; 3],
     ) -> EnergyBreakdown {
         let n = self.kin.num_dofs();
         ensure_zeroed(mv_v, n);
         let mut kinetic = 0.0;
         for c in 0..D {
             let vc = &state.v[c * n..(c + 1) * n];
-            self.assembly.mass_apply(&self.shape, &self.zone_dofs, vc, mv_v);
+            self.assembly.mass_apply(&self.shape, &self.zone_dofs, vc, mv_v, local);
             kinetic += 0.5 * blast_la::dense::dot(vc, mv_v);
         }
         ensure_zeroed(me_e, self.me.dim());
@@ -352,12 +353,13 @@ impl<const D: usize> Hydro<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::AuditConfig;
     use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
     use crate::error::HydroError;
     use crate::exec::ExecMode;
     use crate::problems::{Sedov, TaylorGreen, TriplePoint};
     use blast_telemetry::{names, Track};
-    use gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice, GpuSpec};
+    use gpu_sim::{CpuSpec, DeviceCatalog, FaultKind, FaultPlan, GpuDevice, GpuSpec, SdcSite};
     use std::sync::Arc;
 
     fn cpu_exec() -> Executor {
@@ -869,13 +871,13 @@ mod tests {
                 .build()
                 .unwrap();
             let s = hydro.initial_state();
-            hydro.eval_force(&s.v, &s.e, &s.x).expect("no faults injected");
+            let ws = &mut EvalScratch::default();
+            hydro.eval_force((&s.v, &s.e, &s.x), ws).expect("no faults injected");
             let transfers = [names::phases::MEMCPY_H2D, names::phases::MEMCPY_D2H];
             let gpu = hydro.exec.gpu.as_ref().unwrap();
             let on_device: Vec<_> =
                 gpu.events().iter().map(|ev| ev.name).filter(|n| !transfers.contains(n)).collect();
             let mut rec = Recording::default();
-            let ws = &mut *hydro.scratch.borrow_mut();
             hydro
                 .corner_force_on(&mut rec, base.then_some(255), (&s.v, &s.e, &s.x), ws)
                 .expect("the initial mesh is sound");
@@ -904,7 +906,7 @@ mod tests {
             let want =if base { &[MONOLITH, K7, K8][..] } else { &STORED[..] };
             let at = want.iter().position(|&k| k == refused).unwrap();
             let mut rec = Recording { fail_at: Some(at), ..Default::default() };
-            let ws = &mut *hydro.scratch.borrow_mut();
+            let ws = &mut EvalScratch::default();
             let shape = hydro.shape;
             ws.fz = BatchedMats::from_fn(shape.nvdof(), shape.nthermo, shape.zones, |_, _, _| {
                 f64::NAN
@@ -929,9 +931,93 @@ mod tests {
             for _ in 0..3 {
                 hydro.try_step(&mut state, 1e-4).expect("a small Sedov step");
             }
-            let ws = hydro.scratch.borrow();
+            let ws = &hydro.scratch.eval;
             assert!(ws.pipe.s.count() > 0, "the stress half ran");
             assert_eq!((ws.pipe.az.count(), ws.pipe.az.as_slice().len()), (0, 0));
         }
+    }
+
+    /// Address, length and capacity of every buffer of the step scratch (a
+    /// batch: address, matrix size and count), field by field.
+    fn pools<const D: usize>(hydro: &Hydro<D>) -> Vec<[usize; 3]> {
+        let StepScratch { eval, stage, saved_v, saved_e, saved_x, saved_accel } = &hydro.scratch;
+        let EvalScratch { pipe, fz, rhs, mom_local, accel, pcg, rhs_e, de } = eval;
+        let StageVectors { s0_v, s0_e, s0_x, v_half, e_half, x_half, v_avg } = stage;
+        let vecs = [
+            &pipe.inv_dt, &pipe.detj, rhs, mom_local, accel, rhs_e, de, s0_v, s0_e, s0_x, v_half,
+            e_half, x_half, v_avg, saved_v, saved_e, saved_x, saved_accel,
+        ];
+        let mut out: Vec<[usize; 3]> =
+            vecs.iter().map(|v| [v.as_ptr() as usize, v.len(), v.capacity()]).collect();
+        for batch in [fz, &pipe.s] {
+            let (rows, cols) = batch.shape();
+            out.push([batch.as_slice().as_ptr() as usize, rows * cols, batch.count()]);
+        }
+        out.push([pcg.capacity(), 0, 0]);
+        out
+    }
+
+    /// Every exit of a failed attempt leaves every buffer of the step
+    /// scratch where, and as large as, a warmed solver had it: no buffer
+    /// leaves the scratch, so no exit owes one back. The device half refuses
+    /// each launch of both evaluations and both energy rates in turn; the
+    /// refused phase degrades and redoes on the host out of the same buffers.
+    #[test]
+    fn a_failed_attempt_leaves_every_pool_in_the_scratch() {
+        let warmed = |exec: Executor, abft: bool| {
+            let mut hydro = Hydro::<2>::builder(&Sedov::default(), [4, 4])
+                .executor(exec)
+                .audit(AuditConfig::default().abft(abft))
+                .build()
+                .unwrap();
+            let mut state = hydro.initial_state();
+            for _ in 0..2 {
+                hydro.try_step(&mut state, 1e-4).expect("a small Sedov step");
+            }
+            let before = pools(&hydro);
+            (hydro, state, before)
+        };
+        // `(what the error says, ABFT on, arm the failure and return the dt)`.
+        let cases: [(&str, bool, fn(&mut Hydro<2>) -> f64); 5] = [
+            ("injected step fault", false, |h| {
+                h.inject_step_faults(1);
+                1e-4
+            }),
+            ("PCG broke down", false, |h| {
+                h.pcg_opts.max_iter = 1;
+                1e-4
+            }),
+            // Stage 1's midpoint velocity overflows: a finite acceleration,
+            // a non-finite energy rate.
+            ("de/dt", false, |_| f64::MAX),
+            // The midpoint mesh folds over: stage 2's guard.
+            ("mesh tangled", false, |_| 1.0),
+            ("abft audit", true, |h| {
+                let at_step = h.sdc_attempts() + 1;
+                let site = SdcSite::GemmPanel;
+                h.arm_sdc_fault(SdcFault { site, at_step, bit: 55, lane: 0, persistent: false });
+                1e-4
+            }),
+        ];
+        for (want, abft, arm) in cases {
+            let (mut hydro, mut state, before) = warmed(cpu_exec(), abft);
+            let dt = arm(&mut hydro);
+            let err = hydro.try_step(&mut state, dt).expect_err(want);
+            assert!(err.to_string().contains(want), "{want}: {err}");
+            assert_eq!(pools(&hydro), before, "{want}");
+        }
+        let mut refused = 0;
+        loop {
+            let (mut hydro, mut state, before) = warmed(gpu_exec(false, false), false);
+            let plan = FaultPlan::seeded(1).with_persistent(FaultKind::LaunchFail, refused);
+            hydro.exec.gpu.as_ref().unwrap().set_fault_plan(plan);
+            hydro.try_step(&mut state, 1e-4).expect("the host redoes a refused phase");
+            if !hydro.exec.is_degraded() {
+                break;
+            }
+            assert_eq!(pools(&hydro), before, "launch {refused} refused");
+            refused += 1;
+        }
+        assert_eq!(refused, 2 * (STORED.len() as u64 + 2), "two evaluations, two energy rates");
     }
 }

@@ -8,7 +8,7 @@ use gpu_sim::{apply_flip, SdcSite, Traffic, FAULT_SEED_ENV};
 use powermon::CpuPowerState;
 
 use super::{
-    AdvanceOutcome, ForceEval, Hydro, RunStats, StageVectors, StepOutcome, MAX_STEP_REDOS,
+    AdvanceOutcome, Hydro, RunStats, StageVectors, StepOutcome, StepScratch, MAX_STEP_REDOS,
 };
 use crate::audit::{AuditConfig, StepAuditor, COMPRESSION_SLACK, RANGE_SLACK, SYMMETRY_TOL};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, LoadedCheckpoint};
@@ -227,7 +227,7 @@ impl<const D: usize> Hydro<D> {
             }
         }
         // Discrete energy identity vs the trusted reference.
-        let total = self.energies_into(state, &mut aud.mv_v, &mut aud.me_e).total();
+        let total = self.energies_into(state, aud.energy.each_mut()).total();
         if let Some(e_ref) = aud.e_ref {
             let drift = (total - e_ref).abs() / e_ref.abs().max(f64::MIN_POSITIVE);
             let band = aud.energy_band();
@@ -265,21 +265,24 @@ impl<const D: usize> Hydro<D> {
     /// other pass also drains the ABFT verify flops accumulated since the
     /// last one. A failed audit comes back as the typed corruption error,
     /// unreported: [`Self::try_advance`] reports every corruption it sees.
-    fn billed_audit(&self, state: &HydroState, point: Audit) -> Result<(), HydroError> {
-        let Some(aud) = &self.audit else { return Ok(()) };
-        let aud = &mut *aud.borrow_mut();
+    /// The auditor is lent to the pass and put back before the bill.
+    fn billed_audit(&mut self, state: &HydroState, point: Audit) -> Result<(), HydroError> {
+        let Some(mut aud) = self.audit.take() else { return Ok(()) };
         let verdict = match point {
             Audit::Reference if aud.needs_reference() => {
-                let total = self.energies_into(state, &mut aud.mv_v, &mut aud.me_e).total();
+                let total = self.energies_into(state, aud.energy.each_mut()).total();
                 aud.set_reference(total);
-                None
+                Some(None)
             }
-            Audit::Pending if !aud.audited_clean() => self.execute_audit(state, aud),
+            Audit::Pending if !aud.audited_clean() => Some(self.execute_audit(state, &mut aud)),
             // `due` ticks the cadence: only an accepted candidate asks.
-            Audit::Due if aud.due() => self.execute_audit(state, aud),
-            _ => return Ok(()),
+            Audit::Due if aud.due() => Some(self.execute_audit(state, &mut aud)),
+            // Nothing owed: nothing run, nothing billed.
+            _ => None,
         };
         let mut traffic = aud.traffic;
+        self.audit = Some(aud);
+        let Some(verdict) = verdict else { return Ok(()) };
         // A reference pass checks nothing, so the verify flops wait for the
         // next audit that does.
         if point != Audit::Reference {
@@ -291,7 +294,7 @@ impl<const D: usize> Hydro<D> {
         match verdict {
             None => Ok(()),
             Some((audit, measured, tolerance)) => Err(HydroError::CorruptionDetected {
-                step: self.sdc_attempt.get(),
+                step: self.sdc_attempt,
                 audit,
                 measured,
                 tolerance,
@@ -304,7 +307,7 @@ impl<const D: usize> Hydro<D> {
     /// other error is not a detection and passes unreported.
     fn report_corruption(&self, err: &HydroError) {
         if let HydroError::CorruptionDetected { step, audit, measured, tolerance } = err {
-            let seed = self.sdc_plan.borrow().seed;
+            let seed = self.sdc_plan.seed;
             eprintln!(
                 "[sdc] {FAULT_SEED_ENV}={seed} step-attempt {step}: {audit} audit measured \
                  {measured:.6e} against tolerance {tolerance:.6e} (rerun with \
@@ -324,21 +327,20 @@ impl<const D: usize> Hydro<D> {
 
     /// Fallible variant of [`Self::suggest_dt`].
     pub fn try_suggest_dt(&mut self, state: &HydroState) -> Result<f64, HydroError> {
-        let ev = self.eval_force(&state.v, &state.e, &state.x)?;
-        let dt = self.cfl / ev.max_inv_dt.max(1e-300);
-        self.recycle(ev, None);
-        Ok(dt)
+        self.lend_scratch(|hydro, ws| {
+            let ev = hydro.eval_force((&state.v, &state.e, &state.x), &mut ws.eval)?;
+            Ok(hydro.cfl / ev.max_inv_dt.max(1e-300))
+        })
     }
 
-    /// Hands a force evaluation's pool buffers (and the energy rate computed
-    /// from it, if any) back to the step scratch.
-    fn recycle(&self, ev: ForceEval, de: Option<Vec<f64>>) {
-        let mut ws = self.scratch.borrow_mut();
-        ws.fz = ev.fz;
-        ws.accel = ev.accel;
-        if let Some(de) = de {
-            ws.de = de;
-        }
+    /// Lends the step scratch to `f` and takes it back on its one exit,
+    /// success or failure: every phase under `f` reads and writes the
+    /// scratch in place, so no buffer ever leaves it.
+    fn lend_scratch<R>(&mut self, f: impl FnOnce(&mut Self, &mut StepScratch) -> R) -> R {
+        let mut ws = std::mem::take(&mut self.scratch);
+        let out = f(self, &mut ws);
+        self.scratch = ws;
+        out
     }
 
     /// One RK2-average step (the energy-conserving scheme of the BLAST
@@ -368,7 +370,7 @@ impl<const D: usize> Hydro<D> {
         // A GEMM-panel flip armed for this attempt either landed inside
         // its victim panel's verified GEMM (then `disarm` finds nothing)
         // or never got the chance (attempt aborted first).
-        if self.sdc_gemm_armed.replace(false) && !abft.disarm() {
+        if std::mem::replace(&mut self.sdc_gemm_armed, false) && !abft.disarm() {
             self.exec.note_sdc_flips(1);
         }
         // A corrupted GEMM can cascade into NaN/Inf or a tangled mesh
@@ -383,7 +385,7 @@ impl<const D: usize> Hydro<D> {
 
     fn abft_corruption(&self, v: AbftViolation) -> HydroError {
         HydroError::CorruptionDetected {
-            step: self.sdc_attempt.get(),
+            step: self.sdc_attempt,
             audit: "abft",
             measured: v.measured,
             tolerance: v.tolerance,
@@ -396,108 +398,83 @@ impl<const D: usize> Hydro<D> {
         dt: f64,
     ) -> Result<StepOutcome, HydroError> {
         assert!(dt > 0.0, "dt must be positive");
-        if self.step_fault_budget.get() > 0 {
+        if self.step_fault_budget > 0 {
             // Injected step fault: fires before any work, so the state is
             // trivially untouched and the failure rolls back cleanly.
-            self.step_fault_budget.set(self.step_fault_budget.get() - 1);
+            self.step_fault_budget -= 1;
             return Err(HydroError::NonFinite { what: "injected step fault", index: 0 });
         }
         // This attempt's ordinal on the SDC plan's clock (redos included,
         // so a consumed transient flip cannot re-fire on the redo).
-        let attempt = self.sdc_attempt.get() + 1;
-        self.sdc_attempt.set(attempt);
+        self.sdc_attempt += 1;
+        let attempt = self.sdc_attempt;
         // Without ABFT there is no checked multiply for a GEMM-panel flip
         // to land in; the plan still consumes it.
-        if let (Some(f), Some(abft)) =
-            (self.sdc_plan.borrow().take(SdcSite::GemmPanel, attempt), &self.abft)
+        if let (Some(f), Some(abft)) = (self.sdc_plan.take(SdcSite::GemmPanel, attempt), &self.abft)
         {
             // Exponent-MSB flips in a GEMM panel overflow into Inf more
             // often than they corrupt silently; cap the armed bit so the
             // flip stays in the band the checksums must catch.
             let panel = (f.lane % self.shape.zones as u64) as usize;
             abft.arm_flip(panel, f.lane, f.bit.min(55));
-            self.sdc_gemm_armed.set(true);
+            self.sdc_gemm_armed = true;
         }
-        // Stage vectors come from the step scratch and go back on every
-        // exit, so neither steady-state steps nor the redo of a failed
-        // attempt allocate.
-        let mut stage = std::mem::take(&mut self.scratch.borrow_mut().stage);
-        let res = self.rk2_average(state, dt, attempt, &mut stage);
-        self.scratch.borrow_mut().stage = stage;
-        res
+        self.lend_scratch(|hydro, ws| hydro.rk2_average(state, dt, attempt, ws))
     }
 
-    /// The two RK2-average stages of [`Self::try_step`] on lent stage
-    /// vectors. A stage that fails hands the pool buffers of the force
-    /// evaluation it was consuming back before it returns.
+    /// The two RK2-average stages of [`Self::try_step`]: each reads its
+    /// stage vectors and writes the force / energy buffers beside them, in
+    /// place, so a failure anywhere is a plain return.
     fn rk2_average(
         &mut self,
         state: &mut HydroState,
         dt: f64,
         attempt: u64,
-        stage: &mut StageVectors,
+        ws: &mut StepScratch,
     ) -> Result<StepOutcome, HydroError> {
+        let StepScratch { eval, stage, .. } = ws;
         let StageVectors { s0_v, s0_e, s0_x, v_half, e_half, x_half, v_avg } = stage;
         let vlen = D * self.kin.num_dofs();
         s0_v.clone_from(&state.v);
         s0_e.clone_from(&state.e);
         s0_x.clone_from(&state.x);
         let t0 = state.t;
-        let mut cg_total = 0;
 
         // -- Stage 1: evaluate at S0, advance to the midpoint.
-        let ev1 = self.eval_force(s0_v, s0_e, s0_x)?;
-        cg_total += ev1.cg_iterations;
+        let ev1 = self.eval_force((s0_v, s0_e, s0_x), eval)?;
         v_half.clone_from(s0_v);
-        blast_la::dense::axpy(0.5 * dt, &ev1.accel, v_half);
-        let de1 = match self.energy_rate(&ev1.fz, v_half) {
-            Ok(de) => de,
-            Err(e) => {
-                self.recycle(ev1, None);
-                return Err(e);
-            }
-        };
+        blast_la::dense::axpy(0.5 * dt, &eval.accel, v_half);
+        self.energy_rate(v_half, eval)?;
         e_half.clone_from(s0_e);
-        blast_la::dense::axpy(0.5 * dt, &de1, e_half);
+        blast_la::dense::axpy(0.5 * dt, &eval.de, e_half);
         x_half.clone_from(s0_x);
         blast_la::dense::axpy(0.5 * dt, v_half, x_half);
-        // Stage 1's outputs are fully consumed: hand the buffers back to
-        // the pools so stage 2 reuses them.
-        self.recycle(ev1, Some(de1));
 
         // -- Stage 2: evaluate at the midpoint, take the full step with the
         // averaged velocity (v0 + v_new)/2 = v0 + dt/2 * accel2.
-        let mut ev2 = self.eval_force(v_half, e_half, x_half)?;
-        cg_total += ev2.cg_iterations;
+        let ev2 = self.eval_force((v_half, e_half, x_half), eval)?;
         // SdcSite::DeviceBuffer: a strike on the device-resident
         // acceleration buffer, before it propagates into v, e, and x.
-        self.strike(SdcSite::DeviceBuffer, attempt, [&mut ev2.accel]);
+        self.strike(SdcSite::DeviceBuffer, attempt, [&mut eval.accel]);
         v_avg.clone_from(s0_v);
-        blast_la::dense::axpy(0.5 * dt, &ev2.accel, v_avg);
-        let mut de2 = match self.energy_rate(&ev2.fz, v_avg) {
-            Ok(de) => de,
-            Err(e) => {
-                self.recycle(ev2, None);
-                return Err(e);
-            }
-        };
+        blast_la::dense::axpy(0.5 * dt, &eval.accel, v_avg);
+        self.energy_rate(v_avg, eval)?;
         // SdcSite::TransferPayload: a strike on the energy-rate vector in
         // flight back to the host.
-        self.strike(SdcSite::TransferPayload, attempt, [&mut de2]);
+        self.strike(SdcSite::TransferPayload, attempt, [&mut eval.de]);
 
         // ABFT checkpoint: all of the attempt's GEMMs have run, and the
         // state vectors are still untouched — a checksum violation here
         // means "roll back by simply retrying", exactly like the other
         // pre-commit failures.
         if let Some(v) = self.abft.as_ref().and_then(Abft::take_violation) {
-            self.recycle(ev2, Some(de2));
             return Err(self.abft_corruption(v));
         }
 
         state.v.copy_from_slice(s0_v);
-        blast_la::dense::axpy(dt, &ev2.accel, &mut state.v);
+        blast_la::dense::axpy(dt, &eval.accel, &mut state.v);
         state.e.copy_from_slice(s0_e);
-        blast_la::dense::axpy(dt, &de2, &mut state.e);
+        blast_la::dense::axpy(dt, &eval.de, &mut state.e);
         state.x.copy_from_slice(s0_x);
         blast_la::dense::axpy(dt, v_avg, &mut state.x);
         state.t = t0 + dt;
@@ -517,15 +494,15 @@ impl<const D: usize> Hydro<D> {
         self.host_phase(names::phases::INTEGRATION, &traffic, CG_CPU_EFF, pstate, || ());
 
         let dt_est = self.cfl / ev2.max_inv_dt.max(1e-300);
-        self.recycle(ev2, Some(de2));
-        Ok(StepOutcome { dt_used: dt, dt_est, cg_iterations: cg_total })
+        let cg_iterations = ev1.cg_iterations + ev2.cg_iterations;
+        Ok(StepOutcome { dt_used: dt, dt_est, cg_iterations })
     }
 
     /// Lands the flip the SDC plan holds for `site` on this attempt, if
     /// any, in one of `targets` — the fault's lane picks which (v, e or x
     /// for a host-state strike) — and counts it when it hit data.
-    fn strike<const N: usize>(&self, site: SdcSite, attempt: u64, targets: [&mut [f64]; N]) {
-        let Some(f) = self.sdc_plan.borrow().take(site, attempt) else { return };
+    fn strike<const N: usize>(&mut self, site: SdcSite, attempt: u64, targets: [&mut [f64]; N]) {
+        let Some(f) = self.sdc_plan.take(site, attempt) else { return };
         if apply_flip(targets[(f.lane % N as u64) as usize], &f).is_some() {
             self.exec.note_sdc_flips(1);
         }
@@ -656,7 +633,7 @@ impl<const D: usize> Hydro<D> {
         cursor: &mut RunCursor,
         store: &mut CheckpointStore,
     ) -> Result<(), HydroError> {
-        if self.audit.as_ref().is_some_and(|a| !a.borrow().audited_clean()) {
+        if self.audit.as_ref().is_some_and(|a| !a.audited_clean()) {
             return Ok(());
         }
         let ck = self.make_checkpoint(state, cursor.dt, cursor.steps as u64, cursor.retries as u64);
@@ -674,7 +651,7 @@ impl<const D: usize> Hydro<D> {
     /// committed between audits, and for a peer's death. `false` (nothing
     /// touched) when the store holds no valid generation.
     pub fn rollback(
-        &self,
+        &mut self,
         state: &mut HydroState,
         cursor: &mut RunCursor,
         store: &CheckpointStore,
@@ -717,13 +694,11 @@ impl<const D: usize> Hydro<D> {
         self.billed_audit(state, Audit::Reference)?;
         // Snapshot the pre-step state into the scratch (reused every step,
         // so accepted steps snapshot without allocating).
-        {
-            let mut ws = self.scratch.borrow_mut();
-            ws.saved_v.clone_from(&state.v);
-            ws.saved_e.clone_from(&state.e);
-            ws.saved_x.clone_from(&state.x);
-            ws.saved_accel.clone_from(&self.accel_prev.borrow());
-        }
+        let ws = &mut self.scratch;
+        ws.saved_v.clone_from(&state.v);
+        ws.saved_e.clone_from(&state.e);
+        ws.saved_x.clone_from(&state.x);
+        ws.saved_accel.clone_from(&self.accel_prev);
         let saved_t = state.t;
         loop {
             let redos = rollback_redos + cfl_redos;
@@ -798,33 +773,33 @@ impl<const D: usize> Hydro<D> {
 
     /// Copies the scratch's pre-step snapshot back into `state` (the
     /// rollback half of [`Self::try_advance`]'s redo loop).
-    fn restore_saved(&self, state: &mut HydroState, saved_t: f64) {
-        let ws = self.scratch.borrow();
+    fn restore_saved(&mut self, state: &mut HydroState, saved_t: f64) {
+        let ws = &self.scratch;
         state.v.copy_from_slice(&ws.saved_v);
         state.e.copy_from_slice(&ws.saved_e);
         state.x.copy_from_slice(&ws.saved_x);
         // The PCG warm start is part of the numerical trajectory:
         // restoring it makes the redone step bit-identical to a
         // fault-free first try (the SDC campaign's recovery criterion).
-        self.accel_prev.borrow_mut().copy_from_slice(&ws.saved_accel);
+        self.accel_prev.copy_from_slice(&ws.saved_accel);
         state.t = saved_t;
     }
 
     /// Restores a decoded generation (state, PCG warm-start cache, audit
     /// baseline), bills the restore, and returns the cursor it holds.
-    fn restore_loaded(&self, loaded: LoadedCheckpoint, state: &mut HydroState) -> RunCursor {
+    fn restore_loaded(&mut self, loaded: LoadedCheckpoint, state: &mut HydroState) -> RunCursor {
         let ck = loaded.checkpoint;
         assert_eq!(
             ck.accel_prev.len(),
-            self.accel_prev.borrow().len(),
+            self.accel_prev.len(),
             "checkpoint is from a different problem shape"
         );
         *state = ck.state;
-        self.accel_prev.borrow_mut().copy_from_slice(&ck.accel_prev);
+        self.accel_prev.copy_from_slice(&ck.accel_prev);
         // The restored state's energy differs from the last audited
         // point's; re-baseline from the (trusted) restored state.
-        if let Some(aud) = &self.audit {
-            aud.borrow_mut().reset_reference();
+        if let Some(aud) = &mut self.audit {
+            aud.reset_reference();
         }
         self.exec.bill_checkpoint_restore(loaded.bytes);
         self.cursor_at(ck.dt, ck.steps as usize, ck.retries as usize)
@@ -839,13 +814,7 @@ impl<const D: usize> Hydro<D> {
         steps: u64,
         retries: u64,
     ) -> Checkpoint {
-        Checkpoint {
-            state: state.clone(),
-            accel_prev: self.accel_prev.borrow().clone(),
-            dt,
-            steps,
-            retries,
-        }
+        Checkpoint { state: state.clone(), accel_prev: self.accel_prev.clone(), dt, steps, retries }
     }
 
     /// Host-phase profile: `(name, total_seconds, calls)` aggregated over

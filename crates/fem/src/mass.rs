@@ -16,45 +16,17 @@ use crate::quadrature::TensorRule;
 use crate::space::{H1Space, L2Space};
 use crate::tensor_basis::BasisTable;
 
-/// Grow-only workspace for the batched (stored-path) mass assembly: the
-/// zone-major buffer of local `ldof x ldof` blocks. Reused across calls the
-/// same way the solver's step pools are — sized on first use, never shrunk
-/// — so repeated assemblies (rebuilds, benches, property sweeps) stay off
-/// the allocator after the first.
-#[derive(Debug, Default)]
-struct MassScratch {
-    locals: Vec<f64>,
-}
-
 /// Assembles the global sparse kinematic mass matrix
 /// `(M_V)_ij = Σ_z Σ_k α_k (ρ|J|)_{z,k} ŵ_i(q̂_k) ŵ_j(q̂_k)`.
 ///
 /// `rho_detj` holds `ρ₀|J₀|` per `(zone, point)`, zone-major with stride
 /// `rule.len()`. The result acts on one velocity component; the full vector
 /// mass matrix is block diagonal over components with this block repeated.
-///
-/// One-shot form of `assemble_kinematic_mass_with` (a fresh scratch per
-/// call).
 pub fn assemble_kinematic_mass<const D: usize>(
     space: &H1Space<D>,
     rule: &TensorRule<D>,
     table: &BasisTable<D>,
     rho_detj: &[f64],
-) -> CsrMatrix {
-    assemble_kinematic_mass_with(space, rule, table, rho_detj, &mut MassScratch::default())
-}
-
-/// [`assemble_kinematic_mass`] with caller-owned scratch: the per-zone
-/// local-block buffer comes from `ws` (grown once, zeroed in place), so
-/// repeated assemblies perform no heap allocation beyond the returned CSR
-/// itself. The result is bitwise identical to the one-shot form at any
-/// thread count.
-fn assemble_kinematic_mass_with<const D: usize>(
-    space: &H1Space<D>,
-    rule: &TensorRule<D>,
-    table: &BasisTable<D>,
-    rho_detj: &[f64],
-    ws: &mut MassScratch,
 ) -> CsrMatrix {
     let nz = space.mesh().num_zones();
     let npts = rule.len();
@@ -67,12 +39,7 @@ fn assemble_kinematic_mass_with<const D: usize>(
     // into a flat zone-major buffer, then scatter serially in zone order
     // so the CSR accumulation order (and thus every bit of the result)
     // is identical at any thread count.
-    let want = nz * ldof * ldof;
-    if ws.locals.len() < want {
-        ws.locals.resize(want, 0.0);
-    }
-    let locals = &mut ws.locals[..want];
-    locals.fill(0.0);
+    let mut locals = vec![0.0; nz * ldof * ldof];
     locals.par_chunks_exact_mut(ldof * ldof).enumerate().for_each(|(z, local)| {
         let w = &rho_detj[z * npts..(z + 1) * npts];
         for k in 0..npts {
@@ -160,26 +127,6 @@ mod tests {
         let m = assemble_kinematic_mass(&space, &rule, &table, &w);
         let total: f64 = m.values().iter().sum();
         assert!((total - 3.0).abs() < 1e-12, "total mass {total}");
-    }
-
-    #[test]
-    fn scratch_reuse_is_bitwise_and_allocation_free_after_first_use() {
-        let mesh = CartMesh::<2>::unit(3);
-        let space = H1Space::new(mesh.clone(), 3);
-        let rule = TensorRule::<2>::gauss(6);
-        let table = space.basis().tabulate(&rule.points);
-        let w = unit_rho_detj(&mesh, rule.len());
-        let reference = assemble_kinematic_mass(&space, &rule, &table, &w);
-        let mut ws = MassScratch::default();
-        let first = assemble_kinematic_mass_with(&space, &rule, &table, &w, &mut ws);
-        let cap = ws.locals.capacity();
-        let ptr = ws.locals.as_ptr();
-        let second = assemble_kinematic_mass_with(&space, &rule, &table, &w, &mut ws);
-        assert_eq!(ws.locals.capacity(), cap, "scratch must not regrow");
-        assert_eq!(ws.locals.as_ptr(), ptr, "scratch must not reallocate");
-        for (m, name) in [(&first, "first"), (&second, "second")] {
-            assert_eq!(m.values(), reference.values(), "{name} assembly differs");
-        }
     }
 
     #[test]

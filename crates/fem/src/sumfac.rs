@@ -27,7 +27,7 @@
 //! runtime-size instance of the same body covers the rest), and the clone
 //! runs at `blast-la`'s one SIMD level. Every element's accumulation chain
 //! is the tiled core's, so the results are bitwise those of the
-//! [`blast_la::tile::gemm`] chain kept in [`reference`].
+//! [`blast_la::tile::gemm`] chain kept in [`reference`](mod@reference).
 
 use blast_la::tensor;
 

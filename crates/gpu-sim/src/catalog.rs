@@ -8,7 +8,7 @@
 //! finite-difference comparison, arXiv:1709.09713), so the device model
 //! is a *catalog*: named [`DeviceSpec`] entries, each a host [`CpuSpec`]
 //! plus an optional [`GpuSpec`], carrying the full cost-and-power model.
-//! The serve-layer router and `HydroBuilder::fleet` treat the catalog as
+//! The serve-layer router and `HydroBuilder::device` treat the catalog as
 //! a live routing input instead of a chart.
 //!
 //! Standard entries:

@@ -327,14 +327,6 @@ impl CpuDevice {
         let st = self.state.lock();
         st.trace.energy(0.0, st.clock_s)
     }
-
-    /// Clears the timeline.
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        st.clock_s = 0.0;
-        st.trace = PowerTrace::new(self.spec.power.idle_pkg_w + self.spec.power.idle_dram_w);
-        st.events.clear();
-    }
 }
 
 #[cfg(test)]

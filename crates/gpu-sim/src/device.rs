@@ -467,14 +467,6 @@ impl GpuDevice {
         agg.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite times"));
         agg
     }
-
-    /// Clears the trace, events, and clock (keeps allocations and queues).
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        st.clock_s = 0.0;
-        st.trace = PowerTrace::new(self.spec.idle_w);
-        st.events.clear();
-    }
 }
 
 #[cfg(test)]
@@ -653,17 +645,6 @@ mod tests {
         let (_, stats) = dev.launch("k", &cfg, &Traffic::compute(1e9), || ()).unwrap();
         let e = dev.energy_joules();
         assert!((e - stats.power_w * stats.time_s).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reset_clears_history_keeps_alloc() {
-        let dev = k20();
-        dev.alloc(1024).unwrap();
-        dev.launch("k", &full_cfg(100), &Traffic::compute(1e6), || ()).unwrap();
-        dev.reset();
-        assert_eq!(dev.now(), 0.0);
-        assert!(dev.events().is_empty());
-        assert_eq!(dev.allocated_bytes(), 1024);
     }
 
     #[test]

@@ -443,14 +443,14 @@ pub struct SdcHit {
 /// position and victim lane of each flip are derived from
 /// `(seed, site, fault ordinal)` through [`fault_draw`], so a campaign run
 /// is exactly replayable from `BLAST_FAULT_SEED`. Fired transient flips
-/// are tracked with interior mutability so a rolled-back step redo
-/// re-executes clean — exactly how a one-shot particle strike behaves.
+/// are tracked so a rolled-back step redo re-executes clean — exactly how
+/// a one-shot particle strike behaves.
 #[derive(Clone, Debug, Default)]
 pub struct SdcPlan {
     /// Seed of the flip-parameter draws.
     pub seed: u64,
     faults: Vec<SdcFault>,
-    fired: std::cell::RefCell<Vec<bool>>,
+    fired: Vec<bool>,
 }
 
 impl SdcPlan {
@@ -491,7 +491,7 @@ impl SdcPlan {
     pub fn arm(&mut self, fault: SdcFault) {
         assert!(fault.bit <= 62, "bit 63 (the sign of a sum) is not a silent flip model");
         self.faults.push(fault);
-        self.fired.borrow_mut().push(false);
+        self.fired.push(false);
     }
 
     /// Whether the plan can inject anything at all.
@@ -509,8 +509,7 @@ impl SdcPlan {
     /// Transient flips are consumed (a later attempt of the same step — a
     /// rollback redo — re-executes clean); persistent flips re-fire on
     /// every attempt from their `at_step` onward.
-    pub fn take(&self, site: SdcSite, step: u64) -> Option<SdcFault> {
-        let mut fired = self.fired.borrow_mut();
+    pub fn take(&mut self, site: SdcSite, step: u64) -> Option<SdcFault> {
         for (i, f) in self.faults.iter().enumerate() {
             if f.site != site {
                 continue;
@@ -518,8 +517,8 @@ impl SdcPlan {
             if f.persistent && step >= f.at_step {
                 return Some(*f);
             }
-            if !f.persistent && step == f.at_step && !fired[i] {
-                fired[i] = true;
+            if !f.persistent && step == f.at_step && !self.fired[i] {
+                self.fired[i] = true;
                 return Some(*f);
             }
         }
@@ -758,7 +757,7 @@ mod tests {
 
     #[test]
     fn transient_flip_fires_once_then_redo_is_clean() {
-        let plan = SdcPlan::seeded(1).with_flip(SdcSite::DeviceBuffer, 5);
+        let mut plan = SdcPlan::seeded(1).with_flip(SdcSite::DeviceBuffer, 5);
         assert!(plan.take(SdcSite::DeviceBuffer, 4).is_none());
         assert!(plan.take(SdcSite::TransferPayload, 5).is_none(), "wrong site");
         assert!(plan.take(SdcSite::DeviceBuffer, 5).is_some());
@@ -768,7 +767,7 @@ mod tests {
 
     #[test]
     fn persistent_flip_refires_every_attempt() {
-        let plan = SdcPlan::seeded(1).with_persistent_flip(SdcSite::HostState, 5);
+        let mut plan = SdcPlan::seeded(1).with_persistent_flip(SdcSite::HostState, 5);
         assert!(plan.take(SdcSite::HostState, 4).is_none());
         for step in 5..9 {
             assert!(plan.take(SdcSite::HostState, step).is_some(), "step {step}");

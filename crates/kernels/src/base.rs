@@ -21,9 +21,9 @@
 //! kernel its own billed launch, and the monolithic kernel is one launch
 //! around the inline stress half. The solver stops there: kernel 4 runs
 //! inside kernel 7's zone loop (`k7::FzKernel::compute_fused`), so it
-//! never stores an `A_z` batch. `az_pipeline_on` (public as its host form
-//! [`compute_az_pipeline_into`]) is the stress half plus kernel 4 into
-//! `ws.az`, the whole batch, for callers that time or inspect it. The
+//! never stores an `A_z` batch. [`compute_az_pipeline_into`] is the host
+//! stress half plus kernel 4 into `ws.az`, the whole batch, for callers that
+//! time or inspect it. The
 //! scratch is shaped **without clearing** — every buffer in it is an
 //! output some kernel stores in full before anything reads it
 //! ([`PipelineScratch`] lists which) — and carries the point-major gradient
@@ -60,8 +60,8 @@ pub struct MonolithicCornerForce;
 /// by the reciprocal loop, `grad_v` by kernel 5 and `s` by kernel 6 (every
 /// `(row, col)` assigned), `sigma` / `inv_dt` by kernel 2 (one
 /// `write_col_slice` and one store per point), `az` by kernel 4 (every
-/// `(c, m)` of every column). `az` is shaped by `az_pipeline_on` only:
-/// the stress half never touches it.
+/// `(c, m)` of every column). `az` is shaped by [`compute_az_pipeline_into`]
+/// only: the stress half never touches it.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineScratch {
     jac: BatchedMats,
@@ -76,7 +76,8 @@ pub struct PipelineScratch {
     inv_det: Vec<f64>,
     /// Point-major copy of the kinematic gradient tables (kernel 3).
     grads_pm: PointMajorGrads,
-    /// `A_z` batch (`nvdof x npts` per zone) — `az_pipeline_on`'s output.
+    /// `A_z` batch (`nvdof x npts` per zone) — [`compute_az_pipeline_into`]'s
+    /// output.
     pub az: BatchedMats,
     /// Per-point `inv_dt` controls — pipeline output.
     pub inv_dt: Vec<f64>,
@@ -192,25 +193,9 @@ pub fn stress_pipeline_on<L: KernelLauncher>(
     on.launch(|| dim_gemm(k6), || k6.compute(&ws.sigma, &ws.adj, None, &mut ws.s))
 }
 
-/// The whole `A_z` pipeline: [`stress_pipeline_on`], then kernel 4 into
-/// `ws.az` (shaped here), so the outputs are `ws.az`, `ws.inv_dt` and
-/// `ws.detj`. A refused launch returns early, as in the stress half.
-fn az_pipeline_on<L: KernelLauncher>(
-    on: &mut L,
-    inp: &AzInputs,
-    ws: &mut PipelineScratch,
-) -> Result<(), L::Error> {
-    stress_pipeline_on(on, inp, ws)?;
-    let (shape, k4) = (inp.shape, AzKernel::tuned());
-    ws.az.reshape(shape.nvdof(), shape.npts, shape.zones);
-    on.launch(
-        || Launch::new(AzKernel::NAME, k4.config(shape), k4.traffic(shape)),
-        || AzKernel::compute(shape, &ws.s, inp.kin_grads, inp.alpha, &mut ws.az),
-    )
-}
-
-/// `az_pipeline_on` on the host: the seven bodies called back to back.
-/// Outputs are `ws.az`, `ws.inv_dt`, and `ws.detj`.
+/// The whole `A_z` pipeline on the host: the [`Inline`] stress half, then
+/// kernel 4 into `ws.az` (shaped here) — the seven bodies called back to
+/// back. Outputs are `ws.az`, `ws.inv_dt`, and `ws.detj`.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_az_pipeline_into(
     shape: &ProblemShape,
@@ -231,7 +216,9 @@ pub fn compute_az_pipeline_into(
         shape, x, v, e, num_h1_dofs, zone_dofs, kin_grads, thermo_vals, alpha, rho0detj0, consts,
         use_viscosity,
     };
-    let Ok(()) = az_pipeline_on(&mut Inline, &inp, ws);
+    let Ok(()) = stress_pipeline_on(&mut Inline, &inp, ws);
+    ws.az.reshape(shape.nvdof(), shape.npts, shape.zones);
+    AzKernel::compute(shape, &ws.s, kin_grads, alpha, &mut ws.az);
 }
 
 impl MonolithicCornerForce {
@@ -352,57 +339,49 @@ mod tests {
         }
     }
 
-    fn outputs(ws: &PipelineScratch) -> [Vec<u64>; 4] {
-        [bits(ws.az.as_slice()), bits(ws.s.as_slice()), bits(&ws.detj), bits(&ws.inv_dt)]
-    }
-
-    /// The stress half's outputs only.
+    /// The stress half's outputs.
     fn stress_outputs(ws: &PipelineScratch) -> [Vec<u64>; 3] {
-        let [_, s, detj, inv_dt] = outputs(ws);
-        [s, detj, inv_dt]
+        [bits(ws.s.as_slice()), bits(&ws.detj), bits(&ws.inv_dt)]
     }
 
     #[rustfmt::skip]
-    const SEQUENCE: [&str; 7] = [
+    const STRESS_HALF: [&str; 6] = [
         "kernel_PzVz_Phi_F", "kernel_PzVz_Phi_F", "kernel_CalcAjugate_det",
         "kernel_NN_dgemmBatched", "kernel_loop_grad_v", "kernel_NT_dgemmBatched",
-        "kernel_Phi_sigma_hat_z",
     ];
 
     #[test]
-    fn every_launcher_issues_the_same_seven_kernels_and_bits() {
+    fn every_launcher_issues_the_same_stress_half_and_bits() {
         for (dim, zones) in [(2, 5), (3, 3)] {
             let fx = fixture(dim, zones);
-            let mut inline = PipelineScratch::new();
-            let Ok(()) = az_pipeline_on(&mut Inline, &fx.inputs(), &mut inline);
-            let az = inline.az.as_slice();
+            let mut host = PipelineScratch::new();
+            let inp = fx.inputs();
+            compute_az_pipeline_into(
+                inp.shape, inp.x, inp.v, inp.e, inp.num_h1_dofs, inp.zone_dofs, inp.kin_grads,
+                inp.thermo_vals, inp.alpha, inp.rho0detj0, inp.consts, inp.use_viscosity,
+                &mut host,
+            );
+            let az = host.az.as_slice();
             let live = az.iter().filter(|a| a.is_finite() && **a != 0.0).count();
             assert!(2 * live > az.len(), "{dim}D: a_z is mostly zero or NaN");
 
             let (mut rec, mut ws) = (Recording::default(), PipelineScratch::new());
-            az_pipeline_on(&mut rec, &fx.inputs(), &mut ws).expect("nothing refused");
-            assert_eq!(rec.log, SEQUENCE, "{dim}D");
-            assert_eq!(outputs(&ws), outputs(&inline), "{dim}D recorder");
+            stress_pipeline_on(&mut rec, &fx.inputs(), &mut ws).expect("nothing refused");
+            assert_eq!(rec.log, STRESS_HALF, "{dim}D");
+            assert_eq!(stress_outputs(&ws), stress_outputs(&host), "{dim}D recorder");
+            assert_eq!(ws.az.count(), 0, "{dim}D: the stress half shaped `az`");
 
             let (dev, mut ws) = (GpuDevice::new(DeviceCatalog::gpu("k20")), PipelineScratch::new());
-            az_pipeline_on(&mut &dev, &fx.inputs(), &mut ws).expect("no faults injected");
+            stress_pipeline_on(&mut &dev, &fx.inputs(), &mut ws).expect("no faults injected");
             let names: Vec<_> = dev.events().iter().map(|ev| ev.name).collect();
-            assert_eq!(names, SEQUENCE, "{dim}D device");
-            assert_eq!(outputs(&ws), outputs(&inline), "{dim}D device");
-
-            // The stress half: the first six launches, the same bits, and
-            // no `A_z` batch.
-            let (mut rec, mut ws) = (Recording::default(), PipelineScratch::new());
-            stress_pipeline_on(&mut rec, &fx.inputs(), &mut ws).expect("nothing refused");
-            assert_eq!(rec.log, SEQUENCE[..6], "{dim}D stress half");
-            assert_eq!(stress_outputs(&ws), stress_outputs(&inline), "{dim}D stress half");
-            assert_eq!(ws.az.count(), 0, "{dim}D: the stress half shaped `az`");
+            assert_eq!(names, STRESS_HALF, "{dim}D device");
+            assert_eq!(stress_outputs(&ws), stress_outputs(&host), "{dim}D device");
 
             // The monolith: one launch around the stress half, into the scratch.
             let (mut rec, mut ws) = (Recording::default(), PipelineScratch::new());
             let fused = MonolithicCornerForce.launch_on(&mut rec, 255, &fx.inputs(), &mut ws);
             assert_eq!((fused, &rec.log[..]), (Ok(()), &[MonolithicCornerForce::NAME][..]));
-            assert_eq!(stress_outputs(&ws), stress_outputs(&inline), "{dim}D monolith");
+            assert_eq!(stress_outputs(&ws), stress_outputs(&host), "{dim}D monolith");
             assert_eq!(ws.az.count(), 0, "{dim}D: the monolith shaped `az`");
         }
     }
@@ -410,18 +389,17 @@ mod tests {
     #[test]
     fn a_refused_launch_ends_the_pipeline_before_any_later_body() {
         let fx = fixture(2, 5);
-        for n in 0..7 {
+        for n in 0..STRESS_HALF.len() {
             let mut rec = Recording { fail_at: Some(n), ..Default::default() };
             let mut ws = PipelineScratch::new();
             // Poison two outputs: a body that ran would overwrite its own.
             ws.prepare(&fx.shape, &fx.kin_grads);
-            ws.az.reshape(fx.shape.nvdof(), fx.shape.npts, fx.shape.zones);
-            ws.az.as_mut_slice().fill(f64::NAN);
+            ws.s.as_mut_slice().fill(f64::NAN);
             ws.inv_dt.fill(f64::NAN);
-            assert_eq!(az_pipeline_on(&mut rec, &fx.inputs(), &mut ws), Err(n));
-            assert_eq!(rec.log, SEQUENCE[..n], "refused at {n}");
-            // Kernel 4 is last and kernel 2 fifth: neither ran unless issued.
-            assert!(ws.az.as_slice().iter().all(|a| a.is_nan()), "refused at {n}: k4 ran");
+            assert_eq!(stress_pipeline_on(&mut rec, &fx.inputs(), &mut ws), Err(n));
+            assert_eq!(rec.log, STRESS_HALF[..n], "refused at {n}");
+            // Kernel 6 is last and kernel 2 fifth: neither ran unless issued.
+            assert!(ws.s.as_slice().iter().all(|a| a.is_nan()), "refused at {n}: k6 ran");
             assert_eq!(ws.inv_dt.iter().all(|a| a.is_nan()), n <= 4, "refused at {n}: k2");
         }
     }

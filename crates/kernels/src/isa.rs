@@ -6,12 +6,15 @@
 //! vectors (the idiom of `blast_la::stream`). None of the levels enables
 //! `fma` and the bodies never call `mul_add`, so every level rounds each
 //! product and each sum separately and produces the same bits — which is
-//! why the level is chosen from `is_x86_feature_detected!` alone, with
-//! nothing to tune or override.
+//! why the level is simply `blast_la::simd::level`'s: one detection and one
+//! `BLAST_SIMD` cap per process for every clone of the workspace, with
+//! nothing of its own to tune or override.
 
 /// A level this host was *detected* to support: the only constructors are
-/// [`Isa::detect`] and [`Isa::available`], which is what makes calling the
-/// matching `#[target_feature]` clone sound.
+/// [`Isa::detect`] and [`Isa::available`], which read it off
+/// `blast_la::simd::level` — at least 1 only on an `avx2` host, 2 only on
+/// an `avx512f` one — and that is what makes calling the matching
+/// `#[target_feature]` clone sound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Isa(Level);
 
@@ -23,38 +26,20 @@ enum Level {
     Avx512,
 }
 
-/// Narrowest first.
+/// Indexed by `blast_la::simd::level` (0 / 1 / 2), narrowest first.
 const LEVELS: [Level; 3] = [Level::Scalar, Level::Avx2, Level::Avx512];
 
-impl Level {
-    fn supported(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            match self {
-                Level::Scalar => true,
-                Level::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-                Level::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self == Level::Scalar
-        }
-    }
-}
-
 impl Isa {
-    /// The widest level this host can run.
+    /// The level every clone runs at in this process.
     pub(crate) fn detect() -> Isa {
-        let widest = LEVELS.into_iter().rev().find(|l| l.supported());
-        Isa(widest.unwrap_or(Level::Scalar))
+        Isa(LEVELS[usize::from(blast_la::simd::level())])
     }
 
-    /// Every level this host can run, baseline first (the clone-vs-scalar
-    /// tests walk this).
+    /// Every level up to [`Isa::detect`]'s, baseline first (the
+    /// clone-vs-scalar tests walk this).
     #[cfg(test)]
     pub(crate) fn available() -> Vec<Isa> {
-        LEVELS.into_iter().filter(|l| l.supported()).map(Isa).collect()
+        LEVELS[..=usize::from(blast_la::simd::level())].iter().copied().map(Isa).collect()
     }
 
     /// Whether this is the detected-`avx2` level.
@@ -130,12 +115,13 @@ macro_rules! isa_clones {
                     $body::<$($avx512)*>($($arg),*)
                 }
                 if isa.is_avx512() {
-                    // SAFETY: an `Isa` at this level only exists after
-                    // `is_x86_feature_detected!("avx512f")` returned true.
+                    // SAFETY: an `Isa` at this level only exists when
+                    // `blast_la::simd::level` is 2, which it is only after
+                    // its one detection found `avx512f`.
                     return unsafe { avx512::<D>($($arg),*) };
                 }
                 if isa.is_avx2() {
-                    // SAFETY: as above, for `avx2`.
+                    // SAFETY: as above, for level 1 and `avx2`.
                     return unsafe { avx2::<D>($($arg),*) };
                 }
             }

@@ -8,7 +8,7 @@
 //! spilled to local memory every access pays DRAM bandwidth and energy.
 //!
 //! The host body keeps the thread-per-point mapping with SIMD lanes for
-//! threads: [`crate::point::geometry`] on groups of `W` points.
+//! threads: `point::geometry` on groups of `W` points.
 
 use blast_la::BatchedMats;
 use gpu_sim::{LaunchConfig, Traffic};

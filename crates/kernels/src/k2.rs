@@ -20,7 +20,7 @@
 //! inv_dt = c_s / h_min + 2.5 q / (ρ h_min^2),  h_min = σ_min(J)/k
 //! ```
 //!
-//! The arithmetic is [`crate::point::stress`], on groups of `W` points with
+//! The arithmetic is `point::stress`, on groups of `W` points with
 //! the 3D eigen-solves in lock step — the body the matrix-free force
 //! ([`crate::sumfac`]) runs as well.
 

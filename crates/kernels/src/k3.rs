@@ -44,7 +44,7 @@
 //! scalar, AVX2 and AVX-512 builds of the body agree to the bit and the
 //! level is picked from CPU detection alone (see `crate::isa`).
 //!
-//! [`reference`] keeps the previous point-by-point loop as the oracle the
+//! [`reference`](fn@reference) keeps the previous point-by-point loop as the oracle the
 //! property tests compare against (the role `stream::reference` and
 //! `dense::naive` play in `blast-la`); nothing dispatches to it.
 

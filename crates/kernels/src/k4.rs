@@ -36,7 +36,7 @@
 //! and the `#[target_feature]` clones enable `avx2` / `avx512f` only
 //! (see `crate::isa`), so every build of the body yields the same bits.
 //!
-//! [`reference`] keeps the previous per-entry loop as the oracle the
+//! [`reference`](fn@reference) keeps the previous per-entry loop as the oracle the
 //! property tests compare against; nothing dispatches to it.
 
 use blast_la::{BatchedMats, DMatrix};

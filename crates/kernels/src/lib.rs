@@ -55,8 +55,8 @@ pub use shapes::ProblemShape;
 pub use sumfac::AssemblyMode;
 
 /// The instruction-set level the host bodies of kernels 1 to 4 and of the
-/// matrix-free force dispatch to on this machine (`"scalar"`, `"avx2"` or
-/// `"avx512"`).
+/// matrix-free force dispatch to on this machine under its `BLAST_SIMD` cap
+/// (`"scalar"`, `"avx2"` or `"avx512"`).
 pub fn host_isa() -> &'static str {
     let isa = isa::Isa::detect();
     match (isa.is_avx512(), isa.is_avx2()) {

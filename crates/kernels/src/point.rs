@@ -9,8 +9,8 @@
 //! does the same with one SIMD lane each. Everything around the 3D
 //! eigen-solves is the scalar `blast_la` small-matrix arithmetic, point by
 //! point; the solves themselves — `σ_min(J)` from the eigenvalues of `JᵀJ`
-//! in [`geometry`], the maximal-compression eigenpair of `sym(∇v)` in
-//! [`stress`] — are packed on the stack and run through
+//! in `geometry`, the maximal-compression eigenpair of `sym(∇v)` in
+//! `stress` — are packed on the stack and run through
 //! [`blast_la::eig::sym_eigvals3_lanes`] / [`sym_eig3_lanes`], whose lanes
 //! are bit-identical to the scalar `sym_eig3`. A point's results therefore
 //! do not depend on `W`, on its position in the group, or on its

@@ -1,4 +1,4 @@
-//! The point-at-a-time bodies [`super::geometry`] and [`super::stress`]
+//! The point-at-a-time bodies `geometry` and `stress`
 //! replaced, through the scalar `svd3` / `sym_eig3`: per point, and as the
 //! 3D mesh-level loops of kernel 1, kernel 2 and the matrix-free force.
 //! They are the bitwise oracle of the kernel tests and the baseline

@@ -27,7 +27,7 @@ pub mod dense;
 pub mod eig;
 pub mod lu;
 pub mod pcg;
-mod simd;
+pub mod simd;
 pub mod small;
 pub mod stream;
 pub mod svd;

@@ -1,13 +1,14 @@
-//! The one SIMD level of `blast-la`, and the one way a kernel body is cloned
-//! for it. [`crate::tile`], [`crate::tensor`] and [`crate::stream`] are the
-//! only clients.
+//! The one SIMD level of the workspace, and the one way a `blast-la` kernel
+//! body is cloned for it. [`crate::tile`], [`crate::tensor`] and
+//! [`crate::stream`] are the clients here; `blast_kernels::isa` reads the
+//! same [`level`] for its FMA-free clones.
 //!
 //! A kernel is a plain safe `#[inline(always)]` body whose first const
-//! parameter is `FMA`; [`fma_clones!`] re-compiles it under
+//! parameter is `FMA`; `fma_clones!` re-compiles it under
 //! `#[target_feature]` with wider vectors and `FMA = true`, and emits the
 //! function that picks a clone by [`level`]. Vector width is throughput
 //! only; `FMA` is the one semantic difference between the clones
-//! ([`fmadd`]), so a process runs in exactly one of two regimes
+//! (`fmadd`), so a process runs in exactly one of two regimes
 //! ([`fma_active`]): bitwise-equal to the scalar references, or
 //! ULP-bounded-close to them.
 
@@ -19,22 +20,26 @@ fn capped(detected: u8, cap: Option<&str>) -> u8 {
 }
 
 /// The level the clones run at, detected once per process: 2 with `fma`,
-/// `avx512f` and `avx512vl`, 1 with `fma` and `avx2`, else 0 (the baseline
-/// build of the bodies, `FMA = false`). `BLAST_SIMD=0|1|2` caps it, for
+/// `avx2`, `avx512f` and `avx512vl`, 1 with `fma` and `avx2`, else 0 (the
+/// baseline build of the bodies, `FMA = false`). So level 1 or more implies
+/// `avx2`, and level 2 implies `avx512f`. `BLAST_SIMD=0|1|2` caps it, for
 /// diagnostics and for running the scalar regime's tests on an FMA host.
+/// `blast_kernels` runs its (FMA-free) clones at this level too, so the cap
+/// holds for every clone in the process.
 #[inline]
-pub(crate) fn level() -> u8 {
+pub fn level() -> u8 {
     static LEVEL: std::sync::OnceLock<u8> = std::sync::OnceLock::new();
     *LEVEL.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         let detected = {
-            let fma = std::arch::is_x86_feature_detected!("fma");
-            if fma
+            let avx2 = std::arch::is_x86_feature_detected!("fma")
+                && std::arch::is_x86_feature_detected!("avx2");
+            if avx2
                 && std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512vl")
             {
                 2
-            } else if fma && std::arch::is_x86_feature_detected!("avx2") {
+            } else if avx2 {
                 1
             } else {
                 0

@@ -38,7 +38,7 @@
 //! `c` (same operands, same rounding, same order), the padding lanes
 //! multiply staged zeros and are dropped, and each component keeps its own
 //! 8 dot lanes and its own 64 block partials. So per component the sweep
-//! equals [`spmv_constrained_dot`] bit for bit, at every thread count and
+//! equals `spmv_constrained_dot` bit for bit, at every thread count and
 //! in both regimes below — which is what lets the lock-step PCG
 //! (`pcg::pcg_solve_on`) replace `d` scalar solves without moving a digest.
 //!
@@ -59,7 +59,7 @@
 //! * the fused and launch-per-op loops (`PcgOptions::fused`) produce
 //!   **bitwise-identical** solver trajectories, on the pool or serially,
 //!   so the choice never shows in the determinism digests;
-//! * against the scalar [`reference`] oracle there are two regimes, the
+//! * against the scalar [`reference`](mod@reference) oracle there are two regimes, the
 //!   ones `tile.rs` has, chosen by the level both modules share
 //!   (`crate::simd`): at level 0 the kernels perform the reference's
 //!   two-rounding updates and match **bitwise**; with the AVX2 / AVX-512
@@ -695,9 +695,9 @@ fn constrained_wide<const D: usize, const W: usize>(
 /// `d`-wide constrained apply: `y_c = (P_c A P_c + (I − P_c)) x_c` for the
 /// `d = masks.len()` component blocks `[c·n..(c+1)·n]` of `x` and `y`, the
 /// matrix streamed once for all of them (`d` = 2, 3; any other `d` is `d`
-/// scalar [`spmv_constrained`] sweeps). `tmp` is the masked-input staging,
+/// scalar `spmv_constrained` sweeps). `tmp` is the masked-input staging,
 /// [`wide_lanes`]`(d)·n` long and fully overwritten. Per component
-/// bitwise-equal to [`spmv_constrained`].
+/// bitwise-equal to `spmv_constrained`.
 pub fn spmv_constrained_wide(
     a: &CsrMatrix,
     x: &[f64],
@@ -720,7 +720,7 @@ pub fn spmv_constrained_wide(
 
 /// Fused [`spmv_constrained_wide`] + the `d` dots `dots[c] = x_c·y_c` from
 /// the same row sweep: per component bitwise-equal to
-/// [`spmv_constrained_dot`] (the wide sweep keeps each component's
+/// `spmv_constrained_dot` (the wide sweep keeps each component's
 /// ascending-`k` row chain, its 8 dot lanes and its 64 block partials).
 pub fn spmv_constrained_dot_wide(
     a: &CsrMatrix,

@@ -17,7 +17,7 @@
 //! Every element is the tile core's accumulation chain, so a transform is
 //! bitwise the `tile::gemm` chain it replaced (`blast_fem::sumfac::reference`):
 //! `beta` is applied as the core's `load_acc` applies it, the contraction
-//! index ascends, each step is [`fmadd`], and in the scalar regime (level 0)
+//! index ascends, each step is `simd::fmadd`, and in the scalar regime (level 0)
 //! a term is skipped exactly when the stage's **B** operand entry is `0.0`.
 //! B is the data in the first stage of either direction and the factor
 //! table in every other stage.

@@ -165,7 +165,7 @@ impl Telemetry {
 
     /// Recorder whose ring holds `spans` raw spans. All storage is
     /// preallocated here: recording is allocation-free until more than
-    /// [`NAME_TABLE_CAPACITY`] distinct names appear.
+    /// `NAME_TABLE_CAPACITY` distinct names appear.
     pub fn with_capacity(spans: usize) -> Self {
         let cap = spans.max(1);
         Self {

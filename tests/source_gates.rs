@@ -259,20 +259,25 @@ fn one_corner_force_pipeline() {
 /// `blast-la` detects one SIMD level, caps it with one variable and clones a
 /// kernel body for it one way (`la/src/simd.rs`): `tile` and `stream` cannot
 /// run in different regimes, so there is one golden table per regime and no
-/// mixed case to skip. And a streaming op names its block grid once: the pool
+/// mixed case to skip. The kernels' clones read the same level, so the cap
+/// holds for them too and nothing else in the workspace detects a feature.
+/// And a streaming op names its block grid once: the pool
 /// and the caller walk the same producer through `walk`, which is the
 /// thread-count invariance written as code instead of as twin loops that
 /// have to be kept equal by hand.
 #[test]
 fn one_simd_level_one_grid_walk() {
-    let la: Vec<(String, String)> = files_under(&["crates/la/src"])
-        .into_iter()
-        .filter(|(path, _)| path != "crates/la/src/simd.rs")
-        .collect();
-    let cloned_elsewhere = lines_where(&la, |l| {
-        l.contains("target_feature") || l.contains("is_x86_feature_detected")
-    });
+    let beside_the_level = |dirs: &[&str]| -> Vec<(String, String)> {
+        files_under(dirs).into_iter().filter(|(path, _)| path != "crates/la/src/simd.rs").collect()
+    };
+    let cloned_elsewhere =
+        lines_where(&beside_the_level(&["crates/la/src"]), |l| l.contains("target_feature"));
     assert!(cloned_elsewhere.is_empty(), "{cloned_elsewhere:#?}");
+    // `blast_kernels::isa` clones too, at the same level: one detection, one
+    // cap, workspace-wide.
+    let detected_elsewhere =
+        lines_where(&beside_the_level(&TREE), |l| l.contains("is_x86_feature_detected"));
+    assert!(detected_elsewhere.is_empty(), "{detected_elsewhere:#?}");
 
     let stream = read("crates/la/src/stream.rs");
     let ops = non_test(&stream);
@@ -402,9 +407,9 @@ fn one_sumfac_transform() {
 /// A stored force evaluation runs kernel 4's zone body inside kernel 7's
 /// zone loop (`FzKernel::compute_fused`), so one zone's `A_z` stays in cache
 /// and the batch (41.5 MB at 5³ Q3-3D) is never written out and read back.
-/// The solver therefore names neither pipeline that stores the batch, nor
-/// the scratch field it lands in: `az_pipeline_on` and
-/// `compute_az_pipeline_into` serve the probes and tests that inspect it.
+/// The solver therefore names neither the pipeline that stores the batch nor
+/// the scratch field it lands in: `compute_az_pipeline_into` serves the
+/// probes and tests that inspect it.
 #[test]
 fn the_solver_never_materializes_a_z() {
     let core: Vec<(String, String)> = files_under(&["crates/core/src"])
@@ -412,12 +417,35 @@ fn the_solver_never_materializes_a_z() {
         .map(|(path, text)| (path, non_test(&text).to_string()))
         .collect();
     let names_the_batch = |l: &str| {
-        l.contains("az_pipeline_on")
-            || l.contains("compute_az_pipeline_into")
+        l.contains("compute_az_pipeline_into")
             || l.match_indices(".az").any(|(at, _)| !l[at + 3..].starts_with(is_ident))
     };
     let hits = lines_where(&core, names_the_batch);
     assert!(hits.is_empty(), "the solver names the `A_z` batch: {hits:#?}");
+}
+
+/// A step attempt and a dt suggestion each lend the solver's step scratch
+/// once (`Hydro::lend_scratch`, the one `mem::take` of it), and every phase
+/// under them reads and writes it in place. No buffer leaves the scratch, so
+/// no error exit owes one back, and no `&self` phase needs to mutate through
+/// a shared reference: non-test `core/src/solver` names no `Cell` /
+/// `RefCell`, calls no `borrow_mut()`, has no `recycle`, and moves no field
+/// out of the scratch.
+#[test]
+fn the_solver_lends_its_scratch_once() {
+    let solver: Vec<(String, String)> = files_under(&["crates/core/src/solver"])
+        .into_iter()
+        .map(|(path, text)| (path, non_test(&text).to_string()))
+        .collect();
+    let hits = lines_where(&solver, |l| {
+        l.split(|c: char| !is_ident(c)).any(|w| ["Cell", "RefCell", "recycle"].contains(&w))
+            || l.contains("borrow_mut()")
+            || l.contains("mem::take(&mut ws.")
+            || l.contains("mem::take(&mut self.scratch.")
+    });
+    assert!(hits.is_empty(), "interior mutability or a pool hand-back: {hits:#?}");
+    let lends = lines_where(&solver, |l| l.contains("mem::take(&mut self.scratch)"));
+    assert_eq!(lends.len(), 1, "the scratch is lent at one site: {lends:#?}");
 }
 
 /// Every `pub fn` / `struct` / `enum` / `const` / `type` in the non-test
