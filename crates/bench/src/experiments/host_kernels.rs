@@ -1,7 +1,9 @@
 //! host_kernels — *measured* single-thread wall-clock of the host GEMM
 //! micro-kernels on the paper's Table-3 corner-force shapes (kernel 7's
-//! `(nvdof, nthermo, npts)` per zone): the pre-tiling naive kernel vs the
-//! cache-blocked register-tiled core.
+//! `(nvdof, nthermo, npts)` per zone): the pre-tiling naive kernel, the
+//! cache-blocked register-tiled core at each tile candidate, and what
+//! production runs, `tile::gemm` (at SIMD level 2 its zmm register tile, at
+//! lower levels the default candidate).
 //!
 //! The `az_kernels` block measures the other two batched small GEMMs of
 //! the stored force evaluation — the host bodies of kernels 3 and 4 —
@@ -131,6 +133,10 @@ impl AzFzResult {
     }
 }
 
+/// Timing variant of `tile::gemm` in a [`ShapeResult`], after naive and
+/// the candidates.
+const PRODUCTION: usize = 1 + CANDIDATES.len();
+
 /// Measured throughput on one shape.
 #[derive(Clone, Debug)]
 struct ShapeResult {
@@ -144,7 +150,11 @@ struct ShapeResult {
     pub k: usize,
     /// Order >= 2 (participates in the CI gate)?
     pub gated: bool,
-    /// Variant 0 is the naive kernel, `1 + i` tile candidate `i`.
+    /// 3D of order >= 2 on a SIMD level 2 host: `tile::gemm` runs its zmm
+    /// tile and must not lose to the best generic candidate.
+    pub production_gated: bool,
+    /// Variant 0 is the naive kernel, `1 + i` tile candidate `i`,
+    /// [`PRODUCTION`] `tile::gemm`.
     pub t: Timing,
 }
 
@@ -165,6 +175,12 @@ impl ShapeResult {
     pub fn speedup(&self) -> f64 {
         self.t.median_ratio(&[0], &[1 + self.tiled_index()])
     }
+
+    /// `tile::gemm`'s rate as a fraction of the best candidate's — the
+    /// production gate metric.
+    fn production_frac(&self) -> f64 {
+        self.t.median_ratio(&[1 + self.tiled_index()], &[PRODUCTION])
+    }
 }
 
 /// Full experiment result.
@@ -181,14 +197,17 @@ struct HostKernels {
 }
 
 impl HostKernels {
-    /// Best tiled-GEMM rate of this run — the ceiling the `A_z` kernel
-    /// rates are reported against.
+    /// Best GEMM rate of this run, candidates and `tile::gemm` — the
+    /// ceiling the `A_z` kernel rates are reported against.
     fn best_tiled_gflops(&self) -> f64 {
-        self.shapes.iter().map(|s| s.gflops(1 + s.tiled_index())).fold(0.0, f64::max)
+        let best = |s: &ShapeResult| s.gflops(1 + s.tiled_index()).max(s.gflops(PRODUCTION));
+        self.shapes.iter().map(best).fold(0.0, f64::max)
     }
 
     /// The rows and gates of this result. Gated: the best tile candidate
-    /// does not lose to naive on a shape of order >= 2; kernels 3 and 4
+    /// does not lose to naive on a shape of order >= 2; at SIMD level 2,
+    /// `tile::gemm` does not lose to the best candidate on a 3D shape of
+    /// order >= 2; kernels 3 and 4
     /// together reach [`AZ_GATE_SPEEDUP`] x their references on such a shape
     /// in 3D; fused kernels 4 + 7 beat the two batch passes on a 3D shape
     /// of order 3 or more; every lock-step per-point body beats its scalar
@@ -197,10 +216,15 @@ impl HostKernels {
         let peak = self.best_tiled_gflops();
         let mut gates = Vec::new();
         let shapes = self.shapes.iter().map(|s| {
-            let (cfg, speedup) = (s.tiled_index(), s.speedup());
+            let (cfg, speedup, frac) = (s.tiled_index(), s.speedup(), s.production_frac());
             if s.gated {
                 let detail = format!("tiled cfg{cfg} is {speedup:.2}x naive, need >= 1x");
                 gates.push(Gate::new(format!("gemm {}", s.label), speedup >= 1.0, detail));
+            }
+            if s.production_gated {
+                let detail = format!("tile::gemm is {frac:.2}x tiled cfg{cfg}, need >= 1x");
+                let name = format!("gemm production {}", s.label);
+                gates.push(Gate::new(name, frac >= 1.0, detail));
             }
             vec![
                 Cell::new("label", s.label),
@@ -212,6 +236,8 @@ impl HostKernels {
                 Cell::new("tiled_gflops", s.gflops(1 + cfg)),
                 Cell::new("tiled_candidate", cfg),
                 Cell::times("speedup", speedup),
+                Cell::new("production_gflops", s.gflops(PRODUCTION)),
+                Cell::times("production_frac_of_best", frac),
             ]
         });
         let shapes = shapes.collect();
@@ -374,25 +400,30 @@ fn measure_az_fz(
     AzFzResult { label, zones, gated: dim == 3 && order >= 3, t }
 }
 
-/// Measures one shape: naive and the 12 tile candidates.
-fn measure_shape(m: usize, n: usize, k: usize, label: &'static str, budget: Budget) -> ShapeResult {
+/// Measures one shape: naive, the 12 tile candidates and `tile::gemm`.
+fn measure_shape(
+    (dim, order, label): (usize, usize, &'static str),
+    budget: Budget,
+) -> ShapeResult {
+    let (m, n, k) = gemm_shape(dim, order);
     let mut a = vec![0.0; m * k];
     let mut b = vec![0.0; n * k]; // B^T operand of the NT product: n x k.
     let mut c = vec![0.0; m * n];
     fill(&mut a, 1);
     fill(&mut b, 2);
 
-    let t = harness::time_interleaved(1 + CANDIDATES.len(), budget, &mut |v| {
-        if v == 0 {
-            naive::gemm_nt_raw(m, n, k, 1.0, &a, &b, 0.0, &mut c);
-        } else {
+    let t = harness::time_interleaved(1 + PRODUCTION, budget, &mut |v| match v {
+        0 => naive::gemm_nt_raw(m, n, k, 1.0, &a, &b, 0.0, &mut c),
+        PRODUCTION => tile::gemm(m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c),
+        _ => {
             let cfg = CANDIDATES[v - 1];
             tile::gemm_tiled_direct(cfg, m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c);
         }
     });
-    // Q1 is excluded from the gate: at 24x1x8 a call is a few hundred ns
+    // Q1 is excluded from the gates: at 24x1x8 a call is a few hundred ns
     // and dispatch overhead dominates any tiling.
-    ShapeResult { label, m, n, k, gated: label != "Q1 3D", t }
+    let production_gated = dim == 3 && order >= 2 && blast_la::simd::level() >= 2;
+    ShapeResult { label, m, n, k, gated: label != "Q1 3D", production_gated, t }
 }
 
 /// Runs the full sweep. `smoke` shrinks the budget (fewer rounds, shorter
@@ -404,11 +435,7 @@ fn measure(smoke: bool) -> HostKernels {
     } else {
         Budget { rounds: 25, sample_s: 1e-3 }
     };
-    let shapes = SHAPES.iter().map(|&(dim, order, label)| {
-        let (m, n, k) = gemm_shape(dim, order);
-        measure_shape(m, n, k, label, budget)
-    });
-    let shapes = shapes.collect();
+    let shapes = SHAPES.iter().map(|&shape| measure_shape(shape, budget)).collect();
     // The host bodies of kernels 1 to 4 and 7 fan out over the pool; one
     // thread, like the GEMM rows above.
     rayon::Pool::new(1).install(|| {
@@ -432,10 +459,12 @@ mod tests {
 
     #[test]
     fn artifact_of_a_hand_made_result_parses_and_gates() {
-        // Two rounds; naive 4 s, candidate 2 the best at 1 s.
-        let gemm = |naive: f64| {
-            let mut samples = vec![vec![3.0, 3.0]; 1 + CANDIDATES.len()];
+        // Two rounds; naive 4 s, candidate 2 the best at 1 s, `tile::gemm`
+        // at 0.5 s.
+        let gemm = |naive: f64, production: f64| {
+            let mut samples = vec![vec![3.0, 3.0]; 1 + PRODUCTION];
             (samples[0], samples[3]) = (vec![naive, naive], vec![1.0, 1.0]);
+            samples[PRODUCTION] = vec![production; 2];
             Timing::from_samples(samples)
         };
         let az = Timing::from_samples(vec![vec![1.0; 2], vec![5.0; 2], vec![2.0; 2], vec![4.0; 2]]);
@@ -446,7 +475,8 @@ mod tests {
                 n: 27,
                 k: 216,
                 gated: true,
-                t: gemm(4.0),
+                production_gated: true,
+                t: gemm(4.0, 0.5),
             }],
             az_kernels: vec![AzKernelResult {
                 label: "Q3 3D",
@@ -474,21 +504,28 @@ mod tests {
         assert_eq!(shape.get("label").and_then(Json::as_str), Some("Q3 3D"));
         assert_eq!(shape.get("tiled_candidate").and_then(Json::as_f64), Some(2.0));
         assert_eq!(shape.get("speedup").and_then(Json::as_f64), Some(4.0));
+        let production = shape.get("production_gflops").and_then(Json::as_f64).unwrap();
+        assert!((production - 2.0 * 192.0 * 27.0 * 216.0 / 0.5e9).abs() < 1e-6, "{production}");
+        assert_eq!(shape.get("production_frac_of_best").and_then(Json::as_f64), Some(2.0));
         let az = &doc.get("az_kernels").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(az.get("speedup").and_then(Json::as_f64), Some(3.0));
         assert_eq!(az.get("k4_gflops").and_then(Json::as_f64), Some(1.0));
         let az_fz = &doc.get("az_fz").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(az_fz.get("fused_ns_per_zone").and_then(Json::as_f64), Some(0.16e9));
         assert_eq!(az_fz.get("ratio").and_then(Json::as_f64), Some(0.8));
-        assert_eq!(doc.get("gates").and_then(Json::as_arr).unwrap().len(), 3);
+        assert_eq!(doc.get("gates").and_then(Json::as_arr).unwrap().len(), 4);
 
-        // The tiled core losing to naive, and the fused loop losing to the
-        // two passes, each fail their gate by name.
-        r.shapes[0].t = gemm(0.5);
+        // The tiled core losing to naive, `tile::gemm` losing to the best
+        // candidate, and the fused loop losing to the two passes, each fail
+        // their gate by name.
+        r.shapes[0].t = gemm(0.5, 1.5);
         r.az_fz[0].t = Timing::from_samples(vec![vec![4.0; 2], vec![4.0; 2]]);
         let report = r.report();
         let failed: Vec<_> = report.failures().iter().map(|g| g.name.clone()).collect();
-        assert_eq!(failed, ["gemm Q3 3D", "az_fz Q3 3D"]);
+        assert_eq!(failed, ["gemm Q3 3D", "gemm production Q3 3D", "az_fz Q3 3D"]);
+        // Below SIMD level 2 production is the default candidate: no gate.
+        r.shapes[0].production_gated = false;
+        assert_eq!(r.report().gates.len(), 3);
     }
 
     #[test]
@@ -508,8 +545,11 @@ mod tests {
         for p in &r.point_physics {
             assert_eq!(p.gated, p.state == "mid-run");
         }
-        // 4 GEMM + 3 A_z + 2 A_z F_z + 2 mid-run states x 3 per-point bodies.
-        assert_eq!(r.report().gates.len(), 15);
+        // 4 GEMM (+ 3 production at level 2) + 3 A_z + 2 A_z F_z + 2
+        // mid-run states x 3 per-point bodies.
+        let production = r.shapes.iter().filter(|s| s.production_gated).count();
+        assert_eq!(production, if blast_la::simd::level() >= 2 { 3 } else { 0 });
+        assert_eq!(r.report().gates.len(), 15 + production);
     }
 
     /// The ISSUE acceptance gate: >= 2x over naive on the Q3/Q4 Table-3

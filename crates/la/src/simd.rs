@@ -10,7 +10,9 @@
 //! only; `FMA` is the one semantic difference between the clones
 //! (`fmadd`), so a process runs in exactly one of two regimes
 //! ([`fma_active`]): bitwise-equal to the scalar references, or
-//! ULP-bounded-close to them.
+//! ULP-bounded-close to them. The one body with no portable build,
+//! `tile::gemm`'s zmm register tile, is compiled by `avx512_clone!` for
+//! level 2 only; it runs the FMA clones' chain, so it adds no regime.
 
 /// `detected` lowered by the `BLAST_SIMD` value `cap`: a decimal level caps,
 /// anything else (unset, not a number, negative) leaves `detected` alone,
@@ -85,21 +87,24 @@ macro_rules! fma_clones {
         fn $name $(<$(const $g: $gt),+>)? ($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
+                // SAFETY: a safe body; the caller checks the features.
                 #[target_feature(enable = "avx2,fma")]
                 unsafe fn avx2 $(<$(const $g: $gt),+>)? ($($arg: $ty),*) $(-> $ret)? {
                     $body::<true $($(, $g)+)?>($($arg),*)
                 }
+                // SAFETY: a safe body; the caller checks the features.
                 #[target_feature(enable = "avx512f,avx512vl,fma")]
                 unsafe fn avx512 $(<$(const $g: $gt),+>)? ($($arg: $ty),*) $(-> $ret)? {
                     $body::<true $($(, $g)+)?>($($arg),*)
                 }
-                // SAFETY (both calls): `level()` is at least 1 only after
-                // `is_x86_feature_detected!` reported `fma` and `avx2`, and 2
-                // only after it reported `avx512f` and `avx512vl` as well;
-                // the cap can only lower it.
                 match $crate::simd::level() {
                     0 => {}
+                    // SAFETY: `level()` is at least 1 only after
+                    // `is_x86_feature_detected!` reported `fma` and `avx2`;
+                    // the cap can only lower it.
                     1 => return unsafe { avx2 $(::<$($g),+>)? ($($arg),*) },
+                    // SAFETY: and 2 only after it reported `avx512f` and
+                    // `avx512vl` as well.
                     _ => return unsafe { avx512 $(::<$($g),+>)? ($($arg),*) },
                 }
             }
@@ -108,6 +113,45 @@ macro_rules! fma_clones {
     };
 }
 pub(crate) use fma_clones;
+
+/// `fn name<consts..> = body(args..)` defines `name(args..) -> bool`: at
+/// [`level`] 2 it runs the `#[inline(always)] unsafe` `body::<consts..>`
+/// compiled for `avx512f,avx512vl,fma` and returns `true`; below 2 it runs
+/// nothing and returns `false`, and the caller takes its portable path. The
+/// body's one obligation on its caller is those three features: it checks
+/// its own arguments. The sibling of [`fma_clones!`] for a body written in
+/// `core::arch` intrinsics, which have no portable build.
+macro_rules! avx512_clone {
+    ($(#[$doc:meta])* fn $name:ident $(<$($g:ident : $gt:ty),+>)? =
+        $($body:ident)::+ ($($arg:ident : $ty:ty),* $(,)?)) => {
+        $(#[$doc])*
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        fn $name $(<$(const $g: $gt),+>)? ($($arg: $ty),*) -> bool {
+            #[cfg(target_arch = "x86_64")]
+            {
+                // SAFETY: the body's contract is the features enabled here,
+                // which the caller checks.
+                #[target_feature(enable = "avx512f,avx512vl,fma")]
+                unsafe fn avx512 $(<$(const $g: $gt),+>)? ($($arg: $ty),*) {
+                    // SAFETY: this function runs with the body's features.
+                    unsafe { $($body)::+ $(::<$($g),+>)? ($($arg),*) }
+                }
+                if $crate::simd::level() >= 2 {
+                    // SAFETY: `level()` is 2 only after
+                    // `is_x86_feature_detected!` reported `fma`, `avx2`,
+                    // `avx512f` and `avx512vl`; the cap can only lower it.
+                    unsafe { avx512 $(::<$($g),+>)? ($($arg),*) };
+                    return true;
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = ($(&$arg,)*);
+            false
+        }
+    };
+}
+pub(crate) use avx512_clone;
 
 #[cfg(test)]
 mod tests {

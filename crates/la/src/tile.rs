@@ -11,7 +11,11 @@
 //!
 //! * `MR x NR` register tile: a fixed-size `[[f64; MR]; NR]` accumulator
 //!   that LLVM keeps entirely in vector registers; fixed-size array views
-//!   eliminate bounds checks so the inner loop autovectorizes.
+//!   eliminate bounds checks so the inner loop autovectorizes. That holds
+//!   up to the `Mr12Nr4` candidate's size; wider generic tiles spill. So at
+//!   SIMD level 2, [`gemm`] with `op_a = N` runs a 24 x 8 tile whose
+//!   accumulators are named zmm registers (the `zmm` module, `core::arch`
+//!   intrinsics), bitwise the same chain as the default candidate.
 //! * `KC`: the k-dimension cache block. C is read into registers once per
 //!   KC block and written back once, instead of once per rank-1 update as
 //!   the naive axpy loop does — that store-traffic reduction is where the
@@ -47,7 +51,7 @@
 //! its naive counterpart in both regimes.
 
 pub use crate::simd::fma_active;
-use crate::simd::{fma_clones, fmadd};
+use crate::simd::{avx512_clone, fma_clones, fmadd};
 
 /// Operand orientation for [`gemm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,7 +65,9 @@ pub enum Op {
 /// Register micro-tile shapes the core is monomorphized over.
 ///
 /// `Mr8Nr4` is the default: 8 accumulator lanes per column x 4 columns
-/// fills about 11 of the 16 AVX2 vector registers.
+/// fills about 11 of the 16 AVX2 vector registers. [`gemm`] runs it at
+/// levels 0 and 1 and for `op_a = T`; at level 2 an `op_a = N` product runs
+/// the zmm tile instead (module docs), to the same bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MicroTile {
     /// 4 x 4 register tile.
@@ -107,8 +113,10 @@ pub const CANDIDATES: [TileConfig; 12] = [
     TileConfig { micro: MicroTile::Mr4Nr8, kc: 256 },
 ];
 
-/// `C = alpha * op_a(A) * op_b(B) + beta * C` on column-major slices, via
-/// [`TileConfig::DEFAULT`]. `(m, n, k)` are the shapes *after*
+/// `C = alpha * op_a(A) * op_b(B) + beta * C` on column-major slices, to
+/// the bits of [`TileConfig::DEFAULT`]: at SIMD level 2 an `op_a = N`
+/// product runs the zmm register tile, otherwise [`gemm_tiled_direct`] at
+/// the default. `(m, n, k)` are the shapes *after*
 /// applying the transpositions; `A^T B^T` is not supported (no caller
 /// needs it).
 pub fn gemm(
@@ -127,6 +135,15 @@ pub fn gemm(
     debug_assert!(a.len() >= m * k);
     debug_assert!(b.len() >= k * n);
     debug_assert!(c.len() >= m * n);
+    if op_a == Op::N && k > 0 && alpha != 0.0 {
+        let ran = match op_b {
+            Op::N => gemm_zmm::<false>(m, n, k, alpha, a, b, beta, c),
+            Op::T => gemm_zmm::<true>(m, n, k, alpha, a, b, beta, c),
+        };
+        if ran {
+            return;
+        }
+    }
     gemm_tiled_direct(TileConfig::DEFAULT, m, n, k, alpha, a, op_a, b, op_b, beta, c);
 }
 
@@ -470,6 +487,192 @@ fn jedge_full<const MR: usize, const AT: bool, const BT: bool, const FMA: bool>(
     }
 }
 
+avx512_clone! {
+    /// [`zmm::gemm_n`] at level 2; `false` (nothing run) below it.
+    fn gemm_zmm<BT: bool> = zmm::gemm_n(
+        m: usize, n: usize, k: usize, alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64],
+    )
+}
+
+/// The level-2 register tile of [`gemm`] with `op_a = N`, in `core::arch`
+/// intrinsics: LLVM does not keep a generic `[[f64; MR]; NR]` tile wider than
+/// `Mr12Nr4` in registers (`Mr16Nr8` ran at 2.6–3.3 GF/s), so the zmm
+/// accumulators are named here.
+///
+/// A tile is `8·V` rows of C in `V` zmm accumulators per column by `W`
+/// columns. The shape is a function of `(m, n)` alone: `R = 3` vectors (24
+/// rows) by `NR = 8` columns, row blocks outer so a block's `A` rows stay in
+/// L1 across the column strips; the ragged rows run as one tile of
+/// `ceil(rows / 8)` vectors whose last vector is masked
+/// (`_mm512_maskz_loadu_pd` / `_mm512_mask_storeu_pd`), the ragged columns
+/// as a narrower const-`W` instance.
+///
+/// Every element runs the chain of the module docs: the `beta` start as in
+/// `load_acc`, `alpha` folded into B, ascending `p`, one FMA per step. So
+/// each output is bitwise `gemm_tiled_direct(TileConfig::DEFAULT, ..)`'s. The
+/// accumulators hold the whole `k` range: C round-trips through memory
+/// exactly between `KC` blocks, so skipping the round trips changes no bit.
+#[cfg(target_arch = "x86_64")]
+mod zmm {
+    use core::arch::x86_64::*;
+
+    /// Row vectors of a full tile: 24 rows.
+    const R: usize = 3;
+    /// Columns of a full tile: `R·NR` accumulators, `R` A vectors and a B
+    /// broadcast fill 28 of the 32 zmm registers.
+    const NR: usize = 8;
+
+    /// `C = alpha·A·op_b(B) + beta·C` for column-major `A` (`m × k`); `B` is
+    /// `k × n`, or at `BT` its transpose stored `n × k`. Expects `k > 0` and
+    /// `alpha != 0` (the caller's degenerate cases).
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports `avx512f`, and the caller enables it.
+    // SAFETY: callers keep the contract above; the operand lengths are
+    // checked here, before any pointer is formed.
+    #[inline(always)]
+    pub(super) unsafe fn gemm_n<const BT: bool>(
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: &[f64],
+        b: &[f64],
+        beta: f64,
+        c: &mut [f64],
+    ) {
+        assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n, "gemm: short operand");
+        let g = Gemm { m, n, k, alpha, beta, a: a.as_ptr(), b: b.as_ptr(), c: c.as_mut_ptr() };
+        if alpha == 1.0 {
+            g.run::<BT, false>();
+        } else {
+            g.run::<BT, true>();
+        }
+    }
+
+    /// One product's operands: the pointers are to slices `gemm_n` has
+    /// checked against `(m, n, k)`.
+    struct Gemm {
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        beta: f64,
+        a: *const f64,
+        b: *const f64,
+        c: *mut f64,
+    }
+
+    impl Gemm {
+        /// Every row block of C: full `8·R`-row ones, then the ragged rows
+        /// with their last vector masked to `last`. `SCALED`: `alpha != 1`.
+        ///
+        /// # Safety
+        ///
+        /// As [`gemm_n`], and `self` is the one `gemm_n` built.
+        // SAFETY: every row block passed on starts below `m`, and `last`
+        // keeps the ragged block's lanes below `m`.
+        #[inline(always)]
+        unsafe fn run<const BT: bool, const SCALED: bool>(&self) {
+            let mut i0 = 0;
+            while i0 + 8 * R <= self.m {
+                self.rows::<R, BT, SCALED>(i0, 0xff);
+                i0 += 8 * R;
+            }
+            let rows = self.m - i0;
+            let last = 0xffu8 >> ((8 - rows % 8) % 8);
+            match rows.div_ceil(8) {
+                0 => {}
+                1 => self.rows::<1, BT, SCALED>(i0, last),
+                2 => self.rows::<2, BT, SCALED>(i0, last),
+                _ => self.rows::<3, BT, SCALED>(i0, last),
+            }
+        }
+
+        /// The `V`-vector row block at `i0`, every column strip: full
+        /// `NR`-column tiles, then the ragged columns as one narrower tile.
+        ///
+        /// # Safety
+        ///
+        /// As `run`, and rows `i0..i0 + 8·V` limited by `last` lie below `m`.
+        // SAFETY: every column strip passed on ends at or below `n`.
+        #[inline(always)]
+        unsafe fn rows<const V: usize, const BT: bool, const SCALED: bool>(
+            &self,
+            i0: usize,
+            last: __mmask8,
+        ) {
+            let mut j0 = 0;
+            while j0 + NR <= self.n {
+                self.tile::<V, NR, BT, SCALED>(i0, j0, last);
+                j0 += NR;
+            }
+            match self.n - j0 {
+                0 => {}
+                1 => self.tile::<V, 1, BT, SCALED>(i0, j0, last),
+                2 => self.tile::<V, 2, BT, SCALED>(i0, j0, last),
+                3 => self.tile::<V, 3, BT, SCALED>(i0, j0, last),
+                4 => self.tile::<V, 4, BT, SCALED>(i0, j0, last),
+                5 => self.tile::<V, 5, BT, SCALED>(i0, j0, last),
+                6 => self.tile::<V, 6, BT, SCALED>(i0, j0, last),
+                _ => self.tile::<V, 7, BT, SCALED>(i0, j0, last),
+            }
+        }
+
+        /// Rows `i0..i0 + 8·V` (the last vector's lanes limited to `last`)
+        /// by columns `j0..j0 + W`, accumulated over the whole `k` range.
+        ///
+        /// # Safety
+        ///
+        /// As `rows`, and `j0 + W <= n`.
+        // SAFETY: every unmasked lane read or written is at row `< m`,
+        // column `< n` and `p < k` of a checked slice; a masked-off lane is
+        // neither read nor written, and cannot fault.
+        #[inline(always)]
+        unsafe fn tile<const V: usize, const W: usize, const BT: bool, const SCALED: bool>(
+            &self,
+            i0: usize,
+            j0: usize,
+            last: __mmask8,
+        ) {
+            let Gemm { m, n, k, alpha, beta, a, b, c } = *self;
+            let mask = |v: usize| if v + 1 == V { last } else { 0xff };
+            let mut acc = [[_mm512_setzero_pd(); V]; W];
+            if beta != 0.0 {
+                let scale = _mm512_set1_pd(beta);
+                for (j, accj) in acc.iter_mut().enumerate() {
+                    let cj = c.add((j0 + j) * m + i0);
+                    for (v, x) in accj.iter_mut().enumerate() {
+                        let cv = _mm512_maskz_loadu_pd(mask(v), cj.add(8 * v));
+                        *x = if beta == 1.0 { cv } else { _mm512_mul_pd(cv, scale) };
+                    }
+                }
+            }
+            for p in 0..k {
+                let ap = a.add(p * m + i0);
+                let mut av = [_mm512_setzero_pd(); V];
+                for (v, x) in av.iter_mut().enumerate() {
+                    *x = _mm512_maskz_loadu_pd(mask(v), ap.add(8 * v));
+                }
+                for (j, accj) in acc.iter_mut().enumerate() {
+                    let bpj = if BT { *b.add(j0 + j + p * n) } else { *b.add(p + (j0 + j) * k) };
+                    let bv = _mm512_set1_pd(if SCALED { alpha * bpj } else { bpj });
+                    for (x, &avv) in accj.iter_mut().zip(&av) {
+                        *x = _mm512_fmadd_pd(avv, bv, *x);
+                    }
+                }
+            }
+            for (j, accj) in acc.iter().enumerate() {
+                let cj = c.add((j0 + j) * m + i0);
+                for (v, &x) in accj.iter().enumerate() {
+                    _mm512_mask_storeu_pd(cj.add(8 * v), mask(v), x);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,6 +749,53 @@ mod tests {
             for (alpha, beta) in [(1.0, 0.0), (2.5, 1.0), (-0.5, 3.0), (0.0, 2.0), (1.0, 1.0)] {
                 check_bitwise_nn_nt(m, n, k, alpha, beta);
             }
+        }
+    }
+
+    /// The level-2 zmm tile of [`gemm`] against the chain it replaces, bit
+    /// for bit: a seeded grid of ragged shapes and the kernel-7 `F_z` shapes
+    /// (Q1–Q4 3D, Q2 and Q4 2D), every `alpha`, `beta` (0 over a NaN-filled
+    /// C, so a read of C would show) and `op_b`.
+    #[test]
+    fn zmm_tile_is_bitwise_the_default_chain() {
+        let level = crate::simd::level();
+        if level < 2 {
+            eprintln!("note: SIMD level {level} < 2, so `gemm` runs no zmm tile; skipped");
+            return;
+        }
+        let cases: [(f64, f64, Op); 18] = core::array::from_fn(|i| {
+            ([1.0, 0.75, 0.0][i % 3], [0.0, 1.0, -0.5][i / 3 % 3], [Op::N, Op::T][i / 9])
+        });
+        let mut seed = 0x5eed_u64;
+        let mut next = |below: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % below as u64) as usize
+        };
+        // Every ragged (m, n) once, at a seeded k and case; the kernel-7
+        // shapes at every case.
+        let mut runs = Vec::new();
+        for (m, n) in (1..=40).flat_map(|m| (1..=13).map(move |n| (m, n))) {
+            runs.push((m, n, next(301), cases[next(18)]));
+        }
+        let kernel7 =
+            [(24, 1, 8), (18, 4, 16), (50, 16, 64), (81, 8, 64), (192, 27, 216), (375, 64, 512)];
+        for (m, n, k) in kernel7 {
+            runs.extend(cases.map(|case| (m, n, k, case)));
+        }
+        for (m, n, k, (alpha, beta, op_b)) in runs {
+            let a = fill(m * k, (m * 31 + k) as u64);
+            let b = fill(k * n, (k * 13 + n) as u64);
+            let c0 = if beta == 0.0 { vec![f64::NAN; m * n] } else { fill(m * n, 5) };
+            let (mut want, mut got) = (c0.clone(), c0);
+            let cfg = TileConfig::DEFAULT;
+            gemm_tiled_direct(cfg, m, n, k, alpha, &a, Op::N, &b, op_b, beta, &mut want);
+            gemm(m, n, k, alpha, &a, Op::N, &b, op_b, beta, &mut got);
+            assert!(
+                got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "zmm tile differs at {m}x{n}x{k} alpha={alpha} beta={beta} {op_b:?}"
+            );
         }
     }
 

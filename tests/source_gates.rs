@@ -304,6 +304,58 @@ fn one_simd_level_one_grid_walk() {
     assert!(old_caps.is_empty(), "{old_caps:#?}");
 }
 
+/// Hand-written intrinsics live in one place: `tile::gemm`'s level-2 register
+/// tile, the `zmm` module of `la/src/tile.rs`, where LLVM would not keep the
+/// accumulators in registers on its own. Every other kernel is a portable
+/// body the SIMD level clones, so no other code line names `core::arch` /
+/// `std::arch` (feature detection aside, which the gate above pins to
+/// `la/src/simd.rs`) or calls an `_mm*` intrinsic. And every `unsafe` block,
+/// fn or impl in `crates/la/src` has a `// SAFETY:` comment directly above it
+/// (attributes between allowed) that says why it holds.
+#[test]
+fn intrinsics_in_one_module_each_unsafe_with_its_reason() {
+    let intrinsic = ["core::arch", "std::arch", "_mm_", "_mm256_", "_mm512_"];
+    let names_an_intrinsic = |l: &str| {
+        let code = l.trim_start();
+        !code.starts_with("//")
+            && !code.contains("is_x86_feature_detected")
+            && intrinsic.iter().any(|p| code.contains(p))
+    };
+    let mut beside = files_under(&TREE);
+    for (path, text) in &mut beside {
+        if path == "crates/la/src/tile.rs" {
+            let (zmm, rest) = split_item(text, "mod zmm");
+            assert!(zmm.lines().any(names_an_intrinsic), "the zmm module names no intrinsic");
+            *text = rest;
+        }
+    }
+    let hits = lines_where(&beside, names_an_intrinsic);
+    assert!(hits.is_empty(), "intrinsics outside `tile::zmm`: {hits:#?}");
+
+    let mut unexplained = Vec::new();
+    for (path, text) in files_under(&["crates/la/src"]) {
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let code = line.trim_start();
+            let opens = ["unsafe {", "unsafe fn ", "unsafe impl"];
+            if code.starts_with("//") || !opens.iter().any(|u| code.contains(u)) {
+                continue;
+            }
+            let explained = lines[..i]
+                .iter()
+                .rev()
+                .map(|l| l.trim_start())
+                .skip_while(|l| l.starts_with("#["))
+                .take_while(|l| l.starts_with("//") && !l.starts_with("///"))
+                .any(|l| l.starts_with("// SAFETY:"));
+            if !explained {
+                unexplained.push(format!("{path}:{}: {line}", i + 1));
+            }
+        }
+    }
+    assert!(unexplained.is_empty(), "`unsafe` without a `// SAFETY:` line: {unexplained:#?}");
+}
+
 /// The accepted-step protocol — resume or suggest, clamp onto `t_final`,
 /// advance, count, write a generation on the policy's cadence from an
 /// audited-clean state only, roll back — is `Hydro::{begin, advance,
