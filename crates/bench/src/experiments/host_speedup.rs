@@ -46,9 +46,9 @@ struct HostSpeedup {
     pub pe_before: f64,
     /// After calibration against the measured curve.
     pub pe_after: f64,
-    /// Single-thread GFLOP/s of `TileConfig::DEFAULT` (the tile
-    /// `tile::gemm` runs) on the 3D Q2 corner-force shape, as fed to
-    /// `CpuSpec::calibrate_host_gflops`.
+    /// Single-thread GFLOP/s of `tile::gemm` (at SIMD level 2 its zmm
+    /// register tile, below it the generic body) on the 3D Q2 corner-force
+    /// shape, as fed to `CpuSpec::calibrate_host_gflops`.
     pub tiled_gflops: f64,
     /// Corner-force flop efficiency implied by the measurement
     /// (`CpuSpec::host_flop_efficiency` after calibration).
@@ -85,11 +85,11 @@ fn workload(reps: usize) -> Vec<f64> {
     out
 }
 
-/// Best-of-rounds single-thread GFLOP/s of `tile::gemm` (the default tile)
-/// on the 3D Q2 corner-force shape: kernel 7's per-zone `F_z = A_z * B^T`,
-/// 81 velocity dofs x 8 thermodynamic basis functions over 64 points
-/// (paper Table 3), ~1 ms per sample so dispatch and timer overhead vanish.
-fn default_tile_gflops() -> f64 {
+/// Best-of-rounds single-thread GFLOP/s of `tile::gemm` on the 3D Q2
+/// corner-force shape: kernel 7's per-zone `F_z = A_z * B^T`, 81 velocity
+/// dofs x 8 thermodynamic basis functions over 64 points (paper Table 3),
+/// ~1 ms per sample so dispatch and timer overhead vanish.
+fn production_gemm_gflops() -> f64 {
     let shape = ProblemShape::new(3, 2, 1);
     let (m, n, k) = (shape.nvdof(), shape.nthermo, shape.npts);
     // Deterministic operand fill; values are irrelevant to timing but a
@@ -109,8 +109,8 @@ fn default_tile_gflops() -> f64 {
 /// fallback on `telemetry` (see [`HostSpeedup::preset_kept`]).
 fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
     // Both measurements are of the production hot path: the batched
-    // kernels below and the GFLOP/s calibration run the default tile.
-    let tiled_gflops = default_tile_gflops();
+    // kernels below and the GFLOP/s calibration run `tile::gemm`.
+    let tiled_gflops = production_gemm_gflops();
     // One sample is one `workload(10)`; the thread counts interleave.
     let pools = THREAD_COUNTS.map(rayon::Pool::new);
     let mut outputs = vec![Vec::new(); THREAD_COUNTS.len()];

@@ -464,20 +464,30 @@ mod tests {
     }
 
     #[test]
-    fn timer_reads_a_known_cost_ratio_and_interleaves_its_rounds() {
+    fn timer_interleaves_its_rounds() {
         let mut calls = Vec::new();
         let budget = Budget { rounds: 11, sample_s: 0.0 };
         let t = time_interleaved(2, budget, &mut |v| {
             calls.push(v);
             spin(if v == 0 { 400_000 } else { 200_000 });
         });
-        // Twice the work reads as twice the time, within a quarter.
-        let ratio = t.median_ratio(&[0], &[1]);
-        assert!((1.5..=2.5).contains(&ratio), "1 : 2 closures read {ratio}");
-        assert!(t.min(0) > t.min(1) && t.min(1) > 0.0);
+        assert!(t.min(1) > 0.0);
         // Warm-up and calibration per variant, then strict alternation.
         let rounds: Vec<usize> = (0..11).flat_map(|_| [0, 1]).collect();
         assert_eq!(calls, [vec![0, 0, 1, 1], rounds].concat());
+    }
+
+    /// Twice the work reads as twice the time, within a quarter. The ratio
+    /// depends on what else the machine runs, so it is measured optimised,
+    /// in the release lane, and not in a debug run beside every other test.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "wall-clock ratio; run with --release")]
+    fn timer_reads_a_known_cost_ratio() {
+        let budget = Budget { rounds: 11, sample_s: 0.0 };
+        let t = time_interleaved(2, budget, &mut |v| spin(if v == 0 { 400_000 } else { 200_000 }));
+        let ratio = t.median_ratio(&[0], &[1]);
+        assert!((1.5..=2.5).contains(&ratio), "1 : 2 closures read {ratio}");
+        assert!(t.min(0) > t.min(1) && t.min(1) > 0.0);
     }
 
     #[test]
@@ -485,7 +495,12 @@ mod tests {
         let mut calls = [0usize; 2];
         time_interleaved(2, Budget { rounds: 3, sample_s: 2e-3 }, &mut |v| {
             calls[v] += 1;
-            spin(if v == 0 { 200 } else { 4_000_000 });
+            // A sleep lasts at least its duration however loaded the
+            // machine is, so the long variant stays longer than the sample.
+            match v {
+                0 => spin(200),
+                _ => std::thread::sleep(std::time::Duration::from_millis(3)),
+            }
         });
         assert!(calls[0] > 2 + 3 * 10, "a short variant is repeated, got {} calls", calls[0]);
         assert_eq!(calls[1], 2 + 3, "a variant longer than the sample runs once per round");

@@ -10,7 +10,8 @@
 
 use rayon::prelude::*;
 
-use crate::dense::{gemm_nn_raw, gemm_nt_raw, gemv_n_raw, gemv_t_raw};
+use crate::dense::gemv_n_raw;
+use crate::tile::{self, Op};
 
 /// A packed batch of equally-shaped column-major matrices.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -173,48 +174,8 @@ pub fn batched_gemm_nn(
     let sa = a.stride();
     let sb = b.stride();
     c.par_mats_mut().for_each(|(z, cz)| {
-        gemm_nn_raw(
-            m,
-            n,
-            k,
-            alpha,
-            &a.as_slice()[z * sa..(z + 1) * sa],
-            &b.as_slice()[z * sb..(z + 1) * sb],
-            beta,
-            cz,
-        );
-    });
-}
-
-/// Batched `C_z = alpha A_z B_z^T + beta C_z` (`B_z` is `n x k`).
-pub fn batched_gemm_nt(
-    alpha: f64,
-    a: &BatchedMats,
-    b: &BatchedMats,
-    beta: f64,
-    c: &mut BatchedMats,
-) {
-    let (m, k) = a.shape();
-    let (n, kb) = b.shape();
-    assert_eq!(k, kb, "batched gemm_nt inner dim mismatch");
-    assert_eq!(c.shape(), (m, n), "batched gemm_nt output shape mismatch");
-    assert!(
-        a.count() == b.count() && b.count() == c.count(),
-        "batched gemm_nt batch count mismatch"
-    );
-    let sa = a.stride();
-    let sb = b.stride();
-    c.par_mats_mut().for_each(|(z, cz)| {
-        gemm_nt_raw(
-            m,
-            n,
-            k,
-            alpha,
-            &a.as_slice()[z * sa..(z + 1) * sa],
-            &b.as_slice()[z * sb..(z + 1) * sb],
-            beta,
-            cz,
-        );
+        let (az, bz) = (&a.as_slice()[z * sa..(z + 1) * sa], &b.as_slice()[z * sb..(z + 1) * sb]);
+        tile::gemm(m, n, k, alpha, az, Op::N, bz, Op::N, beta, cz);
     });
 }
 
@@ -242,30 +203,10 @@ pub fn batched_gemv_n(alpha: f64, a: &BatchedMats, x: &[f64], beta: f64, y: &mut
     });
 }
 
-/// Batched transposed DGEMV `y_z = alpha A_z^T x_z + beta y_z`
-/// (`x`: count * m, `y`: count * n) — the paper's kernel 10 (`F^T v`).
-pub fn batched_gemv_t(alpha: f64, a: &BatchedMats, x: &[f64], beta: f64, y: &mut [f64]) {
-    let (m, n) = a.shape();
-    assert_eq!(x.len(), m * a.count(), "batched gemv_t x length mismatch");
-    assert_eq!(y.len(), n * a.count(), "batched gemv_t y length mismatch");
-    let sa = a.stride();
-    y.par_chunks_exact_mut(n).enumerate().for_each(|(z, yz)| {
-        gemv_t_raw(
-            m,
-            n,
-            alpha,
-            &a.as_slice()[z * sa..(z + 1) * sa],
-            &x[z * m..(z + 1) * m],
-            beta,
-            yz,
-        );
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::{gemm_nn, gemm_nt, gemv_n, gemv_t, DMatrix};
+    use crate::dense::{gemm_nn, gemv_n, DMatrix};
 
     fn batch_to_dmat(b: &BatchedMats, z: usize) -> DMatrix {
         DMatrix::from_col_major(b.shape().0, b.shape().1, b.mat(z).to_vec())
@@ -315,19 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_gemm_nt_matches_per_matrix_gemm() {
-        let a = sample_batch(3, 4, 6, 0.2);
-        let b = sample_batch(2, 4, 6, 0.9); // will be transposed
-        let mut c = BatchedMats::zeros(3, 2, 6);
-        batched_gemm_nt(2.0, &a, &b, 0.0, &mut c);
-        for z in 0..6 {
-            let mut expect = DMatrix::zeros(3, 2);
-            gemm_nt(2.0, &batch_to_dmat(&a, z), &batch_to_dmat(&b, z), 0.0, &mut expect);
-            assert_eq!(batch_to_dmat(&c, z), expect, "batch {z}");
-        }
-    }
-
-    #[test]
     fn batched_gemv_n_matches_per_matrix_gemv() {
         let a = sample_batch(4, 3, 7, 0.4);
         let x: Vec<f64> = (0..3 * 7).map(|i| (i as f64).cos()).collect();
@@ -337,21 +265,6 @@ mod tests {
             let mut expect = vec![0.0; 4];
             gemv_n(1.0, &batch_to_dmat(&a, z), &x[z * 3..(z + 1) * 3], 0.0, &mut expect);
             assert_eq!(&y[z * 4..(z + 1) * 4], expect.as_slice(), "batch {z}");
-        }
-    }
-
-    #[test]
-    fn batched_gemv_t_matches_per_matrix_gemv() {
-        let a = sample_batch(4, 3, 7, 0.5);
-        let x: Vec<f64> = (0..4 * 7).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut y = vec![0.0; 3 * 7];
-        batched_gemv_t(1.0, &a, &x, 0.0, &mut y);
-        for z in 0..7 {
-            let mut expect = vec![0.0; 3];
-            gemv_t(1.0, &batch_to_dmat(&a, z), &x[z * 4..(z + 1) * 4], 0.0, &mut expect);
-            for (u, v) in y[z * 3..(z + 1) * 3].iter().zip(&expect) {
-                assert!((u - v).abs() < 1e-14, "batch {z}");
-            }
         }
     }
 

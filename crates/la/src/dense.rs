@@ -9,6 +9,8 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+use crate::tile::{self, Op};
+
 /// Dense column-major `rows x cols` matrix of `f64`.
 #[derive(Clone, PartialEq)]
 pub struct DMatrix {
@@ -190,7 +192,7 @@ pub fn gemm_nn(alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &mut DMatrix)
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm_nn inner dimension mismatch");
     assert_eq!(c.shape(), (m, n), "gemm_nn output shape mismatch");
-    gemm_nn_raw(m, n, k, alpha, a.as_slice(), b.as_slice(), beta, c.as_mut_slice());
+    tile::gemm(m, n, k, alpha, a.as_slice(), Op::N, b.as_slice(), Op::N, beta, c.as_mut_slice());
 }
 
 /// `C = alpha * A * B^T + beta * C` (DGEMM, B transposed).
@@ -201,7 +203,7 @@ pub fn gemm_nt(alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &mut DMatrix)
     let (n, kb) = b.shape();
     assert_eq!(k, kb, "gemm_nt inner dimension mismatch");
     assert_eq!(c.shape(), (m, n), "gemm_nt output shape mismatch");
-    gemm_nt_raw(m, n, k, alpha, a.as_slice(), b.as_slice(), beta, c.as_mut_slice());
+    tile::gemm(m, n, k, alpha, a.as_slice(), Op::N, b.as_slice(), Op::T, beta, c.as_mut_slice());
 }
 
 /// `C = alpha * A^T * B + beta * C` (DGEMM, A transposed).
@@ -212,7 +214,7 @@ pub fn gemm_tn(alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &mut DMatrix)
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm_tn inner dimension mismatch");
     assert_eq!(c.shape(), (m, n), "gemm_tn output shape mismatch");
-    gemm_tn_raw(m, n, k, alpha, a.as_slice(), b.as_slice(), beta, c.as_mut_slice());
+    tile::gemm(m, n, k, alpha, a.as_slice(), Op::T, b.as_slice(), Op::N, beta, c.as_mut_slice());
 }
 
 /// Reference triple-loop implementations of the GEMM/GEMV variants.
@@ -351,81 +353,12 @@ pub mod naive {
     }
 }
 
-/// Raw-slice DGEMM NN on column-major data (used by the batched routines so
-/// the GPU kernels and CPU reference share one inner loop). Routed through
-/// the register-tiled core; bitwise identical to [`naive::gemm_nn_raw`].
-#[inline]
-pub fn gemm_nn_raw(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    crate::tile::gemm(m, n, k, alpha, a, crate::tile::Op::N, b, crate::tile::Op::N, beta, c);
-}
-
-/// Raw-slice DGEMM NT on column-major data: `C = alpha A B^T + beta C`,
-/// `A (m x k)`, `B (n x k)`. Routed through the register-tiled core;
-/// bitwise identical to [`naive::gemm_nt_raw`].
-#[inline]
-pub fn gemm_nt_raw(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    crate::tile::gemm(m, n, k, alpha, a, crate::tile::Op::N, b, crate::tile::Op::T, beta, c);
-}
-
-/// Raw-slice DGEMM TN on column-major data: `C = alpha A^T B + beta C`,
-/// `A (k x m)`, `B (k x n)`. Routed through the register-tiled core (axpy
-/// accumulation order, so ULP-close — not bitwise — to
-/// [`naive::gemm_tn_raw`]).
-#[inline]
-pub fn gemm_tn_raw(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    crate::tile::gemm(m, n, k, alpha, a, crate::tile::Op::T, b, crate::tile::Op::N, beta, c);
-}
-
 /// `y = alpha * A * x + beta * y` (DGEMV, no transpose). `A (m x n)`.
 pub fn gemv_n(alpha: f64, a: &DMatrix, x: &[f64], beta: f64, y: &mut [f64]) {
     let (m, n) = a.shape();
     assert_eq!(x.len(), n, "gemv_n x length mismatch");
     assert_eq!(y.len(), m, "gemv_n y length mismatch");
     gemv_n_raw(m, n, alpha, a.as_slice(), x, beta, y);
-}
-
-/// `y = alpha * A^T * x + beta * y` (DGEMV, transposed). `A (m x n)`.
-pub fn gemv_t(alpha: f64, a: &DMatrix, x: &[f64], beta: f64, y: &mut [f64]) {
-    let (m, n) = a.shape();
-    assert_eq!(x.len(), m, "gemv_t x length mismatch");
-    assert_eq!(y.len(), n, "gemv_t y length mismatch");
-    gemv_t_raw(m, n, alpha, a.as_slice(), x, beta, y);
 }
 
 /// Raw-slice DGEMV N on column-major `A (m x n)`.
@@ -483,20 +416,6 @@ pub fn gemv_n_raw(m: usize, n: usize, alpha: f64, a: &[f64], x: &[f64], beta: f6
     }
 }
 
-/// Raw-slice DGEMV T on column-major `A (m x n)`: `y = alpha A^T x + beta y`.
-#[inline]
-pub fn gemv_t_raw(m: usize, n: usize, alpha: f64, a: &[f64], x: &[f64], beta: f64, y: &mut [f64]) {
-    debug_assert_eq!(a.len(), m * n);
-    for j in 0..n {
-        let col = &a[j * m..(j + 1) * m];
-        let mut acc = 0.0;
-        for (&aij, &xi) in col.iter().zip(x) {
-            acc += aij * xi;
-        }
-        y[j] = alpha * acc + if beta == 0.0 { 0.0 } else { beta * y[j] };
-    }
-}
-
 /// Dot product of two equal-length slices.
 ///
 /// Panics on length mismatch in every build profile: with only a debug
@@ -516,32 +435,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
-    }
-}
-
-/// Euclidean norm of a slice, safe against over- and underflow of the
-/// squared sum.
-///
-/// Fast path: `sqrt(dot(x, x))` — one pass, used whenever the squared sum
-/// is a finite normal number. When it overflows to `inf` (components near
-/// `1e160`), collapses below `f64::MIN_POSITIVE` (denormal residuals — a
-/// spurious "converged" in PCG), or goes non-finite, the scaled two-pass
-/// accumulation of [`nrm2_scaled`] recovers the true norm.
-#[inline]
-pub fn nrm2(x: &[f64]) -> f64 {
-    nrm2_from_sumsq(dot(x, x), x)
-}
-
-/// Finalizes a Euclidean norm from a precomputed `sum(x_i^2)`, falling back
-/// to [`nrm2_scaled`] when the squared sum over- or underflowed. Shared by
-/// [`nrm2`] and the streaming fused kernels (`stream::nrm2_from_sumsq`) so
-/// every norm in the solver takes the same branch on the same bits.
-#[inline]
-pub fn nrm2_from_sumsq(sumsq: f64, x: &[f64]) -> f64 {
-    if sumsq.is_finite() && sumsq >= f64::MIN_POSITIVE {
-        sumsq.sqrt()
-    } else {
-        nrm2_scaled(x)
     }
 }
 
@@ -577,36 +470,6 @@ pub fn nrm2_scaled(x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nrm2_survives_overflow_of_the_squared_sum() {
-        // (1e160)^2 = 1e320 overflows f64; the unscaled norm reported inf.
-        let x = [1e160, -2e160, 2e160];
-        assert_eq!(nrm2(&x), 3e160);
-        assert!(nrm2(&[f64::MAX, 0.0]).is_finite());
-    }
-
-    #[test]
-    fn nrm2_survives_underflow_to_denormals() {
-        // (1e-200)^2 = 1e-400 underflows to zero; the unscaled norm
-        // reported 0 — a spurious "converged" for a nonzero residual.
-        let x = [1e-200, -1e-200];
-        let expect = 1e-200 * 2f64.sqrt();
-        assert!((nrm2(&x) - expect).abs() <= 1e-15 * expect, "{}", nrm2(&x));
-        // Smallest positive denormal: still a nonzero norm.
-        let tiny = f64::from_bits(1);
-        assert_eq!(nrm2(&[tiny]), tiny);
-        assert!(nrm2(&[tiny, tiny]) > 0.0);
-    }
-
-    #[test]
-    fn nrm2_edge_inputs() {
-        assert_eq!(nrm2(&[]), 0.0);
-        assert_eq!(nrm2(&[0.0, -0.0, 0.0]), 0.0);
-        assert_eq!(nrm2(&[3.0, 4.0]), 5.0);
-        assert!(nrm2(&[1.0, f64::NAN]).is_nan());
-        assert_eq!(nrm2(&[f64::INFINITY, 1.0]), f64::INFINITY);
-    }
 
     // The two length-mismatch guards must hold in *release* builds too
     // (they were `debug_assert_eq!`, silently truncating via `zip` with
@@ -698,7 +561,7 @@ mod tests {
 
         let z = [1.0, 2.0];
         let mut w = [0.0; 3];
-        gemv_t(1.0, &a, &z, 0.0, &mut w);
+        gemv_n(1.0, &a.transpose(), &z, 0.0, &mut w);
         assert_eq!(w, [9.0, 12.0, 15.0]);
     }
 
@@ -722,7 +585,7 @@ mod tests {
         let mut y = [1.0, 2.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, [7.0, 10.0]);
-        assert!((nrm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
+        assert!((nrm2_scaled(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 

@@ -35,7 +35,7 @@ pub mod tensor;
 pub mod tile;
 
 pub use abft::{Abft, AbftViolation};
-pub use batch::{batched_gemm_nn, batched_gemm_nt, batched_gemv_n, batched_gemv_t, BatchedMats};
+pub use batch::{batched_gemm_nn, batched_gemv_n, BatchedMats};
 pub use blockdiag::BlockDiag;
 pub use csr::{CsrBuilder, CsrMatrix};
 pub use dense::DMatrix;
@@ -46,7 +46,6 @@ pub use pcg::{pcg_solve, pcg_solve_lockstep_ws, pcg_solve_on, pcg_solve_ws,
     PcgResult, PcgWorkspace, Sweep, SweepLauncher};
 pub use small::SmallMat;
 pub use svd::{svd2, svd3, Svd};
-pub use tile::{MicroTile, TileConfig};
 
 /// Returns `true` when `a` and `b` agree to relative tolerance `tol`
 /// (absolute near zero).

@@ -225,6 +225,6 @@ mod tests {
         let x = LuFactors::factor(&a).solve(&rhs);
         let mut r = rhs.clone();
         crate::dense::gemv_n(-1.0, &a, &x, 1.0, &mut r);
-        assert!(crate::dense::nrm2(&r) < 1e-10);
+        assert!(crate::stream::nrm2(&r) < 1e-10);
     }
 }

@@ -619,7 +619,8 @@ pub fn pcg_solve_ws_reference<Op: LinearOperator>(
 mod tests {
     use super::*;
     use crate::csr::CsrBuilder;
-    use crate::dense::{nrm2, DMatrix};
+    use crate::dense::DMatrix;
+    use crate::stream::nrm2;
     use crate::lu::LuFactors;
 
     /// 1D Laplacian (tridiagonal SPD) of size n.

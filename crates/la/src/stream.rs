@@ -451,9 +451,12 @@ fn nrm2_sq(x: &[f64]) -> f64 {
     walk_sum(sweep_on_pool(1, x.len()), blocks, |xv| dot_block(xv, xv))
 }
 
-/// Finalizes a Euclidean norm from a precomputed squared sum: `sqrt` on the
-/// fast path, falling back to the scaled two-pass accumulation when the
-/// squared sum over- or underflowed (see `dense::nrm2_from_sumsq`).
+/// Finalizes a Euclidean norm from a precomputed `sum(x_i^2)`: `sqrt` when
+/// the squared sum is a finite normal number, else the scaled two-pass
+/// accumulation of [`nrm2_scaled`] — when it overflowed to `inf` (components
+/// near `1e160`), collapsed below `f64::MIN_POSITIVE` (denormal residuals: a
+/// spurious "converged" in PCG) or went non-finite. Every norm in the solver
+/// finalizes here, so each takes the same branch on the same bits.
 pub fn nrm2_from_sumsq(sumsq: f64, x: &[f64]) -> f64 {
     if sumsq.is_finite() && sumsq >= f64::MIN_POSITIVE {
         sumsq.sqrt()
@@ -1012,6 +1015,36 @@ mod tests {
             let got = rayon::Pool::new(threads).install(|| dot(&x, &y));
             assert_eq!(got.to_bits(), base.to_bits(), "threads={threads}");
         }
+    }
+
+    #[test]
+    fn nrm2_survives_overflow_of_the_squared_sum() {
+        // (1e160)^2 = 1e320 overflows f64; the unscaled norm reported inf.
+        let x = [1e160, -2e160, 2e160];
+        assert_eq!(nrm2(&x), 3e160);
+        assert!(nrm2(&[f64::MAX, 0.0]).is_finite());
+    }
+
+    #[test]
+    fn nrm2_survives_underflow_to_denormals() {
+        // (1e-200)^2 = 1e-400 underflows to zero; the unscaled norm
+        // reported 0 — a spurious "converged" for a nonzero residual.
+        let x = [1e-200, -1e-200];
+        let expect = 1e-200 * 2f64.sqrt();
+        assert!((nrm2(&x) - expect).abs() <= 1e-15 * expect, "{}", nrm2(&x));
+        // Smallest positive denormal: still a nonzero norm.
+        let tiny = f64::from_bits(1);
+        assert_eq!(nrm2(&[tiny]), tiny);
+        assert!(nrm2(&[tiny, tiny]) > 0.0);
+    }
+
+    #[test]
+    fn nrm2_edge_inputs() {
+        assert_eq!(nrm2(&[]), 0.0);
+        assert_eq!(nrm2(&[0.0, -0.0, 0.0]), 0.0);
+        assert_eq!(nrm2(&[3.0, 4.0]), 5.0);
+        assert!(nrm2(&[1.0, f64::NAN]).is_nan());
+        assert_eq!(nrm2(&[f64::INFINITY, 1.0]), f64::INFINITY);
     }
 
     #[test]

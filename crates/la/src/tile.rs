@@ -1,21 +1,20 @@
 //! Cache-blocked, register-tiled GEMM micro-kernels (the host-side analog
 //! of the paper's batched CUDA kernels).
 //!
-//! One generic core serves all three public transpose variants
-//! (`gemm_nn/nt/tn`): the operand layout is absorbed by the strided loads
-//! of the register tile, and operands are read in place — no packing, no
-//! workspace, so the batched per-zone calls stay allocation-free on every
-//! thread.
+//! One generic body, [`gemm_generic`], serves every transpose variant: the
+//! operand layout is absorbed by the strided loads of the register tile,
+//! and operands are read in place — no packing, no workspace, so the
+//! batched per-zone calls stay allocation-free on every thread. [`gemm`] is
+//! what callers use: at SIMD level 2 an `op_a = N` product runs the zmm
+//! register tile (the `zmm` module), otherwise the generic body.
 //!
-//! Blocking scheme:
+//! Blocking scheme of the generic body:
 //!
 //! * `MR x NR` register tile: a fixed-size `[[f64; MR]; NR]` accumulator
 //!   that LLVM keeps entirely in vector registers; fixed-size array views
 //!   eliminate bounds checks so the inner loop autovectorizes. That holds
-//!   up to the `Mr12Nr4` candidate's size; wider generic tiles spill. So at
-//!   SIMD level 2, [`gemm`] with `op_a = N` runs a 24 x 8 tile whose
-//!   accumulators are named zmm registers (the `zmm` module, `core::arch`
-//!   intrinsics), bitwise the same chain as the default candidate.
+//!   up to about 12 x 4; wider generic tiles spill, which is why level 2
+//!   names its zmm accumulators in `core::arch` intrinsics instead.
 //! * `KC`: the k-dimension cache block. C is read into registers once per
 //!   KC block and written back once, instead of once per rank-1 update as
 //!   the naive axpy loop does — that store-traffic reduction is where the
@@ -23,14 +22,13 @@
 //!
 //! # Determinism contract
 //!
-//! Every element of C is produced by the same accumulation chain
-//! regardless of the tile configuration: `c = beta*c` first, then one
-//! update per `p` in ascending order, with C round-tripping through
-//! memory exactly (f64 store/load is lossless) between KC blocks. The
-//! results are therefore **bitwise independent of the tile
-//! configuration** (any `MR`, `NR`, `KC`): a tile sweep measures speed
-//! only, and the PR-3 thread-count determinism guarantee
-//! (`tests/host_determinism.rs`) does not depend on the choice.
+//! Every element of C is produced by one accumulation chain: `c = beta*c`
+//! first, then one update per `p` in ascending order, with C round-tripping
+//! through memory exactly (f64 store/load is lossless) between KC blocks.
+//! The blocking therefore never changes a bit: the zmm tile, which holds
+//! the whole `k` range in registers, is bitwise the generic body, and the
+//! thread-count determinism guarantee (`tests/host_determinism.rs`) does
+//! not depend on either.
 //!
 //! Relative to the naive reference ([`crate::dense::naive`]) there are
 //! two regimes, selected once per process by the level (`crate::simd`,
@@ -44,7 +42,7 @@
 //!   fused multiply-add (one rounding) and the zero-skip is dropped, so
 //!   results are ULP-bounded-close to the reference rather than equal.
 //!   Still fully deterministic: the same host always produces the same
-//!   bits at any thread count and any tile configuration.
+//!   bits at any thread count.
 //!
 //! The TN variant additionally trades the reference's dot-product
 //! accumulation for the same axpy order as NN/NT, so it is ULP-close to
@@ -62,61 +60,20 @@ pub enum Op {
     T,
 }
 
-/// Register micro-tile shapes the core is monomorphized over.
-///
-/// `Mr8Nr4` is the default: 8 accumulator lanes per column x 4 columns
-/// fills about 11 of the 16 AVX2 vector registers. [`gemm`] runs it at
-/// levels 0 and 1 and for `op_a = T`; at level 2 an `op_a = N` product runs
-/// the zmm tile instead (module docs), to the same bits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MicroTile {
-    /// 4 x 4 register tile.
-    Mr4Nr4,
-    /// 8 x 4 register tile.
-    Mr8Nr4,
-    /// 12 x 4 register tile (fills the AVX2 register file).
-    Mr12Nr4,
-    /// 4 x 8 register tile.
-    Mr4Nr8,
-}
+/// Rows of the generic register tile. 12 x 4 with a 64-deep `KC` block
+/// was the fastest of the twelve tiles timed against each other on the
+/// Table-3 `F_z` shapes (4 x 4, 8 x 4, 12 x 4, 4 x 8 by `KC` 64, 128,
+/// 256; EXPERIMENTS.md, "One generic GEMM tile"): 1.1-1.3x the former
+/// 8 x 4 / 256 default on Q3 and Q4 3D at SIMD levels 0, 1 and 2.
+const MR: usize = 12;
+/// Columns of the generic register tile (see [`MR`]).
+const NR: usize = 4;
+/// The k-dimension cache block of the generic body (see [`MR`]).
+const KC: usize = 64;
 
-/// Host tile parameters: the register tile plus the `KC` cache block.
-/// These are the knobs the `host_kernels` sweep times per FE order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TileConfig {
-    /// Register micro-tile shape.
-    pub micro: MicroTile,
-    /// k-dimension cache block.
-    pub kc: usize,
-}
-
-impl TileConfig {
-    /// The configuration [`gemm`] runs.
-    pub const DEFAULT: TileConfig = TileConfig { micro: MicroTile::Mr8Nr4, kc: 256 };
-}
-
-/// The candidate grid the host-tile sweeps time (each passed explicitly to
-/// [`gemm_tiled_direct`]). Every candidate produces bitwise-identical NN/NT
-/// results (see the module docs).
-pub const CANDIDATES: [TileConfig; 12] = [
-    TileConfig { micro: MicroTile::Mr4Nr4, kc: 64 },
-    TileConfig { micro: MicroTile::Mr4Nr4, kc: 128 },
-    TileConfig { micro: MicroTile::Mr4Nr4, kc: 256 },
-    TileConfig { micro: MicroTile::Mr8Nr4, kc: 64 },
-    TileConfig { micro: MicroTile::Mr8Nr4, kc: 128 },
-    TileConfig { micro: MicroTile::Mr8Nr4, kc: 256 },
-    TileConfig { micro: MicroTile::Mr12Nr4, kc: 64 },
-    TileConfig { micro: MicroTile::Mr12Nr4, kc: 128 },
-    TileConfig { micro: MicroTile::Mr12Nr4, kc: 256 },
-    TileConfig { micro: MicroTile::Mr4Nr8, kc: 64 },
-    TileConfig { micro: MicroTile::Mr4Nr8, kc: 128 },
-    TileConfig { micro: MicroTile::Mr4Nr8, kc: 256 },
-];
-
-/// `C = alpha * op_a(A) * op_b(B) + beta * C` on column-major slices, to
-/// the bits of [`TileConfig::DEFAULT`]: at SIMD level 2 an `op_a = N`
-/// product runs the zmm register tile, otherwise [`gemm_tiled_direct`] at
-/// the default. `(m, n, k)` are the shapes *after*
+/// `C = alpha * op_a(A) * op_b(B) + beta * C` on column-major slices: at
+/// SIMD level 2 an `op_a = N` product runs the zmm register tile, otherwise
+/// [`gemm_generic`], to the same bits. `(m, n, k)` are the shapes *after*
 /// applying the transpositions; `A^T B^T` is not supported (no caller
 /// needs it).
 pub fn gemm(
@@ -131,7 +88,6 @@ pub fn gemm(
     beta: f64,
     c: &mut [f64],
 ) {
-    assert!(!(op_a == Op::T && op_b == Op::T), "gemm: A^T * B^T is not supported");
     debug_assert!(a.len() >= m * k);
     debug_assert!(b.len() >= k * n);
     debug_assert!(c.len() >= m * n);
@@ -144,14 +100,13 @@ pub fn gemm(
             return;
         }
     }
-    gemm_tiled_direct(TileConfig::DEFAULT, m, n, k, alpha, a, op_a, b, op_b, beta, c);
+    gemm_generic(m, n, k, alpha, a, op_a, b, op_b, beta, c);
 }
 
-/// [`gemm`] under an explicit tile configuration (the tile sweeps time
-/// candidates through this): register tiling + KC blocking,
-/// operands read in place.
-pub fn gemm_tiled_direct(
-    cfg: TileConfig,
+/// [`gemm`]'s generic body at every level: the `MR x NR` register tile
+/// over `KC` blocks, operands read in place. It is what levels 0 and 1 and
+/// every `op_a = T` product run, and the zmm tile's bitwise oracle.
+pub fn gemm_generic(
     m: usize,
     n: usize,
     k: usize,
@@ -163,6 +118,7 @@ pub fn gemm_tiled_direct(
     beta: f64,
     c: &mut [f64],
 ) {
+    assert!(!(op_a == Op::T && op_b == Op::T), "gemm: A^T * B^T is not supported");
     if m == 0 || n == 0 {
         return;
     }
@@ -170,43 +126,10 @@ pub fn gemm_tiled_direct(
         scale_like_naive(beta, &mut c[..m * n]);
         return;
     }
-    match (cfg.micro, op_a, op_b) {
-        (MicroTile::Mr4Nr4, Op::N, Op::N) => {
-            direct::<4, 4, false, false>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr4Nr4, Op::N, Op::T) => {
-            direct::<4, 4, false, true>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr4Nr4, Op::T, _) => {
-            direct::<4, 4, true, false>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr8Nr4, Op::N, Op::N) => {
-            direct::<8, 4, false, false>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr8Nr4, Op::N, Op::T) => {
-            direct::<8, 4, false, true>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr8Nr4, Op::T, _) => {
-            direct::<8, 4, true, false>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr12Nr4, Op::N, Op::N) => {
-            direct::<12, 4, false, false>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr12Nr4, Op::N, Op::T) => {
-            direct::<12, 4, false, true>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr12Nr4, Op::T, _) => {
-            direct::<12, 4, true, false>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr4Nr8, Op::N, Op::N) => {
-            direct::<4, 8, false, false>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr4Nr8, Op::N, Op::T) => {
-            direct::<4, 8, false, true>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
-        (MicroTile::Mr4Nr8, Op::T, _) => {
-            direct::<4, 8, true, false>(m, n, k, alpha, a, b, beta, c, cfg.kc)
-        }
+    match (op_a, op_b) {
+        (Op::N, Op::N) => direct::<false, false>(m, n, k, alpha, a, b, beta, c),
+        (Op::N, Op::T) => direct::<false, true>(m, n, k, alpha, a, b, beta, c),
+        (Op::T, _) => direct::<true, false>(m, n, k, alpha, a, b, beta, c),
     }
 }
 
@@ -224,7 +147,7 @@ fn scale_like_naive(beta: f64, c: &mut [f64]) {
 /// applied exactly as the naive reference does; later blocks resume from
 /// the stored partial sums.
 #[inline(always)]
-fn load_acc<const MR: usize, const NR: usize>(
+fn load_acc(
     m: usize,
     i0: usize,
     j0: usize,
@@ -253,7 +176,7 @@ fn load_acc<const MR: usize, const NR: usize>(
 
 /// Writes the valid lanes of the accumulator back to C.
 #[inline(always)]
-fn store_acc<const MR: usize, const NR: usize>(
+fn store_acc(
     m: usize,
     i0: usize,
     j0: usize,
@@ -268,12 +191,13 @@ fn store_acc<const MR: usize, const NR: usize>(
     }
 }
 
-/// Full `MR x NR` register tile, compile-time loop bounds throughout: the
-/// accumulator stays in vector registers for the whole KC block, so C is
-/// loaded and stored once per block instead of once per rank-1 update.
+/// Full `MR x W` register tile (`W` is `NR`, or the ragged column count),
+/// compile-time loop bounds throughout: the accumulator stays in vector
+/// registers for the whole KC block, so C is loaded and stored once per
+/// block instead of once per rank-1 update.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tile_full<const MR: usize, const NR: usize, const AT: bool, const BT: bool, const FMA: bool>(
+fn tile_full<const W: usize, const AT: bool, const BT: bool, const FMA: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -288,7 +212,7 @@ fn tile_full<const MR: usize, const NR: usize, const AT: bool, const BT: bool, c
     first: bool,
     c: &mut [f64],
 ) {
-    let mut acc = [[0.0f64; MR]; NR];
+    let mut acc = [[0.0f64; MR]; W];
     for (jr, accj) in acc.iter_mut().enumerate() {
         let cj: &[f64; MR] = c[(j0 + jr) * m + i0..][..MR].try_into().expect("full tile");
         for (av, &cv) in accj.iter_mut().zip(cj) {
@@ -315,7 +239,7 @@ fn tile_full<const MR: usize, const NR: usize, const AT: bool, const BT: bool, c
         // instead of one per column keeps the common all-nonzero body
         // branchless. Skipping only fires on folded entries that are
         // exactly 0.0, exactly as the reference skips them.
-        let bv: [f64; NR] = core::array::from_fn(|jr| {
+        let bv: [f64; W] = core::array::from_fn(|jr| {
             let bpj = if BT { b[(j0 + jr) + p * n] } else { b[p + (j0 + jr) * k] };
             if alpha == 1.0 {
                 bpj
@@ -349,7 +273,7 @@ fn tile_full<const MR: usize, const NR: usize, const AT: bool, const BT: bool, c
 /// are skipped, so only the valid lanes are ever written back).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tile_edge<const MR: usize, const NR: usize, const AT: bool, const BT: bool, const FMA: bool>(
+fn tile_edge<const AT: bool, const BT: bool, const FMA: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -394,9 +318,8 @@ fn tile_edge<const MR: usize, const NR: usize, const AT: bool, const BT: bool, c
 fma_clones! {
     /// [`direct_body`] at the level: every clone runs the same loop nest in the
     /// same order, so results depend on the regime (`FMA`), never on the width.
-    fn direct<MR: usize, NR: usize, AT: bool, BT: bool> = direct_body(
+    fn direct<AT: bool, BT: bool> = direct_body(
         m: usize, n: usize, k: usize, alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64],
-        kc_blk: usize,
     )
 }
 
@@ -405,7 +328,7 @@ fma_clones! {
 /// over `(m, n)`, operands read in place through the transpose flags.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn direct_body<const FMA: bool, const MR: usize, const NR: usize, const AT: bool, const BT: bool>(
+fn direct_body<const FMA: bool, const AT: bool, const BT: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -414,40 +337,39 @@ fn direct_body<const FMA: bool, const MR: usize, const NR: usize, const AT: bool
     b: &[f64],
     beta: f64,
     c: &mut [f64],
-    kc_blk: usize,
 ) {
     let m_full = m - m % MR;
     let n_full = n - n % NR;
     let mut p0 = 0;
     let mut first = true;
     while p0 < k {
-        let kc = kc_blk.min(k - p0);
+        let kc = KC.min(k - p0);
         let mut j0 = 0;
         while j0 < n_full {
             let mut i0 = 0;
             while i0 < m_full {
-                tile_full::<MR, NR, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
+                tile_full::<NR, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
                 i0 += MR;
             }
             if i0 < m {
-                tile_edge::<MR, NR, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
+                tile_edge::<AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
             }
             j0 += NR;
         }
         if j0 < n {
             // Ragged column strip: re-dispatch the full i-tiles to a
-            // narrower const-NR register tile so only the bottom-right
+            // narrower const-width register tile so only the bottom-right
             // corner pays the runtime-bounded edge cost.
             let nr_eff = n - j0;
             let mut i0 = 0;
             while i0 < m_full {
-                jedge_full::<MR, AT, BT, FMA>(
+                jedge_full::<AT, BT, FMA>(
                     m, n, k, i0, j0, p0, kc, nr_eff, alpha, a, b, beta, first, c,
                 );
                 i0 += MR;
             }
             if i0 < m {
-                tile_edge::<MR, NR, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
+                tile_edge::<AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
             }
         }
         p0 += kc;
@@ -456,10 +378,10 @@ fn direct_body<const FMA: bool, const MR: usize, const NR: usize, const AT: bool
 }
 
 /// Dispatches a full-height, ragged-width tile (`MR x nr_eff`) to the
-/// matching const-NR instantiation of [`tile_full`].
+/// matching const-width instantiation of [`tile_full`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn jedge_full<const MR: usize, const AT: bool, const BT: bool, const FMA: bool>(
+fn jedge_full<const AT: bool, const BT: bool, const FMA: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -476,14 +398,10 @@ fn jedge_full<const MR: usize, const AT: bool, const BT: bool, const FMA: bool>(
     c: &mut [f64],
 ) {
     match nr_eff {
-        1 => tile_full::<MR, 1, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
-        2 => tile_full::<MR, 2, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
-        3 => tile_full::<MR, 3, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
-        4 => tile_full::<MR, 4, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
-        5 => tile_full::<MR, 5, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
-        6 => tile_full::<MR, 6, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
-        7 => tile_full::<MR, 7, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
-        _ => unreachable!("nr_eff < NR <= 8"),
+        1 => tile_full::<1, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
+        2 => tile_full::<2, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
+        3 => tile_full::<3, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
+        _ => unreachable!("nr_eff < NR = 4"),
     }
 }
 
@@ -496,7 +414,7 @@ avx512_clone! {
 
 /// The level-2 register tile of [`gemm`] with `op_a = N`, in `core::arch`
 /// intrinsics: LLVM does not keep a generic `[[f64; MR]; NR]` tile wider than
-/// `Mr12Nr4` in registers (`Mr16Nr8` ran at 2.6–3.3 GF/s), so the zmm
+/// 12 x 4 in registers (a generic 16 x 8 ran at 2.6–3.3 GF/s), so the zmm
 /// accumulators are named here.
 ///
 /// A tile is `8·V` rows of C in `V` zmm accumulators per column by `W`
@@ -509,7 +427,7 @@ avx512_clone! {
 ///
 /// Every element runs the chain of the module docs: the `beta` start as in
 /// `load_acc`, `alpha` folded into B, ascending `p`, one FMA per step. So
-/// each output is bitwise `gemm_tiled_direct(TileConfig::DEFAULT, ..)`'s. The
+/// each output is bitwise [`gemm_generic`]'s. The
 /// accumulators hold the whole `k` range: C round-trips through memory
 /// exactly between `KC` blocks, so skipping the round trips changes no bit.
 #[cfg(target_arch = "x86_64")]
@@ -695,9 +613,9 @@ mod tests {
             .collect()
     }
 
-    /// The contract from the module docs: every config is bitwise
-    /// identical to every other; vs the naive reference the results are
-    /// bitwise equal on non-FMA hosts and ULP-bounded otherwise.
+    /// The contract from the module docs: vs the naive reference the
+    /// generic body is bitwise equal on non-FMA hosts and ULP-bounded
+    /// otherwise.
     fn check_bitwise_nn_nt(m: usize, n: usize, k: usize, alpha: f64, beta: f64) {
         let a = fill(m * k, (m * 31 + k) as u64);
         let c0 = fill(m * n, (n * 7 + m) as u64);
@@ -708,33 +626,19 @@ mod tests {
                 Op::N => naive::gemm_nn_raw(m, n, k, alpha, &a, &b, beta, &mut c_ref),
                 Op::T => naive::gemm_nt_raw(m, n, k, alpha, &a, &b, beta, &mut c_ref),
             }
-            let mut first: Option<Vec<f64>> = None;
-            for cfg in CANDIDATES {
-                let mut c = c0.clone();
-                gemm_tiled_direct(cfg, m, n, k, alpha, &a, Op::N, &b, op_b, beta, &mut c);
-                match &first {
-                    None => {
-                        if fma_active() {
-                            for (x, y) in c.iter().zip(&c_ref) {
-                                let scale = x.abs().max(y.abs()).max(1.0);
-                                assert!(
-                                    (x - y).abs() <= 1e-12 * scale,
-                                    "{x} vs naive {y} at {m}x{n}x{k} {op_b:?}"
-                                );
-                            }
-                        } else {
-                            assert!(
-                                c.iter().zip(&c_ref).all(|(x, y)| x.to_bits() == y.to_bits()),
-                                "non-FMA host must match naive bitwise at {m}x{n}x{k} {op_b:?}"
-                            );
-                        }
-                        first = Some(c);
-                    }
-                    Some(c1) => assert!(
-                        c.iter().zip(c1).all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "direct {cfg:?} {op_b:?} config-dependent at {m}x{n}x{k} a={alpha} b={beta}"
-                    ),
+            let mut c = c0.clone();
+            gemm_generic(m, n, k, alpha, &a, Op::N, &b, op_b, beta, &mut c);
+            let at = format!("{m}x{n}x{k} {op_b:?}");
+            if fma_active() {
+                for (x, y) in c.iter().zip(&c_ref) {
+                    let scale = x.abs().max(y.abs()).max(1.0);
+                    assert!((x - y).abs() <= 1e-12 * scale, "{x} vs naive {y} at {at}");
                 }
+            } else {
+                assert!(
+                    c.iter().zip(&c_ref).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "non-FMA host must match naive bitwise at {at}"
+                );
             }
         }
     }
@@ -789,8 +693,7 @@ mod tests {
             let b = fill(k * n, (k * 13 + n) as u64);
             let c0 = if beta == 0.0 { vec![f64::NAN; m * n] } else { fill(m * n, 5) };
             let (mut want, mut got) = (c0.clone(), c0);
-            let cfg = TileConfig::DEFAULT;
-            gemm_tiled_direct(cfg, m, n, k, alpha, &a, Op::N, &b, op_b, beta, &mut want);
+            gemm_generic(m, n, k, alpha, &a, Op::N, &b, op_b, beta, &mut want);
             gemm(m, n, k, alpha, &a, Op::N, &b, op_b, beta, &mut got);
             assert!(
                 got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
@@ -807,13 +710,11 @@ mod tests {
             let c0 = fill(m * n, 5);
             let mut c_ref = c0.clone();
             naive::gemm_tn_raw(m, n, k, 1.5, &a, &b, 0.5, &mut c_ref);
-            for cfg in CANDIDATES {
-                let mut c = c0.clone();
-                gemm_tiled_direct(cfg, m, n, k, 1.5, &a, Op::T, &b, Op::N, 0.5, &mut c);
-                for (x, y) in c.iter().zip(&c_ref) {
-                    let scale = y.abs().max(1.0);
-                    assert!((x - y).abs() <= 1e-12 * scale, "{x} vs {y}");
-                }
+            let mut c = c0.clone();
+            gemm_generic(m, n, k, 1.5, &a, Op::T, &b, Op::N, 0.5, &mut c);
+            for (x, y) in c.iter().zip(&c_ref) {
+                let scale = y.abs().max(1.0);
+                assert!((x - y).abs() <= 1e-12 * scale, "{x} vs {y}");
             }
         }
     }

@@ -93,7 +93,7 @@ fn no_deprecated_api_kept_alive() {
 }
 
 /// Kernel configuration and fault-tolerance state travel as values the
-/// solver owns (`TileConfig`, `PcgOptions`, `Abft`): two solvers in one
+/// solver owns (`PcgOptions`, `Abft`): two solvers in one
 /// process must not see each other's settings, so the numeric crates hold
 /// no lockable or atomic `static`, and the installers PR 15 deleted stay gone.
 /// The one write-once `static` is the SIMD level of `blast-la`, a fact about
