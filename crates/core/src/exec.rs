@@ -466,13 +466,14 @@ pub fn corner_force_traffic_matfree(shape: &ProblemShape, factors: &SumfacFactor
 /// one SpMV over the kinematic mass matrix plus the vector operations. The
 /// caller bills the sum of the `D` velocity components' iterations, so the
 /// *model* streams the matrix once per component iteration — the paper's
-/// solver, one component after another. The stored host leg no longer runs
-/// that way: it advances all `D` in lock step over one row sweep
+/// solver, one component after another. Neither stored leg runs that way:
+/// both advance all `D` in lock step over one row sweep
 /// (`blast_la::pcg_solve_on`), the same bits in about 0.4× the wall time
-/// at `D` = 3. The modeled clock is deliberately not re-billed (it moves
-/// with its own claim, together with the device leg), so the benchmark's
-/// `gpu_sim.host_model_ratio` — modeled over measured seconds — reads
-/// higher on the stored CPU workloads than the model's accuracy alone
+/// at `D` = 3, and the device leg still bills kernel 9 per component, the
+/// launches of `D` scalar solves. The modeled clock is deliberately not
+/// re-billed on either leg (it moves with its own claim), so the
+/// benchmark's `gpu_sim.host_model_ratio` — modeled over measured seconds —
+/// reads higher on the stored workloads than the model's accuracy alone
 /// would put it.
 ///
 /// When the matrix fits the package's L3 (20 MB on the E5-2670), repeated

@@ -8,14 +8,16 @@ use blast_kernels::k11::SpmvKernel;
 use blast_kernels::k4::AzKernel;
 use blast_kernels::k7::FzKernel;
 use blast_kernels::k8_10::{EnergyRhsKernel, MomentumRhsKernel};
-use blast_kernels::k9::GpuPcg;
 use blast_kernels::launch::{Inline, KernelLauncher, Launch};
 use blast_kernels::sumfac::{
     AssemblyMode, SumfacEnergyKernel, SumfacFactors, SumfacForceKernel, SumfacMassKernel,
     SumfacMomentumKernel,
 };
 use blast_kernels::{GemmVariant, ProblemShape};
-use blast_la::{pcg_solve_lockstep_ws, ConstrainedOp, CsrMatrix, LinearOperator, PcgResult};
+use blast_la::{
+    pcg_solve_lockstep_ws, pcg_solve_on, ConstrainedOp, CsrMatrix, HostSweeps, LinearOperator,
+    PcgResult,
+};
 use blast_telemetry::names;
 use gpu_sim::{GpuDevice, LaunchConfig, Traffic};
 use powermon::CpuPowerState;
@@ -419,17 +421,19 @@ impl<const D: usize> Hydro<D> {
     /// The momentum solve (step 6): the `D` constrained component systems
     /// `M_V a_c = rhs_c` through the live assembly's operator, warm-started
     /// from the previous acceleration, into the scratch's `accel`; returns
-    /// the iterations taken. The stored host leg and the
-    /// matrix-free leg advance all `D` in lock step — one CSR row sweep, or
-    /// one sum-factorized zone pass, per iteration feeds every component —
-    /// and each component's bits are those of its scalar solve. Only the
-    /// stored solve on `device` still runs one component at a time: kernel
-    /// 9 issues every sweep as a launch. The matrix-free solve runs on the
-    /// host, and on a device bills one launch per component after the
-    /// solve, in component order (the mass-apply sweeps a fused device
-    /// solver would execute). A stalled component is reported as a
-    /// sequential loop reports it: the lowest one, nothing counted or
-    /// billed after it.
+    /// the iterations taken. Every leg is one lock-step solve of all `D` —
+    /// one CSR row sweep, or one sum-factorized zone pass, per iteration
+    /// feeds every component — and each component's bits are those of its
+    /// scalar solve. The two stored legs build the same operator and differ
+    /// in the launcher only: `HostSweeps`, or on a `device` kernel 9's
+    /// `SweepLog`, which bills nothing while the solve runs. The bill
+    /// follows per component, in component order, as a component-at-a-time
+    /// loop issued it: kernel 9's launches for component `c` (the ones its
+    /// scalar solve issues) and then its outcome; matrix-free, its outcome
+    /// and then one launch for its mass-apply sweeps. A stalled component
+    /// is reported as that loop reports it — the lowest one, nothing
+    /// counted or billed after it — and a refused launch ends the bill with
+    /// its error.
     ///
     /// After a device solve the caller commits the warm-start cache once
     /// the solution has crossed back. Otherwise the host timeline is
@@ -442,7 +446,7 @@ impl<const D: usize> Hydro<D> {
         ws: &mut EvalScratch,
     ) -> Result<usize, HydroError> {
         use names::counters;
-        let EvalScratch { rhs, accel, pcg, mom_local, .. } = ws;
+        let EvalScratch { rhs, accel, pcg, sweeps, mom_local, .. } = ws;
         let n = self.kin.num_dofs();
         let shape = &self.shape;
         let opts = &self.pcg_opts;
@@ -464,67 +468,59 @@ impl<const D: usize> Hydro<D> {
             total_iters += res.iterations;
             Ok(())
         };
-        let at = |c: usize| c * n..(c + 1) * n;
-        let solved = match (&self.assembly, device) {
-            (Assembly::Stored { mv }, Some(gpu)) => (0..D).try_for_each(|c| {
-                let res = GpuPcg { opts: *opts }.solve_ws(
-                    gpu,
-                    mv,
-                    &self.mv_precond,
-                    &rhs[at(c)],
-                    &self.constrained[c],
-                    &mut accel[at(c)],
-                    pcg,
-                )?;
-                record(&res)
-            }),
-            (assembly, _) => {
-                let masks: [&[bool]; D] = std::array::from_fn(|c| &self.constrained[c][..]);
-                let precond = &self.mv_precond;
-                let results: [PcgResult; D] = match assembly {
-                    Assembly::Stored { mv } => {
-                        let staging = blast_la::stream::wide_lanes(D) * n;
-                        pcg.with_operator_scratch(staging, |tmp, pcg| {
-                            let op = &mut ConstrainedOp { a: mv, masks: &masks, tmp };
-                            pcg_solve_lockstep_ws(op, precond, rhs, accel, opts, pcg)
-                        })
-                    }
-                    Assembly::MatFree(mf) => pcg_solve_lockstep_ws(
-                        &mut MatFreeConstrainedOp {
-                            shape,
-                            factors: &mf.factors,
-                            svals: &mf.svals,
-                            zone_dofs: &self.zone_dofs,
-                            n,
-                            masks: &masks,
-                            local: mom_local,
-                        },
-                        precond,
-                        rhs,
-                        accel,
-                        opts,
-                        pcg,
-                    ),
-                };
-                // Only a matrix-free solve reaches here with a device: each
-                // component's mass-apply sweeps are billed as one launch
-                // right after its record, so a stalled or refused component
-                // ends the bill where a component-at-a-time loop would.
-                results.iter().try_for_each(|res| {
-                    record(res)?;
-                    if let Some(gpu) = device {
-                        gpu.launch(
-                            SumfacMassKernel::NAME,
-                            &SumfacMassKernel.config(shape),
-                            &iter_traffic.scale(res.iterations as f64),
-                            || (),
-                        )?;
-                    }
-                    Ok(())
+        let masks: [&[bool]; D] = std::array::from_fn(|c| &self.constrained[c][..]);
+        let precond = &self.mv_precond;
+        let results: [PcgResult; D] = match &self.assembly {
+            Assembly::Stored { mv } => {
+                let staging = blast_la::stream::wide_lanes(D) * n;
+                pcg.with_operator_scratch(staging, |tmp, pcg| {
+                    let op = &mut ConstrainedOp { a: mv, masks: &masks, tmp };
+                    // One solve; only the launcher differs.
+                    let Ok(results) = match device {
+                        Some(_) => {
+                            let on = &mut sweeps.record(opts);
+                            pcg_solve_on(on, op, precond, rhs, accel, opts, pcg)
+                        }
+                        None => pcg_solve_on(&mut HostSweeps, op, precond, rhs, accel, opts, pcg),
+                    };
+                    results
                 })
             }
+            Assembly::MatFree(mf) => pcg_solve_lockstep_ws(
+                &mut MatFreeConstrainedOp {
+                    shape,
+                    factors: &mf.factors,
+                    svals: &mf.svals,
+                    zone_dofs: &self.zone_dofs,
+                    n,
+                    masks: &masks,
+                    local: mom_local,
+                },
+                precond,
+                rhs,
+                accel,
+                opts,
+                pcg,
+            ),
         };
-        solved?;
+        for (c, res) in results.iter().enumerate() {
+            match (&self.assembly, device) {
+                (Assembly::Stored { mv }, Some(gpu)) => {
+                    sweeps.bill(gpu, mv, c)?;
+                    record(res)?;
+                }
+                (Assembly::MatFree(_), Some(gpu)) => {
+                    record(res)?;
+                    gpu.launch(
+                        SumfacMassKernel::NAME,
+                        &SumfacMassKernel.config(shape),
+                        &iter_traffic.scale(res.iterations as f64),
+                        || (),
+                    )?;
+                }
+                (_, None) => record(res)?,
+            }
+        }
         if device.is_none() {
             self.accel_prev.copy_from_slice(accel);
             // The model bills every component its own stream over the

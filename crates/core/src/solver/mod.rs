@@ -13,6 +13,7 @@ pub use run::{RunConfig, RunCursor};
 use blast_fem::{BasisTable, H1Space, L2Space, TensorRule};
 use blast_kernels::base::PipelineScratch;
 use blast_kernels::k2::ZoneConstants;
+use blast_kernels::k9::SweepLog;
 use blast_kernels::sumfac::AssemblyMode;
 use blast_kernels::ProblemShape;
 use blast_la::{Abft, BatchedMats, BlockDiag, DiagPrecond, PcgOptions, PcgWorkspace};
@@ -144,6 +145,8 @@ struct EvalScratch {
     accel: Vec<f64>,
     /// PCG iteration vectors and the constrained operator's masked input.
     pcg: PcgWorkspace,
+    /// Kernel 9's log of the stored device solve, billed after it.
+    sweeps: SweepLog,
     /// Energy RHS (`F^T v_avg`).
     rhs_e: Vec<f64>,
     /// `de/dt`.
@@ -937,11 +940,42 @@ mod tests {
         }
     }
 
+    /// A stalled device momentum solve is reported as a component-at-a-time
+    /// loop reports it: the lowest stalled component's breakdown, with
+    /// kernel 9's launches for that component alone in the device ledger —
+    /// the `4 + 3·max_iter` fused sweeps of its scalar solve — and none for
+    /// the components after it, although the lock-step solve ran them all.
+    #[test]
+    fn a_stalled_device_solve_bills_the_lowest_stalled_component_only() {
+        let max_iter = 3;
+        let gpu = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
+        let exec = Executor::new(
+            ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 },
+            CpuSpec::e5_2670(),
+            Some(gpu.clone()),
+        );
+        let mut hydro = Hydro::<2>::builder(&Sedov::default(), [4, 4])
+            .executor(exec)
+            .pcg(PcgOptions { max_iter, ..Default::default() })
+            .build()
+            .unwrap();
+        let mut state = hydro.initial_state();
+        let err = hydro.try_step(&mut state, 1e-4).expect_err("both components stall");
+        assert!(
+            matches!(err, HydroError::PcgBreakdown { iterations, .. } if iterations == max_iter),
+            "{err:?}"
+        );
+        assert!(!hydro.exec.is_degraded(), "a stall is not a device fault");
+        let k9 = blast_kernels::k9::LAUNCH_NAMES;
+        let billed = gpu.events().iter().filter(|e| k9.contains(&e.name)).count();
+        assert_eq!(billed, 4 + 3 * max_iter);
+    }
+
     /// Address, length and capacity of every buffer of the step scratch (a
     /// batch: address, matrix size and count), field by field.
     fn pools<const D: usize>(hydro: &Hydro<D>) -> Vec<[usize; 3]> {
         let StepScratch { eval, stage, saved_v, saved_e, saved_x, saved_accel } = &hydro.scratch;
-        let EvalScratch { pipe, fz, rhs, mom_local, accel, pcg, rhs_e, de } = eval;
+        let EvalScratch { pipe, fz, rhs, mom_local, accel, pcg, sweeps, rhs_e, de } = eval;
         let StageVectors { s0_v, s0_e, s0_x, v_half, e_half, x_half, v_avg } = stage;
         let vecs = [
             &pipe.inv_dt, &pipe.detj, rhs, mom_local, accel, rhs_e, de, s0_v, s0_e, s0_x, v_half,
@@ -953,7 +987,7 @@ mod tests {
             let (rows, cols) = batch.shape();
             out.push([batch.as_slice().as_ptr() as usize, rows * cols, batch.count()]);
         }
-        out.push([pcg.capacity(), 0, 0]);
+        out.push([pcg.capacity(), sweeps.capacity(), 0]);
         out
     }
 

@@ -4,11 +4,18 @@
 //! "We implemented a custom CUDA-PCG solver from scratch. CUDA-PCG contains
 //! a SpMV and a dot product routine only, where we call CUSPARSE SpMV and
 //! cublasDdot." It is the same step-6 algorithm as the CPU solve run
-//! somewhere else, so this module holds no iteration: [`GpuPcg`] hands
-//! `blast_la::pcg_solve_on` the constrained operator the host leg uses and
-//! a launcher that bills each sweep as one device launch from the table
-//! below. The arithmetic is the host leg's, sweep for sweep — the mid-run
-//! degrade-to-CPU path (chaos campaign) depends on that.
+//! somewhere else, so this module holds no iteration: kernel 9 is
+//! `blast_la::pcg_solve_on` over the constrained operator the host leg uses,
+//! issued through a [`SweepLog`]. That launcher runs each sweep at once —
+//! the host leg's arithmetic, sweep for sweep, so the mid-run degrade-to-CPU
+//! path (chaos campaign) reproduces it — and logs the sweep with the systems
+//! it covered. The bill comes after the solve: [`SweepLog::bill`] issues,
+//! for one system, every logged sweep that covered it as one launch from
+//! the table below, in log order — the launches that system's scalar solve
+//! issues, because a lock-step solve freezes a system exactly where its
+//! scalar solve returns. So the `d` momentum components share one pass over
+//! the matrix per iteration, and the device ledger is the one `d` scalar
+//! solves, one component after another, would leave.
 //!
 //! The *launch-per-op* variant (`PcgOptions { fused: false, .. }`) is the
 //! paper's baseline: per iteration one `csrMv_ci_kernel` launch plus seven
@@ -24,6 +31,8 @@
 //! from 8 to 3, which flows straight into the §6 device time/energy model
 //! and the power traces.
 
+use std::convert::Infallible;
+
 use blast_la::{
     pcg_solve_on, ConstrainedOp, CsrMatrix, DiagPrecond, PcgOptions, PcgResult, PcgWorkspace,
     Sweep, SweepLauncher,
@@ -31,6 +40,7 @@ use blast_la::{
 use gpu_sim::{GpuDevice, GpuError, LaunchConfig, Traffic};
 
 use crate::k11::SpmvKernel;
+use crate::launch::{KernelLauncher, Launch};
 
 /// Fused SpMV + dot launch name (Fig. 6 breakdown label).
 pub const FUSED_SPMV_DOT: &str = "fusedCsrMvDot_ci_kernel";
@@ -145,17 +155,69 @@ fn launch_of(which: Sweep, a: &CsrMatrix) -> (&'static str, LaunchConfig, Traffi
     }
 }
 
-/// The device backend of the PCG iteration: each sweep is one launch.
-struct DeviceSweeps<'a> {
-    dev: &'a GpuDevice,
-    a: &'a CsrMatrix,
+/// Kernel 9's launcher and its ledger: what a lock-step solve issued, in
+/// issue order — each sweep with the systems it covered (bit `c` set:
+/// system `c` was live). Grow-only: a solve clears it and never shrinks it,
+/// so a warmed log is reused without touching the heap.
+#[derive(Debug, Default)]
+pub struct SweepLog(Vec<(Sweep, u64)>);
+
+impl SweepLog {
+    /// The launcher of one solve under `opts`: empties the log, then runs
+    /// every sweep at once and appends it. It refuses nothing; a refusal
+    /// surfaces from [`Self::bill`]. The log is sized up front for the
+    /// longest solve `opts` allows (`4 + 3·max_iter` sweeps fused,
+    /// `5 + 8·max_iter` launch-per-op), so it never grows mid-run: a step
+    /// whose solve iterates longer than any before it stays heap-quiet, and
+    /// the log does not reallocate in small steps between the solver's
+    /// large buffers. Should the allocator refuse that size (a `max_iter`
+    /// meant as "no cap"), the log grows as it fills instead.
+    pub fn record(&mut self, opts: &PcgOptions) -> impl SweepLauncher<Error = Infallible> + '_ {
+        let (per_iter, setup) = if opts.fused { (3, 4) } else { (8, 5) };
+        let longest = opts.max_iter.saturating_mul(per_iter).saturating_add(setup);
+        self.0.clear();
+        let _ = self.0.try_reserve(longest);
+        Recorder(&mut self.0)
+    }
+
+    /// Issues on `dev` the launches of system `c`: every logged sweep that
+    /// covered it, in log order, each one launch from the table over the
+    /// solve's matrix `a`. The first refused launch ends the bill with its
+    /// error.
+    pub fn bill(&self, dev: &GpuDevice, a: &CsrMatrix, c: usize) -> Result<(), GpuError> {
+        let mut on = dev;
+        for &(which, _) in self.0.iter().filter(|&&(_, live)| live >> c & 1 == 1) {
+            let what = || {
+                let (name, cfg, traffic) = launch_of(which, a);
+                Launch::new(name, cfg, traffic)
+            };
+            KernelLauncher::launch(&mut on, what, || ())?;
+        }
+        Ok(())
+    }
+
+    /// High-water capacity in entries (tests assert the grow-only behavior
+    /// through this).
+    pub fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
 }
 
-impl SweepLauncher for DeviceSweeps<'_> {
-    type Error = GpuError;
-    fn sweep<R>(&mut self, which: Sweep, body: impl FnOnce() -> R) -> Result<R, GpuError> {
-        let (name, cfg, traffic) = launch_of(which, self.a);
-        self.dev.launch(name, &cfg, &traffic, body).map(|(out, _)| out)
+/// [`SweepLog::record`]'s launcher.
+struct Recorder<'a>(&'a mut Vec<(Sweep, u64)>);
+
+impl SweepLauncher for Recorder<'_> {
+    type Error = Infallible;
+    fn sweep<R>(
+        &mut self,
+        which: Sweep,
+        live: &[bool],
+        body: impl FnOnce() -> R,
+    ) -> Result<R, Infallible> {
+        assert!(live.len() <= 64, "kernel 9 logs at most 64 systems");
+        let mask = live.iter().enumerate().fold(0, |m, (c, &l)| m | u64::from(l) << c);
+        self.0.push((which, mask));
+        Ok(body())
     }
 }
 
@@ -173,7 +235,9 @@ impl GpuPcg {
     /// diagonal preconditioner, `P` zeroing the entries `constrained`
     /// marks `true` (reflecting-wall DOFs): with `b` and the initial guess
     /// in `x` zero there, as the solver passes them, those entries are held
-    /// at zero.
+    /// at zero. The solve is the one-system case of the momentum solve's
+    /// record-then-bill path; on an error `x` holds an iterate the caller
+    /// must discard.
     pub fn solve(
         &self,
         dev: &GpuDevice,
@@ -183,29 +247,15 @@ impl GpuPcg {
         constrained: &[bool],
         x: &mut [f64],
     ) -> Result<PcgResult, GpuError> {
-        self.solve_ws(dev, a, precond, b, constrained, x, &mut PcgWorkspace::new())
-    }
-
-    /// [`GpuPcg::solve`] with the iteration vectors drawn from a reusable
-    /// workspace (the device counterpart of `blast_la::pcg_solve_ws`):
-    /// every vector is stored in full before its first read, so the
-    /// workspace's previous contents never matter. On an error `x` holds a
-    /// partial iterate.
-    pub fn solve_ws(
-        &self,
-        dev: &GpuDevice,
-        a: &CsrMatrix,
-        precond: &DiagPrecond,
-        b: &[f64],
-        constrained: &[bool],
-        x: &mut [f64],
-        ws: &mut PcgWorkspace,
-    ) -> Result<PcgResult, GpuError> {
-        ws.with_operator_scratch(a.rows(), |tmp, ws| {
-            let mut op = ConstrainedOp { a, masks: &[constrained], tmp };
-            pcg_solve_on(&mut DeviceSweeps { dev, a }, &mut op, precond, b, x, &self.opts, ws)
-                .map(|[res]| res)
-        })
+        let mut log = SweepLog::default();
+        let [res] = PcgWorkspace::new().with_operator_scratch(a.rows(), |tmp, ws| {
+            let op = &mut ConstrainedOp { a, masks: &[constrained], tmp };
+            let on = &mut log.record(&self.opts);
+            let Ok(res) = pcg_solve_on(on, op, precond, b, x, &self.opts, ws);
+            res
+        });
+        log.bill(dev, a, 0)?;
+        Ok(res)
     }
 }
 
@@ -258,6 +308,101 @@ mod tests {
             assert_eq!(res.residual.to_bits(), res_cpu.residual.to_bits(), "fused={fused}");
             assert_eq!(x_gpu, x_cpu, "fused={fused}");
         }
+    }
+
+    #[test]
+    fn lockstep_bill_is_the_ledger_of_sequential_solves_fault_by_fault() {
+        use gpu_sim::{FaultKind, FaultPlan};
+        // Three desynchronised systems with their own masks: a full solve,
+        // a one-iteration eigenvector solve and one done at iteration 0.
+        let n = 24;
+        let a = laplacian(n);
+        let pre = DiagPrecond::from_diagonal(&a.diagonal());
+        let masks: [Vec<bool>; 3] = [
+            (0..n).map(|i| i == 0).collect(),
+            vec![false; n],
+            (0..n).map(|i| i % 7 == 3).collect(),
+        ];
+        let mut b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect(); // b[0] = 0
+        b.extend((1..=n).map(|i| (std::f64::consts::PI * i as f64 / (n + 1) as f64).sin()));
+        b.extend(std::iter::repeat_n(0.0, n));
+        let at = |c: usize| c * n..(c + 1) * n;
+
+        // A side's outcome: per system its iterations and residual bits, or
+        // the refusal; and the iterate.
+        type Outcome = (Result<Vec<(usize, u64)>, GpuError>, Vec<f64>);
+        let outcome = |res: Result<Vec<PcgResult>, GpuError>, x| -> Outcome {
+            (res.map(|r| r.iter().map(|r| (r.iterations, r.residual.to_bits())).collect()), x)
+        };
+        // The device ledger: the events' names in order, the clock, the energy.
+        let ledger = |dev: &GpuDevice| {
+            let names: Vec<&str> = dev.events().iter().map(|e| e.name).collect();
+            (names, dev.now().to_bits(), dev.energy_joules().to_bits())
+        };
+        let lockstep = |opts: PcgOptions, dev: &GpuDevice| -> Outcome {
+            let masks: [&[bool]; 3] = std::array::from_fn(|c| &masks[c][..]);
+            let (mut log, mut x) = (SweepLog::default(), vec![0.0; 3 * n]);
+            let staging = blast_la::stream::wide_lanes(3) * n;
+            let results: [PcgResult; 3] =
+                PcgWorkspace::new().with_operator_scratch(staging, |tmp, ws| {
+                    let op = &mut ConstrainedOp { a: &a, masks: &masks, tmp };
+                    let on = &mut log.record(&opts);
+                    let Ok(res) = pcg_solve_on(on, op, &pre, &b, &mut x, &opts, ws);
+                    res
+                });
+            let billed = (0..3).try_for_each(|c| log.bill(dev, &a, c));
+            outcome(billed.map(|()| results.to_vec()), x)
+        };
+        let sequential = |opts: PcgOptions, dev: &GpuDevice| -> Outcome {
+            let mut x = vec![0.0; 3 * n];
+            let solved = (0..3)
+                .map(|c| GpuPcg { opts }.solve(dev, &a, &pre, &b[at(c)], &masks[c], &mut x[at(c)]))
+                .collect();
+            outcome(solved, x)
+        };
+
+        for fused in [true, false] {
+            let opts = PcgOptions { fused, ..Default::default() };
+            let device = |refuse: Option<u64>| {
+                let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
+                if let Some(k) = refuse {
+                    let plan = FaultPlan::seeded(1).with_persistent(FaultKind::LaunchFail, k);
+                    dev.set_fault_plan(plan);
+                }
+                dev
+            };
+            let (dev_want, dev_got) = (device(None), device(None));
+            let want = sequential(opts, &dev_want);
+            assert_eq!(lockstep(opts, &dev_got), want, "fused={fused}");
+            assert_eq!(ledger(&dev_got), ledger(&dev_want), "fused={fused}");
+            let iters: Vec<usize> = want.0.unwrap().iter().map(|r| r.0).collect();
+            assert!(iters[0] > iters[1] && iters[1] > 0 && iters[2] == 0, "{iters:?}");
+
+            // Refuse each launch in turn: the same error, the same ledger.
+            for k in 0..dev_want.events().len() as u64 {
+                let (dev_want, dev_got) = (device(Some(k)), device(Some(k)));
+                let want = sequential(opts, &dev_want).0;
+                assert!(want.is_err(), "fused={fused} k={k}: the refusal must surface");
+                assert_eq!(lockstep(opts, &dev_got).0, want, "fused={fused} k={k}");
+                assert_eq!(ledger(&dev_got), ledger(&dev_want), "fused={fused} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_uncapped_solve_still_logs_and_bills() {
+        // No log can be reserved for `usize::MAX` iterations: the solve
+        // still runs, logging as it goes, and bills what it issued.
+        let n = 32;
+        let a = laplacian(n);
+        let pre = DiagPrecond::from_diagonal(&a.diagonal());
+        let b = vec![1.0; n];
+        let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
+        let mut x = vec![0.0; n];
+        let opts = PcgOptions { max_iter: usize::MAX, ..Default::default() };
+        let res = GpuPcg { opts }.solve(&dev, &a, &pre, &b, &vec![false; n], &mut x).unwrap();
+        assert!(res.converged);
+        assert_eq!(dev.events().len(), 4 + 3 * (res.iterations - 1) + 2);
     }
 
     #[test]

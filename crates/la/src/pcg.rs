@@ -5,11 +5,13 @@
 //! and two dot products per iteration — and its kernel 9 is the same
 //! algorithm run on the device. Here the iteration is written once,
 //! [`pcg_solve_on`], over two axes: the [`LinearOperator`] it applies and
-//! the [`SweepLauncher`] every streaming sweep is issued through. The host
-//! launcher ([`HostSweeps`]) runs the sweep and nothing else; kernel 9's
-//! launcher (`blast_kernels::k9`) bills it as a device launch first. Both
-//! legs therefore execute the same arithmetic in the same order, which is
-//! what makes a degraded-to-CPU redo bit-identical to a pure-CPU run.
+//! the [`SweepLauncher`] every streaming sweep is issued through, told which
+//! systems the sweep covers. The host launcher ([`HostSweeps`]) runs the
+//! sweep and nothing else; kernel 9's (`blast_kernels::k9`) runs it too and
+//! logs it with those systems, then bills each system's launches after the
+//! solve. Both legs therefore execute the same arithmetic in the same
+//! order, which is what makes a degraded-to-CPU redo bit-identical to a
+//! pure-CPU run.
 //!
 //! The same loop advances `D ≥ 1` systems that share the operator in
 //! **lock step** — the momentum solve's `d` velocity components: vectors
@@ -291,8 +293,15 @@ pub enum Sweep {
 pub trait SweepLauncher {
     /// Why a sweep could not be issued.
     type Error;
-    /// Issues one sweep.
-    fn sweep<R>(&mut self, which: Sweep, body: impl FnOnce() -> R) -> Result<R, Self::Error>;
+    /// Issues one sweep on behalf of the systems `live` marks (`live[c]`:
+    /// system `c`'s scalar solve issues this sweep too; `live.len()` is the
+    /// solve's `D`).
+    fn sweep<R>(
+        &mut self,
+        which: Sweep,
+        live: &[bool],
+        body: impl FnOnce() -> R,
+    ) -> Result<R, Self::Error>;
 }
 
 /// The host backend: a sweep is its body.
@@ -302,7 +311,12 @@ pub struct HostSweeps;
 impl SweepLauncher for HostSweeps {
     type Error = Infallible;
     #[inline(always)]
-    fn sweep<R>(&mut self, _: Sweep, body: impl FnOnce() -> R) -> Result<R, Infallible> {
+    fn sweep<R>(
+        &mut self,
+        _: Sweep,
+        _: &[bool],
+        body: impl FnOnce() -> R,
+    ) -> Result<R, Infallible> {
         Ok(body())
     }
 }
@@ -367,7 +381,10 @@ pub fn pcg_solve_lockstep_ws<const D: usize, Op: LinearOperator>(
 /// A system that converges, breaks down (`p·Ap ≤ 0`) or is still
 /// iterating at `max_iter` freezes with its state and drops out of the
 /// vector sweeps, while the operator sweep keeps its lane (masking, not
-/// early exit); the solve ends when the last one has frozen.
+/// early exit); the solve ends when the last one has frozen. It freezes
+/// exactly where its scalar solve returns, so the sweeps whose `live`
+/// argument marks system `c` are, in order, the sweeps the `D = 1` solve of
+/// block `c` issues — which is what kernel 9 bills per component.
 ///
 /// [`PcgOptions::fused`] decides how each of the three per-iteration steps
 /// is issued: as one fused single-pass kernel (`spmv_dot`, `axpy2_nrm2`,
@@ -400,18 +417,19 @@ pub fn pcg_solve_on<const D: usize, L: SweepLauncher, Op: LinearOperator>(
     // (`z` is written by the launch-per-op sweeps only.)
     let (r, z, p, ap) = ws.vectors(D * n);
 
-    // r = b - A x
-    launcher.sweep(Sweep::Apply, || op.apply_wide(x, r))?;
+    // r = b - A x. Every scalar solve issues the set-up sweeps.
+    let all = [true; D];
+    launcher.sweep(Sweep::Apply, &all, || op.apply_wide(x, r))?;
     for (ri, &bi) in r.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
 
     let bnorm: [f64; D] =
-        launcher.sweep(Sweep::Nrm2, || std::array::from_fn(|c| stream::nrm2(&b[at(c)])))?;
+        launcher.sweep(Sweep::Nrm2, &all, || std::array::from_fn(|c| stream::nrm2(&b[at(c)])))?;
     let target = bnorm.map(|bn| (opts.rel_tol * bn.max(opts.abs_tol)).max(opts.abs_tol));
 
     let mut rnorm: [f64; D] =
-        launcher.sweep(Sweep::Nrm2, || std::array::from_fn(|c| stream::nrm2(&r[at(c)])))?;
+        launcher.sweep(Sweep::Nrm2, &all, || std::array::from_fn(|c| stream::nrm2(&r[at(c)])))?;
     // Which systems are still iterating, and the outcome of the others (a
     // system that never freezes ran out of iterations).
     let mut live = [true; D];
@@ -433,13 +451,13 @@ pub fn pcg_solve_on<const D: usize, L: SweepLauncher, Op: LinearOperator>(
     // z = M⁻¹ r; p = z; rz = r·z.
     let mut rz = [0.0; D];
     if fused {
-        launcher.sweep(Sweep::PrecondDotUpdate, || {
+        launcher.sweep(Sweep::PrecondDotUpdate, &live, || {
             for c in each(live) {
                 rz[c] = stream::precond_dot_update(minv, &r[at(c)], None, &mut p[at(c)]);
             }
         })?;
     } else {
-        launcher.sweep(Sweep::Precond, || {
+        launcher.sweep(Sweep::Precond, &live, || {
             for c in each(live) {
                 precond.apply(&r[at(c)], &mut z[at(c)]);
             }
@@ -447,7 +465,7 @@ pub fn pcg_solve_on<const D: usize, L: SweepLauncher, Op: LinearOperator>(
         for c in each(live) {
             p[at(c)].copy_from_slice(&z[at(c)]);
         }
-        launcher.sweep(Sweep::Dot, || {
+        launcher.sweep(Sweep::Dot, &live, || {
             for c in each(live) {
                 rz[c] = stream::dot(&r[at(c)], &z[at(c)]);
             }
@@ -459,10 +477,10 @@ pub fn pcg_solve_on<const D: usize, L: SweepLauncher, Op: LinearOperator>(
         // frozen system's lane is computed and ignored).
         let mut pap = [0.0; D];
         if fused {
-            launcher.sweep(Sweep::ApplyDot, || op.apply_dot_wide(p, ap, &mut pap))?;
+            launcher.sweep(Sweep::ApplyDot, &live, || op.apply_dot_wide(p, ap, &mut pap))?;
         } else {
-            launcher.sweep(Sweep::Apply, || op.apply_wide(p, ap))?;
-            launcher.sweep(Sweep::Dot, || {
+            launcher.sweep(Sweep::Apply, &live, || op.apply_wide(p, ap))?;
+            launcher.sweep(Sweep::Dot, &live, || {
                 for c in each(live) {
                     pap[c] = stream::dot(&p[at(c)], &ap[at(c)]);
                 }
@@ -482,7 +500,7 @@ pub fn pcg_solve_on<const D: usize, L: SweepLauncher, Op: LinearOperator>(
         // x += alpha p; r -= alpha Ap; |r|. Finishing the norm from the
         // fused sweep's sum of squares is scalar work, not a sweep.
         if fused {
-            launcher.sweep(Sweep::Axpy2Nrm2, || {
+            launcher.sweep(Sweep::Axpy2Nrm2, &live, || {
                 for c in each(live) {
                     let (xc, rc) = (&mut x[at(c)], &mut r[at(c)]);
                     let sumsq = stream::axpy2_nrm2(alpha[c], &p[at(c)], &ap[at(c)], xc, rc);
@@ -490,17 +508,17 @@ pub fn pcg_solve_on<const D: usize, L: SweepLauncher, Op: LinearOperator>(
                 }
             })?;
         } else {
-            launcher.sweep(Sweep::Axpy, || {
+            launcher.sweep(Sweep::Axpy, &live, || {
                 for c in each(live) {
                     stream::axpy(alpha[c], &p[at(c)], &mut x[at(c)]);
                 }
             })?;
-            launcher.sweep(Sweep::Axpy, || {
+            launcher.sweep(Sweep::Axpy, &live, || {
                 for c in each(live) {
                     stream::axpy(-alpha[c], &ap[at(c)], &mut r[at(c)]);
                 }
             })?;
-            launcher.sweep(Sweep::Nrm2, || {
+            launcher.sweep(Sweep::Nrm2, &live, || {
                 for c in each(live) {
                     rnorm[c] = stream::nrm2(&r[at(c)]);
                 }
@@ -517,27 +535,27 @@ pub fn pcg_solve_on<const D: usize, L: SweepLauncher, Op: LinearOperator>(
         }
         // z = M⁻¹ r; beta = r·z / rz; p = z + beta p.
         if fused {
-            launcher.sweep(Sweep::PrecondDotUpdate, || {
+            launcher.sweep(Sweep::PrecondDotUpdate, &live, || {
                 for c in each(live) {
                     rz[c] =
                         stream::precond_dot_update(minv, &r[at(c)], Some(rz[c]), &mut p[at(c)]);
                 }
             })?;
         } else {
-            launcher.sweep(Sweep::Precond, || {
+            launcher.sweep(Sweep::Precond, &live, || {
                 for c in each(live) {
                     precond.apply(&r[at(c)], &mut z[at(c)]);
                 }
             })?;
             let mut beta = [0.0; D];
-            launcher.sweep(Sweep::Dot, || {
+            launcher.sweep(Sweep::Dot, &live, || {
                 for c in each(live) {
                     let rz_new = stream::dot(&r[at(c)], &z[at(c)]);
                     beta[c] = rz_new / rz[c];
                     rz[c] = rz_new;
                 }
             })?;
-            launcher.sweep(Sweep::UpdateDirection, || {
+            launcher.sweep(Sweep::UpdateDirection, &live, || {
                 for c in each(live) {
                     stream::update_direction(beta[c], &z[at(c)], &mut p[at(c)]);
                 }
@@ -767,22 +785,36 @@ mod tests {
         );
     }
 
-    /// Test backend: logs every sweep it issues and refuses the one with
-    /// ordinal `fail_at` without running it.
+    /// Test backend: logs every sweep it issues with the systems it
+    /// covers, and refuses the one with ordinal `fail_at` without running it.
     #[derive(Default)]
     struct Recording {
         log: Vec<Sweep>,
+        live: Vec<Vec<bool>>,
         fail_at: Option<usize>,
     }
 
     impl SweepLauncher for Recording {
         type Error = usize;
-        fn sweep<R>(&mut self, which: Sweep, body: impl FnOnce() -> R) -> Result<R, usize> {
+        fn sweep<R>(
+            &mut self,
+            which: Sweep,
+            live: &[bool],
+            body: impl FnOnce() -> R,
+        ) -> Result<R, usize> {
             if self.fail_at == Some(self.log.len()) {
                 return Err(self.log.len());
             }
             self.log.push(which);
+            self.live.push(live.to_vec());
             Ok(body())
+        }
+    }
+
+    impl Recording {
+        /// The sweeps that covered system `c`, in issue order.
+        fn of(&self, c: usize) -> Vec<Sweep> {
+            self.log.iter().zip(&self.live).filter(|(_, live)| live[c]).map(|(&s, _)| s).collect()
         }
     }
 
@@ -843,15 +875,20 @@ mod tests {
     fn lockstep_issues_each_sweep_once_for_all_systems() {
         // Three systems over `&CsrMatrix` (the default `d`-wide apply: the
         // scalar one per block): the sweep log is that of the slowest
-        // system alone, and every block ends as its own scalar solve does.
+        // system alone, every block ends as its own scalar solve does, and
+        // the sweeps marked live for a system are those its scalar solve
+        // issues, in order (what kernel 9 bills per component).
         let n = 120;
         let (a, pre, b0) = system(n);
         let mut b = b0.clone();
         // An eigenvector of the Laplacian: converges in one iteration.
         b.extend((1..=n).map(|i| (std::f64::consts::PI * i as f64 / (n + 1) as f64).sin()));
         b.extend(std::iter::repeat_n(0.0, n)); // done before the first iteration
-        for fused in [true, false] {
-            let opts = PcgOptions { fused, ..Default::default() };
+        // Converging, and capped so that the first system is still iterating
+        // at `max_iter` (it freezes after a whole iteration, not at a norm).
+        let cases = [true, false].map(|fused| [2000, 3].map(|max_iter| (fused, max_iter)));
+        for (fused, max_iter) in cases.into_iter().flatten() {
+            let opts = PcgOptions { fused, max_iter, ..Default::default() };
             let ws = &mut PcgWorkspace::new();
             let mut rec = Recording::default();
             let mut x = vec![0.0; 3 * n];
@@ -868,12 +905,15 @@ mod tests {
                 assert_eq!(x[c * n..(c + 1) * n], x_c, "fused={fused} c={c}");
                 assert_eq!(res[c].iterations, res_c.iterations, "fused={fused} c={c}");
                 assert_eq!(res[c].residual.to_bits(), res_c.residual.to_bits());
+                assert_eq!(rec.of(c), alone.log, "fused={fused} c={c}");
+                assert!(alone.live.iter().all(|live| live == &[true]), "fused={fused} c={c}");
                 if alone.log.len() > longest.log.len() {
                     longest = alone;
                 }
             }
             assert_eq!(res[2].iterations, 0);
             assert_ne!(res[0].iterations, res[1].iterations, "the sample must desynchronise");
+            assert_eq!(res[0].converged, max_iter > 3, "fused={fused}");
             assert_eq!(rec.log, longest.log, "fused={fused}");
         }
     }
