@@ -16,8 +16,9 @@
 //! it is in cache (`FzKernel::compute_fused`) — against the two batch
 //! passes that store the whole `A_z` batch and read it back, in ns per
 //! zone, outputs asserted bit-equal first. The `point_physics` block is
-//! [`super::point_physics`]: the per-point bodies of kernels 1 and 2 and of
-//! the matrix-free force against their point-at-a-time references.
+//! [`super::point_physics`]: the stress half layer by layer — kernels 1, 2,
+//! 3, 5, 6 and the matrix-free force against their point-at-a-time
+//! references, in ns per point.
 //!
 //! Every number is real hardware time, taken by [`crate::harness`]. Rows
 //! and gates: `HostKernels::report` (`BENCH_host_kernels.json`, the CI
@@ -297,7 +298,7 @@ impl HostKernels {
                 Block::table("shapes", "Table-3 GEMM shapes, GFLOP/s, one thread", shapes),
                 Block::table("az_kernels", "kernels 3 and 4 vs references, GFLOP/s", az_kernels),
                 Block::table("az_fz", "kernels 4 + 7, two-pass vs fused, ns per zone", az_fz),
-                Block::table("point_physics", "lock-step vs scalar, ns per point", point_physics),
+                Block::table("point_physics", "body vs reference, ns per point", point_physics),
                 Block::record("summary", "summary", summary),
             ],
             gates,
@@ -539,10 +540,10 @@ mod tests {
             assert_eq!(p.gated, p.state == "mid-run");
         }
         // 4 GEMM (+ 3 production at level 2) + 3 A_z + 2 A_z F_z + 2
-        // mid-run states x 3 per-point bodies.
+        // mid-run states x 6 stress-half bodies.
         let production = r.shapes.iter().filter(|s| s.production_gated).count();
         assert_eq!(production, if blast_la::simd::level() >= 2 { 3 } else { 0 });
-        assert_eq!(r.report().gates.len(), 15 + production);
+        assert_eq!(r.report().gates.len(), 21 + production);
     }
 
     /// Both bodies production runs, the generic one and `tile::gemm`, reach

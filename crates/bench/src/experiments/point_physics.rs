@@ -1,19 +1,23 @@
 //! point_physics — *measured* nanoseconds per quadrature point of the
-//! per-point physics of a 3D force evaluation: kernel 1 (adjugate / det /
-//! `σ_min(J)`), kernel 2 (EOS + tensor viscosity) and the whole matrix-free
-//! force kernel, each as the host body the solver runs (groups of `W`
-//! points, the Jacobi eigen-solves in lock step) against the
-//! point-at-a-time scalar body it replaced
-//! (`blast_kernels::point::reference`, the kernel tests' oracle).
+//! stress half of a 3D force evaluation, layer by layer: kernel 1
+//! (adjugate / det / `σ_min(J)`), kernel 2 (EOS + tensor viscosity) and the
+//! whole matrix-free force kernel (groups of `W` points, the Jacobi
+//! eigen-solves in lock step), kernel 3 (both calls, `J` and `∇̂v̂`, on its
+//! register tile) and kernels 5 and 6 (the `3 x 3` products in lane
+//! groups), each as the host body the solver runs against the
+//! point-at-a-time body it replaced — `blast_kernels::point::reference`,
+//! `k3::reference`, `k56::reference`, the kernel tests' oracles.
 //!
 //! Two states per shape, because the cost of a Jacobi solve is decided by
 //! its input: the initial state (`v = 0` on a Cartesian mesh — every solve
 //! passes the convergence test before its first sweep; this is what the
 //! end-to-end benchmark's layer probes time) and a mid-run Sedov state
 //! (four steps in, where the solves really iterate — this is what a run
-//! pays). The gate is on the second: the median per-round `lanes / scalar`
-//! time ratio must be below 1 for all three kernels. Outputs are asserted
-//! bit-equal before anything is timed.
+//! pays). The gate is on the second: the median per-round `lanes /
+//! reference` time ratio must be below 1 for every kernel. Each kernel
+//! reads the production pipeline's outputs of the kernels before it, and
+//! its outputs are asserted bit-equal to its reference's before anything
+//! is timed.
 //!
 //! Part of `host_kernels` (`BENCH_host_kernels.json`, block
 //! `point_physics`); single thread like the rest of that artifact.
@@ -23,8 +27,8 @@ use blast_fem::geom::zone_jacobians;
 use blast_fem::{quad_points_1d, TensorRule};
 use blast_kernels::k1::AdjugateDetKernel;
 use blast_kernels::k2::{StressKernel, ZoneConstants};
-use blast_kernels::k3::{CoefGradKernel, PointMajorGrads};
-use blast_kernels::k56::BatchedDimGemm;
+use blast_kernels::k3::{self, CoefGradKernel, PointMajorGrads};
+use blast_kernels::k56::{self, BatchedDimGemm};
 use blast_kernels::point::reference;
 use blast_kernels::sumfac::{SumfacFactors, SumfacForceKernel};
 use blast_kernels::{ProblemShape, Workspace};
@@ -41,9 +45,9 @@ pub const POINT_SHAPES: [(usize, usize, &str); 2] = [(3, 5, "Q3 3D 5^3"), (2, 8,
 /// workloads time steps 3 to 6 and 3 to 8).
 const MID_RUN_STEPS: usize = 4;
 
-/// The three timed bodies; variant `2k` of a [`Timing`] is the lock-step
-/// body of `KERNELS[k]`, `2k + 1` its scalar reference.
-const KERNELS: [&str; 3] = ["k1", "k2", "matfree_force"];
+/// The timed bodies; variant `2k` of a [`Timing`] is the production body
+/// of `KERNELS[k]`, `2k + 1` its reference.
+const KERNELS: [&str; 6] = ["k1", "k2", "matfree_force", "k3", "k5", "k6"];
 
 /// One shape in one state.
 #[derive(Clone, Debug)]
@@ -73,7 +77,7 @@ impl PointPhysicsResult {
             let ns = |v: usize| self.t.min(v) * 1e9 / self.points as f64;
             let ratio = self.t.median_ratio(&[2 * k], &[2 * k + 1]);
             if self.gated {
-                let detail = format!("lock-step / scalar = {ratio:.2}, need < 1");
+                let detail = format!("lanes / reference = {ratio:.2}, need < 1");
                 let what = format!("point_physics {} {}: {name}", self.label, self.state);
                 gates.push(Gate::new(what, ratio < 1.0, detail));
             }
@@ -85,7 +89,7 @@ impl PointPhysicsResult {
     }
 }
 
-/// Everything the three kernels read, at one solver state.
+/// Everything the kernels read, at one solver state.
 struct Inputs {
     shape: ProblemShape,
     num_h1_dofs: usize,
@@ -98,9 +102,20 @@ struct Inputs {
     consts: ZoneConstants,
     thermo_vals: DMatrix,
     factors: SumfacFactors,
-    /// Kernel-3 / kernel-5 outputs at this state (inputs of kernels 1, 2).
+    /// The kinematic gradient tables and kernel 3's copy of them.
+    kin_grads: [DMatrix; 3],
+    table: PointMajorGrads,
+    /// The production pipeline's intermediates at this state: kernel 3's
+    /// `J` and `∇̂v̂`, kernel 1's `adj(J)`, `|J|`, `σ_min(J)` and `1/|J|`,
+    /// kernel 5's `∇v`, kernel 2's `σ̂` — what each timed kernel reads.
     jac: BatchedMats,
     grad_v_ref: BatchedMats,
+    adj: BatchedMats,
+    det: Vec<f64>,
+    hmin: Vec<f64>,
+    inv_det: Vec<f64>,
+    grad_v: BatchedMats,
+    sigma: BatchedMats,
 }
 
 /// Builds the Sedov solver of `(order, zones_per_axis)`, advances it
@@ -146,11 +161,10 @@ fn inputs(order: usize, zones_per_axis: usize, steps: usize) -> Inputs {
     };
     let num_h1_dofs = kin.num_dofs();
     let table = PointMajorGrads::from_tables(&kin_table.grads);
-    let mut jac = BatchedMats::zeros(3, 3, shape.total_points());
-    let mut grad_v_ref = jac.clone();
-    CoefGradKernel::compute(&shape, &state.x, num_h1_dofs, &zone_dofs, &table, &mut jac);
-    CoefGradKernel::compute(&shape, &state.v, num_h1_dofs, &zone_dofs, &table, &mut grad_v_ref);
-    Inputs {
+    let n = shape.total_points();
+    let mut out = Outputs::new(n);
+    let [jac, grad_v_ref, adj, grad_v, sigma] = [(); 5].map(|_| BatchedMats::zeros(3, 3, n));
+    let mut inp = Inputs {
         shape,
         num_h1_dofs,
         zone_dofs,
@@ -162,12 +176,31 @@ fn inputs(order: usize, zones_per_axis: usize, steps: usize) -> Inputs {
         consts,
         thermo_vals: thermo_table.values,
         factors: SumfacFactors::for_shape(&shape),
+        kin_grads: kin_table.grads,
+        table,
         jac,
         grad_v_ref,
-    }
+        adj,
+        det: vec![0.0; n],
+        hmin: vec![0.0; n],
+        inv_det: vec![0.0; n],
+        grad_v,
+        sigma,
+    };
+    // The pipeline in order (kernels 3, 1, 5, 2), each output handed on.
+    run(&inp, 3, true, &mut out);
+    (inp.jac, inp.grad_v_ref) = (out.jac.clone(), out.grad_v_ref.clone());
+    run(&inp, 0, true, &mut out);
+    (inp.adj, inp.det, inp.hmin) = (out.adj.clone(), out.det.clone(), out.hmin.clone());
+    inp.inv_det = inp.det.iter().map(|d| 1.0 / d).collect();
+    run(&inp, 4, true, &mut out);
+    inp.grad_v = out.grad_v.clone();
+    run(&inp, 1, true, &mut out);
+    inp.sigma = out.sigma.clone();
+    inp
 }
 
-/// What the three kernels write, once for each way of running them.
+/// What the kernels write, once for each way of running them.
 struct Outputs {
     adj: BatchedMats,
     det: Vec<f64>,
@@ -177,6 +210,10 @@ struct Outputs {
     dsf: BatchedMats,
     detj: Vec<f64>,
     mf_inv_dt: Vec<f64>,
+    jac: BatchedMats,
+    grad_v_ref: BatchedMats,
+    grad_v: BatchedMats,
+    s: BatchedMats,
 }
 
 impl Outputs {
@@ -191,6 +228,10 @@ impl Outputs {
             dsf: mats(),
             detj: vec(),
             mf_inv_dt: vec(),
+            jac: mats(),
+            grad_v_ref: mats(),
+            grad_v: mats(),
+            s: mats(),
         }
     }
 
@@ -205,26 +246,31 @@ impl Outputs {
             ("matfree dsf", self.dsf.as_slice(), want.dsf.as_slice()),
             ("matfree detj", &self.detj, &want.detj),
             ("matfree inv_dt", &self.mf_inv_dt, &want.mf_inv_dt),
+            ("k3 jac", self.jac.as_slice(), want.jac.as_slice()),
+            ("k3 grad_v_ref", self.grad_v_ref.as_slice(), want.grad_v_ref.as_slice()),
+            ("k5 grad_v", self.grad_v.as_slice(), want.grad_v.as_slice()),
+            ("k6 s", self.s.as_slice(), want.s.as_slice()),
         ];
         for (what, got, want) in fields {
             assert!(
                 got.len() == want.len()
                     && got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "point_physics: {what} differs from the scalar reference"
+                "point_physics: {what} differs from the reference"
             );
         }
     }
 }
 
-/// One call of kernel `k` of [`KERNELS`] into `out`: the solver's lock-step
-/// body, or the scalar reference. Kernel 2 reads kernel 1's `det` / `hmin`
-/// from `out` and `grad_v`, the kernel-5 product of kernel 1's `adj`.
-fn run(inp: &Inputs, grad_v: &BatchedMats, k: usize, lanes: bool, out: &mut Outputs) {
+/// One call of kernel `k` of [`KERNELS`] into `out`: the solver's body, or
+/// its reference, on the pipeline intermediates in `inp`.
+fn run(inp: &Inputs, k: usize, lanes: bool, out: &mut Outputs) {
     let Inputs { shape, num_h1_dofs, zone_dofs, x, v, e, alpha, rho0detj0, consts, .. } = inp;
-    let Outputs { adj, det, hmin, sigma, inv_dt, dsf, detj, mf_inv_dt } = out;
+    let (grad_v, det, hmin) = (&inp.grad_v, &inp.det, &inp.hmin);
+    let Outputs { adj, sigma, inv_dt, dsf, detj, mf_inv_dt, .. } = out;
+    let (k5, k6) = (BatchedDimGemm::nn_tuned(), BatchedDimGemm::nt_tuned());
     match (k, lanes) {
-        (0, true) => AdjugateDetKernel::compute(shape, &inp.jac, adj, det, hmin),
-        (0, false) => reference::k1(&inp.jac, adj, det, hmin),
+        (0, true) => AdjugateDetKernel::compute(shape, &inp.jac, adj, &mut out.det, &mut out.hmin),
+        (0, false) => reference::k1(&inp.jac, adj, &mut out.det, &mut out.hmin),
         (1, true) => StressKernel { workspace: Workspace::Registers, use_viscosity: true }.compute(
             shape, e, &inp.thermo_vals, grad_v, &inp.jac, det, hmin, rho0detj0, consts, sigma,
             inv_dt,
@@ -233,14 +279,31 @@ fn run(inp: &Inputs, grad_v: &BatchedMats, k: usize, lanes: bool, out: &mut Outp
             shape, true, e, &inp.thermo_vals, grad_v, &inp.jac, det, hmin, rho0detj0, consts,
             sigma, inv_dt,
         ),
-        (_, true) => SumfacForceKernel { use_viscosity: true }.compute(
+        (2, true) => SumfacForceKernel { use_viscosity: true }.compute(
             shape, &inp.factors, x, v, e, *num_h1_dofs, zone_dofs, alpha, rho0detj0, consts, dsf,
             detj, mf_inv_dt,
         ),
-        (_, false) => reference::matfree_force(
+        (2, false) => reference::matfree_force(
             shape, &inp.factors, x, v, e, *num_h1_dofs, zone_dofs, alpha, rho0detj0, consts, dsf,
             detj, mf_inv_dt,
         ),
+        (3, true) => {
+            let table = &inp.table;
+            CoefGradKernel::compute(shape, x, *num_h1_dofs, zone_dofs, table, &mut out.jac);
+            CoefGradKernel::compute(shape, v, *num_h1_dofs, zone_dofs, table, &mut out.grad_v_ref);
+        }
+        (3, false) => {
+            let grads = &inp.kin_grads;
+            k3::reference(shape, x, *num_h1_dofs, zone_dofs, grads, &mut out.jac);
+            k3::reference(shape, v, *num_h1_dofs, zone_dofs, grads, &mut out.grad_v_ref);
+        }
+        (4, true) => k5.compute(&inp.grad_v_ref, &inp.adj, Some(&inp.inv_det), &mut out.grad_v),
+        (4, false) => {
+            let inv_det = Some(&inp.inv_det[..]);
+            k56::reference(k5.transpose, &inp.grad_v_ref, &inp.adj, inv_det, &mut out.grad_v)
+        }
+        (_, true) => k6.compute(&inp.sigma, &inp.adj, None, &mut out.s),
+        (_, false) => k56::reference(k6.transpose, &inp.sigma, &inp.adj, None, &mut out.s),
     }
 }
 
@@ -255,21 +318,15 @@ fn measure_state(
     let (mut lanes, mut scalar) = (Outputs::new(n), Outputs::new(n));
 
     // The equivalence the timing rests on.
-    let mut grad_v = BatchedMats::zeros(3, 3, n);
-    for k in 0..3 {
-        run(inp, &grad_v, k, true, &mut lanes);
-        if k == 0 {
-            let inv_det: Vec<f64> = lanes.det.iter().map(|d| 1.0 / d).collect();
-            let k5 = BatchedDimGemm::nn_tuned();
-            k5.compute(&inp.grad_v_ref, &lanes.adj, Some(&inv_det), &mut grad_v);
-        }
-        run(inp, &grad_v, k, false, &mut scalar);
+    for k in 0..KERNELS.len() {
+        run(inp, k, true, &mut lanes);
+        run(inp, k, false, &mut scalar);
     }
     lanes.assert_bits_equal(&scalar);
 
-    let t = harness::time_interleaved(6, budget, &mut |v| {
+    let t = harness::time_interleaved(2 * KERNELS.len(), budget, &mut |v| {
         let out = if v % 2 == 0 { &mut lanes } else { &mut scalar };
-        run(inp, &grad_v, v / 2, v % 2 == 0, out);
+        run(inp, v / 2, v % 2 == 0, out);
     });
     PointPhysicsResult { label, state, points: n, gated: state == "mid-run", t }
 }

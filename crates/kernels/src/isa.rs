@@ -1,4 +1,4 @@
-//! Instruction-set levels the host bodies of kernels 1 to 4 and of the
+//! Instruction-set levels the host bodies of kernels 1 to 6 and of the
 //! matrix-free force are cloned for.
 //!
 //! Each zone body is one `#[inline(always)]` function; [`isa_clones!`]
@@ -82,8 +82,8 @@ pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
 /// `#[inline(always)]` body `$body::<D>` as compiled for `isa`.
 ///
 /// With `lanes` before the body's name the body is `$body::<D, W>` and
-/// works on groups of `W` quadrature points, one SIMD lane each
-/// (`crate::point`): `W` = 4 / 8 / 16 at baseline / `avx2` / `avx512f`,
+/// works on groups of `W` quadrature points (`crate::point`) or `d x d`
+/// products (`crate::k56`), one SIMD lane each: `W` = 4 / 8 / 16 at baseline / `avx2` / `avx512f`,
 /// two vectors of the level's width. Per-point results do not depend on
 /// `W`, so the width is not a parameter of anything either.
 macro_rules! isa_clones {

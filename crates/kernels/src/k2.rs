@@ -61,6 +61,11 @@ pub struct StressKernel {
 /// One zone of kernel 2, `W` points at a time: the energy interpolation
 /// `e(q̂_k) = Σ_l e_z[l] B[l, k]`, then [`point::stress`]. `point_data` is
 /// the zone's `[rho0detj0, det, hmin, grad_v, jac]`.
+///
+/// The interpolation runs `l` outer and the group's points inner, so the
+/// `W` sums advance side by side, each still its own chain from `+0.0`
+/// over ascending `l`; the spare lanes of a ragged group repeat its last
+/// point and are dropped.
 #[inline(always)]
 fn zone_body<const D: usize, const W: usize>(
     zone: &ZonePhysics<'_>,
@@ -73,13 +78,16 @@ fn zone_body<const D: usize, const W: usize>(
     let [rho0detj0, det, hmin, grad_v, jac] = point_data;
     let d2 = D * D;
     let npts = inv_dt.len();
+    let (nthermo, b_cols) = (e_z.len(), thermo_vals.as_slice());
     for k0 in (0..npts).step_by(W) {
         let n = W.min(npts - k0);
         let (pts, mats) = (k0..k0 + n, k0 * d2..(k0 + n) * d2);
+        let cols: [&[f64]; W] =
+            std::array::from_fn(|j| &b_cols[(k0 + j).min(npts - 1) * nthermo..][..nthermo]);
         let mut e_pt = [0.0; W];
-        for (e, k) in e_pt.iter_mut().zip(pts.clone()) {
-            for (l, &coef) in e_z.iter().enumerate() {
-                *e += coef * thermo_vals[(l, k)];
+        for (l, &coef) in e_z.iter().enumerate() {
+            for (e, col) in e_pt.iter_mut().zip(&cols) {
+                *e += coef * col[l];
             }
         }
         point::stress::<D, W>(

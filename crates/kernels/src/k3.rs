@@ -25,15 +25,20 @@
 //! evaluation of every execution mode, so it is written as the batched
 //! small GEMM the paper describes and not as a loop over points: per zone
 //! `C (d² x npts) = Coef (d² x nkin, gathered once) · Ĝ (nkin x npts)`,
-//! accumulated over a 64-point stack tile (`TILE`) and then transposed into
-//! the `d x d`-per-point output.
+//! accumulated on a register tile of `d²` rows by 24, 16 or 8 points (a
+//! function of `npts` alone: 27 zmm accumulators at Q3-3D, 18 at Q2-3D)
+//! over the whole reduction, and then transposed into the `d x d`-per-point
+//! output. This is the host form of the paper's v3 — one `B` panel
+//! streamed past many `A` entries held on chip.
 //!
 //! **Why a point-major table.** The reduction runs over the basis index
 //! `i`; the vector dimension has to be the one it does *not* run over, the
 //! point index `k`, or lanes would have to be summed across and the
 //! rounding order would change. The FEM tables are `nkin x npts`
 //! column-major (`i` contiguous), so the kernel walks a
-//! [`PointMajorGrads`] copy, `[g][i][k]` with `k` contiguous.
+//! [`PointMajorGrads`] copy packed per tile (`[tile][i][g][k]`, `k`
+//! contiguous), which a tile reads front to back with no index arithmetic
+//! in its loop — the shape LLVM keeps in registers without intrinsics.
 //!
 //! **Why the bits do not move.** Every output entry is the same chain as
 //! in the scalar loop: start at `+0.0`, then `acc = acc + coef_i * ĝ_ik`
@@ -56,22 +61,35 @@ use crate::isa::{isa_clones, Isa};
 use crate::shapes::ProblemShape;
 use crate::GemmVariant;
 
-/// Points per accumulation tile of the host body: `d²` rows of this many
-/// doubles live on the stack (4.5 KiB in 3D) and stay in L1 across the
-/// whole reduction. Q3-3D has 216 points and Q4-3D 512, so both the tile
-/// loop and its ragged tail are exercised.
-const TILE: usize = 64;
+/// Points per register tile of the host body, a function of `npts` alone:
+/// the widest of 24 and 16 that divides it, else 8. In 3D the tile's `d²`
+/// rows are 27 (24 points) or 18 (16 points) zmm registers. Q3-3D's 216
+/// points are nine 24-point tiles, Q2-3D's 64 and Q4-3D's 512 16-point
+/// ones; Q1-2D (4) and Q3-2D (36) end in a ragged tile over the table's
+/// zero padding.
+const fn tile_width(npts: usize) -> usize {
+    if npts.is_multiple_of(24) {
+        24
+    } else if npts.is_multiple_of(16) {
+        16
+    } else {
+        8
+    }
+}
 
 /// Coefficients gathered per chunk of the basis index. One chunk covers
 /// Q4-3D (`nkin = 125`); higher orders walk several chunks in ascending
 /// `i`, so there is no order cap and no heap in the zone body.
 const COEF_CHUNK: usize = 128;
 
-/// Point-major copy of the gradient tables: entry `(g, i, k)` — the
-/// derivative of basis function `i` along reference axis `g` at point `k`
-/// — at `(g * nkin + i) * npts + k`, so a fixed `(g, i)` row is contiguous
-/// in `k`. Empty by default; grow-only: [`PointMajorGrads::refill`] reuses
-/// the buffer.
+/// Point-major copy of the gradient tables, packed per register tile: with
+/// `rw = tile_width(npts)`, entry `(g, i, k)` — the derivative of basis
+/// function `i` along reference axis `g` at point `k` — sits at
+/// `((t * nkin + i) * dim + g) * rw + k % rw` for tile `t = k / rw`. One
+/// tile's `dim` rows for basis function `i` are one contiguous run of
+/// `dim * rw` doubles, and consecutive `i` follow each other, so a tile
+/// walks its panel front to back. A ragged last tile is zero-padded. Empty
+/// by default; grow-only: [`PointMajorGrads::refill`] reuses the buffer.
 #[derive(Clone, Debug, Default)]
 pub struct PointMajorGrads {
     dim: usize,
@@ -92,19 +110,19 @@ impl PointMajorGrads {
     /// only when the tables outgrow the buffer.
     pub fn refill(&mut self, grads: &[DMatrix]) {
         let (nkin, npts) = grads.first().map_or((0, 0), |g| g.shape());
-        self.dim = grads.len();
+        let (dim, rw) = (grads.len(), tile_width(npts));
+        self.dim = dim;
         self.nkin = nkin;
         self.npts = npts;
-        self.data.resize(grads.len() * nkin * npts, 0.0);
-        if npts == 0 {
-            return;
-        }
-        for (g, rows) in grads.iter().zip(self.data.chunks_exact_mut(nkin * npts)) {
+        self.data.resize(npts.div_ceil(rw) * nkin * dim * rw, 0.0);
+        for g in grads {
             assert_eq!(g.shape(), (nkin, npts), "gradient tables must share one shape");
-            for (i, row) in rows.chunks_exact_mut(npts).enumerate() {
-                for (k, w) in row.iter_mut().enumerate() {
-                    *w = g[(i, k)];
-                }
+        }
+        for (j, row) in self.data.chunks_exact_mut(rw.max(1)).enumerate() {
+            let (g, i, t) = (j % dim, j / dim % nkin, j / (dim * nkin));
+            for (kk, w) in row.iter_mut().enumerate() {
+                let k = t * rw + kk;
+                *w = if k < npts { grads[g][(i, k)] } else { 0.0 };
             }
         }
     }
@@ -116,7 +134,59 @@ impl PointMajorGrads {
 }
 
 /// One zone of kernel 3: `cz` (`npts` blocks of `D x D`, column-major)
-/// from the zone's `dofs` of the component-major field `u`.
+/// from the zone's `dofs` of the component-major field `u`, one register
+/// tile of [`tile_width`]`(npts)` points at a time.
+#[inline(always)]
+fn zone_body<const D: usize>(
+    u: &[f64],
+    num_h1_dofs: usize,
+    dofs: &[usize],
+    table: &PointMajorGrads,
+    cz: &mut [f64],
+) {
+    match tile_width(table.npts) {
+        24 => tiles::<D, 3>(u, num_h1_dofs, dofs, table, cz),
+        16 => tiles::<D, 2>(u, num_h1_dofs, dofs, table, cz),
+        _ => tiles::<D, 1>(u, num_h1_dofs, dofs, table, cz),
+    }
+}
+
+/// A register tile of `8 * NV` points: `[g][comp][v][k]` is output entry
+/// `(comp, g)` of the tile's point `8v + k`.
+type Tile<const D: usize, const NV: usize> = [[[[f64; 8]; NV]; D]; D];
+
+/// `acc` advanced over one chunk of the basis index: `coef[i]` is the
+/// zone's `[comp]` coefficients of basis function `i`, `panel` the tile's
+/// `D` rows for each such `i` back to back (the [`PointMajorGrads`]
+/// layout). Kept apart from the zone loop so the whole tile stays in
+/// registers across the reduction.
+#[inline(always)]
+fn tile_panel<const D: usize, const NV: usize>(
+    mut acc: Tile<D, NV>,
+    coef: &[[f64; D]],
+    panel: &[f64],
+) -> Tile<D, NV> {
+    let (rows, _) = panel.as_chunks::<8>();
+    for (c, rows_i) in coef.iter().zip(rows.chunks_exact(D * NV)) {
+        for g in 0..D {
+            for v in 0..NV {
+                let w = &rows_i[g * NV + v];
+                for comp in 0..D {
+                    for k in 0..8 {
+                        acc[g][comp][v][k] += c[comp] * w[k];
+                    }
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// [`zone_body`] on register tiles of `8 * NV` points: per tile, all `D²`
+/// output rows across the whole reduction over the basis index `i` in
+/// ascending order, `coef` gathered point-major (`[i][comp]`) once per
+/// zone and chunk — each output entry is [`reference`](fn@reference)'s
+/// chain, `+0.0` then `acc + coef_i * ĝ_ik` for `i` ascending.
 ///
 /// Adding `coef * 0.0` where the old loop skipped a zero table entry
 /// changes no bit for finite inputs: every accumulator starts at `+0.0`
@@ -124,50 +194,44 @@ impl PointMajorGrads {
 /// both are), and `x + ±0.0 == x` for any `x` that is not `-0.0`.
 /// Non-finite fields end in `HydroError::NonFinite` on either path.
 #[inline(always)]
-fn zone_body<const D: usize>(
+fn tiles<const D: usize, const NV: usize>(
     u: &[f64],
     num_h1_dofs: usize,
     dofs: &[usize],
-    table: &[f64],
-    npts: usize,
+    table: &PointMajorGrads,
     cz: &mut [f64],
 ) {
-    let nkin = dofs.len();
-    let mut coef = [[0.0f64; COEF_CHUNK]; D];
+    let (nkin, npts, rw) = (dofs.len(), table.npts, 8 * NV);
+    let mut coef = [[0.0f64; D]; COEF_CHUNK];
     // First `i` of the chunk `coef` holds: a zone that fits one chunk
     // gathers once, not once per tile.
     let mut loaded = usize::MAX;
-    for k0 in (0..npts).step_by(TILE) {
-        let tw = TILE.min(npts - k0);
-        // acc[g][comp][k] is output entry (comp, g) of point k0 + k.
-        let mut acc = [[[0.0f64; TILE]; D]; D];
+    for (t, tile_data) in table.data.chunks_exact(nkin * D * rw).enumerate() {
+        let mut acc: Tile<D, NV> = [[[[0.0; 8]; NV]; D]; D];
         for i0 in (0..nkin).step_by(COEF_CHUNK) {
             let iw = COEF_CHUNK.min(nkin - i0);
             if loaded != i0 {
-                for (comp, row) in coef.iter_mut().enumerate() {
-                    let uc = &u[comp * num_h1_dofs..(comp + 1) * num_h1_dofs];
-                    for (c, &dof) in row[..iw].iter_mut().zip(&dofs[i0..i0 + iw]) {
-                        *c = uc[dof];
+                for (c, &dof) in coef[..iw].iter_mut().zip(&dofs[i0..i0 + iw]) {
+                    for (comp, cc) in c.iter_mut().enumerate() {
+                        *cc = u[comp * num_h1_dofs + dof];
                     }
                 }
                 loaded = i0;
             }
-            for ii in 0..iw {
-                for (g, acc_g) in acc.iter_mut().enumerate() {
-                    let row = &table[(g * nkin + i0 + ii) * npts + k0..][..tw];
-                    for (comp, acc_gc) in acc_g.iter_mut().enumerate() {
-                        let c = coef[comp][ii];
-                        for (a, &w) in acc_gc[..tw].iter_mut().zip(row) {
-                            *a += c * w;
+            let panel = &tile_data[i0 * D * rw..(i0 + iw) * D * rw];
+            acc = tile_panel(acc, &coef[..iw], panel);
+        }
+        let k0 = t * rw;
+        for v in 0..NV {
+            for kk in 0..8 {
+                let k = k0 + 8 * v + kk;
+                if k < npts {
+                    let out = &mut cz[k * D * D..][..D * D];
+                    for g in 0..D {
+                        for comp in 0..D {
+                            out[comp + g * D] = acc[g][comp][v][kk];
                         }
                     }
-                }
-            }
-        }
-        for (k, out) in cz[k0 * D * D..(k0 + tw) * D * D].chunks_exact_mut(D * D).enumerate() {
-            for g in 0..D {
-                for comp in 0..D {
-                    out[comp + g * D] = acc[g][comp][k];
                 }
             }
         }
@@ -180,8 +244,7 @@ isa_clones! {
         u: &[f64],
         num_h1_dofs: usize,
         dofs: &[usize],
-        table: &[f64],
-        npts: usize,
+        table: &PointMajorGrads,
         cz: &mut [f64],
     )
 }
@@ -348,16 +411,15 @@ impl CoefGradKernel {
         assert_eq!(c.count(), shape.total_points());
         assert_eq!(c.shape(), (d, d));
 
-        let table = grads.data.as_slice();
         c.as_mut_slice()
             .par_chunks_exact_mut(npts * d * d)
             .enumerate()
             .for_each(|(z, cz)| {
                 let dofs = &zone_dofs[z * nkin..(z + 1) * nkin];
                 if d == 2 {
-                    zone::<2>(isa, u, num_h1_dofs, dofs, table, npts, cz);
+                    zone::<2>(isa, u, num_h1_dofs, dofs, grads, cz);
                 } else {
-                    zone::<3>(isa, u, num_h1_dofs, dofs, table, npts, cz);
+                    zone::<3>(isa, u, num_h1_dofs, dofs, grads, cz);
                 }
             });
     }
@@ -463,9 +525,21 @@ mod tests {
         if levels.len() < 3 {
             eprintln!("note: host lacks avx2 and/or avx512f; comparing {levels:?} only");
         }
-        // Q3-3D: 216 points = three full tiles and a ragged tail of 24;
-        // Q4-3D: 512 points, eight tiles; Q2-2D: a single short tile.
-        for (dim, order) in [(3, 3), (3, 4), (2, 2)] {
+        // Every tile width on whole tiles — 24 (Q3-3D, 216 points), 16
+        // (Q2-2D 16, Q2-3D 64, Q4-3D 512), 8 (Q1-3D, 8) — and the ragged
+        // last tiles of Q1-2D (4 = 8 - 4) and Q3-2D (36 = 4 x 8 + 4).
+        let cases = [(3, 3), (2, 2), (3, 2), (3, 4), (3, 1), (2, 1), (2, 3)];
+        let widths: Vec<(usize, bool)> = cases
+            .iter()
+            .map(|&(dim, order)| {
+                let npts = ProblemShape::new(dim, order, 1).npts;
+                (tile_width(npts), !npts.is_multiple_of(tile_width(npts)))
+            })
+            .collect();
+        for want in [(24, false), (16, false), (8, false), (8, true)] {
+            assert!(widths.contains(&want), "no case runs (width, ragged) = {want:?}");
+        }
+        for (dim, order) in cases {
             let shape = ProblemShape::new(dim, order, 3);
             let (nkin, npts) = (shape.nkin, shape.npts);
             let ndofs = shape.zones * nkin - 5;

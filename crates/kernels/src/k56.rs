@@ -12,12 +12,170 @@
 //! thread block reading one matrix size of 4 or 9" — the matrices-per-block
 //! count is the autotuned parameter (98.3% occupancy at N = 32), and small
 //! N pays an uncoalesced-access replay on its DRAM traffic.
+//!
+//! # The host body
+//!
+//! [`BatchedDimGemm::compute`] runs the batch over a fixed grid of
+//! 256-product chunks (`CHUNK`), each chunk in groups of `W` products, one
+//! SIMD lane per product (the `lanes` form of `isa_clones!`: `W` = 4 / 8 /
+//! 16 at baseline / `avx2` / `avx512f`) — the host form of the paper's
+//! several matrices per thread block. A group is transposed into
+//! `[[[f64; W]; D]; D]` lanes (`op(B)` resolved while loading, so no
+//! transpose mode reaches the arithmetic), every lane runs the scalar chain
+//! of [`reference`](fn@reference) — `0.0 + a_0 b_0 + a_1 b_1 (+ a_2 b_2)`
+//! over ascending `p`, then `s * acc`, also when `scale` is `None` (`s =
+//! 1.0`) — and the group is transposed back; a ragged last group repeats
+//! its last product in the spare lanes and stores only its own. No lane
+//! reads another and nothing asks for a fused multiply-add, so every level
+//! gives every product the bits of the reference.
 
 use blast_la::BatchedMats;
 use gpu_sim::{LaunchConfig, Traffic};
 use rayon::prelude::*;
 
+use crate::isa::{isa_clones, Isa};
 use crate::shapes::ProblemShape;
+
+/// Products per chunk of the host body's fixed grid: the pool's unit of
+/// work, independent of the thread count (16 lane groups at `avx512f`).
+const CHUNK: usize = 256;
+
+/// One chunk of kernel 5 / 6: `c` (`count` blocks of `D x D`) from the
+/// same-length chunks of `a` and `b` and `count` scale factors (or none),
+/// `W` products at a time.
+#[inline(always)]
+fn chunk_body<const D: usize, const W: usize>(
+    a: &[f64],
+    b: &[f64],
+    scale: Option<&[f64]>,
+    nt: bool,
+    c: &mut [f64],
+) {
+    let d2 = D * D;
+    let count = c.len() / d2;
+    for m0 in (0..count).step_by(W) {
+        let n = W.min(count - m0);
+        // al[p][row][l] = A[row, p] and bl[col][p][l] = op(B)[p, col] of
+        // product m0 + l; the spare lanes of a ragged group repeat its last.
+        let mut al = [[[0.0f64; W]; D]; D];
+        let mut bl = [[[0.0f64; W]; D]; D];
+        let mut s = [1.0f64; W];
+        if n == W {
+            let (ga, gb) = (&a[m0 * d2..][..W * d2], &b[m0 * d2..][..W * d2]);
+            transpose_in::<D, W>(ga, gb, nt, &mut al, &mut bl);
+            if let Some(sc) = scale {
+                s.copy_from_slice(&sc[m0..m0 + W]);
+            }
+        } else {
+            let mut ga = [[[0.0f64; D]; D]; W];
+            let mut gb = [[[0.0f64; D]; D]; W];
+            for l in 0..W {
+                let m = (m0 + l).min(count - 1);
+                for col in 0..D {
+                    ga[l][col].copy_from_slice(&a[m * d2 + col * D..][..D]);
+                    gb[l][col].copy_from_slice(&b[m * d2 + col * D..][..D]);
+                }
+                if let Some(sc) = scale {
+                    s[l] = sc[m];
+                }
+            }
+            transpose_in::<D, W>(
+                ga.as_flattened().as_flattened(),
+                gb.as_flattened().as_flattened(),
+                nt,
+                &mut al,
+                &mut bl,
+            );
+        }
+        let mut cl = [[[0.0f64; W]; D]; D];
+        for col in 0..D {
+            for row in 0..D {
+                let mut acc = [0.0f64; W];
+                for p in 0..D {
+                    for l in 0..W {
+                        acc[l] += al[p][row][l] * bl[col][p][l];
+                    }
+                }
+                for l in 0..W {
+                    cl[col][row][l] = s[l] * acc[l];
+                }
+            }
+        }
+        for (l, cm) in c[m0 * d2..(m0 + n) * d2].chunks_exact_mut(d2).enumerate() {
+            for col in 0..D {
+                for row in 0..D {
+                    cm[row + col * D] = cl[col][row][l];
+                }
+            }
+        }
+    }
+}
+
+/// Loads `W` column-major `D x D` products of `ga` / `gb` into lanes:
+/// `al[p][row][l] = A_l[row, p]`, `bl[col][p][l] = op(B_l)[p, col]`.
+#[inline(always)]
+fn transpose_in<const D: usize, const W: usize>(
+    ga: &[f64],
+    gb: &[f64],
+    nt: bool,
+    al: &mut [[[f64; W]; D]; D],
+    bl: &mut [[[f64; W]; D]; D],
+) {
+    let d2 = D * D;
+    let (ga, gb) = (&ga[..W * d2], &gb[..W * d2]);
+    for l in 0..W {
+        for x in 0..D {
+            for y in 0..D {
+                al[x][y][l] = ga[l * d2 + y + x * D];
+                bl[x][y][l] = if nt { gb[l * d2 + x + y * D] } else { gb[l * d2 + y + x * D] };
+            }
+        }
+    }
+}
+
+isa_clones! {
+    /// [`chunk_body`] as compiled for `isa`.
+    fn chunk = lanes chunk_body(
+        a: &[f64],
+        b: &[f64],
+        scale: Option<&[f64]>,
+        nt: bool,
+        c: &mut [f64],
+    )
+}
+
+/// The per-matrix loop [`BatchedDimGemm::compute`] replaced, kept as the
+/// bitwise oracle of its tests and of `host_kernels`' `point_physics`
+/// rows: `C_i = s_i * A_i op(B_i)`, one product at a time.
+pub fn reference(
+    transpose: Transpose,
+    a: &BatchedMats,
+    b: &BatchedMats,
+    scale: Option<&[f64]>,
+    c: &mut BatchedMats,
+) {
+    let (d, _) = a.shape();
+    let sa = a.stride();
+    for i in 0..c.count() {
+        let ai = &a.as_slice()[i * sa..(i + 1) * sa];
+        let bi = &b.as_slice()[i * sa..(i + 1) * sa];
+        let s = scale.map_or(1.0, |s| s[i]);
+        let ci = &mut c.as_mut_slice()[i * sa..(i + 1) * sa];
+        for col in 0..d {
+            for row in 0..d {
+                let mut acc = 0.0;
+                for p in 0..d {
+                    let bval = match transpose {
+                        Transpose::NN => bi[p + col * d],
+                        Transpose::NT => bi[col + p * d],
+                    };
+                    acc += ai[row + p * d] * bval;
+                }
+                ci[row + col * d] = s * acc;
+            }
+        }
+    }
+}
 
 /// Transpose mode of the second operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,30 +263,37 @@ impl BatchedDimGemm {
     ) {
         let (d, d2) = a.shape();
         assert_eq!(d, d2, "kernels 5/6 take square DIM x DIM matrices");
+        assert!(d == 2 || d == 3, "kernels 5/6 are 2D or 3D");
         assert_eq!(b.shape(), (d, d));
         assert_eq!(c.shape(), (d, d));
         assert!(a.count() == b.count() && b.count() == c.count(), "batch count mismatch");
         if let Some(s) = scale {
             assert_eq!(s.len(), a.count());
         }
-        let transpose = self.transpose;
-        let sa = a.stride();
-        c.par_mats_mut().for_each(|(i, ci)| {
-            let ai = &a.as_slice()[i * sa..(i + 1) * sa];
-            let bi = &b.as_slice()[i * sa..(i + 1) * sa];
-            let s = scale.map_or(1.0, |s| s[i]);
-            for col in 0..d {
-                for row in 0..d {
-                    let mut acc = 0.0;
-                    for p in 0..d {
-                        let bval = match transpose {
-                            Transpose::NN => bi[p + col * d],
-                            Transpose::NT => bi[col + p * d],
-                        };
-                        acc += ai[row + p * d] * bval;
-                    }
-                    ci[row + col * d] = s * acc;
-                }
+        self.compute_at(Isa::detect(), a, b, scale, c);
+    }
+
+    /// [`BatchedDimGemm::compute`] through the chunk body compiled for
+    /// `isa`.
+    fn compute_at(
+        &self,
+        isa: Isa,
+        a: &BatchedMats,
+        b: &BatchedMats,
+        scale: Option<&[f64]>,
+        c: &mut BatchedMats,
+    ) {
+        let d = a.shape().0;
+        let (sa, nt) = (a.stride(), self.transpose == Transpose::NT);
+        let (a, b) = (a.as_slice(), b.as_slice());
+        c.as_mut_slice().par_chunks_mut(CHUNK * sa).enumerate().for_each(|(j, cj)| {
+            let mats = j * CHUNK..j * CHUNK + cj.len() / sa;
+            let (aj, bj) = (&a[mats.start * sa..mats.end * sa], &b[mats.start * sa..mats.end * sa]);
+            let sj = scale.map(|s| &s[mats]);
+            if d == 2 {
+                chunk::<2>(isa, aj, bj, sj, nt, cj);
+            } else {
+                chunk::<3>(isa, aj, bj, sj, nt, cj);
             }
         });
     }
@@ -189,6 +354,44 @@ mod tests {
         for z in 0..4 {
             for e in 0..4 {
                 assert!((c2.mat(z)[e] - scale[z] * c1.mat(z)[e]).abs() < 1e-14);
+            }
+        }
+    }
+
+    #[test]
+    fn every_isa_clone_matches_the_reference_bitwise() {
+        use crate::isa::{bits, signed_zero_mix};
+        // Two whole chunks and a ragged third whose last lane group is
+        // ragged at every width (37 = 2 x 16 + 5 = 4 x 8 + 5 = 9 x 4 + 1).
+        let count = 2 * CHUNK + 37;
+        for d in [2, 3] {
+            let mats =
+                |seed| BatchedMats::from_data(d, d, count, signed_zero_mix(d * d * count, seed));
+            let (a, b) = (mats(3), mats(5));
+            let scale = signed_zero_mix(count, 7);
+            for (k, scale) in [
+                (BatchedDimGemm::nn_tuned(), Some(&scale[..])),
+                (BatchedDimGemm::nn_tuned(), None),
+                (BatchedDimGemm::nt_tuned(), Some(&scale[..])),
+                (BatchedDimGemm::nt_tuned(), None),
+            ] {
+                let mut want = BatchedMats::zeros(d, d, count);
+                reference(k.transpose, &a, &b, scale, &mut want);
+                for isa in Isa::available() {
+                    for threads in [1, 8] {
+                        // NaN-filled: the body must store every entry.
+                        let nan = vec![f64::NAN; d * d * count];
+                        let mut got = BatchedMats::from_data(d, d, count, nan);
+                        rayon::Pool::new(threads)
+                            .install(|| k.compute_at(isa, &a, &b, scale, &mut got));
+                        let what = format!(
+                            "{} {d}D scale {} {isa:?} {threads} threads",
+                            k.name(),
+                            scale.is_some()
+                        );
+                        assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{what}");
+                    }
+                }
             }
         }
     }
