@@ -25,11 +25,10 @@
 //! evaluation of every execution mode, so it is written as the batched
 //! small GEMM the paper describes and not as a loop over points: per zone
 //! `C (d² x npts) = Coef (d² x nkin, gathered once) · Ĝ (nkin x npts)`,
-//! accumulated on a register tile of `d²` rows by 24, 16 or 8 points (a
-//! function of `npts` alone: 27 zmm accumulators at Q3-3D, 18 at Q2-3D)
-//! over the whole reduction, and then transposed into the `d x d`-per-point
-//! output. This is the host form of the paper's v3 — one `B` panel
-//! streamed past many `A` entries held on chip.
+//! accumulated on a register tile of `d²` rows by 8 points (nine zmm
+//! accumulators in 3D) over the whole reduction, and then transposed into
+//! the `d x d`-per-point output. This is the host form of the paper's
+//! v3 — one `B` panel streamed past many `A` entries held on chip.
 //!
 //! **Why a point-major table.** The reduction runs over the basis index
 //! `i`; the vector dimension has to be the one it does *not* run over, the
@@ -61,41 +60,31 @@ use crate::isa::{isa_clones, Isa};
 use crate::shapes::ProblemShape;
 use crate::GemmVariant;
 
-/// Points per register tile of the host body, a function of `npts` alone:
-/// the widest of 24 and 16 that divides it, else 8. In 3D the tile's `d²`
-/// rows are 27 (24 points) or 18 (16 points) zmm registers. Q3-3D's 216
-/// points are nine 24-point tiles, Q2-3D's 64 and Q4-3D's 512 16-point
-/// ones; Q1-2D (4) and Q3-2D (36) end in a ragged tile over the table's
-/// zero padding.
-const fn tile_width(npts: usize) -> usize {
-    if npts.is_multiple_of(24) {
-        24
-    } else if npts.is_multiple_of(16) {
-        16
-    } else {
-        8
-    }
-}
+/// Points per register tile of the host body. Every 3D point count
+/// (`(2p)³`) is a multiple of 8; Q1-2D (4) and Q3-2D (36) end in a ragged
+/// tile over the table's zero padding. In 3D the tile's `d²` rows are nine
+/// zmm accumulators at SIMD level 2 (18 ymm at level 1): one zmm per row,
+/// the narrowest tile that fills one.
+const RW: usize = 8;
 
 /// Coefficients gathered per chunk of the basis index. One chunk covers
 /// Q4-3D (`nkin = 125`); higher orders walk several chunks in ascending
 /// `i`, so there is no order cap and no heap in the zone body.
 const COEF_CHUNK: usize = 128;
 
-/// Point-major copy of the gradient tables, packed per register tile: with
-/// `rw = tile_width(npts)`, entry `(g, i, k)` — the derivative of basis
-/// function `i` along reference axis `g` at point `k` — sits at
-/// `((t * nkin + i) * dim + g) * rw + k % rw` for tile `t = k / rw`. One
-/// tile's `dim` rows for basis function `i` are one contiguous run of
-/// `dim * rw` doubles, and consecutive `i` follow each other, so a tile
-/// walks its panel front to back. A ragged last tile is zero-padded. Empty
-/// by default; grow-only: [`PointMajorGrads::refill`] reuses the buffer.
+/// Point-major copy of the gradient tables, packed per register tile:
+/// entry `(g, i, k)` — the derivative of basis function `i` along reference
+/// axis `g` at point `k` — is lane `k % RW` of row `(t * nkin + i) * dim + g`
+/// for tile `t = k / RW`. One tile's `dim` rows for basis function `i` are
+/// back to back, and consecutive `i` follow each other, so a tile walks its
+/// panel front to back. A ragged last tile is zero-padded. Empty by default;
+/// grow-only: [`PointMajorGrads::refill`] reuses the buffer.
 #[derive(Clone, Debug, Default)]
 pub struct PointMajorGrads {
     dim: usize,
     nkin: usize,
     npts: usize,
-    data: Vec<f64>,
+    rows: Vec<[f64; RW]>,
 }
 
 impl PointMajorGrads {
@@ -110,18 +99,18 @@ impl PointMajorGrads {
     /// only when the tables outgrow the buffer.
     pub fn refill(&mut self, grads: &[DMatrix]) {
         let (nkin, npts) = grads.first().map_or((0, 0), |g| g.shape());
-        let (dim, rw) = (grads.len(), tile_width(npts));
+        let dim = grads.len();
         self.dim = dim;
         self.nkin = nkin;
         self.npts = npts;
-        self.data.resize(npts.div_ceil(rw) * nkin * dim * rw, 0.0);
+        self.rows.resize(npts.div_ceil(RW) * nkin * dim, [0.0; RW]);
         for g in grads {
             assert_eq!(g.shape(), (nkin, npts), "gradient tables must share one shape");
         }
-        for (j, row) in self.data.chunks_exact_mut(rw.max(1)).enumerate() {
+        for (j, row) in self.rows.iter_mut().enumerate() {
             let (g, i, t) = (j % dim, j / dim % nkin, j / (dim * nkin));
             for (kk, w) in row.iter_mut().enumerate() {
-                let k = t * rw + kk;
+                let k = t * RW + kk;
                 *w = if k < npts { grads[g][(i, k)] } else { 0.0 };
             }
         }
@@ -133,9 +122,47 @@ impl PointMajorGrads {
     }
 }
 
+/// A register tile: `[g][comp][k]` is output entry `(comp, g)` of the
+/// tile's point `k`.
+type Tile<const D: usize> = [[[f64; RW]; D]; D];
+
+/// `acc` advanced over one chunk of the basis index: `coef[i]` is the
+/// zone's `[comp]` coefficients of basis function `i`, `panel` the tile's
+/// `D` rows for each such `i` back to back (the [`PointMajorGrads`]
+/// layout). Kept apart from the zone loop so the whole tile stays in
+/// registers across the reduction.
+#[inline(always)]
+fn tile_panel<const D: usize>(
+    mut acc: Tile<D>,
+    coef: &[[f64; D]],
+    panel: &[[f64; RW]],
+) -> Tile<D> {
+    for (c, rows_i) in coef.iter().zip(panel.chunks_exact(D)) {
+        for g in 0..D {
+            let w = &rows_i[g];
+            for comp in 0..D {
+                for k in 0..RW {
+                    acc[g][comp][k] += c[comp] * w[k];
+                }
+            }
+        }
+    }
+    acc
+}
+
 /// One zone of kernel 3: `cz` (`npts` blocks of `D x D`, column-major)
 /// from the zone's `dofs` of the component-major field `u`, one register
-/// tile of [`tile_width`]`(npts)` points at a time.
+/// tile of [`RW`] points at a time. Per tile, all `D²` output rows are held
+/// across the whole reduction over the basis index `i` in ascending order,
+/// `coef` gathered point-major (`[i][comp]`) once per zone and chunk — each
+/// output entry is [`reference`](fn@reference)'s chain, `+0.0` then
+/// `acc + coef_i * ĝ_ik` for `i` ascending.
+///
+/// Adding `coef * 0.0` where the old loop skipped a zero table entry
+/// changes no bit for finite inputs: every accumulator starts at `+0.0`
+/// and can never become `-0.0` (a sum of two floats is `-0.0` only when
+/// both are), and `x + ±0.0 == x` for any `x` that is not `-0.0`.
+/// Non-finite fields end in `HydroError::NonFinite` on either path.
 #[inline(always)]
 fn zone_body<const D: usize>(
     u: &[f64],
@@ -144,70 +171,13 @@ fn zone_body<const D: usize>(
     table: &PointMajorGrads,
     cz: &mut [f64],
 ) {
-    match tile_width(table.npts) {
-        24 => tiles::<D, 3>(u, num_h1_dofs, dofs, table, cz),
-        16 => tiles::<D, 2>(u, num_h1_dofs, dofs, table, cz),
-        _ => tiles::<D, 1>(u, num_h1_dofs, dofs, table, cz),
-    }
-}
-
-/// A register tile of `8 * NV` points: `[g][comp][v][k]` is output entry
-/// `(comp, g)` of the tile's point `8v + k`.
-type Tile<const D: usize, const NV: usize> = [[[[f64; 8]; NV]; D]; D];
-
-/// `acc` advanced over one chunk of the basis index: `coef[i]` is the
-/// zone's `[comp]` coefficients of basis function `i`, `panel` the tile's
-/// `D` rows for each such `i` back to back (the [`PointMajorGrads`]
-/// layout). Kept apart from the zone loop so the whole tile stays in
-/// registers across the reduction.
-#[inline(always)]
-fn tile_panel<const D: usize, const NV: usize>(
-    mut acc: Tile<D, NV>,
-    coef: &[[f64; D]],
-    panel: &[f64],
-) -> Tile<D, NV> {
-    let (rows, _) = panel.as_chunks::<8>();
-    for (c, rows_i) in coef.iter().zip(rows.chunks_exact(D * NV)) {
-        for g in 0..D {
-            for v in 0..NV {
-                let w = &rows_i[g * NV + v];
-                for comp in 0..D {
-                    for k in 0..8 {
-                        acc[g][comp][v][k] += c[comp] * w[k];
-                    }
-                }
-            }
-        }
-    }
-    acc
-}
-
-/// [`zone_body`] on register tiles of `8 * NV` points: per tile, all `D²`
-/// output rows across the whole reduction over the basis index `i` in
-/// ascending order, `coef` gathered point-major (`[i][comp]`) once per
-/// zone and chunk — each output entry is [`reference`](fn@reference)'s
-/// chain, `+0.0` then `acc + coef_i * ĝ_ik` for `i` ascending.
-///
-/// Adding `coef * 0.0` where the old loop skipped a zero table entry
-/// changes no bit for finite inputs: every accumulator starts at `+0.0`
-/// and can never become `-0.0` (a sum of two floats is `-0.0` only when
-/// both are), and `x + ±0.0 == x` for any `x` that is not `-0.0`.
-/// Non-finite fields end in `HydroError::NonFinite` on either path.
-#[inline(always)]
-fn tiles<const D: usize, const NV: usize>(
-    u: &[f64],
-    num_h1_dofs: usize,
-    dofs: &[usize],
-    table: &PointMajorGrads,
-    cz: &mut [f64],
-) {
-    let (nkin, npts, rw) = (dofs.len(), table.npts, 8 * NV);
+    let (nkin, npts) = (dofs.len(), table.npts);
     let mut coef = [[0.0f64; D]; COEF_CHUNK];
     // First `i` of the chunk `coef` holds: a zone that fits one chunk
     // gathers once, not once per tile.
     let mut loaded = usize::MAX;
-    for (t, tile_data) in table.data.chunks_exact(nkin * D * rw).enumerate() {
-        let mut acc: Tile<D, NV> = [[[[0.0; 8]; NV]; D]; D];
+    for (t, tile_rows) in table.rows.chunks_exact(nkin * D).enumerate() {
+        let mut acc: Tile<D> = [[[0.0; RW]; D]; D];
         for i0 in (0..nkin).step_by(COEF_CHUNK) {
             let iw = COEF_CHUNK.min(nkin - i0);
             if loaded != i0 {
@@ -218,19 +188,17 @@ fn tiles<const D: usize, const NV: usize>(
                 }
                 loaded = i0;
             }
-            let panel = &tile_data[i0 * D * rw..(i0 + iw) * D * rw];
-            acc = tile_panel(acc, &coef[..iw], panel);
+            acc = tile_panel(acc, &coef[..iw], &tile_rows[i0 * D..(i0 + iw) * D]);
         }
-        let k0 = t * rw;
-        for v in 0..NV {
-            for kk in 0..8 {
-                let k = k0 + 8 * v + kk;
-                if k < npts {
-                    let out = &mut cz[k * D * D..][..D * D];
-                    for g in 0..D {
-                        for comp in 0..D {
-                            out[comp + g * D] = acc[g][comp][v][kk];
-                        }
+        // A constant trip count, so every `acc` index is static and the
+        // tile is never spilled to the stack to be indexed.
+        for kk in 0..RW {
+            let k = t * RW + kk;
+            if k < npts {
+                let out = &mut cz[k * D * D..][..D * D];
+                for g in 0..D {
+                    for comp in 0..D {
+                        out[comp + g * D] = acc[g][comp][kk];
                     }
                 }
             }
@@ -525,20 +493,10 @@ mod tests {
         if levels.len() < 3 {
             eprintln!("note: host lacks avx2 and/or avx512f; comparing {levels:?} only");
         }
-        // Every tile width on whole tiles — 24 (Q3-3D, 216 points), 16
-        // (Q2-2D 16, Q2-3D 64, Q4-3D 512), 8 (Q1-3D, 8) — and the ragged
-        // last tiles of Q1-2D (4 = 8 - 4) and Q3-2D (36 = 4 x 8 + 4).
+        // Whole 8-point tiles in 3D (Q3 216, Q2 64, Q4 512, Q1 8 points)
+        // and in Q2-2D (16), the ragged last tiles of Q1-2D (4 = 8 - 4) and
+        // Q3-2D (36 = 4 x 8 + 4).
         let cases = [(3, 3), (2, 2), (3, 2), (3, 4), (3, 1), (2, 1), (2, 3)];
-        let widths: Vec<(usize, bool)> = cases
-            .iter()
-            .map(|&(dim, order)| {
-                let npts = ProblemShape::new(dim, order, 1).npts;
-                (tile_width(npts), !npts.is_multiple_of(tile_width(npts)))
-            })
-            .collect();
-        for want in [(24, false), (16, false), (8, false), (8, true)] {
-            assert!(widths.contains(&want), "no case runs (width, ragged) = {want:?}");
-        }
         for (dim, order) in cases {
             let shape = ProblemShape::new(dim, order, 3);
             let (nkin, npts) = (shape.nkin, shape.npts);
@@ -585,11 +543,13 @@ mod tests {
             .collect();
         let mut expect = BatchedMats::zeros(3, 3, shape.total_points());
         reference(&shape, &u, ndofs, &zone_dofs, &grads, &mut expect);
-        let mut got = BatchedMats::zeros(3, 3, shape.total_points());
         let table = PointMajorGrads::from_tables(&grads);
-        CoefGradKernel::compute(&shape, &u, ndofs, &zone_dofs, &table, &mut got);
-        for (a, b) in got.as_slice().iter().zip(expect.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for isa in Isa::available() {
+            let mut got = BatchedMats::zeros(3, 3, shape.total_points());
+            CoefGradKernel::compute_at(isa, &shape, &u, ndofs, &zone_dofs, &table, &mut got);
+            for (a, b) in got.as_slice().iter().zip(expect.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{isa:?}");
+            }
         }
     }
 
