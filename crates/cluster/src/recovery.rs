@@ -345,7 +345,7 @@ fn campaign_rank(
             if !newly_dead.is_empty() {
                 dead_seen.extend_from_slice(&newly_dead);
                 alive.retain(|r| !newly_dead.contains(r));
-                let exec = hydro.executor();
+                let exec = hydro.executor_mut();
                 exec.note_rank_deaths(newly_dead.len() as u64);
                 exec.bill_recovery_quiesce(RECOVERY_QUIESCE_S);
                 let (shrunk, slots) = partition.shrink_to_fit(&mesh, &alive);

@@ -1,6 +1,5 @@
 //! Execution modes and the executor state (devices, balancer).
 
-use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use autotune::AutoBalancer;
@@ -104,15 +103,14 @@ pub struct Executor {
     pub gpu: Option<Arc<GpuDevice>>,
     /// The auto-balancer, for hybrid mode.
     pub balancer: Option<AutoBalancer>,
-    /// Whether a persistent device fault forced execution onto the CPU.
-    degraded: Cell<bool>,
-    /// Human-readable cause of the degradation, when it happened.
-    degraded_reason: RefCell<Option<String>>,
+    /// Why a persistent device fault forced execution onto the CPU, once
+    /// one has.
+    degraded: Option<String>,
     /// Running totals of what the resilience machinery cost, bumped by the
     /// `bill_*` / `note_*` calls: the fields of the report this executor
     /// owns (the device's fault stats and the degraded flag join them in
     /// [`Self::resilience_report`]).
-    ledger: RefCell<ResilienceReport>,
+    ledger: ResilienceReport,
     /// The unified telemetry recorder both devices emit into (shared, so
     /// host phases and GPU launches land on one simulated-time axis).
     telemetry: TelemetrySink,
@@ -167,9 +165,8 @@ impl Executor {
             host,
             gpu,
             balancer,
-            degraded: Cell::new(false),
-            degraded_reason: RefCell::new(None),
-            ledger: RefCell::default(),
+            degraded: None,
+            ledger: ResilienceReport::default(),
             telemetry,
             device_id: None,
         }
@@ -216,25 +213,31 @@ impl Executor {
     /// Whether a persistent device fault has forced all execution onto the
     /// CPU path for the rest of the run.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.get()
-    }
-
-    /// Why the executor degraded, if it did.
-    pub fn degraded_reason(&self) -> Option<String> {
-        self.degraded_reason.borrow().clone()
+        self.degraded.is_some()
     }
 
     /// Marks the executor as degraded: every subsequent force evaluation
     /// and energy solve runs on the CPU, regardless of `mode`. Idempotent —
     /// only the first call's reason is kept (and logged).
-    pub fn degrade_to_cpu(&self, reason: impl Into<String>) {
-        if self.degraded.replace(true) {
+    pub fn degrade_to_cpu(&mut self, reason: impl Into<String>) {
+        if self.degraded.is_some() {
             return;
         }
         let reason = reason.into();
         eprintln!("blast-core: GPU fault persisted past retries, degrading to CPU: {reason}");
         self.telemetry.instant(Track::Host, names::phases::DEGRADE_TO_CPU, self.host.now());
-        *self.degraded_reason.borrow_mut() = Some(reason);
+        self.degraded = Some(reason);
+    }
+
+    /// The package state the CG and integration phases bill under: a
+    /// GPU-mode host waits on the device (`GpuOffload`) — also after
+    /// [`Self::degrade_to_cpu`] — and every other mode computes (`Busy`).
+    pub(crate) fn host_power_state(&self) -> CpuPowerState {
+        if matches!(self.mode, ExecMode::Gpu { .. }) {
+            CpuPowerState::GpuOffload
+        } else {
+            CpuPowerState::Busy
+        }
     }
 
     /// Assembles the resilience report for a finished (or in-flight) run:
@@ -253,8 +256,8 @@ impl Executor {
             backoff_s: stats.backoff_s,
             backoff_energy_j: stats.backoff_s * self.gpu_idle_w(),
             degraded_to_cpu: self.is_degraded(),
-            degraded_reason: self.degraded_reason(),
-            ..self.ledger.borrow().clone()
+            degraded_reason: self.degraded.clone(),
+            ..self.ledger.clone()
         }
     }
 
@@ -306,45 +309,29 @@ impl Executor {
         (t, t * (reading.pkg_watts + reading.dram_watts + self.gpu_idle_w()))
     }
 
-    /// Both devices sit idle for `seconds`; returns the joules,
-    /// `seconds x (host idle + device idle watts)`.
-    fn idle_both(&self, seconds: f64) -> f64 {
-        assert!(seconds >= 0.0);
-        self.host.idle(seconds);
-        if let Some(g) = &self.gpu {
-            g.idle(seconds);
-        }
-        let power = &self.host.spec().power;
-        seconds * (power.idle_pkg_w + power.idle_dram_w + self.gpu_idle_w())
-    }
-
     /// Runs a resilience phase on the host timeline (the device quiesces —
     /// idles — for its duration) and charges its energy to the ledger.
-    fn bill_phase(&self, name: &'static str, bytes: usize) -> f64 {
+    fn bill_phase(&mut self, name: &'static str, bytes: usize) -> f64 {
         let (t, joules) = self.serial_phase(name, &Self::checkpoint_traffic(bytes));
-        let mut ledger = self.ledger.borrow_mut();
-        ledger.resilience_s += t;
-        ledger.resilience_energy_j += joules;
+        self.ledger.resilience_s += t;
+        self.ledger.resilience_energy_j += joules;
         t
     }
 
     /// Bills one coordinated checkpoint write of `bytes` serialized bytes:
     /// a DRAM-write phase on the host while the device quiesces at idle
     /// watts. Returns the modeled seconds.
-    pub(crate) fn bill_checkpoint_write(&self, bytes: usize) -> f64 {
-        {
-            let mut ledger = self.ledger.borrow_mut();
-            ledger.checkpoints_written += 1;
-            ledger.checkpoint_bytes += bytes as u64;
-        }
+    pub(crate) fn bill_checkpoint_write(&mut self, bytes: usize) -> f64 {
+        self.ledger.checkpoints_written += 1;
+        self.ledger.checkpoint_bytes += bytes as u64;
         self.telemetry.counter_add(names::counters::CHECKPOINTS_WRITTEN, 1);
         self.bill_phase(names::phases::CHECKPOINT_WRITE, bytes)
     }
 
     /// Bills one checkpoint restore of `bytes` (validation + decode + state
     /// rewrite). Returns the modeled seconds.
-    pub(crate) fn bill_checkpoint_restore(&self, bytes: usize) -> f64 {
-        self.ledger.borrow_mut().restores += 1;
+    pub(crate) fn bill_checkpoint_restore(&mut self, bytes: usize) -> f64 {
+        self.ledger.restores += 1;
         self.telemetry.counter_add(names::counters::CHECKPOINT_RESTORES, 1);
         self.bill_phase(names::phases::CHECKPOINT_RESTORE, bytes)
     }
@@ -352,37 +339,26 @@ impl Executor {
     /// Bills a recovery quiesce barrier ([`RECOVERY_QUIESCE_S`] by
     /// default): both devices sit idle while survivors drain in-flight work
     /// and agree on the dead set.
-    pub fn bill_recovery_quiesce(&self, seconds: f64) {
+    pub fn bill_recovery_quiesce(&mut self, seconds: f64) {
         self.telemetry.span(
             Track::Cluster,
             names::phases::RECOVERY_QUIESCE,
             self.host.now(),
             seconds,
         );
-        let joules = self.idle_both(seconds);
-        let mut ledger = self.ledger.borrow_mut();
-        ledger.resilience_s += seconds;
-        ledger.resilience_energy_j += joules;
-    }
-
-    /// Bills one retry-backoff wait: both devices sit through the gap at
-    /// idle watts (the power traces bill gaps at idle automatically, so
-    /// advancing the clocks is the whole billing). Returns the joules
-    /// charged, `seconds x (host idle + device idle watts)` — the number a
-    /// job-level retry ladder attributes to the retrying tenant.
-    pub fn bill_backoff_wait(&self, seconds: f64) -> f64 {
-        self.telemetry.span(
-            Track::Host,
-            names::phases::RETRY_BACKOFF,
-            self.host.now(),
-            seconds,
-        );
-        self.idle_both(seconds)
+        self.host.idle(seconds);
+        if let Some(g) = &self.gpu {
+            g.idle(seconds);
+        }
+        let power = &self.host.spec().power;
+        let joules = seconds * (power.idle_pkg_w + power.idle_dram_w + self.gpu_idle_w());
+        self.ledger.resilience_s += seconds;
+        self.ledger.resilience_energy_j += joules;
     }
 
     /// Records peer ranks declared permanently dead.
-    pub fn note_rank_deaths(&self, n: u64) {
-        self.ledger.borrow_mut().rank_deaths += n;
+    pub fn note_rank_deaths(&mut self, n: u64) {
+        self.ledger.rank_deaths += n;
         for _ in 0..n {
             self.telemetry.instant(Track::Cluster, names::phases::RANK_DEATH, self.host.now());
         }
@@ -391,8 +367,8 @@ impl Executor {
     /// Records device faults that fired during a rollback redo attempt
     /// (threaded from the solver's redo path so the report's retry totals
     /// include them).
-    pub(crate) fn note_redo_faults(&self, n: u64) {
-        self.ledger.borrow_mut().redo_faults += n;
+    pub(crate) fn note_redo_faults(&mut self, n: u64) {
+        self.ledger.redo_faults += n;
     }
 
     /// Bills one physics-invariant audit of a completed step: a host phase
@@ -401,27 +377,26 @@ impl Executor {
     /// flops drained since the last audit; `dram_bytes` the state and
     /// matrix traffic it streamed). The device idles for the duration —
     /// auditing is host work. Returns the modeled seconds.
-    pub(crate) fn bill_audit(&self, traffic: &Traffic) -> f64 {
+    pub(crate) fn bill_audit(&mut self, traffic: &Traffic) -> f64 {
         self.telemetry.counter_add(names::counters::SDC_AUDITS, 1);
         let (t, joules) = self.serial_phase(names::phases::SDC_AUDIT, traffic);
-        let mut ledger = self.ledger.borrow_mut();
-        ledger.audits_run += 1;
-        ledger.audit_s += t;
-        ledger.audit_energy_j += joules;
+        self.ledger.audits_run += 1;
+        self.ledger.audit_s += t;
+        self.ledger.audit_energy_j += joules;
         t
     }
 
     /// Records one detected silent-corruption event (audit trip or ABFT
     /// checksum violation) in the ledger, counters, and the trace.
-    pub(crate) fn note_corruption_detected(&self) {
-        self.ledger.borrow_mut().corruptions_detected += 1;
+    pub(crate) fn note_corruption_detected(&mut self) {
+        self.ledger.corruptions_detected += 1;
         self.telemetry.counter_add(names::counters::SDC_DETECTED, 1);
         self.telemetry.instant(Track::Host, names::phases::SDC_DETECTED, self.host.now());
     }
 
     /// Records silent bit flips the active `SdcPlan` actually landed.
-    pub(crate) fn note_sdc_flips(&self, n: u64) {
-        self.ledger.borrow_mut().sdc_flips_injected += n;
+    pub(crate) fn note_sdc_flips(&mut self, n: u64) {
+        self.ledger.sdc_flips_injected += n;
         self.telemetry.counter_add(names::counters::SDC_FLIPS_INJECTED, n);
     }
 
@@ -591,14 +566,14 @@ mod tests {
 
     #[test]
     fn degradation_is_sticky_and_keeps_first_reason() {
-        let ex = Executor::new(ExecMode::CpuSerial, CpuSpec::e5_2670(), None);
+        let mut ex = Executor::new(ExecMode::CpuSerial, CpuSpec::e5_2670(), None);
         assert!(!ex.is_degraded());
-        assert_eq!(ex.degraded_reason(), None);
+        assert_eq!(ex.resilience_report(0).degraded_reason, None);
         ex.degrade_to_cpu("kernel launch failed after 4 attempts");
         ex.degrade_to_cpu("second fault");
         assert!(ex.is_degraded());
         assert_eq!(
-            ex.degraded_reason().as_deref(),
+            ex.resilience_report(0).degraded_reason.as_deref(),
             Some("kernel launch failed after 4 attempts")
         );
     }
@@ -606,7 +581,7 @@ mod tests {
     #[test]
     fn resilience_billing_lands_in_the_report_and_traces() {
         let dev = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
-        let ex = Executor::new(
+        let mut ex = Executor::new(
             ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 },
             CpuSpec::e5_2670(),
             Some(dev.clone()),

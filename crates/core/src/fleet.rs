@@ -23,12 +23,10 @@
 //! thread counts from the device *spec* (never the ambient pool), and the
 //! modeled meters are pure functions of kernel traffic.
 
-use std::sync::Arc;
-
-use gpu_sim::{DeviceSpec, GpuDevice};
+use gpu_sim::DeviceSpec;
 
 use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
-use crate::exec::{ExecMode, Executor};
+use crate::exec::ExecMode;
 use crate::problems::Problem;
 use crate::solver::{Hydro, HydroConfig};
 use crate::HydroError;
@@ -64,16 +62,6 @@ pub fn candidate_modes(dev: &DeviceSpec) -> Vec<ExecMode> {
     } else {
         vec![derive_mode(dev)]
     }
-}
-
-/// Builds an executor realizing `mode` on `dev`: the spec's host CPU, a
-/// fresh simulated GPU when the spec carries one, and the catalog id
-/// pinned.
-fn executor_for(dev: &DeviceSpec, mode: ExecMode) -> Executor {
-    let gpu = dev.gpu.as_ref().map(|g| Arc::new(GpuDevice::new(g.clone())));
-    let mut exec = Executor::new(mode, dev.host.clone(), gpu);
-    exec.set_device_id(dev.id.clone());
-    exec
 }
 
 /// One pilot measurement: what `(device, mode)` cost to set up and what
@@ -154,7 +142,8 @@ pub fn pilot_device<const D: usize>(
 ) -> Result<DevicePilot, HydroError> {
     let mut hydro = Hydro::builder(problem, zones)
         .config(*config)
-        .executor(executor_for(dev, mode.clone()))
+        .device(dev)
+        .mode(mode.clone())
         .build()?;
     let mut state = hydro.initial_state();
     let mut store = CheckpointStore::in_memory();
@@ -224,14 +213,6 @@ mod tests {
             .collect();
         assert!(pcg.contains(&true) && pcg.contains(&false));
         assert_eq!(candidate_modes(&DeviceCatalog::get("cpu-e5-2670")).len(), 1);
-    }
-
-    #[test]
-    fn executor_pins_the_catalog_id() {
-        let dev = DeviceCatalog::get("k20");
-        let exec = executor_for(&dev, derive_mode(&dev));
-        assert_eq!(exec.device_id(), Some("k20"));
-        assert!(exec.gpu.is_some());
     }
 
     #[test]

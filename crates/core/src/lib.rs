@@ -33,7 +33,6 @@ pub mod error;
 pub mod exec;
 pub mod fleet;
 pub mod problems;
-pub mod retry;
 pub mod solver;
 pub mod state;
 
@@ -45,7 +44,6 @@ pub use error::HydroError;
 pub use exec::{ExecMode, Executor};
 pub use fleet::{DevicePilot, Prediction};
 pub use problems::{Problem, Sedov, TaylorGreen, TriplePoint};
-pub use retry::RetryPolicy;
 pub use blast_kernels::sumfac::AssemblyMode;
 pub use solver::{
     AdvanceOutcome, Hydro, HydroBuilder, HydroConfig, MatFreeConstrainedOp, RequiredBytes,

@@ -30,8 +30,8 @@ use crate::state::HydroState;
 /// ```ignore
 /// let mut hydro = Hydro::<2>::builder(&problem, [32, 32])
 ///     .order(3)
+///     .device(&DeviceCatalog::get("k20"))
 ///     .mode(ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 })
-///     .gpu(device)
 ///     .build()?;
 /// ```
 pub struct HydroBuilder<'p, const D: usize> {
@@ -45,8 +45,7 @@ pub struct HydroBuilder<'p, const D: usize> {
     executor: Option<Executor>,
     sdc_plan: Option<SdcPlan>,
     audit: Option<AuditConfig>,
-    assembly: Option<AssemblyMode>,
-    assembly_auto: bool,
+    assembly: AssemblyMode,
 }
 
 /// Modeled device-resident bytes of a builder configuration, one entry
@@ -62,18 +61,6 @@ pub struct RequiredBytes {
     /// Footprint of [`AssemblyMode::MatrixFree`]: `d x d` per-point data,
     /// staging rows, state, and the Jacobi diagonal.
     pub matrix_free: usize,
-}
-
-impl RequiredBytes {
-    /// The [`HydroBuilder::assembly_auto`] rule: stored, unless the stored
-    /// working set does not fit `budget` bytes and the matrix-free one does.
-    fn auto_mode(&self, budget: usize) -> AssemblyMode {
-        if self.stored > budget && self.matrix_free <= budget {
-            AssemblyMode::MatrixFree
-        } else {
-            AssemblyMode::Stored
-        }
-    }
 }
 
 impl<'p, const D: usize> HydroBuilder<'p, D> {
@@ -106,17 +93,10 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
     }
 
     /// Execution mode (default [`ExecMode::CpuSerial`]). GPU and hybrid
-    /// modes also need [`Self::gpu`].
+    /// modes also need a device with a GPU ([`Self::device`]).
     #[must_use]
     pub fn mode(mut self, mode: ExecMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Simulated GPU for device / hybrid modes.
-    #[must_use]
-    pub fn gpu(mut self, gpu: Arc<GpuDevice>) -> Self {
-        self.gpu = Some(gpu);
         self
     }
 
@@ -134,10 +114,10 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
         self
     }
 
-    /// Uses a pre-built executor verbatim, overriding [`Self::mode`],
-    /// [`Self::gpu`] and [`Self::device`] (the executor carries its host,
-    /// device, mode and telemetry sink — [`Executor::with_telemetry`] for a
-    /// sink of the caller's).
+    /// Uses a pre-built executor verbatim, overriding [`Self::mode`] and
+    /// [`Self::device`] (the executor carries its host, device, mode and
+    /// telemetry sink — [`Executor::with_telemetry`] for a sink of the
+    /// caller's).
     #[must_use]
     pub fn executor(mut self, exec: Executor) -> Self {
         self.executor = Some(exec);
@@ -169,21 +149,7 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
     /// stored path's device-memory ceiling.
     #[must_use]
     pub fn assembly(mut self, mode: AssemblyMode) -> Self {
-        self.assembly = Some(mode);
-        self.assembly_auto = false;
-        self
-    }
-
-    /// Picks the assembly mode from the device footprint at build time:
-    /// stored, unless the stored working set ([`Self::required_bytes`])
-    /// does not fit the device and the matrix-free one does. A pure
-    /// function of the spec — two builds agree by construction. An
-    /// explicit [`Self::assembly`] call wins over this.
-    #[must_use]
-    pub fn assembly_auto(mut self) -> Self {
-        if self.assembly.is_none() {
-            self.assembly_auto = true;
-        }
+        self.assembly = mode;
         self
     }
 
@@ -191,8 +157,7 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
     /// mode, without building anything. A stored footprint above the
     /// device capacity means [`Self::build`] would return
     /// [`HydroError::OutOfMemory`] — switch to
-    /// [`AssemblyMode::MatrixFree`] (or let [`Self::assembly_auto`] do
-    /// it) when the matrix-free entry fits.
+    /// [`AssemblyMode::MatrixFree`] when the matrix-free entry fits.
     pub fn required_bytes(&self) -> RequiredBytes {
         let order = self.config.order;
         let nz: usize = self.zones_per_axis.iter().product();
@@ -245,7 +210,6 @@ impl<'p, const D: usize> HydroBuilder<'p, D> {
             self.config,
             exec,
             self.assembly,
-            self.assembly_auto,
         )?;
         if let Some(plan) = self.sdc_plan {
             hydro.sdc_plan = plan;
@@ -276,8 +240,7 @@ impl<const D: usize> Hydro<D> {
             executor: None,
             sdc_plan: None,
             audit: None,
-            assembly: None,
-            assembly_auto: false,
+            assembly: AssemblyMode::Stored,
         }
     }
 
@@ -292,8 +255,7 @@ impl<const D: usize> Hydro<D> {
         zones_per_axis: [usize; D],
         config: HydroConfig,
         exec: Executor,
-        assembly: Option<AssemblyMode>,
-        assembly_auto: bool,
+        assembly: AssemblyMode,
     ) -> Result<Self, HydroError> {
         let order = config.order;
         let (dmin, dmax) = problem.domain();
@@ -313,19 +275,6 @@ impl<const D: usize> Hydro<D> {
         let zone_dofs: Vec<usize> =
             (0..nz).flat_map(|z| kin.zone_dofs(z).iter().copied()).collect();
 
-        // Resolve the assembly mode: explicit choice > footprint rule >
-        // stored (the default preserves every stored-path trajectory
-        // bitwise). Host RAM is not modeled as a ceiling, so only a device
-        // budget can force matrix-free.
-        let required = RequiredBytes {
-            stored: stored_resident_bytes(&shape, n, thermo.num_dofs()),
-            matrix_free: matfree_resident_bytes(&shape, n, thermo.num_dofs()),
-        };
-        let assembly = match (assembly, &exec.gpu) {
-            (Some(mode), _) => mode,
-            (None, Some(gpu)) if assembly_auto => required.auto_mode(gpu.spec().dram_capacity),
-            (None, _) => AssemblyMode::Stored,
-        };
         if assembly.is_matrix_free() && matches!(exec.mode, ExecMode::Gpu { base: true, .. }) {
             return Err(HydroError::InvalidConfig {
                 what: "mode",
@@ -339,21 +288,17 @@ impl<const D: usize> Hydro<D> {
         // expensive assembly so an over-sized problem fails fast with the
         // numbers in hand (the paper's Q4-Q3 limit at 16^3 on the 5 GB
         // K20 — which only the stored mode hits).
-        let mut device_bytes = 0usize;
         if matches!(exec.mode, ExecMode::Gpu { .. } | ExecMode::Hybrid { .. }) {
-            device_bytes = match assembly {
-                AssemblyMode::Stored => required.stored,
-                AssemblyMode::MatrixFree => required.matrix_free,
+            let resident = match assembly {
+                AssemblyMode::Stored => stored_resident_bytes(&shape, n, thermo.num_dofs()),
+                AssemblyMode::MatrixFree => matfree_resident_bytes(&shape, n, thermo.num_dofs()),
             };
             let gpu = exec.gpu.as_ref().expect("GPU mode has a device");
             let capacity = gpu.spec().dram_capacity;
-            if device_bytes > capacity {
-                return Err(HydroError::OutOfMemory {
-                    required: device_bytes,
-                    available: capacity,
-                });
+            if resident > capacity {
+                return Err(HydroError::OutOfMemory { required: resident, available: capacity });
             }
-            gpu.alloc(device_bytes)?;
+            gpu.alloc(resident)?;
         }
 
         // Initial geometry and the frozen rho0 |J0|.
@@ -477,7 +422,6 @@ impl<const D: usize> Hydro<D> {
             pcg_opts: config.pcg,
             exec,
             initial,
-            device_bytes,
             step_fault_budget: 0,
             scratch: StepScratch::default(),
             sdc_plan: SdcPlan::none(),
@@ -497,14 +441,14 @@ mod tests {
     #[test]
     fn memory_pressure_forces_matrix_free() {
         // Q4-Q3 3D at 32^3 zones against the 5 GB K20 budget: stored
-        // cannot fit, so matrix-free is forced; one mesh refinement lower
-        // both fit and stored stays.
+        // cannot fit, so only matrix-free runs; one mesh refinement lower
+        // both fit.
         let budget = 5 << 30;
         let req = |za| Hydro::<3>::builder(&Sedov::default(), [za; 3]).order(4).required_bytes();
         let big = req(32);
         assert!(big.stored > budget && big.matrix_free <= budget, "{big:?}");
-        assert_eq!(big.auto_mode(budget), AssemblyMode::MatrixFree);
-        assert_eq!(req(8).auto_mode(budget), AssemblyMode::Stored);
+        let small = req(8);
+        assert!(small.stored <= budget && small.matrix_free <= budget, "{small:?}");
     }
 
     #[test]

@@ -525,11 +525,7 @@ impl<const D: usize> Hydro<D> {
             self.accel_prev.copy_from_slice(accel);
             // The model bills every component its own stream over the
             // operator (warm-starting keeps the iteration counts low).
-            let state = if matches!(self.exec.mode, ExecMode::Gpu { .. }) {
-                CpuPowerState::GpuOffload
-            } else {
-                CpuPowerState::Busy
-            };
+            let state = self.exec.host_power_state();
             let traffic = iter_traffic.scale(total_iters as f64);
             self.host_phase(names::phases::CG_SOLVER, &traffic, CG_CPU_EFF, state, || ());
         }
@@ -615,7 +611,7 @@ impl<const D: usize> Hydro<D> {
     /// attempt's partial output is overwritten), so the result is
     /// bit-identical to a pure-CPU evaluation.
     pub(super) fn energy_rate(
-        &self,
+        &mut self,
         v_avg: &[f64],
         ws: &mut EvalScratch,
     ) -> Result<(), HydroError> {

@@ -200,8 +200,6 @@ pub struct Hydro<const D: usize> {
     pcg_opts: PcgOptions,
     exec: Executor,
     initial: HydroState,
-    /// Device bytes charged at setup (0 for CPU-only modes).
-    device_bytes: usize,
     /// Pending injected step faults (test/chaos hook): the next this-many
     /// `try_step` calls fail recoverably before touching any device.
     step_fault_budget: usize,
@@ -267,11 +265,6 @@ impl<const D: usize> Hydro<D> {
     /// deterministically.
     pub fn inject_step_faults(&mut self, n: usize) {
         self.step_fault_budget += n;
-    }
-
-    /// Bytes charged on the simulated device at setup.
-    pub fn device_bytes(&self) -> usize {
-        self.device_bytes
     }
 
     /// Arms one more planned flip against the installed SDC plan (the
@@ -773,8 +766,8 @@ mod tests {
         let base = || Hydro::<2>::builder(&problem, [4, 4]);
         let on_k20 = |base_kernel: bool| {
             base()
+                .device(&DeviceCatalog::get("k20"))
                 .mode(ExecMode::Gpu { base: base_kernel, gpu_pcg: false, mpi_queues: 1 })
-                .gpu(Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20"))))
         };
         let cases = [
             ("order", base().order(0).build()),

@@ -5,7 +5,6 @@ use blast_fem::geom::zone_jacobians;
 use blast_la::{Abft, AbftViolation};
 use blast_telemetry::{names, Track};
 use gpu_sim::{apply_flip, SdcSite, Traffic, FAULT_SEED_ENV};
-use powermon::CpuPowerState;
 
 use super::{
     AdvanceOutcome, Hydro, RunStats, StageVectors, StepOutcome, StepScratch, MAX_STEP_REDOS,
@@ -13,7 +12,7 @@ use super::{
 use crate::audit::{AuditConfig, StepAuditor, COMPRESSION_SLACK, RANGE_SLACK, SYMMETRY_TOL};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, LoadedCheckpoint};
 use crate::error::HydroError;
-use crate::exec::{integration_traffic, ExecMode, CG_CPU_EFF};
+use crate::exec::{integration_traffic, CG_CPU_EFF};
 use crate::state::HydroState;
 
 /// Declarative configuration for one [`Hydro::run`] call: the target
@@ -305,7 +304,7 @@ impl<const D: usize> Hydro<D> {
     /// Prints the replayable corruption log line (seed, step, measured vs
     /// tolerance) and records the detection in the ledger + trace; any
     /// other error is not a detection and passes unreported.
-    fn report_corruption(&self, err: &HydroError) {
+    fn report_corruption(&mut self, err: &HydroError) {
         if let HydroError::CorruptionDetected { step, audit, measured, tolerance } = err {
             let seed = self.sdc_plan.seed;
             eprintln!(
@@ -485,11 +484,7 @@ impl<const D: usize> Hydro<D> {
 
         // Host-side time integration cost ("the time integration ... is
         // still done on CPU").
-        let pstate = if matches!(self.exec.mode, ExecMode::Gpu { .. }) {
-            CpuPowerState::GpuOffload
-        } else {
-            CpuPowerState::Busy
-        };
+        let pstate = self.exec.host_power_state();
         let traffic = integration_traffic(2 * vlen + state.e.len());
         self.host_phase(names::phases::INTEGRATION, &traffic, CG_CPU_EFF, pstate, || ());
 
@@ -628,7 +623,7 @@ impl<const D: usize> Hydro<D> {
     /// with auditing on a cadence > 1, a corrupted state committed between
     /// audits must never become the generation a rollback restores.
     pub fn checkpoint_now(
-        &self,
+        &mut self,
         state: &HydroState,
         cursor: &mut RunCursor,
         store: &mut CheckpointStore,
@@ -823,17 +818,7 @@ impl<const D: usize> Hydro<D> {
     /// be compared by value against telemetry span names without
     /// allocating.
     pub fn phase_profile(&self) -> Vec<(&'static str, f64, usize)> {
-        let mut agg: Vec<(&'static str, f64, usize)> = Vec::new();
-        for ev in self.exec.host.events() {
-            if let Some(slot) = agg.iter_mut().find(|(n, _, _)| *n == ev.name) {
-                slot.1 += ev.time_s;
-                slot.2 += 1;
-            } else {
-                agg.push((ev.name, ev.time_s, 1));
-            }
-        }
-        agg.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        agg
+        self.exec.host.phase_totals()
     }
 
     /// Simulated wall-clock so far (host timeline, includes GPU waits).

@@ -198,26 +198,19 @@ impl CpuSpec {
     }
 }
 
-/// One recorded CPU phase.
-#[derive(Clone, Debug)]
-pub struct CpuEvent {
-    /// Phase name (a static label: phase names are compile-time known, and
-    /// a `String` here would put one heap allocation in every hot-path
-    /// phase).
-    pub name: &'static str,
-    /// Simulated start time.
-    pub start_s: f64,
-    /// Duration, seconds.
-    pub time_s: f64,
-    /// Package power during the phase, watts.
-    pub power_w: f64,
-}
+/// Rows the per-phase totals table is preallocated with: twice the eight
+/// host phase names the solver bills, so recording a phase does not
+/// allocate.
+const PHASE_ROWS: usize = 16;
 
 #[derive(Debug)]
 struct CpuState {
     clock_s: f64,
     trace: PowerTrace,
-    events: Vec<CpuEvent>,
+    /// `(name, seconds, calls)` per phase name, in first-billed order.
+    /// Names are static labels (compile-time known), so a row costs no
+    /// heap allocation.
+    totals: Vec<(&'static str, f64, usize)>,
     sink: Option<TelemetrySink>,
 }
 
@@ -237,7 +230,7 @@ impl CpuDevice {
             state: Mutex::new(CpuState {
                 clock_s: 0.0,
                 trace: PowerTrace::new(idle),
-                events: Vec::new(),
+                totals: Vec::with_capacity(PHASE_ROWS),
                 sink: None,
             }),
         }
@@ -280,7 +273,13 @@ impl CpuDevice {
         let mut st = self.state.lock();
         let start = st.clock_s;
         st.trace.push(start, time_s, power_w);
-        st.events.push(CpuEvent { name, start_s: start, time_s, power_w });
+        match st.totals.iter_mut().find(|row| row.0 == name) {
+            Some(row) => {
+                row.1 += time_s;
+                row.2 += 1;
+            }
+            None => st.totals.push((name, time_s, 1)),
+        }
         st.clock_s += time_s;
         if let Some(sink) = &st.sink {
             sink.span(Track::Host, name, start, time_s);
@@ -288,13 +287,12 @@ impl CpuDevice {
         (result, time_s)
     }
 
-    /// Pre-grows the event log and power trace so the next `phases` phase
-    /// recordings do not reallocate. Steady-state timesteps are otherwise
-    /// allocation-free; this keeps the telemetry side quiet too (used by
-    /// the zero-allocation harness before its measurement window).
+    /// Pre-grows the power trace so the next `phases` phase recordings do
+    /// not reallocate. Steady-state timesteps are otherwise allocation-free;
+    /// this keeps the telemetry side quiet too (used by the zero-allocation
+    /// harness before its measurement window).
     pub fn reserve_telemetry(&self, phases: usize) {
         let mut st = self.state.lock();
-        st.events.reserve(phases);
         st.trace.reserve(phases);
         if let Some(sink) = &st.sink {
             sink.reserve_spans(phases);
@@ -317,9 +315,13 @@ impl CpuDevice {
         self.state.lock().trace.clone()
     }
 
-    /// Snapshot of recorded events.
-    pub fn events(&self) -> Vec<CpuEvent> {
-        self.state.lock().events.clone()
+    /// Per-phase totals `(name, seconds, calls)` since t = 0 — Table 1's
+    /// CPU profile — sorted by descending seconds (a stable sort, so
+    /// equal totals keep their first-billed order).
+    pub fn phase_totals(&self) -> Vec<(&'static str, f64, usize)> {
+        let mut totals = self.state.lock().totals.clone();
+        totals.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        totals
     }
 
     /// Total energy since t = 0, joules.
@@ -361,14 +363,14 @@ mod tests {
         assert_eq!(v, 7);
         assert!(t > 0.0);
         assert!((dev.now() - t).abs() < 1e-15);
-        assert_eq!(dev.events().len(), 1);
+        assert_eq!(dev.power_trace().segments().len(), 1);
     }
 
     #[test]
     fn busy_power_matches_rapl_model() {
         let dev = CpuDevice::new(CpuSpec::e5_2670());
         dev.run_phase("cf", &Traffic::compute(1e9), 8, 0.2, CpuPowerState::Busy, || ());
-        let p = dev.events()[0].power_w;
+        let p = dev.power_trace().segments()[0].watts;
         // Fully busy E5-2670: 95 W pkg + 15 W DRAM.
         assert!((p - 110.0).abs() < 1e-9, "{p}");
     }
@@ -378,8 +380,9 @@ mod tests {
         let dev = CpuDevice::new(CpuSpec::e5_2670());
         dev.run_phase("cf", &Traffic::compute(1e9), 8, 0.2, CpuPowerState::Busy, || ());
         dev.run_phase("cf_gpu", &Traffic::compute(1e9), 8, 0.2, CpuPowerState::GpuOffload, || ());
-        let ev = dev.events();
-        assert!(ev[1].power_w < ev[0].power_w);
+        let trace = dev.power_trace();
+        let seg = trace.segments();
+        assert!(seg[1].watts < seg[0].watts);
     }
 
     #[test]
@@ -391,10 +394,35 @@ mod tests {
         let e = dev.energy_joules();
         assert!(e > 0.0);
         // Idle gap billed at idle power.
-        let ev = dev.events();
-        let active: f64 = ev.iter().map(|e| e.power_w * e.time_s).sum();
+        let active: f64 =
+            dev.power_trace().segments().iter().map(|s| s.watts * s.duration).sum();
         let idle_e = 0.5 * (dev.spec().power.idle_pkg_w + dev.spec().power.idle_dram_w);
         assert!((e - active - idle_e).abs() < 1e-9);
+    }
+
+    #[test]
+    fn phase_totals_are_the_trace_summed_by_name() {
+        // Many phases over three names leave three rows, each the sum of
+        // its name's power-trace segments taken in billing order (so bit
+        // for bit what summing a per-phase log would give).
+        const NAMES: [&str; 3] = ["corner_force", "cg_solver", "integration"];
+        let dev = CpuDevice::new(CpuSpec::e5_2670());
+        let calls = 10_000;
+        for i in 0..calls {
+            let traffic = Traffic::compute(1e6 * (1 + i % 7) as f64 * (1 + i % 3) as f64);
+            dev.run_phase(NAMES[i % 3], &traffic, 8, 0.2, CpuPowerState::Busy, || ());
+        }
+        let totals = dev.phase_totals();
+        assert_eq!(totals.len(), 3);
+        let trace = dev.power_trace();
+        for (k, name) in NAMES.iter().enumerate() {
+            let want: f64 =
+                trace.segments().iter().skip(k).step_by(3).fold(0.0, |acc, s| acc + s.duration);
+            let row = totals.iter().find(|row| row.0 == *name).expect("a row per name");
+            assert_eq!(row.1.to_bits(), want.to_bits(), "{name}");
+            assert_eq!(row.2, calls / 3 + usize::from(k < calls % 3), "{name}");
+        }
+        assert!(totals.windows(2).all(|w| w[0].1 >= w[1].1), "sorted by descending seconds");
     }
 
     #[test]
@@ -434,12 +462,13 @@ mod tests {
         dev.idle(0.25);
         dev.run_phase("cg_solver", &Traffic::compute(1e9), 8, 0.2, CpuPowerState::Busy, || ());
         let spans = sink.spans();
-        let events = dev.events();
-        assert_eq!(spans.len(), events.len());
-        for (s, e) in spans.iter().zip(&events) {
-            assert_eq!(s.name, e.name);
-            assert_eq!(s.start_s, e.start_s);
-            assert_eq!(s.dur_s, e.time_s);
+        let trace = dev.power_trace();
+        assert_eq!(spans.len(), trace.segments().len());
+        let names = ["corner_force", "cg_solver"];
+        for ((s, seg), name) in spans.iter().zip(trace.segments()).zip(names) {
+            assert_eq!(s.name, name);
+            assert_eq!(s.start_s, seg.start);
+            assert_eq!(s.dur_s, seg.duration);
         }
         // Every span sits inside the power-trace extent.
         let end = dev.power_trace().end_time();

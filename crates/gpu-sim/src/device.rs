@@ -676,6 +676,21 @@ mod tests {
     }
 
     #[test]
+    fn device_retry_ladder_bills_the_jittered_backoff_as_idle_time() {
+        // A transient launch fault with a jittered policy: the device's
+        // retry ladder must charge exactly the policy's (jittered) wait.
+        let dev = k20();
+        dev.set_fault_plan(FaultPlan::seeded(3).with_transient(FaultKind::LaunchFail, 0));
+        let policy = RetryPolicy::default().with_jitter(0.5, 7).with_cap(1.0);
+        dev.set_retry_policy(policy);
+        dev.launch("k", &LaunchConfig::new(1, 128, 0, 32), &Traffic::default(), || ()).unwrap();
+        let stats = dev.fault_stats();
+        assert_eq!(stats.retries, 1);
+        assert!((stats.backoff_s - policy.backoff_s(0)).abs() < 1e-18);
+        assert!(stats.backoff_s != RetryPolicy::default().backoff_s(0), "jitter moved the wait");
+    }
+
+    #[test]
     fn persistent_launch_fault_exhausts_retries_and_errors() {
         let dev = k20();
         dev.set_fault_plan(FaultPlan::seeded(1).with_persistent(FaultKind::LaunchFail, 0));

@@ -273,8 +273,8 @@ const JITTER_STREAM: u64 = 0x0BAC_C0FF;
 /// a measurable energy cost (see `ResilienceReport` in `powermon`).
 ///
 /// The same type governs two retry ladders: device-operation retries
-/// inside `GpuDevice` (its original home) and whole-job retries in
-/// `blast-serve` (via the canonical re-export in `blast_core::retry`).
+/// inside `GpuDevice` and whole-job retries in `blast-serve`'s
+/// supervisor.
 /// The default is the plain uncapped, jitter-free exponential the device
 /// always used; job-level users opt into a cap ([`Self::with_cap`]) and
 /// deterministic seed-driven jitter ([`Self::with_jitter`]) to avoid
@@ -704,6 +704,25 @@ mod tests {
     }
 
     #[test]
+    fn cap_bounds_every_wait_and_the_worst_case_sum() {
+        let p = RetryPolicy {
+            max_retries: 10,
+            base_backoff_s: 1e-3,
+            multiplier: 2.0,
+            ..RetryPolicy::default()
+        }
+        .with_cap(4e-3);
+        for attempt in 0..10 {
+            assert!(p.backoff_s(attempt) <= 4e-3 + 1e-18, "attempt {attempt}");
+        }
+        assert_eq!(p.backoff_s(0), 1e-3, "pre-cap waits are untouched");
+        assert_eq!(p.backoff_s(1), 2e-3);
+        assert_eq!(p.backoff_s(5), 4e-3, "32e-3 clamps");
+        let worst: f64 = (0..10).map(|a| p.backoff_s(a)).sum();
+        assert!(worst <= 10.0 * 4e-3 + 1e-15);
+    }
+
+    #[test]
     fn jitter_is_deterministic_bounded_and_seed_sensitive() {
         let base = RetryPolicy::default();
         let a = base.with_jitter(0.5, 7);
@@ -730,6 +749,14 @@ mod tests {
         assert!(!p.gives_up_after(1));
         assert!(p.gives_up_after(2));
         assert!(RetryPolicy::no_retries().gives_up_after(0));
+    }
+
+    #[test]
+    fn give_up_is_exact_at_the_retry_budget() {
+        let p = RetryPolicy { max_retries: 3, ..RetryPolicy::default() };
+        assert!(!p.gives_up_after(2), "third retry is still allowed");
+        assert!(p.gives_up_after(3), "fourth is not");
+        assert!(p.gives_up_after(99));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! - **Deadlines**: enforced at step granularity; a cancelled job's
 //!   partial energy stays billed to its tenant.
 //! - **Retry/backoff**: jobs that die to injected faults retry under the
-//!   capped, jittered, deterministic [`blast_core::RetryPolicy`]; the
+//!   capped, jittered, deterministic [`gpu_sim::RetryPolicy`]; the
 //!   waiting worker idles in place and the wait is billed at idle watts.
 //! - **Checkpoint-backed preemption**: a higher-priority arrival evicts
 //!   a running job at a quantum boundary through a coordinated

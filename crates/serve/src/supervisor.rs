@@ -30,11 +30,11 @@ use std::sync::Arc;
 use blast_core::checkpoint::{CheckpointPolicy, CheckpointStore};
 use blast_core::solver::MAX_STEP_REDOS;
 use blast_core::state::HydroState;
-use blast_core::{AuditConfig, ExecMode, Executor, Hydro, HydroError, RetryPolicy, RunCursor};
+use blast_core::{AuditConfig, ExecMode, Executor, Hydro, HydroError, RunCursor};
 use blast_telemetry::names::{counters, gauges, phases};
 use blast_telemetry::{Telemetry, TelemetrySink, Track};
 use cluster_sim::FailureDetector;
-use gpu_sim::fault::fault_draw;
+use gpu_sim::fault::{fault_draw, RetryPolicy};
 use gpu_sim::{derive_fault, CpuSpec, FaultPlan, GpuDevice, GpuSpec, SdcSite};
 use powermon::{PowerTrace, ResilienceReport};
 

@@ -1,7 +1,7 @@
 //! Interned phase / counter / gauge names shared across the workspace.
 //!
 //! Every instrumented surface refers to these constants instead of
-//! spelling string literals, so the solver's `CpuEvent` names, the
+//! spelling string literals, so the host's per-phase totals, the
 //! telemetry spans, and the report tables can never drift apart.
 
 /// Span / phase names (one per timeline lane entry).

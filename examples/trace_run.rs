@@ -11,11 +11,8 @@
 //! cargo run --release --example trace_run [out.json]
 //! ```
 
-use std::sync::Arc;
-
 use blast_repro::blast_core::{ExecMode, Hydro, RunConfig, Sedov};
 use blast_repro::blast_telemetry::{chrome, Track};
-use blast_repro::gpu_sim::GpuDevice;
 use gpu_sim::DeviceCatalog;
 
 fn main() {
@@ -24,11 +21,10 @@ fn main() {
     // An instrumented hybrid run: the builder wires one telemetry sink
     // through the executor into the host device, the GPU, and the solver.
     let problem = Sedov::default();
-    let gpu = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
     let mut hydro = Hydro::<2>::builder(&problem, [8, 8])
         .order(2)
+        .device(&DeviceCatalog::get("k20"))
         .mode(ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 })
-        .gpu(gpu)
         .build()
         .expect("setup");
     let mut state = hydro.initial_state();

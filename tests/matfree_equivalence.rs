@@ -12,8 +12,8 @@
 //!    run to the CPU path with bit-identical physics.
 //! 4. **The memory ceiling**: on a device whose capacity sits between the
 //!    two footprints, the stored build fails with the *typed* OOM error
-//!    (both byte counts in hand) while the matrix-free build — picked
-//!    automatically by `assembly_auto` — runs to completion.
+//!    (both byte counts in hand) while the matrix-free build runs to
+//!    completion.
 
 use std::sync::Arc;
 
@@ -213,8 +213,8 @@ fn matrix_free_gpu_matches_cpu() {
 /// The memory-ceiling acceptance property, scaled to test size: on a
 /// device whose DRAM sits *between* the stored and matrix-free footprints,
 /// the stored build fails with the typed OOM (both byte counts populated
-/// and consistent with the builder's pre-build estimate) while
-/// `assembly_auto` picks matrix-free and the run proceeds.
+/// and consistent with the builder's pre-build estimate) while the
+/// matrix-free build fits and the run proceeds.
 #[test]
 fn ceiling_straddle_stored_ooms_matrix_free_runs() {
     let problem = Sedov::default();
@@ -258,11 +258,11 @@ fn ceiling_straddle_stored_ooms_matrix_free_runs() {
     assert!(msg.contains("out of device memory"), "message: {msg}");
     assert!(msg.contains("MatrixFree"), "message should point at the fix: {msg}");
 
-    // Auto: the footprint override forces matrix-free, and the run works.
+    // Matrix-free: the smaller footprint fits, and the run works.
     let mut hydro = Hydro::<3>::builder(&problem, [3, 3, 3])
         .order(4)
         .executor(gpu_exec())
-        .assembly_auto()
+        .assembly(AssemblyMode::MatrixFree)
         .build()
         .expect("matrix-free Q4 fits the straddle device");
     assert_eq!(hydro.assembly_mode(), AssemblyMode::MatrixFree);

@@ -4,20 +4,17 @@
 //! extent of its lane (one simulated-time axis), and the per-phase span
 //! totals reconcile with the solver's `phase_profile()` to 1e-9 s.
 
-use std::sync::Arc;
-
 use blast_repro::blast_core::{ExecMode, Hydro, RunConfig, Sedov};
 use blast_repro::blast_telemetry::{chrome, names, EventKind, Track};
-use blast_repro::gpu_sim::GpuDevice;
 use gpu_sim::DeviceCatalog;
 
 fn instrumented_run(mode: ExecMode, gpu: bool) -> Hydro<2> {
     let problem = Sedov::default();
-    let mut b = Hydro::<2>::builder(&problem, [6, 6]).mode(mode);
+    let mut b = Hydro::<2>::builder(&problem, [6, 6]);
     if gpu {
-        b = b.gpu(Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20"))));
+        b = b.device(&DeviceCatalog::get("k20"));
     }
-    let mut hydro = b.build().expect("setup");
+    let mut hydro = b.mode(mode).build().expect("setup");
     let mut state = hydro.initial_state();
     let stats = hydro.run(&mut state, RunConfig::to(0.03).max_steps(10)).expect("run");
     assert!(stats.steps >= 3, "need a few steps: {}", stats.steps);
