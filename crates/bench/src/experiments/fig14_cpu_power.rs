@@ -1,7 +1,7 @@
 //! Fig. 14 — RAPL power of the two E5-2670 packages: one fully loaded with
 //! the 3D Q2-Q1 run (8 MPI tasks, no GPU), the other idle.
 
-use powermon::{CpuPowerModel, CpuPowerState};
+use powermon::{CpuPowerModel, CpuPowerState, PowerTrace};
 
 use crate::table;
 
@@ -32,11 +32,10 @@ pub fn report() -> String {
         100.0 * bp / m.tdp_w
     ));
     // A short sampled trace: load ramps on at t = 2 s and off at t = 12 s.
-    let trace = m.trace(&[
-        (CpuPowerState::Idle, 0.0, 2.0),
-        (CpuPowerState::Busy, 1.0, 10.0),
-        (CpuPowerState::Idle, 0.0, 3.0),
-    ]);
+    let mut trace = PowerTrace::new(m.idle_pkg_w + m.idle_dram_w);
+    for (start, dur, watts) in [(0.0, 2.0, ip + id), (2.0, 10.0, bp + bd), (12.0, 3.0, ip + id)] {
+        trace.push(start, dur, watts);
+    }
     out.push_str("\nSampled package-0 trace (1 s period):\n  t(s)  W\n");
     for (t, w) in trace.sample_series(1.0, 14.0) {
         out.push_str(&format!("  {t:>4.0}  {w:>6.1}\n"));

@@ -203,14 +203,26 @@ impl CpuSpec {
 /// allocate.
 const PHASE_ROWS: usize = 16;
 
+/// `(name, seconds, calls)` per billed name, in first-billed order. Names
+/// are static labels (compile-time known), so a row costs no heap allocation.
+pub(crate) type Totals = Vec<(&'static str, f64, usize)>;
+
+/// Adds `seconds` and one call to `name`'s row, appending it on first use.
+pub(crate) fn add_to_totals(rows: &mut Totals, name: &'static str, seconds: f64) {
+    match rows.iter_mut().find(|row| row.0 == name) {
+        Some(row) => {
+            row.1 += seconds;
+            row.2 += 1;
+        }
+        None => rows.push((name, seconds, 1)),
+    }
+}
+
 #[derive(Debug)]
 struct CpuState {
     clock_s: f64,
     trace: PowerTrace,
-    /// `(name, seconds, calls)` per phase name, in first-billed order.
-    /// Names are static labels (compile-time known), so a row costs no
-    /// heap allocation.
-    totals: Vec<(&'static str, f64, usize)>,
+    totals: Totals,
     sink: Option<TelemetrySink>,
 }
 
@@ -273,13 +285,7 @@ impl CpuDevice {
         let mut st = self.state.lock();
         let start = st.clock_s;
         st.trace.push(start, time_s, power_w);
-        match st.totals.iter_mut().find(|row| row.0 == name) {
-            Some(row) => {
-                row.1 += time_s;
-                row.2 += 1;
-            }
-            None => st.totals.push((name, time_s, 1)),
-        }
+        add_to_totals(&mut st.totals, name, time_s);
         st.clock_s += time_s;
         if let Some(sink) = &st.sink {
             sink.span(Track::Host, name, start, time_s);

@@ -2,8 +2,9 @@
 
 use blast_telemetry::{names, TelemetrySink, Track};
 use parking_lot::Mutex;
-use powermon::PowerTrace;
+use powermon::{PowerTrace, WINDOW};
 
+use crate::cpu::{add_to_totals, Totals};
 use crate::fault::{FaultKind, FaultPlan, FaultStats, GpuError, RetryPolicy, TransferDir};
 use crate::occupancy::{occupancy, LaunchConfig, Occupancy};
 use crate::spec::GpuSpec;
@@ -48,7 +49,9 @@ pub struct KernelEvent {
 struct DeviceState {
     clock_s: f64,
     trace: PowerTrace,
+    /// The newest events, at most [`WINDOW`], and every name's totals.
     events: Vec<KernelEvent>,
+    totals: Totals,
     active_queues: u32,
     allocated: usize,
     faults: FaultPlan,
@@ -57,6 +60,23 @@ struct DeviceState {
     fault_ops: [u64; crate::fault::NUM_FAULT_KINDS],
     fault_stats: FaultStats,
     sink: Option<TelemetrySink>,
+}
+
+impl DeviceState {
+    /// Bills `event` at the current clock — power segment, event window,
+    /// per-name totals — advances the clock, and returns the start.
+    fn record(&mut self, mut event: KernelEvent) -> f64 {
+        let (start, time_s) = (self.clock_s, event.stats.time_s);
+        event.start_s = start;
+        self.trace.push(start, time_s, event.stats.power_w);
+        add_to_totals(&mut self.totals, event.name, time_s);
+        if self.events.len() == WINDOW {
+            self.events.drain(..WINDOW / 2);
+        }
+        self.events.push(event);
+        self.clock_s += time_s;
+        start
+    }
 }
 
 /// A simulated CUDA device.
@@ -81,6 +101,7 @@ impl GpuDevice {
                 clock_s: 0.0,
                 trace: PowerTrace::new(idle),
                 events: Vec::new(),
+                totals: Vec::with_capacity(64), // past the names billed: no launch allocates
                 active_queues: 1,
                 allocated: 0,
                 faults: FaultPlan::none(),
@@ -328,10 +349,8 @@ impl GpuDevice {
         let result = body();
         let stats = self.model_kernel(cfg, traffic);
         let mut st = self.state.lock();
-        let start = st.clock_s;
-        st.trace.push(start, stats.time_s, stats.power_w);
-        st.events.push(KernelEvent { name, start_s: start, stats, traffic: *traffic, config: *cfg });
-        st.clock_s += stats.time_s;
+        let start =
+            st.record(KernelEvent { name, start_s: 0.0, stats, traffic: *traffic, config: *cfg });
         if let Some(sink) = &st.sink {
             sink.span(Track::Gpu, name, start, stats.time_s);
             sink.counter_add(names::counters::GPU_LAUNCHES, 1);
@@ -364,11 +383,9 @@ impl GpuDevice {
         // Transfers keep the board awake but exercise little silicon.
         let power_w = s.active_floor_w * 0.85;
         let mut st = self.state.lock();
-        let start = st.clock_s;
-        st.trace.push(start, time_s, power_w);
-        st.events.push(KernelEvent {
+        let start = st.record(KernelEvent {
             name,
-            start_s: start,
+            start_s: 0.0,
             stats: KernelStats {
                 time_s,
                 power_w,
@@ -387,7 +404,6 @@ impl GpuDevice {
             traffic: Traffic::default(),
             config: LaunchConfig::new(0, 0, 0, 0),
         });
-        st.clock_s += time_s;
         if let Some(sink) = &st.sink {
             sink.span(Track::Gpu, name, start, time_s);
             let ctr = match dir {
@@ -414,13 +430,13 @@ impl GpuDevice {
         self.transfer(TransferDir::D2h, bytes)
     }
 
-    /// Pre-grows the event log and power trace so the next `ops` launches
-    /// and transfers do not reallocate — the device counterpart of
+    /// Pre-grows the event window and power trace so the next `ops`
+    /// launches and transfers do not reallocate — the device counterpart of
     /// `CpuDevice::reserve_telemetry`, used by the zero-allocation harness
     /// before its measurement window (the span ring is preallocated).
     pub fn reserve_telemetry(&self, ops: usize) {
-        let mut st = self.state.lock();
-        st.events.reserve(ops);
+        let st = &mut *self.state.lock();
+        st.events.reserve(ops.min(WINDOW - st.events.len()));
         st.trace.reserve(ops);
     }
 
@@ -440,7 +456,7 @@ impl GpuDevice {
         self.state.lock().trace.clone()
     }
 
-    /// Snapshot of all recorded events.
+    /// Snapshot of the newest events: all of them until there were [`WINDOW`].
     pub fn events(&self) -> Vec<KernelEvent> {
         self.state.lock().events.clone()
     }
@@ -451,21 +467,12 @@ impl GpuDevice {
         st.trace.energy(0.0, st.clock_s)
     }
 
-    /// Aggregates events by kernel name: `(name, total_time_s, calls)`,
-    /// sorted by descending total time — the Fig. 6 breakdown.
+    /// Per-name totals `(name, total_time_s, calls)` since t = 0 by
+    /// descending time (ties in first-billed order) — the Fig. 6 breakdown.
     pub fn kernel_summary(&self) -> Vec<(&'static str, f64, usize)> {
-        let st = self.state.lock();
-        let mut agg: Vec<(&'static str, f64, usize)> = Vec::new();
-        for e in &st.events {
-            if let Some(slot) = agg.iter_mut().find(|(n, _, _)| *n == e.name) {
-                slot.1 += e.stats.time_s;
-                slot.2 += 1;
-            } else {
-                agg.push((e.name, e.stats.time_s, 1));
-            }
-        }
-        agg.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite times"));
-        agg
+        let mut totals = self.state.lock().totals.clone();
+        totals.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite times"));
+        totals
     }
 }
 

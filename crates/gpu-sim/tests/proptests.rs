@@ -1,6 +1,7 @@
 //! Property-based tests on the device models.
 
 use gpu_sim::{occupancy, GpuDevice, GpuSpec, LaunchConfig, Traffic};
+use powermon::WINDOW;
 use proptest::prelude::*;
 use gpu_sim::DeviceCatalog;
 
@@ -115,5 +116,28 @@ proptest! {
         }
         prop_assert!((dev.now() - expect).abs() < 1e-12 * expect.max(1.0));
         prop_assert_eq!(dev.events().len(), launches);
+    }
+
+    #[test]
+    fn the_event_window_stays_bounded_and_the_totals_count_every_launch(
+        picks in collection::vec(0usize..3, 10_000..2 * WINDOW),
+    ) {
+        const NAMES: [&str; 3] = ["k_small", "k_mid", "k_big"];
+        let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
+        let cfg = LaunchConfig::new(1000, 256, 0, 32);
+        let mut want = [(0.0, 0usize); 3];
+        for &k in &picks {
+            let t = Traffic::compute(1e6 * (1 + 4 * k) as f64);
+            let (_, stats) = dev.launch(NAMES[k], &cfg, &t, || ()).expect("no faults injected");
+            want[k].0 += stats.time_s;
+            want[k].1 += 1;
+        }
+        prop_assert!(dev.events().len() <= WINDOW);
+        let summary = dev.kernel_summary();
+        prop_assert_eq!(summary.iter().map(|&(_, _, c)| c).sum::<usize>(), picks.len());
+        for (name, seconds, calls) in summary {
+            let k = NAMES.iter().position(|&n| n == name).expect("a launched name");
+            prop_assert_eq!((seconds.to_bits(), calls), (want[k].0.to_bits(), want[k].1));
+        }
     }
 }

@@ -11,11 +11,11 @@
 //! same interfaces backed by *models*:
 //!
 //! - [`trace::PowerTrace`]: a (time, watts) step function that any simulated
-//!   device appends to; energy is its exact integral. NVML-style sampling
-//!   ([`trace::PowerTrace::sample`]) reads instantaneous power with the
-//!   millisecond-granularity semantics the paper relies on ("our CUDA
-//!   kernels time is around several to tens milliseconds ... so the
-//!   computation will not be missed by NVML").
+//!   device appends to; energy is its exact integral, kept as running totals
+//!   like RAPL's counter. NVML-style sampling ([`trace::PowerTrace::sample`])
+//!   reads the newest [`WINDOW`] segments with the millisecond-granularity
+//!   semantics the paper relies on ("our CUDA kernels time is around several
+//!   to tens milliseconds ... so the computation will not be missed by NVML").
 //! - [`rapl`]: a Sandy Bridge package/PP0/DRAM power model with the levels
 //!   the paper reports in Figs. 14 and 16.
 //! - [`greenup`]: speedup/powerup/greenup accounting reproducing Table 7.
@@ -30,4 +30,4 @@ pub mod trace;
 pub use greenup::{EnergyReport, Greenup};
 pub use rapl::{CpuPowerModel, CpuPowerState, RaplReading};
 pub use resilience::ResilienceReport;
-pub use trace::{EnergyCounter, PowerTrace};
+pub use trace::{PowerTrace, WINDOW};

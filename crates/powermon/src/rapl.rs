@@ -11,7 +11,6 @@
 //! [`CpuPowerState`]s and reports the corresponding domain levels, with the
 //! load-dependent interpolation driven by a utilization in `[0, 1]`.
 
-use crate::trace::PowerTrace;
 
 /// Activity state of one CPU package.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,19 +177,6 @@ impl CpuPowerModel {
         };
         RaplReading { pkg_watts: pkg, pp0_watts: pp0, dram_watts: dram }
     }
-
-    /// Builds a package power trace over a sequence of `(state, utilization,
-    /// duration)` phases, starting at t = 0.
-    pub fn trace(&self, phases: &[(CpuPowerState, f64, f64)]) -> PowerTrace {
-        let mut trace = PowerTrace::new(self.idle_pkg_w + self.idle_dram_w);
-        let mut t = 0.0;
-        for &(state, util, dur) in phases {
-            let r = self.read(state, util);
-            trace.push(t, dur, r.pkg_watts + r.dram_watts);
-            t += dur;
-        }
-        trace
-    }
 }
 
 #[cfg(test)]
@@ -246,20 +232,6 @@ mod tests {
         assert_eq!(r.pkg_watts, 95.0);
         let r0 = m.read(CpuPowerState::Busy, -1.0);
         assert_eq!(r0.pkg_watts, m.idle_pkg_w);
-    }
-
-    #[test]
-    fn trace_energy_matches_hand_computation() {
-        let m = CpuPowerModel::e5_2670();
-        let tr = m.trace(&[
-            (CpuPowerState::Busy, 1.0, 2.0),
-            (CpuPowerState::Idle, 0.0, 1.0),
-        ]);
-        let busy = m.read(CpuPowerState::Busy, 1.0);
-        let idle = m.read(CpuPowerState::Idle, 0.0);
-        let expect =
-            2.0 * (busy.pkg_watts + busy.dram_watts) + 1.0 * (idle.pkg_watts + idle.dram_watts);
-        assert!((tr.energy(0.0, 3.0) - expect).abs() < 1e-9);
     }
 
     #[test]

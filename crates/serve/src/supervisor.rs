@@ -756,7 +756,8 @@ impl Supervisor {
     /// Bills a finished attempt: tenant energy from the attempt's own
     /// device meters (plus straggler idle up to the attempt's wall), the
     /// device traces re-emitted into the worker timeline, resilience
-    /// deltas merged, and the worker clock advanced.
+    /// deltas merged, and the worker clock advanced. An attempt past
+    /// `powermon::WINDOW` segments re-emits what it dropped as one segment.
     fn harvest(&mut self, wid: usize, job_idx: usize, attempt: Option<Attempt>) {
         let Some(attempt) = attempt else { return };
         let w = &mut self.workers[wid];
@@ -765,17 +766,11 @@ impl Supervisor {
         let wall = exec.now();
         let host_idle = w.host_trace.idle_watts();
         let mut energy = exec.host.energy_joules() + (wall - host_now) * host_idle;
-        let host_trace = exec.host.power_trace();
-        for seg in host_trace.segments() {
-            w.host_trace.push(seg.start + attempt.offset, seg.duration, seg.watts);
-        }
+        w.host_trace.extend_shifted(&exec.host.power_trace(), attempt.offset);
         if let Some(gpu) = exec.gpu.as_ref() {
             energy += gpu.energy_joules() + (wall - gpu.now()) * gpu.spec().idle_w;
-            let trace = gpu.power_trace();
             let wt = w.gpu_trace.as_mut().expect("gpu worker has a gpu trace");
-            for seg in trace.segments() {
-                wt.push(seg.start + attempt.offset, seg.duration, seg.watts);
-            }
+            wt.extend_shifted(&gpu.power_trace(), attempt.offset);
         }
         w.clock = attempt.offset + wall;
         let record = &mut self.jobs[job_idx].record;

@@ -85,9 +85,9 @@ pub fn chrome_trace(tel: &Telemetry) -> String {
     chrome_trace_with_power(tel, &[])
 }
 
-/// Exports `tel` as Chrome trace-event JSON with the given power traces
-/// rendered as counter lanes (one `"C"` sample per segment edge, so the
-/// stepwise power model renders exactly).
+/// Exports `tel` as Chrome trace-event JSON with the window of each given
+/// power trace rendered as a counter lane (one `"C"` sample per segment
+/// edge, so the stepwise power model renders exactly).
 pub fn chrome_trace_with_power(tel: &Telemetry, power: &[(Track, &PowerTrace)]) -> String {
     let spans = tel.spans();
     let mut out = String::with_capacity(160 * spans.len() + 4096);

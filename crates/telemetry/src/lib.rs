@@ -37,7 +37,7 @@
 //!   [`chrome::validate_chrome_trace`] re-parses an export and checks
 //!   structure, monotonic timestamps, and parent/child containment — the
 //!   round-trip contract the CI `trace-smoke` lane enforces.
-//! - [`table::phase_table`]: the plain-text per-phase table that
+//! - [`table::render_totals`]: the plain-text per-phase table that
 //!   `paper_report` / `fig06_kernel_breakdown` report through.
 
 pub mod chrome;

@@ -2,7 +2,7 @@
 //! `paper_report` / `fig06_kernel_breakdown` binaries print instead of
 //! their previous hand-rolled formatting.
 
-use crate::recorder::{PhaseTotal, Telemetry, Track};
+use crate::recorder::PhaseTotal;
 use std::fmt::Write as _;
 
 /// Renders `totals` as a fixed-width table with a share column (percent
@@ -38,27 +38,17 @@ pub fn render_totals(title: &str, totals: &[PhaseTotal]) -> String {
     out
 }
 
-/// Renders the per-phase table for one track of `tel` (or all tracks when
-/// `track` is `None`), sorted by descending total time.
-pub fn phase_table(tel: &Telemetry, track: Option<Track>) -> String {
-    let totals = tel.phase_totals(track);
-    let title = match track {
-        Some(t) => format!("phase breakdown [{}]", t.name()),
-        None => "phase breakdown [all tracks]".to_string(),
-    };
-    render_totals(&title, &totals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::{Telemetry, Track};
 
     #[test]
     fn table_lists_phases_by_descending_time_with_shares() {
         let t = Telemetry::new();
         t.span(Track::Host, "corner_force", 0.0, 3.0);
         t.span(Track::Host, "cg_solver", 3.0, 1.0);
-        let out = phase_table(&t, Some(Track::Host));
+        let out = render_totals("phase breakdown [host]", &t.phase_totals(Some(Track::Host)));
         let cf = out.find("corner_force").unwrap();
         let cg = out.find("cg_solver").unwrap();
         assert!(cf < cg, "sorted by time desc:\n{out}");
@@ -70,7 +60,7 @@ mod tests {
     #[test]
     fn empty_table_renders_zero_total() {
         let t = Telemetry::new();
-        let out = phase_table(&t, None);
+        let out = render_totals("phase breakdown [all tracks]", &t.phase_totals(None));
         assert!(out.contains("total"));
     }
 }

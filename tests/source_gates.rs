@@ -511,11 +511,9 @@ fn the_solver_lends_its_scratch_once() {
 #[test]
 fn every_pub_item_has_a_caller() {
     // `(file, item)`: public for a reader the word search cannot see.
-    const ALLOWED: [(&str, &str); 3] = [
+    const ALLOWED: [(&str, &str); 2] = [
         // Kept for the planned convergence-order study, which refines meshes.
         ("crates/fem/src/mesh.rs", "refine"),
-        // Element type of `PowerTrace::segments`, read field by field.
-        ("crates/powermon/src/trace.rs", "Segment"),
         // Return type of `validate_chrome_trace`, read field by field.
         ("crates/telemetry/src/chrome.rs", "TraceSummary"),
     ];
