@@ -404,6 +404,7 @@ fn failed(e: impl std::fmt::Display) -> RankOutcome {
 mod tests {
     use super::*;
 
+    /// For injected deaths: detection takes `link_timeout` × `link_attempts`.
     fn quick_cfg() -> CampaignConfig {
         CampaignConfig {
             link_timeout: Duration::from_millis(15),
@@ -411,9 +412,14 @@ mod tests {
         }
     }
 
+    /// Fault-free: no scheduler stall reaches the timeout and kills a live rank.
+    fn healthy_cfg() -> CampaignConfig {
+        CampaignConfig { link_timeout: Duration::from_secs(10), ..quick_cfg() }
+    }
+
     #[test]
     fn healthy_campaign_completes_in_agreement() {
-        let cfg = quick_cfg();
+        let cfg = healthy_cfg();
         let results =
             run_chaos_campaign(&cfg, ClusterFaultPlan::none(), |_| FaultPlan::none());
         assert_eq!(results.len(), 3);
@@ -430,7 +436,7 @@ mod tests {
     fn rank_death_recovers_onto_survivors_bit_identically() {
         let cfg = quick_cfg();
         let fault_free =
-            run_chaos_campaign(&cfg, ClusterFaultPlan::none(), |_| FaultPlan::none());
+            run_chaos_campaign(&healthy_cfg(), ClusterFaultPlan::none(), |_| FaultPlan::none());
         assert!(fault_free[0].steps >= 4, "need room for a mid-run death: {}", fault_free[0].steps);
 
         // Rank 2 dies two consensus rounds in (each round = `redundancy`

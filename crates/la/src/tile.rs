@@ -27,7 +27,7 @@
 //! through memory exactly (f64 store/load is lossless) between KC blocks.
 //! The blocking therefore never changes a bit: the zmm tile, which holds
 //! the whole `k` range in registers, is bitwise the generic body, and the
-//! thread-count determinism guarantee (`tests/host_determinism.rs`) does
+//! thread-count determinism guarantee (`tests/golden_lattice.rs`) does
 //! not depend on either.
 //!
 //! Relative to the naive reference ([`crate::dense::naive`]) there are

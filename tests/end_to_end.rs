@@ -43,26 +43,6 @@ fn full_sedov_run_to_completion_conserves_energy() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-fn cpu_and_gpu_agree_on_a_long_run() {
-    let problem = Sedov::default();
-    let steps = 10;
-    let mut h_cpu =
-        Hydro::<2>::builder(&problem, [6, 6]).executor(cpu_exec()).build().unwrap();
-    let mut h_gpu =
-        Hydro::<2>::builder(&problem, [6, 6]).executor(gpu_exec(1)).build().unwrap();
-    let mut s_cpu = h_cpu.initial_state();
-    let mut s_gpu = h_gpu.initial_state();
-    let dt = h_cpu.suggest_dt(&s_cpu).min(h_gpu.suggest_dt(&s_gpu));
-    for _ in 0..steps {
-        h_cpu.step(&mut s_cpu, dt);
-        h_gpu.step(&mut s_gpu, dt);
-    }
-    assert!(blast_repro::blast_la::max_rel_diff(&s_cpu.e, &s_gpu.e) < 1e-8);
-    assert!(blast_repro::blast_la::max_rel_diff(&s_cpu.x, &s_gpu.x) < 1e-10);
-}
-
-#[test]
 fn device_traces_align_for_energy_accounting() {
     // After a GPU-mode run, host and device simulated clocks must agree
     // (the host waits on the device), so node energy = host + device.
@@ -140,22 +120,20 @@ fn triple_point_multimaterial_pressure_equilibrium() {
     assert!((e.internal - 10.05).abs() < 1e-9, "IE {}", e.internal);
 }
 
+/// Hyper-Q sharing raises the device's mean active power; that it leaves
+/// the physics alone is `golden_lattice` class 1 (cell `gpu_pcg_q8`).
 #[test]
 fn hyperq_sharing_changes_power_not_results() {
     let problem = Sedov::default();
-    let run = |mpi: u32| {
+    let power = |mpi: u32| {
         let mut h =
             Hydro::<2>::builder(&problem, [8, 8]).executor(gpu_exec(mpi)).build().unwrap();
         let mut s = h.initial_state();
-        let dt = 1e-4;
         for _ in 0..2 {
-            h.step(&mut s, dt);
+            h.step(&mut s, 1e-4);
         }
-        let p = h.executor().gpu.as_ref().unwrap().power_trace().mean_active_power();
-        (s, p)
+        h.executor().gpu.as_ref().unwrap().power_trace().mean_active_power()
     };
-    let (s1, p1) = run(1);
-    let (s8, p8) = run(8);
-    assert_eq!(s1.e, s8.e, "queue count must not change the physics");
+    let (p1, p8) = (power(1), power(8));
     assert!(p8 > p1, "8-queue power {p8} should exceed 1-queue {p1}");
 }

@@ -140,37 +140,3 @@ fn routed_results_are_bitwise_identical_regardless_of_device() {
         assert!(same, "final state on {id} differs bitwise from {rid}");
     }
 }
-
-/// The router's own mode candidates (both momentum-solve placements on a
-/// GPU) are also physics-neutral: `gpu_pcg` moves a solve across the
-/// PCIe boundary of the cost model, not across different math.
-#[test]
-fn gpu_pcg_placement_is_physics_neutral() {
-    use blast_repro::blast_core::ExecMode;
-    let dev = DeviceCatalog::get("k20");
-    let mut finals = Vec::new();
-    for gpu_pcg in [true, false] {
-        let mut sup =
-            Supervisor::new(ServeConfig::default(), vec![WorkerSpec::from_device(&dev)]);
-        let pinned = JobSpec {
-            tenant: "probe".to_string(),
-            scenario: Scenario::Sedov,
-            zones: [6, 6],
-            t_final: 0.01,
-            max_steps: 8,
-            checkpoint_every: 0,
-            placement: Some(Placement {
-                device_id: "k20".to_string(),
-                mode: ExecMode::Gpu { base: false, gpu_pcg, mpi_queues: 1 },
-            }),
-            ..JobSpec::default()
-        };
-        sup.submit(pinned).expect("admits");
-        let report = sup.run_to_completion();
-        finals.push(report.jobs[0].final_state.clone().expect("completed"));
-    }
-    let (a, b) = (&finals[0], &finals[1]);
-    assert!(a.v.iter().zip(&b.v).all(|(x, y)| x.to_bits() == y.to_bits()));
-    assert!(a.e.iter().zip(&b.e).all(|(x, y)| x.to_bits() == y.to_bits()));
-    assert!(a.x.iter().zip(&b.x).all(|(x, y)| x.to_bits() == y.to_bits()));
-}
