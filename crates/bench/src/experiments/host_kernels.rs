@@ -18,7 +18,9 @@
 //! zone, outputs asserted bit-equal first. The `point_physics` block is
 //! [`super::point_physics`]: the stress half layer by layer — kernels 1, 2,
 //! 3, 5, 6 and the matrix-free force against their point-at-a-time
-//! references, in ns per point.
+//! references, in ns per point. The `setup` block is
+//! [`super::setup_phases`]: the one-time phases of a solver build on the
+//! benchmark's 3D workloads, each body against the loop it replaced, in ms.
 //!
 //! Every number is real hardware time, taken by [`crate::harness`]. Rows
 //! and gates: `HostKernels::report` (`BENCH_host_kernels.json`, the CI
@@ -33,6 +35,7 @@ use blast_la::tile::{self, Op};
 use blast_la::{BatchedMats, DMatrix};
 
 use super::point_physics::{self, PointPhysicsResult};
+use super::setup_phases::{self, SetupPhaseResult};
 use crate::harness::{self, Block, Budget, Cell, Experiment, Gate, Report, Timing};
 
 /// The harness entry of this experiment.
@@ -195,6 +198,8 @@ struct HostKernels {
     pub az_fz: Vec<AzFzResult>,
     /// Two entries (initial, mid-run) per [`point_physics::POINT_SHAPES`] row.
     pub point_physics: Vec<PointPhysicsResult>,
+    /// One entry per phase of each [`setup_phases::SETUP_WORKLOADS`] row.
+    pub setup: Vec<SetupPhaseResult>,
 }
 
 impl HostKernels {
@@ -212,7 +217,8 @@ impl HostKernels {
     /// together reach [`AZ_GATE_SPEEDUP`] x their references on such a shape
     /// in 3D; fused kernels 4 + 7 beat the two batch passes on a 3D shape
     /// of order 3 or more; every lock-step per-point body beats its scalar
-    /// reference on a mid-run state.
+    /// reference on a mid-run state; at SIMD level 1 or more, `M_V`'s zone
+    /// blocks run at twice their reference loop's speed.
     pub fn report(&self) -> Report {
         let peak = self.best_tiled_gflops();
         let mut gates = Vec::new();
@@ -288,6 +294,7 @@ impl HostKernels {
         });
         let az_fz = az_fz.collect();
         let point_physics = self.point_physics.iter().map(|p| p.row(&mut gates)).collect();
+        let setup = self.setup.iter().map(|p| p.row(&mut gates)).collect();
         let summary = vec![
             Cell::new("threads", 1usize),
             Cell::new("best_tiled_gflops", peak),
@@ -299,6 +306,7 @@ impl HostKernels {
                 Block::table("az_kernels", "kernels 3 and 4 vs references, GFLOP/s", az_kernels),
                 Block::table("az_fz", "kernels 4 + 7, two-pass vs fused, ns per zone", az_fz),
                 Block::table("point_physics", "body vs reference, ns per point", point_physics),
+                Block::table("setup", "solver build phases, body vs reference, ms", setup),
                 Block::record("summary", "summary", summary),
             ],
             gates,
@@ -446,7 +454,8 @@ fn measure(smoke: bool) -> HostKernels {
             .map(|&(dim, order, zones, label)| measure_az_fz(dim, order, zones, label, budget))
             .collect();
         let point_physics = point_physics::measure(budget);
-        HostKernels { shapes, az_kernels, az_fz, point_physics }
+        let setup = setup_phases::measure(budget);
+        HostKernels { shapes, az_kernels, az_fz, point_physics, setup }
     })
 }
 
@@ -490,6 +499,7 @@ mod tests {
                 t: Timing::from_samples(vec![vec![5.0; 2], vec![4.0; 2]]),
             }],
             point_physics: Vec::new(),
+            setup: Vec::new(),
         };
         assert!(r.report().failures().is_empty());
         let json = harness::render_json(EXPERIMENT.name, true, &r.report());
@@ -539,11 +549,16 @@ mod tests {
         for p in &r.point_physics {
             assert_eq!(p.gated, p.state == "mid-run");
         }
+        // Stored workloads: 5 phases, the matrix-free one 4.
+        assert_eq!(r.setup.len(), 14);
+        let blocks = r.setup.iter().filter(|p| p.gated).count();
+        assert_eq!(blocks, if blast_la::simd::level() >= 1 { 2 } else { 0 });
         // 4 GEMM (+ 3 production at level 2) + 3 A_z + 2 A_z F_z + 2
-        // mid-run states x 6 stress-half bodies.
+        // mid-run states x 6 stress-half bodies (+ 2 kinematic-block rows
+        // at level 1 or more).
         let production = r.shapes.iter().filter(|s| s.production_gated).count();
         assert_eq!(production, if blast_la::simd::level() >= 2 { 3 } else { 0 });
-        assert_eq!(r.report().gates.len(), 21 + production);
+        assert_eq!(r.report().gates.len(), 21 + production + blocks);
     }
 
     /// Both bodies production runs, the generic one and `tile::gemm`, reach

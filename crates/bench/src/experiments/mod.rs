@@ -33,6 +33,7 @@ pub mod tab6_validation;
 pub mod resilience_overhead;
 pub mod sdc_campaign;
 pub mod serve_storm;
+pub mod setup_phases;
 pub mod tab7_greenup;
 pub mod telemetry_profile;
 

@@ -1,0 +1,223 @@
+//! setup_phases — *measured* milliseconds of each one-time phase of a
+//! solver build (`Hydro::builder(..).build()`) on the end-to-end
+//! benchmark's three 3D workloads, the body the builder runs against the
+//! loop it replaced:
+//!
+//! - `geometry`: `zone_jacobians` and the point positions `ρ₀` is read at,
+//!   zone by zone, the same code on both sides;
+//! - `kinematic_blocks`: `M_V`'s zone blocks on the `blast_la::WeightedGram`
+//!   register tile, against `fem::mass::reference::kinematic_blocks`;
+//! - `triplets_sort`: the serial triplet push and `CsrBuilder`'s sort and
+//!   merge, the same code on both sides;
+//! - `thermodynamic_blocks`: `M_E` on the same tile, against
+//!   `fem::mass::reference::assemble_thermodynamic_mass`;
+//! - `me_inverse`: `M_E`'s block inverse, the same code on both sides;
+//! - `matfree_diagonal`: the matrix-free Jacobi diagonal with its basis
+//!   products formed once, against the per-zone loop
+//!   `sumfac::reference::diagonal`.
+//!
+//! Every pair is asserted bit-equal before it is timed. Part of
+//! `host_kernels` (`BENCH_host_kernels.json`, block `setup`); single thread
+//! like the rest of that artifact.
+
+use blast_core::AssemblyMode;
+use blast_fem::geom::{eval_h1_vector, zone_jacobians};
+use blast_fem::{mass, quad_points_1d, BasisTable, CartMesh, H1Space, L2Space, TensorRule};
+use blast_kernels::sumfac::{self, SumfacFactors, SumfacMassKernel};
+use blast_kernels::ProblemShape;
+
+use crate::harness::{self, Budget, Cell, Gate, Timing};
+
+/// `(workload, order, zones per axis, assembly)`: the benchmark's 3D
+/// workloads.
+pub const SETUP_WORKLOADS: [(&str, usize, usize, AssemblyMode); 3] = [
+    ("sedov3d_q3_stored", 3, 5, AssemblyMode::Stored),
+    ("sedov3d_q3_matfree", 3, 5, AssemblyMode::MatrixFree),
+    ("sedov3d_q2_gpu", 2, 8, AssemblyMode::Stored),
+];
+
+/// The kinematic blocks must run at least this many times faster than
+/// their reference at SIMD level 1 or more (measured 4.4-6.5x at level 2
+/// and 3.2-3.6x at level 1 on the two stored shapes).
+const BLOCKS_GATE_SPEEDUP: f64 = 2.0;
+
+/// Timing variant of the body the builder runs; [`REFERENCE`] is the other.
+const BODY: usize = 0;
+/// See [`BODY`].
+const REFERENCE: usize = 1;
+
+/// One phase of one workload's build.
+#[derive(Clone, Debug)]
+pub struct SetupPhaseResult {
+    /// Benchmark workload, e.g. `"sedov3d_q3_stored"`.
+    pub workload: &'static str,
+    /// Phase name (see the module docs).
+    pub phase: &'static str,
+    /// The kinematic blocks at SIMD level 1 or more carry the gate.
+    pub gated: bool,
+    /// Variants: the builder's body, then the reference loop; seconds per
+    /// call.
+    pub t: Timing,
+}
+
+impl SetupPhaseResult {
+    /// This row's cells; a gated row adds its gate to `gates`.
+    pub fn row(&self, gates: &mut Vec<Gate>) -> Vec<Cell> {
+        let speedup = self.t.median_ratio(&[REFERENCE], &[BODY]);
+        if self.gated {
+            let detail = format!(
+                "{speedup:.2}x of the reference loop, need >= {BLOCKS_GATE_SPEEDUP:.1}x"
+            );
+            let name = format!("setup {} {}", self.workload, self.phase);
+            gates.push(Gate::new(name, speedup >= BLOCKS_GATE_SPEEDUP, detail));
+        }
+        vec![
+            Cell::new("workload", self.workload),
+            Cell::new("phase", self.phase),
+            Cell::new("gated", self.gated),
+            Cell::new("ms", self.t.min(BODY) * 1e3),
+            Cell::new("reference_ms", self.t.min(REFERENCE) * 1e3),
+            Cell::times("speedup", speedup),
+        ]
+    }
+}
+
+/// What the phases of one build read.
+struct Inputs {
+    kin: H1Space<3>,
+    thermo: L2Space<3>,
+    rule: TensorRule<3>,
+    kin_table: BasisTable<3>,
+    thermo_table: BasisTable<3>,
+    shape: ProblemShape,
+    zone_dofs: Vec<usize>,
+    x0: Vec<f64>,
+    /// Sedov's `ρ₀ = 1`, so the frozen mass factor is `|J₀|`.
+    rho0detj0: Vec<f64>,
+}
+
+impl Inputs {
+    fn new(order: usize, zones_per_axis: usize) -> Self {
+        let mesh = CartMesh::<3>::unit(zones_per_axis);
+        let kin = H1Space::new(mesh.clone(), order);
+        let thermo = L2Space::new(mesh.clone(), order - 1);
+        let rule = TensorRule::<3>::gauss(quad_points_1d(order));
+        let kin_table = kin.basis().tabulate(&rule.points);
+        let thermo_table = thermo.basis().tabulate(&rule.points);
+        let shape = ProblemShape::new(3, order, mesh.num_zones());
+        let zone_dofs = (0..shape.zones).flat_map(|z| kin.zone_dofs(z).to_vec()).collect();
+        let x0 = kin.initial_coords();
+        let mut inp = Self {
+            kin,
+            thermo,
+            rule,
+            kin_table,
+            thermo_table,
+            shape,
+            zone_dofs,
+            x0,
+            rho0detj0: Vec::new(),
+        };
+        inp.rho0detj0 = inp.geometry();
+        inp
+    }
+
+    /// `|J₀|` at every point as the builder forms it, the positions
+    /// evaluated alongside.
+    fn geometry(&self) -> Vec<f64> {
+        let (kin, table, x0) = (&self.kin, &self.kin_table, &self.x0);
+        let (mut out, mut geom, mut pos) = (Vec::new(), Vec::new(), Vec::new());
+        for z in 0..self.shape.zones {
+            zone_jacobians(kin, table, x0, z, &mut geom);
+            eval_h1_vector(kin, table, x0, z, &mut pos);
+            out.extend(geom.iter().map(|g| g.det));
+        }
+        out
+    }
+
+    /// `α_k ρ₀|J₀|` per point: the matrix-free mass scale factors.
+    fn svals(&self) -> Vec<f64> {
+        let npts = self.shape.npts;
+        let w = &self.rule.weights;
+        self.rho0detj0.iter().enumerate().map(|(p, r)| w[p % npts] * r).collect()
+    }
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Times every phase of one workload's build, after checking each body
+/// against its reference bit for bit.
+fn measure_workload(
+    (workload, order, zones, assembly): (&'static str, usize, usize, AssemblyMode),
+    budget: Budget,
+) -> Vec<SetupPhaseResult> {
+    let inp = Inputs::new(order, zones);
+    let (kin, rule, table, w) = (&inp.kin, &inp.rule, &inp.kin_table, &inp.rho0detj0);
+    let (thermo, thermo_table) = (&inp.thermo, &inp.thermo_table);
+    let gate_blocks = blast_la::simd::level() >= 1;
+    let mut out = Vec::new();
+    let mut phase = |phase: &'static str, gated: bool, run: &mut dyn FnMut(usize)| {
+        let t = harness::time_interleaved(2, budget, run);
+        out.push(SetupPhaseResult { workload, phase, gated, t });
+    };
+
+    phase("geometry", false, &mut |_| {
+        inp.geometry();
+    });
+    match assembly {
+        AssemblyMode::Stored => {
+            let blocks = mass::kinematic_blocks(kin, rule, table, w);
+            let reference = mass::reference::kinematic_blocks(kin, rule, table, w);
+            assert_eq!(bits(&blocks), bits(&reference), "{workload}: kinematic blocks");
+            phase("kinematic_blocks", gate_blocks, &mut |v| {
+                if v == BODY {
+                    mass::kinematic_blocks(kin, rule, table, w);
+                } else {
+                    mass::reference::kinematic_blocks(kin, rule, table, w);
+                }
+            });
+            phase("triplets_sort", false, &mut |_| {
+                mass::scatter_kinematic_blocks(kin, &blocks);
+            });
+        }
+        AssemblyMode::MatrixFree => {
+            let (shape, dofs, n) = (&inp.shape, &inp.zone_dofs, kin.num_dofs());
+            let (factors, svals) = (SumfacFactors::for_shape(shape), inp.svals());
+            let diag = SumfacMassKernel.diagonal(shape, &factors, &svals, dofs, n);
+            let reference = sumfac::reference::diagonal(shape, &factors, &svals, dofs, n);
+            assert_eq!(bits(&diag), bits(&reference), "{workload}: matrix-free diagonal");
+            phase("matfree_diagonal", false, &mut |v| {
+                if v == BODY {
+                    SumfacMassKernel.diagonal(shape, &factors, &svals, dofs, n);
+                } else {
+                    sumfac::reference::diagonal(shape, &factors, &svals, dofs, n);
+                }
+            });
+        }
+    }
+    let me = mass::assemble_thermodynamic_mass(thermo, rule, thermo_table, w);
+    let reference = mass::reference::assemble_thermodynamic_mass(thermo, rule, thermo_table, w);
+    for z in 0..me.num_blocks() {
+        let (a, b) = (me.block(z).as_slice(), reference.block(z).as_slice());
+        assert_eq!(bits(a), bits(b), "{workload}: thermodynamic block {z}");
+    }
+    phase("thermodynamic_blocks", false, &mut |v| {
+        if v == BODY {
+            mass::assemble_thermodynamic_mass(thermo, rule, thermo_table, w);
+        } else {
+            mass::reference::assemble_thermodynamic_mass(thermo, rule, thermo_table, w);
+        }
+    });
+    phase("me_inverse", false, &mut |_| {
+        me.inverse();
+    });
+    out
+}
+
+/// Every phase of every [`SETUP_WORKLOADS`] row. The caller picks the pool
+/// (one thread in `host_kernels`).
+pub fn measure(budget: Budget) -> Vec<SetupPhaseResult> {
+    SETUP_WORKLOADS.iter().flat_map(|&w| measure_workload(w, budget)).collect()
+}

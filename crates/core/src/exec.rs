@@ -218,13 +218,15 @@ impl Executor {
 
     /// Marks the executor as degraded: every subsequent force evaluation
     /// and energy solve runs on the CPU, regardless of `mode`. Idempotent —
-    /// only the first call's reason is kept (and logged).
+    /// only the first call's reason is kept, for
+    /// [`Self::resilience_report`]. The event shows as a `DEGRADE_TO_CPU`
+    /// telemetry instant and in [`Self::is_degraded`]; nothing is printed,
+    /// so an embedding program decides what to tell its user.
     pub fn degrade_to_cpu(&mut self, reason: impl Into<String>) {
         if self.degraded.is_some() {
             return;
         }
         let reason = reason.into();
-        eprintln!("blast-core: GPU fault persisted past retries, degrading to CPU: {reason}");
         self.telemetry.instant(Track::Host, names::phases::DEGRADE_TO_CPU, self.host.now());
         self.degraded = Some(reason);
     }

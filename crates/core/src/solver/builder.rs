@@ -319,9 +319,10 @@ impl<const D: usize> Hydro<D> {
         // Kinematic mass operator (time-independent — `ρ|J|` is frozen).
         // Stored mode assembles the global CSR matrix; matrix-free mode
         // keeps only the per-point scale factors `α_k ρ0|J0|` and the 1D
-        // factor tables, with a Jacobi diagonal built in the *same
-        // accumulation order* as the CSR assembly (bitwise-equal
-        // preconditioner, so the PCG iterates see identical scaling).
+        // factor tables, with a Jacobi diagonal of the same sums in another
+        // order: each DOF's terms in one running sum, where `M_V` sums each
+        // zone's block first. The two preconditioners agree to a few ulp,
+        // not bit for bit (`SumfacMassKernel::diagonal`).
         let (assembly, mv_precond) = match assembly {
             AssemblyMode::Stored => {
                 let mv = assemble_kinematic_mass(&kin, &rule, &kin_table, &rho0detj0);

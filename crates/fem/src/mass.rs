@@ -9,7 +9,7 @@
 //! frame freezes `ρ(x(t)) |J(t)| = ρ₀ |J₀|` at each quadrature point, so
 //! **both matrices are constant in time** and are assembled exactly once.
 
-use blast_la::{BlockDiag, CsrBuilder, CsrMatrix, DMatrix};
+use blast_la::{BlockDiag, CsrBuilder, CsrMatrix, DMatrix, WeightedGram};
 use rayon::prelude::*;
 
 use crate::quadrature::TensorRule;
@@ -28,40 +28,52 @@ pub fn assemble_kinematic_mass<const D: usize>(
     table: &BasisTable<D>,
     rho_detj: &[f64],
 ) -> CsrMatrix {
+    scatter_kinematic_blocks(space, &kinematic_blocks(space, rule, table, rho_detj))
+}
+
+/// `α_k (ρ|J|)_{z,k}` for every `(zone, point)`, zone-major: the weights
+/// of the zone blocks (the product the scalar loops formed per entry).
+fn point_weights<const D: usize>(rule: &TensorRule<D>, rho_detj: &[f64]) -> Vec<f64> {
+    let zone = |r: &[f64]| rule.weights.iter().zip(r).map(|(a, r)| a * r).collect::<Vec<_>>();
+    rho_detj.chunks_exact(rule.len()).flat_map(zone).collect()
+}
+
+/// The zone blocks of `M_V`, zone-major, each `ldof × ldof` column-major:
+/// block `z` entry `(i, j)` is `Σ_k (α_k (ρ|J|)_{z,k} ŵ_j(q̂_k)) ŵ_i(q̂_k)`,
+/// one [`WeightedGram`] register tile per zone, zones in parallel. Bitwise
+/// [`reference::kinematic_blocks`].
+pub fn kinematic_blocks<const D: usize>(
+    space: &H1Space<D>,
+    rule: &TensorRule<D>,
+    table: &BasisTable<D>,
+    rho_detj: &[f64],
+) -> Vec<f64> {
     let nz = space.mesh().num_zones();
     let npts = rule.len();
     assert_eq!(rho_detj.len(), nz * npts, "rho_detj shape mismatch");
     assert_eq!(table.npts(), npts, "basis table/rule mismatch");
     let ldof = space.ndof_per_zone();
-    let n = space.num_dofs();
-
-    // Per-zone local blocks are independent — compute them in parallel
-    // into a flat zone-major buffer, then scatter serially in zone order
-    // so the CSR accumulation order (and thus every bit of the result)
-    // is identical at any thread count.
+    let gram = WeightedGram::new(&table.values);
+    let w = point_weights(rule, rho_detj);
     let mut locals = vec![0.0; nz * ldof * ldof];
     locals.par_chunks_exact_mut(ldof * ldof).enumerate().for_each(|(z, local)| {
-        let w = &rho_detj[z * npts..(z + 1) * npts];
-        for k in 0..npts {
-            let s = rule.weights[k] * w[k];
-            if s == 0.0 {
-                continue;
-            }
-            for j in 0..ldof {
-                let bj = table.values[(j, k)];
-                if bj == 0.0 {
-                    continue;
-                }
-                let sj = s * bj;
-                for i in 0..ldof {
-                    local[j * ldof + i] += sj * table.values[(i, k)];
-                }
-            }
-        }
+        gram.compute(&w[z * npts..(z + 1) * npts], local);
     });
+    locals
+}
+
+/// `M_V` from its zone blocks ([`kinematic_blocks`]): one triplet per block
+/// entry, pushed serially in zone order, then [`CsrBuilder::build`]. The
+/// builder's sort decides the order in which duplicates are summed (see
+/// its docs) — not zone order, but the same at any thread count, since the
+/// triplet vector is.
+pub fn scatter_kinematic_blocks<const D: usize>(space: &H1Space<D>, locals: &[f64]) -> CsrMatrix {
+    let nz = space.mesh().num_zones();
+    let ldof = space.ndof_per_zone();
+    assert_eq!(locals.len(), nz * ldof * ldof, "one ldof x ldof block per zone");
+    let n = space.num_dofs();
     let mut builder = CsrBuilder::new(n, n);
-    for z in 0..nz {
-        let local = &locals[z * ldof * ldof..(z + 1) * ldof * ldof];
+    for (z, local) in locals.chunks_exact(ldof * ldof).enumerate() {
         let dofs = space.zone_dofs(z);
         for j in 0..ldof {
             for i in 0..ldof {
@@ -73,7 +85,9 @@ pub fn assemble_kinematic_mass<const D: usize>(
 }
 
 /// Assembles the block-diagonal thermodynamic mass matrix
-/// `(M_E)_z = Σ_k α_k (ρ|J|)_{z,k} φ̂(q̂_k) φ̂(q̂_k)^T` (one block per zone).
+/// `(M_E)_z = Σ_k α_k (ρ|J|)_{z,k} φ̂(q̂_k) φ̂(q̂_k)^T` (one block per zone,
+/// one [`WeightedGram`] register tile each, zones in parallel). Bitwise
+/// [`reference::assemble_thermodynamic_mass`].
 pub fn assemble_thermodynamic_mass<const D: usize>(
     space: &L2Space<D>,
     rule: &TensorRule<D>,
@@ -84,25 +98,86 @@ pub fn assemble_thermodynamic_mass<const D: usize>(
     let npts = rule.len();
     assert_eq!(rho_detj.len(), nz * npts, "rho_detj shape mismatch");
     let ldof = space.ndof_per_zone();
-
-    // One independent block per zone: the textbook parallel assembly.
+    let gram = WeightedGram::new(&table.values);
+    let w = point_weights(rule, rho_detj);
     let mut blocks: Vec<DMatrix> = (0..nz).map(|_| DMatrix::zeros(ldof, ldof)).collect();
     blocks.par_iter_mut().enumerate().for_each(|(z, block)| {
-        let w = &rho_detj[z * npts..(z + 1) * npts];
-        for k in 0..npts {
-            let s = rule.weights[k] * w[k];
-            for j in 0..ldof {
-                let sj = s * table.values[(j, k)];
-                if sj == 0.0 {
-                    continue;
-                }
-                for i in 0..ldof {
-                    block[(i, j)] += sj * table.values[(i, k)];
-                }
-            }
-        }
+        gram.compute(&w[z * npts..(z + 1) * npts], block.as_mut_slice());
     });
     BlockDiag::from_blocks(blocks)
+}
+
+/// The scalar loops the [`WeightedGram`] tile replaced, kept as the bitwise
+/// oracle of the tests and the reference rows of the `host_kernels`
+/// experiment; nothing in the solver calls them.
+pub mod reference {
+    use super::*;
+
+    /// The zone blocks of `M_V` as [`super::kinematic_blocks`] returns them:
+    /// a point-outer triple loop with zero-weight and zero-basis skips.
+    pub fn kinematic_blocks<const D: usize>(
+        space: &H1Space<D>,
+        rule: &TensorRule<D>,
+        table: &BasisTable<D>,
+        rho_detj: &[f64],
+    ) -> Vec<f64> {
+        let nz = space.mesh().num_zones();
+        let npts = rule.len();
+        assert_eq!(rho_detj.len(), nz * npts, "rho_detj shape mismatch");
+        let ldof = space.ndof_per_zone();
+        let mut locals = vec![0.0; nz * ldof * ldof];
+        locals.par_chunks_exact_mut(ldof * ldof).enumerate().for_each(|(z, local)| {
+            let w = &rho_detj[z * npts..(z + 1) * npts];
+            for k in 0..npts {
+                let s = rule.weights[k] * w[k];
+                if s == 0.0 {
+                    continue;
+                }
+                for j in 0..ldof {
+                    let bj = table.values[(j, k)];
+                    if bj == 0.0 {
+                        continue;
+                    }
+                    let sj = s * bj;
+                    for i in 0..ldof {
+                        local[j * ldof + i] += sj * table.values[(i, k)];
+                    }
+                }
+            }
+        });
+        locals
+    }
+
+    /// [`super::assemble_thermodynamic_mass`] as a point-outer triple loop
+    /// with a zero-product skip.
+    pub fn assemble_thermodynamic_mass<const D: usize>(
+        space: &L2Space<D>,
+        rule: &TensorRule<D>,
+        table: &BasisTable<D>,
+        rho_detj: &[f64],
+    ) -> BlockDiag {
+        let nz = space.mesh().num_zones();
+        let npts = rule.len();
+        assert_eq!(rho_detj.len(), nz * npts, "rho_detj shape mismatch");
+        let ldof = space.ndof_per_zone();
+        let mut blocks: Vec<DMatrix> = (0..nz).map(|_| DMatrix::zeros(ldof, ldof)).collect();
+        blocks.par_iter_mut().enumerate().for_each(|(z, block)| {
+            let w = &rho_detj[z * npts..(z + 1) * npts];
+            for k in 0..npts {
+                let s = rule.weights[k] * w[k];
+                for j in 0..ldof {
+                    let sj = s * table.values[(j, k)];
+                    if sj == 0.0 {
+                        continue;
+                    }
+                    for i in 0..ldof {
+                        block[(i, j)] += sj * table.values[(i, k)];
+                    }
+                }
+            }
+        });
+        BlockDiag::from_blocks(blocks)
+    }
 }
 
 #[cfg(test)]
@@ -114,6 +189,61 @@ mod tests {
     fn unit_rho_detj<const D: usize>(mesh: &CartMesh<D>, npts: usize) -> Vec<f64> {
         let detj: f64 = mesh.zone_size().iter().product();
         vec![detj; mesh.num_zones() * npts]
+    }
+
+    /// A `ρ|J|` field with no structure and a few exact zeros.
+    fn rough_rho_detj(len: usize) -> Vec<f64> {
+        (0..len).map(|p| if p % 97 == 5 { 0.0 } else { 0.3 + (p as f64 * 0.618).sin().abs() }).collect()
+    }
+
+    /// The benchmark's five workload shapes (2D Q2 32², 3D Q3 5³, 3D Q2
+    /// 8³) plus 2D Q3 / Q4 and 3D Q1: `(order, zones per axis)`.
+    const SHAPES_2D: [(usize, usize); 3] = [(2, 32), (3, 6), (4, 4)];
+    const SHAPES_3D: [(usize, usize); 3] = [(3, 5), (2, 8), (1, 4)];
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn kinematic_case<const D: usize>(order: usize, zones: usize) {
+        let space = H1Space::new(CartMesh::<D>::unit(zones), order);
+        let rule = TensorRule::<D>::gauss(crate::quad_points_1d(order));
+        let table = space.basis().tabulate(&rule.points);
+        let w = rough_rho_detj(space.mesh().num_zones() * rule.len());
+        let want = reference::kinematic_blocks(&space, &rule, &table, &w);
+        let got = kinematic_blocks(&space, &rule, &table, &w);
+        assert_eq!(bits(&got), bits(&want), "Q{order}-{D}D blocks");
+        let (mv, mv_ref) = (
+            assemble_kinematic_mass(&space, &rule, &table, &w),
+            scatter_kinematic_blocks(&space, &want),
+        );
+        assert_eq!(mv.col_idx(), mv_ref.col_idx(), "Q{order}-{D}D pattern");
+        assert_eq!(bits(mv.values()), bits(mv_ref.values()), "Q{order}-{D}D M_V");
+    }
+
+    fn thermodynamic_case<const D: usize>(order: usize, zones: usize) {
+        let space = L2Space::new(CartMesh::<D>::unit(zones), order - 1);
+        let rule = TensorRule::<D>::gauss(crate::quad_points_1d(order));
+        let table = space.basis().tabulate(&rule.points);
+        let w = rough_rho_detj(space.mesh().num_zones() * rule.len());
+        let want = reference::assemble_thermodynamic_mass(&space, &rule, &table, &w);
+        let got = assemble_thermodynamic_mass(&space, &rule, &table, &w);
+        for z in 0..want.num_blocks() {
+            let (a, b) = (got.block(z).as_slice(), want.block(z).as_slice());
+            assert_eq!(bits(a), bits(b), "Q{order}-{D}D M_E block {z}");
+        }
+    }
+
+    #[test]
+    fn kinematic_mass_matches_setup_oracle() {
+        SHAPES_2D.iter().for_each(|&(order, zones)| kinematic_case::<2>(order, zones));
+        SHAPES_3D.iter().for_each(|&(order, zones)| kinematic_case::<3>(order, zones));
+    }
+
+    #[test]
+    fn thermodynamic_mass_matches_setup_oracle() {
+        SHAPES_2D.iter().for_each(|&(order, zones)| thermodynamic_case::<2>(order, zones));
+        SHAPES_3D.iter().for_each(|&(order, zones)| thermodynamic_case::<3>(order, zones));
     }
 
     #[test]

@@ -143,6 +143,11 @@ impl CsrMatrix {
 ///
 /// Duplicate `(i, j)` insertions are **summed**, matching finite-element
 /// assembly semantics where multiple zones contribute to a shared DOF pair.
+/// They are summed left to right in the order [`Self::build`]'s
+/// `sort_unstable_by_key` leaves them in, which is *not* insertion order:
+/// the same triplets give the same bits, but the order (and so the last
+/// bits of a sum of three or more duplicates) is std's sort's to choose and
+/// can change with the toolchain.
 #[derive(Clone, Debug, Default)]
 pub struct CsrBuilder {
     rows: usize,

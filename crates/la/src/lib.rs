@@ -25,6 +25,7 @@ pub mod blockdiag;
 pub mod csr;
 pub mod dense;
 pub mod eig;
+pub mod gram;
 pub mod lu;
 pub mod pcg;
 pub mod simd;
@@ -40,6 +41,7 @@ pub use blockdiag::BlockDiag;
 pub use csr::{CsrBuilder, CsrMatrix};
 pub use dense::DMatrix;
 pub use eig::{sym_eig2, sym_eig3, SymEig};
+pub use gram::WeightedGram;
 pub use lu::LuFactors;
 pub use pcg::{pcg_solve, pcg_solve_lockstep_ws, pcg_solve_on, pcg_solve_ws,
     pcg_solve_ws_reference, ConstrainedOp, DiagPrecond, HostSweeps, LinearOperator, PcgOptions,
@@ -55,9 +57,15 @@ pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * scale
 }
 
-/// Maximum relative discrepancy between two equal-length slices.
+/// Maximum entrywise discrepancy between two equal-length slices,
+/// `max_i |a_i − b_i| / max(|a_i|, |b_i|, 1)`.
 ///
-/// Panics if the lengths differ; returns 0.0 for empty slices.
+/// The denominator is floored at 1, so on entries below unit magnitude this
+/// is an *absolute* difference, not a relative one: a relative error of
+/// 1e-8 on a field of size 0.1 reads 1e-9. Compare fields whose scale is
+/// far from 1 normwise instead (`max |a − b| / max |a|`, as the
+/// equivalence lattice does). Panics if the lengths differ; returns 0.0
+/// for empty slices.
 pub fn max_rel_diff(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "slice length mismatch");
     a.iter()

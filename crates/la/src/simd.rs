@@ -1,6 +1,6 @@
 //! The one SIMD level of the workspace, and the one way a `blast-la` kernel
-//! body is cloned for it. [`crate::tile`], [`crate::tensor`] and
-//! [`crate::stream`] are the clients here; `blast_kernels::isa` reads the
+//! body is cloned for it. [`crate::tile`], [`crate::tensor`],
+//! [`crate::stream`] and [`crate::gram`] are the clients here; `blast_kernels::isa` reads the
 //! same [`level`] for its FMA-free clones.
 //!
 //! A kernel is a plain safe `#[inline(always)]` body whose first const
@@ -78,13 +78,18 @@ pub(crate) fn fmadd<const FMA: bool>(acc: f64, a: f64, b: f64) -> f64 {
 /// `#[inline(always)]` `body::<FMA, consts..>` as compiled for [`level`]:
 /// the `avx512f,avx512vl,fma` clone at 2, the `avx2,fma` clone at 1 (both
 /// `FMA = true`), the baseline build with `FMA = false` at 0.
+///
+/// `fn name<consts..>(level) = body(args..) -> ret` takes the level as a
+/// leading `level: u8` argument instead, so a test can run every clone up
+/// to [`level`] in one process; the caller passes at most [`level`].
 macro_rules! fma_clones {
-    ($(#[$doc:meta])* fn $name:ident $(<$($g:ident : $gt:ty),+>)? =
+    (@at $(#[$doc:meta])* fn $name:ident $(<$($g:ident : $gt:ty),+>)?
+        [$($lp:ident)?] ($lv:expr) =
         $body:ident($($arg:ident : $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
         $(#[$doc])*
         #[inline]
         #[allow(clippy::too_many_arguments)]
-        fn $name $(<$(const $g: $gt),+>)? ($($arg: $ty),*) $(-> $ret)? {
+        fn $name $(<$(const $g: $gt),+>)? ($($lp: u8,)? $($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
                 // SAFETY: a safe body; the caller checks the features.
@@ -97,11 +102,12 @@ macro_rules! fma_clones {
                 unsafe fn avx512 $(<$(const $g: $gt),+>)? ($($arg: $ty),*) $(-> $ret)? {
                     $body::<true $($(, $g)+)?>($($arg),*)
                 }
-                match $crate::simd::level() {
+                match $lv {
                     0 => {}
                     // SAFETY: `level()` is at least 1 only after
                     // `is_x86_feature_detected!` reported `fma` and `avx2`;
-                    // the cap can only lower it.
+                    // the cap can only lower it, and a caller-given level
+                    // is at most `level()`.
                     1 => return unsafe { avx2 $(::<$($g),+>)? ($($arg),*) },
                     // SAFETY: and 2 only after it reported `avx512f` and
                     // `avx512vl` as well.
@@ -110,6 +116,16 @@ macro_rules! fma_clones {
             }
             $body::<false $($(, $g)+)?>($($arg),*)
         }
+    };
+    ($(#[$doc:meta])* fn $name:ident $(<$($g:ident : $gt:ty),+>)? ($level:ident) =
+        $body:ident($($arg:ident : $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
+        $crate::simd::fma_clones!(@at $(#[$doc])* fn $name $(<$($g: $gt),+>)? [$level] ($level) =
+            $body($($arg: $ty),*) $(-> $ret)?);
+    };
+    ($(#[$doc:meta])* fn $name:ident $(<$($g:ident : $gt:ty),+>)? =
+        $body:ident($($arg:ident : $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
+        $crate::simd::fma_clones!(@at $(#[$doc])* fn $name $(<$($g: $gt),+>)? [] ($crate::simd::level()) =
+            $body($($arg: $ty),*) $(-> $ret)?);
     };
 }
 pub(crate) use fma_clones;
