@@ -1,25 +1,9 @@
-//! Regenerates every table and figure of the paper's evaluation in one run.
+//! Regenerates every table and figure of the paper's evaluation in one run
+//! and writes the simulated-clock ones into `BENCH_paper.json`.
 //!
-//! Optionally pass experiment names to run a subset:
+//! Optionally pass experiment names to run a subset (no artifact written):
 //! `cargo run -p blast-bench --release --bin paper_report -- fig11_speedup`.
-//! A lone name prints that artifact and nothing after it.
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let names = if args.is_empty() {
-        blast_bench::experiments::EXPERIMENTS.iter().map(|(name, _)| name.to_string()).collect()
-    } else {
-        args
-    };
-    let lone = names.len() == 1;
-    for name in names {
-        match blast_bench::experiments::run_by_name(&name) {
-            Some(report) if lone => print!("{report}"),
-            Some(report) => {
-                println!("{report}");
-                println!();
-            }
-            None => eprintln!("unknown experiment: {name}"),
-        }
-    }
+//! A failed gate exits non-zero.
+fn main() -> std::process::ExitCode {
+    blast_bench::harness::paper_main(blast_bench::experiments::EXPERIMENTS)
 }

@@ -1,10 +1,6 @@
-//! SDC campaign driver: injects a planned bit flip at every modeled site
-//! and gates on "detected-and-recovered bit-identically or typed failure —
-//! never silently wrong". Exits non-zero on any gate violation.
-fn main() {
-    let (text, violations) = blast_bench::experiments::sdc_campaign::report_with_status();
-    print!("{text}");
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+//! SDC campaign gate (`experiments::sdc_campaign`): injects a planned bit
+//! flip at every modeled site; a flip that is not detected and recovered
+//! bit-identically, or failed typed, exits non-zero.
+fn main() -> std::process::ExitCode {
+    blast_bench::harness::main(&blast_bench::experiments::sdc_campaign::EXPERIMENT)
 }

@@ -1,10 +1,6 @@
-//! Serve-storm load test driver: bursty multi-tenant job arrivals under
-//! chaos. Exits non-zero if any supervision gate fails (lost jobs,
-//! energy that does not reconcile, a missed worker death).
-fn main() {
-    let (text, violations) = blast_bench::experiments::serve_storm::report_with_status();
-    print!("{text}");
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+//! Serve-storm gate (`experiments::serve_storm`): bursty multi-tenant job
+//! arrivals under chaos; a lost job, energy that does not reconcile or a
+//! missed worker death exits non-zero.
+fn main() -> std::process::ExitCode {
+    blast_bench::harness::main(&blast_bench::experiments::serve_storm::EXPERIMENT)
 }

@@ -9,73 +9,55 @@
 use blast_core::ExecMode;
 
 use crate::experiments::scenarios::{run_steps, triple_point_with_cfl};
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// Runs the triple point at three orders with ~matched kinematic DOFs;
-/// returns `(method, vector DOFs, steps, kinetic energy, max |v|)`.
-pub fn measure() -> Vec<(String, usize, usize, f64, f64)> {
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("fig02_triple_point_orders", run);
+
+/// Runs the triple point at three orders with ~matched kinematic DOFs.
+fn run(_smoke: bool) -> Report {
     // (order, base zones): kinematic lattice ~ (7 b k + 1)(3 b k + 1);
     // choosing b = 8/k keeps the DOF budget roughly constant.
-    let cases = [(2usize, 4usize), (4, 2), (8, 1)];
-    let mut out = Vec::new();
-    for (order, base) in cases {
+    let steps = 8;
+    let mut rows = Vec::new();
+    let mut gates = Vec::new();
+    let mut dofs = Vec::new();
+    for (order, base) in [(2usize, 4usize), (4, 2), (8, 1)] {
         // Conservative CFL: the coarse Lagrangian mesh tangles under the
         // triple point's shear if pushed at the default step size.
         let (mut h, mut s) =
             triple_point_with_cfl(order, base, ExecMode::CpuParallel { threads: 8 }, 0.15);
-        let steps = 8;
         run_steps(&mut h, &mut s, steps);
-        let en = h.energies(&s);
+        let ke = h.energies(&s).kinetic;
         let n = h.kin_space().num_dofs();
-        let vmax = (0..n)
-            .map(|i| (s.v[i].powi(2) + s.v[n + i].powi(2)).sqrt())
-            .fold(0.0, f64::max);
-        out.push((
-            format!("Q{}-Q{}", order, order - 1),
-            2 * n,
-            steps,
-            en.kinetic,
-            vmax,
-        ));
+        let vmax = (0..n).map(|i| (s.v[i].powi(2) + s.v[n + i].powi(2)).sqrt()).fold(0.0, f64::max);
+        let method = format!("Q{}-Q{}", order, order - 1);
+        let detail = format!("kinetic energy {ke:.3e}, max |v| {vmax:.3e}, {} DOFs", 2 * n);
+        let ok = ke > 0.0 && vmax > 0.0 && 2 * n > 100;
+        gates.push(Gate::new(format!("{method} develops motion"), ok, detail));
+        dofs.push(2 * n);
+        rows.push(vec![
+            Cell::new("method", method),
+            Cell::new("vector_dofs", 2 * n),
+            Cell::new("steps", steps),
+            Cell::new("kinetic_energy", ke),
+            Cell::new("max_v", vmax),
+        ]);
     }
-    out
-}
-
-/// Regenerates the Fig. 2 comparison.
-pub fn report() -> String {
-    let rows: Vec<Vec<String>> = measure()
-        .into_iter()
-        .map(|(m, dofs, steps, ke, vmax)| {
-            vec![m, dofs.to_string(), steps.to_string(), table::f(ke), table::f(vmax)]
-        })
-        .collect();
-    let mut out = table::render(
-        "Fig. 2 — triple point at matched DOF budgets",
-        &["method", "vector DOFs", "steps", "kinetic energy", "max |v|"],
-        &rows,
-    );
-    out.push_str(
-        "\nPaper: higher-order elements (p-refinement) resolve sharper interface \
-         roll-up at the same DOF count (Fig. 2's three panels).\n",
-    );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn all_orders_run_and_develop_motion() {
-        let rows = super::measure();
-        assert_eq!(rows.len(), 3);
-        for (m, dofs, _, ke, vmax) in &rows {
-            assert!(*ke > 0.0, "{m}: no kinetic energy");
-            assert!(*vmax > 0.0, "{m}: static flow");
-            assert!(*dofs > 100, "{m}: {dofs} DOFs");
-        }
-        // DOF budgets within ~2x of each other.
-        let min = rows.iter().map(|r| r.1).min().unwrap() as f64;
-        let max = rows.iter().map(|r| r.1).max().unwrap() as f64;
-        assert!(max / min < 2.5, "budgets {min} vs {max}");
+    let (min, max) = (*dofs.iter().min().unwrap(), *dofs.iter().max().unwrap());
+    let spread = max as f64 / min as f64;
+    gates.push(Gate::new(
+        "matched DOF budgets",
+        spread < 2.5,
+        format!("{min} to {max} vector DOFs ({spread:.2}x), need < 2.5x"),
+    ));
+    Report {
+        blocks: vec![Block::table(
+            "orders",
+            "Fig. 2 — triple point at matched DOF budgets; paper: higher-order elements \
+             (p-refinement) resolve sharper interface roll-up at the same DOF count",
+            rows,
+        )],
+        gates,
     }
 }

@@ -4,64 +4,62 @@
 
 use blast_fem::TensorBasis;
 
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// Regenerates the Fig. 3 DOF layouts.
-pub fn report() -> String {
-    let mut rows = Vec::new();
-    for k in 1..=3 {
-        let kin = TensorBasis::<2>::h1(k);
-        let thermo = TensorBasis::<2>::l2(k - 1);
-        rows.push(vec![
-            format!("Q{}-Q{}", k, k - 1),
-            kin.ndof().to_string(),
-            (2 * kin.ndof()).to_string(),
-            thermo.ndof().to_string(),
-            format!("{}^2 pts", 2 * k),
-        ]);
-    }
-    let mut out = table::render(
-        "Fig. 3 — 2D zone DOF structure per method",
-        &["method", "kin. scalar", "kin. vector", "thermo", "quadrature"],
-        &rows,
-    );
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("fig03_zone_dofs", run);
 
-    // ASCII schematic of the Q2-Q1 zone: kinematic nodes (o) on the
-    // Lobatto lattice (edges shared with neighbours), thermodynamic nodes
-    // (x) strictly interior.
-    out.push_str("\nQ2-Q1 zone schematic (o kinematic, x thermodynamic):\n");
-    let kin = TensorBasis::<2>::h1(2);
-    let thermo = TensorBasis::<2>::l2(1);
-    let mut grid = vec![vec![b' '; 33]; 17];
-    for j in 0..kin.ndof() {
-        let p = kin.node(j);
-        let (cx, cy) = ((p[0] * 32.0) as usize, ((1.0 - p[1]) * 16.0) as usize);
-        grid[cy][cx] = b'o';
+/// The Fig. 3 DOF counts per method and the Q2-Q1 zone's node positions.
+fn run(_smoke: bool) -> Report {
+    let counts = (1..=3).map(|k| {
+        let (kin, thermo) = (TensorBasis::<2>::h1(k), TensorBasis::<2>::l2(k - 1));
+        vec![
+            Cell::new("method", format!("Q{}-Q{}", k, k - 1)),
+            Cell::new("kin_scalar", kin.ndof()),
+            Cell::new("kin_vector", 2 * kin.ndof()),
+            Cell::new("thermo", thermo.ndof()),
+            Cell::new("quad_pts_per_axis", 2 * k),
+        ]
+    });
+    // Kinematic nodes on the Lobatto lattice (edges shared with
+    // neighbours), thermodynamic nodes strictly interior.
+    let (kin, thermo) = (TensorBasis::<2>::h1(2), TensorBasis::<2>::l2(1));
+    let mut nodes = Vec::new();
+    let mut interior = true;
+    for (kind, basis) in [("kinematic", &kin), ("thermodynamic", &thermo)] {
+        for j in 0..basis.ndof() {
+            let p = basis.node(j);
+            if kind == "thermodynamic" {
+                interior &= p.iter().all(|&c| c > 0.0 && c < 1.0);
+            }
+            nodes.push(vec![Cell::new("kind", kind), Cell::new("x", p[0]), Cell::new("y", p[1])]);
+        }
     }
-    for j in 0..thermo.ndof() {
-        let p = thermo.node(j);
-        let (cx, cy) = ((p[0] * 32.0) as usize, ((1.0 - p[1]) * 16.0) as usize);
-        grid[cy][cx] = b'x';
+    let q2 = (kin.ndof(), 2 * kin.ndof(), thermo.ndof());
+    Report {
+        blocks: vec![
+            Block::table("methods", "Fig. 3 — 2D zone DOF structure per method", counts.collect()),
+            Block::table("q2_nodes", "Q2-Q1 zone schematic: node positions", nodes),
+        ],
+        gates: vec![
+            Gate::new(
+                "Q2-Q1 zone DOFs",
+                q2 == (9, 18, 4),
+                format!("{q2:?} kinematic scalar / vector, thermodynamic; need (9, 18, 4)"),
+            ),
+            Gate::new(
+                "thermodynamic nodes interior",
+                interior,
+                "every Q1 thermodynamic node strictly inside the zone",
+            ),
+        ],
     }
-    for row in grid {
-        out.push_str("  ");
-        out.push_str(std::str::from_utf8(&row).expect("ascii"));
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn counts_match_methods() {
-        let r = super::report();
-        assert!(r.contains("Q1-Q0"));
-        assert!(r.contains("Q3-Q2"));
-        // Q2-Q1 2D: 9 scalar kinematic, 18 vector, 4 thermodynamic.
-        assert!(r.contains("9"));
-        assert!(r.contains("18"));
-        assert!(r.contains('x'));
-        assert!(r.contains('o'));
+        crate::harness::assert_gates_hold(&super::run(false), &[]);
     }
 }

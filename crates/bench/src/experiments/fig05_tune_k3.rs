@@ -4,14 +4,15 @@
 use autotune::tuner::{Autotuner, DEFAULT_SAMPLES_PER_PERIOD};
 use blast_kernels::k3::CoefGradKernel;
 use blast_kernels::{GemmVariant, ProblemShape};
-use gpu_sim::GpuDevice;
+use gpu_sim::{DeviceCatalog, GpuDevice};
 
-use crate::table;
-use gpu_sim::DeviceCatalog;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// Sweeps the pack count through the autotuner; returns
-/// `(candidates, mean times, winner, achieved GF/s, theoretical GF/s)`.
-pub fn measure() -> (Vec<u32>, Vec<f64>, u32, f64, f64) {
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("fig05_tune_k3", run);
+
+/// Sweeps the pack count through the autotuner.
+fn run(_smoke: bool) -> Report {
     let shape = ProblemShape::new(3, 2, 4096);
     let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
     // Prune infeasible candidates exactly like §3.2.1 ("artificial values,
@@ -32,54 +33,57 @@ pub fn measure() -> (Vec<u32>, Vec<f64>, u32, f64, f64) {
     let best = *tuner.best().expect("tuning done");
     let times: Vec<f64> = tuner.mean_times().into_iter().map(|t| t.expect("sampled")).collect();
     let k = CoefGradKernel { variant: GemmVariant::V3, zones_per_block: best };
-    let stats = dev.model_kernel(&k.config(&shape), &k.traffic(&shape));
-    // Theoretical peak of the bandwidth-bound batched product.
-    let theoretical = dev.spec().bandwidth_bound_gflops(2.0 * 3.0 / (3.0 * 8.0)) * 3.0;
-    (candidates, times, best, stats.gflops, theoretical)
-}
-
-/// Regenerates Fig. 5.
-pub fn report() -> String {
-    let (cands, times, best, gflops, _theory) = measure();
-    let tmin = times.iter().cloned().fold(f64::INFINITY, f64::min);
-    let rows: Vec<Vec<String>> = cands
-        .iter()
-        .zip(&times)
-        .map(|(&na, &t)| {
-            vec![
-                na.to_string(),
-                format!("{:.3} ms", t * 1e3),
-                format!("{:.2}x", t / tmin),
-                if na == best { "<- tuned".into() } else { String::new() },
-            ]
-        })
-        .collect();
-    let mut out = table::render(
-        "Fig. 5 — kernel 3 pack-count tuning (3D Q2-Q1, K20)",
-        &["N per block", "time", "vs best", ""],
-        &rows,
-    );
-    out.push_str(&format!(
-        "\nTuned kernel 3 sustains {gflops:.1} GFLOP/s; the tuning itself buys \
-         ~3x over the naive pack count, the shape of the paper's Fig. 5 \
-         (its \"60% of theoretical [batched] peak\" figure refers to the \
-         DIM x DIM batched-DGEMM bound, which kernels 5/6 reach — see the \
-         kernel 5/6 tests).\n"
-    ));
-    out
+    let gflops = dev.model_kernel(&k.config(&shape), &k.traffic(&shape)).gflops;
+    let tmin = times.iter().copied().fold(f64::INFINITY, f64::min);
+    let rows = candidates.iter().zip(&times).map(|(&na, &t)| {
+        vec![
+            Cell::new("zones_per_block", na as usize),
+            Cell::new("time_ms", t * 1e3),
+            Cell::times("vs_best", t / tmin),
+            Cell::new("tuned", na == best),
+        ]
+    });
+    let time_of = |na: u32| candidates.iter().position(|&c| c == na).map(|i| times[i]);
+    let gain = time_of(1).unwrap_or(f64::NAN) / time_of(best).expect("the winner is a candidate");
+    Report {
+        blocks: vec![
+            Block::table(
+                "pack_count",
+                "Fig. 5 — kernel 3 pack-count tuning (3D Q2-Q1, K20)",
+                rows.collect(),
+            ),
+            Block::record(
+                "tuned",
+                "tuned kernel 3; the paper's \"60% of theoretical [batched] peak\" refers to \
+                 the DIM x DIM batched-DGEMM bound, which kernels 5/6 reach",
+                vec![
+                    Cell::new("zones_per_block", best as usize),
+                    Cell::new("gflops", gflops),
+                    Cell::times("gain_over_one_zone", gain),
+                ],
+            ),
+        ],
+        gates: vec![
+            Gate::new(
+                "feasible candidates",
+                candidates.len() >= 4,
+                format!("{candidates:?} survive pruning, need >= 4"),
+            ),
+            Gate::new("tuner packs zones", best > 1, format!("tuned N = {best}, need > 1")),
+            Gate::new(
+                "tuning gain",
+                gain > 1.5,
+                format!("N = 1 takes {gain:.2}x the tuned time, need > 1.5x"),
+            ),
+            Gate::new("tuned rate", gflops > 10.0, format!("{gflops:.1} GF/s, need > 10")),
+        ],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn tuner_picks_a_packed_configuration() {
-        let (cands, times, best, gflops, _) = super::measure();
-        assert!(cands.len() >= 4, "too many candidates pruned: {cands:?}");
-        assert!(best > 1, "tuned N = {best}");
-        // Tuning gain over the naive N = 1.
-        let t1 = times[cands.iter().position(|&c| c == 1).unwrap()];
-        let tb = times[cands.iter().position(|&c| c == best).unwrap()];
-        assert!(t1 / tb > 1.5, "gain {}", t1 / tb);
-        assert!(gflops > 10.0, "{gflops} GF/s");
+        crate::harness::assert_gates_hold(&super::run(false), &[]);
     }
 }

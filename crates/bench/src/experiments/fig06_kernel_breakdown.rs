@@ -12,14 +12,18 @@
 
 use blast_core::{ExecMode, Hydro, HydroConfig, HydroState, Sedov};
 use blast_la::PcgOptions;
-use blast_telemetry::{table, PhaseTotal, Track};
 use gpu_sim::DeviceCatalog;
 
+use crate::experiments::phase_table;
 use crate::experiments::scenarios::{build, run_steps};
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
+
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("fig06_kernel_breakdown", run);
 
 /// The device launch ledger `(kernel, seconds, calls)` of 3D Sedov Q2-Q1 on
-/// 12^3 zones with the launch-per-op PCG, two steps in.
-fn ledger(base: bool) -> Vec<(&'static str, f64, usize)> {
+/// 12^3 zones with the launch-per-op PCG, two steps in, largest first.
+fn ledger(base: bool) -> Vec<(&'static str, f64, u64)> {
     let cfg = HydroConfig {
         order: 2,
         pcg: PcgOptions { fused: false, ..Default::default() },
@@ -29,74 +33,63 @@ fn ledger(base: bool) -> Vec<(&'static str, f64, usize)> {
     let (mut h, mut s): (Hydro<3>, HydroState) =
         build(&Sedov::default(), [12; 3], cfg, mode, DeviceCatalog::gpu("k20"));
     run_steps(&mut h, &mut s, 2);
-    h.executor().gpu.as_ref().expect("gpu").kernel_summary()
+    let summary = h.executor().gpu.as_ref().expect("gpu").kernel_summary();
+    summary.into_iter().map(|(name, t, calls)| (name, t, calls as u64)).collect()
 }
 
-/// Total GPU seconds of a ledger.
-fn total(ledger: &[(&'static str, f64, usize)]) -> f64 {
-    ledger.iter().map(|(_, t, _)| t).sum()
-}
-
-/// Per-kernel time table of one ledger, rendered by the shared telemetry
-/// table exporter.
-fn kernel_table(title: &str, ledger: &[(&'static str, f64, usize)]) -> String {
-    let totals: Vec<PhaseTotal> = ledger
-        .iter()
-        .map(|&(name, seconds, calls)| PhaseTotal {
-            track: Track::Gpu,
-            name,
-            seconds,
-            calls: calls as u64,
-        })
-        .collect();
-    table::render_totals(title, &totals)
-}
-
-/// Regenerates Fig. 6, simulating each flavor once.
-pub fn report() -> String {
+/// Both flavors' kernel tables, the total time saved, and the shift of the
+/// largest share from the monolith to the SpMV.
+fn run(_smoke: bool) -> Report {
     let (base, opt) = (ledger(true), ledger(false));
+    let total = |l: &[(&str, f64, u64)]| l.iter().map(|k| k.1).sum::<f64>();
     let (t_base, t_opt) = (total(&base), total(&opt));
-    let mut out = kernel_table("Fig. 6 (left) — base implementation kernel times", &base);
-    out.push('\n');
-    out.push_str(&kernel_table("Fig. 6 (right) — redesigned/optimized kernel times", &opt));
-    out.push_str(&format!(
-        "\nTotal GPU time: base {:.3} ms -> optimized {:.3} ms ({:.0}% less; paper: ~60% less \
-         time to solution). The SpMV's absolute time is unchanged; its share grows because \
-         everything else got faster.\n",
-        t_base * 1e3,
-        t_opt * 1e3,
-        100.0 * (1.0 - t_opt / t_base)
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn breakdown_shifts_from_monolith_to_spmv() {
-        // `(kernel, share)` list and total GPU time of one flavor.
-        let shares = |base: bool| {
-            let ledger = super::ledger(base);
-            let total = super::total(&ledger);
-            (ledger.iter().map(|&(name, t, _)| (name, t / total)).collect::<Vec<_>>(), total)
-        };
-        let ((base, t_base), (opt, t_opt)) = (shares(true), shares(false));
-        let share = |list: &[(&'static str, f64)], name: &str| {
-            list.iter().find(|(n, _)| *n == name).map(|(_, s)| *s).unwrap_or(0.0)
-        };
-        // Base: the monolithic kernel is the single largest consumer.
-        let mono = share(&base, "kernel_loop_quadrature_point");
-        assert!(mono > 0.3, "monolith share {mono}");
-        assert_eq!(base[0].0, "kernel_loop_quadrature_point", "top consumer: {:?}", &base[..2]);
-        // Optimized: the monolith is gone; SpMV leads.
-        assert_eq!(share(&opt, "kernel_loop_quadrature_point"), 0.0);
-        let spmv_opt = share(&opt, "csrMv_ci_kernel");
-        let spmv_base = share(&base, "csrMv_ci_kernel");
-        assert!(spmv_opt > spmv_base, "SpMV share must grow: {spmv_base} -> {spmv_opt}");
-        assert!(spmv_opt > 0.3, "optimized SpMV share {spmv_opt}");
-        assert_eq!(opt[0].0, "csrMv_ci_kernel", "top consumer: {:?}", &opt[..2]);
-        // Total time shrinks substantially.
-        assert!(t_opt < 0.75 * t_base, "{t_opt} vs {t_base}");
+    let share = |l: &[(&str, f64, u64)], name: &str| {
+        l.iter().find(|k| k.0 == name).map_or(0.0, |k| k.1) / total(l)
+    };
+    let top = |l: &[(&'static str, f64, u64)]| l.first().map_or("none", |k| k.0);
+    let (mono, spmv) = ("kernel_loop_quadrature_point", "csrMv_ci_kernel");
+    let (mono_base, mono_opt) = (share(&base, mono), share(&opt, mono));
+    let (spmv_base, spmv_opt) = (share(&base, spmv), share(&opt, spmv));
+    Report {
+        blocks: vec![
+            phase_table("base", "Fig. 6 (left) — base implementation kernel times", &base),
+            phase_table("optimized", "Fig. 6 (right) — redesigned/optimized kernel times", &opt),
+            Block::record(
+                "total",
+                "total GPU time; paper: ~60% less time to solution, the SpMV's time unchanged \
+                 and its share grown because everything else got faster",
+                vec![
+                    Cell::new("base_ms", t_base * 1e3),
+                    Cell::new("optimized_ms", t_opt * 1e3),
+                    Cell::pct("saved", 1.0 - t_opt / t_base),
+                ],
+            ),
+        ],
+        gates: vec![
+            Gate::new(
+                "base: the monolith leads",
+                top(&base) == mono && mono_base > 0.3,
+                format!("top {}, monolith share {mono_base:.3}, need {mono} > 0.3", top(&base)),
+            ),
+            Gate::new(
+                "optimized: the SpMV leads",
+                top(&opt) == spmv && mono_opt == 0.0 && spmv_opt > 0.3,
+                format!(
+                    "top {}, monolith share {mono_opt:.3}, SpMV share {spmv_opt:.3}; need {spmv} \
+                     > 0.3 and no monolith",
+                    top(&opt)
+                ),
+            ),
+            Gate::new(
+                "the SpMV share grows",
+                spmv_opt > spmv_base,
+                format!("{spmv_base:.3} -> {spmv_opt:.3}"),
+            ),
+            Gate::new(
+                "total GPU time shrinks",
+                t_opt < 0.75 * t_base,
+                format!("{:.3} ms -> {:.3} ms, need < 0.75x", t_base * 1e3, t_opt * 1e3),
+            ),
+        ],
     }
 }

@@ -10,98 +10,103 @@ use blast_kernels::k4::AzKernel;
 use blast_kernels::k56::BatchedDimGemm;
 use blast_kernels::k7::FzKernel;
 use blast_kernels::{ProblemShape, Workspace};
-use gpu_sim::{GpuDevice, KernelStats};
+use gpu_sim::{DeviceCatalog, GpuDevice, KernelStats};
 
-use crate::table;
-use gpu_sim::DeviceCatalog;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// Bandwidths `(name, shared GB/s, l2 GB/s, device GB/s)` per kernel.
-pub fn measure() -> Vec<(String, KernelStats)> {
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("fig08_bandwidth", run);
+
+/// K20 peak device bandwidth, GB/s.
+const PEAK_GBS: f64 = 208.0;
+
+/// Modeled bandwidths of the base kernel and of each optimized one.
+fn run(_smoke: bool) -> Report {
     let shape = ProblemShape::new(3, 2, 4096);
     let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));
-    let mut rows: Vec<(String, KernelStats)> = Vec::new();
-
     let base = MonolithicCornerForce;
-    rows.push((
-        "base (loop_quadrature_point)".to_string(),
+    let mut kernels: Vec<(&str, KernelStats)> = vec![(
+        "base (loop_quadrature_point)",
         dev.model_kernel(&base.config(&shape, 255), &base.traffic(&shape)),
-    ));
+    )];
     let k1 = AdjugateDetKernel { workspace: Workspace::Registers };
-    rows.push(("kernel 1".to_string(), dev.model_kernel(&k1.config(&shape), &k1.traffic(&shape))));
+    kernels.push(("kernel 1", dev.model_kernel(&k1.config(&shape), &k1.traffic(&shape))));
     let k2 = StressKernel { workspace: Workspace::Registers, use_viscosity: true };
-    rows.push(("kernel 2".to_string(), dev.model_kernel(&k2.config(&shape), &k2.traffic(&shape))));
+    kernels.push(("kernel 2", dev.model_kernel(&k2.config(&shape), &k2.traffic(&shape))));
     let k3 = CoefGradKernel::tuned();
-    rows.push(("kernel 3".to_string(), dev.model_kernel(&k3.config(&shape), &k3.traffic(&shape))));
+    kernels.push(("kernel 3", dev.model_kernel(&k3.config(&shape), &k3.traffic(&shape))));
     let k4 = AzKernel::tuned();
-    rows.push(("kernel 4".to_string(), dev.model_kernel(&k4.config(&shape), &k4.traffic(&shape))));
-    for (name, k) in [("kernel 5", BatchedDimGemm::nn_tuned()), ("kernel 6", BatchedDimGemm::nt_tuned())] {
-        rows.push((
-            name.to_string(),
-            dev.model_kernel(
-                &k.config(shape.dim, shape.total_points()),
-                &k.traffic(shape.dim, shape.total_points()),
-            ),
-        ));
+    kernels.push(("kernel 4", dev.model_kernel(&k4.config(&shape), &k4.traffic(&shape))));
+    let (dim, points) = (shape.dim, shape.total_points());
+    for (name, k) in
+        [("kernel 5", BatchedDimGemm::nn_tuned()), ("kernel 6", BatchedDimGemm::nt_tuned())]
+    {
+        kernels.push((name, dev.model_kernel(&k.config(dim, points), &k.traffic(dim, points))));
     }
     let k7 = FzKernel::tuned();
-    rows.push(("kernel 7".to_string(), dev.model_kernel(&k7.config(&shape), &k7.traffic(&shape))));
-    rows
-}
+    kernels.push(("kernel 7", dev.model_kernel(&k7.config(&shape), &k7.traffic(&shape))));
 
-/// Regenerates Fig. 8.
-pub fn report() -> String {
-    let data = measure();
-    let rows: Vec<Vec<String>> = data
+    let rows = kernels.iter().map(|(name, s)| {
+        vec![
+            Cell::new("kernel", *name),
+            Cell::new("shared_gbs", s.shared_bw_gbs),
+            Cell::new("l2_gbs", s.l2_bw_gbs),
+            Cell::new("device_gbs", s.dram_bw_gbs),
+        ]
+    });
+    let base = &kernels[0].1;
+    let best_shared = kernels[1..].iter().map(|(_, s)| s.shared_bw_gbs).fold(0.0, f64::max);
+    let (top, top_dram) = kernels
         .iter()
-        .map(|(name, s)| {
-            vec![
-                name.clone(),
-                table::f(s.shared_bw_gbs),
-                table::f(s.l2_bw_gbs),
-                table::f(s.dram_bw_gbs),
-            ]
-        })
-        .collect();
-    let mut out = table::render(
-        "Fig. 8 — achieved bandwidth, GB/s (3D Q2-Q1, K20; device peak 208)",
-        &["kernel", "L1/shared", "L2", "device"],
-        &rows,
-    );
-    out.push_str(
-        "\nPaper: optimized kernels exceed the base implementation in L1/shared and device \
-         bandwidth; on-chip bandwidth has the greater impact on performance.\n",
-    );
-    out
+        .map(|(n, s)| (*n, s.dram_bw_gbs))
+        .fold(("none", 0.0), |a, b| if b.1 > a.1 { b } else { a });
+    Report {
+        blocks: vec![Block::table(
+            "bandwidth",
+            "Fig. 8 — achieved bandwidth, GB/s (3D Q2-Q1, K20; device peak 208); paper: \
+             optimized kernels exceed the base implementation in L1/shared and device \
+             bandwidth, and on-chip bandwidth has the greater impact on performance",
+            rows.collect(),
+        )],
+        gates: vec![
+            Gate::new(
+                "shared memory: base none, optimized > 100 GB/s",
+                base.shared_bw_gbs == 0.0 && best_shared > 100.0,
+                format!(
+                    "base {:.1} GB/s, best optimized {best_shared:.1} GB/s",
+                    base.shared_bw_gbs
+                ),
+            ),
+            Gate::new(
+                "device bandwidth within the peak",
+                top_dram <= PEAK_GBS + 1e-9,
+                format!("{top} reaches {top_dram:.1} GB/s of {PEAK_GBS}"),
+            ),
+            Gate::new(
+                "base kernel is DRAM-saturated",
+                base.dram_bw_gbs > 0.8 * PEAK_GBS,
+                format!("{:.1} GB/s, need > 80% of {PEAK_GBS}", base.dram_bw_gbs),
+            ),
+        ],
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::harness::assert_gates_hold;
+
     #[test]
     fn optimized_kernels_beat_base_on_shared_bandwidth() {
-        let data = super::measure();
-        let base_shared = data[0].1.shared_bw_gbs;
-        // The base kernel stages nothing in shared memory.
-        assert_eq!(base_shared, 0.0);
-        let any_optimized_shared = data[1..].iter().any(|(_, s)| s.shared_bw_gbs > 100.0);
-        assert!(any_optimized_shared, "no optimized kernel exploits shared memory?");
+        assert_gates_hold(&super::run(false), &["shared memory"]);
     }
 
     #[test]
     fn device_bandwidth_below_peak() {
-        for (name, s) in super::measure() {
-            assert!(
-                s.dram_bw_gbs <= 208.0 + 1e-9,
-                "{name}: {} GB/s exceeds the 208 GB/s peak",
-                s.dram_bw_gbs
-            );
-        }
+        assert_gates_hold(&super::run(false), &["device bandwidth"]);
     }
 
     #[test]
     fn base_kernel_is_dram_saturated() {
-        let data = super::measure();
-        let base = &data[0].1;
-        // Spill traffic pins the monolith at the DRAM roofline.
-        assert!(base.dram_bw_gbs > 0.8 * 208.0, "{}", base.dram_bw_gbs);
+        assert_gates_hold(&super::run(false), &["base kernel"]);
     }
 }

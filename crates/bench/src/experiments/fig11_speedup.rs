@@ -2,81 +2,48 @@
 //! elements, 2.5x with Q4-Q3 (8 MPI tasks sharing one K20 via Hyper-Q;
 //! only the corner force is accelerated).
 
-use blast_core::ExecMode;
+use crate::experiments::scenarios::cpu_vs_hybrid;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-use crate::experiments::scenarios::{run_steps, sedov3d};
-use crate::table;
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("fig11_speedup", run);
 
-/// Measures `(cpu_wall, gpu_wall, speedup)` per order.
-///
-/// Functional domains are scaled so the point counts match (16^3 at Q2,
-/// 8^3 at Q4 — identical total quadrature points; the modeled times carry
-/// the order-dependent operand shapes).
-pub fn measure() -> Vec<(String, f64, f64, f64)> {
-    let mut out = Vec::new();
+/// Simulated CPU-only and CPU-GPU times per order. Functional domains are
+/// scaled so the point counts match (16^3 at Q2, 8^3 at Q4 — identical
+/// total quadrature points; the modeled times carry the order-dependent
+/// operand shapes).
+fn run(_smoke: bool) -> Report {
+    let mut rows = Vec::new();
+    let mut speedups = Vec::new();
     for (order, zones_axis) in [(2usize, 16usize), (4, 8)] {
-        let steps = 2;
-        let (mut hc, mut sc) = sedov3d(order, zones_axis, ExecMode::CpuParallel { threads: 8 });
-        let t_cpu = run_steps(&mut hc, &mut sc, steps);
-        let (mut hg, mut sg) = sedov3d(
-            order,
-            zones_axis,
-            // Paper's single-node setup: 8 MPI ranks share the K20, corner
-            // force only (the CG solve stays on the CPU).
-            ExecMode::Gpu { base: false, gpu_pcg: false, mpi_queues: 8 },
-        );
-        let t_gpu = run_steps(&mut hg, &mut sg, steps);
-        out.push((
-            format!("Q{}-Q{}", order, order - 1),
-            t_cpu,
-            t_gpu,
-            t_cpu / t_gpu,
-        ));
+        let (cpu, hybrid) = cpu_vs_hybrid(order, zones_axis);
+        speedups.push(cpu.time_s / hybrid.time_s);
+        rows.push(vec![
+            Cell::new("method", format!("Q{}-Q{}", order, order - 1)),
+            Cell::new("cpu_s", cpu.time_s),
+            Cell::new("cpu_gpu_s", hybrid.time_s),
+            Cell::times("speedup", cpu.time_s / hybrid.time_s),
+        ]);
     }
-    out
-}
-
-/// Regenerates Fig. 11.
-pub fn report() -> String {
-    let data = measure();
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|(m, tc, tg, s)| {
-            vec![
-                m.clone(),
-                format!("{:.4} s", tc),
-                format!("{:.4} s", tg),
-                format!("{s:.2}x"),
-            ]
-        })
-        .collect();
-    let mut out = table::render(
-        "Fig. 11 — 3D Sedov speedup, CPU-GPU vs CPU (E5-2670 + K20, 8 MPI)",
-        &["method", "CPU-only", "CPU-GPU", "speedup"],
-        &rows,
-    );
-    let q2 = data[0].3;
-    let q4 = data[1].3;
-    out.push_str(&format!(
-        "\nPaper: 1.9x (Q2-Q1) and 2.5x (Q4-Q3); measured {q2:.2}x / {q4:.2}x. \
-         Higher order -> larger corner-force share -> more GPU benefit.\n",
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn speedups_match_paper_shape() {
-        let data = super::measure();
-        let q2 = data[0].3;
-        let q4 = data[1].3;
-        // The model's CF acceleration is somewhat stronger than the
-        // paper's measured end-to-end 1.9x/2.5x; the defining shape holds.
-        assert!(q2 > 1.4 && q2 < 3.2, "Q2-Q1 speedup {q2}");
-        assert!(q4 > 1.8 && q4 < 5.5, "Q4-Q3 speedup {q4}");
-        // The defining Fig. 11 relation: higher order benefits more.
-        assert!(q4 > q2, "Q4 {q4} should exceed Q2 {q2}");
+    let (q2, q4) = (speedups[0], speedups[1]);
+    // The model's corner-force acceleration is somewhat stronger than the
+    // paper's measured end-to-end 1.9x / 2.5x; the defining shape holds.
+    Report {
+        blocks: vec![Block::table(
+            "speedup",
+            "Fig. 11 — 3D Sedov speedup, CPU-GPU vs CPU (E5-2670 + K20, 8 MPI); paper: 1.9x \
+             (Q2-Q1) and 2.5x (Q4-Q3), higher order -> larger corner-force share -> more GPU \
+             benefit",
+            rows,
+        )],
+        gates: vec![
+            Gate::new("Q2-Q1 speedup", q2 > 1.4 && q2 < 3.2, format!("{q2:.2}x, need 1.4x..3.2x")),
+            Gate::new("Q4-Q3 speedup", q4 > 1.8 && q4 < 5.5, format!("{q4:.2}x, need 1.8x..5.5x")),
+            Gate::new(
+                "higher order benefits more",
+                q4 > q2,
+                format!("Q4-Q3 {q4:.2}x vs Q2-Q1 {q2:.2}x"),
+            ),
+        ],
     }
 }

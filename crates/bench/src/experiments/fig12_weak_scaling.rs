@@ -3,43 +3,57 @@
 
 use cluster_sim::weak_scaling;
 
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// Regenerates Fig. 12.
-pub fn report() -> String {
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("fig12_weak_scaling", run);
+
+/// The modeled weak-scaling series.
+fn run(_smoke: bool) -> Report {
     let pts = weak_scaling(4);
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                (p.nodes * 16).to_string(),
-                (p.nodes * 512).to_string(),
-                format!("{:.3} s", p.time_s),
-            ]
-        })
-        .collect();
-    let mut out = table::render(
-        "Fig. 12 — weak scaling on Titan (3D Q2-Q1, 512 zones/node, 5 cycles)",
-        &["nodes", "MPI ranks", "zones", "time"],
-        &rows,
-    );
-    out.push_str(&format!(
-        "\nPaper: 0.85 s at 8 nodes -> 1.83 s at 4096 nodes (x{:.2} here; \
-         limiting factor: the global min-dt reduction and MFEM communication).\n",
-        pts.last().unwrap().time_s / pts[0].time_s
-    ));
-    out
+    let rows = pts.iter().map(|p| {
+        vec![
+            Cell::new("nodes", p.nodes),
+            Cell::new("mpi_ranks", p.nodes * 16),
+            Cell::new("zones", p.nodes * 512),
+            Cell::new("time_s", p.time_s),
+        ]
+    });
+    let (first, last) = (&pts[0], &pts[pts.len() - 1]);
+    let ratio = last.time_s / first.time_s;
+    Report {
+        blocks: vec![
+            Block::table(
+                "weak",
+                "Fig. 12 — weak scaling on Titan (3D Q2-Q1, 512 zones/node, 5 cycles)",
+                rows.collect(),
+            ),
+            Block::record(
+                "growth",
+                "time growth over the series; paper: 0.85 s at 8 nodes -> 1.83 s at 4096 \
+                 nodes, limited by the global min-dt reduction and MFEM communication",
+                vec![Cell::times("ratio", ratio)],
+            ),
+        ],
+        gates: vec![
+            Gate::new(
+                "8 to 4096 nodes",
+                (first.nodes, last.nodes, pts.len()) == (8, 4096, 4),
+                format!("{} points, {} to {} nodes", pts.len(), first.nodes, last.nodes),
+            ),
+            Gate::new(
+                "time growth",
+                ratio > 1.7 && ratio < 2.7,
+                format!("{ratio:.2}x from 8 to 4096 nodes, need 1.7x..2.7x"),
+            ),
+        ],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn shape_matches_paper() {
-        let pts = cluster_sim::weak_scaling(4);
-        assert_eq!(pts[0].nodes, 8);
-        assert_eq!(pts[3].nodes, 4096);
-        let ratio = pts[3].time_s / pts[0].time_s;
-        assert!(ratio > 1.7 && ratio < 2.7, "ratio {ratio}");
+        crate::harness::assert_gates_hold(&super::run(false), &[]);
     }
 }

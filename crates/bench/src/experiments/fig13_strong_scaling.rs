@@ -3,41 +3,43 @@
 
 use cluster_sim::strong_scaling;
 
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// Regenerates Fig. 13.
-pub fn report() -> String {
-    let nodes = [1usize, 2, 4, 8, 16];
-    let pts = strong_scaling(&nodes);
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("fig13_strong_scaling", run);
+
+/// The modeled strong-scaling series.
+fn run(_smoke: bool) -> Report {
+    let pts = strong_scaling(&[1, 2, 4, 8, 16]);
     let t1 = pts[0].time_s;
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                format!("{:.4} s", p.time_s),
-                format!("{:.2}x", t1 / p.time_s),
-                format!("{:.0}%", 100.0 * t1 / p.time_s / p.nodes as f64),
-            ]
-        })
-        .collect();
-    let mut out = table::render(
-        "Fig. 13 — strong scaling on Shannon (3D Q2-Q1, 32^3 zones, 5 cycles)",
-        &["nodes", "time", "speedup", "efficiency"],
-        &rows,
-    );
-    out.push_str("\nPaper: \"linear strong scaling on this machine\" (log-scale y-axis).\n");
-    out
+    let rows = pts.iter().map(|p| {
+        vec![
+            Cell::new("nodes", p.nodes),
+            Cell::new("time_s", p.time_s),
+            Cell::times("speedup", t1 / p.time_s),
+            Cell::pct("efficiency", t1 / p.time_s / p.nodes as f64),
+        ]
+    });
+    let speedup = t1 / pts[4].time_s;
+    Report {
+        blocks: vec![Block::table(
+            "strong",
+            "Fig. 13 — strong scaling on Shannon (3D Q2-Q1, 32^3 zones, 5 cycles); paper: \
+             \"linear strong scaling on this machine\"",
+            rows.collect(),
+        )],
+        gates: vec![Gate::new(
+            "near-linear to 16 nodes",
+            speedup > 6.0 && speedup / 16.0 > 0.4,
+            format!("{speedup:.2}x on 16 nodes, need > 6x and > 40% efficiency"),
+        )],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn near_linear_regime() {
-        let pts = cluster_sim::strong_scaling(&[1, 2, 4, 8, 16]);
-        let speedup = pts[0].time_s / pts[4].time_s;
-        assert!(speedup > 6.0, "speedup {speedup}");
-        // Efficiency stays above 40% out to 16 nodes.
-        assert!(speedup / 16.0 > 0.4);
+        crate::harness::assert_gates_hold(&super::run(false), &[]);
     }
 }

@@ -4,44 +4,54 @@
 
 use powermon::{CpuPowerModel, CpuPowerState};
 
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// `(offload pkg, offload pp0, offload dram, busy pkg)` readings.
-pub fn measure() -> (f64, f64, f64, f64) {
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("fig16_cpu_power_offload", run);
+
+/// The offload readings next to the paper's, and the drop from the
+/// CPU-only run.
+fn run(_smoke: bool) -> Report {
     let m = CpuPowerModel::e5_2670();
     let off = m.read(CpuPowerState::GpuOffload, 1.0);
     let busy = m.read(CpuPowerState::Busy, 1.0);
-    (off.pkg_watts, off.pp0_watts, off.dram_watts, busy.pkg_watts)
-}
-
-/// Regenerates Fig. 16.
-pub fn report() -> String {
-    let (pkg, pp0, dram, busy_pkg) = measure();
-    let rows = vec![
-        vec!["pkg_watts".into(), table::f(pkg), "~75".into()],
-        vec!["pp0_watts".into(), table::f(pp0), "~60".into()],
-        vec!["dram_watts".into(), table::f(dram), "(pkg - PP0 mostly DRAM)".into()],
-    ];
-    let mut out = table::render(
-        "Fig. 16 — E5-2670 package power with the corner force on the GPU (W)",
-        &["domain", "measured", "paper"],
-        &rows,
-    );
-    out.push_str(&format!(
-        "\nReduction vs the CPU-only run: {:.0} W (paper: \"CPU power is reduced by 20W\"). \
-         No significant dependence on the method order was observed, as in the paper.\n",
-        busy_pkg - pkg
-    ));
-    out
+    let (pkg, pp0, drop) = (off.pkg_watts, off.pp0_watts, busy.pkg_watts - off.pkg_watts);
+    let domain = |name: &str, w: f64, paper: &str| {
+        vec![Cell::new("domain", name), Cell::new("measured_w", w), Cell::new("paper", paper)]
+    };
+    Report {
+        blocks: vec![
+            Block::table(
+                "domains",
+                "Fig. 16 — E5-2670 package power with the corner force on the GPU (W)",
+                vec![
+                    domain("pkg_watts", pkg, "~75"),
+                    domain("pp0_watts", pp0, "~60"),
+                    domain("dram_watts", off.dram_watts, "(pkg - PP0 mostly DRAM)"),
+                ],
+            ),
+            Block::record(
+                "reduction",
+                "package power drop vs the CPU-only run; paper: \"CPU power is reduced by \
+                 20W\", with no significant dependence on the method order",
+                vec![Cell::new("drop_w", drop)],
+            ),
+        ],
+        gates: vec![
+            Gate::new(
+                "offload levels",
+                (pkg - 75.0).abs() < 2.0 && (pp0 - 60.0).abs() < 3.0,
+                format!("pkg {pkg} W (75 +- 2), PP0 {pp0} W (60 +- 3)"),
+            ),
+            Gate::new("20 W drop", (drop - 20.0).abs() < 1.0, format!("{drop} W, need 20 +- 1")),
+        ],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn offload_levels_match_fig16() {
-        let (pkg, pp0, _dram, busy) = super::measure();
-        assert!((pkg - 75.0).abs() < 2.0, "pkg {pkg}");
-        assert!((pp0 - 60.0).abs() < 3.0, "pp0 {pp0}");
-        assert!((busy - pkg - 20.0).abs() < 1.0, "drop {}", busy - pkg);
+        crate::harness::assert_gates_hold(&super::run(false), &[]);
     }
 }

@@ -30,7 +30,9 @@ use crate::harness::{Block, Cell, Experiment, Gate, Report};
 /// The harness entry of this experiment.
 pub const EXPERIMENT: Experiment = Experiment {
     name: "fleet_routing",
-    artifact: "BENCH_fleet.json",
+    artifact: Some("BENCH_fleet.json"),
+    simulated: true,
+    paper_smoke: true,
     run: |smoke| measure(smoke).report(),
 };
 

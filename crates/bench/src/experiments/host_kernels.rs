@@ -41,7 +41,9 @@ use crate::harness::{self, Block, Budget, Cell, Experiment, Gate, Report, Timing
 /// The harness entry of this experiment.
 pub const EXPERIMENT: Experiment = Experiment {
     name: "host_kernels",
-    artifact: "BENCH_host_kernels.json",
+    artifact: Some("BENCH_host_kernels.json"),
+    simulated: false,
+    paper_smoke: false,
     run: |smoke| measure(smoke).report(),
 };
 

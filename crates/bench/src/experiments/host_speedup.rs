@@ -12,53 +12,17 @@ use blast_kernels::ProblemShape;
 use blast_la::tile::{self, Op};
 use blast_la::{batched_gemm_nn, batched_gemv_n, BatchedMats};
 use blast_telemetry::names::counters;
-use blast_telemetry::{Telemetry, TelemetrySink};
+use blast_telemetry::Telemetry;
 use gpu_sim::CpuSpec;
 
-use crate::harness::{self, Block, Budget, Cell, Report};
+use crate::harness::{self, Block, Budget, Cell, Experiment, Gate, Report};
+
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment =
+    Experiment { name: "host_speedup", artifact: None, simulated: false, paper_smoke: false, run };
 
 /// Thread counts the sweep visits (the paper's Table 1 axis).
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// One row of the sweep.
-#[derive(Clone, Debug)]
-struct SpeedupSample {
-    /// Pool threads configured for the run.
-    pub threads: usize,
-    /// Measured wall-clock of the best round, seconds.
-    pub time_s: f64,
-    /// Speedup vs. the 1-thread run (median per-round ratio).
-    pub speedup: f64,
-    /// Whether the run's output is bitwise identical to 1 thread's.
-    pub bitwise_equal: bool,
-}
-
-/// Full sweep result.
-#[derive(Clone, Debug)]
-struct HostSpeedup {
-    /// One sample per entry of [`THREAD_COUNTS`].
-    pub samples: Vec<SpeedupSample>,
-    /// Cores the host actually exposes (`available_parallelism`) — on a
-    /// single-core box the speedup column cannot exceed 1 no matter how
-    /// correct the pool is, so readers need this to interpret it.
-    pub cores_detected: usize,
-    /// `CpuSpec::parallel_efficiency` before calibration (E5-2670 preset).
-    pub pe_before: f64,
-    /// After calibration against the measured curve.
-    pub pe_after: f64,
-    /// Single-thread GFLOP/s of `tile::gemm` (at SIMD level 2 its zmm
-    /// register tile, below it the generic body) on the 3D Q2 corner-force
-    /// shape, as fed to `CpuSpec::calibrate_host_gflops`.
-    pub tiled_gflops: f64,
-    /// Corner-force flop efficiency implied by the measurement
-    /// (`CpuSpec::host_flop_efficiency` after calibration).
-    pub host_flop_efficiency: f64,
-    /// True when the sweep produced *no* usable multi-core sample and the
-    /// preset `parallel_efficiency` was kept uncalibrated. Loudly flagged
-    /// (warning line + `host_calibration_kept` counter) because a silent
-    /// keep used to masquerade as a calibrated value.
-    pub preset_kept: bool,
-}
 
 /// The batched-kernel workload: kernels 5/6-shaped batched DGEMM plus a
 /// kernel 8-shaped batched DGEMV, sized so one sweep iteration is a few
@@ -105,9 +69,12 @@ fn production_gemm_gflops() -> f64 {
     (2 * m * n * k) as f64 / t.min(0) / 1e9
 }
 
-/// Runs the sweep and the calibration, reporting the preset-kept
-/// fallback on `telemetry` (see [`HostSpeedup::preset_kept`]).
-fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
+/// Runs the sweep and the calibration it feeds; the determinism and
+/// calibration contracts are the gates. A calibration that keeps the preset
+/// `parallel_efficiency` (no usable multi-core sample) is reported loudly:
+/// a warning line, the `host_calibration_kept` counter and the
+/// `preset_kept` cell.
+fn run(_smoke: bool) -> Report {
     // Both measurements are of the production hot path: the batched
     // kernels below and the GFLOP/s calibration run `tile::gemm`.
     let tiled_gflops = production_gemm_gflops();
@@ -118,107 +85,96 @@ fn measure_with_telemetry(telemetry: &TelemetrySink) -> HostSpeedup {
         outputs[v] = pools[v].install(|| workload(10));
     });
     let bits = |v: usize| outputs[v].iter().map(|x| x.to_bits());
-    let samples: Vec<SpeedupSample> = (0..pools.len())
-        .map(|v| SpeedupSample {
-            threads: THREAD_COUNTS[v],
-            time_s: t.min(v),
-            speedup: t.median_ratio(&[0], &[v]),
-            bitwise_equal: bits(v).eq(bits(0)),
-        })
-        .collect();
+    let speedup = |v: usize| t.median_ratio(&[0], &[v]);
+    let rows = (0..pools.len()).map(|v| {
+        vec![
+            Cell::new("threads", THREAD_COUNTS[v]),
+            Cell::new("time_ms", t.min(v) * 1e3),
+            Cell::times("speedup", speedup(v)),
+            Cell::new("bitwise_equal_1_thread", bits(v).eq(bits(0))),
+        ]
+    });
+    let diverged: Vec<usize> =
+        (0..pools.len()).filter(|&v| !bits(v).eq(bits(0))).map(|v| THREAD_COUNTS[v]).collect();
 
     let mut spec = CpuSpec::e5_2670();
     let pe_before = spec.parallel_efficiency;
-    let curve: Vec<(u32, f64)> =
-        samples.iter().filter(|s| s.threads > 1).map(|s| (s.threads as u32, s.speedup)).collect();
     // Calibrating against a curve flattened by a core-starved host would
     // poison the simulation (pe near the clamp floor); only feed the
     // model speedups the hardware could physically express.
-    let cores_detected = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let usable: Vec<(u32, f64)> =
-        curve.into_iter().filter(|&(t, _)| (t as usize) <= cores_detected).collect();
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let usable: Vec<(u32, f64)> = (1..pools.len())
+        .filter(|&v| THREAD_COUNTS[v] <= cores)
+        .map(|v| (THREAD_COUNTS[v] as u32, speedup(v)))
+        .collect();
     let preset_kept = usable.is_empty();
+    let sink = Telemetry::sink();
     if preset_kept {
-        // The silent path that bit us: calibration "succeeds" but feeds
-        // the preset back. Make it observable in both channels.
-        telemetry.counter_add(counters::HOST_CALIBRATION_KEPT, 1);
+        sink.counter_add(counters::HOST_CALIBRATION_KEPT, 1);
         eprintln!(
-            "host_speedup: WARNING: no usable multi-core sample ({cores_detected} core(s) \
-             detected); parallel_efficiency preset {pe_before:.3} kept uncalibrated"
+            "host_speedup: WARNING: no usable multi-core sample ({cores} core(s) detected); \
+             parallel_efficiency preset {pe_before:.3} kept uncalibrated"
         );
     }
     let pe_after = spec.calibrate_parallel_efficiency(&usable);
-    let host_flop_efficiency = spec.calibrate_host_gflops(tiled_gflops).unwrap_or(0.0);
-
-    HostSpeedup {
-        samples,
-        cores_detected,
-        pe_before,
-        pe_after,
-        tiled_gflops,
-        host_flop_efficiency,
-        preset_kept,
+    let flop_eff = spec.calibrate_host_gflops(tiled_gflops).unwrap_or(0.0);
+    let kept = sink.counter(counters::HOST_CALIBRATION_KEPT);
+    let mut gates = vec![
+        Gate::new(
+            "every pool width reproduces 1 thread's bits",
+            diverged.is_empty() && (0..pools.len()).all(|v| t.min(v) > 0.0),
+            format!("diverged at {diverged:?} threads"),
+        ),
+        // Flag and counter agree, and a multi-core host never keeps the
+        // preset.
+        Gate::new(
+            "calibration kept only where it must be",
+            kept == preset_kept as u64 && (cores < 2 || !preset_kept),
+            format!("{cores} core(s), preset kept {preset_kept}, counter {kept}"),
+        ),
+        Gate::new(
+            "calibrated efficiencies in (0, 1]",
+            [pe_after, flop_eff].iter().all(|e| *e > 0.0 && *e <= 1.0) && tiled_gflops > 0.0,
+            format!("parallel {pe_after:.3}, flop {flop_eff:.3} at {tiled_gflops:.2} GFLOP/s"),
+        ),
+    ];
+    // The >= 2.5x half is physically impossible on a host with fewer cores.
+    if cores >= 8 {
+        let s8 = speedup(THREAD_COUNTS.iter().position(|&n| n == 8).expect("8 threads swept"));
+        gates.push(Gate::new("8 threads on 8 cores", s8 >= 2.5, format!("{s8:.2}x, need >= 2.5x")));
     }
-}
-
-/// Regenerates the artifact.
-pub fn report() -> String {
-    let r = measure_with_telemetry(&Telemetry::sink());
-    let rows = r.samples.iter().map(|s| {
-        vec![
-            Cell::new("threads", s.threads),
-            Cell::new("time_ms", s.time_s * 1e3),
-            Cell::times("speedup", s.speedup),
-            Cell::new("bitwise_equal_1_thread", s.bitwise_equal),
-        ]
-    });
-    let title = "host_speedup — measured pool scaling on batched DGEMM+DGEMV (real wall-clock)";
-    let note = format!(
-        "Host exposes {} core(s); speedup is bounded by that regardless of pool size.\n\
-         parallel_efficiency: {:.3} preset -> {:.3} calibrated from the measured curve{}.\n\
-         tiled hot path: default tile, {:.2} GFLOP/s single-thread\n\
-         -> corner-force flop efficiency {:.3} fed to the roofline.",
-        r.cores_detected,
-        r.pe_before,
-        r.pe_after,
-        if r.preset_kept { " (WARNING: no usable multi-core sample; preset kept)" } else { "" },
-        r.tiled_gflops,
-        r.host_flop_efficiency,
-    );
-    let report =
-        Report { blocks: vec![Block::table("samples", title, rows.collect())], gates: Vec::new() };
-    harness::render_text("host_speedup", false, &report) + &note + "\n"
+    let calibration = vec![
+        Cell::new("cores_detected", cores),
+        Cell::new("parallel_efficiency_preset", pe_before),
+        Cell::new("parallel_efficiency_calibrated", pe_after),
+        Cell::new("preset_kept", preset_kept),
+        Cell::new("tiled_gflops", tiled_gflops),
+        Cell::new("host_flop_efficiency", flop_eff),
+    ];
+    Report {
+        blocks: vec![
+            Block::table(
+                "samples",
+                "measured pool scaling on batched DGEMM+DGEMV (the speedup is bounded by the \
+                 host's cores)",
+                rows.collect(),
+            ),
+            Block::record(
+                "calibration",
+                "CpuSpec calibration from the measured curve and the single-thread \
+                 tile::gemm rate",
+                calibration,
+            ),
+        ],
+        gates,
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    /// The determinism half of the acceptance criterion runs everywhere;
-    /// the >= 2.5x speedup half is physically impossible on a 1-core
-    /// container, so it is gated on the hardware actually having cores.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "wall-clock measurement; run with --release")]
     fn sweep_is_bitwise_deterministic_and_scales_when_cores_exist() {
-        let sink = Telemetry::sink();
-        let r = measure_with_telemetry(&sink);
-        // The preset-kept fallback must be loud: flag, counter, and the
-        // rendered note all agree (and a multi-core host never trips it).
-        assert_eq!(sink.counter(counters::HOST_CALIBRATION_KEPT), r.preset_kept as u64);
-        if r.cores_detected >= 2 {
-            assert!(!r.preset_kept, "multi-core host kept the preset");
-        }
-        assert_eq!(r.samples.len(), THREAD_COUNTS.len());
-        for s in &r.samples {
-            assert!(s.bitwise_equal, "threads={} diverged from 1-thread bits", s.threads);
-            assert!(s.time_s > 0.0);
-        }
-        assert!(r.pe_after > 0.0 && r.pe_after <= 1.0);
-        assert!(r.tiled_gflops > 0.0);
-        assert!(r.host_flop_efficiency > 0.0 && r.host_flop_efficiency <= 1.0);
-        if r.cores_detected >= 8 {
-            let s8 = r.samples.iter().find(|s| s.threads == 8).unwrap();
-            assert!(s8.speedup >= 2.5, "8-thread speedup {} < 2.5x on an 8-core host", s8.speedup);
-        }
+        crate::harness::assert_gates_hold(&super::run(false), &[]);
     }
 }

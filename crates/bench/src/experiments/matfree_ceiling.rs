@@ -39,7 +39,9 @@ use crate::harness::{self, Block, Budget, Cell, Experiment, Gate, Report, Timing
 /// The harness entry of this experiment.
 pub const EXPERIMENT: Experiment = Experiment {
     name: "matfree_ceiling",
-    artifact: "BENCH_matfree.json",
+    artifact: Some("BENCH_matfree.json"),
+    simulated: false,
+    paper_smoke: true,
     run: |smoke| measure(smoke).report(),
 };
 

@@ -50,7 +50,9 @@ use crate::harness::{self, Block, Budget, Cell, Experiment, Gate, Report, Timing
 /// The harness entry of this experiment.
 pub const EXPERIMENT: Experiment = Experiment {
     name: "pcg_streaming",
-    artifact: "BENCH_pcg_streaming.json",
+    artifact: Some("BENCH_pcg_streaming.json"),
+    simulated: false,
+    paper_smoke: false,
     run: |smoke| measure(smoke).report(),
 };
 

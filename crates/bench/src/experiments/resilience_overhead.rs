@@ -10,15 +10,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use blast_core::{
-    CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro, RunConfig, Sedov,
-};
+use blast_core::{CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro, RunConfig, Sedov};
 use cluster_sim::comm::ClusterFaultPlan;
 use cluster_sim::{campaign_overhead_pct, run_chaos_campaign, CampaignConfig, RankOutcome};
-use gpu_sim::{CpuSpec, FaultKind, FaultPlan, GpuDevice};
+use gpu_sim::{CpuSpec, DeviceCatalog, FaultKind, FaultPlan, GpuDevice};
 
-use crate::table;
-use gpu_sim::DeviceCatalog;
+use powermon::Greenup;
+
+use crate::experiments::scenarios::cpu_vs_hybrid;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
+
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("resilience_overhead", run);
 
 /// One resilience scenario's energy ledger.
 #[derive(Clone, Debug)]
@@ -66,8 +69,7 @@ fn single_node_row() -> OverheadRow {
         Some(dev),
     );
     let problem = Sedov::default();
-    let mut hydro =
-        Hydro::<2>::builder(&problem, [4, 4]).executor(exec).build().expect("setup");
+    let mut hydro = Hydro::<2>::builder(&problem, [4, 4]).executor(exec).build().expect("setup");
     let mut state = hydro.initial_state();
     let mut store = CheckpointStore::in_memory();
     let stats = hydro
@@ -94,10 +96,8 @@ fn single_node_row() -> OverheadRow {
 /// Cluster: the 3-rank chaos campaign with one rank death — recovery adds
 /// a restore plus the quiesce barrier on every survivor.
 fn campaign_row() -> OverheadRow {
-    let cfg = CampaignConfig {
-        link_timeout: Duration::from_millis(20),
-        ..CampaignConfig::default()
-    };
+    let cfg =
+        CampaignConfig { link_timeout: Duration::from_millis(20), ..CampaignConfig::default() };
     let plan = ClusterFaultPlan::seeded_from_env(42)
         .with_drop_rate(0.02)
         .with_rank_death(2, 2 * cfg.redundancy as u64 + 2);
@@ -115,66 +115,62 @@ fn campaign_row() -> OverheadRow {
     }
 }
 
-/// Measures both scenarios.
-fn measure() -> Vec<OverheadRow> {
-    vec![single_node_row(), campaign_row()]
-}
-
-/// Renders the resilience-overhead table and puts it next to Table 7's
-/// greenup.
-pub fn report() -> String {
-    let rows_data = measure();
-    let rows: Vec<Vec<String>> = rows_data
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.clone(),
-                format!("{:.1}", r.energy_j),
-                format!("{:.3}", r.resilience_j),
-                format!("{:.3}%", r.overhead_pct),
-                r.checkpoints.to_string(),
-                r.restores.to_string(),
-                r.rank_deaths.to_string(),
-            ]
-        })
-        .collect();
-    let mut out = table::render(
-        "Resilience overhead — energy billed to checkpoint/restart and recovery",
-        &["scenario", "energy J", "resil. J", "overhead", "ckpts", "restores", "deaths"],
-        &rows,
-    );
-    let greenup = super::tab7_greenup::measure();
-    let (q2_name, q2) = &greenup[0];
-    out.push_str(&format!(
-        "\nAlongside greenup: the hybrid's {q2_name} energy saving is {} (Table 7); \
-         resilience gives back {:.3}% (single node) to {:.3}% (cluster with a rank \
-         death) of the bill — fault tolerance does not erase the greenup.\n",
-        table::pct(q2.energy_saving_fraction()),
-        rows_data[0].overhead_pct,
-        rows_data[1].overhead_pct,
+/// Both scenarios' ledgers next to Table 7's Q2-Q1 energy saving.
+fn run(_smoke: bool) -> Report {
+    let scenarios = [single_node_row(), campaign_row()];
+    let mut gates = Vec::new();
+    let rows = scenarios.iter().map(|r| {
+        gates.push(Gate::new(
+            format!("{}: overhead nonzero and minor", r.scenario),
+            r.resilience_j > 0.0
+                && r.overhead_pct > 0.0
+                && r.overhead_pct < 50.0
+                && r.checkpoints >= 1,
+            format!(
+                "{:.3} J resilience ({:.3}%, need 0..50%), {} checkpoints (need >= 1)",
+                r.resilience_j, r.overhead_pct, r.checkpoints
+            ),
+        ));
+        vec![
+            Cell::new("scenario", &*r.scenario),
+            Cell::new("energy_j", r.energy_j),
+            Cell::new("resilience_j", r.resilience_j),
+            Cell::pct("overhead", r.overhead_pct / 100.0),
+            Cell::new("checkpoints", r.checkpoints as usize),
+            Cell::new("restores", r.restores as usize),
+            Cell::new("rank_deaths", r.rank_deaths as usize),
+        ]
+    });
+    let rows = rows.collect();
+    let [node, cluster] = &scenarios;
+    gates.push(Gate::new(
+        "the single node runs uninterrupted",
+        node.restores == 0,
+        format!("{} restores", node.restores),
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn overhead_is_nonzero_and_minor() {
-        let rows = super::measure();
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.resilience_j > 0.0, "{}: resilience must cost joules", r.scenario);
-            assert!(
-                r.overhead_pct > 0.0 && r.overhead_pct < 50.0,
-                "{}: overhead {}%",
-                r.scenario,
-                r.overhead_pct
-            );
-            assert!(r.checkpoints >= 1, "{}: no checkpoints", r.scenario);
-        }
-        assert_eq!(rows[0].restores, 0, "single node run is uninterrupted");
-        assert!(rows[1].restores >= 1, "recovery must restore from checkpoint");
-        assert_eq!(rows[1].rank_deaths, 1);
+    gates.push(Gate::new(
+        "the cluster recovers its one rank death",
+        cluster.restores >= 1 && cluster.rank_deaths == 1,
+        format!("{} restores, {} rank deaths", cluster.restores, cluster.rank_deaths),
+    ));
+    let (cpu, hybrid) = cpu_vs_hybrid(2, 16);
+    Report {
+        blocks: vec![
+            Block::table(
+                "scenarios",
+                "Resilience overhead — energy billed to checkpoint/restart and recovery",
+                rows,
+            ),
+            Block::record(
+                "greenup",
+                "alongside Table 7: resilience gives back a small part of the hybrid's energy \
+                 saving — fault tolerance does not erase the greenup",
+                vec![Cell::pct(
+                    "q2_energy_saved",
+                    Greenup::compare(cpu, hybrid).energy_saving_fraction(),
+                )],
+            ),
+        ],
+        gates,
     }
 }

@@ -11,6 +11,7 @@ use blast_core::{
     ExecMode, Executor, Hydro, HydroConfig, HydroState, Problem, Sedov, TriplePoint,
 };
 use gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice, GpuSpec};
+use powermon::{CpuPowerModel, CpuPowerState, EnergyReport};
 
 /// The one scenario constructor: `problem` on `zones` with `cfg`, executed
 /// in `mode` on the E5-2670 host of §4.2 plus (for GPU / hybrid modes) a
@@ -84,4 +85,26 @@ pub fn run_steps<const D: usize>(hydro: &mut Hydro<D>, state: &mut HydroState, n
         dt = out.dt_next();
     }
     hydro.wall_time() - t0
+}
+
+/// The single-node comparison of Fig. 11 and Table 7: 3D Sedov at `order`
+/// on `zones_axis`^3, two steps CPU-only (8 threads) and CPU-GPU (8 MPI
+/// ranks sharing the K20, corner force only; the CG solve stays on the
+/// CPU). Returns each run's simulated time and node power, composed the
+/// paper's way: "The CPU+GPU power we used in Table 7 is by adding data in
+/// Figure 15 and Figure 16 together" — the dual-package RAPL levels (busy,
+/// or offloading) plus the GPU's steady active power.
+pub(crate) fn cpu_vs_hybrid(order: usize, zones_axis: usize) -> (EnergyReport, EnergyReport) {
+    let rapl = CpuPowerModel::e5_2670();
+    let node = |state| {
+        let r = rapl.read(state, 1.0);
+        2.0 * (r.pkg_watts + r.dram_watts)
+    };
+    let (mut hc, mut sc) = sedov3d(order, zones_axis, ExecMode::CpuParallel { threads: 8 });
+    let cpu = EnergyReport::new(run_steps(&mut hc, &mut sc, 2), node(CpuPowerState::Busy));
+    let mode = ExecMode::Gpu { base: false, gpu_pcg: false, mpi_queues: 8 };
+    let (mut hg, mut sg) = sedov3d(order, zones_axis, mode);
+    let t_gpu = run_steps(&mut hg, &mut sg, 2);
+    let p_gpu = hg.executor().gpu.as_ref().expect("gpu").power_trace().mean_active_power();
+    (cpu, EnergyReport::new(t_gpu, node(CpuPowerState::GpuOffload) + p_gpu))
 }

@@ -24,7 +24,11 @@ use gpu_sim::fault::fault_seed_from_env;
 use gpu_sim::{derive_fault, CpuSpec, SdcPlan, SdcSite, FAULT_SEED_ENV};
 use powermon::ResilienceReport;
 
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
+
+/// The harness entry of this experiment; its gate bin writes no artifact
+/// (the chaos lane diffs the printed `digests` block across pool widths).
+pub const EXPERIMENT: Experiment = Experiment::modeled("sdc_campaign", run);
 
 /// Audit + ABFT overhead ceiling, % of run energy at the default cadence.
 const MAX_AUDIT_OVERHEAD_PCT: f64 = 10.0;
@@ -79,7 +83,7 @@ impl ScenarioRow {
 
 /// FNV-1a over the bit patterns of the full final state `(v, e, x, t)` —
 /// the same digest the chaos lane diffs across `BLAST_THREADS`.
-pub fn state_digest(s: &HydroState) -> u64 {
+fn state_digest(s: &HydroState) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for v in s.v.iter().chain(&s.e).chain(&s.x).chain(std::iter::once(&s.t)) {
         for b in v.to_bits().to_le_bytes() {
@@ -134,7 +138,6 @@ fn row(name: &str, r: &RunResult, baseline_digest: u64) -> ScenarioRow {
     let outcome = match &r.result {
         Ok(()) if digest == baseline_digest => "Healed",
         Ok(()) => "SilentWrong",
-        Err(HydroError::CorruptionDetected { .. }) => "Typed",
         Err(_) => "Typed",
     };
     ScenarioRow {
@@ -149,27 +152,23 @@ fn row(name: &str, r: &RunResult, baseline_digest: u64) -> ScenarioRow {
     }
 }
 
-/// Runs the campaign for `seed` and collects gate violations (empty =
-/// pass). Scenario expectations are strict: a transient flip must be
-/// healed bit-identically, the persistent flip must fail typed, and no
-/// scenario may ever complete silently wrong.
-fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
+/// Runs the campaign for `seed`: one row per scenario and the gates.
+/// Scenario expectations are strict: a transient flip must be healed
+/// bit-identically, the persistent flip must fail typed, and no scenario may
+/// ever complete silently wrong.
+fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<Gate>) {
     // GEMM-panel flips only land through the checksummed path.
     let audit = AuditConfig::default().abft(true);
     let baseline = run_scenario(SdcPlan::seeded(seed), audit);
     let baseline_digest = state_digest(&baseline.state);
 
     let mut rows = vec![row("baseline", &baseline, baseline_digest)];
-    let mut violations = Vec::new();
-    if baseline.result.is_err() {
-        violations.push("fault-free baseline failed".to_string());
-    }
-    if baseline.report.corruptions_detected != 0 {
-        violations.push(format!(
-            "fault-free baseline tripped the auditor {} time(s) — tolerances too tight",
-            baseline.report.corruptions_detected
-        ));
-    }
+    let detections = baseline.report.corruptions_detected;
+    let mut gates = vec![Gate::new(
+        "fault-free baseline is clean",
+        baseline.result.is_ok() && detections == 0,
+        format!("{:?}, the auditor tripped {detections} time(s)", baseline.result.as_ref().err()),
+    )];
 
     let transient_sites = [
         ("transient-gemm-panel", SdcSite::GemmPanel),
@@ -180,17 +179,12 @@ fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
     for (ordinal, (name, site)) in transient_sites.into_iter().enumerate() {
         let mut plan = SdcPlan::seeded(seed);
         plan.arm(derive_fault(seed, site, FLIP_AT, ordinal as u64, false));
-        let r = run_scenario(plan, audit);
-        let line = row(name, &r, baseline_digest);
-        if line.outcome != "Healed" {
-            violations.push(format!("{name}: expected Healed, got {}", line.outcome));
-        }
-        if line.flips == 0 {
-            violations.push(format!("{name}: the planned flip never landed"));
-        }
-        if line.detected == 0 {
-            violations.push(format!("{name}: flip landed but was never detected"));
-        }
+        let line = row(name, &run_scenario(plan, audit), baseline_digest);
+        gates.push(Gate::new(
+            format!("{name} detected and healed"),
+            line.outcome == "Healed" && line.flips > 0 && line.detected > 0,
+            format!("{}, {} flips landed, {} detected", line.outcome, line.flips, line.detected),
+        ));
         rows.push(line);
     }
 
@@ -198,14 +192,13 @@ fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
     // so recovery must roll back to the step-10 checkpoint and replay.
     let mut plan = SdcPlan::seeded(seed);
     plan.arm(derive_fault(seed, SdcSite::HostState, LATE_FLIP_AT, 7, false));
-    let late = run_scenario(plan, audit.every_steps(4));
-    let line = row("late-detect-cadence4", &late, baseline_digest);
-    if line.outcome != "Healed" {
-        violations.push(format!("late-detect: expected Healed, got {}", line.outcome));
-    }
-    if line.restores == 0 {
-        violations.push("late-detect: recovery must take the checkpoint rollback".to_string());
-    }
+    let line =
+        row("late-detect-cadence4", &run_scenario(plan, audit.every_steps(4)), baseline_digest);
+    gates.push(Gate::new(
+        "late detection healed by rollback",
+        line.outcome == "Healed" && line.restores > 0,
+        format!("{}, {} rollbacks", line.outcome, line.restores),
+    ));
     rows.push(line);
 
     // A persistent flip re-fires on every replay: the redo and rollback
@@ -214,87 +207,72 @@ fn run_campaign(seed: u64) -> (Vec<ScenarioRow>, Vec<String>) {
     plan.arm(derive_fault(seed, SdcSite::DeviceBuffer, FLIP_AT, 11, true));
     let persistent = run_scenario(plan, audit);
     let line = row("persistent-flip", &persistent, baseline_digest);
-    match &persistent.result {
-        Err(HydroError::CorruptionDetected { .. }) => {}
-        Err(e) => violations.push(format!("persistent-flip: wrong error type: {e}")),
-        Ok(()) => violations.push(format!(
-            "persistent-flip: completed ({}) instead of failing typed",
-            line.outcome
-        )),
-    }
-    if persistent.store.latest_valid().is_none() {
-        violations.push("persistent-flip: checkpoint store must survive the failure".to_string());
-    }
+    let typed = matches!(persistent.result, Err(HydroError::CorruptionDetected { .. }));
+    let store = persistent.store.latest_valid().is_some();
+    gates.push(Gate::new(
+        "persistent flip fails typed, store intact",
+        typed && store,
+        format!(
+            "{} ({:?}), checkpoint store valid: {store}",
+            line.outcome,
+            persistent.result.err()
+        ),
+    ));
     rows.push(line);
 
-    for r in &rows {
-        if r.outcome == "SilentWrong" {
-            violations.push(format!("{}: SILENT WRONG ANSWER", r.name));
-        }
-    }
+    let silent: Vec<&str> =
+        rows.iter().filter(|r| r.outcome == "SilentWrong").map(|r| r.name.as_str()).collect();
+    gates.push(Gate::new(
+        "no silent wrong answer",
+        silent.is_empty(),
+        format!("silently wrong: {silent:?}"),
+    ));
     let worst = rows
         .iter()
         .filter(|r| r.name != "persistent-flip")
         .map(ScenarioRow::overhead_pct)
         .fold(0.0f64, f64::max);
-    if worst > MAX_AUDIT_OVERHEAD_PCT {
-        violations.push(format!(
-            "audit overhead {worst:.2}% exceeds the {MAX_AUDIT_OVERHEAD_PCT}% ceiling"
-        ));
-    }
-    (rows, violations)
-}
-
-/// The campaign report (single seed, gate summary).
-pub fn report() -> String {
-    report_with_status().0
-}
-
-/// [`report`] plus the gate violations, for the `sdc_campaign` binary's
-/// exit status.
-pub fn report_with_status() -> (String, Vec<String>) {
-    use std::fmt::Write;
-    let seed = campaign_seed();
-    let (rows, violations) = run_campaign(seed);
-
-    let mut s = String::new();
-    let _ = writeln!(s, "# sdc_campaign — silent-data-corruption defense gate");
-    let _ = writeln!(s, "sdc campaign fault seed: {seed} (override with {FAULT_SEED_ENV})");
-    let _ = writeln!(s);
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                r.outcome.to_string(),
-                r.flips.to_string(),
-                r.detected.to_string(),
-                r.restores.to_string(),
-                format!("{:.3e}", r.energy_j),
-                format!("{:.2}%", r.overhead_pct()),
-            ]
-        })
-        .collect();
-    s.push_str(&table::render(
-        "scenarios",
-        &["scenario", "outcome", "flips", "detected", "rollbacks", "energy [J]", "audit %"],
-        &table_rows,
+    gates.push(Gate::new(
+        "audit overhead",
+        worst <= MAX_AUDIT_OVERHEAD_PCT,
+        format!("worst {worst:.2}% of run energy, ceiling {MAX_AUDIT_OVERHEAD_PCT}%"),
     ));
-    let _ = writeln!(s);
-    // One digest line per scenario: the CI lane runs this campaign at
-    // BLAST_THREADS = 1 and 8 and diffs these lines.
-    for r in &rows {
-        let _ = writeln!(s, "sdc final state digest {}: {:016x}", r.name, r.digest);
+    (rows, gates)
+}
+
+/// The campaign at `BLAST_FAULT_SEED` (else 42): its scenarios, the final
+/// state digests and the gates.
+fn run(_smoke: bool) -> Report {
+    let seed = campaign_seed();
+    let (rows, gates) = run_campaign(seed);
+    let table = rows.iter().map(|r| {
+        vec![
+            Cell::new("scenario", &*r.name),
+            Cell::new("outcome", r.outcome),
+            Cell::new("flips", r.flips as usize),
+            Cell::new("detected", r.detected as usize),
+            Cell::new("rollbacks", r.restores as usize),
+            Cell::sci("energy_j", r.energy_j, 3),
+            Cell::pct("audit", r.overhead_pct() / 100.0),
+        ]
+    });
+    let digests = rows.iter().map(|r| Cell::new(&*r.name, format!("{:016x}", r.digest)));
+    Report {
+        blocks: vec![
+            Block::record(
+                "campaign",
+                format!("silent-data-corruption defense (override the seed with {FAULT_SEED_ENV})"),
+                vec![Cell::new("fault_seed", seed as usize)],
+            ),
+            Block::table("scenarios", "one planned flip per scenario", table.collect()),
+            Block::record(
+                "digests",
+                "sdc final state digest per scenario (the same at every pool width)",
+                digests.collect(),
+            ),
+        ],
+        gates,
     }
-    if violations.is_empty() {
-        let _ = writeln!(s, "sdc campaign gates: PASS (0 silent-wrong-answer runs)");
-    } else {
-        let _ = writeln!(s, "sdc campaign gates: FAIL");
-        for v in &violations {
-            let _ = writeln!(s, "  gate violation: {v}");
-        }
-    }
-    (s, violations)
 }
 
 #[cfg(test)]
@@ -308,12 +286,13 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
     fn campaign_has_zero_silent_wrong_runs() {
-        let (rows, violations) = rayon::Pool::new(1).install(|| run_campaign(42));
-        assert!(violations.is_empty(), "gate violations: {violations:#?}");
-        assert!(rows.len() >= 7, "campaign must cover every site: {}", rows.len());
-
-        let (rows8, violations8) = rayon::Pool::new(8).install(|| run_campaign(42));
-        assert!(violations8.is_empty(), "gate violations at 8 threads: {violations8:#?}");
+        let at = |threads| {
+            let (rows, gates) = rayon::Pool::new(threads).install(|| run_campaign(42));
+            crate::harness::assert_gates_hold(&Report { blocks: Vec::new(), gates }, &[]);
+            rows
+        };
+        let (rows, rows8) = (at(1), at(8));
+        assert_eq!(rows.len(), 7, "one row per injection scenario and the baseline");
         for (a, b) in rows.iter().zip(&rows8) {
             assert_eq!(
                 (a.digest, a.energy_j.to_bits(), a.audit_j.to_bits()),

@@ -9,15 +9,20 @@
 //! per-tenant energy billing must reconcile with the worker power
 //! traces to 1e-9, and the ledger digest must be reproducible from the
 //! seed (the serve-chaos CI lane reruns this binary across seeds and
-//! `BLAST_THREADS` values and diffs the digest lines).
+//! `BLAST_THREADS` values and diffs the `digest` block).
 
 use blast_serve::{
     JobOutcome, JobSpec, Scenario, ServeConfig, ServeReport, Supervisor, WorkerSpec,
 };
 use gpu_sim::fault::fault_seed_from_env;
-use gpu_sim::{DeviceCatalog, FaultKind, FaultPlan, RetryPolicy};
+use gpu_sim::{DeviceCatalog, FaultKind, FaultPlan, RetryPolicy, FAULT_SEED_ENV};
 
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
+
+/// The harness entry of this experiment; its gate bin writes no artifact
+/// (the serve-chaos lane diffs the printed `digest` block across pool
+/// widths).
+pub const EXPERIMENT: Experiment = Experiment::modeled("serve_storm", run);
 
 /// Relative tolerance of the billed-vs-trace energy reconciliation —
 /// the solver-wide band, promoted to one named home in `blast-core`.
@@ -93,105 +98,105 @@ fn submit_storm(sup: &mut Supervisor) -> (u64, u64) {
     (admitted, rejected)
 }
 
-/// Runs the storm once and collects gate violations (empty = pass).
-fn run_storm(seed: u64) -> (ServeReport, Vec<String>) {
+/// Runs the storm once: the supervisor's ledger and the gates on it.
+fn run_storm(seed: u64) -> (ServeReport, Vec<Gate>) {
     let mut sup = Supervisor::new(storm_config(seed), storm_workers(seed));
     let (admitted, rejected) = submit_storm(&mut sup);
     let report = sup.run_to_completion();
-
-    let mut violations = Vec::new();
-    if report.jobs.len() as u64 != admitted {
-        violations.push(format!(
-            "ledger rows ({}) != admitted jobs ({admitted})",
-            report.jobs.len()
-        ));
-    }
-    if report.rejected != rejected {
-        violations.push(format!(
-            "rejection count mismatch: report {} vs submit-side {rejected}",
-            report.rejected
-        ));
-    }
-    if !report.all_terminal() {
-        violations.push("a job is stuck in limbo".to_string());
-    }
+    let rows = report.jobs.len() as u64;
     let err = report.reconciliation_error();
-    if err > RECONCILE_TOL {
-        violations.push(format!(
-            "energy reconciliation off by {err:.3e} (> {RECONCILE_TOL:.0e})"
-        ));
-    }
-    if report.workers_lost != 1 {
-        violations.push(format!("expected 1 worker death, saw {}", report.workers_lost));
-    }
-    for job in &report.jobs {
-        if !job.energy_j.is_finite() || job.energy_j < 0.0 {
-            violations.push(format!("{}: non-physical energy {}", job.id, job.energy_j));
-        }
-        if matches!(job.outcome, Some(JobOutcome::Completed { .. })) && job.final_state.is_none()
-        {
-            violations.push(format!("{}: completed without a final state", job.id));
-        }
-    }
-    (report, violations)
+    let unphysical: Vec<String> = report
+        .jobs
+        .iter()
+        .filter(|j| !j.energy_j.is_finite() || j.energy_j < 0.0)
+        .map(|j| format!("{}: {}", j.id, j.energy_j))
+        .collect();
+    let stateless: Vec<String> = report
+        .jobs
+        .iter()
+        .filter(|j| {
+            matches!(j.outcome, Some(JobOutcome::Completed { .. })) && j.final_state.is_none()
+        })
+        .map(|j| j.id.to_string())
+        .collect();
+    let gates = vec![
+        Gate::new(
+            "one ledger row per admitted job",
+            rows == admitted,
+            format!("{rows} rows, {admitted} admitted"),
+        ),
+        Gate::new(
+            "rejections reconcile",
+            report.rejected == rejected,
+            format!("report {} vs submit side {rejected}", report.rejected),
+        ),
+        Gate::new("every job terminal", report.all_terminal(), "no job stuck in limbo"),
+        Gate::new(
+            "energy reconciles",
+            err <= RECONCILE_TOL,
+            format!("billed vs trace rel err {err:.3e}, tol {RECONCILE_TOL:.0e}"),
+        ),
+        Gate::new(
+            "one worker death",
+            report.workers_lost == 1,
+            format!("{} workers lost", report.workers_lost),
+        ),
+        Gate::new("physical energies", unphysical.is_empty(), format!("{unphysical:?}")),
+        Gate::new(
+            "completed jobs carry a final state",
+            stateless.is_empty(),
+            format!("without one: {stateless:?}"),
+        ),
+    ];
+    (report, gates)
 }
 
-/// The storm report: tenant table, outcome histogram, the seed and the
-/// digest lines the CI lane greps, and any gate violations.
-pub fn report() -> String {
-    report_with_status().0
-}
-
-/// [`report`] plus the gate violations, for callers that need an exit
-/// status without running the storm twice.
-pub fn report_with_status() -> (String, Vec<String>) {
-    use std::fmt::Write;
+/// The storm at `BLAST_FAULT_SEED` (else 42): job outcomes, per-tenant
+/// billing, the reconciliation and the ledger digest.
+fn run(_smoke: bool) -> Report {
     let seed = storm_seed();
-    let (report, violations) = run_storm(seed);
-
-    let mut s = String::new();
-    let _ = writeln!(s, "# serve_storm — multi-tenant supervision under chaos");
-    let _ = writeln!(s, "serve storm fault seed: {seed} (override with BLAST_FAULT_SEED)");
-    let _ = writeln!(s);
-    let completed = report.count(|o| matches!(o, JobOutcome::Completed { .. }));
-    let cancelled = report.count(|o| matches!(o, JobOutcome::Cancelled { .. }));
-    let failed = report.count(|o| matches!(o, JobOutcome::Failed { .. }));
-    let _ = writeln!(
-        s,
-        "jobs: {} admitted, {} rejected | {completed} completed, {cancelled} cancelled, \
-         {failed} failed | {} preemptions, {} restores, {} workers lost",
-        report.jobs.len(),
-        report.rejected,
-        report.jobs.iter().map(|j| j.preemptions).sum::<u64>(),
-        report.jobs.iter().map(|j| j.restores).sum::<u64>(),
-        report.workers_lost,
-    );
-    let _ = writeln!(s);
-    let mut rows = vec![];
-    for (tenant, joules) in &report.tenant_energy_j {
-        rows.push(vec![tenant.clone(), format!("{joules:.6e}")]);
+    let (report, gates) = run_storm(seed);
+    if gates.iter().any(|g| !g.ok) {
+        eprint!("{}", report.summary());
     }
-    rows.push(vec!["(idle)".to_string(), format!("{:.6e}", report.idle_energy_j)]);
-    s.push_str(&table::render("tenant energy", &["tenant", "energy [J]"], &rows));
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "billed {:.6e} J vs trace {:.6e} J — rel err {:.3e} (tol {RECONCILE_TOL:.0e})",
-        report.billed_energy_j(),
-        report.trace_energy_j,
-        report.reconciliation_error()
-    );
-    let _ = writeln!(s, "job ledger digest: {:016x}", report.ledger_digest());
-    if violations.is_empty() {
-        let _ = writeln!(s, "serve storm gates: PASS");
-    } else {
-        let _ = writeln!(s, "serve storm gates: FAIL");
-        for v in &violations {
-            let _ = writeln!(s, "  gate violation: {v}");
-        }
-        s.push_str(&report.summary());
+    let count = |f: fn(&JobOutcome) -> bool| report.count(f);
+    let jobs = vec![
+        Cell::new("fault_seed", seed as usize),
+        Cell::new("admitted", report.jobs.len()),
+        Cell::new("rejected", report.rejected as usize),
+        Cell::new("completed", count(|o| matches!(o, JobOutcome::Completed { .. }))),
+        Cell::new("cancelled", count(|o| matches!(o, JobOutcome::Cancelled { .. }))),
+        Cell::new("failed", count(|o| matches!(o, JobOutcome::Failed { .. }))),
+        Cell::new("preemptions", report.jobs.iter().map(|j| j.preemptions).sum::<u64>() as usize),
+        Cell::new("restores", report.jobs.iter().map(|j| j.restores).sum::<u64>() as usize),
+        Cell::new("workers_lost", report.workers_lost as usize),
+    ];
+    let tenant = |name: &str, j: f64| vec![Cell::new("tenant", name), Cell::sci("energy_j", j, 6)];
+    let mut tenants: Vec<Vec<Cell>> =
+        report.tenant_energy_j.iter().map(|(t, j)| tenant(t, *j)).collect();
+    tenants.push(tenant("(idle)", report.idle_energy_j));
+    let billing = vec![
+        Cell::sci("billed_j", report.billed_energy_j(), 6),
+        Cell::sci("trace_j", report.trace_energy_j, 6),
+        Cell::sci("rel_err", report.reconciliation_error(), 3),
+        Cell::sci("tol", RECONCILE_TOL, 0),
+    ];
+    let digest = vec![Cell::new("job_ledger_digest", format!("{:016x}", report.ledger_digest()))];
+    Report {
+        blocks: vec![
+            Block::record(
+                "jobs",
+                format!(
+                    "multi-tenant supervision under chaos (override the seed with {FAULT_SEED_ENV})"
+                ),
+                jobs,
+            ),
+            Block::table("tenants", "billed energy per tenant", tenants),
+            Block::record("billing", "billed vs power-trace energy", billing),
+            Block::record("digest", "job ledger digest (the same at every pool width)", digest),
+        ],
+        gates,
     }
-    (s, violations)
 }
 
 #[cfg(test)]
@@ -201,10 +206,10 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
     fn storm_gates_hold_and_digest_replays() {
-        let (a, va) = run_storm(7);
-        assert!(va.is_empty(), "gate violations: {va:?}\n{}", a.summary());
-        let (b, vb) = run_storm(7);
-        assert!(vb.is_empty());
+        let (a, gates) = run_storm(7);
+        crate::harness::assert_gates_hold(&Report { blocks: Vec::new(), gates }, &[]);
+        let (b, gates) = run_storm(7);
+        crate::harness::assert_gates_hold(&Report { blocks: Vec::new(), gates }, &[]);
         assert_eq!(a.ledger_digest(), b.ledger_digest(), "seed 7 must replay bit-identically");
     }
 }

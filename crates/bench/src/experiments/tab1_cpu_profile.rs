@@ -2,79 +2,64 @@
 //! of total time and the CG solver 20-34%, with the corner-force share
 //! growing with the order.
 
-use blast_core::ExecMode;
+use blast_core::{ExecMode, Hydro};
 
 use crate::experiments::scenarios::{run_steps, sedov2d, sedov3d, triple_point};
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// `(method, corner-force share, CG share)` for the three Table 1 rows.
-pub fn measure() -> Vec<(String, f64, f64)> {
-    let mut out = Vec::new();
-    let mode = || ExecMode::CpuParallel { threads: 8 };
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("tab1_cpu_profile", run);
 
-    // 2D Q4-Q3.
-    let (mut h, mut s) = sedov2d(4, 8, mode());
-    run_steps(&mut h, &mut s, 3);
-    out.push(("2D: Q4-Q3".to_string(), share(&h, "corner_force"), share(&h, "cg_solver")));
-
-    // 2D Q3-Q2 (triple point, as in the paper's mixed workloads).
-    let (mut h, mut s) = triple_point(3, 2, mode());
-    run_steps(&mut h, &mut s, 3);
-    out.push(("2D: Q3-Q2".to_string(), share(&h, "corner_force"), share(&h, "cg_solver")));
-
-    // 3D Q2-Q1 (large enough that the CG matrix exceeds the L3).
-    let (mut h, mut s) = sedov3d(2, 12, mode());
-    run_steps(&mut h, &mut s, 3);
-    out.push(("3D: Q2-Q1".to_string(), share(&h, "corner_force"), share(&h, "cg_solver")));
-    out
-}
-
-fn share<const D: usize>(hydro: &blast_core::Hydro<D>, phase: &str) -> f64 {
+/// `(corner-force share, CG share)` of a run's phase profile.
+fn shares<const D: usize>(hydro: &Hydro<D>) -> (f64, f64) {
     let prof = hydro.phase_profile();
     let total: f64 = prof.iter().map(|(_, t, _)| t).sum();
-    prof.iter()
-        .find(|(n, _, _)| *n == phase)
-        .map(|(_, t, _)| t / total)
-        .unwrap_or(0.0)
+    let share =
+        |phase| prof.iter().find(|(n, _, _)| *n == phase).map_or(0.0, |(_, t, _)| t / total);
+    (share("corner_force"), share("cg_solver"))
 }
 
-/// Regenerates Table 1 (shares; the paper's absolute seconds depend on its
-/// undisclosed domain sizes).
-pub fn report() -> String {
-    let rows: Vec<Vec<String>> = measure()
-        .into_iter()
-        .map(|(m, cf, cg)| vec![m, table::pct(cf), table::pct(cg)])
-        .collect();
-    let mut out = table::render(
-        "Table 1 — CPU profile (Sedov / triple point, 8 threads on E5-2670)",
-        &["method", "corner force", "CG solver"],
-        &rows,
-    );
-    out.push_str(
-        "\nPaper: corner force 55-75% (growing with order), CG solver 20-34%.\n",
-    );
-    out
-}
+/// The three Table 1 rows (shares; the paper's absolute seconds depend on
+/// its undisclosed domain sizes).
+fn run(_smoke: bool) -> Report {
+    let mode = || ExecMode::CpuParallel { threads: 8 };
+    let (mut h, mut s) = sedov2d(4, 8, mode());
+    run_steps(&mut h, &mut s, 3);
+    let q4_2d = shares(&h);
+    // The triple point, as in the paper's mixed workloads.
+    let (mut h, mut s) = triple_point(3, 2, mode());
+    run_steps(&mut h, &mut s, 3);
+    let q3_2d = shares(&h);
+    // Large enough that the CG matrix exceeds the L3.
+    let (mut h, mut s) = sedov3d(2, 12, mode());
+    run_steps(&mut h, &mut s, 3);
+    let q2_3d = shares(&h);
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn corner_force_dominates_and_grows_with_order() {
-        let rows = super::measure();
-        for (m, cf, cg) in &rows {
-            assert!(*cf > 0.45 && *cf < 0.9, "{m}: corner force {cf}");
-            assert!(*cg > 0.05 && *cg < 0.45, "{m}: CG {cg}");
-            assert!(cf > cg, "{m}: CF must dominate CG");
-        }
-        // Within a fixed dimension, p-refinement makes the corner force
-        // grow faster than the CG solver (paper: 2D Q4 75.6% vs 2D Q3 70%).
-        // Cross-dimension shares are not comparable (different domains).
-        assert!(
-            rows[0].1 > rows[1].1,
-            "2D Q4 {} should exceed 2D Q3 {}",
-            rows[0].1,
-            rows[1].1
-        );
+    let measured = [("2D: Q4-Q3", q4_2d), ("2D: Q3-Q2", q3_2d), ("3D: Q2-Q1", q2_3d)];
+    let mut gates = Vec::new();
+    let rows = measured.map(|(method, (cf, cg))| {
+        gates.push(Gate::new(
+            format!("{method} corner force dominates"),
+            cf > 0.45 && cf < 0.9 && cg > 0.05 && cg < 0.45 && cf > cg,
+            format!("corner force {cf:.3} (0.45..0.9), CG {cg:.3} (0.05..0.45)"),
+        ));
+        vec![Cell::new("method", method), Cell::pct("corner_force", cf), Cell::pct("cg_solver", cg)]
+    });
+    // Within a fixed dimension, p-refinement makes the corner force grow
+    // faster than the CG solver (paper: 2D Q4 75.6% vs 2D Q3 70%).
+    // Cross-dimension shares are not comparable (different domains).
+    gates.push(Gate::new(
+        "corner force grows with order",
+        q4_2d.0 > q3_2d.0,
+        format!("2D Q4-Q3 {:.3} vs 2D Q3-Q2 {:.3}", q4_2d.0, q3_2d.0),
+    ));
+    Report {
+        blocks: vec![Block::table(
+            "profile",
+            "Table 1 — CPU profile (Sedov / triple point, 8 threads on E5-2670); paper: corner \
+             force 55-75% (growing with order), CG solver 20-34%",
+            rows.into(),
+        )],
+        gates,
     }
 }

@@ -2,48 +2,61 @@
 
 use blast_kernels::ProblemShape;
 
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// Regenerates Table 3 for the paper's 3D Q2-Q1 configuration on a 16^3
-/// domain.
-pub fn report() -> String {
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("tab3_matrix_shapes", run);
+
+/// Table 3 for the paper's 3D Q2-Q1 configuration on a 16^3 domain.
+fn run(_smoke: bool) -> Report {
     let shape = ProblemShape::new(3, 2, 16 * 16 * 16);
-    let mut rows = Vec::new();
-    for (k, desc) in [(3u32, "zones / points / zones*points"), (4, "zones*points / points / zones*points"), (7, "zones / 1 / zones")] {
-        let (a, b, c) = shape.table3_row(k);
-        rows.push(vec![
-            format!("kernel {k}"),
-            a.to_string(),
-            b.to_string(),
-            c.to_string(),
-            desc.to_string(),
-        ]);
+    let kernels = [
+        (3u32, "zones / points / zones*points"),
+        (4, "zones*points / points / zones*points"),
+        (7, "zones / 1 / zones"),
+    ];
+    let counts = kernels.map(|(k, _)| shape.table3_row(k));
+    let rows = kernels.iter().zip(&counts).map(|(&(k, desc), &(a, b, c))| {
+        vec![
+            Cell::new("kernel", format!("kernel {k}")),
+            Cell::new("num_a", a),
+            Cell::new("num_b", b),
+            Cell::new("num_c", c),
+            Cell::new("paper_row", desc),
+        ]
+    });
+    let dims = |rows: usize, cols: usize| format!("{rows}x{cols}");
+    let operands = vec![
+        Cell::new("a_z", dims(shape.nvdof(), shape.npts)),
+        Cell::new("b", dims(shape.nthermo, shape.npts)),
+        Cell::new("f_z", dims(shape.nvdof(), shape.nthermo)),
+    ];
+    let a_z = (shape.nvdof(), shape.npts);
+    Report {
+        blocks: vec![
+            Block::table(
+                "counts",
+                "Table 3 — matrix counts (3D Q2-Q1, 16^3 zones)",
+                rows.collect(),
+            ),
+            Block::record("operands", "operand shapes per zone", operands),
+        ],
+        gates: vec![
+            // 16^3 = 4096 zones, 64 points: kernel 3 -> 4096 / 64 / 262144.
+            Gate::new(
+                "kernel 3 counts",
+                counts[0] == (4096, 64, 262144),
+                format!("{:?}, need (4096, 64, 262144)", counts[0]),
+            ),
+            Gate::new("A_z is 81 x 64", a_z == (81, 64), format!("{a_z:?}")),
+        ],
     }
-    let mut out = table::render(
-        "Table 3 — matrix counts (3D Q2-Q1, 16^3 zones)",
-        &["kernel", "num A", "num B", "num C", "paper's row"],
-        &rows,
-    );
-    out.push_str(&format!(
-        "\nOperand shapes: A_z is {}x{}, B is {}x{}, F_z is {}x{} per zone.\n",
-        shape.nvdof(),
-        shape.npts,
-        shape.nthermo,
-        shape.npts,
-        shape.nvdof(),
-        shape.nthermo
-    ));
-    out
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn counts_match_paper_semantics() {
-        let r = super::report();
-        // 16^3 = 4096 zones, 64 points: kernel 3 -> 4096 / 64 / 262144.
-        assert!(r.contains("4096"));
-        assert!(r.contains("262144"));
-        assert!(r.contains("81x64") || r.contains("81x8"));
+        crate::harness::assert_gates_hold(&super::run(false), &[]);
     }
 }

@@ -5,94 +5,58 @@
 
 use std::sync::Arc;
 
-use blast_core::{ExecMode, Executor, Hydro, Sedov, TriplePoint};
+use blast_core::{ExecMode, Executor, Hydro, Problem, Sedov, TriplePoint};
 use gpu_sim::{CpuSpec, GpuDevice, GpuSpec};
 
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-fn westmere_fermi_exec() -> Executor {
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("tab5_autobalance", run);
+
+/// Runs `problem` in hybrid mode on the Westmere + Fermi node until the
+/// balancer converges (at most 40 steps); returns `(GPU ratio, periods)`.
+fn balance(problem: &dyn Problem<2>, zones: [usize; 2]) -> (f64, usize) {
     let dev = Arc::new(GpuDevice::new(GpuSpec::c2050()));
-    Executor::new(ExecMode::Hybrid { threads: 6 }, CpuSpec::x5660(), Some(dev))
-}
-
-/// Runs each problem in hybrid mode until the balancer converges; returns
-/// `(problem, optimal ratio, convergence periods)`.
-pub fn measure() -> Vec<(String, f64, usize)> {
-    let mut out = Vec::new();
-
-    let sedov = Sedov::default();
-    let mut h = Hydro::<2>::builder(&sedov, [16, 16])
-        .executor(westmere_fermi_exec())
-        .build()
-        .expect("fits");
+    let exec = Executor::new(ExecMode::Hybrid { threads: 6 }, CpuSpec::x5660(), Some(dev));
+    let mut h = Hydro::<2>::builder(problem, zones).executor(exec).build().expect("fits");
     let mut s = h.initial_state();
     let mut dt = h.suggest_dt(&s);
     for _ in 0..40 {
-        let o = h.step(&mut s, dt);
-        dt = o.dt_next();
+        dt = h.step(&mut s, dt).dt_next();
         if h.executor().balancer.as_ref().expect("hybrid").is_converged() {
             break;
         }
     }
     let bal = h.executor().balancer.as_ref().expect("hybrid");
-    out.push((
-        "2D: Sedov".to_string(),
-        bal.ratio(),
-        bal.convergence_periods().unwrap_or(bal.periods()),
-    ));
-
-    let tp = TriplePoint::default();
-    let mut h = Hydro::<2>::builder(&tp, [21, 9])
-        .executor(westmere_fermi_exec())
-        .build()
-        .expect("fits");
-    let mut s = h.initial_state();
-    let mut dt = h.suggest_dt(&s);
-    for _ in 0..40 {
-        let o = h.step(&mut s, dt);
-        dt = o.dt_next();
-        if h.executor().balancer.as_ref().expect("hybrid").is_converged() {
-            break;
-        }
-    }
-    let bal = h.executor().balancer.as_ref().expect("hybrid");
-    out.push((
-        "2D: Triple-pt".to_string(),
-        bal.ratio(),
-        bal.convergence_periods().unwrap_or(bal.periods()),
-    ));
-    out
+    (bal.ratio(), bal.convergence_periods().unwrap_or(bal.periods()))
 }
 
-/// Regenerates Table 5.
-pub fn report() -> String {
-    let rows: Vec<Vec<String>> = measure()
-        .into_iter()
-        .map(|(p, r, n)| vec![p, table::pct(r), n.to_string()])
-        .collect();
-    let mut out = table::render(
-        "Table 5 — auto-balance on X5660 (6 cores) + C2050",
-        &["problem", "optimal ratio (GPU)", "convergence periods"],
-        &rows,
-    );
-    out.push_str("\nPaper: Sedov 75% in 14 periods; triple-pt 77% in 12 periods.\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn ratios_and_periods_in_table5_regime() {
-        for (name, ratio, periods) in super::measure() {
-            assert!(
-                ratio > 0.6 && ratio < 0.95,
-                "{name}: ratio {ratio} outside the GPU-favoured regime"
-            );
-            assert!(
-                (4..=30).contains(&periods),
-                "{name}: {periods} periods outside Table 5's order of magnitude"
-            );
-        }
+/// Table 5: both problems' converged ratio and period count.
+fn run(_smoke: bool) -> Report {
+    let measured = [
+        ("2D: Sedov", balance(&Sedov::default(), [16, 16])),
+        ("2D: Triple-pt", balance(&TriplePoint::default(), [21, 9])),
+    ];
+    let mut gates = Vec::new();
+    let rows = measured.map(|(problem, (ratio, periods))| {
+        gates.push(Gate::new(
+            format!("{problem} converges GPU-favoured"),
+            ratio > 0.6 && ratio < 0.95 && (4..=30).contains(&periods),
+            format!("ratio {ratio:.3} (0.6..0.95) in {periods} periods (4..=30)"),
+        ));
+        vec![
+            Cell::new("problem", problem),
+            Cell::pct("gpu_ratio", ratio),
+            Cell::new("convergence_periods", periods),
+        ]
+    });
+    Report {
+        blocks: vec![Block::table(
+            "balance",
+            "Table 5 — auto-balance on X5660 (6 cores) + C2050; paper: Sedov 75% in 14 \
+             periods, triple-pt 77% in 12 periods",
+            rows.into(),
+        )],
+        gates,
     }
 }

@@ -2,67 +2,59 @@
 //! triple-point problem (Q3-Q2) both preserve total energy to machine
 //! precision and agree with each other.
 
-use blast_core::{EnergyBreakdown, ExecMode};
+use blast_core::ExecMode;
 
 use crate::experiments::scenarios::{run_steps, triple_point};
-use crate::table;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// Runs the triple point on CPU and GPU; returns
-/// `((cpu0, cpu1), (gpu0, gpu1), final_t)` energy breakdowns.
-pub fn measure() -> ((EnergyBreakdown, EnergyBreakdown), (EnergyBreakdown, EnergyBreakdown), f64)
-{
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("tab6_validation", run);
+
+/// Runs the triple point on CPU and GPU and compares their energies.
+fn run(_smoke: bool) -> Report {
     let steps = 25;
-    let (mut hc, mut sc) = triple_point(3, 1, ExecMode::CpuSerial);
-    let e0c = hc.energies(&sc);
-    run_steps(&mut hc, &mut sc, steps);
-    let e1c = hc.energies(&sc);
-
-    let (mut hg, mut sg) =
-        triple_point(3, 1, ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 });
-    let e0g = hg.energies(&sg);
-    run_steps(&mut hg, &mut sg, steps);
-    let e1g = hg.energies(&sg);
-    ((e0c, e1c), (e0g, e1g), sc.t)
-}
-
-/// Regenerates Table 6.
-pub fn report() -> String {
-    let ((e0c, e1c), (e0g, e1g), t) = measure();
-    let row = |name: &str, e0: &EnergyBreakdown, e1: &EnergyBreakdown| {
-        vec![
-            name.to_string(),
-            format!("{t:.4}"),
-            format!("{:.13e}", e1.kinetic),
-            format!("{:.13e}", e1.internal),
-            format!("{:.12e}", e1.total()),
-            format!("{:.6e}", e1.total() - e0.total()),
-        ]
-    };
-    let rows = vec![row("CPU", &e0c, &e1c), row("GPU", &e0g, &e1g)];
-    let mut out = table::render(
-        "Table 6 — 2D triple point, Q3-Q2: energy conservation (CPU vs GPU)",
-        &["platform", "final t", "kinetic", "internal", "total", "total change"],
-        &rows,
-    );
-    out.push_str(
-        "\nPaper: both platforms preserve total energy to machine precision \
-         (changes ~1e-13 absolute on a total of ~10).\n",
-    );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn both_platforms_conserve_to_machine_precision() {
-        let ((e0c, e1c), (e0g, e1g), _) = super::measure();
-        assert!(e1c.relative_change(&e0c).abs() < 1e-11, "CPU drift");
-        assert!(e1g.relative_change(&e0g).abs() < 1e-11, "GPU drift");
-        // CPU and GPU agree to solver tolerance.
-        let rel = (e1c.total() - e1g.total()).abs() / e1c.total();
-        assert!(rel < 1e-10, "platform disagreement {rel}");
-        // Kinetic energy developed (the interfaces are moving).
-        assert!(e1c.kinetic > 0.0);
+    let platforms = [
+        ("CPU", ExecMode::CpuSerial),
+        ("GPU", ExecMode::Gpu { base: false, gpu_pcg: true, mpi_queues: 1 }),
+    ];
+    let mut rows = Vec::new();
+    let mut gates = Vec::new();
+    let mut totals = Vec::new();
+    for (name, mode) in platforms {
+        let (mut h, mut s) = triple_point(3, 1, mode);
+        let e0 = h.energies(&s);
+        run_steps(&mut h, &mut s, steps);
+        let e1 = h.energies(&s);
+        let drift = e1.relative_change(&e0);
+        gates.push(Gate::new(
+            format!("{name} conserves total energy"),
+            drift.abs() < 1e-11 && e1.kinetic > 0.0,
+            format!("relative drift {drift:.3e}, need < 1e-11 with kinetic energy developed"),
+        ));
+        totals.push(e1.total());
+        rows.push(vec![
+            Cell::new("platform", name),
+            Cell::new("final_t", s.t),
+            Cell::sci("kinetic", e1.kinetic, 13),
+            Cell::sci("internal", e1.internal, 13),
+            Cell::sci("total", e1.total(), 12),
+            Cell::sci("total_change", e1.total() - e0.total(), 6),
+        ]);
+    }
+    let rel = (totals[0] - totals[1]).abs() / totals[0];
+    gates.push(Gate::new(
+        "CPU and GPU agree",
+        rel < 1e-10,
+        format!("relative difference of the totals {rel:.3e}, need < 1e-10"),
+    ));
+    Report {
+        blocks: vec![Block::table(
+            "energies",
+            "Table 6 — 2D triple point, Q3-Q2: energy conservation (CPU vs GPU); paper: both \
+             platforms preserve total energy to machine precision (changes ~1e-13 absolute on \
+             a total of ~10)",
+            rows,
+        )],
+        gates,
     }
 }

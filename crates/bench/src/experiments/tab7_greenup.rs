@@ -3,101 +3,64 @@
 //!
 //! Paper: Q2-Q1 -> 0.67 / 1.9 / 1.27; Q4-Q3 -> 0.57 / 2.5 / 1.42.
 
-use blast_core::ExecMode;
-use powermon::{CpuPowerModel, CpuPowerState, EnergyReport, Greenup};
+use powermon::Greenup;
 
-use crate::experiments::scenarios::{run_steps, sedov3d};
-use crate::table;
+use crate::experiments::scenarios::cpu_vs_hybrid;
+use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
-/// Measures `(method, greenup triple)` per order, composing the powers the
-/// paper's way: "The CPU+GPU power we used in Table 7 is by adding data in
-/// Figure 15 and Figure 16 together" — i.e. the dual-package RAPL levels
-/// plus the GPU's steady active power.
-pub fn measure() -> Vec<(String, Greenup)> {
-    let rapl = CpuPowerModel::e5_2670();
-    let busy = rapl.read(CpuPowerState::Busy, 1.0);
-    let offload = rapl.read(CpuPowerState::GpuOffload, 1.0);
-    let p_cpu_node = 2.0 * (busy.pkg_watts + busy.dram_watts);
+/// The harness entry of this experiment.
+pub const EXPERIMENT: Experiment = Experiment::modeled("tab7_greenup", run);
 
-    let mut out = Vec::new();
-    for (order, zones_axis) in [(2usize, 16usize), (4, 8)] {
-        let steps = 2;
-        // CPU-only: both packages busy (Fig. 14 levels).
-        let (mut hc, mut sc) = sedov3d(order, zones_axis, ExecMode::CpuParallel { threads: 8 });
-        let t_cpu = run_steps(&mut hc, &mut sc, steps);
-        let cpu = EnergyReport::new(t_cpu, p_cpu_node);
-
-        // Hybrid: 8 MPI on the shared K20, corner force accelerated.
-        // Node power = Fig. 16 CPU levels + Fig. 15 GPU active power.
-        let (mut hg, mut sg) = sedov3d(
-            order,
-            zones_axis,
-            ExecMode::Gpu { base: false, gpu_pcg: false, mpi_queues: 8 },
-        );
-        let t_gpu = run_steps(&mut hg, &mut sg, steps);
-        let p_gpu = hg
-            .executor()
-            .gpu
-            .as_ref()
-            .expect("gpu")
-            .power_trace()
-            .mean_active_power();
-        let p_hybrid_node = 2.0 * (offload.pkg_watts + offload.dram_watts) + p_gpu;
-        let hybrid = EnergyReport::new(t_gpu, p_hybrid_node);
-
-        out.push((format!("Q{}-Q{}", order, order - 1), Greenup::compare(cpu, hybrid)));
-    }
-    out
-}
-
-/// Regenerates Table 7.
-pub fn report() -> String {
-    let data = measure();
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|(m, g)| {
-            vec![
-                m.clone(),
-                format!("{:.2}", g.powerup),
-                format!("{:.2}", g.speedup),
-                format!("{:.2}", g.greenup),
-                table::pct(g.energy_saving_fraction()),
-            ]
-        })
-        .collect();
-    let mut out = table::render(
-        "Table 7 — CPU-GPU greenup over CPU (3D Sedov)",
-        &["method", "powerup", "speedup", "greenup", "energy saved"],
-        &rows,
-    );
-    out.push_str(
-        "\nPaper: Q2-Q1 0.67/1.9/1.27 and Q4-Q3 0.57/2.5/1.42 — the hybrid draws more \
-         instantaneous power (powerup < 1) but finishes enough faster to save 21-30% energy.\n",
-    );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn greenup_shape_matches_table7() {
-        let data = super::measure();
-        let q2 = &data[0].1;
-        let q4 = &data[1].1;
-        // Powerup below 1: the hybrid node draws more power (paper: 0.67
-        // and 0.57).
-        assert!(q2.powerup < 1.0 && q2.powerup > 0.45, "Q2 powerup {}", q2.powerup);
-        assert!(q4.powerup < 1.0 && q4.powerup > 0.40, "Q4 powerup {}", q4.powerup);
-        // Q4 draws at least as much relative node power as Q2 saves...
-        // Speedup above 1, larger for Q4.
-        assert!(q2.speedup > 1.3, "Q2 speedup {}", q2.speedup);
-        assert!(q4.speedup > q2.speedup, "orders inverted");
-        // Greenup above 1 for both, larger for Q4 (the paper's headline).
-        assert!(q2.greenup > 1.05, "Q2 greenup {}", q2.greenup);
-        assert!(q4.greenup > q2.greenup, "Q4 {} vs Q2 {}", q4.greenup, q2.greenup);
-        // Our speedups overshoot the paper's (see fig11), so greenups do
-        // too; cap at a sanity bound rather than the paper's 1.42.
-        assert!(q4.greenup < 4.5, "Q4 greenup {} implausibly high", q4.greenup);
+/// Table 7 at Q2-Q1 (16^3) and Q4-Q3 (8^3, the same point count).
+fn run(_smoke: bool) -> Report {
+    let greenup = |order, zones_axis| {
+        let (cpu, hybrid) = cpu_vs_hybrid(order, zones_axis);
+        Greenup::compare(cpu, hybrid)
+    };
+    let (q2, q4) = (greenup(2, 16), greenup(4, 8));
+    let rows = [("Q2-Q1", &q2), ("Q4-Q3", &q4)].map(|(method, g)| {
+        vec![
+            Cell::new("method", method),
+            Cell::times("powerup", g.powerup),
+            Cell::times("speedup", g.speedup),
+            Cell::times("greenup", g.greenup),
+            Cell::pct("energy_saved", g.energy_saving_fraction()),
+        ]
+    });
+    let triple = |g: &Greenup| format!("{:.2} / {:.2} / {:.2}", g.powerup, g.speedup, g.greenup);
+    Report {
+        blocks: vec![Block::table(
+            "greenup",
+            "Table 7 — CPU-GPU greenup over CPU (3D Sedov); paper: Q2-Q1 0.67/1.9/1.27 and \
+             Q4-Q3 0.57/2.5/1.42 — the hybrid draws more instantaneous power (powerup < 1) but \
+             finishes enough faster to save 21-30% energy",
+            rows.into(),
+        )],
+        gates: vec![
+            // Paper: 0.67 and 0.57.
+            Gate::new(
+                "powerup below 1",
+                q2.powerup < 1.0 && q2.powerup > 0.45 && q4.powerup < 1.0 && q4.powerup > 0.40,
+                format!("Q2-Q1 {:.3} (0.45..1), Q4-Q3 {:.3} (0.40..1)", q2.powerup, q4.powerup),
+            ),
+            Gate::new(
+                "speedup Q4 > Q2 > 1.3",
+                q2.speedup > 1.3 && q4.speedup > q2.speedup,
+                format!("Q2-Q1 {:.3}, Q4-Q3 {:.3}", q2.speedup, q4.speedup),
+            ),
+            // The paper's headline. The speedups overshoot the paper's (see
+            // fig11), so the greenups do too: capped at a sanity bound
+            // rather than the paper's 1.42.
+            Gate::new(
+                "greenup Q4 > Q2 > 1",
+                q2.greenup > 1.05 && q4.greenup > q2.greenup && q4.greenup < 4.5,
+                format!(
+                    "Q2-Q1 {}, Q4-Q3 {} (powerup / speedup / greenup); need Q2 greenup > 1.05, \
+                     Q4 above it and below 4.5",
+                    triple(&q2),
+                    triple(&q4)
+                ),
+            ),
+        ],
     }
 }

@@ -1,4 +1,4 @@
-//! The one bench harness of the wall-clock experiments: one timer, one row
+//! The one bench harness of every experiment: one timer, one row
 //! description rendered two ways, one gate driver.
 //!
 //! **Timer.** [`time_interleaved`] warms every variant up off the clock,
@@ -12,11 +12,12 @@
 //! pairing (it failed an unchanged tree 2 runs in 12).
 //!
 //! **Description.** An experiment returns a [`Report`]: named [`Block`]s of
-//! typed [`Cell`]s and named [`Gate`]s. [`render_text`]
-//! (through [`table::render`]) and [`render_json`] are both derived from it,
-//! so a quantity is listed once. The JSON header is stamped here: `schema`,
+//! typed [`Cell`]s and named [`Gate`]s, the paper relations its numbers must
+//! keep. `render_text` and [`render_json`] are both derived from it, so a
+//! quantity is listed once. The JSON header is stamped here: `schema`,
 //! `experiment`, `smoke`, `fma_active`, `git_rev`, `machine`, `gates`; each
-//! block follows under its own name.
+//! block follows under its own name. `render_paper_json` stamps the same
+//! header over several experiments, each a member holding its blocks.
 //!
 //! **Driver.** [`main`] runs an [`Experiment`] under the `--smoke` flag,
 //! prints the text, writes the artifact, reports failed gates on stderr and
@@ -28,8 +29,6 @@ use std::process::{Command, ExitCode};
 use std::time::Instant;
 
 use blast_telemetry::chrome::{escape_into, parse_json, Json};
-
-use crate::table;
 
 /// Version of the artifact layout written by [`render_json`].
 const SCHEMA: u32 = 1;
@@ -152,14 +151,15 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// A cell shown as the value's default text (`yes` / `no`, [`table::f`]).
+    /// A cell shown as the value's default text (`yes` / `no`, a number to
+    /// about four significant digits).
     pub fn new(key: impl Into<String>, value: impl Into<Value>) -> Self {
         let value = value.into();
         let text = match &value {
             Value::Str(s) => s.clone(),
             Value::Int(n) => n.to_string(),
             Value::Bool(b) => if *b { "yes" } else { "no" }.to_string(),
-            Value::Num(x) => table::f(*x),
+            Value::Num(x) => num_text(*x),
         };
         Self { key: key.into(), value, text: Some(text) }
     }
@@ -167,6 +167,18 @@ impl Cell {
     /// A ratio, shown as `1.23x`.
     pub fn times(key: impl Into<String>, x: f64) -> Self {
         Self { text: Some(format!("{x:.2}x")), ..Self::new(key, x) }
+    }
+
+    /// A fraction, shown as a percentage `12.3%`.
+    pub fn pct(key: impl Into<String>, x: f64) -> Self {
+        Self { text: Some(format!("{:.1}%", 100.0 * x)), ..Self::new(key, x) }
+    }
+
+    /// A quantity shown in scientific notation with `digits` after the
+    /// point, for values whose trailing digits are the point (the artifact
+    /// keeps six significant digits).
+    pub fn sci(key: impl Into<String>, x: f64, digits: usize) -> Self {
+        Self { text: Some(format!("{x:.digits$e}")), ..Self::new(key, x) }
     }
 
     /// The same cell, left out of the text table.
@@ -231,22 +243,31 @@ impl Report {
     }
 }
 
-/// A wall-clock experiment: its registry name, its artifact file and the
-/// function that measures it under the full or the `--smoke` budget.
+/// An experiment: its registry name, where its numbers go and the function
+/// that measures it under the full or the `--smoke` budget.
 #[derive(Clone, Copy, Debug)]
 pub struct Experiment {
-    /// Registry and bin name.
+    /// Registry name; a gate bin's name too.
     pub name: &'static str,
-    /// Artifact file name, `BENCH_*.json`.
-    pub artifact: &'static str,
+    /// The artifact its gate bin writes, `BENCH_*.json`; `None` when the
+    /// experiment has no artifact of its own.
+    pub artifact: Option<&'static str>,
+    /// Whether every number comes off the simulated clock and device
+    /// models (the same on every host: `paper_report` writes it into
+    /// `BENCH_paper.json`) rather than off the wall clock.
+    pub simulated: bool,
+    /// The budget `paper_report` runs it under: `true` for the hydro-scale
+    /// experiments whose full budget belongs to their gate bin.
+    pub paper_smoke: bool,
     /// Runs the experiment; `true` selects the smoke budget.
     pub run: fn(bool) -> Report,
 }
 
 impl Experiment {
-    /// Runs under `smoke` and renders the text report.
-    pub fn text(&self, smoke: bool) -> String {
-        render_text(self.name, smoke, &(self.run)(smoke))
+    /// A simulated-clock experiment with no artifact of its own, one
+    /// budget.
+    pub const fn modeled(name: &'static str, run: fn(bool) -> Report) -> Self {
+        Self { name, artifact: None, simulated: true, paper_smoke: false, run }
     }
 }
 
@@ -255,8 +276,14 @@ fn shown(row: &[Cell]) -> impl Iterator<Item = (&str, &str)> {
     row.iter().filter_map(|c| Some((c.key.as_str(), c.text.as_deref()?)))
 }
 
-/// The human-readable rendering of `report`.
-pub fn render_text(experiment: &str, smoke: bool, report: &Report) -> String {
+/// How the figures of a wall-clock experiment were taken.
+const WALL_CLOCK: &str = "; wall-clock times are the best of the interleaved rounds, wall-clock \
+                          ratios the median of the per-round ratios";
+
+/// The human-readable rendering of `exp`'s `report`; only a wall-clock
+/// experiment's footer says how its times were taken.
+fn render_text(exp: &Experiment, smoke: bool, report: &Report) -> String {
+    let experiment = exp.name;
     let mut out = String::new();
     for b in &report.blocks {
         let (headers, rows): (Vec<&str>, Vec<Vec<String>>) = if b.record {
@@ -270,21 +297,63 @@ pub fn render_text(experiment: &str, smoke: bool, report: &Report) -> String {
             )
         };
         let title = format!("{experiment} / {} — {}", b.name, b.title);
-        out.push_str(&table::render(&title, &headers, &rows));
+        render_table(&mut out, &title, &headers, &rows);
         out.push('\n');
     }
     let _ = writeln!(
         out,
-        "{experiment}: {} budget; FMA clones {}; measured times are the best of the interleaved \
-         rounds, measured ratios the median of the per-round ratios.",
+        "{experiment}: {} budget; FMA clones {}{}.",
         if smoke { "smoke" } else { "full" },
         if fma_active() { "on" } else { "off" },
+        if exp.simulated { "" } else { WALL_CLOCK },
     );
     for g in &report.gates {
         let _ =
             writeln!(out, "gate {}: {} ({})", g.name, if g.ok { "ok" } else { "FAIL" }, g.detail);
     }
     out
+}
+
+/// Appends `headers` and `rows` as a fixed-width, right-aligned text table
+/// under `title`.
+fn render_table(out: &mut String, title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in rows {
+        assert_eq!(row.len(), headers.len(), "row width mismatch in table '{title}'");
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count());
+        }
+    }
+    let line = |out: &mut String, cells: &mut dyn Iterator<Item = &str>| {
+        let mut text = String::new();
+        for (cell, w) in cells.zip(&widths) {
+            let _ = write!(text, "{cell:>w$}  ");
+        }
+        out.push_str(text.trim_end());
+        out.push('\n');
+    };
+    let _ = writeln!(out, "== {title} ==");
+    line(out, &mut headers.iter().copied());
+    let _ = writeln!(out, "{}", "-".repeat(widths.iter().map(|w| w + 2).sum()));
+    for row in rows {
+        line(out, &mut row.iter().map(String::as_str));
+    }
+}
+
+/// The default text of a number: three decimals in `[1, 100)`, one above,
+/// five in `[1e-3, 1)`, scientific below.
+fn num_text(x: f64) -> String {
+    if x == 0.0 {
+        "0".into()
+    } else if x.abs() >= 100.0 {
+        format!("{x:.1}")
+    } else if x.abs() >= 1.0 {
+        format!("{x:.3}")
+    } else if x.abs() >= 1e-3 {
+        format!("{x:.5}")
+    } else {
+        format!("{x:.3e}")
+    }
 }
 
 /// Whether the FMA clones of `blast_la` are in use (its ULP-bounded regime;
@@ -353,60 +422,91 @@ fn machine() -> Vec<Cell> {
     ]
 }
 
-fn json_array(out: &mut String, rows: &[Vec<Cell>]) {
+fn json_array(out: &mut String, rows: &[Vec<Cell>], indent: &str) {
     out.push('[');
     for (i, row) in rows.iter().enumerate() {
-        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+        out.push_str(if i > 0 { "," } else { "" });
+        let _ = write!(out, "\n{indent}    ");
         json_object(out, row);
     }
-    out.push_str("\n  ]");
+    let _ = write!(out, "\n{indent}  ]");
 }
 
-/// Starts the top-level member `name`.
-fn member(out: &mut String, name: &str) {
-    out.push_str(",\n  ");
+/// Starts the member `name` of an object indented by `indent`.
+fn member(out: &mut String, name: &str, indent: &str) {
+    let _ = write!(out, ",\n{indent}  ");
     json_str(out, name);
     out.push_str(": ");
 }
 
-/// The machine-readable rendering of `report`, header stamped.
-pub fn render_json(experiment: &str, smoke: bool, report: &Report) -> String {
-    let gates: Vec<Vec<Cell>> = report
-        .gates
+/// The stamped header: everything up to and including the `gates` member
+/// of the document named `experiment`, the object left open.
+fn header(experiment: &str, smoke: bool, gates: &[(String, &Gate)]) -> String {
+    let gates: Vec<Vec<Cell>> = gates
         .iter()
-        .map(|g| {
-            vec![
-                Cell::new("name", &*g.name),
-                Cell::new("ok", g.ok),
-                Cell::new("detail", &*g.detail),
-            ]
+        .map(|(name, g)| {
+            vec![Cell::new("name", &**name), Cell::new("ok", g.ok), Cell::new("detail", &*g.detail)]
         })
         .collect();
     let out = &mut format!("{{\n  \"schema\": {SCHEMA}");
-    member(out, "experiment");
+    member(out, "experiment", "");
     json_str(out, experiment);
-    member(out, "smoke");
+    member(out, "smoke", "");
     out.push_str(&smoke.to_string());
-    member(out, "fma_active");
+    member(out, "fma_active", "");
     // One value under the two names the committed artifacts carry.
     json_object(out, &[Cell::new("tile", fma_active()), Cell::new("stream", fma_active())]);
-    member(out, "git_rev");
+    member(out, "git_rev", "");
     json_str(out, &git_rev());
-    member(out, "machine");
+    member(out, "machine", "");
     json_object(out, &machine());
-    member(out, "gates");
-    json_array(out, &gates);
+    member(out, "gates", "");
+    json_array(out, &gates, "");
+    std::mem::take(out)
+}
+
+/// Appends each block of `report` as a member of an object indented by
+/// `indent`.
+fn blocks(out: &mut String, report: &Report, indent: &str) {
     for b in &report.blocks {
         assert!(!HEADER_KEYS.contains(&b.name), "block '{}' shadows a header key", b.name);
-        member(out, b.name);
+        member(out, b.name, indent);
         if b.record {
             json_object(out, &b.rows[0]);
         } else {
-            json_array(out, &b.rows);
+            json_array(out, &b.rows, indent);
         }
     }
+}
+
+/// The machine-readable rendering of `report`, header stamped.
+pub fn render_json(experiment: &str, smoke: bool, report: &Report) -> String {
+    let gates: Vec<(String, &Gate)> = report.gates.iter().map(|g| (g.name.clone(), g)).collect();
+    let mut out = header(experiment, smoke, &gates);
+    blocks(&mut out, report, "");
     out.push_str("\n}\n");
-    std::mem::take(out)
+    out
+}
+
+/// One stamped document over several experiments' reports, each run under
+/// its `paper_report` budget: the header's `gates` carries every gate as
+/// `<experiment>: <gate>`, and each experiment is a member holding its
+/// `smoke` flag and its blocks.
+fn render_paper_json(runs: &[(&Experiment, Report)]) -> String {
+    let gates: Vec<(String, &Gate)> = runs
+        .iter()
+        .flat_map(|(exp, r)| r.gates.iter().map(|g| (format!("{}: {}", exp.name, g.name), g)))
+        .collect();
+    let mut out = header("paper_report", false, &gates);
+    for (exp, report) in runs {
+        assert!(!HEADER_KEYS.contains(&exp.name), "experiment '{}' shadows a header key", exp.name);
+        member(&mut out, exp.name, "");
+        let _ = write!(out, "{{\n    \"smoke\": {}", exp.paper_smoke);
+        blocks(&mut out, report, "  ");
+        out.push_str("\n  }");
+    }
+    out.push_str("\n}\n");
+    out
 }
 
 /// Parses an artifact and checks the stamped header: every header key
@@ -422,18 +522,26 @@ pub fn parse_artifact(text: &str) -> Result<Json, String> {
     }
 }
 
-/// Runs `exp`, prints its text report, writes its artifact into `dir` and
-/// reports failed gates on stderr. `Ok(true)` when every gate held.
+/// Runs `exp`, prints its text report, writes its artifact (if it has one)
+/// into `dir` and reports failed gates on stderr. `Ok(true)` when every
+/// gate held.
 pub fn drive(exp: &Experiment, smoke: bool, dir: &Path) -> std::io::Result<bool> {
     let report = (exp.run)(smoke);
-    print!("{}", render_text(exp.name, smoke, &report));
-    let path = dir.join(exp.artifact);
-    std::fs::write(&path, render_json(exp.name, smoke, &report))?;
-    println!("wrote {}", path.display());
+    print!("{}", render_text(exp, smoke, &report));
+    if let Some(artifact) = exp.artifact {
+        let path = dir.join(artifact);
+        std::fs::write(&path, render_json(exp.name, smoke, &report))?;
+        println!("wrote {}", path.display());
+    }
+    report_failures(&report);
+    Ok(report.failures().is_empty())
+}
+
+/// Names every failed gate of `report` on stderr.
+fn report_failures(report: &Report) {
     for g in report.failures() {
         eprintln!("GATE FAIL {}: {}", g.name, g.detail);
     }
-    Ok(report.failures().is_empty())
 }
 
 /// The whole `main` of a gate bin: [`drive`] into the working directory
@@ -444,10 +552,65 @@ pub fn main(exp: &Experiment) -> ExitCode {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
-            eprintln!("{}: failed to write {}: {e}", exp.name, exp.artifact);
+            eprintln!("{}: failed to write {}: {e}", exp.name, exp.artifact.unwrap_or_default());
             ExitCode::FAILURE
         }
     }
+}
+
+/// The whole `main` of `paper_report`: runs the experiments named on the
+/// command line, or all of `registry` in order, each under its paper
+/// budget, and prints every report. A full run also writes the
+/// simulated-clock experiments into `BENCH_paper.json` in the working
+/// directory. Non-zero exit on an unknown name, a failed gate or write.
+pub fn paper_main(registry: &[Experiment]) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let find = |name: &String| registry.iter().find(|e| e.name == name);
+    let mut ok = true;
+    for name in args.iter().filter(|a| find(a).is_none()) {
+        eprintln!("unknown experiment: {name}");
+        ok = false;
+    }
+    let picked: Vec<&Experiment> = if args.is_empty() {
+        registry.iter().collect()
+    } else {
+        args.iter().filter_map(find).collect()
+    };
+    let mut simulated = Vec::new();
+    for (i, exp) in picked.into_iter().enumerate() {
+        let report = (exp.run)(exp.paper_smoke);
+        print!("{}{}", if i > 0 { "\n" } else { "" }, render_text(exp, exp.paper_smoke, &report));
+        report_failures(&report);
+        ok &= report.failures().is_empty();
+        if exp.simulated {
+            simulated.push((exp, report));
+        }
+    }
+    if args.is_empty() {
+        match std::fs::write(PAPER_ARTIFACT, render_paper_json(&simulated)) {
+            Ok(()) => println!("\nwrote {PAPER_ARTIFACT}"),
+            Err(e) => {
+                eprintln!("paper_report: failed to write {PAPER_ARTIFACT}: {e}");
+                ok = false;
+            }
+        }
+    }
+    ExitCode::from(u8::from(!ok))
+}
+
+/// The artifact of a full `paper_report` run.
+pub const PAPER_ARTIFACT: &str = "BENCH_paper.json";
+
+/// Asserts that the gates of `report` whose names start with one of
+/// `names` (all of them when `names` is empty) exist and hold, naming the
+/// ones that do not.
+#[cfg(test)]
+pub(crate) fn assert_gates_hold(report: &Report, names: &[&str]) {
+    let picked = |g: &&Gate| names.is_empty() || names.iter().any(|n| g.name.starts_with(n));
+    let gates: Vec<&Gate> = report.gates.iter().filter(picked).collect();
+    assert!(!gates.is_empty(), "no gate named {names:?} in {:#?}", report.gates);
+    let failed: Vec<_> = gates.iter().filter(|g| !g.ok).collect();
+    assert!(failed.is_empty(), "failed gates {failed:#?}");
 }
 
 #[cfg(test)]
@@ -588,7 +751,8 @@ mod tests {
 
     #[test]
     fn text_shows_every_visible_cell_once_and_every_gate() {
-        let text = render_text("demo", true, &sample_report(true));
+        let wall = Experiment { simulated: false, ..Experiment::modeled("demo", sample_report) };
+        let text = render_text(&wall, true, &sample_report(true));
         assert!(
             text.contains("== demo / shapes — two \"shapes\" ==")
                 && text.contains("— ceiling leg ==")
@@ -598,5 +762,58 @@ mod tests {
         assert!(text.contains("gate gemm Q2 3D: ok (2.00x, need >= 1x)"));
         assert_eq!(json_num(1234.5678), "1234.57");
         assert_eq!(json_num(f64::INFINITY), "null");
+        // Only a wall-clock experiment says how its times were taken.
+        assert!(text.contains("demo: smoke budget; FMA clones") && text.contains(WALL_CLOCK));
+        let modeled =
+            render_text(&Experiment { simulated: true, ..wall }, true, &sample_report(true));
+        assert!(!modeled.contains(WALL_CLOCK));
+    }
+
+    #[test]
+    fn renders_aligned_table() {
+        let mut out = String::new();
+        let rows = [vec!["a".to_string(), "1.0".into()], vec!["longer".into(), "2".into()]];
+        render_table(&mut out, "Demo", &["name", "value"], &rows);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(
+            lines,
+            ["== Demo ==", "  name  value", "---------------", "     a    1.0", "longer      2"]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row width mismatch")]
+    fn mismatched_rows_panic() {
+        render_table(&mut String::new(), "x", &["a", "b"], &[vec!["1".into()]]);
+    }
+
+    #[test]
+    fn cell_texts_keep_their_precision() {
+        let text = |c: Cell| c.text.unwrap();
+        let nums = [0.0, 123.456, 1.23456, 0.012345, 1.2e-5].map(|x| text(Cell::new("x", x)));
+        assert_eq!(nums, ["0", "123.5", "1.235", "0.01235", "1.200e-5"]);
+        assert_eq!(text(Cell::pct("p", 0.123)), "12.3%");
+        assert_eq!(text(Cell::sci("e", 10.123456789, 6)), "1.012346e1");
+        assert_eq!(text(Cell::new("flag", true)), "yes");
+    }
+
+    #[test]
+    fn the_paper_artifact_nests_each_experiment_under_one_header() {
+        let a = Experiment::modeled("fig98_demo", sample_report);
+        let b =
+            Experiment { paper_smoke: true, ..Experiment::modeled("tab99_demo", sample_report) };
+        let runs = [(&a, sample_report(true)), (&b, sample_report(false))];
+        let doc = parse_artifact(&render_paper_json(&runs)).unwrap();
+        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("paper_report"));
+        let gates = doc.get("gates").and_then(Json::as_arr).unwrap();
+        let name = |g: &Json| g.get("name").and_then(Json::as_str).unwrap().to_string();
+        let names: Vec<String> = gates.iter().map(name).collect();
+        assert_eq!(names, ["fig98_demo: gemm Q2 3D", "tab99_demo: gemm Q2 3D"]);
+        assert_eq!(gates[1].get("ok"), Some(&Json::Bool(false)));
+        let demo = doc.get("tab99_demo").unwrap();
+        assert_eq!(demo.get("smoke"), Some(&Json::Bool(true)));
+        let shapes = demo.get("shapes").and_then(Json::as_arr).unwrap();
+        assert_eq!(shapes[0].get("speedup").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(demo.get("ceiling").and_then(|c| c.get("stored_oom")), Some(&Json::Bool(true)));
     }
 }

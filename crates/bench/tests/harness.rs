@@ -2,8 +2,10 @@
 
 use std::path::Path;
 
-use blast_bench::experiments::{fleet_routing, host_kernels, matfree_ceiling, pcg_streaming};
-use blast_bench::harness::{self, Block, Cell, Experiment, Gate, Report};
+use blast_bench::experiments::{
+    fleet_routing, host_kernels, matfree_ceiling, pcg_streaming, EXPERIMENTS,
+};
+use blast_bench::harness::{self, Block, Cell, Experiment, Gate, Report, PAPER_ARTIFACT};
 use blast_telemetry::chrome::Json;
 
 fn one_gate(smoke: bool) -> Report {
@@ -16,11 +18,18 @@ fn one_gate(smoke: bool) -> Report {
 
 #[test]
 fn a_failing_gate_is_in_the_file_and_in_the_status() {
-    let exp = Experiment { name: "driver_demo", artifact: "BENCH_driver_demo.json", run: one_gate };
+    let artifact = "BENCH_driver_demo.json";
+    let exp = Experiment {
+        name: "driver_demo",
+        artifact: Some(artifact),
+        simulated: false,
+        paper_smoke: false,
+        run: one_gate,
+    };
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
     for (smoke, held) in [(true, true), (false, false)] {
         assert_eq!(harness::drive(&exp, smoke, dir).unwrap(), held);
-        let text = std::fs::read_to_string(dir.join(exp.artifact)).unwrap();
+        let text = std::fs::read_to_string(dir.join(artifact)).unwrap();
         let doc = harness::parse_artifact(&text).unwrap();
         assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("driver_demo"));
         let gate = &doc.get("gates").and_then(Json::as_arr).unwrap()[0];
@@ -32,11 +41,14 @@ fn a_failing_gate_is_in_the_file_and_in_the_status() {
 }
 
 /// Every `BENCH_*.json` at the repository root was written by this harness
-/// (a stale one lacks the stamped header), belongs to a gate bin, carries
-/// that bin's blocks, and records no failed gate.
+/// (a stale one lacks the stamped header), belongs to a gate bin or to
+/// `paper_report`, carries its blocks, and records no failed gate.
+/// `BENCH_paper.json` holds every simulated-clock experiment of the
+/// registry, and no wall-clock one.
 #[test]
 fn committed_artifacts_parse_and_carry_the_stamped_header() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let simulated: Vec<&str> = EXPERIMENTS.iter().filter(|e| e.simulated).map(|e| e.name).collect();
     let known = [
         (host_kernels::EXPERIMENT, &["shapes", "az_kernels", "point_physics", "summary"][..]),
         (pcg_streaming::EXPERIMENT, &["shapes", "lockstep", "gpu"]),
@@ -50,24 +62,33 @@ fn committed_artifacts_parse_and_carry_the_stamped_header() {
         if !(file.starts_with("BENCH_") && file.ends_with(".json")) {
             continue;
         }
-        let (exp, blocks) = known
-            .iter()
-            .find(|(e, _)| e.artifact == file)
-            .unwrap_or_else(|| panic!("{file}: no gate bin writes it"));
+        let (name, members) = if file == PAPER_ARTIFACT {
+            ("paper_report", &simulated[..])
+        } else {
+            let (exp, blocks) = known
+                .iter()
+                .find(|(e, _)| e.artifact == Some(&file))
+                .unwrap_or_else(|| panic!("{file}: no gate bin writes it"));
+            (exp.name, *blocks)
+        };
         let doc = harness::parse_artifact(&std::fs::read_to_string(&path).unwrap())
             .unwrap_or_else(|e| panic!("{file}: {e}"));
-        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some(exp.name), "{file}");
+        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some(name), "{file}");
         assert!(
             doc.get("git_rev").and_then(Json::as_str).is_some_and(|r| r != "unknown"),
             "{file}"
         );
-        for block in *blocks {
-            assert!(doc.get(block).is_some(), "{file} lacks the block '{block}'");
+        for member in members {
+            assert!(doc.get(member).is_some(), "{file} lacks the member '{member}'");
         }
         for gate in doc.get("gates").and_then(Json::as_arr).unwrap() {
             assert_eq!(gate.get("ok"), Some(&Json::Bool(true)), "{file}: {gate:?}");
         }
+        let wall = EXPERIMENTS.iter().filter(|e| !e.simulated && file == PAPER_ARTIFACT);
+        for exp in wall {
+            assert!(doc.get(exp.name).is_none(), "wall-clock {} in {file}", exp.name);
+        }
         seen += 1;
     }
-    assert_eq!(seen, known.len(), "a gate bin's artifact is not committed");
+    assert_eq!(seen, known.len() + 1, "a gate bin's or paper_report's artifact is not committed");
 }

@@ -37,13 +37,15 @@
 //!   [`chrome::validate_chrome_trace`] re-parses an export and checks
 //!   structure, monotonic timestamps, and parent/child containment — the
 //!   round-trip contract the CI `trace-smoke` lane enforces.
-//! - [`table::render_totals`]: the plain-text per-phase table that
-//!   `paper_report` / `fig06_kernel_breakdown` report through.
+//!
+//! Tables are not rendered here: [`Telemetry::phase_totals`] and
+//! [`Telemetry::counters`] hand the aggregates over as data, and the bench
+//! harness (`blast_bench::harness`) declares them as typed cells like every
+//! other experiment's rows.
 
 pub mod chrome;
 pub mod names;
 pub mod recorder;
-pub mod table;
 
 pub use recorder::{
     EventKind, PhaseTotal, SpanRecord, Telemetry, TelemetrySink, Track, NUM_TRACKS,
