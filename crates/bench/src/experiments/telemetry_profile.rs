@@ -27,6 +27,12 @@ fn run(_smoke: bool) -> Report {
     };
     let (host, gpu) = (totals(Track::Host), totals(Track::Gpu));
     let mut counts = tel.counters();
+    // The step guard's two savings (DESIGN §8) are listed even at zero.
+    for name in [counters::STAGE1_REUSED, counters::CFL_VERDICTS] {
+        if !counts.iter().any(|c| c.0 == name) {
+            counts.push((name, 0));
+        }
+    }
     counts.sort_by(|a, b| a.0.cmp(b.0));
     // How often the host pool's workers steal depends on thread timing, not
     // on the simulated run; left out, the artifact is the same run to run.
@@ -39,6 +45,7 @@ fn run(_smoke: bool) -> Report {
     // GPU mode: the corner force lives on the GPU lane as kernels; the host
     // lane still carries the step envelope and integration.
     let (steps, launches) = (count(counters::STEPS), count(counters::GPU_LAUNCHES));
+    let reused = count(counters::STAGE1_REUSED);
     Report {
         blocks: vec![
             phase_table(
@@ -64,6 +71,11 @@ fn run(_smoke: bool) -> Report {
                 "steps and launches counted",
                 steps > 0 && launches > 0,
                 format!("{steps} steps, {launches} GPU launches"),
+            ),
+            Gate::new(
+                "first attempt takes the suggested dt's corner force",
+                reused >= 1,
+                format!("{reused} stage-1 evaluations reused"),
             ),
         ],
     }

@@ -419,11 +419,17 @@ impl Executor {
 /// plus kernels 7, 8, 10) — used to cost the CPU path and the hybrid CPU
 /// share with the *same* operation counts as the GPU path.
 pub fn corner_force_traffic(shape: &ProblemShape) -> Traffic {
-    MonolithicCornerForce
-        .optimized_equivalent_traffic(shape)
+    verdict_traffic(shape)
         .add(&FzKernel::tuned().traffic(shape))
         .add(&MomentumRhsKernel.traffic(shape))
         .add(&EnergyRhsKernel.traffic(shape))
+}
+
+/// The part of [`corner_force_traffic`] that runs before the CFL verdict
+/// (the A_z pipeline, kernels 1-6 and 4): all a doomed attempt's stage-2
+/// evaluation bills on the host.
+pub fn verdict_traffic(shape: &ProblemShape) -> Traffic {
+    MonolithicCornerForce.optimized_equivalent_traffic(shape)
 }
 
 /// Whole-phase corner-force traffic of the *matrix-free* pipeline: the
@@ -433,10 +439,14 @@ pub fn corner_force_traffic(shape: &ProblemShape) -> Traffic {
 /// the stored path's dense `nvdof x npts x nthermo` contraction and its
 /// `A_z`/`F_z` batch round-trips both disappear.
 pub fn corner_force_traffic_matfree(shape: &ProblemShape, factors: &SumfacFactors) -> Traffic {
-    SumfacForceKernel { use_viscosity: true }
-        .traffic(shape, factors)
+    verdict_traffic_matfree(shape, factors)
         .add(&SumfacMomentumKernel.traffic(shape, factors))
         .add(&SumfacEnergyKernel.traffic(shape, factors))
+}
+
+/// [`verdict_traffic`] of the matrix-free pipeline: the fused sweep.
+pub fn verdict_traffic_matfree(shape: &ProblemShape, factors: &SumfacFactors) -> Traffic {
+    SumfacForceKernel { use_viscosity: true }.traffic(shape, factors)
 }
 
 /// Per-iteration CG traffic of one scalar-component solve on the host:

@@ -22,11 +22,12 @@ use blast_telemetry::names;
 use gpu_sim::{GpuDevice, LaunchConfig, Traffic};
 use powermon::CpuPowerState;
 
-use super::{ensure_zeroed, EvalScratch, ForceEval, Hydro};
+use super::{ensure_zeroed, overshoots, Cfl, EvalScratch, ForceEval, Hydro, Reach};
 use crate::error::HydroError;
 use crate::exec::{
     cg_iteration_traffic, cg_iteration_traffic_fused, cg_iteration_traffic_matfree,
-    corner_force_traffic, corner_force_traffic_matfree, ExecMode, CG_CPU_EFF,
+    corner_force_traffic, corner_force_traffic_matfree, verdict_traffic, verdict_traffic_matfree,
+    ExecMode, CG_CPU_EFF,
 };
 
 /// How the corner-force and kinematic mass operators are realized — the
@@ -60,11 +61,14 @@ impl Assembly {
         }
     }
 
-    /// Whole-phase corner-force traffic of one force evaluation.
-    fn corner_force_traffic(&self, shape: &ProblemShape) -> Traffic {
-        match self {
-            Assembly::Stored { .. } => corner_force_traffic(shape),
-            Assembly::MatFree(mf) => corner_force_traffic_matfree(shape, &mf.factors),
+    /// Corner-force traffic of one force evaluation: the whole phase, or
+    /// (`doomed`) only what ran before the CFL verdict.
+    fn corner_force_traffic(&self, shape: &ProblemShape, doomed: bool) -> Traffic {
+        match (self, doomed) {
+            (Assembly::Stored { .. }, false) => corner_force_traffic(shape),
+            (Assembly::Stored { .. }, true) => verdict_traffic(shape),
+            (Assembly::MatFree(mf), false) => corner_force_traffic_matfree(shape, &mf.factors),
+            (Assembly::MatFree(mf), true) => verdict_traffic_matfree(shape, &mf.factors),
         }
     }
 
@@ -219,18 +223,19 @@ impl<const D: usize> Hydro<D> {
     pub(super) fn eval_force(
         &mut self,
         state: Fields,
+        reach: Reach,
         ws: &mut EvalScratch,
     ) -> Result<ForceEval, HydroError> {
         if self.exec.is_degraded() {
-            return self.force_on_host(state, ws);
+            return self.force_on_host(state, reach, ws);
         }
         // `Executor::new` rejects GPU / hybrid modes without a device.
         let attempt = match (self.exec.mode.clone(), self.exec.gpu.clone()) {
             (ExecMode::Gpu { base, gpu_pcg, .. }, Some(gpu)) => {
-                self.force_on_device(&gpu, state, base, gpu_pcg, ws)
+                self.force_on_device(&gpu, state, base, gpu_pcg, reach, ws)
             }
-            (ExecMode::Hybrid { .. }, Some(gpu)) => self.force_hybrid(&gpu, state, ws),
-            _ => return self.force_on_host(state, ws),
+            (ExecMode::Hybrid { .. }, Some(gpu)) => self.force_hybrid(&gpu, state, reach, ws),
+            _ => return self.force_on_host(state, reach, ws),
         };
         match attempt {
             Err(HydroError::Gpu(g)) => {
@@ -238,7 +243,7 @@ impl<const D: usize> Hydro<D> {
                 if let Some(b) = &mut self.exec.balancer {
                     b.force_ratio(0.0);
                 }
-                self.force_on_host(state, ws)
+                self.force_on_host(state, reach, ws)
             }
             other => other,
         }
@@ -256,6 +261,25 @@ impl<const D: usize> Hydro<D> {
             }
         }
         Ok(())
+    }
+
+    /// The CFL estimate of an evaluation whose largest `inv_dt` is this.
+    pub(super) fn dt_est(&self, max_inv_dt: f64) -> f64 {
+        self.cfl / max_inv_dt.max(1e-300)
+    }
+
+    /// The CFL control of `inv_dt`, and the verdict on an attempt at `cap`.
+    fn cfl_control(&self, inv_dt: &[f64], cap: Option<f64>) -> Cfl {
+        let max_inv_dt = inv_dt.iter().cloned().fold(0.0, f64::max);
+        let doomed = cap.is_some_and(|dt| overshoots(self.dt_est(max_inv_dt), dt));
+        Cfl { max_inv_dt, doomed }
+    }
+
+    /// The verdict point of [`Self::corner_force_on`]: the mesh guard, then
+    /// the CFL control, both final once `|J|` and `inv_dt` are.
+    fn verdict(&self, detj: &[f64], inv_dt: &[f64], cap: Option<f64>) -> Result<Cfl, HydroError> {
+        self.check_mesh(detj)?;
+        Ok(self.cfl_control(inv_dt, cap))
     }
 
     /// NaN/Inf guard over a freshly computed field.
@@ -281,22 +305,25 @@ impl<const D: usize> Hydro<D> {
     /// The kernel sequence of one corner-force evaluation, written once:
     /// the host phase and the hybrid launch run it [`Inline`], the device
     /// path as billed launches, to the same bits. Stored: the stress half
-    /// (kernels 3, 3, 1, 5, 2, 6), kernel 4's bill, the mesh guard, kernel
+    /// (kernels 3, 3, 1, 5, 2, 6), kernel 4's bill, the verdict point, kernel
     /// 7 — whose zone loop runs kernel 4's body, so no `A_z` batch is ever
     /// stored — and kernel 8; matrix-free: one fused sum-factorized sweep,
-    /// the guard, `d²` backward transforms. It fills the scratch's `fz`
-    /// (`F_z`, or the per-point `D_z`), `pipe.detj` / `pipe.inv_dt` and the
-    /// unprojected momentum RHS. A refused launch leaves `fz` as it was.
-    /// `base_regs`: the `base` ablation (stored only) as the device's
-    /// register limit — one monolithic launch in place of kernels 1 to 6
-    /// and 4, and kernel 7 at its v1 cost.
+    /// the verdict point, `d²` backward transforms. The verdict point is the
+    /// mesh guard and the CFL control; when that dooms an attempt at `cap`,
+    /// the sequence ends there. It fills the scratch's `fz` (`F_z`, or the
+    /// per-point `D_z`), `pipe.detj` / `pipe.inv_dt` and the unprojected
+    /// momentum RHS. A refused launch — or a stored verdict — leaves `fz` as
+    /// it was. `base_regs`: the `base` ablation (stored only) as the
+    /// device's register limit — one monolithic launch in place of kernels
+    /// 1 to 6 and 4, and kernel 7 at its v1 cost.
     pub(super) fn corner_force_on<L: KernelLauncher>(
         &self,
         on: &mut L,
         base_regs: Option<u32>,
         (v, e, x): Fields,
+        cap: Option<f64>,
         ws: &mut EvalScratch,
-    ) -> Result<(), HydroError>
+    ) -> Result<Cfl, HydroError>
     where
         HydroError: From<L::Error>,
     {
@@ -325,7 +352,10 @@ impl<const D: usize> Hydro<D> {
                     )?;
                     FzKernel::tuned()
                 };
-                self.check_mesh(&pipe.detj)?;
+                let cfl = self.verdict(&pipe.detj, &pipe.inv_dt, cap)?;
+                if cfl.doomed {
+                    return Ok(cfl);
+                }
                 let (k8, abft) = (MomentumRhsKernel, self.abft.as_ref());
                 on.launch(
                     || Launch::new(FzKernel::NAME, k7.config(shape), k7.traffic(shape)),
@@ -341,6 +371,7 @@ impl<const D: usize> Hydro<D> {
                     || Launch::new(MomentumRhsKernel::NAME, k8.config(shape), k8.traffic(shape)),
                     || MomentumRhsKernel::compute_with(shape, fz, zone_dofs, n, rhs, mom_local),
                 )?;
+                Ok(cfl)
             }
             Assembly::MatFree(MatFreeOps { factors: f, .. }) => {
                 // Shaped, not cleared: the force kernel stores every entry.
@@ -359,63 +390,85 @@ impl<const D: usize> Hydro<D> {
                         )
                     },
                 )?;
-                self.check_mesh(&pipe.detj)?;
+                let cfl = self.verdict(&pipe.detj, &pipe.inv_dt, cap)?;
+                if cfl.doomed {
+                    return Ok(cfl);
+                }
                 let name = SumfacMomentumKernel::NAME;
                 on.launch(
                     || Launch::new(name, mom.config(shape), mom.traffic(shape, f)),
                     || mom.compute_with(shape, f, fz, zone_dofs, n, rhs, mom_local),
                 )?;
+                Ok(cfl)
             }
         }
-        Ok(())
     }
 
-    /// The one tail of a force evaluation, after [`Self::corner_force_on`]:
-    /// CFL control, constraint projection and the momentum solve into the
-    /// scratch's `accel`. With a device leg the right-hand side is solved
-    /// there (`gpu_pcg`) or shipped back as `-F·1` and solved on the host,
-    /// idle meanwhile.
+    /// The one tail of a force evaluation, after [`Self::corner_force_on`]
+    /// returned its CFL control `cfl`: constraint projection and the
+    /// momentum solve into the scratch's `accel`. With a device leg the
+    /// right-hand side is solved there (`gpu_pcg`) or shipped back as `-F·1`
+    /// and solved on the host, idle meanwhile. A doomed evaluation solves
+    /// and ships nothing; the host only waits for the device to reach the
+    /// verdict.
     fn finish_force(
         &mut self,
         device: Option<DeviceLeg>,
+        cfl: Cfl,
         ws: &mut EvalScratch,
     ) -> Result<ForceEval, HydroError> {
-        let max_inv_dt = ws.pipe.inv_dt.iter().cloned().fold(0.0, f64::max);
-        self.project_constraints(&mut ws.rhs);
-        let mut on_device = None;
-        if let Some(DeviceLeg { gpu, since, gpu_pcg }) = device {
-            if gpu_pcg {
-                on_device = Some(self.solve_momentum(Some(gpu), ws)?);
+        let mut cg_iterations = 0;
+        if cfl.doomed {
+            if let Some(DeviceLeg { gpu, since, .. }) = device {
+                self.exec.host.idle(gpu.now() - since);
             }
-            // The warm-start cache is committed only *after* the transfer:
-            // if it fails, the host never saw the solution and the CPU redo
-            // must start from the previous step's cache.
-            gpu.d2h(D * self.kin.num_dofs() * 8)?;
-            if gpu_pcg {
-                self.accel_prev.copy_from_slice(&ws.accel);
+        } else {
+            self.project_constraints(&mut ws.rhs);
+            let mut on_device = None;
+            if let Some(DeviceLeg { gpu, since, gpu_pcg }) = device {
+                if gpu_pcg {
+                    on_device = Some(self.solve_momentum(Some(gpu), ws)?);
+                }
+                // The warm-start cache is committed only *after* the transfer:
+                // if it fails, the host never saw the solution and the CPU redo
+                // must start from the previous step's cache.
+                gpu.d2h(D * self.kin.num_dofs() * 8)?;
+                if gpu_pcg {
+                    self.accel_prev.copy_from_slice(&ws.accel);
+                }
+                self.exec.host.idle(gpu.now() - since);
             }
-            self.exec.host.idle(gpu.now() - since);
+            cg_iterations = match on_device {
+                Some(iterations) => iterations,
+                None => self.solve_momentum(None, ws)?,
+            };
+            Self::check_finite("accel", &ws.accel)?;
         }
-        let cg_iterations = match on_device {
-            Some(iterations) => iterations,
-            None => self.solve_momentum(None, ws)?,
-        };
-        Self::check_finite("accel", &ws.accel)?;
-        Ok(ForceEval { max_inv_dt, cg_iterations })
+        Ok(ForceEval { cfl, cg_iterations })
     }
 
-    /// CPU force evaluation: one billed host phase around the inline sequence.
+    /// CPU force evaluation: one billed host phase around the inline
+    /// sequence — only its part before the verdict when that dooms the
+    /// attempt, the whole phase when it fails — or none for [`Reach::Tail`].
     fn force_on_host(
         &mut self,
         state: Fields,
+        reach: Reach,
         ws: &mut EvalScratch,
     ) -> Result<ForceEval, HydroError> {
-        let traffic = self.assembly.corner_force_traffic(&self.shape);
-        let eff = self.exec.cf_eff(self.shape.order);
-        self.host_phase(names::phases::CORNER_FORCE, &traffic, eff, CpuPowerState::Busy, || {
-            self.corner_force_on(&mut Inline, None, state, ws)
-        })?;
-        self.finish_force(None, ws)
+        let cfl = match reach {
+            Reach::Tail => self.cfl_control(&ws.pipe.inv_dt, None),
+            Reach::Whole | Reach::UnlessOvershoot(_) => {
+                let res = self.corner_force_on(&mut Inline, None, state, reach.cap(), ws);
+                let doomed = matches!(res, Ok(Cfl { doomed: true, .. }));
+                let traffic = self.assembly.corner_force_traffic(&self.shape, doomed);
+                let eff = self.exec.cf_eff(self.shape.order);
+                let busy = CpuPowerState::Busy;
+                self.host_phase(names::phases::CORNER_FORCE, &traffic, eff, busy, || ());
+                res?
+            }
+        };
+        self.finish_force(None, cfl, ws)
     }
 
     /// The momentum solve (step 6): the `D` constrained component systems
@@ -534,31 +587,50 @@ impl<const D: usize> Hydro<D> {
 
     /// GPU force evaluation: ship the state (§3.1.2), issue the sequence as
     /// launches out of the same step scratch, then the tail's device leg.
+    /// A held corner force ([`Reach::Tail`]) is on the device already, and
+    /// its right-hand side on the host too: the device leg is the solve, or
+    /// nothing.
     fn force_on_device(
         &mut self,
         gpu: &GpuDevice,
         state: Fields,
         base: bool,
         gpu_pcg: bool,
+        reach: Reach,
         ws: &mut EvalScratch,
     ) -> Result<ForceEval, HydroError> {
         let since = gpu.now();
-        gpu.h2d((2 * D * self.kin.num_dofs() + self.thermo.num_dofs()) * 8)?;
-        let base_regs = base.then(|| gpu.spec().max_regs_per_thread);
-        self.corner_force_on(&mut &*gpu, base_regs, state, ws)?;
-        self.finish_force(Some(DeviceLeg { gpu, since, gpu_pcg }), ws)
+        let cfl = match reach {
+            Reach::Tail => self.cfl_control(&ws.pipe.inv_dt, None),
+            Reach::Whole | Reach::UnlessOvershoot(_) => {
+                gpu.h2d((2 * D * self.kin.num_dofs() + self.thermo.num_dofs()) * 8)?;
+                let base_regs = base.then(|| gpu.spec().max_regs_per_thread);
+                self.corner_force_on(&mut &*gpu, base_regs, state, reach.cap(), ws)?
+            }
+        };
+        let leg = (reach != Reach::Tail || gpu_pcg).then_some(DeviceLeg { gpu, since, gpu_pcg });
+        self.finish_force(leg, cfl, ws)
     }
 
     /// Hybrid force evaluation (§3.3): the zone split costs the GPU and
     /// CPU shares separately at the current ratio — with the live
     /// assembly's traffic, so the balancer's converged ratio differs
     /// between stored and matrix-free — and the two overlap in wall-clock.
+    ///
+    /// The split is billed before it runs, so a doomed evaluation pays its
+    /// whole corner force here; it still skips the rest. A held corner force
+    /// ([`Reach::Tail`]) bills nothing.
     fn force_hybrid(
         &mut self,
         gpu: &GpuDevice,
         state: Fields,
+        reach: Reach,
         ws: &mut EvalScratch,
     ) -> Result<ForceEval, HydroError> {
+        if reach == Reach::Tail {
+            let cfl = self.cfl_control(&ws.pipe.inv_dt, None);
+            return self.finish_force(None, cfl, ws);
+        }
         let n = self.kin.num_dofs();
         let shape = self.shape;
         // Invariant: `Executor::new` always pairs Hybrid with a balancer.
@@ -569,7 +641,7 @@ impl<const D: usize> Hydro<D> {
         // zone split and overlap in wall-clock (§3.3: "after the launch of
         // CUDA kernels, control can return to a host thread ... each
         // [OpenMP] thread allocates private working space and executes").
-        let total_traffic = self.assembly.corner_force_traffic(&shape);
+        let total_traffic = self.assembly.corner_force_traffic(&shape, false);
         let gpu_traffic = total_traffic.scale(ratio);
         let cpu_traffic = total_traffic.scale(1.0 - ratio);
         let gpu_zones = ((shape.zones as f64) * ratio).round().max(1.0) as u32;
@@ -578,7 +650,7 @@ impl<const D: usize> Hydro<D> {
         gpu.h2d(((2 * D * n + self.thermo.num_dofs()) as f64 * 8.0 * ratio) as usize)?;
         let t0g = gpu.now();
         let (ran, _) = gpu.launch(names::phases::CORNER_FORCE_HYBRID, &cfg, &gpu_traffic, || {
-            self.corner_force_on(&mut Inline, None, state, ws)
+            self.corner_force_on(&mut Inline, None, state, reach.cap(), ws)
         })?;
         let t_gpu = gpu.now() - t0g;
 
@@ -601,8 +673,8 @@ impl<const D: usize> Hydro<D> {
         if let Some(b) = &mut self.exec.balancer {
             b.record_period(t_gpu, t_cpu);
         }
-        ran?;
-        self.finish_force(None, ws)
+        let cfl = ran?;
+        self.finish_force(None, cfl, ws)
     }
 
     /// Energy rate `de/dt = M_E^{-1} F^T v_avg` (kernels 10 + 11) from the

@@ -99,10 +99,63 @@ pub struct RunStats {
 }
 
 /// What a force evaluation returns beside the buffers it wrote in the
-/// [`EvalScratch`]: the CFL control and the solve's iteration count.
+/// [`EvalScratch`]: the CFL control and the solve's iteration count (0
+/// when the verdict doomed the evaluation: nothing was solved).
 struct ForceEval {
-    max_inv_dt: f64,
+    cfl: Cfl,
     cg_iterations: usize,
+}
+
+/// The CFL control of a force evaluation, read where it is final: after the
+/// stress half (stored) or the fused sweep (matrix-free) and the mesh guard.
+#[derive(Clone, Copy, Debug)]
+struct Cfl {
+    /// The largest per-point `inv_dt`.
+    max_inv_dt: f64,
+    /// Whether it dooms the attempt the evaluation serves
+    /// ([`Reach::UnlessOvershoot`]); the evaluation stopped there.
+    doomed: bool,
+}
+
+/// How much of a force evaluation to run (DESIGN §8).
+#[derive(Clone, Copy, PartialEq)]
+enum Reach {
+    /// All of it.
+    Whole,
+    /// All of it, unless its CFL verdict dooms an attempt at this dt: then
+    /// nothing after the verdict runs or is billed.
+    UnlessOvershoot(f64),
+    /// The tail alone: the scratch holds the corner force of these very
+    /// fields ([`Held::CornerForce`]).
+    Tail,
+}
+
+impl Reach {
+    /// The dt whose attempt the verdict may doom.
+    fn cap(self) -> Option<f64> {
+        match self {
+            Reach::UnlessOvershoot(dt) => Some(dt),
+            Reach::Whole | Reach::Tail => None,
+        }
+    }
+}
+
+/// What the scratch holds of an evaluation at `stage.s0_*` for the next
+/// attempt (DESIGN §8). The next attempt takes it at its start, whatever it
+/// then does, so nothing held outlives one attempt; it serves that attempt
+/// only when the state bits are `s0_*`'s.
+#[derive(Clone, Copy, Debug, Default)]
+enum Held {
+    #[default]
+    Nothing,
+    /// [`Hydro::try_suggest_dt`]'s corner force: `fz`, `pipe.inv_dt` and
+    /// the projected `rhs`. The momentum solve runs again, from the warm
+    /// start the suggestion left.
+    CornerForce,
+    /// Stage 1 of a stored attempt its stage-2 verdict doomed: `fz`, and
+    /// `accel`, which is the post-solve warm start, solved in
+    /// `cg_iterations`. None of stage 1's evaluation runs again.
+    Stage1 { cg_iterations: usize },
 }
 
 /// Reusable buffers for the step hot path. Everything a timestep touches
@@ -118,6 +171,8 @@ struct StepScratch {
     eval: EvalScratch,
     /// What they read: the RK2 stage vectors.
     stage: StageVectors,
+    /// What `eval` holds of an evaluation at `stage.s0_*`.
+    held: Held,
     // Pre-step snapshot for `try_advance`'s rollback / CFL redo. The PCG
     // warm-start cache is part of it: restoring `accel_prev` with the
     // state makes a redone step bit-identical to a fault-free first try.
@@ -164,6 +219,18 @@ struct StageVectors {
     e_half: Vec<f64>,
     x_half: Vec<f64>,
     v_avg: Vec<f64>,
+}
+
+/// Whether `a` and `b` hold the same bits (`-0.0` is not `0.0`, a NaN is
+/// itself).
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Whether a CFL estimate rejects a step of `dt`: the verdict of a step
+/// attempt, at its stage-2 evaluation's CFL control.
+fn overshoots(dt_est: f64, dt: f64) -> bool {
+    dt_est < dt * 0.999
 }
 
 /// Zero-fills `v` at length `n`, reusing its heap buffer when possible.
@@ -354,6 +421,8 @@ mod tests {
     use crate::error::HydroError;
     use crate::exec::ExecMode;
     use crate::problems::{Sedov, TaylorGreen, TriplePoint};
+    use blast_kernels::k11::SpmvKernel;
+    use blast_telemetry::names::phases::{MEMCPY_D2H, MEMCPY_H2D};
     use blast_telemetry::{names, Track};
     use gpu_sim::{CpuSpec, DeviceCatalog, FaultKind, FaultPlan, GpuDevice, GpuSpec, SdcSite};
     use std::sync::Arc;
@@ -834,14 +903,14 @@ mod tests {
                 .unwrap();
             let s = hydro.initial_state();
             let ws = &mut EvalScratch::default();
-            hydro.eval_force((&s.v, &s.e, &s.x), ws).expect("no faults injected");
+            hydro.eval_force((&s.v, &s.e, &s.x), Reach::Whole, ws).expect("no faults injected");
             let transfers = [names::phases::MEMCPY_H2D, names::phases::MEMCPY_D2H];
             let gpu = hydro.exec.gpu.as_ref().unwrap();
             let on_device: Vec<_> =
                 gpu.events().iter().map(|ev| ev.name).filter(|n| !transfers.contains(n)).collect();
             let mut rec = Recording::default();
             hydro
-                .corner_force_on(&mut rec, base.then_some(255), (&s.v, &s.e, &s.x), ws)
+                .corner_force_on(&mut rec, base.then_some(255), (&s.v, &s.e, &s.x), None, ws)
                 .expect("the initial mesh is sound");
             assert_eq!(rec.log, want, "{D}D {mode} base={base}: recorder");
             assert_eq!(on_device, rec.log, "{D}D {mode} base={base}: device");
@@ -873,7 +942,8 @@ mod tests {
             ws.fz = BatchedMats::from_fn(shape.nvdof(), shape.nthermo, shape.zones, |_, _, _| {
                 f64::NAN
             });
-            let res = hydro.corner_force_on(&mut rec, base.then_some(255), (&s.v, &s.e, &s.x), ws);
+            let fields = (&s.v[..], &s.e[..], &s.x[..]);
+            let res = hydro.corner_force_on(&mut rec, base.then_some(255), fields, None, ws);
             assert!(matches!(res, Err(HydroError::NonFinite { what: "refused", .. })), "{res:?}");
             assert_eq!(rec.log, want[..at], "base={base}: refused {refused}");
             assert!(ws.fz.as_slice().iter().all(|f| f.is_nan()), "base={base}: {refused} wrote F_z");
@@ -933,7 +1003,8 @@ mod tests {
     /// Address, length and capacity of every buffer of the step scratch (a
     /// batch: address, matrix size and count), field by field.
     fn pools<const D: usize>(hydro: &Hydro<D>) -> Vec<[usize; 3]> {
-        let StepScratch { eval, stage, saved_v, saved_e, saved_x, saved_accel } = &hydro.scratch;
+        let StepScratch { eval, stage, held: _, saved_v, saved_e, saved_x, saved_accel } =
+            &hydro.scratch;
         let EvalScratch { pipe, fz, rhs, mom_local, accel, pcg, sweeps, rhs_e, de } = eval;
         let StageVectors { s0_v, s0_e, s0_x, v_half, e_half, x_half, v_avg } = stage;
         let vecs = [
@@ -1012,5 +1083,189 @@ mod tests {
             refused += 1;
         }
         assert_eq!(refused, 2 * (STORED.len() as u64 + 2), "two evaluations, two energy rates");
+    }
+
+    /// Corner forces a solver has issued, whole or ended at a verdict: host
+    /// phases, and on a device the launches that open one (kernel 1, the
+    /// `base` monolith, the sum-factorized sweep, the hybrid split).
+    fn corner_forces<const D: usize>(hydro: &Hydro<D>) -> usize {
+        let profile = hydro.phase_profile();
+        let on_host = profile.iter().filter(|p| p.0 == names::phases::CORNER_FORCE);
+        let opens = ["kernel_CalcAjugate_det", MONOLITH, SUMFAC_FORCE, names::phases::CORNER_FORCE_HYBRID];
+        let on_device = hydro.exec.gpu.as_ref().map_or(0, |g| {
+            g.kernel_summary().iter().filter(|k| opens.contains(&k.0)).map(|k| k.2).sum()
+        });
+        on_host.map(|p| p.2).sum::<usize>() + on_device
+    }
+
+    /// Calls of kernel `name` on the solver's device.
+    fn calls<const D: usize>(hydro: &Hydro<D>, name: &str) -> usize {
+        let gpu = hydro.exec.gpu.as_ref().expect("a device");
+        gpu.kernel_summary().iter().find(|k| k.0 == name).map_or(0, |k| k.2)
+    }
+
+    fn counter<const D: usize>(hydro: &Hydro<D>, name: &str) -> u64 {
+        hydro.exec.telemetry().counter(name)
+    }
+
+    const SUMFAC_FORCE: &str = "kernel_sumfac_force";
+
+    fn hybrid_exec() -> Executor {
+        let dev = Arc::new(GpuDevice::new(DeviceCatalog::gpu("k20")));
+        Executor::new(ExecMode::Hybrid { threads: 2 }, CpuSpec::e5_2670(), Some(dev))
+    }
+
+    /// A dt the 4x4 Sedov's first attempt overshoots: four suggested ones,
+    /// suggested by a twin, so the solver under test holds nothing.
+    fn overshooting_dt() -> f64 {
+        let (mut twin, state) = small_sedov_2d(cpu_exec());
+        4.0 * twin.suggest_dt(&state)
+    }
+
+    /// `try_suggest_dt` hands its corner force to the first attempt: from
+    /// the same state and warm start, a suggested solver's `try_advance`
+    /// issues exactly one corner force fewer than one restored from the
+    /// checkpoint taken after the suggestion, and ends on the same bits —
+    /// on every backend and both assemblies.
+    #[test]
+    fn the_suggested_dt_hands_its_corner_force_to_the_first_attempt() {
+        let cases: [(fn() -> Executor, AssemblyMode); 7] = [
+            (cpu_exec, AssemblyMode::Stored),
+            (|| gpu_exec(false, false), AssemblyMode::Stored),
+            (|| gpu_exec(false, true), AssemblyMode::Stored),
+            (|| gpu_exec(true, true), AssemblyMode::Stored),
+            (hybrid_exec, AssemblyMode::Stored),
+            (cpu_exec, AssemblyMode::MatrixFree),
+            (|| gpu_exec(false, true), AssemblyMode::MatrixFree),
+        ];
+        for (exec, mode) in cases {
+            let build = || {
+                Hydro::<2>::builder(&Sedov::default(), [4, 4])
+                    .executor(exec())
+                    .assembly(mode)
+                    .build()
+                    .unwrap()
+            };
+            let (mut suggested, mut restored) = (build(), build());
+            let mut s1 = suggested.initial_state();
+            let dt = suggested.try_suggest_dt(&s1).unwrap();
+            let mut store = CheckpointStore::in_memory();
+            store.write(&suggested.make_checkpoint(&s1, dt, 0, 0)).unwrap();
+            let mut s2 = restored.initial_state();
+            let mut cursor = restored.begin(&mut s2, &store).unwrap();
+            assert!(restored.rollback(&mut s2, &mut cursor, &store), "a restore holds nothing");
+            let before = [corner_forces(&suggested), corner_forces(&restored)];
+            let a1 = suggested.try_advance(&mut s1, dt).unwrap();
+            let a2 = restored.try_advance(&mut s2, cursor.dt).unwrap();
+            let issued = [corner_forces(&suggested) - before[0], corner_forces(&restored) - before[1]];
+            let what = format!("{:?} {mode}", restored.exec.mode);
+            assert_eq!(issued[0] + 1, issued[1], "{what}: corner forces {issued:?}");
+            let reused = [&suggested, &restored].map(|h| counter(h, names::counters::STAGE1_REUSED));
+            assert_eq!(reused[0], reused[1] + 1, "{what}: reused {reused:?}");
+            let image = |h: &Hydro<2>, s, a: AdvanceOutcome| h.make_checkpoint(s, a.dt_next, 1, 0).to_bytes();
+            assert!(image(&suggested, &s1, a1) == image(&restored, &s2, a2), "{what}: bits differ");
+        }
+    }
+
+    /// A doomed attempt ends at its verdict: its stage 2 runs the stress
+    /// half and kernel 4's bill, then no kernel 7 or 8, no kernel-9 sweep
+    /// and no energy kernel; the redo takes its stage 1 and runs stage 2.
+    /// So the accepted step costs what a plain step at its dt does, plus
+    /// the doomed attempt's stress half and its stage-1 energy rate.
+    #[test]
+    fn a_doomed_attempt_launches_nothing_after_its_verdict() {
+        let (mut hydro, mut state) = small_sedov_2d(gpu_exec(false, true));
+        let adv = hydro.try_advance(&mut state, overshooting_dt()).unwrap();
+        assert_eq!(adv.redos, 1, "one CFL redo");
+        assert_eq!(counter(&hydro, names::counters::CFL_VERDICTS), 1);
+        assert_eq!(counter(&hydro, names::counters::STAGE1_REUSED), 1);
+        let (mut plain, mut s) = small_sedov_2d(gpu_exec(false, true));
+        plain.try_step(&mut s, adv.outcome.dt_used).unwrap();
+        assert_eq!(s, state, "the same step");
+        let stress_half = &STORED[..7];
+        for k in stress_half {
+            let per_evaluation = stress_half.iter().filter(|&n| n == k).count();
+            assert_eq!(calls(&hydro, k), calls(&plain, k) + per_evaluation, "{k}");
+        }
+        // Stage 1's energy rate (kernels 10, 11 and its transfer back) ran
+        // before the verdict; stage 2 shipped its state and stopped there.
+        let (energy, moved) = (["kernel_dgemvt", SpmvKernel::NAME], [MEMCPY_H2D, MEMCPY_D2H]);
+        for k in energy.into_iter().chain(moved) {
+            assert_eq!(calls(&hydro, k), calls(&plain, k) + 1, "{k}");
+        }
+        let k9 = blast_kernels::k9::LAUNCH_NAMES.into_iter().filter(|k| !energy.contains(k));
+        for k in [K7, K8].into_iter().chain(k9) {
+            assert_eq!(calls(&hydro, k), calls(&plain, k), "{k}");
+        }
+        let solves = |h: &Hydro<2>| counter(h, names::counters::PCG_SOLVES);
+        assert_eq!(solves(&hydro), solves(&plain));
+    }
+
+    /// Public `try_step` keeps its contract: it completes and commits a step
+    /// that overshoots its CFL bound, and ends no attempt at a verdict.
+    #[test]
+    fn a_public_step_still_commits_an_overshoot() {
+        let (mut hydro, mut state) = small_sedov_2d(cpu_exec());
+        let dt = overshooting_dt();
+        let out = hydro.try_step(&mut state, dt).unwrap();
+        assert!(out.dt_est < 0.999 * dt, "{} overshoots {dt}", out.dt_est);
+        assert_eq!(state.t, dt, "committed");
+        assert_eq!(counter(&hydro, names::counters::CFL_VERDICTS), 0);
+        assert_eq!(corner_forces(&hydro), 2);
+    }
+
+    /// A rollback redo never reuses: not after an injected fault that
+    /// consumed the suggestion, not after a failed audit of a step whose
+    /// stage 1 was the suggestion's, and not after an ABFT violation in the
+    /// stage 1 of an attempt its verdict doomed — whose same-dt redo
+    /// evaluates stage 1 again and hands that one to its CFL redo. Each
+    /// ends on the bits of a fault-free twin.
+    #[test]
+    fn a_rollback_redo_never_reuses() {
+        let twin = |dt: f64| {
+            let (mut hydro, mut state) = small_sedov_2d(cpu_exec());
+            hydro.try_advance(&mut state, dt).unwrap();
+            state
+        };
+        // A fault that fires before any work consumes what is held.
+        let (mut hydro, mut state) = small_sedov_2d(cpu_exec());
+        let dt = 0.5 * hydro.suggest_dt(&state);
+        hydro.inject_step_faults(1);
+        let adv = hydro.try_advance(&mut state, dt).unwrap();
+        assert_eq!((adv.redos, adv.outcome.dt_used), (1, 0.5 * dt));
+        assert_eq!(counter(&hydro, names::counters::STAGE1_REUSED), 0);
+        assert_eq!(corner_forces(&hydro), 1 + 2, "the suggestion, then both stages");
+        assert_eq!(state, twin(0.5 * dt));
+
+        // A committed flip fails the audit; the same-dt redo evaluates.
+        let flip = SdcFault { site: SdcSite::HostState, at_step: 1, bit: 62, lane: 1, persistent: false };
+        let mut hydro = Hydro::<2>::builder(&Sedov::default(), [4, 4])
+            .sdc_plan(gpu_sim::SdcPlan::none().with_flip_at(flip))
+            .audit(AuditConfig::default())
+            .build()
+            .unwrap();
+        let mut state = hydro.initial_state();
+        let dt = 0.5 * hydro.suggest_dt(&state);
+        let adv = hydro.try_advance(&mut state, dt).unwrap();
+        assert_eq!(adv.redos, 1);
+        assert_eq!(counter(&hydro, names::counters::STAGE1_REUSED), 1, "the first attempt only");
+        assert_eq!(corner_forces(&hydro), 1 + 1 + 2);
+        assert_eq!(state, twin(dt));
+
+        // A GEMM-panel flip in stage 1 of a doomed attempt outranks its verdict.
+        let dt = overshooting_dt();
+        let mut hydro = Hydro::<2>::builder(&Sedov::default(), [4, 4])
+            .audit(AuditConfig::default().abft(true))
+            .build()
+            .unwrap();
+        let flip = SdcFault { site: SdcSite::GemmPanel, at_step: 1, bit: 55, lane: 0, persistent: false };
+        hydro.arm_sdc_fault(flip);
+        let mut state = hydro.initial_state();
+        let adv = hydro.try_advance(&mut state, dt).unwrap();
+        assert_eq!(adv.redos, 2, "the corruption redo, then the CFL redo");
+        assert_eq!(hydro.executor().resilience_report(0).corruptions_detected, 1);
+        assert_eq!(counter(&hydro, names::counters::CFL_VERDICTS), 1);
+        assert_eq!(counter(&hydro, names::counters::STAGE1_REUSED), 1, "the CFL redo only");
+        assert_eq!(state, twin(dt));
     }
 }

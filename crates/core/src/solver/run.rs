@@ -6,8 +6,10 @@ use blast_la::{Abft, AbftViolation};
 use blast_telemetry::{names, Track};
 use gpu_sim::{apply_flip, SdcSite, Traffic, FAULT_SEED_ENV};
 
+use super::force::Assembly;
 use super::{
-    AdvanceOutcome, Hydro, RunStats, StageVectors, StepOutcome, StepScratch, MAX_STEP_REDOS,
+    overshoots, same_bits, AdvanceOutcome, Held, Hydro, Reach, RunStats, StageVectors,
+    StepOutcome, StepScratch, MAX_STEP_REDOS,
 };
 use crate::audit::{AuditConfig, StepAuditor, COMPRESSION_SLACK, RANGE_SLACK, SYMMETRY_TOL};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, LoadedCheckpoint};
@@ -324,11 +326,20 @@ impl<const D: usize> Hydro<D> {
         self.try_suggest_dt(state).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`Self::suggest_dt`].
+    /// Fallible variant of [`Self::suggest_dt`]. The evaluation is left in
+    /// the scratch: the next attempt, when it starts from these very state
+    /// bits, runs no corner force of its own for stage 1 (DESIGN §8).
     pub fn try_suggest_dt(&mut self, state: &HydroState) -> Result<f64, HydroError> {
         self.lend_scratch(|hydro, ws| {
-            let ev = hydro.eval_force((&state.v, &state.e, &state.x), &mut ws.eval)?;
-            Ok(hydro.cfl / ev.max_inv_dt.max(1e-300))
+            let StepScratch { eval, stage, held, .. } = ws;
+            *held = Held::Nothing;
+            stage.s0_v.clone_from(&state.v);
+            stage.s0_e.clone_from(&state.e);
+            stage.s0_x.clone_from(&state.x);
+            let s0 = (&stage.s0_v[..], &stage.s0_e[..], &stage.s0_x[..]);
+            let ev = hydro.eval_force(s0, Reach::Whole, eval)?;
+            *held = Held::CornerForce;
+            Ok(hydro.dt_est(ev.cfl.max_inv_dt))
         })
     }
 
@@ -355,15 +366,29 @@ impl<const D: usize> Hydro<D> {
     /// Fallible variant of [`Self::step`]. On error, `state` is left
     /// exactly as it was — all failures surface before the state vectors
     /// are written — so the caller can roll back by simply retrying with a
-    /// smaller dt (which is what [`Self::run`] does).
+    /// smaller dt (which is what [`Self::run`] does). A step that overshoots
+    /// its CFL bound is completed and committed all the same: only
+    /// [`Self::try_advance`] stops an attempt at its verdict.
+    pub fn try_step(&mut self, state: &mut HydroState, dt: f64) -> Result<StepOutcome, HydroError> {
+        self.attempt(state, dt, false)
+    }
+
+    /// One step attempt. With `verdict`, an attempt whose stage-2 CFL
+    /// control overshoots `dt` ends at that verdict with `state` untouched,
+    /// returning the estimate as its `dt_est` (DESIGN §8).
     ///
     /// Every attempt is wrapped in a `step` telemetry span on the host
     /// track, so the four phase spans it bills nest underneath it in the
     /// exported trace. The span closes on both success and error paths.
-    pub fn try_step(&mut self, state: &mut HydroState, dt: f64) -> Result<StepOutcome, HydroError> {
+    fn attempt(
+        &mut self,
+        state: &mut HydroState,
+        dt: f64,
+        verdict: bool,
+    ) -> Result<StepOutcome, HydroError> {
         let tel = self.exec.telemetry().clone();
         tel.begin(Track::Host, names::phases::STEP, self.exec.host.now());
-        let res = self.try_step_inner(state, dt);
+        let res = self.try_step_inner(state, dt, verdict);
         tel.end(Track::Host, self.exec.host.now());
         let Some(abft) = &self.abft else { return res };
         // A GEMM-panel flip armed for this attempt either landed inside
@@ -395,8 +420,12 @@ impl<const D: usize> Hydro<D> {
         &mut self,
         state: &mut HydroState,
         dt: f64,
+        verdict: bool,
     ) -> Result<StepOutcome, HydroError> {
         assert!(dt > 0.0, "dt must be positive");
+        // What the scratch holds serves this attempt or none.
+        let held = self.scratch.held;
+        self.scratch.held = Held::Nothing;
         if self.step_fault_budget > 0 {
             // Injected step fault: fires before any work, so the state is
             // trivially untouched and the failure rolls back cleanly.
@@ -418,29 +447,55 @@ impl<const D: usize> Hydro<D> {
             abft.arm_flip(panel, f.lane, f.bit.min(55));
             self.sdc_gemm_armed = true;
         }
-        self.lend_scratch(|hydro, ws| hydro.rk2_average(state, dt, attempt, ws))
+        self.lend_scratch(|hydro, ws| hydro.rk2_average(state, dt, attempt, verdict, held, ws))
     }
 
     /// The two RK2-average stages of [`Self::try_step`]: each reads its
     /// stage vectors and writes the force / energy buffers beside them, in
-    /// place, so a failure anywhere is a plain return.
+    /// place, so a failure anywhere is a plain return. Stage 1 runs what
+    /// `held` does not already hold of it; with `verdict`, stage 2 ends the
+    /// attempt at a CFL verdict that dooms it, leaving stage 1 held when a
+    /// stored evaluation kept it.
     fn rk2_average(
         &mut self,
         state: &mut HydroState,
         dt: f64,
         attempt: u64,
+        verdict: bool,
+        held: Held,
         ws: &mut StepScratch,
     ) -> Result<StepOutcome, HydroError> {
-        let StepScratch { eval, stage, .. } = ws;
+        let StepScratch { eval, stage, held: keep, .. } = ws;
         let StageVectors { s0_v, s0_e, s0_x, v_half, e_half, x_half, v_avg } = stage;
         let vlen = D * self.kin.num_dofs();
+        let same_state = || {
+            same_bits(s0_v, &state.v) && same_bits(s0_e, &state.e) && same_bits(s0_x, &state.x)
+        };
+        let held = match held {
+            Held::CornerForce | Held::Stage1 { .. } if same_state() => held,
+            _ => Held::Nothing,
+        };
         s0_v.clone_from(&state.v);
         s0_e.clone_from(&state.e);
         s0_x.clone_from(&state.x);
         let t0 = state.t;
 
-        // -- Stage 1: evaluate at S0, advance to the midpoint.
-        let ev1 = self.eval_force((s0_v, s0_e, s0_x), eval)?;
+        // -- Stage 1: evaluate at S0 (or take what is held of it), advance
+        // to the midpoint.
+        let s0 = (&s0_v[..], &s0_e[..], &s0_x[..]);
+        let cg1 = match held {
+            Held::Nothing => self.eval_force(s0, Reach::Whole, eval)?.cg_iterations,
+            Held::CornerForce => self.eval_force(s0, Reach::Tail, eval)?.cg_iterations,
+            // The doomed attempt's acceleration is the warm start its stage
+            // 2 would have solved from.
+            Held::Stage1 { cg_iterations } => {
+                self.accel_prev.copy_from_slice(&eval.accel);
+                cg_iterations
+            }
+        };
+        if !matches!(held, Held::Nothing) {
+            self.exec.telemetry().counter_add(names::counters::STAGE1_REUSED, 1);
+        }
         v_half.clone_from(s0_v);
         blast_la::dense::axpy(0.5 * dt, &eval.accel, v_half);
         self.energy_rate(v_half, eval)?;
@@ -451,7 +506,23 @@ impl<const D: usize> Hydro<D> {
 
         // -- Stage 2: evaluate at the midpoint, take the full step with the
         // averaged velocity (v0 + v_new)/2 = v0 + dt/2 * accel2.
-        let ev2 = self.eval_force((v_half, e_half, x_half), eval)?;
+        let reach = if verdict { Reach::UnlessOvershoot(dt) } else { Reach::Whole };
+        let ev2 = self.eval_force((v_half, e_half, x_half), reach, eval)?;
+        let dt_est = self.dt_est(ev2.cfl.max_inv_dt);
+        if ev2.cfl.doomed {
+            // Stage 1's GEMMs are the attempt's only ones: a checksum
+            // violation in them outranks the verdict, and voids stage 1.
+            if let Some(v) = self.abft.as_ref().and_then(Abft::take_violation) {
+                return Err(self.abft_corruption(v));
+            }
+            self.exec.telemetry().counter_add(names::counters::CFL_VERDICTS, 1);
+            // Stored, the verdict came before kernel 7: `F_z` and `accel`
+            // are still stage 1's. Matrix-free, the sweep overwrote `D_z`.
+            if matches!(self.assembly, Assembly::Stored { .. }) {
+                *keep = Held::Stage1 { cg_iterations: cg1 };
+            }
+            return Ok(StepOutcome { dt_used: dt, dt_est, cg_iterations: cg1 });
+        }
         // SdcSite::DeviceBuffer: a strike on the device-resident
         // acceleration buffer, before it propagates into v, e, and x.
         self.strike(SdcSite::DeviceBuffer, attempt, [&mut eval.accel]);
@@ -488,8 +559,7 @@ impl<const D: usize> Hydro<D> {
         let traffic = integration_traffic(2 * vlen + state.e.len());
         self.host_phase(names::phases::INTEGRATION, &traffic, CG_CPU_EFF, pstate, || ());
 
-        let dt_est = self.cfl / ev2.max_inv_dt.max(1e-300);
-        let cg_iterations = ev1.cg_iterations + ev2.cg_iterations;
+        let cg_iterations = cg1 + ev2.cg_iterations;
         Ok(StepOutcome { dt_used: dt, dt_est, cg_iterations })
     }
 
@@ -671,7 +741,9 @@ impl<const D: usize> Hydro<D> {
     /// the same dt, a recoverable failure at half dt (after auditing the
     /// restored state when an audit is pending), each on the
     /// [`MAX_STEP_REDOS`] budget; a CFL overshoot redoes at 85 % of the
-    /// estimate on a budget of its own. Every corruption seen is reported.
+    /// estimate on a budget of its own. While that budget lasts, an attempt
+    /// ends at its stage-2 CFL verdict, and the redo starts from the stage 1
+    /// it left behind. Every corruption seen is reported.
     /// Device faults that fire during a redo attempt are threaded into the
     /// executor's resilience ledger (`redo_faults`). On error the state is
     /// never a mid-rollback intermediate: it is the pre-step state, or the
@@ -701,7 +773,7 @@ impl<const D: usize> Hydro<D> {
             // step so faults injected *during the redo* are accounted.
             let pre_injected = (redos > 0)
                 .then(|| self.exec.gpu.as_ref().map(|g| g.fault_stats().injected).unwrap_or(0));
-            let res = self.try_step(state, dt);
+            let res = self.attempt(state, dt, cfl_redos < MAX_CFL_REDOS);
             if let Some(before) = pre_injected {
                 let after = self.exec.gpu.as_ref().map(|g| g.fault_stats().injected).unwrap_or(0);
                 if after > before {
@@ -710,7 +782,7 @@ impl<const D: usize> Hydro<D> {
             }
             // `Ok((dt, budget, corruption seen, halved))` redoes, `Err` fails.
             let rung = match res {
-                Ok(out) if out.dt_est < dt * 0.999 && cfl_redos < MAX_CFL_REDOS => {
+                Ok(out) if overshoots(out.dt_est, dt) && cfl_redos < MAX_CFL_REDOS => {
                     Ok((0.85 * out.dt_est, &mut cfl_redos, None, false))
                 }
                 // A failed audit keeps the cadence armed, so the same-dt
@@ -791,6 +863,7 @@ impl<const D: usize> Hydro<D> {
         );
         *state = ck.state;
         self.accel_prev.copy_from_slice(&ck.accel_prev);
+        self.scratch.held = Held::Nothing;
         // The restored state's energy differs from the last audited
         // point's; re-baseline from the (trusted) restored state.
         if let Some(aud) = &mut self.audit {

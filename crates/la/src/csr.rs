@@ -15,7 +15,9 @@ pub struct CsrMatrix {
     cols: usize,
     /// Row pointers, length `rows + 1`.
     row_ptr: Vec<usize>,
-    /// Column indices, sorted within each row.
+    /// Column indices, sorted within each row; every one `< cols`
+    /// ([`CsrBuilder::build`], the one constructor, checks), which the
+    /// unchecked reads of the lock-step sweep rely on.
     col_idx: Vec<usize>,
     /// Nonzero values, parallel to `col_idx`.
     values: Vec<f64>,
@@ -170,7 +172,9 @@ impl CsrBuilder {
     }
 
     /// Assembles into CSR, merging duplicates and sorting columns per row.
+    /// Panics on a triplet outside the `rows x cols` shape.
     pub fn build(mut self) -> CsrMatrix {
+        let (rows, cols) = (self.rows, self.cols);
         self.triplets.sort_unstable_by_key(|t| (t.0, t.1));
         let mut row_ptr = vec![0usize; self.rows + 1];
         let mut col_idx = Vec::with_capacity(self.triplets.len());
@@ -186,6 +190,7 @@ impl CsrBuilder {
                     break;
                 }
             }
+            assert!(i < rows && j < cols, "CsrBuilder: triplet ({i}, {j}) outside {rows} x {cols}");
             col_idx.push(j);
             values.push(v);
             row_ptr[i + 1] += 1;
@@ -300,5 +305,13 @@ mod tests {
         let a = b.build();
         assert_eq!(a.col_idx(), &[0, 2, 4]);
         assert_eq!(a.values(), &[2.0, 3.0, 1.0]);
+    }
+
+    /// `build` refuses an index outside the shape in every build profile:
+    /// the lock-step sweep reads `x` at the column indices unchecked.
+    #[test]
+    #[should_panic(expected = "outside 2 x 2")]
+    fn a_column_outside_the_shape_is_refused() {
+        CsrBuilder { rows: 2, cols: 2, triplets: vec![(0, 2, 1.0)] }.build();
     }
 }

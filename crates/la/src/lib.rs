@@ -57,23 +57,6 @@ pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * scale
 }
 
-/// Maximum entrywise discrepancy between two equal-length slices,
-/// `max_i |a_i − b_i| / max(|a_i|, |b_i|, 1)`.
-///
-/// The denominator is floored at 1, so on entries below unit magnitude this
-/// is an *absolute* difference, not a relative one: a relative error of
-/// 1e-8 on a field of size 0.1 reads 1e-9. Compare fields whose scale is
-/// far from 1 normwise instead (`max |a − b| / max |a|`, as the
-/// equivalence lattice does). Panics if the lengths differ; returns 0.0
-/// for empty slices.
-pub fn max_rel_diff(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "slice length mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x - y).abs() / x.abs().max(y.abs()).max(1.0))
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,18 +71,5 @@ mod tests {
     fn approx_eq_relative_for_large_values() {
         assert!(approx_eq(1e12, 1e12 + 0.5, 1e-12));
         assert!(!approx_eq(1e12, 1.001e12, 1e-12));
-    }
-
-    #[test]
-    fn max_rel_diff_reports_worst_entry() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [1.0, 2.0, 3.3];
-        let d = max_rel_diff(&a, &b);
-        assert!((d - 0.3 / 3.3).abs() < 1e-12, "d = {d}");
-    }
-
-    #[test]
-    fn max_rel_diff_empty_is_zero() {
-        assert_eq!(max_rel_diff(&[], &[]), 0.0);
     }
 }

@@ -69,6 +69,12 @@ pub mod counters {
     pub const STEPS: &str = "steps";
     /// Steps redone after rollback (fault or CFL violation).
     pub const STEP_REDOS: &str = "step_redos";
+    /// Step attempts whose stage 1 took what the step scratch held of it (the
+    /// suggested dt's corner force, or a doomed attempt's stage 1) instead of
+    /// evaluating it again.
+    pub const STAGE1_REUSED: &str = "stage1_reused";
+    /// Step attempts ended at their stage-2 CFL verdict, before kernel 7.
+    pub const CFL_VERDICTS: &str = "cfl_verdicts";
     /// Total PCG iterations across all momentum solves.
     pub const PCG_ITERATIONS: &str = "pcg_iterations";
     /// PCG solves started.

