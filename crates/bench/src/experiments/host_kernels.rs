@@ -9,9 +9,9 @@
 //! the stored force evaluation — the host bodies of kernels 3 and 4 —
 //! against their point-by-point `reference` oracles, with flops from the
 //! kernels' own `traffic()` and each rate also given as a fraction of the
-//! best GEMM rate of the same run (the ceiling next door; it uses
-//! FMA where the host has it, which kernels 3 and 4 forgo to stay
-//! bit-identical across ISA levels). The `az_fz` block times kernels 4 and
+//! best GEMM rate of the same run (the ceiling next door; it fuses each
+//! multiply-add, which kernels 3 and 4 forgo to stay bit-identical to
+//! their references). The `az_fz` block times kernels 4 and
 //! 7 as the solver runs them — one zone loop, each `A_z` multiplied while
 //! it is in cache (`FzKernel::compute_fused`) — against the two batch
 //! passes that store the whole `A_z` batch and read it back, in ns per

@@ -15,7 +15,7 @@
 //! typed [`Cell`]s and named [`Gate`]s, the paper relations its numbers must
 //! keep. `render_text` and [`render_json`] are both derived from it, so a
 //! quantity is listed once. The JSON header is stamped here: `schema`,
-//! `experiment`, `smoke`, `fma_active`, `git_rev`, `machine`, `gates`; each
+//! `experiment`, `smoke`, `git_rev`, `machine`, `gates`; each
 //! block follows under its own name. `render_paper_json` stamps the same
 //! header over several experiments, each a member holding its blocks.
 //!
@@ -31,11 +31,10 @@ use std::time::Instant;
 use blast_telemetry::chrome::{escape_into, parse_json, Json};
 
 /// Version of the artifact layout written by [`render_json`].
-const SCHEMA: u32 = 1;
+const SCHEMA: u32 = 2;
 
 /// Keys [`render_json`] stamps before the blocks.
-const HEADER_KEYS: [&str; 7] =
-    ["schema", "experiment", "smoke", "fma_active", "git_rev", "machine", "gates"];
+const HEADER_KEYS: [&str; 6] = ["schema", "experiment", "smoke", "git_rev", "machine", "gates"];
 
 /// How long [`time_interleaved`] measures.
 #[derive(Clone, Copy, Debug)]
@@ -302,9 +301,8 @@ fn render_text(exp: &Experiment, smoke: bool, report: &Report) -> String {
     }
     let _ = writeln!(
         out,
-        "{experiment}: {} budget; FMA clones {}{}.",
+        "{experiment}: {} budget{}.",
         if smoke { "smoke" } else { "full" },
-        if fma_active() { "on" } else { "off" },
         if exp.simulated { "" } else { WALL_CLOCK },
     );
     for g in &report.gates {
@@ -354,12 +352,6 @@ fn num_text(x: f64) -> String {
     } else {
         format!("{x:.3e}")
     }
-}
-
-/// Whether the FMA clones of `blast_la` are in use (its ULP-bounded regime;
-/// `tile` and `stream` share the one level).
-fn fma_active() -> bool {
-    blast_la::tile::fma_active()
 }
 
 fn json_str(out: &mut String, s: &str) {
@@ -453,9 +445,6 @@ fn header(experiment: &str, smoke: bool, gates: &[(String, &Gate)]) -> String {
     json_str(out, experiment);
     member(out, "smoke", "");
     out.push_str(&smoke.to_string());
-    member(out, "fma_active", "");
-    // One value under the two names the committed artifacts carry.
-    json_object(out, &[Cell::new("tile", fma_active()), Cell::new("stream", fma_active())]);
     member(out, "git_rev", "");
     json_str(out, &git_rev());
     member(out, "machine", "");
@@ -743,8 +732,8 @@ mod tests {
         let err =
             parse_artifact("{\"experiment\": \"host_kernels\", \"smoke\": true}").unwrap_err();
         assert!(err.contains("schema"), "{err}");
-        let newer =
-            render_json("demo", true, &Report::default()).replace("\"schema\": 1", "\"schema\": 2");
+        let newer = render_json("demo", true, &Report::default())
+            .replace(&format!("\"schema\": {SCHEMA}"), &format!("\"schema\": {}", SCHEMA + 1));
         assert!(parse_artifact(&newer).unwrap_err().contains("schema"));
         assert!(parse_artifact("{").is_err());
     }
@@ -763,7 +752,7 @@ mod tests {
         assert_eq!(json_num(1234.5678), "1234.57");
         assert_eq!(json_num(f64::INFINITY), "null");
         // Only a wall-clock experiment says how its times were taken.
-        assert!(text.contains("demo: smoke budget; FMA clones") && text.contains(WALL_CLOCK));
+        assert!(text.contains("demo: smoke budget") && text.contains(WALL_CLOCK));
         let modeled =
             render_text(&Experiment { simulated: true, ..wall }, true, &sample_report(true));
         assert!(!modeled.contains(WALL_CLOCK));

@@ -210,7 +210,7 @@ pub fn backward(
 
 /// The transforms as `dim` column-major GEMMs through the general tiled core
 /// ([`blast_la::tile::gemm`]) — the chain [`forward`] and [`backward`]
-/// replaced, kept as their bitwise oracle in either regime.
+/// replaced, kept as their bitwise oracle.
 pub mod reference {
     use blast_la::tile::{self, Op};
 
@@ -440,7 +440,7 @@ mod tests {
     }
 
     /// `n` values over several magnitudes, about one in five an exact `0.0`
-    /// or `-0.0`, so the scalar regime's zero-skip fires on either sign.
+    /// or `-0.0`.
     fn signed_zero_mix(n: usize, seed: u64) -> Vec<f64> {
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         (0..n)
@@ -462,34 +462,15 @@ mod tests {
     }
 
     /// The factor tables a transform sweep runs against at `order`: the
-    /// kinematic and thermodynamic tables, and each again with exact zeros
-    /// of both signs written into the value and derivative tables (the B
-    /// operand of every stage after the first) — the first basis function's
-    /// column entirely, so a backward `beta` stage leaves a `-0.0` output
-    /// where every term is skipped and turns it to `+0.0` where one is not.
-    fn sweep_factors(order: usize) -> Vec<(String, Factors1d)> {
+    /// kinematic and the thermodynamic ones.
+    fn sweep_factors(order: usize) -> [(String, Factors1d); 2] {
         let pts = gauss_legendre(quad_points_1d(order)).0;
-        let mut out = Vec::new();
-        for (what, basis) in [("kin", Basis1d::h1(order)), ("thermo", Basis1d::l2(order - 1))] {
-            let f = Factors1d::tabulate(&basis, &pts);
-            let mut zeroed = f.clone();
-            for (i, (b, g)) in zeroed.b.iter_mut().zip(&mut zeroed.g).enumerate() {
-                match i % 5 {
-                    _ if i < f.m1 => (*b, *g) = (0.0, -0.0),
-                    1 => *b = 0.0,
-                    3 => *g = -0.0,
-                    4 => (*b, *g) = (-0.0, 0.0),
-                    _ => {}
-                }
-            }
-            out.push((format!("Q{order} {what}"), f));
-            out.push((format!("Q{order} {what}, zeroed tables"), zeroed));
-        }
-        out
+        [("kin", Basis1d::h1(order)), ("thermo", Basis1d::l2(order - 1))]
+            .map(|(what, basis)| (format!("Q{order} {what}"), Factors1d::tabulate(&basis, &pts)))
     }
 
     /// The fixed-shape forward transform is the `tile::gemm` chain bit for
-    /// bit, in the process's regime: dim 2 and 3, orders 1–5 (order 5 runs
+    /// bit at the process's level: dim 2 and 3, orders 1–5 (order 5 runs
     /// the runtime-size instance), kinematic and thermodynamic factors,
     /// every derivative axis, inputs seeded with exact zeros — one block
     /// per call, and two blocks in one call.

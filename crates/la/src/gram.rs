@@ -12,8 +12,7 @@
 //! an accumulator that starts at `+0.0` never becomes `-0.0` (a sum is
 //! `-0.0` only when both addends are), and `x + ±0.0 == x` for every other
 //! `x`. No lane holds a partial sum of another entry, so every clone of the
-//! body — scalar, AVX2, AVX-512 — gives the same bits; the body ignores
-//! `FMA`.
+//! body — scalar, AVX2, AVX-512 — gives the same bits.
 
 use crate::dense::DMatrix;
 use crate::simd::fma_clones;
@@ -90,7 +89,7 @@ fn tile(rpanel: &[[f64; W]], cpanel: &[[f64; W]], w: &[f64]) -> Tile {
 /// held in registers over the whole reduction, then written out through
 /// constant-trip loops with a skip for the padding.
 #[inline(always)]
-fn gram_body<const FMA: bool>(n: usize, npts: usize, panels: &[[f64; W]], w: &[f64], g: &mut [f64]) {
+fn gram_body(n: usize, npts: usize, panels: &[[f64; W]], w: &[f64], g: &mut [f64]) {
     for (jb, cpanel) in panels.chunks_exact(npts).enumerate() {
         for (ib, rpanel) in panels.chunks_exact(npts).enumerate() {
             let acc = tile(rpanel, cpanel, w);

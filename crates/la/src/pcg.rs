@@ -51,7 +51,7 @@ pub trait LinearOperator {
     }
     /// Scalar-reference apply for the [`pcg_solve_ws_reference`] oracle.
     /// Defaults to [`apply`](Self::apply); [`CsrMatrix`] pins it to the
-    /// serial `spmv_into`.
+    /// serial `stream::reference::spmv`.
     fn apply_reference(&mut self, x: &[f64], y: &mut [f64]) {
         self.apply(x, y);
     }
@@ -88,7 +88,7 @@ impl LinearOperator for &CsrMatrix {
         stream::spmv_dot(self, x, y)
     }
     fn apply_reference(&mut self, x: &[f64], y: &mut [f64]) {
-        self.spmv_into(x, y);
+        stream::reference::spmv(self, x, y);
     }
 }
 
@@ -575,9 +575,8 @@ fn each<const D: usize>(live: [bool; D]) -> impl Iterator<Item = usize> {
 }
 
 /// Scalar serial oracle solver: the original pre-fusion loop built from
-/// `stream::reference` ops (two-rounding, serial, same fixed block grid).
-/// The property tests pin [`pcg_solve_ws`] against this — bitwise on hosts
-/// without FMA clones, ULP-bounded with them.
+/// `stream::reference` ops (serial, same fixed block grid and block bodies).
+/// The property tests pin [`pcg_solve_ws`] against this, bit for bit.
 pub fn pcg_solve_ws_reference<Op: LinearOperator>(
     op: &mut Op,
     precond: &DiagPrecond,

@@ -3,16 +3,15 @@
 //! [`crate::stream`] and [`crate::gram`] are the clients here; `blast_kernels::isa` reads the
 //! same [`level`] for its FMA-free clones.
 //!
-//! A kernel is a plain safe `#[inline(always)]` body whose first const
-//! parameter is `FMA`; `fma_clones!` re-compiles it under
-//! `#[target_feature]` with wider vectors and `FMA = true`, and emits the
-//! function that picks a clone by [`level`]. Vector width is throughput
-//! only; `FMA` is the one semantic difference between the clones
-//! (`fmadd`), so a process runs in exactly one of two regimes
-//! ([`fma_active`]): bitwise-equal to the scalar references, or
-//! ULP-bounded-close to them. The one body with no portable build,
-//! `tile::gemm`'s zmm register tile, is compiled by `avx512_clone!` for
-//! level 2 only; it runs the FMA clones' chain, so it adds no regime.
+//! A kernel is a plain safe `#[inline(always)]` body; `fma_clones!`
+//! re-compiles it under `#[target_feature]` with wider vectors and emits
+//! the function that picks a clone by [`level`]. Every clone runs the same
+//! arithmetic: a multiply-add is always the one fused rounding of `fmadd`,
+//! so vector width is throughput only and every level, on every host, gives
+//! the same bits. At level 0 on x86-64 the fused step has no `fma`
+//! instruction to lower to and is a libm call, which is slower but exact.
+//! The one body with no portable build, `tile::gemm`'s zmm register tile,
+//! is compiled by `avx512_clone!` for level 2 only; it runs the same chain.
 
 /// `detected` lowered by the `BLAST_SIMD` value `cap`: a decimal level caps,
 /// anything else (unset, not a number, negative) leaves `detected` alone,
@@ -23,9 +22,9 @@ fn capped(detected: u8, cap: Option<&str>) -> u8 {
 
 /// The level the clones run at, detected once per process: 2 with `fma`,
 /// `avx2`, `avx512f` and `avx512vl`, 1 with `fma` and `avx2`, else 0 (the
-/// baseline build of the bodies, `FMA = false`). So level 1 or more implies
-/// `avx2`, and level 2 implies `avx512f`. `BLAST_SIMD=0|1|2` caps it, for
-/// diagnostics and for running the scalar regime's tests on an FMA host.
+/// baseline build of the bodies). So level 1 or more implies `avx2`, and
+/// level 2 implies `avx512f`. `BLAST_SIMD=0|1|2` caps it, for diagnostics
+/// and for running the narrower clones' tests on a wider host.
 /// `blast_kernels` runs its (FMA-free) clones at this level too, so the cap
 /// holds for every clone in the process.
 #[inline]
@@ -53,31 +52,18 @@ pub fn level() -> u8 {
     })
 }
 
-/// Whether the fused-multiply-add clones are in use in this process — i.e.
-/// whether `tile` and `stream` results are ULP-close to their scalar
-/// references (`dense::naive`, `stream::reference`) instead of bitwise
-/// identical.
-pub fn fma_active() -> bool {
-    level() >= 1
-}
-
-/// The one scalar update both regimes are built from: `acc + a*b` with two
-/// roundings (the reference semantics), or a single fused rounding. `FMA`
-/// is `true` only inside the clones whose `target_feature` includes `fma`,
-/// so `mul_add` never lowers to a libm call.
+/// The one multiply-add step of every clone: `acc + a*b` with a single
+/// rounding. Inside a clone whose `target_feature` includes `fma` it is one
+/// instruction; in the baseline build it is libm's correctly rounded `fma`.
 #[inline(always)]
-pub(crate) fn fmadd<const FMA: bool>(acc: f64, a: f64, b: f64) -> f64 {
-    if FMA {
-        a.mul_add(b, acc)
-    } else {
-        acc + a * b
-    }
+pub(crate) fn fmadd(acc: f64, a: f64, b: f64) -> f64 {
+    a.mul_add(b, acc)
 }
 
 /// `fn name<consts..> = body(args..) -> ret` defines `name`, which runs the
-/// `#[inline(always)]` `body::<FMA, consts..>` as compiled for [`level`]:
-/// the `avx512f,avx512vl,fma` clone at 2, the `avx2,fma` clone at 1 (both
-/// `FMA = true`), the baseline build with `FMA = false` at 0.
+/// `#[inline(always)]` `body::<consts..>` as compiled for [`level`]: the
+/// `avx512f,avx512vl,fma` clone at 2, the `avx2,fma` clone at 1, the
+/// baseline build at 0.
 ///
 /// `fn name<consts..>(level) = body(args..) -> ret` takes the level as a
 /// leading `level: u8` argument instead, so a test can run every clone up
@@ -95,12 +81,12 @@ macro_rules! fma_clones {
                 // SAFETY: a safe body; the caller checks the features.
                 #[target_feature(enable = "avx2,fma")]
                 unsafe fn avx2 $(<$(const $g: $gt),+>)? ($($arg: $ty),*) $(-> $ret)? {
-                    $body::<true $($(, $g)+)?>($($arg),*)
+                    $body $(::<$($g),+>)? ($($arg),*)
                 }
                 // SAFETY: a safe body; the caller checks the features.
                 #[target_feature(enable = "avx512f,avx512vl,fma")]
                 unsafe fn avx512 $(<$(const $g: $gt),+>)? ($($arg: $ty),*) $(-> $ret)? {
-                    $body::<true $($(, $g)+)?>($($arg),*)
+                    $body $(::<$($g),+>)? ($($arg),*)
                 }
                 match $lv {
                     0 => {}
@@ -114,7 +100,7 @@ macro_rules! fma_clones {
                     _ => return unsafe { avx512 $(::<$($g),+>)? ($($arg),*) },
                 }
             }
-            $body::<false $($(, $g)+)?>($($arg),*)
+            $body $(::<$($g),+>)? ($($arg),*)
         }
     };
     ($(#[$doc:meta])* fn $name:ident $(<$($g:ident : $gt:ty),+>)? ($level:ident) =

@@ -39,7 +39,7 @@
 //! multiply staged zeros and are dropped, and each component keeps its own
 //! 8 dot lanes and its own 64 block partials. So per component the sweep
 //! equals `spmv_constrained_dot` bit for bit, at every thread count and
-//! in both regimes below — which is what lets the lock-step PCG
+//! every SIMD level — which is what lets the lock-step PCG
 //! (`pcg::pcg_solve_on`) replace `d` scalar solves without moving a digest.
 //!
 //! # Determinism contract
@@ -59,12 +59,10 @@
 //! * the fused and launch-per-op loops (`PcgOptions::fused`) produce
 //!   **bitwise-identical** solver trajectories, on the pool or serially,
 //!   so the choice never shows in the determinism digests;
-//! * against the scalar [`reference`](mod@reference) oracle there are two regimes, the
-//!   ones `tile.rs` has, chosen by the level both modules share
-//!   (`crate::simd`): at level 0 the kernels perform the reference's
-//!   two-rounding updates and match **bitwise**; with the AVX2 / AVX-512
-//!   FMA clones active ([`fma_active`]) each update is one fused rounding
-//!   and results are ULP-bounded-close instead.
+//! * every multiply-add is one fused rounding (`simd::fmadd`) at every SIMD
+//!   level, as in `tile.rs`, so every level gives the same bits, and the
+//!   serial [`reference`](mod@reference) oracle, which runs the same block
+//!   bodies, matches **bitwise**.
 //!
 //! Steady state performs **zero heap allocations**: per-block partials live
 //! in a stack `[AtomicU64; 64]`, and the pool's `for_each` drive is
@@ -76,7 +74,6 @@ use rayon::{prelude::*, Producer};
 
 use crate::csr::CsrMatrix;
 use crate::dense::nrm2_scaled;
-pub use crate::simd::fma_active;
 use crate::simd::{fma_clones, fmadd};
 
 /// Reduction block grid: same cap as the pool's `MAX_BLOCKS`, so each chunk
@@ -176,40 +173,40 @@ impl Partials {
 }
 
 // ---------------------------------------------------------------------------
-// Block bodies: one const-generic scalar body per kernel; `fma_clones!`
-// below turns `x_body` into the `x` that runs it at the level.
+// Block bodies: one scalar body per kernel; `fma_clones!` below turns
+// `x_body` into the `x` that runs it at the level.
 // ---------------------------------------------------------------------------
 
 /// Block dot product with the fixed lane structure.
 #[inline(always)]
-fn dot_block_body<const FMA: bool>(x: &[f64], y: &[f64]) -> f64 {
+fn dot_block_body(x: &[f64], y: &[f64]) -> f64 {
     let mut lanes = [0.0f64; LANES];
     let mut xs = x.chunks_exact(LANES);
     let mut ys = y.chunks_exact(LANES);
     for (xv, yv) in (&mut xs).zip(&mut ys) {
         for ((l, &a), &b) in lanes.iter_mut().zip(xv).zip(yv) {
-            *l = fmadd::<FMA>(*l, a, b);
+            *l = fmadd(*l, a, b);
         }
     }
     let mut tail = 0.0;
     for (&a, &b) in xs.remainder().iter().zip(ys.remainder()) {
-        tail = fmadd::<FMA>(tail, a, b);
+        tail = fmadd(tail, a, b);
     }
     fold_lanes(lanes, tail)
 }
 
 /// Block `y += alpha * x`.
 #[inline(always)]
-fn axpy_block_body<const FMA: bool>(alpha: f64, x: &[f64], y: &mut [f64]) {
+fn axpy_block_body(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = fmadd::<FMA>(*yi, alpha, xi);
+        *yi = fmadd(*yi, alpha, xi);
     }
 }
 
 /// Fused block `x += alpha*p; r += malpha*ap; return sum(r_new^2)` — the
 /// squared-norm lanes see exactly the values and grouping `dot(r, r)` would.
 #[inline(always)]
-fn axpy2_nrm2_block_body<const FMA: bool>(
+fn axpy2_nrm2_block_body(
     alpha: f64,
     malpha: f64,
     p: &[f64],
@@ -224,22 +221,22 @@ fn axpy2_nrm2_block_body<const FMA: bool>(
     let mut rs = r.chunks_exact_mut(LANES);
     for (((pv, apv), xv), rv) in (&mut ps).zip(&mut aps).zip(&mut xs).zip(&mut rs) {
         for (xi, &pi) in xv.iter_mut().zip(pv) {
-            *xi = fmadd::<FMA>(*xi, alpha, pi);
+            *xi = fmadd(*xi, alpha, pi);
         }
         for (ri, &api) in rv.iter_mut().zip(apv) {
-            *ri = fmadd::<FMA>(*ri, malpha, api);
+            *ri = fmadd(*ri, malpha, api);
         }
         for (l, &ri) in lanes.iter_mut().zip(rv.iter()) {
-            *l = fmadd::<FMA>(*l, ri, ri);
+            *l = fmadd(*l, ri, ri);
         }
     }
     let mut tail = 0.0;
     let (pr, apr) = (ps.remainder(), aps.remainder());
     let it = xs.into_remainder().iter_mut().zip(rs.into_remainder()).zip(pr).zip(apr);
     for (((xi, ri), &pi), &api) in it {
-        *xi = fmadd::<FMA>(*xi, alpha, pi);
-        *ri = fmadd::<FMA>(*ri, malpha, api);
-        tail = fmadd::<FMA>(tail, *ri, *ri);
+        *xi = fmadd(*xi, alpha, pi);
+        *ri = fmadd(*ri, malpha, api);
+        tail = fmadd(tail, *ri, *ri);
     }
     fold_lanes(lanes, tail)
 }
@@ -248,18 +245,18 @@ fn axpy2_nrm2_block_body<const FMA: bool>(
 /// single-rounding multiply the Jacobi apply stores, fed to the same dot
 /// lanes — bitwise-equal to apply-then-dot.
 #[inline(always)]
-fn rz_block_body<const FMA: bool>(minv: &[f64], r: &[f64]) -> f64 {
+fn rz_block_body(minv: &[f64], r: &[f64]) -> f64 {
     let mut lanes = [0.0f64; LANES];
     let mut ms = minv.chunks_exact(LANES);
     let mut rs = r.chunks_exact(LANES);
     for (mv, rv) in (&mut ms).zip(&mut rs) {
         for ((l, &mi), &ri) in lanes.iter_mut().zip(mv).zip(rv) {
-            *l = fmadd::<FMA>(*l, ri, mi * ri);
+            *l = fmadd(*l, ri, mi * ri);
         }
     }
     let mut tail = 0.0;
     for (&mi, &ri) in ms.remainder().iter().zip(rs.remainder()) {
-        tail = fmadd::<FMA>(tail, ri, mi * ri);
+        tail = fmadd(tail, ri, mi * ri);
     }
     fold_lanes(lanes, tail)
 }
@@ -267,24 +264,24 @@ fn rz_block_body<const FMA: bool>(minv: &[f64], r: &[f64]) -> f64 {
 /// Block direction update `p = z + beta*p` with `z` recomputed from `minv`
 /// and `r`.
 #[inline(always)]
-fn dir_update_block_body<const FMA: bool>(minv: &[f64], r: &[f64], beta: f64, p: &mut [f64]) {
+fn dir_update_block_body(minv: &[f64], r: &[f64], beta: f64, p: &mut [f64]) {
     for ((pi, &mi), &ri) in p.iter_mut().zip(minv).zip(r) {
-        *pi = fmadd::<FMA>(mi * ri, beta, *pi);
+        *pi = fmadd(mi * ri, beta, *pi);
     }
 }
 
 /// Block direction update `p = z + beta*p` from a stored `z` (unfused leg).
 #[inline(always)]
-fn dir_update_z_block_body<const FMA: bool>(z: &[f64], beta: f64, p: &mut [f64]) {
+fn dir_update_z_block_body(z: &[f64], beta: f64, p: &mut [f64]) {
     for (pi, &zi) in p.iter_mut().zip(z) {
-        *pi = fmadd::<FMA>(zi, beta, *pi);
+        *pi = fmadd(zi, beta, *pi);
     }
 }
 
-/// Block CSR row sweep: `y[lo..] = A[lo.., :] x`. Non-FMA matches
-/// `CsrMatrix::spmv_into` bitwise (same ascending-k accumulation).
+/// Block CSR row sweep: `y[lo..] = A[lo.., :] x`, each row one fused
+/// ascending-`k` chain.
 #[inline(always)]
-fn spmv_rows_body<const FMA: bool>(
+fn spmv_rows_body(
     row_ptr: &[usize],
     col_idx: &[usize],
     values: &[f64],
@@ -296,7 +293,7 @@ fn spmv_rows_body<const FMA: bool>(
         let (start, end) = (row_ptr[lo + i], row_ptr[lo + i + 1]);
         let mut acc = 0.0;
         for (&v, &c) in values[start..end].iter().zip(&col_idx[start..end]) {
-            acc = fmadd::<FMA>(acc, v, x[c]);
+            acc = fmadd(acc, v, x[c]);
         }
         *yi = acc;
     }
@@ -307,16 +304,16 @@ fn spmv_rows_body<const FMA: bool>(
 /// last, so element `j` of the block lands in lane `j % 8` and the block's
 /// last `len % 8` in `tail` — [`dot_block_body`]'s grouping.
 #[inline(always)]
-fn fold_group<const FMA: bool>(x: &[f64], y: &[f64], lanes: &mut [f64; LANES], tail: &mut f64) {
+fn fold_group(x: &[f64], y: &[f64], lanes: &mut [f64; LANES], tail: &mut f64) {
     let mut xc = x.chunks_exact(LANES);
     let mut yc = y.chunks_exact(LANES);
     for (xg, yg) in (&mut xc).zip(&mut yc) {
         for ((l, &a), &b) in lanes.iter_mut().zip(xg).zip(yg) {
-            *l = fmadd::<FMA>(*l, a, b);
+            *l = fmadd(*l, a, b);
         }
     }
     for (&a, &b) in xc.remainder().iter().zip(yc.remainder()) {
-        *tail = fmadd::<FMA>(*tail, a, b);
+        *tail = fmadd(*tail, a, b);
     }
 }
 
@@ -328,7 +325,7 @@ fn fold_group<const FMA: bool>(x: &[f64], y: &[f64], lanes: &mut [f64; LANES], t
 /// [`dot_block_body`] applies to the finished block, so the fusion is
 /// bitwise-invisible.
 #[inline(always)]
-fn spmv_rows_dot_body<const FMA: bool>(
+fn spmv_rows_dot_body(
     row_ptr: &[usize],
     col_idx: &[usize],
     values: &[f64],
@@ -350,8 +347,8 @@ fn spmv_rows_dot_body<const FMA: bool>(
     let mut s = 0;
     while s < len {
         let e = (s + SUB).min(len);
-        spmv_rows_body::<FMA>(row_ptr, col_idx, values, lo + s, x, &mut y[s..e]);
-        fold_group::<FMA>(&x[lo + s..lo + e], &y[s..e], &mut lanes, &mut tail);
+        spmv_rows_body(row_ptr, col_idx, values, lo + s, x, &mut y[s..e]);
+        fold_group(&x[lo + s..lo + e], &y[s..e], &mut lanes, &mut tail);
         s = e;
     }
     fold_lanes(lanes, tail)
@@ -369,7 +366,7 @@ fn spmv_rows_dot_body<const FMA: bool>(
 /// `c`'s dot lanes with [`spmv_rows_dot_body`]'s grouping (row `j` of the
 /// block → lane `j mod 8`, tail first). Returns the `D` block partials.
 #[inline(always)]
-fn wide_rows_dot_body<const FMA: bool, const D: usize, const W: usize>(
+fn wide_rows_dot_body<const D: usize, const W: usize>(
     row_ptr: &[usize],
     col_idx: &[usize],
     values: &[f64],
@@ -396,7 +393,7 @@ fn wide_rows_dot_body<const FMA: bool, const D: usize, const W: usize>(
                 // one caller (`constrained_wide`) asserts `xw.len() == cols`.
                 let xc = unsafe { xw.get_unchecked(col) };
                 for (a, &xl) in acc.iter_mut().zip(xc) {
-                    *a = fmadd::<FMA>(*a, v, xl);
+                    *a = fmadd(*a, v, xl);
                 }
             }
             *out = acc;
@@ -408,7 +405,7 @@ fn wide_rows_dot_body<const FMA: bool, const D: usize, const W: usize>(
             for (((yi, row), &xi), &fixed) in yv.iter_mut().zip(&stage).zip(xv).zip(mv) {
                 *yi = if fixed { xi } else { row[c] };
             }
-            fold_group::<FMA>(xv, yv, &mut lanes[c], &mut tail[c]);
+            fold_group(xv, yv, &mut lanes[c], &mut tail[c]);
         }
         s = e;
     }
@@ -800,7 +797,7 @@ pub fn precond_dot_update(minv: &[f64], r: &[f64], rz_prev: Option<f64>, p: &mut
 }
 
 /// Direction update `p = z + beta*p` from a stored `z` (the unfused leg;
-/// same FMA regime as the fused [`precond_dot_update`] phase B).
+/// the same fused step as [`precond_dot_update`]'s phase B).
 pub fn update_direction(beta: f64, z: &[f64], p: &mut [f64]) {
     assert_eq!(z.len(), p.len(), "stream::update_direction length mismatch");
     let bl = block_len(z.len());
@@ -808,11 +805,10 @@ pub fn update_direction(beta: f64, z: &[f64], p: &mut [f64]) {
     walk(sweep_on_pool(2, z.len()), blocks, |(pv, zv)| dir_update_z_block(zv, beta, pv));
 }
 
-/// Scalar serial oracle: the same block grid and lane structure as the
-/// dispatched kernels, instantiated with `FMA = false` and driven serially —
-/// the `dense::naive`-style reference the property tests pin against.
-/// Bitwise-equal to the dispatched ops on hosts without FMA clones
-/// ([`fma_active`]` == false`), ULP-bounded-close otherwise.
+/// Scalar serial oracle: the same block grid, lane structure and block
+/// bodies as the dispatched kernels, in the baseline build and driven
+/// serially — the reference the property tests pin against, bitwise-equal
+/// to the dispatched ops at every level.
 pub mod reference {
     use super::*;
 
@@ -824,9 +820,7 @@ pub mod reference {
             return 0.0;
         }
         let bl = block_len(n);
-        x.chunks(bl)
-            .zip(y.chunks(bl))
-            .fold(0.0, |acc, (xv, yv)| acc + dot_block_body::<false>(xv, yv))
+        x.chunks(bl).zip(y.chunks(bl)).fold(0.0, |acc, (xv, yv)| acc + dot_block_body(xv, yv))
     }
 
     /// Reference squared norm.
@@ -836,7 +830,7 @@ pub mod reference {
             return 0.0;
         }
         let bl = block_len(n);
-        x.chunks(bl).fold(0.0, |acc, xv| acc + dot_block_body::<false>(xv, xv))
+        x.chunks(bl).fold(0.0, |acc, xv| acc + dot_block_body(xv, xv))
     }
 
     /// Reference overflow-safe norm.
@@ -844,13 +838,13 @@ pub mod reference {
         nrm2_from_sumsq(nrm2_sq(x), x)
     }
 
-    /// Reference `y += alpha * x` (identical to `dense::axpy`).
+    /// Reference `y += alpha * x`, each update one fused rounding.
     pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), y.len(), "reference axpy length mismatch");
-        axpy_block_body::<false>(alpha, x, y);
+        axpy_block_body(alpha, x, y);
     }
 
-    /// Reference fused pair update (serial, two-rounding).
+    /// Reference fused pair update (serial).
     pub fn axpy2_nrm2(alpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f64]) -> f64 {
         let n = p.len();
         if n == 0 {
@@ -860,11 +854,11 @@ pub mod reference {
         let malpha = -alpha;
         let it = x.chunks_mut(bl).zip(r.chunks_mut(bl)).zip(p.chunks(bl)).zip(ap.chunks(bl));
         it.fold(0.0, |acc, (((xv, rv), pv), apv)| {
-            acc + axpy2_nrm2_block_body::<false>(alpha, malpha, pv, apv, xv, rv)
+            acc + axpy2_nrm2_block_body(alpha, malpha, pv, apv, xv, rv)
         })
     }
 
-    /// Reference fused precondition + dot + update (serial, two-rounding).
+    /// Reference fused precondition + dot + update (serial).
     pub fn precond_dot_update(minv: &[f64], r: &[f64], rz_prev: Option<f64>, p: &mut [f64]) -> f64 {
         let n = r.len();
         if n == 0 {
@@ -874,7 +868,7 @@ pub mod reference {
         let rz = minv
             .chunks(bl)
             .zip(r.chunks(bl))
-            .fold(0.0, |acc, (mv, rv)| acc + rz_block_body::<false>(mv, rv));
+            .fold(0.0, |acc, (mv, rv)| acc + rz_block_body(mv, rv));
         match rz_prev {
             None => {
                 for ((pi, &mi), &ri) in p.iter_mut().zip(minv).zip(r) {
@@ -883,7 +877,7 @@ pub mod reference {
             }
             Some(prev) => {
                 let beta = rz / prev;
-                dir_update_block_body::<false>(minv, r, beta, p);
+                dir_update_block_body(minv, r, beta, p);
             }
         }
         rz
@@ -892,17 +886,19 @@ pub mod reference {
     /// Reference direction update from a stored `z`.
     pub fn update_direction(beta: f64, z: &[f64], p: &mut [f64]) {
         assert_eq!(z.len(), p.len(), "reference update_direction length mismatch");
-        dir_update_z_block_body::<false>(z, beta, p);
+        dir_update_z_block_body(z, beta, p);
     }
 
-    /// Reference SpMV (identical to `CsrMatrix::spmv_into`).
+    /// Reference SpMV: the row body over every row in one serial sweep.
     pub fn spmv(a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-        a.spmv_into(x, y);
+        assert_eq!(x.len(), a.cols(), "reference spmv x length mismatch");
+        assert_eq!(y.len(), a.rows(), "reference spmv y length mismatch");
+        spmv_rows_body(a.row_ptr(), a.col_idx(), a.values(), 0, x, y);
     }
 
     /// Reference SpMV + dot as two serial sweeps.
     pub fn spmv_dot(a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> f64 {
-        a.spmv_into(x, y);
+        spmv(a, x, y);
         dot(x, y)
     }
 }
@@ -942,19 +938,14 @@ mod tests {
             let (x, y) = vecs(n);
             let fused = dot(&x, &y);
             let oracle = reference::dot(&x, &y);
-            if fma_active() {
-                let tol = 1e-13 * oracle.abs().max(1.0);
-                assert!((fused - oracle).abs() <= tol, "n={n}: {fused} vs {oracle}");
-            } else {
-                assert_eq!(fused.to_bits(), oracle.to_bits(), "n={n}");
-            }
+            assert_eq!(fused.to_bits(), oracle.to_bits(), "n={n}");
         }
     }
 
     #[test]
     fn spmv_dot_equals_spmv_then_dot_bitwise() {
         // Fused vs unfused *dispatched* paths share every rounding: equal
-        // bits in both regimes.
+        // bits.
         for &n in &[1usize, 7, 64, 65, 500] {
             let a = banded(n, 3.min(n.saturating_sub(1)).max(1));
             let (x, _) = vecs(n);
@@ -1117,7 +1108,7 @@ mod tests {
     #[test]
     fn constrained_wide_equals_scalar_constrained_dot_bitwise() {
         // One row sweep for `d` components vs `d` scalar sweeps, both
-        // dispatched: every component shares every rounding, in both regimes.
+        // dispatched: every component shares every rounding.
         for d in 1..=4usize {
             for &n in &[1usize, 7, 63, 64, 65, 500, 4097] {
                 let a = banded(n, 5.min(n - 1));
@@ -1152,15 +1143,8 @@ mod tests {
                         oracle[i] = x_c[i];
                     }
                     let dot = reference::dot(x_c, &oracle);
-                    let y_c = &y[c * n..(c + 1) * n];
-                    if fma_active() {
-                        let tol = |v: f64| 1e-13 * v.abs().max(1.0);
-                        assert!((dots[c] - dot).abs() <= tol(dot), "n={n} d={d} c={c}");
-                        assert!(y_c.iter().zip(&oracle).all(|(u, v)| (u - v).abs() <= tol(*v)));
-                    } else {
-                        assert_eq!(dots[c].to_bits(), dot.to_bits(), "n={n} d={d} c={c}");
-                        assert_eq!(y_c, oracle, "n={n} d={d} c={c}");
-                    }
+                    assert_eq!(dots[c].to_bits(), dot.to_bits(), "n={n} d={d} c={c}");
+                    assert_eq!(y[c * n..(c + 1) * n], oracle, "n={n} d={d} c={c}");
                 }
             }
         }

@@ -17,10 +17,8 @@
 //! Every element is the tile core's accumulation chain, so a transform is
 //! bitwise the `tile::gemm` chain it replaced (`blast_fem::sumfac::reference`):
 //! `beta` is applied as the core's `load_acc` applies it, the contraction
-//! index ascends, each step is `simd::fmadd`, and in the scalar regime (level 0)
-//! a term is skipped exactly when the stage's **B** operand entry is `0.0`.
-//! B is the data in the first stage of either direction and the factor
-//! table in every other stage.
+//! index ascends, and each step is the one fused `simd::fmadd`, at every
+//! level.
 
 use crate::simd::{fma_clones, fmadd};
 
@@ -41,7 +39,7 @@ pub fn stage_len(dim: usize, n1: usize, m1: usize, batch: usize) -> usize {
 /// `a`'s column `p` at `a[p·lda..]`: all `R` rows as one register block, or
 /// at `R = 0` (the runtime-size instance) `rows` rows in blocks of 8.
 #[inline(always)]
-fn contract<const FMA: bool, const R: usize>(
+fn contract<const R: usize>(
     rows: usize,
     cols: usize,
     k: usize,
@@ -55,10 +53,10 @@ fn contract<const FMA: bool, const R: usize>(
     if R == 0 {
         for i0 in (0..rows).step_by(8) {
             let w = (rows - i0).min(8);
-            block::<FMA, 8>(w, cols, k, &a[i0..], lda, &b, beta, &mut c[i0..], ldc);
+            block::<8>(w, cols, k, &a[i0..], lda, &b, beta, &mut c[i0..], ldc);
         }
     } else {
-        block::<FMA, R>(R, cols, k, a, lda, &b, beta, c, ldc);
+        block::<R>(R, cols, k, a, lda, &b, beta, c, ldc);
     }
 }
 
@@ -66,7 +64,7 @@ fn contract<const FMA: bool, const R: usize>(
 /// compiler keeps in registers; past `w` its lanes read zeros and are never
 /// stored. Each element runs the tile core's chain (see the module docs).
 #[inline(always)]
-fn block<const FMA: bool, const W: usize>(
+fn block<const W: usize>(
     w: usize,
     cols: usize,
     k: usize,
@@ -92,11 +90,9 @@ fn block<const FMA: bool, const W: usize>(
         });
         for p in 0..k {
             let bpj = b(p, j);
-            if FMA || bpj != 0.0 {
-                let ap = &a[p * lda..][..w];
-                for (i, x) in acc.iter_mut().enumerate() {
-                    *x = fmadd::<FMA>(*x, lane(ap, i), bpj);
-                }
+            let ap = &a[p * lda..][..w];
+            for (i, x) in acc.iter_mut().enumerate() {
+                *x = fmadd(*x, lane(ap, i), bpj);
             }
         }
         for (x, &v) in cj.iter_mut().zip(&acc) {
@@ -119,7 +115,7 @@ fn sizes<const N1: usize, const M1: usize>(n1: usize, m1: usize) -> (usize, usiz
 /// → point values (`m1^dim` each), one stage per axis over every block,
 /// every stage `m1` rows at a time.
 #[inline(always)]
-fn forward_body<const FMA: bool, const N1: usize, const M1: usize>(
+fn forward_body<const N1: usize, const M1: usize>(
     n1: usize,
     m1: usize,
     axes: &[&[f64]],
@@ -137,11 +133,11 @@ fn forward_body<const FMA: bool, const N1: usize, const M1: usize>(
         2 => {
             let t1 = &mut t[..m1 * n1 * batch];
             // (q0, j1) = F0 · U, with U viewed as n1 x n1 per block.
-            contract::<FMA, M1>(m1, n1 * batch, n1, f(0), m1, |p, j| u[p + j * n1], 0.0, t1, m1);
+            contract::<M1>(m1, n1 * batch, n1, f(0), m1, |p, j| u[p + j * n1], 0.0, t1, m1);
             // (q0, q1) = T1 · F1^T.
             let f1 = f(1);
             for (s1, o) in t1.chunks_exact(m1 * n1).zip(out.chunks_exact_mut(m1 * m1)) {
-                contract::<FMA, M1>(m1, m1, n1, s1, m1, |p, j| f1[j + p * m1], 0.0, o, m1);
+                contract::<M1>(m1, m1, n1, s1, m1, |p, j| f1[j + p * m1], 0.0, o, m1);
             }
         }
         3 => {
@@ -149,11 +145,11 @@ fn forward_body<const FMA: bool, const N1: usize, const M1: usize>(
             let (t1, t2) = (&mut t1[..m1 * n1 * n1 * batch], &mut t2[..m1 * m1 * n1 * batch]);
             // (q0, j1, j2) = F0 · U, with U viewed as n1 x n1^2 per block.
             let cols = n1 * n1 * batch;
-            contract::<FMA, M1>(m1, cols, n1, f(0), m1, |p, j| u[p + j * n1], 0.0, t1, m1);
+            contract::<M1>(m1, cols, n1, f(0), m1, |p, j| u[p + j * n1], 0.0, t1, m1);
             // (q0, q1, j2): one m1 x n1 slab per j2, times F1^T.
             let f1 = f(1);
             for (s1, s2) in t1.chunks_exact(m1 * n1).zip(t2.chunks_exact_mut(m1 * m1)) {
-                contract::<FMA, M1>(m1, m1, n1, s1, m1, |p, j| f1[j + p * m1], 0.0, s2, m1);
+                contract::<M1>(m1, m1, n1, s1, m1, |p, j| f1[j + p * m1], 0.0, s2, m1);
             }
             // (q0 q1, q2) = T2 · F2^T, with T2 viewed as m1^2 x n1: one
             // block of m1 rows per q1.
@@ -162,7 +158,7 @@ fn forward_body<const FMA: bool, const N1: usize, const M1: usize>(
                 for q1 in 0..m1 {
                     let (a, c) = (&t2[q1 * m1..], &mut o[q1 * m1..]);
                     let b = |p, j| f2[j + p * m1];
-                    contract::<FMA, M1>(m1, m1, n1, a, m1 * m1, b, 0.0, c, m1 * m1);
+                    contract::<M1>(m1, m1, n1, a, m1 * m1, b, 0.0, c, m1 * m1);
                 }
             }
         }
@@ -175,7 +171,7 @@ fn forward_body<const FMA: bool, const N1: usize, const M1: usize>(
 /// stage `n1` rows at a time; the first stage reads `F0^T` from a
 /// transposed copy so its columns are contiguous (a copy is exact).
 #[inline(always)]
-fn backward_body<const FMA: bool, const N1: usize, const M1: usize>(
+fn backward_body<const N1: usize, const M1: usize>(
     n1: usize,
     m1: usize,
     axes: &[&[f64]],
@@ -200,11 +196,11 @@ fn backward_body<const FMA: bool, const N1: usize, const M1: usize>(
         2 => {
             let t1 = &mut t[..n1 * m1 * batch];
             // (j0, q1) = F0^T · Q, with Q viewed as m1 x m1 per block.
-            contract::<FMA, N1>(n1, m1 * batch, m1, f0t, n1, |p, j| q[p + j * m1], 0.0, t1, n1);
+            contract::<N1>(n1, m1 * batch, m1, f0t, n1, |p, j| q[p + j * m1], 0.0, t1, n1);
             // (j0, j1) = T1 · F1 (+ beta * out).
             let f1 = f(1);
             for (s1, o) in t1.chunks_exact(n1 * m1).zip(out.chunks_exact_mut(n1 * n1)) {
-                contract::<FMA, N1>(n1, n1, m1, s1, n1, |p, j| f1[p + j * m1], beta, o, n1);
+                contract::<N1>(n1, n1, m1, s1, n1, |p, j| f1[p + j * m1], beta, o, n1);
             }
         }
         3 => {
@@ -212,11 +208,11 @@ fn backward_body<const FMA: bool, const N1: usize, const M1: usize>(
             let (t1, t2) = (&mut t1[..n1 * m1 * m1 * batch], &mut t2[..n1 * n1 * m1 * batch]);
             // (j0, q1, q2) = F0^T · Q, with Q viewed as m1 x m1^2 per block.
             let cols = m1 * m1 * batch;
-            contract::<FMA, N1>(n1, cols, m1, f0t, n1, |p, j| q[p + j * m1], 0.0, t1, n1);
+            contract::<N1>(n1, cols, m1, f0t, n1, |p, j| q[p + j * m1], 0.0, t1, n1);
             // (j0, j1, q2): one n1 x m1 slab per q2, times F1.
             let f1 = f(1);
             for (s1, s2) in t1.chunks_exact(n1 * m1).zip(t2.chunks_exact_mut(n1 * n1)) {
-                contract::<FMA, N1>(n1, n1, m1, s1, n1, |p, j| f1[p + j * m1], 0.0, s2, n1);
+                contract::<N1>(n1, n1, m1, s1, n1, |p, j| f1[p + j * m1], 0.0, s2, n1);
             }
             // (j0 j1, j2) = T2 · F2 (+ beta * out), T2 viewed as n1^2 x m1:
             // one block of n1 rows per j1.
@@ -225,7 +221,7 @@ fn backward_body<const FMA: bool, const N1: usize, const M1: usize>(
                 for j1 in 0..n1 {
                     let (a, c) = (&t2[j1 * n1..], &mut o[j1 * n1..]);
                     let b = |p, j| f2[p + j * m1];
-                    contract::<FMA, N1>(n1, n1, m1, a, n1 * n1, b, beta, c, n1 * n1);
+                    contract::<N1>(n1, n1, m1, a, n1 * n1, b, beta, c, n1 * n1);
                 }
             }
         }

@@ -30,25 +30,21 @@
 //! thread-count determinism guarantee (`tests/golden_lattice.rs`) does
 //! not depend on either.
 //!
-//! Relative to the naive reference ([`crate::dense::naive`]) there are
-//! two regimes, selected once per process by the level (`crate::simd`,
-//! shared with [`crate::stream`]; [`fma_active`] reads it):
-//!
-//! * **Scalar baseline** (level 0): the update is the reference's
-//!   exact two-rounding `c += (alpha*b[p,j]) * a[i,p]`, including its
-//!   skip of terms whose folded B entry is exactly `0.0` — NN/NT results
-//!   are *bitwise identical* to the reference.
-//! * **Wide clones** (AVX2+FMA or AVX-512+FMA): the update is a single
-//!   fused multiply-add (one rounding) and the zero-skip is dropped, so
-//!   results are ULP-bounded-close to the reference rather than equal.
-//!   Still fully deterministic: the same host always produces the same
-//!   bits at any thread count.
-//!
-//! The TN variant additionally trades the reference's dot-product
-//! accumulation for the same axpy order as NN/NT, so it is ULP-close to
-//! its naive counterpart in both regimes.
+//! Every update is one fused multiply-add (`simd::fmadd`) at every SIMD
+//! level, so every clone of the generic body, the zmm tile included, gives
+//! the same bits on every host. Relative to the naive reference
+//! ([`crate::dense::naive`], which rounds twice and skips terms whose
+//! folded B entry is exactly `0.0`) results are ULP-bounded-close, not
+//! equal. The TN variant additionally trades the reference's dot-product
+//! accumulation for the same axpy order as NN/NT.
 
-pub use crate::simd::fma_active;
+/// Whether `blast_la`'s kernels fuse their multiply-adds: always, at every
+/// SIMD level. Kept as a constant for the benchmark's run stamp, which
+/// records it; nothing in the library branches on it.
+pub const fn fma_active() -> bool {
+    true
+}
+
 use crate::simd::{avx512_clone, fma_clones, fmadd};
 
 /// Operand orientation for [`gemm`].
@@ -118,6 +114,24 @@ pub fn gemm_generic(
     beta: f64,
     c: &mut [f64],
 ) {
+    generic_at(crate::simd::level(), m, n, k, alpha, a, op_a, b, op_b, beta, c);
+}
+
+/// [`gemm_generic`] through the clone of `level` (at most `simd::level()`).
+#[allow(clippy::too_many_arguments)]
+fn generic_at(
+    level: u8,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    op_a: Op,
+    b: &[f64],
+    op_b: Op,
+    beta: f64,
+    c: &mut [f64],
+) {
     assert!(!(op_a == Op::T && op_b == Op::T), "gemm: A^T * B^T is not supported");
     if m == 0 || n == 0 {
         return;
@@ -127,9 +141,9 @@ pub fn gemm_generic(
         return;
     }
     match (op_a, op_b) {
-        (Op::N, Op::N) => direct::<false, false>(m, n, k, alpha, a, b, beta, c),
-        (Op::N, Op::T) => direct::<false, true>(m, n, k, alpha, a, b, beta, c),
-        (Op::T, _) => direct::<true, false>(m, n, k, alpha, a, b, beta, c),
+        (Op::N, Op::N) => direct::<false, false>(level, m, n, k, alpha, a, b, beta, c),
+        (Op::N, Op::T) => direct::<false, true>(level, m, n, k, alpha, a, b, beta, c),
+        (Op::T, _) => direct::<true, false>(level, m, n, k, alpha, a, b, beta, c),
     }
 }
 
@@ -197,7 +211,7 @@ fn store_acc(
 /// block instead of once per rank-1 update.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tile_full<const W: usize, const AT: bool, const BT: bool, const FMA: bool>(
+fn tile_full<const W: usize, const AT: bool, const BT: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -234,11 +248,7 @@ fn tile_full<const W: usize, const AT: bool, const BT: bool, const FMA: bool>(
             *<&[f64; MR]>::try_from(&a[p * m + i0..][..MR]).expect("full tile")
         };
         // Fold alpha into the B row up front (`1.0 * x == x` bitwise, so
-        // the alpha == 1 fast path changes nothing), then hoist the naive
-        // reference's zero short-circuit: one predictable branch per row
-        // instead of one per column keeps the common all-nonzero body
-        // branchless. Skipping only fires on folded entries that are
-        // exactly 0.0, exactly as the reference skips them.
+        // the alpha == 1 fast path changes nothing).
         let bv: [f64; W] = core::array::from_fn(|jr| {
             let bpj = if BT { b[(j0 + jr) + p * n] } else { b[p + (j0 + jr) * k] };
             if alpha == 1.0 {
@@ -247,19 +257,9 @@ fn tile_full<const W: usize, const AT: bool, const BT: bool, const FMA: bool>(
                 alpha * bpj
             }
         });
-        if FMA || bv.iter().all(|&x| x != 0.0) {
-            for (accj, &bpj) in acc.iter_mut().zip(&bv) {
-                for (cv, &avv) in accj.iter_mut().zip(&av) {
-                    *cv = fmadd::<FMA>(*cv, avv, bpj);
-                }
-            }
-        } else {
-            for (accj, &bpj) in acc.iter_mut().zip(&bv) {
-                if bpj != 0.0 {
-                    for (cv, &avv) in accj.iter_mut().zip(&av) {
-                        *cv = fmadd::<FMA>(*cv, avv, bpj);
-                    }
-                }
+        for (accj, &bpj) in acc.iter_mut().zip(&bv) {
+            for (cv, &avv) in accj.iter_mut().zip(&av) {
+                *cv = fmadd(*cv, avv, bpj);
             }
         }
     }
@@ -273,7 +273,7 @@ fn tile_full<const W: usize, const AT: bool, const BT: bool, const FMA: bool>(
 /// are skipped, so only the valid lanes are ever written back).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tile_edge<const AT: bool, const BT: bool, const FMA: bool>(
+fn tile_edge<const AT: bool, const BT: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -305,10 +305,8 @@ fn tile_edge<const AT: bool, const BT: bool, const FMA: bool>(
         }
         for (jr, accj) in acc.iter_mut().enumerate().take(nr_eff) {
             let bpj = alpha * if BT { b[(j0 + jr) + p * n] } else { b[p + (j0 + jr) * k] };
-            if FMA || bpj != 0.0 {
-                for (cv, &avv) in accj.iter_mut().zip(&av) {
-                    *cv = fmadd::<FMA>(*cv, avv, bpj);
-                }
+            for (cv, &avv) in accj.iter_mut().zip(&av) {
+                *cv = fmadd(*cv, avv, bpj);
             }
         }
     }
@@ -316,9 +314,9 @@ fn tile_edge<const AT: bool, const BT: bool, const FMA: bool>(
 }
 
 fma_clones! {
-    /// [`direct_body`] at the level: every clone runs the same loop nest in the
-    /// same order, so results depend on the regime (`FMA`), never on the width.
-    fn direct<AT: bool, BT: bool> = direct_body(
+    /// [`direct_body`] as compiled for `level`: every clone runs the same
+    /// loop nest in the same order, so results never depend on the width.
+    fn direct<AT: bool, BT: bool>(level) = direct_body(
         m: usize, n: usize, k: usize, alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64],
     )
 }
@@ -328,7 +326,7 @@ fma_clones! {
 /// over `(m, n)`, operands read in place through the transpose flags.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn direct_body<const FMA: bool, const AT: bool, const BT: bool>(
+fn direct_body<const AT: bool, const BT: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -348,11 +346,11 @@ fn direct_body<const FMA: bool, const AT: bool, const BT: bool>(
         while j0 < n_full {
             let mut i0 = 0;
             while i0 < m_full {
-                tile_full::<NR, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
+                tile_full::<NR, AT, BT>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
                 i0 += MR;
             }
             if i0 < m {
-                tile_edge::<AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
+                tile_edge::<AT, BT>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
             }
             j0 += NR;
         }
@@ -363,13 +361,11 @@ fn direct_body<const FMA: bool, const AT: bool, const BT: bool>(
             let nr_eff = n - j0;
             let mut i0 = 0;
             while i0 < m_full {
-                jedge_full::<AT, BT, FMA>(
-                    m, n, k, i0, j0, p0, kc, nr_eff, alpha, a, b, beta, first, c,
-                );
+                jedge_full::<AT, BT>(m, n, k, i0, j0, p0, kc, nr_eff, alpha, a, b, beta, first, c);
                 i0 += MR;
             }
             if i0 < m {
-                tile_edge::<AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
+                tile_edge::<AT, BT>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c);
             }
         }
         p0 += kc;
@@ -381,7 +377,7 @@ fn direct_body<const FMA: bool, const AT: bool, const BT: bool>(
 /// matching const-width instantiation of [`tile_full`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn jedge_full<const AT: bool, const BT: bool, const FMA: bool>(
+fn jedge_full<const AT: bool, const BT: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -398,9 +394,9 @@ fn jedge_full<const AT: bool, const BT: bool, const FMA: bool>(
     c: &mut [f64],
 ) {
     match nr_eff {
-        1 => tile_full::<1, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
-        2 => tile_full::<2, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
-        3 => tile_full::<3, AT, BT, FMA>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
+        1 => tile_full::<1, AT, BT>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
+        2 => tile_full::<2, AT, BT>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
+        3 => tile_full::<3, AT, BT>(m, n, k, i0, j0, p0, kc, alpha, a, b, beta, first, c),
         _ => unreachable!("nr_eff < NR = 4"),
     }
 }
@@ -603,7 +599,7 @@ mod tests {
                 s ^= s << 13;
                 s ^= s >> 7;
                 s ^= s << 17;
-                // Mix in exact zeros so the zero-skip path is exercised.
+                // Mix in exact zeros.
                 if s.is_multiple_of(11) {
                     0.0
                 } else {
@@ -613,10 +609,10 @@ mod tests {
             .collect()
     }
 
-    /// The contract from the module docs: vs the naive reference the
-    /// generic body is bitwise equal on non-FMA hosts and ULP-bounded
-    /// otherwise.
-    fn check_bitwise_nn_nt(m: usize, n: usize, k: usize, alpha: f64, beta: f64) {
+    /// The contract from the module docs: every clone of the generic body up
+    /// to the host's level is bitwise the level-0 clone, and that chain is
+    /// ULP-bounded-close to the naive reference.
+    fn check_clones_and_naive(m: usize, n: usize, k: usize, alpha: f64, beta: f64) {
         let a = fill(m * k, (m * 31 + k) as u64);
         let c0 = fill(m * n, (n * 7 + m) as u64);
         for (op_b, blen) in [(Op::N, k * n), (Op::T, n * k)] {
@@ -627,31 +623,32 @@ mod tests {
                 Op::T => naive::gemm_nt_raw(m, n, k, alpha, &a, &b, beta, &mut c_ref),
             }
             let mut c = c0.clone();
-            gemm_generic(m, n, k, alpha, &a, Op::N, &b, op_b, beta, &mut c);
+            generic_at(0, m, n, k, alpha, &a, Op::N, &b, op_b, beta, &mut c);
             let at = format!("{m}x{n}x{k} {op_b:?}");
-            if fma_active() {
-                for (x, y) in c.iter().zip(&c_ref) {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    assert!((x - y).abs() <= 1e-12 * scale, "{x} vs naive {y} at {at}");
-                }
-            } else {
+            for (x, y) in c.iter().zip(&c_ref) {
+                let scale = x.abs().max(y.abs()).max(1.0);
+                assert!((x - y).abs() <= 1e-12 * scale, "{x} vs naive {y} at {at}");
+            }
+            for level in 1..=crate::simd::level() {
+                let mut got = c0.clone();
+                generic_at(level, m, n, k, alpha, &a, Op::N, &b, op_b, beta, &mut got);
                 assert!(
-                    c.iter().zip(&c_ref).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "non-FMA host must match naive bitwise at {at}"
+                    got.iter().zip(&c).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "level {level} differs from level 0 at {at}"
                 );
             }
         }
     }
 
     #[test]
-    fn bitwise_equal_to_naive_on_table3_shapes() {
+    fn every_clone_is_the_level_0_chain_on_table3_shapes() {
         // Per-zone F_z = A_z B^T shapes for Q1..Q4 (3D), plus ragged edges.
         for (m, n, k) in [(24, 1, 8), (81, 8, 64), (192, 27, 125), (375, 64, 216)] {
-            check_bitwise_nn_nt(m, n, k, 1.0, 0.0);
+            check_clones_and_naive(m, n, k, 1.0, 0.0);
         }
         for (m, n, k) in [(1, 1, 1), (5, 3, 7), (17, 9, 33), (13, 1, 2)] {
             for (alpha, beta) in [(1.0, 0.0), (2.5, 1.0), (-0.5, 3.0), (0.0, 2.0), (1.0, 1.0)] {
-                check_bitwise_nn_nt(m, n, k, alpha, beta);
+                check_clones_and_naive(m, n, k, alpha, beta);
             }
         }
     }

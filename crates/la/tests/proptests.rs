@@ -321,17 +321,11 @@ proptest! {
             prop_assert!(g.to_bits() == r.to_bits(), "tile::gemm {g} vs generic {r}");
         }
 
-        // vs naive: bitwise on non-FMA hosts; ULP-bounded where the wide
-        // clones contract multiply-add (see tile.rs determinism contract).
-        if tile::fma_active() {
-            let tol = 1e-11 * (k as f64 + 1.0) * 2500.0;
-            for (t, nv) in c_ref.iter().zip(&c_naive) {
-                prop_assert!((t - nv).abs() <= tol, "tiled {t} vs naive {nv}");
-            }
-        } else {
-            for (t, nv) in c_ref.iter().zip(&c_naive) {
-                prop_assert!(t.to_bits() == nv.to_bits(), "tiled {t} vs naive {nv}");
-            }
+        // vs naive: ULP-bounded, the tile fusing each multiply-add (see
+        // tile.rs determinism contract).
+        let tol = 1e-11 * (k as f64 + 1.0) * 2500.0;
+        for (t, nv) in c_ref.iter().zip(&c_naive) {
+            prop_assert!((t - nv).abs() <= tol, "tiled {t} vs naive {nv}");
         }
     }
 
@@ -404,11 +398,7 @@ fn tiled_gemm_matches_naive_on_table3_shapes() {
         let mut c_direct = vec![0.0; m * n];
         tile::gemm_generic(m, n, k, 1.0, &a, Op::N, &b, Op::T, 0.0, &mut c_direct);
         for (d, nv) in c_direct.iter().zip(&c_naive) {
-            if tile::fma_active() {
-                assert!((d - nv).abs() <= tol, "{d} vs naive {nv} at {m}x{n}x{k}");
-            } else {
-                assert_eq!(d.to_bits(), nv.to_bits(), "{d} vs naive {nv} at {m}x{n}x{k}");
-            }
+            assert!((d - nv).abs() <= tol, "{d} vs naive {nv} at {m}x{n}x{k}");
         }
     }
 }
@@ -435,11 +425,7 @@ fn tiled_gemm_matches_naive_on_a_large_ragged_operand() {
         let mut c = c0.clone();
         tile::gemm(m, n, k, 0.75, &a, Op::N, &b, op_b, -0.5, &mut c);
         for (t, nv) in c.iter().zip(&c_naive) {
-            if tile::fma_active() {
-                assert!((t - nv).abs() <= tol, "{t} vs naive {nv} ({op_b:?})");
-            } else {
-                assert_eq!(t.to_bits(), nv.to_bits(), "{t} vs naive {nv} ({op_b:?})");
-            }
+            assert!((t - nv).abs() <= tol, "{t} vs naive {nv} ({op_b:?})");
         }
     }
 }

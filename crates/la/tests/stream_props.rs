@@ -5,16 +5,15 @@
 //! the *same defined reduction* — fixed 64-block grid, fixed 8-lane
 //! accumulator structure — as its unfused counterpart, so
 //!
-//! - fused vs unfused-dispatched results are **bitwise identical** in all
-//!   regimes (both sides take the same SIMD path);
-//! - fused vs the serial scalar `stream::reference` oracle is bitwise
-//!   identical on hosts without FMA dispatch, and ULP-bounded when the
-//!   dispatched path contracts multiply-adds;
+//! - fused vs unfused-dispatched results are **bitwise identical** (both
+//!   sides take the same SIMD path);
+//! - fused vs the serial scalar `stream::reference` oracle is **bitwise
+//!   identical** at every SIMD level (every level fuses each multiply-add);
 //! - results are invariant under the pool thread count and under
 //!   `PcgOptions::fused`;
 //! - a lock-step solve of `d` systems over one `d`-wide row sweep walks,
 //!   per system, the **bitwise** trajectory of that system's scalar solve
-//!   (and, without FMA dispatch, of the `reference` oracle's).
+//!   and of the `reference` oracle's.
 //!
 //! Exercised across proptest-random sizes, Table-3-like solver sizes, and
 //! ragged sizes straddling the lane width and the block grid.
@@ -52,20 +51,8 @@ fn banded(n: usize, half_band: usize) -> CsrMatrix {
     b.build()
 }
 
-/// Relative tolerance for the FMA-contracted dispatch vs the scalar
-/// oracle: a handful of ULPs per reduction term.
-const FMA_TOL: f64 = 1e-13;
-
-fn close(a: f64, b: f64) -> bool {
-    if stream::fma_active() {
-        (a - b).abs() <= FMA_TOL * a.abs().max(b.abs()).max(1.0)
-    } else {
-        a.to_bits() == b.to_bits()
-    }
-}
-
-fn close_slice(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| close(x, y))
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Ragged sizes straddling the 8-lane width, the 64-block grid, and the
@@ -84,8 +71,10 @@ fn fused_kernels_match_reference_across_fixed_sizes() {
         let ap = vecs(n, 2);
         let minv: Vec<f64> = vecs(n, 3).iter().map(|v| v.abs() + 0.5).collect();
 
-        assert!(close(stream::dot(&p, &ap), stream::reference::dot(&p, &ap)), "dot n={n}");
-        assert!(close(stream::nrm2(&p), stream::reference::nrm2(&p)), "nrm2 n={n}");
+        let dot = (stream::dot(&p, &ap), stream::reference::dot(&p, &ap));
+        assert_eq!(dot.0.to_bits(), dot.1.to_bits(), "dot n={n}");
+        let nrm2 = (stream::nrm2(&p), stream::reference::nrm2(&p));
+        assert_eq!(nrm2.0.to_bits(), nrm2.1.to_bits(), "nrm2 n={n}");
 
         let mut x_f = vecs(n, 4);
         let mut r_f = vecs(n, 5);
@@ -93,15 +82,15 @@ fn fused_kernels_match_reference_across_fixed_sizes() {
         let mut r_o = r_f.clone();
         let s_f = stream::axpy2_nrm2(0.37, &p, &ap, &mut x_f, &mut r_f);
         let s_o = stream::reference::axpy2_nrm2(0.37, &p, &ap, &mut x_o, &mut r_o);
-        assert!(close(s_f, s_o), "axpy2_nrm2 sum n={n}");
-        assert!(close_slice(&x_f, &x_o) && close_slice(&r_f, &r_o), "axpy2_nrm2 vecs n={n}");
+        assert_eq!(s_f.to_bits(), s_o.to_bits(), "axpy2_nrm2 sum n={n}");
+        assert_eq!((bits(&x_f), bits(&r_f)), (bits(&x_o), bits(&r_o)), "axpy2_nrm2 vecs n={n}");
 
         let mut p_f = vecs(n, 6);
         let mut p_o = p_f.clone();
         let rz_f = stream::precond_dot_update(&minv, &r_f, Some(1.25), &mut p_f);
         let rz_o = stream::reference::precond_dot_update(&minv, &r_o, Some(1.25), &mut p_o);
-        assert!(close(rz_f, rz_o), "precond rz n={n}");
-        assert!(close_slice(&p_f, &p_o), "precond p n={n}");
+        assert_eq!(rz_f.to_bits(), rz_o.to_bits(), "precond rz n={n}");
+        assert_eq!(bits(&p_f), bits(&p_o), "precond p n={n}");
 
         if n > 0 {
             let a = banded(n, 3.min(n - 1));
@@ -109,8 +98,8 @@ fn fused_kernels_match_reference_across_fixed_sizes() {
             let mut y_o = vec![0.0; n];
             let d_f = stream::spmv_dot(&a, &p, &mut y_f);
             let d_o = stream::reference::spmv_dot(&a, &p, &mut y_o);
-            assert!(close(d_f, d_o), "spmv_dot n={n}");
-            assert!(close_slice(&y_f, &y_o), "spmv n={n}");
+            assert_eq!(d_f.to_bits(), d_o.to_bits(), "spmv_dot n={n}");
+            assert_eq!(bits(&y_f), bits(&y_o), "spmv n={n}");
         }
     }
 }
@@ -161,22 +150,9 @@ fn fused_solver_matches_reference_solver_on_table3_like_systems() {
         let res_o = pcg_solve_ws_reference(&mut (&a), &pre, &b, &mut x_o, &opts, &mut ws);
 
         assert!(res_f.converged && res_o.converged, "n={n}");
-        if stream::fma_active() {
-            // Contracted rounding can shift the convergence trajectory by
-            // an iteration; the answers still agree to solver tolerance.
-            assert!(
-                (res_f.iterations as i64 - res_o.iterations as i64).abs() <= 2,
-                "n={n}: {} vs {} iterations",
-                res_f.iterations,
-                res_o.iterations
-            );
-            for (f, o) in x_f.iter().zip(&x_o) {
-                assert!((f - o).abs() <= 1e-8 * f.abs().max(o.abs()).max(1.0), "n={n}");
-            }
-        } else {
-            assert_eq!(res_f.iterations, res_o.iterations, "n={n}");
-            assert_eq!(x_f, x_o, "n={n}");
-        }
+        assert_eq!(res_f.iterations, res_o.iterations, "n={n}");
+        assert_eq!(res_f.residual.to_bits(), res_o.residual.to_bits(), "n={n}");
+        assert_eq!(bits(&x_f), bits(&x_o), "n={n}");
     }
 }
 
@@ -300,14 +276,12 @@ impl<const D: usize> Systems<D> {
                 assert_eq!(res[c].iterations, res_c.iterations, "{ctx}: iterations");
                 assert_eq!(res[c].converged, res_c.converged, "{ctx}: converged");
                 assert_eq!(res[c].residual.to_bits(), res_c.residual.to_bits(), "{ctx}: residual");
-                if !stream::fma_active() {
-                    // Two-rounding regime: the dispatched kernels *are* the
-                    // reference's arithmetic, so the oracle pins it too.
-                    let (x_o, res_o) = self.alone(c, &opts, ws, true);
-                    assert_eq!(x[self.at(c)], x_o, "{ctx}: oracle iterate");
-                    assert_eq!(res[c].iterations, res_o.iterations, "{ctx}: oracle iterations");
-                    assert_eq!(res[c].residual.to_bits(), res_o.residual.to_bits(), "{ctx}: oracle");
-                }
+                // The dispatched kernels *are* the reference's arithmetic,
+                // so the oracle pins the trajectory too.
+                let (x_o, res_o) = self.alone(c, &opts, ws, true);
+                assert_eq!(x[self.at(c)], x_o, "{ctx}: oracle iterate");
+                assert_eq!(res[c].iterations, res_o.iterations, "{ctx}: oracle iterations");
+                assert_eq!(res[c].residual.to_bits(), res_o.residual.to_bits(), "{ctx}: oracle");
             }
         }
         full
@@ -414,7 +388,7 @@ proptest! {
     fn prop_fused_dot_matches_reference(n in 0usize..3000, seed in 0u64..1000) {
         let x = vecs(n, seed);
         let y = vecs(n, seed.wrapping_add(1));
-        prop_assert!(close(stream::dot(&x, &y), stream::reference::dot(&x, &y)));
+        prop_assert_eq!(stream::dot(&x, &y).to_bits(), stream::reference::dot(&x, &y).to_bits());
     }
 
     #[test]
@@ -431,8 +405,8 @@ proptest! {
         let mut r_u = r_f.clone();
 
         let sumsq = stream::axpy2_nrm2(alpha, &p, &ap, &mut x_f, &mut r_f);
-        // Unfused equivalent through the *dispatched* kernels: always
-        // bitwise, FMA or not — fusion must not change the arithmetic.
+        // Unfused equivalent through the *dispatched* kernels: bitwise —
+        // fusion must not change the arithmetic.
         stream::axpy(alpha, &p, &mut x_u);
         stream::axpy(-alpha, &ap, &mut r_u);
         let rr = stream::dot(&r_u, &r_u);

@@ -12,12 +12,12 @@
 //!    `CROSS_ASSEMBLY_RTOL`: the sum-factorized operators evaluate the
 //!    stored batches' bilinear forms in another order (DESIGN §16).
 //!
-//! The committed tables pin golden's cells (Q2, default settings,
+//! The committed table pins golden's cells (Q2, default settings,
 //! `GOLDEN_MODES`) across commits: checkpoint CRC-32 footer, simulated
 //! wall-clock bits, host+GPU trace-energy bits. A change to any physics
 //! bit, or to the order or arguments of any billed phase / launch /
-//! transfer / idle, changes a row. One table holds while the FMA clones
-//! are live, one under `BLAST_SIMD=0`; both are invariant under
+//! transfer / idle, changes a row. The one table holds at every SIMD level
+//! (every level fuses each multiply-add) and is invariant under
 //! `BLAST_THREADS`. After an *intended* trajectory change, copy the table
 //! the failure prints. The SIMD level is read once per process, so CI runs
 //! this file with `BLAST_SIMD` unset, `=1` and `=0`. Debug builds run the
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use blast_repro::blast_core::{
     AssemblyMode, AuditConfig, ExecMode, Executor, Hydro, HydroError, HydroState, Sedov,
 };
-use blast_repro::blast_la::{tile, PcgOptions};
+use blast_repro::blast_la::PcgOptions;
 use blast_repro::blast_telemetry::names::counters::GPU_LAUNCHES;
 use blast_repro::gpu_sim::{CpuSpec, DeviceCatalog, FaultKind, FaultPlan, GpuDevice};
 
@@ -43,7 +43,7 @@ const CROSS_ASSEMBLY_RTOL: f64 = 1e-9;
 type Row = (&'static str, u32, u64, u64);
 
 #[rustfmt::skip]
-const GOLDEN_FMA: &[Row] = &[
+const GOLDEN: &[Row] = &[
     ("2d_q2/stored/cpu_serial", 0xb47906ba, 0x3f52e7d5dd0d369e, 0x3fa2343b6d593917),
     ("2d_q2/stored/cpu_parallel2", 0xb47906ba, 0x3f4423edd52694dc, 0x3f9a834c1597c9f6),
     ("2d_q2/stored/gpu_base", 0xb47906ba, 0x3f6070df6c0a2555, 0x3fc73d7eeac87b3c),
@@ -66,32 +66,6 @@ const GOLDEN_FMA: &[Row] = &[
     ("3d_q2/matfree/gpu", 0x27521d5d, 0x3f73c8d6cff58700, 0x3fd016bddff170fc),
     ("3d_q2/matfree/gpu_pcg", 0x27521d5d, 0x3f5dbf459c5b88c6, 0x3fc20ee7d9aa2a3e),
     ("3d_q2/matfree/hybrid", 0x27521d5d, 0x3f5181612d6d2922, 0x3fc0079f06e6ad9a),
-];
-
-#[rustfmt::skip]
-const GOLDEN_SCALAR: &[Row] = &[
-    ("2d_q2/stored/cpu_serial", 0x239eb1bd, 0x3f52e7d5dd0d369e, 0x3fa2343b6d593917),
-    ("2d_q2/stored/cpu_parallel2", 0x239eb1bd, 0x3f4423edd52694dc, 0x3f9a834c1597c9f6),
-    ("2d_q2/stored/gpu_base", 0x239eb1bd, 0x3f6070df6c0a2555, 0x3fc73d7eeac87b3c),
-    ("2d_q2/stored/gpu", 0x239eb1bd, 0x3f53a23b293f4f4b, 0x3fb3eff9fe76eea2),
-    ("2d_q2/stored/gpu_pcg", 0x239eb1bd, 0x3f8987e174551621, 0x3febeb00d7c14d73),
-    ("2d_q2/stored/hybrid", 0x239eb1bd, 0x3f29a1da4713fe6b, 0x3f9977bfe8863747),
-    ("2d_q2/matfree/cpu_serial", 0xe2cdd600, 0x3f57388e765a5757, 0x3fa65bf52cf5fd19),
-    ("2d_q2/matfree/cpu_parallel2", 0xe2cdd600, 0x3f47e5d2aec6ad32, 0x3f9f758a58138a00),
-    ("2d_q2/matfree/gpu", 0xe2cdd600, 0x3f54025b8cf937b3, 0x3fb16fefe25f7ff0),
-    ("2d_q2/matfree/gpu_pcg", 0xe2cdd600, 0x3f4a4fc9a121bf93, 0x3fad3e30e1dffa42),
-    ("2d_q2/matfree/hybrid", 0xe2cdd600, 0x3f2cc0a4a08cc842, 0x3f9b754f81535ec5),
-    ("3d_q2/stored/cpu_serial", 0xdbb9047c, 0x3f91f2661c0ce9d2, 0x3fe147e752026f25),
-    ("3d_q2/stored/cpu_parallel2", 0xdbb9047c, 0x3f826a0cd665f918, 0x3fd83d9ae63c3cea),
-    ("3d_q2/stored/gpu_base", 0xdbb9047c, 0x3f8eb287f466359d, 0x3ff58dfa0e544bf2),
-    ("3d_q2/stored/gpu", 0xdbb9047c, 0x3f6d29666abd9e89, 0x3fcbfb8e55cbd37e),
-    ("3d_q2/stored/gpu_pcg", 0xdbb9047c, 0x3fa7797b86722cf5, 0x4009fff3c72e0cfc),
-    ("3d_q2/stored/hybrid", 0xdbb9047c, 0x3f581e7c59292b86, 0x3fc870d2dc9f22a4),
-    ("3d_q2/matfree/cpu_serial", 0x62b384c7, 0x3f877b99f5119382, 0x3fd69c83be796c88),
-    ("3d_q2/matfree/cpu_parallel2", 0x62b384c7, 0x3f780e2e3a915fbc, 0x3fcfaaaadb195f06),
-    ("3d_q2/matfree/gpu", 0x62b384c7, 0x3f73dab03cd8c3a1, 0x3fd023f68d3942c5),
-    ("3d_q2/matfree/gpu_pcg", 0x62b384c7, 0x3f5dce02d1af12fa, 0x3fc218760fe69b10),
-    ("3d_q2/matfree/hybrid", 0x62b384c7, 0x3f518eb503d9640f, 0x3fc012cd1b05f808),
 ];
 
 /// `(name, dimension, order, zones per axis)`.
@@ -312,15 +286,14 @@ fn every_assembly_mode_cell_matches_the_committed_table() {
         ]);
         cells
     });
-    let golden = if tile::fma_active() { GOLDEN_FMA } else { GOLDEN_SCALAR };
     let actual: Vec<(&str, u32, u64, u64)> = outcomes
         .iter()
         .filter_map(|o| o.golden.map(|(crc, wall, joules)| (o.cell.as_str(), crc, wall, joules)))
         .collect();
-    if actual != *golden {
+    if actual != GOLDEN {
         let mut table = String::new();
         for (i, row @ &(cell, crc, wall, joules)) in actual.iter().enumerate() {
-            let mark = if golden.get(i) == Some(row) { "" } else { " // differs" };
+            let mark = if GOLDEN.get(i) == Some(row) { "" } else { " // differs" };
             table.push_str(&format!(
                 "    (\"{cell}\", 0x{crc:08x}, 0x{wall:016x}, 0x{joules:016x}),{mark}\n"
             ));

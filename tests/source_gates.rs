@@ -258,10 +258,12 @@ fn one_corner_force_pipeline() {
 }
 
 /// `blast-la` detects one SIMD level, caps it with one variable and clones a
-/// kernel body for it one way (`la/src/simd.rs`): `tile` and `stream` cannot
-/// run in different regimes, so there is one golden table per regime and no
-/// mixed case to skip. The kernels' clones read the same level, so the cap
-/// holds for them too and nothing else in the workspace detects a feature.
+/// kernel body for it one way (`la/src/simd.rs`), and every clone fuses
+/// each multiply-add: the level is throughput only, so there is one golden
+/// table, no `FMA` parameter and no branch on a regime (`tile::fma_active`
+/// is a constant kept for the benchmark's stamp, read by nothing else). The
+/// kernels' clones read the same level, so the cap holds for them too and
+/// nothing else in the workspace detects a feature.
 /// And a streaming op names its block grid once: the pool
 /// and the caller walk the same producer through `walk`, which is the
 /// thread-count invariance written as code instead of as twin loops that
@@ -279,6 +281,13 @@ fn one_simd_level_one_grid_walk() {
     let detected_elsewhere =
         lines_where(&beside_the_level(&TREE), |l| l.contains("is_x86_feature_detected"));
     assert!(detected_elsewhere.is_empty(), "{detected_elsewhere:#?}");
+    let definition = "pub const fn fma_active() -> bool {";
+    let regimes = lines_where(&files_under(&["crates", "tests"]), |l| {
+        l.contains("const FMA")
+            || l.contains("FMA ||")
+            || (l.contains("fma_active") && l.trim() != definition)
+    });
+    assert!(regimes.is_empty(), "{regimes:#?}");
 
     let stream = read("crates/la/src/stream.rs");
     let ops = non_test(&stream);
