@@ -182,10 +182,7 @@ fn default_pool_follows_the_override() {
     assert!(rayon::current_num_threads() >= 1);
 }
 
-/// A wall-clock comparison: it runs alone on one test thread in its own CI
-/// step (`--ignored --test-threads=1`), not beside the other tests.
 #[test]
-#[ignore = "wall clock; run alone with --ignored --test-threads=1"]
 fn oversubscribed_pool_beats_spawn_per_call() {
     // Width 8 on a machine with fewer cores: workers park at once and
     // the caller waits only for those that entered the call.
