@@ -8,7 +8,6 @@
 //! energy saving it gives back.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use blast_core::{CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro, RunConfig, Sedov};
 use cluster_sim::comm::ClusterFaultPlan;
@@ -96,8 +95,7 @@ fn single_node_row() -> OverheadRow {
 /// Cluster: the 3-rank chaos campaign with one rank death — recovery adds
 /// a restore plus the quiesce barrier on every survivor.
 fn campaign_row() -> OverheadRow {
-    let cfg =
-        CampaignConfig { link_timeout: Duration::from_millis(20), ..CampaignConfig::default() };
+    let cfg = CampaignConfig::default();
     let plan = ClusterFaultPlan::seeded_from_env(42)
         .with_drop_rate(0.02)
         .with_rank_death(2, 2 * cfg.redundancy as u64 + 2);

@@ -387,15 +387,34 @@ fn json_object(out: &mut String, cells: &[Cell]) {
     out.push('}');
 }
 
-/// `git rev-parse HEAD` of the working directory, `"unknown"` if that fails.
+/// `git rev-parse HEAD` of the working directory, `"unknown"` if that fails,
+/// with `-dirty` appended when a tracked file other than an artifact differs
+/// from that commit ([`edits_beyond_artifacts`]).
 fn git_rev() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(rev) = git(&["rev-parse", "HEAD"]) else { return "unknown".to_string() };
+    let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+    let dirty = status.is_some_and(|s| edits_beyond_artifacts(&s));
+    format!("{}{}", rev.trim(), if dirty { "-dirty" } else { "" })
+}
+
+/// Whether `git status --porcelain` output lists a changed tracked file
+/// other than a `BENCH_*.json` artifact, the files a gate bin rewrites: the
+/// code that wrote the artifact is then not the stamped commit's.
+fn edits_beyond_artifacts(porcelain: &str) -> bool {
+    porcelain.lines().filter_map(|l| l.get(3..)).any(|path| {
+        // A rename lists `old -> new`; a path with special characters is quoted.
+        let path = path.rsplit(" -> ").next().unwrap_or(path).trim_matches('"');
+        let file = path.rsplit('/').next().unwrap_or(path);
+        !(file.starts_with("BENCH_") && file.ends_with(".json"))
+    })
 }
 
 /// CPU model, logical CPUs and the kernels' instruction-set level.
@@ -784,6 +803,20 @@ mod tests {
         assert_eq!(text(Cell::pct("p", 0.123)), "12.3%");
         assert_eq!(text(Cell::sci("e", 10.123456789, 6)), "1.012346e1");
         assert_eq!(text(Cell::new("flag", true)), "yes");
+    }
+
+    #[test]
+    fn a_stamp_is_dirty_when_a_tracked_file_beyond_the_artifacts_changed() {
+        // Clean tree, and a tree whose only edits are regenerated artifacts.
+        assert!(!edits_beyond_artifacts(""));
+        assert!(!edits_beyond_artifacts(" M BENCH_paper.json\nM  BENCH_host_kernels.json\n"));
+        // Any other tracked edit, staged or not, deleted or renamed.
+        assert!(edits_beyond_artifacts(" M crates/bench/src/harness.rs\n"));
+        assert!(edits_beyond_artifacts(" M BENCH_paper.json\nD  README.md\n"));
+        assert!(edits_beyond_artifacts("R  src/old.rs -> src/new.rs\n"));
+        assert!(edits_beyond_artifacts("MM \"docs/a b.md\"\n"));
+        // A file that only looks like an artifact in part of its name.
+        assert!(edits_beyond_artifacts(" M BENCH_paper.json.bak\n"));
     }
 
     #[test]

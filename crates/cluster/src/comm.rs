@@ -1,10 +1,25 @@
-//! A functional MPI-like runtime: ranks as threads, std channels as the
-//! wire, with deterministic fault injection.
+//! A functional MPI-like runtime: ranks as threads over one shared wire,
+//! on a virtual clock, with deterministic fault injection.
 //!
 //! This is the execution substrate for the distributed algorithms; the
 //! *cost* of communication is modeled separately in [`crate::netmodel`]
 //! (the two are decoupled exactly like the functional/performance split of
-//! the GPU simulator).
+//! the GPU simulator). The wire borrows one number from the model: a
+//! message's point-to-point time, which dates its arrival.
+//!
+//! ## Virtual time
+//!
+//! Every rank carries a clock in simulated seconds, starting at 0. A message
+//! arrives at its sender's clock plus Shannon's point-to-point time for its
+//! payload (never before an earlier message on the same link), and a
+//! receive's deadline is the receiver's clock plus its timeout. A receive
+//! that returns moves the clock to the arrival; one that times out moves it
+//! to the deadline. A receive with nothing matching queued waits, and times
+//! out only when no rank is running, no waiting rank has a match queued,
+//! and its `(deadline, rank)` is the smallest of the waiting ranks': by then
+//! nothing can still arrive before that deadline. So every outcome is a
+//! function of the rank bodies and the fault seed alone, and a rank that is
+//! slow but alive is never timed out.
 //!
 //! ## Fault model
 //!
@@ -25,24 +40,22 @@
 //!   [`Communicator::set_suspicion_threshold`] arms it).
 
 use crate::detector::FailureDetector;
+use crate::netmodel::Machine;
 use blast_telemetry::{names, TelemetrySink};
 use gpu_sim::fault_draw;
-use std::cell::{Cell, RefCell};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::cell::Cell;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Default bound on how long a `recv` waits before declaring the peer
-/// stalled. Generous for healthy in-process ranks (microseconds of real
-/// latency), small enough that a genuinely lost message fails a test run
-/// rather than deadlocking it.
-const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
+/// Virtual seconds a [`Communicator::recv`] waits before declaring the peer
+/// stalled: about 2 × 10⁴ point-to-point latencies, so only a message that
+/// was never sent (dropped, or its sender dead or exited) misses it.
+const RECV_TIMEOUT_S: f64 = 0.025;
 
 /// A communication failure, attributed to the peer rank that caused it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommError {
-    /// No matching message arrived in time: the peer is stalled, dead, or
-    /// its message was dropped in flight.
+    /// No matching message arrived by the virtual deadline: the peer is
+    /// dead, exited, or its message was dropped in flight.
     Timeout {
         /// The rank whose message never arrived.
         from: usize,
@@ -58,19 +71,12 @@ pub enum CommError {
         tag: u64,
     },
     /// The failure detector declared the peer permanently dead: `K`
-    /// consecutive receive timeouts against it with no arrival evidence in
+    /// consecutive receive timeouts against it with no message from it in
     /// between (see [`Communicator::set_suspicion_threshold`]).
     PeerDead {
         /// The rank declared dead.
         from: usize,
         /// The tag being waited for when suspicion crossed the threshold.
-        tag: u64,
-    },
-    /// All peer ranks have exited while messages were still expected.
-    Disconnected {
-        /// The rank being waited for when the wire went away.
-        from: usize,
-        /// The tag being waited for.
         tag: u64,
     },
     /// A rank's body panicked before returning a result, so the harness
@@ -95,9 +101,6 @@ impl std::fmt::Display for CommError {
             CommError::PeerDead { from, tag } => {
                 write!(f, "rank {from} declared dead (tag {tag}): consecutive timeouts crossed the suspicion threshold")
             }
-            CommError::Disconnected { from, tag } => {
-                write!(f, "rank {from} disconnected while waiting on tag {tag}")
-            }
             CommError::RankPanicked { rank, detail } => {
                 write!(f, "rank {rank} panicked: {detail}")
             }
@@ -107,13 +110,15 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// A message: raw `f64` payload plus a tag and an integrity checksum.
+/// A message: raw `f64` payload plus a tag, an integrity checksum and its
+/// virtual arrival time.
 #[derive(Clone, Debug)]
 struct Message {
     from: usize,
     tag: u64,
     data: Vec<f64>,
     checksum: u64,
+    arrival: f64,
 }
 
 /// FNV-1a over the payload bit patterns.
@@ -126,6 +131,114 @@ fn payload_checksum(data: &[f64]) -> u64 {
         }
     }
     h
+}
+
+/// What a rank is doing, as the wire sees it.
+#[derive(Clone, Copy, Debug)]
+enum Status {
+    /// Between receives: it may still send anything.
+    Running,
+    /// Blocked in a receive from `from` under `tag` until `deadline`.
+    Waiting { from: usize, tag: u64, deadline: f64 },
+    /// Its body returned or panicked: it sends nothing more.
+    Exited,
+}
+
+/// The one wire all ranks of a run share: every inbox, the latest arrival
+/// on every link and every rank's status, under one lock.
+struct Wire {
+    state: Mutex<WireState>,
+    /// Signalled whenever a message is posted or a rank starts waiting or
+    /// exits — the only events that can resolve a waiting receive.
+    changed: Condvar,
+}
+
+struct WireState {
+    /// `inboxes[to]`: messages sent to `to` and not yet received, in send
+    /// order.
+    inboxes: Vec<Vec<Message>>,
+    /// `last_arrival[from * size + to]`: the latest arrival on that link.
+    last_arrival: Vec<f64>,
+    status: Vec<Status>,
+}
+
+impl WireState {
+    /// Index in `to`'s inbox of the first message from `from` under `tag`.
+    fn queued(&self, to: usize, from: usize, tag: u64) -> Option<usize> {
+        self.inboxes[to].iter().position(|m| m.from == from && m.tag == tag)
+    }
+
+    /// Whether waiting rank `rank` may time out at `deadline`: no rank is
+    /// running, no waiting rank has a match queued, and `(deadline, rank)`
+    /// is the smallest wait. Every other rank then resumes at a later clock,
+    /// so nothing it sends can arrive by `deadline`.
+    fn may_time_out(&self, rank: usize, deadline: f64) -> bool {
+        self.status.iter().enumerate().all(|(r, s)| match *s {
+            Status::Running => false,
+            Status::Exited => true,
+            Status::Waiting { from, tag, deadline: d } => {
+                self.queued(r, from, tag).is_none() && (deadline, rank) <= (d, r)
+            }
+        })
+    }
+}
+
+impl Wire {
+    fn new(size: usize) -> Self {
+        Self {
+            state: Mutex::new(WireState {
+                inboxes: vec![Vec::new(); size],
+                last_arrival: vec![0.0; size * size],
+                status: vec![Status::Running; size],
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, WireState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Queues `msg` for `to`, sent at virtual time `sent_at`.
+    fn post(&self, to: usize, mut msg: Message, sent_at: f64) {
+        let mut st = self.lock();
+        let link = msg.from * st.status.len() + to;
+        let p2p = Machine::Shannon.network().p2p_time(msg.data.len() * 8);
+        msg.arrival = st.last_arrival[link].max(sent_at + p2p);
+        st.last_arrival[link] = msg.arrival;
+        st.inboxes[to].push(msg);
+        drop(st);
+        self.changed.notify_all();
+    }
+
+    /// `rank`'s first message from `from` under `tag` if it arrives by
+    /// `deadline`; `None` once it cannot.
+    fn take(&self, rank: usize, from: usize, tag: u64, deadline: f64) -> Option<Message> {
+        let mut st = self.lock();
+        let mut announced = false;
+        loop {
+            if let Some(at) = st.queued(rank, from, tag) {
+                st.status[rank] = Status::Running;
+                // A later match on the link cannot arrive any sooner.
+                return (st.inboxes[rank][at].arrival <= deadline)
+                    .then(|| st.inboxes[rank].remove(at));
+            }
+            st.status[rank] = Status::Waiting { from, tag, deadline };
+            if st.may_time_out(rank, deadline) {
+                st.status[rank] = Status::Running;
+                return None;
+            }
+            if !std::mem::replace(&mut announced, true) {
+                self.changed.notify_all();
+            }
+            st = self.changed.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    fn exit(&self, rank: usize) {
+        self.lock().status[rank] = Status::Exited;
+        self.changed.notify_all();
+    }
 }
 
 /// A scheduled permanent rank death: from the rank's `after_sends`-th send
@@ -207,17 +320,14 @@ pub struct CommFaultStats {
     pub suppressed: usize,
 }
 
-/// Per-rank communicator handle.
+/// Per-rank communicator handle. Dropping it (the rank body returned or
+/// panicked) marks the rank exited on the wire.
 pub struct Communicator {
     rank: usize,
     size: usize,
-    /// `senders[j]` delivers into rank j's inbox.
-    senders: Vec<Sender<Message>>,
-    inbox: Receiver<Message>,
-    /// Messages received but not yet matched by a `recv`.
-    stash: Vec<Message>,
-    /// Bound on how long a `recv` waits for a matching message.
-    timeout: Duration,
+    wire: Arc<Wire>,
+    /// This rank's virtual clock, simulated seconds.
+    clock: f64,
     /// Shared fault plan (empty plan when faults are off).
     faults: Arc<ClusterFaultPlan>,
     /// This rank's send counter (drives deterministic fault draws).
@@ -228,10 +338,16 @@ pub struct Communicator {
     /// a plain timeout keeps surfacing as [`CommError::Timeout`]). The
     /// same [`FailureDetector`] component backs the job supervisor's
     /// worker-death declarations.
-    detector: RefCell<FailureDetector>,
+    detector: FailureDetector,
     /// Optional telemetry sink: message/byte/drop/death counters (see
     /// `blast_telemetry::names::counters::MSGS_*`).
     sink: Option<TelemetrySink>,
+}
+
+impl Drop for Communicator {
+    fn drop(&mut self) {
+        self.wire.exit(self.rank);
+    }
 }
 
 impl Communicator {
@@ -243,11 +359,6 @@ impl Communicator {
     /// Number of ranks.
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// Sets the receive timeout (default `DEFAULT_RECV_TIMEOUT`).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
     }
 
     /// Fault statistics observed on this rank's sends.
@@ -264,10 +375,10 @@ impl Communicator {
     }
 
     /// Arms the failure detector: `k` consecutive receive timeouts against
-    /// the same peer (with no message from it in between) escalate the
-    /// `k`-th to [`CommError::PeerDead`]. Pass `u32::MAX` to disarm.
+    /// the same peer (with no message received from it in between) escalate
+    /// the `k`-th to [`CommError::PeerDead`]. Pass `u32::MAX` to disarm.
     pub fn set_suspicion_threshold(&mut self, k: u32) {
-        self.detector.borrow_mut().set_threshold(k);
+        self.detector.set_threshold(k);
     }
 
     /// Whether this rank's scheduled death has already triggered (its sends
@@ -278,11 +389,12 @@ impl Communicator {
         self.faults.deaths.iter().any(|d| d.rank == self.rank && idx >= d.after_sends)
     }
 
-    /// Sends `data` to rank `to` under `tag` (non-blocking, buffered).
+    /// Sends `data` to rank `to` under `tag` (non-blocking, buffered),
+    /// stamped to arrive one point-to-point time after this rank's clock.
     ///
     /// Under an active fault plan the message may be dropped or corrupted
     /// in flight, and a rank scheduled dead sends nothing.
-    pub fn send(&self, to: usize, tag: u64, data: Vec<f64>) {
+    pub fn send(&self, to: usize, tag: u64, mut data: Vec<f64>) {
         assert!(to < self.size, "send to out-of-range rank {to}");
         let idx = self.sends.get();
         self.sends.set(idx + 1);
@@ -300,6 +412,7 @@ impl Communicator {
             return;
         }
 
+        let mut checksum = payload_checksum(&data);
         if self.faults.is_active() {
             // Counter-based draws: stream 0 decides drops, stream 1 decides
             // corruption, so the two rates are independent.
@@ -315,78 +428,53 @@ impl Communicator {
                 < self.faults.corrupt_rate
             {
                 stats.corrupted += 1;
-                self.stats.set(stats);
-                let checksum = payload_checksum(&data);
-                let mut data = data;
-                if let Some(v) = data.first_mut() {
-                    *v = f64::from_bits(v.to_bits() ^ 0x1); // single bit flip
-                } else {
-                    // Empty payload: corrupt the checksum instead.
-                    let msg = Message { from: self.rank, tag, data, checksum: checksum ^ 1 };
-                    let _ = self.senders[to].send(msg);
-                    return;
+                match data.first_mut() {
+                    Some(v) => *v = f64::from_bits(v.to_bits() ^ 0x1), // single bit flip
+                    None => checksum ^= 1, // empty payload: corrupt the checksum instead
                 }
-                let _ = self.senders[to].send(Message { from: self.rank, tag, data, checksum });
-                return;
             }
         }
         self.stats.set(stats);
-        let checksum = payload_checksum(&data);
         // A receiver that already exited is not this rank's failure.
-        let _ = self.senders[to].send(Message { from: self.rank, tag, data, checksum });
+        let msg = Message { from: self.rank, tag, data, checksum, arrival: 0.0 };
+        self.wire.post(to, msg, self.clock);
     }
 
     /// Receives the next message from `from` with `tag`, waiting at most
-    /// the communicator timeout (out-of-order messages are stashed).
+    /// the default virtual timeout (out-of-order messages stay queued).
     pub fn recv(&mut self, from: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        self.recv_timeout(from, tag, self.timeout)
+        self.recv_timeout(from, tag, RECV_TIMEOUT_S)
     }
 
-    /// Receives the next message from `from` with `tag`, waiting at most
-    /// `timeout`. A missing message surfaces as [`CommError::Timeout`]
-    /// naming the stalled peer instead of blocking forever; a checksum
-    /// mismatch surfaces as [`CommError::Corrupted`].
+    /// Receives the next message from `from` with `tag` if it arrives
+    /// within `timeout_s` simulated seconds of this rank's clock. A missing
+    /// message surfaces as [`CommError::Timeout`] naming the stalled peer
+    /// instead of blocking forever; a checksum mismatch surfaces as
+    /// [`CommError::Corrupted`]. How long the wait takes in real time does
+    /// not matter: see the module docs.
     pub fn recv_timeout(
         &mut self,
         from: usize,
         tag: u64,
-        timeout: Duration,
+        timeout_s: f64,
     ) -> Result<Vec<f64>, CommError> {
-        if let Some(pos) = self.stash.iter().position(|m| m.from == from && m.tag == tag) {
-            self.detector.borrow_mut().record_evidence(from);
-            return Self::verify(self.stash.swap_remove(pos));
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let msg = match self.inbox.recv_timeout(remaining) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.detector.borrow_mut().record_miss(from) {
-                        if let Some(sink) = &self.sink {
-                            sink.counter_add(names::counters::RANK_DEATHS, 1);
-                        }
-                        return Err(CommError::PeerDead { from, tag });
-                    }
-                    return Err(CommError::Timeout { from, tag });
+        assert!(timeout_s >= 0.0, "receive timeout must be a non-negative number of seconds");
+        let deadline = self.clock + timeout_s;
+        let Some(msg) = self.wire.take(self.rank, from, tag, deadline) else {
+            self.clock = deadline;
+            if self.detector.record_miss(from) {
+                if let Some(sink) = &self.sink {
+                    sink.counter_add(names::counters::RANK_DEATHS, 1);
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected { from, tag })
-                }
-            };
-            // Any arrival — matching, stashed, or even corrupted — is
-            // liveness evidence for its sender.
-            self.detector.borrow_mut().record_evidence(msg.from);
-            if msg.from == from && msg.tag == tag {
-                return Self::verify(msg);
+                return Err(CommError::PeerDead { from, tag });
             }
-            self.stash.push(msg);
-        }
-    }
-
-    fn verify(msg: Message) -> Result<Vec<f64>, CommError> {
+            return Err(CommError::Timeout { from, tag });
+        };
+        self.clock = self.clock.max(msg.arrival);
+        // A received message — even a corrupted one — is liveness evidence.
+        self.detector.record_evidence(from);
         if payload_checksum(&msg.data) != msg.checksum {
-            return Err(CommError::Corrupted { from: msg.from, tag: msg.tag });
+            return Err(CommError::Corrupted { from, tag });
         }
         Ok(msg.data)
     }
@@ -448,8 +536,9 @@ impl Communicator {
         Ok(())
     }
 
-    /// Barrier (allreduce of a dummy value). A stalled rank turns the
-    /// barrier into an error rather than a hang.
+    /// Barrier (allreduce of a dummy value). A rank that never arrives
+    /// (dead, exited, or its message dropped) turns the barrier into an
+    /// error rather than a hang.
     pub fn barrier(&mut self) -> Result<(), CommError> {
         self.allreduce_sum(0.0).map(|_| ())
     }
@@ -485,32 +574,21 @@ pub fn try_run_ranks_with_faults<R: Send>(
 ) -> Result<Vec<R>, CommError> {
     assert!(size >= 1, "need at least one rank");
     let plan = Arc::new(plan);
-    let mut senders = Vec::with_capacity(size);
-    let mut inboxes = Vec::with_capacity(size);
-    for _ in 0..size {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        inboxes.push(rx);
-    }
+    let wire = Arc::new(Wire::new(size));
     let body = &body;
-    let comms: Vec<Communicator> = inboxes
-        .into_iter()
-        .enumerate()
-        .map(|(rank, inbox)| Communicator {
+    let comms: Vec<Communicator> = (0..size)
+        .map(|rank| Communicator {
             rank,
             size,
-            senders: senders.clone(),
-            inbox,
-            stash: Vec::new(),
-            timeout: DEFAULT_RECV_TIMEOUT,
+            wire: wire.clone(),
+            clock: 0.0,
             faults: plan.clone(),
             sends: Cell::new(0),
             stats: Cell::new(CommFaultStats::default()),
-            detector: RefCell::new(FailureDetector::disarmed(size)),
+            detector: FailureDetector::disarmed(size),
             sink: None,
         })
         .collect();
-    drop(senders);
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = comms
@@ -653,7 +731,7 @@ mod tests {
         let results = run_ranks(2, |mut c| {
             if c.rank() == 1 {
                 // Rank 0 never sends: rank 1 must get a timeout, not hang.
-                c.recv_timeout(0, 9, Duration::from_millis(20))
+                c.recv_timeout(0, 9, 20e-3)
             } else {
                 Err(CommError::Timeout { from: 99, tag: 0 }) // placeholder
             }
@@ -669,7 +747,7 @@ mod tests {
                 c.send(1, 5, vec![1.0]);
                 Ok(vec![])
             } else {
-                c.recv_timeout(0, 5, Duration::from_millis(20))
+                c.recv_timeout(0, 5, 20e-3)
             }
         });
         assert_eq!(results[1], Err(CommError::Timeout { from: 0, tag: 5 }));
@@ -683,7 +761,7 @@ mod tests {
                 c.send(1, 5, vec![3.25, -1.5]);
                 Ok(vec![])
             } else {
-                c.recv_timeout(0, 5, Duration::from_millis(200))
+                c.recv_timeout(0, 5, 200e-3)
             }
         });
         assert_eq!(results[1], Err(CommError::Corrupted { from: 0, tag: 5 }));
@@ -691,14 +769,9 @@ mod tests {
 
     #[test]
     fn allreduce_reports_the_failed_rank() {
-        // Rank 2's gather contribution is dropped (drop every send from
-        // rank 2 only, via a stall long past the timeout is avoided — use
-        // drop_rate 1 but only rank 2 sends before the reduce finishes).
+        // Every send is dropped, so no contribution reaches rank 0.
         let plan = ClusterFaultPlan::seeded(3).with_drop_rate(1.0);
-        let results = run_ranks_with_faults(3, plan, |mut c| {
-            c.set_timeout(Duration::from_millis(30));
-            c.allreduce_sum(c.rank() as f64)
-        });
+        let results = run_ranks_with_faults(3, plan, |mut c| c.allreduce_sum(c.rank() as f64));
         // Rank 0 times out waiting for rank 1's (dropped) contribution.
         assert_eq!(results[0], Err(CommError::Timeout { from: 1, tag: u64::MAX - 1 }));
         // Non-root ranks time out on the broadcast that never comes.
@@ -718,9 +791,9 @@ mod tests {
                 assert!(c.is_dead(), "dead after the scheduled point");
                 c.fault_stats().suppressed as f64
             } else {
-                let a = c.recv_timeout(1, 0, Duration::from_millis(100)).unwrap()[0];
-                let b = c.recv_timeout(1, 1, Duration::from_millis(100)).unwrap()[0];
-                let lost = c.recv_timeout(1, 2, Duration::from_millis(20));
+                let a = c.recv_timeout(1, 0, 100e-3).unwrap()[0];
+                let b = c.recv_timeout(1, 1, 100e-3).unwrap()[0];
+                let lost = c.recv_timeout(1, 2, 20e-3);
                 assert_eq!(lost, Err(CommError::Timeout { from: 1, tag: 2 }));
                 a + b
             }
@@ -737,7 +810,7 @@ mod tests {
                 c.set_suspicion_threshold(3);
                 let mut last = Ok(vec![]);
                 for _ in 0..3 {
-                    last = c.recv_timeout(0, 9, Duration::from_millis(10));
+                    last = c.recv_timeout(0, 9, 10e-3);
                 }
                 last
             } else {
@@ -755,17 +828,18 @@ mod tests {
             if c.rank() == 1 {
                 c.set_suspicion_threshold(3);
                 for _ in 0..2 {
-                    let e = c.recv_timeout(0, 9, Duration::from_millis(10));
+                    let e = c.recv_timeout(0, 9, 10e-3);
                     assert_eq!(e, Err(CommError::Timeout { from: 0, tag: 9 }));
                 }
-                let v = c.recv_timeout(0, 1, Duration::from_millis(200)).unwrap();
+                let v = c.recv_timeout(0, 1, 200e-3).unwrap();
                 for _ in 0..2 {
-                    let e = c.recv_timeout(0, 9, Duration::from_millis(10));
+                    let e = c.recv_timeout(0, 9, 10e-3);
                     assert_eq!(e, Err(CommError::Timeout { from: 0, tag: 9 }), "counter reset");
                 }
                 v[0]
             } else {
-                std::thread::sleep(Duration::from_millis(30));
+                // Idle 30 virtual ms, past rank 1's two timeouts.
+                assert!(c.recv_timeout(1, 0, 30e-3).is_err());
                 c.send(1, 1, vec![5.0]);
                 0.0
             }
@@ -779,7 +853,7 @@ mod tests {
             if c.rank() == 1 {
                 let mut last = Ok(vec![]);
                 for _ in 0..5 {
-                    last = c.recv_timeout(0, 9, Duration::from_millis(5));
+                    last = c.recv_timeout(0, 9, 5e-3);
                 }
                 last
             } else {
@@ -830,7 +904,7 @@ mod tests {
                 c.attach_telemetry(sink2.clone());
                 c.set_suspicion_threshold(2);
                 for _ in 0..2 {
-                    let _ = c.recv_timeout(0, 9, Duration::from_millis(5));
+                    let _ = c.recv_timeout(0, 9, 5e-3);
                 }
             }
         });
@@ -858,5 +932,65 @@ mod tests {
         assert_eq!(a, b, "same seed must drop the same messages");
         assert!(a > 0 && a < 32, "rate 0.5 should drop some but not all: {a}");
         assert_ne!(a, c, "different seeds should differ (w.h.p.)");
+    }
+
+    #[test]
+    fn the_clock_moves_to_arrivals_and_deadlines() {
+        // Rank 1's 1 ms wait times out first (smallest deadline), then rank
+        // 0's 3 ms one; its message lands one point-to-point time later.
+        let p2p = Machine::Shannon.network().p2p_time(8);
+        let clocks = run_ranks(2, |mut c| {
+            if c.rank() == 0 {
+                assert_eq!(c.recv_timeout(1, 9, 3e-3), Err(CommError::Timeout { from: 1, tag: 9 }));
+                c.send(1, 1, vec![1.0]);
+            } else {
+                assert_eq!(c.recv_timeout(0, 1, 1e-3), Err(CommError::Timeout { from: 0, tag: 1 }));
+                assert_eq!(c.clock, 1e-3);
+                assert_eq!(c.recv_timeout(0, 1, 5e-3), Ok(vec![1.0]));
+            }
+            c.clock
+        });
+        assert_eq!(clocks, vec![3e-3, 3e-3 + p2p]);
+    }
+
+    #[test]
+    fn a_late_message_times_out_and_stays_queued() {
+        // Rank 0 sends half a point-to-point time before rank 1's deadline:
+        // the message is on the wire but arrives too late for that receive,
+        // and the next receive takes it.
+        let p2p = Machine::Shannon.network().p2p_time(8);
+        let results = run_ranks(2, |mut c| {
+            if c.rank() == 0 {
+                assert!(c.recv_timeout(1, 9, 1e-3 - p2p / 2.0).is_err());
+                c.send(1, 1, vec![7.0]);
+                vec![]
+            } else {
+                assert_eq!(c.recv_timeout(0, 1, 1e-3), Err(CommError::Timeout { from: 0, tag: 1 }));
+                let got = c.recv_timeout(0, 1, 1e-3).expect("the late message stays queued");
+                assert_eq!(c.clock, 1e-3 - p2p / 2.0 + p2p);
+                got
+            }
+        });
+        assert_eq!(results[1], vec![7.0]);
+    }
+
+    #[test]
+    fn an_exited_peer_resolves_as_a_timeout_at_the_deadline() {
+        // Rank 0 returns and rank 1 panics without sending: rank 2's waits
+        // on both end at their deadlines instead of hanging.
+        let waited = std::sync::Mutex::new(None);
+        let res = try_run_ranks_with_faults(3, ClusterFaultPlan::none(), |mut c| match c.rank() {
+            0 => {}
+            1 => panic!("rank 1 exploded"),
+            _ => {
+                let got = [c.recv_timeout(0, 4, 2e-3), c.recv_timeout(1, 4, 2e-3)];
+                *waited.lock().unwrap() = Some((got, c.clock));
+            }
+        });
+        assert!(matches!(res, Err(CommError::RankPanicked { rank: 1, .. })), "{res:?}");
+        let (got, clock) = waited.into_inner().unwrap().expect("rank 2 returned");
+        let timeout = |from| Err(CommError::Timeout { from, tag: 4 });
+        assert_eq!(got, [timeout(0), timeout(1)]);
+        assert_eq!(clock, 4e-3);
     }
 }

@@ -11,10 +11,12 @@
 //! Without a physical cluster, this crate provides:
 //!
 //! - [`comm`]: a functional message-passing runtime — one OS thread per
-//!   rank, crossbeam channels underneath — with `send`/`recv`,
-//!   `allreduce_min/sum`, `barrier`, used to *really execute* distributed
-//!   algorithms (the tests run a distributed corner-force assembly and
-//!   compare against the serial reference).
+//!   rank over one shared wire, on a virtual clock (a message arrives at its
+//!   sender's clock plus [`NetworkModel`]'s point-to-point time; a receive
+//!   times out at a virtual deadline, once no rank can still send in time)
+//!   — with `send`/`recv`, `allreduce_min/sum`, `barrier`, used to *really
+//!   execute* distributed algorithms (the tests run a distributed
+//!   corner-force assembly and compare against the serial reference).
 //! - [`partition`]: structured domain splitting and the shared-DOF group
 //!   structure of Fig. 10.
 //! - [`netmodel`]: interconnect cost models (ORNL Titan's Gemini, SNL
@@ -22,11 +24,11 @@
 //! - [`scaling`]: the weak/strong scaling harness reproducing Figs. 12-13,
 //!   combining per-node compute costs from `gpu-sim` with the network
 //!   model.
-
 //! - [`recovery`]: coordinated checkpoint/restart plus rank-death recovery
 //!   under a chaos campaign — the coordinator detects dead ranks through
 //!   consecutive receive timeouts, survivors agree, shrink the partition,
-//!   and restore from the last coordinated checkpoint.
+//!   and restore from the last coordinated checkpoint. Every outcome is a
+//!   function of the fault seed: no wall clock decides a timeout.
 
 pub mod comm;
 pub mod detector;

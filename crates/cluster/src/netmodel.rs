@@ -33,8 +33,9 @@ impl NetworkModel {
         Self { latency_s: 1.3e-6, bandwidth_gbs: 4.0, collective_overhead_s: 4.0e-6 }
     }
 
-    /// Point-to-point time for `bytes`.
-    fn p2p_time(&self, bytes: usize) -> f64 {
+    /// Point-to-point time for `bytes` (also what dates a message's arrival
+    /// on the rank runtime's wire, [`crate::comm`]).
+    pub(crate) fn p2p_time(&self, bytes: usize) -> f64 {
         self.latency_s + bytes as f64 / (self.bandwidth_gbs * 1e9)
     }
 

@@ -8,11 +8,15 @@
 //! happens when a rank dies:
 //!
 //! 1. **Detection.** Rank 0 is the immortal coordinator (asserted). It
-//!    gathers every survivor's dt candidate each round through the
-//!    `recv_timeout` path with the failure detector armed: `K` consecutive
-//!    timeouts against one peer escalate to [`CommError::PeerDead`].
-//!    Exhausted patience (all redundant copies dropped) is treated the
-//!    same way — a rank the coordinator cannot hear from is dead.
+//!    gathers every survivor's dt candidate each round through
+//!    [`Communicator::recv`] with the failure detector armed: `K`
+//!    consecutive timeouts against one peer escalate to
+//!    [`CommError::PeerDead`]. Exhausted patience (all redundant copies
+//!    dropped) is treated the same way — a rank the coordinator cannot hear
+//!    from is dead. A timeout is a virtual deadline on the ranks' shared
+//!    clock ([`crate::comm`]), so only a rank that stopped sending or whose
+//!    copies were all dropped is ever declared dead, however loaded the
+//!    machine is.
 //! 2. **Agreement.** The coordinator broadcasts `[dt_min, n_dead,
 //!    dead...]`. Survivors learn the dead set from the payload, so the
 //!    whole cluster agrees without any peer-to-peer detection. A rank that
@@ -34,7 +38,6 @@
 //! the chaos test asserts a tolerance of 0 (documented in DESIGN.md §9).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use autotune::AutoBalancer;
 use blast_core::checkpoint::{CheckpointPolicy, CheckpointStore};
@@ -63,10 +66,9 @@ pub struct CampaignConfig {
     pub max_steps: usize,
     /// Coordinated checkpoint cadence, in accepted steps.
     pub checkpoint_every: usize,
-    /// Per-attempt receive timeout of the consensus links.
-    pub link_timeout: Duration,
-    /// `K`: receive attempts before the coordinator declares a peer dead
-    /// (also the failure detector's suspicion threshold).
+    /// `K`: receive attempts, each up to the communicator's virtual
+    /// timeout, before the coordinator declares a peer dead (also the
+    /// failure detector's suspicion threshold).
     pub link_attempts: u32,
     /// Copies of each consensus message (redundant transmission rides out
     /// message drops without an ack channel).
@@ -85,7 +87,6 @@ impl Default for CampaignConfig {
             t_final: 0.03,
             max_steps: 60,
             checkpoint_every: 3,
-            link_timeout: Duration::from_millis(25),
             link_attempts: 4,
             redundancy: 4,
             cfl: 0.08,
@@ -176,13 +177,12 @@ fn recv_robust(
     comm: &mut Communicator,
     from: usize,
     tag: u64,
-    timeout: Duration,
     attempts: u32,
     corrupt_patience: u32,
 ) -> Result<Vec<f64>, CommError> {
     let mut budget = attempts + corrupt_patience;
     loop {
-        match comm.recv_timeout(from, tag, timeout) {
+        match comm.recv(from, tag) {
             Ok(v) => return Ok(v),
             Err(e @ CommError::PeerDead { .. }) => return Err(e),
             Err(e) => {
@@ -233,7 +233,6 @@ fn campaign_rank(
     seed: u64,
 ) -> RankResult {
     let rank = comm.rank();
-    comm.set_timeout(cfg.link_timeout);
     if rank == 0 {
         comm.set_suspicion_threshold(cfg.link_attempts);
     }
@@ -285,7 +284,6 @@ fn campaign_rank(
                         &mut comm,
                         peer,
                         round_tag(epoch, cursor.steps, P_GATHER),
-                        cfg.link_timeout,
                         cfg.link_attempts,
                         cfg.redundancy as u32,
                     ) {
@@ -326,7 +324,6 @@ fn campaign_rank(
                     &mut comm,
                     0,
                     round_tag(epoch, cursor.steps, P_BCAST),
-                    cfg.link_timeout,
                     cfg.link_attempts * 4,
                     cfg.redundancy as u32,
                 )
@@ -404,22 +401,9 @@ fn failed(e: impl std::fmt::Display) -> RankOutcome {
 mod tests {
     use super::*;
 
-    /// For injected deaths: detection takes `link_timeout` × `link_attempts`.
-    fn quick_cfg() -> CampaignConfig {
-        CampaignConfig {
-            link_timeout: Duration::from_millis(15),
-            ..CampaignConfig::default()
-        }
-    }
-
-    /// Fault-free: no scheduler stall reaches the timeout and kills a live rank.
-    fn healthy_cfg() -> CampaignConfig {
-        CampaignConfig { link_timeout: Duration::from_secs(10), ..quick_cfg() }
-    }
-
     #[test]
     fn healthy_campaign_completes_in_agreement() {
-        let cfg = healthy_cfg();
+        let cfg = CampaignConfig::default();
         let results =
             run_chaos_campaign(&cfg, ClusterFaultPlan::none(), |_| FaultPlan::none());
         assert_eq!(results.len(), 3);
@@ -434,9 +418,9 @@ mod tests {
 
     #[test]
     fn rank_death_recovers_onto_survivors_bit_identically() {
-        let cfg = quick_cfg();
+        let cfg = CampaignConfig::default();
         let fault_free =
-            run_chaos_campaign(&healthy_cfg(), ClusterFaultPlan::none(), |_| FaultPlan::none());
+            run_chaos_campaign(&cfg, ClusterFaultPlan::none(), |_| FaultPlan::none());
         assert!(fault_free[0].steps >= 4, "need room for a mid-run death: {}", fault_free[0].steps);
 
         // Rank 2 dies two consensus rounds in (each round = `redundancy`

@@ -5,8 +5,6 @@
 //! replication is bit-identical, see DESIGN.md §9), while the resilience
 //! machinery bills nonzero checkpoint/restore/rank-death work.
 
-use std::time::Duration;
-
 use blast_repro::blast_core::{CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro, RunConfig, Sedov};
 use blast_repro::cluster_sim::{
     campaign_overhead_pct, run_chaos_campaign, CampaignConfig, RankOutcome,
@@ -18,15 +16,11 @@ fn cpu_exec() -> Executor {
     Executor::new(ExecMode::CpuSerial, CpuSpec::e5_2670(), None)
 }
 
-fn quick_cfg() -> CampaignConfig {
-    CampaignConfig { link_timeout: Duration::from_millis(20), ..CampaignConfig::default() }
-}
-
 /// The headline chaos campaign: >= 1 rank death, >= 1 persistent device
 /// fault, message drops and corruption — all at once.
 #[test]
 fn chaos_campaign_survives_deaths_drops_and_device_faults() {
-    let cfg = quick_cfg();
+    let cfg = CampaignConfig::default();
 
     // Fault-free reference trajectory.
     let reference = run_chaos_campaign(&cfg, ClusterFaultPlan::none(), |_| FaultPlan::none());

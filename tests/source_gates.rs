@@ -437,6 +437,21 @@ fn one_step_guard() {
     }
 }
 
+/// The cluster ranks read one clock, the virtual one of `cluster_sim::comm`:
+/// a message arrives at its sender's clock plus the network model's cost and
+/// a receive times out at a virtual deadline, so whether a live rank is
+/// declared dead depends on the fault seed, never on machine load. No line
+/// of `crates/cluster/src`, its unit tests included, reads the wall clock or
+/// sleeps.
+#[test]
+fn cluster_ranks_read_one_clock() {
+    let cluster = files_under(&["crates/cluster/src"]);
+    let hits = lines_where(&cluster, |l| {
+        ["std::time", "Instant", "Duration", "thread::sleep"].iter().any(|w| l.contains(w))
+    });
+    assert!(hits.is_empty(), "wall-clock time in the rank runtime: {hits:#?}");
+}
+
 /// The sum-factorized transforms run at compile-time shapes in one kernel
 /// (`blast_la::tensor`, cloned at the one SIMD level), so the general
 /// `tile::gemm` chain they replaced survives once, as their bitwise oracle
