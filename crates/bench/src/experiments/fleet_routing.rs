@@ -28,13 +28,7 @@ use gpu_sim::DeviceCatalog;
 use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
 /// The harness entry of this experiment.
-pub const EXPERIMENT: Experiment = Experiment {
-    name: "fleet_routing",
-    artifact: Some("BENCH_fleet.json"),
-    simulated: true,
-    paper_smoke: true,
-    run: |smoke| measure(smoke).report(),
-};
+pub const EXPERIMENT: Experiment = Experiment::modeled("fleet_routing", |_| measure().report());
 
 /// Energy-reconciliation tolerance, same as the serve-storm gate.
 const RECONCILE_TOL: f64 = 1e-9;
@@ -49,9 +43,9 @@ fn fleet() -> DeviceCatalog {
 }
 
 /// The mixed workload: per tenant, a job class sized so that no single
-/// device is cheapest for all of them. Every job carries a real (if
-/// generous) latency SLO on the simulated clock.
-fn workload(smoke: bool) -> Vec<JobSpec> {
+/// device is cheapest for all of them, four jobs in all. Every job carries
+/// a real (if generous) latency SLO on the simulated clock.
+fn workload() -> Vec<JobSpec> {
     let mut jobs = Vec::new();
     let mut push = |tenant: &str, scenario, zones, order, t_final, max_steps, n: usize| {
         for k in 0..n {
@@ -72,14 +66,13 @@ fn workload(smoke: bool) -> Vec<JobSpec> {
             });
         }
     };
-    let (tiny, mid, big) = if smoke { (2, 1, 1) } else { (3, 2, 2) };
-    // acme: many small interactive jobs — launch/transfer overheads
-    // dominate, the CPU node tends to win.
-    push("acme", Scenario::Sedov, [4, 4], 2, 0.008, 10, tiny);
-    // globex: mid-size vortex runs.
-    push("globex", Scenario::TaylorGreen, [10, 10], 2, 0.02, 14, mid);
-    // initech: large high-order shock runs — GPU territory.
-    push("initech", Scenario::TriplePoint, [16, 16], 3, 0.03, 16, big);
+    // acme: small interactive jobs — launch/transfer overheads dominate,
+    // the CPU node tends to win.
+    push("acme", Scenario::Sedov, [4, 4], 2, 0.008, 10, 2);
+    // globex: a mid-size vortex run.
+    push("globex", Scenario::TaylorGreen, [10, 10], 2, 0.02, 14, 1);
+    // initech: a large high-order shock run — GPU territory.
+    push("initech", Scenario::TriplePoint, [16, 16], 3, 0.03, 16, 1);
     jobs
 }
 
@@ -194,10 +187,9 @@ fn run_static(device_id: &str, jobs: &[JobSpec], decisions: &[RoutingDecision]) 
     }
 }
 
-/// Runs the full experiment. `smoke` trims the per-tenant job counts;
-/// the fleet, the job classes, and every gate stay identical.
-fn measure(smoke: bool) -> FleetRouting {
-    let jobs = workload(smoke);
+/// Runs the experiment.
+fn measure() -> FleetRouting {
+    let jobs = workload();
 
     // Routed placement, twice, under different host-pool sizes: the
     // second run's digest must match the first bit for bit.
@@ -366,7 +358,7 @@ mod tests {
             }],
         };
         assert!(r.report().failures().is_empty(), "{:?}", r.report().failures());
-        let json = harness::render_json(EXPERIMENT.name, true, &r.report());
+        let json = harness::render_json(EXPERIMENT.name, false, &r.report());
         let doc = harness::parse_artifact(&json).unwrap();
         let jobs = doc.get("jobs").and_then(Json::as_arr).unwrap();
         assert_eq!(jobs[1].get("device").and_then(Json::as_str), Some("k20"));
@@ -389,12 +381,5 @@ mod tests {
                 "routed is strictly cheaper than static k20"
             ]
         );
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "hydro-scale experiment: run with --release")]
-    fn smoke_workload_passes_every_gate() {
-        let report = (EXPERIMENT.run)(true);
-        assert!(report.failures().is_empty(), "{:?}", report.failures());
     }
 }

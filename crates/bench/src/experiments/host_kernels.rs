@@ -42,8 +42,6 @@ use crate::harness::{self, Block, Budget, Cell, Experiment, Gate, Report, Timing
 pub const EXPERIMENT: Experiment = Experiment {
     name: "host_kernels",
     artifact: Some("BENCH_host_kernels.json"),
-    simulated: false,
-    paper_smoke: false,
     run: |smoke| measure(smoke).report(),
 };
 

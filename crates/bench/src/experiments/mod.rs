@@ -18,7 +18,6 @@ pub mod fig07_kernel_variants;
 pub mod fig08_bandwidth;
 pub mod fig11_speedup;
 pub mod host_kernels;
-pub mod host_speedup;
 pub mod matfree_ceiling;
 pub mod pcg_streaming;
 pub mod point_physics;
@@ -66,7 +65,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     tab7_greenup::EXPERIMENT,
     resilience_overhead::EXPERIMENT,
     ablations::EXPERIMENT,
-    host_speedup::EXPERIMENT,
     host_kernels::EXPERIMENT,
     pcg_streaming::EXPERIMENT,
     matfree_ceiling::EXPERIMENT,

@@ -51,8 +51,6 @@ use crate::harness::{self, Block, Budget, Cell, Experiment, Gate, Report, Timing
 pub const EXPERIMENT: Experiment = Experiment {
     name: "pcg_streaming",
     artifact: Some("BENCH_pcg_streaming.json"),
-    simulated: false,
-    paper_smoke: false,
     run: |smoke| measure(smoke).report(),
 };
 

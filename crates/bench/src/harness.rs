@@ -248,25 +248,20 @@ impl Report {
 pub struct Experiment {
     /// Registry name; a gate bin's name too.
     pub name: &'static str,
-    /// The artifact its gate bin writes, `BENCH_*.json`; `None` when the
-    /// experiment has no artifact of its own.
+    /// The artifact of a wall-clock experiment, `BENCH_*.json`, which its
+    /// gate bin writes. `None` for an experiment whose every number comes
+    /// off the simulated clock and device models (the same on every host):
+    /// a member of `BENCH_paper.json`.
     pub artifact: Option<&'static str>,
-    /// Whether every number comes off the simulated clock and device
-    /// models (the same on every host: `paper_report` writes it into
-    /// `BENCH_paper.json`) rather than off the wall clock.
-    pub simulated: bool,
-    /// The budget `paper_report` runs it under: `true` for the hydro-scale
-    /// experiments whose full budget belongs to their gate bin.
-    pub paper_smoke: bool,
     /// Runs the experiment; `true` selects the smoke budget.
     pub run: fn(bool) -> Report,
 }
 
 impl Experiment {
-    /// A simulated-clock experiment with no artifact of its own, one
+    /// A simulated-clock experiment: a member of `BENCH_paper.json`, one
     /// budget.
     pub const fn modeled(name: &'static str, run: fn(bool) -> Report) -> Self {
-        Self { name, artifact: None, simulated: true, paper_smoke: false, run }
+        Self { name, artifact: None, run }
     }
 }
 
@@ -303,7 +298,7 @@ fn render_text(exp: &Experiment, smoke: bool, report: &Report) -> String {
         out,
         "{experiment}: {} budget{}.",
         if smoke { "smoke" } else { "full" },
-        if exp.simulated { "" } else { WALL_CLOCK },
+        if exp.artifact.is_some() { WALL_CLOCK } else { "" },
     );
     for g in &report.gates {
         let _ =
@@ -497,9 +492,9 @@ pub fn render_json(experiment: &str, smoke: bool, report: &Report) -> String {
 }
 
 /// One stamped document over several experiments' reports, each run under
-/// its `paper_report` budget: the header's `gates` carries every gate as
+/// its one budget: the header's `gates` carries every gate as
 /// `<experiment>: <gate>`, and each experiment is a member holding its
-/// `smoke` flag and its blocks.
+/// `smoke` flag (always `false`) and its blocks.
 fn render_paper_json(runs: &[(&Experiment, Report)]) -> String {
     let gates: Vec<(String, &Gate)> = runs
         .iter()
@@ -509,7 +504,7 @@ fn render_paper_json(runs: &[(&Experiment, Report)]) -> String {
     for (exp, report) in runs {
         assert!(!HEADER_KEYS.contains(&exp.name), "experiment '{}' shadows a header key", exp.name);
         member(&mut out, exp.name, "");
-        let _ = write!(out, "{{\n    \"smoke\": {}", exp.paper_smoke);
+        out.push_str("{\n    \"smoke\": false");
         blocks(&mut out, report, "  ");
         out.push_str("\n  }");
     }
@@ -567,10 +562,11 @@ pub fn main(exp: &Experiment) -> ExitCode {
 }
 
 /// The whole `main` of `paper_report`: runs the experiments named on the
-/// command line, or all of `registry` in order, each under its paper
+/// command line, or all of `registry` in order, each under its full
 /// budget, and prints every report. A full run also writes the
-/// simulated-clock experiments into `BENCH_paper.json` in the working
-/// directory. Non-zero exit on an unknown name, a failed gate or write.
+/// simulated-clock experiments (those without an artifact of their own)
+/// into `BENCH_paper.json` in the working directory. Non-zero exit on an
+/// unknown name, a failed gate or write.
 pub fn paper_main(registry: &[Experiment]) -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let find = |name: &String| registry.iter().find(|e| e.name == name);
@@ -586,11 +582,11 @@ pub fn paper_main(registry: &[Experiment]) -> ExitCode {
     };
     let mut simulated = Vec::new();
     for (i, exp) in picked.into_iter().enumerate() {
-        let report = (exp.run)(exp.paper_smoke);
-        print!("{}{}", if i > 0 { "\n" } else { "" }, render_text(exp, exp.paper_smoke, &report));
+        let report = (exp.run)(false);
+        print!("{}{}", if i > 0 { "\n" } else { "" }, render_text(exp, false, &report));
         report_failures(&report);
         ok &= report.failures().is_empty();
-        if exp.simulated {
+        if exp.artifact.is_none() {
             simulated.push((exp, report));
         }
     }
@@ -759,7 +755,8 @@ mod tests {
 
     #[test]
     fn text_shows_every_visible_cell_once_and_every_gate() {
-        let wall = Experiment { simulated: false, ..Experiment::modeled("demo", sample_report) };
+        let demo = Experiment::modeled("demo", sample_report);
+        let wall = Experiment { artifact: Some("BENCH_demo.json"), ..demo };
         let text = render_text(&wall, true, &sample_report(true));
         assert!(
             text.contains("== demo / shapes — two \"shapes\" ==")
@@ -772,8 +769,7 @@ mod tests {
         assert_eq!(json_num(f64::INFINITY), "null");
         // Only a wall-clock experiment says how its times were taken.
         assert!(text.contains("demo: smoke budget") && text.contains(WALL_CLOCK));
-        let modeled =
-            render_text(&Experiment { simulated: true, ..wall }, true, &sample_report(true));
+        let modeled = render_text(&demo, true, &sample_report(true));
         assert!(!modeled.contains(WALL_CLOCK));
     }
 
@@ -822,8 +818,7 @@ mod tests {
     #[test]
     fn the_paper_artifact_nests_each_experiment_under_one_header() {
         let a = Experiment::modeled("fig98_demo", sample_report);
-        let b =
-            Experiment { paper_smoke: true, ..Experiment::modeled("tab99_demo", sample_report) };
+        let b = Experiment::modeled("tab99_demo", sample_report);
         let runs = [(&a, sample_report(true)), (&b, sample_report(false))];
         let doc = parse_artifact(&render_paper_json(&runs)).unwrap();
         assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("paper_report"));
@@ -833,7 +828,7 @@ mod tests {
         assert_eq!(names, ["fig98_demo: gemm Q2 3D", "tab99_demo: gemm Q2 3D"]);
         assert_eq!(gates[1].get("ok"), Some(&Json::Bool(false)));
         let demo = doc.get("tab99_demo").unwrap();
-        assert_eq!(demo.get("smoke"), Some(&Json::Bool(true)));
+        assert_eq!(demo.get("smoke"), Some(&Json::Bool(false)));
         let shapes = demo.get("shapes").and_then(Json::as_arr).unwrap();
         assert_eq!(shapes[0].get("speedup").and_then(Json::as_f64), Some(2.0));
         assert_eq!(demo.get("ceiling").and_then(|c| c.get("stored_oom")), Some(&Json::Bool(true)));

@@ -2,9 +2,7 @@
 
 use std::path::Path;
 
-use blast_bench::experiments::{
-    fleet_routing, host_kernels, matfree_ceiling, pcg_streaming, EXPERIMENTS,
-};
+use blast_bench::experiments::{host_kernels, pcg_streaming, EXPERIMENTS};
 use blast_bench::harness::{self, Block, Cell, Experiment, Gate, Report, PAPER_ARTIFACT};
 use blast_telemetry::chrome::Json;
 
@@ -19,13 +17,7 @@ fn one_gate(smoke: bool) -> Report {
 #[test]
 fn a_failing_gate_is_in_the_file_and_in_the_status() {
     let artifact = "BENCH_driver_demo.json";
-    let exp = Experiment {
-        name: "driver_demo",
-        artifact: Some(artifact),
-        simulated: false,
-        paper_smoke: false,
-        run: one_gate,
-    };
+    let exp = Experiment { name: "driver_demo", artifact: Some(artifact), run: one_gate };
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
     for (smoke, held) in [(true, true), (false, false)] {
         assert_eq!(harness::drive(&exp, smoke, dir).unwrap(), held);
@@ -44,16 +36,17 @@ fn a_failing_gate_is_in_the_file_and_in_the_status() {
 /// (a stale one lacks the stamped header), belongs to a gate bin or to
 /// `paper_report`, carries its blocks, and records no failed gate.
 /// `BENCH_paper.json` holds every simulated-clock experiment of the
-/// registry, and no wall-clock one.
+/// registry (no artifact of its own), `matfree_ceiling` among them, and no
+/// wall-clock one.
 #[test]
 fn committed_artifacts_parse_and_carry_the_stamped_header() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let simulated: Vec<&str> = EXPERIMENTS.iter().filter(|e| e.simulated).map(|e| e.name).collect();
+    let simulated: Vec<&str> =
+        EXPERIMENTS.iter().filter(|e| e.artifact.is_none()).map(|e| e.name).collect();
+    assert!(simulated.contains(&"matfree_ceiling"), "{simulated:?}");
     let known = [
         (host_kernels::EXPERIMENT, &["shapes", "az_kernels", "point_physics", "summary"][..]),
         (pcg_streaming::EXPERIMENT, &["shapes", "lockstep", "gpu"]),
-        (matfree_ceiling::EXPERIMENT, &["shapes", "ceiling"]),
-        (fleet_routing::EXPERIMENT, &["jobs", "statics", "routed"]),
     ];
     let mut seen = 0;
     for entry in std::fs::read_dir(&root).unwrap() {
@@ -84,7 +77,7 @@ fn committed_artifacts_parse_and_carry_the_stamped_header() {
         for gate in doc.get("gates").and_then(Json::as_arr).unwrap() {
             assert_eq!(gate.get("ok"), Some(&Json::Bool(true)), "{file}: {gate:?}");
         }
-        let wall = EXPERIMENTS.iter().filter(|e| !e.simulated && file == PAPER_ARTIFACT);
+        let wall = EXPERIMENTS.iter().filter(|e| e.artifact.is_some() && file == PAPER_ARTIFACT);
         for exp in wall {
             assert!(doc.get(exp.name).is_none(), "wall-clock {} in {file}", exp.name);
         }

@@ -254,8 +254,11 @@ fn campaign_rank(
     comm.attach_telemetry(hydro.executor().telemetry().clone());
     let mut state = hydro.initial_state();
     let mesh = CartMesh::<2>::unit(cfg.zones);
-    let mut partition = Partition::balanced(&mesh, cfg.ranks);
-    let zones_before = partition.zones_of_rank(rank).len();
+    // The launch partition, over the original rank ids that `alive` holds:
+    // every shrink starts from it, however many ranks died before.
+    let launch = Partition::balanced(&mesh, cfg.ranks);
+    let zones_before = launch.zones_of_rank(rank).len();
+    let mut partition = launch.clone();
     let mut my_slot = rank;
     let mut dead_seen: Vec<usize> = Vec::new();
     // The loop's cursor, once there is one: a rank whose first force
@@ -345,7 +348,7 @@ fn campaign_rank(
                 let exec = hydro.executor_mut();
                 exec.note_rank_deaths(newly_dead.len() as u64);
                 exec.bill_recovery_quiesce(RECOVERY_QUIESCE_S);
-                let (shrunk, slots) = partition.shrink_to_fit(&mesh, &alive);
+                let (shrunk, slots) = launch.shrink_to_fit(&mesh, &alive);
                 partition = shrunk;
                 my_slot = slots[rank].expect("survivors keep a slot");
                 reset_balancer(hydro.executor_mut());

@@ -19,11 +19,11 @@ use blast_kernels::ProblemShape;
 /// (irregular, hard-to-vectorize per-quadrature-point code).
 const CF_CPU_EFF: f64 = 0.15;
 
-/// Order-dependent CPU corner-force efficiency: the higher-order corner
-/// force spends most of its time in larger dense batched products
-/// (e.g. 375x512 `A_z` tiles at Q4), which vectorize far better than the
-/// scalar-heavy SVD/eigenvalue work that dominates at Q2.
-fn cf_cpu_eff(order: usize) -> f64 {
+/// Order-dependent CPU corner-force flop efficiency fed to the roofline:
+/// the higher-order corner force spends most of its time in larger dense
+/// batched products (e.g. 375x512 `A_z` tiles at Q4), which vectorize far
+/// better than the scalar-heavy SVD/eigenvalue work that dominates at Q2.
+pub(crate) fn cf_cpu_eff(order: usize) -> f64 {
     match order {
         0..=2 => CF_CPU_EFF,
         3 => 0.22,
@@ -200,14 +200,6 @@ impl Executor {
         tel.counter_add(names::counters::POOL_BLOCKS, now.blocks_executed - prev.blocks_executed);
         tel.counter_add(names::counters::POOL_STEALS, now.steals - prev.steals);
         tel.gauge_set(names::gauges::POOL_THREADS, rayon::current_num_threads() as f64);
-    }
-
-    /// Corner-force flop efficiency fed to the roofline: the *measured*
-    /// tiled micro-kernel throughput when the host spec was calibrated
-    /// (`CpuSpec::calibrate_host_gflops`, fed by `bench::host_speedup`),
-    /// else the modeled order-dependent default `cf_cpu_eff`.
-    pub fn cf_eff(&self, order: usize) -> f64 {
-        self.host.spec().host_flop_efficiency().unwrap_or_else(|| cf_cpu_eff(order))
     }
 
     /// Whether a persistent device fault has forced all execution onto the

@@ -25,7 +25,7 @@ use powermon::CpuPowerState;
 use super::{ensure_zeroed, overshoots, Cfl, EvalScratch, ForceEval, Hydro, Reach};
 use crate::error::HydroError;
 use crate::exec::{
-    cg_iteration_traffic, cg_iteration_traffic_fused, cg_iteration_traffic_matfree,
+    cf_cpu_eff, cg_iteration_traffic, cg_iteration_traffic_fused, cg_iteration_traffic_matfree,
     corner_force_traffic, corner_force_traffic_matfree, verdict_traffic, verdict_traffic_matfree,
     ExecMode, CG_CPU_EFF,
 };
@@ -462,7 +462,7 @@ impl<const D: usize> Hydro<D> {
                 let res = self.corner_force_on(&mut Inline, None, state, reach.cap(), ws);
                 let doomed = matches!(res, Ok(Cfl { doomed: true, .. }));
                 let traffic = self.assembly.corner_force_traffic(&self.shape, doomed);
-                let eff = self.exec.cf_eff(self.shape.order);
+                let eff = cf_cpu_eff(self.shape.order);
                 let busy = CpuPowerState::Busy;
                 self.host_phase(names::phases::CORNER_FORCE, &traffic, eff, busy, || ());
                 res?
@@ -658,7 +658,7 @@ impl<const D: usize> Hydro<D> {
             names::phases::CORNER_FORCE_HYBRID_CPU,
             &cpu_traffic,
             self.exec.cpu_threads(),
-            self.exec.cf_eff(self.shape.order),
+            cf_cpu_eff(self.shape.order),
             CpuPowerState::Busy,
             || (),
         );

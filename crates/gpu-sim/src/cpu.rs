@@ -30,11 +30,6 @@ pub struct CpuSpec {
     pub dram_bw_gbs: f64,
     /// Parallel efficiency at full thread count (memory contention, NUMA).
     pub parallel_efficiency: f64,
-    /// Single-thread GFLOP/s the tiled host micro-kernels actually
-    /// sustain on the corner-force GEMM shape (`None` until
-    /// [`CpuSpec::calibrate_host_gflops`] has been fed a measurement,
-    /// e.g. from the `host_speedup` experiment).
-    pub measured_host_gflops: Option<f64>,
     /// RAPL-style power model.
     pub power: CpuPowerModel,
 }
@@ -48,7 +43,6 @@ impl CpuSpec {
             peak_gflops_dp: 166.4,
             dram_bw_gbs: 51.2,
             parallel_efficiency: 0.85,
-            measured_host_gflops: None,
             power: CpuPowerModel::e5_2670(),
         }
     }
@@ -61,7 +55,6 @@ impl CpuSpec {
             peak_gflops_dp: 67.2,
             dram_bw_gbs: 32.0,
             parallel_efficiency: 0.82,
-            measured_host_gflops: None,
             power: CpuPowerModel::x5660(),
         }
     }
@@ -74,7 +67,6 @@ impl CpuSpec {
             peak_gflops_dp: 140.8,
             dram_bw_gbs: 51.2,
             parallel_efficiency: 0.78,
-            measured_host_gflops: None,
             power: CpuPowerModel::opteron_6274(),
         }
     }
@@ -89,7 +81,6 @@ impl CpuSpec {
             peak_gflops_dp: 1472.0,
             dram_bw_gbs: 204.8,
             parallel_efficiency: 0.80,
-            measured_host_gflops: None,
             power: CpuPowerModel::xeon_8380(),
         }
     }
@@ -105,7 +96,6 @@ impl CpuSpec {
             peak_gflops_dp: 1208.0,
             dram_bw_gbs: 352.0,
             parallel_efficiency: 0.70,
-            measured_host_gflops: None,
             power: CpuPowerModel::xeon_phi_7120(),
         }
     }
@@ -120,57 +110,6 @@ impl CpuSpec {
             Self::xeon_8380(),
             Self::xeon_phi_7120(),
         ]
-    }
-
-    /// Replaces `parallel_efficiency` with the value inverted from a
-    /// measured speedup curve and returns it.
-    ///
-    /// `samples` holds `(threads, speedup_vs_1_thread)` pairs from a
-    /// wall-clock sweep (e.g. the `host_speedup` experiment). The
-    /// compute-bound roofline predicts `S(T) = T * (1 + (pe - 1)(T - 1)
-    /// / (C - 1))`, so each sample with `T > 1` inverts to
-    /// `pe = 1 + (S/T - 1)(C - 1)/(T - 1)`; the calibration averages
-    /// those estimates, clamped to `[0.05, 1.0]`. Single-thread samples
-    /// carry no efficiency information and are skipped; with no usable
-    /// sample the spec is left untouched.
-    pub fn calibrate_parallel_efficiency(&mut self, samples: &[(u32, f64)]) -> f64 {
-        let c = self.cores as f64;
-        let mut acc = 0.0;
-        let mut n = 0usize;
-        for &(t, s) in samples {
-            if t <= 1 || s <= 0.0 {
-                continue;
-            }
-            let t = (t as f64).min(c);
-            let pe = 1.0 + (s / t - 1.0) * (c - 1.0) / (t - 1.0);
-            acc += pe.clamp(0.05, 1.0);
-            n += 1;
-        }
-        if n > 0 {
-            self.parallel_efficiency = acc / n as f64;
-        }
-        self.parallel_efficiency
-    }
-
-    /// Records the single-thread GFLOP/s measured on the tiled host
-    /// micro-kernels (e.g. by the `host_speedup` experiment) and returns
-    /// the implied corner-force flop efficiency. Non-finite or
-    /// non-positive measurements are ignored.
-    pub fn calibrate_host_gflops(&mut self, gflops: f64) -> Option<f64> {
-        if gflops.is_finite() && gflops > 0.0 {
-            self.measured_host_gflops = Some(gflops);
-        }
-        self.host_flop_efficiency()
-    }
-
-    /// Fraction of one core's DP peak the measured host micro-kernels
-    /// sustain — the *measured* replacement for the modeled
-    /// order-dependent corner-force efficiency once
-    /// [`CpuSpec::calibrate_host_gflops`] has run. Clamped to `(0, 1]`;
-    /// `None` until a measurement is recorded.
-    pub fn host_flop_efficiency(&self) -> Option<f64> {
-        let per_core_peak = self.peak_gflops_dp / self.cores as f64;
-        self.measured_host_gflops.map(|g| (g / per_core_peak).clamp(1e-3, 1.0))
     }
 
     /// Roofline time for a phase run on `threads` cores. CPU code achieves a
@@ -438,28 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn calibration_round_trips_model_speedups() {
-        // Speedups generated by the model itself must invert back to
-        // the parallel_efficiency that produced them.
-        let reference = CpuSpec::e5_2670();
-        let t = Traffic::compute(1e10);
-        let t1 = reference.phase_time(&t, 1, 0.5);
-        let samples: Vec<(u32, f64)> =
-            [2u32, 4, 8].iter().map(|&n| (n, t1 / reference.phase_time(&t, n, 0.5))).collect();
-        let mut calibrated = CpuSpec { parallel_efficiency: 0.5, ..CpuSpec::e5_2670() };
-        let pe = calibrated.calibrate_parallel_efficiency(&samples);
-        assert!((pe - reference.parallel_efficiency).abs() < 1e-12, "pe {pe}");
-    }
-
-    #[test]
-    fn calibration_ignores_unusable_samples() {
-        let mut s = CpuSpec::e5_2670();
-        let before = s.parallel_efficiency;
-        let after = s.calibrate_parallel_efficiency(&[(1, 1.0), (4, -2.0)]);
-        assert_eq!(before, after);
-    }
-
-    #[test]
     fn attached_sink_mirrors_phases_on_the_power_time_axis() {
         let dev = CpuDevice::new(CpuSpec::e5_2670());
         let sink = blast_telemetry::Telemetry::sink();
@@ -499,7 +416,6 @@ mod tests {
                 "{}",
                 s.name
             );
-            assert!(s.measured_host_gflops.is_none(), "{}: presets ship uncalibrated", s.name);
             // Full-package phase_time must be finite and ordered vs 1 thread.
             let t = Traffic::compute(1e9);
             let t1 = s.phase_time(&t, 1, 0.5);

@@ -3,14 +3,13 @@
 //! "A major change from the CPU code to our newly designed CUDA code is that
 //! loops become batch-processed" (§3.1.1). This module defines the packed
 //! batched storage format shared by the CPU reference and the simulated-GPU
-//! kernels, plus reference batched DGEMM/DGEMV implementations. Each batch
+//! kernels, plus the reference batched DGEMM. Each batch
 //! member is stored contiguously in column-major order, members back to back
 //! — exactly how `cublasDgemmBatched` expects its device arrays, minus the
 //! pointer indirection.
 
 use rayon::prelude::*;
 
-use crate::dense::gemv_n_raw;
 use crate::tile::{self, Op};
 
 /// A packed batch of equally-shaped column-major matrices.
@@ -179,34 +178,10 @@ pub fn batched_gemm_nn(
     });
 }
 
-/// Batched DGEMV `y_z = alpha A_z x_z + beta y_z`. Vectors are packed
-/// back-to-back (`x`: count * n, `y`: count * m).
-///
-/// This is the operation CUBLAS *lacks* a batched routine for — the paper's
-/// kernel 8 ("one thread block does a DGEMV") beats streamed `cublasDgemv`
-/// by 90x (Table 4).
-pub fn batched_gemv_n(alpha: f64, a: &BatchedMats, x: &[f64], beta: f64, y: &mut [f64]) {
-    let (m, n) = a.shape();
-    assert_eq!(x.len(), n * a.count(), "batched gemv_n x length mismatch");
-    assert_eq!(y.len(), m * a.count(), "batched gemv_n y length mismatch");
-    let sa = a.stride();
-    y.par_chunks_exact_mut(m).enumerate().for_each(|(z, yz)| {
-        gemv_n_raw(
-            m,
-            n,
-            alpha,
-            &a.as_slice()[z * sa..(z + 1) * sa],
-            &x[z * n..(z + 1) * n],
-            beta,
-            yz,
-        );
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::{gemm_nn, gemv_n, DMatrix};
+    use crate::dense::{gemm_nn, DMatrix};
 
     fn batch_to_dmat(b: &BatchedMats, z: usize) -> DMatrix {
         DMatrix::from_col_major(b.shape().0, b.shape().1, b.mat(z).to_vec())
@@ -252,19 +227,6 @@ mod tests {
             let mut expect = DMatrix::zeros(3, 2);
             gemm_nn(1.0, &batch_to_dmat(&a, z), &batch_to_dmat(&b, z), 0.0, &mut expect);
             assert_eq!(batch_to_dmat(&c, z), expect, "batch {z}");
-        }
-    }
-
-    #[test]
-    fn batched_gemv_n_matches_per_matrix_gemv() {
-        let a = sample_batch(4, 3, 7, 0.4);
-        let x: Vec<f64> = (0..3 * 7).map(|i| (i as f64).cos()).collect();
-        let mut y = vec![0.0; 4 * 7];
-        batched_gemv_n(1.0, &a, &x, 0.0, &mut y);
-        for z in 0..7 {
-            let mut expect = vec![0.0; 4];
-            gemv_n(1.0, &batch_to_dmat(&a, z), &x[z * 3..(z + 1) * 3], 0.0, &mut expect);
-            assert_eq!(&y[z * 4..(z + 1) * 4], expect.as_slice(), "batch {z}");
         }
     }
 

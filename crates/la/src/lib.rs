@@ -36,7 +36,7 @@ pub mod tensor;
 pub mod tile;
 
 pub use abft::{Abft, AbftViolation};
-pub use batch::{batched_gemm_nn, batched_gemv_n, BatchedMats};
+pub use batch::{batched_gemm_nn, BatchedMats};
 pub use blockdiag::BlockDiag;
 pub use csr::{CsrBuilder, CsrMatrix};
 pub use dense::DMatrix;

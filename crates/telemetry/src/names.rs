@@ -126,9 +126,6 @@ pub mod counters {
     /// Routed jobs where the latency SLO forced a pick that was not the
     /// cheapest-energy candidate.
     pub const ROUTE_SLO_FORCED: &str = "route_slo_forced";
-    /// Host-calibration searches that found no usable multi-core sample
-    /// and silently kept the preset efficiency (see `host_speedup`).
-    pub const HOST_CALIBRATION_KEPT: &str = "host_calibration_kept";
     /// Deadline misses (a subset of `jobs_cancelled`).
     pub const DEADLINE_MISSES: &str = "deadline_misses";
     /// Workers declared dead by the supervisor's failure detector.
