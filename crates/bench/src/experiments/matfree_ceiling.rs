@@ -2,9 +2,9 @@
 //! the paper's §4.1 Q4-Q3 memory ceiling.
 //!
 //! Q4-Q3 3D on the K20 device model at 24³ zones, above the 16³ limit of
-//! Table 8, one time step. The stored build must fail with the *typed*
-//! `OutOfMemory` error — both byte counts populated — and the matrix-free
-//! build must run real time steps on the same device, with the modeled
+//! Table 8. The stored build must fail with the *typed* `OutOfMemory`
+//! error — both byte counts populated — and the matrix-free build must
+//! take a real time step on the same device, with the modeled
 //! launch/DRAM accounting capturing the flop/byte shift (force traffic
 //! collapse, SpMV-free mass applies at higher arithmetic intensity,
 //! resident-bytes collapse). Every number is off the simulated clock; the
