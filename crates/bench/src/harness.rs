@@ -34,7 +34,7 @@ use blast_telemetry::chrome::{escape_into, parse_json, Json};
 const SCHEMA: u32 = 2;
 
 /// Keys [`render_json`] stamps before the blocks.
-const HEADER_KEYS: [&str; 6] = ["schema", "experiment", "smoke", "git_rev", "machine", "gates"];
+pub(crate) const HEADER_KEYS: [&str; 6] = ["schema", "experiment", "smoke", "git_rev", "machine", "gates"];
 
 /// How long [`time_interleaved`] measures.
 #[derive(Clone, Copy, Debug)]
@@ -495,7 +495,7 @@ pub fn render_json(experiment: &str, smoke: bool, report: &Report) -> String {
 /// its one budget: the header's `gates` carries every gate as
 /// `<experiment>: <gate>`, and each experiment is a member holding its
 /// `smoke` flag (always `false`) and its blocks.
-fn render_paper_json(runs: &[(&Experiment, Report)]) -> String {
+pub(crate) fn render_paper_json(runs: &[(&Experiment, Report)]) -> String {
     let gates: Vec<(String, &Gate)> = runs
         .iter()
         .flat_map(|(exp, r)| r.gates.iter().map(|g| (format!("{}: {}", exp.name, g.name), g)))
