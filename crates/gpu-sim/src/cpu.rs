@@ -8,8 +8,9 @@
 //! bandwidth), with an imperfect-parallel-scaling factor for the OpenMP
 //! analog.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use blast_telemetry::{TelemetrySink, Track};
-use parking_lot::Mutex;
 use powermon::{CpuPowerModel, CpuPowerState, PowerTrace};
 
 use crate::traffic::Traffic;
@@ -146,6 +147,12 @@ const PHASE_ROWS: usize = 16;
 /// are static labels (compile-time known), so a row costs no heap allocation.
 pub(crate) type Totals = Vec<(&'static str, f64, usize)>;
 
+/// Locks a device's state, taking a poisoned lock as it stands: a thread
+/// that panicked while holding it leaves the simulated ledgers readable.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Adds `seconds` and one call to `name`'s row, appending it on first use.
 pub(crate) fn add_to_totals(rows: &mut Totals, name: &'static str, seconds: f64) {
     match rows.iter_mut().find(|row| row.0 == name) {
@@ -196,12 +203,12 @@ impl CpuDevice {
     /// [`Track::Host`] span at the exact `(start, duration)` the power
     /// trace bills, so spans and power segments share one time axis.
     pub fn attach_telemetry(&self, sink: TelemetrySink) {
-        self.state.lock().sink = Some(sink);
+        lock(&self.state).sink = Some(sink);
     }
 
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<TelemetrySink> {
-        self.state.lock().sink.clone()
+        lock(&self.state).sink.clone()
     }
 
     /// Runs a phase: `body` executes for real; the modeled time/power are
@@ -221,7 +228,7 @@ impl CpuDevice {
         let util = threads as f64 / self.spec.cores as f64;
         let reading = self.spec.power.read(state, util);
         let power_w = reading.pkg_watts + reading.dram_watts;
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let start = st.clock_s;
         st.trace.push(start, time_s, power_w);
         add_to_totals(&mut st.totals, name, time_s);
@@ -237,7 +244,7 @@ impl CpuDevice {
     /// this keeps the telemetry side quiet too (used by the zero-allocation
     /// harness before its measurement window).
     pub fn reserve_telemetry(&self, phases: usize) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.trace.reserve(phases);
         if let Some(sink) = &st.sink {
             sink.reserve_spans(phases);
@@ -247,31 +254,31 @@ impl CpuDevice {
     /// Advances the clock through an idle / waiting gap.
     pub fn idle(&self, seconds: f64) {
         assert!(seconds >= 0.0);
-        self.state.lock().clock_s += seconds;
+        lock(&self.state).clock_s += seconds;
     }
 
     /// Current simulated time.
     pub fn now(&self) -> f64 {
-        self.state.lock().clock_s
+        lock(&self.state).clock_s
     }
 
     /// Snapshot of the power trace.
     pub fn power_trace(&self) -> PowerTrace {
-        self.state.lock().trace.clone()
+        lock(&self.state).trace.clone()
     }
 
     /// Per-phase totals `(name, seconds, calls)` since t = 0 — Table 1's
     /// CPU profile — sorted by descending seconds (a stable sort, so
     /// equal totals keep their first-billed order).
     pub fn phase_totals(&self) -> Vec<(&'static str, f64, usize)> {
-        let mut totals = self.state.lock().totals.clone();
+        let mut totals = lock(&self.state).totals.clone();
         totals.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
         totals
     }
 
     /// Total energy since t = 0, joules.
     pub fn energy_joules(&self) -> f64 {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         st.trace.energy(0.0, st.clock_s)
     }
 }

@@ -1,10 +1,11 @@
 //! The simulated GPU device: launch accounting, timing, power, transfers.
 
+use std::sync::Mutex;
+
 use blast_telemetry::{names, TelemetrySink, Track};
-use parking_lot::Mutex;
 use powermon::{PowerTrace, WINDOW};
 
-use crate::cpu::{add_to_totals, Totals};
+use crate::cpu::{add_to_totals, lock, Totals};
 use crate::fault::{FaultKind, FaultPlan, FaultStats, GpuError, RetryPolicy, TransferDir};
 use crate::occupancy::{occupancy, LaunchConfig, Occupancy};
 use crate::spec::GpuSpec;
@@ -123,12 +124,12 @@ impl GpuDevice {
     /// the power trace bills, along with launch/traffic counters and
     /// occupancy gauges.
     pub fn attach_telemetry(&self, sink: TelemetrySink) {
-        self.state.lock().sink = Some(sink);
+        lock(&self.state).sink = Some(sink);
     }
 
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<TelemetrySink> {
-        self.state.lock().sink.clone()
+        lock(&self.state).sink.clone()
     }
 
     /// Sets the number of host processes sharing the device through Hyper-Q
@@ -137,30 +138,30 @@ impl GpuDevice {
     /// sequentially).
     pub fn set_active_queues(&self, n: u32) {
         let q = n.clamp(1, self.spec.hyperq_queues);
-        self.state.lock().active_queues = q;
+        lock(&self.state).active_queues = q;
     }
 
     /// Current active queue count.
     pub fn active_queues(&self) -> u32 {
-        self.state.lock().active_queues
+        lock(&self.state).active_queues
     }
 
     /// Installs a fault-injection plan (and resets the per-site operation
     /// counters, so scheduled faults count from this moment).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.faults = plan;
         st.fault_ops = [0; crate::fault::NUM_FAULT_KINDS];
     }
 
     /// Sets the retry policy applied to transient faults.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        self.state.lock().retry = policy;
+        lock(&self.state).retry = policy;
     }
 
     /// Cumulative fault/recovery counters.
     pub fn fault_stats(&self) -> FaultStats {
-        self.state.lock().fault_stats
+        lock(&self.state).fault_stats
     }
 
     /// Runs the fault/retry protocol for one operation checked against
@@ -172,7 +173,7 @@ impl GpuDevice {
         kinds: &[FaultKind],
         err: impl Fn(FaultKind, u32) -> GpuError,
     ) -> Result<(), GpuError> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if !st.faults.is_active() {
             return Ok(());
         }
@@ -220,7 +221,7 @@ impl GpuDevice {
     /// the fault plan injects an allocator OOM. OOM is never retried — the
     /// memory is simply not there.
     pub fn alloc(&self, bytes: usize) -> Result<(), GpuError> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let oom = |st: &DeviceState| GpuError::Oom {
             device: self.spec.name.to_string(),
             requested: bytes,
@@ -245,14 +246,14 @@ impl GpuDevice {
 
     /// Releases device memory.
     pub fn free(&self, bytes: usize) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.allocated = st.allocated.saturating_sub(bytes);
     }
 
     /// Currently allocated device memory, bytes.
     #[cfg(test)]
     pub fn allocated_bytes(&self) -> usize {
-        self.state.lock().allocated
+        lock(&self.state).allocated
     }
 
     /// Pure timing/power model of a launch (no execution, no recording).
@@ -261,7 +262,7 @@ impl GpuDevice {
     /// invalid configurations must be pruned beforehand via
     /// [`crate::occupancy::occupancy`], which is what the autotuner does.
     pub fn model_kernel(&self, cfg: &LaunchConfig, traffic: &Traffic) -> KernelStats {
-        let queues = self.state.lock().active_queues;
+        let queues = lock(&self.state).active_queues;
         self.model_kernel_with_queues(cfg, traffic, queues)
     }
 
@@ -348,7 +349,7 @@ impl GpuDevice {
         })?;
         let result = body();
         let stats = self.model_kernel(cfg, traffic);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let start =
             st.record(KernelEvent { name, start_s: 0.0, stats, traffic: *traffic, config: *cfg });
         if let Some(sink) = &st.sink {
@@ -382,7 +383,7 @@ impl GpuDevice {
         let time_s = s.pcie_latency_us * 1e-6 + bytes as f64 / (s.pcie_bw_gbs * 1e9);
         // Transfers keep the board awake but exercise little silicon.
         let power_w = s.active_floor_w * 0.85;
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let start = st.record(KernelEvent {
             name,
             start_s: 0.0,
@@ -435,7 +436,7 @@ impl GpuDevice {
     /// `CpuDevice::reserve_telemetry`, used by the zero-allocation harness
     /// before its measurement window (the span ring is preallocated).
     pub fn reserve_telemetry(&self, ops: usize) {
-        let st = &mut *self.state.lock();
+        let st = &mut *lock(&self.state);
         st.events.reserve(ops.min(WINDOW - st.events.len()));
         st.trace.reserve(ops);
     }
@@ -443,34 +444,34 @@ impl GpuDevice {
     /// Advances the simulated clock through an idle gap (host-side work).
     pub fn idle(&self, seconds: f64) {
         assert!(seconds >= 0.0);
-        self.state.lock().clock_s += seconds;
+        lock(&self.state).clock_s += seconds;
     }
 
     /// Current simulated time.
     pub fn now(&self) -> f64 {
-        self.state.lock().clock_s
+        lock(&self.state).clock_s
     }
 
     /// Snapshot of the power trace.
     pub fn power_trace(&self) -> PowerTrace {
-        self.state.lock().trace.clone()
+        lock(&self.state).trace.clone()
     }
 
     /// Snapshot of the newest events: all of them until there were [`WINDOW`].
     pub fn events(&self) -> Vec<KernelEvent> {
-        self.state.lock().events.clone()
+        lock(&self.state).events.clone()
     }
 
     /// Total energy since t = 0, joules (gaps billed at idle power).
     pub fn energy_joules(&self) -> f64 {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         st.trace.energy(0.0, st.clock_s)
     }
 
     /// Per-name totals `(name, total_time_s, calls)` since t = 0 by
     /// descending time (ties in first-billed order) — the Fig. 6 breakdown.
     pub fn kernel_summary(&self) -> Vec<(&'static str, f64, usize)> {
-        let mut totals = self.state.lock().totals.clone();
+        let mut totals = lock(&self.state).totals.clone();
         totals.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite times"));
         totals
     }
