@@ -69,24 +69,46 @@ fn ten_thousand_gpu_steps_keep_every_ledger_inside_the_window() {
 /// (each attempt re-emitted whole, well inside it) still closes its books.
 /// The late last job leaves the worker's clock an ulp short of its shifted
 /// host trace's end, so the whole-run query that bills the worker reads the
-/// window, starting from the dropped segments' sums.
+/// window, starting from the dropped segments' sums. That case depends on
+/// the billed phase sequence, so the test replays the late job and asserts
+/// it: a changed sequence fails here instead of dropping the case.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn a_worker_trace_past_the_window_still_reconciles() {
     const FILLERS: usize = 110;
     const STEPS: usize = 53;
+    const LATE_STEPS: usize = 51;
+    const LATE_ARRIVAL_S: f64 = 10.0;
     let worker = WorkerSpec::from_device(&DeviceCatalog::get("k20"));
-    // One filler's segments, billed on an executor built as the supervisor
-    // builds an attempt's.
-    let gpu = Arc::new(GpuDevice::new(worker.gpu.clone().expect("a gpu worker")));
-    let mode = ExecMode::Gpu { base: false, gpu_pcg: false, mpi_queues: 1 };
-    let exec = Executor::new(mode, worker.host.clone(), Some(gpu.clone()));
-    let mut hydro = Scenario::Sedov.build([4, 4], 2, exec, None).expect("setup");
-    let mut state = hydro.initial_state();
-    hydro.run(&mut state, RunConfig::to(1.0).max_steps(STEPS)).expect("one job alone");
-    let host = hydro.executor().host.power_trace().segments().len();
+    // A job's attempt, billed on an executor built as the supervisor
+    // builds one, stepped as its quanta step it.
+    let attempt = |max_steps: usize| {
+        let gpu = Arc::new(GpuDevice::new(worker.gpu.clone().expect("a gpu worker")));
+        let mode = ExecMode::Gpu { base: false, gpu_pcg: false, mpi_queues: 1 };
+        let exec = Executor::new(mode, worker.host.clone(), Some(gpu));
+        let mut hydro = Scenario::Sedov.build([4, 4], 2, exec, None).expect("setup");
+        let mut state = hydro.initial_state();
+        let mut store = CheckpointStore::in_memory();
+        let policy = CheckpointPolicy::EverySteps(JobSpec::default().checkpoint_every);
+        let mut cursor = hydro.begin(&mut state, &store).expect("begin");
+        while !cursor.done(&state, 1.0, max_steps) {
+            hydro.advance(&mut state, &mut cursor, 1.0, policy, &mut store).expect("a step");
+        }
+        hydro
+    };
+    // One filler's segments.
+    let filler = attempt(STEPS);
+    let host = filler.executor().host.power_trace().segments().len();
+    let gpu = filler.executor().gpu.as_ref().expect("gpu");
     let device = gpu.power_trace().segments().len();
     assert!(device < WINDOW && FILLERS * host > WINDOW, "{host} host, {device} gpu segments");
+    // The late job alone: the worker clock it leaves, `offset + wall`, and
+    // the end of its host trace shifted by the same offset.
+    let late = attempt(LATE_STEPS);
+    let clock = LATE_ARRIVAL_S + late.executor().now();
+    let last = *late.executor().host.power_trace().segments().last().expect("host segments");
+    let trace_end = (last.start + LATE_ARRIVAL_S) + last.duration;
+    assert_eq!(trace_end, clock.next_up(), "the worker clock {clock} is not an ulp short");
 
     let job = |tenant: String, max_steps: usize, arrival_s: f64| JobSpec {
         tenant,
@@ -103,9 +125,14 @@ fn a_worker_trace_past_the_window_still_reconciles() {
     for i in 0..FILLERS {
         sup.submit(job(format!("t{}", i % 3), STEPS, 0.0)).expect("fits the queue");
     }
-    sup.submit(job("last".into(), 51, 10.0)).expect("fits the queue");
+    sup.submit(job("last".into(), LATE_STEPS, LATE_ARRIVAL_S)).expect("fits the queue");
     let report = sup.run_to_completion();
     assert!(report.all_terminal());
+    // The replay is the supervisor's run: the fillers were done before the
+    // late job arrived, and its attempt ended the worker's clock there.
+    let record = report.jobs.iter().find(|j| j.tenant == "last").expect("the late job");
+    assert_eq!(record.started_s, Some(LATE_ARRIVAL_S));
+    assert_eq!(record.finished_s.map(f64::to_bits), Some(clock.to_bits()));
     let err = report.reconciliation_error();
     assert!(err <= ENERGY_RECONCILE_TOL, "reconciliation error {err}:\n{}", report.summary());
 }
