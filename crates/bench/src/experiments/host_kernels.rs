@@ -551,14 +551,17 @@ mod tests {
         }
         // Stored workloads: 5 phases, the matrix-free one 4.
         assert_eq!(r.setup.len(), 14);
-        let blocks = r.setup.iter().filter(|p| p.gated).count();
+        let gated: Vec<&str> =
+            r.setup.iter().filter(|p| p.bar.is_some()).map(|p| p.phase).collect();
+        let blocks = gated.iter().filter(|&&p| p == "kinematic_blocks").count();
         assert_eq!(blocks, if blast_la::simd::level() >= 1 { 2 } else { 0 });
+        assert_eq!(gated.len(), 2 + blocks, "{gated:?}: the two scatter rows are gated");
         // 4 GEMM (+ 3 production at level 2) + 3 A_z + 2 A_z F_z + 2
-        // mid-run states x 6 stress-half bodies (+ 2 kinematic-block rows
-        // at level 1 or more).
+        // mid-run states x 6 stress-half bodies + 2 scatter rows (+ 2
+        // kinematic-block rows at level 1 or more).
         let production = r.shapes.iter().filter(|s| s.production_gated).count();
         assert_eq!(production, if blast_la::simd::level() >= 2 { 3 } else { 0 });
-        assert_eq!(r.report().gates.len(), 21 + production + blocks);
+        assert_eq!(r.report().gates.len(), 23 + production + blocks);
     }
 
     /// Both bodies production runs, the generic one and `tile::gemm`, reach

@@ -4,11 +4,14 @@
 //! loop it replaced:
 //!
 //! - `geometry`: `zone_jacobians` and the point positions `ρ₀` is read at,
-//!   zone by zone, the same code on both sides;
+//!   the points as vector lanes, against the point-at-a-time loops
+//!   `fem::geom::reference`;
 //! - `kinematic_blocks`: `M_V`'s zone blocks on the `blast_la::WeightedGram`
 //!   register tile, against `fem::mass::reference::kinematic_blocks`;
-//! - `triplets_sort`: the serial triplet push and `CsrBuilder`'s sort and
-//!   merge, the same code on both sides;
+//! - `scatter`: `M_V` from those blocks, its pattern counted once and each
+//!   entry summed in zone order (`CsrMatrix::from_zone_blocks`), against
+//!   the triplet push and `CsrBuilder`'s stable sort and merge
+//!   (`fem::mass::reference::scatter_kinematic_blocks`);
 //! - `thermodynamic_blocks`: `M_E` on the same tile, against
 //!   `fem::mass::reference::assemble_thermodynamic_mass`;
 //! - `me_inverse`: `M_E`'s block inverse, the same code on both sides;
@@ -21,7 +24,7 @@
 //! like the rest of that artifact.
 
 use blast_core::AssemblyMode;
-use blast_fem::geom::{eval_h1_vector, zone_jacobians};
+use blast_fem::geom::{self, eval_h1_vector, zone_jacobians};
 use blast_fem::{mass, quad_points_1d, BasisTable, CartMesh, H1Space, L2Space, TensorRule};
 use blast_kernels::sumfac::{self, SumfacFactors, SumfacMassKernel};
 use blast_kernels::ProblemShape;
@@ -41,6 +44,11 @@ pub const SETUP_WORKLOADS: [(&str, usize, usize, AssemblyMode); 3] = [
 /// and 3.2-3.6x at level 1 on the two stored shapes).
 const BLOCKS_GATE_SPEEDUP: f64 = 2.0;
 
+/// The zone-order scatter must run at least this many times faster than
+/// the triplet push and sort on both stored shapes, at every SIMD level
+/// (it is scalar code).
+const SCATTER_GATE_SPEEDUP: f64 = 3.0;
+
 /// Timing variant of the body the builder runs; [`REFERENCE`] is the other.
 const BODY: usize = 0;
 /// See [`BODY`].
@@ -53,8 +61,9 @@ pub struct SetupPhaseResult {
     pub workload: &'static str,
     /// Phase name (see the module docs).
     pub phase: &'static str,
-    /// The kinematic blocks at SIMD level 1 or more carry the gate.
-    pub gated: bool,
+    /// The speedup over the reference a gated row must reach: the
+    /// scatter's, and the kinematic blocks' at SIMD level 1 or more.
+    pub bar: Option<f64>,
     /// Variants: the builder's body, then the reference loop; seconds per
     /// call.
     pub t: Timing,
@@ -64,17 +73,15 @@ impl SetupPhaseResult {
     /// This row's cells; a gated row adds its gate to `gates`.
     pub fn row(&self, gates: &mut Vec<Gate>) -> Vec<Cell> {
         let speedup = self.t.median_ratio(&[REFERENCE], &[BODY]);
-        if self.gated {
-            let detail = format!(
-                "{speedup:.2}x of the reference loop, need >= {BLOCKS_GATE_SPEEDUP:.1}x"
-            );
+        if let Some(bar) = self.bar {
+            let detail = format!("{speedup:.2}x of the reference loop, need >= {bar:.1}x");
             let name = format!("setup {} {}", self.workload, self.phase);
-            gates.push(Gate::new(name, speedup >= BLOCKS_GATE_SPEEDUP, detail));
+            gates.push(Gate::new(name, speedup >= bar, detail));
         }
         vec![
             Cell::new("workload", self.workload),
             Cell::new("phase", self.phase),
-            Cell::new("gated", self.gated),
+            Cell::new("gated", self.bar.is_some()),
             Cell::new("ms", self.t.min(BODY) * 1e3),
             Cell::new("reference_ms", self.t.min(REFERENCE) * 1e3),
             Cell::times("speedup", speedup),
@@ -118,21 +125,28 @@ impl Inputs {
             x0,
             rho0detj0: Vec::new(),
         };
-        inp.rho0detj0 = inp.geometry();
+        inp.rho0detj0 = inp.geometry(BODY).0;
         inp
     }
 
-    /// `|J₀|` at every point as the builder forms it, the positions
-    /// evaluated alongside.
-    fn geometry(&self) -> Vec<f64> {
+    /// `|J₀|` and the position at every point as the builder forms them,
+    /// through `fem::geom` (`BODY`) or its reference loops.
+    fn geometry(&self, variant: usize) -> (Vec<f64>, Vec<[f64; 3]>) {
         let (kin, table, x0) = (&self.kin, &self.kin_table, &self.x0);
-        let (mut out, mut geom, mut pos) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut dets, mut points) = (Vec::new(), Vec::new());
+        let (mut g, mut pos) = (Vec::new(), Vec::new());
         for z in 0..self.shape.zones {
-            zone_jacobians(kin, table, x0, z, &mut geom);
-            eval_h1_vector(kin, table, x0, z, &mut pos);
-            out.extend(geom.iter().map(|g| g.det));
+            if variant == BODY {
+                zone_jacobians(kin, table, x0, z, &mut g);
+                eval_h1_vector(kin, table, x0, z, &mut pos);
+            } else {
+                geom::reference::zone_jacobians(kin, table, x0, z, &mut g);
+                geom::reference::eval_h1_vector(kin, table, x0, z, &mut pos);
+            }
+            dets.extend(g.iter().map(|g| g.det));
+            points.extend_from_slice(&pos);
         }
-        out
+        (dets, points)
     }
 
     /// `α_k ρ₀|J₀|` per point: the matrix-free mass scale factors.
@@ -156,30 +170,41 @@ fn measure_workload(
     let inp = Inputs::new(order, zones);
     let (kin, rule, table, w) = (&inp.kin, &inp.rule, &inp.kin_table, &inp.rho0detj0);
     let (thermo, thermo_table) = (&inp.thermo, &inp.thermo_table);
-    let gate_blocks = blast_la::simd::level() >= 1;
+    let blocks_bar = (blast_la::simd::level() >= 1).then_some(BLOCKS_GATE_SPEEDUP);
     let mut out = Vec::new();
-    let mut phase = |phase: &'static str, gated: bool, run: &mut dyn FnMut(usize)| {
+    let mut phase = |phase: &'static str, bar: Option<f64>, run: &mut dyn FnMut(usize)| {
         let t = harness::time_interleaved(2, budget, run);
-        out.push(SetupPhaseResult { workload, phase, gated, t });
+        out.push(SetupPhaseResult { workload, phase, bar, t });
     };
 
-    phase("geometry", false, &mut |_| {
-        inp.geometry();
+    let ((dets, points), (dets_ref, points_ref)) = (inp.geometry(BODY), inp.geometry(REFERENCE));
+    assert_eq!(bits(&dets), bits(&dets_ref), "{workload}: |J0|");
+    assert_eq!(bits(points.as_flattened()), bits(points_ref.as_flattened()), "{workload}: points");
+    phase("geometry", None, &mut |v| {
+        inp.geometry(v);
     });
     match assembly {
         AssemblyMode::Stored => {
             let blocks = mass::kinematic_blocks(kin, rule, table, w);
             let reference = mass::reference::kinematic_blocks(kin, rule, table, w);
             assert_eq!(bits(&blocks), bits(&reference), "{workload}: kinematic blocks");
-            phase("kinematic_blocks", gate_blocks, &mut |v| {
+            phase("kinematic_blocks", blocks_bar, &mut |v| {
                 if v == BODY {
                     mass::kinematic_blocks(kin, rule, table, w);
                 } else {
                     mass::reference::kinematic_blocks(kin, rule, table, w);
                 }
             });
-            phase("triplets_sort", false, &mut |_| {
-                mass::scatter_kinematic_blocks(kin, &blocks);
+            let mv = mass::scatter_kinematic_blocks(kin, &blocks);
+            let reference = mass::reference::scatter_kinematic_blocks(kin, &blocks);
+            assert_eq!(mv.col_idx(), reference.col_idx(), "{workload}: M_V pattern");
+            assert_eq!(bits(mv.values()), bits(reference.values()), "{workload}: M_V");
+            phase("scatter", Some(SCATTER_GATE_SPEEDUP), &mut |v| {
+                if v == BODY {
+                    mass::scatter_kinematic_blocks(kin, &blocks);
+                } else {
+                    mass::reference::scatter_kinematic_blocks(kin, &blocks);
+                }
             });
         }
         AssemblyMode::MatrixFree => {
@@ -188,7 +213,7 @@ fn measure_workload(
             let diag = SumfacMassKernel.diagonal(shape, &factors, &svals, dofs, n);
             let reference = sumfac::reference::diagonal(shape, &factors, &svals, dofs, n);
             assert_eq!(bits(&diag), bits(&reference), "{workload}: matrix-free diagonal");
-            phase("matfree_diagonal", false, &mut |v| {
+            phase("matfree_diagonal", None, &mut |v| {
                 if v == BODY {
                     SumfacMassKernel.diagonal(shape, &factors, &svals, dofs, n);
                 } else {
@@ -203,14 +228,14 @@ fn measure_workload(
         let (a, b) = (me.block(z).as_slice(), reference.block(z).as_slice());
         assert_eq!(bits(a), bits(b), "{workload}: thermodynamic block {z}");
     }
-    phase("thermodynamic_blocks", false, &mut |v| {
+    phase("thermodynamic_blocks", None, &mut |v| {
         if v == BODY {
             mass::assemble_thermodynamic_mass(thermo, rule, thermo_table, w);
         } else {
             mass::reference::assemble_thermodynamic_mass(thermo, rule, thermo_table, w);
         }
     });
-    phase("me_inverse", false, &mut |_| {
+    phase("me_inverse", None, &mut |_| {
         me.inverse();
     });
     out

@@ -301,7 +301,8 @@ impl<const D: usize> Hydro<D> {
             gpu.alloc(resident)?;
         }
 
-        // Initial geometry and the frozen rho0 |J0|.
+        // Initial geometry and the frozen rho0 |J0|, the points as vector
+        // lanes (`blast_la::PointTables`).
         let x0 = kin.initial_coords();
         let npts = rule.len();
         let mut rho0detj0 = vec![0.0; nz * npts];
@@ -321,8 +322,9 @@ impl<const D: usize> Hydro<D> {
         // keeps only the per-point scale factors `α_k ρ0|J0|` and the 1D
         // factor tables, with a Jacobi diagonal of the same sums in another
         // order: each DOF's terms in one running sum, where `M_V` sums each
-        // zone's block first. The two preconditioners agree to a few ulp,
-        // not bit for bit (`SumfacMassKernel::diagonal`).
+        // zone's block first and then the zones in order. The two
+        // preconditioners agree to a few ulp, not bit for bit
+        // (`SumfacMassKernel::diagonal`).
         let (assembly, mv_precond) = match assembly {
             AssemblyMode::Stored => {
                 let mv = assemble_kinematic_mass(&kin, &rule, &kin_table, &rho0detj0);

@@ -26,7 +26,10 @@ pub struct GeomAtPoint<const D: usize> {
 ///
 /// `x` is the component-major global position vector (`D * num_dofs`);
 /// `table` must be the kinematic basis tabulated at the desired points.
-/// Results are appended to `out` (cleared first).
+/// Results are appended to `out` (cleared first). The points are the
+/// vector lanes ([`blast_la::PointTables`]); each entry is the scalar
+/// loop's chain, bitwise
+/// [`reference::zone_jacobians`](fn@reference::zone_jacobians).
 pub fn zone_jacobians<const D: usize>(
     space: &H1Space<D>,
     table: &BasisTable<D>,
@@ -36,24 +39,12 @@ pub fn zone_jacobians<const D: usize>(
 ) {
     let n = space.num_dofs();
     debug_assert_eq!(x.len(), D * n);
-    let dofs = space.zone_dofs(z);
-    let npts = table.npts();
     out.clear();
-    out.reserve(npts);
-    for k in 0..npts {
-        let mut jac = SmallMat::<D>::zeros();
-        for (i, &dof) in dofs.iter().enumerate() {
-            for g in 0..D {
-                let dw = table.grads[g][(i, k)];
-                if dw != 0.0 {
-                    for d in 0..D {
-                        jac[(d, g)] += x[d * n + dof] * dw;
-                    }
-                }
-            }
-        }
+    out.reserve(table.npts());
+    table.grad_lanes.eval::<D>(x, n, space.zone_dofs(z), |_, v| {
+        let jac = SmallMat::from_fn(|d, g| v[g][d]);
         out.push(GeomAtPoint { jac, det: jac_det(&jac) });
-    }
+    });
 }
 
 /// Determinant of a `D x D` matrix for `D` in {2, 3} (generic dispatch so
@@ -93,7 +84,9 @@ pub fn jac_adjugate<const D: usize>(j: &SmallMat<D>) -> SmallMat<D> {
 }
 
 /// Evaluates an H1 *vector* field (component-major coefficients `u`) at the
-/// tabulated points of zone `z`: `out[k]` receives the field value.
+/// tabulated points of zone `z`: `out[k]` receives the field value. Points
+/// as lanes, bitwise
+/// [`reference::eval_h1_vector`](fn@reference::eval_h1_vector).
 pub fn eval_h1_vector<const D: usize>(
     space: &H1Space<D>,
     table: &BasisTable<D>,
@@ -101,18 +94,70 @@ pub fn eval_h1_vector<const D: usize>(
     z: usize,
     out: &mut Vec<[f64; D]>,
 ) {
-    let n = space.num_dofs();
-    let dofs = space.zone_dofs(z);
-    let npts = table.npts();
     out.clear();
-    out.resize(npts, [0.0; D]);
-    for k in 0..npts {
-        let o = &mut out[k];
-        for (i, &dof) in dofs.iter().enumerate() {
-            let w = table.values[(i, k)];
-            if w != 0.0 {
-                for d in 0..D {
-                    o[d] += u[d * n + dof] * w;
+    out.reserve(table.npts());
+    table.value_lanes.eval::<D>(u, space.num_dofs(), space.zone_dofs(z), |_, v| out.push(v[0]));
+}
+
+/// The point-at-a-time loops [`zone_jacobians`] and [`eval_h1_vector`]
+/// replaced, kept as their bitwise oracles for the tests and the reference
+/// rows of the `host_kernels` experiment; nothing in the solver calls them.
+pub mod reference {
+    use super::*;
+
+    /// [`super::zone_jacobians`]: per point, the basis functions in order,
+    /// a zero gradient entry skipped.
+    pub fn zone_jacobians<const D: usize>(
+        space: &H1Space<D>,
+        table: &BasisTable<D>,
+        x: &[f64],
+        z: usize,
+        out: &mut Vec<GeomAtPoint<D>>,
+    ) {
+        let n = space.num_dofs();
+        debug_assert_eq!(x.len(), D * n);
+        let dofs = space.zone_dofs(z);
+        let npts = table.npts();
+        out.clear();
+        out.reserve(npts);
+        for k in 0..npts {
+            let mut jac = SmallMat::<D>::zeros();
+            for (i, &dof) in dofs.iter().enumerate() {
+                for g in 0..D {
+                    let dw = table.grads[g][(i, k)];
+                    if dw != 0.0 {
+                        for d in 0..D {
+                            jac[(d, g)] += x[d * n + dof] * dw;
+                        }
+                    }
+                }
+            }
+            out.push(GeomAtPoint { jac, det: jac_det(&jac) });
+        }
+    }
+
+    /// [`super::eval_h1_vector`]: per point, the basis functions in order, a
+    /// zero value skipped.
+    pub fn eval_h1_vector<const D: usize>(
+        space: &H1Space<D>,
+        table: &BasisTable<D>,
+        u: &[f64],
+        z: usize,
+        out: &mut Vec<[f64; D]>,
+    ) {
+        let n = space.num_dofs();
+        let dofs = space.zone_dofs(z);
+        let npts = table.npts();
+        out.clear();
+        out.resize(npts, [0.0; D]);
+        for k in 0..npts {
+            let o = &mut out[k];
+            for (i, &dof) in dofs.iter().enumerate() {
+                let w = table.values[(i, k)];
+                if w != 0.0 {
+                    for d in 0..D {
+                        o[d] += u[d * n + dof] * w;
+                    }
                 }
             }
         }
@@ -314,6 +359,75 @@ mod tests {
         eval_l2_scalar(&space, &table, &e, 0, &mut vals);
         for (k, p) in rule.points.iter().enumerate() {
             assert!((vals[k] - p[0] * p[0] * p[1]).abs() < 1e-12);
+        }
+    }
+
+    /// Positions on a mesh moved off its lattice: every coordinate
+    /// perturbed, a few set to `±0.0`, and `bad` (if any) at one DOF.
+    fn rough_coords<const D: usize>(space: &H1Space<D>, bad: Option<f64>) -> Vec<f64> {
+        let mut x = space.initial_coords();
+        for (p, v) in x.iter_mut().enumerate() {
+            *v += 0.01 * (p as f64 * 0.618).sin();
+            match p % 53 {
+                7 => *v = 0.0,
+                19 => *v = -0.0,
+                _ => {}
+            }
+        }
+        if let Some(bad) = bad {
+            let n = space.num_dofs();
+            x[(D - 1) * n + n / 2] = bad;
+        }
+        x
+    }
+
+    fn geometry_case<const D: usize>(order: usize, zones: usize, npts_1d: usize, bad: Option<f64>) {
+        let space = H1Space::new(CartMesh::<D>::unit(zones), order);
+        let rule = TensorRule::<D>::gauss(npts_1d);
+        let table = space.basis().tabulate(&rule.points);
+        let x = rough_coords(&space, bad);
+        let (mut geom, mut geom_ref, mut pos, mut pos_ref) = (vec![], vec![], vec![], vec![]);
+        let what = format!("Q{order}-{D}D {zones} zones, {npts_1d} points per axis, {bad:?}");
+        for z in 0..space.mesh().num_zones() {
+            zone_jacobians(&space, &table, &x, z, &mut geom);
+            reference::zone_jacobians(&space, &table, &x, z, &mut geom_ref);
+            eval_h1_vector(&space, &table, &x, z, &mut pos);
+            reference::eval_h1_vector(&space, &table, &x, z, &mut pos_ref);
+            assert_eq!((geom.len(), pos.len()), (rule.len(), rule.len()), "{what}");
+            for (k, (a, b)) in geom.iter().zip(&geom_ref).enumerate() {
+                let bits = |m: &SmallMat<D>| {
+                    let mut s = [0.0; 9];
+                    m.write_col_slice(&mut s[..D * D]);
+                    s.map(f64::to_bits)
+                };
+                assert_eq!(bits(&a.jac), bits(&b.jac), "{what}: zone {z} point {k} J");
+                assert_eq!(a.det.to_bits(), b.det.to_bits(), "{what}: zone {z} point {k} det");
+            }
+            for (k, (a, b)) in pos.iter().zip(&pos_ref).enumerate() {
+                let what = format!("{what}: zone {z} point {k} x");
+                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{what}");
+            }
+        }
+    }
+
+    /// The lane pass is the point-at-a-time loop, bit for bit: Q1-Q4 in 2D
+    /// and Q1-Q3 in 3D at the solver's rules, ragged point counts (a rule
+    /// with more or fewer points than a block), a distorted mesh with
+    /// `±0.0` coordinates, and an infinite or NaN coordinate.
+    #[test]
+    fn initial_geometry_matches_setup_oracle() {
+        for order in 1..=4 {
+            geometry_case::<2>(order, 3, crate::quad_points_1d(order), None);
+        }
+        for order in 1..=3 {
+            geometry_case::<3>(order, 2, crate::quad_points_1d(order), None);
+        }
+        geometry_case::<2>(3, 2, 3, None);
+        geometry_case::<3>(2, 2, 5, None);
+        geometry_case::<3>(3, 1, 3, None);
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            geometry_case::<2>(2, 3, 3, Some(bad));
+            geometry_case::<3>(3, 2, 4, Some(bad));
         }
     }
 

@@ -62,26 +62,14 @@ pub fn kinematic_blocks<const D: usize>(
     locals
 }
 
-/// `M_V` from its zone blocks ([`kinematic_blocks`]): one triplet per block
-/// entry, pushed serially in zone order, then [`CsrBuilder::build`]. The
-/// builder's sort decides the order in which duplicates are summed (see
-/// its docs) — not zone order, but the same at any thread count, since the
-/// triplet vector is.
+/// `M_V` from its zone blocks ([`kinematic_blocks`]) through
+/// [`CsrMatrix::from_zone_blocks`]: the pattern counted once from the zone
+/// DOFs, each entry's zone terms summed in ascending zone order, no
+/// triplets and no sort. Bitwise
+/// [`reference::scatter_kinematic_blocks`](fn@reference::scatter_kinematic_blocks).
 pub fn scatter_kinematic_blocks<const D: usize>(space: &H1Space<D>, locals: &[f64]) -> CsrMatrix {
-    let nz = space.mesh().num_zones();
-    let ldof = space.ndof_per_zone();
-    assert_eq!(locals.len(), nz * ldof * ldof, "one ldof x ldof block per zone");
     let n = space.num_dofs();
-    let mut builder = CsrBuilder::new(n, n);
-    for (z, local) in locals.chunks_exact(ldof * ldof).enumerate() {
-        let dofs = space.zone_dofs(z);
-        for j in 0..ldof {
-            for i in 0..ldof {
-                builder.add(dofs[i], dofs[j], local[j * ldof + i]);
-            }
-        }
-    }
-    builder.build()
+    CsrMatrix::from_zone_blocks(n, space.ndof_per_zone(), space.all_zone_dofs(), locals)
 }
 
 /// Assembles the block-diagonal thermodynamic mass matrix
@@ -107,11 +95,36 @@ pub fn assemble_thermodynamic_mass<const D: usize>(
     BlockDiag::from_blocks(blocks)
 }
 
-/// The scalar loops the [`WeightedGram`] tile replaced, kept as the bitwise
-/// oracle of the tests and the reference rows of the `host_kernels`
+/// The scalar loops the [`WeightedGram`] tile replaced and the triplet
+/// scatter [`CsrMatrix::from_zone_blocks`] replaced, kept as the bitwise
+/// oracles of the tests and the reference rows of the `host_kernels`
 /// experiment; nothing in the solver calls them.
 pub mod reference {
     use super::*;
+
+    /// `M_V` from its zone blocks: one triplet per block entry, pushed
+    /// serially zone by zone (`j` outer, `i` inner), then
+    /// [`CsrBuilder::build`], whose stable sort sums each entry's
+    /// duplicates in push order.
+    pub fn scatter_kinematic_blocks<const D: usize>(
+        space: &H1Space<D>,
+        locals: &[f64],
+    ) -> CsrMatrix {
+        let nz = space.mesh().num_zones();
+        let ldof = space.ndof_per_zone();
+        assert_eq!(locals.len(), nz * ldof * ldof, "one ldof x ldof block per zone");
+        let n = space.num_dofs();
+        let mut builder = CsrBuilder::new(n, n);
+        for (z, local) in locals.chunks_exact(ldof * ldof).enumerate() {
+            let dofs = space.zone_dofs(z);
+            for j in 0..ldof {
+                for i in 0..ldof {
+                    builder.add(dofs[i], dofs[j], local[j * ldof + i]);
+                }
+            }
+        }
+        builder.build()
+    }
 
     /// The zone blocks of `M_V` as [`super::kinematic_blocks`] returns them:
     /// a point-outer triple loop with zero-weight and zero-basis skips.
@@ -238,6 +251,26 @@ mod tests {
     fn kinematic_mass_matches_setup_oracle() {
         SHAPES_2D.iter().for_each(|&(order, zones)| kinematic_case::<2>(order, zones));
         SHAPES_3D.iter().for_each(|&(order, zones)| kinematic_case::<3>(order, zones));
+    }
+
+    /// The zone-order scatter is the triplet push with its stable sort, bit
+    /// for bit and slot for slot, on a rough `ρ|J|` with exact zeros.
+    #[test]
+    fn kinematic_scatter_matches_setup_oracle() {
+        fn case<const D: usize>(order: usize, zones: usize) {
+            let space = H1Space::new(CartMesh::<D>::unit(zones), order);
+            let rule = TensorRule::<D>::gauss(crate::quad_points_1d(order));
+            let table = space.basis().tabulate(&rule.points);
+            let w = rough_rho_detj(space.mesh().num_zones() * rule.len());
+            let blocks = kinematic_blocks(&space, &rule, &table, &w);
+            let got = scatter_kinematic_blocks(&space, &blocks);
+            let want = reference::scatter_kinematic_blocks(&space, &blocks);
+            assert_eq!(got.row_ptr(), want.row_ptr(), "Q{order}-{D}D rows");
+            assert_eq!(got.col_idx(), want.col_idx(), "Q{order}-{D}D pattern");
+            assert_eq!(bits(got.values()), bits(want.values()), "Q{order}-{D}D M_V");
+        }
+        SHAPES_2D.iter().for_each(|&(order, zones)| case::<2>(order, zones));
+        SHAPES_3D.iter().for_each(|&(order, zones)| case::<3>(order, zones));
     }
 
     #[test]

@@ -90,6 +90,11 @@ impl<const D: usize> H1Space<D> {
         &self.zone_dofs[z * n..(z + 1) * n]
     }
 
+    /// [`Self::zone_dofs`] of every zone, zone-major.
+    pub fn all_zone_dofs(&self) -> &[usize] {
+        &self.zone_dofs
+    }
+
     /// Multi-index of a global DOF on the lattice.
     pub fn dof_multi_index(&self, mut flat: usize) -> [usize; D] {
         let mut mi = [0usize; D];

@@ -15,9 +15,9 @@ pub struct CsrMatrix {
     cols: usize,
     /// Row pointers, length `rows + 1`.
     row_ptr: Vec<usize>,
-    /// Column indices, sorted within each row; every one `< cols`
-    /// ([`CsrBuilder::build`], the one constructor, checks), which the
-    /// unchecked reads of the lock-step sweep rely on.
+    /// Column indices, sorted within each row; every one `< cols` (each
+    /// constructor, [`CsrBuilder::build`] and [`CsrMatrix::from_zone_blocks`],
+    /// checks), which the unchecked reads of the lock-step sweep rely on.
     col_idx: Vec<usize>,
     /// Nonzero values, parallel to `col_idx`.
     values: Vec<f64>,
@@ -144,12 +144,11 @@ impl CsrMatrix {
 /// Accumulating COO-style builder that assembles into CSR.
 ///
 /// Duplicate `(i, j)` insertions are **summed**, matching finite-element
-/// assembly semantics where multiple zones contribute to a shared DOF pair.
-/// They are summed left to right in the order [`Self::build`]'s
-/// `sort_unstable_by_key` leaves them in, which is *not* insertion order:
-/// the same triplets give the same bits, but the order (and so the last
-/// bits of a sum of three or more duplicates) is std's sort's to choose and
-/// can change with the toolchain.
+/// assembly semantics where multiple zones contribute to a shared DOF pair,
+/// left to right in insertion order ([`Self::build`]'s sort is stable), so
+/// the bits depend on the triplets alone, not on the toolchain's sort. An
+/// exact `0.0` is never stored. [`CsrMatrix::from_zone_blocks`] gives the
+/// same matrix as pushing its zone blocks here, without the triplets.
 #[derive(Clone, Debug, Default)]
 pub struct CsrBuilder {
     rows: usize,
@@ -171,11 +170,11 @@ impl CsrBuilder {
         }
     }
 
-    /// Assembles into CSR, merging duplicates and sorting columns per row.
-    /// Panics on a triplet outside the `rows x cols` shape.
+    /// Assembles into CSR, merging duplicates in insertion order and sorting
+    /// columns per row. Panics on a triplet outside the `rows x cols` shape.
     pub fn build(mut self) -> CsrMatrix {
         let (rows, cols) = (self.rows, self.cols);
-        self.triplets.sort_unstable_by_key(|t| (t.0, t.1));
+        self.triplets.sort_by_key(|t| (t.0, t.1));
         let mut row_ptr = vec![0usize; self.rows + 1];
         let mut col_idx = Vec::with_capacity(self.triplets.len());
         let mut values = Vec::with_capacity(self.triplets.len());
@@ -199,6 +198,101 @@ impl CsrBuilder {
             row_ptr[i + 1] += row_ptr[i];
         }
         CsrMatrix { rows: self.rows, cols: self.cols, row_ptr, col_idx, values }
+    }
+}
+
+impl CsrMatrix {
+    /// The `n × n` sum of `ldof × ldof` zone blocks: block `z` (column-major,
+    /// `blocks[z·ldof² + j·ldof + i]`) adds into entry
+    /// `(zone_dofs[z·ldof + i], zone_dofs[z·ldof + j])`. Bitwise
+    /// [`CsrBuilder`] fed every block entry zone by zone, `j` outer, `i`
+    /// inner: an exact `0.0` is skipped, so the pattern is the entries with
+    /// a nonzero term, and each entry sums its terms left to right in that
+    /// order (zones ascending).
+    ///
+    /// No triplets and no sort: the walk goes column by column, ascending,
+    /// and within a column through the zones that touch it in ascending
+    /// order, adding each block column's entries to their rows' slots for
+    /// that column; a row's columns so come out sorted. A counting pass
+    /// sizes `row_ptr`, `col_idx` and `values` exactly, and the fill pass
+    /// repeats the walk. The temporaries are each column's zones (one entry
+    /// per `zone_dofs` entry), a per-row cursor and a per-row marker; for a
+    /// mass matrix each is smaller than `col_idx`. Panics on a DOF `>= n`,
+    /// naming it, or on blocks of the wrong length.
+    pub fn from_zone_blocks(n: usize, ldof: usize, zone_dofs: &[usize], blocks: &[f64]) -> Self {
+        assert!(ldof > 0 && zone_dofs.len().is_multiple_of(ldof), "zone_dofs: ldof DOFs per zone");
+        assert_eq!(blocks.len(), zone_dofs.len() * ldof, "one ldof x ldof block per zone");
+        // Every column's `(zone, local column)` slots, as positions in
+        // `zone_dofs`, zones ascending.
+        let mut touch_ptr = vec![0usize; n + 1];
+        for &dof in zone_dofs {
+            assert!(dof < n, "zone block column {dof} outside {n} x {n}");
+            touch_ptr[dof + 1] += 1;
+        }
+        for c in 0..n {
+            touch_ptr[c + 1] += touch_ptr[c];
+        }
+        let mut touch = vec![0usize; zone_dofs.len()];
+        let mut next = touch_ptr[..n].to_vec();
+        for (at, &dof) in zone_dofs.iter().enumerate() {
+            touch[next[dof]] = at;
+            next[dof] += 1;
+        }
+        // `last[r]`: the column row `r` last opened a slot for.
+        let mut last = vec![usize::MAX; n];
+        let mut row_ptr = vec![0usize; n + 1];
+        walk_zone_columns(ldof, zone_dofs, blocks, &touch_ptr, &touch, |r, c, _| {
+            if last[r] != c {
+                last[r] = c;
+                row_ptr[r + 1] += 1;
+            }
+        });
+        for r in 0..n {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let nnz = row_ptr[n];
+        let (mut col_idx, mut values) = (vec![0usize; nnz], vec![0.0f64; nnz]);
+        last.fill(usize::MAX);
+        // `next[r]`: one past row `r`'s open slot.
+        next.copy_from_slice(&row_ptr[..n]);
+        walk_zone_columns(ldof, zone_dofs, blocks, &touch_ptr, &touch, |r, c, v| {
+            if last[r] != c {
+                last[r] = c;
+                col_idx[next[r]] = c;
+                values[next[r]] = v;
+                next[r] += 1;
+            } else {
+                values[next[r] - 1] += v;
+            }
+        });
+        CsrMatrix { rows: n, cols: n, row_ptr, col_idx, values }
+    }
+}
+
+/// The walk of [`CsrMatrix::from_zone_blocks`]: `visit(row, col, value)` for
+/// every nonzero block entry, columns ascending, each column's zones
+/// ascending (`touch[touch_ptr[c]..touch_ptr[c + 1]]`, positions in
+/// `zone_dofs`), then the block column's rows in local order.
+#[inline(always)]
+fn walk_zone_columns(
+    ldof: usize,
+    zone_dofs: &[usize],
+    blocks: &[f64],
+    touch_ptr: &[usize],
+    touch: &[usize],
+    mut visit: impl FnMut(usize, usize, f64),
+) {
+    for (c, span) in touch_ptr.windows(2).enumerate() {
+        for &at in &touch[span[0]..span[1]] {
+            let z = at / ldof;
+            let dofs = &zone_dofs[z * ldof..(z + 1) * ldof];
+            let column = &blocks[at * ldof..(at + 1) * ldof];
+            for (&r, &v) in dofs.iter().zip(column) {
+                if v != 0.0 {
+                    visit(r, c, v);
+                }
+            }
+        }
     }
 }
 
@@ -313,5 +407,90 @@ mod tests {
     #[should_panic(expected = "outside 2 x 2")]
     fn a_column_outside_the_shape_is_refused() {
         CsrBuilder { rows: 2, cols: 2, triplets: vec![(0, 2, 1.0)] }.build();
+    }
+
+    /// So does the zone-block constructor, before it reads a block.
+    #[test]
+    #[should_panic(expected = "column 2 outside 2 x 2")]
+    fn a_zone_block_column_outside_the_shape_is_refused() {
+        CsrMatrix::from_zone_blocks(2, 2, &[0, 2], &[1.0; 4]);
+    }
+
+    /// A xorshift stream for the tests below.
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// Three duplicates among a few thousand other triplets sum left to
+    /// right in the order they were added, which here differs from the
+    /// other two orders in the last bit.
+    #[test]
+    fn duplicates_sum_left_to_right_in_insertion_order() {
+        let (a, b, c) = (1e-16, 1.0, 1e-16);
+        assert_ne!(a + b + c, a + c + b, "the orders must be told apart");
+        let n = 64;
+        let mut next = stream(7);
+        let mut builder = CsrBuilder::new(n, n);
+        for (at, dup) in [(500, a), (1500, b), (2500, c)] {
+            while builder.triplets.len() < at {
+                let (i, j) = ((next() % n as u64) as usize, (next() % n as u64) as usize);
+                if (i, j) != (3, 5) {
+                    builder.add(i, j, 1.0 + (next() % 1000) as f64);
+                }
+            }
+            builder.add(3, 5, dup);
+        }
+        assert_eq!(builder.build().get(3, 5).to_bits(), (a + b + c).to_bits());
+    }
+
+    /// `from_zone_blocks` is the builder fed every block entry zone by
+    /// zone, `j` outer, `i` inner, bit for bit and slot for slot: on ragged
+    /// zone sets with a DOF listed twice in one zone, blocks that mix
+    /// `±0.0`, NaN and infinities into values of every magnitude, and a
+    /// column no zone touches.
+    #[test]
+    fn zone_blocks_match_the_builder_setup_oracle() {
+        let shapes = [(9, 4, 4), (30, 8, 12), (50, 27, 9), (7, 3, 20)];
+        for (case, (n, ldof, nz)) in shapes.into_iter().enumerate() {
+            let mut next = stream(11 + case as u64);
+            // DOF `n - 1` is never listed: an empty row and column.
+            let zone_dofs: Vec<usize> =
+                (0..nz * ldof).map(|_| (next() % (n as u64 - 1)) as usize).collect();
+            let blocks: Vec<f64> = (0..nz * ldof * ldof)
+                .map(|_| match next() % 23 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 if case == 3 => f64::NAN,
+                    3 if case == 3 => f64::NEG_INFINITY,
+                    r => {
+                        let unit = (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                        unit * 10f64.powi(r as i32 % 7 - 3)
+                    }
+                })
+                .collect();
+            let mut builder = CsrBuilder::new(n, n);
+            let zones = zone_dofs.chunks_exact(ldof).zip(blocks.chunks_exact(ldof * ldof));
+            for (dofs, block) in zones {
+                for j in 0..ldof {
+                    for i in 0..ldof {
+                        builder.add(dofs[i], dofs[j], block[j * ldof + i]);
+                    }
+                }
+            }
+            let want = builder.build();
+            let got = CsrMatrix::from_zone_blocks(n, ldof, &zone_dofs, &blocks);
+            assert_eq!(got.row_ptr(), want.row_ptr(), "case {case}");
+            assert_eq!(got.col_idx(), want.col_idx(), "case {case}");
+            let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+            assert_eq!(got.col_idx.len(), got.col_idx.capacity(), "case {case}: sized exactly");
+            assert_eq!(got.values.len(), got.values.capacity(), "case {case}");
+        }
     }
 }

@@ -388,9 +388,10 @@ fn wide_rows_dot_body<const D: usize, const W: usize>(
             let (start, end) = (row_ptr[lo + s + i], row_ptr[lo + s + i + 1]);
             let mut acc = [0.0f64; W];
             for (&v, &col) in values[start..end].iter().zip(&col_idx[start..end]) {
-                // SAFETY: `CsrBuilder::build`, the one constructor of a
-                // `CsrMatrix`, checks every column index `< cols`, and the
-                // one caller (`constrained_wide`) asserts `xw.len() == cols`.
+                // SAFETY: each constructor of a `CsrMatrix` (`CsrBuilder::build`
+                // and `CsrMatrix::from_zone_blocks`) checks every column index
+                // `< cols`, and the one caller (`constrained_wide`) asserts
+                // `xw.len() == cols`.
                 let xc = unsafe { xw.get_unchecked(col) };
                 for (a, &xl) in acc.iter_mut().zip(xc) {
                     *a = fmadd(*a, v, xl);

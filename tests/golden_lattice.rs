@@ -44,23 +44,23 @@ type Row = (&'static str, u32, u64, u64);
 
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
-    ("2d_q2/stored/cpu_serial", 0xb47906ba, 0x3f52e7d5dd0d369e, 0x3fa2343b6d593917),
-    ("2d_q2/stored/cpu_parallel2", 0xb47906ba, 0x3f4423edd52694dc, 0x3f9a834c1597c9f6),
-    ("2d_q2/stored/gpu_base", 0xb47906ba, 0x3f6070df6c0a2555, 0x3fc73d7eeac87b3c),
-    ("2d_q2/stored/gpu", 0xb47906ba, 0x3f53a23b293f4f4b, 0x3fb3eff9fe76eea2),
-    ("2d_q2/stored/gpu_pcg", 0xb47906ba, 0x3f8987e174551621, 0x3febeb00d7c14d73),
-    ("2d_q2/stored/hybrid", 0xb47906ba, 0x3f29a1da4713fe6b, 0x3f9977bfe8863747),
+    ("2d_q2/stored/cpu_serial", 0x9eccfff1, 0x3f52e7d5dd0d369e, 0x3fa2343b6d593917),
+    ("2d_q2/stored/cpu_parallel2", 0x9eccfff1, 0x3f4423edd52694dc, 0x3f9a834c1597c9f6),
+    ("2d_q2/stored/gpu_base", 0x9eccfff1, 0x3f6070df6c0a2555, 0x3fc73d7eeac87b3c),
+    ("2d_q2/stored/gpu", 0x9eccfff1, 0x3f53a23b293f4f4b, 0x3fb3eff9fe76eea2),
+    ("2d_q2/stored/gpu_pcg", 0x9eccfff1, 0x3f8987e174551621, 0x3febeb00d7c14d73),
+    ("2d_q2/stored/hybrid", 0x9eccfff1, 0x3f29a1da4713fe6b, 0x3f9977bfe8863747),
     ("2d_q2/matfree/cpu_serial", 0xd0351b14, 0x3f57388e765a5757, 0x3fa65bf52cf5fd19),
     ("2d_q2/matfree/cpu_parallel2", 0xd0351b14, 0x3f47e5d2aec6ad32, 0x3f9f758a58138a00),
     ("2d_q2/matfree/gpu", 0xd0351b14, 0x3f54025b8cf937b3, 0x3fb16fefe25f7ff0),
     ("2d_q2/matfree/gpu_pcg", 0xd0351b14, 0x3f4a4fc9a121bf93, 0x3fad3e30e1dffa42),
     ("2d_q2/matfree/hybrid", 0xd0351b14, 0x3f2cc0a4a08cc842, 0x3f9b754f81535ec5),
-    ("3d_q2/stored/cpu_serial", 0x15735c34, 0x3f91f2661c0ce9d2, 0x3fe147e752026f25),
-    ("3d_q2/stored/cpu_parallel2", 0x15735c34, 0x3f826a0cd665f918, 0x3fd83d9ae63c3cea),
-    ("3d_q2/stored/gpu_base", 0x15735c34, 0x3f8eb287f466359d, 0x3ff58dfa0e544bf2),
-    ("3d_q2/stored/gpu", 0x15735c34, 0x3f6d29666abd9e89, 0x3fcbfb8e55cbd37e),
-    ("3d_q2/stored/gpu_pcg", 0x15735c34, 0x3fa7797b86722cf5, 0x4009fff3c72e0cfc),
-    ("3d_q2/stored/hybrid", 0x15735c34, 0x3f581e7c59292b86, 0x3fc870d2dc9f22a4),
+    ("3d_q2/stored/cpu_serial", 0x495c3038, 0x3f91f2661c0ce9d2, 0x3fe147e752026f25),
+    ("3d_q2/stored/cpu_parallel2", 0x495c3038, 0x3f826a0cd665f918, 0x3fd83d9ae63c3cea),
+    ("3d_q2/stored/gpu_base", 0x495c3038, 0x3f8eb287f466359d, 0x3ff58dfa0e544bf2),
+    ("3d_q2/stored/gpu", 0x495c3038, 0x3f6d29666abd9e89, 0x3fcbfb8e55cbd37e),
+    ("3d_q2/stored/gpu_pcg", 0x495c3038, 0x3fa7797b86722cf5, 0x4009fff3c72e0cfc),
+    ("3d_q2/stored/hybrid", 0x495c3038, 0x3f581e7c59292b86, 0x3fc870d2dc9f22a4),
     ("3d_q2/matfree/cpu_serial", 0x27521d5d, 0x3f8772ad3e9ff530, 0x3fd693ebd0cd0596),
     ("3d_q2/matfree/cpu_parallel2", 0x27521d5d, 0x3f78050f7c64465c, 0x3fcf9ea962c0009e),
     ("3d_q2/matfree/gpu", 0x27521d5d, 0x3f73c8d6cff58700, 0x3fd016bddff170fc),
