@@ -83,9 +83,13 @@ mod tests {
         }
     }
 
-    /// A row's name: its string cells, in key order (its index if none).
+    /// A row's name: its `name` cell, else its string cells in key order,
+    /// else its index.
     fn row_label(row: Option<&Json>, at: usize) -> String {
         let Some(Json::Obj(cells)) = row else { return at.to_string() };
+        if let Some(name) = cells.get("name").and_then(Json::as_str) {
+            return name.to_string();
+        }
         let mut keys: Vec<&String> = cells.keys().collect();
         keys.sort();
         let labels: Vec<&str> = keys.iter().filter_map(|k| cells[*k].as_str()).collect();

@@ -302,7 +302,7 @@ impl<const D: usize> Hydro<D> {
         }
 
         // Initial geometry and the frozen rho0 |J0|, the points as vector
-        // lanes (`blast_la::PointTables`).
+        // lanes (`blast_la::field_at_points`).
         let x0 = kin.initial_coords();
         let npts = rule.len();
         let mut rho0detj0 = vec![0.0; nz * npts];

@@ -27,7 +27,7 @@ pub struct GeomAtPoint<const D: usize> {
 /// `x` is the component-major global position vector (`D * num_dofs`);
 /// `table` must be the kinematic basis tabulated at the desired points.
 /// Results are appended to `out` (cleared first). The points are the
-/// vector lanes ([`blast_la::PointTables`]); each entry is the scalar
+/// vector lanes ([`blast_la::field_at_points`]); each entry is the scalar
 /// loop's chain, bitwise
 /// [`reference::zone_jacobians`](fn@reference::zone_jacobians).
 pub fn zone_jacobians<const D: usize>(
@@ -41,7 +41,8 @@ pub fn zone_jacobians<const D: usize>(
     debug_assert_eq!(x.len(), D * n);
     out.clear();
     out.reserve(table.npts());
-    table.grad_lanes.eval::<D>(x, n, space.zone_dofs(z), |_, v| {
+    let grads = std::array::from_fn(|g| &table.grads[g]);
+    blast_la::field_at_points::<D, D>(grads, x, n, space.zone_dofs(z), |_, v| {
         let jac = SmallMat::from_fn(|d, g| v[g][d]);
         out.push(GeomAtPoint { jac, det: jac_det(&jac) });
     });
@@ -96,7 +97,8 @@ pub fn eval_h1_vector<const D: usize>(
 ) {
     out.clear();
     out.reserve(table.npts());
-    table.value_lanes.eval::<D>(u, space.num_dofs(), space.zone_dofs(z), |_, v| out.push(v[0]));
+    let (n, dofs) = (space.num_dofs(), space.zone_dofs(z));
+    blast_la::field_at_points::<1, D>([&table.values], u, n, dofs, |_, v| out.push(v[0]));
 }
 
 /// The point-at-a-time loops [`zone_jacobians`] and [`eval_h1_vector`]

@@ -7,7 +7,7 @@
 //! both the CPU and the simulated GPU (where they live in constant/texture
 //! memory).
 
-use blast_la::{DMatrix, PointTables};
+use blast_la::DMatrix;
 
 use crate::basis1d::Basis1d;
 
@@ -141,9 +141,7 @@ impl<const D: usize> TensorBasis<D> {
                 g.col_mut(k).copy_from_slice(&gbuf[d]);
             }
         }
-        let grad_lanes = PointTables::new(std::array::from_fn(|d| &grads[d]));
-        let value_lanes = PointTables::new([&values]);
-        BasisTable { values, grads, grad_lanes, value_lanes }
+        BasisTable { values, grads }
     }
 }
 
@@ -152,21 +150,12 @@ impl<const D: usize> TensorBasis<D> {
 /// `values` is exactly the paper's matrix `B` (eq. 6) when the basis is the
 /// thermodynamic one and the points are the quadrature rule: dimension
 /// "number of basis functions by number of quadrature points".
-///
-/// [`tabulate`](TensorBasis::tabulate) also packs both with the points as
-/// vector lanes, for the field evaluations of [`crate::geom`]; those read
-/// the packed copies, so an edit of `values` or `grads` after tabulation
-/// does not reach them.
 #[derive(Clone, Debug)]
 pub struct BasisTable<const D: usize> {
     /// `values[(j, k)] = φ̂_j(q̂_k)`, shape `ndof x npts`.
     pub values: DMatrix,
     /// `grads[d][(j, k)] = ∂_d ŵ_j(q̂_k)`, each `ndof x npts`.
     pub grads: [DMatrix; D],
-    /// `grads`, points as lanes.
-    pub(crate) grad_lanes: PointTables<D>,
-    /// `values`, points as lanes.
-    pub(crate) value_lanes: PointTables<1>,
 }
 
 impl<const D: usize> BasisTable<D> {

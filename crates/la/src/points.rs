@@ -1,7 +1,7 @@
-//! Basis tables with the points as vector lanes: a field's values at every
-//! tabulated point, `v_r(q̂_k) = Σ_i c_{r,i} t_i(q̂_k)`, for a few tables `t`
-//! and coefficient rows `r` at once (a zone's Jacobian: the `D` gradient
-//! tables against the `D` position components).
+//! A field's values at every tabulated point with the points as vector
+//! lanes, `v_r(q̂_k) = Σ_i c_{r,i} t_i(q̂_k)`, for a few tables `t` and
+//! coefficient rows `r` at once (a zone's Jacobian: the `D` gradient tables
+//! against the `D` position components).
 //!
 //! # Bits
 //!
@@ -23,91 +23,70 @@ use crate::simd::fma_clones;
 /// level 2.
 const W: usize = 8;
 
-/// `NT` tables of one shape (`n` basis functions by `npts` points), packed
-/// for [`PointTables::eval`]: per block of 8 points, per basis function,
-/// the `NT` tables' values at those points, zero-padded past `npts`.
-#[derive(Clone, Debug)]
-pub struct PointTables<const NT: usize> {
-    n: usize,
-    npts: usize,
-    /// `[block][i][t][lane]`: table `t` at basis function `i` and point
-    /// `W·block + lane`.
-    panels: Vec<[[f64; W]; NT]>,
+/// `at_point(k, v)` for every point `k` ascending, with `v[t][r] = Σ_i
+/// c_{r,i} t_i(q̂_k)` for each table `t` of `tables` (all `n × npts`,
+/// entry `(i, k)` = basis function `i` at point `k`) and `c_{r,i} =
+/// x[r·stride + dofs[i]]`: the coefficients gathered from a
+/// component-major global vector. The points run in blocks of 8 lanes;
+/// each block reads its tables' rows straight from the column-major
+/// storage, so nothing is packed or kept between calls. See the module
+/// docs for the chain.
+pub fn field_at_points<const NT: usize, const R: usize>(
+    tables: [&DMatrix; NT],
+    x: &[f64],
+    stride: usize,
+    dofs: &[usize],
+    at_point: impl FnMut(usize, [[f64; R]; NT]),
+) {
+    field_at_points_at(crate::simd::level(), tables, x, stride, dofs, at_point);
 }
 
-impl<const NT: usize> PointTables<NT> {
-    /// Packs `tables` (each `n × npts`, entry `(i, k)` = basis function `i`
-    /// at point `k`).
-    pub fn new(tables: [&DMatrix; NT]) -> Self {
-        let (n, npts) = tables.first().map_or((0, 0), |t| t.shape());
-        assert!(tables.iter().all(|t| t.shape() == (n, npts)), "tables of one shape");
-        let mut panels = vec![[[0.0; W]; NT]; npts.div_ceil(W) * n];
-        for (at, panel) in panels.iter_mut().enumerate() {
-            let (block, i) = (at / n, at % n);
-            for (lanes, table) in panel.iter_mut().zip(tables) {
-                for (lane, x) in lanes.iter_mut().enumerate().take(npts - block * W) {
-                    *x = table[(i, block * W + lane)];
-                }
-            }
-        }
-        Self { n, npts, panels }
-    }
-
-    /// `at_point(k, v)` for every point `k` ascending, `v[t][r] = Σ_i
-    /// c_{r,i} t_i(q̂_k)` with `c_{r,i} = x[r·stride + dofs[i]]`: the
-    /// coefficients gathered from a component-major global vector. See the
-    /// module docs for the chain.
-    pub fn eval<const R: usize>(
-        &self,
-        x: &[f64],
-        stride: usize,
-        dofs: &[usize],
-        at_point: impl FnMut(usize, [[f64; R]; NT]),
-    ) {
-        self.eval_at(crate::simd::level(), x, stride, dofs, at_point);
-    }
-
-    /// [`Self::eval`] through the clone of `level` (at most
-    /// `simd::level()`).
-    fn eval_at<const R: usize>(
-        &self,
-        level: u8,
-        x: &[f64],
-        stride: usize,
-        dofs: &[usize],
-        mut at_point: impl FnMut(usize, [[f64; R]; NT]),
-    ) {
-        assert_eq!(dofs.len(), self.n, "one DOF per basis function");
-        assert!(R == 0 || dofs.iter().all(|&d| (R - 1) * stride + d < x.len()), "DOF outside x");
-        if self.n == 0 {
-            return;
-        }
-        for (block, panels) in self.panels.chunks_exact(self.n).enumerate() {
-            let acc = block_sum::<NT, R>(level, panels, x, stride, dofs);
-            for lane in 0..W.min(self.npts - block * W) {
-                let v = std::array::from_fn(|t| std::array::from_fn(|r| acc[t][r][lane]));
-                at_point(block * W + lane, v);
-            }
+/// [`field_at_points`] through the clone of `level` (at most
+/// `simd::level()`).
+fn field_at_points_at<const NT: usize, const R: usize>(
+    level: u8,
+    tables: [&DMatrix; NT],
+    x: &[f64],
+    stride: usize,
+    dofs: &[usize],
+    mut at_point: impl FnMut(usize, [[f64; R]; NT]),
+) {
+    let (n, npts) = tables.first().map_or((0, 0), |t| t.shape());
+    assert!(tables.iter().all(|t| t.shape() == (n, npts)), "tables of one shape");
+    assert_eq!(dofs.len(), n, "one DOF per basis function");
+    assert!(R == 0 || dofs.iter().all(|&d| (R - 1) * stride + d < x.len()), "DOF outside x");
+    let columns: [&[f64]; NT] = tables.map(DMatrix::as_slice);
+    for k0 in (0..npts).step_by(W) {
+        let acc = block_sum::<NT, R>(level, columns, k0, x, stride, dofs);
+        for lane in 0..W.min(npts - k0) {
+            let v = std::array::from_fn(|t| std::array::from_fn(|r| acc[t][r][lane]));
+            at_point(k0 + lane, v);
         }
     }
 }
 
-/// One block of points: `acc[t][r][lane]` runs the chain over `i`
-/// ascending. The lane loop is innermost, so LLVM vectorizes it and keeps
-/// one register of lanes per `(t, r)`; the select is one masked multiply.
+/// The block of points `k0..k0 + W`: `acc[t][r][lane]` runs the chain over
+/// `i` ascending. Table `t`'s row `i` at those points is gathered from its
+/// column-major storage (`tables[t][k·n + i]`, `0.0` past the last point).
+/// The lane loops are innermost, so LLVM vectorizes them and keeps one
+/// register of lanes per `(t, r)`; the select is one masked multiply.
 #[inline(always)]
 fn block_sum_body<const NT: usize, const R: usize>(
-    panels: &[[[f64; W]; NT]],
+    tables: [&[f64]; NT],
+    k0: usize,
     x: &[f64],
     stride: usize,
     dofs: &[usize],
 ) -> [[[f64; W]; R]; NT] {
+    let n = dofs.len();
     let mut acc = [[[0.0; W]; R]; NT];
-    for (rows, &dof) in panels.iter().zip(dofs) {
+    for (i, &dof) in dofs.iter().enumerate() {
         let c: [f64; R] = std::array::from_fn(|r| x[r * stride + dof]);
-        for (acc_t, row) in acc.iter_mut().zip(rows) {
+        for (acc_t, table) in acc.iter_mut().zip(tables) {
+            let row: [f64; W] =
+                std::array::from_fn(|lane| table.get((k0 + lane) * n + i).copied().unwrap_or(0.0));
             for (acc_r, &cr) in acc_t.iter_mut().zip(&c) {
-                for (a, &b) in acc_r.iter_mut().zip(row) {
+                for (a, &b) in acc_r.iter_mut().zip(&row) {
                     *a += if b != 0.0 { cr * b } else { 0.0 };
                 }
             }
@@ -119,7 +98,8 @@ fn block_sum_body<const NT: usize, const R: usize>(
 fma_clones! {
     /// [`block_sum_body`] as compiled for `level`.
     fn block_sum<NT: usize, R: usize>(level) = block_sum_body(
-        panels: &[[[f64; W]; NT]],
+        tables: [&[f64]; NT],
+        k0: usize,
         x: &[f64],
         stride: usize,
         dofs: &[usize],
@@ -181,10 +161,9 @@ mod tests {
         let stride = x.len() / R.max(1);
         let dofs: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % stride).collect();
         let want = scalar_chain::<NT, R>(tables, x, stride, &dofs);
-        let packed = PointTables::new(tables);
         for level in 0..=top {
             let mut got = Vec::new();
-            packed.eval_at::<R>(level, x, stride, &dofs, |k, v| got.push((k, v)));
+            field_at_points_at::<NT, R>(level, tables, x, stride, &dofs, |k, v| got.push((k, v)));
             assert_eq!(got.len(), npts);
             for (k, v) in got {
                 for (t, (a, b)) in v.iter().zip(&want[k]).enumerate() {
@@ -198,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn point_tables_every_clone_matches_setup_oracle() {
+    fn field_at_points_every_clone_matches_setup_oracle() {
         let top = crate::simd::level();
         if top < 2 {
             eprintln!("note: host SIMD level {top}; comparing clones 0..={top} only");
