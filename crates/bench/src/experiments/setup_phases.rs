@@ -3,9 +3,9 @@
 //! benchmark's three 3D workloads, the body the builder runs against the
 //! loop it replaced:
 //!
-//! - `geometry`: `zone_jacobians` and the point positions `ρ₀` is read at,
-//!   the points as vector lanes, against the point-at-a-time loops
-//!   `fem::geom::reference`;
+//! - `geometry`: `|J₀|` and the point positions `ρ₀` is read at, in one
+//!   `fem::geom::zone_geometry_pass` (the points as vector lanes), against
+//!   the point-at-a-time loops `fem::geom::reference`;
 //! - `kinematic_blocks`: `M_V`'s zone blocks on the `blast_la::WeightedGram`
 //!   register tile, against `fem::mass::reference::kinematic_blocks`;
 //! - `scatter`: `M_V` from those blocks, its pattern counted once and each
@@ -24,7 +24,7 @@
 //! like the rest of that artifact.
 
 use blast_core::AssemblyMode;
-use blast_fem::geom::{self, eval_h1_vector, zone_jacobians};
+use blast_fem::geom;
 use blast_fem::{mass, quad_points_1d, BasisTable, CartMesh, H1Space, L2Space, TensorRule};
 use blast_kernels::sumfac::{self, SumfacFactors, SumfacMassKernel};
 use blast_kernels::ProblemShape;
@@ -130,19 +130,21 @@ impl Inputs {
     }
 
     /// `|J₀|` and the position at every point as the builder forms them,
-    /// through `fem::geom` (`BODY`) or its reference loops.
+    /// through `fem::geom`'s pass (`BODY`) or its reference loops.
     fn geometry(&self, variant: usize) -> (Vec<f64>, Vec<[f64; 3]>) {
         let (kin, table, x0) = (&self.kin, &self.kin_table, &self.x0);
         let (mut dets, mut points) = (Vec::new(), Vec::new());
+        if variant == BODY {
+            geom::zone_geometry_pass(kin, table, x0, |_, g, pos| {
+                dets.extend(g.iter().map(|g| g.det));
+                points.extend_from_slice(pos);
+            });
+            return (dets, points);
+        }
         let (mut g, mut pos) = (Vec::new(), Vec::new());
         for z in 0..self.shape.zones {
-            if variant == BODY {
-                zone_jacobians(kin, table, x0, z, &mut g);
-                eval_h1_vector(kin, table, x0, z, &mut pos);
-            } else {
-                geom::reference::zone_jacobians(kin, table, x0, z, &mut g);
-                geom::reference::eval_h1_vector(kin, table, x0, z, &mut pos);
-            }
+            geom::reference::zone_jacobians(kin, table, x0, z, &mut g);
+            geom::reference::eval_h1_vector(kin, table, x0, z, &mut pos);
             dets.extend(g.iter().map(|g| g.det));
             points.extend_from_slice(&pos);
         }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use blast_fem::geom::{eval_h1_vector, zone_jacobians};
+use blast_fem::geom::zone_geometry_pass;
 use blast_fem::mass::{assemble_kinematic_mass, assemble_thermodynamic_mass};
 use blast_fem::{CartMesh, H1Space, L2Space, TensorRule};
 use blast_kernels::k2::ZoneConstants;
@@ -302,20 +302,16 @@ impl<const D: usize> Hydro<D> {
         }
 
         // Initial geometry and the frozen rho0 |J0|, the points as vector
-        // lanes (`blast_la::field_at_points`).
+        // lanes over tables packed once for the pass.
         let x0 = kin.initial_coords();
         let npts = rule.len();
         let mut rho0detj0 = vec![0.0; nz * npts];
-        let mut geom = Vec::new();
-        let mut pos = Vec::new();
-        for z in 0..nz {
-            zone_jacobians(&kin, &kin_table, &x0, z, &mut geom);
-            eval_h1_vector(&kin, &kin_table, &x0, z, &mut pos);
+        zone_geometry_pass(&kin, &kin_table, &x0, |z, geom, pos| {
             for k in 0..npts {
                 assert!(geom[k].det > 0.0, "inverted initial zone {z}");
                 rho0detj0[z * npts + k] = problem.rho0(&pos[k]) * geom[k].det;
             }
-        }
+        });
 
         // Kinematic mass operator (time-independent — `ρ|J|` is frozen).
         // Stored mode assembles the global CSR matrix; matrix-free mode

@@ -8,7 +8,7 @@
 //! paper's kernel 3 computes (`J_z(q̂_k)` as a batched DGEMM of position
 //! coefficients against the gradient table).
 
-use blast_la::SmallMat;
+use blast_la::{field_at_points, PointTables, SmallMat};
 
 use crate::space::H1Space;
 use crate::tensor_basis::BasisTable;
@@ -27,8 +27,8 @@ pub struct GeomAtPoint<const D: usize> {
 /// `x` is the component-major global position vector (`D * num_dofs`);
 /// `table` must be the kinematic basis tabulated at the desired points.
 /// Results are appended to `out` (cleared first). The points are the
-/// vector lanes ([`blast_la::field_at_points`]); each entry is the scalar
-/// loop's chain, bitwise
+/// vector lanes ([`field_at_points`], which gathers the gradient tables'
+/// rows per call); each entry is the scalar loop's chain, bitwise
 /// [`reference::zone_jacobians`](fn@reference::zone_jacobians).
 pub fn zone_jacobians<const D: usize>(
     space: &H1Space<D>,
@@ -42,10 +42,39 @@ pub fn zone_jacobians<const D: usize>(
     out.clear();
     out.reserve(table.npts());
     let grads = std::array::from_fn(|g| &table.grads[g]);
-    blast_la::field_at_points::<D, D>(grads, x, n, space.zone_dofs(z), |_, v| {
-        let jac = SmallMat::from_fn(|d, g| v[g][d]);
-        out.push(GeomAtPoint { jac, det: jac_det(&jac) });
-    });
+    field_at_points::<D, D>(grads, x, n, space.zone_dofs(z), |_, v| out.push(geom_at(v)));
+}
+
+/// The Jacobian whose column `g` is `v[g]`, and its determinant.
+fn geom_at<const D: usize>(v: [[f64; D]; D]) -> GeomAtPoint<D> {
+    let jac = SmallMat::from_fn(|d, g| v[g][d]);
+    GeomAtPoint { jac, det: jac_det(&jac) }
+}
+
+/// [`zone_jacobians`] and [`eval_h1_vector`] of the position field `x` in
+/// every zone, zones in order: `at_zone(z, geometry, positions)`, bitwise
+/// those calls. The pass packs the tables once ([`PointTables`], dropped
+/// at return) where each call gathers them per zone, so a pass over the
+/// mesh (the solver build's `ρ₀|J₀|`) runs at the arithmetic's speed.
+pub fn zone_geometry_pass<const D: usize>(
+    space: &H1Space<D>,
+    table: &BasisTable<D>,
+    x: &[f64],
+    mut at_zone: impl FnMut(usize, &[GeomAtPoint<D>], &[[f64; D]]),
+) {
+    let n = space.num_dofs();
+    debug_assert_eq!(x.len(), D * n);
+    let grads = PointTables::new(std::array::from_fn(|g| &table.grads[g]));
+    let values = PointTables::new([&table.values]);
+    let (mut geom, mut pos) = (Vec::with_capacity(table.npts()), Vec::with_capacity(table.npts()));
+    for z in 0..space.mesh().num_zones() {
+        let dofs = space.zone_dofs(z);
+        geom.clear();
+        pos.clear();
+        grads.eval::<D>(x, n, dofs, |_, v| geom.push(geom_at(v)));
+        values.eval::<D>(x, n, dofs, |_, v| pos.push(v[0]));
+        at_zone(z, &geom, &pos);
+    }
 }
 
 /// Determinant of a `D x D` matrix for `D` in {2, 3} (generic dispatch so
@@ -98,7 +127,7 @@ pub fn eval_h1_vector<const D: usize>(
     out.clear();
     out.reserve(table.npts());
     let (n, dofs) = (space.num_dofs(), space.zone_dofs(z));
-    blast_la::field_at_points::<1, D>([&table.values], u, n, dofs, |_, v| out.push(v[0]));
+    field_at_points::<1, D>([&table.values], u, n, dofs, |_, v| out.push(v[0]));
 }
 
 /// The point-at-a-time loops [`zone_jacobians`] and [`eval_h1_vector`]
@@ -383,36 +412,46 @@ mod tests {
         x
     }
 
+    /// Every bit of one zone's geometry and positions.
+    fn zone_bits<const D: usize>(geom: &[GeomAtPoint<D>], pos: &[[f64; D]]) -> Vec<u64> {
+        let mut out = Vec::new();
+        for g in geom {
+            let mut s = [0.0; 9];
+            g.jac.write_col_slice(&mut s[..D * D]);
+            out.extend(s.map(f64::to_bits));
+            out.push(g.det.to_bits());
+        }
+        out.extend(pos.iter().flat_map(|p| p.map(f64::to_bits)));
+        out
+    }
+
     fn geometry_case<const D: usize>(order: usize, zones: usize, npts_1d: usize, bad: Option<f64>) {
         let space = H1Space::new(CartMesh::<D>::unit(zones), order);
         let rule = TensorRule::<D>::gauss(npts_1d);
         let table = space.basis().tabulate(&rule.points);
         let x = rough_coords(&space, bad);
-        let (mut geom, mut geom_ref, mut pos, mut pos_ref) = (vec![], vec![], vec![], vec![]);
+        let (mut geom, mut pos) = (Vec::new(), Vec::new());
+        let mut want = Vec::new();
         let what = format!("Q{order}-{D}D {zones} zones, {npts_1d} points per axis, {bad:?}");
         for z in 0..space.mesh().num_zones() {
-            zone_jacobians(&space, &table, &x, z, &mut geom);
-            reference::zone_jacobians(&space, &table, &x, z, &mut geom_ref);
-            eval_h1_vector(&space, &table, &x, z, &mut pos);
-            reference::eval_h1_vector(&space, &table, &x, z, &mut pos_ref);
+            reference::zone_jacobians(&space, &table, &x, z, &mut geom);
+            reference::eval_h1_vector(&space, &table, &x, z, &mut pos);
             assert_eq!((geom.len(), pos.len()), (rule.len(), rule.len()), "{what}");
-            for (k, (a, b)) in geom.iter().zip(&geom_ref).enumerate() {
-                let bits = |m: &SmallMat<D>| {
-                    let mut s = [0.0; 9];
-                    m.write_col_slice(&mut s[..D * D]);
-                    s.map(f64::to_bits)
-                };
-                assert_eq!(bits(&a.jac), bits(&b.jac), "{what}: zone {z} point {k} J");
-                assert_eq!(a.det.to_bits(), b.det.to_bits(), "{what}: zone {z} point {k} det");
-            }
-            for (k, (a, b)) in pos.iter().zip(&pos_ref).enumerate() {
-                let what = format!("{what}: zone {z} point {k} x");
-                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{what}");
-            }
+            want.push(zone_bits(&geom, &pos));
+            zone_jacobians(&space, &table, &x, z, &mut geom);
+            eval_h1_vector(&space, &table, &x, z, &mut pos);
+            assert_eq!(zone_bits(&geom, &pos), want[z], "{what}: zone {z}, per-zone calls");
         }
+        let mut seen = 0;
+        zone_geometry_pass(&space, &table, &x, |z, geom, pos| {
+            assert_eq!((z, zone_bits(geom, pos)), (seen, want[z].clone()), "{what}: the pass");
+            seen += 1;
+        });
+        assert_eq!(seen, want.len(), "{what}: the pass visits every zone");
     }
 
-    /// The lane pass is the point-at-a-time loop, bit for bit: Q1-Q4 in 2D
+    /// The per-zone calls and the pass over all zones are the
+    /// point-at-a-time loop, bit for bit: Q1-Q4 in 2D
     /// and Q1-Q3 in 3D at the solver's rules, ragged point counts (a rule
     /// with more or fewer points than a block), a distorted mesh with
     /// `±0.0` coordinates, and an infinite or NaN coordinate.

@@ -23,14 +23,79 @@ use crate::simd::fma_clones;
 /// level 2.
 const W: usize = 8;
 
+/// `NT` tables of one shape (`n` basis functions by `npts` points) packed
+/// for a pass over many zones: per block of 8 points, per basis function,
+/// the tables' values at those points, zero-padded past `npts`. Packing
+/// costs one read of the tables; [`field_at_points`] instead gathers each
+/// row from the column-major tables per call, which is slower per zone but
+/// keeps nothing.
+#[derive(Clone, Debug)]
+pub struct PointTables<const NT: usize> {
+    n: usize,
+    npts: usize,
+    /// `[block][i][t][lane]`: table `t` at basis function `i` and point
+    /// `W·block + lane`.
+    panels: Vec<[[f64; W]; NT]>,
+}
+
+impl<const NT: usize> PointTables<NT> {
+    /// Packs `tables` (each `n × npts`, entry `(i, k)` = basis function `i`
+    /// at point `k`).
+    pub fn new(tables: [&DMatrix; NT]) -> Self {
+        let (n, npts) = shape_of(&tables);
+        let mut panels = vec![[[0.0; W]; NT]; npts.div_ceil(W) * n];
+        for (at, panel) in panels.iter_mut().enumerate() {
+            let (k0, i) = (at / n * W, at % n);
+            for (lanes, table) in panel.iter_mut().zip(tables) {
+                for (lane, x) in lanes.iter_mut().enumerate().take(npts - k0) {
+                    *x = table[(i, k0 + lane)];
+                }
+            }
+        }
+        Self { n, npts, panels }
+    }
+
+    /// [`field_at_points`] on the packed tables: the same calls with the
+    /// same bits.
+    pub fn eval<const R: usize>(
+        &self,
+        x: &[f64],
+        stride: usize,
+        dofs: &[usize],
+        at_point: impl FnMut(usize, [[f64; R]; NT]),
+    ) {
+        self.eval_at(crate::simd::level(), x, stride, dofs, at_point);
+    }
+
+    /// [`Self::eval`] through the clone of `level` (at most
+    /// `simd::level()`).
+    fn eval_at<const R: usize>(
+        &self,
+        level: u8,
+        x: &[f64],
+        stride: usize,
+        dofs: &[usize],
+        mut at_point: impl FnMut(usize, [[f64; R]; NT]),
+    ) {
+        check_coefficients::<R>(self.n, x, stride, dofs);
+        if self.n == 0 {
+            return;
+        }
+        for (block, panels) in self.panels.chunks_exact(self.n).enumerate() {
+            let acc = packed_block::<NT, R>(level, panels, x, stride, dofs);
+            emit(block * W, self.npts, &acc, &mut at_point);
+        }
+    }
+}
+
 /// `at_point(k, v)` for every point `k` ascending, with `v[t][r] = Σ_i
 /// c_{r,i} t_i(q̂_k)` for each table `t` of `tables` (all `n × npts`,
 /// entry `(i, k)` = basis function `i` at point `k`) and `c_{r,i} =
 /// x[r·stride + dofs[i]]`: the coefficients gathered from a
-/// component-major global vector. The points run in blocks of 8 lanes;
-/// each block reads its tables' rows straight from the column-major
-/// storage, so nothing is packed or kept between calls. See the module
-/// docs for the chain.
+/// component-major global vector. Each block of 8 points gathers its
+/// tables' rows from the column-major storage, so nothing is packed or
+/// kept; a pass over many zones packs once instead ([`PointTables`]). See
+/// the module docs for the chain.
 pub fn field_at_points<const NT: usize, const R: usize>(
     tables: [&DMatrix; NT],
     x: &[f64],
@@ -51,40 +116,56 @@ fn field_at_points_at<const NT: usize, const R: usize>(
     dofs: &[usize],
     mut at_point: impl FnMut(usize, [[f64; R]; NT]),
 ) {
-    let (n, npts) = tables.first().map_or((0, 0), |t| t.shape());
-    assert!(tables.iter().all(|t| t.shape() == (n, npts)), "tables of one shape");
-    assert_eq!(dofs.len(), n, "one DOF per basis function");
-    assert!(R == 0 || dofs.iter().all(|&d| (R - 1) * stride + d < x.len()), "DOF outside x");
+    let (n, npts) = shape_of(&tables);
+    check_coefficients::<R>(n, x, stride, dofs);
     let columns: [&[f64]; NT] = tables.map(DMatrix::as_slice);
     for k0 in (0..npts).step_by(W) {
-        let acc = block_sum::<NT, R>(level, columns, k0, x, stride, dofs);
-        for lane in 0..W.min(npts - k0) {
-            let v = std::array::from_fn(|t| std::array::from_fn(|r| acc[t][r][lane]));
-            at_point(k0 + lane, v);
-        }
+        let acc = gathered_block::<NT, R>(level, columns, k0, x, stride, dofs);
+        emit(k0, npts, &acc, &mut at_point);
     }
 }
 
-/// The block of points `k0..k0 + W`: `acc[t][r][lane]` runs the chain over
-/// `i` ascending. Table `t`'s row `i` at those points is gathered from its
-/// column-major storage (`tables[t][k·n + i]`, `0.0` past the last point).
-/// The lane loops are innermost, so LLVM vectorizes them and keeps one
-/// register of lanes per `(t, r)`; the select is one masked multiply.
-#[inline(always)]
-fn block_sum_body<const NT: usize, const R: usize>(
-    tables: [&[f64]; NT],
+/// The common `(n, npts)` of `tables`.
+fn shape_of<const NT: usize>(tables: &[&DMatrix; NT]) -> (usize, usize) {
+    let shape = tables.first().map_or((0, 0), |t| t.shape());
+    assert!(tables.iter().all(|t| t.shape() == shape), "tables of one shape");
+    shape
+}
+
+/// One DOF per basis function, each coefficient inside `x`.
+fn check_coefficients<const R: usize>(n: usize, x: &[f64], stride: usize, dofs: &[usize]) {
+    assert_eq!(dofs.len(), n, "one DOF per basis function");
+    assert!(R == 0 || dofs.iter().all(|&d| (R - 1) * stride + d < x.len()), "DOF outside x");
+}
+
+/// Hands the block at `k0` to `at_point`, point by point, up to `npts`.
+fn emit<const NT: usize, const R: usize>(
     k0: usize,
+    npts: usize,
+    acc: &[[[f64; W]; R]; NT],
+    at_point: &mut impl FnMut(usize, [[f64; R]; NT]),
+) {
+    for lane in 0..W.min(npts - k0) {
+        at_point(k0 + lane, std::array::from_fn(|t| std::array::from_fn(|r| acc[t][r][lane])));
+    }
+}
+
+/// One block of points: `acc[t][r][lane]` runs the chain over `i`
+/// ascending, `row(i, t)` giving table `t`'s row `i` at the block's
+/// points. The lane loops are innermost, so LLVM vectorizes them and keeps
+/// one register of lanes per `(t, r)`; the select is one masked multiply.
+#[inline(always)]
+fn chain<const NT: usize, const R: usize>(
+    row: impl Fn(usize, usize) -> [f64; W],
     x: &[f64],
     stride: usize,
     dofs: &[usize],
 ) -> [[[f64; W]; R]; NT] {
-    let n = dofs.len();
     let mut acc = [[[0.0; W]; R]; NT];
     for (i, &dof) in dofs.iter().enumerate() {
         let c: [f64; R] = std::array::from_fn(|r| x[r * stride + dof]);
-        for (acc_t, table) in acc.iter_mut().zip(tables) {
-            let row: [f64; W] =
-                std::array::from_fn(|lane| table.get((k0 + lane) * n + i).copied().unwrap_or(0.0));
+        for (t, acc_t) in acc.iter_mut().enumerate() {
+            let row = row(i, t);
             for (acc_r, &cr) in acc_t.iter_mut().zip(&c) {
                 for (a, &b) in acc_r.iter_mut().zip(&row) {
                     *a += if b != 0.0 { cr * b } else { 0.0 };
@@ -95,9 +176,47 @@ fn block_sum_body<const NT: usize, const R: usize>(
     acc
 }
 
+/// [`chain`] over packed panels (one block's, `[i][t]`).
+#[inline(always)]
+fn packed_block_body<const NT: usize, const R: usize>(
+    panels: &[[[f64; W]; NT]],
+    x: &[f64],
+    stride: usize,
+    dofs: &[usize],
+) -> [[[f64; W]; R]; NT] {
+    chain(|i, t| panels[i][t], x, stride, dofs)
+}
+
+/// [`chain`] over rows gathered from column-major tables
+/// (`tables[t][k·n + i]`, `0.0` past the last point) for the block at `k0`.
+#[inline(always)]
+fn gathered_block_body<const NT: usize, const R: usize>(
+    tables: [&[f64]; NT],
+    k0: usize,
+    x: &[f64],
+    stride: usize,
+    dofs: &[usize],
+) -> [[[f64; W]; R]; NT] {
+    let n = dofs.len();
+    let row = |i: usize, t: usize| -> [f64; W] {
+        std::array::from_fn(|lane| tables[t].get((k0 + lane) * n + i).copied().unwrap_or(0.0))
+    };
+    chain(row, x, stride, dofs)
+}
+
 fma_clones! {
-    /// [`block_sum_body`] as compiled for `level`.
-    fn block_sum<NT: usize, R: usize>(level) = block_sum_body(
+    /// [`packed_block_body`] as compiled for `level`.
+    fn packed_block<NT: usize, R: usize>(level) = packed_block_body(
+        panels: &[[[f64; W]; NT]],
+        x: &[f64],
+        stride: usize,
+        dofs: &[usize],
+    ) -> [[[f64; W]; R]; NT]
+}
+
+fma_clones! {
+    /// [`gathered_block_body`] as compiled for `level`.
+    fn gathered_block<NT: usize, R: usize>(level) = gathered_block_body(
         tables: [&[f64]; NT],
         k0: usize,
         x: &[f64],
@@ -161,14 +280,19 @@ mod tests {
         let stride = x.len() / R.max(1);
         let dofs: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % stride).collect();
         let want = scalar_chain::<NT, R>(tables, x, stride, &dofs);
-        for level in 0..=top {
+        let packed = PointTables::new(tables);
+        for (level, path) in (0..=top).flat_map(|l| [(l, "gathered"), (l, "packed")]) {
             let mut got = Vec::new();
-            field_at_points_at::<NT, R>(level, tables, x, stride, &dofs, |k, v| got.push((k, v)));
+            let at_point = |k, v| got.push((k, v));
+            match path {
+                "gathered" => field_at_points_at::<NT, R>(level, tables, x, stride, &dofs, at_point),
+                _ => packed.eval_at::<R>(level, x, stride, &dofs, at_point),
+            }
             assert_eq!(got.len(), npts);
             for (k, v) in got {
                 for (t, (a, b)) in v.iter().zip(&want[k]).enumerate() {
                     for (r, (p, q)) in a.iter().zip(b).enumerate() {
-                        let what = format!("n {n} npts {npts} level {level} point {k} ({t}, {r})");
+                        let what = format!("{path} n {n} npts {npts} level {level} point {k} ({t}, {r})");
                         assert_eq!(p.to_bits(), q.to_bits(), "{what}: {p} vs {q}");
                     }
                 }
@@ -177,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn field_at_points_every_clone_matches_setup_oracle() {
+    fn both_paths_every_clone_match_setup_oracle() {
         let top = crate::simd::level();
         if top < 2 {
             eprintln!("note: host SIMD level {top}; comparing clones 0..={top} only");
