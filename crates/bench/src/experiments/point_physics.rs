@@ -151,7 +151,7 @@ fn inputs(order: usize, zones_per_axis: usize, steps: usize) -> Inputs {
             rho0detj0[z * npts + k] = geom[k].det;
         }
     }
-    let zone_dofs: Vec<usize> = (0..zones).flat_map(|z| kin.zone_dofs(z).iter().copied()).collect();
+    let zone_dofs = kin.all_zone_dofs().to_vec();
     let h = kin.mesh().zone_size();
     let h_min = h.iter().copied().fold(f64::INFINITY, f64::min);
     let consts = ZoneConstants {

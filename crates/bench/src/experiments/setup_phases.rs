@@ -112,7 +112,7 @@ impl Inputs {
         let kin_table = kin.basis().tabulate(&rule.points);
         let thermo_table = thermo.basis().tabulate(&rule.points);
         let shape = ProblemShape::new(3, order, mesh.num_zones());
-        let zone_dofs = (0..shape.zones).flat_map(|z| kin.zone_dofs(z).to_vec()).collect();
+        let zone_dofs = kin.all_zone_dofs().to_vec();
         let x0 = kin.initial_coords();
         let mut inp = Self {
             kin,

@@ -272,8 +272,7 @@ impl<const D: usize> Hydro<D> {
         debug_assert_eq!(shape.nthermo, thermo.ndof_per_zone());
 
         let n = kin.num_dofs();
-        let zone_dofs: Vec<usize> =
-            (0..nz).flat_map(|z| kin.zone_dofs(z).iter().copied()).collect();
+        let zone_dofs = kin.all_zone_dofs().to_vec();
 
         if assembly.is_matrix_free() && matches!(exec.mode, ExecMode::Gpu { base: true, .. }) {
             return Err(HydroError::InvalidConfig {

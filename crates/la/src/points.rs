@@ -283,17 +283,17 @@ mod tests {
         let packed = PointTables::new(tables);
         for (level, path) in (0..=top).flat_map(|l| [(l, "gathered"), (l, "packed")]) {
             let mut got = Vec::new();
-            let at_point = |k, v| got.push((k, v));
+            let at_point = |k, v: [[f64; R]; NT]| got.push((k, v));
             match path {
-                "gathered" => field_at_points_at::<NT, R>(level, tables, x, stride, &dofs, at_point),
-                _ => packed.eval_at::<R>(level, x, stride, &dofs, at_point),
+                "gathered" => field_at_points_at(level, tables, x, stride, &dofs, at_point),
+                _ => packed.eval_at(level, x, stride, &dofs, at_point),
             }
             assert_eq!(got.len(), npts);
             for (k, v) in got {
                 for (t, (a, b)) in v.iter().zip(&want[k]).enumerate() {
                     for (r, (p, q)) in a.iter().zip(b).enumerate() {
-                        let what = format!("{path} n {n} npts {npts} level {level} point {k} ({t}, {r})");
-                        assert_eq!(p.to_bits(), q.to_bits(), "{what}: {p} vs {q}");
+                        let what = format!("{path} n {n} npts {npts} level {level} point {k}");
+                        assert_eq!(p.to_bits(), q.to_bits(), "{what} ({t}, {r}): {p} vs {q}");
                     }
                 }
             }
