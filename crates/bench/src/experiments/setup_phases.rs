@@ -5,7 +5,8 @@
 //!
 //! - `geometry`: `|J₀|` and the point positions `ρ₀` is read at, in one
 //!   `fem::geom::zone_geometry_pass` (the points as vector lanes), against
-//!   the point-at-a-time loops `fem::geom::reference`;
+//!   the point-at-a-time loops `fem::geom::{zone_jacobians, eval_h1_vector}`
+//!   zone by zone;
 //! - `kinematic_blocks`: `M_V`'s zone blocks on the `blast_la::WeightedGram`
 //!   register tile, against `fem::mass::reference::kinematic_blocks`;
 //! - `scatter`: `M_V` from those blocks, its pattern counted once and each
@@ -130,7 +131,7 @@ impl Inputs {
     }
 
     /// `|J₀|` and the position at every point as the builder forms them,
-    /// through `fem::geom`'s pass (`BODY`) or its reference loops.
+    /// through `fem::geom`'s pass (`BODY`) or its per-zone loops.
     fn geometry(&self, variant: usize) -> (Vec<f64>, Vec<[f64; 3]>) {
         let (kin, table, x0) = (&self.kin, &self.kin_table, &self.x0);
         let (mut dets, mut points) = (Vec::new(), Vec::new());
@@ -143,8 +144,8 @@ impl Inputs {
         }
         let (mut g, mut pos) = (Vec::new(), Vec::new());
         for z in 0..self.shape.zones {
-            geom::reference::zone_jacobians(kin, table, x0, z, &mut g);
-            geom::reference::eval_h1_vector(kin, table, x0, z, &mut pos);
+            geom::zone_jacobians(kin, table, x0, z, &mut g);
+            geom::eval_h1_vector(kin, table, x0, z, &mut pos);
             dets.extend(g.iter().map(|g| g.det));
             points.extend_from_slice(&pos);
         }

@@ -563,10 +563,10 @@ pub fn main(exp: &Experiment) -> ExitCode {
 
 /// The whole `main` of `paper_report`: runs the experiments named on the
 /// command line, or all of `registry` in order, each under its full
-/// budget, and prints every report. A full run also writes the
-/// simulated-clock experiments (those without an artifact of their own)
-/// into `BENCH_paper.json` in the working directory. Non-zero exit on an
-/// unknown name, a failed gate or write.
+/// budget, and prints every report. The simulated-clock experiments (those
+/// without an artifact of their own) run on a pool of `PAPER_POOL_WIDTH`,
+/// and a full run writes them into `BENCH_paper.json` in the working
+/// directory. Non-zero exit on an unknown name, a failed gate or write.
 pub fn paper_main(registry: &[Experiment]) -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let find = |name: &String| registry.iter().find(|e| e.name == name);
@@ -581,8 +581,12 @@ pub fn paper_main(registry: &[Experiment]) -> ExitCode {
         args.iter().filter_map(find).collect()
     };
     let mut simulated = Vec::new();
+    let pool = rayon::Pool::new(PAPER_POOL_WIDTH);
     for (i, exp) in picked.into_iter().enumerate() {
-        let report = (exp.run)(false);
+        let report = match exp.artifact {
+            None => pool.install(|| (exp.run)(false)),
+            Some(_) => (exp.run)(false),
+        };
         print!("{}{}", if i > 0 { "\n" } else { "" }, render_text(exp, false, &report));
         report_failures(&report);
         ok &= report.failures().is_empty();
@@ -604,6 +608,13 @@ pub fn paper_main(registry: &[Experiment]) -> ExitCode {
 
 /// The artifact of a full `paper_report` run.
 pub const PAPER_ARTIFACT: &str = "BENCH_paper.json";
+
+/// The host pool width every `BENCH_paper.json` member runs at, in
+/// `paper_report` and in the test that compares the committed file. Its one
+/// host-dependent number is `telemetry_profile`'s pool counters, which
+/// count the calls of the pool the run is on: none on a pool of one, and
+/// another thread's calls too on a shared pool.
+pub(crate) const PAPER_POOL_WIDTH: usize = 2;
 
 /// Asserts that the gates of `report` whose names start with one of
 /// `names` (all of them when `names` is empty) exist and hold, naming the

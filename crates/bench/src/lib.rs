@@ -31,13 +31,8 @@ mod tests {
     use crate::experiments::EXPERIMENTS;
     use crate::harness::{
         parse_artifact, render_paper_json, Experiment, Report, HEADER_KEYS, PAPER_ARTIFACT,
+        PAPER_POOL_WIDTH,
     };
-
-    /// The host pool width the committed `BENCH_paper.json` was written at.
-    /// Its one host-dependent number is `telemetry_profile`'s pool counters,
-    /// which count the calls of the pool the run is on: none on a pool of
-    /// one, and another thread's calls too when it shares the default pool.
-    const PAPER_POOL_WIDTH: usize = 2;
 
     /// `members`' reports under the budget `paper_report` runs, on a pool of
     /// [`PAPER_POOL_WIDTH`] of their own.

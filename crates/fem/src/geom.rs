@@ -8,7 +8,7 @@
 //! paper's kernel 3 computes (`J_z(q̂_k)` as a batched DGEMM of position
 //! coefficients against the gradient table).
 
-use blast_la::{field_at_points, PointTables, SmallMat};
+use blast_la::{PointTables, SmallMat};
 
 use crate::space::H1Space;
 use crate::tensor_basis::BasisTable;
@@ -26,10 +26,9 @@ pub struct GeomAtPoint<const D: usize> {
 ///
 /// `x` is the component-major global position vector (`D * num_dofs`);
 /// `table` must be the kinematic basis tabulated at the desired points.
-/// Results are appended to `out` (cleared first). The points are the
-/// vector lanes ([`field_at_points`], which gathers the gradient tables'
-/// rows per call); each entry is the scalar loop's chain, bitwise
-/// [`reference::zone_jacobians`](fn@reference::zone_jacobians).
+/// Results are appended to `out` (cleared first). Per point, the basis
+/// functions in order, a zero gradient entry skipped: the chain
+/// [`zone_geometry_pass`] runs with the points as lanes.
 pub fn zone_jacobians<const D: usize>(
     space: &H1Space<D>,
     table: &BasisTable<D>,
@@ -39,10 +38,24 @@ pub fn zone_jacobians<const D: usize>(
 ) {
     let n = space.num_dofs();
     debug_assert_eq!(x.len(), D * n);
+    let dofs = space.zone_dofs(z);
+    let npts = table.npts();
     out.clear();
-    out.reserve(table.npts());
-    let grads = std::array::from_fn(|g| &table.grads[g]);
-    field_at_points::<D, D>(grads, x, n, space.zone_dofs(z), |_, v| out.push(geom_at(v)));
+    out.reserve(npts);
+    for k in 0..npts {
+        let mut jac = SmallMat::<D>::zeros();
+        for (i, &dof) in dofs.iter().enumerate() {
+            for g in 0..D {
+                let dw = table.grads[g][(i, k)];
+                if dw != 0.0 {
+                    for d in 0..D {
+                        jac[(d, g)] += x[d * n + dof] * dw;
+                    }
+                }
+            }
+        }
+        out.push(GeomAtPoint { jac, det: jac_det(&jac) });
+    }
 }
 
 /// The Jacobian whose column `g` is `v[g]`, and its determinant.
@@ -53,9 +66,10 @@ fn geom_at<const D: usize>(v: [[f64; D]; D]) -> GeomAtPoint<D> {
 
 /// [`zone_jacobians`] and [`eval_h1_vector`] of the position field `x` in
 /// every zone, zones in order: `at_zone(z, geometry, positions)`, bitwise
-/// those calls. The pass packs the tables once ([`PointTables`], dropped
-/// at return) where each call gathers them per zone, so a pass over the
-/// mesh (the solver build's `ρ₀|J₀|`) runs at the arithmetic's speed.
+/// those calls. The points are the vector lanes of tables packed once per
+/// pass ([`PointTables`], dropped at return), so a pass over the mesh (the
+/// solver build's `ρ₀|J₀|`) runs at the arithmetic's speed; the per-zone
+/// calls are the point-at-a-time loops, and the pass's oracles.
 pub fn zone_geometry_pass<const D: usize>(
     space: &H1Space<D>,
     table: &BasisTable<D>,
@@ -114,9 +128,8 @@ pub fn jac_adjugate<const D: usize>(j: &SmallMat<D>) -> SmallMat<D> {
 }
 
 /// Evaluates an H1 *vector* field (component-major coefficients `u`) at the
-/// tabulated points of zone `z`: `out[k]` receives the field value. Points
-/// as lanes, bitwise
-/// [`reference::eval_h1_vector`](fn@reference::eval_h1_vector).
+/// tabulated points of zone `z`: `out[k]` receives the field value. Per
+/// point, the basis functions in order, a zero value skipped.
 pub fn eval_h1_vector<const D: usize>(
     space: &H1Space<D>,
     table: &BasisTable<D>,
@@ -124,71 +137,18 @@ pub fn eval_h1_vector<const D: usize>(
     z: usize,
     out: &mut Vec<[f64; D]>,
 ) {
+    let n = space.num_dofs();
+    let dofs = space.zone_dofs(z);
+    let npts = table.npts();
     out.clear();
-    out.reserve(table.npts());
-    let (n, dofs) = (space.num_dofs(), space.zone_dofs(z));
-    field_at_points::<1, D>([&table.values], u, n, dofs, |_, v| out.push(v[0]));
-}
-
-/// The point-at-a-time loops [`zone_jacobians`] and [`eval_h1_vector`]
-/// replaced, kept as their bitwise oracles for the tests and the reference
-/// rows of the `host_kernels` experiment; nothing in the solver calls them.
-pub mod reference {
-    use super::*;
-
-    /// [`super::zone_jacobians`]: per point, the basis functions in order,
-    /// a zero gradient entry skipped.
-    pub fn zone_jacobians<const D: usize>(
-        space: &H1Space<D>,
-        table: &BasisTable<D>,
-        x: &[f64],
-        z: usize,
-        out: &mut Vec<GeomAtPoint<D>>,
-    ) {
-        let n = space.num_dofs();
-        debug_assert_eq!(x.len(), D * n);
-        let dofs = space.zone_dofs(z);
-        let npts = table.npts();
-        out.clear();
-        out.reserve(npts);
-        for k in 0..npts {
-            let mut jac = SmallMat::<D>::zeros();
-            for (i, &dof) in dofs.iter().enumerate() {
-                for g in 0..D {
-                    let dw = table.grads[g][(i, k)];
-                    if dw != 0.0 {
-                        for d in 0..D {
-                            jac[(d, g)] += x[d * n + dof] * dw;
-                        }
-                    }
-                }
-            }
-            out.push(GeomAtPoint { jac, det: jac_det(&jac) });
-        }
-    }
-
-    /// [`super::eval_h1_vector`]: per point, the basis functions in order, a
-    /// zero value skipped.
-    pub fn eval_h1_vector<const D: usize>(
-        space: &H1Space<D>,
-        table: &BasisTable<D>,
-        u: &[f64],
-        z: usize,
-        out: &mut Vec<[f64; D]>,
-    ) {
-        let n = space.num_dofs();
-        let dofs = space.zone_dofs(z);
-        let npts = table.npts();
-        out.clear();
-        out.resize(npts, [0.0; D]);
-        for k in 0..npts {
-            let o = &mut out[k];
-            for (i, &dof) in dofs.iter().enumerate() {
-                let w = table.values[(i, k)];
-                if w != 0.0 {
-                    for d in 0..D {
-                        o[d] += u[d * n + dof] * w;
-                    }
+    out.resize(npts, [0.0; D]);
+    for k in 0..npts {
+        let o = &mut out[k];
+        for (i, &dof) in dofs.iter().enumerate() {
+            let w = table.values[(i, k)];
+            if w != 0.0 {
+                for d in 0..D {
+                    o[d] += u[d * n + dof] * w;
                 }
             }
         }
@@ -434,13 +394,10 @@ mod tests {
         let mut want = Vec::new();
         let what = format!("Q{order}-{D}D {zones} zones, {npts_1d} points per axis, {bad:?}");
         for z in 0..space.mesh().num_zones() {
-            reference::zone_jacobians(&space, &table, &x, z, &mut geom);
-            reference::eval_h1_vector(&space, &table, &x, z, &mut pos);
-            assert_eq!((geom.len(), pos.len()), (rule.len(), rule.len()), "{what}");
-            want.push(zone_bits(&geom, &pos));
             zone_jacobians(&space, &table, &x, z, &mut geom);
             eval_h1_vector(&space, &table, &x, z, &mut pos);
-            assert_eq!(zone_bits(&geom, &pos), want[z], "{what}: zone {z}, per-zone calls");
+            assert_eq!((geom.len(), pos.len()), (rule.len(), rule.len()), "{what}");
+            want.push(zone_bits(&geom, &pos));
         }
         let mut seen = 0;
         zone_geometry_pass(&space, &table, &x, |z, geom, pos| {
@@ -450,11 +407,11 @@ mod tests {
         assert_eq!(seen, want.len(), "{what}: the pass visits every zone");
     }
 
-    /// The per-zone calls and the pass over all zones are the
-    /// point-at-a-time loop, bit for bit: Q1-Q4 in 2D
-    /// and Q1-Q3 in 3D at the solver's rules, ragged point counts (a rule
-    /// with more or fewer points than a block), a distorted mesh with
-    /// `±0.0` coordinates, and an infinite or NaN coordinate.
+    /// The pass over all zones is the per-zone point-at-a-time loops, bit
+    /// for bit: Q1-Q4 in 2D and Q1-Q3 in 3D at the solver's rules, ragged
+    /// point counts (a rule with more or fewer points than a block), a
+    /// distorted mesh with `±0.0` coordinates, and an infinite or NaN
+    /// coordinate.
     #[test]
     fn initial_geometry_matches_setup_oracle() {
         for order in 1..=4 {

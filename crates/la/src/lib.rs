@@ -44,7 +44,7 @@ pub use dense::DMatrix;
 pub use eig::{sym_eig2, sym_eig3, SymEig};
 pub use gram::WeightedGram;
 pub use lu::LuFactors;
-pub use points::{field_at_points, PointTables};
+pub use points::PointTables;
 pub use pcg::{pcg_solve, pcg_solve_lockstep_ws, pcg_solve_on, pcg_solve_ws,
     pcg_solve_ws_reference, ConstrainedOp, DiagPrecond, HostSweeps, LinearOperator, PcgOptions,
     PcgResult, PcgWorkspace, Sweep, SweepLauncher};

@@ -26,9 +26,7 @@ const W: usize = 8;
 /// `NT` tables of one shape (`n` basis functions by `npts` points) packed
 /// for a pass over many zones: per block of 8 points, per basis function,
 /// the tables' values at those points, zero-padded past `npts`. Packing
-/// costs one read of the tables; [`field_at_points`] instead gathers each
-/// row from the column-major tables per call, which is slower per zone but
-/// keeps nothing.
+/// costs one read of the tables.
 #[derive(Clone, Debug)]
 pub struct PointTables<const NT: usize> {
     n: usize,
@@ -55,8 +53,10 @@ impl<const NT: usize> PointTables<NT> {
         Self { n, npts, panels }
     }
 
-    /// [`field_at_points`] on the packed tables: the same calls with the
-    /// same bits.
+    /// `at_point(k, v)` for every point `k` ascending, with `v[t][r] =
+    /// Σ_i c_{r,i} t_i(q̂_k)` for each packed table `t` and `c_{r,i} =
+    /// x[r·stride + dofs[i]]`: the coefficients gathered from a
+    /// component-major global vector. See the module docs for the chain.
     pub fn eval<const R: usize>(
         &self,
         x: &[f64],
@@ -88,43 +88,6 @@ impl<const NT: usize> PointTables<NT> {
     }
 }
 
-/// `at_point(k, v)` for every point `k` ascending, with `v[t][r] = Σ_i
-/// c_{r,i} t_i(q̂_k)` for each table `t` of `tables` (all `n × npts`,
-/// entry `(i, k)` = basis function `i` at point `k`) and `c_{r,i} =
-/// x[r·stride + dofs[i]]`: the coefficients gathered from a
-/// component-major global vector. Each block of 8 points gathers its
-/// tables' rows from the column-major storage, so nothing is packed or
-/// kept; a pass over many zones packs once instead ([`PointTables`]). See
-/// the module docs for the chain.
-pub fn field_at_points<const NT: usize, const R: usize>(
-    tables: [&DMatrix; NT],
-    x: &[f64],
-    stride: usize,
-    dofs: &[usize],
-    at_point: impl FnMut(usize, [[f64; R]; NT]),
-) {
-    field_at_points_at(crate::simd::level(), tables, x, stride, dofs, at_point);
-}
-
-/// [`field_at_points`] through the clone of `level` (at most
-/// `simd::level()`).
-fn field_at_points_at<const NT: usize, const R: usize>(
-    level: u8,
-    tables: [&DMatrix; NT],
-    x: &[f64],
-    stride: usize,
-    dofs: &[usize],
-    mut at_point: impl FnMut(usize, [[f64; R]; NT]),
-) {
-    let (n, npts) = shape_of(&tables);
-    check_coefficients::<R>(n, x, stride, dofs);
-    let columns: [&[f64]; NT] = tables.map(DMatrix::as_slice);
-    for k0 in (0..npts).step_by(W) {
-        let acc = gathered_block::<NT, R>(level, columns, k0, x, stride, dofs);
-        emit(k0, npts, &acc, &mut at_point);
-    }
-}
-
 /// The common `(n, npts)` of `tables`.
 fn shape_of<const NT: usize>(tables: &[&DMatrix; NT]) -> (usize, usize) {
     let shape = tables.first().map_or((0, 0), |t| t.shape());
@@ -151,23 +114,22 @@ fn emit<const NT: usize, const R: usize>(
 }
 
 /// One block of points: `acc[t][r][lane]` runs the chain over `i`
-/// ascending, `row(i, t)` giving table `t`'s row `i` at the block's
-/// points. The lane loops are innermost, so LLVM vectorizes them and keeps
-/// one register of lanes per `(t, r)`; the select is one masked multiply.
+/// ascending on the block's packed panels (`[i][t]`). The lane loops are
+/// innermost, so LLVM vectorizes them and keeps one register of lanes per
+/// `(t, r)`; the select is one masked multiply.
 #[inline(always)]
-fn chain<const NT: usize, const R: usize>(
-    row: impl Fn(usize, usize) -> [f64; W],
+fn packed_block_body<const NT: usize, const R: usize>(
+    panels: &[[[f64; W]; NT]],
     x: &[f64],
     stride: usize,
     dofs: &[usize],
 ) -> [[[f64; W]; R]; NT] {
     let mut acc = [[[0.0; W]; R]; NT];
-    for (i, &dof) in dofs.iter().enumerate() {
+    for (&dof, panel) in dofs.iter().zip(panels) {
         let c: [f64; R] = std::array::from_fn(|r| x[r * stride + dof]);
-        for (t, acc_t) in acc.iter_mut().enumerate() {
-            let row = row(i, t);
+        for (acc_t, row) in acc.iter_mut().zip(panel) {
             for (acc_r, &cr) in acc_t.iter_mut().zip(&c) {
-                for (a, &b) in acc_r.iter_mut().zip(&row) {
+                for (a, &b) in acc_r.iter_mut().zip(row) {
                     *a += if b != 0.0 { cr * b } else { 0.0 };
                 }
             }
@@ -176,49 +138,10 @@ fn chain<const NT: usize, const R: usize>(
     acc
 }
 
-/// [`chain`] over packed panels (one block's, `[i][t]`).
-#[inline(always)]
-fn packed_block_body<const NT: usize, const R: usize>(
-    panels: &[[[f64; W]; NT]],
-    x: &[f64],
-    stride: usize,
-    dofs: &[usize],
-) -> [[[f64; W]; R]; NT] {
-    chain(|i, t| panels[i][t], x, stride, dofs)
-}
-
-/// [`chain`] over rows gathered from column-major tables
-/// (`tables[t][k·n + i]`, `0.0` past the last point) for the block at `k0`.
-#[inline(always)]
-fn gathered_block_body<const NT: usize, const R: usize>(
-    tables: [&[f64]; NT],
-    k0: usize,
-    x: &[f64],
-    stride: usize,
-    dofs: &[usize],
-) -> [[[f64; W]; R]; NT] {
-    let n = dofs.len();
-    let row = |i: usize, t: usize| -> [f64; W] {
-        std::array::from_fn(|lane| tables[t].get((k0 + lane) * n + i).copied().unwrap_or(0.0))
-    };
-    chain(row, x, stride, dofs)
-}
-
 fma_clones! {
     /// [`packed_block_body`] as compiled for `level`.
     fn packed_block<NT: usize, R: usize>(level) = packed_block_body(
         panels: &[[[f64; W]; NT]],
-        x: &[f64],
-        stride: usize,
-        dofs: &[usize],
-    ) -> [[[f64; W]; R]; NT]
-}
-
-fma_clones! {
-    /// [`gathered_block_body`] as compiled for `level`.
-    fn gathered_block<NT: usize, R: usize>(level) = gathered_block_body(
-        tables: [&[f64]; NT],
-        k0: usize,
         x: &[f64],
         stride: usize,
         dofs: &[usize],
@@ -281,18 +204,14 @@ mod tests {
         let dofs: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % stride).collect();
         let want = scalar_chain::<NT, R>(tables, x, stride, &dofs);
         let packed = PointTables::new(tables);
-        for (level, path) in (0..=top).flat_map(|l| [(l, "gathered"), (l, "packed")]) {
+        for level in 0..=top {
             let mut got = Vec::new();
-            let at_point = |k, v: [[f64; R]; NT]| got.push((k, v));
-            match path {
-                "gathered" => field_at_points_at(level, tables, x, stride, &dofs, at_point),
-                _ => packed.eval_at(level, x, stride, &dofs, at_point),
-            }
+            packed.eval_at(level, x, stride, &dofs, |k, v: [[f64; R]; NT]| got.push((k, v)));
             assert_eq!(got.len(), npts);
             for (k, v) in got {
                 for (t, (a, b)) in v.iter().zip(&want[k]).enumerate() {
                     for (r, (p, q)) in a.iter().zip(b).enumerate() {
-                        let what = format!("{path} n {n} npts {npts} level {level} point {k}");
+                        let what = format!("n {n} npts {npts} level {level} point {k}");
                         assert_eq!(p.to_bits(), q.to_bits(), "{what} ({t}, {r}): {p} vs {q}");
                     }
                 }
@@ -301,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn both_paths_every_clone_match_setup_oracle() {
+    fn packed_tables_every_clone_match_setup_oracle() {
         let top = crate::simd::level();
         if top < 2 {
             eprintln!("note: host SIMD level {top}; comparing clones 0..={top} only");
