@@ -18,6 +18,7 @@ pub mod fig07_kernel_variants;
 pub mod fig08_bandwidth;
 pub mod fig11_speedup;
 pub mod host_kernels;
+pub mod in_run_phases;
 pub mod matfree_ceiling;
 pub mod pcg_streaming;
 pub mod point_physics;
@@ -67,6 +68,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ablations::EXPERIMENT,
     host_kernels::EXPERIMENT,
     pcg_streaming::EXPERIMENT,
+    in_run_phases::EXPERIMENT,
     matfree_ceiling::EXPERIMENT,
     telemetry_profile::EXPERIMENT,
     serve_storm::EXPERIMENT,

@@ -8,7 +8,7 @@ use blast_kernels::k11::SpmvKernel;
 use blast_kernels::k4::AzKernel;
 use blast_kernels::k7::FzKernel;
 use blast_kernels::k8_10::{EnergyRhsKernel, MomentumRhsKernel};
-use blast_kernels::launch::{Inline, KernelLauncher, Launch};
+use blast_kernels::launch::{Inline, KernelLauncher, Launch, Timed};
 use blast_kernels::sumfac::{
     AssemblyMode, SumfacEnergyKernel, SumfacFactors, SumfacForceKernel, SumfacMassKernel,
     SumfacMomentumKernel,
@@ -404,6 +404,28 @@ impl<const D: usize> Hydro<D> {
         }
     }
 
+    /// [`Self::corner_force_on`] through `on` — [`Timed`], the sequence
+    /// timed as the corner-force phase, when the telemetry sink keeps a
+    /// wall clock: chosen once per evaluation, not per launch.
+    fn corner_force_via<L: KernelLauncher>(
+        &self,
+        mut on: L,
+        base_regs: Option<u32>,
+        state: Fields,
+        cap: Option<f64>,
+        ws: &mut EvalScratch,
+    ) -> Result<Cfl, HydroError>
+    where
+        HydroError: From<L::Error>,
+    {
+        match self.exec.telemetry().wall_clock() {
+            Some(clock) => clock.time(names::phases::CORNER_FORCE, || {
+                self.corner_force_on(&mut Timed { on, clock }, base_regs, state, cap, ws)
+            }),
+            None => self.corner_force_on(&mut on, base_regs, state, cap, ws),
+        }
+    }
+
     /// The one tail of a force evaluation, after [`Self::corner_force_on`]
     /// returned its CFL control `cfl`: constraint projection and the
     /// momentum solve into the scratch's `accel`. With a device leg the
@@ -459,7 +481,7 @@ impl<const D: usize> Hydro<D> {
         let cfl = match reach {
             Reach::Tail => self.cfl_control(&ws.pipe.inv_dt, None),
             Reach::Whole | Reach::UnlessOvershoot(_) => {
-                let res = self.corner_force_on(&mut Inline, None, state, reach.cap(), ws);
+                let res = self.corner_force_via(Inline, None, state, reach.cap(), ws);
                 let doomed = matches!(res, Ok(Cfl { doomed: true, .. }));
                 let traffic = self.assembly.corner_force_traffic(&self.shape, doomed);
                 let eff = cf_cpu_eff(self.shape.order);
@@ -504,6 +526,7 @@ impl<const D: usize> Hydro<D> {
         let shape = &self.shape;
         let opts = &self.pcg_opts;
         let tel = self.exec.telemetry();
+        let (clock, start) = (tel.wall_clock(), std::time::Instant::now());
         let iter_traffic = self.assembly.cg_iteration_traffic(shape, n, opts.fused);
         accel.clone_from(&self.accel_prev);
         let mut total_iters = 0;
@@ -529,12 +552,22 @@ impl<const D: usize> Hydro<D> {
                 pcg.with_operator_scratch(staging, |tmp, pcg| {
                     let op = &mut ConstrainedOp { a: mv, masks: &masks, tmp };
                     // One solve; only the launcher differs.
-                    let Ok(results) = match device {
-                        Some(_) => {
+                    let Ok(results) = match (device, clock) {
+                        (Some(_), Some(clock)) => {
+                            let on = &mut Timed { on: sweeps.record(opts), clock };
+                            pcg_solve_on(on, op, precond, rhs, accel, opts, pcg)
+                        }
+                        (Some(_), None) => {
                             let on = &mut sweeps.record(opts);
                             pcg_solve_on(on, op, precond, rhs, accel, opts, pcg)
                         }
-                        None => pcg_solve_on(&mut HostSweeps, op, precond, rhs, accel, opts, pcg),
+                        (None, Some(clock)) => {
+                            let on = &mut Timed { on: HostSweeps, clock };
+                            pcg_solve_on(on, op, precond, rhs, accel, opts, pcg)
+                        }
+                        (None, None) => {
+                            pcg_solve_on(&mut HostSweeps, op, precond, rhs, accel, opts, pcg)
+                        }
                     };
                     results
                 })
@@ -559,7 +592,7 @@ impl<const D: usize> Hydro<D> {
         for (c, res) in results.iter().enumerate() {
             match (&self.assembly, device) {
                 (Assembly::Stored { mv }, Some(gpu)) => {
-                    sweeps.bill(gpu, mv, c)?;
+                    tel.timed(names::phases::SWEEP_BILL, || sweeps.bill(gpu, mv, c))?;
                     record(res)?;
                 }
                 (Assembly::MatFree(_), Some(gpu)) => {
@@ -581,6 +614,9 @@ impl<const D: usize> Hydro<D> {
             let state = self.exec.host_power_state();
             let traffic = iter_traffic.scale(total_iters as f64);
             self.host_phase(names::phases::CG_SOLVER, &traffic, CG_CPU_EFF, state, || ());
+        }
+        if let Some(clock) = clock {
+            clock.add(names::phases::CG_SOLVER, start);
         }
         Ok(total_iters)
     }
@@ -605,7 +641,7 @@ impl<const D: usize> Hydro<D> {
             Reach::Whole | Reach::UnlessOvershoot(_) => {
                 gpu.h2d((2 * D * self.kin.num_dofs() + self.thermo.num_dofs()) * 8)?;
                 let base_regs = base.then(|| gpu.spec().max_regs_per_thread);
-                self.corner_force_on(&mut &*gpu, base_regs, state, reach.cap(), ws)?
+                self.corner_force_via(gpu, base_regs, state, reach.cap(), ws)?
             }
         };
         let leg = (reach != Reach::Tail || gpu_pcg).then_some(DeviceLeg { gpu, since, gpu_pcg });
@@ -687,6 +723,16 @@ impl<const D: usize> Hydro<D> {
         v_avg: &[f64],
         ws: &mut EvalScratch,
     ) -> Result<(), HydroError> {
+        let tel = self.exec.telemetry().clone();
+        tel.timed(names::phases::ENERGY_SOLVE, || self.energy_rate_either(v_avg, ws))
+    }
+
+    /// [`Self::energy_rate`]'s device leg, or its host leg.
+    fn energy_rate_either(
+        &mut self,
+        v_avg: &[f64],
+        ws: &mut EvalScratch,
+    ) -> Result<(), HydroError> {
         if !self.exec.is_degraded() {
             if let (ExecMode::Gpu { .. }, Some(gpu)) = (&self.exec.mode, &self.exec.gpu) {
                 match self.energy_rate_on(Some(gpu.as_ref()), v_avg, ws) {
@@ -722,6 +768,20 @@ impl<const D: usize> Hydro<D> {
         on.launch(|| self.inv_mass_launch(), || self.me_inv.apply(rhs_e, de))
     }
 
+    /// [`Self::energy_kernels_on`] through `on`, or through [`Timed`] `on`
+    /// when the telemetry sink keeps a wall clock.
+    fn energy_kernels_via<L: KernelLauncher>(
+        &self,
+        mut on: L,
+        v_avg: &[f64],
+        ws: &mut EvalScratch,
+    ) -> Result<(), L::Error> {
+        match self.exec.telemetry().wall_clock() {
+            Some(clock) => self.energy_kernels_on(&mut Timed { on, clock }, v_avg, ws),
+            None => self.energy_kernels_on(&mut on, v_avg, ws),
+        }
+    }
+
     /// What kernel 11 bills for `M_E^{-1}`.
     fn inv_mass_launch(&self) -> Launch {
         let (k11, m) = (SpmvKernel, &self.me_inv);
@@ -739,9 +799,9 @@ impl<const D: usize> Hydro<D> {
         ensure_zeroed(&mut ws.rhs_e, nth);
         ensure_zeroed(&mut ws.de, nth);
         match device {
-            Some(mut gpu) => {
+            Some(gpu) => {
                 let t0 = gpu.now();
-                self.energy_kernels_on(&mut gpu, v_avg, ws)?;
+                self.energy_kernels_via(gpu, v_avg, ws)?;
                 gpu.d2h(nth * 8)?;
                 self.exec.host.idle(gpu.now() - t0);
             }
@@ -750,7 +810,7 @@ impl<const D: usize> Hydro<D> {
                 let traffic = rhs.add(&self.inv_mass_launch().traffic);
                 let (name, busy) = (names::phases::ENERGY_SOLVE, CpuPowerState::Busy);
                 let Ok(()) = self.host_phase(name, &traffic, CG_CPU_EFF, busy, || {
-                    self.energy_kernels_on(&mut Inline, v_avg, ws)
+                    self.energy_kernels_via(Inline, v_avg, ws)
                 });
             }
         }

@@ -330,6 +330,12 @@ impl<const D: usize> Hydro<D> {
     /// the scratch: the next attempt, when it starts from these very state
     /// bits, runs no corner force of its own for stage 1 (DESIGN §8).
     pub fn try_suggest_dt(&mut self, state: &HydroState) -> Result<f64, HydroError> {
+        let tel = self.exec.telemetry().clone();
+        tel.timed(names::phases::SUGGEST_DT, || self.suggest_dt_lent(state))
+    }
+
+    /// [`Self::try_suggest_dt`] on the lent scratch.
+    fn suggest_dt_lent(&mut self, state: &HydroState) -> Result<f64, HydroError> {
         self.lend_scratch(|hydro, ws| {
             let StepScratch { eval, stage, held, .. } = ws;
             *held = Held::Nothing;
@@ -749,6 +755,16 @@ impl<const D: usize> Hydro<D> {
     /// never a mid-rollback intermediate: it is the pre-step state, or the
     /// candidate whose audit failed once the budget was spent.
     pub fn try_advance(
+        &mut self,
+        state: &mut HydroState,
+        dt: f64,
+    ) -> Result<AdvanceOutcome, HydroError> {
+        let tel = self.exec.telemetry().clone();
+        tel.timed(names::phases::STEP, || self.advance_ladder(state, dt))
+    }
+
+    /// The redo ladder of [`Self::try_advance`].
+    fn advance_ladder(
         &mut self,
         state: &mut HydroState,
         dt: f64,

@@ -48,5 +48,6 @@ pub mod names;
 pub mod recorder;
 
 pub use recorder::{
-    EventKind, PhaseTotal, SpanRecord, Telemetry, TelemetrySink, Track, NUM_TRACKS,
+    EventKind, PhaseTotal, SpanRecord, Telemetry, TelemetrySink, Track, WallClock, WallTotal,
+    NUM_TRACKS,
 };

@@ -20,6 +20,10 @@ pub mod phases {
     pub const INTEGRATION: &str = "integration";
     /// One full RK2 timestep (parent span of the four phases above).
     pub const STEP: &str = "step";
+    /// The force evaluation that suggests a run's first dt (wall clock).
+    pub const SUGGEST_DT: &str = "suggest_dt";
+    /// Kernel 9's bill of a logged device solve (wall clock).
+    pub const SWEEP_BILL: &str = "sweep_bill";
     /// Checkpoint image serialization + write.
     pub const CHECKPOINT_WRITE: &str = "checkpoint_write";
     /// Checkpoint image read + restore.

@@ -2,6 +2,7 @@
 //! per-phase aggregates, behind one shared, thread-safe handle.
 
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Number of timeline tracks (Chrome-trace lanes).
 pub const NUM_TRACKS: usize = 5;
@@ -138,6 +139,60 @@ pub type TelemetrySink = Arc<Telemetry>;
 #[derive(Debug)]
 pub struct Telemetry {
     inner: Mutex<Inner>,
+    /// The measured-time table of a recorder built by
+    /// [`Telemetry::with_wall_clock`]; `None` records no real time at all.
+    wall: Option<WallClock>,
+}
+
+/// Measured (real) nanoseconds and calls per phase name, beside the
+/// simulated spans: the in-run phase table. Every slot is preallocated, so
+/// adding to an already-seen name never allocates.
+#[derive(Debug)]
+pub struct WallClock {
+    table: Mutex<Vec<WallTotal>>,
+}
+
+/// One row of a [`WallClock`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WallTotal {
+    /// Interned phase or kernel name.
+    pub name: &'static str,
+    /// Measured nanoseconds, summed over the calls.
+    pub ns: u64,
+    /// Number of timed calls.
+    pub calls: u64,
+}
+
+impl WallClock {
+    fn new() -> Self {
+        Self { table: Mutex::new(Vec::with_capacity(NAME_TABLE_CAPACITY)) }
+    }
+
+    /// Adds the time since `start` to `name`'s row.
+    pub fn add(&self, name: &'static str, start: Instant) {
+        let ns = start.elapsed().as_nanos() as u64;
+        let mut table = self.table.lock().unwrap_or_else(|p| p.into_inner());
+        match table.iter_mut().find(|w| w.name == name) {
+            Some(w) => {
+                w.ns += ns;
+                w.calls += 1;
+            }
+            None => table.push(WallTotal { name, ns, calls: 1 }),
+        }
+    }
+
+    /// Runs `body`, adding its measured time to `name`'s row.
+    pub fn time<R>(&self, name: &'static str, body: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let out = body();
+        self.add(name, start);
+        out
+    }
+
+    /// Every row, in first-timed order.
+    pub fn totals(&self) -> Vec<WallTotal> {
+        self.table.lock().unwrap_or_else(|p| p.into_inner()).clone()
+    }
 }
 
 impl Default for Telemetry {
@@ -180,6 +235,27 @@ impl Telemetry {
                 counters: Vec::with_capacity(NAME_TABLE_CAPACITY),
                 gauges: Vec::with_capacity(NAME_TABLE_CAPACITY),
             }),
+            wall: None,
+        }
+    }
+
+    /// A recorder that also keeps a [`WallClock`]: the instrumented
+    /// surfaces that find one time their phases and kernels into it.
+    pub fn with_wall_clock() -> Self {
+        Self { wall: Some(WallClock::new()), ..Self::new() }
+    }
+
+    /// The measured-time table, when this recorder keeps one.
+    pub fn wall_clock(&self) -> Option<&WallClock> {
+        self.wall.as_ref()
+    }
+
+    /// Runs `body`, timed into the [`WallClock`] under `name` when this
+    /// recorder keeps one.
+    pub fn timed<R>(&self, name: &'static str, body: impl FnOnce() -> R) -> R {
+        match &self.wall {
+            Some(clock) => clock.time(name, body),
+            None => body(),
         }
     }
 
@@ -396,6 +472,22 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_wall_clock_is_kept_only_when_asked_for() {
+        let plain = Telemetry::new();
+        assert!(plain.wall_clock().is_none());
+        assert_eq!(plain.timed("step", || 7), 7);
+
+        let t = Telemetry::with_wall_clock();
+        let out = t.timed("step", || t.timed("corner_force", || 3) + t.timed("corner_force", || 4));
+        assert_eq!(out, 7);
+        let totals = t.wall_clock().unwrap().totals();
+        let names: Vec<_> = totals.iter().map(|w| (w.name, w.calls)).collect();
+        // First-timed order: the inner phase closes first.
+        assert_eq!(names, [("corner_force", 2), ("step", 1)]);
+        assert!(totals[0].ns <= totals[1].ns, "a child never outlasts its parent");
+    }
 
     #[test]
     fn leaf_spans_aggregate_exactly() {

@@ -83,7 +83,16 @@ pub fn warmed_up_solver_with(
     mode: ExecMode,
     pcg: PcgOptions,
 ) -> (Hydro<2>, HydroState, RunCursor) {
-    let exec = Executor::new(mode, CpuSpec::e5_2670(), None);
+    warmed_up_solver_on(Executor::new(mode, CpuSpec::e5_2670(), None), assembly, pcg)
+}
+
+/// [`warmed_up_solver_with`] on a pre-built executor (its telemetry sink
+/// included).
+pub fn warmed_up_solver_on(
+    exec: Executor,
+    assembly: AssemblyMode,
+    pcg: PcgOptions,
+) -> (Hydro<2>, HydroState, RunCursor) {
     let mut hydro = Hydro::<2>::builder(&Sedov::default(), [6, 6])
         .executor(exec)
         .audit(AuditConfig::default().abft(true))

@@ -32,6 +32,7 @@ use blast_repro::blast_core::{
     AssemblyMode, ExecMode, Executor, Hydro, HydroError, Sedov, MAX_STEP_REDOS,
 };
 use blast_repro::blast_la::PcgOptions;
+use blast_repro::blast_telemetry::{names, Telemetry, WallTotal};
 use blast_repro::gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice};
 
 /// System allocator wrapper that counts the calling thread's allocation
@@ -89,6 +90,34 @@ fn steady_state_steps_do_not_touch_the_heap() {
 #[test]
 fn matrix_free_steady_state_steps_do_not_touch_the_heap() {
     serial_contract(AssemblyMode::MatrixFree);
+}
+
+/// The same contract with the in-run phase table on: the telemetry sink
+/// keeps a wall clock, so every kernel launch, PCG sweep and phase of the
+/// window is timed into its preallocated table.
+#[test]
+fn timed_steady_state_steps_do_not_touch_the_heap() {
+    for mode in [AssemblyMode::Stored, AssemblyMode::MatrixFree] {
+        rayon::Pool::new(1).install(|| {
+            let sink = Arc::new(Telemetry::with_wall_clock());
+            let exec =
+                Executor::with_telemetry(ExecMode::CpuSerial, CpuSpec::e5_2670(), None, sink.clone());
+            let (mut hydro, mut state, cursor) =
+                common::warmed_up_solver_on(exec, mode, PcgOptions::default());
+            let clock = sink.wall_clock().expect("the sink keeps a clock");
+            let steps = |totals: &[WallTotal]| {
+                totals.iter().find(|w| w.name == names::phases::STEP).map_or(0, |w| w.calls)
+            };
+            let before = steps(&clock.totals());
+            common::assert_steady_state_is_heap_quiet(&mut hydro, &mut state, cursor, heap_ops);
+            let after = clock.totals();
+            assert_eq!(steps(&after) - before, 5, "{mode:?}: every measured step is timed");
+            assert!(
+                after.iter().any(|w| w.name == names::phases::CG_SOLVER && w.ns > 0),
+                "{mode:?}: the momentum solve is timed"
+            );
+        });
+    }
 }
 
 /// A failed attempt hands back every pool buffer it was lent — the RK2
