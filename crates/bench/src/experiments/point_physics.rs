@@ -1,10 +1,11 @@
 //! point_physics — *measured* nanoseconds per quadrature point of the
-//! stress half of a 3D force evaluation, layer by layer: kernel 1
+//! stress half of a force evaluation, layer by layer: kernel 1
 //! (adjugate / det / `σ_min(J)`), kernel 2 (EOS + tensor viscosity) and the
-//! whole matrix-free force kernel (groups of `W` points, the Jacobi
-//! eigen-solves in lock step), kernel 3 (both calls, `J` and `∇̂v̂`, on its
-//! register tile) and kernels 5 and 6 (the `3 x 3` products in lane
-//! groups), each as the host body the solver runs against the
+//! whole matrix-free force kernel (groups of `W` points, the eigen-solves
+//! in lock step), kernel 3 (both calls, `J` and `∇̂v̂`, on its register
+//! tile) and kernels 5 and 6 (the `d x d` products in lane groups), on the
+//! end-to-end benchmark's 3D meshes and its 2D one, each as the host body
+//! the solver runs against the
 //! point-at-a-time body it replaced — `blast_kernels::point::reference`,
 //! `k3::reference`, `k56::reference`, the kernel tests' oracles.
 //!
@@ -37,9 +38,10 @@ use gpu_sim::CpuSpec;
 
 use crate::harness::{self, Budget, Cell, Gate, Timing};
 
-/// `(order, zones per axis, label)`: the end-to-end benchmark's two 3D
+/// `(dim, order, zones per axis, label)`: the end-to-end benchmark's
 /// meshes.
-pub const POINT_SHAPES: [(usize, usize, &str); 2] = [(3, 5, "Q3 3D 5^3"), (2, 8, "Q2 3D 8^3")];
+pub const POINT_SHAPES: [(usize, usize, usize, &str); 3] =
+    [(3, 3, 5, "Q3 3D 5^3"), (3, 2, 8, "Q2 3D 8^3"), (2, 2, 32, "Q2 2D 32^2")];
 
 /// Steps taken before the mid-run state is sampled (the benchmark's 3D
 /// workloads time steps 3 to 6 and 3 to 8).
@@ -103,7 +105,7 @@ struct Inputs {
     thermo_vals: DMatrix,
     factors: SumfacFactors,
     /// The kinematic gradient tables and kernel 3's copy of them.
-    kin_grads: [DMatrix; 3],
+    kin_grads: Vec<DMatrix>,
     table: PointMajorGrads,
     /// The production pipeline's intermediates at this state: kernel 3's
     /// `J` and `∇̂v̂`, kernel 1's `adj(J)`, `|J|`, `σ_min(J)` and `1/|J|`,
@@ -118,13 +120,13 @@ struct Inputs {
     sigma: BatchedMats,
 }
 
-/// Builds the Sedov solver of `(order, zones_per_axis)`, advances it
-/// `steps` steps, and rebuilds the kernels' operands at that state through
-/// public `fem` / `kernels` constructors.
-fn inputs(order: usize, zones_per_axis: usize, steps: usize) -> Inputs {
+/// Builds the `D`-dimensional Sedov solver of `(order, zones_per_axis)`,
+/// advances it `steps` steps, and rebuilds the kernels' operands at that
+/// state through public `fem` / `kernels` constructors.
+fn inputs<const D: usize>(order: usize, zones_per_axis: usize, steps: usize) -> Inputs {
     let problem = Sedov::default();
     let exec = Executor::new(ExecMode::CpuSerial, CpuSpec::e5_2670(), None);
-    let mut hydro = Hydro::<3>::builder(&problem, [zones_per_axis; 3])
+    let mut hydro = Hydro::<D>::builder(&problem, [zones_per_axis; D])
         .order(order)
         .assembly(AssemblyMode::Stored)
         .executor(exec)
@@ -139,7 +141,7 @@ fn inputs(order: usize, zones_per_axis: usize, steps: usize) -> Inputs {
     let (kin, thermo) = (hydro.kin_space(), hydro.thermo_space());
     let shape = *hydro.shape();
     let (zones, npts) = (shape.zones, shape.npts);
-    let rule = TensorRule::<3>::gauss(quad_points_1d(order));
+    let rule = TensorRule::<D>::gauss(quad_points_1d(order));
     let kin_table = kin.basis().tabulate(&rule.points);
     let thermo_table = thermo.basis().tabulate(&rule.points);
     // Sedov: rho0 = 1, so the frozen mass factor is |J_0|.
@@ -162,8 +164,8 @@ fn inputs(order: usize, zones_per_axis: usize, steps: usize) -> Inputs {
     let num_h1_dofs = kin.num_dofs();
     let table = PointMajorGrads::from_tables(&kin_table.grads);
     let n = shape.total_points();
-    let mut out = Outputs::new(n);
-    let [jac, grad_v_ref, adj, grad_v, sigma] = [(); 5].map(|_| BatchedMats::zeros(3, 3, n));
+    let mut out = Outputs::new(D, n);
+    let [jac, grad_v_ref, adj, grad_v, sigma] = [(); 5].map(|_| BatchedMats::zeros(D, D, n));
     let mut inp = Inputs {
         shape,
         num_h1_dofs,
@@ -176,7 +178,7 @@ fn inputs(order: usize, zones_per_axis: usize, steps: usize) -> Inputs {
         consts,
         thermo_vals: thermo_table.values,
         factors: SumfacFactors::for_shape(&shape),
-        kin_grads: kin_table.grads,
+        kin_grads: kin_table.grads.to_vec(),
         table,
         jac,
         grad_v_ref,
@@ -217,8 +219,8 @@ struct Outputs {
 }
 
 impl Outputs {
-    fn new(n: usize) -> Self {
-        let (mats, vec) = (|| BatchedMats::zeros(3, 3, n), || vec![0.0; n]);
+    fn new(d: usize, n: usize) -> Self {
+        let (mats, vec) = (|| BatchedMats::zeros(d, d, n), || vec![0.0; n]);
         Self {
             adj: mats(),
             det: vec(),
@@ -314,8 +316,8 @@ fn measure_state(
     inp: &Inputs,
     budget: Budget,
 ) -> PointPhysicsResult {
-    let n = inp.shape.total_points();
-    let (mut lanes, mut scalar) = (Outputs::new(n), Outputs::new(n));
+    let (d, n) = (inp.shape.dim, inp.shape.total_points());
+    let (mut lanes, mut scalar) = (Outputs::new(d, n), Outputs::new(d, n));
 
     // The equivalence the timing rests on.
     for k in 0..KERNELS.len() {
@@ -335,9 +337,12 @@ fn measure_state(
 /// kernels fan out over it, the references are serial loops.
 pub fn measure(budget: Budget) -> Vec<PointPhysicsResult> {
     let mut rows = Vec::new();
-    for &(order, zones_per_axis, label) in &POINT_SHAPES {
+    for &(dim, order, zones_per_axis, label) in &POINT_SHAPES {
         for (state, steps) in [("initial", 0), ("mid-run", MID_RUN_STEPS)] {
-            let inp = inputs(order, zones_per_axis, steps);
+            let inp = match dim {
+                2 => inputs::<2>(order, zones_per_axis, steps),
+                _ => inputs::<3>(order, zones_per_axis, steps),
+            };
             rows.push(measure_state(label, state, &inp, budget));
         }
     }

@@ -1,7 +1,7 @@
 //! Time stepping: the RK2-average step, the adaptive run loop with
 //! rollback / CFL redos, checkpoint and restart, and the SDC audit glue.
 
-use blast_fem::geom::zone_jacobians;
+use blast_fem::geom::{zone_geometry_pass, zone_jacobians};
 use blast_la::{Abft, AbftViolation};
 use blast_telemetry::{names, Track};
 use gpu_sim::{apply_flip, SdcSite, Traffic, FAULT_SEED_ENV};
@@ -126,14 +126,16 @@ impl<const D: usize> Hydro<D> {
             aud.lo[d] = lo - pad;
             aud.hi[d] = hi + pad;
         }
-        // `|J0|` reference for the strong-mass-conservation audit.
+        // `|J0|` reference for the strong-mass-conservation audit, in one
+        // lane pass over the mesh (bitwise the per-zone `zone_jacobians`);
+        // the per-audit scratch is grown here all the same.
         aud.det0.resize(self.shape.zones * npts, 0.0);
-        for z in 0..self.shape.zones {
-            zone_jacobians(&self.kin, &self.kin_table, x0, z, &mut aud.geom);
-            for k in 0..npts {
-                aud.det0[z * npts + k] = aud.geom[k].det;
+        zone_geometry_pass(&self.kin, &self.kin_table, x0, |z, geom, _| {
+            for (d, g) in aud.det0[z * npts..(z + 1) * npts].iter_mut().zip(geom) {
+                *d = g.det;
             }
-        }
+        });
+        aud.geom.reserve(npts);
         aud.pairing = self.mirror_pairing();
         // Estimated cost of one audit pass, billed per audit: Jacobians
         // for every zone, one kinetic/internal energy evaluation, and

@@ -259,25 +259,26 @@ mod tests {
     #[test]
     fn every_isa_clone_matches_the_scalar_reference_bitwise() {
         use crate::isa::bits;
-        // Q2 (64 points a zone: full groups at every width) and Q3 (216:
-        // a ragged last group at W = 16), at one, two and eight threads.
-        for (order, zones) in [(2, 7), (3, 4)] {
-            let shape = ProblemShape::new(3, order, zones);
+        // 3D Q2 (64 points a zone: full groups at every width) and Q3 (216:
+        // a ragged last group at W = 16); 2D Q2 (16: full groups), Q3 (36:
+        // ragged at W = 16) and Q4 (64); at one, two and eight threads.
+        for (d, order, zones) in [(3, 2, 7), (3, 3, 4), (2, 2, 7), (2, 3, 5), (2, 4, 3)] {
+            let shape = ProblemShape::new(d, order, zones);
             let n = shape.total_points();
             let jac = crate::point::shocked::state(&shape, 11 + order as u64).jac;
-            let mut want_adj = BatchedMats::zeros(3, 3, n);
+            let mut want_adj = BatchedMats::zeros(d, d, n);
             let (mut want_det, mut want_hmin) = (vec![0.0; n], vec![0.0; n]);
             crate::point::reference::k1(&jac, &mut want_adj, &mut want_det, &mut want_hmin);
             for isa in Isa::available() {
                 for threads in [1, 2, 8] {
-                    let mut adj = BatchedMats::from_fn(3, 3, n, |_, _, _| f64::NAN);
+                    let mut adj = BatchedMats::from_fn(d, d, n, |_, _, _| f64::NAN);
                     let (mut det, mut hmin) = (vec![f64::NAN; n], vec![f64::NAN; n]);
                     rayon::Pool::new(threads).install(|| {
                         AdjugateDetKernel::compute_at(
                             isa, &shape, &jac, &mut adj, &mut det, &mut hmin,
                         )
                     });
-                    let what = format!("{isa:?} Q{order} {threads} threads");
+                    let what = format!("{isa:?} {d}D Q{order} {threads} threads");
                     assert_eq!(bits(adj.as_slice()), bits(want_adj.as_slice()), "adj, {what}");
                     assert_eq!(bits(&det), bits(&want_det), "det, {what}");
                     assert_eq!(bits(&hmin), bits(&want_hmin), "hmin, {what}");

@@ -442,8 +442,8 @@ mod tests {
     fn every_isa_clone_matches_the_scalar_reference_bitwise() {
         use crate::point::{reference, shocked};
         use crate::isa::bits;
-        for (order, zones) in [(2, 7), (3, 4)] {
-            let shape = ProblemShape::new(3, order, zones);
+        for (d, order, zones) in [(3, 2, 7), (3, 3, 4), (2, 2, 7), (2, 3, 5), (2, 4, 3)] {
+            let shape = ProblemShape::new(d, order, zones);
             let (n, npts, nthermo) = (shape.total_points(), shape.npts, shape.nthermo);
             let st = shocked::state(&shape, 23 + order as u64);
             let mix = crate::isa::signed_zero_mix(zones * nthermo + nthermo * npts, 5);
@@ -451,12 +451,12 @@ mod tests {
             let e_coeffs: Vec<f64> = mix[..zones * nthermo].iter().map(|m| 2.0 * m + 1.5).collect();
             let thermo_vals =
                 DMatrix::from_fn(nthermo, npts, |l, k| mix[zones * nthermo + l * npts + k]);
-            let mut adj = BatchedMats::zeros(3, 3, n);
+            let mut adj = BatchedMats::zeros(d, d, n);
             let (mut det, mut hmin) = (vec![0.0; n], vec![0.0; n]);
             reference::k1(&st.jac, &mut adj, &mut det, &mut hmin);
             for use_viscosity in [true, false] {
                 let kernel = StressKernel { workspace: Workspace::Registers, use_viscosity };
-                let mut want_sigma = BatchedMats::zeros(3, 3, n);
+                let mut want_sigma = BatchedMats::zeros(d, d, n);
                 let mut want_inv_dt = vec![0.0; n];
                 reference::k2(
                     &shape, use_viscosity, &e_coeffs, &thermo_vals, &st.grad_v, &st.jac, &det,
@@ -464,7 +464,7 @@ mod tests {
                 );
                 for isa in Isa::available() {
                     for threads in [1, 2, 8] {
-                        let mut sigma = BatchedMats::from_fn(3, 3, n, |_, _, _| f64::NAN);
+                        let mut sigma = BatchedMats::from_fn(d, d, n, |_, _, _| f64::NAN);
                         let mut inv_dt = vec![f64::NAN; n];
                         rayon::Pool::new(threads).install(|| {
                             kernel.compute_at(
@@ -473,7 +473,7 @@ mod tests {
                             )
                         });
                         let what =
-                            format!("{isa:?} Q{order} visc {use_viscosity} {threads} threads");
+                            format!("{isa:?} {d}D Q{order} visc {use_viscosity} {threads} threads");
                         let want = bits(want_sigma.as_slice());
                         assert_eq!(bits(sigma.as_slice()), want, "sigma, {what}");
                         assert_eq!(bits(&inv_dt), bits(&want_inv_dt), "inv_dt, {what}");

@@ -1,14 +1,15 @@
 //! The point-at-a-time bodies `geometry` and `stress`
-//! replaced, through the scalar `svd3` / `sym_eig3`: per point, and as the
-//! 3D mesh-level loops of kernel 1, kernel 2 and the matrix-free force.
-//! They are the bitwise oracle of the kernel tests and the baseline
-//! `blast-bench`'s `point_physics` block times — and the one module of this
-//! crate that may call the scalar eigen-solves (`tests/source_gates.rs`).
+//! replaced, through the scalar `svd2` / `svd3` / `sym_eig2` / `sym_eig3`:
+//! per point, and as the mesh-level loops of kernel 1, kernel 2 and the
+//! matrix-free force in 2D and 3D. They are the bitwise oracle of the
+//! kernel tests and the baseline `blast-bench`'s `point_physics` block
+//! times — and the one module of this crate that may call the scalar
+//! eigen-solves (`tests/source_gates.rs`).
 
 use blast_fem::sumfac::{forward, SumfacScratch};
 use blast_la::{svd2, svd3, sym_eig2, sym_eig3, BatchedMats, DMatrix, SmallMat};
 
-use super::{smooth_step_01, ZonePhysics};
+use super::ZonePhysics;
 use crate::k2::ZoneConstants;
 use crate::shapes::ProblemShape;
 use crate::sumfac::{forward_gradients, gather_kin, SumfacFactors};
@@ -23,6 +24,19 @@ pub(crate) fn geometry<const D: usize>(jac: &[f64], adj: &mut [f64]) -> (f64, f6
         let j = SmallMat::<3>::from_col_slice(jac);
         j.adjugate().write_col_slice(adj);
         (j.det(), svd3(&j).min_singular())
+    }
+}
+
+/// The smooth "if compressing" switch as branches (`super::smooth_step_01`
+/// is its select form).
+fn smooth_step_01(x: f64, eps: f64) -> f64 {
+    if x <= 0.0 {
+        0.0
+    } else if x >= eps {
+        1.0
+    } else {
+        let y = x / eps;
+        y * y * (3.0 - 2.0 * y)
     }
 }
 
@@ -74,14 +88,17 @@ pub(crate) fn stress<const D: usize>(
     cs / h_min + 2.5 * visc_coeff / (rho * h_min * h_min)
 }
 
-/// Kernel 1 over a 3D mesh (`AdjugateDetKernel::compute`'s outputs).
+/// Kernel 1 over a 2D or 3D mesh (`AdjugateDetKernel::compute`'s outputs).
 pub fn k1(jac: &BatchedMats, adj: &mut BatchedMats, det: &mut [f64], hmin: &mut [f64]) {
     for p in 0..det.len() {
-        (det[p], hmin[p]) = geometry::<3>(jac.mat(p), adj.mat_mut(p));
+        (det[p], hmin[p]) = match jac.shape().0 {
+            2 => geometry::<2>(jac.mat(p), adj.mat_mut(p)),
+            _ => geometry::<3>(jac.mat(p), adj.mat_mut(p)),
+        };
     }
 }
 
-/// Kernel 2 over a 3D mesh (`StressKernel::compute`'s outputs).
+/// Kernel 2 over a 2D or 3D mesh (`StressKernel::compute`'s outputs).
 pub fn k2(
     shape: &ProblemShape,
     use_viscosity: bool,
@@ -104,22 +121,18 @@ pub fn k2(
         for l in 0..nthermo {
             e_pt += e_coeffs[z * nthermo + l] * thermo_vals[(l, k)];
         }
-        inv_dt[p] = stress::<3>(
-            &zone,
-            e_pt,
-            rho0detj0[p],
-            det[p],
-            hmin[p],
-            grad_v.mat(p),
-            jac.mat(p),
-            sigma.mat_mut(p),
-        );
+        let (g, j, sg) = (grad_v.mat(p), jac.mat(p), sigma.mat_mut(p));
+        inv_dt[p] = match shape.dim {
+            2 => stress::<2>(&zone, e_pt, rho0detj0[p], det[p], hmin[p], g, j, sg),
+            _ => stress::<3>(&zone, e_pt, rho0detj0[p], det[p], hmin[p], g, j, sg),
+        };
     }
 }
 
-/// The matrix-free force over a 3D mesh, viscosity on
+/// The matrix-free force over a 2D or 3D mesh, viscosity on
 /// (`SumfacForceKernel::compute`'s outputs): the kernel's own sum-factorized
 /// transforms, then the kernel 1 / 5 / 2 / 6 chain one point at a time.
+#[allow(clippy::too_many_arguments)]
 pub fn matfree_force(
     shape: &ProblemShape,
     f: &SumfacFactors,
@@ -135,7 +148,29 @@ pub fn matfree_force(
     detj: &mut [f64],
     inv_dt: &mut [f64],
 ) {
-    let (d, d2, npts, nkin, nthermo) = (3, 9, shape.npts, shape.nkin, shape.nthermo);
+    let fields = [x, v, e, alpha, rho0detj0];
+    match shape.dim {
+        2 => matfree_force_in::<2>(shape, f, fields, num_h1_dofs, zone_dofs, consts, dsf, detj, inv_dt),
+        _ => matfree_force_in::<3>(shape, f, fields, num_h1_dofs, zone_dofs, consts, dsf, detj, inv_dt),
+    }
+}
+
+/// [`matfree_force`] in `D` dimensions; `fields` is `[x, v, e, alpha,
+/// rho0detj0]`.
+#[allow(clippy::too_many_arguments)]
+fn matfree_force_in<const D: usize>(
+    shape: &ProblemShape,
+    f: &SumfacFactors,
+    fields: [&[f64]; 5],
+    num_h1_dofs: usize,
+    zone_dofs: &[usize],
+    consts: &ZoneConstants,
+    dsf: &mut BatchedMats,
+    detj: &mut [f64],
+    inv_dt: &mut [f64],
+) {
+    let [x, v, e, alpha, rho0detj0] = fields;
+    let (d, d2, npts, nkin, nthermo) = (D, D * D, shape.npts, shape.nkin, shape.nthermo);
     let mut sf = SumfacScratch::default();
     let (mut uz, mut tmp, mut e_pt) = (vec![0.0; d * nkin], vec![0.0; d * npts], vec![0.0; npts]);
     let (mut jac, mut gvref) = (vec![0.0; npts * d2], vec![0.0; npts * d2]);
@@ -151,7 +186,8 @@ pub fn matfree_force(
             let p = z * npts + k;
             let jac_k = &jac[k * d2..(k + 1) * d2];
             let (mut adj, mut gv, mut sig) = ([0.0; 9], [0.0; 9], [0.0; 9]);
-            let (det, hmin) = geometry::<3>(jac_k, &mut adj);
+            let (adj, gv, sig) = (&mut adj[..d2], &mut gv[..d2], &mut sig[..d2]);
+            let (det, hmin) = geometry::<D>(jac_k, adj);
             detj[p] = det;
             let inv_det = 1.0 / det;
             for g in 0..d {
@@ -163,7 +199,7 @@ pub fn matfree_force(
                     gv[c + g * d] = acc * inv_det;
                 }
             }
-            inv_dt[p] = stress::<3>(&zone, e_pt[k], rho0detj0[p], det, hmin, &gv, jac_k, &mut sig);
+            inv_dt[p] = stress::<D>(&zone, e_pt[k], rho0detj0[p], det, hmin, gv, jac_k, sig);
             let out = dsf.mat_mut(p);
             for g in 0..d {
                 for c in 0..d {

@@ -1168,10 +1168,10 @@ mod tests {
     #[test]
     fn force_matches_the_scalar_point_reference_at_every_isa_level() {
         use crate::isa::bits;
-        for (order, zones) in [(2, 7), (3, 4)] {
-            let shape = ProblemShape::new(3, order, zones);
+        for (d, order, zones) in [(3, 2, 7), (3, 3, 4), (2, 2, 7), (2, 3, 5), (2, 4, 3)] {
+            let shape = ProblemShape::new(d, order, zones);
             let f = SumfacFactors::for_shape(&shape);
-            let (d, npts, nkin, nthermo) = (3, shape.npts, shape.nkin, shape.nthermo);
+            let (npts, nkin, nthermo) = (shape.npts, shape.nkin, shape.nthermo);
             let total = shape.total_points();
             // Zone-private DOFs; positions are the reference nodes scaled to
             // h = 0.2 and jittered, velocities a strong compression in two
@@ -1220,7 +1220,7 @@ mod tests {
                             &rho0detj0, &consts, &mut dsf, &mut detj, &mut inv_dt,
                         )
                     });
-                    let what = format!("{isa:?} Q{order} {threads} threads");
+                    let what = format!("{isa:?} {d}D Q{order} {threads} threads");
                     assert_eq!(bits(dsf.as_slice()), bits(want_dsf.as_slice()), "dsf, {what}");
                     assert_eq!(bits(&detj), bits(&want_detj), "detj, {what}");
                     assert_eq!(bits(&inv_dt), bits(&want_inv_dt), "inv_dt, {what}");

@@ -7,15 +7,18 @@
 //! are unconditionally stable and branch-light (important for the GPU port,
 //! where each thread runs one decomposition).
 //!
-//! The 3x3 solve exists twice. [`sym_eig3`] is the scalar entry and the
-//! oracle. [`sym_eig3_lanes`] / [`sym_eigvals3_lanes`] run `W` of them in
-//! lock step, one SIMD lane per matrix — the paper's thread-per-point
-//! mapping, with a warp `W` wide — and every lane performs the scalar
-//! iteration's exact operation sequence: the convergence test and the
-//! `apq == 0` skip become per-lane masks, and a rotated value is *selected*
-//! into the lanes that would have rotated. No lane reads another, nothing
-//! asks for a fused multiply-add, so each lane's result is `sym_eig3`'s bit
-//! for bit at any `W` and any instruction-set level of the caller.
+//! Both solves exist twice. [`sym_eig2`] and [`sym_eig3`] are the scalar
+//! entries and the oracles. [`sym_eig2_lanes`] / [`sym_eigvals2_lanes`]
+//! run the closed form on `W` matrices with its two branches as per-lane
+//! selects. [`sym_eig3_lanes`] / [`sym_eigvals3_lanes`] run `W` Jacobi
+//! iterations in lock step, one SIMD lane per matrix — the paper's
+//! thread-per-point mapping, with a warp `W` wide — and every lane performs
+//! the scalar iteration's exact operation sequence: the convergence test and
+//! the `apq == 0` skip become per-lane masks, and a rotated value is
+//! *selected* into the lanes that would have rotated. No lane reads another,
+//! nothing asks for a fused multiply-add, so each lane's result is the
+//! scalar solve's bit for bit at any `W` and any instruction-set level of
+//! the caller.
 
 use std::cmp::Ordering;
 
@@ -140,6 +143,64 @@ pub fn sym_eig3(a: &SmallMat<3>) -> SymEig<3> {
     let values = [vals[order[0]], vals[order[1]], vals[order[2]]];
     let vectors = SmallMat::<3>::from_fn(|i, k| v[(i, order[k])]);
     SymEig { values, vectors }
+}
+
+/// `W` symmetric 2x2 matrices side by side (struct of arrays): entry
+/// `(i, j)` of matrix `l` is `a[i][j][l]`.
+type Sym2Lanes<const W: usize> = [[[f64; W]; 2]; 2];
+
+/// The closed form of [`sym_eig2`] on `W` matrices in lock step. The
+/// rotation test and the diagonal case's column order become selects: every
+/// lane computes the rotated columns and both diagonal orders, and keeps
+/// the one its scalar call would have taken. Returns the eigenvalues
+/// `[k][l]` (descending per lane) and — when `VECTORS` — the eigenvectors
+/// `[i][k][l]` (zero otherwise).
+#[inline(always)]
+fn eig2_lanes<const W: usize, const VECTORS: bool>(
+    a: &Sym2Lanes<W>,
+) -> ([[f64; W]; 2], Sym2Lanes<W>) {
+    let mut values = [[0.0; W]; 2];
+    let mut v = [[[0.0; W]; 2]; 2];
+    for l in 0..W {
+        let (p, q, r) = (a[0][0][l], a[1][0][l], a[1][1][l]);
+        let tr = p + r;
+        let diff = p - r;
+        let disc = (diff * diff * 0.25 + q * q).sqrt();
+        let l0 = 0.5 * tr + disc;
+        let l1 = 0.5 * tr - disc;
+        values[0][l] = l0;
+        values[1][l] = l1;
+        if VECTORS {
+            // The rotation: (l0 - r, q) normalized, then its complement. A
+            // lane that does not rotate divides by its zero and drops it.
+            let (x0, y0) = (l0 - r, q);
+            let n0 = (x0 * x0 + y0 * y0).sqrt();
+            let (c, s) = (x0 / n0, y0 / n0);
+            let rot = q.abs() > f64::EPSILON * tr.abs().max(1.0);
+            // Already diagonal: the identity, or the swap when `p < r`.
+            let (on, off) = if p >= r { (1.0, 0.0) } else { (0.0, 1.0) };
+            v[0][0][l] = if rot { c } else { on };
+            v[1][0][l] = if rot { s } else { off };
+            v[0][1][l] = if rot { -s } else { off };
+            v[1][1][l] = if rot { c } else { on };
+        }
+    }
+    (values, v)
+}
+
+/// [`sym_eig2`] on `W` matrices at once: eigenvalues `[k][l]` (descending
+/// per lane) and unit eigenvectors `[i][k][l]`, each lane bit-identical to
+/// the scalar call on that matrix. Only the lower triangle of `a` is read.
+#[inline(always)]
+pub fn sym_eig2_lanes<const W: usize>(a: &Sym2Lanes<W>) -> ([[f64; W]; 2], Sym2Lanes<W>) {
+    eig2_lanes::<W, true>(a)
+}
+
+/// The eigenvalues of [`sym_eig2_lanes`] alone — what
+/// `σ_min(J) = sqrt(λ_min(JᵀJ))` needs.
+#[inline(always)]
+pub fn sym_eigvals2_lanes<const W: usize>(a: &Sym2Lanes<W>) -> [[f64; W]; 2] {
+    eig2_lanes::<W, false>(a).0
 }
 
 /// `W` symmetric 3x3 matrices side by side (struct of arrays): entry
@@ -429,6 +490,76 @@ mod tests {
         let mut a = sym3([[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25, 3.0]]);
         a[(1, 0)] = f64::NAN;
         assert!(sym_eig3(&a).values.iter().any(|v| v.is_nan()));
+    }
+
+    /// `(p, q, r)` lower triangles of every branch of `sym_eig2`: seeded
+    /// general matrices, exact `q = ±0` with `p >= r` and with `p < r`
+    /// (ties included), a `q` under the rotation threshold, the zero
+    /// matrix, and NaN / `±∞` entries.
+    fn seeded_sym2(n: usize, seed: u64) -> Vec<(f64, f64, f64)> {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        let edges = [
+            (2.0, 0.0, -1.0),
+            (-1.0, 0.0, 3.0),
+            (1.5, -0.0, 1.5),
+            (-0.0, 0.0, 0.0),
+            (0.0, -0.0, -0.0),
+            (0.0, 0.0, 0.0),
+            (1.0, 1e-17, 0.5),
+            (0.5, -1e-17, 1.0),
+            (1e300, 3e299, -2e299),
+            (f64::NAN, 0.5, 1.0),
+            (1.0, f64::NAN, 2.0),
+            (1.0, 0.5, f64::NAN),
+            (f64::NEG_INFINITY, 0.25, 1.0),
+            (1.0, f64::INFINITY, 1.0),
+            (f64::INFINITY, 0.0, f64::INFINITY),
+        ];
+        (0..n)
+            .map(|i| match edges.get(i % (2 * edges.len())) {
+                Some(&e) => e,
+                None => (next() * 40.0, next() * 25.0, next()),
+            })
+            .collect()
+    }
+
+    fn lanes_match_sym_eig2_at<const W: usize>() {
+        let mats = seeded_sym2(8 * W + 3, 0xA076_1D64_78BD_642F ^ W as u64);
+        for group in mats.chunks(W) {
+            let mut a = [[[0.0; W]; 2]; 2];
+            for (l, &(p, q, r)) in group.iter().enumerate() {
+                (a[0][0][l], a[1][0][l], a[1][1][l]) = (p, q, r);
+                // The upper triangle is never read.
+                a[0][1][l] = f64::NAN;
+            }
+            let (values, vectors) = sym_eig2_lanes(&a);
+            let values_only = sym_eigvals2_lanes(&a);
+            for (l, &(p, q, r)) in group.iter().enumerate() {
+                let want = sym_eig2(&sym2(p, q, r));
+                let what = format!("W{W} ({p:e}, {q:e}, {r:e}) lane {l}");
+                for k in 0..2 {
+                    let value = want.values[k].to_bits();
+                    assert_eq!(values[k][l].to_bits(), value, "{what} value {k}");
+                    assert_eq!(values_only[k][l].to_bits(), value, "{what} value-only {k}");
+                    for i in 0..2 {
+                        let got = vectors[i][k][l].to_bits();
+                        assert_eq!(got, want.vectors[(i, k)].to_bits(), "{what} vector ({i},{k})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_match_sym_eig2_bitwise_at_every_width() {
+        lanes_match_sym_eig2_at::<1>();
+        lanes_match_sym_eig2_at::<4>();
+        lanes_match_sym_eig2_at::<8>();
+        lanes_match_sym_eig2_at::<16>();
     }
 
     /// Seeded symmetric matrices of every kind the kernels feed the solve:

@@ -173,11 +173,12 @@ fn one_pcg_loop() {
 }
 
 /// Kernels 1 and 2 and the matrix-free force share `kernels::point`, whose
-/// 3D eigen-solves run in lanes: no kernel calls the scalar `sym_eig3` /
-/// `svd3` — they belong to the one point-at-a-time oracle,
-/// `point/reference.rs`, which tests and `point_physics` compare against —
-/// and `blast_la::eig` holds the Jacobi iteration once beside its own
-/// scalar oracle: one lane body for values and for eigenpairs.
+/// 2D and 3D eigen-solves run in lanes: no kernel calls the scalar
+/// `sym_eig2` / `svd2` / `sym_eig3` / `svd3` — they belong to the one
+/// point-at-a-time oracle, `point/reference.rs`, which tests and
+/// `point_physics` compare against — and `blast_la::eig` holds the Jacobi
+/// iteration once beside its own scalar oracle: one lane body for values
+/// and for eigenpairs.
 #[test]
 fn one_per_point_body() {
     let kernels: Vec<(String, String)> = files_under(&["crates/kernels/src"])
@@ -185,8 +186,9 @@ fn one_per_point_body() {
         .filter(|(path, _)| path != "crates/kernels/src/point/reference.rs")
         .map(|(path, text)| (path, non_test(&text).to_string()))
         .collect();
-    let scalar_solves = lines_where(&kernels, |l| l.contains("sym_eig3(") || l.contains("svd3("));
-    assert!(scalar_solves.is_empty(), "scalar 3x3 eigen-solve in a kernel: {scalar_solves:#?}");
+    let scalar = ["sym_eig2(", "svd2(", "sym_eig3(", "svd3("];
+    let scalar_solves = lines_where(&kernels, |l| scalar.iter().any(|s| l.contains(s)));
+    assert!(scalar_solves.is_empty(), "scalar eigen-solve in a kernel: {scalar_solves:#?}");
     let eig = read("crates/la/src/eig.rs");
     let loops = without_item(non_test(&eig), "pub fn sym_eig3(").matches("for _sweep in").count();
     assert_eq!(loops, 1, "the lane Jacobi iteration must exist once beside `sym_eig3`");
