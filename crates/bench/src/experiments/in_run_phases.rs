@@ -177,7 +177,8 @@ impl PhaseRun {
             let children: u64 =
                 ROWS.iter().filter(|c| c.parent == Some(row.label)).map(|c| self.row_ns(c).0).sum();
             if children > 0 {
-                let detail = format!("children {:.3} ms <= {:.3} ms", children as f64 * 1e-6, ns as f64 * 1e-6);
+                let (c_ms, ms) = (children as f64 * 1e-6, ns as f64 * 1e-6);
+                let detail = format!("children {c_ms:.3} ms <= {ms:.3} ms");
                 let name = format!("in_run_phases {} {} nests", self.workload, row.label);
                 gates.push(Gate::new(name, children <= ns, detail));
             }
@@ -190,8 +191,11 @@ impl PhaseRun {
         gates.push(Gate::new(name, under_top as f64 <= top, detail));
         let leaves: u64 = LEAVES.iter().map(|l| self.ns_of(l)).sum();
         let gap = (top - run_ns).abs() / run_ns;
-        let detail = format!("top-level phases {:.2} ms of a {:.2} ms run ({:.2} % apart, need <= {:.0} %)",
-            top * 1e-6, run_ns * 1e-6, 100.0 * gap, 100.0 * SUM_TOLERANCE);
+        let (top_ms, run_ms, bar) = (top * 1e-6, run_ns * 1e-6, 100.0 * SUM_TOLERANCE);
+        let detail = format!(
+            "top-level phases {top_ms:.2} ms of a {run_ms:.2} ms run ({:.2} % apart, need <= {bar:.0} %)",
+            100.0 * gap
+        );
         let name = format!("in_run_phases {} sums to the run", self.workload);
         gates.push(Gate::new(name, gap <= SUM_TOLERANCE, detail));
         runs.push(vec![

@@ -526,7 +526,8 @@ impl<const D: usize> Hydro<D> {
         let shape = &self.shape;
         let opts = &self.pcg_opts;
         let tel = self.exec.telemetry();
-        let (clock, start) = (tel.wall_clock(), std::time::Instant::now());
+        let clock = tel.wall_clock();
+        let start = clock.map(|_| std::time::Instant::now());
         let iter_traffic = self.assembly.cg_iteration_traffic(shape, n, opts.fused);
         accel.clone_from(&self.accel_prev);
         let mut total_iters = 0;
@@ -615,7 +616,7 @@ impl<const D: usize> Hydro<D> {
             let traffic = iter_traffic.scale(total_iters as f64);
             self.host_phase(names::phases::CG_SOLVER, &traffic, CG_CPU_EFF, state, || ());
         }
-        if let Some(clock) = clock {
+        if let (Some(clock), Some(start)) = (clock, start) {
             clock.add(names::phases::CG_SOLVER, start);
         }
         Ok(total_iters)

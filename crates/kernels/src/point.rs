@@ -6,16 +6,23 @@
 //!
 //! The paper maps these kernels one *thread per quadrature point*: a warp
 //! advances 32 SVDs / eigen-solves in lock step. Here a group of `W` points
-//! does the same with one SIMD lane each. Everything around the 3D
+//! does the same with one SIMD lane each. In 3D everything around the
 //! eigen-solves is the scalar `blast_la` small-matrix arithmetic, point by
 //! point; the solves themselves — `σ_min(J)` from the eigenvalues of `JᵀJ`
 //! in `geometry`, the maximal-compression eigenpair of `sym(∇v)` in
 //! `stress` — are packed on the stack and run through
 //! [`blast_la::eig::sym_eigvals3_lanes`] / [`sym_eig3_lanes`], whose lanes
-//! are bit-identical to the scalar `sym_eig3`. A point's results therefore
-//! do not depend on `W`, on its position in the group, or on its
-//! neighbours; a ragged group is padded with identity lanes. 2D keeps the
-//! closed-form `svd2` / `sym_eig2` per point.
+//! are bit-identical to the scalar `sym_eig3`. In 2D the whole body runs on
+//! the lanes: kernel 1 forms `adj(J)`, `|J|` and `sym(JᵀJ)` lane-wise in
+//! `SmallMat`'s operation order and takes `σ_min(J)` from the smaller
+//! eigenvalue alone ([`sym_eigvals2_lanes`], the part of `svd2` that
+//! `min_singular()` reads); kernel 2 takes the eigenpair from
+//! [`sym_eig2_lanes`] and runs the EOS, the viscosity and the timestep
+//! control with no per-point branch — the viscosity switch is the zone's,
+//! the floors are `f64::max`, the smooth switch is selects. A point's
+//! results therefore do not depend on `W`, on its position in the group,
+//! or on its neighbours; a ragged group is padded with identity lanes (2D
+//! stress: copies of its last point), which are dropped.
 //!
 //! Both bodies are `#[inline(always)]` and reach the kernels through
 //! `isa_clones!` (`lanes` form), which fixes `W` per instruction-set level.
@@ -85,7 +92,8 @@ fn geometry_2d<const W: usize>(jac: &[f64], adj: &mut [f64], det: &mut [f64], hm
     for l in 0..W {
         let m = |r: usize, c: usize| j[r][c][l];
         // Column-major adj(J) and |J| (`SmallMat::<2>::{adjugate, det}`).
-        (adj_l[0][l], adj_l[1][l], adj_l[2][l], adj_l[3][l]) = (m(1, 1), -m(1, 0), -m(0, 1), m(0, 0));
+        (adj_l[0][l], adj_l[1][l], adj_l[2][l], adj_l[3][l]) =
+            (m(1, 1), -m(1, 0), -m(0, 1), m(0, 0));
         det_l[l] = m(0, 0) * m(1, 1) - m(0, 1) * m(1, 0);
         // (JᵀJ)(a, b) as `SmallMat`'s product sums it, then `sym()`.
         let ata = |a: usize, b: usize| 0.0 + m(0, a) * m(0, b) + m(1, a) * m(1, b);
@@ -395,7 +403,7 @@ pub(crate) mod shocked {
         });
         let (mut jac, mut grad_v) = (jac, grad_v);
         if d == 2 {
-            let mut set = |m: &mut BatchedMats, p: usize, col_major: [f64; 4]| {
+            let set = |m: &mut BatchedMats, p: usize, col_major: [f64; 4]| {
                 m.mat_mut(p).copy_from_slice(&col_major)
             };
             set(&mut jac, 1, [0.1, 0.0, -0.0, 0.3]);

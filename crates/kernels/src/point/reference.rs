@@ -148,11 +148,9 @@ pub fn matfree_force(
     detj: &mut [f64],
     inv_dt: &mut [f64],
 ) {
+    let in_dim = if shape.dim == 2 { matfree_force_in::<2> } else { matfree_force_in::<3> };
     let fields = [x, v, e, alpha, rho0detj0];
-    match shape.dim {
-        2 => matfree_force_in::<2>(shape, f, fields, num_h1_dofs, zone_dofs, consts, dsf, detj, inv_dt),
-        _ => matfree_force_in::<3>(shape, f, fields, num_h1_dofs, zone_dofs, consts, dsf, detj, inv_dt),
-    }
+    in_dim(shape, f, fields, num_h1_dofs, zone_dofs, consts, dsf, detj, inv_dt);
 }
 
 /// [`matfree_force`] in `D` dimensions; `fields` is `[x, v, e, alpha,

@@ -100,8 +100,8 @@ fn timed_steady_state_steps_do_not_touch_the_heap() {
     for mode in [AssemblyMode::Stored, AssemblyMode::MatrixFree] {
         rayon::Pool::new(1).install(|| {
             let sink = Arc::new(Telemetry::with_wall_clock());
-            let exec =
-                Executor::with_telemetry(ExecMode::CpuSerial, CpuSpec::e5_2670(), None, sink.clone());
+            let cpu = CpuSpec::e5_2670();
+            let exec = Executor::with_telemetry(ExecMode::CpuSerial, cpu, None, sink.clone());
             let (mut hydro, mut state, cursor) =
                 common::warmed_up_solver_on(exec, mode, PcgOptions::default());
             let clock = sink.wall_clock().expect("the sink keeps a clock");
