@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use blast_bench::experiments::{host_kernels, pcg_streaming, EXPERIMENTS};
+use blast_bench::experiments::{host_kernels, in_run_phases, pcg_streaming, EXPERIMENTS};
 use blast_bench::harness::{self, Block, Cell, Experiment, Gate, Report, PAPER_ARTIFACT};
 use blast_telemetry::chrome::Json;
 
@@ -47,6 +47,7 @@ fn committed_artifacts_parse_and_carry_the_stamped_header() {
     let known = [
         (host_kernels::EXPERIMENT, &["shapes", "az_kernels", "point_physics", "summary"][..]),
         (pcg_streaming::EXPERIMENT, &["shapes", "lockstep", "gpu"]),
+        (in_run_phases::EXPERIMENT, &["phases", "runs"]),
     ];
     let mut seen = 0;
     for entry in std::fs::read_dir(&root).unwrap() {
