@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use blast_core::{AssemblyMode, ExecMode, Executor, Hydro, HydroState, RunConfig, Sedov};
+use blast_core::{AssemblyMode, ExecMode, Executor, Hydro, RunConfig, Sedov};
 use blast_kernels::k1::AdjugateDetKernel;
 use blast_kernels::k11::SpmvKernel;
 use blast_kernels::k2::StressKernel;
@@ -34,7 +34,7 @@ use blast_kernels::k7::FzKernel;
 use blast_kernels::k8_10::{EnergyRhsKernel, MomentumRhsKernel};
 use blast_kernels::sumfac::{SumfacEnergyKernel, SumfacForceKernel, SumfacMomentumKernel};
 use blast_telemetry::{names::phases, Telemetry, WallTotal};
-use gpu_sim::{DeviceCatalog, GpuDevice};
+use gpu_sim::{CpuSpec, DeviceCatalog, GpuDevice};
 
 use crate::harness::{Block, Cell, Experiment, Gate, Report};
 
@@ -253,11 +253,11 @@ fn rep<const D: usize>(
     exec: Exec,
     steps: usize,
 ) -> PhaseRun {
-    let sink = Arc::new(Telemetry::with_wall_clock());
+    let (sink, cpu) = (Arc::new(Telemetry::with_wall_clock()), CpuSpec::e5_2670());
     let executor = match exec {
-        Exec::Serial => Executor::with_telemetry(ExecMode::CpuSerial, cpu(), None, sink.clone()),
+        Exec::Serial => Executor::with_telemetry(ExecMode::CpuSerial, cpu, None, sink.clone()),
         Exec::Threads(threads) => {
-            Executor::with_telemetry(ExecMode::CpuParallel { threads }, cpu(), None, sink.clone())
+            Executor::with_telemetry(ExecMode::CpuParallel { threads }, cpu, None, sink.clone())
         }
         Exec::GpuK20 => {
             let dev = DeviceCatalog::get("k20");
@@ -273,7 +273,7 @@ fn rep<const D: usize>(
         .executor(executor)
         .build()
         .expect("the benchmark's workloads build");
-    let mut state: HydroState = hydro.initial_state();
+    let mut state = hydro.initial_state();
     let mut dt = hydro.try_suggest_dt(&state).expect("initial dt");
     for _ in 0..WARMUP_STEPS {
         dt = hydro.try_advance(&mut state, dt).expect("warm-up step").dt_next;
@@ -285,11 +285,6 @@ fn rep<const D: usize>(
         hydro.run(&mut state, RunConfig::to(f64::MAX).max_steps(steps)).expect("the timed run");
     let run_s = start.elapsed().as_secs_f64();
     PhaseRun { workload: name, run_s, steps: stats.steps, totals: delta(&before, &clock.totals()) }
-}
-
-/// The benchmark's host model.
-fn cpu() -> gpu_sim::CpuSpec {
-    gpu_sim::CpuSpec::e5_2670()
 }
 
 /// Every workload, `reps` repetitions each on its own pool; the shortest
