@@ -7,19 +7,22 @@
 //! whose telemetry sink keeps a `blast_telemetry::WallClock`. The solver
 //! then times, per evaluation, every kernel launch of the corner force and
 //! of the energy rate (`blast_kernels::launch::Timed` around the host or
-//! device backend) and every PCG sweep of the stored momentum solve, plus
-//! the enclosing phases: the corner force, the momentum solve (`cg_solver`,
-//! with kernel 9's bill as `sweep_bill` on a device), the energy rate
-//! (`energy_solve`), each accepted step (`step`) and the run's first
-//! force evaluation (`suggest_dt`). After two untimed warm-up steps, the
-//! one timed `Hydro::run` of each repetition is measured by `Instant`, and
-//! the repetition with the shortest run is reported.
+//! device backend), the verdict point (`cfl_control`: mesh guard and CFL
+//! control), the constraint projection and the momentum solve (`cg_solver`,
+//! with kernel 9's bill as `sweep_bill` on a device); per step, the state
+//! vector updates and snapshot (`integration`); and the enclosing phases:
+//! the corner force, the energy rate (`energy_solve`), each accepted step
+//! (`step`) and the run's first force evaluation (`suggest_dt`). After two
+//! untimed warm-up steps, the one timed `Hydro::run` of each repetition is
+//! measured by `Instant`, and the repetition with the shortest run is
+//! reported.
 //!
 //! Rows are milliseconds per corner-force evaluation (`force_evals` counts
 //! them); the `runs` block gives evaluations per step and the share of the
-//! measured run the leaf phases (kernels and the momentum solve) explain.
-//! Gates: the phases nest (a phase's children never sum past it) and the
-//! top-level phases sum to the measured run within 2 %.
+//! measured run the leaf phases explain. Gates: the phases nest (a phase's
+//! children never sum past it), the leaf phases explain the measured run
+//! within 2 %, and, as a check on the harness, the top-level phases sum to
+//! it within 2 %.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,7 +69,8 @@ const WORKLOADS: [(&str, usize, usize, usize, AssemblyMode, Exec, usize, usize);
 /// Untimed steps before the timed run, as in the benchmark.
 const WARMUP_STEPS: usize = 2;
 
-/// The top-level phases must sum to the measured run within this share.
+/// The leaf phases, and the top-level ones, must sum to the measured run
+/// within this share.
 const SUM_TOLERANCE: f64 = 0.02;
 
 /// A reported row: its label and the wall-clock names it sums. A row
@@ -83,7 +87,8 @@ struct Row {
 const TOP: &str = "suggest_dt+step";
 
 /// The rows of the table, children after their parent. The kernel rows
-/// are the leaves, together with the momentum solve.
+/// are the leaves, together with the verdict point, the constraint
+/// projection, the momentum solve and the state-vector updates.
 const ROWS: &[Row] = &[
     Row { label: "suggest_dt", names: &[phases::SUGGEST_DT], parent: None },
     Row { label: "step", names: &[phases::STEP], parent: None },
@@ -101,6 +106,8 @@ const ROWS: &[Row] = &[
         names: &[SumfacMomentumKernel::NAME],
         parent: Some("corner_force"),
     },
+    Row { label: "cfl_control", names: &[phases::CFL_CONTROL], parent: Some("corner_force") },
+    Row { label: "constraint_projection", names: &[phases::CONSTRAINTS], parent: Some(TOP) },
     Row { label: "k9_momentum_solve", names: &[phases::CG_SOLVER], parent: Some(TOP) },
     Row { label: "k9_bill", names: &[phases::SWEEP_BILL], parent: Some("k9_momentum_solve") },
     Row { label: "energy_rate", names: &[phases::ENERGY_SOLVE], parent: Some(TOP) },
@@ -110,6 +117,7 @@ const ROWS: &[Row] = &[
         parent: Some("energy_rate"),
     },
     Row { label: "k11", names: &[SpmvKernel::NAME], parent: Some("energy_rate") },
+    Row { label: "integration", names: &[phases::INTEGRATION], parent: Some(TOP) },
 ];
 
 /// The leaf rows: what "explained" sums.
@@ -123,9 +131,12 @@ const LEAVES: &[&str] = &[
     "k8",
     "sumfac_force",
     "sumfac_momentum",
+    "cfl_control",
+    "constraint_projection",
     "k9_momentum_solve",
     "k10",
     "k11",
+    "integration",
 ];
 
 /// One workload's timed run.
@@ -189,7 +200,15 @@ impl PhaseRun {
         let detail = format!("children {:.3} ms <= {:.3} ms", under_top as f64 * 1e-6, top * 1e-6);
         let name = format!("in_run_phases {} {TOP} nests", self.workload);
         gates.push(Gate::new(name, under_top as f64 <= top, detail));
-        let leaves: u64 = LEAVES.iter().map(|l| self.ns_of(l)).sum();
+        let leaves = LEAVES.iter().map(|l| self.ns_of(l)).sum::<u64>() as f64;
+        let (leaf_ms, need) = (leaves * 1e-6, 100.0 * (1.0 - SUM_TOLERANCE));
+        let detail = format!(
+            "leaf phases {leaf_ms:.2} ms of a {:.2} ms run ({:.2} %, need >= {need:.0} %)",
+            run_ns * 1e-6,
+            100.0 * leaves / run_ns
+        );
+        let name = format!("in_run_phases {} leaves explain the run", self.workload);
+        gates.push(Gate::new(name, leaves >= (1.0 - SUM_TOLERANCE) * run_ns, detail));
         let gap = (top - run_ns).abs() / run_ns;
         let (top_ms, run_ms, bar) = (top * 1e-6, run_ns * 1e-6, 100.0 * SUM_TOLERANCE);
         let detail = format!(
@@ -206,7 +225,7 @@ impl PhaseRun {
             Cell::new("evals_per_step", evals / self.steps.max(1) as f64),
             Cell::new("ms_per_eval", self.run_s * 1e3 / evals),
             Cell::pct("top_level_share", top / run_ns),
-            Cell::pct("explained_share", leaves as f64 / run_ns),
+            Cell::pct("explained_share", leaves / run_ns),
         ]);
     }
 }
@@ -318,20 +337,24 @@ mod tests {
     }
 
     /// A hand-made run: 10 ms of steps and 0.1 ms of `suggest_dt` in a
-    /// 10.2 ms run, two evaluations; a kernel row past its parent fails
-    /// the nesting gate, and a run the phases do not cover fails the sum.
+    /// 10.1 ms run, two evaluations, leaves 9.9 ms. A kernel row past its
+    /// parent fails the nesting gate; a run the phases do not cover fails
+    /// both sums; and leaves that leave a run's glue untimed fail the leaf
+    /// sum alone.
     #[test]
     fn a_hand_made_run_reports_per_evaluation_and_gates() {
         let mut run = PhaseRun {
             workload: "demo",
-            run_s: 10.2e-3,
+            run_s: 10.1e-3,
             steps: 1,
             totals: vec![
                 total(phases::SUGGEST_DT, 0.1, 1),
                 total(phases::STEP, 10.0, 1),
                 total(phases::CORNER_FORCE, 6.0, 2),
                 total(AdjugateDetKernel::NAME, 2.0, 2),
+                total(StressKernel::NAME, 3.9, 2),
                 total(phases::CG_SOLVER, 3.0, 2),
+                total(phases::INTEGRATION, 1.0, 1),
             ],
         };
         let report = InRunPhases { runs: vec![run.clone()] }.report();
@@ -345,13 +368,23 @@ mod tests {
         let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
         assert_eq!(runs[0].get("force_evals").and_then(Json::as_f64), Some(2.0));
 
+        let failures = |run: PhaseRun| -> Vec<String> {
+            let report = InRunPhases { runs: vec![run] }.report();
+            report.failures().iter().map(|g| g.name.clone()).collect()
+        };
+        let mut glue = run.clone();
+        glue.totals.pop();
+        assert_eq!(failures(glue), ["in_run_phases demo leaves explain the run"]);
+
         run.totals[3] = total(AdjugateDetKernel::NAME, 7.0, 2);
         run.run_s = 20e-3;
-        let failed = InRunPhases { runs: vec![run] }.report();
-        let names: Vec<_> = failed.failures().iter().map(|g| g.name.clone()).collect();
         assert_eq!(
-            names,
-            ["in_run_phases demo corner_force nests", "in_run_phases demo sums to the run"]
+            failures(run),
+            [
+                "in_run_phases demo corner_force nests",
+                "in_run_phases demo leaves explain the run",
+                "in_run_phases demo sums to the run"
+            ]
         );
     }
 

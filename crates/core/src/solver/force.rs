@@ -278,8 +278,10 @@ impl<const D: usize> Hydro<D> {
     /// The verdict point of [`Self::corner_force_on`]: the mesh guard, then
     /// the CFL control, both final once `|J|` and `inv_dt` are.
     fn verdict(&self, detj: &[f64], inv_dt: &[f64], cap: Option<f64>) -> Result<Cfl, HydroError> {
-        self.check_mesh(detj)?;
-        Ok(self.cfl_control(inv_dt, cap))
+        self.exec.telemetry().timed(names::phases::CFL_CONTROL, || {
+            self.check_mesh(detj)?;
+            Ok(self.cfl_control(inv_dt, cap))
+        })
     }
 
     /// NaN/Inf guard over a freshly computed field.
@@ -445,7 +447,8 @@ impl<const D: usize> Hydro<D> {
                 self.exec.host.idle(gpu.now() - since);
             }
         } else {
-            self.project_constraints(&mut ws.rhs);
+            let tel = self.exec.telemetry();
+            tel.timed(names::phases::CONSTRAINTS, || self.project_constraints(&mut ws.rhs));
             let mut on_device = None;
             if let Some(DeviceLeg { gpu, since, gpu_pcg }) = device {
                 if gpu_pcg {
@@ -553,22 +556,12 @@ impl<const D: usize> Hydro<D> {
                 pcg.with_operator_scratch(staging, |tmp, pcg| {
                     let op = &mut ConstrainedOp { a: mv, masks: &masks, tmp };
                     // One solve; only the launcher differs.
-                    let Ok(results) = match (device, clock) {
-                        (Some(_), Some(clock)) => {
-                            let on = &mut Timed { on: sweeps.record(opts), clock };
-                            pcg_solve_on(on, op, precond, rhs, accel, opts, pcg)
-                        }
-                        (Some(_), None) => {
+                    let Ok(results) = match device {
+                        Some(_) => {
                             let on = &mut sweeps.record(opts);
                             pcg_solve_on(on, op, precond, rhs, accel, opts, pcg)
                         }
-                        (None, Some(clock)) => {
-                            let on = &mut Timed { on: HostSweeps, clock };
-                            pcg_solve_on(on, op, precond, rhs, accel, opts, pcg)
-                        }
-                        (None, None) => {
-                            pcg_solve_on(&mut HostSweeps, op, precond, rhs, accel, opts, pcg)
-                        }
+                        None => pcg_solve_on(&mut HostSweeps, op, precond, rhs, accel, opts, pcg),
                     };
                     results
                 })

@@ -476,16 +476,22 @@ impl<const D: usize> Hydro<D> {
         let StepScratch { eval, stage, held: keep, .. } = ws;
         let StageVectors { s0_v, s0_e, s0_x, v_half, e_half, x_half, v_avg } = stage;
         let vlen = D * self.kin.num_dofs();
-        let same_state = || {
-            same_bits(s0_v, &state.v) && same_bits(s0_e, &state.e) && same_bits(s0_x, &state.x)
-        };
-        let held = match held {
-            Held::CornerForce | Held::Stage1 { .. } if same_state() => held,
-            _ => Held::Nothing,
-        };
-        s0_v.clone_from(&state.v);
-        s0_e.clone_from(&state.e);
-        s0_x.clone_from(&state.x);
+        // The state-vector updates are timed as `integration` when the sink
+        // keeps a wall clock.
+        let tel = self.exec.telemetry().clone();
+        let held = tel.timed(names::phases::INTEGRATION, || {
+            let same_state = || {
+                same_bits(s0_v, &state.v) && same_bits(s0_e, &state.e) && same_bits(s0_x, &state.x)
+            };
+            let held = match held {
+                Held::CornerForce | Held::Stage1 { .. } if same_state() => held,
+                _ => Held::Nothing,
+            };
+            s0_v.clone_from(&state.v);
+            s0_e.clone_from(&state.e);
+            s0_x.clone_from(&state.x);
+            held
+        });
         let t0 = state.t;
 
         // -- Stage 1: evaluate at S0 (or take what is held of it), advance
@@ -504,13 +510,17 @@ impl<const D: usize> Hydro<D> {
         if !matches!(held, Held::Nothing) {
             self.exec.telemetry().counter_add(names::counters::STAGE1_REUSED, 1);
         }
-        v_half.clone_from(s0_v);
-        blast_la::dense::axpy(0.5 * dt, &eval.accel, v_half);
+        tel.timed(names::phases::INTEGRATION, || {
+            v_half.clone_from(s0_v);
+            blast_la::dense::axpy(0.5 * dt, &eval.accel, v_half);
+        });
         self.energy_rate(v_half, eval)?;
-        e_half.clone_from(s0_e);
-        blast_la::dense::axpy(0.5 * dt, &eval.de, e_half);
-        x_half.clone_from(s0_x);
-        blast_la::dense::axpy(0.5 * dt, v_half, x_half);
+        tel.timed(names::phases::INTEGRATION, || {
+            e_half.clone_from(s0_e);
+            blast_la::dense::axpy(0.5 * dt, &eval.de, e_half);
+            x_half.clone_from(s0_x);
+            blast_la::dense::axpy(0.5 * dt, v_half, x_half);
+        });
 
         // -- Stage 2: evaluate at the midpoint, take the full step with the
         // averaged velocity (v0 + v_new)/2 = v0 + dt/2 * accel2.
@@ -534,8 +544,10 @@ impl<const D: usize> Hydro<D> {
         // SdcSite::DeviceBuffer: a strike on the device-resident
         // acceleration buffer, before it propagates into v, e, and x.
         self.strike(SdcSite::DeviceBuffer, attempt, [&mut eval.accel]);
-        v_avg.clone_from(s0_v);
-        blast_la::dense::axpy(0.5 * dt, &eval.accel, v_avg);
+        tel.timed(names::phases::INTEGRATION, || {
+            v_avg.clone_from(s0_v);
+            blast_la::dense::axpy(0.5 * dt, &eval.accel, v_avg);
+        });
         self.energy_rate(v_avg, eval)?;
         // SdcSite::TransferPayload: a strike on the energy-rate vector in
         // flight back to the host.
@@ -549,12 +561,14 @@ impl<const D: usize> Hydro<D> {
             return Err(self.abft_corruption(v));
         }
 
-        state.v.copy_from_slice(s0_v);
-        blast_la::dense::axpy(dt, &eval.accel, &mut state.v);
-        state.e.copy_from_slice(s0_e);
-        blast_la::dense::axpy(dt, &eval.de, &mut state.e);
-        state.x.copy_from_slice(s0_x);
-        blast_la::dense::axpy(dt, v_avg, &mut state.x);
+        tel.timed(names::phases::INTEGRATION, || {
+            state.v.copy_from_slice(s0_v);
+            blast_la::dense::axpy(dt, &eval.accel, &mut state.v);
+            state.e.copy_from_slice(s0_e);
+            blast_la::dense::axpy(dt, &eval.de, &mut state.e);
+            state.x.copy_from_slice(s0_x);
+            blast_la::dense::axpy(dt, v_avg, &mut state.x);
+        });
         state.t = t0 + dt;
         // SdcSite::HostState: a strike on a committed state array after
         // the step lands. Past every in-step guard by construction; only
@@ -779,11 +793,13 @@ impl<const D: usize> Hydro<D> {
         self.billed_audit(state, Audit::Reference)?;
         // Snapshot the pre-step state into the scratch (reused every step,
         // so accepted steps snapshot without allocating).
-        let ws = &mut self.scratch;
-        ws.saved_v.clone_from(&state.v);
-        ws.saved_e.clone_from(&state.e);
-        ws.saved_x.clone_from(&state.x);
-        ws.saved_accel.clone_from(&self.accel_prev);
+        let (ws, accel_prev) = (&mut self.scratch, &self.accel_prev);
+        self.exec.telemetry().timed(names::phases::INTEGRATION, || {
+            ws.saved_v.clone_from(&state.v);
+            ws.saved_e.clone_from(&state.e);
+            ws.saved_x.clone_from(&state.x);
+            ws.saved_accel.clone_from(accel_prev);
+        });
         let saved_t = state.t;
         loop {
             let redos = rollback_redos + cfl_redos;

@@ -171,11 +171,13 @@ pub fn stress_pipeline_on<L: KernelLauncher>(
         || AdjugateDetKernel::compute(shape, &ws.jac, &mut ws.adj, &mut ws.detj, &mut ws.hmin),
     )?;
     // Kernel 5: spatial gradient ∇v = ∇̂v̂ adj(J) / |J|.
-    ws.invert_det();
     let k5 = BatchedDimGemm::nn_tuned();
     on.launch(
         || dim_gemm(k5),
-        || k5.compute(&ws.grad_v_ref, &ws.adj, Some(&ws.inv_det), &mut ws.grad_v),
+        || {
+            ws.invert_det();
+            k5.compute(&ws.grad_v_ref, &ws.adj, Some(&ws.inv_det), &mut ws.grad_v)
+        },
     )?;
     // Kernel 2: EOS + viscosity -> sigma, inv_dt.
     let k2 = StressKernel { workspace: Workspace::Registers, use_viscosity: inp.use_viscosity };

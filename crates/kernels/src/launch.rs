@@ -8,16 +8,14 @@
 //! and issues one device launch around the same body. The bits a sequence
 //! produces therefore cannot depend on where it ran.
 //!
-//! [`Timed`] wraps either backend — and a PCG [`SweepLauncher`] too — and
-//! adds each launch's measured time to a [`WallClock`] row under the
-//! kernel's name: the in-run phase table. The caller picks it once per
-//! evaluation, when the telemetry sink keeps a clock; the untimed path is
-//! the bare backend.
+//! [`Timed`] wraps either backend and adds each launch's measured time to
+//! a [`WallClock`] row under the kernel's name: the in-run phase table.
+//! The caller picks it once per evaluation, when the telemetry sink keeps
+//! a clock; the untimed path is the bare backend.
 
 use std::convert::Infallible;
 use std::time::Instant;
 
-use blast_la::{Sweep, SweepLauncher};
 use blast_telemetry::WallClock;
 use gpu_sim::{GpuDevice, GpuError, LaunchConfig, Traffic};
 
@@ -83,7 +81,7 @@ impl KernelLauncher for &GpuDevice {
     }
 }
 
-/// `on` with every launch (bill and body) or sweep timed into `clock`.
+/// `on` with every launch (bill and body) timed into `clock`.
 pub struct Timed<'c, L> {
     /// The backend that runs and bills.
     pub on: L,
@@ -104,36 +102,6 @@ impl<L: KernelLauncher> KernelLauncher for Timed<'_, L> {
         let out = self.on.launch(|| bill, body);
         self.clock.add(bill.name, start);
         out
-    }
-}
-
-impl<L: SweepLauncher> SweepLauncher for Timed<'_, L> {
-    type Error = L::Error;
-    fn sweep<R>(
-        &mut self,
-        which: Sweep,
-        live: &[bool],
-        body: impl FnOnce() -> R,
-    ) -> Result<R, L::Error> {
-        let start = Instant::now();
-        let out = self.on.sweep(which, live, body);
-        self.clock.add(sweep_name(which), start);
-        out
-    }
-}
-
-/// The wall-clock row of a PCG sweep.
-fn sweep_name(which: Sweep) -> &'static str {
-    match which {
-        Sweep::Apply => "pcg_apply",
-        Sweep::Nrm2 => "pcg_nrm2",
-        Sweep::Dot => "pcg_dot",
-        Sweep::Axpy => "pcg_axpy",
-        Sweep::Precond => "pcg_precond",
-        Sweep::UpdateDirection => "pcg_update_direction",
-        Sweep::ApplyDot => "pcg_apply_dot",
-        Sweep::Axpy2Nrm2 => "pcg_axpy2_nrm2",
-        Sweep::PrecondDotUpdate => "pcg_precond_dot_update",
     }
 }
 

@@ -24,6 +24,11 @@ pub mod phases {
     pub const SUGGEST_DT: &str = "suggest_dt";
     /// Kernel 9's bill of a logged device solve (wall clock).
     pub const SWEEP_BILL: &str = "sweep_bill";
+    /// The mesh guard and the CFL control at a force evaluation's verdict
+    /// point (wall clock).
+    pub const CFL_CONTROL: &str = "cfl_control";
+    /// Zeroing the constrained rows of the momentum RHS (wall clock).
+    pub const CONSTRAINTS: &str = "constraint_projection";
     /// Checkpoint image serialization + write.
     pub const CHECKPOINT_WRITE: &str = "checkpoint_write";
     /// Checkpoint image read + restore.

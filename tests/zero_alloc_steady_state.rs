@@ -93,8 +93,8 @@ fn matrix_free_steady_state_steps_do_not_touch_the_heap() {
 }
 
 /// The same contract with the in-run phase table on: the telemetry sink
-/// keeps a wall clock, so every kernel launch, PCG sweep and phase of the
-/// window is timed into its preallocated table.
+/// keeps a wall clock, so every kernel launch and phase of the window is
+/// timed into its preallocated table.
 #[test]
 fn timed_steady_state_steps_do_not_touch_the_heap() {
     for mode in [AssemblyMode::Stored, AssemblyMode::MatrixFree] {
@@ -112,10 +112,12 @@ fn timed_steady_state_steps_do_not_touch_the_heap() {
             common::assert_steady_state_is_heap_quiet(&mut hydro, &mut state, cursor, heap_ops);
             let after = clock.totals();
             assert_eq!(steps(&after) - before, 5, "{mode:?}: every measured step is timed");
-            assert!(
-                after.iter().any(|w| w.name == names::phases::CG_SOLVER && w.ns > 0),
-                "{mode:?}: the momentum solve is timed"
-            );
+            for phase in [names::phases::CG_SOLVER, names::phases::INTEGRATION] {
+                assert!(
+                    after.iter().any(|w| w.name == phase && w.ns > 0),
+                    "{mode:?}: `{phase}` is timed"
+                );
+            }
         });
     }
 }
