@@ -108,14 +108,13 @@ struct Inputs {
     kin_grads: Vec<DMatrix>,
     table: PointMajorGrads,
     /// The production pipeline's intermediates at this state: kernel 3's
-    /// `J` and `∇̂v̂`, kernel 1's `adj(J)`, `|J|`, `σ_min(J)` and `1/|J|`,
+    /// `J` and `∇̂v̂`, kernel 1's `adj(J)`, `|J|` and `σ_min(J)`,
     /// kernel 5's `∇v`, kernel 2's `σ̂` — what each timed kernel reads.
     jac: BatchedMats,
     grad_v_ref: BatchedMats,
     adj: BatchedMats,
     det: Vec<f64>,
     hmin: Vec<f64>,
-    inv_det: Vec<f64>,
     grad_v: BatchedMats,
     sigma: BatchedMats,
 }
@@ -185,7 +184,6 @@ fn inputs<const D: usize>(order: usize, zones_per_axis: usize, steps: usize) -> 
         adj,
         det: vec![0.0; n],
         hmin: vec![0.0; n],
-        inv_det: vec![0.0; n],
         grad_v,
         sigma,
     };
@@ -194,7 +192,6 @@ fn inputs<const D: usize>(order: usize, zones_per_axis: usize, steps: usize) -> 
     (inp.jac, inp.grad_v_ref) = (out.jac.clone(), out.grad_v_ref.clone());
     run(&inp, 0, true, &mut out);
     (inp.adj, inp.det, inp.hmin) = (out.adj.clone(), out.det.clone(), out.hmin.clone());
-    inp.inv_det = inp.det.iter().map(|d| 1.0 / d).collect();
     run(&inp, 4, true, &mut out);
     inp.grad_v = out.grad_v.clone();
     run(&inp, 1, true, &mut out);
@@ -299,10 +296,10 @@ fn run(inp: &Inputs, k: usize, lanes: bool, out: &mut Outputs) {
             k3::reference(shape, x, *num_h1_dofs, zone_dofs, grads, &mut out.jac);
             k3::reference(shape, v, *num_h1_dofs, zone_dofs, grads, &mut out.grad_v_ref);
         }
-        (4, true) => k5.compute(&inp.grad_v_ref, &inp.adj, Some(&inp.inv_det), &mut out.grad_v),
+        (4, true) => k5.compute(&inp.grad_v_ref, &inp.adj, Some(&inp.det), &mut out.grad_v),
         (4, false) => {
-            let inv_det = Some(&inp.inv_det[..]);
-            k56::reference(k5.transpose, &inp.grad_v_ref, &inp.adj, inv_det, &mut out.grad_v)
+            let det = Some(&inp.det[..]);
+            k56::reference(k5.transpose, &inp.grad_v_ref, &inp.adj, det, &mut out.grad_v)
         }
         (_, true) => k6.compute(&inp.sigma, &inp.adj, None, &mut out.s),
         (_, false) => k56::reference(k6.transpose, &inp.sigma, &inp.adj, None, &mut out.s),

@@ -455,7 +455,9 @@ pub fn verdict_traffic_matfree(shape: &ProblemShape, factors: &SumfacFactors) ->
 /// reads higher on the stored workloads than the model's accuracy alone
 /// would put it.
 ///
-/// When the matrix fits the package's L3 (20 MB on the E5-2670), repeated
+/// The matrix streams 12 bytes per non-zero, an 8-byte value and a 4-byte
+/// column index: what `CsrMatrix` stores (`col_idx: Vec<u32>`). When the
+/// matrix fits the package's L3 (20 MB on the E5-2670), repeated
 /// iterations serve most of the stream from cache — this is why the 2D CG
 /// solves are comparatively cheap in Table 1.
 pub fn cg_iteration_traffic(nnz: usize, n: usize) -> Traffic {
@@ -469,7 +471,8 @@ pub fn cg_iteration_traffic(nnz: usize, n: usize) -> Traffic {
 }
 
 /// Per-iteration CG traffic with the fused streaming kernels active: the
-/// matrix stream is unchanged, but fusing SpMV+dot, the paired axpys+norm,
+/// matrix stream is unchanged (12 bytes per non-zero, the 4-byte column
+/// indices `CsrMatrix` stores), but fusing SpMV+dot, the paired axpys+norm,
 /// and the precondition+dot+direction update drops the vector transits from
 /// ~10n words to ~7n (z is never materialized; p, Ap, x, r each stream once
 /// per fused sweep instead of once per BLAS-1 call).

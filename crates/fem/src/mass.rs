@@ -273,6 +273,58 @@ mod tests {
         SHAPES_3D.iter().for_each(|&(order, zones)| case::<3>(order, zones));
     }
 
+    /// The lock-step sweep on the real `M_V` at Q1–Q4 in 2D and 3D, `d` =
+    /// 2 and 3 components with a distinct mask each, at pool widths 1 / 2 /
+    /// 8, against both oracles bit for bit: `stream::reference::spmv` of
+    /// the masked input, the fix-up and `stream::reference::dot`; and the
+    /// scalar constrained sweep (the `d` = 1 form of the same call).
+    #[test]
+    fn mass_matrix_constrained_wide_sweep_matches_both_oracles() {
+        use blast_la::stream::{reference, spmv_constrained_dot_wide, wide_lanes};
+        fn case<const D: usize>(order: usize, zones: usize) {
+            let space = H1Space::new(CartMesh::<D>::unit(zones), order);
+            let rule = TensorRule::<D>::gauss(crate::quad_points_1d(order));
+            let table = space.basis().tabulate(&rule.points);
+            let w = rough_rho_detj(space.mesh().num_zones() * rule.len());
+            let mv = assemble_kinematic_mass(&space, &rule, &table, &w);
+            let n = mv.rows();
+            for d in [2usize, 3] {
+                let at = |c: usize| c * n..(c + 1) * n;
+                let x: Vec<f64> =
+                    (0..d * n).map(|i| ((i * 29 + 5) % 97) as f64 * 0.021 - 0.9).collect();
+                let mask = |c: usize| (0..n).map(|i| (i + 3 * c).is_multiple_of(5 + 2 * c)).collect();
+                let masks: Vec<Vec<bool>> = (0..d).map(mask).collect();
+                let masks: Vec<&[bool]> = masks.iter().map(|m| &m[..]).collect();
+                let sweep = |d: usize, x: &[f64], masks: &[&[bool]]| {
+                    let mut tmp = vec![f64::NAN; wide_lanes(d) * n];
+                    let (mut y, mut dots) = (vec![f64::NAN; d * n], vec![f64::NAN; d]);
+                    spmv_constrained_dot_wide(&mv, x, masks, &mut tmp, &mut y, &mut dots);
+                    (bits(&y), bits(&dots))
+                };
+                for c in 0..d {
+                    let what = format!("Q{order}-{D}D d={d} c={c}");
+                    let x_c = &x[at(c)];
+                    let staged: Vec<f64> =
+                        x_c.iter().zip(masks[c]).map(|(&v, &m)| if m { 0.0 } else { v }).collect();
+                    let mut oracle = vec![0.0; n];
+                    reference::spmv(&mv, &staged, &mut oracle);
+                    for i in (0..n).filter(|&i| masks[c][i]) {
+                        oracle[i] = x_c[i];
+                    }
+                    let oracle = (bits(&oracle), bits(&[reference::dot(x_c, &oracle)]));
+                    assert_eq!(sweep(1, x_c, &masks[c..c + 1]), oracle, "{what}: scalar sweep");
+                    for threads in [1usize, 2, 8] {
+                        let (y, dots) = rayon::Pool::new(threads).install(|| sweep(d, &x, &masks));
+                        assert_eq!(y[at(c)], oracle.0, "{what} threads={threads}");
+                        assert_eq!(dots[c], oracle.1[0], "{what} threads={threads}");
+                    }
+                }
+            }
+        }
+        (1..=4).for_each(|order| case::<2>(order, 8 / order + 2));
+        (1..=4).for_each(|order| case::<3>(order, 4 / order + 1));
+    }
+
     #[test]
     fn thermodynamic_mass_matches_setup_oracle() {
         SHAPES_2D.iter().for_each(|&(order, zones)| thermodynamic_case::<2>(order, zones));

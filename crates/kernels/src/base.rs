@@ -56,8 +56,8 @@ pub struct MonolithicCornerForce;
 /// Nothing here is cleared between evaluations; each buffer is stored in
 /// full, unconditionally, by exactly one producer before its first reader:
 /// `jac` and `grad_v_ref` by kernel 3 (its tile transpose writes all `d²`
-/// entries of every point), `adj` / `detj` / `hmin` by kernel 1, `inv_det`
-/// by the reciprocal loop, `grad_v` by kernel 5 and `s` by kernel 6 (every
+/// entries of every point), `adj` / `detj` / `hmin` by kernel 1, `grad_v`
+/// by kernel 5 (which forms each point's `1/|J|` itself) and `s` by kernel 6 (every
 /// `(row, col)` assigned), `sigma` / `inv_dt` by kernel 2 (one
 /// `write_col_slice` and one store per point), `az` by kernel 4 (every
 /// `(c, m)` of every column). `az` is shaped by [`compute_az_pipeline_into`]
@@ -73,7 +73,6 @@ pub struct PipelineScratch {
     /// 4's input.
     pub s: BatchedMats,
     hmin: Vec<f64>,
-    inv_det: Vec<f64>,
     /// Point-major copy of the kinematic gradient tables (kernel 3).
     grads_pm: PointMajorGrads,
     /// `A_z` batch (`nvdof x npts` per zone) — [`compute_az_pipeline_into`]'s
@@ -106,17 +105,10 @@ impl PipelineScratch {
         ] {
             b.reshape(d, d, total);
         }
-        for v in [&mut self.hmin, &mut self.inv_det, &mut self.inv_dt, &mut self.detj] {
+        for v in [&mut self.hmin, &mut self.inv_dt, &mut self.detj] {
             v.resize(total, 0.0);
         }
         self.grads_pm.refill(kin_grads);
-    }
-
-    /// `inv_det = 1 / detj`, the per-point scale of kernel 5.
-    fn invert_det(&mut self) {
-        for (inv, &dd) in self.inv_det.iter_mut().zip(&self.detj) {
-            *inv = 1.0 / dd;
-        }
     }
 }
 
@@ -174,10 +166,7 @@ pub fn stress_pipeline_on<L: KernelLauncher>(
     let k5 = BatchedDimGemm::nn_tuned();
     on.launch(
         || dim_gemm(k5),
-        || {
-            ws.invert_det();
-            k5.compute(&ws.grad_v_ref, &ws.adj, Some(&ws.inv_det), &mut ws.grad_v)
-        },
+        || k5.compute(&ws.grad_v_ref, &ws.adj, Some(&ws.detj), &mut ws.grad_v),
     )?;
     // Kernel 2: EOS + viscosity -> sigma, inv_dt.
     let k2 = StressKernel { workspace: Workspace::Registers, use_viscosity: inp.use_viscosity };

@@ -23,8 +23,9 @@
 //! `[[[f64; W]; D]; D]` lanes (`op(B)` resolved while loading, so no
 //! transpose mode reaches the arithmetic), every lane runs the scalar chain
 //! of [`reference`](fn@reference) — `0.0 + a_0 b_0 + a_1 b_1 (+ a_2 b_2)`
-//! over ascending `p`, then `s * acc`, also when `scale` is `None` (`s =
-//! 1.0`) — and the group is transposed back; a ragged last group repeats
+//! over ascending `p`, then `s * acc` with `s = 1.0 / det` formed per
+//! product in the lane group (kernel 5's `1/|J|`), also when `det` is
+//! `None` (`s = 1.0`) — and the group is transposed back; a ragged last group repeats
 //! its last product in the spare lanes and stores only its own. No lane
 //! reads another and nothing asks for a fused multiply-add, so every level
 //! gives every product the bits of the reference.
@@ -41,13 +42,13 @@ use crate::shapes::ProblemShape;
 const CHUNK: usize = 256;
 
 /// One chunk of kernel 5 / 6: `c` (`count` blocks of `D x D`) from the
-/// same-length chunks of `a` and `b` and `count` scale factors (or none),
+/// same-length chunks of `a` and `b` and `count` determinants (or none),
 /// `W` products at a time.
 #[inline(always)]
 fn chunk_body<const D: usize, const W: usize>(
     a: &[f64],
     b: &[f64],
-    scale: Option<&[f64]>,
+    det: Option<&[f64]>,
     nt: bool,
     c: &mut [f64],
 ) {
@@ -63,8 +64,10 @@ fn chunk_body<const D: usize, const W: usize>(
         if n == W {
             let (ga, gb) = (&a[m0 * d2..][..W * d2], &b[m0 * d2..][..W * d2]);
             transpose_in::<D, W>(ga, gb, nt, &mut al, &mut bl);
-            if let Some(sc) = scale {
-                s.copy_from_slice(&sc[m0..m0 + W]);
+            if let Some(dt) = det {
+                for (sl, &dl) in s.iter_mut().zip(&dt[m0..m0 + W]) {
+                    *sl = 1.0 / dl;
+                }
             }
         } else {
             let mut ga = [[[0.0f64; D]; D]; W];
@@ -75,8 +78,8 @@ fn chunk_body<const D: usize, const W: usize>(
                     ga[l][col].copy_from_slice(&a[m * d2 + col * D..][..D]);
                     gb[l][col].copy_from_slice(&b[m * d2 + col * D..][..D]);
                 }
-                if let Some(sc) = scale {
-                    s[l] = sc[m];
+                if let Some(dt) = det {
+                    s[l] = 1.0 / dt[m];
                 }
             }
             transpose_in::<D, W>(
@@ -138,7 +141,7 @@ isa_clones! {
     fn chunk = lanes chunk_body(
         a: &[f64],
         b: &[f64],
-        scale: Option<&[f64]>,
+        det: Option<&[f64]>,
         nt: bool,
         c: &mut [f64],
     )
@@ -146,12 +149,12 @@ isa_clones! {
 
 /// The per-matrix loop [`BatchedDimGemm::compute`] replaced, kept as the
 /// bitwise oracle of its tests and of `host_kernels`' `point_physics`
-/// rows: `C_i = s_i * A_i op(B_i)`, one product at a time.
+/// rows: `C_i = (1 / det_i) * A_i op(B_i)`, one product at a time.
 pub fn reference(
     transpose: Transpose,
     a: &BatchedMats,
     b: &BatchedMats,
-    scale: Option<&[f64]>,
+    det: Option<&[f64]>,
     c: &mut BatchedMats,
 ) {
     let (d, _) = a.shape();
@@ -159,7 +162,7 @@ pub fn reference(
     for i in 0..c.count() {
         let ai = &a.as_slice()[i * sa..(i + 1) * sa];
         let bi = &b.as_slice()[i * sa..(i + 1) * sa];
-        let s = scale.map_or(1.0, |s| s[i]);
+        let s = det.map_or(1.0, |d| 1.0 / d[i]);
         let ci = &mut c.as_mut_slice()[i * sa..(i + 1) * sa];
         for col in 0..d {
             for row in 0..d {
@@ -186,8 +189,9 @@ pub enum Transpose {
     NT,
 }
 
-/// Kernels 5/6: `DIM x DIM` batched DGEMM with optional per-element scale
-/// (`C_i = s_i * A_i op(B_i)` — the `1/|J|` factor rides along for free).
+/// Kernels 5/6: `DIM x DIM` batched DGEMM with an optional per-element
+/// divisor (`C_i = (1 / det_i) * A_i op(B_i)` — kernel 5's `1/|J|` is formed
+/// per product in the chunk loop and rides along for free).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchedDimGemm {
     /// NN (kernel 5) or NT (kernel 6).
@@ -252,13 +256,14 @@ impl BatchedDimGemm {
         }
     }
 
-    /// Pure computation: `C_i = s_i * A_i op(B_i)`; `scale` may be `None`
-    /// (all ones) or one factor per matrix.
+    /// Pure computation: `C_i = (1 / det_i) * A_i op(B_i)`, the reciprocal
+    /// rounded once per product; `det` may be `None` (all ones) or one
+    /// divisor per matrix.
     pub fn compute(
         &self,
         a: &BatchedMats,
         b: &BatchedMats,
-        scale: Option<&[f64]>,
+        det: Option<&[f64]>,
         c: &mut BatchedMats,
     ) {
         let (d, d2) = a.shape();
@@ -267,10 +272,10 @@ impl BatchedDimGemm {
         assert_eq!(b.shape(), (d, d));
         assert_eq!(c.shape(), (d, d));
         assert!(a.count() == b.count() && b.count() == c.count(), "batch count mismatch");
-        if let Some(s) = scale {
-            assert_eq!(s.len(), a.count());
+        if let Some(dt) = det {
+            assert_eq!(dt.len(), a.count());
         }
-        self.compute_at(Isa::detect(), a, b, scale, c);
+        self.compute_at(Isa::detect(), a, b, det, c);
     }
 
     /// [`BatchedDimGemm::compute`] through the chunk body compiled for
@@ -280,7 +285,7 @@ impl BatchedDimGemm {
         isa: Isa,
         a: &BatchedMats,
         b: &BatchedMats,
-        scale: Option<&[f64]>,
+        det: Option<&[f64]>,
         c: &mut BatchedMats,
     ) {
         let d = a.shape().0;
@@ -289,11 +294,11 @@ impl BatchedDimGemm {
         c.as_mut_slice().par_chunks_mut(CHUNK * sa).enumerate().for_each(|(j, cj)| {
             let mats = j * CHUNK..j * CHUNK + cj.len() / sa;
             let (aj, bj) = (&a[mats.start * sa..mats.end * sa], &b[mats.start * sa..mats.end * sa]);
-            let sj = scale.map(|s| &s[mats]);
+            let dj = det.map(|dt| &dt[mats]);
             if d == 2 {
-                chunk::<2>(isa, aj, bj, sj, nt, cj);
+                chunk::<2>(isa, aj, bj, dj, nt, cj);
             } else {
-                chunk::<3>(isa, aj, bj, sj, nt, cj);
+                chunk::<3>(isa, aj, bj, dj, nt, cj);
             }
         });
     }
@@ -345,15 +350,15 @@ mod tests {
     fn per_element_scale_applied() {
         let a = batch(2, 4, 0.3);
         let b = batch(2, 4, 0.6);
-        let scale = [1.0, 2.0, -0.5, 0.0];
+        let det = [1.0, 0.5, -2.0, f64::INFINITY];
         let mut c1 = BatchedMats::zeros(2, 2, 4);
         let mut c2 = BatchedMats::zeros(2, 2, 4);
         let k = BatchedDimGemm::nn_tuned();
         k.compute(&a, &b, None, &mut c1);
-        k.compute(&a, &b, Some(&scale), &mut c2);
+        k.compute(&a, &b, Some(&det), &mut c2);
         for z in 0..4 {
             for e in 0..4 {
-                assert!((c2.mat(z)[e] - scale[z] * c1.mat(z)[e]).abs() < 1e-14);
+                assert!((c2.mat(z)[e] - c1.mat(z)[e] / det[z]).abs() < 1e-14);
             }
         }
     }
@@ -368,26 +373,26 @@ mod tests {
             let mats =
                 |seed| BatchedMats::from_data(d, d, count, signed_zero_mix(d * d * count, seed));
             let (a, b) = (mats(3), mats(5));
-            let scale = signed_zero_mix(count, 7);
-            for (k, scale) in [
-                (BatchedDimGemm::nn_tuned(), Some(&scale[..])),
+            let det = signed_zero_mix(count, 7);
+            for (k, det) in [
+                (BatchedDimGemm::nn_tuned(), Some(&det[..])),
                 (BatchedDimGemm::nn_tuned(), None),
-                (BatchedDimGemm::nt_tuned(), Some(&scale[..])),
+                (BatchedDimGemm::nt_tuned(), Some(&det[..])),
                 (BatchedDimGemm::nt_tuned(), None),
             ] {
                 let mut want = BatchedMats::zeros(d, d, count);
-                reference(k.transpose, &a, &b, scale, &mut want);
+                reference(k.transpose, &a, &b, det, &mut want);
                 for isa in Isa::available() {
                     for threads in [1, 8] {
                         // NaN-filled: the body must store every entry.
                         let nan = vec![f64::NAN; d * d * count];
                         let mut got = BatchedMats::from_data(d, d, count, nan);
                         rayon::Pool::new(threads)
-                            .install(|| k.compute_at(isa, &a, &b, scale, &mut got));
+                            .install(|| k.compute_at(isa, &a, &b, det, &mut got));
                         let what = format!(
-                            "{} {d}D scale {} {isa:?} {threads} threads",
+                            "{} {d}D det {} {isa:?} {threads} threads",
                             k.name(),
-                            scale.is_some()
+                            det.is_some()
                         );
                         assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{what}");
                     }

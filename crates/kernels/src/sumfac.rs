@@ -897,7 +897,9 @@ pub mod reference {
 /// per-point small-matrix batches, a chunked `A_z` buffer (the `F_z`
 /// kernel consumes it 512 zones at a time), the full `F_z` batch,
 /// double-buffered state vectors and the estimated CSR kinematic mass
-/// matrix (FEM sparsity `(2k+1)^D` per row). Mirrors the solver's device
+/// matrix (FEM sparsity `(2k+1)^D` per row; 12 bytes per non-zero, the
+/// 8-byte value and the 4-byte column index `CsrMatrix` stores, plus the
+/// 8-byte row pointers). Mirrors the solver's device
 /// footprint so builder pre-checks, the autotuner and the bench report all
 /// agree on the same number.
 pub fn stored_resident_bytes(shape: &ProblemShape, num_h1_dofs: usize, num_l2_dofs: usize) -> usize {

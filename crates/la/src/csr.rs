@@ -15,10 +15,13 @@ pub struct CsrMatrix {
     cols: usize,
     /// Row pointers, length `rows + 1`.
     row_ptr: Vec<usize>,
-    /// Column indices, sorted within each row; every one `< cols` (each
-    /// constructor, [`CsrBuilder::build`] and [`CsrMatrix::from_zone_blocks`],
-    /// checks), which the unchecked reads of the lock-step sweep rely on.
-    col_idx: Vec<usize>,
+    /// Column indices, sorted within each row, in 4 bytes each (a row
+    /// sweep streams them beside the 8-byte values); every one `< cols`
+    /// (each constructor, [`CsrBuilder::build`] and
+    /// [`CsrMatrix::from_zone_blocks`], checks, and refuses `cols` above
+    /// `MAX_COLS`), which the unchecked reads of the lock-step sweep rely
+    /// on.
+    col_idx: Vec<u32>,
     /// Nonzero values, parallel to `col_idx`.
     values: Vec<f64>,
 }
@@ -45,7 +48,7 @@ impl CsrMatrix {
     }
 
     /// Column index array.
-    pub fn col_idx(&self) -> &[usize] {
+    pub fn col_idx(&self) -> &[u32] {
         &self.col_idx
     }
 
@@ -69,7 +72,7 @@ impl CsrMatrix {
         for i in 0..self.rows {
             let mut acc = 0.0;
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
+                acc += self.values[k] * x[self.col_idx[k] as usize];
             }
             y[i] = acc;
         }
@@ -85,7 +88,7 @@ impl CsrMatrix {
             let xi = x[i];
             if xi != 0.0 {
                 for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                    y[self.col_idx[k]] += self.values[k] * xi;
+                    y[self.col_idx[k] as usize] += self.values[k] * xi;
                 }
             }
         }
@@ -97,7 +100,7 @@ impl CsrMatrix {
         let mut d = vec![0.0; self.rows.min(self.cols)];
         for i in 0..d.len() {
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                if self.col_idx[k] == i {
+                if self.col_idx[k] as usize == i {
                     d[i] = self.values[k];
                     break;
                 }
@@ -111,7 +114,7 @@ impl CsrMatrix {
         let mut m = DMatrix::zeros(self.rows, self.cols);
         for i in 0..self.rows {
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                m[(i, self.col_idx[k])] = self.values[k];
+                m[(i, self.col_idx[k] as usize)] = self.values[k];
             }
         }
         m
@@ -122,7 +125,7 @@ impl CsrMatrix {
         let mut worst: f64 = 0.0;
         for i in 0..self.rows {
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k];
+                let j = self.col_idx[k] as usize;
                 let aij = self.values[k];
                 let aji = self.get(j, i);
                 worst = worst.max((aij - aji).abs());
@@ -131,14 +134,26 @@ impl CsrMatrix {
         worst
     }
 
-    /// Entry lookup by binary search within the row (0 if not stored).
+    /// Entry lookup by binary search within the row (0 if not stored, as
+    /// for any `j` no 32-bit index can name).
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let row = &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]];
-        match row.binary_search(&j) {
-            Ok(pos) => self.values[self.row_ptr[i] + pos],
-            Err(_) => 0.0,
+        match u32::try_from(j).map(|j| row.binary_search(&j)) {
+            Ok(Ok(pos)) => self.values[self.row_ptr[i] + pos],
+            _ => 0.0,
         }
     }
+}
+
+/// The widest matrix a [`CsrMatrix`] holds: every column index fits a
+/// `u32`.
+const MAX_COLS: usize = u32::MAX as usize + 1;
+
+/// Refuses a column count whose indices would not fit `u32`, the one check
+/// that makes each constructor's `as u32` lossless. The message is a plain
+/// literal, so the refusal itself formats nothing.
+fn check_cols(cols: usize) {
+    assert!(cols <= MAX_COLS, "CsrMatrix: more than 2^32 columns do not fit 32-bit column indices");
 }
 
 /// Accumulating COO-style builder that assembles into CSR.
@@ -171,9 +186,11 @@ impl CsrBuilder {
     }
 
     /// Assembles into CSR, merging duplicates in insertion order and sorting
-    /// columns per row. Panics on a triplet outside the `rows x cols` shape.
+    /// columns per row. Panics on a triplet outside the `rows x cols` shape,
+    /// and on `cols` above `MAX_COLS` before it allocates.
     pub fn build(mut self) -> CsrMatrix {
         let (rows, cols) = (self.rows, self.cols);
+        check_cols(cols);
         self.triplets.sort_by_key(|t| (t.0, t.1));
         let mut row_ptr = vec![0usize; self.rows + 1];
         let mut col_idx = Vec::with_capacity(self.triplets.len());
@@ -190,7 +207,7 @@ impl CsrBuilder {
                 }
             }
             assert!(i < rows && j < cols, "CsrBuilder: triplet ({i}, {j}) outside {rows} x {cols}");
-            col_idx.push(j);
+            col_idx.push(j as u32);
             values.push(v);
             row_ptr[i + 1] += 1;
         }
@@ -218,8 +235,10 @@ impl CsrMatrix {
     /// repeats the walk. The temporaries are each column's zones (one entry
     /// per `zone_dofs` entry), a per-row cursor and a per-row marker; for a
     /// mass matrix each is smaller than `col_idx`. Panics on a DOF `>= n`,
-    /// naming it, or on blocks of the wrong length.
+    /// naming it, on blocks of the wrong length, or on `n` above
+    /// `MAX_COLS`.
     pub fn from_zone_blocks(n: usize, ldof: usize, zone_dofs: &[usize], blocks: &[f64]) -> Self {
+        check_cols(n);
         assert!(ldof > 0 && zone_dofs.len().is_multiple_of(ldof), "zone_dofs: ldof DOFs per zone");
         assert_eq!(blocks.len(), zone_dofs.len() * ldof, "one ldof x ldof block per zone");
         // Every column's `(zone, local column)` slots, as positions in
@@ -251,14 +270,14 @@ impl CsrMatrix {
             row_ptr[r + 1] += row_ptr[r];
         }
         let nnz = row_ptr[n];
-        let (mut col_idx, mut values) = (vec![0usize; nnz], vec![0.0f64; nnz]);
+        let (mut col_idx, mut values) = (vec![0u32; nnz], vec![0.0f64; nnz]);
         last.fill(usize::MAX);
         // `next[r]`: one past row `r`'s open slot.
         next.copy_from_slice(&row_ptr[..n]);
         walk_zone_columns(ldof, zone_dofs, blocks, &touch_ptr, &touch, |r, c, v| {
             if last[r] != c {
                 last[r] = c;
-                col_idx[next[r]] = c;
+                col_idx[next[r]] = c as u32;
                 values[next[r]] = v;
                 next[r] += 1;
             } else {
@@ -366,6 +385,9 @@ mod tests {
         let a = sample();
         assert_eq!(a.get(0, 1), 0.0);
         assert_eq!(a.get(2, 1), 0.0);
+        // A column no 32-bit index names reads 0, not the entry its low
+        // 32 bits would name (column 0 here).
+        assert_eq!(a.get(0, 1 << 32), 0.0);
     }
 
     #[test]

@@ -20,24 +20,28 @@
 //! # The `d`-wide row sweep
 //!
 //! A CSR row is one dependent multiply-add chain (the contract below fixes
-//! its order: ascending `k`), so a scalar row sweep runs at FMA latency,
-//! not at memory bandwidth. The `d` velocity components of a momentum
-//! solve are `d` independent chains over the *same* values and column
-//! indices, and [`spmv_constrained_dot_wide`] runs them side by side: the
-//! `d` masked inputs are staged interleaved, `tmp[W·i + c]` = component
-//! `c` of entry `i`, padded to `W` = [`wide_lanes`]`(d)` lanes (2 for
-//! `d` = 2, 4 for `d` = 3), so a non-zero costs one load of its value, one
-//! of its column index, and one `W`-wide multiply-add against
-//! `tmp[W·col..]`. Outputs come back de-interleaved per 64-row sub-block
-//! into the component-blocked `y_c`, where the constrained-row fix-up and
-//! the per-component dot lanes see them exactly as the scalar sweep
-//! leaves them.
+//! its order: ascending `k`), so a row at a time runs at FMA latency, not
+//! at memory bandwidth. Every row sweep therefore runs `CHAINS` rows at a
+//! time: their common prefix advances `CHAINS` independent chains per
+//! step, and each row's remainder then finishes alone. The `d` velocity
+//! components of a momentum solve are `d` more independent chains over the
+//! *same* values and column indices, and [`spmv_constrained_dot_wide`]
+//! runs them side by side: the `d` masked inputs are staged interleaved,
+//! `tmp[W·i + c]` = component `c` of entry `i`, padded to `W` =
+//! [`wide_lanes`]`(d)` lanes (2 for `d` = 2, 4 for `d` = 3), so a non-zero
+//! costs one load of its value, one of its 4-byte column index, and one
+//! `W`-wide multiply-add against `tmp[W·col..]`. Outputs come back
+//! de-interleaved per 64-row sub-block into the component-blocked `y_c`,
+//! where the constrained-row fix-up and the per-component dot lanes see
+//! them exactly as the scalar sweep leaves them.
 //!
 //! The widening is bitwise-invisible because SIMD lanes never mix: lane
 //! `c` of the vector multiply-add *is* the scalar multiply-add of component
 //! `c` (same operands, same rounding, same order), the padding lanes
 //! multiply staged zeros and are dropped, and each component keeps its own
-//! 8 dot lanes and its own 64 block partials. So per component the sweep
+//! 8 dot lanes and its own 64 block partials. The row chains are invisible
+//! for the same reason: each row keeps its own accumulator, ascending `k`
+//! from `+0.0`. So per component the sweep
 //! equals `spmv_constrained_dot` bit for bit, at every thread count and
 //! every SIMD level — which is what lets the lock-step PCG
 //! (`pcg::pcg_solve_on`) replace `d` scalar solves without moving a digest.
@@ -278,24 +282,85 @@ fn dir_update_z_block_body(z: &[f64], beta: f64, p: &mut [f64]) {
     }
 }
 
+/// Row chains run side by side in every row sweep: enough independent
+/// multiply-add chains to hide part of one's FMA latency. Chosen by
+/// measurement (EXPERIMENTS.md, "Lock-step sweep"): 2 and 4 read alike on
+/// the sweep alone and 2 read lower in the solver's in-run phase table; 8
+/// spills and runs slower than one chain.
+const CHAINS: usize = 2;
+
+/// `R` consecutive rows from row `first`, `out[r]` = row `first + r`
+/// applied to the `W`-lane entries `xw` (`W` = 1 for a scalar sweep). The
+/// rows' common prefix (the shortest row's length) runs jointly, `R`
+/// independent accumulators advanced one non-zero each per step; then each
+/// row's remainder runs alone. Every row is still its own chain —
+/// ascending `k` from `+0.0`, one `fmadd` per non-zero — so `R` changes no
+/// bit, and `R` = 1 is the plain row loop.
+#[inline(always)]
+fn row_chains<const R: usize, const W: usize>(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    first: usize,
+    xw: &[[f64; W]],
+    out: &mut [[f64; W]; R],
+) {
+    let start: [usize; R] = std::array::from_fn(|r| row_ptr[first + r]);
+    let end: [usize; R] = std::array::from_fn(|r| row_ptr[first + r + 1]);
+    let common = (0..R).map(|r| end[r] - start[r]).min().unwrap_or(0);
+    let vals: [&[f64]; R] = std::array::from_fn(|r| &values[start[r]..start[r] + common]);
+    let cols: [&[u32]; R] = std::array::from_fn(|r| &col_idx[start[r]..start[r] + common]);
+    let mut acc = [[0.0f64; W]; R];
+    // One step of row `r`'s chain: `acc[r] += v · xw[col]`, lane by lane.
+    let step = |acc: &mut [f64; W], v: f64, col: u32| {
+        // SAFETY: each constructor of a `CsrMatrix` (`CsrBuilder::build` and
+        // `CsrMatrix::from_zone_blocks`) checks every column index `< cols`,
+        // and every sweep asserts that its input holds `cols` entries
+        // (`spmv`, `spmv_dot`, `constrained_shapes`, `constrained_wide`).
+        let xc = unsafe { xw.get_unchecked(col as usize) };
+        for (a, &xl) in acc.iter_mut().zip(xc) {
+            *a = fmadd(*a, v, xl);
+        }
+    };
+    for k in 0..common {
+        for r in 0..R {
+            step(&mut acc[r], vals[r][k], cols[r][k]);
+        }
+    }
+    for r in 0..R {
+        let rest = start[r] + common..end[r];
+        for (&v, &col) in values[rest.clone()].iter().zip(&col_idx[rest]) {
+            step(&mut acc[r], v, col);
+        }
+    }
+    *out = acc;
+}
+
 /// Block CSR row sweep: `y[lo..] = A[lo.., :] x`, each row one fused
-/// ascending-`k` chain.
+/// ascending-`k` chain, [`CHAINS`] rows at a time.
 #[inline(always)]
 fn spmv_rows_body(
     row_ptr: &[usize],
-    col_idx: &[usize],
+    col_idx: &[u32],
     values: &[f64],
     lo: usize,
     x: &[f64],
     y: &mut [f64],
 ) {
-    for (i, yi) in y.iter_mut().enumerate() {
-        let (start, end) = (row_ptr[lo + i], row_ptr[lo + i + 1]);
-        let mut acc = 0.0;
-        for (&v, &c) in values[start..end].iter().zip(&col_idx[start..end]) {
-            acc = fmadd(acc, v, x[c]);
-        }
-        *yi = acc;
+    let (xw, _) = x.as_chunks::<1>();
+    let (groups, rest) = y.as_chunks_mut::<CHAINS>();
+    let mut row = lo;
+    for g in groups {
+        let mut out = [[0.0f64; 1]; CHAINS];
+        row_chains(row_ptr, col_idx, values, row, xw, &mut out);
+        *g = out.map(|[v]| v);
+        row += CHAINS;
+    }
+    for yi in rest {
+        let mut out = [[0.0f64; 1]];
+        row_chains(row_ptr, col_idx, values, row, xw, &mut out);
+        *yi = out[0][0];
+        row += 1;
     }
 }
 
@@ -327,7 +392,7 @@ fn fold_group(x: &[f64], y: &[f64], lanes: &mut [f64; LANES], tail: &mut f64) {
 #[inline(always)]
 fn spmv_rows_dot_body(
     row_ptr: &[usize],
-    col_idx: &[usize],
+    col_idx: &[u32],
     values: &[f64],
     lo: usize,
     x: &[f64],
@@ -359,16 +424,17 @@ fn spmv_rows_dot_body(
 /// components of staged entry `i` side by side (padded to `W` lanes), so a
 /// non-zero costs one load of its value and column index and one `W`-wide
 /// multiply-add; lane `c` performs exactly [`spmv_rows_body`]'s
-/// ascending-`k` chain on component `c`, and lanes never mix. Each 64-row
-/// sub-block lands in a stack stage and is then de-interleaved into the
-/// component outputs `ys[c]` — constrained rows overwritten with `xs[c]`,
-/// the identity block of `P A P + (I − P)` — and folded into component
-/// `c`'s dot lanes with [`spmv_rows_dot_body`]'s grouping (row `j` of the
-/// block → lane `j mod 8`, tail first). Returns the `D` block partials.
+/// ascending-`k` chain on component `c`, and lanes never mix. The rows of a
+/// 64-row sub-block run [`CHAINS`] at a time (`row_chains`) into a
+/// stack stage, which is then de-interleaved into the component outputs
+/// `ys[c]` — constrained rows overwritten with `xs[c]`, the identity block
+/// of `P A P + (I − P)` — and folded into component `c`'s dot lanes with
+/// [`spmv_rows_dot_body`]'s grouping (row `j` of the block → lane `j mod
+/// 8`, tail first). Returns the `D` block partials.
 #[inline(always)]
 fn wide_rows_dot_body<const D: usize, const W: usize>(
     row_ptr: &[usize],
-    col_idx: &[usize],
+    col_idx: &[u32],
     values: &[f64],
     lo: usize,
     xw: &[[f64; W]],
@@ -384,20 +450,15 @@ fn wide_rows_dot_body<const D: usize, const W: usize>(
     let mut s = 0;
     while s < len {
         let e = (s + SUB).min(len);
-        for (i, out) in stage[..e - s].iter_mut().enumerate() {
-            let (start, end) = (row_ptr[lo + s + i], row_ptr[lo + s + i + 1]);
-            let mut acc = [0.0f64; W];
-            for (&v, &col) in values[start..end].iter().zip(&col_idx[start..end]) {
-                // SAFETY: each constructor of a `CsrMatrix` (`CsrBuilder::build`
-                // and `CsrMatrix::from_zone_blocks`) checks every column index
-                // `< cols`, and the one caller (`constrained_wide`) asserts
-                // `xw.len() == cols`.
-                let xc = unsafe { xw.get_unchecked(col) };
-                for (a, &xl) in acc.iter_mut().zip(xc) {
-                    *a = fmadd(*a, v, xl);
-                }
-            }
-            *out = acc;
+        let (groups, rest) = stage[..e - s].as_chunks_mut::<CHAINS>();
+        let mut row = lo + s;
+        for out in groups {
+            row_chains(row_ptr, col_idx, values, row, xw, out);
+            row += CHAINS;
+        }
+        for out in rest.as_chunks_mut::<1>().0 {
+            row_chains(row_ptr, col_idx, values, row, xw, out);
+            row += 1;
         }
         for c in 0..D {
             let yv = &mut ys[c][s..e];
@@ -424,13 +485,13 @@ fma_clones!(fn dir_update_block = dir_update_block_body(
 ));
 fma_clones!(fn dir_update_z_block = dir_update_z_block_body(z: &[f64], beta: f64, p: &mut [f64]));
 fma_clones!(fn spmv_rows = spmv_rows_body(
-    row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, x: &[f64], y: &mut [f64],
+    row_ptr: &[usize], col_idx: &[u32], values: &[f64], lo: usize, x: &[f64], y: &mut [f64],
 ));
 fma_clones!(fn spmv_rows_dot = spmv_rows_dot_body(
-    row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, x: &[f64], y: &mut [f64],
+    row_ptr: &[usize], col_idx: &[u32], values: &[f64], lo: usize, x: &[f64], y: &mut [f64],
 ) -> f64);
 fma_clones!(fn wide_rows_dot<D: usize, W: usize> = wide_rows_dot_body(
-    row_ptr: &[usize], col_idx: &[usize], values: &[f64], lo: usize, xw: &[[f64; W]],
+    row_ptr: &[usize], col_idx: &[u32], values: &[f64], lo: usize, xw: &[[f64; W]],
     xs: &[&[f64]; D], masks: &[&[bool]; D], ys: [&mut [f64]; D],
 ) -> [f64; D]);
 
@@ -809,7 +870,8 @@ pub fn update_direction(beta: f64, z: &[f64], p: &mut [f64]) {
 /// Scalar serial oracle: the same block grid, lane structure and block
 /// bodies as the dispatched kernels, in the baseline build and driven
 /// serially — the reference the property tests pin against, bitwise-equal
-/// to the dispatched ops at every level.
+/// to the dispatched ops at every level. The SpMV is the exception: it runs
+/// one row at a time, so it also pins the sweeps' row chains.
 pub mod reference {
     use super::*;
 
@@ -890,11 +952,16 @@ pub mod reference {
         dir_update_z_block_body(z, beta, p);
     }
 
-    /// Reference SpMV: the row body over every row in one serial sweep.
+    /// Reference SpMV: one row at a time, each row one fused chain over
+    /// ascending `k` from `+0.0` — the contract the sweeps' row chains
+    /// keep, written without them.
     pub fn spmv(a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), a.cols(), "reference spmv x length mismatch");
         assert_eq!(y.len(), a.rows(), "reference spmv y length mismatch");
-        spmv_rows_body(a.row_ptr(), a.col_idx(), a.values(), 0, x, y);
+        let (rp, ci, vals) = (a.row_ptr(), a.col_idx(), a.values());
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi = (rp[i]..rp[i + 1]).fold(0.0, |acc, k| fmadd(acc, vals[k], x[ci[k] as usize]));
+        }
     }
 
     /// Reference SpMV + dot as two serial sweeps.
@@ -1148,6 +1215,70 @@ mod tests {
                     assert_eq!(y[c * n..(c + 1) * n], oracle, "n={n} d={d} c={c}");
                 }
             }
+        }
+    }
+
+    /// The `d`-wide sweep of `a` at pool widths 1 / 2 / 8 against both of
+    /// its oracles, per component and bit for bit: `reference::spmv` of the
+    /// masked input, the fix-up and `reference::dot`; and the scalar
+    /// constrained sweep.
+    fn check_wide_against_oracles(a: &CsrMatrix, what: &str) {
+        let n = a.rows();
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        for d in 2..=3usize {
+            let (x, masks) = wide_inputs(n, d);
+            for c in 0..d {
+                let x_c = &x[c * n..(c + 1) * n];
+                let staged: Vec<f64> =
+                    x_c.iter().zip(&masks[c]).map(|(&v, &m)| if m { 0.0 } else { v }).collect();
+                let mut oracle = vec![0.0; n];
+                reference::spmv(a, &staged, &mut oracle);
+                for i in (0..n).filter(|&i| masks[c][i]) {
+                    oracle[i] = x_c[i];
+                }
+                let oracle_dot = reference::dot(x_c, &oracle);
+                let (mut tmp, mut y_c) = (vec![0.0; n], vec![0.0; n]);
+                let dot = spmv_constrained_dot(a, x_c, &masks[c], &mut tmp, &mut y_c);
+                let at = format!("{what} n={n} d={d} c={c}");
+                assert_eq!(bits(&y_c), bits(&oracle), "{at}: scalar sweep");
+                assert_eq!(dot.to_bits(), oracle_dot.to_bits(), "{at}: scalar dot");
+                for threads in [1usize, 2, 8] {
+                    let (y, dots) = rayon::Pool::new(threads).install(|| wide_sweep(a, &x, &masks));
+                    let y_c = &y[c * n..(c + 1) * n];
+                    assert_eq!(bits(y_c), bits(&oracle), "{at} threads={threads}");
+                    assert_eq!(dots[c].to_bits(), oracle_dot.to_bits(), "{at} threads={threads}");
+                }
+            }
+        }
+    }
+
+    /// A CSR whose first half of rows runs 0, long, 1 non-zeros in turn, so
+    /// every group of the wide sweep's row chains holds an empty row, a
+    /// one-entry row and a long one (no joint prefix), and whose second half
+    /// has long rows of uneven length (a joint prefix and a ragged remainder
+    /// per row); values span seven decades, so an order change shows.
+    fn ragged(n: usize) -> CsrMatrix {
+        let mut b = CsrBuilder::new(n, n);
+        for i in 0..n {
+            let long = 9 + (i * 7) % 31;
+            let len = if 2 * i >= n { long } else { [0, long, 1][i % 3] };
+            for k in 0..len {
+                let j = (i * 13 + k * k * 7 + 3 * k) % n;
+                let v = ((i * 31 + k * 17) % 97) as f64 * 0.0173 - 0.8;
+                b.add(i, j, v * 10f64.powi((k % 7) as i32 - 3));
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn constrained_wide_ragged_rows_match_both_oracles() {
+        for n in [1, (CHAINS - 1).max(1), CHAINS, 63, 64, 65, 4097] {
+            let a = ragged(n);
+            if n == 4097 {
+                assert!(rows_on_pool(&a), "the largest case must reach the pool");
+            }
+            check_wide_against_oracles(&a, "ragged");
         }
     }
 
