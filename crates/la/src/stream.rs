@@ -336,6 +336,29 @@ fn row_chains<const R: usize, const W: usize>(
     *out = acc;
 }
 
+/// Rows `first..first + out.len()` applied to `xw` into `out`, [`CHAINS`]
+/// rows at a time, the last `len % CHAINS` one at a time.
+#[inline(always)]
+fn rows_into<const W: usize>(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    first: usize,
+    xw: &[[f64; W]],
+    out: &mut [[f64; W]],
+) {
+    let (groups, rest) = out.as_chunks_mut::<CHAINS>();
+    let mut row = first;
+    for group in groups {
+        row_chains(row_ptr, col_idx, values, row, xw, group);
+        row += CHAINS;
+    }
+    for one in rest.as_chunks_mut::<1>().0 {
+        row_chains(row_ptr, col_idx, values, row, xw, one);
+        row += 1;
+    }
+}
+
 /// Block CSR row sweep: `y[lo..] = A[lo.., :] x`, each row one fused
 /// ascending-`k` chain, [`CHAINS`] rows at a time.
 #[inline(always)]
@@ -347,21 +370,8 @@ fn spmv_rows_body(
     x: &[f64],
     y: &mut [f64],
 ) {
-    let (xw, _) = x.as_chunks::<1>();
-    let (groups, rest) = y.as_chunks_mut::<CHAINS>();
-    let mut row = lo;
-    for g in groups {
-        let mut out = [[0.0f64; 1]; CHAINS];
-        row_chains(row_ptr, col_idx, values, row, xw, &mut out);
-        *g = out.map(|[v]| v);
-        row += CHAINS;
-    }
-    for yi in rest {
-        let mut out = [[0.0f64; 1]];
-        row_chains(row_ptr, col_idx, values, row, xw, &mut out);
-        *yi = out[0][0];
-        row += 1;
-    }
+    let (xw, yw) = (x.as_chunks::<1>().0, y.as_chunks_mut::<1>().0);
+    rows_into(row_ptr, col_idx, values, lo, xw, yw);
 }
 
 /// Folds a finished row group into dot lanes carried across the groups of
@@ -425,7 +435,7 @@ fn spmv_rows_dot_body(
 /// non-zero costs one load of its value and column index and one `W`-wide
 /// multiply-add; lane `c` performs exactly [`spmv_rows_body`]'s
 /// ascending-`k` chain on component `c`, and lanes never mix. The rows of a
-/// 64-row sub-block run [`CHAINS`] at a time (`row_chains`) into a
+/// 64-row sub-block run [`CHAINS`] at a time (`rows_into`) into a
 /// stack stage, which is then de-interleaved into the component outputs
 /// `ys[c]` — constrained rows overwritten with `xs[c]`, the identity block
 /// of `P A P + (I − P)` — and folded into component `c`'s dot lanes with
@@ -450,16 +460,7 @@ fn wide_rows_dot_body<const D: usize, const W: usize>(
     let mut s = 0;
     while s < len {
         let e = (s + SUB).min(len);
-        let (groups, rest) = stage[..e - s].as_chunks_mut::<CHAINS>();
-        let mut row = lo + s;
-        for out in groups {
-            row_chains(row_ptr, col_idx, values, row, xw, out);
-            row += CHAINS;
-        }
-        for out in rest.as_chunks_mut::<1>().0 {
-            row_chains(row_ptr, col_idx, values, row, xw, out);
-            row += 1;
-        }
+        rows_into(row_ptr, col_idx, values, lo + s, xw, &mut stage[..e - s]);
         for c in 0..D {
             let yv = &mut ys[c][s..e];
             let xv = &xs[c][lo + s..lo + e];
