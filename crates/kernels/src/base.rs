@@ -57,8 +57,8 @@ pub struct MonolithicCornerForce;
 /// full, unconditionally, by exactly one producer before its first reader:
 /// `jac` and `grad_v_ref` by kernel 3 (its tile transpose writes all `d²`
 /// entries of every point), `adj` / `detj` / `hmin` by kernel 1, `grad_v`
-/// by kernel 5 (which forms each point's `1/|J|` itself) and `s` by kernel 6 (every
-/// `(row, col)` assigned), `sigma` / `inv_dt` by kernel 2 (one
+/// by kernel 5 (which forms each point's `1/|J|` itself) and `s` by kernel
+/// 6 (every `(row, col)` assigned), `sigma` / `inv_dt` by kernel 2 (one
 /// `write_col_slice` and one store per point), `az` by kernel 4 (every
 /// `(c, m)` of every column). `az` is shaped by [`compute_az_pipeline_into`]
 /// only: the stress half never touches it.
