@@ -20,7 +20,8 @@
 //! 3, 5, 6 and the matrix-free force against their point-at-a-time
 //! references, in ns per point. The `setup` block is
 //! [`super::setup_phases`]: the one-time phases of a solver build on the
-//! benchmark's 3D workloads, each body against the loop it replaced, in ms.
+//! benchmark's 3D workloads and its 2D shape, each body against the loop
+//! it replaced, in ms.
 //!
 //! Every number is real hardware time, taken by [`crate::harness`]. Rows
 //! and gates: `HostKernels::report` (`BENCH_host_kernels.json`, the CI
@@ -549,19 +550,22 @@ mod tests {
         for p in &r.point_physics {
             assert_eq!(p.gated, p.state == "mid-run");
         }
-        // Stored workloads: 5 phases, the matrix-free one 4.
-        assert_eq!(r.setup.len(), 14);
+        // Stored workloads (three): 5 phases, the matrix-free one 4.
+        assert_eq!(r.setup.len(), 19);
         let gated: Vec<&str> =
             r.setup.iter().filter(|p| p.bar.is_some()).map(|p| p.phase).collect();
         let blocks = gated.iter().filter(|&&p| p == "kinematic_blocks").count();
         assert_eq!(blocks, if blast_la::simd::level() >= 1 { 2 } else { 0 });
-        assert_eq!(gated.len(), 2 + blocks, "{gated:?}: the two scatter rows are gated");
+        let inverse = gated.iter().filter(|&&p| p == "me_inverse").count();
+        assert_eq!(inverse, 4, "{gated:?}: every workload's block inverse is gated");
+        assert_eq!(gated.len(), 7 + blocks, "{gated:?}: and the three scatter rows");
         // 4 GEMM (+ 3 production at level 2) + 3 A_z + 2 A_z F_z + 3
-        // mid-run states (two 3D, one 2D) x 6 stress-half bodies + 2 scatter
-        // rows (+ 2 kinematic-block rows at level 1 or more).
+        // mid-run states (two 3D, one 2D) x 6 stress-half bodies + 3 scatter
+        // rows + 4 inverse rows (+ 2 3D kinematic-block rows at level 1 or
+        // more).
         let production = r.shapes.iter().filter(|s| s.production_gated).count();
         assert_eq!(production, if blast_la::simd::level() >= 2 { 3 } else { 0 });
-        assert_eq!(r.report().gates.len(), 29 + production + blocks);
+        assert_eq!(r.report().gates.len(), 34 + production + blocks);
     }
 
     /// Both bodies production runs, the generic one and `tile::gemm`, reach

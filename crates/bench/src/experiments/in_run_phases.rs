@@ -14,12 +14,14 @@
 //! the corner force, the energy rate (`energy_solve`), each accepted step
 //! (`step`) and the run's first force evaluation (`suggest_dt`). After two
 //! untimed warm-up steps, the one timed `Hydro::run` of each repetition is
-//! measured by `Instant`, and the repetition with the shortest run is
-//! reported.
+//! measured by `Instant`. The repetitions run round-robin across the
+//! workloads, so a slow stretch of the host lands on every workload alike.
 //!
 //! Rows are milliseconds per corner-force evaluation (`force_evals` counts
-//! them); the `runs` block gives evaluations per step and the share of the
-//! measured run the leaf phases explain. Gates: the phases nest (a phase's
+//! them), the median over the repetitions with their min and max beside it;
+//! the `runs` block gives evaluations per step and the share of the
+//! measured run the leaf phases explain, medians too. Gates, on every
+//! repetition (each gate names its worst): the phases nest (a phase's
 //! children never sum past it), the leaf phases explain the measured run
 //! within 2 %, and, as a check on the harness, the top-level phases sum to
 //! it within 2 %.
@@ -139,7 +141,7 @@ const LEAVES: &[&str] = &[
     "integration",
 ];
 
-/// One workload's timed run.
+/// One repetition of a workload's timed run.
 #[derive(Clone, Debug)]
 struct PhaseRun {
     /// Benchmark workload name.
@@ -167,86 +169,154 @@ impl PhaseRun {
         ROWS.iter().find(|r| r.label == "corner_force").map_or(0, |r| self.row_ns(r).1)
     }
 
-    /// This workload's phase rows, its run record, and its gates.
-    fn blocks(&self, rows: &mut Vec<Vec<Cell>>, runs: &mut Vec<Vec<Cell>>, gates: &mut Vec<Gate>) {
-        let evals = self.force_evals().max(1) as f64;
+    /// This repetition's gate checks, each with its slack: how far inside
+    /// its bound it landed, negative when it failed.
+    fn checks(&self) -> Vec<Check> {
         let run_ns = self.run_s * 1e9;
+        let mut checks = Vec::new();
         for row in ROWS {
             let (ns, calls) = self.row_ns(row);
             if calls == 0 {
                 continue;
             }
-            rows.push(vec![
-                Cell::new("workload", self.workload),
-                Cell::new("phase", row.label),
-                Cell::new("parent", row.parent.unwrap_or("run")),
-                Cell::new("ms_per_eval", ns as f64 * 1e-6 / evals),
-                Cell::pct("share_of_run", ns as f64 / run_ns),
-                Cell::new("calls", calls as usize),
-            ]);
             // Nesting: the children of this row never sum past it.
             let children: u64 =
                 ROWS.iter().filter(|c| c.parent == Some(row.label)).map(|c| self.row_ns(c).0).sum();
             if children > 0 {
                 let (c_ms, ms) = (children as f64 * 1e-6, ns as f64 * 1e-6);
-                let detail = format!("children {c_ms:.3} ms <= {ms:.3} ms");
-                let name = format!("in_run_phases {} {} nests", self.workload, row.label);
-                gates.push(Gate::new(name, children <= ns, detail));
+                checks.push(Check {
+                    name: format!("in_run_phases {} {} nests", self.workload, row.label),
+                    slack: ns as f64 - children as f64,
+                    detail: format!("children {c_ms:.3} ms <= {ms:.3} ms"),
+                });
             }
         }
         let top = (self.ns_of("suggest_dt") + self.ns_of("step")) as f64;
         let under_top: u64 =
             ROWS.iter().filter(|c| c.parent == Some(TOP)).map(|c| self.row_ns(c).0).sum();
-        let detail = format!("children {:.3} ms <= {:.3} ms", under_top as f64 * 1e-6, top * 1e-6);
-        let name = format!("in_run_phases {} {TOP} nests", self.workload);
-        gates.push(Gate::new(name, under_top as f64 <= top, detail));
+        checks.push(Check {
+            name: format!("in_run_phases {} {TOP} nests", self.workload),
+            slack: top - under_top as f64,
+            detail: format!("children {:.3} ms <= {:.3} ms", under_top as f64 * 1e-6, top * 1e-6),
+        });
         let leaves = LEAVES.iter().map(|l| self.ns_of(l)).sum::<u64>() as f64;
         let (leaf_ms, need) = (leaves * 1e-6, 100.0 * (1.0 - SUM_TOLERANCE));
-        let detail = format!(
-            "leaf phases {leaf_ms:.2} ms of a {:.2} ms run ({:.2} %, need >= {need:.0} %)",
-            run_ns * 1e-6,
-            100.0 * leaves / run_ns
-        );
-        let name = format!("in_run_phases {} leaves explain the run", self.workload);
-        gates.push(Gate::new(name, leaves >= (1.0 - SUM_TOLERANCE) * run_ns, detail));
+        checks.push(Check {
+            name: format!("in_run_phases {} leaves explain the run", self.workload),
+            slack: leaves - (1.0 - SUM_TOLERANCE) * run_ns,
+            detail: format!(
+                "leaf phases {leaf_ms:.2} ms of a {:.2} ms run ({:.2} %, need >= {need:.0} %)",
+                run_ns * 1e-6,
+                100.0 * leaves / run_ns
+            ),
+        });
         let gap = (top - run_ns).abs() / run_ns;
         let (top_ms, run_ms, bar) = (top * 1e-6, run_ns * 1e-6, 100.0 * SUM_TOLERANCE);
-        let detail = format!(
-            "top-level phases {top_ms:.2} ms of a {run_ms:.2} ms run ({:.2} % apart, need <= {bar:.0} %)",
-            100.0 * gap
-        );
-        let name = format!("in_run_phases {} sums to the run", self.workload);
-        gates.push(Gate::new(name, gap <= SUM_TOLERANCE, detail));
-        runs.push(vec![
-            Cell::new("workload", self.workload),
-            Cell::new("run_ms", self.run_s * 1e3),
-            Cell::new("steps", self.steps),
-            Cell::new("force_evals", evals as usize),
-            Cell::new("evals_per_step", evals / self.steps.max(1) as f64),
-            Cell::new("ms_per_eval", self.run_s * 1e3 / evals),
-            Cell::pct("top_level_share", top / run_ns),
-            Cell::pct("explained_share", leaves / run_ns),
-        ]);
+        checks.push(Check {
+            name: format!("in_run_phases {} sums to the run", self.workload),
+            slack: SUM_TOLERANCE - gap,
+            detail: format!(
+                "top-level phases {top_ms:.2} ms of a {run_ms:.2} ms run ({:.2} % apart, need <= {bar:.0} %)",
+                100.0 * gap
+            ),
+        });
+        checks
+    }
+
+    /// Shares of the run: the top-level phases', then the leaves'.
+    fn shares(&self) -> (f64, f64) {
+        let run_ns = self.run_s * 1e9;
+        let top = (self.ns_of("suggest_dt") + self.ns_of("step")) as f64;
+        let leaves = LEAVES.iter().map(|l| self.ns_of(l)).sum::<u64>() as f64;
+        (top / run_ns, leaves / run_ns)
     }
 }
 
-/// Every workload's timed run.
+/// One gate's reading on one repetition.
+struct Check {
+    name: String,
+    /// Distance inside the bound, in the check's own unit; `< 0` fails.
+    slack: f64,
+    detail: String,
+}
+
+/// `(median, min, max)` of `x`.
+fn spread(mut x: Vec<f64>) -> (f64, f64, f64) {
+    x.sort_by(f64::total_cmp);
+    (x[x.len() / 2], x[0], x[x.len() - 1])
+}
+
+/// The repetitions of one workload: its phase rows, its run record, and
+/// its gates, each gate held on every repetition.
+fn blocks(
+    reps: &[PhaseRun],
+    rows: &mut Vec<Vec<Cell>>,
+    runs: &mut Vec<Vec<Cell>>,
+    gates: &mut Vec<Gate>,
+) {
+    let first = &reps[0];
+    let evals = first.force_evals().max(1) as f64;
+    let over_reps = |f: &dyn Fn(&PhaseRun) -> f64| spread(reps.iter().map(f).collect());
+    for row in ROWS {
+        let calls = first.row_ns(row).1;
+        if calls == 0 {
+            continue;
+        }
+        let (ms, min, max) = over_reps(&|r| r.row_ns(row).0 as f64 * 1e-6 / evals);
+        let (share, _, _) = over_reps(&|r| r.row_ns(row).0 as f64 / (r.run_s * 1e9));
+        rows.push(vec![
+            Cell::new("workload", first.workload),
+            Cell::new("phase", row.label),
+            Cell::new("parent", row.parent.unwrap_or("run")),
+            Cell::new("ms_per_eval", ms),
+            Cell::new("min_ms_per_eval", min),
+            Cell::new("max_ms_per_eval", max),
+            Cell::pct("share_of_run", share),
+            Cell::new("calls", calls as usize),
+        ]);
+    }
+    let checks: Vec<Vec<Check>> = reps.iter().map(PhaseRun::checks).collect();
+    for (i, check) in checks[0].iter().enumerate() {
+        let worst = checks.iter().map(|c| &c[i]).min_by(|a, b| a.slack.total_cmp(&b.slack));
+        let worst = worst.unwrap_or(check);
+        let detail = format!("{} (worst of {} reps)", worst.detail, reps.len());
+        gates.push(Gate::new(check.name.clone(), worst.slack >= 0.0, detail));
+    }
+    let (run_ms, min_run_ms, max_run_ms) = over_reps(&|r| r.run_s * 1e3);
+    let (top_share, _, _) = over_reps(&|r| r.shares().0);
+    let (explained, _, _) = over_reps(&|r| r.shares().1);
+    runs.push(vec![
+        Cell::new("workload", first.workload),
+        Cell::new("reps", reps.len()),
+        Cell::new("run_ms", run_ms),
+        Cell::new("min_run_ms", min_run_ms),
+        Cell::new("max_run_ms", max_run_ms),
+        Cell::new("steps", first.steps),
+        Cell::new("force_evals", evals as usize),
+        Cell::new("evals_per_step", evals / first.steps.max(1) as f64),
+        Cell::new("ms_per_eval", run_ms / evals),
+        Cell::pct("top_level_share", top_share),
+        Cell::pct("explained_share", explained),
+    ]);
+}
+
+/// Every workload's timed runs.
 #[derive(Clone, Debug)]
 struct InRunPhases {
-    /// One entry per benchmark workload.
-    runs: Vec<PhaseRun>,
+    /// One entry per benchmark workload: its repetitions.
+    runs: Vec<Vec<PhaseRun>>,
 }
 
 impl InRunPhases {
     /// The artifact: the phase table, the per-run record, the gates.
     fn report(&self) -> Report {
         let (mut rows, mut runs, mut gates) = (Vec::new(), Vec::new(), Vec::new());
-        for r in &self.runs {
-            r.blocks(&mut rows, &mut runs, &mut gates);
+        for reps in &self.runs {
+            blocks(reps, &mut rows, &mut runs, &mut gates);
         }
         let blocks = vec![
-            Block::table("phases", "measured ms per force evaluation, by phase", rows),
-            Block::table("runs", "the timed run of each workload", runs),
+            Block::table("phases", "measured ms per force evaluation, by phase, median of reps", rows),
+            Block::table("runs", "the timed runs of each workload", runs),
         ];
         Report { blocks, gates }
     }
@@ -306,24 +376,21 @@ fn rep<const D: usize>(
     PhaseRun { workload: name, run_s, steps: stats.steps, totals: delta(&before, &clock.totals()) }
 }
 
-/// Every workload, `reps` repetitions each on its own pool; the shortest
-/// run is kept.
+/// Every workload, `reps` repetitions each on its own pool, round-robin:
+/// repetition `r` of every workload before repetition `r + 1` of any.
 fn measure(smoke: bool) -> InRunPhases {
     let reps = if smoke { 3 } else { 7 };
-    let runs = WORKLOADS
-        .iter()
-        .map(|&(name, dim, zones, order, assembly, exec, pool, steps)| {
-            rayon::Pool::new(pool).install(|| {
-                (0..reps)
-                    .map(|_| match dim {
-                        2 => rep::<2>(name, zones, order, assembly, exec, steps),
-                        _ => rep::<3>(name, zones, order, assembly, exec, steps),
-                    })
-                    .min_by(|a, b| a.run_s.total_cmp(&b.run_s))
-                    .expect("at least one repetition")
-            })
-        })
-        .collect();
+    let mut runs = vec![Vec::with_capacity(reps); WORKLOADS.len()];
+    for _ in 0..reps {
+        for (runs, &(name, dim, zones, order, assembly, exec, pool, steps)) in
+            runs.iter_mut().zip(&WORKLOADS)
+        {
+            runs.push(rayon::Pool::new(pool).install(|| match dim {
+                2 => rep::<2>(name, zones, order, assembly, exec, steps),
+                _ => rep::<3>(name, zones, order, assembly, exec, steps),
+            }));
+        }
+    }
     InRunPhases { runs }
 }
 
@@ -357,7 +424,7 @@ mod tests {
                 total(phases::INTEGRATION, 1.0, 1),
             ],
         };
-        let report = InRunPhases { runs: vec![run.clone()] }.report();
+        let report = InRunPhases { runs: vec![vec![run.clone()]] }.report();
         assert!(report.failures().is_empty(), "{:?}", report.failures());
         let json = crate::harness::render_json(EXPERIMENT.name, true, &report);
         let doc = crate::harness::parse_artifact(&json).unwrap();
@@ -369,7 +436,7 @@ mod tests {
         assert_eq!(runs[0].get("force_evals").and_then(Json::as_f64), Some(2.0));
 
         let failures = |run: PhaseRun| -> Vec<String> {
-            let report = InRunPhases { runs: vec![run] }.report();
+            let report = InRunPhases { runs: vec![vec![run]] }.report();
             report.failures().iter().map(|g| g.name.clone()).collect()
         };
         let mut glue = run.clone();
@@ -386,6 +453,47 @@ mod tests {
                 "in_run_phases demo sums to the run"
             ]
         );
+    }
+
+    /// Three repetitions of one workload, round-robin with no other: a
+    /// row is the median of the reps with their min and max, and a gate
+    /// that fails on one repetition alone fails, naming that repetition's
+    /// reading.
+    #[test]
+    fn rows_are_medians_and_every_rep_is_gated() {
+        let rep = |k1_ms: f64, run_ms: f64| PhaseRun {
+            workload: "demo",
+            run_s: run_ms * 1e-3,
+            steps: 1,
+            totals: vec![
+                total(phases::STEP, run_ms, 1),
+                total(phases::CORNER_FORCE, run_ms, 2),
+                total(AdjugateDetKernel::NAME, k1_ms, 2),
+                total(StressKernel::NAME, run_ms - k1_ms, 2),
+            ],
+        };
+        let report = |reps: Vec<PhaseRun>| InRunPhases { runs: vec![reps] }.report();
+        let json = crate::harness::render_json(EXPERIMENT.name, true, &report(vec![
+            rep(4.0, 10.0),
+            rep(2.0, 10.0),
+            rep(6.0, 12.0),
+        ]));
+        let doc = crate::harness::parse_artifact(&json).unwrap();
+        let rows = doc.get("phases").and_then(Json::as_arr).unwrap();
+        let k1 = rows.iter().find(|r| r.get("phase").and_then(Json::as_str) == Some("k1")).unwrap();
+        let at = |key| k1.get(key).and_then(Json::as_f64);
+        let spread = (at("ms_per_eval"), at("min_ms_per_eval"), at("max_ms_per_eval"));
+        assert_eq!(spread, (Some(2.0), Some(1.0), Some(3.0)));
+        let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
+        assert_eq!(runs[0].get("run_ms").and_then(Json::as_f64), Some(10.0));
+        assert_eq!(runs[0].get("max_run_ms").and_then(Json::as_f64), Some(12.0));
+
+        // The middle repetition's kernel runs past its parent.
+        let r = report(vec![rep(4.0, 10.0), rep(11.0, 10.0), rep(6.0, 12.0)]);
+        let failed: Vec<&str> = r.failures().iter().map(|g| g.name.as_str()).collect();
+        assert_eq!(failed, ["in_run_phases demo corner_force nests"]);
+        let detail = &r.failures()[0].detail;
+        assert!(detail.starts_with("children 11.000 ms <= 10.000 ms"), "{detail}");
     }
 
     /// The batched `d x d` products' rows name what kernels 5 and 6 launch.

@@ -1,7 +1,7 @@
 //! setup_phases — *measured* milliseconds of each one-time phase of a
 //! solver build (`Hydro::builder(..).build()`) on the end-to-end
-//! benchmark's three 3D workloads, the body the builder runs against the
-//! loop it replaced:
+//! benchmark's three 3D workloads and its 2D shape, the body the builder
+//! runs against the loop it replaced:
 //!
 //! - `geometry`: `|J₀|` and the point positions `ρ₀` is read at, in one
 //!   `fem::geom::zone_geometry_pass` (the points as vector lanes), against
@@ -15,7 +15,9 @@
 //!   (`fem::mass::reference::scatter_kinematic_blocks`);
 //! - `thermodynamic_blocks`: `M_E` on the same tile, against
 //!   `fem::mass::reference::assemble_thermodynamic_mass`;
-//! - `me_inverse`: `M_E`'s block inverse, the same code on both sides;
+//! - `me_inverse`: `M_E`'s block inverse in one batched kernel
+//!   (`BlockDiag::inverse`), against `blast_la::LuFactors::{factor,
+//!   inverse}` block by block;
 //! - `matfree_diagonal`: the matrix-free Jacobi diagonal with its basis
 //!   products formed once, against the per-zone loop
 //!   `sumfac::reference::diagonal`.
@@ -27,28 +29,39 @@
 use blast_core::AssemblyMode;
 use blast_fem::geom;
 use blast_fem::{mass, quad_points_1d, BasisTable, CartMesh, H1Space, L2Space, TensorRule};
+use blast_la::{DMatrix, LuFactors};
 use blast_kernels::sumfac::{self, SumfacFactors, SumfacMassKernel};
 use blast_kernels::ProblemShape;
 
 use crate::harness::{self, Budget, Cell, Gate, Timing};
 
-/// `(workload, order, zones per axis, assembly)`: the benchmark's 3D
-/// workloads.
-pub const SETUP_WORKLOADS: [(&str, usize, usize, AssemblyMode); 3] = [
-    ("sedov3d_q3_stored", 3, 5, AssemblyMode::Stored),
-    ("sedov3d_q3_matfree", 3, 5, AssemblyMode::MatrixFree),
-    ("sedov3d_q2_gpu", 2, 8, AssemblyMode::Stored),
+/// `(workload, dim, order, zones per axis, assembly)`: the benchmark's 3D
+/// workloads, and the 2D shape its serial and threads workloads share.
+pub const SETUP_WORKLOADS: [(&str, usize, usize, usize, AssemblyMode); 4] = [
+    ("sedov3d_q3_stored", 3, 3, 5, AssemblyMode::Stored),
+    ("sedov3d_q3_matfree", 3, 3, 5, AssemblyMode::MatrixFree),
+    ("sedov3d_q2_gpu", 3, 2, 8, AssemblyMode::Stored),
+    ("sedov2d_q2_serial", 2, 2, 32, AssemblyMode::Stored),
 ];
 
 /// The kinematic blocks must run at least this many times faster than
-/// their reference at SIMD level 1 or more (measured 4.4-6.5x at level 2
-/// and 3.2-3.6x at level 1 on the two stored shapes).
+/// their reference at SIMD level 1 or more on the 3D stored shapes
+/// (measured 4.4-6.5x at level 2 and 3.2-3.6x at level 1). The 2D row is
+/// not gated: its 9 x 9 blocks over 9 points read 3.5x at level 2 but 0.9x
+/// at level 1.
 const BLOCKS_GATE_SPEEDUP: f64 = 2.0;
 
 /// The zone-order scatter must run at least this many times faster than
 /// the triplet push and sort on both stored shapes, at every SIMD level
 /// (it is scalar code).
 const SCATTER_GATE_SPEEDUP: f64 = 3.0;
+
+/// The batched block inverse must run at least this many times faster
+/// than the per-block `LuFactors` loop on every workload, at every SIMD
+/// level. Set before the first measurement of the kernel (an untuned
+/// prototype of it read about 2x); `BENCH_host_kernels.json` holds what it
+/// reads.
+const INVERSE_GATE_SPEEDUP: f64 = 2.0;
 
 /// Timing variant of the body the builder runs; [`REFERENCE`] is the other.
 const BODY: usize = 0;
@@ -63,7 +76,8 @@ pub struct SetupPhaseResult {
     /// Phase name (see the module docs).
     pub phase: &'static str,
     /// The speedup over the reference a gated row must reach: the
-    /// scatter's, and the kinematic blocks' at SIMD level 1 or more.
+    /// scatter's, the block inverse's, and the 3D kinematic blocks' at SIMD
+    /// level 1 or more.
     pub bar: Option<f64>,
     /// Variants: the builder's body, then the reference loop; seconds per
     /// call.
@@ -91,12 +105,12 @@ impl SetupPhaseResult {
 }
 
 /// What the phases of one build read.
-struct Inputs {
-    kin: H1Space<3>,
-    thermo: L2Space<3>,
-    rule: TensorRule<3>,
-    kin_table: BasisTable<3>,
-    thermo_table: BasisTable<3>,
+struct Inputs<const D: usize> {
+    kin: H1Space<D>,
+    thermo: L2Space<D>,
+    rule: TensorRule<D>,
+    kin_table: BasisTable<D>,
+    thermo_table: BasisTable<D>,
     shape: ProblemShape,
     zone_dofs: Vec<usize>,
     x0: Vec<f64>,
@@ -104,15 +118,15 @@ struct Inputs {
     rho0detj0: Vec<f64>,
 }
 
-impl Inputs {
+impl<const D: usize> Inputs<D> {
     fn new(order: usize, zones_per_axis: usize) -> Self {
-        let mesh = CartMesh::<3>::unit(zones_per_axis);
+        let mesh = CartMesh::<D>::unit(zones_per_axis);
         let kin = H1Space::new(mesh.clone(), order);
         let thermo = L2Space::new(mesh.clone(), order - 1);
-        let rule = TensorRule::<3>::gauss(quad_points_1d(order));
+        let rule = TensorRule::<D>::gauss(quad_points_1d(order));
         let kin_table = kin.basis().tabulate(&rule.points);
         let thermo_table = thermo.basis().tabulate(&rule.points);
-        let shape = ProblemShape::new(3, order, mesh.num_zones());
+        let shape = ProblemShape::new(D, order, mesh.num_zones());
         let zone_dofs = kin.all_zone_dofs().to_vec();
         let x0 = kin.initial_coords();
         let mut inp = Self {
@@ -132,7 +146,7 @@ impl Inputs {
 
     /// `|J₀|` and the position at every point as the builder forms them,
     /// through `fem::geom`'s pass (`BODY`) or its per-zone loops.
-    fn geometry(&self, variant: usize) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn geometry(&self, variant: usize) -> (Vec<f64>, Vec<[f64; D]>) {
         let (kin, table, x0) = (&self.kin, &self.kin_table, &self.x0);
         let (mut dets, mut points) = (Vec::new(), Vec::new());
         if variant == BODY {
@@ -166,14 +180,17 @@ fn bits(x: &[f64]) -> Vec<u64> {
 
 /// Times every phase of one workload's build, after checking each body
 /// against its reference bit for bit.
-fn measure_workload(
-    (workload, order, zones, assembly): (&'static str, usize, usize, AssemblyMode),
+fn measure_workload<const D: usize>(
+    workload: &'static str,
+    order: usize,
+    zones: usize,
+    assembly: AssemblyMode,
     budget: Budget,
 ) -> Vec<SetupPhaseResult> {
-    let inp = Inputs::new(order, zones);
+    let inp = Inputs::<D>::new(order, zones);
     let (kin, rule, table, w) = (&inp.kin, &inp.rule, &inp.kin_table, &inp.rho0detj0);
     let (thermo, thermo_table) = (&inp.thermo, &inp.thermo_table);
-    let blocks_bar = (blast_la::simd::level() >= 1).then_some(BLOCKS_GATE_SPEEDUP);
+    let blocks_bar = (D == 3 && blast_la::simd::level() >= 1).then_some(BLOCKS_GATE_SPEEDUP);
     let mut out = Vec::new();
     let mut phase = |phase: &'static str, bar: Option<f64>, run: &mut dyn FnMut(usize)| {
         let t = harness::time_interleaved(2, budget, run);
@@ -228,8 +245,8 @@ fn measure_workload(
     let me = mass::assemble_thermodynamic_mass(thermo, rule, thermo_table, w);
     let reference = mass::reference::assemble_thermodynamic_mass(thermo, rule, thermo_table, w);
     for z in 0..me.num_blocks() {
-        let (a, b) = (me.block(z).as_slice(), reference.block(z).as_slice());
-        assert_eq!(bits(a), bits(b), "{workload}: thermodynamic block {z}");
+        let (got, want) = (bits(me.block(z)), bits(reference.block(z)));
+        assert_eq!(got, want, "{workload}: thermodynamic block {z}");
     }
     phase("thermodynamic_blocks", None, &mut |v| {
         if v == BODY {
@@ -238,8 +255,29 @@ fn measure_workload(
             mass::reference::assemble_thermodynamic_mass(thermo, rule, thermo_table, w);
         }
     });
-    phase("me_inverse", None, &mut |_| {
-        me.inverse();
+    // The per-block loop the batched kernel replaced, over the blocks as
+    // the builder held them before, one matrix each.
+    let n = me.block_size();
+    let blocks: Vec<DMatrix> =
+        (0..me.num_blocks()).map(|z| DMatrix::from_col_major(n, n, me.block(z).to_vec())).collect();
+    let reference = || -> Vec<DMatrix> {
+        let inverse = |b: &DMatrix| {
+            let lu = LuFactors::factor(b);
+            assert!(!lu.is_singular(), "singular thermodynamic mass block");
+            lu.inverse()
+        };
+        blocks.iter().map(inverse).collect()
+    };
+    let inv = me.inverse();
+    for (z, want) in reference().iter().enumerate() {
+        assert_eq!(bits(inv.block(z)), bits(want.as_slice()), "{workload}: M_E inverse block {z}");
+    }
+    phase("me_inverse", Some(INVERSE_GATE_SPEEDUP), &mut |v| {
+        if v == BODY {
+            me.inverse();
+        } else {
+            reference();
+        }
     });
     out
 }
@@ -247,5 +285,9 @@ fn measure_workload(
 /// Every phase of every [`SETUP_WORKLOADS`] row. The caller picks the pool
 /// (one thread in `host_kernels`).
 pub fn measure(budget: Budget) -> Vec<SetupPhaseResult> {
-    SETUP_WORKLOADS.iter().flat_map(|&w| measure_workload(w, budget)).collect()
+    let workload = |&(name, dim, order, zones, assembly): &(&'static str, _, _, _, _)| match dim {
+        2 => measure_workload::<2>(name, order, zones, assembly, budget),
+        _ => measure_workload::<3>(name, order, zones, assembly, budget),
+    };
+    SETUP_WORKLOADS.iter().flat_map(workload).collect()
 }

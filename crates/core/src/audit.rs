@@ -31,7 +31,7 @@
 //! All audit scratch is owned by the auditor and grows once, preserving
 //! the zero-allocation steady-state contract.
 
-use blast_fem::geom::GeomAtPoint;
+use blast_fem::geom::ZoneJacobians;
 use gpu_sim::Traffic;
 
 use crate::solver::ENERGY_RECONCILE_TOL;
@@ -109,13 +109,14 @@ pub(crate) struct StepAuditor<const D: usize> {
     /// Estimated cost of one audit pass (billed via `Executor::bill_audit`).
     pub(crate) traffic: Traffic,
     // Scratch (grown once, then reused): `M_V v`, `M_E e` and the mass
-    // apply's zone staging of the energy evaluation, then the Jacobians.
+    // apply's zone staging of the energy evaluation.
     pub(crate) energy: [Vec<f64>; 3],
-    pub(crate) geom: Vec<GeomAtPoint<D>>,
+    /// The geometry check's packed gradient tables and zone buffer.
+    pub(crate) jacobians: ZoneJacobians<D>,
 }
 
 impl<const D: usize> StepAuditor<D> {
-    pub(crate) fn new(cfg: AuditConfig) -> Self {
+    pub(crate) fn new(cfg: AuditConfig, jacobians: ZoneJacobians<D>) -> Self {
         Self {
             cfg,
             since_pass: 0,
@@ -126,7 +127,7 @@ impl<const D: usize> StepAuditor<D> {
             det0: Vec::new(),
             traffic: Traffic::default(),
             energy: Default::default(),
-            geom: Vec::new(),
+            jacobians,
         }
     }
 
@@ -181,10 +182,18 @@ impl<const D: usize> StepAuditor<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blast_fem::{CartMesh, H1Space, TensorRule};
+
+    /// An auditor of a one-zone Q1 mesh.
+    fn auditor(cfg: AuditConfig) -> StepAuditor<2> {
+        let space = H1Space::new(CartMesh::<2>::unit(1), 1);
+        let table = space.basis().tabulate(&TensorRule::<2>::gauss(2).points);
+        StepAuditor::new(cfg, ZoneJacobians::new(&table))
+    }
 
     #[test]
     fn cadence_stays_due_until_a_pass() {
-        let mut a = StepAuditor::<2>::new(AuditConfig::default().every_steps(3));
+        let mut a = auditor(AuditConfig::default().every_steps(3));
         assert!(!a.due());
         assert!(!a.due());
         assert!(a.due(), "third candidate is due");
@@ -197,7 +206,7 @@ mod tests {
 
     #[test]
     fn energy_band_scales_with_steps_since_reference() {
-        let mut a = StepAuditor::<2>::new(AuditConfig::default().every_steps(4));
+        let mut a = auditor(AuditConfig::default().every_steps(4));
         for _ in 0..4 {
             a.due();
         }
@@ -209,7 +218,7 @@ mod tests {
 
     #[test]
     fn reference_lifecycle() {
-        let mut a = StepAuditor::<2>::new(AuditConfig::default());
+        let mut a = auditor(AuditConfig::default());
         assert!(a.needs_reference());
         a.set_reference(2.5);
         assert!(!a.needs_reference());

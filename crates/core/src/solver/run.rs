@@ -1,7 +1,7 @@
 //! Time stepping: the RK2-average step, the adaptive run loop with
 //! rollback / CFL redos, checkpoint and restart, and the SDC audit glue.
 
-use blast_fem::geom::{zone_geometry_pass, zone_jacobians};
+use blast_fem::geom::ZoneJacobians;
 use blast_la::{Abft, AbftViolation};
 use blast_telemetry::{names, Track};
 use gpu_sim::{apply_flip, SdcSite, Traffic, FAULT_SEED_ENV};
@@ -110,7 +110,7 @@ enum Audit {
 
 impl<const D: usize> Hydro<D> {
     pub(super) fn build_auditor(&self, cfg: AuditConfig) -> StepAuditor<D> {
-        let mut aud = StepAuditor::new(cfg);
+        let mut aud = StepAuditor::new(cfg, ZoneJacobians::new(&self.kin_table));
         let n = self.kin.num_dofs();
         let npts = self.rule.len();
         let x0 = &self.initial.x;
@@ -126,16 +126,15 @@ impl<const D: usize> Hydro<D> {
             aud.lo[d] = lo - pad;
             aud.hi[d] = hi + pad;
         }
-        // `|J0|` reference for the strong-mass-conservation audit, in one
-        // lane pass over the mesh (bitwise the per-zone `zone_jacobians`);
-        // the per-audit scratch is grown here all the same.
+        // `|J0|` reference for the strong-mass-conservation audit, on the
+        // lanes every audit's check runs on (bitwise the per-zone
+        // `zone_jacobians`).
         aud.det0.resize(self.shape.zones * npts, 0.0);
-        zone_geometry_pass(&self.kin, &self.kin_table, x0, |z, geom, _| {
-            for (d, g) in aud.det0[z * npts..(z + 1) * npts].iter_mut().zip(geom) {
+        for (z, det0) in aud.det0.chunks_exact_mut(npts).enumerate() {
+            for (d, g) in det0.iter_mut().zip(aud.jacobians.zone(&self.kin, x0, z)) {
                 *d = g.det;
             }
-        });
-        aud.geom.reserve(npts);
+        }
         aud.pairing = self.mirror_pairing();
         // Estimated cost of one audit pass, billed per audit: Jacobians
         // for every zone, one kinetic/internal energy evaluation, and
@@ -214,11 +213,11 @@ impl<const D: usize> Hydro<D> {
         // stay positive and below the slacked strong-shock limit.
         let npts = self.rule.len();
         for z in 0..self.shape.zones {
-            zone_jacobians(&self.kin, &self.kin_table, &state.x, z, &mut aud.geom);
+            let geom = aud.jacobians.zone(&self.kin, &state.x, z);
             let g = self.consts.gamma[z];
             let limit = COMPRESSION_SLACK * (g + 1.0) / (g - 1.0);
             for k in 0..npts {
-                let det = aud.geom[k].det;
+                let det = geom[k].det;
                 // NaN dets must trip too, not slip through the comparison.
                 if det <= 0.0 || det.is_nan() {
                     return Some(("geometry", det, 0.0));

@@ -64,12 +64,42 @@ fn geom_at<const D: usize>(v: [[f64; D]; D]) -> GeomAtPoint<D> {
     GeomAtPoint { jac, det: jac_det(&jac) }
 }
 
+/// [`zone_jacobians`] with the points as vector lanes: the gradient tables
+/// packed once ([`PointTables`]) and a buffer for one zone, so a caller
+/// that visits zones one at a time and may stop early (the step audit's
+/// geometry check) runs at the arithmetic's speed and, once built,
+/// allocates nothing. Bitwise [`zone_jacobians`], zone by zone.
+#[derive(Clone, Debug)]
+pub struct ZoneJacobians<const D: usize> {
+    grads: PointTables<D>,
+    geom: Vec<GeomAtPoint<D>>,
+}
+
+impl<const D: usize> ZoneJacobians<D> {
+    /// Packs `table`'s gradients (the kinematic basis at the points).
+    pub fn new(table: &BasisTable<D>) -> Self {
+        let grads = PointTables::new(std::array::from_fn(|g| &table.grads[g]));
+        Self { grads, geom: Vec::with_capacity(table.npts()) }
+    }
+
+    /// Zone `z`'s Jacobians of the position field `x`, point by point.
+    pub fn zone(&mut self, space: &H1Space<D>, x: &[f64], z: usize) -> &[GeomAtPoint<D>] {
+        let n = space.num_dofs();
+        debug_assert_eq!(x.len(), D * n);
+        let geom = &mut self.geom;
+        geom.clear();
+        self.grads.eval::<D>(x, n, space.zone_dofs(z), |_, v| geom.push(geom_at(v)));
+        geom
+    }
+}
+
 /// [`zone_jacobians`] and [`eval_h1_vector`] of the position field `x` in
 /// every zone, zones in order: `at_zone(z, geometry, positions)`, bitwise
 /// those calls. The points are the vector lanes of tables packed once per
-/// pass ([`PointTables`], dropped at return), so a pass over the mesh (the
-/// solver build's `ρ₀|J₀|`) runs at the arithmetic's speed; the per-zone
-/// calls are the point-at-a-time loops, and the pass's oracles.
+/// pass ([`ZoneJacobians`], [`PointTables`], dropped at return), so a pass
+/// over the mesh (the solver build's `ρ₀|J₀|`) runs at the arithmetic's
+/// speed; the per-zone calls are the point-at-a-time loops, and the pass's
+/// oracles.
 pub fn zone_geometry_pass<const D: usize>(
     space: &H1Space<D>,
     table: &BasisTable<D>,
@@ -77,17 +107,13 @@ pub fn zone_geometry_pass<const D: usize>(
     mut at_zone: impl FnMut(usize, &[GeomAtPoint<D>], &[[f64; D]]),
 ) {
     let n = space.num_dofs();
-    debug_assert_eq!(x.len(), D * n);
-    let grads = PointTables::new(std::array::from_fn(|g| &table.grads[g]));
+    let mut jacobians = ZoneJacobians::new(table);
     let values = PointTables::new([&table.values]);
-    let (mut geom, mut pos) = (Vec::with_capacity(table.npts()), Vec::with_capacity(table.npts()));
+    let mut pos = Vec::with_capacity(table.npts());
     for z in 0..space.mesh().num_zones() {
-        let dofs = space.zone_dofs(z);
-        geom.clear();
         pos.clear();
-        grads.eval::<D>(x, n, dofs, |_, v| geom.push(geom_at(v)));
-        values.eval::<D>(x, n, dofs, |_, v| pos.push(v[0]));
-        at_zone(z, &geom, &pos);
+        values.eval::<D>(x, n, space.zone_dofs(z), |_, v| pos.push(v[0]));
+        at_zone(z, jacobians.zone(space, x, z), &pos);
     }
 }
 
@@ -405,6 +431,13 @@ mod tests {
             seen += 1;
         });
         assert_eq!(seen, want.len(), "{what}: the pass visits every zone");
+        // One zone at a time, in reverse: the buffer carries nothing over.
+        let mut jacobians = ZoneJacobians::new(&table);
+        for z in (0..space.mesh().num_zones()).rev() {
+            let geom = jacobians.zone(&space, &x, z).to_vec();
+            let n = geom.len() * (9 + 1);
+            assert_eq!(zone_bits(&geom, &[]), want[z][..n], "{what}: zone {z} alone");
+        }
     }
 
     /// The pass over all zones is the per-zone point-at-a-time loops, bit

@@ -9,7 +9,7 @@
 //! frame freezes `ρ(x(t)) |J(t)| = ρ₀ |J₀|` at each quadrature point, so
 //! **both matrices are constant in time** and are assembled exactly once.
 
-use blast_la::{BlockDiag, CsrBuilder, CsrMatrix, DMatrix, WeightedGram};
+use blast_la::{BlockDiag, CsrBuilder, CsrMatrix, WeightedGram};
 use rayon::prelude::*;
 
 use crate::quadrature::TensorRule;
@@ -73,9 +73,9 @@ pub fn scatter_kinematic_blocks<const D: usize>(space: &H1Space<D>, locals: &[f6
 }
 
 /// Assembles the block-diagonal thermodynamic mass matrix
-/// `(M_E)_z = Σ_k α_k (ρ|J|)_{z,k} φ̂(q̂_k) φ̂(q̂_k)^T` (one block per zone,
-/// one [`WeightedGram`] register tile each, zones in parallel). Bitwise
-/// [`reference::assemble_thermodynamic_mass`].
+/// `(M_E)_z = Σ_k α_k (ρ|J|)_{z,k} φ̂(q̂_k) φ̂(q̂_k)^T` into one batch (one
+/// block per zone, one [`WeightedGram`] register tile each, zones in
+/// parallel). Bitwise [`reference::assemble_thermodynamic_mass`].
 pub fn assemble_thermodynamic_mass<const D: usize>(
     space: &L2Space<D>,
     rule: &TensorRule<D>,
@@ -88,11 +88,11 @@ pub fn assemble_thermodynamic_mass<const D: usize>(
     let ldof = space.ndof_per_zone();
     let gram = WeightedGram::new(&table.values);
     let w = point_weights(rule, rho_detj);
-    let mut blocks: Vec<DMatrix> = (0..nz).map(|_| DMatrix::zeros(ldof, ldof)).collect();
-    blocks.par_iter_mut().enumerate().for_each(|(z, block)| {
-        gram.compute(&w[z * npts..(z + 1) * npts], block.as_mut_slice());
+    let mut batch = vec![0.0; nz * ldof * ldof];
+    batch.par_chunks_exact_mut(ldof * ldof).enumerate().for_each(|(z, block)| {
+        gram.compute(&w[z * npts..(z + 1) * npts], block);
     });
-    BlockDiag::from_blocks(blocks)
+    BlockDiag::from_batch(ldof, batch)
 }
 
 /// The scalar loops the [`WeightedGram`] tile replaced and the triplet
@@ -173,8 +173,8 @@ pub mod reference {
         let npts = rule.len();
         assert_eq!(rho_detj.len(), nz * npts, "rho_detj shape mismatch");
         let ldof = space.ndof_per_zone();
-        let mut blocks: Vec<DMatrix> = (0..nz).map(|_| DMatrix::zeros(ldof, ldof)).collect();
-        blocks.par_iter_mut().enumerate().for_each(|(z, block)| {
+        let mut batch = vec![0.0; nz * ldof * ldof];
+        batch.par_chunks_exact_mut(ldof * ldof).enumerate().for_each(|(z, block)| {
             let w = &rho_detj[z * npts..(z + 1) * npts];
             for k in 0..npts {
                 let s = rule.weights[k] * w[k];
@@ -184,12 +184,12 @@ pub mod reference {
                         continue;
                     }
                     for i in 0..ldof {
-                        block[(i, j)] += sj * table.values[(i, k)];
+                        block[j * ldof + i] += sj * table.values[(i, k)];
                     }
                 }
             }
         });
-        BlockDiag::from_blocks(blocks)
+        BlockDiag::from_batch(ldof, batch)
     }
 }
 
@@ -242,8 +242,7 @@ mod tests {
         let want = reference::assemble_thermodynamic_mass(&space, &rule, &table, &w);
         let got = assemble_thermodynamic_mass(&space, &rule, &table, &w);
         for z in 0..want.num_blocks() {
-            let (a, b) = (got.block(z).as_slice(), want.block(z).as_slice());
-            assert_eq!(bits(a), bits(b), "Q{order}-{D}D M_E block {z}");
+            assert_eq!(bits(got.block(z)), bits(want.block(z)), "Q{order}-{D}D M_E block {z}");
         }
     }
 
@@ -331,6 +330,39 @@ mod tests {
         SHAPES_3D.iter().for_each(|&(order, zones)| thermodynamic_case::<3>(order, zones));
     }
 
+    /// `M_E⁻¹` on the benchmark's three shapes (2D Q2 32², 3D Q3 5³, 3D Q2
+    /// 8³) from a rough `ρ|J|`, so no two blocks are alike, at pool widths
+    /// 1 / 2 / 8: the batched kernel against [`LuFactors::inverse`] block
+    /// by block, bit for bit.
+    #[test]
+    fn thermodynamic_inverse_matches_setup_oracle() {
+        use blast_la::{DMatrix, LuFactors};
+        fn case<const D: usize>(order: usize, zones: usize) {
+            let space = L2Space::new(CartMesh::<D>::unit(zones), order - 1);
+            let rule = TensorRule::<D>::gauss(crate::quad_points_1d(order));
+            let table = space.basis().tabulate(&rule.points);
+            let w = rough_rho_detj(space.mesh().num_zones() * rule.len());
+            let me = assemble_thermodynamic_mass(&space, &rule, &table, &w);
+            let n = me.block_size();
+            let want: Vec<Vec<u64>> = (0..me.num_blocks())
+                .map(|z| {
+                    let block = DMatrix::from_col_major(n, n, me.block(z).to_vec());
+                    bits(LuFactors::factor(&block).inverse().as_slice())
+                })
+                .collect();
+            for threads in [1, 2, 8] {
+                let inv = rayon::Pool::new(threads).install(|| me.inverse());
+                for (z, want) in want.iter().enumerate() {
+                    let what = format!("Q{order}-{D}D block {z}, {threads} threads");
+                    assert_eq!(&bits(inv.block(z)), want, "{what}");
+                }
+            }
+        }
+        case::<2>(2, 32);
+        case::<3>(3, 5);
+        case::<3>(2, 8);
+    }
+
     #[test]
     fn kinematic_mass_row_sums_give_total_mass() {
         // sum_ij M_ij = integral of rho = total mass = density * volume.
@@ -387,7 +419,7 @@ mod tests {
         // Diagonal of each block positive.
         for z in 0..me.num_blocks() {
             for i in 0..me.block_size() {
-                assert!(me.block(z)[(i, i)] > 0.0);
+                assert!(me.block(z)[i * me.block_size() + i] > 0.0);
             }
         }
     }

@@ -51,7 +51,7 @@ mod tests {
     use super::*;
     use crate::launch::{testing::on_device, Launch};
     use gpu_sim::{DeviceCatalog, GpuDevice};
-    use blast_la::{CsrBuilder, DMatrix};
+    use blast_la::CsrBuilder;
 
 
     fn tridiag(n: usize) -> CsrMatrix {
@@ -70,10 +70,9 @@ mod tests {
 
     #[test]
     fn result_matches_host_spmv() {
-        let blocks = (0..10)
-            .map(|z| DMatrix::from_fn(5, 5, |i, j| ((z * 25 + i * 5 + j) as f64 * 0.7).cos()))
-            .collect();
-        let m = BlockDiag::from_blocks(blocks);
+        // Block z's entry (i, j) at z * 25 + j * 5 + i.
+        let entry = |p: usize| ((p / 25 * 25 + p % 5 * 5 + p % 25 / 5) as f64 * 0.7).cos();
+        let m = BlockDiag::from_batch(5, (0..250).map(entry).collect());
         let x: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut y = vec![0.0; 50];
         let dev = GpuDevice::new(DeviceCatalog::gpu("k20"));

@@ -1,6 +1,7 @@
 //! The one SIMD level of the workspace, and the one way a `blast-la` kernel
 //! body is cloned for it. [`crate::tile`], [`crate::tensor`],
-//! [`crate::stream`], [`crate::gram`] and [`crate::points`] are the clients here; `blast_kernels::isa` reads the
+//! [`crate::stream`], [`crate::gram`], [`crate::points`] and
+//! [`crate::blockdiag`] are the clients here; `blast_kernels::isa` reads the
 //! same [`level`] for its FMA-free clones.
 //!
 //! A kernel is a plain safe `#[inline(always)]` body; `fma_clones!`

@@ -114,8 +114,8 @@ pub fn warmed_up_solver_on(
 /// Steps a warmed-up solver through a measured window of `Hydro::advance`
 /// in which `heap_ops` (the binary's allocation counter) must not move —
 /// with the telemetry layer recording into its reserved ring.
-pub fn assert_steady_state_is_heap_quiet(
-    hydro: &mut Hydro<2>,
+pub fn assert_steady_state_is_heap_quiet<const D: usize>(
+    hydro: &mut Hydro<D>,
     state: &mut HydroState,
     mut cursor: RunCursor,
     heap_ops: fn() -> u64,

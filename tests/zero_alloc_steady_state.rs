@@ -29,7 +29,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use blast_repro::blast_core::{
-    AssemblyMode, ExecMode, Executor, Hydro, HydroError, Sedov, MAX_STEP_REDOS,
+    AssemblyMode, AuditConfig, CheckpointPolicy, CheckpointStore, ExecMode, Executor, Hydro,
+    HydroError, Sedov, MAX_STEP_REDOS,
 };
 use blast_repro::blast_la::PcgOptions;
 use blast_repro::blast_telemetry::{names, Telemetry, WallTotal};
@@ -118,6 +119,39 @@ fn timed_steady_state_steps_do_not_touch_the_heap() {
                     "{mode:?}: `{phase}` is timed"
                 );
             }
+        });
+    }
+}
+
+/// The contract with the physics-invariant audit due every step, in 3D
+/// (no ABFT): the audit's geometry check runs on the auditor's packed
+/// gradient tables and zone buffer, and its energy evaluation on its grown
+/// scratch, so an audited step allocates nothing either.
+#[test]
+fn audited_steady_state_steps_do_not_touch_the_heap() {
+    for mode in [AssemblyMode::Stored, AssemblyMode::MatrixFree] {
+        rayon::Pool::new(1).install(|| {
+            let exec = Executor::new(ExecMode::CpuSerial, CpuSpec::e5_2670(), None);
+            let mut hydro = Hydro::<3>::builder(&Sedov::default(), [3, 3, 3])
+                .order(2)
+                .executor(exec)
+                .audit(AuditConfig::default().every_steps(1))
+                .assembly(mode)
+                .build()
+                .expect("problem fits");
+            let mut state = hydro.initial_state();
+            let mut store = CheckpointStore::in_memory();
+            let mut cursor = hydro.begin(&mut state, &store).expect("initial dt");
+            for _ in 0..3 {
+                let never = CheckpointPolicy::Never;
+                let step = hydro.advance(&mut state, &mut cursor, f64::INFINITY, never, &mut store);
+                step.expect("warm-up step");
+            }
+            let tel = hydro.executor().telemetry().clone();
+            let audits = || tel.counter(names::counters::SDC_AUDITS);
+            let before = audits();
+            common::assert_steady_state_is_heap_quiet(&mut hydro, &mut state, cursor, heap_ops);
+            assert_eq!(audits() - before, 5, "{mode:?}: every measured step is audited");
         });
     }
 }
