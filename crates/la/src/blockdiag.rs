@@ -185,7 +185,9 @@ impl<'a> BlockConsumer<(&'a mut [f64], &'a [f64]), ()> for Inverter {
 }
 
 /// [`Inverter::consume`] at the compile-time size `N`, rows padded to `P`,
-/// groups of `B` blocks.
+/// groups of `B` blocks. Not inlined: each size's stack frame is its own,
+/// so a small block does not probe the 64 KiB the `N = 64` scratch takes.
+#[inline(never)]
 fn fixed<'a, const N: usize, const P: usize, const B: usize>(
     level: u8,
     groups: impl Iterator<Item = (&'a mut [f64], &'a [f64])>,
