@@ -246,6 +246,32 @@ fn spread(mut x: Vec<f64>) -> (f64, f64, f64) {
     (x[x.len() / 2], x[0], x[x.len() - 1])
 }
 
+/// One gate per check name any repetition emitted, in first-seen order,
+/// holding on the worst repetition's reading of that check; a repetition
+/// that did not emit it fails the gate.
+fn worst_of(checks: &[Vec<Check>]) -> Vec<Gate> {
+    let mut names: Vec<&str> = Vec::new();
+    for c in checks.iter().flatten() {
+        if !names.contains(&c.name.as_str()) {
+            names.push(&c.name);
+        }
+    }
+    names
+        .into_iter()
+        .map(|name| {
+            let reading = checks.iter().map(|rep| rep.iter().find(|c| c.name == name));
+            let missing = reading.clone().filter(Option::is_none).count();
+            let worst = reading.flatten().min_by(|a, b| a.slack.total_cmp(&b.slack));
+            let worst = worst.expect("every name comes from some repetition");
+            let detail = match missing {
+                0 => format!("{} (worst of {} reps)", worst.detail, checks.len()),
+                m => format!("{}; missing from {m} of {} reps", worst.detail, checks.len()),
+            };
+            Gate::new(name.to_string(), missing == 0 && worst.slack >= 0.0, detail)
+        })
+        .collect()
+}
+
 /// The repetitions of one workload: its phase rows, its run record, and
 /// its gates, each gate held on every repetition.
 fn blocks(
@@ -275,13 +301,7 @@ fn blocks(
             Cell::new("calls", calls as usize),
         ]);
     }
-    let checks: Vec<Vec<Check>> = reps.iter().map(PhaseRun::checks).collect();
-    for (i, check) in checks[0].iter().enumerate() {
-        let worst = checks.iter().map(|c| &c[i]).min_by(|a, b| a.slack.total_cmp(&b.slack));
-        let worst = worst.unwrap_or(check);
-        let detail = format!("{} (worst of {} reps)", worst.detail, reps.len());
-        gates.push(Gate::new(check.name.clone(), worst.slack >= 0.0, detail));
-    }
+    gates.extend(worst_of(&reps.iter().map(PhaseRun::checks).collect::<Vec<_>>()));
     let (run_ms, min_run_ms, max_run_ms) = over_reps(&|r| r.run_s * 1e3);
     let (top_share, _, _) = over_reps(&|r| r.shares().0);
     let (explained, _, _) = over_reps(&|r| r.shares().1);
@@ -494,6 +514,23 @@ mod tests {
         assert_eq!(failed, ["in_run_phases demo corner_force nests"]);
         let detail = &r.failures()[0].detail;
         assert!(detail.starts_with("children 11.000 ms <= 10.000 ms"), "{detail}");
+    }
+
+    /// Repetitions' checks are matched by name, whatever their order, and
+    /// a check one repetition did not emit fails its gate.
+    #[test]
+    fn gates_match_checks_by_name() {
+        let check = |name: &str, slack: f64| Check { name: name.into(), slack, detail: format!("{name} {slack}") };
+        let gates = worst_of(&[
+            vec![check("a", 1.0), check("b", 5.0)],
+            vec![check("b", 0.5), check("a", 3.0)],
+        ]);
+        let read: Vec<(&str, bool, &str)> =
+            gates.iter().map(|g| (g.name.as_str(), g.ok, g.detail.as_str())).collect();
+        assert_eq!(read, [("a", true, "a 1 (worst of 2 reps)"), ("b", true, "b 0.5 (worst of 2 reps)")]);
+        let gates = worst_of(&[vec![check("a", 1.0), check("b", 5.0)], vec![check("b", 2.0)]]);
+        assert_eq!((gates[0].ok, gates[0].detail.as_str()), (false, "a 1; missing from 1 of 2 reps"));
+        assert!(gates[1].ok);
     }
 
     /// The batched `d x d` products' rows name what kernels 5 and 6 launch.

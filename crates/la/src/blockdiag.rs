@@ -144,12 +144,12 @@ impl BlockDiag {
 /// multiple of 8 at the runtime size, so every clone runs whole vectors.
 const W: usize = 8;
 
-/// Blocks of size `n` inverted in lock step, step by step: one small
+/// Blocks of size `n` inverted in lock step, step by step: a 4² or 8²
 /// block's factorization and solves are chains of dependent steps, and
-/// interleaving 4 independent blocks hides their latency. One block at 27
-/// and 64, whose steps are wide enough, and at the runtime sizes.
+/// interleaving 4 independent blocks hides their latency. One block at 27,
+/// whose steps are wide enough, and at the runtime sizes.
 fn lock_step(n: usize) -> usize {
-    if matches!(n, 1 | 4 | 8 | 9 | 16) { 4 } else { 1 }
+    if matches!(n, 4 | 8) { 4 } else { 1 }
 }
 
 /// One grid block of groups of [`lock_step`] zones, `(inverse blocks,
@@ -164,14 +164,12 @@ struct Inverter {
 impl<'a> BlockConsumer<(&'a mut [f64], &'a [f64]), ()> for Inverter {
     fn consume<I: Iterator<Item = (&'a mut [f64], &'a [f64])>>(&self, groups: I) {
         match self.n {
-            // The thermodynamic blocks of Q1-Q4: 2D (1, 4, 9, 16), 3D (1, 8, 27, 64).
-            1 => fixed::<1, 1, 4>(self.level, groups),
+            // The thermodynamic blocks the benchmark's workloads invert: 2D
+            // Q2 (4), 3D Q2 (8) and Q3 (27). Every other size, Q1 and Q4
+            // among them, runs at the runtime size.
             4 => fixed::<4, 4, 4>(self.level, groups),
             8 => fixed::<8, 8, 4>(self.level, groups),
-            9 => fixed::<9, 16, 4>(self.level, groups),
-            16 => fixed::<16, 16, 4>(self.level, groups),
             27 => fixed::<27, 32, 1>(self.level, groups),
-            64 => fixed::<64, 64, 1>(self.level, groups),
             n => {
                 let p = n.next_multiple_of(W);
                 let (mut lu, mut lv, mut y) = (vec![0.0; n * p], vec![0.0; p], vec![0.0; n * p]);
@@ -186,7 +184,7 @@ impl<'a> BlockConsumer<(&'a mut [f64], &'a [f64]), ()> for Inverter {
 
 /// [`Inverter::consume`] at the compile-time size `N`, rows padded to `P`,
 /// groups of `B` blocks. Not inlined: each size's stack frame is its own,
-/// so a small block does not probe the 64 KiB the `N = 64` scratch takes.
+/// so a small block does not probe the 14 KiB the `N = 27` scratch takes.
 #[inline(never)]
 fn fixed<'a, const N: usize, const P: usize, const B: usize>(
     level: u8,
